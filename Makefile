@@ -10,10 +10,10 @@ test:
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (background retrains, WAL/checkpoint durability, chaos tests),
-# the HTTP service, the fault-injection helpers, and the parallel
-# training pipeline.
+# the HTTP service, the fault-injection helpers, the parallel training
+# pipeline, and the TPT (BulkLoad's concurrent sorted runs).
 race:
-	$(GO) test -race ./internal/hpa/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
+	$(GO) test -race ./internal/hpa/... ./internal/tpt/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
 
 # Crash-safety suite under the race detector: kill/restart recovery, torn
 # WAL tails, injected WAL/snapshot/train faults, snapshot robustness, the
@@ -30,18 +30,21 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Query-path benchmarks only: FQP/BQP micro-benches with allocation counts
-# plus the query-throughput experiment in quick mode. The full experiment
-# (and BENCH_query_throughput.json) comes from:
+# (BQP/near: a live consequence offset inside the base window; BQP/far: the
+# nearest one 20+ steps from the query offset, the case the widening loop
+# used to pay for per step) plus the query-throughput experiment in quick
+# mode. The full experiment (and BENCH_query_throughput.json) comes from:
 #   go run ./cmd/hpmbench -experiment queries -json
 bench-query:
 	$(GO) test -bench='BenchmarkPredict(FQP|BQP)$$|BenchmarkQueryThroughput$$' -benchmem -run '^$$' .
 
 # Ingest-path benchmarks only: ObserveBatch under concurrent writers in
-# sync/nosync/single-shard modes, with fsyncs-per-op reported. The full
-# experiment (and BENCH_ingest.json) comes from:
+# sync/nosync/single-shard modes, with fsyncs-per-op reported, and one
+# observe of a trained object with the fleet index on (the per-point index
+# refresh). The full experiment (and BENCH_ingest.json) comes from:
 #   go run ./cmd/hpmbench -experiment ingest -json
 bench-ingest:
-	$(GO) test -bench='BenchmarkObserveParallel' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkObserveParallel|BenchmarkIndexRefresh' -benchmem -run '^$$' ./store/
 
 # Online prequential accuracy: test-then-train replay of each dataset
 # through a live store, hybrid pattern paths vs motion fallback per

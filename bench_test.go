@@ -151,28 +151,72 @@ func BenchmarkPredictFQP(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBQP measures backward-query-path (distant) predictions.
+// BenchmarkPredictBQP measures backward-query-path (distant) predictions,
+// k = 1, in the two positions a query time can have relative to the model.
+//
+//   - near: the object is regular all period long, so some pattern's
+//     consequence offset lies inside BQP's base window around tq.
+//   - far: the object is regular only during the first 60 of its 150
+//     offsets and wanders for the rest, and tq lands at offset 90: the
+//     nearest consequence offset is 31 steps back. Algorithm 3 widens its
+//     window sixteen times to get there; the engine computes that window
+//     and searches once, so the case costs one search and allocates per
+//     query, not per widening step.
 func BenchmarkPredictBQP(b *testing.B) {
-	p, tr, spec := benchPredictor(b)
-	rng := rand.New(rand.NewSource(2))
+	b.Run("near", func(b *testing.B) {
+		p, tr, spec := benchPredictor(b)
+		rng := rand.New(rand.NewSource(2))
+		// 80 ahead: beyond the default distant threshold of 60.
+		benchBQP(b, p, tr, 80, func() int { return (40+rng.Intn(5))*spec.Period + 20 + rng.Intn(40) })
+	})
+	b.Run("far", func(b *testing.B) {
+		const regular = 60
+		spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 3)
+		spec.Period = 150
+		spec.SubTrajectories = 45
+		pts := append([]hpm.Point(nil), hpm.GenerateDataset(spec).Points()...)
+		rng := rand.New(rand.NewSource(4))
+		for t := range pts {
+			if t%spec.Period >= regular {
+				pts[t] = hpm.Pt(rng.Float64()*10000, rng.Float64()*10000)
+			}
+		}
+		tr := hpm.NewTrajectory(pts)
+		p, err := hpm.Train(tr, hpm.Config{Period: spec.Period, SubTrajectories: 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// From offset 30, 60 ahead: offset 90, 31 steps past the last
+		// regular offset.
+		benchBQP(b, p, tr, 60, func() int { return (40+rng.Intn(5))*spec.Period + 30 })
+	})
+}
+
+// benchBQP draws 64 current times from nextTc, asks each for the location
+// horizon steps ahead, round-robin, and insists that BQP, not a
+// fall-through path, answered every query.
+func benchBQP(b *testing.B, p *hpm.Predictor, tr *hpm.Trajectory, horizon int, nextTc func() int) {
+	b.Helper()
 	queries := make([][]hpm.TimedPoint, 64)
-	tqs := make([]int, 64)
+	tqs := make([]int, len(queries))
 	for i := range queries {
-		day := 40 + rng.Intn(5)
-		tc := day*spec.Period + 20 + rng.Intn(40)
+		tc := nextTc()
 		recent, err := tr.Recent(tc, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
-		queries[i] = recent
-		tqs[i] = tc + 80 // beyond the default distant threshold of 60
+		queries[i], tqs[i] = recent, tc+horizon
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(queries)
-		if _, err := p.Predict(queries[q], tqs[q], 1); err != nil {
+		preds, err := p.Predict(queries[q], tqs[q], 1)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if len(preds) != 1 || preds[0].Path != hpm.PathBackward {
+			b.Fatalf("query %d answered by %+v, want one backward prediction", q, preds)
 		}
 	}
 }

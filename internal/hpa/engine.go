@@ -3,7 +3,6 @@ package hpa
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -219,9 +218,12 @@ type Engine struct {
 	// dead marks retired refs. Retired patterns stay in the slice —
 	// PatternRef values in served predictions and Explain keep indexing
 	// it — but their tree entries are gone, so queries never surface
-	// them. live counts the others.
-	dead []bool
-	live int
+	// them. live counts the others, and liveAt counts them per consequence
+	// offset (index = offset within the period), which is what lets BQP
+	// compute its first productive window instead of widening up to it.
+	dead   []bool
+	live   int
+	liveAt []int32
 
 	stats queryCounters
 
@@ -255,12 +257,20 @@ type fittedMotion struct {
 	err     error
 }
 
+// candidate is one search hit reduced to what ranking reads. A search
+// surfaces hundreds of them to return the top k, so the full Prediction
+// (region centre, extent, offset) is built for the winners only.
+type candidate struct {
+	score, conf float64
+	ref         int
+}
+
 // queryScratch holds the per-query working buffers — the encoded premise
 // and the candidate accumulator — recycled through a pool so the steady-
 // state query path stays allocation-lean under concurrent load.
 type queryScratch struct {
 	visited []pattern.RegionID
-	cands   []Prediction
+	cands   []candidate
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -284,8 +294,22 @@ func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, tre
 		offsets[i] = enc.RegionTable().Region(p.Consequence).Offset
 	}
 	tree := tpt.BulkLoad(enc.ConsequenceTable().Len(), enc.RegionTable().Len(), items, treeOpts)
-	return &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
-		consOffsets: offsets, dead: make([]bool, len(patterns)), live: len(patterns)}, nil
+	e := &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
+		consOffsets: offsets, dead: make([]bool, len(patterns)), live: len(patterns),
+		liveAt: make([]int32, cfg.Period)}
+	for _, off := range offsets {
+		e.countLive(off, 1)
+	}
+	return e, nil
+}
+
+// countLive moves the live-pattern count of one consequence offset. Offsets
+// outside [0, Period) are not counted: no BQP window, which only spans
+// offsets of the period, can reach them.
+func (e *Engine) countLive(off int, delta int32) {
+	if off >= 0 && off < len(e.liveAt) {
+		e.liveAt[off] += delta
+	}
 }
 
 // Tree exposes the underlying TPT for diagnostics and benchmarks.
@@ -337,6 +361,7 @@ func (e *Engine) AddPatterns(ps []pattern.Pattern) (added, skipped int) {
 		e.consOffsets = append(e.consOffsets, off)
 		e.dead = append(e.dead, false)
 		e.live++
+		e.countLive(off, 1)
 		e.tree.Insert(tpt.Item{Key: e.enc.Encode(p), Conf: p.Confidence, Ref: ref})
 		added++
 	}
@@ -648,28 +673,18 @@ func (e *Engine) forwardQuery(sc *queryScratch, visited []pattern.RegionID, tq, 
 	cands := sc.cands[:0]
 	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(it tpt.Item) bool {
 		sr := PremiseSimilarity(it.Key.RK, qk.RK, e.cfg.Weight)
-		fr := e.consequenceRegion(it.Ref)
-		cands = append(cands, Prediction{
-			Location:          fr.Center,
-			Score:             sr * it.Conf, // Equation 2
-			Confidence:        it.Conf,
-			PatternRef:        it.Ref,
-			Source:            SourcePattern,
-			Path:              PathForward,
-			Extent:            fr.MBR,
-			ConsequenceOffset: fr.Offset,
-		})
+		cands = append(cands, candidate{score: sr * it.Conf, conf: it.Conf, ref: it.Ref}) // Equation 2
 		return true
 	})))
 	sc.cands = cands
-	return topK(cands, k)
+	return e.topK(cands, k, PathForward)
 }
 
-// BackwardQuery implements Algorithm 3 minus the motion fallback: starting
-// from the base window [tq-tε, tq+tε] it widens until at least one pattern
-// has a consequence offset inside the window or the window reaches the
-// current time, then ranks by Equation 5 (or Equation 4 when the premise
-// penalty is disabled).
+// BackwardQuery implements Algorithm 3 minus the motion fallback: of the
+// windows [tq-i·tε, tq+i·tε], i = 1, 2, …, it searches the first one that
+// holds a pattern's consequence offset — unless the window would have to
+// reach back to the current time first — and ranks what it finds by
+// Equation 5 (or Equation 4 when the premise penalty is disabled).
 func (e *Engine) BackwardQuery(visited []pattern.RegionID, tc, tq, k int) []Prediction {
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
@@ -679,54 +694,63 @@ func (e *Engine) BackwardQuery(visited []pattern.RegionID, tc, tq, k int) []Pred
 // backwardQuery is BackwardQuery accumulating candidates into sc.cands; the
 // returned top-k slice is freshly allocated, never scratch-backed.
 func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc, tq, k int) []Prediction {
-	qrk := e.enc.RegionTable().PremiseKey(visited)
-	ct := e.enc.ConsequenceTable()
 	tqOff := mod(tq, e.cfg.Period)
+	radius, ok := e.firstWindow(tqOff, tc, tq)
+	if !ok {
+		return nil
+	}
+	qrk := e.enc.RegionTable().PremiseKey(visited)
+	qk := bitkey.PatternKey{
+		CK: consequenceWindowKey(e.enc.ConsequenceTable(), tqOff, radius, e.cfg.Period),
+		RK: qrk,
+	}
+	cands := scr.cands[:0]
+	e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(it tpt.Item) bool {
+		// The window key holds exactly the offsets within radius, so every
+		// item visited has dist <= radius.
+		dist := circularDist(tqOff, e.consOffsets[it.Ref], e.cfg.Period)
+		sc := 1 - float64(dist)/float64(radius+1) // Equation 3
+		sr := PremiseSimilarity(it.Key.RK, qrk, e.cfg.Weight)
+		var sp float64
+		if e.cfg.PenalizePremise {
+			sp = (sr*float64(e.cfg.DistantThreshold)/float64(tq-tc) + sc) * it.Conf // Equation 5
+		} else {
+			sp = (sr + sc) * it.Conf // Equation 4
+		}
+		cands = append(cands, candidate{score: sp, conf: it.Conf, ref: it.Ref})
+		return true
+	})))
+	scr.cands = cands
+	return e.topK(cands, k, PathBackward)
+}
 
-	for i := 1; ; i++ {
-		radius := i * e.cfg.TimeRelaxation
-		ck := consequenceWindowKey(ct, tqOff, radius, e.cfg.Period)
-		cands := scr.cands[:0]
-		if !ck.IsZero() {
-			qk := bitkey.PatternKey{CK: ck, RK: qrk}
-			e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(it tpt.Item) bool {
-				t := e.consOffsets[it.Ref]
-				dist := circularDist(tqOff, t, e.cfg.Period)
-				if dist > radius {
-					return true // key bit wrapped in; outside this window
-				}
-				sc := 1 - float64(dist)/float64(radius+1) // Equation 3
-				sr := PremiseSimilarity(it.Key.RK, qrk, e.cfg.Weight)
-				var sp float64
-				if e.cfg.PenalizePremise {
-					sp = (sr*float64(e.cfg.DistantThreshold)/float64(tq-tc) + sc) * it.Conf // Equation 5
-				} else {
-					sp = (sr + sc) * it.Conf // Equation 4
-				}
-				fr := e.consequenceRegion(it.Ref)
-				cands = append(cands, Prediction{
-					Location:          fr.Center,
-					Score:             sp,
-					Confidence:        it.Conf,
-					PatternRef:        it.Ref,
-					Source:            SourcePattern,
-					Path:              PathBackward,
-					Extent:            fr.MBR,
-					ConsequenceOffset: fr.Offset,
-				})
-				return true
-			})))
-			scr.cands = cands
+// firstWindow computes where Algorithm 3's widening loop ends without
+// running it. The loop tries radius i·tε for i = 1 and then for every i
+// whose window's lower edge tq − i·tε is still after tc (line 8), and stops
+// at the first window holding a live pattern's consequence offset. That
+// window is the one whose radius first reaches the live offset nearest to
+// tqOff, so it follows from liveAt; ok is false when the stop rule ends the
+// loop before any window gets there.
+func (e *Engine) firstWindow(tqOff, tc, tq int) (radius int, ok bool) {
+	te, period := e.cfg.TimeRelaxation, e.cfg.Period
+	// The largest i with tq − i·tε > tc; the base window is searched
+	// unconditionally.
+	last := max(1, (tq-tc-1)/te)
+	// No offset is further than half a period away.
+	reach := min(last*te, period/2)
+	up, down := tqOff, tqOff
+	for d := 0; d <= reach; d++ {
+		if e.liveAt[up] > 0 || e.liveAt[down] > 0 {
+			return max(1, (d+te-1)/te) * te, true
 		}
-		if len(cands) > 0 {
-			return topK(cands, k)
+		if up++; up == period {
+			up = 0
 		}
-		// Algorithm 3 line 8: widen only while the window's lower edge
-		// stays after the current time.
-		if tq-(i+1)*e.cfg.TimeRelaxation <= tc {
-			return nil
+		if down--; down < 0 {
+			down = period - 1
 		}
 	}
+	return 0, false
 }
 
 func (e *Engine) consequenceRegion(ref int) *pattern.FrequentRegion {
@@ -826,31 +850,27 @@ func (e *Engine) MarkovQuery(q Query) ([]Prediction, error) {
 
 // better reports whether a ranks strictly ahead of b: higher score, ties
 // broken by higher confidence, then lower pattern index for determinism.
-// Candidates within one search carry distinct PatternRefs, so this is a
-// strict total order and the top-k set is deterministic.
-func better(a, b *Prediction) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// Candidates within one search carry distinct refs, so this is a strict
+// total order and the top-k set is deterministic.
+func better(a, b *candidate) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	if a.Confidence != b.Confidence {
-		return a.Confidence > b.Confidence
+	if a.conf != b.conf {
+		return a.conf > b.conf
 	}
-	return a.PatternRef < b.PatternRef
+	return a.ref < b.ref
 }
 
-// topK returns the k best candidates in rank order, freshly allocated so
-// callers never alias the pooled scratch. For k ≪ len(cands) it runs a
-// bounded selection heap — O(n log k) with the heap living in the scratch's
-// own prefix — instead of sorting every candidate.
-func topK(cands []Prediction, k int) []Prediction {
-	if len(cands) == 0 || k <= 0 {
+// topK returns the k best candidates in rank order as predictions answered
+// by path, freshly allocated so callers never alias the pooled scratch. It
+// runs a bounded selection heap in the scratch's own prefix — O(n log k),
+// a heap sort when k covers every candidate — and only the winners are
+// materialised. cands is reordered.
+func (e *Engine) topK(cands []candidate, k int, path Path) []Prediction {
+	k = min(k, len(cands))
+	if k <= 0 {
 		return nil
-	}
-	if k >= len(cands) {
-		out := make([]Prediction, len(cands))
-		copy(out, cands)
-		sort.Slice(out, func(i, j int) bool { return better(&out[i], &out[j]) })
-		return out
 	}
 	// cands[:k] becomes a worst-at-root heap; survivors displace the root.
 	h := cands[:k]
@@ -866,7 +886,18 @@ func topK(cands []Prediction, k int) []Prediction {
 	// Pop worst-first into the tail of the output to leave rank order.
 	out := make([]Prediction, k)
 	for n := k; n > 0; n-- {
-		out[n-1] = h[0]
+		c := h[0]
+		fr := e.consequenceRegion(c.ref)
+		out[n-1] = Prediction{
+			Location:          fr.Center,
+			Score:             c.score,
+			Confidence:        c.conf,
+			PatternRef:        c.ref,
+			Source:            SourcePattern,
+			Path:              path,
+			Extent:            fr.MBR,
+			ConsequenceOffset: fr.Offset,
+		}
 		h[0] = h[n-1]
 		h = h[:n-1]
 		siftWorst(h, 0)
@@ -875,7 +906,7 @@ func topK(cands []Prediction, k int) []Prediction {
 }
 
 // siftWorst restores the worst-at-root heap property below index i.
-func siftWorst(h []Prediction, i int) {
+func siftWorst(h []candidate, i int) {
 	for {
 		l, r, w := 2*i+1, 2*i+2, i
 		if l < len(h) && better(&h[w], &h[l]) {

@@ -37,10 +37,12 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 	refs := make([]int, len(ps))
 	for i, p := range ps {
 		ref := len(e.patterns)
+		off := rt.Region(p.Consequence).Offset
 		e.patterns = append(e.patterns, p)
-		e.consOffsets = append(e.consOffsets, rt.Region(p.Consequence).Offset)
+		e.consOffsets = append(e.consOffsets, off)
 		e.dead = append(e.dead, false)
 		e.live++
+		e.countLive(off, 1)
 		e.tree.Insert(tpt.Item{Key: e.enc.Encode(p), Conf: p.Confidence, Ref: ref})
 		refs[i] = ref
 	}
@@ -71,6 +73,7 @@ func (e *Engine) RemovePattern(ref int) bool {
 	}
 	e.dead[ref] = true
 	e.live--
+	e.countLive(e.consOffsets[ref], -1)
 	return true
 }
 

@@ -12,8 +12,9 @@
 package tpt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hpm/internal/bitkey"
 	"hpm/internal/parallel"
@@ -39,9 +40,9 @@ type Options struct {
 	DisableIntersectStep bool
 	// Parallelism caps how many goroutines BulkLoad's sorted-run phase
 	// uses; <= 1 sorts serially. The parallel path sorts contiguous runs
-	// concurrently and merges them stably, so the loaded tree is identical
-	// to a serial build for any value. Runtime-only: not part of a tree's
-	// persistent identity.
+	// concurrently and merges them under a total order, so the loaded tree
+	// is identical to a serial build for any value. Runtime-only: not part
+	// of a tree's persistent identity.
 	Parallelism int `json:"-"`
 }
 
@@ -260,7 +261,7 @@ func unionOf(n *node) bitkey.PatternKey {
 // touched, the cost metric of Figure 11(b).
 func (t *Tree) SearchIntersect(q bitkey.PatternKey, visit func(Item) bool) int {
 	t.checkKey(q)
-	nodes, _ := t.search(t.root, q, bitkey.PatternKey.Intersects, visit)
+	nodes, _ := t.search(t.root, &q, true, visit)
 	return nodes
 }
 
@@ -269,14 +270,19 @@ func (t *Tree) SearchIntersect(q bitkey.PatternKey, visit func(Item) bool) int {
 // Processing.
 func (t *Tree) SearchConsequence(q bitkey.PatternKey, visit func(Item) bool) int {
 	t.checkKey(q)
-	nodes, _ := t.search(t.root, q, bitkey.PatternKey.IntersectsConsequence, visit)
+	nodes, _ := t.search(t.root, &q, false, visit)
 	return nodes
 }
 
-func (t *Tree) search(n *node, q bitkey.PatternKey, pred func(bitkey.PatternKey, bitkey.PatternKey) bool, visit func(Item) bool) (nodes int, stopped bool) {
+// search is the one descent both predicates share: an entry qualifies when
+// its consequence part intersects q's and, with premise set, its premise
+// part does too. Entries are tested in place — an entry is 152 bytes and
+// most fail the test, so the walk copies nothing until an item is visited.
+func (t *Tree) search(n *node, q *bitkey.PatternKey, premise bool, visit func(Item) bool) (nodes int, stopped bool) {
 	nodes = 1
-	for _, e := range n.entries {
-		if !pred(e.key, q) {
+	for i := range n.entries {
+		e := &n.entries[i]
+		if !e.key.CK.Intersects(q.CK) || (premise && !e.key.RK.Intersects(q.RK)) {
 			continue
 		}
 		if n.leaf {
@@ -285,7 +291,7 @@ func (t *Tree) search(n *node, q bitkey.PatternKey, pred func(bitkey.PatternKey,
 			}
 			continue
 		}
-		sub, stop := t.search(e.child, q, pred, visit)
+		sub, stop := t.search(e.child, q, premise, visit)
 		nodes += sub
 		if stop {
 			return nodes, true
@@ -405,19 +411,20 @@ func compareKeys(a, b bitkey.PatternKey) int {
 	return a.RK.Compare(b.RK)
 }
 
-// itemLess is BulkLoad's sort order: key order with Ref as tie-break.
-func itemLess(a, b Item) bool {
+// itemCmp is BulkLoad's sort order: key order with Ref as tie-break. Refs
+// are distinct, so the order is strict and total — any correct sort yields
+// the same permutation, which is what lets sortItems use an unstable one.
+func itemCmp(a, b Item) int {
 	if c := compareKeys(a.Key, b.Key); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.Ref < b.Ref // deterministic tie-break
+	return cmp.Compare(a.Ref, b.Ref)
 }
 
 // sortItems orders items for bulk loading. With workers > 1 the slice is
 // cut into contiguous runs, the runs sort concurrently, and sorted runs
-// merge pairwise with ties resolved to the left (earlier) run — a stable
-// merge of stable runs, so the result equals the serial stable sort
-// byte-for-byte regardless of the worker count.
+// merge pairwise. itemCmp is a strict total order, so the result equals
+// the serial sort byte-for-byte regardless of the worker count.
 func sortItems(items []Item, workers int) {
 	workers = parallel.Workers(workers)
 	// Tiny inputs gain nothing from fan-out; the goroutine overhead
@@ -427,7 +434,7 @@ func sortItems(items []Item, workers int) {
 		workers = len(items) / minRun
 	}
 	if workers <= 1 {
-		sort.SliceStable(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+		slices.SortFunc(items, itemCmp)
 		return
 	}
 	// Cut into `workers` contiguous runs.
@@ -440,8 +447,7 @@ func sortItems(items []Item, workers int) {
 		}
 	}
 	parallel.For(len(bounds), workers, func(r int) {
-		run := items[bounds[r][0]:bounds[r][1]]
-		sort.SliceStable(run, func(i, j int) bool { return itemLess(run[i], run[j]) })
+		slices.SortFunc(items[bounds[r][0]:bounds[r][1]], itemCmp)
 	})
 	// Pairwise merge rounds until one run remains.
 	scratch := make([]Item, len(items))
@@ -460,12 +466,12 @@ func sortItems(items []Item, workers int) {
 	}
 }
 
-// mergeRuns stably merges the sorted runs items[lo:mid] and items[mid:hi]
-// in place via the scratch buffer; ties go to the left run.
+// mergeRuns merges the sorted runs items[lo:mid] and items[mid:hi] in place
+// via the scratch buffer.
 func mergeRuns(items, scratch []Item, lo, mid, hi int) {
 	i, j, o := lo, mid, lo
 	for i < mid && j < hi {
-		if itemLess(items[j], items[i]) {
+		if itemCmp(items[j], items[i]) < 0 {
 			scratch[o] = items[j]
 			j++
 		} else {

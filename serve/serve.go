@@ -277,19 +277,18 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody(err.Error()))
 		return
 	}
-	if h > 0 {
-		now, err := st.Now(id)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		tq = now + h
-	}
-	if tq < 0 {
+	var preds []hpm.Prediction
+	switch {
+	case h > 0:
+		// The store resolves the current time and answers under one lock
+		// hold; the reported tq is the one it answered for.
+		tq, preds, err = st.PredictAheadContext(r.Context(), id, h, k)
+	case tq >= 0:
+		preds, err = st.PredictContext(r.Context(), id, tq, k)
+	default:
 		writeJSON(w, http.StatusBadRequest, errBody("need tq or horizon"))
 		return
 	}
-	preds, err := st.PredictContext(r.Context(), id, tq, k)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -332,23 +331,7 @@ func handlePredictBatch(st *store.Store, w http.ResponseWriter, r *http.Request)
 		writeJSON(w, http.StatusBadRequest, errBody("need exactly one of tqs or horizons"))
 		return
 	}
-	tqs := req.Tqs
-	if len(req.Horizons) > 0 {
-		now, err := st.Now(id)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		tqs = make([]int, len(req.Horizons))
-		for i, h := range req.Horizons {
-			if h <= 0 {
-				writeJSON(w, http.StatusBadRequest, errBody("horizons must be positive"))
-				return
-			}
-			tqs[i] = now + h
-		}
-	}
-	if len(tqs) > maxPredictBatch {
+	if len(req.Tqs)+len(req.Horizons) > maxPredictBatch {
 		writeJSON(w, http.StatusBadRequest, errBody("batch too large"))
 		return
 	}
@@ -356,7 +339,16 @@ func handlePredictBatch(st *store.Store, w http.ResponseWriter, r *http.Request)
 	if k <= 0 {
 		k = 1
 	}
-	batches, err := st.PredictBatchContext(r.Context(), id, tqs, k)
+	tqs := req.Tqs
+	var batches [][]hpm.Prediction
+	var err error
+	if len(req.Horizons) > 0 {
+		// Resolved against the current time under the lock hold that
+		// answers them; the reported tqs are the ones answered for.
+		tqs, batches, err = st.PredictBatchAheadContext(r.Context(), id, req.Horizons, k)
+	} else {
+		batches, err = st.PredictBatchContext(r.Context(), id, tqs, k)
+	}
 	if err != nil {
 		writeError(w, err)
 		return

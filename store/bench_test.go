@@ -197,3 +197,45 @@ func BenchmarkOpen(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIndexRefresh measures what one acknowledged observe of a trained
+// object costs with the fleet index on and no WAL: the Markov fold, the
+// evaluator, and — the bulk of it — the refresh of the object's predicted
+// positions at every index horizon (one PredictBatch: FQP below the
+// distant-time threshold, BQP beyond it, the fallback fit where neither
+// answers). Extends are pushed out of the run so a period boundary does not
+// land in an arbitrary iteration.
+func BenchmarkIndexRefresh(b *testing.B) {
+	s, err := New(Options{
+		Config:          hpm.Config{Period: period},
+		MinTrainPeriods: 4,
+		ExtendEvery:     1 << 20,
+		FleetIndex:      &spatial.Config{CellSize: 200},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const trained = 10
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 1)
+	spec.Period = period
+	spec.SubTrajectories = trained + 40
+	tr := hpm.GenerateDataset(spec)
+	if err := s.ObserveBatch("bike", tr.Slice(0, trained*period)); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if st, err := s.Stats("bike"); err != nil || !st.Trained {
+		b.Fatalf("object not trained: %+v, %v", st, err)
+	}
+	stream := tr.Slice(trained*period, tr.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Observe("bike", stream[i%len(stream)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

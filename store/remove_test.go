@@ -3,7 +3,12 @@ package store
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"hpm"
+	"hpm/internal/faultinject"
+	"hpm/internal/spatial"
 )
 
 func TestRemoveUnknownIsNoOp(t *testing.T) {
@@ -206,4 +211,54 @@ func TestRemoveRacingObserve(t *testing.T) {
 		t.Fatalf("replay after remove/observe race: %v", err)
 	}
 	back.Close()
+}
+
+// TestRemoveDuringTrainLeavesNoIndexGhost: a background train that was in
+// flight when its object was removed must not re-bin that object's fleet
+// index entries when it finishes. The id may belong to a successor by
+// then; the stale entries overwrote the successor's and, once either side
+// left the shared cell, tore the other's cell map out from under it
+// ("assignment to entry in nil map" in spatial.Update, seen as a rare
+// serve-hammer failure at GOMAXPROCS=1).
+func TestRemoveDuringTrainLeavesNoIndexGhost(t *testing.T) {
+	s := testStore(t, Options{MinTrainPeriods: 4, FleetIndex: &spatial.Config{CellSize: 200}})
+	defer s.Close()
+	release := make(chan struct{})
+	s.SetFaultHook(func(op faultinject.Op) error {
+		if op == faultinject.OpTrain {
+			<-release
+		}
+		return nil
+	})
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 3)
+	spec.Period = period
+	spec.SubTrajectories = 5
+	tr := hpm.GenerateDataset(spec)
+	if err := s.ObserveBatch("bike", tr.Slice(0, 4*period)); err != nil { // schedules the train
+		t.Fatal(err)
+	}
+	if err := s.Remove("bike"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ObserveBatch("bike", tr.Slice(4*period, 4*period+5)); err != nil { // the successor
+		t.Fatal(err)
+	}
+	close(release)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	everywhere := hpm.Rect{Min: hpm.Pt(-1e9, -1e9), Max: hpm.Pt(1e9, 1e9)}
+	for _, h := range []int{5, 100} {
+		got, err := s.QueryRange(everywhere, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.ScanRange(everywhere, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("horizon %d: index %+v\nscan %+v", h, got, want)
+		}
+	}
 }

@@ -89,7 +89,9 @@ func indexEntryFor(h int, preds []hpm.Prediction, last, vel hpm.Point) spatial.E
 // obj.mu held for writing on every acknowledged observe, after a predictor
 // swap, and during restart recovery; queries therefore never fit models.
 func (s *Store) indexUpdateLocked(obj *object) {
-	if s.index == nil || len(obj.track) == 0 {
+	// A removed object's entries are gone and its id may already belong to
+	// a successor: a train that was in flight during Remove stops here.
+	if s.index == nil || obj.removed || len(obj.track) == 0 {
 		return
 	}
 	n := len(obj.track)

@@ -442,10 +442,13 @@ type object struct {
 	unmatchedPts    int
 	retiredPatterns int
 	mintedRegions   int
-	// removed marks an object deleted by Remove; guarded by ingestMu. An
-	// observer that raced Remove and still holds this pointer must drop
-	// it and re-create through the shard map, or its WAL records would
-	// land after the tombstone and corrupt replay.
+	// removed marks an object deleted by Remove. Written with ingestMu and
+	// mu both held, so either lock suffices to read it. An observer that
+	// raced Remove and still holds this pointer must drop it and re-create
+	// through the shard map, or its WAL records would land after the
+	// tombstone and corrupt replay; a background train that outlives its
+	// object must leave the fleet index alone (the id may have a
+	// successor).
 	removed bool
 	// id is the object's key in the shard map, carried here so paths
 	// without the id at hand (background train swaps, index refreshes)
@@ -1136,22 +1139,55 @@ func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
 // that disconnected or blew its deadline before the query starts — or
 // while waiting for the object's lock behind a model swap — gets the
 // context's error instead of an answer nobody reads.
-func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) ([]hpm.Prediction, error) {
+func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
+	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		preds, err = s.predictLocked(obj, recent, now, tq, k)
+		return err
+	})
+	return preds, err
+}
+
+// PredictAheadContext estimates the object's location horizon timestamps
+// after its latest observation and returns the absolute query time it
+// answered for. The current time is read and the query answered under one
+// hold of the object's read lock, so — unlike Now followed by Predict,
+// which ingest can overtake between the two calls — a positive horizon
+// never fails as "not after current time".
+func (s *Store) PredictAheadContext(ctx context.Context, id string, horizon, k int) (tq int, preds []hpm.Prediction, err error) {
+	if err := validateFleetQuery(horizon); err != nil {
+		return 0, nil, err
+	}
+	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		tq = now + horizon
+		preds, err = s.predictLocked(obj, recent, now, tq, k)
+		return err
+	})
+	return tq, preds, err
+}
+
+// withRecent runs fn under the object's read lock with the object's recent
+// window and current time — the one snapshot everything a query derives
+// from must share.
+func (s *Store) withRecent(ctx context.Context, id string, fn func(obj *object, recent []hpm.TimedPoint, now int) error) error {
 	obj, err := s.get(id, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	obj.mu.RLock()
 	defer obj.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	recent, err := s.recentLocked(obj)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	now := obj.base + len(obj.track) - 1
-	var preds []hpm.Prediction
+	return fn(obj, recent, obj.base+len(obj.track)-1)
+}
+
+// predictLocked answers one point query along the route the evaluator
+// currently prefers at its horizon. Called with obj.mu read-locked.
+func (s *Store) predictLocked(obj *object, recent []hpm.TimedPoint, now, tq, k int) (preds []hpm.Prediction, err error) {
 	route := s.routePath(obj, now, tq)
 	switch route {
 	case evalq.PathFallback:
@@ -1174,21 +1210,12 @@ func (s *Store) PredictRange(id string, from, to int) ([]hpm.Prediction, error) 
 }
 
 // PredictRangeContext is PredictRange with request-scoped cancellation.
-func (s *Store) PredictRangeContext(ctx context.Context, id string, from, to int) ([]hpm.Prediction, error) {
-	obj, err := s.get(id, false)
-	if err != nil {
-		return nil, err
-	}
-	obj.mu.RLock()
-	defer obj.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	recent, err := s.recentLocked(obj)
-	if err != nil {
-		return nil, err
-	}
-	return obj.predictor.PredictRange(recent, from, to)
+func (s *Store) PredictRangeContext(ctx context.Context, id string, from, to int) (preds []hpm.Prediction, err error) {
+	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, _ int) error {
+		preds, err = obj.predictor.PredictRange(recent, from, to)
+		return err
+	})
+	return preds, err
 }
 
 // PredictBatch estimates the object's location at each absolute time in
@@ -1202,23 +1229,40 @@ func (s *Store) PredictBatch(id string, tqs []int, k int) ([][]hpm.Prediction, e
 }
 
 // PredictBatchContext is PredictBatch with request-scoped cancellation.
-func (s *Store) PredictBatchContext(ctx context.Context, id string, tqs []int, k int) ([][]hpm.Prediction, error) {
-	obj, err := s.get(id, false)
-	if err != nil {
-		return nil, err
+func (s *Store) PredictBatchContext(ctx context.Context, id string, tqs []int, k int) (out [][]hpm.Prediction, err error) {
+	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		out, err = s.predictBatchLocked(obj, recent, now, tqs, k)
+		return err
+	})
+	return out, err
+}
+
+// PredictBatchAheadContext is PredictBatchContext at horizons relative to
+// the object's latest observation, resolved under the same lock hold that
+// answers them (see PredictAheadContext). It returns the absolute query
+// times, aligned with the predictions.
+func (s *Store) PredictBatchAheadContext(ctx context.Context, id string, horizons []int, k int) (tqs []int, out [][]hpm.Prediction, err error) {
+	for _, h := range horizons {
+		if err := validateFleetQuery(h); err != nil {
+			return nil, nil, err
+		}
 	}
-	obj.mu.RLock()
-	defer obj.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	recent, err := s.recentLocked(obj)
-	if err != nil {
-		return nil, err
-	}
+	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		tqs = make([]int, len(horizons))
+		for i, h := range horizons {
+			tqs[i] = now + h
+		}
+		out, err = s.predictBatchLocked(obj, recent, now, tqs, k)
+		return err
+	})
+	return tqs, out, err
+}
+
+// predictBatchLocked answers a batch from one recent window and parks each
+// answer with the evaluator. Called with obj.mu read-locked.
+func (s *Store) predictBatchLocked(obj *object, recent []hpm.TimedPoint, now int, tqs []int, k int) ([][]hpm.Prediction, error) {
 	out, err := obj.predictor.PredictBatch(recent, tqs, k)
 	if err == nil && obj.eval != nil {
-		now := obj.base + len(obj.track) - 1
 		for i, preds := range out {
 			s.recordPrediction(obj, now, tqs[i], s.patternPath(obj, now, tqs[i]), preds, nil)
 		}
@@ -1457,7 +1501,9 @@ func (s *Store) Remove(id string) error {
 			return err // not acknowledged: the object stays
 		}
 	}
+	obj.mu.Lock()
 	obj.removed = true
+	obj.mu.Unlock()
 	sh := s.shard(id)
 	sh.dirty.Store(true)
 	sh.mu.Lock()

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -218,14 +220,26 @@ func TestConcurrentObserveAndPredict(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Relative horizons resolve against the current time under the
+			// lock hold that answers them, so — unlike Now followed by
+			// Predict — no amount of ingest in between can fail them.
 			for i := 0; i < 30; i++ {
-				now, err := s.Now("bike")
+				tq, preds, err := s.PredictAheadContext(context.Background(), "bike", 10, 1)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if _, err := s.Predict("bike", now+10, 1); err != nil && err != ErrUntrained {
+				if len(preds) == 0 || tq < 4*period+9 {
+					errs <- fmt.Errorf("PredictAhead: tq %d, %d predictions", tq, len(preds))
+					return
+				}
+				tqs, batch, err := s.PredictBatchAheadContext(context.Background(), "bike", []int{1, 80}, 1)
+				if err != nil {
 					errs <- err
+					return
+				}
+				if len(batch) != 2 || tqs[1]-tqs[0] != 79 {
+					errs <- fmt.Errorf("PredictBatchAhead: tqs %v, %d entries", tqs, len(batch))
 					return
 				}
 			}
