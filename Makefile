@@ -11,7 +11,8 @@ test:
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (background retrains, WAL/checkpoint durability, chaos tests),
 # the HTTP service, the fault-injection helpers, the parallel training
-# pipeline, and the TPT (BulkLoad's concurrent sorted runs).
+# pipeline, and the TPT (read by concurrent queries; its reference-tree
+# equivalence tests and fuzz seeds run here too).
 race:
 	$(GO) test -race ./internal/hpa/... ./internal/tpt/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
 
@@ -74,6 +75,12 @@ bench-fleet:
 # Persistence cost: incremental checkpoint pause and objects re-encoded
 # vs dirty shards (O(dirty) vs O(fleet)), full-rewrite and clean no-op
 # baselines, and recovery (Open) latency serial vs parallel at
-# 1k/10k/100k objects. Regenerates BENCH_recovery.json.
+# 1k/10k/100k objects. Regenerates BENCH_recovery.json — which times
+# untrained tracks only; what a restart costs once objects carry models is
+# BenchmarkOpen/trained (clean and recovering Open of 64 trained objects,
+# B/op and the live heap of one opened store) and BenchmarkBulkLoad (one
+# pattern tree at the fleet's shape, 1 500 to 100 000 items).
 bench-recovery:
 	$(GO) run ./cmd/hpmbench -experiment recovery -json
+	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkBulkLoad' -benchmem -run '^$$' ./internal/tpt/

@@ -225,6 +225,8 @@ func openStore(dataDir, snapshot string, opts store.Options) (*store.Store, erro
 		h := st.Health()
 		fmt.Printf("durable store %s: %d objects (snapshot restored: %v, wal records replayed: %d)\n",
 			dataDir, h.Objects, h.SnapshotRestored, h.WALReplayed)
+		fmt.Printf("open took: load %.3fs, wal replay %.3fs (%d extends), recover models %.3fs, index rebuild %.3fs\n",
+			h.Open.LoadSeconds, h.Open.ReplaySeconds, h.Open.ReplayExtends, h.Open.RecoverSeconds, h.Open.IndexSeconds)
 		return st, nil
 	}
 	if snapshot != "" {

@@ -202,8 +202,8 @@ type Config struct {
 	Bounds *Rect
 
 	// Parallelism caps the worker goroutines training may use: region
-	// discovery (per-offset DBSCAN), Apriori support counting, bounds
-	// derivation, and the index bulk-load sort all fan across it. 0
+	// discovery (per-offset DBSCAN), Apriori support counting and bounds
+	// derivation fan across it; the index bulk load is serial. 0
 	// defaults to runtime.NumCPU(); 1 trains serially. Every value
 	// produces a byte-identical model — parallel stages merge their
 	// results in deterministic order — so the knob trades wall-clock time

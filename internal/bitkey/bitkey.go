@@ -36,6 +36,21 @@ func New(n int) Key {
 	return Key{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// View returns an n-bit key over borrowed words: no copy, so writes through
+// either are seen by both, and the view is only as stable as the words. The
+// TPT hands out views of the keys it stores packed in per-node word slabs.
+// words must hold exactly (n+63)/64 words with no bit set beyond n.
+func View(n int, words []uint64) Key {
+	if len(words) != (n+63)/64 {
+		panic("bitkey: view words do not match the key length")
+	}
+	return Key{n: n, words: words}
+}
+
+// Words returns k's backing words, least significant first — borrowed, not
+// copied. With View it lets a container keep many keys in one allocation.
+func (k Key) Words() []uint64 { return k.words }
+
 // FromPositions returns an n-bit key with the given 1-based positions set.
 func FromPositions(n int, positions ...int) Key {
 	k := New(n)
@@ -99,9 +114,7 @@ func (k Key) Or(o Key) Key {
 // internal-entry maintenance.
 func (k Key) OrInPlace(o Key) {
 	k.checkLen(o)
-	for i, w := range o.words {
-		k.words[i] |= w
-	}
+	OrWords(k.words, o.words)
 }
 
 // And returns k & o as a new key.
@@ -125,13 +138,7 @@ func (k Key) Xor(o Key) Key {
 }
 
 // Size returns the number of '1's in k (the paper's Size operation).
-func (k Key) Size() int {
-	s := 0
-	for _, w := range k.words {
-		s += bits.OnesCount64(w)
-	}
-	return s
-}
+func (k Key) Size() int { return SizeWords(k.words) }
 
 // IsZero reports whether no bit is set.
 func (k Key) IsZero() bool {
@@ -160,12 +167,7 @@ func (k Key) Equal(o Key) bool {
 // k & o == o (the paper's Contain operation).
 func (k Key) Contains(o Key) bool {
 	k.checkLen(o)
-	for i, w := range o.words {
-		if k.words[i]&w != w {
-			return false
-		}
-	}
-	return true
+	return ContainsWords(k.words, o.words)
 }
 
 // AndSize returns Size(k & o) without materializing the intermediate key.
@@ -181,12 +183,7 @@ func (k Key) AndSize(o Key) int {
 // Intersects reports whether k and o share at least one set bit.
 func (k Key) Intersects(o Key) bool {
 	k.checkLen(o)
-	for i, w := range o.words {
-		if k.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
+	return IntersectWords(k.words, o.words)
 }
 
 // Difference returns Size(k XOR (k AND o)): the number of '1's in k that are
@@ -195,11 +192,7 @@ func (k Key) Intersects(o Key) bool {
 // would switch on.
 func (k Key) Difference(o Key) int {
 	k.checkLen(o)
-	s := 0
-	for i, w := range k.words {
-		s += bits.OnesCount64(w &^ o.words[i])
-	}
-	return s
+	return DifferenceWords(k.words, o.words)
 }
 
 // Ones returns the 1-based positions of all set bits in ascending order
@@ -312,20 +305,4 @@ func (k Key) Grown(n int) Key {
 	g := New(n)
 	copy(g.words, k.words)
 	return g
-}
-
-// Compare orders keys of equal length by their bit content, most
-// significant word first: -1 when k sorts before o, +1 after, 0 on equal.
-// Bulk loading sorts large pattern-key sets with this.
-func (k Key) Compare(o Key) int {
-	k.checkLen(o)
-	for i := len(k.words) - 1; i >= 0; i-- {
-		switch {
-		case k.words[i] < o.words[i]:
-			return -1
-		case k.words[i] > o.words[i]:
-			return 1
-		}
-	}
-	return 0
 }

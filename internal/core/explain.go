@@ -35,10 +35,10 @@ type Explanation struct {
 // predictions from a different model.
 func (m *Model) Explain(pred hpa.Prediction) (Explanation, bool) {
 	if pred.Source != hpa.SourcePattern ||
-		pred.PatternRef < 0 || pred.PatternRef >= len(m.patterns) {
+		pred.PatternRef < 0 || pred.PatternRef >= m.engine.Refs() {
 		return Explanation{}, false
 	}
-	p := m.patterns[pred.PatternRef]
+	p := m.engine.Pattern(pred.PatternRef)
 
 	var sb strings.Builder
 	ex := Explanation{Confidence: p.Confidence, Support: p.Support}

@@ -90,9 +90,6 @@ func (m *Model) Extend(subs []trajectory.SubTrajectory) (ExtendResult, error) {
 		m.mintRegions(&res)
 	}
 
-	// The engine owns the canonical ref-indexed pattern slice once
-	// mutations begin.
-	m.patterns = m.engine.Patterns()
 	m.stats.Rules = m.engine.LivePatterns()
 	res.TotalPatterns = m.engine.LivePatterns()
 	return res, nil
@@ -107,7 +104,7 @@ func (m *Model) ensureMiner() {
 	if m.miner != nil {
 		return
 	}
-	m.miner = pattern.NewIncrementalMiner(m.regions, m.params.Mining)
+	m.miner = pattern.NewIncrementalMiner(m.regions, m.params.Mining, m.engine.LivePatterns())
 	var chains [][]pattern.RegionID
 	for j := 0; j < m.regions.NumSubTrajectories(); j++ {
 		if ch := m.regions.ChainOf(j); len(ch) > 0 {
@@ -116,10 +113,11 @@ func (m *Model) ensureMiner() {
 	}
 	delta := m.miner.Update(chains, nil)
 
-	have := make(map[pattern.IdentityKey]int, len(m.patterns))
-	for ref, p := range m.patterns {
+	refs := m.engine.Refs() // reconciling appends refs; only these predate it
+	have := make(map[pattern.IdentityKey]int, refs)
+	for ref := 0; ref < refs; ref++ {
 		if m.engine.IsLive(ref) {
-			have[pattern.PatternIdentity(p)] = ref
+			have[pattern.PatternIdentity(m.engine.Pattern(ref))] = ref
 		}
 	}
 	m.refs = make(map[pattern.IdentityKey]int, len(delta.Added))
@@ -134,12 +132,12 @@ func (m *Model) ensureMiner() {
 			continue
 		}
 		m.refs[key] = ref
-		if cur := m.patterns[ref]; cur.Confidence != p.Confidence || cur.Support != p.Support {
+		if cur := m.engine.Pattern(ref); cur.Confidence != p.Confidence || cur.Support != p.Support {
 			m.engine.UpdatePattern(ref, p)
 		}
 	}
-	for ref, p := range m.patterns {
-		if m.engine.IsLive(ref) && !seen[pattern.PatternIdentity(p)] {
+	for ref := 0; ref < refs; ref++ {
+		if m.engine.IsLive(ref) && !seen[pattern.PatternIdentity(m.engine.Pattern(ref))] {
 			m.engine.RemovePattern(ref)
 		}
 	}
@@ -148,7 +146,6 @@ func (m *Model) ensureMiner() {
 			m.refs[pattern.PatternIdentity(missing[i])] = ref
 		}
 	}
-	m.patterns = m.engine.Patterns()
 }
 
 // retireExpired advances the sliding-window watermark so that after the

@@ -105,9 +105,9 @@ type Params struct {
 	// Tree tunes the TPT node capacity.
 	Tree tpt.Options
 	// Parallelism caps the worker goroutines the training pipeline may
-	// use: per-offset DBSCAN region discovery, Apriori support counting,
-	// training-bounds derivation, and the TPT bulk-load sort all fan out
-	// across it. 0 defaults to runtime.NumCPU(); 1 trains serially.
+	// use: per-offset DBSCAN region discovery, Apriori support counting
+	// and training-bounds derivation fan out across it (the TPT bulk load
+	// is serial). 0 defaults to runtime.NumCPU(); 1 trains serially.
 	//
 	// Determinism guarantee: every value produces a byte-identical model —
 	// same region IDs and geometry, same patterns in the same order, same
@@ -144,26 +144,23 @@ func (p Params) withDefaults() Params {
 	if p.Parallelism <= 0 {
 		p.Parallelism = runtime.NumCPU()
 	}
-	// The mining and bulk-load stages take the same knob unless tuned
-	// separately.
+	// The mining stage takes the same knob unless tuned separately.
 	if p.Mining.Parallelism <= 0 {
 		p.Mining.Parallelism = p.Parallelism
-	}
-	if p.Tree.Parallelism <= 0 {
-		p.Tree.Parallelism = p.Parallelism
 	}
 	return p
 }
 
 // Model is a trained Hybrid Prediction Model.
 type Model struct {
-	params   Params
-	regions  *pattern.RegionTable
-	patterns []pattern.Pattern
-	stats    pattern.Stats
-	encoder  *pattern.Encoder
-	engine   *hpa.Engine
-	bounds   geom.Rect
+	params  Params
+	regions *pattern.RegionTable
+	stats   pattern.Stats
+	encoder *pattern.Encoder
+	// engine owns the ref-indexed pattern slice; the model reads patterns
+	// through it and keeps no copy.
+	engine *hpa.Engine
+	bounds geom.Rect
 	// chain is the Markov answering path's region-transition chain (see
 	// markov.go); nil when Params.MarkovOrder < 0 disables the path.
 	chain *markov.Chain
@@ -240,13 +237,12 @@ func TrainSubTrajectories(subs []trajectory.SubTrajectory, params Params) (*Mode
 		return nil, err
 	}
 	m := &Model{
-		params:   params,
-		regions:  regions,
-		patterns: patterns,
-		stats:    stats,
-		encoder:  enc,
-		engine:   engine,
-		bounds:   *bounds,
+		params:  params,
+		regions: regions,
+		stats:   stats,
+		encoder: enc,
+		engine:  engine,
+		bounds:  *bounds,
 	}
 	m.initMarkov()
 	m.foldMarkov(subs)
@@ -335,11 +331,10 @@ func (m *Model) NumRegions() int { return m.regions.Len() }
 // minus those incremental training has retired.
 func (m *Model) NumPatterns() int { return m.engine.LivePatterns() }
 
-// Patterns returns the pattern slice indexed by engine refs. It may hold
-// entries Extend has retired — kept so outstanding PatternRef values stay
-// valid; filter with Engine().IsLive for the live set. Callers must not
-// mutate the slice.
-func (m *Model) Patterns() []pattern.Pattern { return m.patterns }
+// Patterns returns a copy of the pattern slice indexed by engine refs. It
+// may hold entries Extend has retired — kept so outstanding PatternRef
+// values stay valid; filter with Engine().IsLive for the live set.
+func (m *Model) Patterns() []pattern.Pattern { return m.engine.Patterns() }
 
 // Regions returns the frequent-region table.
 func (m *Model) Regions() *pattern.RegionTable { return m.regions }

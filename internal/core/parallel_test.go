@@ -102,9 +102,8 @@ func TestParallelismDefault(t *testing.T) {
 	if p.Parallelism < 1 {
 		t.Fatalf("default parallelism %d", p.Parallelism)
 	}
-	if p.Mining.Parallelism != p.Parallelism || p.Tree.Parallelism != p.Parallelism {
-		t.Fatalf("knob not plumbed: params=%d mining=%d tree=%d",
-			p.Parallelism, p.Mining.Parallelism, p.Tree.Parallelism)
+	if p.Mining.Parallelism != p.Parallelism {
+		t.Fatalf("knob not plumbed: params=%d mining=%d", p.Parallelism, p.Mining.Parallelism)
 	}
 	n := Params{Period: 10, Parallelism: -5}.withDefaults()
 	if n.Parallelism < 1 {

@@ -17,8 +17,14 @@ import (
 // binary stream so deployments can mine once and serve from a saved file.
 // The stream holds the training parameters (JSON), the world bounds, the
 // region table with visitor bitmaps (so incremental Extend keeps working
-// after a reload), and the pattern list; the TPT is rebuilt by bulk load,
-// which is faster to reconstruct than to serialize.
+// after a reload), and the pattern list. The TPT is not stored: Load
+// rebuilds it by bulk load, measured at 0.27 ms per 1 000 patterns
+// (tpt.BenchmarkBulkLoad) and about half of the 1.5 ms of CPU an average
+// model of the benchmark fleet takes to load; decoding the patterns is
+// most of the rest (DESIGN.md, "What one recovery costs"). The
+// incremental miner is not stored either: the first Extend after a load
+// re-seeds it, 12–14 ms for a ten-period Bike or Cow model, which is now
+// the larger cost of a crash recovery.
 
 const (
 	modelMagic   = "HPMM"
@@ -128,9 +134,9 @@ func Load(r io.Reader) (*Model, error) {
 // livePatterns filters tombstoned entries out of the ref-indexed slice.
 func (m *Model) livePatterns() []pattern.Pattern {
 	out := make([]pattern.Pattern, 0, m.engine.LivePatterns())
-	for ref, p := range m.patterns {
+	for ref := 0; ref < m.engine.Refs(); ref++ {
 		if m.engine.IsLive(ref) {
-			out = append(out, p)
+			out = append(out, m.engine.Pattern(ref))
 		}
 	}
 	return out
@@ -140,8 +146,8 @@ func (m *Model) livePatterns() []pattern.Pattern {
 // Load and (logically) the tail of TrainSubTrajectories.
 func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pattern, bounds geom.Rect) (*Model, error) {
 	// Parallelism is runtime-only and deliberately not serialized;
-	// re-defaulting lets the load-time index rebuild (and later Extends)
-	// use this machine's cores. withDefaults is idempotent on the rest.
+	// re-defaulting lets later retrains use this machine's cores.
+	// withDefaults is idempotent on the rest.
 	params = params.withDefaults()
 	ct := pattern.NewConsequenceTable(regions, patterns)
 	enc := pattern.NewEncoder(regions, ct)
@@ -157,13 +163,12 @@ func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pa
 		return nil, err
 	}
 	m := &Model{
-		params:   params,
-		regions:  regions,
-		patterns: patterns,
-		encoder:  enc,
-		engine:   engine,
-		bounds:   bounds,
-		stats:    pattern.Stats{Rules: len(patterns)},
+		params:  params,
+		regions: regions,
+		encoder: enc,
+		engine:  engine,
+		bounds:  bounds,
+		stats:   pattern.Stats{Rules: len(patterns)},
 	}
 	// The chain starts empty on load: its state lives outside the model
 	// stream, so the owner either restores it (LoadMarkov) or re-folds the

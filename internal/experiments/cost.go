@@ -152,16 +152,17 @@ func fig11b(o Options) []Figure {
 		qs := syntheticQueries(rng, queries, fig11ConsequenceLen, regions)
 
 		sink := 0
+		count := func(int, float64, bitkey.Key) bool { sink++; return true }
 		start := time.Now()
 		for _, q := range qs {
-			tree.SearchIntersect(q, func(it tpt.Item) bool { sink++; return true })
+			tree.SearchIntersect(q, count)
 		}
 		tptS.X = append(tptS.X, float64(n))
 		tptS.Y = append(tptS.Y, float64(time.Since(start).Microseconds())/float64(queries))
 
 		start = time.Now()
 		for _, q := range qs {
-			bf.SearchIntersect(q, func(it tpt.Item) bool { sink++; return true })
+			bf.SearchIntersect(q, count)
 		}
 		bfS.X = append(bfS.X, float64(n))
 		bfS.Y = append(bfS.Y, float64(time.Since(start).Microseconds())/float64(queries))
@@ -200,7 +201,7 @@ func chooseLeafAblation(o Options) []Figure {
 			}
 			total := 0
 			for _, q := range qs {
-				total += tree.SearchIntersect(q, func(tpt.Item) bool { return true })
+				total += tree.SearchIntersect(q, func(int, float64, bitkey.Key) bool { return true })
 			}
 			return float64(total) / float64(len(qs))
 		}

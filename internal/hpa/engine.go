@@ -287,14 +287,17 @@ func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, tre
 	if cfg.TimeRelaxation <= 0 {
 		cfg.TimeRelaxation = DefaultTimeRelaxation
 	}
-	items := make([]tpt.Item, len(patterns))
+	// Every key is encoded where the bulk load reads it: no key, and no
+	// item, is allocated per pattern.
+	rt := enc.RegionTable()
+	load := tpt.NewLoader(enc.ConsequenceTable().Len(), rt.Len(), len(patterns), treeOpts)
 	offsets := make([]int, len(patterns))
 	for i, p := range patterns {
-		items[i] = tpt.Item{Key: enc.Encode(p), Conf: p.Confidence, Ref: i}
-		offsets[i] = enc.RegionTable().Region(p.Consequence).Offset
+		ck, rk := load.Add(p.Confidence, i)
+		enc.EncodeInto(p, ck, rk)
+		offsets[i] = rt.Region(p.Consequence).Offset
 	}
-	tree := tpt.BulkLoad(enc.ConsequenceTable().Len(), enc.RegionTable().Len(), items, treeOpts)
-	e := &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
+	e := &Engine{enc: enc, tree: load.Tree(), patterns: patterns, cfg: cfg,
 		consOffsets: offsets, dead: make([]bool, len(patterns)), live: len(patterns),
 		liveAt: make([]int32, cfg.Period)}
 	for _, off := range offsets {
@@ -671,9 +674,9 @@ func (e *Engine) forwardQuery(sc *queryScratch, visited []pattern.RegionID, tq, 
 		return nil
 	}
 	cands := sc.cands[:0]
-	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(it tpt.Item) bool {
-		sr := PremiseSimilarity(it.Key.RK, qk.RK, e.cfg.Weight)
-		cands = append(cands, candidate{score: sr * it.Conf, conf: it.Conf, ref: it.Ref}) // Equation 2
+	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref int, conf float64, rk bitkey.Key) bool {
+		sr := PremiseSimilarity(rk, qk.RK, e.cfg.Weight)
+		cands = append(cands, candidate{score: sr * conf, conf: conf, ref: ref}) // Equation 2
 		return true
 	})))
 	sc.cands = cands
@@ -705,19 +708,19 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 		RK: qrk,
 	}
 	cands := scr.cands[:0]
-	e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(it tpt.Item) bool {
+	e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(ref int, conf float64, rk bitkey.Key) bool {
 		// The window key holds exactly the offsets within radius, so every
 		// item visited has dist <= radius.
-		dist := circularDist(tqOff, e.consOffsets[it.Ref], e.cfg.Period)
+		dist := circularDist(tqOff, e.consOffsets[ref], e.cfg.Period)
 		sc := 1 - float64(dist)/float64(radius+1) // Equation 3
-		sr := PremiseSimilarity(it.Key.RK, qrk, e.cfg.Weight)
+		sr := PremiseSimilarity(rk, qrk, e.cfg.Weight)
 		var sp float64
 		if e.cfg.PenalizePremise {
-			sp = (sr*float64(e.cfg.DistantThreshold)/float64(tq-tc) + sc) * it.Conf // Equation 5
+			sp = (sr*float64(e.cfg.DistantThreshold)/float64(tq-tc) + sc) * conf // Equation 5
 		} else {
-			sp = (sr + sc) * it.Conf // Equation 4
+			sp = (sr + sc) * conf // Equation 4
 		}
-		cands = append(cands, candidate{score: sp, conf: it.Conf, ref: it.Ref})
+		cands = append(cands, candidate{score: sp, conf: conf, ref: ref})
 		return true
 	})))
 	scr.cands = cands

@@ -19,6 +19,14 @@ func (e *Engine) IsLive(ref int) bool {
 	return ref >= 0 && ref < len(e.patterns) && !e.dead[ref]
 }
 
+// Refs returns how many refs the engine has assigned, retired ones
+// included: valid refs are [0, Refs()).
+func (e *Engine) Refs() int { return len(e.patterns) }
+
+// Pattern returns the pattern at ref, live or retired, without copying the
+// slice the way Patterns does. It panics when ref is out of range.
+func (e *Engine) Pattern(ref int) pattern.Pattern { return e.patterns[ref] }
+
 // InsertPatterns indexes newly promoted patterns, growing the consequence
 // table and the tree's key widths as needed — nothing is skipped, unlike
 // AddPatterns. Minted regions and fresh consequence offsets widen keys

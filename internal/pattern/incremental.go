@@ -2,7 +2,7 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Delta-Apriori: the incremental counterpart of MineWithStats. The miner
@@ -63,16 +63,9 @@ func PatternIdentity(p Pattern) IdentityKey {
 	return identityOf(ids)
 }
 
-// LessIdentity orders identity keys lexicographically; used for
+// CompareIdentity orders identity keys lexicographically; used for
 // deterministic delta output.
-func LessIdentity(a, b IdentityKey) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
+func CompareIdentity(a, b IdentityKey) int { return slices.Compare(a[:], b[:]) }
 
 // Delta is the rule-set change one incremental update produced. Removed
 // must be applied before Added: a rule can be retired and re-promoted in
@@ -103,8 +96,9 @@ type trackedItemset struct {
 // Not safe for concurrent use; callers serialize updates like any other
 // model mutation.
 type IncrementalMiner struct {
-	rt  *RegionTable
-	cfg Config
+	rt    *RegionTable
+	cfg   Config
+	rules int // expected rule count of the seeding batch; a size hint only
 
 	tracked   map[IdentityKey]*trackedItemset
 	active    map[IdentityKey]Pattern // rules currently emitted
@@ -115,14 +109,17 @@ type IncrementalMiner struct {
 // NewIncrementalMiner returns an empty miner over rt. Seed it by feeding
 // every live sub-trajectory's chain to Update in one batch — the same
 // code path later increments run through, so seeded state and batch-mined
-// state agree exactly (see TestIncrementalMatchesBatch).
-func NewIncrementalMiner(rt *RegionTable, cfg Config) *IncrementalMiner {
+// state agree exactly (see TestIncrementalMatchesBatch). rules is how many
+// rules the caller expects the seeding to yield (0 when unknown); it only
+// sizes the maps, which otherwise rehash a dozen times on the way there.
+func NewIncrementalMiner(rt *RegionTable, cfg Config, rules int) *IncrementalMiner {
 	return &IncrementalMiner{
 		rt:        rt,
 		cfg:       cfg.withDefaults(),
-		tracked:   make(map[IdentityKey]*trackedItemset),
-		active:    make(map[IdentityKey]Pattern),
-		byPremise: make(map[IdentityKey]map[IdentityKey]struct{}),
+		rules:     rules,
+		tracked:   make(map[IdentityKey]*trackedItemset, rules),
+		active:    make(map[IdentityKey]Pattern, rules),
+		byPremise: make(map[IdentityKey]map[IdentityKey]struct{}, rules),
 	}
 }
 
@@ -135,7 +132,7 @@ func (m *IncrementalMiner) ActiveRules() []Pattern {
 	for k := range m.active {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return LessIdentity(keys[i], keys[j]) })
+	slices.SortFunc(keys, CompareIdentity)
 	out := make([]Pattern, len(keys))
 	for i, k := range keys {
 		out[i] = m.active[k]
@@ -150,7 +147,13 @@ func (m *IncrementalMiner) ActiveRules() []Pattern {
 // with each chain captured by ChainOf beforehand).
 func (m *IncrementalMiner) Update(added, retired [][]RegionID) Delta {
 	m.epoch++
-	candidates := make(map[IdentityKey][]RegionID)
+	// Every itemset a chain touches becomes a candidate; the seeding batch
+	// touches all there will be.
+	hint := 0
+	if len(m.tracked) == 0 {
+		hint = m.rules
+	}
+	candidates := make(map[IdentityKey][]RegionID, hint)
 	removed := make(map[IdentityKey]bool)
 	for _, ch := range retired {
 		m.retireChain(ch, candidates, removed)
@@ -307,9 +310,14 @@ func (m *IncrementalMiner) reevaluate(candidates map[IdentityKey][]RegionID, rem
 	for k := range candidates {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return LessIdentity(keys[i], keys[j]) })
+	slices.SortFunc(keys, CompareIdentity)
 
 	var d Delta
+	if len(m.active) == 0 {
+		// Nothing is active yet (the seeding batch): every candidate that
+		// clears the confidence floor is an addition.
+		d.Added = make([]Pattern, 0, min(len(keys), m.rules))
+	}
 	for _, key := range keys {
 		it := m.tracked[key]
 		if it == nil {
@@ -335,7 +343,7 @@ func (m *IncrementalMiner) reevaluate(candidates map[IdentityKey][]RegionID, rem
 	for key := range removed {
 		d.Removed = append(d.Removed, key)
 	}
-	sort.Slice(d.Removed, func(i, j int) bool { return LessIdentity(d.Removed[i], d.Removed[j]) })
+	slices.SortFunc(d.Removed, CompareIdentity)
 	return d
 }
 

@@ -77,7 +77,7 @@ func activeByKey(m *IncrementalMiner) map[IdentityKey]Pattern {
 // seedMiner replays every live sub-trajectory's chain through the normal
 // update path, as core.Model does when it lazily builds its miner.
 func seedMiner(rt *RegionTable, cfg Config) (*IncrementalMiner, Delta) {
-	m := NewIncrementalMiner(rt, cfg)
+	m := NewIncrementalMiner(rt, cfg, 0)
 	var chains [][]RegionID
 	for j := 0; j < rt.NumSubTrajectories(); j++ {
 		if ch := rt.ChainOf(j); len(ch) > 0 {

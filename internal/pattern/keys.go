@@ -115,14 +115,22 @@ func (e *Encoder) ConsequenceTable() *ConsequenceTable { return e.ct }
 // Encode returns the pattern key of a mined pattern: the consequence key of
 // its consequence offset placed before the OR of its premise region keys.
 func (e *Encoder) Encode(p Pattern) bitkey.PatternKey {
+	k := bitkey.NewPatternKey(e.ct.Len(), e.rt.Len())
+	e.EncodeInto(p, k.CK, k.RK)
+	return k
+}
+
+// EncodeInto sets p's pattern key in ck and rk, which must be all-zero keys
+// of the tables' current lengths. A bulk load encodes straight into the
+// index's own storage with it instead of allocating two keys per pattern.
+func (e *Encoder) EncodeInto(p Pattern, ck, rk bitkey.Key) {
 	off := e.rt.Region(p.Consequence).Offset
 	id, ok := e.ct.TimeID(off)
 	if !ok {
 		panic(fmt.Sprintf("pattern: consequence offset %d missing from table", off))
 	}
-	ck := bitkey.New(e.ct.Len())
 	ck.Set(id + 1)
-	return bitkey.PatternKey{CK: ck, RK: e.rt.PremiseKey(p.Premise)}
+	e.rt.setRegions(rk, p.Premise)
 }
 
 // QueryKey encodes a predictive query: the frequent regions the object

@@ -424,9 +424,14 @@ func (rt *RegionTable) RegionKey(id RegionID) bitkey.Key {
 // trajectory pattern whose premise visits those regions.
 func (rt *RegionTable) PremiseKey(ids []RegionID) bitkey.Key {
 	k := bitkey.New(len(rt.regions))
+	rt.setRegions(k, ids)
+	return k
+}
+
+// setRegions sets the region-key bit of every id in k.
+func (rt *RegionTable) setRegions(k bitkey.Key, ids []RegionID) {
 	for _, id := range ids {
 		rt.Region(id) // bounds check
 		k.Set(int(id) + 1)
 	}
-	return k
 }

@@ -27,16 +27,16 @@ func (t *Tree) Stats() TreeStats {
 	keyBytes := (t.ckLen + t.rkLen + 7) / 8
 	var rec func(n *node)
 	rec = func(n *node) {
-		s.Entries += len(n.entries)
+		s.Entries += n.len()
 		if n.leaf {
 			s.LeafNodes++
-			s.StorageBytes += len(n.entries) * (keyBytes + leafEntryOverhead)
+			s.StorageBytes += n.len() * (keyBytes + leafEntryOverhead)
 			return
 		}
 		s.InternalNode++
-		s.StorageBytes += len(n.entries) * (keyBytes + internalEntryOverhead)
-		for _, e := range n.entries {
-			rec(e.child)
+		s.StorageBytes += n.len() * (keyBytes + internalEntryOverhead)
+		for _, child := range n.kids {
+			rec(child)
 		}
 	}
 	rec(t.root)
@@ -58,12 +58,10 @@ func (b *BruteForce) Len() int { return len(b.items) }
 // SearchIntersect visits every item whose key intersects q on both parts,
 // mirroring Tree.SearchIntersect. The returned count is the number of items
 // examined — always the full list, which is the point of the baseline.
-func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit func(Item) bool) int {
-	for _, it := range b.items {
-		if it.Key.Intersects(q) {
-			if !visit(it) {
-				break
-			}
+func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
+	for i := range b.items {
+		if it := &b.items[i]; it.Key.Intersects(q) && !visit(it.Ref, it.Conf, it.Key.RK) {
+			break
 		}
 	}
 	return len(b.items)
@@ -71,12 +69,10 @@ func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit func(Item) bool)
 
 // SearchConsequence visits every item whose consequence key intersects q's,
 // mirroring Tree.SearchConsequence.
-func (b *BruteForce) SearchConsequence(q bitkey.PatternKey, visit func(Item) bool) int {
-	for _, it := range b.items {
-		if it.Key.IntersectsConsequence(q) {
-			if !visit(it) {
-				break
-			}
+func (b *BruteForce) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
+	for i := range b.items {
+		if it := &b.items[i]; it.Key.IntersectsConsequence(q) && !visit(it.Ref, it.Conf, it.Key.RK) {
+			break
 		}
 	}
 	return len(b.items)

@@ -9,6 +9,15 @@
 // Search is depth-first: an internal entry's key is the bitwise OR of its
 // subtree, so a query key that fails the intersection predicate against the
 // entry cannot match anything below it and the subtree is skipped.
+//
+// Storage is what Figure 11(a) charges: a node keeps its entries' keys
+// packed in one pointer-free word slab — stride words per entry — beside a
+// 16-byte payload per leaf entry (confidence, reference) or an 8-byte child
+// pointer per internal entry. A key of three words therefore costs a leaf
+// 40 bytes and no heap object of its own. Within an entry the premise key's
+// words come first and the consequence key's last, so the entry read as one
+// number, most significant word first, is the paper's concatenation with
+// the consequence key in front — the order a bulk load sorts by.
 package tpt
 
 import (
@@ -17,17 +26,22 @@ import (
 	"slices"
 
 	"hpm/internal/bitkey"
-	"hpm/internal/parallel"
 )
 
 // Item is one indexed trajectory pattern: its pattern key, its confidence,
 // and a caller-defined reference (typically the index of the pattern in the
 // miner's output), which plays the role of the paper's region-key pointer p.
+// It is the exchange form at the API; the tree stores the parts packed.
 type Item struct {
 	Key  bitkey.PatternKey
 	Conf float64
 	Ref  int
 }
+
+// Visit receives one search hit: the item's reference, its confidence and a
+// view of its premise key, which aliases the tree's storage and is valid
+// only for the duration of the call. It returns false to stop the search.
+type Visit func(ref int, conf float64, rk bitkey.Key) bool
 
 // Options tune the tree shape.
 type Options struct {
@@ -38,12 +52,6 @@ type Options struct {
 	// (line 7-8 of Algorithm 1) so the descent degenerates to the plain
 	// signature-tree difference heuristic. Exists for the ablation bench.
 	DisableIntersectStep bool
-	// Parallelism caps how many goroutines BulkLoad's sorted-run phase
-	// uses; <= 1 sorts serially. The parallel path sorts contiguous runs
-	// concurrently and merges them under a total order, so the loaded tree
-	// is identical to a serial build for any value. Runtime-only: not part
-	// of a tree's persistent identity.
-	Parallelism int `json:"-"`
 }
 
 // DefaultMaxEntries is the default node capacity.
@@ -53,6 +61,7 @@ const DefaultMaxEntries = 32
 type Tree struct {
 	root         *node
 	ckLen, rkLen int
+	rw, stride   int // words of a premise key; words of a whole key
 	maxEntries   int
 	minEntries   int
 	size         int
@@ -60,16 +69,29 @@ type Tree struct {
 	noIntersect  bool
 }
 
-type entry struct {
-	key   bitkey.PatternKey
-	child *node // internal nodes only
-	item  Item  // leaf nodes only (item.Key aliases key)
+// payload is what a leaf entry holds beside its key.
+type payload struct {
+	conf float64
+	ref  int
 }
 
+// node holds its entries column-wise: entry i's key is keys[i*stride :
+// (i+1)*stride], its payload items[i] in a leaf and kids[i] otherwise.
 type node struct {
-	leaf    bool
-	entries []entry
+	leaf  bool
+	keys  []uint64
+	items []payload
+	kids  []*node
 }
+
+func (n *node) len() int {
+	if n.leaf {
+		return len(n.items)
+	}
+	return len(n.kids)
+}
+
+func words(bits int) int { return (bits + 63) / 64 }
 
 // New returns an empty tree for pattern keys with ckLen consequence bits
 // and rkLen premise bits.
@@ -89,6 +111,8 @@ func New(ckLen, rkLen int, opts Options) *Tree {
 		root:        &node{leaf: true},
 		ckLen:       ckLen,
 		rkLen:       rkLen,
+		rw:          words(rkLen),
+		stride:      words(rkLen) + words(ckLen),
 		maxEntries:  m,
 		minEntries:  min,
 		height:      1,
@@ -102,21 +126,21 @@ func (t *Tree) Len() int { return t.size }
 // Height returns the tree height (1 for a single leaf).
 func (t *Tree) Height() int { return t.height }
 
-// Insert adds an item to the tree. It panics when the item's key lengths do
-// not match the tree's.
-func (t *Tree) Insert(it Item) {
-	t.checkKey(it.Key)
-	split := t.insert(t.root, it)
-	if split != nil {
-		// Root overflow: grow a new root above both halves.
-		old := t.root
-		t.root = &node{leaf: false, entries: []entry{
-			{key: unionOf(old), child: old},
-			{key: unionOf(split), child: split},
-		}}
-		t.height++
-	}
-	t.size++
+// key returns entry i's key words, capped so an append cannot run into the
+// next entry.
+func (t *Tree) key(n *node, i int) []uint64 {
+	lo, hi := i*t.stride, (i+1)*t.stride
+	return n.keys[lo:hi:hi]
+}
+
+// keyBuf is the stack space flat gets for a key; wider keys spill to the heap.
+const keyBuf = 8
+
+// flat checks k against the tree's key lengths and returns its words in
+// entry layout, in buf when they fit.
+func (t *Tree) flat(buf []uint64, k bitkey.PatternKey) []uint64 {
+	t.checkKey(k)
+	return append(append(buf[:0], k.RK.Words()...), k.CK.Words()...)
 }
 
 func (t *Tree) checkKey(k bitkey.PatternKey) {
@@ -126,24 +150,40 @@ func (t *Tree) checkKey(k bitkey.PatternKey) {
 	}
 }
 
-// insert recursively places it under n and returns a non-nil node when n
-// was split and the caller must register the new sibling.
-func (t *Tree) insert(n *node, it Item) *node {
-	if n.leaf {
-		n.entries = append(n.entries, entry{key: it.Key, item: it})
-		if len(n.entries) > t.maxEntries {
-			return t.split(n)
-		}
-		return nil
+// Insert adds an item to the tree. It panics when the item's key lengths do
+// not match the tree's.
+func (t *Tree) Insert(it Item) {
+	var buf [keyBuf]uint64
+	pk := t.flat(buf[:], it.Key)
+	if split := t.insert(t.root, pk, payload{it.Conf, it.Ref}); split != nil {
+		// Root overflow: grow a new root above both halves.
+		old := t.root
+		t.root = &node{kids: []*node{old, split}}
+		t.root.keys = t.unionOf(t.unionOf(make([]uint64, 0, 2*t.stride), old), split)
+		t.height++
 	}
-	i := t.chooseSubtree(n, it.Key)
-	n.entries[i].key = n.entries[i].key.Union(it.Key)
-	if split := t.insert(n.entries[i].child, it); split != nil {
-		n.entries[i].key = unionOf(n.entries[i].child)
-		n.entries = append(n.entries, entry{key: unionOf(split), child: split})
-		if len(n.entries) > t.maxEntries {
-			return t.split(n)
+	t.size++
+}
+
+// insert recursively places the item under n and returns a non-nil node
+// when n was split and the caller must register the new sibling.
+func (t *Tree) insert(n *node, pk []uint64, p payload) *node {
+	if n.leaf {
+		n.keys = append(n.keys, pk...)
+		n.items = append(n.items, p)
+	} else {
+		i := t.chooseSubtree(n, pk)
+		bitkey.OrWords(t.key(n, i), pk)
+		split := t.insert(n.kids[i], pk, p)
+		if split == nil {
+			return nil
 		}
+		t.unionOf(t.key(n, i)[:0], n.kids[i])
+		n.keys = t.unionOf(n.keys, split)
+		n.kids = append(n.kids, split)
+	}
+	if n.len() > t.maxEntries {
+		return t.split(n)
 	}
 	return nil
 }
@@ -152,13 +192,13 @@ func (t *Tree) insert(n *node, it Item) *node {
 // the smallest containing entry, then — unless disabled — the
 // intersecting entry with the smallest difference, then the smallest
 // difference overall. Ties resolve to the smallest entry size.
-func (t *Tree) chooseSubtree(n *node, pk bitkey.PatternKey) int {
+func (t *Tree) chooseSubtree(n *node, pk []uint64) int {
 	best := -1
 	bestSize := 0
 	// Rule 1: containment.
-	for i, e := range n.entries {
-		if e.key.Contains(pk) {
-			if s := e.key.Size(); best < 0 || s < bestSize {
+	for i := range n.kids {
+		if k := t.key(n, i); bitkey.ContainsWords(k, pk) {
+			if s := bitkey.SizeWords(k); best < 0 || s < bestSize {
 				best, bestSize = i, s
 			}
 		}
@@ -166,27 +206,23 @@ func (t *Tree) chooseSubtree(n *node, pk bitkey.PatternKey) int {
 	if best >= 0 {
 		return best
 	}
-	// Rule 2: intersection on both parts (the paper's addition).
-	if !t.noIntersect {
+	// Rule 2, the paper's addition: among entries that intersect the key on
+	// the consequence part and on the premise part, the smallest difference.
+	// Rule 3: the smallest difference over every entry.
+	rw := t.rw
+	for _, all := range []bool{t.noIntersect, true} {
 		bestDiff := 0
-		for i, e := range n.entries {
-			if e.key.Intersects(pk) {
-				d, s := pk.Difference(e.key), e.key.Size()
+		for i := range n.kids {
+			k := t.key(n, i)
+			if all || (bitkey.IntersectWords(k[rw:], pk[rw:]) && bitkey.IntersectWords(k[:rw], pk[:rw])) {
+				d, s := bitkey.DifferenceWords(pk, k), bitkey.SizeWords(k)
 				if best < 0 || d < bestDiff || (d == bestDiff && s < bestSize) {
 					best, bestDiff, bestSize = i, d, s
 				}
 			}
 		}
 		if best >= 0 {
-			return best
-		}
-	}
-	// Rule 3: smallest difference.
-	bestDiff := 0
-	for i, e := range n.entries {
-		d, s := pk.Difference(e.key), e.key.Size()
-		if best < 0 || d < bestDiff || (d == bestDiff && s < bestSize) {
-			best, bestDiff, bestSize = i, d, s
+			break
 		}
 	}
 	return best
@@ -196,102 +232,119 @@ func (t *Tree) chooseSubtree(n *node, pk bitkey.PatternKey) int {
 // entries with the largest symmetric key difference seed the groups, and
 // each remaining entry joins the group whose union key grows least.
 func (t *Tree) split(n *node) *node {
-	entries := n.entries
+	cnt := n.len()
 	// Seed selection.
 	s1, s2 := 0, 1
 	worst := -1
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].key.Difference(entries[j].key) + entries[j].key.Difference(entries[i].key)
-			if d > worst {
+	for i := 0; i < cnt; i++ {
+		for j := i + 1; j < cnt; j++ {
+			ki, kj := t.key(n, i), t.key(n, j)
+			if d := bitkey.DifferenceWords(ki, kj) + bitkey.DifferenceWords(kj, ki); d > worst {
 				worst, s1, s2 = d, i, j
 			}
 		}
 	}
-	g1 := []entry{entries[s1]}
-	g2 := []entry{entries[s2]}
-	u1 := entries[s1].key.Clone()
-	u2 := entries[s2].key.Clone()
-
-	rest := make([]entry, 0, len(entries)-2)
-	for i, e := range entries {
-		if i != s1 && i != s2 {
-			rest = append(rest, e)
+	g1 := append(make([]int32, 0, cnt), int32(s1))
+	g2 := append(make([]int32, 0, cnt), int32(s2))
+	u := append(append(make([]uint64, 0, 2*t.stride), t.key(n, s1)...), t.key(n, s2)...)
+	u1, u2 := u[:t.stride], u[t.stride:]
+	for i, remaining := 0, cnt-2; i < cnt; i++ {
+		if i == s1 || i == s2 {
+			continue
 		}
-	}
-	for idx, e := range rest {
-		remaining := len(rest) - idx
+		k := t.key(n, i)
+		var first bool
+		switch {
 		// Honour the minimum fill: hand the remainder to a starving group.
-		if len(g1)+remaining <= t.minEntries {
-			g1 = append(g1, e)
-			u1.UnionInPlace(e.key)
-			continue
+		case len(g1)+remaining <= t.minEntries:
+			first = true
+		case len(g2)+remaining <= t.minEntries:
+			first = false
+		default:
+			grow1, grow2 := bitkey.DifferenceWords(k, u1), bitkey.DifferenceWords(k, u2)
+			first = grow1 < grow2 || (grow1 == grow2 && bitkey.SizeWords(u1) <= bitkey.SizeWords(u2))
 		}
-		if len(g2)+remaining <= t.minEntries {
-			g2 = append(g2, e)
-			u2.UnionInPlace(e.key)
-			continue
-		}
-		grow1 := e.key.Difference(u1)
-		grow2 := e.key.Difference(u2)
-		if grow1 < grow2 || (grow1 == grow2 && u1.Size() <= u2.Size()) {
-			g1 = append(g1, e)
-			u1.UnionInPlace(e.key)
+		if first {
+			g1 = append(g1, int32(i))
+			bitkey.OrWords(u1, k)
 		} else {
-			g2 = append(g2, e)
-			u2.UnionInPlace(e.key)
+			g2 = append(g2, int32(i))
+			bitkey.OrWords(u2, k)
 		}
+		remaining--
 	}
-	n.entries = g1
-	return &node{leaf: n.leaf, entries: g2}
+	right := t.pick(n, g2)
+	*n = *t.pick(n, g1)
+	return right
 }
 
-// unionOf returns the OR of all entry keys of n.
-func unionOf(n *node) bitkey.PatternKey {
-	u := n.entries[0].key.Clone()
-	for _, e := range n.entries[1:] {
-		u.UnionInPlace(e.key)
+// pick returns a node of n's kind holding n's entries idx, in that order,
+// in slabs of exactly that size.
+func (t *Tree) pick(n *node, idx []int32) *node {
+	out := &node{leaf: n.leaf, keys: make([]uint64, 0, len(idx)*t.stride)}
+	if n.leaf {
+		out.items = make([]payload, len(idx))
+	} else {
+		out.kids = make([]*node, len(idx))
 	}
-	return u
+	for o, i := range idx {
+		out.keys = append(out.keys, t.key(n, int(i))...)
+		if n.leaf {
+			out.items[o] = n.items[i]
+		} else {
+			out.kids[o] = n.kids[i]
+		}
+	}
+	return out
+}
+
+// unionOf appends the OR of all entry keys of n to dst.
+func (t *Tree) unionOf(dst []uint64, n *node) []uint64 {
+	dst = append(dst, n.keys[:t.stride]...)
+	u := dst[len(dst)-t.stride:]
+	for i := 1; i < n.len(); i++ {
+		bitkey.OrWords(u, t.key(n, i))
+	}
+	return dst
 }
 
 // SearchIntersect visits every item whose key intersects q on both the
 // consequence and the premise part (the FQP retrieval predicate). The visit
 // callback returns false to stop early. It reports the number of tree nodes
 // touched, the cost metric of Figure 11(b).
-func (t *Tree) SearchIntersect(q bitkey.PatternKey, visit func(Item) bool) int {
+func (t *Tree) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
 	t.checkKey(q)
-	nodes, _ := t.search(t.root, &q, true, visit)
+	nodes, _ := t.search(t.root, q.CK.Words(), q.RK.Words(), true, visit)
 	return nodes
 }
 
 // SearchConsequence visits every item whose consequence key intersects q's,
 // ignoring premises entirely — the relaxed predicate of Backward Query
 // Processing.
-func (t *Tree) SearchConsequence(q bitkey.PatternKey, visit func(Item) bool) int {
+func (t *Tree) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
 	t.checkKey(q)
-	nodes, _ := t.search(t.root, &q, false, visit)
+	nodes, _ := t.search(t.root, q.CK.Words(), q.RK.Words(), false, visit)
 	return nodes
 }
 
 // search is the one descent both predicates share: an entry qualifies when
-// its consequence part intersects q's and, with premise set, its premise
-// part does too. Entries are tested in place — an entry is 152 bytes and
-// most fail the test, so the walk copies nothing until an item is visited.
-func (t *Tree) search(n *node, q *bitkey.PatternKey, premise bool, visit func(Item) bool) (nodes int, stopped bool) {
+// its consequence part intersects ck and, with premise set, its premise part
+// intersects rk. The walk reads the node's key slab front to back and
+// touches a payload only for entries that qualify.
+func (t *Tree) search(n *node, ck, rk []uint64, premise bool, visit Visit) (nodes int, stopped bool) {
 	nodes = 1
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !e.key.CK.Intersects(q.CK) || (premise && !e.key.RK.Intersects(q.RK)) {
+	for i, cnt := 0, n.len(); i < cnt; i++ {
+		k := t.key(n, i)
+		if !bitkey.IntersectWords(k[t.rw:], ck) || (premise && !bitkey.IntersectWords(k[:t.rw], rk)) {
 			continue
 		}
 		if n.leaf {
-			if !visit(e.item) {
+			if p := n.items[i]; !visit(p.ref, p.conf, bitkey.View(t.rkLen, k[:t.rw:t.rw])) {
 				return nodes, true
 			}
 			continue
 		}
-		sub, stop := t.search(e.child, q, premise, visit)
+		sub, stop := t.search(n.kids[i], ck, rk, premise, visit)
 		nodes += sub
 		if stop {
 			return nodes, true
@@ -300,16 +353,21 @@ func (t *Tree) search(n *node, q *bitkey.PatternKey, premise bool, visit func(It
 	return nodes, false
 }
 
-// All visits every indexed item in key order of the leaves.
+// All visits every indexed item in key order of the leaves. The keys handed
+// out are copies.
 func (t *Tree) All(visit func(Item) bool) {
 	var rec func(n *node) bool
 	rec = func(n *node) bool {
-		for _, e := range n.entries {
-			if n.leaf {
-				if !visit(e.item) {
+		for i, cnt := 0, n.len(); i < cnt; i++ {
+			if !n.leaf {
+				if !rec(n.kids[i]) {
 					return false
 				}
-			} else if !rec(e.child) {
+				continue
+			}
+			k := slices.Clone(t.key(n, i))
+			key := bitkey.PatternKey{CK: bitkey.View(t.ckLen, k[t.rw:]), RK: bitkey.View(t.rkLen, k[:t.rw:t.rw])}
+			if !visit(Item{Key: key, Conf: n.items[i].conf, Ref: n.items[i].ref}) {
 				return false
 			}
 		}
@@ -318,49 +376,86 @@ func (t *Tree) All(visit func(Item) bool) {
 	rec(t.root)
 }
 
-// BulkLoad builds a tree from items bottom-up: items are sorted so patterns
-// with the same consequence time offset pack into the same leaves, leaves
-// are filled to capacity, and parent levels are built from the unions. This
-// is the paper's bulk loading for the static (historical) pattern set;
-// dynamic arrivals then use Insert.
-func BulkLoad(ckLen, rkLen int, items []Item, opts Options) *Tree {
+// Loader collects the static (historical) pattern set for a bulk load. Its
+// items sit in the tree's own entry layout — one word slab, one payload
+// slice — so a caller that can encode a key in place (hpa.NewEngine) builds
+// a tree without allocating a key per pattern.
+type Loader struct {
+	t   *Tree
+	all node // every item added so far, laid out as one oversized leaf
+}
+
+// NewLoader returns a loader for up to n items with ckLen consequence bits
+// and rkLen premise bits.
+func NewLoader(ckLen, rkLen, n int, opts Options) *Loader {
 	t := New(ckLen, rkLen, opts)
-	if len(items) == 0 {
+	return &Loader{t: t, all: node{leaf: true, keys: make([]uint64, n*t.stride), items: make([]payload, 0, n)}}
+}
+
+// Add appends an item whose key is all zeros and returns views of the key's
+// two parts for the caller to set bits in. Adding more than the n items the
+// loader was sized for panics.
+func (l *Loader) Add(conf float64, ref int) (ck, rk bitkey.Key) {
+	t := l.t
+	l.all.items = append(l.all.items, payload{conf, ref})
+	k := t.key(&l.all, len(l.all.items)-1)
+	return bitkey.View(t.ckLen, k[t.rw:]), bitkey.View(t.rkLen, k[:t.rw:t.rw])
+}
+
+// Tree builds the tree bottom-up in one pass: a sort of 4-byte indices finds
+// the order in which patterns with the same consequence time offset pack
+// into the same leaves, leaves are cut to capacity and gathered into slabs
+// of their final size, and parent levels are built from the unions. This is
+// the paper's bulk loading for the static pattern set; dynamic arrivals then
+// use Insert.
+func (l *Loader) Tree() *Tree {
+	t, all := l.t, &l.all
+	n := len(all.items)
+	if n == 0 {
 		return t
 	}
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	sortItems(sorted, opts.Parallelism)
-	for _, it := range sorted {
-		t.checkKey(it.Key)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
+	slices.SortFunc(order, func(a, b int32) int { return t.itemCmp(all, a, b) })
 	// Leaf level. packBounds keeps every node (beyond a lone root) at or
 	// above the minimum fill so later Inserts preserve the invariants.
-	var level []*node
-	for _, b := range packBounds(len(sorted), t.maxEntries, t.minEntries) {
-		n := &node{leaf: true}
-		for _, it := range sorted[b[0]:b[1]] {
-			n.entries = append(n.entries, entry{key: it.Key, item: it})
-		}
-		level = append(level, n)
+	bounds := packBounds(n, t.maxEntries, t.minEntries)
+	level := make([]*node, len(bounds))
+	for i, b := range bounds {
+		level[i] = t.pick(all, order[b[0]:b[1]])
 	}
-	height := 1
+	t.height = 1
 	for len(level) > 1 {
-		var up []*node
-		for _, b := range packBounds(len(level), t.maxEntries, t.minEntries) {
-			n := &node{leaf: false}
-			for _, child := range level[b[0]:b[1]] {
-				n.entries = append(n.entries, entry{key: unionOf(child), child: child})
+		bounds = packBounds(len(level), t.maxEntries, t.minEntries)
+		up := make([]*node, len(bounds))
+		for i, b := range bounds {
+			kids := slices.Clone(level[b[0]:b[1]])
+			up[i] = &node{kids: kids, keys: make([]uint64, 0, len(kids)*t.stride)}
+			for _, child := range kids {
+				up[i].keys = t.unionOf(up[i].keys, child)
 			}
-			up = append(up, n)
 		}
 		level = up
-		height++
+		t.height++
 	}
 	t.root = level[0]
-	t.height = height
-	t.size = len(sorted)
+	t.size = n
 	return t
+}
+
+// BulkLoad builds a tree from items through a Loader. It panics when an
+// item's key lengths do not match ckLen and rkLen.
+func BulkLoad(ckLen, rkLen int, items []Item, opts Options) *Tree {
+	l := NewLoader(ckLen, rkLen, len(items), opts)
+	for i := range items {
+		it := &items[i]
+		ck, rk := l.Add(it.Conf, it.Ref)
+		ck.OrInPlace(it.Key.CK) // checks the length
+		rk.OrInPlace(it.Key.RK)
+	}
+	return l.Tree()
 }
 
 // packBounds slices n items into groups of at most max entries where every
@@ -370,7 +465,7 @@ func packBounds(n, max, min int) [][2]int {
 	if n == 0 {
 		return nil
 	}
-	var bounds [][2]int
+	bounds := make([][2]int, 0, n/max+1)
 	for lo := 0; lo < n; {
 		hi := lo + max
 		if hi > n {
@@ -401,87 +496,14 @@ func packBounds(n, max, min int) [][2]int {
 	return bounds
 }
 
-// compareKeys orders pattern keys by consequence part then premise part,
-// most significant bits first, so bulk loading clusters same-consequence
-// patterns together.
-func compareKeys(a, b bitkey.PatternKey) int {
-	if c := a.CK.Compare(b.CK); c != 0 {
+// itemCmp is the bulk-load sort order over a node's entries: consequence
+// part then premise part, most significant bits first, so same-consequence
+// patterns cluster, with the reference as tie-break. Refs are distinct, so
+// the order is strict and total — any correct sort yields the same
+// permutation, which is what lets Loader.Tree use an unstable one.
+func (t *Tree) itemCmp(n *node, a, b int32) int {
+	if c := bitkey.CompareWords(t.key(n, int(a)), t.key(n, int(b))); c != 0 {
 		return c
 	}
-	return a.RK.Compare(b.RK)
-}
-
-// itemCmp is BulkLoad's sort order: key order with Ref as tie-break. Refs
-// are distinct, so the order is strict and total — any correct sort yields
-// the same permutation, which is what lets sortItems use an unstable one.
-func itemCmp(a, b Item) int {
-	if c := compareKeys(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Ref, b.Ref)
-}
-
-// sortItems orders items for bulk loading. With workers > 1 the slice is
-// cut into contiguous runs, the runs sort concurrently, and sorted runs
-// merge pairwise. itemCmp is a strict total order, so the result equals
-// the serial sort byte-for-byte regardless of the worker count.
-func sortItems(items []Item, workers int) {
-	workers = parallel.Workers(workers)
-	// Tiny inputs gain nothing from fan-out; the goroutine overhead
-	// dominates below a few thousand comparisons per run.
-	const minRun = 1024
-	if workers > 1 && len(items)/workers < minRun {
-		workers = len(items) / minRun
-	}
-	if workers <= 1 {
-		slices.SortFunc(items, itemCmp)
-		return
-	}
-	// Cut into `workers` contiguous runs.
-	bounds := make([][2]int, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * len(items) / workers
-		hi := (w + 1) * len(items) / workers
-		if lo < hi {
-			bounds = append(bounds, [2]int{lo, hi})
-		}
-	}
-	parallel.For(len(bounds), workers, func(r int) {
-		slices.SortFunc(items[bounds[r][0]:bounds[r][1]], itemCmp)
-	})
-	// Pairwise merge rounds until one run remains.
-	scratch := make([]Item, len(items))
-	for len(bounds) > 1 {
-		var merged [][2]int
-		for i := 0; i < len(bounds); i += 2 {
-			if i+1 == len(bounds) {
-				merged = append(merged, bounds[i])
-				continue
-			}
-			lo, mid, hi := bounds[i][0], bounds[i][1], bounds[i+1][1]
-			mergeRuns(items, scratch, lo, mid, hi)
-			merged = append(merged, [2]int{lo, hi})
-		}
-		bounds = merged
-	}
-}
-
-// mergeRuns merges the sorted runs items[lo:mid] and items[mid:hi] in place
-// via the scratch buffer.
-func mergeRuns(items, scratch []Item, lo, mid, hi int) {
-	i, j, o := lo, mid, lo
-	for i < mid && j < hi {
-		if itemCmp(items[j], items[i]) < 0 {
-			scratch[o] = items[j]
-			j++
-		} else {
-			scratch[o] = items[i]
-			i++
-		}
-		o++
-	}
-	copy(scratch[o:], items[i:mid])
-	o += mid - i
-	copy(scratch[o:], items[j:hi])
-	copy(items[lo:hi], scratch[lo:hi])
+	return cmp.Compare(n.items[a].ref, n.items[b].ref)
 }

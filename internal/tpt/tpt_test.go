@@ -2,6 +2,7 @@ package tpt
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -29,10 +30,13 @@ func randomQuery(r *rand.Rand, ckLen, rkLen int) bitkey.PatternKey {
 	return q
 }
 
+// visitAll accepts every hit.
+func visitAll(int, float64, bitkey.Key) bool { return true }
+
 func collectIntersect(t *Tree, q bitkey.PatternKey) []int {
 	var refs []int
-	t.SearchIntersect(q, func(it Item) bool {
-		refs = append(refs, it.Ref)
+	t.SearchIntersect(q, func(ref int, _ float64, _ bitkey.Key) bool {
+		refs = append(refs, ref)
 		return true
 	})
 	sort.Ints(refs)
@@ -41,8 +45,8 @@ func collectIntersect(t *Tree, q bitkey.PatternKey) []int {
 
 func collectConsequence(t *Tree, q bitkey.PatternKey) []int {
 	var refs []int
-	t.SearchConsequence(q, func(it Item) bool {
-		refs = append(refs, it.Ref)
+	t.SearchConsequence(q, func(ref int, _ float64, _ bitkey.Key) bool {
+		refs = append(refs, ref)
 		return true
 	})
 	sort.Ints(refs)
@@ -85,27 +89,32 @@ func equalInts(a, b []int) bool {
 
 // checkInvariants verifies structural invariants: internal entry keys are
 // exactly the union of their subtree, all leaves share one depth, node fill
-// respects [minEntries, maxEntries] except at the root, and size matches.
-func checkInvariants(t *testing.T, tree *Tree) {
+// respects [minEntries, maxEntries] except at the root (minFill false drops
+// the lower bound, which deletion does not keep), slabs hold exactly one
+// stride per entry, and size matches.
+func checkInvariants(t *testing.T, tree *Tree, minFill bool) {
 	t.Helper()
 	count := 0
-	var depthOfLeaf = -1
-	var rec func(n *node, depth int, isRoot bool) bitkey.PatternKey
-	rec = func(n *node, depth int, isRoot bool) bitkey.PatternKey {
-		if len(n.entries) == 0 {
+	depthOfLeaf := -1
+	var rec func(n *node, depth int, isRoot bool) []uint64
+	rec = func(n *node, depth int, isRoot bool) []uint64 {
+		if len(n.keys) != n.len()*tree.stride || (n.leaf && n.kids != nil) || (!n.leaf && n.items != nil) {
+			t.Fatalf("node slabs out of step: %d key words, %d items, %d kids, stride %d", len(n.keys), len(n.items), len(n.kids), tree.stride)
+		}
+		u := make([]uint64, tree.stride)
+		if n.len() == 0 {
 			if !isRoot {
 				t.Fatal("empty non-root node")
 			}
-			return bitkey.NewPatternKey(tree.ckLen, tree.rkLen)
+			return u
 		}
-		if !isRoot && (len(n.entries) < tree.minEntries || len(n.entries) > tree.maxEntries) {
-			t.Fatalf("node fill %d outside [%d,%d]", len(n.entries), tree.minEntries, tree.maxEntries)
+		if !isRoot && minFill && n.len() < tree.minEntries {
+			t.Fatalf("node fill %d below %d", n.len(), tree.minEntries)
 		}
-		if len(n.entries) > tree.maxEntries {
-			t.Fatalf("root overflow: %d > %d", len(n.entries), tree.maxEntries)
+		if n.len() > tree.maxEntries {
+			t.Fatalf("node overflow: %d > %d", n.len(), tree.maxEntries)
 		}
-		u := bitkey.NewPatternKey(tree.ckLen, tree.rkLen)
-		for _, e := range n.entries {
+		for i := 0; i < n.len(); i++ {
 			if n.leaf {
 				count++
 				if depthOfLeaf == -1 {
@@ -113,17 +122,10 @@ func checkInvariants(t *testing.T, tree *Tree) {
 				} else if depthOfLeaf != depth {
 					t.Fatalf("leaves at depths %d and %d", depthOfLeaf, depth)
 				}
-				if !e.key.Equal(e.item.Key) {
-					t.Fatal("leaf entry key differs from item key")
-				}
-				u.UnionInPlace(e.key)
-			} else {
-				sub := rec(e.child, depth+1, false)
-				if !e.key.Equal(sub) {
-					t.Fatalf("internal key %s != subtree union %s", e.key, sub)
-				}
-				u.UnionInPlace(sub)
+			} else if sub := rec(n.kids[i], depth+1, false); !slices.Equal(tree.key(n, i), sub) {
+				t.Fatalf("internal key %x != subtree union %x", tree.key(n, i), sub)
 			}
+			bitkey.OrWords(u, tree.key(n, i))
 		}
 		return u
 	}
@@ -166,7 +168,7 @@ func TestPaperFigure4(t *testing.T) {
 	if !equalInts(got, []int{2, 3}) {
 		t.Errorf("Figure 4 query returned %v, want [2 3]", got)
 	}
-	checkInvariants(t, tree)
+	checkInvariants(t, tree, true)
 }
 
 func TestInsertSearchEquivalenceProperty(t *testing.T) {
@@ -181,7 +183,7 @@ func TestInsertSearchEquivalenceProperty(t *testing.T) {
 			items[i] = randomItem(r, ckLen, rkLen, i)
 			tree.Insert(items[i])
 		}
-		checkInvariants(t, tree)
+		checkInvariants(t, tree, true)
 		for qi := 0; qi < 25; qi++ {
 			q := randomQuery(r, ckLen, rkLen)
 			if got, want := collectIntersect(tree, q), bruteIntersect(items, q); !equalInts(got, want) {
@@ -243,7 +245,7 @@ func TestMixedBulkThenInsert(t *testing.T) {
 	for _, it := range items[200:] {
 		tree.Insert(it)
 	}
-	checkInvariants(t, tree)
+	checkInvariants(t, tree, true)
 	for qi := 0; qi < 30; qi++ {
 		q := randomQuery(r, ckLen, rkLen)
 		if got, want := collectIntersect(tree, q), bruteIntersect(items, q); !equalInts(got, want) {
@@ -262,7 +264,7 @@ func TestDisableIntersectStepStillCorrect(t *testing.T) {
 		items = append(items, it)
 		tree.Insert(it)
 	}
-	checkInvariants(t, tree)
+	checkInvariants(t, tree, true)
 	for qi := 0; qi < 30; qi++ {
 		q := randomQuery(r, ckLen, rkLen)
 		if got, want := collectIntersect(tree, q), bruteIntersect(items, q); !equalInts(got, want) {
@@ -285,7 +287,7 @@ func TestSearchEarlyStop(t *testing.T) {
 		q.RK.Set(i)
 	}
 	seen := 0
-	tree.SearchIntersect(q, func(Item) bool {
+	tree.SearchIntersect(q, func(int, float64, bitkey.Key) bool {
 		seen++
 		return seen < 5
 	})
@@ -366,8 +368,8 @@ func TestBruteForceBaseline(t *testing.T) {
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(r, 6, 40)
 		var got []int
-		examined := bf.SearchIntersect(q, func(it Item) bool {
-			got = append(got, it.Ref)
+		examined := bf.SearchIntersect(q, func(ref int, _ float64, _ bitkey.Key) bool {
+			got = append(got, ref)
 			return true
 		})
 		if examined != 300 {
@@ -378,8 +380,8 @@ func TestBruteForceBaseline(t *testing.T) {
 			t.Fatal("BruteForce.SearchIntersect mismatch")
 		}
 		var gotC []int
-		bf.SearchConsequence(q, func(it Item) bool {
-			gotC = append(gotC, it.Ref)
+		bf.SearchConsequence(q, func(ref int, _ float64, _ bitkey.Key) bool {
+			gotC = append(gotC, ref)
 			return true
 		})
 		sort.Ints(gotC)
@@ -403,7 +405,7 @@ func TestSearchPrunesNodes(t *testing.T) {
 	q := bitkey.NewPatternKey(ckLen, rkLen)
 	q.CK.Set(1 + r.Intn(ckLen))
 	q.RK.Set(1 + r.Intn(rkLen))
-	touched := tree.SearchIntersect(q, func(Item) bool { return true })
+	touched := tree.SearchIntersect(q, visitAll)
 	if touched >= total {
 		t.Errorf("search touched %d of %d nodes: no pruning", touched, total)
 	}

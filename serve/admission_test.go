@@ -188,8 +188,15 @@ func TestDegradedServeReadOnly(t *testing.T) {
 	// (restarting the process would not fix the disk).
 	getJSON(t, srv.URL+"/readyz", http.StatusServiceUnavailable)
 	getJSON(t, srv.URL+"/healthz", http.StatusOK)
-	if m := metricsBody(t, srv.URL); !strings.Contains(m, "hpm_degraded 1") {
+	m := metricsBody(t, srv.URL)
+	if !strings.Contains(m, "hpm_degraded 1") {
 		t.Error("hpm_degraded gauge not raised")
+	}
+	// A store opened from a directory says where its start-up went.
+	for _, phase := range []string{"load", "replay", "recover", "index"} {
+		if !strings.Contains(m, `hpm_open_seconds{phase="`+phase+`"}`) {
+			t.Errorf("/metrics has no hpm_open_seconds for phase %q", phase)
+		}
 	}
 
 	// Heal the disk; the probe recovers the store without intervention.

@@ -64,6 +64,17 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hpm_checkpoint_objects_written_total", "Objects re-encoded by checkpoints (dirty shards only when incremental).", fs.CheckpointObjects)
 	gauge("hpm_snapshot_bytes", "On-disk size of the current snapshot (manifest plus live segments).", fs.SnapshotBytes)
 
+	// Where the start-up went: the wall time of each phase of store.Open.
+	if oi := st.Health().Open; oi != nil {
+		fmt.Fprintf(&b, "# HELP hpm_open_seconds Wall-clock seconds each phase of opening the durable store took at start-up.\n")
+		fmt.Fprintf(&b, "# TYPE hpm_open_seconds gauge\n")
+		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"load\"} %g\n", oi.LoadSeconds)
+		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"replay\"} %g\n", oi.ReplaySeconds)
+		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"recover\"} %g\n", oi.RecoverSeconds)
+		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"index\"} %g\n", oi.IndexSeconds)
+		gauge("hpm_open_replay_extends", "Replayed WAL records that carried an object over a period boundary into an Extend.", oi.ReplayExtends)
+	}
+
 	// Degradation ladder: the read-only state machine, its causes, and the
 	// admission layer's shedding. hpm_degraded is the alert-on gauge; the
 	// per-{endpoint,reason} shed series only appear once they fire (the

@@ -155,10 +155,19 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkOpen measures recovery latency from a checkpointed store with
-// a short WAL tail, serial (workers=1) vs parallel (GOMAXPROCS). On a
-// single-CPU host the two coincide; the spread is the recovery
+// BenchmarkOpen measures start-up latency. The workers=… cases open a
+// checkpointed store of untrained tracks with a short WAL tail, serial
+// (workers=1) vs parallel (GOMAXPROCS): they time segment decode and replay
+// plumbing and — like BENCH_recovery.json, recorded the same way — no model
+// at all. On a single-CPU host the two coincide; the spread is the recovery
 // parallelism the format buys on real hardware.
+//
+// The trained cases are what a fleet's restart costs: 64 objects trained
+// from the four datagen kinds, checkpointed, and for trained/recover a
+// 20-tick WAL tail on top that carries a quarter of them over a period
+// boundary, so recovery re-seeds their miners and extends them. Every
+// model's pattern tree is rebuilt by each Open; live-B/open is the heap one
+// opened store retains.
 func BenchmarkOpen(b *testing.B) {
 	const fleet = 5000
 	dir := b.TempDir()
@@ -172,29 +181,69 @@ func BenchmarkOpen(b *testing.B) {
 	crash(s) // leave a WAL tail for replay
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d/objects=%d", workers, fleet), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				re, err := Open(dir, Options{
-					Config:          hpm.Config{Period: period},
-					MinTrainPeriods: 1 << 20,
-					WALNoSync:       true,
-					PersistWorkers:  workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				crash(re) // no checkpoint: keep the on-disk state identical
-				// Each Open leaves one fresh empty WAL segment; drop them so
-				// the replayed state doesn't grow with b.N.
-				segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-				for _, seg := range segs {
-					if fi, err := os.Stat(seg); err == nil && fi.Size() == 0 {
-						os.Remove(seg)
-					}
-				}
-				b.StartTimer()
-			}
+			benchReopen(b, dir, Options{
+				Config:          hpm.Config{Period: period},
+				MinTrainPeriods: 1 << 20,
+				WALNoSync:       true,
+				PersistWorkers:  workers,
+			})
 		})
+	}
+
+	f := newRestartFleet(64, 1)
+	for _, mode := range []string{"clean", "recover"} {
+		dir := b.TempDir()
+		s, err := Open(dir, restartOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.load(b, s)
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		if mode == "recover" {
+			f.stream(b, s, 0, 20)
+		}
+		crash(s)
+		b.Run("trained/"+mode, func(b *testing.B) { benchReopen(b, dir, restartOptions()) })
+	}
+}
+
+// benchReopen times Open over dir, leaving the directory as it found it.
+func benchReopen(b *testing.B, dir string, opts Options) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		if i == b.N-1 {
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+		}
+		re, err := Open(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := re.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.HeapAlloc)-float64(before.HeapAlloc), "live-B/open")
+			runtime.KeepAlive(re)
+		}
+		crash(re) // no checkpoint: keep the on-disk state identical
+		// Each Open leaves one fresh empty WAL segment; drop them so
+		// the replayed state doesn't grow with b.N.
+		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		for _, seg := range segs {
+			if fi, err := os.Stat(seg); err == nil && fi.Size() == 0 {
+				os.Remove(seg)
+			}
+		}
+		b.StartTimer()
 	}
 }
 

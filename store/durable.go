@@ -49,6 +49,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	// snapshot (if any) is intact, so the temp is garbage.
 	os.Remove(filepath.Join(dir, snapshotFile+".tmp"))
 
+	// lap returns the wall seconds since the previous lap: Open's phases
+	// run back to back, and OpenInfo says which one a slow start went to.
+	mark := time.Now()
+	lap := func() float64 {
+		prev := mark
+		mark = time.Now()
+		return mark.Sub(prev).Seconds()
+	}
+	var info OpenInfo
+
 	path := filepath.Join(dir, snapshotFile)
 	var s *Store
 	var m *snapManifest
@@ -65,6 +75,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	default:
 		return nil, err
 	}
+	info.LoadSeconds = lap()
 	// Error paths from here on must close the store: replay may already
 	// have scheduled background trains, and the probe/stop machinery
 	// exists from New — a failed Open must not leak their goroutines.
@@ -98,8 +109,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.replayed = replayed
+	// Nothing but replay has extended a model yet.
+	info.ReplaySeconds, info.ReplayExtends = lap(), s.extends.Load()
 	s.recoverModels()
+	info.RecoverSeconds = lap()
 	s.rebuildIndex()
+	info.IndexSeconds = lap()
+	s.openInfo = &info
 	// Wire the degradation state machine into the log before any append
 	// can happen: the fault points let tests inject disk failures at the
 	// flush, and every group commit's outcome feeds noteWALFlush.

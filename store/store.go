@@ -304,6 +304,7 @@ type Store struct {
 	dir          string
 	restored     bool // a snapshot was loaded at Open
 	replayed     int  // WAL records replayed at Open
+	openInfo     *OpenInfo
 	checkpointMu sync.Mutex
 
 	// v3 snapshot state, guarded by checkpointMu: the manifest describing
@@ -1399,6 +1400,26 @@ type Health struct {
 	Checkpoints    uint64          `json:"checkpoints"`
 	SnapshotBytes  uint64          `json:"snapshotBytes"`
 	LastCheckpoint *CheckpointInfo `json:"lastCheckpoint,omitempty"`
+	// Open says where the wall time of Open went; nil for a store that
+	// was not opened from a directory.
+	Open *OpenInfo `json:"open,omitempty"`
+}
+
+// OpenInfo is the wall time of each phase of Open, in the order they run,
+// so "why was this start slow?" has an answer in the running process.
+type OpenInfo struct {
+	// LoadSeconds covers the snapshot: manifest, segment decode and, for
+	// every trained object, rebuilding its model's pattern index.
+	LoadSeconds float64 `json:"loadSeconds"`
+	// ReplaySeconds covers reading the WAL tail and applying it;
+	// ReplayExtends is how many replayed records carried their object over
+	// a period boundary and so ran an Extend.
+	ReplaySeconds float64 `json:"replaySeconds"`
+	ReplayExtends uint64  `json:"replayExtends"`
+	// RecoverSeconds covers re-running the update policy over every
+	// object (recoverModels), IndexSeconds the fleet-index rebuild.
+	RecoverSeconds float64 `json:"recoverSeconds"`
+	IndexSeconds   float64 `json:"indexSeconds"`
 }
 
 // CheckpointInfo summarizes one completed checkpoint for Health.
@@ -1445,6 +1466,7 @@ func (s *Store) Health() Health {
 		Checkpoints:      s.checkpoints.Load(),
 		SnapshotBytes:    s.snapshotBytes.Load(),
 		LastCheckpoint:   s.lastCheckpoint.Load(),
+		Open:             s.openInfo,
 	}
 	if err := s.lastWALError(); err != nil {
 		h.LastWALError = err.Error()
