@@ -26,10 +26,6 @@
 // restart — graceful or a crash — replays snapshot + WAL tail, losing
 // nothing acknowledged.
 //
-// The legacy -snapshot flag keeps the old lighter mode: restore from a
-// single snapshot file at startup and save it on SIGINT/SIGTERM only (a
-// crash loses everything since the last graceful shutdown).
-//
 // The server degrades instead of collapsing: -max-inflight bounds
 // concurrent requests (reads outrank writes outrank control work under
 // -shed-policy priority; overflow is answered 429/503 + Retry-After),
@@ -79,8 +75,7 @@ func main() {
 		minPts   = flag.Int("minpts", 0, "DBSCAN MinPts (0 = paper default 4)")
 		distant  = flag.Int("distant", 0, "distant-time threshold d (0 = paper default 60)")
 		workers  = flag.Int("parallelism", 0, "worker goroutines per model train (0 = NumCPU; any value trains identical models)")
-		snapshot = flag.String("snapshot", "", "legacy fleet snapshot file: restored at start, saved on graceful shutdown only")
-		dataDir  = flag.String("data-dir", "", "durable store directory (WAL + snapshots); crash-safe, supersedes -snapshot")
+		dataDir  = flag.String("data-dir", "", "durable store directory (WAL + snapshots); crash-safe (empty = in-memory only)")
 		snapEach = flag.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval with -data-dir (0 = shutdown only)")
 		compact  = flag.Int("compact-every", 0, "force a full snapshot rewrite every Nth checkpoint; between them only shards dirtied since the last checkpoint are rewritten (0 = never force)")
 		persistW = flag.Int("persist-workers", 0, "worker goroutines for checkpoint writes and recovery (segment load, WAL replay); 0 = GOMAXPROCS, 1 = serial")
@@ -153,7 +148,7 @@ func main() {
 			MaxSpeed:  *indexSpeed,
 		}
 	}
-	st, err := openStore(*dataDir, *snapshot, opts)
+	st, err := openStore(*dataDir, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,7 +175,7 @@ func main() {
 		WriteTimeout:      60 * time.Second,
 		MaxHeaderBytes:    1 << 20,
 	}
-	go shutdownOnSignal(srv, st, *snapshot)
+	go shutdownOnSignal(srv, st)
 	fmt.Printf("hpmserve listening on %s (period %d, first train after %d periods)\n",
 		*addr, *period, *minDays)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -214,9 +209,8 @@ func parseFault(spec string) (faultinject.Hook, error) {
 }
 
 // openStore picks the persistence mode: durable (WAL + snapshots) with
-// -data-dir, legacy single-file restore with -snapshot, in-memory
-// otherwise.
-func openStore(dataDir, snapshot string, opts store.Options) (*store.Store, error) {
+// -data-dir, in-memory otherwise.
+func openStore(dataDir string, opts store.Options) (*store.Store, error) {
 	if dataDir != "" {
 		st, err := store.Open(dataDir, opts)
 		if err != nil {
@@ -228,19 +222,6 @@ func openStore(dataDir, snapshot string, opts store.Options) (*store.Store, erro
 		fmt.Printf("open took: load %.3fs, wal replay %.3fs (%d extends), recover models %.3fs, index rebuild %.3fs\n",
 			h.Open.LoadSeconds, h.Open.ReplaySeconds, h.Open.ReplayExtends, h.Open.RecoverSeconds, h.Open.IndexSeconds)
 		return st, nil
-	}
-	if snapshot != "" {
-		switch _, err := os.Stat(snapshot); {
-		case err == nil:
-			st, err := store.LoadFile(snapshot)
-			if err != nil {
-				return nil, fmt.Errorf("restore: %w", err)
-			}
-			fmt.Printf("restored %d objects from %s\n", len(st.Objects()), snapshot)
-			return st, nil
-		case !os.IsNotExist(err):
-			return nil, err
-		}
 	}
 	return store.New(opts)
 }
@@ -283,9 +264,9 @@ func snapshotLoop(st *store.Store, every time.Duration) {
 }
 
 // shutdownOnSignal drains background trains when the process is
-// interrupted, persists the fleet (final checkpoint for durable stores,
-// legacy snapshot file otherwise), then stops the server.
-func shutdownOnSignal(srv *http.Server, st *store.Store, snapshot string) {
+// interrupted, persists the fleet (final checkpoint for durable stores),
+// then stops the server.
+func shutdownOnSignal(srv *http.Server, st *store.Store) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
@@ -293,13 +274,6 @@ func shutdownOnSignal(srv *http.Server, st *store.Store, snapshot string) {
 	// models, then checkpoints durable stores.
 	if err := st.Close(); err != nil {
 		log.Printf("hpmserve: shutdown: %v", err)
-	}
-	if snapshot != "" {
-		if err := st.SaveFile(snapshot); err != nil {
-			log.Printf("hpmserve: snapshot save failed: %v", err)
-		} else {
-			fmt.Printf("\nsnapshot saved to %s\n", snapshot)
-		}
 	}
 	srv.Close()
 }

@@ -166,8 +166,10 @@ type Config struct {
 
 	// RetainPeriods bounds the history that counts toward pattern
 	// supports: when positive, Extend retires periods older than the
-	// window, so the model tracks a sliding window of recent behavior.
-	// 0 keeps history unbounded (the paper's setting).
+	// window, so the model tracks a sliding window of recent behavior
+	// (and a store trims each object's track to match, keeping memory
+	// flat on endless streams). 0 keeps history unbounded (the paper's
+	// setting).
 	RetainPeriods int
 
 	// DisableRegionDiscovery keeps the frequent-region set fixed during

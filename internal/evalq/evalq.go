@@ -183,7 +183,7 @@ type pending struct {
 type Tracker struct {
 	cfg Config
 
-	mu    sync.Mutex
+	mu     sync.Mutex
 	ring   []pending // capacity cfg.RingSize, FIFO from start
 	start  int
 	count  int
@@ -444,19 +444,6 @@ func (t *Tracker) betterRaw(a, b recentCell) bool {
 		return false
 	}
 	return a.err < b.err
-}
-
-// PreferFallback reports whether measured accuracy says the motion
-// fallback should answer a query at this horizon instead of pattern
-// path p.
-//
-// Deprecated: PreferFallback is the two-way special case kept for
-// existing callers; new code uses BestPath's N-way argmax.
-func (t *Tracker) PreferFallback(horizon int, p Path, minSamples uint64) bool {
-	if p == PathFallback {
-		return false
-	}
-	return t.BestPath(horizon, []Path{p, PathFallback}, minSamples) == PathFallback
 }
 
 // Totals are a tracker's scalar counters.

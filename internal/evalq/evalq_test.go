@@ -130,7 +130,7 @@ func TestEWMADriftSignal(t *testing.T) {
 	}
 }
 
-func TestPreferFallback(t *testing.T) {
+func TestBestPathTwoWay(t *testing.T) {
 	tr := New(Config{HitDistance: 10, Buckets: []int{100}})
 	// 30 backward predictions that miss, 30 fallbacks that hit, all at
 	// horizon 60 (bucket 0).
@@ -142,17 +142,18 @@ func TestPreferFallback(t *testing.T) {
 		pts := make([]geom.Point, 60)
 		tr.Observe(now+1, pts)
 	}
-	if !tr.PreferFallback(60, PathBackward, 20) {
+	twoWay := []Path{PathBackward, PathFallback}
+	if tr.BestPath(60, twoWay, 20) != PathFallback {
 		t.Error("losing backward path not routed to fallback")
 	}
-	if tr.PreferFallback(60, PathBackward, 100) {
+	if tr.BestPath(60, twoWay, 100) != PathBackward {
 		t.Error("routed below the sample floor")
 	}
-	if tr.PreferFallback(60, PathFallback, 1) {
-		t.Error("fallback rerouted to itself")
+	if tr.BestPath(60, []Path{PathFallback, PathBackward}, 1) != PathFallback {
+		t.Error("a leading default was routed away from")
 	}
 	// The other bucket has no samples at all.
-	if tr.PreferFallback(500, PathBackward, 1) {
+	if tr.BestPath(500, twoWay, 1) != PathBackward {
 		t.Error("routed in an empty bucket")
 	}
 }
@@ -196,7 +197,7 @@ func TestConcurrentRecordObserve(t *testing.T) {
 				tr.Observe(i, []geom.Point{geom.Pt(float64(i), 0)})
 				if i%50 == 0 {
 					tr.Snapshot()
-					tr.PreferFallback(5, PathForward, 1)
+					tr.BestPath(5, []Path{PathForward, PathFallback}, 1)
 				}
 			}
 		}(g)

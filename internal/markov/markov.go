@@ -168,11 +168,7 @@ func (c *Chain) Config() Config { return c.cfg }
 // the old context to mean anything).
 func (c *Chain) Observe(t int, region uint32) {
 	c.mu.Lock()
-	c.observeLocked(t, region)
-	c.mu.Unlock()
-}
-
-func (c *Chain) observeLocked(t int, region uint32) {
+	defer c.mu.Unlock()
 	if c.cfg.Window > 0 {
 		c.expireLocked(t)
 	}

@@ -252,13 +252,13 @@ func benchReopen(b *testing.B, dir string, opts Options) {
 // evaluator, and — the bulk of it — the refresh of the object's predicted
 // positions at every index horizon (one PredictBatch: FQP below the
 // distant-time threshold, BQP beyond it, the fallback fit where neither
-// answers). Extends are pushed out of the run so a period boundary does not
-// land in an arbitrary iteration.
+// answers). The update policy is parked for the run, as it is while a
+// background train is in flight, so no period boundary lands an Extend in
+// an arbitrary iteration and every iteration sees the same model.
 func BenchmarkIndexRefresh(b *testing.B) {
 	s, err := New(Options{
 		Config:          hpm.Config{Period: period},
 		MinTrainPeriods: 4,
-		ExtendEvery:     1 << 20,
 		FleetIndex:      &spatial.Config{CellSize: 200},
 	})
 	if err != nil {
@@ -276,9 +276,11 @@ func BenchmarkIndexRefresh(b *testing.B) {
 	if err := s.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	if st, err := s.Stats("bike"); err != nil || !st.Trained {
-		b.Fatalf("object not trained: %+v, %v", st, err)
+	obj, err := s.get("bike", false)
+	if err != nil || obj.predictor == nil {
+		b.Fatalf("object not trained: %v", err)
 	}
+	obj.training = true // see above; nothing else touches the object yet
 	stream := tr.Slice(trained*period, tr.Len())
 	b.ReportAllocs()
 	b.ResetTimer()

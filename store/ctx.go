@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"fmt"
 
 	"hpm"
 	"hpm/internal/spatial"
@@ -22,36 +21,10 @@ import (
 // neither.
 
 // ObserveBatchContext is ObserveBatch with request-scoped cancellation,
-// honored only up to the WAL commit (see above).
+// honored only up to the WAL commit (see above): a one-object
+// ObserveAllContext.
 func (s *Store) ObserveBatchContext(ctx context.Context, id string, locs []hpm.Point) error {
-	if len(locs) == 0 {
-		return nil
-	}
-	for _, p := range locs {
-		if !isFinite(p) {
-			return fmt.Errorf("%w: (%v, %v)", ErrInvalidPoint, p.X, p.Y)
-		}
-	}
-	if err := s.writable(); err != nil {
-		return err // degraded: fail fast before touching any lock
-	}
-	for {
-		obj, err := s.get(id, true)
-		if err != nil {
-			return err
-		}
-		obj.ingestMu.Lock()
-		if obj.removed {
-			// Raced Remove: this pointer is tombstoned, so its WAL records
-			// would land after the tombstone with stale offsets. Re-create
-			// through the shard map.
-			obj.ingestMu.Unlock()
-			continue
-		}
-		err = s.observeLocked(ctx, obj, id, locs)
-		obj.ingestMu.Unlock()
-		return err
-	}
+	return s.ObserveAllContext(ctx, []Observation{{ID: id, Points: locs}})
 }
 
 // QueryRangeContext is QueryRange with request-scoped cancellation.

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"time"
 
-	"hpm"
 	"hpm/internal/faultinject"
 	"hpm/internal/parallel"
 )
@@ -275,19 +274,13 @@ func (s *Store) applyReplay(rec walRecord, preTombstone bool) error {
 	if rec.offset+len(rec.pts) <= have {
 		return nil // fully covered by the snapshot (or an earlier record)
 	}
-	fresh := rec.pts[have-rec.offset:]
-	obj.track = append(obj.track, fresh...)
-	// Fold the replayed points into the Markov chain exactly as the live
-	// observe did — replay must reproduce the crashed process's chain
-	// bit-for-bit on top of the snapshot's blob.
-	if obj.predictor != nil {
-		for j, p := range fresh {
-			obj.predictor.MarkovObserve(have+j, p)
-		}
-	}
-	// Replayed records exist only in WAL segments the next checkpoint
-	// reclaims; their shard must be re-encoded by it.
-	s.markDirty(rec.id)
+	// The same append, dirty mark and Markov fold as the live observe —
+	// replay must reproduce the crashed process's chain bit-for-bit on top
+	// of the snapshot's blob, and replayed records exist only in WAL
+	// segments the next checkpoint reclaims — but no scoring and no index
+	// refresh: the evaluator's ring died with the process and Open rebuilds
+	// the index once, after recovery.
+	s.appendLocked(obj, rec.pts[have-rec.offset:])
 	return s.maybeUpdate(obj)
 }
 
@@ -617,21 +610,11 @@ func syncDir(dir string) {
 	}
 }
 
-// walAppend logs one acknowledged-to-be batch. Called with obj.ingestMu
-// held — not obj.mu — so per-object records are ordered like the track
-// itself while queries keep running through the commit and fsync.
-func (s *Store) walAppend(id string, offset int, pts []hpm.Point) error {
-	if err := s.fault(faultinject.OpWALAppend); err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	return s.degradedErr(s.wal.append(id, offset, pts))
-}
-
 // walRemove logs an object's removal as a tombstone: a record with zero
 // points, a shape the observe paths never write (empty batches return
-// before reaching the WAL). Called with obj.ingestMu held, like
-// walAppend, so no observe record for this object can slip in between
-// the tombstone and the map deletion.
+// before reaching the WAL). Called with obj.ingestMu held, so no observe
+// record for this object can slip in between the tombstone and the map
+// deletion.
 func (s *Store) walRemove(id string) error {
 	if err := s.fault(faultinject.OpWALAppend); err != nil {
 		return fmt.Errorf("store: wal remove: %w", err)
@@ -639,9 +622,10 @@ func (s *Store) walRemove(id string) error {
 	return s.degradedErr(s.wal.append(id, 0, nil))
 }
 
-// walAppendAll logs a fleet batch as one group commit. Called with every
-// touched object's ingestMu held (sorted order), so the recorded offsets
-// stay valid until the batch is applied.
+// walAppendAll logs an observe batch as one group commit. Called with every
+// touched object's ingestMu held (sorted order) — not obj.mu — so the
+// recorded offsets stay valid until the batch is applied while queries
+// keep running through the commit and fsync.
 func (s *Store) walAppendAll(recs []walRecord) error {
 	if err := s.fault(faultinject.OpWALAppend); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)

@@ -88,15 +88,6 @@ func (s *Store) scoreLocked(obj *object, base int, pts []hpm.Point) {
 	s.driftRetrains.Add(1)
 	// Synchronous-training failures already land in the object's stats;
 	// an ingest should not fail because a quality-driven retrain did.
-	if s.opts.IncrementalRetrain {
-		// The model may merely be stale: absorb the pending periods through
-		// the incremental path first. A model that drifts while already
-		// current gets the batch rebuild — the divergence backstop.
-		if newPeriods := completed - obj.modeled; newPeriods > 0 {
-			_ = s.extendLocked(obj, completed, newPeriods)
-			return
-		}
-	}
 	_ = s.startTrain(obj, completed)
 }
 

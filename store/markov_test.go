@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -219,5 +221,67 @@ func TestMarkovHammerConcurrent(t *testing.T) {
 	}
 	if got := chainBytes(t, s, "bike"); len(got) == 0 {
 		t.Error("chain empty after hammer")
+	}
+}
+
+// TestObserveAllFoldsOnceAcrossSwap: a background retrain that swaps in
+// while a fleet batch is mid-apply re-folds the chain from a track that
+// already holds the batch, so the batch's own fold must not run after it.
+// Forty trained objects cross a period (one Extend each) ahead of z in id
+// order; z's retrain is parked until z's append is visible, then released
+// into that window. The live chain must equal a from-scratch re-fold.
+func TestObserveAllFoldsOnceAcrossSwap(t *testing.T) {
+	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	defer s.Close()
+	bike := func(seed int64, from, to int) []hpm.Point {
+		spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, seed)
+		spec.Period = period
+		spec.SubTrajectories = 6
+		return hpm.GenerateDataset(spec).Slice(from, to)
+	}
+	var batch []Observation
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("a%02d", i)
+		feed(t, s, id, int64(100+i), 3)
+		batch = append(batch, Observation{ID: id, Points: bike(int64(100+i), 3*period, 4*period)})
+	}
+	feed(t, s, "z", 99, 3)
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s.beforeTrain = func() {
+		close(entered)
+		<-release
+	}
+	// Two more periods trip RetrainEvery: z's retrain is scheduled and parks.
+	if err := s.ObserveBatch("z", bike(99, 3*period, 5*period)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	tail := bike(99, 5*period, 5*period+9)
+	batch = append(batch, Observation{ID: "z", Points: tail})
+	go func() {
+		for {
+			if now, _ := s.Now("z"); now == 5*period+len(tail)-1 {
+				close(release)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	if err := s.ObserveAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	live := chainBytes(t, s, "z")
+	obj, _ := s.get("z", false)
+	obj.mu.Lock()
+	obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
+	obj.mu.Unlock()
+	if refold := chainBytes(t, s, "z"); !bytes.Equal(live, refold) {
+		t.Errorf("live chain (%d bytes) differs from a re-fold of the track (%d bytes): points folded twice", len(live), len(refold))
 	}
 }

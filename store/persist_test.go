@@ -77,7 +77,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestStoreSnapshotOptionsPreserved(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 7, ExtendEvery: 2, RetrainEvery: 9, MaxRecent: 25})
+	s := testStore(t, Options{MinTrainPeriods: 7, RetrainEvery: 9, MaxRecent: 25})
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -9,13 +10,13 @@ import (
 	"hpm"
 )
 
-// incrementalOpts is the standard configuration for the incremental-
-// retrain tests: inline initial train, extends keeping the model fresh.
+// incrementalOpts is the standard configuration for the model-update
+// tests: inline trains, so every completed period's effect is visible as
+// soon as its observe returns.
 func incrementalOpts() Options {
 	return Options{
 		Config:              hpm.Config{Period: period},
 		MinTrainPeriods:     3,
-		IncrementalRetrain:  true,
 		SynchronousTraining: true,
 	}
 }
@@ -39,64 +40,80 @@ func streamPeriods(t testing.TB, s *Store, id string, seed int64, from, to int) 
 	}
 }
 
-// TestIncrementalRetrainPolicy: under IncrementalRetrain the model is
-// kept current by Extends alone — RetrainEvery is ignored, the predictor
-// value survives every update, and the fleet counters attribute the work
-// to the extend path.
-func TestIncrementalRetrainPolicy(t *testing.T) {
-	opts := incrementalOpts()
-	opts.RetrainEvery = 2 // must be ignored
-	s := testStore(t, opts)
-	streamPeriods(t, s, "bike", 9, 0, 3)
-	p1, err := s.Predictor("bike")
-	if err != nil || p1 == nil {
-		t.Fatal("no predictor after initial train")
-	}
-	streamPeriods(t, s, "bike", 9, 3, 9)
-	p2, _ := s.Predictor("bike")
-	if p1 != p2 {
-		t.Error("incremental updates replaced the predictor value")
-	}
-	st, _ := s.Stats("bike")
-	if st.Modeled != 9 {
-		t.Errorf("modeled %d, want 9", st.Modeled)
-	}
-	fs := s.FleetStats()
-	if fs.Trains != 1 {
-		t.Errorf("trains = %d, want exactly the initial one", fs.Trains)
-	}
-	if fs.Extends != 6 {
-		t.Errorf("extends = %d, want 6", fs.Extends)
-	}
-	if fs.ExtendSeconds <= 0 {
-		t.Errorf("extend seconds not accumulated: %v", fs.ExtendSeconds)
-	}
-	now, _ := s.Now("bike")
-	if preds, err := s.Predict("bike", now+10, 1); err != nil || len(preds) != 1 {
-		t.Fatalf("predict after extends: %v, %d preds", err, len(preds))
-	}
-}
-
-// TestRebuildEveryBackstop: RebuildEvery forces an occasional full batch
-// retrain under IncrementalRetrain, visible as a fresh predictor value.
-func TestRebuildEveryBackstop(t *testing.T) {
-	opts := incrementalOpts()
-	opts.RebuildEvery = 4
-	s := testStore(t, opts)
-	streamPeriods(t, s, "bike", 11, 0, 3)
-	p1, _ := s.Predictor("bike")
-	streamPeriods(t, s, "bike", 11, 3, 6) // 3 new periods: extends only
-	if p2, _ := s.Predictor("bike"); p1 != p2 {
-		t.Fatal("rebuilt before RebuildEvery periods accumulated")
-	}
-	streamPeriods(t, s, "bike", 11, 6, 7) // 4th new period: rebuild
-	p3, _ := s.Predictor("bike")
-	if p1 == p3 {
-		t.Error("RebuildEvery did not rebuild the model")
-	}
-	fs := s.FleetStats()
-	if fs.Trains != 2 {
-		t.Errorf("trains = %d, want initial + rebuild", fs.Trains)
+// TestTrainPolicy pins the store's one model-update policy: the first
+// train at MinTrainPeriods, an Extend on every newly completed period (the
+// predictor value survives it), a full rebuild — a fresh predictor value —
+// exactly every RetrainEvery periods, and a drift retrain going to a full
+// train even while a completed period is still waiting to be absorbed.
+func TestTrainPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		retrainEvery int
+		newPeriods   int // streamed after the first train
+		driftAt      int // new period that arrives as contradicting truth (0 = none)
+		swapAt       int // new period at which the predictor must be replaced (0 = never)
+		trains       uint64
+		extends      uint64
+	}{
+		{name: "extends only", retrainEvery: 0, newPeriods: 6, trains: 1, extends: 6},
+		{name: "rebuild backstop", retrainEvery: 4, newPeriods: 4, swapAt: 4, trains: 2, extends: 3},
+		{name: "drift with a period pending", newPeriods: 2, driftAt: 2, swapAt: 2, trains: 2, extends: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := incrementalOpts()
+			opts.RetrainEvery = tc.retrainEvery
+			if tc.driftAt > 0 {
+				opts.DriftThreshold, opts.DriftMinScores = 50, 3
+			}
+			s := testStore(t, opts)
+			streamPeriods(t, s, "bike", 9, 0, 3)
+			prev, err := s.Predictor("bike")
+			if err != nil || prev == nil {
+				t.Fatal("no predictor after initial train")
+			}
+			for n := 1; n <= tc.newPeriods; n++ {
+				if n == tc.driftAt {
+					// Park predictions over the coming period, then let the
+					// whole period arrive far from anything the model learned:
+					// the batch that completes the period is the one whose
+					// scoring trips the drift threshold.
+					if _, _, err := s.PredictBatchAheadContext(context.Background(), "bike", []int{1, 2, 3, 4, 5}, 1); err != nil {
+						t.Fatal(err)
+					}
+					far := make([]hpm.Point, period)
+					for i := range far {
+						far[i] = hpm.Pt(50000+float64(i), 50000)
+					}
+					if err := s.ObserveBatch("bike", far); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					streamPeriods(t, s, "bike", 9, 2+n, 3+n)
+				}
+				cur, _ := s.Predictor("bike")
+				if swapped := cur != prev; swapped != (n == tc.swapAt) {
+					t.Fatalf("new period %d: predictor replaced = %v, want %v", n, swapped, n == tc.swapAt)
+				}
+				prev = cur
+			}
+			st, _ := s.Stats("bike")
+			if st.Modeled != 3+tc.newPeriods {
+				t.Errorf("modeled %d, want %d", st.Modeled, 3+tc.newPeriods)
+			}
+			if want := tc.driftAt > 0; (st.DriftRetrains == 1) != want {
+				t.Errorf("drift retrains = %d, drift row = %v", st.DriftRetrains, want)
+			}
+			fs := s.FleetStats()
+			if fs.Trains != tc.trains || fs.Extends != tc.extends {
+				t.Errorf("trains %d extends %d, want %d and %d", fs.Trains, fs.Extends, tc.trains, tc.extends)
+			}
+			if fs.ExtendSeconds <= 0 {
+				t.Errorf("extend seconds not accumulated: %v", fs.ExtendSeconds)
+			}
+			if _, preds, err := s.PredictAheadContext(context.Background(), "bike", 10, 1); err != nil || len(preds) != 1 {
+				t.Fatalf("predict after updates: %v, %d preds", err, len(preds))
+			}
+		})
 	}
 }
 
@@ -105,7 +122,7 @@ func TestRebuildEveryBackstop(t *testing.T) {
 // visible timestamp stays absolute.
 func TestRetainPeriodsTrimsTrack(t *testing.T) {
 	opts := incrementalOpts()
-	opts.RetainPeriods = 4
+	opts.Config.RetainPeriods = 4
 	opts.MaxRecent = 50
 	s := testStore(t, opts)
 	const periods = 12
@@ -118,8 +135,8 @@ func TestRetainPeriodsTrimsTrack(t *testing.T) {
 	if st.Points != periods*period {
 		t.Errorf("Points = %d, want absolute %d", st.Points, periods*period)
 	}
-	if st.RetainedPoints != opts.RetainPeriods*period {
-		t.Errorf("RetainedPoints = %d, want window %d", st.RetainedPoints, opts.RetainPeriods*period)
+	if st.RetainedPoints != opts.Config.RetainPeriods*period {
+		t.Errorf("RetainedPoints = %d, want window %d", st.RetainedPoints, opts.Config.RetainPeriods*period)
 	}
 	if st.Periods != periods || st.Modeled != periods {
 		t.Errorf("periods %d modeled %d, want %d", st.Periods, st.Modeled, periods)
@@ -141,7 +158,7 @@ func TestRetainPeriodsTrimsTrack(t *testing.T) {
 // restart it at zero.
 func TestSnapshotRoundTripTrimmedBase(t *testing.T) {
 	opts := incrementalOpts()
-	opts.RetainPeriods = 3
+	opts.Config.RetainPeriods = 3
 	opts.MaxRecent = 40
 	s := testStore(t, opts)
 	const periods = 10
@@ -188,7 +205,7 @@ func TestSnapshotRoundTripTrimmedBase(t *testing.T) {
 func TestDurableReplayTrimmedBase(t *testing.T) {
 	dir := t.TempDir()
 	opts := incrementalOpts()
-	opts.RetainPeriods = 3
+	opts.Config.RetainPeriods = 3
 	opts.MaxRecent = 40
 	opts.WALNoSync = true
 	s, err := Open(dir, opts)
@@ -242,7 +259,7 @@ func stale(err error) bool {
 // -race) is the proof queries never see it mid-surgery.
 func TestExtendPredictHammer(t *testing.T) {
 	opts := incrementalOpts()
-	opts.RetainPeriods = 4
+	opts.Config.RetainPeriods = 4
 	s := testStore(t, opts)
 	streamPeriods(t, s, "bike", 25, 0, 3) // trained
 

@@ -46,7 +46,7 @@ const (
 	// manifest instead of an inline v1/v2 object stream.
 	manifestVersion = 3
 
-	segmentMagic   = "HPMG"
+	segmentMagic = "HPMG"
 	// segmentVersion 2 appends the Markov chain blob to each trained
 	// object's record (the snapshot-v4 record layout); v1 segments hold
 	// v2-layout records and upgrade cleanly at load.

@@ -38,35 +38,12 @@ type Options struct {
 	// before its first model is trained. Values <= 0 default to
 	// DefaultMinTrainPeriods.
 	MinTrainPeriods int
-	// ExtendEvery incrementally extends a trained model after this many
-	// newly completed periods. Values <= 0 default to 1 (every period).
-	ExtendEvery int
 	// RetrainEvery fully retrains a model after this many newly completed
-	// periods, refreshing regions and key tables. 0 disables periodic
-	// retraining (incremental updates only). Ignored under
-	// IncrementalRetrain, where Extend keeps the model fresh and
-	// RebuildEvery is the batch backstop.
+	// periods — a batch backstop that refreshes region geometry and key
+	// tables and restores index packing. Every period in between is
+	// absorbed by an incremental Extend, whose cost tracks the new data,
+	// not the track length. 0 disables rebuilds (extends only).
 	RetrainEvery int
-	// IncrementalRetrain makes the incremental path the retrain mechanism:
-	// instead of periodically re-mining the whole history, every update
-	// flows through Extend — delta mining re-evaluates only the patterns
-	// the new periods touch, mints regions from unmatched points, and
-	// retires expired history — so per-update cost tracks the new data,
-	// not the track length. RetrainEvery is ignored; set RebuildEvery to
-	// keep an occasional full rebuild as a divergence backstop.
-	IncrementalRetrain bool
-	// RebuildEvery, under IncrementalRetrain, fully retrains a model
-	// after this many newly completed periods — a batch backstop that
-	// restores index packing and refreshes region geometry. 0 disables
-	// periodic rebuilds.
-	RebuildEvery int
-	// RetainPeriods bounds per-object history to a sliding window: the
-	// model retires periods older than the window (Config.RetainPeriods)
-	// and the store trims the object's track to match, so memory stays
-	// flat on endless streams. Trims are period-aligned, never pass the
-	// modeled boundary, and always keep at least MaxRecent points. 0
-	// keeps everything.
-	RetainPeriods int
 	// MaxRecent is the recent-movement window handed to queries. Values
 	// <= 0 default to DefaultMaxRecent.
 	MaxRecent int
@@ -196,9 +173,6 @@ func (o Options) withDefaults() Options {
 	if o.MinTrainPeriods <= 0 {
 		o.MinTrainPeriods = DefaultMinTrainPeriods
 	}
-	if o.ExtendEvery <= 0 {
-		o.ExtendEvery = 1
-	}
 	if o.MaxRecent <= 0 {
 		o.MaxRecent = DefaultMaxRecent
 	}
@@ -240,12 +214,6 @@ func (o Options) withDefaults() Options {
 		o.AdaptiveMinSamples = DefaultAdaptiveMinSamples
 	}
 	o.Config.SubTrajectories = 0
-	// The store-level retention window and the model-level history window
-	// are one policy: whichever is set propagates to the other.
-	if o.RetainPeriods <= 0 {
-		o.RetainPeriods = o.Config.RetainPeriods
-	}
-	o.Config.RetainPeriods = o.RetainPeriods
 	return o
 }
 
@@ -256,8 +224,9 @@ var ErrUntrained = errors.New("store: object not yet trained")
 // ErrUnknownObject is returned for ids never observed.
 var ErrUnknownObject = errors.New("store: unknown object")
 
-// ErrInvalidPoint is returned by Observe/ObserveBatch for NaN or infinite
-// coordinates, which would poison region discovery and motion fitting.
+// ErrInvalidPoint is returned by every observe call, before anything is
+// recorded, for NaN or infinite coordinates, which would poison region
+// discovery and motion fitting.
 var ErrInvalidPoint = errors.New("store: non-finite coordinate")
 
 // Store tracks many objects. All methods are safe for concurrent use.
@@ -411,7 +380,7 @@ type object struct {
 	track     []hpm.Point
 	predictor *hpm.Predictor
 	// base is the absolute timestamp of track[0]. It stays 0 until the
-	// retention policy (Options.RetainPeriods) trims the track's head;
+	// retention policy (Config.RetainPeriods) trims the track's head;
 	// from then on every externally visible timestamp — WAL offsets,
 	// query windows, eval scoring, Now — is base + track index. Trims
 	// keep base period-aligned so training windows stay in phase.
@@ -568,65 +537,10 @@ func (s *Store) Observe(id string, loc hpm.Point) error {
 	return s.ObserveBatch(id, []hpm.Point{loc})
 }
 
-// ObserveBatch appends consecutive locations in one call. Non-finite
-// coordinates are rejected with ErrInvalidPoint before anything is
-// recorded. On a durable store the batch is written to the WAL (and, in
-// sync mode, fsynced) before this method returns nil: a nil return means
-// the observations survive a crash. The WAL commit runs outside the
-// object's read-write lock — concurrent writers ride the same group
-// commit, and queries against the object proceed during the fsync.
+// ObserveBatch appends consecutive locations in one call: a one-object
+// ObserveAll, with the same durability contract.
 func (s *Store) ObserveBatch(id string, locs []hpm.Point) error {
 	return s.ObserveBatchContext(context.Background(), id, locs)
-}
-
-// observeLocked commits and applies one object's batch: WAL first (the
-// acknowledgment barrier), then the in-memory track, prequential scoring
-// and the model-update policy. Called with obj.ingestMu held.
-//
-// ctx may cancel the observe only BEFORE the WAL commit: once a record is
-// staged into a group commit it will be written, and a record that is
-// durable but unapplied would collide with a later write at the same
-// offset on replay. So cancellation past the barrier is ignored — the
-// caller gets nil and the observation really happened.
-func (s *Store) observeLocked(ctx context.Context, obj *object, id string, locs []hpm.Point) error {
-	if err := ctx.Err(); err != nil {
-		return err // not acknowledged: nothing staged yet
-	}
-	// The snapshot gate spans commit through apply + dirty mark, so a
-	// checkpoint that rotated the WAL cannot collect the dirty set while
-	// this record sits durable-but-unapplied in a segment it is about to
-	// reclaim. Released before the model update: extends and synchronous
-	// trains must not extend the checkpoint's barrier wait.
-	s.snapGate.RLock()
-	if s.wal != nil {
-		// Track mutation requires ingestMu, so the offset read is stable
-		// without obj.mu and stays the track length until we apply below.
-		if err := s.walAppend(id, obj.base+len(obj.track), locs); err != nil {
-			s.snapGate.RUnlock()
-			return err // not acknowledged: the track is untouched
-		}
-	}
-	obj.mu.Lock()
-	defer obj.mu.Unlock()
-	base := obj.base + len(obj.track)
-	obj.track = append(obj.track, locs...)
-	s.markDirty(id)
-	s.snapGate.RUnlock()
-	// Fold the acknowledged points into the Markov chain before the model-
-	// update policy runs: a retrain or region-minting extend rebuilds the
-	// chain from the track anyway, so the incremental fold stays the cheap
-	// common case.
-	if obj.predictor != nil {
-		for i, p := range locs {
-			obj.predictor.MarkovObserve(base+i, p)
-		}
-	}
-	if obj.eval != nil {
-		s.scoreLocked(obj, base, locs)
-	}
-	err := s.maybeUpdate(obj)
-	s.indexUpdateLocked(obj)
-	return err
 }
 
 // Observation is one object's consecutive locations within a fleet batch.
@@ -646,26 +560,24 @@ func (s *Store) ObserveAll(batch []Observation) error {
 	return s.ObserveAllContext(context.Background(), batch)
 }
 
-// ObserveAllContext is ObserveAll with request-scoped cancellation; like
-// ObserveBatchContext, ctx is honored only up to the WAL commit.
+// ObserveAllContext is ObserveAll with request-scoped cancellation, honored
+// only up to the WAL commit (see ctx.go). It is the store's one observe
+// path: WAL commit (the acknowledgment barrier), track append and Markov
+// fold, prequential scoring, update policy, index refresh.
 func (s *Store) ObserveAllContext(ctx context.Context, batch []Observation) error {
-	if len(batch) == 0 {
-		return nil
+	// Validate, and merge repeated ids keeping each object's points in
+	// argument order. A one-element batch needs neither map nor sort.
+	var index map[string]int
+	if len(batch) > 1 {
+		index = make(map[string]int, len(batch))
 	}
+	groups := make([]fleetGroup, 0, len(batch))
 	for _, ob := range batch {
 		for _, p := range ob.Points {
 			if !isFinite(p) {
 				return fmt.Errorf("%w: %q (%v, %v)", ErrInvalidPoint, ob.ID, p.X, p.Y)
 			}
 		}
-	}
-	if err := s.writable(); err != nil {
-		return err // degraded: fail fast before touching any lock
-	}
-	// Merge repeated ids, keeping each object's points in argument order.
-	index := make(map[string]int, len(batch))
-	groups := make([]fleetGroup, 0, len(batch))
-	for _, ob := range batch {
 		if len(ob.Points) == 0 {
 			continue
 		}
@@ -680,18 +592,30 @@ func (s *Store) ObserveAllContext(ctx context.Context, batch []Observation) erro
 			g.pts = append(g.pts, ob.Points...)
 			continue
 		}
-		index[ob.ID] = len(groups)
+		if index != nil {
+			index[ob.ID] = len(groups)
+		}
 		groups = append(groups, fleetGroup{id: ob.ID, pts: ob.Points})
 	}
 	if len(groups) == 0 {
 		return nil
 	}
+	if err := s.writable(); err != nil {
+		return err // degraded: fail fast before touching any lock
+	}
 	// Lock the objects' ingest mutexes in sorted-id order: concurrent
-	// fleet batches acquire in the same order, so they cannot deadlock
-	// (single-object observers hold at most one). An object tombstoned by
-	// a concurrent Remove between lookup and lock must be re-created
-	// through the shard map, so the whole acquire phase retries.
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
+	// batches acquire in the same order, so they cannot deadlock. An object
+	// tombstoned by a concurrent Remove between lookup and lock must be
+	// re-created through the shard map — its WAL records would land after
+	// the tombstone with stale offsets — so the whole acquire phase retries.
+	if len(groups) > 1 {
+		sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
+	}
+	unlock := func() {
+		for i := range groups {
+			groups[i].obj.ingestMu.Unlock()
+		}
+	}
 acquire:
 	for {
 		for i := range groups {
@@ -706,27 +630,25 @@ acquire:
 		}
 		for i := range groups {
 			if groups[i].obj.removed {
-				for j := range groups {
-					groups[j].obj.ingestMu.Unlock()
-				}
+				unlock()
 				continue acquire
 			}
 		}
 		break
 	}
-	defer func() {
-		for i := range groups {
-			groups[i].obj.ingestMu.Unlock()
-		}
-	}()
+	defer unlock()
 	if err := ctx.Err(); err != nil {
 		return err // canceled while acquiring locks: nothing staged yet
 	}
-	// Commit and track apply run under the snapshot gate (see
-	// observeLocked); scoring and model updates run after it so a slow
-	// extend cannot extend a checkpoint's barrier wait.
+	// The snapshot gate spans commit through apply + dirty mark, so a
+	// checkpoint that rotated the WAL cannot collect the dirty set while a
+	// record sits durable-but-unapplied in a segment it is about to
+	// reclaim. Released before scoring and the model update: extends and
+	// synchronous trains must not extend the checkpoint's barrier wait.
 	s.snapGate.RLock()
 	if s.wal != nil {
+		// Track mutation requires ingestMu, so the offsets read here are
+		// stable without obj.mu and stay the track lengths until the apply.
 		recs := make([]walRecord, len(groups))
 		for i, g := range groups {
 			recs[i] = walRecord{id: g.id, offset: g.obj.base + len(g.obj.track), pts: g.pts}
@@ -736,13 +658,10 @@ acquire:
 			return err // nothing acknowledged: no track was touched
 		}
 	}
-	bases := make([]int, len(groups))
 	for i := range groups {
 		g := &groups[i]
 		g.obj.mu.Lock()
-		bases[i] = g.obj.base + len(g.obj.track)
-		g.obj.track = append(g.obj.track, g.pts...)
-		s.markDirty(g.id)
+		g.at = s.appendLocked(g.obj, g.pts)
 		g.obj.mu.Unlock()
 	}
 	s.snapGate.RUnlock()
@@ -750,13 +669,8 @@ acquire:
 	for i := range groups {
 		g := &groups[i]
 		g.obj.mu.Lock()
-		if g.obj.predictor != nil {
-			for j, p := range g.pts {
-				g.obj.predictor.MarkovObserve(bases[i]+j, p)
-			}
-		}
 		if g.obj.eval != nil {
-			s.scoreLocked(g.obj, bases[i], g.pts)
+			s.scoreLocked(g.obj, g.at, g.pts)
 		}
 		if err := s.maybeUpdate(g.obj); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", g.id, err))
@@ -767,11 +681,30 @@ acquire:
 	return errors.Join(errs...)
 }
 
-// fleetGroup is one object's slice of an ObserveAll batch.
+// appendLocked is the one step that grows a track: append, dirty mark and
+// Markov fold, returning the timestamp of pts[0]. All under one hold of
+// obj.mu, because a model swap re-folds the chain from the whole track
+// (installLocked): a swap landing between an append and a later fold would
+// already count the points, and the fold would count them again. Called
+// with obj.ingestMu and obj.mu held.
+func (s *Store) appendLocked(obj *object, pts []hpm.Point) int {
+	at := obj.base + len(obj.track)
+	obj.track = append(obj.track, pts...)
+	s.markDirty(obj.id)
+	if obj.predictor != nil {
+		for i, p := range pts {
+			obj.predictor.MarkovObserve(at+i, p)
+		}
+	}
+	return at
+}
+
+// fleetGroup is one object's slice of an observe batch.
 type fleetGroup struct {
 	id    string
 	pts   []hpm.Point
 	obj   *object
+	at    int  // timestamp of pts[0], set by the apply
 	owned bool // pts is our own copy, safe to append to
 }
 
@@ -799,8 +732,10 @@ func (s *Store) fault(op faultinject.Op) error {
 	return nil
 }
 
-// maybeUpdate trains, extends or retrains the object's model according to
-// the configured policy. Called with obj.mu held.
+// maybeUpdate is the store's one model-update policy: first train once
+// MinTrainPeriods have completed, then absorb every newly completed period
+// through the model's incremental Extend, with a full rebuild every
+// RetrainEvery periods (0 = never). Called with obj.mu held.
 func (s *Store) maybeUpdate(obj *object) error {
 	if obj.training {
 		// A background (re)train is in flight; it re-runs this check
@@ -809,7 +744,6 @@ func (s *Store) maybeUpdate(obj *object) error {
 	}
 	period := s.opts.Config.Period
 	completed := (obj.base + len(obj.track)) / period
-
 	if obj.predictor == nil {
 		if completed < s.opts.MinTrainPeriods {
 			return nil
@@ -820,27 +754,9 @@ func (s *Store) maybeUpdate(obj *object) error {
 	if newPeriods <= 0 {
 		return nil
 	}
-	if s.opts.IncrementalRetrain {
-		// The incremental path keeps the model fresh; only the periodic
-		// batch rebuild — the divergence and index-packing backstop — goes
-		// through a full train.
-		if s.opts.RebuildEvery > 0 && obj.sinceRetrain+newPeriods >= s.opts.RebuildEvery {
-			return s.startTrain(obj, completed)
-		}
-	} else if s.opts.RetrainEvery > 0 && obj.sinceRetrain+newPeriods >= s.opts.RetrainEvery {
+	if s.opts.RetrainEvery > 0 && obj.sinceRetrain+newPeriods >= s.opts.RetrainEvery {
 		return s.startTrain(obj, completed)
 	}
-	if newPeriods < s.opts.ExtendEvery {
-		return nil
-	}
-	return s.extendLocked(obj, completed, newPeriods)
-}
-
-// extendLocked absorbs the newly completed periods through the model's
-// incremental path, banking duration and delta counters, then applies the
-// retention trim. Called with obj.mu held.
-func (s *Store) extendLocked(obj *object, completed, newPeriods int) error {
-	period := s.opts.Config.Period
 	start := time.Now()
 	res, err := obj.predictor.Extend(obj.track[obj.modeled*period-obj.base : completed*period-obj.base])
 	s.extendNanos.Add(uint64(time.Since(start)))
@@ -875,7 +791,7 @@ func (s *Store) extendLocked(obj *object, completed, newPeriods int) error {
 // a fresh slice so the old backing array is actually freed. Called with
 // obj.mu held.
 func (s *Store) trimLocked(obj *object) {
-	w := s.opts.RetainPeriods
+	w := s.opts.Config.RetainPeriods
 	if w <= 0 {
 		return
 	}
@@ -895,21 +811,14 @@ func (s *Store) trimLocked(obj *object) {
 	obj.base = cut
 }
 
-// startTrain dispatches a full (re)train of obj's first completed periods:
-// inline under SynchronousTraining, otherwise to the background pool.
-// Called with obj.mu held.
+// startTrain fully (re)trains obj over its first completed periods: on the
+// background pool, or under SynchronousTraining inline and without retries
+// (the caller gets the error directly). Called with obj.mu held.
 func (s *Store) startTrain(obj *object, completed int) error {
-	if s.opts.SynchronousTraining {
-		return s.train(obj, completed)
+	if !s.opts.SynchronousTraining {
+		s.scheduleTrain(obj, completed)
+		return nil
 	}
-	s.scheduleTrain(obj, completed)
-	return nil
-}
-
-// train fully (re)trains obj over its first completed periods, inline and
-// without retries (SynchronousTraining callers get the error directly).
-// Called with obj.mu held.
-func (s *Store) train(obj *object, completed int) error {
 	p, err := s.trainGuarded(obj.track[:completed*s.opts.Config.Period-obj.base])
 	if err != nil {
 		err = fmt.Errorf("store: train: %w", err)
@@ -917,14 +826,7 @@ func (s *Store) train(obj *object, completed int) error {
 		obj.lastTrainErr = err
 		return err
 	}
-	obj.lastTrainErr = nil
-	obj.swapPredictor(p, completed)
-	s.trimLocked(obj)
-	s.markDirty(obj.id)
-	// The fresh model folded its chain from the training prefix in its own
-	// time basis; re-fold from the retained track so chain timestamps match
-	// the absolute clock every later MarkovObserve uses.
-	obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
+	s.installLocked(obj, p, completed)
 	return nil
 }
 
@@ -952,16 +854,23 @@ func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 	return p, err
 }
 
-// swapPredictor installs a freshly trained predictor, banking the retired
-// predictor's query counters so per-object stats survive the swap. Called
-// with obj.mu held for writing.
-func (o *object) swapPredictor(p *hpm.Predictor, completed int) {
-	if o.predictor != nil {
-		o.queries = o.queries.Add(o.predictor.QueryStats())
+// installLocked puts a freshly trained predictor in service, for inline and
+// background trains alike: it banks the retired predictor's query counters
+// so per-object stats survive the swap, trims, marks the shard dirty and
+// re-folds the Markov chain from the retained track — the fresh model
+// folded its chain in the training prefix's time basis, not the absolute
+// clock every later MarkovObserve uses. Called with obj.mu write-locked.
+func (s *Store) installLocked(obj *object, p *hpm.Predictor, completed int) {
+	if obj.predictor != nil {
+		obj.queries = obj.queries.Add(obj.predictor.QueryStats())
 	}
-	o.predictor = p
-	o.modeled = completed
-	o.sinceRetrain = 0
+	obj.predictor = p
+	obj.modeled = completed
+	obj.sinceRetrain = 0
+	obj.lastTrainErr = nil
+	s.trimLocked(obj)
+	s.markDirty(obj.id)
+	p.Model().RebuildMarkov(obj.base, obj.track)
 }
 
 // scheduleTrain snapshots the completed-period prefix and hands it to a
@@ -1022,12 +931,7 @@ func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
 	obj.mu.Lock()
 	obj.training = false
 	if err == nil {
-		obj.lastTrainErr = nil
-		obj.swapPredictor(p, completed)
-		s.trimLocked(obj)
-		s.markDirty(obj.id)
-		// Re-fold the chain in the store's absolute time basis (see train).
-		obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
+		s.installLocked(obj, p, completed)
 		// Catch up: extend (or re-schedule a retrain) over periods that
 		// completed while this train was running.
 		if uerr := s.maybeUpdate(obj); uerr != nil {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -131,34 +133,6 @@ func TestExtendOnNewPeriods(t *testing.T) {
 	}
 }
 
-func TestRetrainPolicy(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
-	feed(t, s, "bike", 4, 3)
-	p1, err := s.Predictor("bike")
-	if err != nil || p1 == nil {
-		t.Fatal("no predictor after initial train")
-	}
-	// Two more periods trigger a full retrain: a fresh predictor value.
-	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 4)
-	spec.Period = period
-	spec.SubTrajectories = 5
-	tr := hpm.GenerateDataset(spec)
-	if err := s.ObserveBatch("bike", tr.Slice(3*period, 5*period)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := s.Predictor("bike")
-	if p1 == p2 {
-		t.Error("RetrainEvery did not rebuild the model")
-	}
-	st, _ := s.Stats("bike")
-	if st.Modeled != 5 {
-		t.Errorf("modeled %d after retrain, want 5", st.Modeled)
-	}
-}
-
 func TestMultipleObjectsIsolated(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 5})
 	feed(t, s, "a", 10, 6)
@@ -274,5 +248,120 @@ func TestStatsIncludeQueryCounters(t *testing.T) {
 	}
 	if st.Queries.Forward+st.Queries.Backward+st.Queries.Fallback+st.Queries.Unanswered != 3 {
 		t.Errorf("query paths don't sum: %+v", st.Queries)
+	}
+}
+
+// TestOptionsBudget is a ratchet: Options had 26 fields before the
+// training regimes were collapsed into one policy. A new field needs two
+// callers that want different values — and then this number moves.
+func TestOptionsBudget(t *testing.T) {
+	if n := reflect.TypeOf(Options{}).NumField(); n > 22 {
+		t.Errorf("store.Options has %d fields, budget is 22", n)
+	}
+}
+
+// TestObserveEntryPointsAgree: every way a point can enter the store —
+// ObserveBatch, a one-element and a multi-element ObserveAll (split
+// observations of the same id, merged, beside a second object), and WAL
+// replay into a fresh process — goes through the same append-and-fold
+// step and the same update policy, so the same stream must leave the same
+// stats, the same Markov chain and the same answers.
+func TestObserveEntryPointsAgree(t *testing.T) {
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 41)
+	spec.Period = period
+	spec.SubTrajectories = 6
+	pts := hpm.GenerateDataset(spec).Points()
+	pts = pts[:len(pts)-period/2] // end mid-period: a WAL-only tail past the last extend
+	opts := incrementalOpts()
+	opts.WALNoSync = true
+
+	// stream feeds the track in 17-point chunks (period boundaries land
+	// mid-chunk) through one entry point.
+	stream := func(t *testing.T, s *Store, observe func(chunk []hpm.Point) error) {
+		t.Helper()
+		for off := 0; off < len(pts); off += 17 {
+			end := off + 17
+			if end > len(pts) {
+				end = len(pts)
+			}
+			if err := observe(pts[off:end]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type outcome struct {
+		stats ObjectStats
+		chain []byte
+		tqs   []int
+		preds [][]hpm.Prediction
+	}
+	capture := func(t *testing.T, s *Store) outcome {
+		t.Helper()
+		var o outcome
+		var err error
+		if o.stats, err = s.Stats("bike"); err != nil {
+			t.Fatal(err)
+		}
+		o.chain = chainBytes(t, s, "bike")
+		if o.tqs, o.preds, err = s.PredictBatchAheadContext(context.Background(), "bike", []int{2, 5, 20, 60, 100}, 3); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+
+	ref := testStore(t, opts)
+	stream(t, ref, func(c []hpm.Point) error { return ref.ObserveBatch("bike", c) })
+	want := capture(t, ref)
+	if !want.stats.Trained || want.stats.Modeled != 5 || len(want.chain) == 0 {
+		t.Fatalf("reference run is not a trained, extended object: %+v", want.stats)
+	}
+	for name, run := range map[string]func(t *testing.T) outcome{
+		"ObserveAll/one": func(t *testing.T) outcome {
+			s := testStore(t, opts)
+			stream(t, s, func(c []hpm.Point) error { return s.ObserveAll([]Observation{{ID: "bike", Points: c}}) })
+			return capture(t, s)
+		},
+		"ObserveAll/many": func(t *testing.T) outcome {
+			s := testStore(t, opts)
+			stream(t, s, func(c []hpm.Point) error {
+				return s.ObserveAll([]Observation{
+					{ID: "bike", Points: c[:len(c)/2]},
+					{ID: "aside", Points: c},
+					{ID: "bike", Points: c[len(c)/2:]},
+				})
+			})
+			return capture(t, s)
+		},
+		"WAL replay": func(t *testing.T) outcome {
+			dir := t.TempDir()
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream(t, s, func(c []hpm.Point) error { return s.ObserveBatch("bike", c) })
+			crash(s) // no checkpoint: the reopened store is replay alone
+			back, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			if h := back.Health(); h.SnapshotRestored || h.WALReplayed == 0 {
+				t.Fatalf("reopen did not come from the WAL alone: %+v", h)
+			}
+			return capture(t, back)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got := run(t)
+			if got.stats != want.stats {
+				t.Errorf("stats differ:\n got %+v\nwant %+v", got.stats, want.stats)
+			}
+			if !bytes.Equal(got.chain, want.chain) {
+				t.Errorf("markov chain differs: %d vs %d bytes", len(got.chain), len(want.chain))
+			}
+			if !reflect.DeepEqual(got.tqs, want.tqs) || !reflect.DeepEqual(got.preds, want.preds) {
+				t.Errorf("predictions differ:\n got %v %+v\nwant %v %+v", got.tqs, got.preds, want.tqs, want.preds)
+			}
+		})
 	}
 }
