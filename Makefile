@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-query bench-ingest bench-eval bench-markov bench-retrain bench-fleet bench-recovery chaos
+.PHONY: build test race vet bench bench-query bench-ingest bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend chaos
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,12 @@ test:
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (background retrains, WAL/checkpoint durability, chaos tests),
 # the HTTP service, the fault-injection helpers, the parallel training
-# pipeline, and the TPT (read by concurrent queries; its reference-tree
-# equivalence tests and fuzz seeds run here too).
+# pipeline, the TPT (read by concurrent queries; its reference-tree
+# equivalence tests and fuzz seeds run here too), and the pattern package
+# (the incremental miner's batch-equivalence tests and fuzz seeds, the
+# decoders' hostile-input tests).
 race:
-	$(GO) test -race ./internal/hpa/... ./internal/tpt/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
+	$(GO) test -race ./internal/hpa/... ./internal/tpt/... ./internal/pattern/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
 
 # Crash-safety suite under the race detector: kill/restart recovery, torn
 # WAL tails, injected WAL/snapshot/train faults, snapshot robustness, the
@@ -84,3 +86,11 @@ bench-recovery:
 	$(GO) run ./cmd/hpmbench -experiment recovery -json
 	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/
 	$(GO) test -bench='BenchmarkBulkLoad' -benchmem -run '^$$' ./internal/tpt/
+
+# What incremental state costs at the harness fleet's shape (period 60, ten
+# periods trained, the four datagen kinds): one seeding of the delta-Apriori
+# miner (what the first Extend after a load pays, and a crash recovery pays
+# per object whose WAL tail crosses a period boundary) and one steady-state
+# Extend, with allocations. DESIGN.md's "What one miner costs" quotes both.
+bench-extend:
+	$(GO) test -bench='BenchmarkSeedMiner|BenchmarkExtendFleet' -benchmem -run '^$$' ./internal/core/

@@ -48,6 +48,10 @@ type ExtendResult struct {
 	RetiredSubTrajectories int
 	// TotalPatterns is the live pattern count after the update.
 	TotalPatterns int
+	// Reevaluated is how many tracked itemsets the update touched and
+	// re-derived a rule for: the work done, which the counts above (what
+	// came of it) do not show.
+	Reevaluated int
 }
 
 // Extend absorbs newly accumulated sub-trajectories without retraining.
@@ -98,8 +102,11 @@ func (m *Model) Extend(subs []trajectory.SubTrajectory) (ExtendResult, error) {
 // ensureMiner builds the incremental miner on first use by replaying every
 // live sub-trajectory's region chain — the same code path increments take,
 // so the seeded state matches batch mining exactly — and reconciles the
-// engine's live set against it. After batch training or a clean load the
-// reconcile is a no-op diff; it only repairs drift if the two ever diverge.
+// engine's live set against it by lookup: every live ref is bound to the
+// miner's rule of the same identity, a ref that finds none is removed, and
+// the rules left unbound are inserted. After batch training or a clean
+// load nothing is removed or inserted; the reconcile only repairs drift if
+// the two ever diverge.
 func (m *Model) ensureMiner() {
 	if m.miner != nil {
 		return
@@ -111,41 +118,39 @@ func (m *Model) ensureMiner() {
 			chains = append(chains, ch)
 		}
 	}
-	delta := m.miner.Update(chains, nil)
+	seeded := m.miner.Update(chains, nil)
 
-	refs := m.engine.Refs() // reconciling appends refs; only these predate it
-	have := make(map[pattern.IdentityKey]int, refs)
-	for ref := 0; ref < refs; ref++ {
-		if m.engine.IsLive(ref) {
-			have[pattern.PatternIdentity(m.engine.Pattern(ref))] = ref
-		}
-	}
-	m.refs = make(map[pattern.IdentityKey]int, len(delta.Added))
-	seen := make(map[pattern.IdentityKey]bool, len(delta.Added))
-	var missing []pattern.Pattern
-	for _, p := range delta.Added {
-		key := pattern.PatternIdentity(p)
-		seen[key] = true
-		ref, ok := have[key]
-		if !ok {
-			missing = append(missing, p)
+	// Inserting appends refs; only these predate the reconcile.
+	for ref, refs := 0, m.engine.Refs(); ref < refs; ref++ {
+		if !m.engine.IsLive(ref) {
 			continue
 		}
-		m.refs[key] = ref
-		if cur := m.engine.Pattern(ref); cur.Confidence != p.Confidence || cur.Support != p.Support {
-			m.engine.UpdatePattern(ref, p)
-		}
-	}
-	for ref := 0; ref < refs; ref++ {
-		if m.engine.IsLive(ref) && !seen[pattern.PatternIdentity(m.engine.Pattern(ref))] {
+		cur := m.engine.Pattern(ref)
+		conf, support, ok := m.miner.Bind(pattern.PatternIdentity(cur), ref)
+		switch {
+		case !ok:
 			m.engine.RemovePattern(ref)
+		case cur.Confidence != conf || cur.Support != support:
+			m.engine.UpdatePattern(ref, conf, support)
 		}
 	}
-	if len(missing) > 0 {
-		for i, ref := range m.engine.InsertPatterns(missing) {
-			m.refs[pattern.PatternIdentity(missing[i])] = ref
+	var missing []int32
+	for _, s := range seeded.Added {
+		if ref, _, _ := m.miner.Rule(s); ref == pattern.NoTag {
+			missing = append(missing, s)
 		}
 	}
+	m.insert(missing)
+}
+
+// MinerItemsets returns how many frequent itemsets the incremental miner
+// tracks; ok is false while the model has none (no Extend since it was
+// trained or loaded).
+func (m *Model) MinerItemsets() (n int, ok bool) {
+	if m.miner == nil {
+		return 0, false
+	}
+	return m.miner.TrackedItemsets(), true
 }
 
 // retireExpired advances the sliding-window watermark so that after the
@@ -176,30 +181,31 @@ func (m *Model) retireExpired(adding int, res *ExtendResult) [][]pattern.RegionI
 	return retired
 }
 
-// applyDelta translates a miner delta into engine mutations, tracking refs.
+// applyDelta translates a miner delta into engine mutations.
 func (m *Model) applyDelta(d pattern.Delta, res *ExtendResult) {
+	res.Reevaluated += d.Reevaluated
 	// Removed before Added: a pattern demoted and re-promoted in the same
 	// update appears in both, and the insert must land after the old entry
 	// is gone.
-	for _, key := range d.Removed {
-		if ref, ok := m.refs[key]; ok {
-			delete(m.refs, key)
-			if m.engine.RemovePattern(ref) {
-				res.RetiredPatterns++
-			}
+	for _, r := range d.Removed {
+		if m.engine.RemovePattern(int(r.Tag)) {
+			res.RetiredPatterns++
 		}
 	}
-	if len(d.Added) > 0 {
-		refs := m.engine.InsertPatterns(d.Added)
-		for i, p := range d.Added {
-			m.refs[pattern.PatternIdentity(p)] = refs[i]
-		}
-		res.NewPatterns += len(d.Added)
-	}
-	for _, p := range d.Updated {
-		if ref, ok := m.refs[pattern.PatternIdentity(p)]; ok && m.engine.UpdatePattern(ref, p) {
+	m.insert(d.Added)
+	res.NewPatterns += len(d.Added)
+	for _, s := range d.Updated {
+		if m.engine.UpdatePattern(m.miner.Rule(s)) {
 			res.UpdatedPatterns++
 		}
+	}
+}
+
+// insert indexes the miner's rules in the given slots, in identity order,
+// and tells the miner their refs.
+func (m *Model) insert(slots []int32) {
+	for i, ref := range m.engine.InsertPatterns(m.miner.Rules(slots)) {
+		m.miner.SetTag(slots[i], ref)
 	}
 }
 

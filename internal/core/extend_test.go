@@ -45,6 +45,15 @@ func TestExtendInsertsNewPatterns(t *testing.T) {
 	if m.TreeStats().Items != m.NumPatterns() {
 		t.Errorf("tree items %d != patterns %d after extend", m.TreeStats().Items, m.NumPatterns())
 	}
+	// Every rule that came or moved was re-derived first; so were the
+	// touched itemsets nothing came of.
+	if res.Reevaluated < res.NewPatterns+res.UpdatedPatterns || res.Reevaluated == 0 {
+		t.Errorf("re-evaluated %d itemsets for %d new and %d updated patterns",
+			res.Reevaluated, res.NewPatterns, res.UpdatedPatterns)
+	}
+	if n, ok := m.MinerItemsets(); !ok || n < m.NumPatterns() {
+		t.Errorf("miner tracks %d itemsets (seeded %v) under %d patterns", n, ok, m.NumPatterns())
+	}
 	if m.Regions().NumSubTrajectories() != 35 {
 		t.Errorf("region table saw %d subs, want 35", m.Regions().NumSubTrajectories())
 	}

@@ -168,11 +168,9 @@ type Model struct {
 	// Incremental-training state (see extend.go). The miner is built
 	// lazily on the first Extend — batch training and deserialization
 	// leave it nil — and from then on tracks per-itemset support so
-	// update cost scales with new data, not history.
+	// update cost scales with new data, not history. It tags each rule it
+	// emits with the rule's engine ref, so its deltas name index entries.
 	miner *pattern.IncrementalMiner
-	// refs maps a live pattern's identity to its engine ref, so deltas
-	// from the miner translate into index mutations.
-	refs map[pattern.IdentityKey]int
 	// outliers buffers points no frequent region matched, per offset,
 	// until enough accumulate to mint a new region. Each buffer is capped
 	// (oldest evicted first) so the per-Extend discovery scan stays O(1)

@@ -23,8 +23,9 @@ import (
 // model of the benchmark fleet takes to load; decoding the patterns is
 // most of the rest (DESIGN.md, "What one recovery costs"). The
 // incremental miner is not stored either: the first Extend after a load
-// re-seeds it, 12–14 ms for a ten-period Bike or Cow model, which is now
-// the larger cost of a crash recovery.
+// re-seeds it, 6–9 ms for a ten-period Bike model and 2–3 ms for a Cow
+// (BenchmarkSeedMiner), a quarter of a crash recovery's CPU where loading
+// is 45 % (DESIGN.md, "What one miner costs").
 
 const (
 	modelMagic   = "HPMM"

@@ -1,6 +1,7 @@
 package hpa
 
 import (
+	"hpm/internal/bitkey"
 	"hpm/internal/pattern"
 	"hpm/internal/tpt"
 )
@@ -51,7 +52,8 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
-		e.tree.Insert(tpt.Item{Key: e.enc.Encode(p), Conf: p.Confidence, Ref: ref})
+		var buf [keyBuf]uint64
+		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, p), Conf: p.Confidence, Ref: ref})
 		refs[i] = ref
 	}
 	return refs
@@ -76,7 +78,8 @@ func (e *Engine) RemovePattern(ref int) bool {
 	// Encode against the current tables: key widths may have grown since
 	// the pattern was inserted, but grown bits are zero on both sides, so
 	// the encoded key equals the stored (grown) one.
-	if !e.tree.Delete(e.enc.Encode(e.patterns[ref]), ref) {
+	var buf [keyBuf]uint64
+	if !e.tree.Delete(e.keyOf(&buf, e.patterns[ref]), ref) {
 		return false
 	}
 	e.dead[ref] = true
@@ -86,15 +89,36 @@ func (e *Engine) RemovePattern(ref int) bool {
 }
 
 // UpdatePattern rewrites the confidence and support of the live pattern
-// at ref. The pattern's itemset — and therefore its key — must be
-// unchanged; only the payload moves. Returns false when ref is not live.
-func (e *Engine) UpdatePattern(ref int, p pattern.Pattern) bool {
+// at ref; its itemset — and therefore its key, encoded here from the
+// pattern the engine already stores — does not change, only the payload
+// moves. Returns false when ref is not live.
+func (e *Engine) UpdatePattern(ref int, conf float64, support int) bool {
 	if !e.IsLive(ref) {
 		return false
 	}
-	if !e.tree.UpdateConf(e.enc.Encode(p), ref, p.Confidence) {
+	p := &e.patterns[ref]
+	var buf [keyBuf]uint64
+	if !e.tree.UpdateConf(e.keyOf(&buf, *p), ref, conf) {
 		return false
 	}
-	e.patterns[ref] = p
+	p.Confidence, p.Support = conf, support
 	return true
+}
+
+// keyBuf is the stack space keyOf gets for a key; wider keys spill to the
+// heap.
+const keyBuf = 8
+
+// keyOf encodes p against the current tables, in buf when the key fits: an
+// incremental update re-encodes every rule it touches, and none of those
+// keys outlives the tree call it is handed to.
+func (e *Engine) keyOf(buf *[keyBuf]uint64, p pattern.Pattern) bitkey.PatternKey {
+	ckLen, rkLen := e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len()
+	cw, rw := (ckLen+63)/64, (rkLen+63)/64
+	if cw+rw > keyBuf {
+		return e.enc.Encode(p)
+	}
+	k := bitkey.PatternKey{CK: bitkey.View(ckLen, buf[:cw]), RK: bitkey.View(rkLen, buf[cw:cw+rw])}
+	e.enc.EncodeInto(p, k.CK, k.RK)
+	return k
 }

@@ -314,7 +314,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					ref := refs[rng.Intn(len(refs))]
 					p := e.patterns[ref]
 					p.Confidence = 0.3 + 0.7*rng.Float64()
-					if !e.UpdatePattern(ref, p) {
+					if !e.UpdatePattern(ref, p.Confidence, p.Support) {
 						t.Fatalf("UpdatePattern(%d) failed", ref)
 					}
 				}

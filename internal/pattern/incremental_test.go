@@ -1,36 +1,73 @@
 package pattern
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hpm/internal/geom"
 	"hpm/internal/trajectory"
 )
 
-// applyDelta folds a Delta into a rule map, checking its internal
+// ruleBook is the test's stand-in for the model's engine: the rules the
+// deltas have built up, by identity, each named to the miner by a tag the
+// way the engine names them by ref.
+type ruleBook struct {
+	rules map[IdentityKey]Pattern
+	tags  []IdentityKey // tag -> the identity it was issued for
+}
+
+func newRuleBook() *ruleBook { return &ruleBook{rules: make(map[IdentityKey]Pattern)} }
+
+// applyDelta folds a Delta into the rule book, checking its internal
 // consistency: removals name live rules, additions are genuinely new
 // (after removals apply), updates touch existing rules.
-func applyDelta(t *testing.T, rules map[IdentityKey]Pattern, d Delta) {
+func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 	t.Helper()
-	for _, key := range d.Removed {
+	rules := book.rules
+	named := func(tag int, what string) IdentityKey {
+		if tag < 0 || tag >= len(book.tags) {
+			t.Fatalf("delta %s a rule by tag %d, which was never issued", what, tag)
+		}
+		return book.tags[tag]
+	}
+	if !slices.IsSortedFunc(d.Removed, func(a, b RuleRemoval) int { return CompareIdentity(a.Key, b.Key) }) {
+		t.Fatal("delta removals out of identity order")
+	}
+	for _, r := range d.Removed {
+		key := named(int(r.Tag), "removed")
+		if key != r.Key {
+			t.Fatalf("delta removed tag %d as %v, it was issued for %v", r.Tag, r.Key, key)
+		}
 		if _, ok := rules[key]; !ok {
 			t.Fatalf("delta removed unknown rule %v", key)
 		}
 		delete(rules, key)
 	}
-	for _, p := range d.Added {
+	added := m.Rules(d.Added)
+	if !slices.IsSortedFunc(added, func(a, b Pattern) int {
+		return CompareIdentity(PatternIdentity(a), PatternIdentity(b))
+	}) {
+		t.Fatal("delta additions out of identity order")
+	}
+	for i, p := range added {
 		key := PatternIdentity(p)
 		if _, ok := rules[key]; ok {
 			t.Fatalf("delta re-added live rule %v", p)
 		}
 		rules[key] = p
+		m.SetTag(d.Added[i], len(book.tags))
+		book.tags = append(book.tags, key)
 	}
-	for _, p := range d.Updated {
-		key := PatternIdentity(p)
-		if _, ok := rules[key]; !ok {
-			t.Fatalf("delta updated unknown rule %v", p)
+	for _, s := range d.Updated {
+		tag, conf, support := m.Rule(s)
+		key := named(tag, "updated")
+		p, ok := rules[key]
+		if !ok {
+			t.Fatalf("delta updated unknown rule %v", key)
 		}
+		p.Confidence, p.Support = conf, support
 		rules[key] = p
 	}
 }
@@ -45,11 +82,15 @@ func wantBatch(rt *RegionTable, cfg Config) map[IdentityKey]Pattern {
 }
 
 // checkEquivalent compares the miner's active rules (and the delta-folded
-// shadow copy) against a from-scratch batch mine over the same table.
-func checkEquivalent(t *testing.T, rt *RegionTable, cfg Config, m *IncrementalMiner, rules map[IdentityKey]Pattern) {
+// shadow copy) against a from-scratch batch mine over the same table, and
+// the miner's layout against its own invariants.
+func checkEquivalent(t *testing.T, rt *RegionTable, cfg Config, m *IncrementalMiner, book *ruleBook) {
 	t.Helper()
+	if err := m.check(); err != nil {
+		t.Fatal(err)
+	}
 	want := wantBatch(rt, cfg)
-	for _, got := range [2]map[IdentityKey]Pattern{activeByKey(m), rules} {
+	for _, got := range [2]map[IdentityKey]Pattern{activeByKey(m), book.rules} {
 		if len(got) != len(want) {
 			t.Fatalf("incremental has %d rules, batch %d", len(got), len(want))
 		}
@@ -62,8 +103,92 @@ func checkEquivalent(t *testing.T, rt *RegionTable, cfg Config, m *IncrementalMi
 				t.Fatalf("rule %v: incremental conf %g sup %d, batch conf %g sup %d",
 					wp, gp.Confidence, gp.Support, wp.Confidence, wp.Support)
 			}
+			if !slices.Equal(gp.Premise, wp.Premise) || gp.Consequence != wp.Consequence {
+				t.Fatalf("rule %v: incremental spells it %v", wp, gp)
+			}
 		}
 	}
+}
+
+// check verifies the slab layout against first principles: every tracked
+// slot's support is the popcount of its regions' ANDed bitmaps, every
+// dependents list holds exactly the tracked itemsets with that premise,
+// free slots carry no flag, tag or link, and the index holds exactly the
+// live slots.
+func (m *IncrementalMiner) check() error {
+	free := make(map[int32]bool, len(m.free))
+	for _, s := range m.free {
+		if free[s] {
+			return fmt.Errorf("slot %d is on the free list twice", s)
+		}
+		free[s] = true
+	}
+	live, tracked := 0, 0
+	dependents := make(map[int32][]int32) // premise slot -> tracked slots naming it
+	for i := range m.slots {
+		s, sl := int32(i), &m.slots[i]
+		linked := sl.prem != noSlot || sl.next != noSlot || sl.prev != noSlot
+		if sl.n == 0 {
+			if !free[s] {
+				return fmt.Errorf("empty slot %d is not on the free list", s)
+			}
+			if sl.flags != 0 || sl.tag != NoTag || linked || sl.head != noSlot {
+				return fmt.Errorf("free slot %d still carries %+v", s, *sl)
+			}
+			continue
+		}
+		if free[s] {
+			return fmt.Errorf("live slot %d is on the free list", s)
+		}
+		live++
+		ids := make([]RegionID, 0, sl.n)
+		for _, id := range m.idsOf(s) {
+			ids = append(ids, RegionID(id))
+		}
+		if got, ok := m.index[identityOf(ids)]; !ok || got != s {
+			return fmt.Errorf("slot %d (%v) is indexed at %d (%v)", s, ids, got, ok)
+		}
+		if sl.flags&slotTracked == 0 {
+			if sl.flags != 0 || sl.tag != NoTag || linked {
+				return fmt.Errorf("ghost slot %d (%v) still carries %+v", s, ids, *sl)
+			}
+			if sl.head == noSlot {
+				return fmt.Errorf("ghost slot %d (%v) heads no list and was not released", s, ids)
+			}
+			continue
+		}
+		tracked++
+		if sup := bitmapSupport(m.rt, ids); int(sl.support) != sup || sup < m.cfg.MinSupport {
+			return fmt.Errorf("slot %d (%v) holds support %d, bitmaps say %d (floor %d)",
+				s, ids, sl.support, sup, m.cfg.MinSupport)
+		}
+		if p, ok := m.index[identityOf(ids[:len(ids)-1])]; !ok || p != sl.prem {
+			return fmt.Errorf("slot %d (%v) names premise slot %d, index says %d (%v)", s, ids, sl.prem, p, ok)
+		}
+		if len(ids) > 2 && m.slots[sl.prem].flags&slotTracked == 0 {
+			return fmt.Errorf("slot %d (%v) is tracked and its premise is not", s, ids)
+		}
+		dependents[sl.prem] = append(dependents[sl.prem], s)
+	}
+	if live != len(m.index) || tracked != m.tracked {
+		return fmt.Errorf("%d live slots (%d tracked) under %d index entries (%d counted)",
+			live, tracked, len(m.index), m.tracked)
+	}
+	for i := range m.slots {
+		var list []int32
+		for s, prev := m.slots[i].head, noSlot; s != noSlot; prev, s = s, m.slots[s].next {
+			if m.slots[s].prev != prev || len(list) > len(m.slots) {
+				return fmt.Errorf("dependents list of slot %d is broken at %d", i, s)
+			}
+			list = append(list, s)
+		}
+		want := dependents[int32(i)]
+		slices.Sort(list)
+		if !slices.Equal(list, want) {
+			return fmt.Errorf("slot %d lists dependents %v, the tracked itemsets naming it are %v", i, list, want)
+		}
+	}
+	return nil
 }
 
 func activeByKey(m *IncrementalMiner) map[IdentityKey]Pattern {
@@ -91,10 +216,10 @@ func TestIncrementalSeedMatchesBatchJane(t *testing.T) {
 	rt := janeTable(t)
 	cfg := Config{MinSupport: 4, MinConfidence: 0.3}
 	m, d := seedMiner(rt, cfg)
-	rules := make(map[IdentityKey]Pattern)
-	applyDelta(t, rules, d)
-	checkEquivalent(t, rt, cfg, m, rules)
-	if len(rules) == 0 {
+	book := newRuleBook()
+	applyDelta(t, m, book, d)
+	checkEquivalent(t, rt, cfg, m, book)
+	if len(book.rules) == 0 {
 		t.Fatal("jane table seeded zero rules; test is vacuous")
 	}
 }
@@ -142,47 +267,73 @@ func subset(groups []trajectory.Group, lo, hi int) []trajectory.Group {
 // after every step compares its rule set against a from-scratch batch
 // mine over the table's current bitmaps. Batch mining reads live supports
 // and visitor bitmaps, so it is ground truth at any point, not just at
-// build time.
+// build time. The live window first grows, then drains to a dozen days —
+// most itemsets fall below min-support and their slots are freed — then
+// grows again, so freed slots are reused.
 func TestIncrementalMatchesBatchUnderChurn(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		const n, P, initial = 40, 12, 24
-		all := randomGroups(rng, n, P)
-		rt := DiscoverRegions(subset(all, 0, initial), 30, 4)
-		if rt.Len() < 5 {
-			t.Fatalf("seed %d: only %d regions; test is vacuous", seed, rt.Len())
-		}
-		cfg := Config{MinSupport: 4, MinConfidence: 0.3}
-		m, d := seedMiner(rt, cfg)
-		rules := make(map[IdentityKey]Pattern)
-		applyDelta(t, rules, d)
-		checkEquivalent(t, rt, cfg, m, rules)
+	phases := []struct{ steps, absorb, retire int }{{8, 4, 2}, {7, 2, 6}, {8, 6, 2}}
+	for _, cfg := range []Config{
+		{MinSupport: 4, MinConfidence: 0.3},
+		// Longer itemsets under a reach tighter than the span: a premise
+		// can then be no itemset the batch miner generates, and nothing
+		// built on it may be tracked either.
+		{MinSupport: 4, MinConfidence: 0.3, MaxLength: 4, ConsequenceReach: 1},
+		{MinSupport: 4, MinConfidence: 0.3, MaxLength: 4, ConsequenceReach: 2},
+	} {
+		long := 0
+		for _, seed := range []int64{1, 2, 3} {
+			rng := rand.New(rand.NewSource(seed))
+			const n, P, initial = 120, 12, 24
+			all := randomGroups(rng, n, P)
+			rt := DiscoverRegions(subset(all, 0, initial), 30, 4)
+			if rt.Len() < 5 {
+				t.Fatalf("seed %d: only %d regions; test is vacuous", seed, rt.Len())
+			}
+			m, d := seedMiner(rt, cfg)
+			book := newRuleBook()
+			applyDelta(t, m, book, d)
+			checkEquivalent(t, rt, cfg, m, book)
 
-		retired := 0
-		for lo := initial; lo < n; lo += 4 {
-			hi := lo + 4
-			if hi > n {
-				hi = n
-			}
-			res, err := rt.AbsorbDetailed(subset(all, lo, hi))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Retire the two oldest live days alongside each absorb, as a
-			// sliding history window would.
-			var gone [][]RegionID
-			for k := 0; k < 2; k++ {
-				if ch := rt.ChainOf(retired); len(ch) > 0 {
-					gone = append(gone, ch)
+			next, retired := initial, 0
+			freed, reused := false, false
+			for _, ph := range phases {
+				for step := 0; step < ph.steps; step++ {
+					res, err := rt.AbsorbDetailed(subset(all, next, next+ph.absorb))
+					if err != nil {
+						t.Fatal(err)
+					}
+					next += ph.absorb
+					// Retire the oldest live days alongside each absorb, as
+					// a sliding history window would.
+					var gone [][]RegionID
+					for k := 0; k < ph.retire; k++ {
+						if ch := rt.ChainOf(retired); len(ch) > 0 {
+							gone = append(gone, ch)
+						}
+						rt.ClearSub(retired)
+						retired++
+					}
+					idle := len(m.free)
+					applyDelta(t, m, book, m.Update(res.Chains, gone))
+					checkEquivalent(t, rt, cfg, m, book)
+					freed = freed || len(m.free) > idle
+					reused = reused || len(m.free) < idle
+					for _, p := range book.rules {
+						if len(p.Premise) >= 3 {
+							long++
+						}
+					}
 				}
-				rt.ClearSub(retired)
-				retired++
 			}
-			applyDelta(t, rules, m.Update(res.Chains, gone))
-			checkEquivalent(t, rt, cfg, m, rules)
+			if len(book.rules) == 0 {
+				t.Fatalf("seed %d: churn left zero rules; test is vacuous", seed)
+			}
+			if !freed || !reused {
+				t.Fatalf("seed %d: slots freed %v, reused %v; the churn never recycled a slot", seed, freed, reused)
+			}
 		}
-		if len(rules) == 0 {
-			t.Fatalf("seed %d: churn left zero rules; test is vacuous", seed)
+		if cfg.MaxLength == 4 && cfg.ConsequenceReach == 2 && long == 0 {
+			t.Fatalf("%+v never held a four-region rule; the row is vacuous", cfg)
 		}
 	}
 }
@@ -195,8 +346,8 @@ func TestAbsorbMintedMatchesBatch(t *testing.T) {
 	rt := janeTable(t)
 	cfg := Config{MinSupport: 4, MinConfidence: 0.3}
 	m, d := seedMiner(rt, cfg)
-	rules := make(map[IdentityKey]Pattern)
-	applyDelta(t, rules, d)
+	book := newRuleBook()
+	applyDelta(t, m, book, d)
 
 	// Six new days repeat the City lineage but end at a brand-new spot.
 	newSpot := geom.Pt(7000, 7000)
@@ -218,7 +369,8 @@ func TestAbsorbMintedMatchesBatch(t *testing.T) {
 	if len(res.Unmatched) != days {
 		t.Fatalf("unmatched = %d, want %d (all new-spot points)", len(res.Unmatched), days)
 	}
-	applyDelta(t, rules, m.Update(res.Chains, nil))
+	applyDelta(t, m, book, m.Update(res.Chains, nil))
+	checkEquivalent(t, rt, cfg, m, book)
 
 	// Mint the new region from the buffered points, then replay its
 	// visitors' chains restricted to itemsets containing it.
@@ -240,6 +392,6 @@ func TestAbsorbMintedMatchesBatch(t *testing.T) {
 	if len(md.Removed) != 0 || len(md.Updated) != 0 {
 		t.Fatalf("minted replay must only add rules, got %d removed %d updated", len(md.Removed), len(md.Updated))
 	}
-	applyDelta(t, rules, md)
-	checkEquivalent(t, rt, cfg, m, rules)
+	applyDelta(t, m, book, md)
+	checkEquivalent(t, rt, cfg, m, book)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"hpm/internal/bitkey"
 	"hpm/internal/geom"
@@ -66,20 +67,30 @@ func (s *sink) flush() error {
 	return s.w.Flush()
 }
 
-// source wraps a reader with latched errors.
+// source wraps a reader with latched errors. Nothing it reads is trusted:
+// a length taken from the stream never sizes an allocation before the
+// bytes it promises have arrived.
 type source struct {
 	r   *bufio.Reader
 	err error
+	buf [8]byte
 }
+
+// readChunk is how far bytes reads ahead of what it has allocated for.
+const readChunk = 64 << 10
 
 func (s *source) bytes(n int) []byte {
 	if s.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		s.err = err
-		return nil
+	b := make([]byte, 0, min(n, readChunk))
+	for len(b) < n {
+		k := min(n-len(b), readChunk)
+		b = slices.Grow(b, k)[:len(b)+k]
+		if _, err := io.ReadFull(s.r, b[len(b)-k:]); err != nil {
+			s.err = err
+			return nil
+		}
 	}
 	return b
 }
@@ -95,6 +106,16 @@ func (s *source) uvarint() uint64 {
 	return v
 }
 
+// count reads a uvarint that must fit a non-negative int.
+func (s *source) count() int {
+	v := s.uvarint()
+	if s.err == nil && v > math.MaxInt32 {
+		s.err = fmt.Errorf("pattern: implausible count %d", v)
+		return 0
+	}
+	return int(v)
+}
+
 func (s *source) varint() int64 {
 	if s.err != nil {
 		return 0
@@ -107,16 +128,18 @@ func (s *source) varint() int64 {
 }
 
 func (s *source) float() float64 {
-	b := s.bytes(8)
 	if s.err != nil {
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
+		s.err = err
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(s.buf[:]))
 }
 
 func (s *source) key() bitkey.Key {
-	n := s.uvarint()
-	b := s.bytes(int(n))
+	b := s.bytes(s.count())
 	if s.err != nil {
 		return bitkey.Key{}
 	}
@@ -163,24 +186,24 @@ func ReadRegionTable(r io.Reader) (*RegionTable, error) {
 	s.magic(regionTableMagic)
 	rt := &RegionTable{byOffset: make(map[int][]*FrequentRegion)}
 	rt.eps = s.float()
-	rt.numSubs = int(s.uvarint())
-	count := int(s.uvarint())
+	rt.numSubs = s.count()
+	count := s.count()
 	if s.err != nil {
 		return nil, s.err
 	}
-	if count < 0 || count > 1<<26 {
+	if count > 1<<26 {
 		return nil, fmt.Errorf("pattern: implausible region count %d", count)
 	}
 	for i := 0; i < count; i++ {
 		fr := &FrequentRegion{ID: RegionID(i)}
-		fr.Offset = int(s.uvarint())
-		fr.Index = int(s.uvarint())
+		fr.Offset = s.count()
+		fr.Index = s.count()
 		fr.Center = geom.Pt(s.float(), s.float())
 		fr.MBR = geom.Rect{
 			Min: geom.Pt(s.float(), s.float()),
 			Max: geom.Pt(s.float(), s.float()),
 		}
-		fr.Support = int(s.uvarint())
+		fr.Support = s.count()
 		fr.visitors = s.key()
 		if s.err != nil {
 			return nil, s.err
@@ -215,53 +238,52 @@ func WritePatterns(w io.Writer, patterns []Pattern) error {
 }
 
 // ReadPatterns deserializes a pattern list written by WritePatterns and
-// validates every region id against rt.
+// validates every region id against rt. The list grows as patterns
+// actually decode — the header's count is a hint, capped, never an
+// allocation — and premises are carved from shared arenas, three-index
+// slices so an append to one cannot write into its neighbour.
 func ReadPatterns(r io.Reader, rt *RegionTable) ([]Pattern, error) {
 	s := &source{r: bufio.NewReader(r)}
 	s.magic(patternsMagic)
-	count := int(s.uvarint())
+	count := s.count()
 	if s.err != nil {
 		return nil, s.err
 	}
-	if count < 0 || count > 1<<28 {
+	if count > 1<<28 {
 		return nil, fmt.Errorf("pattern: implausible pattern count %d", count)
 	}
-	checkID := func(id int64) (RegionID, error) {
-		if id < 0 || int(id) >= rt.Len() {
-			return 0, fmt.Errorf("pattern: region id %d out of %d", id, rt.Len())
+	id := func() RegionID {
+		v := s.varint()
+		if s.err == nil && (v < 0 || v >= int64(rt.Len())) {
+			s.err = fmt.Errorf("pattern: region id %d out of %d", v, rt.Len())
 		}
-		return RegionID(id), nil
+		return RegionID(v)
 	}
-	patterns := make([]Pattern, 0, count)
+	const maxPrealloc = 8192 // patterns; premise ids come to about twice that
+	patterns := make([]Pattern, 0, min(count, maxPrealloc))
+	var arena []RegionID
 	for i := 0; i < count; i++ {
-		var p Pattern
-		premLen := int(s.uvarint())
+		premLen := s.count()
+		if s.err == nil && premLen > 64 {
+			s.err = fmt.Errorf("pattern: implausible premise length %d", premLen)
+		}
 		if s.err != nil {
 			return nil, s.err
 		}
-		if premLen < 0 || premLen > 64 {
-			return nil, fmt.Errorf("pattern: implausible premise length %d", premLen)
+		if cap(arena)-len(arena) < premLen {
+			arena = make([]RegionID, 0, max(premLen, 2*min(count-i, maxPrealloc)))
 		}
+		lo := len(arena)
 		for j := 0; j < premLen; j++ {
-			id, err := checkID(s.varint())
-			if s.err != nil {
-				return nil, s.err
-			}
-			if err != nil {
-				return nil, err
-			}
-			p.Premise = append(p.Premise, id)
+			arena = append(arena, id())
 		}
-		cons, err := checkID(s.varint())
-		if s.err != nil {
-			return nil, s.err
+		var p Pattern
+		if premLen > 0 {
+			p.Premise = arena[lo:len(arena):len(arena)]
 		}
-		if err != nil {
-			return nil, err
-		}
-		p.Consequence = cons
+		p.Consequence = id()
 		p.Confidence = s.float()
-		p.Support = int(s.uvarint())
+		p.Support = s.count()
 		if s.err != nil {
 			return nil, s.err
 		}

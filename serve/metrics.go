@@ -40,6 +40,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hpm_extends_total", "Incremental model updates (Extends).", fs.Extends)
 	counter("hpm_train_duration_seconds_total", "Cumulative wall-clock seconds spent in full trains.", fs.TrainSeconds)
 	counter("hpm_extend_duration_seconds_total", "Cumulative wall-clock seconds spent in incremental extends.", fs.ExtendSeconds)
+	gauge("hpm_miners", "Objects whose model holds a seeded incremental miner.", fs.Miners)
+	gauge("hpm_miner_itemsets", "Frequent itemsets tracked across the seeded incremental miners.", fs.MinerItemsets)
 
 	counter("hpm_fallback_fits_total", "Motion functions actually fitted by fallback queries (cache misses).", fs.Queries.FallbackFits)
 

@@ -99,6 +99,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if m["hpm_objects"] != 1 || m["hpm_objects_trained"] != 1 {
 		t.Errorf("fleet gauges: objects=%v trained=%v", m["hpm_objects"], m["hpm_objects_trained"])
 	}
+	// The fifth period went in through an Extend, which seeded the miner.
+	if m["hpm_extends_total"] != 1 || m["hpm_miners"] != 1 || m["hpm_miner_itemsets"] < 1 {
+		t.Errorf("miner gauges: extends=%v miners=%v itemsets=%v",
+			m["hpm_extends_total"], m["hpm_miners"], m["hpm_miner_itemsets"])
+	}
 	if m["hpm_eval_recorded_total"] != 2 || m["hpm_eval_scored_total"] != 2 {
 		t.Errorf("eval totals: recorded=%v scored=%v", m["hpm_eval_recorded_total"], m["hpm_eval_scored_total"])
 	}

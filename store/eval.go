@@ -201,6 +201,12 @@ func (s *Store) EvalConfig() evalq.Config { return s.opts.Eval }
 type FleetStats struct {
 	Objects int `json:"objects"`
 	Trained int `json:"trained"`
+	// Miners counts the objects whose model holds a seeded incremental
+	// miner (it has run an Extend since it was trained or loaded);
+	// MinerItemsets sums the frequent itemsets those miners track — what
+	// the fleet's incremental state weighs, at about 110 bytes each.
+	Miners        int `json:"miners"`
+	MinerItemsets int `json:"minerItemsets"`
 	// PendingTrains counts scheduled background trains not yet swapped
 	// in; TrainFailures every failed background attempt since start;
 	// DriftRetrains the retrains the drift EWMA triggered early.
@@ -267,6 +273,10 @@ func (s *Store) FleetStats() FleetStats {
 			if obj.predictor != nil {
 				fs.Trained++
 				fs.Queries = fs.Queries.Add(obj.predictor.QueryStats())
+				if n, ok := obj.predictor.Model().MinerItemsets(); ok {
+					fs.Miners++
+					fs.MinerItemsets += n
+				}
 			}
 			obj.mu.RUnlock()
 			if obj.eval != nil {

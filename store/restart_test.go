@@ -144,6 +144,9 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 	if oi := s.Health().Open; oi == nil || oi.LoadSeconds <= 0 || oi.ReplayExtends != 0 {
 		t.Fatalf("clean reopen reports %+v", oi)
 	}
+	if fs := s.FleetStats(); fs.Miners != 0 || fs.MinerItemsets != 0 {
+		t.Fatalf("clean reopen seeded %d miners (%d itemsets) with no Extend to run", fs.Miners, fs.MinerItemsets)
+	}
 	same("after a clean reopen")
 	f.stream(t, twin, 0, period)
 	f.stream(t, s, 0, period)
@@ -157,6 +160,9 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 	f.settle(t, s)
 	if h := s.Health(); h.WALReplayed != period*len(f.ids) || h.Open.ReplayExtends != uint64(len(f.ids)) {
 		t.Fatalf("recovery replayed %d records with %d extends, want %d and %d", h.WALReplayed, h.Open.ReplayExtends, period*len(f.ids), len(f.ids))
+	}
+	if fs := s.FleetStats(); fs.Miners != len(f.ids) || fs.MinerItemsets < fs.Miners {
+		t.Fatalf("recovery left %d miners tracking %d itemsets, want one per object", fs.Miners, fs.MinerItemsets)
 	}
 	same("after a crash recovery")
 	f.stream(t, twin, period, 2*period)
