@@ -80,8 +80,10 @@ bench-fleet:
 # 1k/10k/100k objects. Regenerates BENCH_recovery.json — which times
 # untrained tracks only; what a restart costs once objects carry models is
 # BenchmarkOpen/trained (clean and recovering Open of 64 trained objects,
-# B/op and the live heap of one opened store) and BenchmarkBulkLoad (one
-# pattern tree at the fleet's shape, 1 500 to 100 000 items).
+# each tree laid out from its saved shape; B/op and the live heap of one
+# opened store) and BenchmarkBulkLoad (what Train and a version-1 stream
+# pay: one pattern tree sorted into place at the fleet's shape, 1 500 to
+# 100 000 items).
 bench-recovery:
 	$(GO) run ./cmd/hpmbench -experiment recovery -json
 	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/

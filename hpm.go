@@ -347,11 +347,13 @@ func (p *Predictor) IsDistant(tc, tq int) bool {
 
 // Save serializes the trained predictor to a versioned binary stream:
 // parameters, world bounds, the frequent-region table (with visitor
-// bitmaps, so Extend keeps working after a reload) and the pattern list.
-// The index is rebuilt on Load.
+// bitmaps, so Extend keeps working after a reload), the pattern list and
+// the shape of the pattern index, which Load lays out again as it was.
 func (p *Predictor) Save(w io.Writer) error { return p.model.Save(w) }
 
-// Load deserializes a predictor written by Save and rebuilds its index.
+// Load deserializes a predictor written by Save, this version's or an
+// older one's (which carries no index shape: its patterns are sorted back
+// into a tree, as training does).
 func Load(r io.Reader) (*Predictor, error) {
 	m, err := core.Load(r)
 	if err != nil {

@@ -11,25 +11,28 @@ import (
 	"hpm/internal/geom"
 	"hpm/internal/hpa"
 	"hpm/internal/pattern"
+	"hpm/internal/tpt"
 )
 
 // Model persistence: a trained model round-trips through a versioned
-// binary stream so deployments can mine once and serve from a saved file.
-// The stream holds the training parameters (JSON), the world bounds, the
-// region table with visitor bitmaps (so incremental Extend keeps working
-// after a reload), and the pattern list. The TPT is not stored: Load
-// rebuilds it by bulk load, measured at 0.27 ms per 1 000 patterns
-// (tpt.BenchmarkBulkLoad) and about half of the 1.5 ms of CPU an average
-// model of the benchmark fleet takes to load; decoding the patterns is
-// most of the rest (DESIGN.md, "What one recovery costs"). The
-// incremental miner is not stored either: the first Extend after a load
-// re-seeds it, 6–9 ms for a ten-period Bike model and 2–3 ms for a Cow
-// (BenchmarkSeedMiner), a quarter of a crash recovery's CPU where loading
-// is 45 % (DESIGN.md, "What one miner costs").
+// binary stream so deployments can mine once and serve from a saved file:
+// the training parameters (JSON), the world bounds, the region table with
+// visitor bitmaps (so incremental Extend keeps working after a reload), the
+// live patterns in ref order — refs break ranking ties; the list stays the
+// source of truth — and, from version 2, the length-prefixed shape of the
+// pattern tree (tpt.Shape, refs renumbered to rank in the list). The tree's
+// keys are never stored: Load encodes each leaf key from its pattern and ORs
+// the levels above, which is every check a stored key would need, at ≈2
+// bytes per pattern where the slabs take 36. A version-1 stream has no
+// shape, and Load sorts its patterns into a tree as Train does. A loaded
+// tree keeps the packing it was saved with; the periodic Train repacks.
+// The incremental miner is not stored — a just-trained model has none, a
+// fleet's miners are three times its snapshot — and the first Extend after
+// a load re-seeds it (DESIGN.md, "What one recovery costs").
 
 const (
 	modelMagic   = "HPMM"
-	modelVersion = 1
+	modelVersion = 2
 	modelTrailer = "HPME"
 )
 
@@ -65,10 +68,18 @@ func (m *Model) Save(w io.Writer) error {
 		return err
 	}
 	// Live patterns only: entries incremental training retired must not
-	// resurrect on Load. Refs renumber on reload; the miner reseeds lazily.
-	if err := pattern.WritePatterns(bw, m.livePatterns()); err != nil {
+	// resurrect on Load. Refs renumber to live rank; the miner reseeds lazily.
+	live, rank := m.livePatterns()
+	if err := pattern.WritePatterns(bw, live); err != nil {
 		return err
 	}
+	shape := m.engine.Tree().Shape()
+	for i, ref := range shape.Refs {
+		shape.Refs[i] = rank[ref]
+	}
+	sb := shape.AppendBinary(nil)
+	bw.Write(binary.AppendUvarint(lenBuf[:0], uint64(len(sb)))) // bw latches an error for Flush
+	bw.Write(sb)
 	if _, err := bw.WriteString(modelTrailer); err != nil {
 		return err
 	}
@@ -86,18 +97,12 @@ func Load(r io.Reader) (*Model, error) {
 	if string(head[:len(modelMagic)]) != modelMagic {
 		return nil, fmt.Errorf("core: not a model stream (magic %q)", head[:len(modelMagic)])
 	}
-	if head[len(modelMagic)] != modelVersion {
-		return nil, fmt.Errorf("core: unsupported model version %d", head[len(modelMagic)])
+	version := head[len(modelMagic)]
+	if version < 1 || version > modelVersion {
+		return nil, fmt.Errorf("core: unsupported model version %d", version)
 	}
-	plen, err := binary.ReadUvarint(br)
+	pj, err := pattern.ReadBlob(br, 1<<20)
 	if err != nil {
-		return nil, fmt.Errorf("core: read params length: %w", err)
-	}
-	if plen > 1<<20 {
-		return nil, fmt.Errorf("core: implausible params length %d", plen)
-	}
-	pj := make([]byte, plen)
-	if _, err := io.ReadFull(br, pj); err != nil {
 		return nil, fmt.Errorf("core: read params: %w", err)
 	}
 	var params Params
@@ -122,6 +127,18 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read patterns: %w", err)
 	}
+	var shape *tpt.Shape
+	if version >= 2 {
+		sb, err := pattern.ReadBlob(br, 1<<30)
+		if err != nil {
+			return nil, fmt.Errorf("core: read tree shape: %w", err)
+		}
+		sh, err := tpt.DecodeShape(sb)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		shape = &sh
+	}
 	trailer := make([]byte, len(modelTrailer))
 	if _, err := io.ReadFull(br, trailer); err != nil {
 		return nil, fmt.Errorf("core: read trailer: %w", err)
@@ -129,23 +146,26 @@ func Load(r io.Reader) (*Model, error) {
 	if string(trailer) != modelTrailer {
 		return nil, fmt.Errorf("core: corrupt stream trailer %q", trailer)
 	}
-	return assemble(params, regions, patterns, bounds)
+	return assemble(params, regions, patterns, bounds, shape)
 }
 
-// livePatterns filters tombstoned entries out of the ref-indexed slice.
-func (m *Model) livePatterns() []pattern.Pattern {
-	out := make([]pattern.Pattern, 0, m.engine.LivePatterns())
-	for ref := 0; ref < m.engine.Refs(); ref++ {
+// livePatterns filters tombstoned entries out of the ref-indexed slice;
+// rank is each live ref's place among the survivors.
+func (m *Model) livePatterns() (live []pattern.Pattern, rank []int32) {
+	live = make([]pattern.Pattern, 0, m.engine.LivePatterns())
+	rank = make([]int32, m.engine.Refs())
+	for ref := range rank {
 		if m.engine.IsLive(ref) {
-			out = append(out, m.engine.Pattern(ref))
+			rank[ref] = int32(len(live))
+			live = append(live, m.engine.Pattern(ref))
 		}
 	}
-	return out
+	return live, rank
 }
 
 // assemble builds a query-ready model from its persistent parts; shared by
-// Load and (logically) the tail of TrainSubTrajectories.
-func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pattern, bounds geom.Rect) (*Model, error) {
+// Load and (logically) the tail of TrainSubTrajectories. A nil shape sorts.
+func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pattern, bounds geom.Rect, shape *tpt.Shape) (*Model, error) {
 	// Parallelism is runtime-only and deliberately not serialized;
 	// re-defaulting lets later retrains use this machine's cores.
 	// withDefaults is idempotent on the rest.
@@ -159,17 +179,18 @@ func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pa
 		Weight:           params.Weight,
 		PenalizePremise:  !params.DisablePremisePenalty,
 		NewMotion:        motionFactory(params, &bounds),
-	}, params.Tree)
+	}, params.Tree, shape)
 	if err != nil {
 		return nil, err
 	}
 	m := &Model{
-		params:  params,
-		regions: regions,
-		encoder: enc,
-		engine:  engine,
-		bounds:  bounds,
-		stats:   pattern.Stats{Rules: len(patterns)},
+		params:    params,
+		regions:   regions,
+		encoder:   enc,
+		engine:    engine,
+		bounds:    bounds,
+		stats:     pattern.Stats{Rules: len(patterns)},
+		reindexed: shape == nil,
 	}
 	// The chain starts empty on load: its state lives outside the model
 	// stream, so the owner either restores it (LoadMarkov) or re-folds the

@@ -102,7 +102,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("not a model"),
-		[]byte("HPMM\x02"),          // wrong version
+		[]byte("HPMM\x03"),          // wrong version
 		[]byte("HPMM\x01\x05xxxxx"), // params cut short / invalid JSON
 		[]byte("XXXX\x01"),          // wrong magic
 	}

@@ -276,8 +276,10 @@ type queryScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // NewEngine indexes the patterns and returns a ready engine. The patterns
-// slice is retained; PatternRef values in predictions index into it.
-func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, treeOpts tpt.Options) (*Engine, error) {
+// slice is retained; PatternRef values in predictions index into it. A nil
+// shape bulk-loads the index; a saved model passes the shape its tree had and
+// gets that tree back unsorted, or an error if it does not fit the patterns.
+func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, treeOpts tpt.Options, shape *tpt.Shape) (*Engine, error) {
 	if cfg.Period <= 0 {
 		return nil, errors.New("hpa: Config.Period must be positive")
 	}
@@ -287,21 +289,22 @@ func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, tre
 	if cfg.TimeRelaxation <= 0 {
 		cfg.TimeRelaxation = DefaultTimeRelaxation
 	}
-	// Every key is encoded where the bulk load reads it: no key, and no
+	// Every key is encoded where the tree builder reads it: no key, and no
 	// item, is allocated per pattern.
 	rt := enc.RegionTable()
-	load := tpt.NewLoader(enc.ConsequenceTable().Len(), rt.Len(), len(patterns), treeOpts)
-	offsets := make([]int, len(patterns))
-	for i, p := range patterns {
-		ck, rk := load.Add(p.Confidence, i)
-		enc.EncodeInto(p, ck, rk)
-		offsets[i] = rt.Region(p.Consequence).Offset
+	tree, err := tpt.Build(enc.ConsequenceTable().Len(), rt.Len(), len(patterns), shape, treeOpts, func(i int, ck, rk bitkey.Key) (float64, int) {
+		enc.EncodeInto(patterns[i], ck, rk)
+		return patterns[i].Confidence, i
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hpa: %w", err)
 	}
-	e := &Engine{enc: enc, tree: load.Tree(), patterns: patterns, cfg: cfg,
-		consOffsets: offsets, dead: make([]bool, len(patterns)), live: len(patterns),
+	e := &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
+		consOffsets: make([]int, len(patterns)), dead: make([]bool, len(patterns)), live: len(patterns),
 		liveAt: make([]int32, cfg.Period)}
-	for _, off := range offsets {
-		e.countLive(off, 1)
+	for i, p := range patterns {
+		e.consOffsets[i] = rt.Region(p.Consequence).Offset
+		e.countLive(e.consOffsets[i], 1)
 	}
 	return e, nil
 }

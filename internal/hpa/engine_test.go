@@ -71,7 +71,7 @@ func janeEngine(t *testing.T, cfg Config) (*Engine, map[string]geom.Point) {
 	if cfg.Period == 0 {
 		cfg.Period = 3
 	}
-	eng, err := NewEngine(enc, patterns, cfg, tpt.Options{})
+	eng, err := NewEngine(enc, patterns, cfg, tpt.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestIsDistant(t *testing.T) {
 
 func TestNewEngineValidation(t *testing.T) {
 	enc, patterns, _ := janeFixture(t)
-	if _, err := NewEngine(enc, patterns, Config{}, tpt.Options{}); err == nil {
+	if _, err := NewEngine(enc, patterns, Config{}, tpt.Options{}, nil); err == nil {
 		t.Error("zero period accepted")
 	}
 }

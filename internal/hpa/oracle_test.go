@@ -256,7 +256,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 			}
 			rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
 			enc := pattern.NewEncoder(rt, pattern.NewConsequenceTable(rt, initial))
-			e, err := NewEngine(enc, initial, Config{Period: period, PenalizePremise: true}, tpt.Options{})
+			e, err := NewEngine(enc, initial, Config{Period: period, PenalizePremise: true}, tpt.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +358,7 @@ func handEngine(t *testing.T, cfg Config, offsets []int, rules [][3]float64) *En
 		})
 	}
 	enc := pattern.NewEncoder(rt, pattern.NewConsequenceTable(rt, patterns))
-	e, err := NewEngine(enc, patterns, cfg, tpt.Options{})
+	e, err := NewEngine(enc, patterns, cfg, tpt.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"hpm/internal/bitkey"
 	"hpm/internal/geom"
@@ -67,43 +66,98 @@ func (s *sink) flush() error {
 	return s.w.Flush()
 }
 
-// source wraps a reader with latched errors. Nothing it reads is trusted:
-// a length taken from the stream never sizes an allocation before the
-// bytes it promises have arrived.
+// source decodes from a reader with latched errors, through a window — the
+// reader's own buffer, peeked — so a varint costs no interface call per byte.
+// Nothing it reads is trusted: a length taken from the stream never sizes an
+// allocation before the bytes it promises have arrived.
 type source struct {
 	r   *bufio.Reader
+	w   []byte // r's buffered bytes as of the last peek
+	off int    // how much of w is decoded; an offset, so advancing stores no pointer
 	err error
-	buf [8]byte
 }
 
-// readChunk is how far bytes reads ahead of what it has allocated for.
-const readChunk = 64 << 10
+// peek returns the undecoded window, first slid forward and refilled to n
+// bytes — or to what the input still has — when it holds fewer.
+func (s *source) peek(n int) []byte {
+	if len(s.w)-s.off < n && s.err == nil {
+		s.done()
+		if _, err := s.r.Peek(n); err != nil && err != io.EOF {
+			s.err = err
+		}
+		s.w, _ = s.r.Peek(s.r.Buffered())
+	}
+	return s.w[s.off:]
+}
 
-func (s *source) bytes(n int) []byte {
+// done hands the reader back, positioned after the last byte decoded.
+func (s *source) done() error {
+	s.r.Discard(s.off)
+	s.w, s.off = nil, 0
+	return s.err
+}
+
+// take returns the next n bytes — a few — as a view, or nil past an error.
+func (s *source) take(n int) []byte {
+	if b := s.peek(n); s.err == nil && len(b) < n {
+		s.err = io.ErrUnexpectedEOF
+	}
 	if s.err != nil {
 		return nil
 	}
-	b := make([]byte, 0, min(n, readChunk))
-	for len(b) < n {
-		k := min(n-len(b), readChunk)
-		b = slices.Grow(b, k)[:len(b)+k]
-		if _, err := io.ReadFull(s.r, b[len(b)-k:]); err != nil {
-			s.err = err
-			return nil
-		}
+	s.off += n
+	return s.w[s.off-n : s.off]
+}
+
+// ReadBlob reads a uvarint length, at most max, and that many bytes.
+func ReadBlob(r *bufio.Reader, max uint64) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > max {
+		return nil, fmt.Errorf("pattern: length %d exceeds limit %d", n, max)
+	}
+	return readN(r, n)
+}
+
+// readN reads n bytes, allocating only as they arrive once n is past a chunk.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	if n <= 64<<10 {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+func (s *source) bytes(n int) (b []byte) {
+	if s.done() == nil {
+		b, s.err = readN(s.r, uint64(n))
 	}
 	return b
 }
 
 func (s *source) uvarint() uint64 {
+	v, k := binary.Uvarint(s.peek(binary.MaxVarintLen64))
+	if k <= 0 && s.err == nil {
+		s.err = fmt.Errorf("pattern: truncated or overlong varint: %w", io.ErrUnexpectedEOF)
+	}
 	if s.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(s.r)
-	if err != nil {
-		s.err = err
-	}
+	s.off += k
 	return v
+}
+
+// varint undoes binary.PutVarint's zigzag over uvarint.
+func (s *source) varint() int64 {
+	ux := s.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
 }
 
 // count reads a uvarint that must fit a non-negative int.
@@ -116,26 +170,11 @@ func (s *source) count() int {
 	return int(v)
 }
 
-func (s *source) varint() int64 {
-	if s.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(s.r)
-	if err != nil {
-		s.err = err
-	}
-	return v
-}
-
 func (s *source) float() float64 {
-	if s.err != nil {
-		return 0
+	if b := s.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-		s.err = err
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(s.buf[:]))
+	return 0
 }
 
 func (s *source) key() bitkey.Key {
@@ -151,8 +190,7 @@ func (s *source) key() bitkey.Key {
 }
 
 func (s *source) magic(want string) {
-	b := s.bytes(len(want))
-	if s.err == nil && string(b) != want {
+	if b := s.take(len(want)); b != nil && string(b) != want {
 		s.err = fmt.Errorf("pattern: bad section magic %q, want %q", b, want)
 	}
 }
@@ -214,7 +252,7 @@ func ReadRegionTable(r io.Reader) (*RegionTable, error) {
 		rt.regions = append(rt.regions, fr)
 		rt.byOffset[fr.Offset] = append(rt.byOffset[fr.Offset], fr)
 	}
-	if s.err == nil {
+	if s.done() == nil {
 		rt.buildLocateIndex()
 	}
 	return rt, s.err
@@ -289,5 +327,5 @@ func ReadPatterns(r io.Reader, rt *RegionTable) ([]Pattern, error) {
 		}
 		patterns = append(patterns, p)
 	}
-	return patterns, nil
+	return patterns, s.done()
 }

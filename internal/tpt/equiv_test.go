@@ -148,7 +148,8 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 // TestMutationsMatchReference drives both trees through the same seeded
 // sequence of Insert, Delete, UpdateConf and GrowKeys — starting from a bulk
 // load or from empty, with and without the paper's intersect rule — and
-// demands equality after every step. GrowKeys steps carry every width across
+// demands equality after every step, of the tree and of the tree the builder
+// lays out from its shape. GrowKeys steps carry every width across
 // a word boundary sooner or later; (63, 127) crosses both on the first.
 func TestMutationsMatchReference(t *testing.T) {
 	const steps = 500
@@ -198,7 +199,9 @@ func TestMutationsMatchReference(t *testing.T) {
 				ref.Insert(it)
 				tree.Insert(it)
 			}
-			requireSame(t, ref, tree, seededQueries(r, queriesPerStep, ckLen, rkLen))
+			queries := seededQueries(r, queriesPerStep, ckLen, rkLen)
+			requireSame(t, ref, tree, queries)
+			requireRebuilds(t, ref, tree, alive, opts, queries)
 			checkInvariants(t, tree, false)
 		}
 		// Absent items are absent from both.
@@ -244,6 +247,30 @@ func TestEntryBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(tree)
 	runtime.KeepAlive(items)
+}
+
+// requireBruteForce holds both searches of the tree to a linear scan of items.
+func requireBruteForce(t *testing.T, tree *Tree, items []Item, q bitkey.PatternKey) {
+	t.Helper()
+	bf := NewBruteForce(items)
+	for _, premise := range []bool{true, false} {
+		var got, want []int
+		collect := func(into *[]int) Visit {
+			return func(ref int, _ float64, _ bitkey.Key) bool { *into = append(*into, ref); return true }
+		}
+		if premise {
+			tree.SearchIntersect(q, collect(&got))
+			bf.SearchIntersect(q, collect(&want))
+		} else {
+			tree.SearchConsequence(q, collect(&got))
+			bf.SearchConsequence(q, collect(&want))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("premise=%v: tree found %v, brute force %v", premise, got, want)
+		}
+	}
 }
 
 // FuzzTreeOps reads op bytes as a sequence of Insert, Delete and GrowKeys
@@ -306,25 +333,7 @@ func FuzzTreeOps(f *testing.F) {
 			for i := 0; i < 6; i++ {
 				q.RK.Set(1 + next()%rkLen)
 			}
-			bf := NewBruteForce(alive)
-			for _, premise := range []bool{true, false} {
-				var got, want []int
-				collect := func(into *[]int) Visit {
-					return func(ref int, _ float64, _ bitkey.Key) bool { *into = append(*into, ref); return true }
-				}
-				if premise {
-					tree.SearchIntersect(q, collect(&got))
-					bf.SearchIntersect(q, collect(&want))
-				} else {
-					tree.SearchConsequence(q, collect(&got))
-					bf.SearchConsequence(q, collect(&want))
-				}
-				slices.Sort(got)
-				slices.Sort(want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("premise=%v: tree found %v, brute force %v", premise, got, want)
-				}
-			}
+			requireBruteForce(t, tree, alive, q)
 		}
 	})
 }

@@ -301,24 +301,27 @@ func refBulkLoad(ckLen, rkLen int, items []Item, opts Options) *refTree {
 	for _, it := range sorted {
 		t.checkKey(it.Key)
 	}
-	// Leaf level. packBounds keeps every refNode (beyond a lone root) at or
+	// Leaf level. packCounts keeps every refNode (beyond a lone root) at or
 	// above the minimum fill so later Inserts preserve the invariants.
 	var level []*refNode
-	for _, b := range packBounds(len(sorted), t.maxEntries, t.minEntries) {
+	rest := sorted
+	for _, c := range packCounts(len(sorted), t.maxEntries, t.minEntries) {
 		n := &refNode{leaf: true}
-		for _, it := range sorted[b[0]:b[1]] {
+		for _, it := range rest[:c] {
 			n.entries = append(n.entries, refEntry{key: it.Key, item: it})
 		}
+		rest = rest[c:]
 		level = append(level, n)
 	}
 	height := 1
 	for len(level) > 1 {
 		var up []*refNode
-		for _, b := range packBounds(len(level), t.maxEntries, t.minEntries) {
+		for _, c := range packCounts(len(level), t.maxEntries, t.minEntries) {
 			n := &refNode{leaf: false}
-			for _, child := range level[b[0]:b[1]] {
+			for _, child := range level[:c] {
 				n.entries = append(n.entries, refEntry{key: refUnionOf(child), child: child})
 			}
+			level = level[c:]
 			up = append(up, n)
 		}
 		level = up

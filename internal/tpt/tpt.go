@@ -376,96 +376,68 @@ func (t *Tree) All(visit func(Item) bool) {
 	rec(t.root)
 }
 
-// Loader collects the static (historical) pattern set for a bulk load. Its
-// items sit in the tree's own entry layout — one word slab, one payload
-// slice — so a caller that can encode a key in place (hpa.NewEngine) builds
-// a tree without allocating a key per pattern.
-type Loader struct {
-	t   *Tree
-	all node // every item added so far, laid out as one oversized leaf
+// Fill describes item i to Build: it sets the item's key bits in the zeroed
+// views ck and rk, which alias the tree's own storage — no key is allocated
+// per item — and returns its confidence and reference.
+type Fill func(i int, ck, rk bitkey.Key) (conf float64, ref int)
+
+func (t *Tree) filled(fill Fill, i int, k []uint64) payload {
+	conf, ref := fill(i, bitkey.View(t.ckLen, k[t.rw:]), bitkey.View(t.rkLen, k[:t.rw:t.rw]))
+	return payload{conf, ref}
 }
 
-// NewLoader returns a loader for up to n items with ckLen consequence bits
-// and rkLen premise bits.
-func NewLoader(ckLen, rkLen, n int, opts Options) *Loader {
+// Build returns the tree over the n items fill describes. With a nil shape
+// it is the paper's bulk load of the static pattern set: the items are laid
+// out as one oversized leaf, a sort of 4-byte indices finds the order in which
+// patterns with the same consequence time offset pack into the same leaves,
+// and packCounts cuts every level to capacity, keeping every node beyond a
+// lone root at or above the minimum fill so later Inserts preserve the
+// invariants. A given shape — a saved tree's, Refs naming items by index, as
+// untrusted as the disk it came from — is checked in full and laid out as it
+// stands: no sort, every key written where it stays. Only a shape can fail.
+func Build(ckLen, rkLen, n int, sh *Shape, opts Options, fill Fill) (*Tree, error) {
 	t := New(ckLen, rkLen, opts)
-	return &Loader{t: t, all: node{leaf: true, keys: make([]uint64, n*t.stride), items: make([]payload, 0, n)}}
-}
-
-// Add appends an item whose key is all zeros and returns views of the key's
-// two parts for the caller to set bits in. Adding more than the n items the
-// loader was sized for panics.
-func (l *Loader) Add(conf float64, ref int) (ck, rk bitkey.Key) {
-	t := l.t
-	l.all.items = append(l.all.items, payload{conf, ref})
-	k := t.key(&l.all, len(l.all.items)-1)
-	return bitkey.View(t.ckLen, k[t.rw:]), bitkey.View(t.rkLen, k[:t.rw:t.rw])
-}
-
-// Tree builds the tree bottom-up in one pass: a sort of 4-byte indices finds
-// the order in which patterns with the same consequence time offset pack
-// into the same leaves, leaves are cut to capacity and gathered into slabs
-// of their final size, and parent levels are built from the unions. This is
-// the paper's bulk loading for the static pattern set; dynamic arrivals then
-// use Insert.
-func (l *Loader) Tree() *Tree {
-	t, all := l.t, &l.all
-	n := len(all.items)
-	if n == 0 {
-		return t
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return t.itemCmp(all, a, b) })
-	// Leaf level. packBounds keeps every node (beyond a lone root) at or
-	// above the minimum fill so later Inserts preserve the invariants.
-	bounds := packBounds(n, t.maxEntries, t.minEntries)
-	level := make([]*node, len(bounds))
-	for i, b := range bounds {
-		level[i] = t.pick(all, order[b[0]:b[1]])
-	}
-	t.height = 1
-	for len(level) > 1 {
-		bounds = packBounds(len(level), t.maxEntries, t.minEntries)
-		up := make([]*node, len(bounds))
-		for i, b := range bounds {
-			kids := slices.Clone(level[b[0]:b[1]])
-			up[i] = &node{kids: kids, keys: make([]uint64, 0, len(kids)*t.stride)}
-			for _, child := range kids {
-				up[i].keys = t.unionOf(up[i].keys, child)
-			}
+	if sh != nil {
+		if err := sh.check(n, t.maxEntries); err != nil {
+			return nil, err
 		}
-		level = up
-		t.height++
+		t.build(*sh, func(i int32, key []uint64) payload { return t.filled(fill, int(i), key) })
+		return t, nil
 	}
-	t.root = level[0]
-	t.size = n
+	all := &node{leaf: true, keys: make([]uint64, n*t.stride), items: make([]payload, n)}
+	sorted := Shape{Refs: make([]int32, n)}
+	for i := range sorted.Refs {
+		sorted.Refs[i] = int32(i)
+		all.items[i] = t.filled(fill, i, t.key(all, i))
+	}
+	slices.SortFunc(sorted.Refs, func(a, b int32) int { return t.itemCmp(all, a, b) })
+	for m, nodes := n, 0; m > 0 && nodes != 1; m = nodes { // level upon level, up to one root
+		counts := packCounts(m, t.maxEntries, t.minEntries)
+		sorted.Counts, nodes = append(sorted.Counts, counts), len(counts)
+	}
+	t.build(sorted, func(i int32, key []uint64) payload {
+		copy(key, t.key(all, int(i)))
+		return all.items[i]
+	})
+	return t, nil
+}
+
+// BulkLoad is Build over items, sorted into place. It panics when an item's
+// key lengths do not match ckLen and rkLen.
+func BulkLoad(ckLen, rkLen int, items []Item, opts Options) *Tree {
+	t, _ := Build(ckLen, rkLen, len(items), nil, opts, func(i int, ck, rk bitkey.Key) (float64, int) {
+		ck.OrInPlace(items[i].Key.CK) // checks the length
+		rk.OrInPlace(items[i].Key.RK)
+		return items[i].Conf, items[i].Ref
+	})
 	return t
 }
 
-// BulkLoad builds a tree from items through a Loader. It panics when an
-// item's key lengths do not match ckLen and rkLen.
-func BulkLoad(ckLen, rkLen int, items []Item, opts Options) *Tree {
-	l := NewLoader(ckLen, rkLen, len(items), opts)
-	for i := range items {
-		it := &items[i]
-		ck, rk := l.Add(it.Conf, it.Ref)
-		ck.OrInPlace(it.Key.CK) // checks the length
-		rk.OrInPlace(it.Key.RK)
-	}
-	return l.Tree()
-}
-
-// packBounds slices n items into groups of at most max entries where every
-// group except a lone first one holds at least min entries: when the tail
-// group would underflow, items are rebalanced from the previous group.
-func packBounds(n, max, min int) [][2]int {
-	if n == 0 {
-		return nil
-	}
-	bounds := make([][2]int, 0, n/max+1)
+// packCounts cuts n items into consecutive groups of at most max entries,
+// every one but a lone first of at least min — a tail that would underflow
+// takes items from the group before it — and returns the groups' sizes.
+func packCounts(n, max, min int) []int32 {
+	counts := make([]int32, 0, n/max+1)
 	for lo := 0; lo < n; {
 		hi := lo + max
 		if hi > n {
@@ -480,27 +452,23 @@ func packBounds(n, max, min int) [][2]int {
 				hi = lo + min // both can't underflow since n-lo >= max >= 2*min is not guaranteed; favour this group
 			}
 		}
-		bounds = append(bounds, [2]int{lo, hi})
+		counts = append(counts, int32(hi-lo))
 		lo = hi
 	}
 	// A final underfull group can still occur when n < 2*min in total;
 	// merge it into its predecessor if that stays within capacity.
-	if len(bounds) >= 2 {
-		last := bounds[len(bounds)-1]
-		prev := bounds[len(bounds)-2]
-		if last[1]-last[0] < min && last[1]-prev[0] <= max {
-			bounds[len(bounds)-2] = [2]int{prev[0], last[1]}
-			bounds = bounds[:len(bounds)-1]
-		}
+	if k := len(counts) - 2; k >= 0 && int(counts[k+1]) < min && int(counts[k]+counts[k+1]) <= max {
+		counts[k] += counts[k+1]
+		counts = counts[:k+1]
 	}
-	return bounds
+	return counts
 }
 
 // itemCmp is the bulk-load sort order over a node's entries: consequence
 // part then premise part, most significant bits first, so same-consequence
 // patterns cluster, with the reference as tie-break. Refs are distinct, so
 // the order is strict and total — any correct sort yields the same
-// permutation, which is what lets Loader.Tree use an unstable one.
+// permutation, which is what lets Build use an unstable one.
 func (t *Tree) itemCmp(n *node, a, b int32) int {
 	if c := bitkey.CompareWords(t.key(n, int(a)), t.key(n, int(b))); c != 0 {
 		return c

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"hpm"
+	"hpm/store"
 )
 
 // parseProm parses a Prometheus 0.0.4 text exposition into a map keyed by
@@ -132,6 +135,29 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := sumPrefix(m, near); got != 1 {
 		t.Errorf("near bucket attempts = %v, want 1", got)
 	}
+
+	// The same fleet opened from a directory says how each model's index
+	// arrived: this snapshot carries its tree shape, so nothing was sorted.
+	dir := t.TempDir()
+	if err := st.SaveFile(filepath.Join(dir, "snapshot.hpms")); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	srv2 := httptest.NewServer(Handler(reopened))
+	defer srv2.Close()
+	m2resp, err := http.Get(srv2.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2resp.Body.Close()
+	m2 := parseProm(t, m2resp.Body)
+	if read, ok := m2[`hpm_open_models{index="read"}`]; !ok || read != 1 || m2[`hpm_open_models{index="sorted"}`] != 0 {
+		t.Errorf("hpm_open_models: read=%v (present %v) sorted=%v, want 1 and 0", read, ok, m2[`hpm_open_models{index="sorted"}`])
+	}
 }
 
 func TestFleetStatsEndpoint(t *testing.T) {
@@ -152,6 +178,7 @@ func TestFleetStatsEndpoint(t *testing.T) {
 	if _, ok := ev["cells"]; !ok {
 		t.Errorf("fleet eval summary missing cells: %v", ev)
 	}
+
 }
 
 func TestObjectEvalEndpoint(t *testing.T) {

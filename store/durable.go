@@ -67,6 +67,16 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 		s.restored = true
+		for i := range s.shards {
+			for _, obj := range s.shards[i].objects {
+				if obj.predictor != nil {
+					info.Models++
+					if obj.predictor.Model().Reindexed() {
+						info.Reindexed++
+					}
+				}
+			}
+		}
 	case os.IsNotExist(err):
 		if s, err = New(opts); err != nil {
 			return nil, err

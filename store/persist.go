@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"hpm"
+	"hpm/internal/pattern"
 )
 
 // Snapshot persistence: a Store serializes its options, every object's
@@ -167,7 +168,7 @@ func loadStream(r io.Reader) (*Store, error) {
 	if version < 1 || version > snapshotVersion || version == manifestVersion {
 		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
-	oj, err := readBytes(br, 1<<20)
+	oj, err := pattern.ReadBlob(br, 1<<20)
 	if err != nil {
 		return nil, fmt.Errorf("store: read options: %w", err)
 	}
@@ -204,7 +205,7 @@ func loadStream(r io.Reader) (*Store, error) {
 }
 
 func readObject(br *bufio.Reader, s *Store, version int) error {
-	idb, err := readBytes(br, 4096)
+	idb, err := pattern.ReadBlob(br, 4096)
 	if err != nil {
 		return err
 	}
@@ -221,16 +222,17 @@ func readObject(br *bufio.Reader, s *Store, version int) error {
 	if n > 1<<30 {
 		return fmt.Errorf("store: implausible track length %d", n)
 	}
-	track := make([]hpm.Point, n)
+	// The length is a claim until its bytes arrive: grow as points decode.
+	track := make([]hpm.Point, 0, min(n, 4096))
 	var fb [16]byte
-	for i := range track {
+	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, fb[:]); err != nil {
 			return fmt.Errorf("store: read track: %w", err)
 		}
-		track[i] = hpm.Pt(
+		track = append(track, hpm.Pt(
 			math.Float64frombits(binary.LittleEndian.Uint64(fb[0:])),
 			math.Float64frombits(binary.LittleEndian.Uint64(fb[8:])),
-		)
+		))
 	}
 	modeled, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -257,7 +259,7 @@ func readObject(br *bufio.Reader, s *Store, version int) error {
 		obj.predictor = p
 		var chain []byte
 		if version >= 4 {
-			if chain, err = readBytes(br, 1<<30); err != nil {
+			if chain, err = pattern.ReadBlob(br, 1<<30); err != nil {
 				return fmt.Errorf("store: read markov chain for %q: %w", idb, err)
 			}
 		}
@@ -289,19 +291,4 @@ func writeBytes(bw *bufio.Writer, b []byte) {
 
 func writeByteChecked(bw *bufio.Writer, b byte) error {
 	return bw.WriteByte(b)
-}
-
-func readBytes(br *bufio.Reader, max uint64) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > max {
-		return nil, fmt.Errorf("store: length %d exceeds limit %d", n, max)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

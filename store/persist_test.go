@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,4 +194,67 @@ func TestStoreLoadRejectsTruncation(t *testing.T) {
 			t.Errorf("truncation at %d/%d accepted", cut, len(full))
 		}
 	}
+}
+
+// hostileAllocs runs Load over a stream whose length field lies and returns
+// what it allocated: the lie must come back as an error, for free.
+func hostileAllocs(t *testing.T, stream []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Load(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		s.Close()
+		t.Fatal("a stream cut short behind a hostile length loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d stream bytes allocated %d before failing with %q", len(stream), grew, err)
+	}
+}
+
+// TestLoadHostileTrackLength: Load has no checksum in front of it, so a
+// track length is a claim. A 39-byte stream claiming 2^30 points used to be
+// `make([]hpm.Point, n)`, 16 GB: a dead process, not an error.
+func TestLoadHostileTrackLength(t *testing.T) {
+	var b bytes.Buffer
+	bw := bufio.NewWriter(&b)
+	bw.WriteString(snapshotMagic)
+	bw.WriteByte(snapshotVersion)
+	writeBytes(bw, []byte(`{"Config":{"Period":60}}`))
+	writeUvarint(bw, 1)      // objects
+	writeBytes(bw, []byte{}) // id
+	writeUvarint(bw, 0)      // track base
+	writeUvarint(bw, 1<<30)  // track length, and nothing behind it
+	bw.Flush()
+	hostileAllocs(t, b.Bytes())
+}
+
+// TestLoadHostileChainLength: the same for the Markov blob behind a valid
+// model stream, which used to be one `make([]byte, n)` of a gigabyte.
+func TestLoadHostileChainLength(t *testing.T) {
+	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 50})
+	feed(t, s, "bike", 1, 4)
+	obj, err := s.get("bike", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshotObject("bike", obj)
+	if err != nil || snap.model == nil {
+		t.Fatalf("no model to put in front of the chain: %v", err)
+	}
+	snap.chain = nil
+	var whole bytes.Buffer
+	bw := bufio.NewWriter(&whole)
+	bw.WriteString(snapshotMagic)
+	bw.WriteByte(snapshotVersion)
+	writeBytes(bw, []byte(`{"Config":{"Period":60}}`))
+	writeUvarint(bw, 1)
+	if err := snap.write(bw); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	// snap.write ended on the empty chain's one-byte length: lie in its place.
+	stream := binary.AppendUvarint(whole.Bytes()[:whole.Len()-1], 1<<30-1)
+	hostileAllocs(t, stream)
 }

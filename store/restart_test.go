@@ -141,7 +141,7 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 	if s, err = Open(dir, restartOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if oi := s.Health().Open; oi == nil || oi.LoadSeconds <= 0 || oi.ReplayExtends != 0 {
+	if oi := s.Health().Open; oi == nil || oi.LoadSeconds <= 0 || oi.ReplayExtends != 0 || oi.Models != len(f.ids) || oi.Reindexed != 0 {
 		t.Fatalf("clean reopen reports %+v", oi)
 	}
 	if fs := s.FleetStats(); fs.Miners != 0 || fs.MinerItemsets != 0 {
@@ -156,10 +156,13 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 	if s, err = Open(dir, restartOptions()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() { s.Close() }()
 	f.settle(t, s)
 	if h := s.Health(); h.WALReplayed != period*len(f.ids) || h.Open.ReplayExtends != uint64(len(f.ids)) {
 		t.Fatalf("recovery replayed %d records with %d extends, want %d and %d", h.WALReplayed, h.Open.ReplayExtends, period*len(f.ids), len(f.ids))
+	}
+	if oi := s.Health().Open; oi.Models != len(f.ids) || oi.Reindexed != 0 {
+		t.Fatalf("recovery loaded %d models and sorted %d of them back into their trees, want %d and none", oi.Models, oi.Reindexed, len(f.ids))
 	}
 	if fs := s.FleetStats(); fs.Miners != len(f.ids) || fs.MinerItemsets < fs.Miners {
 		t.Fatalf("recovery left %d miners tracking %d itemsets, want one per object", fs.Miners, fs.MinerItemsets)
@@ -168,4 +171,17 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 	f.stream(t, twin, period, 2*period)
 	f.stream(t, s, period, 2*period)
 	same("a period after a crash recovery")
+
+	// Every tree has now been through two Extends: this checkpoint saves
+	// shapes no bulk load would pack, and the reopen reads them back.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, restartOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if oi := s.Health().Open; oi.Models != len(f.ids) || oi.Reindexed != 0 {
+		t.Fatalf("reopen of extended models reports %+v", oi)
+	}
+	same("after reopening trees that Extend rearranged")
 }

@@ -15,6 +15,7 @@ import (
 
 	"hpm/internal/faultinject"
 	"hpm/internal/parallel"
+	"hpm/internal/pattern"
 )
 
 // Sharded snapshot format (v3). A durable store's directory holds a small
@@ -246,7 +247,7 @@ func (s *Store) writeManifest(m *snapManifest) (int64, error) {
 // segment list.
 func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error) {
 	br := bufio.NewReader(bytes.NewReader(payload))
-	oj, err := readBytes(br, 1<<20)
+	oj, err := pattern.ReadBlob(br, 1<<20)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: read options: %w", err)
 	}
@@ -272,7 +273,7 @@ func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error)
 			return nil, nil, fmt.Errorf("store: read segment objects: %w", err)
 		}
 		sg.objects = int(v)
-		name, err := readBytes(br, 4096)
+		name, err := pattern.ReadBlob(br, 4096)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: read segment name: %w", err)
 		}

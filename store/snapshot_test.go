@@ -1,127 +1,26 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"hpm"
 )
 
-// fixtureOpts is the configuration the committed golden snapshots were
-// generated with. Every field that lands in the persisted options JSON
-// must stay identical between generation and the compat tests, or the
-// byte-equivalence checks compare different fleets.
-func fixtureOpts() Options {
-	return Options{
-		Config:          hpm.Config{Period: period},
-		MinTrainPeriods: 3,
-		RetrainEvery:    50,
-	}
-}
-
-// fixtureFleet ingests the golden fleet: one trained object and two
-// untrained ones (a short track and a single observation).
-func fixtureFleet(t *testing.T, s *Store) {
-	t.Helper()
-	feed(t, s, "fixture-trained", 1, 4)
-	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 2)
-	spec.Period = period
-	spec.SubTrajectories = 1
-	if err := s.ObserveBatch("fixture-short", hpm.GenerateDataset(spec).Points()[:period/2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe("fixture-single", hpm.Pt(10, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUpdateCompatFixtures regenerates the golden v1/v2 snapshot files.
-// Skipped unless HPM_UPDATE_FIXTURES is set: the whole point of the
-// committed fixtures is that they do NOT change when the code does, so
-// old snapshots keep loading.
-func TestUpdateCompatFixtures(t *testing.T) {
-	if os.Getenv("HPM_UPDATE_FIXTURES") == "" {
-		t.Skip("set HPM_UPDATE_FIXTURES=1 to regenerate store/testdata golden snapshots")
-	}
-	s := testStore(t, fixtureOpts())
-	defer s.Close()
-	fixtureFleet(t, s)
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveFile(filepath.Join("testdata", "snapshot_v2.hpms")); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV1Fixture(s, filepath.Join("testdata", "snapshot_v1.hpms")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writeV1Fixture encodes the store in the version-1 single-file format —
-// no per-object track base — wrapped in SaveFile's CRC container. Kept in
-// the tests because production code only ever reads v1.
-func writeV1Fixture(s *Store, path string) error {
-	var buf bytes.Buffer
-	cw := &crcWriter{w: &buf}
-	bw := bufio.NewWriter(cw)
-	bw.WriteString(snapshotMagic)
-	bw.WriteByte(1)
-	oj, err := jsonOptions(s)
-	if err != nil {
-		return err
-	}
-	writeBytes(bw, oj)
-	ids := s.Objects()
-	writeUvarint(bw, uint64(len(ids)))
-	for _, id := range ids {
-		obj, err := s.get(id, false)
-		if err != nil {
-			return err
-		}
-		snap, err := snapshotObject(id, obj)
-		if err != nil {
-			return err
-		}
-		if snap.base != 0 {
-			return fmt.Errorf("fixture object %q has base %d; v1 cannot express it", id, snap.base)
-		}
-		writeBytes(bw, []byte(snap.id))
-		writeUvarint(bw, uint64(len(snap.track)))
-		var fb [8]byte
-		for _, p := range snap.track {
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(p.X))
-			bw.Write(fb[:])
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(p.Y))
-			bw.Write(fb[:])
-		}
-		writeUvarint(bw, uint64(snap.modeled))
-		writeUvarint(bw, uint64(snap.sinceRetrain))
-		if snap.model == nil {
-			bw.WriteByte(0)
-		} else {
-			bw.WriteByte(1)
-			bw.Write(snap.model)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], cw.crc)
-	buf.Write(trailer[:])
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
+// The golden snapshots under testdata are frozen. They were written once, by
+// a generator test that has since been deleted, from a three-object fleet
+// (Options{Config: {Period: period}, MinTrainPeriods: 3, RetrainEvery: 50};
+// "fixture-trained" fed four Bike periods, "fixture-short" half a period,
+// "fixture-single" one point) in the version-1 and version-2 single-file
+// layouts, and both nest a version-1 model stream: no tree shape. Today's
+// Save writes version-2 model streams, so regenerating them would silently
+// drop the only corpus that proves old directories still open; a fixture for
+// a newer layout is a new file beside them.
 
 // TestCompatFixturesLoad loads the committed v1 and v2 golden snapshots
 // and requires them to describe the same fleet, byte for byte, once
@@ -207,6 +106,41 @@ func TestCompatV2UpgradesToV3(t *testing.T) {
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Error("fleet differs after v2 -> v3 upgrade round trip")
+	}
+}
+
+// TestOpenSaysHowIndexesArrived: a directory whose snapshot predates the
+// tree shape opens with every model re-indexed by the sort and says so;
+// one checkpoint later the same fleet opens by reading its shapes, and
+// answers the same.
+func TestOpenSaysHowIndexesArrived(t *testing.T) {
+	fix, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.hpms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), fix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var answers [2][]hpm.Prediction
+	for i, want := range []OpenInfo{{Models: 1, Reindexed: 1}, {Models: 1, Reindexed: 0}} {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		if oi := s.Health().Open; oi == nil || oi.Models != want.Models || oi.Reindexed != want.Reindexed {
+			t.Fatalf("open %d reports %+v, want %d models of which %d re-indexed", i, oi, want.Models, want.Reindexed)
+		}
+		now, _ := s.Now("fixture-trained")
+		if answers[i], err = s.Predict("fixture-trained", now+10, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil { // checkpoints: the model stream is rewritten with its shape
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(answers[0], answers[1]) {
+		t.Errorf("answers moved across the upgrade:\n%+v\n%+v", answers[0], answers[1])
 	}
 }
 
@@ -452,10 +386,4 @@ func TestRemoveSurvivesIncrementalCheckpoint(t *testing.T) {
 	if got := len(back.Objects()); got != 9 {
 		t.Errorf("recovered %d objects, want 9", got)
 	}
-}
-
-// jsonOptions exposes the store's persisted options encoding to the
-// fixture writer.
-func jsonOptions(s *Store) ([]byte, error) {
-	return json.Marshal(s.opts)
 }

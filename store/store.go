@@ -1313,8 +1313,11 @@ type Health struct {
 // so "why was this start slow?" has an answer in the running process.
 type OpenInfo struct {
 	// LoadSeconds covers the snapshot: manifest, segment decode and, for
-	// every trained object, rebuilding its model's pattern index.
+	// each of its Models trained objects, building the pattern index;
+	// Reindexed of them predate the saved tree shape and were sorted into it.
 	LoadSeconds float64 `json:"loadSeconds"`
+	Models      int     `json:"models"`
+	Reindexed   int     `json:"reindexed"`
 	// ReplaySeconds covers reading the WAL tail and applying it;
 	// ReplayExtends is how many replayed records carried their object over
 	// a period boundary and so ran an Extend.
