@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-query bench-ingest bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend chaos
+.PHONY: build test race vet bench bench-query bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend chaos
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,10 @@ test:
 # pipeline, the TPT (read by concurrent queries; its reference-tree
 # equivalence tests and fuzz seeds run here too), and the pattern package
 # (the incremental miner's batch-equivalence tests and fuzz seeds, the
-# decoders' hostile-input tests).
+# decoders' hostile-input tests), and the motion fit, whose QR scratch is
+# pooled across every object refitting at once.
 race:
-	$(GO) test -race ./internal/hpa/... ./internal/tpt/... ./internal/pattern/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
+	$(GO) test -race ./internal/motion/... ./internal/linalg/... ./internal/hpa/... ./internal/tpt/... ./internal/pattern/... ./internal/evalq/... ./internal/markov/... ./internal/spatial/... ./store/... ./serve/... ./internal/core/... ./internal/faultinject/...
 
 # Crash-safety suite under the race detector: kill/restart recovery, torn
 # WAL tails, injected WAL/snapshot/train faults, snapshot robustness, the
@@ -48,6 +49,17 @@ bench-query:
 #   go run ./cmd/hpmbench -experiment ingest -json
 bench-ingest:
 	$(GO) test -bench='BenchmarkObserveParallel|BenchmarkIndexRefresh' -benchmem -run '^$$' ./store/
+
+# What one fleet-index refresh is made of, each piece with allocations: the
+# whole refresh through the store (one observe of a trained object: fold,
+# score, one PredictBatch over the six index horizons), one BQP near and far
+# from a live consequence offset, one self-training RMF fit, and the motion
+# path's six horizons answered a Predict each against one walk of the
+# recurrence. DESIGN.md's "What one index refresh costs" quotes them.
+bench-refresh:
+	$(GO) test -bench='BenchmarkIndexRefresh' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkPredictBQP$$|BenchmarkRMFFit$$' -benchmem -run '^$$' .
+	$(GO) test -bench='BenchmarkRMFWalk' -benchmem -run '^$$' ./internal/motion/
 
 # Online prequential accuracy: test-then-train replay of each dataset
 # through a live store, hybrid pattern paths vs motion fallback per

@@ -192,6 +192,14 @@ func TestBitAlgebraProperties(t *testing.T) {
 		if a.Intersects(b) != (a.AndSize(b) > 0) || a.Intersects(b) != b.Intersects(a) {
 			t.Fatal("Intersects inconsistent")
 		}
+		// SharedBitWords is the lowest position of a&b, 0-based, or -1.
+		want := -1
+		if shared := a.And(b).Ones(); len(shared) > 0 {
+			want = shared[0] - 1
+		}
+		if got := SharedBitWords(a.Words(), b.Words()); got != want {
+			t.Fatalf("SharedBitWords = %d, lowest shared bit %d", got, want)
+		}
 		// Contains(a, a&b) always.
 		if !a.Contains(a.And(b)) {
 			t.Fatal("a does not contain a&b")

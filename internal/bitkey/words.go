@@ -46,6 +46,20 @@ func IntersectWords(a, b []uint64) bool {
 	return false
 }
 
+// SharedBitWords returns the 0-based position of the lowest '1' a and b
+// share, or -1 when they share none. A pattern's consequence key is the
+// single bit 2^timeID (§V-A), so against a query's consequence key this is
+// both the intersection test and the matching entry's time id.
+func SharedBitWords(a, b []uint64) int {
+	a = a[:len(b)]
+	for i, w := range b {
+		if s := a[i] & w; s != 0 {
+			return i*64 + bits.TrailingZeros64(s)
+		}
+	}
+	return -1
+}
+
 // DifferenceWords returns the number of '1's of a that are not in b.
 func DifferenceWords(a, b []uint64) int {
 	b = b[:len(a)]

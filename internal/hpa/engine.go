@@ -3,6 +3,7 @@ package hpa
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -212,9 +213,6 @@ type Engine struct {
 	patterns []pattern.Pattern
 	cfg      Config
 
-	// consequence offset per pattern, precomputed for BQP scoring.
-	consOffsets []int
-
 	// dead marks retired refs. Retired patterns stay in the slice —
 	// PatternRef values in served predictions and Explain keep indexing
 	// it — but their tree entries are gone, so queries never surface
@@ -265,12 +263,16 @@ type candidate struct {
 	ref         int
 }
 
-// queryScratch holds the per-query working buffers — the encoded premise
-// and the candidate accumulator — recycled through a pool so the steady-
-// state query path stays allocation-lean under concurrent load.
+// queryScratch holds the per-query working buffers — the encoded premise,
+// the candidate accumulator, BQP's Equation 3 score per time id, and the
+// times and locations of a batch's one motion walk — recycled through a pool
+// so the steady-state query path stays allocation-lean under concurrent load.
 type queryScratch struct {
-	visited []pattern.RegionID
-	cands   []candidate
+	visited   []pattern.RegionID
+	cands     []candidate
+	timeScore []float64
+	late      []int
+	locs      []geom.Point
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -300,11 +302,9 @@ func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, tre
 		return nil, fmt.Errorf("hpa: %w", err)
 	}
 	e := &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
-		consOffsets: make([]int, len(patterns)), dead: make([]bool, len(patterns)), live: len(patterns),
-		liveAt: make([]int32, cfg.Period)}
-	for i, p := range patterns {
-		e.consOffsets[i] = rt.Region(p.Consequence).Offset
-		e.countLive(e.consOffsets[i], 1)
+		dead: make([]bool, len(patterns)), live: len(patterns), liveAt: make([]int32, cfg.Period)}
+	for _, p := range patterns {
+		e.countLive(rt.Region(p.Consequence).Offset, 1)
 	}
 	return e, nil
 }
@@ -364,7 +364,6 @@ func (e *Engine) AddPatterns(ps []pattern.Pattern) (added, skipped int) {
 		}
 		ref := len(e.patterns)
 		e.patterns = append(e.patterns, p)
-		e.consOffsets = append(e.consOffsets, off)
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
@@ -457,200 +456,171 @@ next:
 	return ids
 }
 
+// currentTime returns the time of recent's last point, which every query
+// time must lie after.
+func currentTime(recent []trajectory.TimedPoint, tqs ...int) (tc int, err error) {
+	if len(recent) == 0 {
+		return 0, errors.New("hpa: query has no recent movements")
+	}
+	tc = recent[len(recent)-1].T
+	for _, tq := range tqs {
+		if tq <= tc {
+			return 0, fmt.Errorf("hpa: query time %d not after current time %d", tq, tc)
+		}
+	}
+	return tc, nil
+}
+
 // Predict answers a query with the full Hybrid Prediction Algorithm:
 // FQP for near queries, BQP for distant ones, then the Markov region
 // chain (when attached) for queries no pattern answers, and finally the
 // motion-function fallback.
 func (e *Engine) Predict(q Query) ([]Prediction, error) {
-	if len(q.Recent) == 0 {
-		return nil, errors.New("hpa: query has no recent movements")
-	}
-	tc := q.Recent[len(q.Recent)-1].T
-	if q.Tq <= tc {
-		return nil, fmt.Errorf("hpa: query time %d not after current time %d", q.Tq, tc)
-	}
-	k := q.K
-	if k <= 0 {
-		k = 1
+	tc, err := currentTime(q.Recent, q.Tq)
+	if err != nil {
+		return nil, err
 	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
 	sc.visited = e.encodeRecentInto(sc.visited, q.Recent)
-
-	var preds []Prediction
-	distant := e.IsDistant(tc, q.Tq)
-	if distant {
-		preds = e.backwardQuery(sc, sc.visited, tc, q.Tq, k)
-	} else {
-		preds = e.forwardQuery(sc, sc.visited, q.Tq, k)
-	}
-	if len(preds) > 0 {
-		if distant {
-			e.stats.backward.Add(1)
-		} else {
-			e.stats.forward.Add(1)
-		}
+	if preds := e.patternPaths(sc, q.Recent, tc, q.Tq, max(q.K, 1), true); preds != nil {
 		return preds, nil
 	}
-	if mp, ok := e.tryMarkov(q.Recent, q.Tq); ok {
-		e.stats.markov.Add(1)
-		return []Prediction{mp}, nil
+	return e.motionFallback(q)
+}
+
+// patternPaths answers one query time from the patterns — FQP or BQP, as its
+// distance from tc decides — and, where none qualifies, from the chain. nil
+// leaves the time to the motion function. counted adds the answer to the
+// query stats.
+func (e *Engine) patternPaths(sc *queryScratch, recent []trajectory.TimedPoint, tc, tq, k int, counted bool) []Prediction {
+	var preds []Prediction
+	path := &e.stats.forward
+	if e.IsDistant(tc, tq) {
+		preds, path = e.backwardQuery(sc, sc.visited, tc, tq, k), &e.stats.backward
+	} else {
+		preds = e.forwardQuery(sc, sc.visited, tq, k)
 	}
-	fb, err := e.motionFallback(q)
-	switch {
-	case err != nil || len(fb) == 0:
-		e.stats.unanswered.Add(1)
-	default:
-		e.stats.fallback.Add(1)
+	if len(preds) == 0 {
+		mp, ok := e.tryMarkov(recent, tq)
+		if !ok {
+			return nil
+		}
+		preds, path = []Prediction{mp}, &e.stats.markov
 	}
-	return fb, err
+	if counted {
+		path.Add(1)
+	}
+	return preds
 }
 
 // PredictBatch answers one query per entry of tqs from the same recent
 // window, returning the per-time prediction lists in input order. The
 // premise is encoded once and the motion fallback, when any time needs it,
-// is fitted once and reused — extending PredictRange's fit-once trick to
-// arbitrary time sets, so a batch of m queries costs one encoding and at
-// most one model construction instead of m of each.
+// is fitted once and walked once — a batch of m queries costs one encoding,
+// at most one model construction and one pass of the recurrence to the
+// furthest time it has to answer, instead of m of each.
 //
 // Each time dispatches to FQP or BQP by its own distance from the current
 // time and counts in the query stats individually. Times the fallback
 // cannot answer yield a nil entry rather than failing the batch. Every tq
 // must lie after the recent window's end.
 func (e *Engine) PredictBatch(recent []trajectory.TimedPoint, tqs []int, k int) ([][]Prediction, error) {
-	if len(recent) == 0 {
-		return nil, errors.New("hpa: query has no recent movements")
+	if _, err := currentTime(recent, tqs...); err != nil || len(tqs) == 0 {
+		return nil, err
 	}
+	return e.predictEach(recent, tqs, max(k, 1), true), nil
+}
+
+// predictEach is PredictBatch past its checks. The times no pattern and no
+// chain answers are set aside and handed to the motion function together.
+func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, counted bool) [][]Prediction {
 	tc := recent[len(recent)-1].T
-	for _, tq := range tqs {
-		if tq <= tc {
-			return nil, fmt.Errorf("hpa: query time %d not after current time %d", tq, tc)
-		}
-	}
-	if len(tqs) == 0 {
-		return nil, nil
-	}
-	if k <= 0 {
-		k = 1
-	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
 	sc.visited = e.encodeRecentInto(sc.visited, recent)
-
-	var fn motion.Function
-	var fnErr error
-	fitted := false
 	out := make([][]Prediction, len(tqs))
+	late := sc.late[:0]
 	for i, tq := range tqs {
-		distant := e.IsDistant(tc, tq)
-		var preds []Prediction
-		if distant {
-			preds = e.backwardQuery(sc, sc.visited, tc, tq, k)
-		} else {
-			preds = e.forwardQuery(sc, sc.visited, tq, k)
+		if out[i] = e.patternPaths(sc, recent, tc, tq, k, counted); out[i] == nil {
+			late = append(late, tq)
 		}
-		if len(preds) > 0 {
-			if distant {
-				e.stats.backward.Add(1)
-			} else {
-				e.stats.forward.Add(1)
-			}
-			out[i] = preds
-			continue
-		}
-		if mp, ok := e.tryMarkov(recent, tq); ok {
-			e.stats.markov.Add(1)
-			out[i] = []Prediction{mp}
-			continue
-		}
-		if e.cfg.NewMotion == nil {
-			e.stats.unanswered.Add(1)
-			continue
-		}
-		if !fitted {
-			fitted = true
-			fn, fnErr = e.fitMotion(recent)
-		}
-		if fnErr != nil {
-			// Degenerate recent window: answer with the last known
-			// location, as Predict's fallback does.
-			out[i] = []Prediction{{
-				Location:          recent[len(recent)-1].Loc,
-				PatternRef:        -1,
-				Source:            SourceMotion,
-				Path:              PathFallback,
-				ConsequenceOffset: -1,
-			}}
-			e.stats.fallback.Add(1)
-			continue
-		}
-		loc, err := fn.Predict(tq)
-		if err != nil {
-			e.stats.unanswered.Add(1)
-			continue
-		}
-		out[i] = []Prediction{{Location: loc, PatternRef: -1, Source: SourceMotion,
-			Path: PathFallback, ConsequenceOffset: -1}}
-		e.stats.fallback.Add(1)
 	}
-	return out, nil
+	sc.late = late
+	if len(late) == 0 {
+		return out
+	}
+	outcome := &e.stats.unanswered
+	if locs := e.motionEach(sc, recent, late); locs != nil {
+		outcome = &e.stats.fallback
+		answers, j := make([]Prediction, len(locs)), 0
+		for i := range out {
+			if out[i] == nil {
+				answers[j] = motionPrediction(locs[j])
+				out[i], j = answers[j:j+1:j+1], j+1
+			}
+		}
+	}
+	if counted {
+		outcome.Add(int64(len(late)))
+	}
+	return out
+}
+
+// motionEach returns the motion function's location at every time of tqs, in
+// scratch storage: one fit (the cached one while the window stands) and one
+// walk. A degenerate recent window answers with the last known location, as
+// Predict's fallback does; nil means no motion function, or one that cannot
+// answer.
+func (e *Engine) motionEach(sc *queryScratch, recent []trajectory.TimedPoint, tqs []int) []geom.Point {
+	if e.cfg.NewMotion == nil {
+		return nil
+	}
+	sc.locs = slices.Grow(sc.locs[:0], len(tqs))[:len(tqs)]
+	if fn, err := e.fitMotion(recent); err != nil {
+		for i := range sc.locs {
+			sc.locs[i] = recent[len(recent)-1].Loc
+		}
+	} else if fn.PredictEach(tqs, sc.locs) != nil {
+		return nil
+	}
+	return sc.locs
+}
+
+// motionPrediction is an answer of the motion path: a location with no
+// pattern behind it.
+func motionPrediction(loc geom.Point) Prediction {
+	return Prediction{Location: loc, PatternRef: -1, Source: SourceMotion,
+		Path: PathFallback, ConsequenceOffset: -1}
 }
 
 // PredictRange answers a predictive trajectory query: the object's most
 // probable location at every timestamp in [from, to]. Each timestamp is
 // dispatched to FQP or BQP by its own distance from the current time; the
-// motion function, when needed, is fitted once and reused across the whole
-// range (a single model construction, unlike per-point Predict calls).
-// The result holds exactly to-from+1 predictions in timestamp order.
+// motion function, when needed, is fitted once and walked once across the
+// whole range (a single model construction and a single pass of its
+// recurrence, unlike per-point Predict calls), and a timestamp it cannot
+// answer stays at the last known location. The result holds exactly
+// to-from+1 predictions in timestamp order; none of them counts in the
+// query stats.
 func (e *Engine) PredictRange(recent []trajectory.TimedPoint, from, to int) ([]Prediction, error) {
-	if len(recent) == 0 {
-		return nil, errors.New("hpa: query has no recent movements")
+	tc, err := currentTime(recent)
+	if err != nil {
+		return nil, err
 	}
-	tc := recent[len(recent)-1].T
 	if from <= tc || to < from {
 		return nil, fmt.Errorf("hpa: range [%d,%d] invalid for current time %d", from, to, tc)
 	}
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	sc.visited = e.encodeRecentInto(sc.visited, recent)
-	visited := sc.visited
-
-	var fn motion.Function
-	var fnErr error
-	fitted := false
-	fallback := func(tq int) Prediction {
-		p := Prediction{Location: recent[len(recent)-1].Loc, PatternRef: -1,
-			Source: SourceMotion, Path: PathFallback, ConsequenceOffset: -1}
-		if e.cfg.NewMotion == nil {
-			return p
-		}
-		if !fitted {
-			fitted = true
-			fn, fnErr = e.fitMotion(recent)
-		}
-		if fnErr != nil {
-			return p
-		}
-		if loc, err := fn.Predict(tq); err == nil {
-			p.Location = loc
-		}
-		return p
+	tqs := make([]int, to-from+1)
+	for i := range tqs {
+		tqs[i] = from + i
 	}
-
-	out := make([]Prediction, 0, to-from+1)
-	for tq := from; tq <= to; tq++ {
-		var preds []Prediction
-		if e.IsDistant(tc, tq) {
-			preds = e.backwardQuery(sc, visited, tc, tq, 1)
-		} else {
-			preds = e.forwardQuery(sc, visited, tq, 1)
-		}
+	out := make([]Prediction, len(tqs))
+	last := motionPrediction(recent[len(recent)-1].Loc)
+	for i, preds := range e.predictEach(recent, tqs, 1, false) {
+		out[i] = last
 		if len(preds) > 0 {
-			out = append(out, preds[0])
-		} else if mp, ok := e.tryMarkov(recent, tq); ok {
-			out = append(out, mp)
-		} else {
-			out = append(out, fallback(tq))
+			out[i] = preds[0]
 		}
 	}
 	return out, nil
@@ -677,7 +647,7 @@ func (e *Engine) forwardQuery(sc *queryScratch, visited []pattern.RegionID, tq, 
 		return nil
 	}
 	cands := sc.cands[:0]
-	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref int, conf float64, rk bitkey.Key) bool {
+	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref, _ int, conf float64, rk bitkey.Key) bool {
 		sr := PremiseSimilarity(rk, qk.RK, e.cfg.Weight)
 		cands = append(cands, candidate{score: sr * conf, conf: conf, ref: ref}) // Equation 2
 		return true
@@ -710,20 +680,28 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 		CK: consequenceWindowKey(e.enc.ConsequenceTable(), tqOff, radius, e.cfg.Period),
 		RK: qrk,
 	}
+	// Equation 3 reads a hit only through its consequence offset, and the
+	// search hands every hit the time id its key carries: the offsets are
+	// scored here, once each, and a hit looks its score up. The window key
+	// holds exactly the offsets within radius, so every item visited has
+	// dist <= radius.
+	tab := scr.timeScore[:0]
+	for _, off := range e.enc.ConsequenceTable().Offsets() {
+		dist := circularDist(tqOff, off, e.cfg.Period)
+		tab = append(tab, 1-float64(dist)/float64(radius+1)) // Equation 3
+	}
+	scr.timeScore = tab
 	cands := scr.cands[:0]
-	e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(ref int, conf float64, rk bitkey.Key) bool {
-		// The window key holds exactly the offsets within radius, so every
-		// item visited has dist <= radius.
-		dist := circularDist(tqOff, e.consOffsets[ref], e.cfg.Period)
-		sc := 1 - float64(dist)/float64(radius+1) // Equation 3
+	e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(ref, tid int, conf float64, rk bitkey.Key) bool {
+		// Equation 5, or 4 with the penalty off: premise term plus time term,
+		// weighted by confidence. A hit that shares no region with the query
+		// has similarity 0 and a premise term of exactly 0 whatever divides
+		// it; only the others pay for the division.
 		sr := PremiseSimilarity(rk, qrk, e.cfg.Weight)
-		var sp float64
-		if e.cfg.PenalizePremise {
-			sp = (sr*float64(e.cfg.DistantThreshold)/float64(tq-tc) + sc) * conf // Equation 5
-		} else {
-			sp = (sr + sc) * conf // Equation 4
+		if sr != 0 && e.cfg.PenalizePremise {
+			sr = sr * float64(e.cfg.DistantThreshold) / float64(tq-tc)
 		}
-		cands = append(cands, candidate{score: sp, conf: conf, ref: ref})
+		cands = append(cands, candidate{score: (sr + tab[tid]) * conf, conf: conf, ref: ref})
 		return true
 	})))
 	scr.cands = cands
@@ -780,28 +758,24 @@ func (e *Engine) fitMotion(recent []trajectory.TimedPoint) (motion.Function, err
 	return fn, err
 }
 
+// motionFallback answers q from the motion function and counts the outcome:
+// a fallback answer, or an unanswered query.
 func (e *Engine) motionFallback(q Query) ([]Prediction, error) {
 	if e.cfg.NewMotion == nil {
+		e.stats.unanswered.Add(1)
 		return nil, nil
 	}
-	fn, err := e.fitMotion(q.Recent)
-	if err != nil {
-		// Degenerate recent window: answer with the last known location
-		// rather than failing the query.
-		return []Prediction{{
-			Location:          q.Recent[len(q.Recent)-1].Loc,
-			PatternRef:        -1,
-			Source:            SourceMotion,
-			Path:              PathFallback,
-			ConsequenceOffset: -1,
-		}}, nil
+	// A degenerate recent window is answered with the last known location
+	// rather than failing the query.
+	loc := q.Recent[len(q.Recent)-1].Loc
+	if fn, err := e.fitMotion(q.Recent); err == nil {
+		if loc, err = fn.Predict(q.Tq); err != nil {
+			e.stats.unanswered.Add(1)
+			return nil, fmt.Errorf("hpa: motion fallback: %w", err)
+		}
 	}
-	loc, err := fn.Predict(q.Tq)
-	if err != nil {
-		return nil, fmt.Errorf("hpa: motion fallback: %w", err)
-	}
-	return []Prediction{{Location: loc, PatternRef: -1, Source: SourceMotion,
-		Path: PathFallback, ConsequenceOffset: -1}}, nil
+	e.stats.fallback.Add(1)
+	return []Prediction{motionPrediction(loc)}, nil
 }
 
 // FallbackQuery answers a query with the motion-function fallback alone,
@@ -810,20 +784,10 @@ func (e *Engine) motionFallback(q Query) ([]Prediction, error) {
 // it when a pattern path's measured accuracy has dropped below the
 // fallback's. Counts as a fallback (or unanswered) query in the stats.
 func (e *Engine) FallbackQuery(q Query) ([]Prediction, error) {
-	if len(q.Recent) == 0 {
-		return nil, errors.New("hpa: query has no recent movements")
+	if _, err := currentTime(q.Recent, q.Tq); err != nil {
+		return nil, err
 	}
-	tc := q.Recent[len(q.Recent)-1].T
-	if q.Tq <= tc {
-		return nil, fmt.Errorf("hpa: query time %d not after current time %d", q.Tq, tc)
-	}
-	fb, err := e.motionFallback(q)
-	if err != nil || len(fb) == 0 {
-		e.stats.unanswered.Add(1)
-	} else {
-		e.stats.fallback.Add(1)
-	}
-	return fb, err
+	return e.motionFallback(q)
 }
 
 // MarkovQuery answers a query with the Markov region chain alone,
@@ -834,24 +798,14 @@ func (e *Engine) FallbackQuery(q Query) ([]Prediction, error) {
 // the query's horizon. Counts as a markov (or fallback/unanswered) query
 // in the stats.
 func (e *Engine) MarkovQuery(q Query) ([]Prediction, error) {
-	if len(q.Recent) == 0 {
-		return nil, errors.New("hpa: query has no recent movements")
-	}
-	tc := q.Recent[len(q.Recent)-1].T
-	if q.Tq <= tc {
-		return nil, fmt.Errorf("hpa: query time %d not after current time %d", q.Tq, tc)
+	if _, err := currentTime(q.Recent, q.Tq); err != nil {
+		return nil, err
 	}
 	if mp, ok := e.tryMarkov(q.Recent, q.Tq); ok {
 		e.stats.markov.Add(1)
 		return []Prediction{mp}, nil
 	}
-	fb, err := e.motionFallback(q)
-	if err != nil || len(fb) == 0 {
-		e.stats.unanswered.Add(1)
-	} else {
-		e.stats.fallback.Add(1)
-	}
-	return fb, err
+	return e.motionFallback(q)
 }
 
 // better reports whether a ranks strictly ahead of b: higher score, ties

@@ -48,7 +48,6 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 		ref := len(e.patterns)
 		off := rt.Region(p.Consequence).Offset
 		e.patterns = append(e.patterns, p)
-		e.consOffsets = append(e.consOffsets, off)
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
@@ -84,7 +83,7 @@ func (e *Engine) RemovePattern(ref int) bool {
 	}
 	e.dead[ref] = true
 	e.live--
-	e.countLive(e.consOffsets[ref], -1)
+	e.countLive(e.consequenceRegion(ref).Offset, -1)
 	return true
 }
 

@@ -42,6 +42,12 @@ func newOracle(e *Engine) *oracle {
 	return o
 }
 
+// consOffset is the time offset of a pattern's consequence region (§IV):
+// what Equation 3 measures the query offset against.
+func consOffset(e *Engine, ref int) int {
+	return e.enc.RegionTable().Region(e.patterns[ref].Consequence).Offset
+}
+
 func (o *oracle) prediction(ref int, score float64, path Path) Prediction {
 	p := o.e.patterns[ref]
 	fr := o.e.enc.RegionTable().Region(p.Consequence)
@@ -118,7 +124,7 @@ func (o *oracle) oracleBackward(visited []pattern.RegionID, tc, tq int) []Predic
 			if !o.keys[j].CK.Intersects(ck) {
 				continue
 			}
-			dist := circularDist(tqOff, e.consOffsets[ref], e.cfg.Period)
+			dist := circularDist(tqOff, consOffset(e, ref), e.cfg.Period)
 			if dist > radius {
 				continue
 			}
@@ -155,7 +161,7 @@ func checkLiveCounts(t *testing.T, e *Engine) {
 			continue
 		}
 		live++
-		if off := e.consOffsets[ref]; off >= 0 && off < len(want) {
+		if off := consOffset(e, ref); off >= 0 && off < len(want) {
 			want[off]++
 		}
 	}
@@ -300,9 +306,9 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					held = held[n:]
 				case op == 2:
 					// Retire every live pattern of one consequence offset.
-					off := e.consOffsets[refs[rng.Intn(len(refs))]]
+					off := consOffset(e, refs[rng.Intn(len(refs))])
 					for _, ref := range refs {
-						if e.consOffsets[ref] == off && !e.RemovePattern(ref) {
+						if consOffset(e, ref) == off && !e.RemovePattern(ref) {
 							t.Fatalf("RemovePattern(%d) failed", ref)
 						}
 					}
@@ -368,7 +374,11 @@ func handEngine(t *testing.T, cfg Config, offsets []int, rules [][3]float64) *En
 
 // sweep holds e to the oracle over every tc of one period, every tq up to
 // 2·Period+2 after it, and the empty and both one-region premises.
-func sweep(t *testing.T, e *Engine) {
+func sweep(t *testing.T, e *Engine) { sweepEvery(t, e, 1) }
+
+// sweepEvery is sweep over every stride-th tc, for periods where the whole
+// sweep is minutes of oracle.
+func sweepEvery(t *testing.T, e *Engine, stride int) {
 	t.Helper()
 	o := newOracle(e)
 	var premises [][]pattern.RegionID
@@ -376,7 +386,7 @@ func sweep(t *testing.T, e *Engine) {
 	for id := 0; id < e.enc.RegionTable().Len() && id < 2; id++ {
 		premises = append(premises, []pattern.RegionID{pattern.RegionID(id)})
 	}
-	for tc := 0; tc < e.cfg.Period; tc++ {
+	for tc := 0; tc < e.cfg.Period; tc += stride {
 		for _, v := range premises {
 			checkAgainstOracle(t, e, o, v, tc, 2*e.cfg.Period+2, []int{1, 2, 5})
 		}
@@ -472,6 +482,94 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		}
 	})
 
+	// The rows below are about the time id: BQP scores a hit by the position
+	// of its consequence bit, read from the key the search has in hand.
+
+	// everyOther is n regions at offsets 0, 2, 4, …, and fan the rules from
+	// region 0 to each of regions lo..hi, no two confidences alike.
+	everyOther := func(n int) []int {
+		offs := make([]int, n)
+		for i := range offs {
+			offs[i] = 2 * i
+		}
+		return offs
+	}
+	fan := func(lo, hi int) (rules [][3]float64) {
+		for c := lo; c <= hi; c++ {
+			rules = append(rules, [3]float64{0, float64(c), 0.3 + 0.6*float64(c%17)/17})
+		}
+		return rules
+	}
+	asPatterns := func(rules [][3]float64) (ps []pattern.Pattern) {
+		for _, r := range rules {
+			ps = append(ps, pattern.Pattern{Premise: []pattern.RegionID{pattern.RegionID(r[0])},
+				Consequence: pattern.RegionID(r[1]), Confidence: r[2]})
+		}
+		return ps
+	}
+
+	t.Run("consequence bit in a second word", func(t *testing.T) {
+		// 74 distinct consequence offsets: time ids 64..73 sit in word two.
+		e := handEngine(t, Config{Period: 150, DistantThreshold: 3, TimeRelaxation: 2}, everyOther(75), fan(1, 74))
+		if n := e.enc.ConsequenceTable().Len(); n != 74 {
+			t.Fatalf("%d consequence offsets, want 74", n)
+		}
+		// Offset 140 is time id 69: dead on tq, it outranks offsets 138 and
+		// 142 at the window's edge.
+		if got := e.BackwardQuery(nil, 100, 140, 1); len(got) != 1 || got[0].ConsequenceOffset != 140 {
+			t.Errorf("tq=140: %+v, want the pattern at offset 140", got)
+		}
+		sweepEvery(t, e, 13)
+	})
+
+	t.Run("whole-period window over two words", func(t *testing.T) {
+		// 2·radius+1 ≥ Period from the base window on: every hit of both
+		// words is scored, each by its own distance.
+		e := handEngine(t, Config{Period: 150, DistantThreshold: 3, TimeRelaxation: 75}, everyOther(75), fan(1, 74))
+		if got := e.BackwardQuery(nil, 0, 7, 74); len(got) != 74 {
+			t.Errorf("whole-period window returned %d of 74 patterns", len(got))
+		}
+		sweepEvery(t, e, 29)
+	})
+
+	t.Run("table grown out of sorted order", func(t *testing.T) {
+		// The table starts as offsets [10 40]; AddOffset appends 5 and 25,
+		// so time ids 2 and 3 name offsets smaller than id 1's.
+		e := handEngine(t, Config{Period: 50, DistantThreshold: 3, TimeRelaxation: 2},
+			[]int{0, 5, 10, 25, 40}, [][3]float64{{0, 2, 0.5}, {0, 4, 0.6}})
+		e.InsertPatterns(asPatterns([][3]float64{{0, 1, 0.7}, {0, 3, 0.8}}))
+		if got := fmt.Sprint(e.enc.ConsequenceTable().Offsets()); got != "[10 40 5 25]" {
+			t.Fatalf("table offsets %s, want [10 40 5 25]", got)
+		}
+		checkLiveCounts(t, e)
+		// From offset 6 the nearest is offset 5 (id 2), one step away; the
+		// base window of radius 2 holds nothing else.
+		if got := e.BackwardQuery(nil, 0, 6, 5); len(got) != 1 || got[0].ConsequenceOffset != 5 {
+			t.Errorf("tq=6: %+v, want only the pattern at offset 5", got)
+		}
+		sweep(t, e)
+	})
+
+	t.Run("key width crossing a word between two queries", func(t *testing.T) {
+		// 64 consequence offsets fill one word; the 65th, inserted between
+		// two queries, restrides every key in the tree.
+		e := handEngine(t, Config{Period: 150, DistantThreshold: 3, TimeRelaxation: 2}, everyOther(66), fan(1, 64))
+		before := e.BackwardQuery(nil, 100, 127, 3)
+		sweepEvery(t, e, 31)
+		e.InsertPatterns(asPatterns(fan(65, 65)))
+		if n := e.enc.ConsequenceTable().Len(); n != 65 {
+			t.Fatalf("%d consequence offsets after the insert, want 65", n)
+		}
+		checkLiveCounts(t, e)
+		if after := e.BackwardQuery(nil, 100, 127, 3); !reflect.DeepEqual(after, before) {
+			t.Errorf("tq=127 moved across the regrowth:\n got %+v\nwant %+v", after, before)
+		}
+		if got := e.BackwardQuery(nil, 100, 131, 1); len(got) != 1 || got[0].ConsequenceOffset != 130 {
+			t.Errorf("tq=131: %+v, want the inserted pattern at offset 130", got)
+		}
+		sweepEvery(t, e, 31)
+	})
+
 	t.Run("fixed-table AddPatterns", func(t *testing.T) {
 		e := handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 2},
 			[]int{0, 5, 20}, [][3]float64{{0, 1, 0.9}})
@@ -485,5 +583,51 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		}
 		checkLiveCounts(t, e)
 		sweep(t, e)
+	})
+}
+
+// FuzzBackwardQuery builds an engine out of the input — period, tε, a fan of
+// single-premise rules over the offsets the bytes name, the first half
+// indexed at build time and the rest inserted, so the consequence table
+// grows in input order, then some removed — and holds BQP and FQP to the
+// oracle from a spread of current times. The seeds run under plain go test.
+func FuzzBackwardQuery(f *testing.F) {
+	f.Add([]byte{60, 2, 0, 10, 200, 50, 90, 30, 120, 5, 40, 7, 9})
+	f.Add([]byte{149, 1, 1, 140, 3, 139, 9, 138, 200, 2, 80, 70, 60, 50, 40, 30, 20, 10})
+	f.Add([]byte{3, 4, 2, 1, 1, 2, 3})
+	wide := []byte{129, 3, 5}
+	for off := 128; off > 0; off -= 2 { // 64 offsets at build or insert: the table crosses a word
+		wide = append(wide, byte(off), byte(37*off))
+	}
+	f.Add(wide)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		period, te, removals := 2+int(in[0])%149, 1+int(in[1])%5, int(in[2])%8
+		offsets, seen := []int{0}, map[int]bool{0: true}
+		var rules [][3]float64
+		for in = in[3:]; len(in) >= 2 && len(rules) < 80; in = in[2:] {
+			off := int(in[0]) % period
+			if seen[off] {
+				continue
+			}
+			seen[off] = true
+			offsets = append(offsets, off)
+			rules = append(rules, [3]float64{0, float64(len(offsets) - 1), 0.05 + float64(in[1])/300})
+		}
+		e := handEngine(t, Config{Period: period, DistantThreshold: 3, TimeRelaxation: te, PenalizePremise: period%2 == 0},
+			offsets, rules[:len(rules)/2])
+		var late []pattern.Pattern
+		for _, r := range rules[len(rules)/2:] {
+			late = append(late, pattern.Pattern{Premise: []pattern.RegionID{0},
+				Consequence: pattern.RegionID(r[1]), Confidence: r[2]})
+		}
+		refs := e.InsertPatterns(late)
+		for i := 0; i < removals && i < len(refs); i++ {
+			e.RemovePattern(refs[i])
+		}
+		checkLiveCounts(t, e)
+		sweepEvery(t, e, 1+period/3)
 	})
 }

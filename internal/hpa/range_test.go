@@ -1,7 +1,11 @@
 package hpa
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"hpm/internal/geom"
 	"hpm/internal/motion"
@@ -138,5 +142,79 @@ func TestForwardQueryExtentMatchesRegion(t *testing.T) {
 	}
 	if !preds[0].Extent.Contains(preds[0].Location) {
 		t.Error("region extent does not contain its center")
+	}
+}
+
+// TestPredictRangeEqualsPointPredicts: a trajectory is its point predicts.
+// Over an engine whose every time falls to the motion function and one that
+// mixes FQP, the chain and the motion function, PredictRange(from, to)[i] is
+// Predict(from+i) to the last field, and a batch over the same times in
+// shuffled order, repeats included, is too — so the one walk of the
+// recurrence answers what a walk per time did. Then the cost: 10 001
+// timestamps off the motion function used to take some fifty million steps of
+// it and now take 10 001.
+func TestPredictRangeEqualsPointPredicts(t *testing.T) {
+	rmf := func() motion.Function { return motion.NewRMF(motion.RMFConfig{}) }
+	arc := func(center geom.Point, t0 int) []trajectory.TimedPoint {
+		recent := make([]trajectory.TimedPoint, 12)
+		for i := range recent {
+			a := 0.3 * float64(i)
+			recent[i] = trajectory.TimedPoint{T: t0 + i, Loc: center.Add(geom.Pt(40*math.Cos(a), 25*math.Sin(a)))}
+		}
+		return recent
+	}
+	far, _ := janeEngine(t, Config{Period: 3, DistantThreshold: 100, NewMotion: rmf})
+	mixed, centers := janeEngine(t, Config{Period: 100, DistantThreshold: 1000, NewMotion: rmf})
+	mixed.SetMarkov(func(recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
+		return Prediction{Location: geom.Pt(float64(tq), 1), Source: SourceMarkov, Path: PathMarkov,
+			PatternRef: -1, ConsequenceOffset: -1}, tq%7 == 0
+	})
+	atHome := arc(centers["home"], -11) // ends at t = 0, on Home's offset
+	atHome[len(atHome)-1].Loc = centers["home"]
+	for name, c := range map[string]struct {
+		eng      *Engine
+		recent   []trajectory.TimedPoint
+		from, to int
+		sources  []Source
+	}{
+		"motion only": {far, arc(geom.Pt(9000, 9000), 0), 12, 260, []Source{SourceMotion}},
+		"mixed":       {mixed, atHome, 1, 230, []Source{SourcePattern, SourceMarkov, SourceMotion}},
+	} {
+		preds, err := c.eng.PredictRange(c.recent, c.from, c.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[Source]bool{}
+		tqs := make([]int, 0, 2*len(preds))
+		for i, p := range preds {
+			seen[p.Source] = true
+			one, err := c.eng.Predict(Query{Recent: c.recent, Tq: c.from + i})
+			if err != nil || len(one) != 1 || !reflect.DeepEqual(p, one[0]) {
+				t.Fatalf("%s: PredictRange[%d] = %+v, Predict(%d) = %+v, %v", name, i, p, c.from+i, one, err)
+			}
+			tqs = append(tqs, c.from+i, c.from+i/2)
+		}
+		for _, s := range c.sources {
+			if !seen[s] {
+				t.Errorf("%s: no %v answer in the range", name, s)
+			}
+		}
+		rand.New(rand.NewSource(3)).Shuffle(len(tqs), func(i, j int) { tqs[i], tqs[j] = tqs[j], tqs[i] })
+		batch, err := c.eng.PredictBatch(c.recent, tqs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tq := range tqs {
+			if !reflect.DeepEqual(batch[i], []Prediction{preds[tq-c.from]}) {
+				t.Fatalf("%s: PredictBatch[%d] (tq %d) = %+v, range %+v", name, i, tq, batch[i], preds[tq-c.from])
+			}
+		}
+	}
+
+	recent := arc(geom.Pt(9000, 9000), 0)
+	start := time.Now()
+	preds, err := far.PredictRange(recent, 12, 12+10000)
+	if el := time.Since(start); err != nil || len(preds) != 10001 || el > 50*time.Millisecond {
+		t.Errorf("10 001 timestamps: %d predictions in %v (want < 50ms), %v", len(preds), el, err)
 	}
 }

@@ -64,6 +64,11 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
+// Data returns the matrix's row-major slab, element (i, j) at i*Cols()+j —
+// borrowed, not copied, for callers that fill or read a whole matrix in a
+// loop where At and Set would check every index.
+func (m *Matrix) Data() []float64 { return m.data }
+
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of %dx%d", i, j, m.rows, m.cols))

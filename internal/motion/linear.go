@@ -68,3 +68,8 @@ func (l *Linear) Predict(tq int) (geom.Point, error) {
 	p := l.anchor.Add(l.vel.Scale(dt))
 	return clampTo(p, l.bounds, l.lastP), nil
 }
+
+// PredictEach implements Function.
+func (l *Linear) PredictEach(tqs []int, out []geom.Point) error {
+	return eachByPredict(l, tqs, out)
+}

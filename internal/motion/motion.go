@@ -31,10 +31,26 @@ type Function interface {
 	// precede the last fitted timestamp. Implementations clamp divergent
 	// estimates to the configured world bounds.
 	Predict(tq int) (geom.Point, error)
+	// PredictEach sets out[i] to what Predict(tqs[i]) returns, for times in
+	// any order, and fails where any one of them would. A model that steps
+	// its way to an answer walks once, to the furthest time, instead of once
+	// per time. out must be at least as long as tqs.
+	PredictEach(tqs []int, out []geom.Point) error
 }
 
 // ErrNotFitted is returned by Predict before a successful Fit.
 var ErrNotFitted = errors.New("motion: model not fitted")
+
+// eachByPredict is PredictEach for the closed-form models, whose answer at
+// one time is no help at another.
+func eachByPredict(fn Function, tqs []int, out []geom.Point) (err error) {
+	for i, tq := range tqs {
+		if out[i], err = fn.Predict(tq); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // validateRecent checks the common Fit preconditions.
 func validateRecent(recent []trajectory.TimedPoint) error {

@@ -84,3 +84,8 @@ func (p *Polynomial) Predict(tq int) (geom.Point, error) {
 	)
 	return clampTo(loc, p.bounds, p.lastP), nil
 }
+
+// PredictEach implements Function.
+func (p *Polynomial) PredictEach(tqs []int, out []geom.Point) error {
+	return eachByPredict(p, tqs, out)
+}

@@ -1,7 +1,9 @@
 package motion
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hpm/internal/geom"
 	"hpm/internal/linalg"
@@ -66,9 +68,9 @@ type RMF struct {
 	cfg RMFConfig
 
 	fitted bool
-	f      int            // effective retrospect after degradation
-	coef   *linalg.Matrix // (2f)x2 stacked [C_1; ...; C_f] transposed blocks
-	hist   []geom.Point   // last f locations, oldest first
+	f      int          // effective retrospect after degradation
+	coef   []float64    // (2f)x2 stacked [C_1; ...; C_f] transposed blocks, row-major
+	hist   []geom.Point // last f locations, oldest first
 	lastT  int
 	lastP  geom.Point
 }
@@ -162,13 +164,14 @@ func (r *RMF) fitFixed(recent []trajectory.TimedPoint, f int) error {
 	m := n - f // regression rows
 	a := linalg.NewMatrix(m, 2*f)
 	b := linalg.NewMatrix(m, 2)
+	ad, bd := a.Data(), b.Data()
 	scale := 0.0
 	for row := 0; row < m; row++ {
 		t := row + f
+		ar := ad[row*2*f : (row+1)*2*f]
 		for i := 1; i <= f; i++ {
 			p := recent[t-i].Loc
-			a.Set(row, 2*(i-1), p.X)
-			a.Set(row, 2*(i-1)+1, p.Y)
+			ar[2*(i-1)], ar[2*(i-1)+1] = p.X, p.Y
 			if ax := abs(p.X); ax > scale {
 				scale = ax
 			}
@@ -176,8 +179,7 @@ func (r *RMF) fitFixed(recent []trajectory.TimedPoint, f int) error {
 				scale = ay
 			}
 		}
-		b.Set(row, 0, recent[t].Loc.X)
-		b.Set(row, 1, recent[t].Loc.Y)
+		bd[2*row], bd[2*row+1] = recent[t].Loc.X, recent[t].Loc.Y
 	}
 	lambda := r.cfg.Ridge * scale * scale
 	if lambda <= 0 {
@@ -189,7 +191,7 @@ func (r *RMF) fitFixed(recent []trajectory.TimedPoint, f int) error {
 	}
 
 	r.f = f
-	r.coef = coef
+	r.coef = coef.Data()
 	r.hist = make([]geom.Point, f)
 	for i := 0; i < f; i++ {
 		r.hist[i] = recent[n-f+i].Loc
@@ -207,44 +209,80 @@ func abs(v float64) float64 {
 	return v
 }
 
-// Predict implements Function by iterating the recurrence from the last
-// fitted timestamp to tq.
+// Predict implements Function: the one-time case of PredictEach.
 func (r *RMF) Predict(tq int) (geom.Point, error) {
+	var out [1]geom.Point
+	err := r.PredictEach([]int{tq}, out[:])
+	return out[0], err
+}
+
+// PredictEach implements Function by iterating the recurrence once, from the
+// last fitted timestamp to the furthest of tqs, and answering every time as
+// the walk passes it.
+func (r *RMF) PredictEach(tqs []int, out []geom.Point) error {
 	if !r.fitted {
-		return geom.Point{}, ErrNotFitted
+		return ErrNotFitted
 	}
-	if tq <= r.lastT {
-		if tq == r.lastT {
-			return r.lastP, nil
+	// order names tqs' entries in ascending time; ascending input — a
+	// trajectory, the fleet index's horizons — needs none.
+	var order []int32
+	if !slices.IsSorted(tqs) {
+		order = make([]int32, len(tqs))
+		for i := range order {
+			order[i] = int32(i)
 		}
-		return geom.Point{}, fmt.Errorf("motion: query time %d precedes current time %d", tq, r.lastT)
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(tqs[a], tqs[b]) })
 	}
-	hist := make([]geom.Point, len(r.hist))
-	copy(hist, r.hist)
-	var p geom.Point
-	for t := r.lastT + 1; t <= tq; t++ {
-		p = r.step(hist)
-		if !p.IsFinite() {
+	// The recurrence reads its last f locations through a window sliding
+	// along win, moved back to the front when it reaches the end: one copy
+	// per lap in place of a shift per step.
+	var buf [32]geom.Point
+	f, win, pos := r.f, buf[:], 0
+	if len(win) <= f {
+		win = make([]geom.Point, 4*f)
+	}
+	copy(win, r.hist)
+	t, p, diverged := r.lastT, r.lastP, false
+	for j := range tqs {
+		i := j
+		if order != nil {
+			i = int(order[j])
+		}
+		tq := tqs[i]
+		if tq <= r.lastT {
+			if tq < r.lastT {
+				return fmt.Errorf("motion: query time %d precedes current time %d", tq, r.lastT)
+			}
+			out[i] = r.lastP
+			continue
+		}
+		for ; t < tq && !diverged; t++ {
+			if pos+f == len(win) {
+				copy(win, win[pos:])
+				pos = 0
+			}
+			p = r.step(win[pos : pos+f])
 			// Diverged: freeze at the clamped fallback for the remaining
 			// horizon — iterating further only produces more non-finites.
-			return clampTo(p, r.cfg.Bounds, r.lastP), nil
+			diverged = !p.IsFinite()
+			win[pos+f] = p
+			pos++
 		}
-		copy(hist, hist[1:])
-		hist[len(hist)-1] = p
+		out[i] = clampTo(p, r.cfg.Bounds, r.lastP)
 	}
-	return clampTo(p, r.cfg.Bounds, r.lastP), nil
+	return nil
 }
 
 // step evaluates l_t = Σ C_i · l_{t-i} with hist holding the f previous
 // locations oldest-first.
 func (r *RMF) step(hist []geom.Point) geom.Point {
 	var x, y float64
-	f := r.f
+	f, c := r.f, r.coef
 	for i := 1; i <= f; i++ {
 		p := hist[f-i]
-		row := 2 * (i - 1)
-		x += p.X*r.coef.At(row, 0) + p.Y*r.coef.At(row+1, 0)
-		y += p.X*r.coef.At(row, 1) + p.Y*r.coef.At(row+1, 1)
+		row := 4 * (i - 1) // rows 2(i-1) and 2(i-1)+1 of two columns each
+		x += p.X*c[row] + p.Y*c[row+2]
+		y += p.X*c[row+1] + p.Y*c[row+3]
 	}
 	return geom.Pt(x, y)
 }

@@ -53,7 +53,8 @@ func sameShape(t *testing.T, tree *Tree, rn *refNode, n *node, path string) {
 
 // requireSame asserts everything the layout change must not move: height,
 // statistics, node-for-node shape, the All() sequence (key bits, conf, ref)
-// and, for every query, the visit order and the node count of both searches.
+// and, for every query, the visit order — each hit with the time id of its
+// entry's consequence bit — and the node count of both searches.
 func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.PatternKey) {
 	t.Helper()
 	if ref.Height() != tree.Height() || ref.Len() != tree.Len() {
@@ -80,8 +81,11 @@ func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.Patter
 			var want []Item
 			refVisit := func(it Item) bool { want = append(want, it); return true }
 			seen, diverged := 0, -1
-			visit := func(ref int, conf float64, rk bitkey.Key) bool {
-				if diverged < 0 && (seen >= len(want) || want[seen].Ref != ref || want[seen].Conf != conf || !want[seen].Key.RK.Equal(rk)) {
+			visit := func(ref, tid int, conf float64, rk bitkey.Key) bool {
+				// Every item of these tests carries one consequence bit, as a
+				// pattern key does: the id handed over is its position.
+				if diverged < 0 && (seen >= len(want) || want[seen].Ref != ref || want[seen].Conf != conf || !want[seen].Key.RK.Equal(rk) ||
+					!slices.Equal(want[seen].Key.CK.Ones(), []int{tid + 1})) {
 					diverged = seen
 				}
 				seen++
@@ -256,7 +260,7 @@ func requireBruteForce(t *testing.T, tree *Tree, items []Item, q bitkey.PatternK
 	for _, premise := range []bool{true, false} {
 		var got, want []int
 		collect := func(into *[]int) Visit {
-			return func(ref int, _ float64, _ bitkey.Key) bool { *into = append(*into, ref); return true }
+			return func(ref, _ int, _ float64, _ bitkey.Key) bool { *into = append(*into, ref); return true }
 		}
 		if premise {
 			tree.SearchIntersect(q, collect(&got))

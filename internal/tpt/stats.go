@@ -60,7 +60,7 @@ func (b *BruteForce) Len() int { return len(b.items) }
 // examined — always the full list, which is the point of the baseline.
 func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
 	for i := range b.items {
-		if it := &b.items[i]; it.Key.Intersects(q) && !visit(it.Ref, it.Conf, it.Key.RK) {
+		if it := &b.items[i]; it.Key.Intersects(q) && !visit(it.Ref, timeID(it.Key, q), it.Conf, it.Key.RK) {
 			break
 		}
 	}
@@ -71,9 +71,14 @@ func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
 // mirroring Tree.SearchConsequence.
 func (b *BruteForce) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
 	for i := range b.items {
-		if it := &b.items[i]; it.Key.IntersectsConsequence(q) && !visit(it.Ref, it.Conf, it.Key.RK) {
+		if it := &b.items[i]; it.Key.IntersectsConsequence(q) && !visit(it.Ref, timeID(it.Key, q), it.Conf, it.Key.RK) {
 			break
 		}
 	}
 	return len(b.items)
+}
+
+// timeID is the time id Tree.search would hand a visit for a hit on k.
+func timeID(k, q bitkey.PatternKey) int {
+	return bitkey.SharedBitWords(k.CK.Words(), q.CK.Words())
 }

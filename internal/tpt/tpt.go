@@ -38,10 +38,13 @@ type Item struct {
 	Ref  int
 }
 
-// Visit receives one search hit: the item's reference, its confidence and a
-// view of its premise key, which aliases the tree's storage and is valid
-// only for the duration of the call. It returns false to stop the search.
-type Visit func(ref int, conf float64, rk bitkey.Key) bool
+// Visit receives one search hit: the item's reference, the time id of its
+// consequence — the 0-based position of the lowest consequence bit it shares
+// with the query, which for a pattern key is its one consequence bit (§V-A) —
+// its confidence and a view of its premise key, which aliases the tree's
+// storage and is valid only for the duration of the call. It returns false to
+// stop the search.
+type Visit func(ref, tid int, conf float64, rk bitkey.Key) bool
 
 // Options tune the tree shape.
 type Options struct {
@@ -330,16 +333,18 @@ func (t *Tree) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
 // search is the one descent both predicates share: an entry qualifies when
 // its consequence part intersects ck and, with premise set, its premise part
 // intersects rk. The walk reads the node's key slab front to back and
-// touches a payload only for entries that qualify.
+// touches a payload only for entries that qualify; the time id a hit carries
+// falls out of the consequence test it has just passed.
 func (t *Tree) search(n *node, ck, rk []uint64, premise bool, visit Visit) (nodes int, stopped bool) {
 	nodes = 1
 	for i, cnt := 0, n.len(); i < cnt; i++ {
 		k := t.key(n, i)
-		if !bitkey.IntersectWords(k[t.rw:], ck) || (premise && !bitkey.IntersectWords(k[:t.rw], rk)) {
+		tid := bitkey.SharedBitWords(k[t.rw:], ck)
+		if tid < 0 || (premise && !bitkey.IntersectWords(k[:t.rw], rk)) {
 			continue
 		}
 		if n.leaf {
-			if p := n.items[i]; !visit(p.ref, p.conf, bitkey.View(t.rkLen, k[:t.rw:t.rw])) {
+			if p := n.items[i]; !visit(p.ref, tid, p.conf, bitkey.View(t.rkLen, k[:t.rw:t.rw])) {
 				return nodes, true
 			}
 			continue

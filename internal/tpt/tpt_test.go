@@ -31,11 +31,11 @@ func randomQuery(r *rand.Rand, ckLen, rkLen int) bitkey.PatternKey {
 }
 
 // visitAll accepts every hit.
-func visitAll(int, float64, bitkey.Key) bool { return true }
+func visitAll(int, int, float64, bitkey.Key) bool { return true }
 
 func collectIntersect(t *Tree, q bitkey.PatternKey) []int {
 	var refs []int
-	t.SearchIntersect(q, func(ref int, _ float64, _ bitkey.Key) bool {
+	t.SearchIntersect(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
 		refs = append(refs, ref)
 		return true
 	})
@@ -45,7 +45,7 @@ func collectIntersect(t *Tree, q bitkey.PatternKey) []int {
 
 func collectConsequence(t *Tree, q bitkey.PatternKey) []int {
 	var refs []int
-	t.SearchConsequence(q, func(ref int, _ float64, _ bitkey.Key) bool {
+	t.SearchConsequence(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
 		refs = append(refs, ref)
 		return true
 	})
@@ -287,7 +287,7 @@ func TestSearchEarlyStop(t *testing.T) {
 		q.RK.Set(i)
 	}
 	seen := 0
-	tree.SearchIntersect(q, func(int, float64, bitkey.Key) bool {
+	tree.SearchIntersect(q, func(int, int, float64, bitkey.Key) bool {
 		seen++
 		return seen < 5
 	})
@@ -368,7 +368,7 @@ func TestBruteForceBaseline(t *testing.T) {
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(r, 6, 40)
 		var got []int
-		examined := bf.SearchIntersect(q, func(ref int, _ float64, _ bitkey.Key) bool {
+		examined := bf.SearchIntersect(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
 			got = append(got, ref)
 			return true
 		})
@@ -380,7 +380,7 @@ func TestBruteForceBaseline(t *testing.T) {
 			t.Fatal("BruteForce.SearchIntersect mismatch")
 		}
 		var gotC []int
-		bf.SearchConsequence(q, func(ref int, _ float64, _ bitkey.Key) bool {
+		bf.SearchConsequence(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
 			gotC = append(gotC, ref)
 			return true
 		})

@@ -22,7 +22,9 @@
 // ranking score, the pattern confidence, and the consequence region's
 // bounding box when a pattern answered. The batch form answers many query
 // times in one request against a single snapshot of the object, amortizing
-// premise encoding and motion-function fitting across the times.
+// premise encoding and motion-function fitting across the times. A query
+// time more than 2²⁰ ticks past the object's current time is a 400, as are a
+// batch of more than 10 000 times and a trajectory of more than 10 001.
 package serve
 
 import (
@@ -31,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"hpm"
@@ -280,10 +283,17 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	var preds []hpm.Prediction
 	switch {
 	case h > 0:
+		if h > maxHorizon {
+			writeJSON(w, http.StatusBadRequest, errBody(errTooFar))
+			return
+		}
 		// The store resolves the current time and answers under one lock
 		// hold; the reported tq is the one it answered for.
 		tq, preds, err = st.PredictAheadContext(r.Context(), id, h, k)
 	case tq >= 0:
+		if tooFar(st, w, id, tq) {
+			return
+		}
 		preds, err = st.PredictContext(r.Context(), id, tq, k)
 	default:
 		writeJSON(w, http.StatusBadRequest, errBody("need tq or horizon"))
@@ -303,6 +313,33 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 // maxPredictBatch bounds one batch-predict request, mirroring the
 // trajectory endpoint's range cap.
 const maxPredictBatch = 10000
+
+// maxHorizon bounds how far past an object's current time any query time may
+// lie. The motion path iterates its recurrence once per tick of horizon,
+// holding the object's read lock, with no deadline to interrupt it: a
+// horizon of 10⁸ ticks pinned a core for eight seconds with the object's
+// ingest queued behind it. 2²⁰ ticks is two years of minutes and costs a
+// few tens of milliseconds.
+const maxHorizon = 1 << 20
+
+var errTooFar = fmt.Sprintf("query time too far ahead: at most %d ticks past the object's current time", maxHorizon)
+
+// tooFar refuses, with a 400, an absolute query time more than maxHorizon
+// past the object's current time, and reports whether it answered. The
+// current time only advances, so a time admitted here is still within the
+// bound when the store answers it.
+func tooFar(st *store.Store, w http.ResponseWriter, id string, tq int) bool {
+	now, err := st.Now(id)
+	switch {
+	case err != nil:
+		writeError(w, err)
+	case tq > now+maxHorizon:
+		writeJSON(w, http.StatusBadRequest, errBody(errTooFar))
+	default:
+		return false
+	}
+	return true
+}
 
 // predictBatchRequest is the batch body: absolute query times, or horizons
 // relative to the object's current time (exactly one must be non-empty).
@@ -343,10 +380,17 @@ func handlePredictBatch(st *store.Store, w http.ResponseWriter, r *http.Request)
 	var batches [][]hpm.Prediction
 	var err error
 	if len(req.Horizons) > 0 {
+		if slices.Max(req.Horizons) > maxHorizon {
+			writeJSON(w, http.StatusBadRequest, errBody(errTooFar))
+			return
+		}
 		// Resolved against the current time under the lock hold that
 		// answers them; the reported tqs are the ones answered for.
 		tqs, batches, err = st.PredictBatchAheadContext(r.Context(), id, req.Horizons, k)
 	} else {
+		if tooFar(st, w, id, slices.Max(tqs)) {
+			return
+		}
 		batches, err = st.PredictBatchContext(r.Context(), id, tqs, k)
 	}
 	if err != nil {
@@ -383,6 +427,9 @@ func handleTrajectory(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	}
 	if to-from > 10000 {
 		writeJSON(w, http.StatusBadRequest, errBody("range too large"))
+		return
+	}
+	if tooFar(st, w, id, to) {
 		return
 	}
 	preds, err := st.PredictRangeContext(r.Context(), id, from, to)
