@@ -10,9 +10,9 @@ test:
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (background retrains, WAL/checkpoint durability, chaos tests),
-# the HTTP service, the fault-injection helpers, the parallel training
-# pipeline, the TPT (read by concurrent queries; its reference-tree
-# equivalence tests and fuzz seeds run here too), and the pattern package
+# the HTTP service, the fault-injection helpers, the training pipeline
+# (serial, many at once), the TPT (read by concurrent queries; its
+# reference-tree equivalence tests and fuzz seeds run here too), the pattern package
 # (the incremental miner's batch-equivalence tests and fuzz seeds, the
 # decoders' hostile-input tests), and the motion fit, whose QR scratch is
 # pooled across every object refitting at once.
@@ -36,17 +36,17 @@ bench:
 # Query-path benchmarks only: FQP/BQP micro-benches with allocation counts
 # (BQP/near: a live consequence offset inside the base window; BQP/far: the
 # nearest one 20+ steps from the query offset, the case the widening loop
-# used to pay for per step) plus the query-throughput experiment in quick
-# mode. The full experiment (and BENCH_query_throughput.json) comes from:
-#   go run ./cmd/hpmbench -experiment queries -json
+# used to pay for per step). Throughput and latency under load are the
+# harness's point_predict workload (go run -C bench . --workload point_predict).
 bench-query:
-	$(GO) test -bench='BenchmarkPredict(FQP|BQP)$$|BenchmarkQueryThroughput$$' -benchmem -run '^$$' .
+	$(GO) test -bench='BenchmarkPredict(FQP|BQP)$$' -benchmem -run '^$$' .
 
 # Ingest-path benchmarks only: ObserveBatch under concurrent writers in
 # sync/nosync/single-shard modes, with fsyncs-per-op reported, and one
 # observe of a trained object with the fleet index on (the per-point index
-# refresh). The full experiment (and BENCH_ingest.json) comes from:
-#   go run ./cmd/hpmbench -experiment ingest -json
+# refresh). Group-commit depth and fsyncs per record under load are the
+# harness's ingest_tick workload (store.wal.records_per_batch,
+# store.wal.fsyncs_per_record).
 bench-ingest:
 	$(GO) test -bench='BenchmarkObserveParallel|BenchmarkIndexRefresh' -benchmem -run '^$$' ./store/
 
@@ -88,14 +88,13 @@ bench-fleet:
 
 # Persistence cost: incremental checkpoint pause and objects re-encoded
 # vs dirty shards (O(dirty) vs O(fleet)), full-rewrite and clean no-op
-# baselines, and recovery (Open) latency serial vs parallel at
-# 1k/10k/100k objects. Regenerates BENCH_recovery.json — which times
-# untrained tracks only; what a restart costs once objects carry models is
-# BenchmarkOpen/trained (clean and recovering Open of 64 trained objects,
-# each tree laid out from its saved shape; B/op and the live heap of one
-# opened store) and BenchmarkBulkLoad (what Train and a version-1 stream
-# pay: one pattern tree sorted into place at the fleet's shape, 1 500 to
-# 100 000 items).
+# baselines at 1k/10k/100k objects. Regenerates BENCH_recovery.json. What a
+# restart costs is BenchmarkOpen (an untrained fleet's decode and replay
+# plumbing; trained: clean and recovering Open of 64 trained objects, each
+# tree laid out from its saved shape; B/op and the live heap of one opened
+# store; -cpu 1,2 is serial against parallel recovery) and BenchmarkBulkLoad
+# (what Train and a version-1 stream pay: one pattern tree sorted into place
+# at the fleet's shape, 1 500 to 100 000 items).
 bench-recovery:
 	$(GO) run ./cmd/hpmbench -experiment recovery -json
 	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/

@@ -76,20 +76,12 @@ func BenchmarkTimeRelaxationAblation(b *testing.B) { benchExperiment(b, "trelax"
 // Ablation: TPT ChooseLeaf Intersect step.
 func BenchmarkChooseLeafAblation(b *testing.B) { benchExperiment(b, "tpt-chooseleaf") }
 
-// Query throughput: concurrent mixed FQP/BQP/fallback queries and batch
-// amortization against a live store.
-func BenchmarkQueryThroughput(b *testing.B) { benchExperiment(b, "queries") }
-
-// Ingest throughput: group-commit WAL under concurrent sync writers,
-// shard contention, and fleet-batch amortization.
-func BenchmarkIngestThroughput(b *testing.B) { benchExperiment(b, "ingest") }
-
 // Fleet-wide predictive range/kNN queries: spatial index vs brute-force
 // scan, SSE push throughput, and per-observe maintenance overhead.
 func BenchmarkFleetQuery(b *testing.B) { benchExperiment(b, "fleetquery") }
 
-// Recovery and checkpoint cost: parallel Open and incremental O(dirty)
-// checkpoints vs full snapshot rewrites.
+// Checkpoint cost: incremental O(dirty) checkpoints vs full snapshot
+// rewrites vs clean no-ops.
 func BenchmarkRecovery(b *testing.B) { benchExperiment(b, "recovery") }
 
 // --- micro-benchmarks -------------------------------------------------

@@ -9,13 +9,13 @@
 //	hpmbench -experiment all -quick
 //	hpmbench -experiment fig7 -seed 7 -out results.txt
 //	hpmbench -experiment all -svg figures/
-//	hpmbench -experiment scaling -json
+//	hpmbench -experiment retrain -json
 //
 // With -json, each experiment additionally writes BENCH_<name>.json — a
 // machine-readable {experiment, params, series} record, with the run's
 // GOMAXPROCS captured so throughput numbers can be interpreted. A few
 // experiments publish their artifact under a better-known label (the
-// queries experiment writes BENCH_query_throughput.json).
+// fleetquery experiment writes BENCH_fleet_query.json).
 package main
 
 import (

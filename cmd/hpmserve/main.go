@@ -74,11 +74,9 @@ func main() {
 		eps      = flag.Float64("eps", 0, "DBSCAN Eps (0 = paper default 30)")
 		minPts   = flag.Int("minpts", 0, "DBSCAN MinPts (0 = paper default 4)")
 		distant  = flag.Int("distant", 0, "distant-time threshold d (0 = paper default 60)")
-		workers  = flag.Int("parallelism", 0, "worker goroutines per model train (0 = NumCPU; any value trains identical models)")
 		dataDir  = flag.String("data-dir", "", "durable store directory (WAL + snapshots); crash-safe (empty = in-memory only)")
 		snapEach = flag.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval with -data-dir (0 = shutdown only)")
 		compact  = flag.Int("compact-every", 0, "force a full snapshot rewrite every Nth checkpoint; between them only shards dirtied since the last checkpoint are rewritten (0 = never force)")
-		persistW = flag.Int("persist-workers", 0, "worker goroutines for checkpoint writes and recovery (segment load, WAL replay); 0 = GOMAXPROCS, 1 = serial")
 		walSync  = flag.Bool("wal-sync", true, "fsync the WAL on every observe; disable to trade crash durability for ingest throughput")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables")
 		evalOff  = flag.Bool("eval-off", false, "disable online prediction-quality evaluation (/metrics eval series stay zero)")
@@ -123,7 +121,6 @@ func main() {
 			Eps:              *eps,
 			MinPts:           *minPts,
 			DistantThreshold: *distant,
-			Parallelism:      *workers,
 			MarkovOrder:      *markovOrder,
 			MarkovMinCount:   *markovMin,
 		},
@@ -131,7 +128,6 @@ func main() {
 		RetrainEvery:    *retrain,
 		WALNoSync:       !*walSync,
 		CompactEvery:    *compact,
-		PersistWorkers:  *persistW,
 		EvalDisabled:    *evalOff,
 		DriftThreshold:  *drift,
 		AdaptiveRouting: *adaptive,
@@ -177,7 +173,7 @@ func main() {
 	}
 	go shutdownOnSignal(srv, st)
 	fmt.Printf("hpmserve listening on %s (period %d, first train after %d periods)\n",
-		*addr, *period, *minDays)
+		*addr, st.Period(), st.MinTrainPeriods())
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

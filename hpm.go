@@ -202,15 +202,6 @@ type Config struct {
 	// Bounds clamps motion-function output; nil derives bounds from the
 	// training data with a 10% margin.
 	Bounds *Rect
-
-	// Parallelism caps the worker goroutines training may use: region
-	// discovery (per-offset DBSCAN), Apriori support counting and bounds
-	// derivation fan across it; the index bulk load is serial. 0
-	// defaults to runtime.NumCPU(); 1 trains serially. Every value
-	// produces a byte-identical model — parallel stages merge their
-	// results in deterministic order — so the knob trades wall-clock time
-	// only, never output.
-	Parallelism int
 }
 
 func (c Config) toParams() core.Params {
@@ -240,8 +231,7 @@ func (c Config) toParams() core.Params {
 			Window:     c.MotionWindow,
 			Bounds:     c.Bounds,
 		},
-		Bounds:      c.Bounds,
-		Parallelism: c.Parallelism,
+		Bounds: c.Bounds,
 	}
 }
 

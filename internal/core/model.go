@@ -12,13 +12,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"hpm/internal/geom"
 	"hpm/internal/hpa"
 	"hpm/internal/markov"
 	"hpm/internal/motion"
-	"hpm/internal/parallel"
 	"hpm/internal/pattern"
 	"hpm/internal/tpt"
 	"hpm/internal/trajectory"
@@ -104,17 +102,6 @@ type Params struct {
 	Bounds *geom.Rect
 	// Tree tunes the TPT node capacity.
 	Tree tpt.Options
-	// Parallelism caps the worker goroutines the training pipeline may
-	// use: per-offset DBSCAN region discovery, Apriori support counting
-	// and training-bounds derivation fan out across it (the TPT bulk load
-	// is serial). 0 defaults to runtime.NumCPU(); 1 trains serially.
-	//
-	// Determinism guarantee: every value produces a byte-identical model —
-	// same region IDs and geometry, same patterns in the same order, same
-	// index — because parallel stages compute into per-index slots that
-	// are merged in serial order. The knob is runtime-only and excluded
-	// from model serialization.
-	Parallelism int `json:"-"`
 }
 
 // Paper defaults for zero Params fields.
@@ -140,13 +127,6 @@ func (p Params) withDefaults() Params {
 	// as the default support floor.
 	if p.Mining.MinSupport <= 0 {
 		p.Mining.MinSupport = p.MinPts
-	}
-	if p.Parallelism <= 0 {
-		p.Parallelism = runtime.NumCPU()
-	}
-	// The mining stage takes the same knob unless tuned separately.
-	if p.Mining.Parallelism <= 0 {
-		p.Mining.Parallelism = p.Parallelism
 	}
 	return p
 }
@@ -213,14 +193,14 @@ func TrainSubTrajectories(subs []trajectory.SubTrajectory, params Params) (*Mode
 	params = params.withDefaults()
 
 	groups := trajectory.Groups(subs, params.SubTrajectories)
-	regions := pattern.DiscoverRegionsParallel(groups, params.Eps, params.MinPts, params.Parallelism)
+	regions := pattern.DiscoverRegions(groups, params.Eps, params.MinPts)
 	patterns, stats := pattern.MineWithStats(regions, params.Mining)
 	ct := pattern.NewConsequenceTable(regions, patterns)
 	enc := pattern.NewEncoder(regions, ct)
 
 	bounds := params.Bounds
 	if bounds == nil {
-		b := trainingBounds(subs, params.SubTrajectories, params.Parallelism)
+		b := trainingBounds(subs, params.SubTrajectories)
 		bounds = &b
 	}
 
@@ -265,31 +245,15 @@ func motionFactory(params Params, bounds *geom.Rect) func() motion.Function {
 	}
 }
 
-func trainingBounds(subs []trajectory.SubTrajectory, n, workers int) geom.Rect {
+func trainingBounds(subs []trajectory.SubTrajectory, n int) geom.Rect {
 	if n <= 0 || n > len(subs) {
 		n = len(subs)
 	}
-	workers = parallel.Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	// Each worker folds a contiguous chunk of sub-trajectories into a
-	// partial extent; min/max are exact and order-independent, so the
-	// merged rectangle equals the serial fold for any worker count.
-	partial := make([]geom.Rect, workers)
-	parallel.For(workers, workers, func(w int) {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		r := geom.Rect{Min: subs[lo].Points[0], Max: subs[lo].Points[0]}
-		for i := lo; i < hi; i++ {
-			for _, p := range subs[i].Points {
-				r = r.ExpandPoint(p)
-			}
+	r := geom.Rect{Min: subs[0].Points[0], Max: subs[0].Points[0]}
+	for _, sub := range subs[:n] {
+		for _, p := range sub.Points {
+			r = r.ExpandPoint(p)
 		}
-		partial[w] = r
-	})
-	r := partial[0]
-	for _, pr := range partial[1:] {
-		r = r.Union(pr)
 	}
 	// A 10% margin keeps legitimate extrapolation just outside the data
 	// extent from being clipped.

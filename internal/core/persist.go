@@ -166,9 +166,8 @@ func (m *Model) livePatterns() (live []pattern.Pattern, rank []int32) {
 // assemble builds a query-ready model from its persistent parts; shared by
 // Load and (logically) the tail of TrainSubTrajectories. A nil shape sorts.
 func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pattern, bounds geom.Rect, shape *tpt.Shape) (*Model, error) {
-	// Parallelism is runtime-only and deliberately not serialized;
-	// re-defaulting lets later retrains use this machine's cores.
-	// withDefaults is idempotent on the rest.
+	// Idempotent on params a Train saved; fills the zeros of any other
+	// stream so later extends never see an unset Eps or MinPts.
 	params = params.withDefaults()
 	ct := pattern.NewConsequenceTable(regions, patterns)
 	enc := pattern.NewEncoder(regions, ct)

@@ -25,6 +25,39 @@ func savedModel(t *testing.T) (*Model, []trajectory.SubTrajectory, datagen.Spec)
 	return m, subs, spec
 }
 
+// TestTrainIsDeterministic: two trains of the same sub-trajectories save
+// the same bytes — regions, patterns, bounds and tree shape — for every
+// dataset kind. A restart, a retrain and a twin store all lean on it.
+func TestTrainIsDeterministic(t *testing.T) {
+	for _, kind := range datagen.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			spec := datagen.DefaultSpec(kind, 7)
+			spec.Period = 120
+			spec.SubTrajectories = 30
+			subs, err := datagen.Generate(spec).Decompose(spec.Period)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var saved [2]bytes.Buffer
+			for i := range saved {
+				m, err := TrainSubTrajectories(subs, Params{Period: spec.Period})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.NumRegions() == 0 || m.NumPatterns() == 0 {
+					t.Fatalf("degenerate model: %d regions, %d patterns", m.NumRegions(), m.NumPatterns())
+				}
+				if err := m.Save(&saved[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+				t.Fatalf("two trains of the same points saved %d and %d different bytes", saved[0].Len(), saved[1].Len())
+			}
+		})
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m, subs, spec := savedModel(t)
 	var buf bytes.Buffer

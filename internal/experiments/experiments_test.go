@@ -303,8 +303,8 @@ func TestRetrainQuickShape(t *testing.T) {
 
 func TestRecoveryQuickShape(t *testing.T) {
 	figs := mustRun(t, "recovery")
-	if len(figs) != 4 {
-		t.Fatalf("recovery returned %d figures, want pause + objects + full + open", len(figs))
+	if len(figs) != 3 {
+		t.Fatalf("recovery returned %d figures, want pause + objects + full", len(figs))
 	}
 	for _, f := range figs {
 		checkFigure(t, f)

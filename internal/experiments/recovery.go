@@ -7,13 +7,12 @@ import (
 	"time"
 
 	"hpm"
-	"hpm/internal/spatial"
 	"hpm/store"
 )
 
 func init() {
 	register("recovery",
-		"Recovery and checkpoint cost: parallel Open at 1k/10k/100k objects, and incremental O(dirty) checkpoints vs full rewrites", recovery)
+		"Checkpoint cost at 1k/10k/100k objects: incremental O(dirty) checkpoints vs full rewrites vs clean no-ops", recovery)
 }
 
 // recoveryShards fixes the shard count so the dirty-shard sweep has a
@@ -33,13 +32,11 @@ var recoveryDirtyShards = []int{1, 3, 16, recoveryShards}
 //     rewrites only those shards' segment files and chains the rest from
 //     the previous epoch, so both the pause and the objects re-encoded
 //     scale with k, not the fleet (the k=64 point is the full-rewrite
-//     cost). A clean fleet checkpoints as a pure WAL reclaim;
-//   - recovery (Open) latency vs fleet size, serial (PersistWorkers=1)
-//     vs parallel (GOMAXPROCS workers): segment loads, model recovery and
-//     the fleet-index rebuild all fan out across the worker pool. The
-//     speedup is bounded by the host's cores — GOMAXPROCS is recorded in
-//     the figure titles — while the incremental-checkpoint result is
-//     algorithmic and shows at any core count.
+//     cost). A clean fleet checkpoints as a pure WAL reclaim.
+//
+// The result is algorithmic and shows at any core count. What a restart
+// costs once objects carry models is the harness's restart workload
+// (bench/) and BenchmarkOpen/trained (store/).
 //
 // Training is disabled throughout so the figures time persistence, not
 // model fitting; ids are dirtied shard-locally (one object per target
@@ -55,8 +52,6 @@ func recovery(o Options) []Figure {
 
 	fullS := Series{Name: "full rewrite"}
 	noopS := Series{Name: "clean no-op"}
-	openSerial := Series{Name: "serial (workers=1)"}
-	openParallel := Series{Name: fmt.Sprintf("parallel (workers=%d)", runtime.GOMAXPROCS(0))}
 	var pauseS, objsS []Series
 
 	for _, n := range fleets {
@@ -64,7 +59,7 @@ func recovery(o Options) []Figure {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: tempdir: %v", err))
 		}
-		st := recoveryOpen(dir, 0, false)
+		st := recoveryOpen(dir)
 		ids := recoveryIngest(st, n, rounds)
 
 		// First checkpoint writes every shard: the full-rewrite baseline.
@@ -103,26 +98,6 @@ func recovery(o Options) []Figure {
 		if err := st.Close(); err != nil {
 			panic(fmt.Sprintf("experiments: close: %v", err))
 		}
-
-		// Recovery: reopen the checkpointed store serially, then with the
-		// full worker pool. Each Open loads every segment, re-runs the
-		// model-update policy, and rebuilds the fleet index from scratch.
-		// One untimed open warms the page cache, then each config is timed
-		// three times in interleaved pairs and the min kept: individual
-		// Opens are wall-clock noisy (GC pacing, scheduler), especially on
-		// few cores, and the min is the honest floor each worker count can
-		// reach.
-		timeOpen(dir, 1)
-		serialMs, parallelMs := timeOpen(dir, 1), timeOpen(dir, 0)
-		for i := 0; i < 2; i++ {
-			serialMs = min(serialMs, timeOpen(dir, 1))
-			parallelMs = min(parallelMs, timeOpen(dir, 0))
-		}
-		openSerial.X = append(openSerial.X, float64(n))
-		openSerial.Y = append(openSerial.Y, serialMs)
-		openParallel.X = append(openParallel.X, float64(n))
-		openParallel.Y = append(openParallel.Y, parallelMs)
-
 		os.RemoveAll(dir)
 	}
 
@@ -149,32 +124,19 @@ func recovery(o Options) []Figure {
 			YLabel: "checkpoint ms",
 			Series: []Series{fullS, noopS},
 		},
-		{
-			ID:     "recovery-open",
-			Title:  "Recovery (Open) Latency vs Fleet Size: serial vs parallel" + suffix,
-			XLabel: "objects",
-			YLabel: "open ms",
-			Series: []Series{openSerial, openParallel},
-		},
 	}
 }
 
 // recoveryOpen opens a durable store tuned for the persistence figures:
 // training disabled, WAL fsyncs off (the figures time encode + file
-// writes, not the disk's fsync rate), a fixed shard count, and the fleet
-// index only where the recovery cost should include its rebuild.
-func recoveryOpen(dir string, workers int, index bool) *store.Store {
-	opts := store.Options{
+// writes, not the disk's fsync rate) and a fixed shard count.
+func recoveryOpen(dir string) *store.Store {
+	st, err := store.Open(dir, store.Options{
 		Config:          hpm.Config{Period: 300},
 		MinTrainPeriods: 1 << 20,
 		WALNoSync:       true,
 		Shards:          recoveryShards,
-		PersistWorkers:  workers,
-	}
-	if index {
-		opts.FleetIndex = &spatial.Config{CellSize: 50}
-	}
-	st, err := store.Open(dir, opts)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: open: %v", err))
 	}
@@ -238,20 +200,4 @@ func timeCheckpoint(st *store.Store) float64 {
 		panic(fmt.Sprintf("experiments: checkpoint: %v", err))
 	}
 	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-// timeOpen opens the durable store at dir with the given worker count
-// (0 = GOMAXPROCS), fleet index enabled, and returns the wall-clock in
-// ms. The store is closed (a no-op checkpoint) outside the timed window,
-// and a forced GC first keeps the previous open's garbage from being
-// collected inside this one's timing.
-func timeOpen(dir string, workers int) float64 {
-	runtime.GC()
-	start := time.Now()
-	st := recoveryOpen(dir, workers, true)
-	ms := float64(time.Since(start).Microseconds()) / 1000
-	if err := st.Close(); err != nil {
-		panic(fmt.Sprintf("experiments: close: %v", err))
-	}
-	return ms
 }

@@ -1,23 +1,10 @@
-// Package parallel provides the bounded fan-out primitive the training
-// pipeline is parallelized with. Every call site follows the same
-// discipline: workers compute into per-index slots and the caller merges
-// the slots in index order, so results are byte-identical to a serial run
-// regardless of the worker count — the determinism guarantee
-// Params.Parallelism documents.
+// Package parallel provides the bounded fan-out primitive the store
+// spreads per-shard and per-object work with (segment write and load, WAL
+// replay, index rebuild). Call sites compute into per-index slots and merge
+// them in index order, so results do not depend on the worker count.
 package parallel
 
 import "sync"
-
-// Workers resolves a parallelism knob: values >= 1 pass through, anything
-// else means "one worker" (serial). Callers that want a hardware default
-// resolve runtime.GOMAXPROCS themselves before handing the value down, so
-// the resolved count can be recorded and replayed.
-func Workers(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
-}
 
 // For runs fn(i) for every i in [0, n), fanning the indices across at most
 // workers goroutines. With workers <= 1 (or n <= 1) it degenerates to a
@@ -26,9 +13,8 @@ func Workers(n int) int {
 //
 // Indices are handed out in blocks via an atomic-free striding scheme:
 // worker w processes i = w, w+workers, w+2*workers, ... Striding keeps
-// adjacent indices on different workers, which balances pipelines whose
-// cost varies smoothly with the index (per-offset DBSCAN groups, Apriori
-// join runs).
+// adjacent indices on different workers, which balances work whose cost
+// varies smoothly with the index.
 //
 // fn must not panic across goroutines silently: panics are re-raised on the
 // caller after all workers finish.

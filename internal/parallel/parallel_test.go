@@ -5,16 +5,6 @@ import (
 	"testing"
 )
 
-func TestWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {4, 4}, {64, 64},
-	} {
-		if got := Workers(tc.in); got != tc.want {
-			t.Errorf("Workers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		const n = 57

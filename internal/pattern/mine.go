@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"hpm/internal/bitkey"
-	"hpm/internal/parallel"
 )
 
 // Config controls the Apriori stage of pattern discovery. The DBSCAN stage
@@ -46,12 +45,6 @@ type Config struct {
 	// enumeration costs a multiple of the mining itself, so it is off by
 	// default and enabled by the pruning-effect ablation.
 	CountUnpruned bool
-	// Parallelism caps how many goroutines count candidate supports per
-	// Apriori level; <= 1 mines serially. Any value produces identical
-	// patterns in identical order — candidates are generated per join
-	// position and merged in position order. Runtime-only: not part of a
-	// model's persistent identity.
-	Parallelism int `json:"-"`
 }
 
 // Defaults for Config fields left at their zero value.
@@ -220,10 +213,7 @@ func MineWithStats(rt *RegionTable, cfg Config) ([]Pattern, Stats) {
 
 // joinLevel performs the Apriori join+prune+count step producing the frequent
 // k-itemsets from the frequent (k-1)-itemsets, honouring the paper's
-// monotone-time constraint and the premise-span bound. With
-// cfg.Parallelism > 1 the per-position join/count work fans across a
-// bounded worker pool; results merge in join-position order, so the output
-// is identical to the serial run.
+// monotone-time constraint and the premise-span bound.
 func joinLevel(rt *RegionTable, level []itemset, k int, cfg Config, stats *Stats) []itemset {
 	// Group the (k-1)-itemsets by their first k-2 ids; itemsets inside a
 	// group join pairwise. The previous level is generated in ascending id
@@ -241,32 +231,24 @@ func joinLevel(rt *RegionTable, level []itemset, k int, cfg Config, stats *Stats
 		lo = hi
 	}
 
-	// Index the previous level for the subset-pruning test. Workers only
-	// read the map, which is safe concurrently.
+	// Index the previous level for the subset-pruning test.
 	prev := make(map[string]bool, len(level))
 	for _, it := range level {
 		prev[itemsetKey(it.ids)] = true
 	}
 
-	perPos := make([][]itemset, len(level))
-	counted := make([]int, len(level))
-	parallel.For(len(level), parallel.Workers(cfg.Parallelism), func(i int) {
-		perPos[i], counted[i] = joinAt(rt, level, i, groupEnd[i], k, cfg, prev)
-	})
-
 	var next []itemset
-	for i := range perPos {
-		next = append(next, perPos[i]...)
-		stats.Candidates += counted[i]
+	for i := range level {
+		next = joinAt(next, rt, level, i, groupEnd[i], k, cfg, prev, stats)
 	}
 	return next
 }
 
 // joinAt generates and support-counts every candidate k-itemset whose join
 // parent a is level[i], joining against level[i+1:hi) (a's prefix group).
-// It returns the surviving frequent itemsets in join order plus how many
-// candidates were counted.
-func joinAt(rt *RegionTable, level []itemset, i, hi, k int, cfg Config, prev map[string]bool) (next []itemset, candidates int) {
+// It appends the surviving frequent itemsets to next in join order and
+// adds the candidates it counted to stats.
+func joinAt(next []itemset, rt *RegionTable, level []itemset, i, hi, k int, cfg Config, prev map[string]bool, stats *Stats) []itemset {
 	minSup := cfg.MinSupport
 	a := level[i]
 	lastA := a.ids[len(a.ids)-1]
@@ -276,7 +258,7 @@ func joinAt(rt *RegionTable, level []itemset, i, hi, k int, cfg Config, prev map
 	// once.
 	if cfg.PremiseSpan >= 0 && k > 2 {
 		if offLastA-rt.Region(a.ids[0]).Offset > cfg.PremiseSpan {
-			return nil, 0
+			return next
 		}
 	}
 	for j := i + 1; j < hi; j++ {
@@ -304,14 +286,14 @@ func joinAt(rt *RegionTable, level []itemset, i, hi, k int, cfg Config, prev map
 		if !allSubsetsFrequent(cand, prev) {
 			continue
 		}
-		candidates++
+		stats.Candidates++
 		visitors := a.visitors.And(b.visitors)
 		sup := visitors.Size()
 		if sup >= minSup {
 			next = append(next, itemset{ids: cand, visitors: visitors, support: sup})
 		}
 	}
-	return next, candidates
+	return next
 }
 
 func samePrefix(a, b []RegionID) bool {

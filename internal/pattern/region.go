@@ -23,7 +23,6 @@ import (
 	"hpm/internal/bitkey"
 	"hpm/internal/cluster"
 	"hpm/internal/geom"
-	"hpm/internal/parallel"
 	"hpm/internal/trajectory"
 )
 
@@ -72,18 +71,8 @@ type RegionTable struct {
 
 // DiscoverRegions runs DBSCAN over every time-offset group and assembles
 // the region table. groups must all have the same number of points (one per
-// sub-trajectory), as produced by trajectory.Groups. It is the serial form
-// of DiscoverRegionsParallel.
+// sub-trajectory), as produced by trajectory.Groups.
 func DiscoverRegions(groups []trajectory.Group, eps float64, minPts int) *RegionTable {
-	return DiscoverRegionsParallel(groups, eps, minPts, 1)
-}
-
-// DiscoverRegionsParallel is DiscoverRegions with the per-offset DBSCAN
-// runs fanned across at most workers goroutines. Each group clusters
-// independently and the per-group results are merged in offset order, so
-// region IDs, indices, centers, MBRs and visitor bitmaps are identical to
-// the serial build for any worker count.
-func DiscoverRegionsParallel(groups []trajectory.Group, eps float64, minPts, workers int) *RegionTable {
 	rt := &RegionTable{byOffset: make(map[int][]*FrequentRegion), eps: eps}
 	if len(groups) == 0 {
 		rt.buildLocateIndex()
@@ -95,13 +84,8 @@ func DiscoverRegionsParallel(groups []trajectory.Group, eps float64, minPts, wor
 			panic(fmt.Sprintf("pattern: group %d has %d points, want %d", g.Offset, len(g.Points), rt.numSubs))
 		}
 	}
-	// Cluster every group independently into its own slot; IDs are assigned
-	// afterwards, in group order, exactly as the serial loop would.
-	perGroup := make([][]*FrequentRegion, len(groups))
-	parallel.For(len(groups), parallel.Workers(workers), func(gi int) {
-		g := groups[gi]
+	for _, g := range groups {
 		res := cluster.DBSCAN(g.Points, eps, minPts)
-		regions := make([]*FrequentRegion, 0, res.NumClusters)
 		for c := 0; c < res.NumClusters; c++ {
 			members := res.Members(c)
 			pts := make([]geom.Point, len(members))
@@ -110,20 +94,15 @@ func DiscoverRegionsParallel(groups []trajectory.Group, eps float64, minPts, wor
 				pts[i] = g.Points[j]
 				visitors.Set(j + 1)
 			}
-			regions = append(regions, &FrequentRegion{
+			fr := &FrequentRegion{
+				ID:       RegionID(len(rt.regions)),
 				Offset:   g.Offset,
 				Index:    c,
 				Center:   geom.Centroid(pts),
 				MBR:      geom.RectFromPoints(pts),
 				Support:  len(members),
 				visitors: visitors,
-			})
-		}
-		perGroup[gi] = regions
-	})
-	for _, regions := range perGroup {
-		for _, fr := range regions {
-			fr.ID = RegionID(len(rt.regions))
+			}
 			rt.regions = append(rt.regions, fr)
 			rt.byOffset[fr.Offset] = append(rt.byOffset[fr.Offset], fr)
 		}

@@ -155,12 +155,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkOpen measures start-up latency. The workers=… cases open a
-// checkpointed store of untrained tracks with a short WAL tail, serial
-// (workers=1) vs parallel (GOMAXPROCS): they time segment decode and replay
-// plumbing and — like BENCH_recovery.json, recorded the same way — no model
-// at all. On a single-CPU host the two coincide; the spread is the recovery
-// parallelism the format buys on real hardware.
+// BenchmarkOpen measures start-up latency. The objects=… case opens a
+// checkpointed store of untrained tracks with a short WAL tail: it times
+// segment decode and replay plumbing and no model at all. The store fans
+// recovery out across GOMAXPROCS, so -cpu 1,2 is the serial-vs-parallel
+// comparison.
 //
 // The trained cases are what a fleet's restart costs: 64 objects trained
 // from the four datagen kinds, checkpointed, and for trained/recover a
@@ -179,16 +178,13 @@ func BenchmarkOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	crash(s) // leave a WAL tail for replay
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d/objects=%d", workers, fleet), func(b *testing.B) {
-			benchReopen(b, dir, Options{
-				Config:          hpm.Config{Period: period},
-				MinTrainPeriods: 1 << 20,
-				WALNoSync:       true,
-				PersistWorkers:  workers,
-			})
+	b.Run(fmt.Sprintf("objects=%d", fleet), func(b *testing.B) {
+		benchReopen(b, dir, Options{
+			Config:          hpm.Config{Period: period},
+			MinTrainPeriods: 1 << 20,
+			WALNoSync:       true,
 		})
-	}
+	})
 
 	f := newRestartFleet(64, 1)
 	for _, mode := range []string{"clean", "recover"} {

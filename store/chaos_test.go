@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,14 +15,12 @@ import (
 )
 
 // durableOpts is the fast-test configuration for durable stores: WAL
-// fsyncs off (tmpdir tests don't survive power loss anyway) and snappy
-// retry backoff.
+// fsyncs off (tmpdir tests don't survive power loss anyway).
 func durableOpts() Options {
 	return Options{
-		Config:            hpm.Config{Period: period},
-		MinTrainPeriods:   3,
-		TrainRetryBackoff: time.Millisecond,
-		WALNoSync:         true,
+		Config:          hpm.Config{Period: period},
+		MinTrainPeriods: 3,
+		WALNoSync:       true,
 	}
 }
 
@@ -287,7 +286,8 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 // attempt: the process must survive, the retry must succeed, and the
 // failure must be visible in Stats/Health until Flush drains it.
 func TestTrainPanicRecoveredAndRetried(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, TrainRetryBackoff: time.Millisecond})
+	s := testStore(t, Options{MinTrainPeriods: 3})
+	s.retryBackoff = time.Millisecond
 	s.SetFaultHook(faultinject.PanicN(faultinject.OpTrain, 1))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 21)
 	spec.Period = period
@@ -324,12 +324,8 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 // verifies the object keeps answering from its previous model, surfaces
 // the error, and recovers once the fault clears.
 func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
-	s := testStore(t, Options{
-		MinTrainPeriods:   3,
-		RetrainEvery:      2,
-		TrainMaxRetries:   1,
-		TrainRetryBackoff: time.Millisecond,
-	})
+	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	s.maxRetries, s.retryBackoff = 1, time.Millisecond
 	feed(t, s, "bike", 31, 3) // healthy initial train
 	p1, _ := s.Predictor("bike")
 
@@ -375,11 +371,8 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 // TestTrainRetryBacksOff measures that retries are spaced by the
 // configured (doubling) backoff rather than hot-looping.
 func TestTrainRetryBacksOff(t *testing.T) {
-	s := testStore(t, Options{
-		MinTrainPeriods:   3,
-		TrainMaxRetries:   2,
-		TrainRetryBackoff: 30 * time.Millisecond,
-	})
+	s := testStore(t, Options{MinTrainPeriods: 3})
+	s.maxRetries, s.retryBackoff = 2, 30*time.Millisecond
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 41)
 	spec.Period = period
@@ -403,11 +396,8 @@ func TestTrainRetryBacksOff(t *testing.T) {
 // TestTrainErrorRingBounded overflows the ring and checks it stays fixed
 // size while the total keeps counting.
 func TestTrainErrorRingBounded(t *testing.T) {
-	s := testStore(t, Options{
-		MinTrainPeriods:   1,
-		TrainMaxRetries:   -1, // no retries: one failure per object
-		TrainRetryBackoff: time.Millisecond,
-	})
+	s := testStore(t, Options{MinTrainPeriods: 1})
+	s.maxRetries = 0 // one failure per object
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 51)
 	spec.Period = period
@@ -579,6 +569,67 @@ func TestDurableCloseReopen(t *testing.T) {
 	st, _ := back.Stats("bus")
 	if st.Points != n || !st.Trained {
 		t.Fatalf("reopened stats: %+v, want %d points trained", st, n)
+	}
+}
+
+// TestOpenHoldsTheSnapshotsPeriod: a directory keeps the period it was
+// created with. Reopening it with that period, or with none, serves it;
+// reopening it with another is refused, loudly, and the refused Open leaves
+// no goroutine and no file handle behind.
+func TestOpenHoldsTheSnapshotsPeriod(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ingest(t, s, "bus", 17, 4, 50)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{period, 0} {
+		opts := durableOpts()
+		opts.Config.Period = p
+		back, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopen with period %d: %v", p, err)
+		}
+		if st, _ := back.Stats("bus"); back.Period() != period || st.Points != n || !st.Trained {
+			t.Errorf("reopen with period %d serves period %d, %+v", p, back.Period(), st)
+		}
+		if err := back.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(fds)
+	}
+	goroutines, files := runtime.NumGoroutine(), openFiles()
+	opts := durableOpts()
+	opts.Config.Period = 5 * period
+	for i := 0; i < 20; i++ {
+		back, err := Open(dir, opts)
+		if err == nil {
+			back.Close()
+			t.Fatalf("a period-%d directory opened with period %d", period, opts.Config.Period)
+		}
+		if !strings.Contains(err.Error(), "period") {
+			t.Fatalf("refusal does not name the period: %v", err)
+		}
+	}
+	if n := openFiles(); n > files {
+		t.Errorf("refused Opens left %d file handles behind", n-files)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked by refused Opens: %d before, %d after", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -421,13 +421,8 @@ func TestChaosDegradeUnderConcurrentIngest(t *testing.T) {
 // drift-triggered retrains yield (counted, EWMA left hot) and re-fire once
 // the pool drains.
 func TestTrainerValveSuppressesDrift(t *testing.T) {
-	s := testStore(t, Options{
-		MinTrainPeriods: 3,
-		DriftThreshold:  50,
-		DriftMinScores:  3,
-		TrainWorkers:    1,
-		MaxTrainBacklog: 1,
-	})
+	s := testStore(t, Options{MinTrainPeriods: 3, DriftThreshold: 50})
+	s.driftMinScores = 3
 	var hold atomic.Bool
 	gate := make(chan struct{})
 	s.beforeTrain = func() {
@@ -448,13 +443,17 @@ func TestTrainerValveSuppressesDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Backlog the pool: "other"'s first train parks on the gate.
+	// Backlog the pool to the valve: the others' first trains park on the
+	// gate, or behind the ones that do.
 	hold.Store(true)
 	spec2 := hpm.DefaultDatasetSpec(hpm.DatasetBike, 2)
 	spec2.Period = period
 	spec2.SubTrajectories = 4
-	if err := s.ObserveBatch("other", hpm.GenerateDataset(spec2).Points()); err != nil {
-		t.Fatal(err)
+	pts2 := hpm.GenerateDataset(spec2).Points()
+	for i := 0; i < trainBacklogPerWorker*s.workers; i++ {
+		if err := s.ObserveBatch(fmt.Sprintf("other-%d", i), pts2); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Drive "bike"'s drift EWMA through the threshold: predictions

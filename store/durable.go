@@ -33,10 +33,12 @@ const snapshotFile = "snapshot.hpms"
 
 // Open opens (or creates) a durable store rooted at dir. When a snapshot
 // exists it is loaded — its persisted Options win over opts, matching
-// Load — and the WAL tail is replayed on top, tolerating a torn final
-// record. The returned store logs every ObserveBatch to a fresh WAL
-// segment before acknowledging it; Close checkpoints and releases the
-// log, and Checkpoint may be called periodically in between.
+// Load, and a non-zero opts.Config.Period that differs from the
+// snapshot's is an error — and the WAL tail is replayed on top,
+// tolerating a torn final record. The returned store logs every
+// ObserveBatch to a fresh WAL segment before acknowledging it; Close
+// checkpoints and releases the log, and Checkpoint may be called
+// periodically in between.
 //
 // opts.WALNoSync is honored even on restore: sync policy belongs to the
 // process, not the snapshot.
@@ -63,8 +65,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	var m *snapManifest
 	switch _, err := os.Stat(path); {
 	case err == nil:
-		if s, m, err = loadSnapshotFile(path, opts.PersistWorkers); err != nil {
+		if s, m, err = loadSnapshotFile(path); err != nil {
 			return nil, err
+		}
+		// Tracks and models are laid out in periods of the snapshot's
+		// length; serving them under another would answer quietly wrong.
+		if p := opts.Config.Period; p != 0 && p != s.Period() {
+			s.Close()
+			return nil, fmt.Errorf("store: %s holds a period-%d fleet, opened with period %d: a store's period is fixed when it is created", dir, s.Period(), p)
 		}
 		s.restored = true
 		for i := range s.shards {
@@ -91,13 +99,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.dir = dir
 	s.manifest = m
 	s.opts.WALNoSync = opts.WALNoSync
-	// Like sync policy, the fleet index, compaction cadence and the
-	// persistence worker pool are process configuration: honoring the
-	// caller's settings lets an operator change them on restart of an
-	// existing durable store.
+	// Like sync policy, the fleet index and compaction cadence are process
+	// configuration: honoring the caller's settings lets an operator
+	// change them on restart of an existing durable store.
 	s.opts.FleetIndex = opts.FleetIndex
 	s.opts.CompactEvery = opts.CompactEvery
-	s.opts.PersistWorkers = opts.PersistWorkers
 	if err := s.initFleetIndex(); err != nil {
 		s.Close()
 		return nil, err
@@ -151,9 +157,9 @@ func (s *Store) recoverModels() {
 	}
 	// Objects are independent here — each update touches only its own
 	// lock and the train pool's — so recovery fans out across the
-	// persistence workers (synchronous-training errors land in the ring
+	// store's workers (synchronous-training errors land in the ring
 	// exactly as they would serially).
-	parallel.For(len(objs), s.persistWorkers(), func(i int) {
+	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
 		obj.mu.Lock()
 		if err := s.maybeUpdate(obj); err != nil {
@@ -189,14 +195,13 @@ func (s *Store) replaySegments(paths []string) (int, error) {
 	if len(paths) == 0 {
 		return 0, nil
 	}
-	workers := s.persistWorkers()
 	type segRecs struct {
 		recs []walRecord
 		n    int
 		err  error
 	}
 	decoded := make([]segRecs, len(paths))
-	parallel.For(len(paths), workers, func(i int) {
+	parallel.For(len(paths), s.workers, func(i int) {
 		sr := &decoded[i]
 		sr.n, sr.err = replaySegment(paths[i], i == len(paths)-1, func(rec walRecord) error {
 			sr.recs = append(sr.recs, rec)
@@ -230,7 +235,7 @@ func (s *Store) replaySegments(paths []string) (int, error) {
 		}
 	}
 	errs := make([]error, len(groups))
-	parallel.For(len(groups), workers, func(gi int) {
+	parallel.For(len(groups), s.workers, func(gi int) {
 		for _, i := range groups[gi] {
 			if err := s.applyReplay(recs[i], i < lastTomb[recs[i].id]); err != nil {
 				errs[gi] = err
@@ -396,7 +401,7 @@ func (s *Store) checkpoint(force bool) error {
 
 	segs := make([]*snapSegment, len(rewrite))
 	errs := make([]error, len(rewrite))
-	parallel.For(len(rewrite), s.persistWorkers(), func(i int) {
+	parallel.For(len(rewrite), s.workers, func(i int) {
 		segs[i], errs[i] = s.writeShardSegment(rewrite[i], epoch)
 	})
 	// Any pre-commit failure must leave the store exactly as it was: the
@@ -535,7 +540,7 @@ func (s *Store) SaveFile(path string) error {
 // bit, a foreign file, a missing or damaged segment — is an error, never
 // a partial fleet.
 func LoadFile(path string) (*Store, error) {
-	s, _, err := loadSnapshotFile(path, 0)
+	s, _, err := loadSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -545,10 +550,9 @@ func LoadFile(path string) (*Store, error) {
 
 // loadSnapshotFile loads the snapshot rooted at path: a v3 manifest whose
 // segment files sit beside it, or a whole v1/v2 single-file fleet stream.
-// The index is NOT rebuilt — Open replays a WAL on top first. workers
-// bounds the segment-load parallelism; <= 0 resolves to the store's
-// default. On error no store (and none of its goroutines) survives.
-func loadSnapshotFile(path string, workers int) (*Store, *snapManifest, error) {
+// The index is NOT rebuilt — Open replays a WAL on top first. On error no
+// store (and none of its goroutines) survives.
+func loadSnapshotFile(path string) (*Store, *snapManifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -579,10 +583,7 @@ func loadSnapshotFile(path string, workers int) (*Store, *snapManifest, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if workers <= 0 {
-			workers = s.persistWorkers()
-		}
-		if err := s.loadSegments(filepath.Dir(path), m, workers); err != nil {
+		if err := s.loadSegments(filepath.Dir(path), m); err != nil {
 			s.Close()
 			return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
 		}

@@ -57,7 +57,7 @@ func (s *Store) scoreLocked(obj *object, base int, pts []hpm.Point) {
 	if scored == 0 || s.opts.DriftThreshold <= 0 {
 		return
 	}
-	if ewma <= s.opts.DriftThreshold || n < s.opts.DriftMinScores {
+	if ewma <= s.opts.DriftThreshold || n < s.driftMinScores {
 		return
 	}
 	if obj.predictor == nil || obj.training {
@@ -75,7 +75,7 @@ func (s *Store) scoreLocked(obj *object, base int, pts []hpm.Point) {
 	// drift signal stays hot and re-fires on a later observation once the
 	// backlog clears.
 	s.trainMu.Lock()
-	backlogged := s.pending >= s.opts.MaxTrainBacklog
+	backlogged := s.pending >= trainBacklogPerWorker*s.workers
 	s.trainMu.Unlock()
 	if backlogged {
 		s.driftSuppressed.Add(1)

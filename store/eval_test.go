@@ -150,8 +150,8 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 	s, _ := evalStore(t, Options{
 		SynchronousTraining: true,
 		DriftThreshold:      50,
-		DriftMinScores:      3,
 	})
+	s.driftMinScores = 3
 	// Serve a prediction, then contradict it hard: truth teleports far
 	// from anything the model learned, so every scored error is huge and
 	// the EWMA blows through the threshold once enough samples land.

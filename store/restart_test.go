@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hpm"
@@ -110,7 +112,43 @@ func (f *restartFleet) answers(tb testing.TB, s *Store) map[string][][]hpm.Predi
 // as a twin that never restarted — before and after one more period is
 // observed, which runs every object's Extend through a miner re-seeded from
 // the loaded model (the clean reopen) and through replay (the recovery).
+//
+// A store fans loads, replay and the index rebuild out across the
+// GOMAXPROCS it was built under, so the whole sequence runs once serial
+// and once parallel, and the two must leave the same bytes and the same
+// answers behind every restart.
 func TestRestartAnswersMatchTwin(t *testing.T) {
+	var runs [2]restartTrail
+	for i := range runs {
+		procs := i + 1
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			runs[i] = restartAgainstTwin(t)
+		})
+	}
+	serial, par := runs[0], runs[1]
+	if len(serial.when) == 0 || len(serial.when) != len(par.when) {
+		t.Fatalf("%d serial and %d parallel stages", len(serial.when), len(par.when))
+	}
+	for i, when := range serial.when {
+		if !bytes.Equal(serial.saved[i], par.saved[i]) {
+			t.Errorf("%s: serial and parallel stores save %d and %d different bytes", when, len(serial.saved[i]), len(par.saved[i]))
+		}
+		if !reflect.DeepEqual(serial.answers[i], par.answers[i]) {
+			t.Errorf("%s: serial and parallel stores answer differently", when)
+		}
+	}
+}
+
+// restartTrail is what the restarted store saved and answered at each
+// stage of restartAgainstTwin.
+type restartTrail struct {
+	when    []string
+	saved   [][]byte
+	answers []map[string][][]hpm.Prediction
+}
+
+func restartAgainstTwin(t *testing.T) (trail restartTrail) {
 	f := newRestartFleet(64, 2)
 	twin, err := New(restartOptions())
 	if err != nil {
@@ -132,6 +170,13 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 				t.Fatalf("%s: %s answers\n%+v\nthe twin that never restarted\n%+v", when, id, got[id], want[id])
 			}
 		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		trail.when = append(trail.when, when)
+		trail.saved = append(trail.saved, buf.Bytes())
+		trail.answers = append(trail.answers, got)
 	}
 	same("before any restart")
 
@@ -184,4 +229,5 @@ func TestRestartAnswersMatchTwin(t *testing.T) {
 		t.Fatalf("reopen of extended models reports %+v", oi)
 	}
 	same("after reopening trees that Extend rearranged")
+	return trail
 }

@@ -63,9 +63,10 @@ func TestTrainPolicy(t *testing.T) {
 			opts := incrementalOpts()
 			opts.RetrainEvery = tc.retrainEvery
 			if tc.driftAt > 0 {
-				opts.DriftThreshold, opts.DriftMinScores = 50, 3
+				opts.DriftThreshold = 50
 			}
 			s := testStore(t, opts)
+			s.driftMinScores = 3
 			streamPeriods(t, s, "bike", 9, 0, 3)
 			prev, err := s.Predictor("bike")
 			if err != nil || prev == nil {

@@ -297,13 +297,12 @@ func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error)
 	return oj, m, nil
 }
 
-// loadSegments restores every manifest segment into s, in parallel across
-// workers. Each segment maps to exactly one shard, so workers insert into
+// loadSegments restores every manifest segment into s, in parallel. Each segment maps to exactly one shard, so workers insert into
 // disjoint shard maps. Any missing, truncated or corrupt segment is a
 // loud error — recovery never silently drops a shard's objects.
-func (s *Store) loadSegments(dir string, m *snapManifest, workers int) error {
+func (s *Store) loadSegments(dir string, m *snapManifest) error {
 	errs := make([]error, len(m.segments))
-	parallel.For(len(m.segments), workers, func(i int) {
+	parallel.For(len(m.segments), s.workers, func(i int) {
 		errs[i] = s.loadSegment(dir, m.segments[i])
 	})
 	return errors.Join(errs...)

@@ -151,7 +151,7 @@ func (s *Store) rebuildIndex() {
 		}
 		sh.mu.RUnlock()
 	}
-	parallel.For(len(objs), s.persistWorkers(), func(i int) {
+	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
 		obj.mu.Lock()
 		s.indexUpdateLocked(obj)

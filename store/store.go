@@ -47,24 +47,12 @@ type Options struct {
 	// MaxRecent is the recent-movement window handed to queries. Values
 	// <= 0 default to DefaultMaxRecent.
 	MaxRecent int
-	// TrainWorkers bounds how many full (re)trains may run concurrently
-	// across all objects. Values <= 0 default to runtime.NumCPU().
-	TrainWorkers int
 	// SynchronousTraining runs full (re)trains inline on the observing
 	// goroutine, as the store did before background training existed.
 	// Useful for benchmark baselines and for callers that want train
 	// errors returned directly from ObserveBatch. Synchronous trains are
 	// not retried; the error goes straight back to the caller.
 	SynchronousTraining bool
-	// TrainMaxRetries is how many times a failed or panicked background
-	// train is retried (with exponential backoff) before the store gives
-	// up and waits for the next completed period to reschedule. 0 defaults
-	// to DefaultTrainMaxRetries; negative disables retries.
-	TrainMaxRetries int
-	// TrainRetryBackoff is the delay before the first train retry; it
-	// doubles per attempt up to a 5s cap. Values <= 0 default to
-	// DefaultTrainRetryBackoff.
-	TrainRetryBackoff time.Duration
 	// WALNoSync skips the per-commit fsync of a durable store's
 	// write-ahead log, trading the zero-acknowledged-loss crash guarantee
 	// for ingest throughput (a crash may lose records the OS had not yet
@@ -87,15 +75,11 @@ type Options struct {
 	// empty summaries.
 	EvalDisabled bool
 	// DriftThreshold, when positive, schedules an early retrain whenever
-	// an object's error EWMA exceeds it (and at least DriftMinScores
-	// predictions were scored since the last reset). 0 disables drift
+	// an object's error EWMA exceeds it (and at least DefaultDriftMinScores
+	// predictions were scored since the last reset, so one bad prediction
+	// after a retrain cannot immediately re-fire). 0 disables drift
 	// detection — the default.
 	DriftThreshold float64
-	// DriftMinScores is how many predictions must be scored since the
-	// EWMA was last reset before drift may trigger, so one bad prediction
-	// after a retrain cannot immediately re-fire. Values <= 0 default to
-	// DefaultDriftMinScores.
-	DriftMinScores int
 	// AdaptiveRouting answers a Predict with the motion fallback directly
 	// when the evaluator has measured the dispatched pattern path (FQP or
 	// BQP) behind the fallback at the query's horizon — the paper's
@@ -114,13 +98,6 @@ type Options struct {
 	// it doubles per failed probe up to a 15s cap. Values <= 0 default to
 	// DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// MaxTrainBacklog is the trainer-saturation valve: when this many
-	// background trains are already pending, drift-triggered retrains are
-	// skipped (without resetting the drift EWMA, so they re-fire once the
-	// pool drains). Scheduled first-trains and periodic retrains are not
-	// valved — they are the product, drift retrains are opportunistic.
-	// Values <= 0 default to 4× TrainWorkers.
-	MaxTrainBacklog int
 	// FleetIndex, when non-nil, maintains a uniform-grid index over every
 	// object's predicted positions at the configured horizon buckets
 	// (defaulting to the evaluator's buckets), refreshed on every
@@ -137,25 +114,36 @@ type Options struct {
 	// segment per shard, so compaction is a policy choice, not a
 	// correctness need. Process configuration, like WALNoSync.
 	CompactEvery int
-	// PersistWorkers bounds the worker pool used for snapshot segment
-	// writes, parallel segment loads, sharded WAL replay and the index
-	// rebuild at Open. Values <= 0 default to runtime.GOMAXPROCS(0); 1
-	// forces the serial path (benchmark baseline). Process configuration,
-	// like WALNoSync.
-	PersistWorkers int
 }
 
 // Defaults for Options fields left at their zero value.
 const (
 	DefaultMinTrainPeriods    = 5
 	DefaultMaxRecent          = 10
-	DefaultTrainMaxRetries    = 3
-	DefaultTrainRetryBackoff  = 100 * time.Millisecond
 	DefaultShards             = 64
-	DefaultDriftMinScores     = 10
 	DefaultAdaptiveMinSamples = 20
 	DefaultDegradeAfter       = 3
 	DefaultProbeInterval      = 500 * time.Millisecond
+)
+
+// Training policy with one value in use, so not Options.
+const (
+	// DefaultTrainMaxRetries is how many times a failed or panicked
+	// background train is retried before the store gives up and waits for
+	// the next completed period to reschedule.
+	DefaultTrainMaxRetries = 3
+	// DefaultTrainRetryBackoff is the delay before the first train retry;
+	// it doubles per attempt up to maxTrainBackoff.
+	DefaultTrainRetryBackoff = 100 * time.Millisecond
+	// DefaultDriftMinScores is how many predictions must be scored since
+	// the drift EWMA was last reset before drift may trigger.
+	DefaultDriftMinScores = 10
+	// trainBacklogPerWorker sizes the trainer-saturation valve: with this
+	// many pending trains per worker, drift-triggered retrains are skipped
+	// (without resetting the drift EWMA, so they re-fire once the pool
+	// drains). Scheduled first-trains and periodic retrains are not valved
+	// — they are the product, drift retrains are opportunistic.
+	trainBacklogPerWorker = 4
 )
 
 // maxShards bounds Options.Shards against absurd configurations (each
@@ -176,15 +164,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRecent <= 0 {
 		o.MaxRecent = DefaultMaxRecent
 	}
-	if o.TrainWorkers <= 0 {
-		o.TrainWorkers = runtime.NumCPU()
-	}
-	if o.TrainMaxRetries == 0 {
-		o.TrainMaxRetries = DefaultTrainMaxRetries
-	}
-	if o.TrainRetryBackoff <= 0 {
-		o.TrainRetryBackoff = DefaultTrainRetryBackoff
-	}
 	if o.Shards <= 0 {
 		o.Shards = DefaultShards
 	}
@@ -198,17 +177,11 @@ func (o Options) withDefaults() Options {
 	}
 	o.Shards = n
 	o.Eval = o.Eval.WithDefaults()
-	if o.DriftMinScores <= 0 {
-		o.DriftMinScores = DefaultDriftMinScores
-	}
 	if o.DegradeAfter <= 0 {
 		o.DegradeAfter = DefaultDegradeAfter
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = DefaultProbeInterval
-	}
-	if o.MaxTrainBacklog <= 0 {
-		o.MaxTrainBacklog = 4 * o.TrainWorkers
 	}
 	if o.AdaptiveMinSamples <= 0 {
 		o.AdaptiveMinSamples = DefaultAdaptiveMinSamples
@@ -242,6 +215,18 @@ var ErrInvalidPoint = errors.New("store: non-finite coordinate")
 type Store struct {
 	opts Options
 
+	// workers is runtime.GOMAXPROCS(0) when the store was built: the one
+	// width of everything the store fans out — concurrent trains across
+	// objects (trainSem), and segment writes and loads, WAL replay and the
+	// index rebuild across shards. A single train under it is serial.
+	workers int
+
+	// The training policy constants as fields, so tests can shorten the
+	// backoff or drop the retries after New and before the first observe.
+	maxRetries     int
+	retryBackoff   time.Duration
+	driftMinScores int
+
 	// The object table is sharded: FNV-1a over the id picks one of
 	// Options.Shards (power of two) sub-maps, each with its own RWMutex,
 	// so lookups and inserts for distinct objects never contend on a
@@ -252,10 +237,10 @@ type Store struct {
 
 	// Background-training machinery. pending counts scheduled trains not
 	// yet swapped in; trainCond broadcasts when it reaches zero; trainSem
-	// bounds concurrent trains to Options.TrainWorkers. Failed train
-	// attempts land in a fixed-size ring — errStart/errCount index it,
-	// errTotal counts every failure ever — drained by Flush/Close and
-	// summarized (without draining) by Health.
+	// bounds concurrent trains to workers. Failed train attempts land in a
+	// fixed-size ring — errStart/errCount index it, errTotal counts every
+	// failure ever — drained by Flush/Close and summarized (without
+	// draining) by Health.
 	trainMu   sync.Mutex
 	trainCond *sync.Cond
 	pending   int
@@ -322,7 +307,7 @@ type Store struct {
 	probeWG    sync.WaitGroup
 
 	// driftSuppressed counts drift retrains the trainer-saturation valve
-	// skipped (Options.MaxTrainBacklog), for FleetStats and /metrics.
+	// skipped (trainBacklogPerWorker), for FleetStats and /metrics.
 	driftSuppressed atomic.Uint64
 
 	// driftRetrains counts retrains triggered fleet-wide by the drift
@@ -443,14 +428,20 @@ func New(opts Options) (*Store, error) {
 	if opts.Config.Period <= 0 {
 		return nil, errors.New("store: Options.Config.Period must be positive")
 	}
-	s := &Store{opts: opts.withDefaults()}
+	s := &Store{
+		opts:           opts.withDefaults(),
+		workers:        runtime.GOMAXPROCS(0),
+		maxRetries:     DefaultTrainMaxRetries,
+		retryBackoff:   DefaultTrainRetryBackoff,
+		driftMinScores: DefaultDriftMinScores,
+	}
 	s.shards = make([]shard, s.opts.Shards)
 	s.shardMask = uint32(s.opts.Shards - 1)
 	for i := range s.shards {
 		s.shards[i].objects = map[string]*object{}
 	}
 	s.trainCond = sync.NewCond(&s.trainMu)
-	s.trainSem = make(chan struct{}, s.opts.TrainWorkers)
+	s.trainSem = make(chan struct{}, s.workers)
 	s.stop = make(chan struct{})
 	if err := s.initFleetIndex(); err != nil {
 		return nil, err
@@ -460,6 +451,10 @@ func New(opts Options) (*Store, error) {
 
 // Period returns the configured pattern period.
 func (s *Store) Period() int { return s.opts.Config.Period }
+
+// MinTrainPeriods returns how many full periods an object accumulates
+// before its first train — a restored snapshot's value, not the caller's.
+func (s *Store) MinTrainPeriods() int { return s.opts.MinTrainPeriods }
 
 // shard picks the object's shard by FNV-1a over its id. Inlined rather
 // than hash/fnv to keep the hot ingest path free of a hasher allocation.
@@ -487,15 +482,6 @@ func (s *Store) markDirty(id string) {
 	if !sh.dirty.Load() {
 		sh.dirty.Store(true)
 	}
-}
-
-// persistWorkers is the worker count for parallel persistence work
-// (segment writes and loads, sharded replay, index rebuild).
-func (s *Store) persistWorkers() int {
-	if s.opts.PersistWorkers > 0 {
-		return s.opts.PersistWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // newObject allocates an object's state under the store's options.
@@ -896,16 +882,12 @@ func (s *Store) scheduleTrain(obj *object, completed int) {
 // snapshot without holding any lock, swaps it in under obj.mu, and re-runs
 // the update policy to catch up on periods completed during training.
 // Failures — including panics, which trainGuarded converts — are retried
-// with exponential backoff up to Options.TrainMaxRetries; each attempt's
+// with exponential backoff up to DefaultTrainMaxRetries; each attempt's
 // error lands in the bounded ring and on the object's Stats. A train that
 // exhausts its retries leaves the object serving its previous predictor,
 // and the next completed period schedules a fresh train.
 func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
-	maxRetries := s.opts.TrainMaxRetries
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := s.opts.TrainRetryBackoff
+	backoff := s.retryBackoff
 	var p *hpm.Predictor
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -919,7 +901,7 @@ func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
 		obj.trainFails++
 		obj.lastTrainErr = err
 		obj.mu.Unlock()
-		if attempt >= maxRetries {
+		if attempt >= s.maxRetries {
 			break
 		}
 		time.Sleep(backoff)

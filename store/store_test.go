@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpm"
 )
@@ -252,11 +255,37 @@ func TestStatsIncludeQueryCounters(t *testing.T) {
 }
 
 // TestOptionsBudget is a ratchet: Options had 26 fields before the
-// training regimes were collapsed into one policy. A new field needs two
-// callers that want different values — and then this number moves.
+// training regimes were collapsed into one policy, 22 before the worker
+// counts and the policy knobs nothing set became constants. A new field
+// needs two callers that want different values — and then this number
+// moves.
 func TestOptionsBudget(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n > 22 {
-		t.Errorf("store.Options has %d fields, budget is 22", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n > 16 {
+		t.Errorf("store.Options has %d fields, budget is 16", n)
+	}
+}
+
+// TestTrainPoolFollowsGOMAXPROCS: the train pool is as wide as the
+// processors the scheduler may use, not as the machine: under GOMAXPROCS=1
+// on a larger host (a CPU quota, a CI leg) a second concurrent train would
+// only take turns with the first on the one core.
+func TestTrainPoolFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := testStore(t, restartOptions())
+	defer s.Close()
+	var inflight, high atomic.Int32
+	s.beforeTrain = func() {
+		n := inflight.Add(1)
+		for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
+		}
+		// Hold the slot while every other trainer gets to run: one that
+		// could take a second slot would be counted beside this one.
+		time.Sleep(2 * time.Millisecond)
+		inflight.Add(-1)
+	}
+	newRestartFleet(8, 0).load(t, s) // eight first trains from one ObserveAll
+	if h := high.Load(); h != 1 {
+		t.Errorf("%d trains ran at once under GOMAXPROCS=1", h)
 	}
 }
 
