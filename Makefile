@@ -23,7 +23,7 @@ race:
 # WAL tails, injected WAL/snapshot/train faults, snapshot robustness, the
 # degraded read-only state machine, and the HTTP admission/shedding layer.
 chaos:
-	$(GO) test -race -run 'Chaos|WAL|Train|Durable|Snapshot|Save|Load|NonFinite|Fail|Panic|Join|Shard|Remove|Valve|Delay|Checkpoint|Compat|Segment|Manifest|Orphan|Incremental|Compact' -count=1 ./store/... ./internal/faultinject/...
+	$(GO) test -race -run 'Chaos|WAL|Train|Durable|Snapshot|Save|Load|NonFinite|Fail|Panic|Join|Shard|Remove|Valve|Delay|Checkpoint|Golden|Retired|Segment|Manifest|Orphan|Incremental|Compact' -count=1 ./store/... ./internal/faultinject/...
 	$(GO) test -race -run 'Admission|Degraded|Subscriber' -count=1 ./serve/...
 
 vet:
@@ -42,7 +42,7 @@ bench-query:
 	$(GO) test -bench='BenchmarkPredict(FQP|BQP)$$' -benchmem -run '^$$' .
 
 # Ingest-path benchmarks only: ObserveBatch under concurrent writers in
-# sync/nosync/single-shard modes, with fsyncs-per-op reported, and one
+# sync/nosync/nosync-index modes, with fsyncs-per-op reported, and one
 # observe of a trained object with the fleet index on (the per-point index
 # refresh). Group-commit depth and fsyncs per record under load are the
 # harness's ingest_tick workload (store.wal.records_per_batch,
@@ -93,8 +93,8 @@ bench-fleet:
 # plumbing; trained: clean and recovering Open of 64 trained objects, each
 # tree laid out from its saved shape; B/op and the live heap of one opened
 # store; -cpu 1,2 is serial against parallel recovery) and BenchmarkBulkLoad
-# (what Train and a version-1 stream pay: one pattern tree sorted into place
-# at the fleet's shape, 1 500 to 100 000 items).
+# (what Train pays and Open does not: one pattern tree sorted into place at
+# the fleet's shape, 1 500 to 100 000 items).
 bench-recovery:
 	$(GO) run ./cmd/hpmbench -experiment recovery -json
 	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/

@@ -341,9 +341,8 @@ func (p *Predictor) IsDistant(tc, tq int) bool {
 // the shape of the pattern index, which Load lays out again as it was.
 func (p *Predictor) Save(w io.Writer) error { return p.model.Save(w) }
 
-// Load deserializes a predictor written by Save, this version's or an
-// older one's (which carries no index shape: its patterns are sorted back
-// into a tree, as training does).
+// Load deserializes a predictor written by this version's Save; any other
+// stream version is refused by number.
 func Load(r io.Reader) (*Predictor, error) {
 	m, err := core.Load(r)
 	if err != nil {

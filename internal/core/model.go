@@ -143,8 +143,7 @@ type Model struct {
 	bounds geom.Rect
 	// chain is the Markov answering path's region-transition chain (see
 	// markov.go); nil when Params.MarkovOrder < 0 disables the path.
-	chain     *markov.Chain
-	reindexed bool // Load sorted the patterns into the tree: no saved shape
+	chain *markov.Chain
 
 	// Incremental-training state (see extend.go). The miner is built
 	// lazily on the first Extend — batch training and deserialization
@@ -317,10 +316,6 @@ func (m *Model) Bounds() geom.Rect { return m.bounds }
 
 // Params returns the training parameters after defaulting.
 func (m *Model) Params() Params { return m.params }
-
-// Reindexed reports whether Load had to sort the patterns into their index
-// because the stream predates the saved tree shape.
-func (m *Model) Reindexed() bool { return m.reindexed }
 
 // TreeStats returns the physical statistics of the pattern index.
 func (m *Model) TreeStats() tpt.TreeStats { return m.engine.Tree().Stats() }

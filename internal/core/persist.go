@@ -19,13 +19,13 @@ import (
 // the training parameters (JSON), the world bounds, the region table with
 // visitor bitmaps (so incremental Extend keeps working after a reload), the
 // live patterns in ref order — refs break ranking ties; the list stays the
-// source of truth — and, from version 2, the length-prefixed shape of the
-// pattern tree (tpt.Shape, refs renumbered to rank in the list). The tree's
-// keys are never stored: Load encodes each leaf key from its pattern and ORs
-// the levels above, which is every check a stored key would need, at ≈2
-// bytes per pattern where the slabs take 36. A version-1 stream has no
-// shape, and Load sorts its patterns into a tree as Train does. A loaded
-// tree keeps the packing it was saved with; the periodic Train repacks.
+// source of truth — and the length-prefixed shape of the pattern tree
+// (tpt.Shape, refs renumbered to rank in the list). The tree's keys are
+// never stored: Load encodes each leaf key from its pattern and ORs the
+// levels above, which is every check a stored key would need, at ≈2 bytes
+// per pattern where the slabs take 36. Load reads modelVersion and nothing
+// else (DESIGN.md, "Upgrading an older directory"). A loaded tree keeps the
+// packing it was saved with; the periodic Train repacks.
 // The incremental miner is not stored — a just-trained model has none, a
 // fleet's miners are three times its snapshot — and the first Extend after
 // a load re-seeds it (DESIGN.md, "What one recovery costs").
@@ -97,9 +97,8 @@ func Load(r io.Reader) (*Model, error) {
 	if string(head[:len(modelMagic)]) != modelMagic {
 		return nil, fmt.Errorf("core: not a model stream (magic %q)", head[:len(modelMagic)])
 	}
-	version := head[len(modelMagic)]
-	if version < 1 || version > modelVersion {
-		return nil, fmt.Errorf("core: unsupported model version %d", version)
+	if v := head[len(modelMagic)]; v != modelVersion {
+		return nil, fmt.Errorf("core: model stream version %d, this build reads %d only (DESIGN.md, \"Upgrading an older directory\")", v, modelVersion)
 	}
 	pj, err := pattern.ReadBlob(br, 1<<20)
 	if err != nil {
@@ -127,17 +126,13 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read patterns: %w", err)
 	}
-	var shape *tpt.Shape
-	if version >= 2 {
-		sb, err := pattern.ReadBlob(br, 1<<30)
-		if err != nil {
-			return nil, fmt.Errorf("core: read tree shape: %w", err)
-		}
-		sh, err := tpt.DecodeShape(sb)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		shape = &sh
+	sb, err := pattern.ReadBlob(br, 1<<30)
+	if err != nil {
+		return nil, fmt.Errorf("core: read tree shape: %w", err)
+	}
+	shape, err := tpt.DecodeShape(sb)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	trailer := make([]byte, len(modelTrailer))
 	if _, err := io.ReadFull(br, trailer); err != nil {
@@ -146,7 +141,7 @@ func Load(r io.Reader) (*Model, error) {
 	if string(trailer) != modelTrailer {
 		return nil, fmt.Errorf("core: corrupt stream trailer %q", trailer)
 	}
-	return assemble(params, regions, patterns, bounds, shape)
+	return assemble(params, regions, patterns, bounds, &shape)
 }
 
 // livePatterns filters tombstoned entries out of the ref-indexed slice;
@@ -183,13 +178,12 @@ func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pa
 		return nil, err
 	}
 	m := &Model{
-		params:    params,
-		regions:   regions,
-		encoder:   enc,
-		engine:    engine,
-		bounds:    bounds,
-		stats:     pattern.Stats{Rules: len(patterns)},
-		reindexed: shape == nil,
+		params:  params,
+		regions: regions,
+		encoder: enc,
+		engine:  engine,
+		bounds:  bounds,
+		stats:   pattern.Stats{Rules: len(patterns)},
 	}
 	// The chain starts empty on load: its state lives outside the model
 	// stream, so the owner either restores it (LoadMarkov) or re-folds the

@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hpm/internal/datagen"
@@ -65,37 +66,35 @@ func livedInModel(t testing.TB) (*Model, []trajectory.SubTrajectory, int) {
 	return m, subs, period
 }
 
-// savedShape is the shape section Save writes for m: the tree's shape with
-// refs renumbered to live rank, length-prefixed.
-func savedShape(m *Model) (tpt.Shape, []byte) {
+// savedShape is the shape Save writes for m: the tree's, with refs
+// renumbered to live rank.
+func savedShape(m *Model) tpt.Shape {
 	_, rank := m.livePatterns()
 	sh := m.engine.Tree().Shape()
 	for i, ref := range sh.Refs {
 		sh.Refs[i] = rank[ref]
 	}
-	sb := sh.AppendBinary(nil)
-	return sh, append(binary.AppendUvarint(nil, uint64(len(sb))), sb...)
+	return sh
 }
 
-// stripShape turns m's version-2 stream into the version-1 stream of the
-// same model: no shape section, and the version byte says so.
-func stripShape(t testing.TB, m *Model, stream []byte) []byte {
+// sortedTwin is the model Load would build from the same stream had it no
+// shape to read: the loaded parts assembled again with a nil shape, which
+// sorts the patterns into a tree as Train does.
+func sortedTwin(t testing.TB, loaded *Model) *Model {
 	t.Helper()
-	_, section := savedShape(m)
-	tail := append(section, modelTrailer...)
-	if !bytes.HasSuffix(stream, tail) {
-		t.Fatal("the stream does not end in the model's shape section and the trailer")
+	live, _ := loaded.livePatterns()
+	twin, err := assemble(loaded.params, loaded.regions, live, loaded.bounds, nil)
+	if err != nil {
+		t.Fatalf("assembling the loaded parts without a shape: %v", err)
 	}
-	v1 := append(bytes.Clone(stream[:len(stream)-len(tail)]), modelTrailer...)
-	v1[len(modelMagic)] = 1
-	return v1
+	return twin
 }
 
 // TestLoadReadsSavedShape: a model that lived through Extends comes back
 // with the tree it was saved with — same arrangement, refs at live rank,
 // every leaf key the encoding of its pattern under the loaded tables — and
 // answers exactly like the model that was never saved and like the same
-// stream loaded without its shape, through the sort.
+// parts assembled without the shape, through the sort.
 func TestLoadReadsSavedShape(t *testing.T) {
 	m, subs, period := livedInModel(t)
 	var buf bytes.Buffer
@@ -107,14 +106,8 @@ func TestLoadReadsSavedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := Load(bytes.NewReader(stripShape(t, m, stream)))
-	if err != nil {
-		t.Fatalf("the stream without its shape: %v", err)
-	}
-	if read.Reindexed() || !sorted.Reindexed() {
-		t.Fatalf("Reindexed: %v with a shape, %v without", read.Reindexed(), sorted.Reindexed())
-	}
-	want, _ := savedShape(m)
+	sorted := sortedTwin(t, read)
+	want := savedShape(m)
 	if got := read.engine.Tree().Shape(); !reflect.DeepEqual(got, want) {
 		t.Fatal("the loaded tree does not have the saved tree's shape")
 	}
@@ -182,7 +175,7 @@ func TestLoadReadsSavedShape(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, atRank(want)) || !reflect.DeepEqual(batch[i], atRank(batchWant[i])) {
-						t.Fatalf("day %d offset %d tq %d (reindexed=%v):\n got %+v\nwant %+v", day, at, tq, back.Reindexed(), got, atRank(want))
+						t.Fatalf("day %d offset %d tq %d (sorted=%v):\n got %+v\nwant %+v", day, at, tq, back == sorted, got, atRank(want))
 					}
 					queries++
 					if len(want) > 0 && want[0].Source == hpa.SourcePattern {
@@ -197,63 +190,48 @@ func TestLoadReadsSavedShape(t *testing.T) {
 	}
 }
 
-// fixtureModelV1 cuts the first model stream out of the store's committed
-// version-1 snapshot: written before the tree shape existed, it is the
-// corpus that keeps old directories opening.
-func fixtureModelV1(t testing.TB) []byte {
+// fixtureModel cuts the trained object's model stream out of the store's
+// committed golden directory: bytes the parent commit wrote.
+func fixtureModel(t testing.TB) []byte {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join("..", "..", "store", "testdata", "snapshot_v1.hpms"))
+	seg, err := os.ReadFile(filepath.Join("..", "..", "store", "testdata", "fleet", "seg-00024-0000000001.hpms"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := bytes.Index(snap, []byte(modelMagic+"\x01"))
+	start := bytes.Index(seg, []byte(modelMagic+string(rune(modelVersion))))
 	if start < 0 {
-		t.Fatal("no version-1 model stream in the fixture")
+		t.Fatal("no current-version model stream in the fixture")
 	}
 	for end := start; ; {
-		i := bytes.Index(snap[end:], []byte(modelTrailer))
+		i := bytes.Index(seg[end:], []byte(modelTrailer))
 		if i < 0 {
 			t.Fatal("no prefix of the fixture's model stream loads")
 		}
 		end += i + len(modelTrailer)
-		if _, err := Load(bytes.NewReader(snap[start:end])); err == nil {
-			return snap[start:end]
+		if _, err := Load(bytes.NewReader(seg[start:end])); err == nil {
+			return seg[start:end]
 		}
 	}
 }
 
-// TestLoadFixtureModelV1: the committed version-1 stream loads, by the
-// sort, and re-saves as a version-2 stream that reads back into the very
-// tree the sort built.
-func TestLoadFixtureModelV1(t *testing.T) {
-	old, err := Load(bytes.NewReader(fixtureModelV1(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !old.Reindexed() || old.NumPatterns() == 0 {
-		t.Fatalf("fixture model: reindexed=%v with %d patterns", old.Reindexed(), old.NumPatterns())
-	}
-	var buf bytes.Buffer
-	if err := old.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[len(modelMagic)] != modelVersion {
-		t.Fatalf("re-saved as version %d", buf.Bytes()[len(modelMagic)])
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Reindexed() || !reflect.DeepEqual(back.engine.Tree().Shape(), old.engine.Tree().Shape()) {
-		t.Fatal("the re-saved fixture does not read back into the tree it was saved with")
+// TestLoadRefusesRetiredVersion: a stream whose version byte is not
+// modelVersion is refused by number, older or newer.
+func TestLoadRefusesRetiredVersion(t *testing.T) {
+	for _, v := range []byte{0, 1, modelVersion + 1} {
+		stream := bytes.Clone(fixtureModel(t))
+		stream[len(modelMagic)] = v
+		_, err := Load(bytes.NewReader(stream))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) || !strings.Contains(err.Error(), "DESIGN.md") {
+			t.Errorf("version %d: %v, want a refusal that names the version and DESIGN.md's upgrade note", v, err)
+		}
 	}
 }
 
 // FuzzLoadModel: Load never panics, and a stream it accepts yields a model
 // whose index holds exactly its patterns under their own keys, which
-// answers, saves, and loads again by reading its shape. The seeds — the
-// fixture's version-1 stream, a version-2 stream, cuts and bit flips of
-// both — run under plain go test.
+// answers, saves, and loads again. The seeds — the golden directory's
+// stream, a freshly trained one, cuts and bit flips of both — run under
+// plain go test.
 func FuzzLoadModel(f *testing.F) {
 	subs, err := datagen.Generate(datagen.Spec{Kind: datagen.Cow, Period: 30, SubTrajectories: 8, Seed: 7}).Decompose(30)
 	if err != nil {
@@ -263,11 +241,11 @@ func FuzzLoadModel(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := m.Save(&v2); err != nil {
+	var fresh bytes.Buffer
+	if err := m.Save(&fresh); err != nil {
 		f.Fatal(err)
 	}
-	for _, stream := range [][]byte{fixtureModelV1(f), v2.Bytes()} {
+	for _, stream := range [][]byte{fixtureModel(f), fresh.Bytes()} {
 		f.Add(stream)
 		for _, cut := range []int{5, len(stream) / 3, len(stream) - 40, len(stream) - 5, len(stream) - 1} {
 			f.Add(stream[:cut])
@@ -303,7 +281,7 @@ func FuzzLoadModel(f *testing.F) {
 		if err := m.Save(&buf); err != nil {
 			t.Fatalf("a loaded model does not save: %v", err)
 		}
-		if back, err := Load(&buf); err != nil || back.Reindexed() || back.NumPatterns() != m.NumPatterns() {
+		if back, err := Load(&buf); err != nil || back.NumPatterns() != m.NumPatterns() {
 			t.Fatalf("a loaded model's own stream: %v", err)
 		}
 	})

@@ -15,8 +15,8 @@ func init() {
 		"Checkpoint cost at 1k/10k/100k objects: incremental O(dirty) checkpoints vs full rewrites vs clean no-ops", recovery)
 }
 
-// recoveryShards fixes the shard count so the dirty-shard sweep has a
-// known denominator. 64 is the store's default.
+// recoveryShards is the store's shard count (a constant of its on-disk
+// format), the dirty-shard sweep's denominator.
 const recoveryShards = 64
 
 // recoveryDirtyShards is the incremental sweep: how many of the 64 shards
@@ -24,7 +24,7 @@ const recoveryShards = 64
 // rewrite; 1 is the floor an incremental checkpoint can pay.
 var recoveryDirtyShards = []int{1, 3, 16, recoveryShards}
 
-// recovery measures the persistence layer the sharded v3 snapshot format
+// recovery measures the persistence layer the sharded snapshot format
 // exists for:
 //
 //   - checkpoint pause vs dirty shards: after a full checkpoint, dirty k
@@ -129,13 +129,12 @@ func recovery(o Options) []Figure {
 
 // recoveryOpen opens a durable store tuned for the persistence figures:
 // training disabled, WAL fsyncs off (the figures time encode + file
-// writes, not the disk's fsync rate) and a fixed shard count.
+// writes, not the disk's fsync rate).
 func recoveryOpen(dir string) *store.Store {
 	st, err := store.Open(dir, store.Options{
 		Config:          hpm.Config{Period: 300},
 		MinTrainPeriods: 1 << 20,
 		WALNoSync:       true,
-		Shards:          recoveryShards,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: open: %v", err))

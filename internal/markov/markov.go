@@ -526,7 +526,9 @@ func Decode(data []byte) (*Chain, error) {
 	for i := uint64(0); i < nc && d.err == nil; i++ {
 		k := d.key()
 		ns := d.uvarint()
-		dist := make(map[uint32]uint32, ns)
+		// The count is a claim until its bytes arrive, and a successor is
+		// two varints: size the map by what the blob can still hold.
+		dist := make(map[uint32]uint32, min(ns, uint64(len(d.data)-d.pos)/2))
 		for j := uint64(0); j < ns && d.err == nil; j++ {
 			r := uint32(d.uvarint())
 			cnt := uint32(d.uvarint())

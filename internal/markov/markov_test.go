@@ -2,6 +2,8 @@ package markov
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -184,6 +186,28 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("bad magic decoded without error")
+	}
+}
+
+// TestDecodeHostileSuccessorCount: a context's successor count is a claim.
+// One of 2^28 with nothing behind it used to size a map before the first
+// successor was read — gigabytes for a sixteen-byte blob (found by the
+// store's FuzzLoadSegment, in a chain blob with four bytes flipped).
+func TestDecodeHostileSuccessorCount(t *testing.T) {
+	blob := append([]byte(chainMagic), chainVersion,
+		3, 2, 0, 4, // order, min count, window, period
+		0, 0, 0, 0, // no cursor, nothing observed, no history, no offsets
+		1, 0) // one context, of order 0
+	blob = binary.AppendUvarint(blob, 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a blob cut short behind a hostile count decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d blob bytes allocated %d before failing with %q", len(blob), grew, err)
 	}
 }
 

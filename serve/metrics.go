@@ -74,10 +74,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"replay\"} %g\n", oi.ReplaySeconds)
 		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"recover\"} %g\n", oi.RecoverSeconds)
 		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"index\"} %g\n", oi.IndexSeconds)
-		fmt.Fprintf(&b, "# HELP hpm_open_models Trained objects the snapshot held at start-up, by how each one's pattern index arrived: read from its saved shape, or sorted back because the snapshot predates it.\n")
-		fmt.Fprintf(&b, "# TYPE hpm_open_models gauge\n")
-		fmt.Fprintf(&b, "hpm_open_models{index=\"read\"} %d\n", oi.Models-oi.Reindexed)
-		fmt.Fprintf(&b, "hpm_open_models{index=\"sorted\"} %d\n", oi.Reindexed)
+		gauge("hpm_open_models", "Trained objects the snapshot held at start-up, each pattern index laid out from its saved shape.", oi.Models)
 		gauge("hpm_open_replay_extends", "Replayed WAL records that carried an object over a period boundary into an Extend.", oi.ReplayExtends)
 	}
 

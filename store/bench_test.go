@@ -22,8 +22,6 @@ import (
 //     drops below 1 and throughput climbs past the fsync rate.
 //   - nosync: no fsyncs — isolates the in-memory path (shard map, WAL
 //     encode, group buffer) from disk latency.
-//   - nosync-1shard: same with a single-shard object table, the
-//     pre-sharding layout; the gap to nosync is shard-lock contention.
 //   - nosync-index: nosync plus the fleet spatial index, so the gap to
 //     nosync is the incremental index maintenance each acknowledged
 //     observe pays (budgeted at a few percent).
@@ -40,13 +38,11 @@ func BenchmarkObserveParallel(b *testing.B) {
 	modes := []struct {
 		name   string
 		noSync bool
-		shards int
 		index  *spatial.Config
 	}{
-		{"sync", false, 0, nil},
-		{"nosync", true, 0, nil},
-		{"nosync-1shard", true, 1, nil},
-		{"nosync-index", true, 0, &spatial.Config{CellSize: 50}},
+		{"sync", false, nil},
+		{"nosync", true, nil},
+		{"nosync-index", true, &spatial.Config{CellSize: 50}},
 	}
 	pts := walPoints(0, 4)
 	for _, m := range modes {
@@ -56,7 +52,6 @@ func BenchmarkObserveParallel(b *testing.B) {
 					Config:          hpm.Config{Period: period},
 					MinTrainPeriods: 1 << 20, // never train: measure ingest alone
 					WALNoSync:       m.noSync,
-					Shards:          m.shards,
 					FleetIndex:      m.index,
 				})
 				if err != nil {
@@ -123,7 +118,7 @@ func benchFleet(b *testing.B, dir string, n int) *Store {
 
 // BenchmarkCheckpoint measures the checkpoint pause at a fixed fleet
 // size. "full" dirties every object before each checkpoint (every shard
-// rewrites, the v2 worst case); "incremental" dirties one object, so
+// rewrites, the worst case); "incremental" dirties one object, so
 // only that object's shard re-encodes and the rest chain from the
 // previous epoch — the O(dirty) contract as a number.
 func BenchmarkCheckpoint(b *testing.B) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -177,23 +176,21 @@ func verifyFleetOnce(t *testing.T, dir string, acked map[string]int) {
 	crash(back)
 }
 
-// TestLoadFailureLeaksNoGoroutines: a Load that dies mid-stream must shut
+// TestLoadFailureLeaksNoGoroutines: an Open that dies mid-segment must shut
 // down the partially built store's background machinery (train pool,
 // recovery probe) instead of leaking it on every failed restore attempt.
 func TestLoadFailureLeaksNoGoroutines(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike", 1, 4)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	body, _ := shardBody(t, s, int(shardIndex("bike")))
 	s.Close()
-	truncated := buf.Bytes()[:buf.Len()-10] // mid final record: a decode error, not clean EOF
+	dir := t.TempDir()
+	plantSnapshot(t, dir, body[:len(body)-10]) // mid final record: a decode error behind valid checksums
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		if _, err := Load(bytes.NewReader(truncated)); err == nil {
-			t.Fatal("truncated snapshot accepted")
+		if _, err := Open(dir, durableOpts()); err == nil {
+			t.Fatal("truncated segment accepted")
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -202,7 +199,7 @@ func TestLoadFailureLeaksNoGoroutines(t *testing.T) {
 			return // settled: nothing leaked
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked by failed Loads: %d before, %d after", before, runtime.NumGoroutine())
+			t.Fatalf("goroutines leaked by failed Opens: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -18,23 +17,22 @@ import (
 )
 
 // Durable stores: Open roots a store in a directory holding a snapshot —
-// a v3 manifest plus per-shard segment files (store/snapshot.go), or a
-// legacy v1/v2 single file — plus write-ahead-log segments. Every
-// acknowledged observation is either in the snapshot or in a WAL segment,
-// so a crash at any instant loses nothing acknowledged (in sync mode).
+// a manifest plus per-shard segment files (store/snapshot.go) — plus
+// write-ahead-log segments. Every acknowledged observation is either in
+// the snapshot or in a WAL segment, so a crash at any instant loses
+// nothing acknowledged (in sync mode).
 // Checkpoint compacts: it rotates the WAL, rewrites the segments of
 // shards that changed since the last checkpoint (all of them on the
 // first, or when Options.CompactEvery forces a full rewrite), commits a
 // manifest atomically, and deletes the WAL segments the snapshot covers.
 
-// snapshotFile is the snapshot's name inside a durable store's directory:
-// the v3 manifest, or a whole v1/v2 fleet stream.
+// snapshotFile is the manifest's name inside a durable store's directory.
 const snapshotFile = "snapshot.hpms"
 
 // Open opens (or creates) a durable store rooted at dir. When a snapshot
-// exists it is loaded — its persisted Options win over opts, matching
-// Load, and a non-zero opts.Config.Period that differs from the
-// snapshot's is an error — and the WAL tail is replayed on top,
+// exists it is loaded — its persisted Options win over opts, and a
+// non-zero opts.Config.Period that differs from the snapshot's is an
+// error — and the WAL tail is replayed on top,
 // tolerating a torn final record. The returned store logs every
 // ObserveBatch to a fresh WAL segment before acknowledging it; Close
 // checkpoints and releases the log, and Checkpoint may be called
@@ -79,9 +77,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			for _, obj := range s.shards[i].objects {
 				if obj.predictor != nil {
 					info.Models++
-					if obj.predictor.Model().Reindexed() {
-						info.Reindexed++
-					}
 				}
 			}
 		}
@@ -225,7 +220,7 @@ func (s *Store) replaySegments(paths []string) (int, error) {
 	}
 	byShard := make([][]int, len(s.shards))
 	for i, rec := range recs {
-		si := s.shardIndex(rec.id)
+		si := shardIndex(rec.id)
 		byShard[si] = append(byShard[si], i)
 	}
 	groups := byShard[:0]
@@ -493,65 +488,10 @@ func (s *Store) checkpoint(force bool) error {
 	return nil
 }
 
-// SaveFile writes a snapshot to path atomically: temp file in the same
-// directory, fsync, rename, directory sync. Readers of path never see a
-// partial snapshot, and a crash mid-write leaves the previous one intact.
-// The file is the Save stream plus a CRC32-C trailer over every preceding
-// byte, so LoadFile detects bit rot that the length-framed stream alone
-// would miss.
-func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	cw := &crcWriter{w: f}
-	// Disk-full fault point for the snapshot body: a failure here must
-	// leave the previous snapshot and every WAL segment intact (the temp
-	// file is discarded below, reclaim never runs).
-	err = s.fault(faultinject.OpDiskFull)
-	if err == nil {
-		err = s.Save(cw)
-	}
-	if err == nil {
-		var trailer [4]byte
-		binary.LittleEndian.PutUint32(trailer[:], cw.crc)
-		_, err = f.Write(trailer[:])
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot %s: %w", path, err)
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// LoadFile reads a snapshot written by SaveFile or Checkpoint, verifying
-// checksums before decoding. Corruption anywhere — truncation, a flipped
-// bit, a foreign file, a missing or damaged segment — is an error, never
-// a partial fleet.
-func LoadFile(path string) (*Store, error) {
-	s, _, err := loadSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s.rebuildIndex()
-	return s, nil
-}
-
-// loadSnapshotFile loads the snapshot rooted at path: a v3 manifest whose
-// segment files sit beside it, or a whole v1/v2 single-file fleet stream.
-// The index is NOT rebuilt — Open replays a WAL on top first. On error no
-// store (and none of its goroutines) survives.
+// loadSnapshotFile loads the snapshot whose manifest is at path and whose
+// segment files sit beside it: verify the CRC, parse the manifest, load the
+// segments. The index is NOT rebuilt — Open replays a WAL on top first. On
+// error no store (and none of its goroutines) survives.
 func loadSnapshotFile(path string) (*Store, *snapManifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -564,40 +504,24 @@ func loadSnapshotFile(path string) (*Store, *snapManifest, error) {
 	if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(trailer) {
 		return nil, nil, fmt.Errorf("store: snapshot %s: checksum mismatch (corrupt or truncated)", path)
 	}
-	if len(payload) < len(snapshotMagic)+1 {
-		return nil, nil, fmt.Errorf("store: snapshot %s: too short to hold a header", path)
-	}
-	if string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("store: snapshot %s: not a snapshot (magic %q)", path, payload[:len(snapshotMagic)])
-	}
-	if version := int(payload[len(snapshotMagic)]); version == manifestVersion {
-		oj, m, err := parseManifest(payload[len(snapshotMagic)+1:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
-		}
-		var opts Options
-		if err := json.Unmarshal(oj, &opts); err != nil {
-			return nil, nil, fmt.Errorf("store: snapshot %s: decode options: %w", path, err)
-		}
-		s, err := New(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := s.loadSegments(filepath.Dir(path), m); err != nil {
-			s.Close()
-			return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
-		}
-		s.snapshotBytes.Store(uint64(int64(len(data)) + m.segmentBytes()))
-		return s, m, nil
-	}
-	// Legacy v1/v2: the whole fleet is this one stream. loadStream closes
-	// the partial store itself on error.
-	s, err := loadStream(bytes.NewReader(payload))
+	oj, m, err := parseManifest(payload)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
 	}
-	s.snapshotBytes.Store(uint64(len(data)))
-	return s, nil, nil
+	var opts Options
+	if err := json.Unmarshal(oj, &opts); err != nil {
+		return nil, nil, fmt.Errorf("store: snapshot %s: decode options: %w", path, err)
+	}
+	s, err := New(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := s.loadSegments(filepath.Dir(path), m); err != nil {
+		s.Close()
+		return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
+	}
+	s.snapshotBytes.Store(uint64(int64(len(data)) + m.segmentBytes()))
+	return s, m, nil
 }
 
 // crcWriter hashes everything written through it.

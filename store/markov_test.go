@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -112,24 +111,34 @@ func TestMarkovWALReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestMarkovRebuiltFromLegacySnapshot: pre-v4 snapshots carry no chain
-// blob; loading one must rebuild the chain from the restored track so the
-// markov path answers immediately, not only after the next retrain.
-func TestMarkovRebuiltFromLegacySnapshot(t *testing.T) {
-	s, err := LoadFile(filepath.Join("testdata", "snapshot_v2.hpms"))
-	if err != nil {
-		t.Fatalf("load v2 fixture: %v", err)
+// TestMarkovRebuiltFromEmptyChain: a record written while the markov path
+// was off carries an empty chain blob; loading it with the path on must
+// rebuild the chain from the restored track so the path answers
+// immediately, not only after the next retrain.
+func TestMarkovRebuiltFromEmptyChain(t *testing.T) {
+	s := testStore(t, Options{MinTrainPeriods: 3})
+	feed(t, s, "bus", 23, 4)
+	obj, _ := s.get("bus", false)
+	snap, err := snapshotObject("bus", obj)
+	if err != nil || len(snap.chain) == 0 {
+		t.Fatalf("no chain to drop: %v", err)
 	}
-	defer s.Close()
-	if got := chainBytes(t, s, "fixture-trained"); len(got) == 0 {
-		t.Fatal("legacy snapshot restored an empty chain: rebuild from track did not run")
-	}
-	now, err := s.Now("fixture-trained")
+	snap.chain = nil
+	body, shard := recordSegment(t, snap)
+	back, err := decodeSealed(t, body, shard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PredictMarkov("fixture-trained", now+10); err != nil {
-		t.Errorf("markov predict after legacy restore: %v", err)
+	defer back.Close()
+	if got := chainBytes(t, back, "bus"); len(got) == 0 {
+		t.Fatal("a record without a chain restored an empty one: rebuild from track did not run")
+	}
+	now, err := back.Now("bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.PredictMarkov("bus", now+10); err != nil {
+		t.Errorf("markov predict after the rebuild: %v", err)
 	}
 }
 

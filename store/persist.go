@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -13,57 +12,9 @@ import (
 	"hpm/internal/pattern"
 )
 
-// Snapshot persistence: a Store serializes its options, every object's
-// track, and every trained model, so a service can restart without
-// re-mining its fleet. Format: magic+version, options JSON, then one
-// length-prefixed record per object.
-
-const (
-	snapshotMagic = "HPMS"
-	// snapshotVersion 2 added the per-object track base — the absolute
-	// timestamp of track[0], nonzero once the retention policy trims
-	// history. Version-1 snapshots load with base 0. Version 3 is taken by
-	// the sharded-manifest marker (manifestVersion); version 4 appends a
-	// length-prefixed Markov chain blob after each trained object's model.
-	// Version-1/2 records load with the chain re-folded from the track.
-	snapshotVersion = 4
-)
-
-// Save writes a snapshot of the whole store in the single-file (v2)
-// format. Each object is captured under its read lock — concurrent
-// queries are never blocked, and that object's writers wait only for the
-// capture, not for the encode or the I/O behind it.
-func (s *Store) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(snapshotVersion); err != nil {
-		return err
-	}
-	oj, err := json.Marshal(s.opts)
-	if err != nil {
-		return fmt.Errorf("store: encode options: %w", err)
-	}
-	writeBytes(bw, oj)
-
-	ids := s.Objects()
-	writeUvarint(bw, uint64(len(ids)))
-	for _, id := range ids {
-		obj, err := s.get(id, false)
-		if err != nil {
-			continue // removed concurrently; the count is a cap, see Load
-		}
-		snap, err := snapshotObject(id, obj)
-		if err != nil {
-			return err
-		}
-		if err := snap.write(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// The object-record codec: one object's track, training counters, model
+// stream and Markov chain as a length-framed record. Segment files
+// (snapshot.go) are the only container that holds records.
 
 // objectSnapshot is one object's persisted state, captured atomically
 // under the object's read lock so it can be encoded and written without
@@ -107,8 +58,8 @@ func snapshotObject(id string, obj *object) (objectSnapshot, error) {
 	return snap, nil
 }
 
-// write encodes the captured object in the format shared by v2 snapshot
-// streams and v3 segment files. Runs without any lock.
+// write encodes the captured object as one segment record. Runs without
+// any lock.
 func (snap objectSnapshot) write(bw *bufio.Writer) error {
 	writeBytes(bw, []byte(snap.id))
 	writeUvarint(bw, uint64(snap.base))
@@ -133,87 +84,27 @@ func (snap objectSnapshot) write(bw *bufio.Writer) error {
 	if _, err := bw.Write(snap.model); err != nil {
 		return err
 	}
-	// v4: the Markov chain rides behind the model, length-prefixed; an
-	// empty blob means the markov path was disabled at capture time.
+	// The Markov chain rides behind the model, length-prefixed; an empty
+	// blob means the markov path was disabled at capture time.
 	writeBytes(bw, snap.chain)
 	return nil
 }
 
-// Load reads a snapshot written by Save and returns a ready store.
-func Load(r io.Reader) (*Store, error) {
-	s, err := loadStream(r)
-	if err != nil {
-		return nil, err
-	}
-	// Tracks and models were restored without passing through the observe
-	// path; recompute the fleet index from the recovered state.
-	s.rebuildIndex()
-	return s, nil
-}
-
-// loadStream is Load without the index rebuild, for callers (Open) that
-// replay a WAL on top and rebuild once at the end. On a decode error the
-// partially built store is closed — its background machinery (train
-// pool, probe channel) must not outlive the failed load.
-func loadStream(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(snapshotMagic)+1)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: read header: %w", err)
-	}
-	if string(head[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("store: not a snapshot (magic %q)", head[:len(snapshotMagic)])
-	}
-	version := int(head[len(snapshotMagic)])
-	if version < 1 || version > snapshotVersion || version == manifestVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
-	}
-	oj, err := pattern.ReadBlob(br, 1<<20)
-	if err != nil {
-		return nil, fmt.Errorf("store: read options: %w", err)
-	}
-	var opts Options
-	if err := json.Unmarshal(oj, &opts); err != nil {
-		return nil, fmt.Errorf("store: decode options: %w", err)
-	}
-	s, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		s.Close()
-		return nil, fmt.Errorf("store: read object count: %w", err)
-	}
-	if count > 1<<24 {
-		s.Close()
-		return nil, fmt.Errorf("store: implausible object count %d", count)
-	}
-	for i := uint64(0); i < count; i++ {
-		if err := readObject(br, s, version); err != nil {
-			// A Save racing Remove can legitimately write fewer records
-			// than counted; only clean EOF at a record boundary is fine.
-			if err == io.EOF {
-				break
-			}
-			s.Close()
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-func readObject(br *bufio.Reader, s *Store, version int) error {
+// readObject decodes one record into s, which must be the store that owns
+// shard (the segment's): an id that hashes to any other shard is an error —
+// the directory was written at another shard count, and loading it would
+// chain its segments under the wrong shards at the next checkpoint.
+func readObject(br *bufio.Reader, s *Store, shard int) error {
 	idb, err := pattern.ReadBlob(br, 4096)
 	if err != nil {
 		return err
 	}
-	var base uint64
-	if version >= 2 {
-		if base, err = binary.ReadUvarint(br); err != nil {
-			return fmt.Errorf("store: read track base: %w", err)
-		}
+	if got := int(shardIndex(string(idb))); got != shard {
+		return fmt.Errorf("store: object %q belongs to shard %d, not %d (written at another shard count?)", idb, got, shard)
+	}
+	base, err := binary.ReadUvarint(br)
+	if err != nil {
+		return fmt.Errorf("store: read track base: %w", err)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -257,22 +148,20 @@ func readObject(br *bufio.Reader, s *Store, version int) error {
 			return fmt.Errorf("store: load model for %q: %w", idb, err)
 		}
 		obj.predictor = p
-		var chain []byte
-		if version >= 4 {
-			if chain, err = pattern.ReadBlob(br, 1<<30); err != nil {
-				return fmt.Errorf("store: read markov chain for %q: %w", idb, err)
-			}
+		chain, err := pattern.ReadBlob(br, 1<<30)
+		if err != nil {
+			return fmt.Errorf("store: read markov chain for %q: %w", idb, err)
 		}
 		if len(chain) == 0 || p.Model().LoadMarkov(chain) != nil {
-			// Pre-v4 record, markov disabled at capture, or the chain
-			// configuration changed since: re-fold the retained track (a
-			// no-op when the path is disabled now).
+			// Markov disabled at capture, or the chain configuration
+			// changed since: re-fold the retained track (a no-op when the
+			// path is disabled now).
 			p.Model().RebuildMarkov(obj.base, obj.track)
 		}
 	}
 	// Populate the shard directly: replay and load run before the store
 	// is shared, but take the shard lock anyway to keep the invariant.
-	sh := s.shard(string(idb))
+	sh := &s.shards[shard]
 	sh.mu.Lock()
 	sh.objects[string(idb)] = obj
 	sh.mu.Unlock()

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,21 +18,164 @@ import (
 	"hpm"
 )
 
+// fleetBytes fingerprints a fleet: every object's record through the
+// segment codec (snapshotObject + write), ids ascending. Two stores with
+// equal fleetBytes hold the same tracks, counters, models and chains.
+func fleetBytes(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	for _, id := range s.Objects() {
+		obj, err := s.get(id, false)
+		if err != nil {
+			continue // removed since the listing
+		}
+		snap, err := snapshotObject(id, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.write(bw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bw.Flush()
+	return buf.Bytes()
+}
+
+// durableStore opens a fresh durable store under a temp dir: testStore for
+// tests that go through the disk.
+func durableStore(t testing.TB, opts Options) *Store {
+	t.Helper()
+	if opts.Config.Period == 0 {
+		opts.Config.Period = period
+	}
+	opts.WALNoSync = true
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// reopen is the round trip through the on-disk format: checkpoint s, drop
+// its log as a kill would, and open the directory again. s keeps answering
+// reads, so a test can compare the two.
+func reopen(t testing.TB, s *Store) *Store {
+	t.Helper()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash(s)
+	back, err := Open(s.dir, Options{WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { crash(back) })
+	return back
+}
+
+// shardBody encodes one shard of s as a segment's payload (header and
+// records, no trailer) and returns it with the shard's object count.
+func shardBody(t testing.TB, s *Store, shard int) (body []byte, objects int) {
+	t.Helper()
+	var objs []*object
+	for _, obj := range s.shards[shard].objects {
+		objs = append(objs, obj)
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeSegment(bw, shard, objs); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	return buf.Bytes(), len(objs)
+}
+
+// segmentHeader reads the shard and the object count a segment payload's
+// header names; zeros where it names none.
+func segmentHeader(body []byte) (shard, objects uint64) {
+	if len(body) > len(segmentMagic) {
+		br := bytes.NewReader(body[len(segmentMagic)+1:])
+		shard, _ = binary.ReadUvarint(br)
+		objects, _ = binary.ReadUvarint(br)
+	}
+	return shard, objects
+}
+
+// recordSegment is a one-record segment payload holding snap, in the shard
+// its id hashes to.
+func recordSegment(t testing.TB, snap objectSnapshot) (body []byte, shard int) {
+	t.Helper()
+	shard = int(shardIndex(snap.id))
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString(segmentMagic)
+	bw.WriteByte(segmentVersion)
+	writeUvarint(bw, uint64(shard))
+	writeUvarint(bw, 1)
+	if err := snap.write(bw); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	return buf.Bytes(), shard
+}
+
+// sealSegment frames a payload as a segment file — CRC trailer appended —
+// with the manifest entry that pins exactly those bytes: what decodeSegment
+// sees when the bytes on disk are what a committed manifest says they are,
+// so nothing but the decoder stands between them and the store.
+func sealSegment(body []byte, shard, objects int) ([]byte, snapSegment) {
+	crc := crc32.Checksum(body, walCRC)
+	data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc)
+	return data, snapSegment{shard: shard, objects: objects, name: "seg-sealed.hpms", size: int64(len(data)), crc: crc}
+}
+
+// decodeSealed runs the segment decoder over a sealed payload on a scratch
+// store, which it returns (closed already when the decode failed).
+func decodeSealed(t testing.TB, body []byte, shard, objects int) (*Store, error) {
+	t.Helper()
+	scratch, err := New(Options{Config: hpm.Config{Period: period}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, sg := sealSegment(body, shard, objects)
+	if err := scratch.decodeSegment(data, sg); err != nil {
+		scratch.Close()
+		return nil, err
+	}
+	return scratch, nil
+}
+
+// plantSnapshot writes dir's snapshot by hand: each payload sealed into a
+// segment file, and a manifest over them.
+func plantSnapshot(t testing.TB, dir string, bodies ...[]byte) {
+	t.Helper()
+	m := &snapManifest{epoch: 1}
+	for _, body := range bodies {
+		shard, objects := segmentHeader(body)
+		data, sg := sealSegment(body, int(shard), int(objects))
+		sg.name = fmt.Sprintf(segmentFormat, shard, m.epoch)
+		if err := os.WriteFile(filepath.Join(dir, sg.name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.segments = append(m.segments, sg)
+	}
+	sort.Slice(m.segments, func(i, j int) bool { return m.segments[i].shard < m.segments[j].shard })
+	if _, err := (&Store{dir: dir, opts: durableOpts()}).writeManifest(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreSnapshotRoundTrip(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 50})
+	s := durableStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 50})
 	feed(t, s, "bike-1", 1, 5) // trained
 	feed(t, s, "bike-2", 2, 4) // trained
 	if err := s.Observe("young", hpm.Pt(10, 20)); err != nil {
 		t.Fatal(err) // untrained object with one observation
 	}
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	back := reopen(t, s)
+	if !bytes.Equal(fleetBytes(t, back), fleetBytes(t, s)) {
+		t.Error("the reopened fleet re-encodes differently")
 	}
 
 	ids := back.Objects()
@@ -80,15 +227,8 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestStoreSnapshotOptionsPreserved(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 7, RetrainEvery: 9, MaxRecent: 25})
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := durableStore(t, Options{MinTrainPeriods: 7, RetrainEvery: 9, MaxRecent: 25})
+	back := reopen(t, s)
 	if !reflect.DeepEqual(back.opts, s.opts) {
 		t.Errorf("options differ: %+v vs %+v", back.opts, s.opts)
 	}
@@ -97,24 +237,48 @@ func TestStoreSnapshotOptionsPreserved(t *testing.T) {
 	}
 }
 
+// TestStoreLoadRejectsGarbage: bytes that are no segment, no manifest, or
+// one cut inside its header are refused by the decoder itself — each is
+// CRC-valid and pinned by its manifest entry, so no checksum gets there
+// first.
 func TestStoreLoadRejectsGarbage(t *testing.T) {
-	for i, in := range [][]byte{
-		nil,
-		[]byte("XXXX\x01"),
-		[]byte("HPMS\x09"),
-		[]byte("HPMS\x01\x03{}"), // truncated options
-	} {
-		if _, err := Load(bytes.NewReader(in)); err == nil {
-			t.Errorf("case %d: garbage snapshot accepted", i)
+	for i, in := range garbageSegments {
+		if back, err := decodeSealed(t, in, 0, 1); err == nil {
+			back.Close()
+			t.Errorf("case %d: garbage segment accepted", i)
+		}
+	}
+	for i, in := range garbageManifests {
+		if _, _, err := parseManifest(in); err == nil {
+			t.Errorf("case %d: garbage manifest accepted", i)
 		}
 	}
 }
 
-// TestSaveUnderConcurrentObserves snapshots repeatedly while writers keep
-// ingesting: every snapshot must load cleanly (each object's record is a
-// consistent point-in-time cut, taken under its lock). Meant for -race.
+var garbageSegments = [][]byte{
+	nil,
+	[]byte("XXXX\x02"),
+	[]byte("HPMS\x02"),              // the manifest's magic
+	[]byte("HPMG\x09\x00\x00"),      // a version nobody wrote
+	[]byte("HPMG\x02\x00"),          // cut before the object count
+	[]byte("HPMG\x02\x00\x01\x03x"), // cut inside the one record's id
+}
+
+var garbageManifests = [][]byte{
+	nil,
+	[]byte("XXXX\x03"),
+	[]byte("HPMG\x03"), // the segment's magic
+	[]byte("HPMS\x09"),
+	[]byte("HPMS\x03\x03{}"),                 // truncated options
+	[]byte("HPMS\x03\x02{}\x01\x01\x40\x00"), // shard 64 of 64
+}
+
+// TestSaveUnderConcurrentObserves checkpoints repeatedly while writers keep
+// ingesting: every committed snapshot must load cleanly (each object's
+// record is a consistent point-in-time cut, taken under its lock). Meant
+// for -race.
 func TestSaveUnderConcurrentObserves(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3})
+	s := durableStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike-1", 1, 4)
 	feed(t, s, "bike-2", 2, 4)
 
@@ -141,11 +305,10 @@ func TestSaveUnderConcurrentObserves(t *testing.T) {
 		}(w, id)
 	}
 	for i := 0; i < 8; i++ {
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatalf("save %d: %v", i, err)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
 		}
-		back, err := Load(&buf)
+		back, _, err := loadSnapshotFile(filepath.Join(s.dir, snapshotFile))
 		if err != nil {
 			t.Fatalf("load %d: %v", i, err)
 		}
@@ -154,6 +317,7 @@ func TestSaveUnderConcurrentObserves(t *testing.T) {
 				t.Fatalf("load %d: stats %s: %v", i, id, err)
 			}
 		}
+		back.Close()
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -162,78 +326,63 @@ func TestSaveUnderConcurrentObserves(t *testing.T) {
 	}
 }
 
-func TestSaveFileLoadFileRoundTrip(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3})
-	feed(t, s, "bike", 3, 4)
-	path := filepath.Join(t.TempDir(), "fleet.hpms")
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := s.Stats("bike")
-	b, err := back.Stats("bike")
-	if err != nil || a.Points != b.Points || a.Trained != b.Trained || a.Patterns != b.Patterns {
-		t.Fatalf("stats differ after file roundtrip: %+v vs %+v (err %v)", a, b, err)
-	}
-}
-
+// TestStoreLoadRejectsTruncation: a segment cut anywhere inside its
+// records — re-sealed, so the cut is all that is wrong with it — is an
+// error, never a shorter fleet.
 func TestStoreLoadRejectsTruncation(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike", 1, 4)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
+	shard := int(shardIndex("bike"))
+	full, objects := shardBody(t, s, shard)
+	if back, err := decodeSealed(t, full, shard, objects); err != nil {
+		t.Fatalf("the uncut segment: %v", err)
+	} else {
+		back.Close()
 	}
-	full := buf.Bytes()
 	for _, frac := range []float64{0.2, 0.6, 0.95} {
 		cut := int(float64(len(full)) * frac)
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+		if back, err := decodeSealed(t, full[:cut], shard, objects); err == nil {
+			back.Close()
 			t.Errorf("truncation at %d/%d accepted", cut, len(full))
 		}
 	}
 }
 
-// hostileAllocs runs Load over a stream whose length field lies and returns
-// what it allocated: the lie must come back as an error, for free.
-func hostileAllocs(t *testing.T, stream []byte) {
+// hostileAllocs runs the segment decoder over a payload whose length field
+// lies and checks what it allocated: the lie must come back as an error,
+// for free.
+func hostileAllocs(t *testing.T, body []byte, shard int) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := Load(bytes.NewReader(stream))
+	s, err := decodeSealed(t, body, shard, 1)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		s.Close()
-		t.Fatal("a stream cut short behind a hostile length loaded")
+		t.Fatal("a segment cut short behind a hostile length loaded")
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("%d stream bytes allocated %d before failing with %q", len(stream), grew, err)
+		t.Fatalf("%d segment bytes allocated %d before failing with %q", len(body), grew, err)
 	}
 }
 
-// TestLoadHostileTrackLength: Load has no checksum in front of it, so a
-// track length is a claim. A 39-byte stream claiming 2^30 points used to be
-// `make([]hpm.Point, n)`, 16 GB: a dead process, not an error.
-func TestLoadHostileTrackLength(t *testing.T) {
-	var b bytes.Buffer
-	bw := bufio.NewWriter(&b)
-	bw.WriteString(snapshotMagic)
-	bw.WriteByte(snapshotVersion)
-	writeBytes(bw, []byte(`{"Config":{"Period":60}}`))
-	writeUvarint(bw, 1)      // objects
-	writeBytes(bw, []byte{}) // id
-	writeUvarint(bw, 0)      // track base
-	writeUvarint(bw, 1<<30)  // track length, and nothing behind it
-	bw.Flush()
-	hostileAllocs(t, b.Bytes())
+// hostileTrackLength is a one-record segment payload whose track claims
+// 2^30 points and holds none.
+func hostileTrackLength(t testing.TB) (body []byte, shard int) {
+	whole, shard := recordSegment(t, objectSnapshot{})
+	// An empty id, base 0, and then the empty track's length, modeled,
+	// sinceRetrain and the trained flag, a byte each: lie in the length's
+	// place, with nothing behind it.
+	return binary.AppendUvarint(whole[:len(whole)-4], 1<<30), shard
 }
 
-// TestLoadHostileChainLength: the same for the Markov blob behind a valid
-// model stream, which used to be one `make([]byte, n)` of a gigabyte.
-func TestLoadHostileChainLength(t *testing.T) {
+// hostileChainLength is a one-record segment payload — a trained object,
+// valid up to its model stream — whose Markov blob claims a gigabyte and
+// holds none.
+func hostileChainLength(t testing.TB) (body []byte, shard int) {
+	t.Helper()
 	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 50})
+	defer s.Close()
 	feed(t, s, "bike", 1, 4)
 	obj, err := s.get("bike", false)
 	if err != nil {
@@ -244,17 +393,23 @@ func TestLoadHostileChainLength(t *testing.T) {
 		t.Fatalf("no model to put in front of the chain: %v", err)
 	}
 	snap.chain = nil
-	var whole bytes.Buffer
-	bw := bufio.NewWriter(&whole)
-	bw.WriteString(snapshotMagic)
-	bw.WriteByte(snapshotVersion)
-	writeBytes(bw, []byte(`{"Config":{"Period":60}}`))
-	writeUvarint(bw, 1)
-	if err := snap.write(bw); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
+	whole, shard := recordSegment(t, snap)
 	// snap.write ended on the empty chain's one-byte length: lie in its place.
-	stream := binary.AppendUvarint(whole.Bytes()[:whole.Len()-1], 1<<30-1)
-	hostileAllocs(t, stream)
+	return binary.AppendUvarint(whole[:len(whole)-1], 1<<30-1), shard
+}
+
+// TestLoadHostileTrackLength: a segment's CRC says its bytes are the ones
+// that were written, not that a sane writer wrote them, so a track length
+// is a claim. A payload claiming 2^30 points used to be
+// `make([]hpm.Point, n)`, 16 GB: a dead process, not an error.
+func TestLoadHostileTrackLength(t *testing.T) {
+	body, shard := hostileTrackLength(t)
+	hostileAllocs(t, body, shard)
+}
+
+// TestLoadHostileChainLength: the same for the Markov blob behind a valid
+// model stream, which used to be one `make([]byte, n)` of a gigabyte.
+func TestLoadHostileChainLength(t *testing.T) {
+	body, shard := hostileChainLength(t)
+	hostileAllocs(t, body, shard)
 }

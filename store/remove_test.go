@@ -2,8 +2,9 @@ package store
 
 import (
 	"errors"
-	"path/filepath"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"hpm"
@@ -152,14 +153,19 @@ func TestRemoveReplayGapBeforeTombstone(t *testing.T) {
 	if err := s.ObserveBatch("bus", fresh); err != nil {
 		t.Fatal(err)
 	}
-	// A checkpoint that dies between SaveFile and reclaim: the snapshot
-	// now holds only the 30-point fresh track, but the frozen segment
-	// with offset-120..179 records (and the tombstone) is still on disk.
-	if _, err := s.wal.rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveFile(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatal(err)
+	// A checkpoint that dies between its manifest commit and the reclaim
+	// (the second consult of the manifest fault point): the snapshot now
+	// holds only the 30-point fresh track, but the frozen segment with
+	// offset-120..179 records (and the tombstone) is still on disk.
+	var consults atomic.Int64
+	s.SetFaultHook(func(op faultinject.Op) error {
+		if op == faultinject.OpManifest && consults.Add(1) == 2 {
+			return faultinject.ErrInjected
+		}
+		return nil
+	})
+	if err := s.Checkpoint(); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("injected post-commit failure not surfaced: %v", err)
 	}
 	crash(s)
 
@@ -174,6 +180,64 @@ func TestRemoveReplayGapBeforeTombstone(t *testing.T) {
 	}
 	if st.Points != len(fresh) {
 		t.Errorf("recovered %d points, want %d", st.Points, len(fresh))
+	}
+}
+
+// TestRemoveDuringSegmentWriteStaysOpenable: a Remove that lands between a
+// checkpoint listing a shard's objects and encoding them must not leave a
+// segment that promises more records than it holds — the checkpoint commits,
+// and the directory must open. The removed object may ride along in the
+// segment; its tombstone, in the WAL segment the checkpoint did not reclaim,
+// erases it again at replay.
+func TestRemoveDuringSegmentWriteStaysOpenable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two objects in one shard, and nothing anywhere else: the checkpoint
+	// writes exactly one segment.
+	stays, goes := "obj-0", ""
+	for i := 1; goes == ""; i++ {
+		if id := fmt.Sprintf("obj-%d", i); shardIndex(id) == shardIndex(stays) {
+			goes = id
+		}
+	}
+	for _, id := range []string{stays, goes} {
+		if err := s.ObserveBatch(id, walPoints(0, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The segment write consults the disk-full point after it has listed
+	// the shard (and after every shard passed the snapshot-shard point);
+	// the tombstone's own WAL append consults it again, hence the latch.
+	var armed, fired atomic.Bool
+	s.SetFaultHook(func(op faultinject.Op) error {
+		switch {
+		case op == faultinject.OpSnapshotShard:
+			armed.Store(true)
+		case op == faultinject.OpDiskFull && armed.Load() && fired.CompareAndSwap(false, true):
+			if err := s.Remove(goes); err != nil {
+				t.Errorf("remove inside the segment write: %v", err)
+			}
+		}
+		return nil
+	})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() {
+		t.Fatal("the hook never reached the segment write")
+	}
+	crash(s)
+
+	back, err := Open(dir, durableOpts())
+	if err != nil {
+		t.Fatalf("the directory a racing Remove left does not open: %v", err)
+	}
+	defer back.Close()
+	if got := back.Objects(); !reflect.DeepEqual(got, []string{stays}) {
+		t.Errorf("after replay the store holds %v, want only %q", got, stays)
 	}
 }
 

@@ -155,27 +155,22 @@ func TestRetainPeriodsTrimsTrack(t *testing.T) {
 }
 
 // TestSnapshotRoundTripTrimmedBase: a snapshot of a trimmed object must
-// restore its absolute timeline (v2 carries the per-object base), not
+// restore its absolute timeline (the record carries the track base), not
 // restart it at zero.
 func TestSnapshotRoundTripTrimmedBase(t *testing.T) {
 	opts := incrementalOpts()
 	opts.Config.RetainPeriods = 3
 	opts.MaxRecent = 40
-	s := testStore(t, opts)
+	s := durableStore(t, opts)
 	const periods = 10
 	streamPeriods(t, s, "bike", 17, 0, periods)
 	before, _ := s.Stats("bike")
 	if before.RetainedPoints >= before.Points {
 		t.Fatalf("track not trimmed: %+v", before)
 	}
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	back := reopen(t, s)
+	if !bytes.Equal(fleetBytes(t, back), fleetBytes(t, s)) {
+		t.Error("the reopened fleet re-encodes differently")
 	}
 	after, err := back.Stats("bike")
 	if err != nil {

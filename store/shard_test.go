@@ -9,37 +9,10 @@ import (
 	"hpm"
 )
 
-// TestShardCountRounding pins the Options.Shards contract: <=0 defaults,
-// non-powers round up, 1 stays a single-lock map, absurd values clamp.
-func TestShardCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultShards},
-		{-5, DefaultShards},
-		{1, 1},
-		{2, 2},
-		{3, 4},
-		{63, 64},
-		{64, 64},
-		{65, 128},
-		{1 << 20, maxShards},
-	} {
-		s, err := New(Options{Config: hpm.Config{Period: period}, Shards: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(s.shards) != tc.want {
-			t.Errorf("Shards=%d: %d shards, want %d", tc.in, len(s.shards), tc.want)
-		}
-		if len(s.shards)&(len(s.shards)-1) != 0 {
-			t.Errorf("Shards=%d: %d is not a power of two", tc.in, len(s.shards))
-		}
-	}
-}
-
 // TestShardRouting checks every id resolves to a stable shard that get()
-// and Remove agree on, across many ids on a small shard count.
+// and Remove agree on, across many ids.
 func TestShardRouting(t *testing.T) {
-	s, err := New(Options{Config: hpm.Config{Period: period}, Shards: 4})
+	s, err := New(Options{Config: hpm.Config{Period: period}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +46,7 @@ func TestShardRouting(t *testing.T) {
 // distinct objects only share a shard's RWMutex, and fleet-wide walks
 // (Objects, Health) interleave with writers safely.
 func TestShardHammer(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2, Shards: 8})
+	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 77)
 	spec.Period = period
 	spec.SubTrajectories = 5

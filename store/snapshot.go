@@ -18,9 +18,8 @@ import (
 	"hpm/internal/pattern"
 )
 
-// Sharded snapshot format (v3). A durable store's directory holds a small
-// manifest (snapshotFile, the same name v1/v2 used for the whole fleet)
-// plus one segment file per non-empty shard:
+// The snapshot containers. A durable store's directory holds a small
+// manifest (snapshotFile) plus one segment file per non-empty shard:
 //
 //	manifest := "HPMS" 0x03 options-json uvarint(epoch)
 //	            uvarint(nsegments) nsegments×segment-entry  crc32c
@@ -29,10 +28,10 @@ import (
 //	            count×object-record  crc32c
 //
 // (options-json and name are uvarint-length-prefixed; object records are
-// the same encoding inline streams use — segment v2 records carry the
-// v4 Markov-chain blob, v1 records the pre-markov v2 layout, and v1
-// segments still load with the chain re-folded from each track; every
-// file carries a whole-file CRC32-C trailer like SaveFile.)
+// persist.go's; every file carries a whole-file CRC32-C trailer.) This is
+// the one layout Open reads and Checkpoint writes: each decoder compares
+// its version byte with == and refuses anything else by number (DESIGN.md,
+// "Upgrading an older directory").
 //
 // Segment files are written to their final, epoch-stamped names and are
 // invisible until a manifest referencing them is renamed into place — the
@@ -43,24 +42,22 @@ import (
 // commit; leftovers from a crashed checkpoint are swept at Open.
 
 const (
-	// manifestVersion is the snapshot version byte that marks a sharded
-	// manifest instead of an inline v1/v2 object stream.
+	snapshotMagic   = "HPMS"
 	manifestVersion = 3
 
-	segmentMagic = "HPMG"
-	// segmentVersion 2 appends the Markov chain blob to each trained
-	// object's record (the snapshot-v4 record layout); v1 segments hold
-	// v2-layout records and upgrade cleanly at load.
+	segmentMagic   = "HPMG"
 	segmentVersion = 2
 	// segmentFormat names a segment file by shard and epoch; the glob
 	// pattern matches all of them for the orphan sweep at Open.
 	segmentFormat  = "seg-%05d-%010d.hpms"
 	segmentPattern = "seg-*.hpms"
-
-	// maxManifestSegments bounds a decoded manifest against corruption
-	// (shard counts are capped at maxShards).
-	maxManifestSegments = maxShards
 )
+
+// retired is a container decoder's answer to a version byte that is not its
+// own.
+func retired(what string, found byte, want int) error {
+	return fmt.Errorf("%s version %d, this build reads %d only (DESIGN.md, \"Upgrading an older directory\")", what, found, want)
+}
 
 // snapSegment is one segment's manifest entry: which shard it holds, how
 // many objects it encodes, and the size and checksum that pin the file's
@@ -95,21 +92,27 @@ func (m *snapManifest) segmentBytes() int64 {
 // object's read lock, encoded outside it), CRC trailer, fsync. Empty
 // shards produce no file and a nil entry. The file sits at its final name
 // but stays invisible to recovery until a manifest references it.
+//
+// The objects are listed once, under the shard lock, and exactly those are
+// encoded, so the header's count is the record count. An object removed
+// after the listing is written anyway, which is harmless: its tombstone
+// sits in the WAL segment this checkpoint does not reclaim, so replay
+// erases it again, and it re-marked the shard dirty under the snapshot
+// gate, so the next checkpoint re-encodes without it.
 func (s *Store) writeShardSegment(shardIdx int, epoch uint64) (*snapSegment, error) {
 	if err := s.fault(faultinject.OpSnapshotShard); err != nil {
 		return nil, fmt.Errorf("store: snapshot shard %d: %w", shardIdx, err)
 	}
 	sh := &s.shards[shardIdx]
 	sh.mu.RLock()
-	ids := make([]string, 0, len(sh.objects))
-	for id := range sh.objects {
-		ids = append(ids, id)
+	objs := make([]*object, 0, len(sh.objects))
+	for _, obj := range sh.objects {
+		objs = append(objs, obj)
 	}
 	sh.mu.RUnlock()
-	if len(ids) == 0 {
+	if len(objs) == 0 {
 		return nil, nil
 	}
-	sort.Strings(ids) // deterministic segment bytes for a given fleet state
 
 	name := fmt.Sprintf(segmentFormat, shardIdx, epoch)
 	path := filepath.Join(s.dir, name)
@@ -119,16 +122,12 @@ func (s *Store) writeShardSegment(shardIdx int, epoch uint64) (*snapSegment, err
 	}
 	cw := &crcWriter{w: f}
 	bw := bufio.NewWriter(cw)
-	// Disk-full fault point, like SaveFile's: a failure anywhere in the
-	// segment write aborts the checkpoint before the manifest commit, so
-	// the previous snapshot and every WAL segment stay authoritative.
+	// Disk-full fault point: a failure anywhere in the segment write aborts
+	// the checkpoint before the manifest commit, so the previous snapshot
+	// and every WAL segment stay authoritative.
 	err = s.fault(faultinject.OpDiskFull)
 	if err == nil {
-		bw.WriteString(segmentMagic)
-		bw.WriteByte(segmentVersion)
-		writeUvarint(bw, uint64(shardIdx))
-		writeUvarint(bw, uint64(len(ids)))
-		err = s.writeSegmentObjects(bw, sh, ids)
+		err = writeSegment(bw, shardIdx, objs)
 	}
 	if err == nil {
 		err = bw.Flush()
@@ -153,23 +152,19 @@ func (s *Store) writeShardSegment(shardIdx int, epoch uint64) (*snapSegment, err
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: %w", name, err)
 	}
-	return &snapSegment{shard: shardIdx, objects: len(ids), name: name, size: fi.Size(), crc: crc}, nil
+	return &snapSegment{shard: shardIdx, objects: len(objs), name: name, size: fi.Size(), crc: crc}, nil
 }
 
-// writeSegmentObjects captures and encodes each listed object that still
-// lives in the shard. An object removed after the listing is skipped —
-// its tombstone re-marked the shard dirty under the snapshot gate, so a
-// later checkpoint re-encodes without it; writing one extra object here
-// would merely be erased again by tombstone replay.
-func (s *Store) writeSegmentObjects(bw *bufio.Writer, sh *shard, ids []string) error {
-	for _, id := range ids {
-		sh.mu.RLock()
-		obj := sh.objects[id]
-		sh.mu.RUnlock()
-		if obj == nil {
-			continue
-		}
-		snap, err := snapshotObject(id, obj)
+// writeSegment encodes a segment's header and one record per object, ids
+// ascending: deterministic bytes for a given fleet state.
+func writeSegment(bw *bufio.Writer, shardIdx int, objs []*object) error {
+	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
+	bw.WriteString(segmentMagic)
+	bw.WriteByte(segmentVersion)
+	writeUvarint(bw, uint64(shardIdx))
+	writeUvarint(bw, uint64(len(objs)))
+	for _, obj := range objs {
+		snap, err := snapshotObject(obj.id, obj)
 		if err != nil {
 			return err
 		}
@@ -242,11 +237,17 @@ func (s *Store) writeManifest(m *snapManifest) (int64, error) {
 	return int64(buf.Len()), nil
 }
 
-// parseManifest decodes a v3 manifest payload (CRC already verified and
-// stripped, header already consumed) into the options JSON and the
-// segment list.
+// parseManifest decodes a manifest payload (CRC already verified and
+// stripped) into the options JSON and the segment list: at most one
+// segment per shard, ascending, as checkpoint writes them.
 func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
+	if len(payload) <= len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, nil, fmt.Errorf("store: not a snapshot manifest (magic %q)", payload[:min(len(payload), len(snapshotMagic))])
+	}
+	if v := payload[len(snapshotMagic)]; v != manifestVersion {
+		return nil, nil, retired("store: snapshot", v, manifestVersion)
+	}
+	br := bufio.NewReader(bytes.NewReader(payload[len(snapshotMagic)+1:]))
 	oj, err := pattern.ReadBlob(br, 1<<20)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: read options: %w", err)
@@ -259,7 +260,7 @@ func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: read segment count: %w", err)
 	}
-	if n > maxManifestSegments {
+	if n > numShards {
 		return nil, nil, fmt.Errorf("store: implausible segment count %d", n)
 	}
 	for i := uint64(0); i < n; i++ {
@@ -267,6 +268,9 @@ func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error)
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: read segment shard: %w", err)
+		}
+		if v >= numShards || (i > 0 && int(v) <= m.segments[i-1].shard) {
+			return nil, nil, fmt.Errorf("store: segment entry %d names shard %d: want ascending shards below %d (written at another shard count?)", i, v, numShards)
 		}
 		sg.shard = int(v)
 		if v, err = binary.ReadUvarint(br); err != nil {
@@ -294,6 +298,9 @@ func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error)
 		sg.crc = binary.LittleEndian.Uint32(cb[:])
 		m.segments = append(m.segments, sg)
 	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, nil, errors.New("store: bytes behind the last segment entry")
+	}
 	return oj, m, nil
 }
 
@@ -308,63 +315,62 @@ func (s *Store) loadSegments(dir string, m *snapManifest) error {
 	return errors.Join(errs...)
 }
 
-// loadSegment verifies one segment file against its manifest entry (size,
-// whole-file CRC) and decodes its objects into the store.
+// loadSegment reads one segment file and decodes its objects into the
+// store.
 func (s *Store) loadSegment(dir string, sg snapSegment) error {
-	path := filepath.Join(dir, sg.name)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, sg.name))
+	if err == nil {
+		err = s.decodeSegment(data, sg)
+	}
 	if err != nil {
 		return fmt.Errorf("store: segment %s: %w", sg.name, err)
 	}
+	return nil
+}
+
+// decodeSegment verifies a segment file's bytes against its manifest entry
+// (size, whole-file CRC, shard, object count) and decodes its records into
+// the entry's shard.
+func (s *Store) decodeSegment(data []byte, sg snapSegment) error {
 	if int64(len(data)) != sg.size {
-		return fmt.Errorf("store: segment %s: size %d, manifest says %d (corrupt or truncated)", sg.name, len(data), sg.size)
+		return fmt.Errorf("size %d, manifest says %d (corrupt or truncated)", len(data), sg.size)
 	}
 	if len(data) < len(segmentMagic)+1+4 {
-		return fmt.Errorf("store: segment %s: too short", sg.name)
+		return errors.New("too short")
 	}
 	payload, trailer := data[:len(data)-4], data[len(data)-4:]
 	crc := crc32.Checksum(payload, walCRC)
 	if crc != binary.LittleEndian.Uint32(trailer) || crc != sg.crc {
-		return fmt.Errorf("store: segment %s: checksum mismatch (corrupt or truncated)", sg.name)
+		return errors.New("checksum mismatch (corrupt or truncated)")
 	}
-	br := bufio.NewReader(bytes.NewReader(payload))
-	head := make([]byte, len(segmentMagic)+1)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return fmt.Errorf("store: segment %s: read header: %w", sg.name, err)
+	if string(payload[:len(segmentMagic)]) != segmentMagic {
+		return fmt.Errorf("not a segment (magic %q)", payload[:len(segmentMagic)])
 	}
-	if string(head[:len(segmentMagic)]) != segmentMagic {
-		return fmt.Errorf("store: segment %s: not a segment (magic %q)", sg.name, head[:len(segmentMagic)])
+	if v := payload[len(segmentMagic)]; v != segmentVersion {
+		return retired("segment", v, segmentVersion)
 	}
-	// Map the segment version to the object-record layout it carries: v1
-	// segments predate the Markov chain (v2-layout records), v2 segments
-	// hold v4-layout records with the chain blob.
-	streamVersion := 0
-	switch v := int(head[len(segmentMagic)]); v {
-	case 1:
-		streamVersion = 2
-	case segmentVersion:
-		streamVersion = snapshotVersion
-	default:
-		return fmt.Errorf("store: segment %s: unsupported version %d", sg.name, v)
-	}
+	br := bufio.NewReader(bytes.NewReader(payload[len(segmentMagic)+1:]))
 	shardIdx, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fmt.Errorf("store: segment %s: read shard: %w", sg.name, err)
+		return fmt.Errorf("read shard: %w", err)
 	}
-	if int(shardIdx) != sg.shard {
-		return fmt.Errorf("store: segment %s: holds shard %d, manifest says %d", sg.name, shardIdx, sg.shard)
+	if shardIdx != uint64(sg.shard) {
+		return fmt.Errorf("holds shard %d, manifest says %d", shardIdx, sg.shard)
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fmt.Errorf("store: segment %s: read object count: %w", sg.name, err)
+		return fmt.Errorf("read object count: %w", err)
 	}
-	if int(count) != sg.objects {
-		return fmt.Errorf("store: segment %s: holds %d objects, manifest says %d", sg.name, count, sg.objects)
+	if count != uint64(sg.objects) {
+		return fmt.Errorf("holds %d objects, manifest says %d", count, sg.objects)
 	}
 	for i := uint64(0); i < count; i++ {
-		if err := readObject(br, s, streamVersion); err != nil {
-			return fmt.Errorf("store: segment %s: %w", sg.name, err)
+		if err := readObject(br, s, sg.shard); err != nil {
+			return err
 		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return errors.New("bytes behind the last record")
 	}
 	return nil
 }
@@ -372,8 +378,7 @@ func (s *Store) loadSegment(dir string, sg snapSegment) error {
 // sweepSegments deletes segment files the manifest does not reference:
 // leftovers of a checkpoint that crashed after writing segments but
 // before committing its manifest, or of a failed post-commit cleanup.
-// With a nil manifest (fresh store, or a v1/v2 single-file snapshot)
-// every segment file is an orphan.
+// With a nil manifest (a fresh store) every segment file is an orphan.
 func sweepSegments(dir string, m *snapManifest) {
 	matches, err := filepath.Glob(filepath.Join(dir, segmentPattern))
 	if err != nil || len(matches) == 0 {

@@ -3,149 +3,227 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hpm"
 )
 
-// The golden snapshots under testdata are frozen. They were written once, by
-// a generator test that has since been deleted, from a three-object fleet
-// (Options{Config: {Period: period}, MinTrainPeriods: 3, RetrainEvery: 50};
+// The golden directory under testdata/fleet is frozen: a manifest and three
+// segments written by the commit before the one-format change (bf43535),
+// which opened the old single-file fixture — a three-object fleet under
+// Options{Config: {Period: period}, MinTrainPeriods: 3, RetrainEvery: 50};
 // "fixture-trained" fed four Bike periods, "fixture-short" half a period,
-// "fixture-single" one point) in the version-1 and version-2 single-file
-// layouts, and both nest a version-1 model stream: no tree shape. Today's
-// Save writes version-2 model streams, so regenerating them would silently
-// drop the only corpus that proves old directories still open; a fixture for
-// a newer layout is a new file beside them.
+// "fixture-single" one point — with CompactEvery 1 and closed it. It is the
+// corpus that proves a directory written by an older build of this format
+// still opens, answers and re-encodes byte for byte; a fixture for a newer
+// layout is a new directory beside it, never a regeneration of this one.
+const goldenDir = "testdata/fleet"
 
-// TestCompatFixturesLoad loads the committed v1 and v2 golden snapshots
-// and requires them to describe the same fleet, byte for byte, once
-// re-encoded: compatibility means an old snapshot restores to exactly the
-// state a current one would.
-func TestCompatFixturesLoad(t *testing.T) {
-	v1, err := LoadFile(filepath.Join("testdata", "snapshot_v1.hpms"))
+// goldenCopy copies the golden directory into a temp dir and returns it
+// with the segment files' names.
+func goldenCopy(t testing.TB) (dir string, segments []string) {
+	t.Helper()
+	dir = t.TempDir()
+	entries, err := os.ReadDir(goldenDir)
 	if err != nil {
-		t.Fatalf("load v1 fixture: %v", err)
-	}
-	defer v1.Close()
-	v2, err := LoadFile(filepath.Join("testdata", "snapshot_v2.hpms"))
-	if err != nil {
-		t.Fatalf("load v2 fixture: %v", err)
-	}
-	defer v2.Close()
-
-	for _, s := range []*Store{v1, v2} {
-		if got := s.Objects(); len(got) != 3 {
-			t.Fatalf("fixture restored %d objects: %v", len(got), got)
-		}
-		st, err := s.Stats("fixture-trained")
-		if err != nil || !st.Trained {
-			t.Fatalf("fixture-trained not trained after restore: %+v (err %v)", st, err)
-		}
-		now, _ := s.Now("fixture-trained")
-		if _, err := s.Predict("fixture-trained", now+10, 1); err != nil {
-			t.Fatalf("predict from restored fixture: %v", err)
-		}
-	}
-
-	var a, b bytes.Buffer
-	if err := v1.Save(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := v2.Save(&b); err != nil {
-		t.Fatal(err)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() != snapshotFile {
+			segments = append(segments, e.Name())
+		}
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("v1 and v2 fixtures re-encode differently: version upgrade is lossy")
-	}
+	return dir, segments
 }
 
-// TestCompatV2UpgradesToV3 opens a durable store seeded with the v2
-// single-file fixture, checkpoints it into the sharded v3 layout, and
-// requires the reopened fleet to re-encode byte-identically to the v2
-// restore: the upgrade path loses nothing.
-func TestCompatV2UpgradesToV3(t *testing.T) {
-	fix, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.hpms"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), fix, 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestGoldenDirectory pins the reader and the writer to the parent commit's
+// bytes: the committed directory opens, holds the fleet it was written
+// from, answers as it did there, and — every shard marked dirty, so every
+// segment is rewritten — re-encodes to exactly the fixture's segment bytes.
+func TestGoldenDirectory(t *testing.T) {
+	dir, segments := goldenCopy(t)
 	s, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("open over v2 snapshot: %v", err)
+		t.Fatalf("open the golden directory: %v", err)
 	}
-	if h := s.Health(); !h.SnapshotRestored || h.Objects != 3 {
-		t.Fatalf("v2 snapshot not restored: %+v", h)
+	defer s.Close()
+	if h := s.Health(); !h.SnapshotRestored || h.Objects != 3 || h.Open.Models != 1 {
+		t.Fatalf("golden directory not restored: %+v", h)
 	}
-	var want bytes.Buffer
-	if err := s.Save(&want); err != nil {
-		t.Fatal(err)
+	for id, want := range map[string]struct {
+		points int
+		last   hpm.Point
+	}{
+		"fixture-trained": {240, hpm.Pt(9233.00695129153, 9059.263651494102)},
+		"fixture-short":   {30, hpm.Pt(4973.800975679986, 4500.932071328341)},
+		"fixture-single":  {1, hpm.Pt(10, 20)},
+	} {
+		obj, err := s.get(id, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(obj.track) != want.points || obj.base != 0 || obj.track[len(obj.track)-1] != want.last {
+			t.Errorf("%s: %d points from %d ending at %v, want %d from 0 ending at %v",
+				id, len(obj.track), obj.base, obj.track[len(obj.track)-1], want.points, want.last)
+		}
 	}
-	if err := s.Checkpoint(); err != nil { // rewrites as manifest + segments
-		t.Fatal(err)
+	if st, err := s.Stats("fixture-trained"); err != nil || !st.Trained || st.Patterns != 199 || st.Regions != 12 || st.Modeled != 4 {
+		t.Errorf("fixture-trained: %+v (err %v), want 199 patterns over 12 regions from 4 periods", st, err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	// The answers the parent commit gave over the same directory.
+	now, _ := s.Now("fixture-trained")
+	if got, err := s.Predict("fixture-trained", now+63, 1); err != nil || len(got) != 1 ||
+		got[0].Location != hpm.Pt(1172.8074347654867, 1625.9441560799157) || got[0].PatternRef != 1 ||
+		got[0].Score != 1 || got[0].Confidence != 1 || got[0].Source.String() != "pattern" || got[0].Path.String() != "backward" {
+		t.Errorf("pattern answer at now+63: %+v (err %v)", got, err)
+	}
+	if got, err := s.PredictMarkov("fixture-trained", now+10); err != nil || len(got) != 1 ||
+		got[0].Location != hpm.Pt(10051.052539677721, 10165.549738406873) {
+		t.Errorf("markov-path answer at now+10: %+v (err %v)", got, err)
+	}
+	if cb := chainBytes(t, s, "fixture-trained"); len(cb) != 260 || crc32.ChecksumIEEE(cb) != 0xa09613bc {
+		t.Errorf("chain: %d bytes, crc %08x, want 260 and a09613bc", len(cb), crc32.ChecksumIEEE(cb))
 	}
 
-	back, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen after v3 upgrade: %v", err)
+	for i := range s.shards {
+		s.shards[i].dirty.Store(true)
 	}
-	defer back.Close()
-	var got bytes.Buffer
-	if err := back.Save(&got); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Error("fleet differs after v2 -> v3 upgrade round trip")
+	if info := s.Health().LastCheckpoint; info.Shards != len(segments) || info.Epoch != 2 {
+		t.Fatalf("the rewrite: %+v, want %d segments at epoch 2", info, len(segments))
+	}
+	for _, name := range segments {
+		var shard int
+		var epoch uint64
+		if _, err := fmt.Sscanf(name, segmentFormat, &shard, &epoch); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(goldenDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(segmentFormat, shard, uint64(2))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("shard %d re-encodes to %d bytes that differ from the fixture's %d", shard, len(got), len(want))
+		}
 	}
 }
 
-// TestOpenSaysHowIndexesArrived: a directory whose snapshot predates the
-// tree shape opens with every model re-indexed by the sort and says so;
-// one checkpoint later the same fleet opens by reading its shapes, and
-// answers the same.
-func TestOpenSaysHowIndexesArrived(t *testing.T) {
-	fix, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.hpms"))
+// TestRetiredFormatsRefused: every layout this build stopped reading is
+// refused at Open by the number it carries, with a pointer at the upgrade
+// note — each behind valid checksums, so the refusal is the decoder's — and
+// the failed Open leaves neither a goroutine nor a file handle behind.
+func TestRetiredFormatsRefused(t *testing.T) {
+	inline := func(version byte) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			// The old single-file fleet stream: header, options, no objects.
+			body := append([]byte(snapshotMagic), version)
+			body = append(body, "\x18{\"Config\":{\"Period\":60}}\x00"...)
+			data, _ := sealSegment(body, 0, 0)
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		version byte
+		plant   func(t *testing.T, dir string)
+	}{
+		{"inline snapshot 1", 1, inline(1)},
+		{"inline snapshot 2", 2, inline(2)},
+		{"inline snapshot 4", 4, inline(4)},
+		{"segment 1", 1, func(t *testing.T, dir string) {
+			plantSnapshot(t, dir, []byte(segmentMagic+"\x01\x00\x00"))
+		}},
+		{"model stream 1", 1, func(t *testing.T, dir string) {
+			body, _ := recordSegment(t, objectSnapshot{id: "old", model: []byte("HPMM\x01")})
+			plantSnapshot(t, dir, body)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.plant(t, dir)
+			goroutines, handles := runtime.NumGoroutine(), openHandles(t)
+			s, err := Open(dir, durableOpts())
+			if err == nil {
+				s.Close()
+				t.Fatal("a retired format opened")
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d,", tc.version)) || !strings.Contains(msg, "DESIGN.md") {
+				t.Errorf("the refusal does not name version %d and the upgrade note: %v", tc.version, err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines outlive the failed Open: %d before, %d after", goroutines, runtime.NumGoroutine())
+				}
+			}
+			if after := openHandles(t); after > handles {
+				t.Errorf("file handles outlive the failed Open: %d before, %d after", handles, after)
+			}
+		})
+	}
+}
+
+// openHandles counts the process's open file descriptors, where the
+// platform lists them.
+func openHandles(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
-		t.Fatal(err)
+		return 0
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), fix, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return len(fds)
+}
+
+// TestOpenSaysHowIndexesArrived: Open reports how many models it loaded,
+// every one laid out from its saved shape, and the fleet answers the same
+// across a checkpoint and a second open.
+func TestOpenSaysHowIndexesArrived(t *testing.T) {
+	dir, _ := goldenCopy(t)
 	var answers [2][]hpm.Prediction
-	for i, want := range []OpenInfo{{Models: 1, Reindexed: 1}, {Models: 1, Reindexed: 0}} {
+	for i := range answers {
 		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
-		if oi := s.Health().Open; oi == nil || oi.Models != want.Models || oi.Reindexed != want.Reindexed {
-			t.Fatalf("open %d reports %+v, want %d models of which %d re-indexed", i, oi, want.Models, want.Reindexed)
+		if oi := s.Health().Open; oi == nil || oi.Models != 1 || oi.LoadSeconds <= 0 {
+			t.Fatalf("open %d reports %+v, want one model", i, oi)
 		}
 		now, _ := s.Now("fixture-trained")
-		if answers[i], err = s.Predict("fixture-trained", now+10, 3); err != nil {
+		if answers[i], err = s.Predict("fixture-trained", now+63, 3); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Close(); err != nil { // checkpoints: the model stream is rewritten with its shape
+		if err := s.Close(); err != nil { // checkpoints
 			t.Fatal(err)
 		}
 	}
 	if !reflect.DeepEqual(answers[0], answers[1]) {
-		t.Errorf("answers moved across the upgrade:\n%+v\n%+v", answers[0], answers[1])
+		t.Errorf("answers moved across a reopen:\n%+v\n%+v", answers[0], answers[1])
 	}
 }
 
 // TestOpenRejectsMissingSegment deletes one segment file out from under a
-// v3 snapshot: Open must fail loudly, naming the segment, rather than
+// snapshot: Open must fail loudly, naming the segment, rather than
 // silently dropping that shard's objects.
 func TestOpenRejectsMissingSegment(t *testing.T) {
 	dir := t.TempDir()

@@ -60,12 +60,6 @@ type Options struct {
 	// field from its opts argument even when the rest of the Options come
 	// from a restored snapshot — sync policy belongs to the process.
 	WALNoSync bool
-	// Shards is how many independently locked sub-maps the object table
-	// is split across, rounded up to a power of two. Observes and queries
-	// on objects in different shards never contend on a map lock. Values
-	// <= 0 default to DefaultShards; 1 yields the old single-lock map
-	// (useful as a benchmark baseline).
-	Shards int
 	// Eval tunes the online prequential evaluator: ring bound, hit
 	// distance D, horizon buckets, EWMA smoothing. Zero fields take the
 	// evalq defaults. See internal/evalq.
@@ -120,7 +114,6 @@ type Options struct {
 const (
 	DefaultMinTrainPeriods    = 5
 	DefaultMaxRecent          = 10
-	DefaultShards             = 64
 	DefaultAdaptiveMinSamples = 20
 	DefaultDegradeAfter       = 3
 	DefaultProbeInterval      = 500 * time.Millisecond
@@ -146,9 +139,11 @@ const (
 	trainBacklogPerWorker = 4
 )
 
-// maxShards bounds Options.Shards against absurd configurations (each
-// shard costs a map and a lock, held in memory for the store's life).
-const maxShards = 1 << 16
+// numShards is how many independently locked sub-maps the object table is
+// split across (a power of two: shard selection is a mask). It is part of
+// the on-disk format — a snapshot segment is one shard's objects — so it is
+// a constant, not an option.
+const numShards = 64
 
 // maxTrainBackoff caps the exponential train-retry backoff.
 const maxTrainBackoff = 5 * time.Second
@@ -164,18 +159,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRecent <= 0 {
 		o.MaxRecent = DefaultMaxRecent
 	}
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
-	if o.Shards > maxShards {
-		o.Shards = maxShards
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod.
-	n := 1
-	for n < o.Shards {
-		n <<= 1
-	}
-	o.Shards = n
 	o.Eval = o.Eval.WithDefaults()
 	if o.DegradeAfter <= 0 {
 		o.DegradeAfter = DefaultDegradeAfter
@@ -228,12 +211,11 @@ type Store struct {
 	driftMinScores int
 
 	// The object table is sharded: FNV-1a over the id picks one of
-	// Options.Shards (power of two) sub-maps, each with its own RWMutex,
-	// so lookups and inserts for distinct objects never contend on a
-	// single lock. Fleet-wide walks (Objects, Save, Health, recovery)
-	// visit shards one at a time in index order.
-	shards    []shard
-	shardMask uint32
+	// numShards sub-maps, each with its own RWMutex, so lookups and
+	// inserts for distinct objects never contend on a single lock.
+	// Fleet-wide walks (Objects, Health, recovery) visit shards one at a
+	// time in index order.
+	shards [numShards]shard
 
 	// Background-training machinery. pending counts scheduled trains not
 	// yet swapped in; trainCond broadcasts when it reaches zero; trainSem
@@ -261,7 +243,7 @@ type Store struct {
 	openInfo     *OpenInfo
 	checkpointMu sync.Mutex
 
-	// v3 snapshot state, guarded by checkpointMu: the manifest describing
+	// Snapshot state, guarded by checkpointMu: the manifest describing
 	// the segment files on disk and how many checkpoints ran since the
 	// last full rewrite (Options.CompactEvery).
 	manifest     *snapManifest
@@ -435,8 +417,6 @@ func New(opts Options) (*Store, error) {
 		retryBackoff:   DefaultTrainRetryBackoff,
 		driftMinScores: DefaultDriftMinScores,
 	}
-	s.shards = make([]shard, s.opts.Shards)
-	s.shardMask = uint32(s.opts.Shards - 1)
 	for i := range s.shards {
 		s.shards[i].objects = map[string]*object{}
 	}
@@ -459,18 +439,18 @@ func (s *Store) MinTrainPeriods() int { return s.opts.MinTrainPeriods }
 // shard picks the object's shard by FNV-1a over its id. Inlined rather
 // than hash/fnv to keep the hot ingest path free of a hasher allocation.
 func (s *Store) shard(id string) *shard {
-	return &s.shards[s.shardIndex(id)]
+	return &s.shards[shardIndex(id)]
 }
 
 // shardIndex is shard as an index, for paths that partition work by shard
-// (segment writes, sharded WAL replay).
-func (s *Store) shardIndex(id string) uint32 {
+// (segment loads, sharded WAL replay).
+func shardIndex(id string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
 		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return h & s.shardMask
+	return h & (numShards - 1)
 }
 
 // markDirty flags id's shard as changed since the last checkpoint. The
@@ -1295,11 +1275,10 @@ type Health struct {
 // so "why was this start slow?" has an answer in the running process.
 type OpenInfo struct {
 	// LoadSeconds covers the snapshot: manifest, segment decode and, for
-	// each of its Models trained objects, building the pattern index;
-	// Reindexed of them predate the saved tree shape and were sorted into it.
+	// each of its Models trained objects, laying the pattern index out
+	// from its saved shape.
 	LoadSeconds float64 `json:"loadSeconds"`
 	Models      int     `json:"models"`
-	Reindexed   int     `json:"reindexed"`
 	// ReplaySeconds covers reading the WAL tail and applying it;
 	// ReplayExtends is how many replayed records carried their object over
 	// a period boundary and so ran an Extend.
