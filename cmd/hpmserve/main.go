@@ -76,7 +76,6 @@ func main() {
 		distant  = flag.Int("distant", 0, "distant-time threshold d (0 = paper default 60)")
 		dataDir  = flag.String("data-dir", "", "durable store directory (WAL + snapshots); crash-safe (empty = in-memory only)")
 		snapEach = flag.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval with -data-dir (0 = shutdown only)")
-		compact  = flag.Int("compact-every", 0, "force a full snapshot rewrite every Nth checkpoint; between them only shards dirtied since the last checkpoint are rewritten (0 = never force)")
 		walSync  = flag.Bool("wal-sync", true, "fsync the WAL on every observe; disable to trade crash durability for ingest throughput")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables")
 		evalOff  = flag.Bool("eval-off", false, "disable online prediction-quality evaluation (/metrics eval series stay zero)")
@@ -106,6 +105,14 @@ func main() {
 	if *shedPolicy != "priority" && *shedPolicy != "fair" {
 		log.Fatalf("hpmserve: -shed-policy %q: want priority or fair", *shedPolicy)
 	}
+	if !*fleetIndex {
+		// The four -index-* flags shape an index only -fleet-index builds.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "index-") {
+				log.Fatalf("hpmserve: -%s is set without -fleet-index: there is no index for it to shape", f.Name)
+			}
+		})
+	}
 	faultHook, err := parseFault(*faultSpec)
 	if err != nil {
 		log.Fatalf("hpmserve: -fault %q: %v", *faultSpec, err)
@@ -127,7 +134,6 @@ func main() {
 		MinTrainPeriods: *minDays,
 		RetrainEvery:    *retrain,
 		WALNoSync:       !*walSync,
-		CompactEvery:    *compact,
 		EvalDisabled:    *evalOff,
 		DriftThreshold:  *drift,
 		AdaptiveRouting: *adaptive,
@@ -173,7 +179,7 @@ func main() {
 	}
 	go shutdownOnSignal(srv, st)
 	fmt.Printf("hpmserve listening on %s (period %d, first train after %d periods)\n",
-		*addr, st.Period(), st.MinTrainPeriods())
+		*addr, st.Period(), *minDays)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -309,19 +309,14 @@ func (p *Predictor) PredictBatch(recent []TimedPoint, tqs []int, k int) ([][]Pre
 	return p.model.PredictBatch(recent, tqs, k)
 }
 
-// PredictFallback answers a query with the motion-function fallback alone,
-// bypassing the pattern paths — the baseline the paper's accuracy figures
-// compare against, exposed so callers can shadow-score the RMF online.
-func (p *Predictor) PredictFallback(recent []TimedPoint, tq int) ([]Prediction, error) {
-	return p.model.PredictFallback(recent, tq)
-}
-
-// PredictMarkov answers a query from the Markov region-transition chain
-// alone, bypassing the pattern paths and falling through to the motion
-// function when the chain declines — exposed so callers can shadow-score
-// the chain online the way PredictFallback shadow-scores the RMF.
-func (p *Predictor) PredictMarkov(recent []TimedPoint, tq int) ([]Prediction, error) {
-	return p.model.PredictMarkov(recent, tq)
+// PredictVia answers a query down one named route instead of the hybrid
+// dispatch's own choice: PathFallback is the motion function alone — the
+// baseline the paper's accuracy figures compare against — PathMarkov the
+// region-transition chain (motion when it declines), PathForward or
+// PathBackward the pattern dispatch, exactly Predict. Exposed so callers can
+// shadow-score each path online.
+func (p *Predictor) PredictVia(route Path, recent []TimedPoint, tq, k int) ([]Prediction, error) {
+	return p.model.PredictVia(route, recent, tq, k)
 }
 
 // MarkovObserve folds one acknowledged observation at absolute time t

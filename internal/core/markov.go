@@ -96,13 +96,6 @@ func (m *Model) RebuildMarkov(base int, pts []geom.Point) {
 	}
 }
 
-// PredictMarkov answers a query from the chain alone, bypassing the
-// pattern paths and falling through to the motion function when the
-// chain declines. See hpa.Engine.MarkovQuery.
-func (m *Model) PredictMarkov(recent []trajectory.TimedPoint, tq int) ([]hpa.Prediction, error) {
-	return m.engine.MarkovQuery(hpa.Query{Recent: recent, Tq: tq})
-}
-
 // MarkovStats returns the chain's size counters; ok is false when the
 // path is disabled.
 func (m *Model) MarkovStats() (markov.Stats, bool) {

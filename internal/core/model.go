@@ -280,10 +280,10 @@ func (m *Model) PredictBatch(recent []trajectory.TimedPoint, tqs []int, k int) (
 	return m.engine.PredictBatch(recent, tqs, k)
 }
 
-// PredictFallback answers a query with the motion-function fallback alone,
-// bypassing the pattern paths. See hpa.Engine.FallbackQuery.
-func (m *Model) PredictFallback(recent []trajectory.TimedPoint, tq int) ([]hpa.Prediction, error) {
-	return m.engine.FallbackQuery(hpa.Query{Recent: recent, Tq: tq})
+// PredictVia answers a query down one named route instead of the hybrid
+// dispatch's own choice. See hpa.Engine.PredictVia.
+func (m *Model) PredictVia(route hpa.Path, recent []trajectory.TimedPoint, tq, k int) ([]hpa.Prediction, error) {
+	return m.engine.PredictVia(route, hpa.Query{Recent: recent, Tq: tq, K: k})
 }
 
 // NumRegions returns the number of frequent regions discovered.

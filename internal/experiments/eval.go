@@ -88,7 +88,7 @@ func evalDataset(kind datagen.Kind, o Options) []Figure {
 			if _, err := st.Predict(id, now+h, 1); err != nil {
 				panic(fmt.Sprintf("experiments: eval predict: %v", err))
 			}
-			if _, err := st.PredictFallback(id, now+h); err != nil {
+			if _, err := st.PredictVia(id, hpm.PathFallback, now+h, 1); err != nil {
 				panic(fmt.Sprintf("experiments: eval fallback: %v", err))
 			}
 		}

@@ -136,9 +136,9 @@ func markovDataset(kind datagen.Kind, o Options) []Figure {
 				continue // truth would never arrive
 			}
 			truth, last := tr.At(now+h), tr.At(now)
-			pat, perr := st.PredictPattern(id, now+h, 1)
-			mk, merr := st.PredictMarkov(id, now+h)
-			fb, ferr := st.PredictFallback(id, now+h)
+			pat, perr := st.PredictVia(id, hpm.PathForward, now+h, 1)
+			mk, merr := st.PredictVia(id, hpm.PathMarkov, now+h, 1)
+			fb, ferr := st.PredictVia(id, hpm.PathFallback, now+h, 1)
 			if warm {
 				continue // measurement only: feed the matrix, score nothing
 			}

@@ -387,8 +387,8 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns a snapshot of the query counters. Safe to call while
 // queries run; Queries is derived from the outcome counters, so the
-// partition identity Queries == Forward+Backward+Fallback+Unanswered holds
-// in every snapshot even mid-traffic.
+// partition identity Queries == Forward+Backward+Markov+Fallback+Unanswered
+// holds in every snapshot even mid-traffic.
 func (e *Engine) Stats() QueryStats {
 	f := e.stats.forward.Load()
 	b := e.stats.backward.Load()
@@ -778,11 +778,26 @@ func (e *Engine) motionFallback(q Query) ([]Prediction, error) {
 	return []Prediction{motionPrediction(loc)}, nil
 }
 
+// PredictVia answers a query down one named route. It is the one place a
+// route becomes a procedure: PathFallback is FallbackQuery, PathMarkov is
+// MarkovQuery, and PathForward or PathBackward is the hybrid dispatch,
+// Predict, which picks FQP or BQP by the query's distance itself. The online
+// evaluator shadow-scores each route through it, and the store's adaptive
+// routing sends a query down whichever route measures best at its horizon.
+func (e *Engine) PredictVia(route Path, q Query) ([]Prediction, error) {
+	switch route {
+	case PathFallback:
+		return e.FallbackQuery(q)
+	case PathMarkov:
+		return e.MarkovQuery(q)
+	default:
+		return e.Predict(q)
+	}
+}
+
 // FallbackQuery answers a query with the motion-function fallback alone,
-// bypassing the pattern paths. The online evaluator uses it to shadow-score
-// the RMF against the hybrid answer, and the store's adaptive routing uses
-// it when a pattern path's measured accuracy has dropped below the
-// fallback's. Counts as a fallback (or unanswered) query in the stats.
+// bypassing the pattern paths. Counts as a fallback (or unanswered) query in
+// the stats.
 func (e *Engine) FallbackQuery(q Query) ([]Prediction, error) {
 	if _, err := currentTime(q.Recent, q.Tq); err != nil {
 		return nil, err
@@ -792,11 +807,8 @@ func (e *Engine) FallbackQuery(q Query) ([]Prediction, error) {
 
 // MarkovQuery answers a query with the Markov region chain alone,
 // bypassing the pattern paths and falling through to the motion function
-// when the chain cannot answer. The online evaluator uses it to
-// shadow-score the chain against the hybrid answer, and the store's
-// adaptive routing uses it when the chain's measured accuracy leads at
-// the query's horizon. Counts as a markov (or fallback/unanswered) query
-// in the stats.
+// when the chain cannot answer. Counts as a markov (or fallback/unanswered)
+// query in the stats.
 func (e *Engine) MarkovQuery(q Query) ([]Prediction, error) {
 	if _, err := currentTime(q.Recent, q.Tq); err != nil {
 		return nil, err

@@ -231,7 +231,7 @@ func TestPredictMotionFallback(t *testing.T) {
 	}
 }
 
-func TestPredictFallbackDisabled(t *testing.T) {
+func TestPredictWithFallbackDisabled(t *testing.T) {
 	eng, _ := janeEngine(t, Config{Period: 3, DistantThreshold: 100})
 	recent := []trajectory.TimedPoint{
 		{T: 0, Loc: geom.Pt(9000, 9000)},

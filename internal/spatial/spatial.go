@@ -42,39 +42,38 @@ const (
 )
 
 // Config shapes one Index. The zero value is unusable; CellSize must be
-// positive. Config is part of store snapshot options, so every field except
-// the test clock must be JSON-serializable.
+// positive.
 type Config struct {
 	// CellSize is the grid pitch in world units. Smaller cells mean fewer
 	// false candidates per query but more re-bins as objects move.
-	CellSize float64 `json:"cell_size"`
+	CellSize float64
 
 	// Horizons are the prediction offsets (ticks ahead of each object's
 	// latest observation) cached per object, ascending. Empty means
 	// DefaultHorizons. A query horizon is quantized to the first bucket
 	// >= h; beyond the last it clamps to the last.
-	Horizons []int `json:"horizons,omitempty"`
+	Horizons []int
 
 	// MaxSpeed clamps the per-tick velocity stored with each entry (and
 	// thereby the aging drift). Zero disables aging movement entirely.
-	MaxSpeed float64 `json:"max_speed,omitempty"`
+	MaxSpeed float64
 
 	// Staleness hides entries not refreshed within this window; zero keeps
 	// entries visible until the object is removed.
-	Staleness time.Duration `json:"staleness,omitempty"`
+	Staleness time.Duration
 
 	// TickHz converts wall-clock seconds into logical ticks for aging.
 	// Zero (default) disables aging: queries return exactly the cached
 	// positions, which keeps indexed answers identical to a fresh scan.
-	TickHz float64 `json:"tick_hz,omitempty"`
+	TickHz float64
 
 	// MaxAgeTicks caps how far an entry extrapolates past its observation
 	// (default 30 ticks), bounding both drift and the query inflation that
 	// must account for it.
-	MaxAgeTicks int `json:"max_age_ticks,omitempty"`
+	MaxAgeTicks int
 
 	// Now injects a clock for staleness/aging tests. Nil means time.Now.
-	Now func() time.Time `json:"-"`
+	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {

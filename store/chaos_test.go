@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -574,8 +575,8 @@ func TestDurableCloseReopen(t *testing.T) {
 
 // TestOpenHoldsTheSnapshotsPeriod: a directory keeps the period it was
 // created with. Reopening it with that period, or with none, serves it;
-// reopening it with another is refused, loudly, and the refused Open leaves
-// no goroutine and no file handle behind.
+// reopening it with another is refused, loudly, before any segment is read,
+// and the refused Open leaves no goroutine and no file handle behind.
 func TestOpenHoldsTheSnapshotsPeriod(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, durableOpts())
@@ -608,6 +609,15 @@ func TestOpenHoldsTheSnapshotsPeriod(t *testing.T) {
 		}
 		return len(fds)
 	}
+	// With a segment gone, an Open that read any of them would fail on that:
+	// the refusal comes from the manifest, before a store exists.
+	segs, err := filepath.Glob(filepath.Join(dir, segmentPattern))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment to delete (err %v)", err)
+	}
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
 	goroutines, files := runtime.NumGoroutine(), openFiles()
 	opts := durableOpts()
 	opts.Config.Period = 5 * period
@@ -617,7 +627,7 @@ func TestOpenHoldsTheSnapshotsPeriod(t *testing.T) {
 			back.Close()
 			t.Fatalf("a period-%d directory opened with period %d", period, opts.Config.Period)
 		}
-		if !strings.Contains(err.Error(), "period") {
+		if !strings.Contains(err.Error(), fmt.Sprintf("holds a period-%d fleet", period)) {
 			t.Fatalf("refusal does not name the period: %v", err)
 		}
 	}

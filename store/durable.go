@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -22,24 +21,22 @@ import (
 // the snapshot or in a WAL segment, so a crash at any instant loses
 // nothing acknowledged (in sync mode).
 // Checkpoint compacts: it rotates the WAL, rewrites the segments of
-// shards that changed since the last checkpoint (all of them on the
-// first, or when Options.CompactEvery forces a full rewrite), commits a
-// manifest atomically, and deletes the WAL segments the snapshot covers.
+// shards that changed since the last checkpoint (all of them on a fresh
+// directory's first), commits a manifest atomically, and deletes the WAL
+// segments the snapshot covers.
 
 // snapshotFile is the manifest's name inside a durable store's directory.
 const snapshotFile = "snapshot.hpms"
 
-// Open opens (or creates) a durable store rooted at dir. When a snapshot
-// exists it is loaded — its persisted Options win over opts, and a
-// non-zero opts.Config.Period that differs from the snapshot's is an
-// error — and the WAL tail is replayed on top,
-// tolerating a torn final record. The returned store logs every
-// ObserveBatch to a fresh WAL segment before acknowledging it; Close
+// Open opens (or creates) a durable store rooted at dir. The directory fixes
+// the period and nothing else: a manifest states the period its tracks and
+// models are laid out in, a zero opts.Config.Period adopts it and a different
+// one is refused before any segment is read. Everything else is opts, on
+// every Open, exactly as in New. The snapshot is loaded and the WAL tail
+// replayed on top, tolerating a torn final record. The returned store logs
+// every ObserveBatch to a fresh WAL segment before acknowledging it; Close
 // checkpoints and releases the log, and Checkpoint may be called
 // periodically in between.
-//
-// opts.WALNoSync is honored even on restore: sync policy belongs to the
-// process, not the snapshot.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -59,20 +56,33 @@ func Open(dir string, opts Options) (*Store, error) {
 	var info OpenInfo
 
 	path := filepath.Join(dir, snapshotFile)
-	var s *Store
-	var m *snapManifest
-	switch _, err := os.Stat(path); {
+	period, m, msize, err := readManifest(path)
+	switch {
 	case err == nil:
-		if s, m, err = loadSnapshotFile(path); err != nil {
-			return nil, err
-		}
-		// Tracks and models are laid out in periods of the snapshot's
+		// Tracks and models are laid out in periods of the directory's
 		// length; serving them under another would answer quietly wrong.
-		if p := opts.Config.Period; p != 0 && p != s.Period() {
-			s.Close()
-			return nil, fmt.Errorf("store: %s holds a period-%d fleet, opened with period %d: a store's period is fixed when it is created", dir, s.Period(), p)
+		if p := opts.Config.Period; p != 0 && p != period {
+			return nil, fmt.Errorf("store: %s holds a period-%d fleet, opened with period %d: a store's period is fixed when it is created", dir, period, p)
 		}
-		s.restored = true
+		opts.Config.Period = period
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, err
+	}
+	s, err := New(opts)
+	if err != nil {
+		return nil, err
+	}
+	// Error paths from here on must close the store: replay may schedule
+	// background trains, and the probe/stop machinery exists from New — a
+	// failed Open must not leak their goroutines.
+	s.dir = dir
+	if m != nil {
+		if err := s.loadSegments(dir, m); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("store: snapshot %s: %w", path, err)
+		}
+		s.manifest, s.restored = m, true
+		s.snapshotBytes.Store(uint64(msize + m.segmentBytes()))
 		for i := range s.shards {
 			for _, obj := range s.shards[i].objects {
 				if obj.predictor != nil {
@@ -80,29 +90,8 @@ func Open(dir string, opts Options) (*Store, error) {
 				}
 			}
 		}
-	case os.IsNotExist(err):
-		if s, err = New(opts); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, err
 	}
 	info.LoadSeconds = lap()
-	// Error paths from here on must close the store: replay may already
-	// have scheduled background trains, and the probe/stop machinery
-	// exists from New — a failed Open must not leak their goroutines.
-	s.dir = dir
-	s.manifest = m
-	s.opts.WALNoSync = opts.WALNoSync
-	// Like sync policy, the fleet index and compaction cadence are process
-	// configuration: honoring the caller's settings lets an operator
-	// change them on restart of an existing durable store.
-	s.opts.FleetIndex = opts.FleetIndex
-	s.opts.CompactEvery = opts.CompactEvery
-	if err := s.initFleetIndex(); err != nil {
-		s.Close()
-		return nil, err
-	}
 	// Segment files no manifest references are leftovers of a checkpoint
 	// that died between writing segments and committing its manifest.
 	sweepSegments(dir, m)
@@ -359,9 +348,6 @@ func (s *Store) checkpoint(force bool) error {
 
 	prev := s.manifest
 	full := prev == nil
-	if s.opts.CompactEvery > 0 && s.sinceCompact >= s.opts.CompactEvery-1 {
-		full = true
-	}
 	var epoch uint64 = 1
 	if prev != nil {
 		epoch = prev.epoch + 1
@@ -453,11 +439,6 @@ func (s *Store) checkpoint(force bool) error {
 	// Committed. From here the new manifest is authoritative; the rest is
 	// garbage collection.
 	s.manifest = next
-	if full {
-		s.sinceCompact = 0
-	} else {
-		s.sinceCompact++
-	}
 	dur := time.Since(start)
 	s.checkpoints.Add(1)
 	s.checkpointNanos.Add(uint64(dur))
@@ -488,40 +469,25 @@ func (s *Store) checkpoint(force bool) error {
 	return nil
 }
 
-// loadSnapshotFile loads the snapshot whose manifest is at path and whose
-// segment files sit beside it: verify the CRC, parse the manifest, load the
-// segments. The index is NOT rebuilt — Open replays a WAL on top first. On
-// error no store (and none of its goroutines) survives.
-func loadSnapshotFile(path string) (*Store, *snapManifest, error) {
+// readManifest reads the manifest at path: verify the CRC, parse it. It
+// returns the period the directory was created with, the segment list and
+// the file's size; a missing file is os.ErrNotExist.
+func readManifest(path string) (period int, m *snapManifest, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, 0, err
 	}
 	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("store: snapshot %s: too short to hold a checksum", path)
+		return 0, nil, 0, fmt.Errorf("store: snapshot %s: too short to hold a checksum", path)
 	}
 	payload, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(trailer) {
-		return nil, nil, fmt.Errorf("store: snapshot %s: checksum mismatch (corrupt or truncated)", path)
+		return 0, nil, 0, fmt.Errorf("store: snapshot %s: checksum mismatch (corrupt or truncated)", path)
 	}
-	oj, m, err := parseManifest(payload)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
+	if period, m, err = parseManifest(payload); err != nil {
+		return 0, nil, 0, fmt.Errorf("store: snapshot %s: %w", path, err)
 	}
-	var opts Options
-	if err := json.Unmarshal(oj, &opts); err != nil {
-		return nil, nil, fmt.Errorf("store: snapshot %s: decode options: %w", path, err)
-	}
-	s, err := New(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.loadSegments(filepath.Dir(path), m); err != nil {
-		s.Close()
-		return nil, nil, fmt.Errorf("store: snapshot %s: %w", path, err)
-	}
-	s.snapshotBytes.Store(uint64(int64(len(data)) + m.segmentBytes()))
-	return s, m, nil
+	return period, m, int64(len(data)), nil
 }
 
 // crcWriter hashes everything written through it.

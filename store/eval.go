@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+
 	"hpm"
 	"hpm/internal/evalq"
 	"hpm/internal/spatial"
@@ -108,72 +110,23 @@ func (s *Store) routePath(obj *object, now, tq int) evalq.Path {
 	return obj.eval.BestPath(tq-now, []evalq.Path{pat, evalq.PathFallback}, min)
 }
 
-// PredictFallback answers a query with the motion-function fallback
-// alone, bypassing the pattern paths. Shadow-scoring it alongside Predict
-// feeds the evaluator the per-path comparison the paper makes offline:
-// the fallback's answer is parked and scored like any other, so the
-// fallback column of the accuracy matrix fills even while the pattern
-// paths answer the real traffic.
-func (s *Store) PredictFallback(id string, tq int) ([]hpm.Prediction, error) {
-	obj, err := s.get(id, false)
-	if err != nil {
-		return nil, err
-	}
-	obj.mu.RLock()
-	defer obj.mu.RUnlock()
-	recent, err := s.recentLocked(obj)
-	if err != nil {
-		return nil, err
-	}
-	now := obj.base + len(obj.track) - 1
-	preds, err := obj.predictor.PredictFallback(recent, tq)
-	s.recordPrediction(obj, now, tq, evalq.PathFallback, preds, err)
-	return preds, err
-}
-
-// PredictPattern answers a query through the hybrid pattern dispatch
-// alone (FQP or BQP by horizon, with its built-in markov/motion
-// fall-through), ignoring adaptive routing. Shadow-scoring it keeps the
-// pattern columns of the accuracy matrix filling even when routing has
-// moved the real traffic to another path — without it, a path that loses
-// once could never be measured winning again.
-func (s *Store) PredictPattern(id string, tq, k int) ([]hpm.Prediction, error) {
-	obj, err := s.get(id, false)
-	if err != nil {
-		return nil, err
-	}
-	obj.mu.RLock()
-	defer obj.mu.RUnlock()
-	recent, err := s.recentLocked(obj)
-	if err != nil {
-		return nil, err
-	}
-	now := obj.base + len(obj.track) - 1
-	preds, err := obj.predictor.Predict(recent, tq, k)
-	s.recordPrediction(obj, now, tq, s.patternPath(obj, now, tq), preds, err)
-	return preds, err
-}
-
-// PredictMarkov answers a query from the object's Markov region-
-// transition chain alone (motion fallback when the chain declines),
-// bypassing the pattern paths. Like PredictFallback, its answers are
-// parked and scored, so shadow calls fill the markov column of the
-// accuracy matrix — the measurements adaptive routing decides by — even
-// while other paths answer the real traffic.
-func (s *Store) PredictMarkov(id string, tq int) ([]hpm.Prediction, error) {
-	obj, err := s.get(id, false)
-	if err != nil {
-		return nil, err
-	}
-	obj.mu.RLock()
-	defer obj.mu.RUnlock()
-	recent, err := s.recentLocked(obj)
-	if err != nil {
-		return nil, err
-	}
-	now := obj.base + len(obj.track) - 1
-	preds, err := obj.predictor.PredictMarkov(recent, tq)
-	s.recordPrediction(obj, now, tq, evalq.PathMarkov, preds, err)
+// PredictVia answers a query down one named route, ignoring adaptive
+// routing: PathFallback is the motion function alone, PathMarkov the region
+// chain (motion when it declines), PathForward or PathBackward the hybrid
+// pattern dispatch, which picks FQP or BQP by horizon itself. The answer is
+// parked and scored like any other, so shadow calls beside Predict fill every
+// column of the accuracy matrix — the per-path comparison the paper makes
+// offline, and the measurements adaptive routing decides by. Without them a
+// path that loses the real traffic once could never be measured winning
+// again.
+func (s *Store) PredictVia(id string, route evalq.Path, tq, k int) (preds []hpm.Prediction, err error) {
+	err = s.withRecent(context.Background(), id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		if route == evalq.PathForward || route == evalq.PathBackward {
+			route = s.patternPath(obj, now, tq)
+		}
+		preds, err = s.predictLocked(obj, route, recent, now, tq, k)
+		return err
+	})
 	return preds, err
 }
 

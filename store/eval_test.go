@@ -116,13 +116,13 @@ func TestEvalPredictBatchRecorded(t *testing.T) {
 	}
 }
 
-func TestEvalPredictFallbackShadowScores(t *testing.T) {
+func TestEvalFallbackShadowScores(t *testing.T) {
 	s, tr := evalStore(t, Options{})
 	now := 4*period - 1
 	if _, err := s.Predict("bike", now+60, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PredictFallback("bike", now+60); err != nil {
+	if _, err := s.PredictVia("bike", evalq.PathFallback, now+60, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ObserveBatch("bike", tr.Slice(4*period, 5*period)); err != nil {

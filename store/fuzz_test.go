@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -96,9 +97,13 @@ func FuzzLoadSegment(f *testing.F) {
 }
 
 // FuzzParseManifest: the manifest decoder never panics, and a manifest it
-// accepts names at most one segment per shard, ascending, each a bare file
-// name in a shard the store has. Seeded with the golden manifest, cuts and
-// bit flips of it, and the safety tests' garbage.
+// accepts states a positive period and names at most one segment per shard,
+// ascending, each a bare file name in a shard the store has; every other one
+// is refused there, before Open has built a store. Seeded with the golden
+// manifest (a whole Options in its JSON blob), cuts and bit flips of it, the
+// same manifest restated with the period-only blob this build writes, and the
+// safety tests' garbage: a blob that is not JSON, one stating no period, one
+// stating a negative one.
 func FuzzParseManifest(f *testing.F) {
 	data, err := os.ReadFile(filepath.Join(goldenDir, snapshotFile))
 	if err != nil {
@@ -114,16 +119,23 @@ func FuzzParseManifest(f *testing.F) {
 		flipped[len(flipped)-1-at*len(flipped)/16] ^= 1 << (at % 8)
 		f.Add(flipped)
 	}
+	head := len(snapshotMagic) + 1
+	n, w := binary.Uvarint(payload[head:])
+	restated := append(bytes.Clone(payload[:head]), byte(len(periodBlob)))
+	f.Add(append(append(restated, periodBlob...), payload[head+w+int(n):]...))
 	for _, in := range garbageManifests {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		oj, m, err := parseManifest(payload)
+		p, m, err := parseManifest(payload)
 		if err != nil {
+			if p != 0 || m != nil {
+				t.Fatalf("a refused manifest (%v) still yields period %d and %+v", err, p, m)
+			}
 			return
 		}
-		if len(oj) > len(payload) || len(m.segments) > numShards {
-			t.Fatalf("%d payload bytes yield %d option bytes and %d segments", len(payload), len(oj), len(m.segments))
+		if p <= 0 || len(m.segments) > numShards {
+			t.Fatalf("%d payload bytes yield period %d and %d segments", len(payload), p, len(m.segments))
 		}
 		for i, sg := range m.segments {
 			if sg.shard < 0 || sg.shard >= numShards || (i > 0 && sg.shard <= m.segments[i-1].shard) {

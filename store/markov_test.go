@@ -59,7 +59,7 @@ func TestMarkovSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := back.PredictMarkov("bus", now+10); err != nil {
+	if _, err := back.PredictVia("bus", hpm.PathMarkov, now+10, 1); err != nil {
 		t.Errorf("markov predict from restored chain: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestMarkovRebuiltFromEmptyChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := back.PredictMarkov("bus", now+10); err != nil {
+	if _, err := back.PredictVia("bus", hpm.PathMarkov, now+10, 1); err != nil {
 		t.Errorf("markov predict after the rebuild: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestMarkovDisabledOmitsPath(t *testing.T) {
 		t.Errorf("disabled markov path still encoded a %d-byte chain", len(got))
 	}
 	now, _ := s.Now("bike")
-	preds, err := s.PredictMarkov("bike", now+10)
+	preds, err := s.PredictVia("bike", hpm.PathMarkov, now+10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMarkovHammerConcurrent(t *testing.T) {
 				}
 				// Errors are expected: the writer can advance the track
 				// between Now and the query. The hammer is about locking.
-				s.PredictMarkov("bike", now+1+i%100)
+				s.PredictVia("bike", hpm.PathMarkov, now+1+i%100, 1)
 				if i%10 == 0 {
 					if _, err := s.Stats("bike"); err != nil {
 						t.Error(err)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpm"
 )
@@ -58,20 +59,39 @@ func durableStore(t testing.TB, opts Options) *Store {
 }
 
 // reopen is the round trip through the on-disk format: checkpoint s, drop
-// its log as a kill would, and open the directory again. s keeps answering
-// reads, so a test can compare the two.
+// its log as a kill would, and open the directory again under the options s
+// runs with. s keeps answering reads, so a test can compare the two.
 func reopen(t testing.TB, s *Store) *Store {
 	t.Helper()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	crash(s)
-	back, err := Open(s.dir, Options{WALNoSync: true})
+	back, err := Open(s.dir, s.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { crash(back) })
 	return back
+}
+
+// loadSnapshot decodes dir's committed snapshot — manifest and segments, no
+// WAL on top — into a scratch store.
+func loadSnapshot(t testing.TB, dir string) (*Store, error) {
+	t.Helper()
+	p, m, _, err := readManifest(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		return nil, err
+	}
+	s, err := New(Options{Config: hpm.Config{Period: p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.loadSegments(dir, m); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // shardBody encodes one shard of s as a segment's payload (header and
@@ -226,14 +246,84 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreSnapshotOptionsPreserved(t *testing.T) {
-	s := durableStore(t, Options{MinTrainPeriods: 7, RetrainEvery: 9, MaxRecent: 25})
-	back := reopen(t, s)
-	if !reflect.DeepEqual(back.opts, s.opts) {
-		t.Errorf("options differ: %+v vs %+v", back.opts, s.opts)
+// TestOpenUsesCallersOptions: a directory fixes the period and nothing else.
+// A second Open runs under the options it is handed, each one the first run
+// set differently, not under a copy the first run left behind; a zero period
+// adopts the directory's.
+func TestOpenUsesCallersOptions(t *testing.T) {
+	first := durableOpts() // MinTrainPeriods 3
+	first.EvalDisabled = true
+	dir := t.TempDir()
+	s, err := Open(dir, first)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if back.Period() != period {
-		t.Errorf("period %d, want %d", back.Period(), period)
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 1)
+	spec.Period, spec.SubTrajectories = period, 5
+	tr := hpm.GenerateDataset(spec)
+	if err := s.ObserveBatch("young", tr.Slice(0, 2*period)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := Options{
+		Config:          hpm.Config{RetainPeriods: 7},
+		MinTrainPeriods: 5,
+		RetrainEvery:    4,
+		DriftThreshold:  50,
+		AdaptiveRouting: true,
+		DegradeAfter:    11,
+		ProbeInterval:   3 * time.Second,
+		WALNoSync:       true,
+	}
+	second.Eval.RingSize = 7
+	back, err := Open(dir, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	want := second
+	want.Config.Period = period
+	if want = want.withDefaults(); !reflect.DeepEqual(back.opts, want) {
+		t.Errorf("the reopened store runs under\n%+v, was opened with\n%+v", back.opts, want)
+	}
+	// The options at work: an object loaded from the first run's segment is
+	// scored, in a ring of the new size, and its first train waits for the
+	// new floor — the first run's was passed two periods earlier.
+	obj, err := back.get("young", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.eval == nil || obj.eval.Config().RingSize != 7 {
+		t.Errorf("the loaded object's evaluator: %+v, want a ring of 7", obj.eval)
+	}
+	for _, step := range []struct {
+		from, upTo int
+		trained    bool
+	}{{2, 4, false}, {4, 5, true}} {
+		if err := back.ObserveBatch("young", tr.Slice(step.from*period, step.upTo*period)); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := back.Stats("young"); st.Periods != step.upTo || st.Trained != step.trained {
+			t.Errorf("after %d periods under MinTrainPeriods 5: %+v", step.upTo, st)
+		}
+	}
+
+	// A manifest written before the blob shrank to the period carries a whole
+	// Options (the golden one says MinTrainPeriods 3): read for its period.
+	gdir, _ := goldenCopy(t)
+	g, err := Open(gdir, Options{MinTrainPeriods: 9, WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.Period() != period || g.opts.MinTrainPeriods != 9 {
+		t.Errorf("the golden directory serves period %d, first train after %d", g.Period(), g.opts.MinTrainPeriods)
 	}
 }
 
@@ -269,9 +359,16 @@ var garbageManifests = [][]byte{
 	[]byte("XXXX\x03"),
 	[]byte("HPMG\x03"), // the segment's magic
 	[]byte("HPMS\x09"),
-	[]byte("HPMS\x03\x03{}"),                 // truncated options
-	[]byte("HPMS\x03\x02{}\x01\x01\x40\x00"), // shard 64 of 64
+	[]byte("HPMS\x03\x03{}"), // truncated options
+	[]byte("HPMS\x03\x09not json!\x01\x00"),
+	[]byte("HPMS\x03\x0d{\"Config\":{}}\x01\x00"),                     // states no period
+	[]byte("HPMS\x03\x19" + `{"Config":{"Period":-60}}` + "\x01\x00"), // a negative one
+	[]byte("HPMS\x03\x18" + periodBlob + "\x01\x01\x40\x00"),          // shard 64 of 64
 }
+
+// periodBlob is the JSON a manifest written by this build states its period
+// in.
+const periodBlob = `{"Config":{"Period":60}}`
 
 // TestSaveUnderConcurrentObserves checkpoints repeatedly while writers keep
 // ingesting: every committed snapshot must load cleanly (each object's
@@ -308,7 +405,7 @@ func TestSaveUnderConcurrentObserves(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
-		back, _, err := loadSnapshotFile(filepath.Join(s.dir, snapshotFile))
+		back, err := loadSnapshot(t, s.dir)
 		if err != nil {
 			t.Fatalf("load %d: %v", i, err)
 		}

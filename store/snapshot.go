@@ -21,17 +21,18 @@ import (
 // The snapshot containers. A durable store's directory holds a small
 // manifest (snapshotFile) plus one segment file per non-empty shard:
 //
-//	manifest := "HPMS" 0x03 options-json uvarint(epoch)
+//	manifest := "HPMS" 0x03 period-json uvarint(epoch)
 //	            uvarint(nsegments) nsegments×segment-entry  crc32c
 //	entry    := uvarint(shard) uvarint(objects) name uvarint(size) uint32(crc)
 //	segment  := "HPMG" 0x02 uvarint(shard) uvarint(count)
 //	            count×object-record  crc32c
 //
-// (options-json and name are uvarint-length-prefixed; object records are
-// persist.go's; every file carries a whole-file CRC32-C trailer.) This is
-// the one layout Open reads and Checkpoint writes: each decoder compares
-// its version byte with == and refuses anything else by number (DESIGN.md,
-// "Upgrading an older directory").
+// (period-json — {"Config":{"Period":N}}, all the directory fixes — and name
+// are uvarint-length-prefixed; object records are persist.go's; every file
+// carries a whole-file CRC32-C trailer.) This is the one layout Open reads
+// and Checkpoint writes: each decoder compares its version byte with == and
+// refuses anything else by number (DESIGN.md, "Upgrading an older
+// directory").
 //
 // Segment files are written to their final, epoch-stamped names and are
 // invisible until a manifest referencing them is renamed into place — the
@@ -186,15 +187,11 @@ func (s *Store) writeManifest(m *snapManifest) (int64, error) {
 	if err := s.fault(faultinject.OpDiskFull); err != nil {
 		return 0, fmt.Errorf("store: manifest: %w", err)
 	}
-	oj, err := json.Marshal(s.opts)
-	if err != nil {
-		return 0, fmt.Errorf("store: encode options: %w", err)
-	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	bw.WriteString(snapshotMagic)
 	bw.WriteByte(manifestVersion)
-	writeBytes(bw, oj)
+	writeBytes(bw, fmt.Appendf(nil, `{"Config":{"Period":%d}}`, s.opts.Config.Period))
 	writeUvarint(bw, m.epoch)
 	writeUvarint(bw, uint64(len(m.segments)))
 	for _, sg := range m.segments {
@@ -238,70 +235,79 @@ func (s *Store) writeManifest(m *snapManifest) (int64, error) {
 }
 
 // parseManifest decodes a manifest payload (CRC already verified and
-// stripped) into the options JSON and the segment list: at most one
-// segment per shard, ascending, as checkpoint writes them.
-func parseManifest(payload []byte) (optsJSON []byte, m *snapManifest, err error) {
+// stripped) into the directory's period and the segment list: at most one
+// segment per shard, ascending, as checkpoint writes them. The period is all
+// that is read of the JSON blob; a manifest written before the blob shrank
+// to it carries a whole Options there, and the rest is ignored.
+func parseManifest(payload []byte) (period int, m *snapManifest, err error) {
 	if len(payload) <= len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("store: not a snapshot manifest (magic %q)", payload[:min(len(payload), len(snapshotMagic))])
+		return 0, nil, fmt.Errorf("store: not a snapshot manifest (magic %q)", payload[:min(len(payload), len(snapshotMagic))])
 	}
 	if v := payload[len(snapshotMagic)]; v != manifestVersion {
-		return nil, nil, retired("store: snapshot", v, manifestVersion)
+		return 0, nil, retired("store: snapshot", v, manifestVersion)
 	}
 	br := bufio.NewReader(bytes.NewReader(payload[len(snapshotMagic)+1:]))
 	oj, err := pattern.ReadBlob(br, 1<<20)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: read options: %w", err)
+		return 0, nil, fmt.Errorf("store: read options: %w", err)
+	}
+	var stated struct{ Config struct{ Period int } }
+	if err := json.Unmarshal(oj, &stated); err != nil {
+		return 0, nil, fmt.Errorf("store: decode options: %w", err)
+	}
+	if period = stated.Config.Period; period <= 0 {
+		return 0, nil, fmt.Errorf("store: manifest states period %d, want a positive one", period)
 	}
 	m = &snapManifest{}
 	if m.epoch, err = binary.ReadUvarint(br); err != nil {
-		return nil, nil, fmt.Errorf("store: read epoch: %w", err)
+		return 0, nil, fmt.Errorf("store: read epoch: %w", err)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: read segment count: %w", err)
+		return 0, nil, fmt.Errorf("store: read segment count: %w", err)
 	}
 	if n > numShards {
-		return nil, nil, fmt.Errorf("store: implausible segment count %d", n)
+		return 0, nil, fmt.Errorf("store: implausible segment count %d", n)
 	}
 	for i := uint64(0); i < n; i++ {
 		var sg snapSegment
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, nil, fmt.Errorf("store: read segment shard: %w", err)
+			return 0, nil, fmt.Errorf("store: read segment shard: %w", err)
 		}
 		if v >= numShards || (i > 0 && int(v) <= m.segments[i-1].shard) {
-			return nil, nil, fmt.Errorf("store: segment entry %d names shard %d: want ascending shards below %d (written at another shard count?)", i, v, numShards)
+			return 0, nil, fmt.Errorf("store: segment entry %d names shard %d: want ascending shards below %d (written at another shard count?)", i, v, numShards)
 		}
 		sg.shard = int(v)
 		if v, err = binary.ReadUvarint(br); err != nil {
-			return nil, nil, fmt.Errorf("store: read segment objects: %w", err)
+			return 0, nil, fmt.Errorf("store: read segment objects: %w", err)
 		}
 		sg.objects = int(v)
 		name, err := pattern.ReadBlob(br, 4096)
 		if err != nil {
-			return nil, nil, fmt.Errorf("store: read segment name: %w", err)
+			return 0, nil, fmt.Errorf("store: read segment name: %w", err)
 		}
 		// Segment names resolve relative to the manifest's directory; a
 		// path separator in one would escape it.
 		if filepath.Base(string(name)) != string(name) {
-			return nil, nil, fmt.Errorf("store: segment name %q is not a bare file name", name)
+			return 0, nil, fmt.Errorf("store: segment name %q is not a bare file name", name)
 		}
 		sg.name = string(name)
 		if v, err = binary.ReadUvarint(br); err != nil {
-			return nil, nil, fmt.Errorf("store: read segment size: %w", err)
+			return 0, nil, fmt.Errorf("store: read segment size: %w", err)
 		}
 		sg.size = int64(v)
 		var cb [4]byte
 		if _, err := io.ReadFull(br, cb[:]); err != nil {
-			return nil, nil, fmt.Errorf("store: read segment crc: %w", err)
+			return 0, nil, fmt.Errorf("store: read segment crc: %w", err)
 		}
 		sg.crc = binary.LittleEndian.Uint32(cb[:])
 		m.segments = append(m.segments, sg)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, nil, errors.New("store: bytes behind the last segment entry")
+		return 0, nil, errors.New("store: bytes behind the last segment entry")
 	}
-	return oj, m, nil
+	return period, m, nil
 }
 
 // loadSegments restores every manifest segment into s, in parallel. Each segment maps to exactly one shard, so workers insert into

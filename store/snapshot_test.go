@@ -20,7 +20,8 @@ import (
 // which opened the old single-file fixture — a three-object fleet under
 // Options{Config: {Period: period}, MinTrainPeriods: 3, RetrainEvery: 50};
 // "fixture-trained" fed four Bike periods, "fixture-short" half a period,
-// "fixture-single" one point — with CompactEvery 1 and closed it. It is the
+// "fixture-single" one point — with every checkpoint forced to a full rewrite
+// (an option that commit still had) and closed it. It is the
 // corpus that proves a directory written by an older build of this format
 // still opens, answers and re-encodes byte for byte; a fixture for a newer
 // layout is a new directory beside it, never a regeneration of this one.
@@ -91,7 +92,7 @@ func TestGoldenDirectory(t *testing.T) {
 		got[0].Score != 1 || got[0].Confidence != 1 || got[0].Source.String() != "pattern" || got[0].Path.String() != "backward" {
 		t.Errorf("pattern answer at now+63: %+v (err %v)", got, err)
 	}
-	if got, err := s.PredictMarkov("fixture-trained", now+10); err != nil || len(got) != 1 ||
+	if got, err := s.PredictVia("fixture-trained", hpm.PathMarkov, now+10, 1); err != nil || len(got) != 1 ||
 		got[0].Location != hpm.Pt(10051.052539677721, 10165.549738406873) {
 		t.Errorf("markov-path answer at now+10: %+v (err %v)", got, err)
 	}
@@ -340,51 +341,6 @@ func TestIncrementalCheckpointRewritesOnlyDirty(t *testing.T) {
 	}
 	if st, _ := back.Stats("obj-099"); st.Points != 1 {
 		t.Fatalf("obj-099 recovered %d points, want 1", st.Points)
-	}
-}
-
-// TestCompactEveryForcesFullRewrite checks the compaction valve: with
-// CompactEvery=2, every second checkpoint rewrites the whole fleet even
-// though only one shard is dirty, re-keying old epochs' segments so the
-// directory never accumulates unboundedly stale files.
-func TestCompactEveryForcesFullRewrite(t *testing.T) {
-	opts := durableOpts()
-	opts.CompactEvery = 2
-	dir := t.TempDir()
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const fleet = 20
-	for i := 0; i < fleet; i++ {
-		if err := s.Observe(fmt.Sprintf("obj-%02d", i), hpm.Pt(float64(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dirtyOne := func(i int) {
-		t.Helper()
-		if err := s.Observe(fmt.Sprintf("obj-%02d", i%fleet), hpm.Pt(float64(i), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(); err != nil { // 1: full (first ever)
-		t.Fatal(err)
-	}
-	dirtyOne(1)
-	if err := s.Checkpoint(); err != nil { // 2: incremental
-		t.Fatal(err)
-	}
-	if info := s.Health().LastCheckpoint; info.Full {
-		t.Fatalf("second checkpoint should be incremental: %+v", info)
-	}
-	dirtyOne(2)
-	if err := s.Checkpoint(); err != nil { // 3: forced full
-		t.Fatal(err)
-	}
-	info := s.Health().LastCheckpoint
-	if !info.Full || info.Objects != fleet {
-		t.Fatalf("CompactEvery=2 did not force a full rewrite on the third checkpoint: %+v", info)
 	}
 }
 

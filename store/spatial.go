@@ -34,11 +34,10 @@ const pathExtrapolation = "extrapolation"
 // averages over.
 const indexVelWindow = 4
 
-// initFleetIndex (re)builds s.index from s.opts.FleetIndex; nil disables.
+// initFleetIndex builds s.index from s.opts.FleetIndex; nil disables.
 // Horizons default to the evaluator's buckets so fleet queries quantize to
 // the same grid the accuracy matrix is scored on.
 func (s *Store) initFleetIndex() error {
-	s.index = nil
 	fc := s.opts.FleetIndex
 	if fc == nil {
 		return nil

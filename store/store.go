@@ -56,9 +56,7 @@ type Options struct {
 	// WALNoSync skips the per-commit fsync of a durable store's
 	// write-ahead log, trading the zero-acknowledged-loss crash guarantee
 	// for ingest throughput (a crash may lose records the OS had not yet
-	// flushed; replay still recovers everything older). Open applies this
-	// field from its opts argument even when the rest of the Options come
-	// from a restored snapshot — sync policy belongs to the process.
+	// flushed; replay still recovers everything older).
 	WALNoSync bool
 	// Eval tunes the online prequential evaluator: ring bound, hit
 	// distance D, horizon buckets, EWMA smoothing. Zero fields take the
@@ -96,18 +94,8 @@ type Options struct {
 	// object's predicted positions at the configured horizon buckets
 	// (defaulting to the evaluator's buckets), refreshed on every
 	// acknowledged observe and predictor swap. Enables QueryRange,
-	// QueryNearest and the scan oracles. CellSize must be positive. Like
-	// WALNoSync, this is process configuration: Open applies it over
-	// whatever a restored snapshot recorded.
+	// QueryNearest and the scan oracles. CellSize must be positive.
 	FleetIndex *spatial.Config
-	// CompactEvery forces every Nth checkpoint of a durable store to be a
-	// full rewrite — every shard's segment is re-encoded, not just the
-	// dirty ones — bounding how stale a clean shard's segment may grow
-	// (and re-packing after heavy Remove traffic). 0 (the default) never
-	// forces: incremental checkpoints already keep exactly one live
-	// segment per shard, so compaction is a policy choice, not a
-	// correctness need. Process configuration, like WALNoSync.
-	CompactEvery int
 }
 
 // Defaults for Options fields left at their zero value.
@@ -244,10 +232,8 @@ type Store struct {
 	checkpointMu sync.Mutex
 
 	// Snapshot state, guarded by checkpointMu: the manifest describing
-	// the segment files on disk and how many checkpoints ran since the
-	// last full rewrite (Options.CompactEvery).
-	manifest     *snapManifest
-	sinceCompact int
+	// the segment files on disk.
+	manifest *snapManifest
 
 	// snapGate orders in-flight observe applies against checkpoints. Every
 	// observe path holds the read side from before its WAL commit until
@@ -431,10 +417,6 @@ func New(opts Options) (*Store, error) {
 
 // Period returns the configured pattern period.
 func (s *Store) Period() int { return s.opts.Config.Period }
-
-// MinTrainPeriods returns how many full periods an object accumulates
-// before its first train — a restored snapshot's value, not the caller's.
-func (s *Store) MinTrainPeriods() int { return s.opts.MinTrainPeriods }
 
 // shard picks the object's shard by FNV-1a over its id. Inlined rather
 // than hash/fnv to keep the hot ingest path free of a hasher allocation.
@@ -1008,7 +990,7 @@ func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
 // context's error instead of an answer nobody reads.
 func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
-		preds, err = s.predictLocked(obj, recent, now, tq, k)
+		preds, err = s.predictLocked(obj, s.routePath(obj, now, tq), recent, now, tq, k)
 		return err
 	})
 	return preds, err
@@ -1026,7 +1008,7 @@ func (s *Store) PredictAheadContext(ctx context.Context, id string, horizon, k i
 	}
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
 		tq = now + horizon
-		preds, err = s.predictLocked(obj, recent, now, tq, k)
+		preds, err = s.predictLocked(obj, s.routePath(obj, now, tq), recent, now, tq, k)
 		return err
 	})
 	return tq, preds, err
@@ -1052,21 +1034,12 @@ func (s *Store) withRecent(ctx context.Context, id string, fn func(obj *object, 
 	return fn(obj, recent, obj.base+len(obj.track)-1)
 }
 
-// predictLocked answers one point query along the route the evaluator
-// currently prefers at its horizon. Called with obj.mu read-locked.
-func (s *Store) predictLocked(obj *object, recent []hpm.TimedPoint, now, tq, k int) (preds []hpm.Prediction, err error) {
-	route := s.routePath(obj, now, tq)
-	switch route {
-	case evalq.PathFallback:
-		preds, err = obj.predictor.PredictFallback(recent, tq)
-	case evalq.PathMarkov:
-		preds, err = obj.predictor.PredictMarkov(recent, tq)
-	default:
-		preds, err = obj.predictor.Predict(recent, tq, k)
-	}
-	// Scored under the route that served it (fall-throughs included), so
-	// the routing measurements keep charging the chosen route for what it
-	// actually delivered.
+// predictLocked answers one point query along route and parks the answer
+// under it (fall-throughs included), so the routing measurements keep
+// charging the chosen route for what it actually delivered. Called with
+// obj.mu read-locked.
+func (s *Store) predictLocked(obj *object, route evalq.Path, recent []hpm.TimedPoint, now, tq, k int) ([]hpm.Prediction, error) {
+	preds, err := obj.predictor.PredictVia(route, recent, tq, k)
 	s.recordPrediction(obj, now, tq, route, preds, err)
 	return preds, err
 }
@@ -1299,9 +1272,10 @@ type CheckpointInfo struct {
 	// both stay near zero on a quiet fleet.
 	Objects int `json:"objects"`
 	Shards  int `json:"shards"`
-	// Full marks a whole-fleet rewrite (first checkpoint after Open, or
-	// one forced by Options.CompactEvery); Epoch is the snapshot epoch
-	// the checkpoint committed.
+	// Full marks the first checkpoint of a fresh directory, which has no
+	// manifest to chain clean shards from (a checkpoint after Open over a
+	// manifest is incremental); Epoch is the snapshot epoch the checkpoint
+	// committed.
 	Full  bool   `json:"full"`
 	Epoch uint64 `json:"epoch"`
 }

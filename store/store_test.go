@@ -257,12 +257,13 @@ func TestStatsIncludeQueryCounters(t *testing.T) {
 // TestOptionsBudget is a ratchet: Options had 26 fields before the
 // training regimes were collapsed into one policy, 22 before the worker
 // counts and the policy knobs nothing set became constants, 16 before the
-// shard count became part of the on-disk format. A new field
+// shard count became part of the on-disk format, 15 before the forced full
+// rewrite that changed no byte went. A new field
 // needs two callers that want different values — and then this number
 // moves.
 func TestOptionsBudget(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n > 15 {
-		t.Errorf("store.Options has %d fields, budget is 15", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n > 14 {
+		t.Errorf("store.Options has %d fields, budget is 14", n)
 	}
 }
 
