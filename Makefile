@@ -52,12 +52,14 @@ bench-ingest:
 
 # What one fleet-index refresh is made of, each piece with allocations: the
 # whole refresh through the store (one observe of a trained object: fold,
-# score, one PredictBatch over the six index horizons), one BQP near and far
+# score, one PredictBatch over the six index horizons), for one Bike object
+# and for the harness's mix (two objects per datagen kind), the harness's
+# batch predict over that mix (eight horizons, k = 3), one BQP near and far
 # from a live consequence offset, one self-training RMF fit, and the motion
 # path's six horizons answered a Predict each against one walk of the
 # recurrence. DESIGN.md's "What one index refresh costs" quotes them.
 bench-refresh:
-	$(GO) test -bench='BenchmarkIndexRefresh' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkIndexRefresh|BenchmarkPredictBatchFleet' -benchmem -run '^$$' ./store/
 	$(GO) test -bench='BenchmarkPredictBQP$$|BenchmarkRMFFit$$' -benchmem -run '^$$' .
 	$(GO) test -bench='BenchmarkRMFWalk' -benchmem -run '^$$' ./internal/motion/
 

@@ -1,11 +1,14 @@
 package hpa
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"hpm/internal/geom"
 	"hpm/internal/motion"
+	"hpm/internal/pattern"
 	"hpm/internal/trajectory"
 )
 
@@ -65,6 +68,79 @@ func TestPredictConcurrentStatsExact(t *testing.T) {
 	if s.NodesVisited == 0 {
 		t.Error("no nodes counted")
 	}
+}
+
+// TestConcurrentRankedListBuilds: 16 goroutines issue BQPs on a fresh
+// engine, so they race to build the same offsets' ranked lists. Every
+// goroutine must see one list per offset — built once, whoever got there
+// first — and every answer must equal a quiet engine's.
+func TestConcurrentRankedListBuilds(t *testing.T) {
+	const period = 40
+	var offsets []int
+	for off := 0; off < period; off += 2 {
+		offsets = append(offsets, off)
+	}
+	var rules [][3]float64
+	for c := 2; c < len(offsets); c++ {
+		for p := 0; p < 2; p++ {
+			rules = append(rules, [3]float64{float64(p), float64(c), 0.3 + 0.05*float64((7*c+p)%13)})
+		}
+	}
+	cfg := Config{Period: period, DistantThreshold: 3, TimeRelaxation: 2, PenalizePremise: true}
+	quiet, busy := handEngine(t, cfg, offsets, rules), handEngine(t, cfg, offsets, rules)
+	premises := [][]pattern.RegionID{nil, {0}, {1}, {0, 1}}
+	type query struct{ v, tc, tq int }
+	var queries []query
+	want := map[query][]Prediction{}
+	for v := range premises {
+		for tc := 0; tc < period; tc += 3 {
+			for tq := tc + 3; tq <= tc+period; tq += 5 {
+				q := query{v, tc, tq}
+				queries = append(queries, q)
+				want[q] = quiet.BackwardQuery(premises[v], tc, tq, 3)
+			}
+		}
+	}
+
+	// Odd goroutines ask for every list before querying, even ones after,
+	// so lists are built by queries and by direct requests at once. A list
+	// built twice would reach someone other than the one finally published.
+	const goroutines = 16
+	seen := make([][]*rankedList, goroutines)
+	lists := func(g int) {
+		for off, n := range busy.liveAt {
+			if n > 0 {
+				seen[g] = append(seen[g], busy.rankedAt(off))
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 1 {
+				lists(g)
+			}
+			for i := range queries {
+				q := queries[(i+g*len(queries)/goroutines)%len(queries)] // each starts elsewhere
+				if got := busy.BackwardQuery(premises[q.v], q.tc, q.tq, 3); !reflect.DeepEqual(got, want[q]) {
+					t.Errorf("goroutine %d %+v: %+v, quiet engine %+v", g, q, got, want[q])
+					return
+				}
+			}
+			if g%2 == 0 {
+				lists(g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if !slices.Equal(seen[g], seen[0]) {
+			t.Fatalf("goroutines 0 and %d were handed different lists", g)
+		}
+	}
+	checkRanked(t, busy)
 }
 
 // TestConcurrentMixedQueryKinds runs Predict, PredictBatch, PredictRange,

@@ -141,6 +141,9 @@ const (
 // QueryStats counts what the engine did since construction (or the last
 // ResetStats). The counters quantify the paper's cost argument: the more
 // patterns answer, the fewer expensive motion-function constructions run.
+// NodesVisited counts query searches only: the search that builds an
+// offset's confidence ranking the first time BQP needs it is index
+// maintenance, like Insert, and is not counted.
 type QueryStats struct {
 	Queries      int // Predict calls answered
 	Forward      int // answered by FQP
@@ -148,7 +151,7 @@ type QueryStats struct {
 	Markov       int // answered by the region-transition chain
 	Fallback     int // answered by the motion function
 	Unanswered   int // no pattern and no (or failed) fallback
-	NodesVisited int // TPT nodes touched across all searches
+	NodesVisited int // TPT nodes touched by query searches
 	FallbackFits int // motion functions actually fitted (cache misses)
 }
 
@@ -202,11 +205,13 @@ type queryCounters struct {
 //
 // Concurrency: Predict, PredictBatch, PredictRange, ForwardQuery,
 // BackwardQuery, EncodeRecent and Stats are safe for any number of
-// concurrent callers — queries only read the index and bump atomic
-// counters. AddPatterns, InsertPatterns, RemovePattern, UpdatePattern and
-// ResetStats mutate the engine and must not run concurrently with
-// queries; callers serialize them externally (the store does so under
-// each object's write lock).
+// concurrent callers — queries read the index and bump atomic counters,
+// and the one thing a query may write, an offset's confidence ranking
+// built the first time BQP needs it, is built once under an internal mutex
+// and published atomically. AddPatterns, InsertPatterns, RemovePattern,
+// UpdatePattern and ResetStats mutate the engine and must not run
+// concurrently with queries; callers serialize them externally (the store
+// does so under each object's write lock).
 type Engine struct {
 	enc      *pattern.Encoder
 	tree     *tpt.Tree
@@ -222,6 +227,15 @@ type Engine struct {
 	dead   []bool
 	live   int
 	liveAt []int32
+
+	// ranked holds, per consequence offset (indexed like liveAt), the
+	// offset's live refs by confidence descending, then ref ascending: the
+	// order BQP ranks the hits that share no region with the query, whose
+	// score is the offset's Equation 3 term times confidence. A list is
+	// built from the tree the first time a query needs it (under rankMu, so
+	// once) and kept in step by every mutator from then on.
+	ranked []atomic.Pointer[rankedList]
+	rankMu sync.Mutex
 
 	stats queryCounters
 
@@ -302,7 +316,8 @@ func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, tre
 		return nil, fmt.Errorf("hpa: %w", err)
 	}
 	e := &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
-		dead: make([]bool, len(patterns)), live: len(patterns), liveAt: make([]int32, cfg.Period)}
+		dead: make([]bool, len(patterns)), live: len(patterns), liveAt: make([]int32, cfg.Period),
+		ranked: make([]atomic.Pointer[rankedList], cfg.Period)}
 	for _, p := range patterns {
 		e.countLive(rt.Region(p.Consequence).Offset, 1)
 	}
@@ -367,6 +382,7 @@ func (e *Engine) AddPatterns(ps []pattern.Pattern) (added, skipped int) {
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
+		e.rankInsert(off, p.Confidence, ref)
 		e.tree.Insert(tpt.Item{Key: e.enc.Encode(p), Conf: p.Confidence, Ref: ref})
 		added++
 	}
@@ -669,43 +685,182 @@ func (e *Engine) BackwardQuery(visited []pattern.RegionID, tc, tq, k int) []Pred
 
 // backwardQuery is BackwardQuery accumulating candidates into sc.cands; the
 // returned top-k slice is freshly allocated, never scratch-backed.
+//
+// The window's hits fall in two halves, and only the candidates that can
+// make the top k are scored. A hit whose premise shares a region with the
+// query is found by the tree's intersect search over the window key and
+// scored by Equation 5 in full. Any other hit has premise similarity 0, so
+// its score is its offset's Equation 3 term times its confidence: within
+// one offset such hits rank by confidence, then ref — the offset's ranked
+// list — and the first k of them that share no region are the only ones
+// that can win.
 func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc, tq, k int) []Prediction {
-	tqOff := mod(tq, e.cfg.Period)
+	period := e.cfg.Period
+	tqOff := mod(tq, period)
 	radius, ok := e.firstWindow(tqOff, tc, tq)
 	if !ok {
 		return nil
 	}
-	qrk := e.enc.RegionTable().PremiseKey(visited)
-	qk := bitkey.PatternKey{
-		CK: consequenceWindowKey(e.enc.ConsequenceTable(), tqOff, radius, e.cfg.Period),
-		RK: qrk,
-	}
-	// Equation 3 reads a hit only through its consequence offset, and the
-	// search hands every hit the time id its key carries: the offsets are
-	// scored here, once each, and a hit looks its score up. The window key
-	// holds exactly the offsets within radius, so every item visited has
-	// dist <= radius.
+	ct := e.enc.ConsequenceTable()
+	// Equation 3 reads a hit only through its consequence offset: the
+	// offsets are scored here, once each, by time id, and a hit looks its
+	// score up.
 	tab := scr.timeScore[:0]
-	for _, off := range e.enc.ConsequenceTable().Offsets() {
-		dist := circularDist(tqOff, off, e.cfg.Period)
+	for _, off := range ct.Offsets() {
+		dist := circularDist(tqOff, off, period)
 		tab = append(tab, 1-float64(dist)/float64(radius+1)) // Equation 3
 	}
 	scr.timeScore = tab
 	cands := scr.cands[:0]
-	e.stats.nodesVisited.Add(int64(e.tree.SearchConsequence(qk, func(ref, tid int, conf float64, rk bitkey.Key) bool {
-		// Equation 5, or 4 with the penalty off: premise term plus time term,
-		// weighted by confidence. A hit that shares no region with the query
-		// has similarity 0 and a premise term of exactly 0 whatever divides
-		// it; only the others pay for the division.
-		sr := PremiseSimilarity(rk, qrk, e.cfg.Weight)
-		if sr != 0 && e.cfg.PenalizePremise {
-			sr = sr * float64(e.cfg.DistantThreshold) / float64(tq-tc)
+	var qrk bitkey.Key
+	if len(visited) > 0 {
+		qrk = e.enc.RegionTable().PremiseKey(visited)
+		qk := bitkey.PatternKey{CK: consequenceWindowKey(ct, tqOff, radius, period), RK: qrk}
+		e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref, tid int, conf float64, rk bitkey.Key) bool {
+			// Equation 5, or 4 with the penalty off: premise term plus time
+			// term, weighted by confidence.
+			sr := PremiseSimilarity(rk, qrk, e.cfg.Weight)
+			if e.cfg.PenalizePremise {
+				sr = sr * float64(e.cfg.DistantThreshold) / float64(tq-tc)
+			}
+			cands = append(cands, candidate{score: (sr + tab[tid]) * conf, conf: conf, ref: ref})
+			return true
+		})))
+	}
+	// Every offset within radius once; a window of 2·radius+1 ≥ Period
+	// covers each offset of the period.
+	span := min(2*radius+1, period)
+	for i, off := 0, mod(tqOff-radius, period); i < span; i, off = i+1, off+1 {
+		if off == period {
+			off = 0
 		}
-		cands = append(cands, candidate{score: (sr + tab[tid]) * conf, conf: conf, ref: ref})
-		return true
-	})))
+		if e.liveAt[off] == 0 {
+			continue
+		}
+		l := e.rankedAt(off)
+		tau := tab[l.tid]
+		taken := 0
+		for _, r := range l.entries {
+			if taken >= k {
+				break
+			}
+			if len(visited) > 0 && e.sharesRegion(int(r.ref), qrk) {
+				continue // scored above
+			}
+			cands = append(cands, candidate{score: tau * r.conf, conf: r.conf, ref: int(r.ref)})
+			taken++
+		}
+	}
 	scr.cands = cands
 	return e.topK(cands, k, PathBackward)
+}
+
+// rankedList is one consequence offset's live refs in BQP's order for hits
+// that share no region with the query: confidence descending, then ref
+// ascending. tid is the offset's time id, which never changes once
+// assigned.
+type rankedList struct {
+	tid     int
+	entries []rankEntry
+}
+
+// rankEntry is one live pattern of an offset's ranked list; conf is the same
+// float the pattern's tree leaf holds.
+type rankEntry struct {
+	conf float64
+	ref  int32
+}
+
+// before reports whether a ranks ahead of b in a ranked list.
+func (a rankEntry) before(b rankEntry) bool {
+	return a.conf > b.conf || (a.conf == b.conf && a.ref < b.ref)
+}
+
+// sortRanked sorts a freshly built list: a quicksort over before, which the
+// compiler inlines, down to runs of 12 that an insertion sort finishes. The
+// sort is most of what a build costs beyond its search — and every offset a
+// store's index rebuild touches at Open is built — so it avoids
+// slices.SortFunc's indirect call per comparison.
+func sortRanked(s []rankEntry) {
+	for len(s) > 12 {
+		// Median of three as the pivot; refs are distinct, so no two entries
+		// tie and the partition always makes progress.
+		a, b, c := 0, len(s)/2, len(s)-1
+		if s[b].before(s[a]) {
+			a, b = b, a
+		}
+		if s[c].before(s[b]) {
+			b, c = c, b
+			if s[b].before(s[a]) {
+				a, b = b, a
+			}
+		}
+		p := s[b]
+		i, j := 0, len(s)-1
+		for i <= j {
+			for s[i].before(p) {
+				i++
+			}
+			for p.before(s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i, j = i+1, j-1
+			}
+		}
+		// Recurse into the shorter side, loop on the longer.
+		if j+1 < len(s)-i {
+			sortRanked(s[:j+1])
+			s = s[i:]
+		} else {
+			sortRanked(s[i:])
+			s = s[:j+1]
+		}
+	}
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && x.before(s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
+// rankedAt returns the ranked list of a consequence offset that holds a live
+// pattern, building it on first use. Concurrent queries build a list once:
+// the build runs under rankMu and publishes through the atomic pointer.
+func (e *Engine) rankedAt(off int) *rankedList {
+	if l := e.ranked[off].Load(); l != nil {
+		return l
+	}
+	e.rankMu.Lock()
+	defer e.rankMu.Unlock()
+	if l := e.ranked[off].Load(); l != nil {
+		return l
+	}
+	tid, _ := e.enc.ConsequenceTable().TimeID(off)
+	l := &rankedList{tid: tid, entries: make([]rankEntry, 0, e.liveAt[off])}
+	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
+	q.CK.Set(tid + 1)
+	e.tree.SearchConsequence(q, func(ref, _ int, conf float64, _ bitkey.Key) bool {
+		l.entries = append(l.entries, rankEntry{conf: conf, ref: int32(ref)})
+		return true
+	})
+	sortRanked(l.entries)
+	e.ranked[off].Store(l)
+	return l
+}
+
+// sharesRegion reports whether ref's premise names a region set in qrk —
+// the tree's intersect predicate, read from the pattern instead of its key.
+func (e *Engine) sharesRegion(ref int, qrk bitkey.Key) bool {
+	for _, id := range e.patterns[ref].Premise {
+		if qrk.Bit(int(id) + 1) {
+			return true
+		}
+	}
+	return false
 }
 
 // firstWindow computes where Algorithm 3's widening loop ends without

@@ -1,6 +1,8 @@
 package hpa
 
 import (
+	"slices"
+
 	"hpm/internal/bitkey"
 	"hpm/internal/pattern"
 	"hpm/internal/tpt"
@@ -51,6 +53,7 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
+		e.rankInsert(off, p.Confidence, ref)
 		var buf [keyBuf]uint64
 		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, p), Conf: p.Confidence, Ref: ref})
 		refs[i] = ref
@@ -83,7 +86,12 @@ func (e *Engine) RemovePattern(ref int) bool {
 	}
 	e.dead[ref] = true
 	e.live--
-	e.countLive(e.consequenceRegion(ref).Offset, -1)
+	off := e.consequenceRegion(ref).Offset
+	e.countLive(off, -1)
+	if l := e.builtList(off); l != nil {
+		i := l.find(e.patterns[ref].Confidence, ref)
+		l.entries = slices.Delete(l.entries, i, i+1)
+	}
 	return true
 }
 
@@ -100,8 +108,68 @@ func (e *Engine) UpdatePattern(ref int, conf float64, support int) bool {
 	if !e.tree.UpdateConf(e.keyOf(&buf, *p), ref, conf) {
 		return false
 	}
+	if l := e.builtList(e.consequenceRegion(ref).Offset); l != nil {
+		l.move(l.find(p.Confidence, ref), rankEntry{conf: conf, ref: int32(ref)})
+	}
 	p.Confidence, p.Support = conf, support
 	return true
+}
+
+// builtList returns the ranked list of a consequence offset, or nil when no
+// query has built it yet — a mutator then has nothing to keep in step.
+func (e *Engine) builtList(off int) *rankedList {
+	if off < 0 || off >= len(e.ranked) {
+		return nil
+	}
+	return e.ranked[off].Load()
+}
+
+// rankInsert adds a new live pattern to its offset's ranked list, if built.
+func (e *Engine) rankInsert(off int, conf float64, ref int) {
+	if l := e.builtList(off); l != nil {
+		r := rankEntry{conf: conf, ref: int32(ref)}
+		l.entries = slices.Insert(l.entries, l.search(r), r)
+	}
+}
+
+// search returns the position of the first entry that does not rank ahead
+// of r: r's own position when the list holds it, its insertion point when
+// not. An Extend updates most of a model's rules, each one a find and a
+// move, so the comparison is inlined rather than called per step.
+func (l *rankedList) search(r rankEntry) int {
+	lo, hi := 0, len(l.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.entries[m].before(r) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns the position of the live pattern (conf, ref) in the list.
+func (l *rankedList) find(conf float64, ref int) int {
+	r := rankEntry{conf: conf, ref: int32(ref)}
+	i := l.search(r)
+	if i == len(l.entries) || l.entries[i] != r {
+		panic("hpa: live pattern missing from its ranked list")
+	}
+	return i
+}
+
+// move replaces the entry at i with r, which names the same ref, and shifts
+// the entries between the old and the new position by one.
+func (l *rankedList) move(i int, r rankEntry) {
+	j := l.search(r)
+	if j > i {
+		j-- // the insertion point counted the entry leaving i
+		copy(l.entries[i:j], l.entries[i+1:j+1])
+	} else {
+		copy(l.entries[j+1:i+1], l.entries[j:i])
+	}
+	l.entries[j] = r
 }
 
 // keyBuf is the stack space keyOf gets for a key; wider keys spill to the

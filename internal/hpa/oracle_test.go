@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -176,6 +177,75 @@ func checkLiveCounts(t *testing.T, e *Engine) {
 	}
 }
 
+// checkRanked recomputes every built ranked list from the tree's leaves —
+// each offset's entries, confidence descending then ref ascending — and
+// compares it, time id included, with what the mutators maintained.
+func checkRanked(t *testing.T, e *Engine) {
+	t.Helper()
+	want := make([][]rankEntry, e.cfg.Period)
+	e.tree.All(func(it tpt.Item) bool {
+		off := consOffset(e, it.Ref)
+		want[off] = append(want[off], rankEntry{conf: it.Conf, ref: int32(it.Ref)})
+		return true
+	})
+	for off := range e.ranked {
+		l := e.ranked[off].Load()
+		if l == nil {
+			continue
+		}
+		w := want[off]
+		sort.Slice(w, func(i, j int) bool {
+			if w[i].conf != w[j].conf {
+				return w[i].conf > w[j].conf
+			}
+			return w[i].ref < w[j].ref
+		})
+		if len(l.entries) != len(w) || (len(w) > 0 && !reflect.DeepEqual(l.entries, w)) {
+			t.Fatalf("offset %d ranked %v\nfrom the tree %v", off, l.entries, w)
+		}
+		if tid, ok := e.enc.ConsequenceTable().TimeID(off); !ok || tid != l.tid {
+			t.Fatalf("offset %d ranked under time id %d, table says %d (%v)", off, l.tid, tid, ok)
+		}
+	}
+}
+
+// TestSortRankedMatchesSort holds the build's hand-written sort to the
+// library's over lists of every size around its insertion-sort cut-off and
+// well past it, with many equal confidences.
+func TestSortRankedMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(40)
+		if trial%10 == 0 {
+			n = rng.Intn(600)
+		}
+		got := make([]rankEntry, n)
+		for i, ref := range rng.Perm(n) {
+			got[i] = rankEntry{conf: float64(1+rng.Intn(1+n/4)) / 8, ref: int32(ref)}
+		}
+		want := slices.Clone(got)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].conf != want[j].conf {
+				return want[i].conf > want[j].conf
+			}
+			return want[i].ref < want[j].ref
+		})
+		if sortRanked(got); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: sortRanked %v\nwant %v", n, got, want)
+		}
+	}
+}
+
+// buildRanked builds the ranked list of every offset that has a live
+// pattern, so the mutations that follow must keep them in step.
+func buildRanked(e *Engine) {
+	for off, n := range e.liveAt {
+		if n > 0 {
+			e.rankedAt(off)
+		}
+	}
+}
+
 // checkAgainstOracle compares both pattern paths with the oracle for every
 // tq in (tc, tc+span] and k in ks, from one recent window. FQP reads only
 // tq's offset, so one period of query times covers it.
@@ -277,8 +347,9 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 				checkAgainstOracle(t, e, newOracle(e), visited[w], tcs[w], span, ks)
 			}
 
-			// Seeded mutation sequence; every step re-derives the counts,
-			// every few steps re-runs a window against a fresh oracle.
+			// Seeded mutation sequence; every step re-derives the counts and
+			// the ranked lists the queries above built, every few steps
+			// re-runs a window against a fresh oracle.
 			liveRefs := func() []int {
 				var refs []int
 				for ref := range e.patterns {
@@ -325,6 +396,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					}
 				}
 				checkLiveCounts(t, e)
+				checkRanked(t, e)
 				if step%6 == 5 {
 					// Minted key widths change what EncodeRecent yields.
 					w := rng.Intn(len(tcs))
@@ -391,6 +463,34 @@ func sweepEvery(t *testing.T, e *Engine, stride int) {
 			checkAgainstOracle(t, e, o, v, tc, 2*e.cfg.Period+2, []int{1, 2, 5})
 		}
 	}
+	checkRanked(t, e)
+}
+
+// rankedRefs lists the refs of one offset's ranked list in order.
+func rankedRefs(e *Engine, off int) []int {
+	var refs []int
+	for _, r := range e.rankedAt(off).entries {
+		refs = append(refs, int(r.ref))
+	}
+	return refs
+}
+
+// answerRefs lists the pattern refs of a query's answers in rank order.
+func answerRefs(preds []Prediction) []int {
+	var refs []int
+	for _, p := range preds {
+		refs = append(refs, p.PatternRef)
+	}
+	return refs
+}
+
+// distinct counts the different values of refs.
+func distinct(refs []int) int {
+	seen := map[int]bool{}
+	for _, r := range refs {
+		seen[r] = true
+	}
+	return len(seen)
 }
 
 func TestBackwardQueryHandCases(t *testing.T) {
@@ -584,13 +684,124 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		checkLiveCounts(t, e)
 		sweep(t, e)
 	})
+
+	// The rows below are about the ranked lists: a hit whose premise shares
+	// no region with the query comes from its offset's list, not the tree.
+
+	t.Run("ranked: equal confidences on different refs", func(t *testing.T) {
+		e := handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 2},
+			[]int{0, 7}, [][3]float64{{0, 1, 0.5}, {0, 1, 0.5}, {0, 1, 0.7}, {0, 1, 0.5}})
+		// No premise: every hit is a list entry, equal scores fall to ref.
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(nil, 0, 8, 4))); got != "[2 0 1 3]" {
+			t.Errorf("BQP rank order %s, want [2 0 1 3]", got)
+		}
+		sweep(t, e)
+	})
+
+	// sharedHead has, at offset 7, two rules from region 0 above two from
+	// region 1: with V = {0} the list's head is all scored by the tree.
+	sharedHead := func(t *testing.T) *Engine {
+		return handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 2},
+			[]int{0, 1, 7}, [][3]float64{{0, 2, 0.9}, {0, 2, 0.8}, {1, 2, 0.5}, {1, 2, 0.4}})
+	}
+	v0 := []pattern.RegionID{0}
+
+	t.Run("ranked: an offset's top entries all share a region with V", func(t *testing.T) {
+		e := sharedHead(t)
+		if got := fmt.Sprint(rankedRefs(e, 7)); got != "[0 1 2 3]" {
+			t.Fatalf("offset 7 ranked %s, want [0 1 2 3]", got)
+		}
+		// tq at offset 7: refs 0 and 1 score (1 + 1)·conf, the list supplies 2.
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(v0, 0, 37, 3))); got != "[0 1 2]" {
+			t.Errorf("BQP %s, want [0 1 2]", got)
+		}
+		sweep(t, e)
+	})
+
+	t.Run("ranked: k beyond an offset's non-sharing entries", func(t *testing.T) {
+		e := sharedHead(t)
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(v0, 0, 37, 10))); got != "[0 1 2 3]" {
+			t.Errorf("BQP k=10: %s, want all four refs once", got)
+		}
+		sweep(t, e)
+	})
+
+	t.Run("ranked: V empty searches no tree node", func(t *testing.T) {
+		e := sharedHead(t)
+		before := e.Stats().NodesVisited
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(nil, 0, 37, 2))); got != "[0 1]" {
+			t.Errorf("BQP %s, want [0 1]", got)
+		}
+		if n := e.Stats().NodesVisited - before; n != 0 {
+			t.Errorf("BQP with no premise touched %d tree nodes, want 0", n)
+		}
+		sweep(t, e)
+	})
+
+	t.Run("ranked: window across the period boundary", func(t *testing.T) {
+		// tq at offset 0 with radius 3 spans offsets 17…19 and 0…3.
+		e := handEngine(t, Config{Period: 20, DistantThreshold: 3, TimeRelaxation: 3},
+			[]int{0, 1, 18, 19}, [][3]float64{{0, 1, 0.5}, {1, 1, 0.6}, {0, 2, 0.7}, {1, 2, 0.4},
+				{0, 3, 0.3}, {1, 3, 0.9}, {1, 0, 0.8}})
+		got := e.BackwardQuery(v0, 30, 40, 10)
+		if refs := answerRefs(got); len(refs) != 7 || distinct(refs) != 7 {
+			t.Errorf("wrapped BQP answered refs %v, want all seven once", refs)
+		}
+		sweep(t, e)
+	})
+
+	t.Run("ranked: window covering the whole period", func(t *testing.T) {
+		// 2·radius+1 ≥ Period: each offset's list is read once, not once
+		// per lap of the window.
+		var rules [][3]float64
+		for c := 0; c < 5; c++ {
+			for p := 0; p < 2; p++ {
+				rules = append(rules, [3]float64{float64(p), float64(c), 0.2 + 0.1*float64(c+p)})
+			}
+		}
+		e := handEngine(t, Config{Period: 5, DistantThreshold: 2, TimeRelaxation: 2}, []int{0, 1, 2, 3, 4}, rules)
+		for tq := 1; tq <= 10; tq++ {
+			refs := answerRefs(e.BackwardQuery([]pattern.RegionID{1}, 0, tq, 20))
+			if len(refs) != len(rules) || distinct(refs) != len(rules) {
+				t.Errorf("tq %d answered refs %v, want all %d once", tq, refs, len(rules))
+			}
+		}
+		sweep(t, e)
+	})
+
+	t.Run("ranked: mutations after the lists were built", func(t *testing.T) {
+		e := handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 2}, []int{0, 1, 7},
+			[][3]float64{{1, 2, 0.9}, {1, 2, 0.8}, {1, 2, 0.7}, {1, 2, 0.6}, {0, 2, 0.5}})
+		buildRanked(e)
+		step := func(what, want string) {
+			t.Helper()
+			checkLiveCounts(t, e)
+			checkRanked(t, e)
+			if got := fmt.Sprint(rankedRefs(e, 7)); got != want {
+				t.Fatalf("after %s offset 7 ranks %s, want %s", what, got, want)
+			}
+			sweep(t, e)
+		}
+		e.UpdatePattern(3, 0.95, 1)
+		step("raising ref 3 past three neighbours", "[3 0 1 2 4]")
+		e.UpdatePattern(0, 0.55, 1)
+		step("lowering ref 0 past two", "[3 1 2 0 4]")
+		e.RemovePattern(3)
+		step("removing the head", "[1 2 0 4]")
+		e.InsertPatterns(asPatterns([][3]float64{{1, 2, 0.75}}))
+		step("inserting ref 5", "[1 5 2 0 4]")
+		e.AddPatterns(asPatterns([][3]float64{{0, 2, 0.8}}))
+		step("adding ref 6 level with ref 1", "[1 6 5 2 0 4]")
+	})
 }
 
 // FuzzBackwardQuery builds an engine out of the input — period, tε, a fan of
-// single-premise rules over the offsets the bytes name, the first half
-// indexed at build time and the rest inserted, so the consequence table
-// grows in input order, then some removed — and holds BQP and FQP to the
-// oracle from a spread of current times. The seeds run under plain go test.
+// single-premise rules from region 0 or 1 over the offsets the bytes name,
+// the first half indexed at build time, every ranked list built and some of
+// them re-weighted, the rest inserted, so the consequence table grows in
+// input order, then some removed — and holds the ranked lists to the tree
+// and BQP and FQP to the oracle from a spread of current times. The seeds
+// run under plain go test.
 func FuzzBackwardQuery(f *testing.F) {
 	f.Add([]byte{60, 2, 0, 10, 200, 50, 90, 30, 120, 5, 40, 7, 9})
 	f.Add([]byte{149, 1, 1, 140, 3, 139, 9, 138, 200, 2, 80, 70, 60, 50, 40, 30, 20, 10})
@@ -604,30 +815,37 @@ func FuzzBackwardQuery(f *testing.F) {
 		if len(in) < 3 {
 			return
 		}
-		period, te, removals := 2+int(in[0])%149, 1+int(in[1])%5, int(in[2])%8
-		offsets, seen := []int{0}, map[int]bool{0: true}
+		period, te, mutations := 2+int(in[0])%149, 1+int(in[1])%5, int(in[2])%8
+		// One region per offset named; an offset named again gets another
+		// rule, so a list holds several entries, equal confidences included.
+		offsets, region := []int{0}, map[int]int{0: 0}
 		var rules [][3]float64
 		for in = in[3:]; len(in) >= 2 && len(rules) < 80; in = in[2:] {
 			off := int(in[0]) % period
-			if seen[off] {
-				continue
+			if _, ok := region[off]; !ok {
+				region[off] = len(offsets)
+				offsets = append(offsets, off)
 			}
-			seen[off] = true
-			offsets = append(offsets, off)
-			rules = append(rules, [3]float64{0, float64(len(offsets) - 1), 0.05 + float64(in[1])/300})
+			premise := min(int(in[1]&1), len(offsets)-1)
+			rules = append(rules, [3]float64{float64(premise), float64(region[off]), 0.05 + float64(in[1])/300})
 		}
 		e := handEngine(t, Config{Period: period, DistantThreshold: 3, TimeRelaxation: te, PenalizePremise: period%2 == 0},
 			offsets, rules[:len(rules)/2])
+		buildRanked(e)
+		for ref := 0; ref < mutations && ref < len(rules)/2; ref++ {
+			e.UpdatePattern(ref, 1.05-e.patterns[ref].Confidence, 1)
+		}
 		var late []pattern.Pattern
 		for _, r := range rules[len(rules)/2:] {
-			late = append(late, pattern.Pattern{Premise: []pattern.RegionID{0},
+			late = append(late, pattern.Pattern{Premise: []pattern.RegionID{pattern.RegionID(r[0])},
 				Consequence: pattern.RegionID(r[1]), Confidence: r[2]})
 		}
 		refs := e.InsertPatterns(late)
-		for i := 0; i < removals && i < len(refs); i++ {
+		for i := 0; i < mutations && i < len(refs); i++ {
 			e.RemovePattern(refs[i])
 		}
 		checkLiveCounts(t, e)
+		checkRanked(t, e)
 		sweepEvery(t, e, 1+period/3)
 	})
 }

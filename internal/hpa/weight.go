@@ -124,9 +124,9 @@ func (w WeightFunc) computeWeights(size int) []float64 {
 // rkq. Weights attach to the ordinals of rk's own '1's counted from the
 // right (Property 1: higher ordinal = closer to the consequence time).
 func PremiseSimilarity(rk, rkq bitkey.Key, w WeightFunc) float64 {
-	// Fast paths cover the bulk of real pattern sets without allocating:
-	// no overlap scores 0, and a fully-matched premise scores 1 under any
-	// normalized weighting (single-region premises always fall here).
+	// Fast paths: no overlap scores 0, and a fully-matched premise scores 1
+	// under any normalized weighting (single-region premises always fall
+	// here).
 	shared := rk.AndSize(rkq)
 	if shared == 0 {
 		return 0
@@ -135,12 +135,17 @@ func PremiseSimilarity(rk, rkq bitkey.Key, w WeightFunc) float64 {
 	if shared == size {
 		return 1
 	}
-	ones := rk.Ones()
-	weights := w.Weights(len(ones))
+	// Walk rk's '1's in place, lowest first: i is the ordinal of the bit.
+	weights := w.Weights(size)
+	q := rkq.Words()
 	var s float64
-	for i, pos := range ones {
-		if rkq.Bit(pos) {
-			s += weights[i]
+	i := 0
+	for wi, word := range rk.Words() {
+		for ; word != 0; word &= word - 1 {
+			if q[wi]&(word&-word) != 0 {
+				s += weights[i]
+			}
+			i++
 		}
 	}
 	return s

@@ -2,6 +2,7 @@ package hpa
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"hpm/internal/bitkey"
@@ -123,15 +124,80 @@ func TestPremiseSimilarityBounds(t *testing.T) {
 	}
 }
 
-func BenchmarkPremiseSimilarity(b *testing.B) {
-	rk := bitkey.New(800)
+// refPremiseSimilarity is Equation 1 with the same fast paths, its partial
+// match by way of rk.Ones(): the ordinals of rk's '1's listed, then each
+// looked up in rkq.
+func refPremiseSimilarity(rk, rkq bitkey.Key, w WeightFunc) float64 {
+	shared := rk.AndSize(rkq)
+	if shared == 0 {
+		return 0
+	}
+	if shared == rk.Size() {
+		return 1
+	}
+	ones := rk.Ones()
+	weights := w.Weights(len(ones))
+	var s float64
+	for i, pos := range ones {
+		if rkq.Bit(pos) {
+			s += weights[i]
+		}
+	}
+	return s
+}
+
+// TestPremiseSimilarityMatchesOnes holds the in-place bit walk to the
+// Ones-based form bit for bit, for every weight function, over random keys
+// of one to three words with every overlap from none to full.
+func TestPremiseSimilarityMatchesOnes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(190)
+		rk, rkq := bitkey.New(n), bitkey.New(n)
+		for b := 1 + rng.Intn(8); b > 0; b-- {
+			p := 1 + rng.Intn(n)
+			rk.Set(p)
+			if rng.Intn(2) == 0 {
+				rkq.Set(p)
+			}
+		}
+		for b := rng.Intn(6); b > 0; b-- {
+			rkq.Set(1 + rng.Intn(n))
+		}
+		for _, w := range []WeightFunc{WeightLinear, WeightQuadratic, WeightExponential, WeightFactorial} {
+			got, want := PremiseSimilarity(rk, rkq, w), refPremiseSimilarity(rk, rkq, w)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s rk=%s rkq=%s: %v, Ones-based %v", w, rk, rkq, got, want)
+			}
+		}
+	}
+}
+
+// premiseBenchKeys is a five-region premise of which the query shares two:
+// the partial match that neither fast path takes.
+func premiseBenchKeys() (rk, rkq bitkey.Key) {
+	rk = bitkey.New(800)
 	for _, p := range []int{3, 120, 240, 555, 700} {
 		rk.Set(p)
 	}
-	rkq := bitkey.New(800)
+	rkq = bitkey.New(800)
 	for p := 100; p <= 260; p += 4 {
 		rkq.Set(p)
 	}
+	return rk, rkq
+}
+
+func TestPremiseSimilarityAllocatesNothing(t *testing.T) {
+	rk, rkq := premiseBenchKeys()
+	PremiseSimilarity(rk, rkq, WeightLinear) // memoize the weights
+	if n := testing.AllocsPerRun(100, func() { PremiseSimilarity(rk, rkq, WeightLinear) }); n != 0 {
+		t.Errorf("PremiseSimilarity allocates %v times per partial match, want 0", n)
+	}
+}
+
+func BenchmarkPremiseSimilarity(b *testing.B) {
+	rk, rkq := premiseBenchKeys()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = PremiseSimilarity(rk, rkq, WeightLinear)

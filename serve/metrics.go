@@ -109,7 +109,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "hpm_queries_total{path=%q} %d\n", p.String(), fs.Queries.ByPath(p))
 	}
 	fmt.Fprintf(&b, "hpm_queries_total{path=\"unanswered\"} %d\n", fs.Queries.Unanswered)
-	counter("hpm_query_nodes_visited_total", "Trajectory-pattern-tree nodes touched by queries.", fs.Queries.NodesVisited)
+	counter("hpm_query_nodes_visited_total", "Trajectory-pattern-tree nodes touched by query searches (building a backward query's per-offset confidence ranking is index maintenance and not counted).", fs.Queries.NodesVisited)
 
 	gauge("hpm_eval_outstanding", "Served predictions awaiting their ground truth.", fs.Eval.Outstanding)
 	counter("hpm_eval_recorded_total", "Served predictions parked for scoring.", fs.Eval.Recorded)

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 
 	"hpm"
@@ -283,17 +282,10 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	var preds []hpm.Prediction
 	switch {
 	case h > 0:
-		if h > maxHorizon {
-			writeJSON(w, http.StatusBadRequest, errBody(errTooFar))
-			return
-		}
 		// The store resolves the current time and answers under one lock
 		// hold; the reported tq is the one it answered for.
 		tq, preds, err = st.PredictAheadContext(r.Context(), id, h, k)
 	case tq >= 0:
-		if tooFar(st, w, id, tq) {
-			return
-		}
 		preds, err = st.PredictContext(r.Context(), id, tq, k)
 	default:
 		writeJSON(w, http.StatusBadRequest, errBody("need tq or horizon"))
@@ -310,36 +302,9 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"tq": tq, "predictions": out})
 }
 
-// maxPredictBatch bounds one batch-predict request, mirroring the
-// trajectory endpoint's range cap.
-const maxPredictBatch = 10000
-
-// maxHorizon bounds how far past an object's current time any query time may
-// lie. The motion path iterates its recurrence once per tick of horizon,
-// holding the object's read lock, with no deadline to interrupt it: a
-// horizon of 10⁸ ticks pinned a core for eight seconds with the object's
-// ingest queued behind it. 2²⁰ ticks is two years of minutes and costs a
-// few tens of milliseconds.
-const maxHorizon = 1 << 20
-
-var errTooFar = fmt.Sprintf("query time too far ahead: at most %d ticks past the object's current time", maxHorizon)
-
-// tooFar refuses, with a 400, an absolute query time more than maxHorizon
-// past the object's current time, and reports whether it answered. The
-// current time only advances, so a time admitted here is still within the
-// bound when the store answers it.
-func tooFar(st *store.Store, w http.ResponseWriter, id string, tq int) bool {
-	now, err := st.Now(id)
-	switch {
-	case err != nil:
-		writeError(w, err)
-	case tq > now+maxHorizon:
-		writeJSON(w, http.StatusBadRequest, errBody(errTooFar))
-	default:
-		return false
-	}
-	return true
-}
+// maxPredictBatch bounds one batch-predict request, mirroring the store's
+// trajectory range cap (store.MaxRange).
+const maxPredictBatch = store.MaxRange
 
 // predictBatchRequest is the batch body: absolute query times, or horizons
 // relative to the object's current time (exactly one must be non-empty).
@@ -380,17 +345,10 @@ func handlePredictBatch(st *store.Store, w http.ResponseWriter, r *http.Request)
 	var batches [][]hpm.Prediction
 	var err error
 	if len(req.Horizons) > 0 {
-		if slices.Max(req.Horizons) > maxHorizon {
-			writeJSON(w, http.StatusBadRequest, errBody(errTooFar))
-			return
-		}
 		// Resolved against the current time under the lock hold that
 		// answers them; the reported tqs are the ones answered for.
 		tqs, batches, err = st.PredictBatchAheadContext(r.Context(), id, req.Horizons, k)
 	} else {
-		if tooFar(st, w, id, slices.Max(tqs)) {
-			return
-		}
 		batches, err = st.PredictBatchContext(r.Context(), id, tqs, k)
 	}
 	if err != nil {
@@ -423,13 +381,6 @@ func handleTrajectory(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	}
 	if from < 0 || to < from {
 		writeJSON(w, http.StatusBadRequest, errBody("need from <= to"))
-		return
-	}
-	if to-from > 10000 {
-		writeJSON(w, http.StatusBadRequest, errBody("range too large"))
-		return
-	}
-	if tooFar(st, w, id, to) {
 		return
 	}
 	preds, err := st.PredictRangeContext(r.Context(), id, from, to)
@@ -467,7 +418,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, store.ErrUntrained):
 		status = http.StatusConflict
-	case errors.Is(err, store.ErrInvalidPoint):
+	case errors.Is(err, store.ErrInvalidPoint), errors.Is(err, store.ErrTooFar), errors.Is(err, store.ErrRangeTooLarge):
 		status = http.StatusBadRequest
 	case errors.Is(err, store.ErrNoFleetIndex):
 		status = http.StatusNotImplemented

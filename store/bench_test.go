@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"hpm"
+	"hpm/internal/datagen"
 	"hpm/internal/spatial"
 )
 
@@ -277,6 +279,87 @@ func BenchmarkIndexRefresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Observe("bike", stream[i%len(stream)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fleetObject is one object of harnessFleet: its id and the points it has
+// not been fed yet.
+type fleetObject struct {
+	id     string
+	stream []hpm.Point
+}
+
+// harnessFleet is a store shaped like the loopback harness's (period 60,
+// min-train 4, fleet index with 200-unit cells): two trained objects per
+// datagen kind, each fed ten periods and a phase-staggered part of the
+// eleventh, as the harness's setup cut does, with its update policy parked
+// (see BenchmarkIndexRefresh) so every iteration sees the same models.
+func harnessFleet(b *testing.B) (*Store, []fleetObject) {
+	b.Helper()
+	s, err := New(Options{
+		Config:          hpm.Config{Period: period},
+		MinTrainPeriods: 4,
+		FleetIndex:      &spatial.Config{CellSize: 200},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	const trained = 10
+	objs := make([]fleetObject, 2*len(datagen.Kinds))
+	cuts := make([]int, len(objs))
+	for i := range objs {
+		tr := datagen.Generate(datagen.Spec{Kind: datagen.Kinds[i%len(datagen.Kinds)], Period: period,
+			SubTrajectories: trained + 40, Seed: 1_000_003 + int64(i)})
+		cuts[i] = trained*period + (7*i)%period
+		objs[i] = fleetObject{id: fmt.Sprintf("t%04d", i), stream: tr.Points()}
+		if err := s.ObserveBatch(objs[i].id, objs[i].stream[:cuts[i]]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for i := range objs {
+		obj, err := s.get(objs[i].id, false)
+		if err != nil || obj.predictor == nil {
+			b.Fatalf("%s not trained: %v", objs[i].id, err)
+		}
+		obj.training = true
+		objs[i].stream = objs[i].stream[cuts[i]:]
+	}
+	return s, objs
+}
+
+// BenchmarkIndexRefreshFleet is BenchmarkIndexRefresh over harnessFleet's
+// mix of kinds, the objects observed in turn: BQP's share of a refresh
+// depends on how many patterns a kind's model holds (a Bike model about a
+// hundred per consequence offset, an Airplane model next to none).
+func BenchmarkIndexRefreshFleet(b *testing.B) {
+	s, objs := harnessFleet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := &objs[i%len(objs)]
+		if err := s.Observe(o.id, o.stream[(i/len(objs))%len(o.stream)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictBatchFleet is the harness's batch predict — horizons 2 to
+// 100 around the distant-time threshold of 60, k = 3, resolved against the
+// object's current time — over harnessFleet's objects in turn.
+func BenchmarkPredictBatchFleet(b *testing.B) {
+	s, objs := harnessFleet(b)
+	horizons := []int{2, 5, 10, 20, 40, 60, 80, 100}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.PredictBatchAheadContext(ctx, objs[i%len(objs)].id, horizons, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

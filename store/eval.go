@@ -121,6 +121,9 @@ func (s *Store) routePath(obj *object, now, tq int) evalq.Path {
 // again.
 func (s *Store) PredictVia(id string, route evalq.Path, tq, k int) (preds []hpm.Prediction, err error) {
 	err = s.withRecent(context.Background(), id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		if err := checkHorizon(now, tq); err != nil {
+			return err
+		}
 		if route == evalq.PathForward || route == evalq.PathBackward {
 			route = s.patternPath(obj, now, tq)
 		}

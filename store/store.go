@@ -173,6 +173,37 @@ var ErrUnknownObject = errors.New("store: unknown object")
 // discovery and motion fitting.
 var ErrInvalidPoint = errors.New("store: non-finite coordinate")
 
+// MaxHorizon bounds how far past an object's current time any query time may
+// lie. The motion path iterates its recurrence once per tick of horizon,
+// holding the object's read lock, with no deadline to interrupt it: a
+// horizon of 10⁸ ticks pinned a core for eight seconds with the object's
+// ingest queued behind it. 2²⁰ ticks is two years of minutes and costs a
+// few tens of milliseconds.
+const MaxHorizon = 1 << 20
+
+// MaxRange bounds a trajectory query: PredictRange answers at most
+// MaxRange+1 timestamps, one prediction each.
+const MaxRange = 10000
+
+// ErrTooFar is returned by every predict call with a query time more than
+// MaxHorizon past the object's current time. ErrRangeTooLarge is returned
+// by PredictRange for a range wider than MaxRange. Both are refused before
+// any prediction work; their texts are what the HTTP service answers.
+var (
+	ErrTooFar        = fmt.Errorf("query time too far ahead: at most %d ticks past the object's current time", MaxHorizon)
+	ErrRangeTooLarge = errors.New("range too large")
+)
+
+// checkHorizon refuses query times more than MaxHorizon past now.
+func checkHorizon(now int, tqs ...int) error {
+	for _, tq := range tqs {
+		if tq > now+MaxHorizon {
+			return ErrTooFar
+		}
+	}
+	return nil
+}
+
 // Store tracks many objects. All methods are safe for concurrent use.
 //
 // Full (re)trains are expensive — region discovery, pattern mining and an
@@ -979,7 +1010,9 @@ func (s *Store) Close() error {
 // Predict estimates the object's location at absolute time tq (timestamps
 // count observations from zero) from its most recent movements. Queries
 // run under the object's read lock: any number execute in parallel with
-// each other, serializing only against writes (Observe, model swaps).
+// each other, serializing only against writes (Observe, model swaps). A tq
+// more than MaxHorizon past the object's current time is refused with
+// ErrTooFar, as by every predict call.
 func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
 	return s.PredictContext(context.Background(), id, tq, k)
 }
@@ -990,6 +1023,9 @@ func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
 // context's error instead of an answer nobody reads.
 func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		if err := checkHorizon(now, tq); err != nil {
+			return err
+		}
 		preds, err = s.predictLocked(obj, s.routePath(obj, now, tq), recent, now, tq, k)
 		return err
 	})
@@ -1005,6 +1041,9 @@ func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds
 func (s *Store) PredictAheadContext(ctx context.Context, id string, horizon, k int) (tq int, preds []hpm.Prediction, err error) {
 	if err := validateFleetQuery(horizon); err != nil {
 		return 0, nil, err
+	}
+	if horizon > MaxHorizon {
+		return 0, nil, ErrTooFar
 	}
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
 		tq = now + horizon
@@ -1044,14 +1083,22 @@ func (s *Store) predictLocked(obj *object, route evalq.Path, recent []hpm.TimedP
 	return preds, err
 }
 
-// PredictRange estimates the object's locations over [from, to].
+// PredictRange estimates the object's locations over [from, to], at most
+// MaxRange+1 timestamps (ErrRangeTooLarge) ending within MaxHorizon of the
+// object's current time (ErrTooFar).
 func (s *Store) PredictRange(id string, from, to int) ([]hpm.Prediction, error) {
 	return s.PredictRangeContext(context.Background(), id, from, to)
 }
 
 // PredictRangeContext is PredictRange with request-scoped cancellation.
 func (s *Store) PredictRangeContext(ctx context.Context, id string, from, to int) (preds []hpm.Prediction, err error) {
-	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, _ int) error {
+	if to-from > MaxRange {
+		return nil, ErrRangeTooLarge
+	}
+	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		if err := checkHorizon(now, to); err != nil {
+			return err
+		}
 		preds, err = obj.predictor.PredictRange(recent, from, to)
 		return err
 	})
@@ -1071,6 +1118,9 @@ func (s *Store) PredictBatch(id string, tqs []int, k int) ([][]hpm.Prediction, e
 // PredictBatchContext is PredictBatch with request-scoped cancellation.
 func (s *Store) PredictBatchContext(ctx context.Context, id string, tqs []int, k int) (out [][]hpm.Prediction, err error) {
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+		if err := checkHorizon(now, tqs...); err != nil {
+			return err
+		}
 		out, err = s.predictBatchLocked(obj, recent, now, tqs, k)
 		return err
 	})
@@ -1085,6 +1135,9 @@ func (s *Store) PredictBatchAheadContext(ctx context.Context, id string, horizon
 	for _, h := range horizons {
 		if err := validateFleetQuery(h); err != nil {
 			return nil, nil, err
+		}
+		if h > MaxHorizon {
+			return nil, nil, ErrTooFar
 		}
 	}
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
