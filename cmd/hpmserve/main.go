@@ -89,9 +89,6 @@ func main() {
 
 		fleetIndex = flag.Bool("fleet-index", false, "maintain the fleet spatial index: enables /query/range, /query/knn and /subscribe")
 		indexCell  = flag.Float64("index-cell", 50, "fleet-index grid cell size in world units")
-		indexStale = flag.Duration("index-staleness", 0, "hide indexed objects not observed within this window (0 = never)")
-		indexTick  = flag.Float64("index-tick-hz", 0, "ticks per wall-clock second for aging indexed positions between observes (0 = aging off, exact answers)")
-		indexSpeed = flag.Float64("index-max-speed", 0, "per-tick speed clamp for aging drift (0 = half a cell per tick)")
 
 		maxInflight = flag.Int("max-inflight", 256, "concurrently executing requests; overflow past a bounded wait queue is shed with 429 + Retry-After (0 = unlimited)")
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, threaded into the store so expired work is abandoned (0 = none)")
@@ -106,9 +103,9 @@ func main() {
 		log.Fatalf("hpmserve: -shed-policy %q: want priority or fair", *shedPolicy)
 	}
 	if !*fleetIndex {
-		// The four -index-* flags shape an index only -fleet-index builds.
+		// -index-cell shapes an index only -fleet-index builds.
 		flag.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "index-") {
+			if f.Name == "index-cell" {
 				log.Fatalf("hpmserve: -%s is set without -fleet-index: there is no index for it to shape", f.Name)
 			}
 		})
@@ -143,12 +140,7 @@ func main() {
 	opts.Eval.HitDistance = *evalHit
 	opts.Eval.RingSize = *evalRing
 	if *fleetIndex {
-		opts.FleetIndex = &spatial.Config{
-			CellSize:  *indexCell,
-			Staleness: *indexStale,
-			TickHz:    *indexTick,
-			MaxSpeed:  *indexSpeed,
-		}
+		opts.FleetIndex = &spatial.Config{CellSize: *indexCell}
 	}
 	st, err := openStore(*dataDir, opts)
 	if err != nil {

@@ -43,7 +43,7 @@ const fleetTrained = 50
 //     per query; the index answers from entries maintained on the observe
 //     path, so the gap widens linearly with fleet size;
 //   - the identity proof: on every sampled query both answers are compared
-//     and must match exactly (aging is off) — recorded as match=1 series;
+//     and must match exactly — recorded as match=1 series;
 //   - SSE push throughput: events delivered per second across 1/4/16
 //     concurrent /subscribe streams at each fleet size;
 //   - ingest overhead: ObserveBatch throughput while maintaining the index

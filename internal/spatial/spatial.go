@@ -11,13 +11,10 @@
 // fitted and no trajectory-pattern tree is walked while answering a fleet
 // query, which is what makes range/kNN sub-linear in fleet size.
 //
-// Between observations an entry can optionally age: its position is
-// extrapolated by the object's clamped per-tick velocity for up to MaxAgeTicks
-// ticks (wall clock × TickHz), and entries unrefreshed for longer than
-// Staleness stop being reported — the velocity-decay/staleness idiom of
-// fixed-rate prediction publishers. With TickHz = 0 (the default) aging is
-// off and query answers are bit-identical to recomputing every prediction
-// from scratch, a property the store's tests pin.
+// The index is exact and has no clock: a query reports each object's cached
+// position as written by its last Update, so answers are bit-identical to
+// recomputing every prediction from scratch, a property the store's tests
+// pin.
 package spatial
 
 import (
@@ -25,7 +22,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hpm/internal/geom"
 )
@@ -36,9 +32,8 @@ import (
 var DefaultHorizons = []int{5, 10, 20, 50, 100, 200}
 
 const (
-	defaultMaxAgeTicks = 30
-	numStripes         = 64 // power of two
-	numShards          = 16 // power of two
+	numStripes = 64 // power of two
+	numShards  = 16 // power of two
 )
 
 // Config shapes one Index. The zero value is unusable; CellSize must be
@@ -53,60 +48,20 @@ type Config struct {
 	// DefaultHorizons. A query horizon is quantized to the first bucket
 	// >= h; beyond the last it clamps to the last.
 	Horizons []int
-
-	// MaxSpeed clamps the per-tick velocity stored with each entry (and
-	// thereby the aging drift). Zero disables aging movement entirely.
-	MaxSpeed float64
-
-	// Staleness hides entries not refreshed within this window; zero keeps
-	// entries visible until the object is removed.
-	Staleness time.Duration
-
-	// TickHz converts wall-clock seconds into logical ticks for aging.
-	// Zero (default) disables aging: queries return exactly the cached
-	// positions, which keeps indexed answers identical to a fresh scan.
-	TickHz float64
-
-	// MaxAgeTicks caps how far an entry extrapolates past its observation
-	// (default 30 ticks), bounding both drift and the query inflation that
-	// must account for it.
-	MaxAgeTicks int
-
-	// Now injects a clock for staleness/aging tests. Nil means time.Now.
-	Now func() time.Time
-}
-
-func (c Config) withDefaults() Config {
-	if len(c.Horizons) == 0 {
-		c.Horizons = DefaultHorizons
-	}
-	if c.MaxAgeTicks <= 0 {
-		c.MaxAgeTicks = defaultMaxAgeTicks
-	}
-	if c.TickHz > 0 && c.MaxSpeed <= 0 {
-		// Aging without a clamp would make query inflation unbounded;
-		// default to half a cell per tick.
-		c.MaxSpeed = c.CellSize / 2
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // Entry is one cached prediction handed to Update: the object's predicted
-// position Horizon ticks after its latest observation, the per-tick velocity
-// used for aging, and the answering-path tag ("forward", "backward",
-// "fallback", or "extrapolation" for untrained objects).
+// position Horizon ticks after its latest observation and the answering-path
+// tag ("forward", "backward", "fallback", or "extrapolation" for untrained
+// objects).
 type Entry struct {
 	Horizon int
 	Pos     geom.Point
-	Vel     geom.Point
 	Path    string
 }
 
-// Result is one query answer: the (possibly aged) predicted position of an
-// object at the quantized horizon. Dist is filled by Nearest.
+// Result is one query answer: the cached predicted position of an object at
+// the quantized horizon. Dist is filled by Nearest.
 type Result struct {
 	ID      string
 	Pos     geom.Point
@@ -133,9 +88,7 @@ type cellKey struct {
 // gridEntry is the cell-resident payload; the owning map key carries the id.
 type gridEntry struct {
 	pos  geom.Point
-	vel  geom.Point
 	path string
-	obs  int64 // unixnano of the update that produced this entry
 }
 
 type stripe struct {
@@ -164,7 +117,7 @@ type objShard struct {
 
 type cellBounds struct {
 	ok                     bool
-	minX, minY, maxX, maxY int32
+	minX, minY, maxX, maxY int64
 }
 
 // Index is the concurrent grid. All methods are safe for arbitrary
@@ -191,7 +144,9 @@ type Index struct {
 // New builds an empty index. It panics if CellSize is not positive — the
 // store validates user input before constructing one.
 func New(cfg Config) *Index {
-	cfg = cfg.withDefaults()
+	if len(cfg.Horizons) == 0 {
+		cfg.Horizons = DefaultHorizons
+	}
 	if cfg.CellSize <= 0 {
 		panic("spatial: CellSize must be positive")
 	}
@@ -209,11 +164,6 @@ func New(cfg Config) *Index {
 // read-only).
 func (ix *Index) Horizons() []int { return ix.cfg.Horizons }
 
-// Timed reports whether entry timestamps affect query answers (staleness
-// expiry or aging configured). An untimed index lets callers skip refreshes
-// whose entries would be byte-identical to what is already stored.
-func (ix *Index) Timed() bool { return ix.cfg.Staleness > 0 || ix.cfg.TickHz > 0 }
-
 // BucketHorizon quantizes a query horizon to the bucket it is answered from:
 // the first configured horizon >= h, clamping to the last beyond it.
 func (ix *Index) BucketHorizon(h int) int {
@@ -229,12 +179,24 @@ func (ix *Index) bucket(h int) uint8 {
 	return uint8(len(ix.cfg.Horizons) - 1)
 }
 
-func (ix *Index) cellOf(p geom.Point, b uint8) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / ix.cfg.CellSize)),
-		cy: int32(math.Floor(p.Y / ix.cfg.CellSize)),
-		b:  b,
+// coord maps a world coordinate to its grid column (or row), saturating at
+// the int32 range instead of wrapping: a converted float out of range is
+// implementation-defined in Go. The two edge cells therefore hold everything
+// beyond them, ±Inf included, which keeps every coordinate inside its cell's
+// extent — the property Nearest's stopping rule relies on.
+func (ix *Index) coord(v float64) int64 {
+	c := math.Floor(v / ix.cfg.CellSize)
+	switch {
+	case c >= math.MaxInt32:
+		return math.MaxInt32
+	case c > math.MinInt32:
+		return int64(c)
 	}
+	return math.MinInt32 // at or below the range, or NaN
+}
+
+func (ix *Index) cellOf(p geom.Point, b uint8) cellKey {
+	return cellKey{cx: int32(ix.coord(p.X)), cy: int32(ix.coord(p.Y)), b: b}
 }
 
 func (ix *Index) stripeFor(k cellKey) *stripe {
@@ -253,22 +215,15 @@ func (ix *Index) shardFor(id string) *objShard {
 }
 
 func (ix *Index) expandBBox(k cellKey) {
+	cx, cy := int64(k.cx), int64(k.cy)
 	ix.bboxMu.Lock()
 	if !ix.bbox.ok {
-		ix.bbox = cellBounds{ok: true, minX: k.cx, minY: k.cy, maxX: k.cx, maxY: k.cy}
+		ix.bbox = cellBounds{ok: true, minX: cx, minY: cy, maxX: cx, maxY: cy}
 	} else {
-		if k.cx < ix.bbox.minX {
-			ix.bbox.minX = k.cx
-		}
-		if k.cy < ix.bbox.minY {
-			ix.bbox.minY = k.cy
-		}
-		if k.cx > ix.bbox.maxX {
-			ix.bbox.maxX = k.cx
-		}
-		if k.cy > ix.bbox.maxY {
-			ix.bbox.maxY = k.cy
-		}
+		ix.bbox.minX = min(ix.bbox.minX, cx)
+		ix.bbox.minY = min(ix.bbox.minY, cy)
+		ix.bbox.maxX = max(ix.bbox.maxX, cx)
+		ix.bbox.maxY = max(ix.bbox.maxY, cy)
 	}
 	ix.bboxMu.Unlock()
 }
@@ -278,17 +233,6 @@ func (ix *Index) loadBBox() cellBounds {
 	b := ix.bbox
 	ix.bboxMu.Unlock()
 	return b
-}
-
-// clampVel limits v to MaxSpeed per tick (the snippet-1 _clamp_speed idiom).
-func (ix *Index) clampVel(v geom.Point) geom.Point {
-	if ix.cfg.MaxSpeed <= 0 {
-		return geom.Point{}
-	}
-	if n2 := v.X*v.X + v.Y*v.Y; n2 > ix.cfg.MaxSpeed*ix.cfg.MaxSpeed {
-		return v.Scale(ix.cfg.MaxSpeed / math.Sqrt(n2))
-	}
-	return v
 }
 
 // bucketExact maps an entry's Horizon to its bucket index; a linear scan of
@@ -316,15 +260,6 @@ func (ix *Index) Update(id string, entries []Entry) {
 		ix.objects.Add(1)
 	}
 	sh.mu.Unlock()
-
-	// The timestamp only matters when queries apply staleness or aging;
-	// skipping the clock (and the unchanged-entry elision below) keeps the
-	// per-observe maintenance cost near the floor in the default config.
-	timed := ix.Timed()
-	var now int64
-	if timed {
-		now = ix.cfg.Now().UnixNano()
-	}
 	ix.updates.Add(1)
 
 	st.mu.Lock()
@@ -335,12 +270,11 @@ func (ix *Index) Update(id string, entries []Entry) {
 			continue
 		}
 		seen |= 1 << b
-		ge := gridEntry{pos: e.Pos, vel: ix.clampVel(e.Vel), path: e.Path, obs: now}
+		ge := gridEntry{pos: e.Pos, path: e.Path}
 		sl := &st.slots[b]
 		// Stationary case: the cached value is already exact (equal position
-		// implies equal cell), and with aging off the timestamp is never
-		// read — skip the cell math and the map write entirely.
-		if sl.ok && !timed && ge == sl.ge {
+		// implies equal cell) — skip the cell math and the map write.
+		if sl.ok && ge == sl.ge {
 			continue
 		}
 		key := ix.cellOf(e.Pos, b)
@@ -422,37 +356,8 @@ func (ix *Index) Remove(id string) {
 	st.mu.Unlock()
 }
 
-// age applies staleness expiry and velocity extrapolation to one entry,
-// returning its effective position at `now`.
-func (ix *Index) age(ge gridEntry, now time.Time) (geom.Point, bool) {
-	elapsed := now.Sub(time.Unix(0, ge.obs))
-	if ix.cfg.Staleness > 0 && elapsed > ix.cfg.Staleness {
-		return geom.Point{}, false
-	}
-	if ix.cfg.TickHz <= 0 {
-		return ge.pos, true
-	}
-	dt := elapsed.Seconds() * ix.cfg.TickHz
-	if dt < 0 {
-		dt = 0
-	}
-	if m := float64(ix.cfg.MaxAgeTicks); dt > m {
-		dt = m
-	}
-	return ge.pos.Add(ge.vel.Scale(dt)), true
-}
-
-// slack is how far an aged position can sit from its recorded cell; query
-// candidate collection inflates by it so aging never loses answers.
-func (ix *Index) slack() float64 {
-	if ix.cfg.TickHz <= 0 {
-		return 0
-	}
-	return ix.cfg.MaxSpeed * float64(ix.cfg.MaxAgeTicks)
-}
-
 // Range returns every object whose cached prediction at the bucket for
-// `horizon` lies inside r (after aging), sorted by id.
+// `horizon` lies inside r, sorted by id.
 func (ix *Index) Range(r geom.Rect, horizon int) []Result {
 	ix.rangeQueries.Add(1)
 	bb := ix.loadBBox()
@@ -461,23 +366,18 @@ func (ix *Index) Range(r geom.Rect, horizon int) []Result {
 	}
 	b := ix.bucket(horizon)
 	bh := ix.cfg.Horizons[b]
-	now := ix.cfg.Now()
 
-	search := r.Inflate(ix.slack())
-	cx0 := maxI32(int32(math.Floor(search.Min.X/ix.cfg.CellSize)), bb.minX)
-	cx1 := minI32(int32(math.Floor(search.Max.X/ix.cfg.CellSize)), bb.maxX)
-	cy0 := maxI32(int32(math.Floor(search.Min.Y/ix.cfg.CellSize)), bb.minY)
-	cy1 := minI32(int32(math.Floor(search.Max.Y/ix.cfg.CellSize)), bb.maxY)
+	cx0, cx1 := max(ix.coord(r.Min.X), bb.minX), min(ix.coord(r.Max.X), bb.maxX)
+	cy0, cy1 := max(ix.coord(r.Min.Y), bb.minY), min(ix.coord(r.Max.Y), bb.maxY)
 
 	var out []Result
 	var scratch []idEntry
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
-			scratch = ix.readCell(cellKey{cx: cx, cy: cy, b: b}, scratch[:0])
+			scratch = ix.readCell(cellKey{cx: int32(cx), cy: int32(cy), b: b}, scratch[:0])
 			for _, ie := range scratch {
-				pos, live := ix.age(ie.ge, now)
-				if live && r.Contains(pos) {
-					out = append(out, Result{ID: ie.id, Pos: pos, Path: ie.ge.path, Horizon: bh})
+				if r.Contains(ie.ge.pos) {
+					out = append(out, Result{ID: ie.id, Pos: ie.ge.pos, Path: ie.ge.path, Horizon: bh})
 				}
 			}
 		}
@@ -503,10 +403,12 @@ func (ix *Index) readCell(k cellKey, buf []idEntry) []idEntry {
 }
 
 // Nearest returns the k objects whose cached predictions at the bucket for
-// `horizon` are closest to p, ascending by (distance, id). It expands rings
-// of cells outward from p and stops once the kth best distance provably
-// cannot improve: every entry recorded in ring rho+1 is at least
-// rho*CellSize - slack away.
+// `horizon` are closest to p, ascending by (distance, id). It walks square
+// rings of cells around p's cell, clipped to the occupied bounding box:
+// from the first ring that touches the box, until the kth-best distance is
+// below rho·CellSize — p lies inside its own cell, so every cell of ring
+// rho+1 is at least that far — or the rings have covered the box. The work
+// is therefore bounded by the occupied region however far p lies from it.
 func (ix *Index) Nearest(p geom.Point, k, horizon int) []Result {
 	ix.knnQueries.Add(1)
 	bb := ix.loadBBox()
@@ -515,40 +417,43 @@ func (ix *Index) Nearest(p geom.Point, k, horizon int) []Result {
 	}
 	b := ix.bucket(horizon)
 	bh := ix.cfg.Horizons[b]
-	now := ix.cfg.Now()
-	slack := ix.slack()
-
-	ccx := int32(math.Floor(p.X / ix.cfg.CellSize))
-	ccy := int32(math.Floor(p.Y / ix.cfg.CellSize))
+	ccx, ccy := ix.coord(p.X), ix.coord(p.Y)
 
 	var best []Result
 	var scratch []idEntry
-	visit := func(cx, cy int32) {
-		if cx < bb.minX || cx > bb.maxX || cy < bb.minY || cy > bb.maxY {
-			return
-		}
-		scratch = ix.readCell(cellKey{cx: cx, cy: cy, b: b}, scratch[:0])
+	visit := func(cx, cy int64) {
+		scratch = ix.readCell(cellKey{cx: int32(cx), cy: int32(cy), b: b}, scratch[:0])
 		for _, ie := range scratch {
-			pos, live := ix.age(ie.ge, now)
-			if !live {
-				continue
+			best = append(best, Result{ID: ie.id, Pos: ie.ge.pos, Path: ie.ge.path, Horizon: bh, Dist: ie.ge.pos.Dist(p)})
+		}
+	}
+	// row visits row cy of a ring between columns x0 and x1, clipped to the
+	// box; col visits column cx between rows y0 and y1 likewise.
+	row := func(cy, x0, x1 int64) {
+		if cy >= bb.minY && cy <= bb.maxY {
+			for cx := max(x0, bb.minX); cx <= min(x1, bb.maxX); cx++ {
+				visit(cx, cy)
 			}
-			best = append(best, Result{ID: ie.id, Pos: pos, Path: ie.ge.path, Horizon: bh, Dist: pos.Dist(p)})
+		}
+	}
+	col := func(cx, y0, y1 int64) {
+		if cx >= bb.minX && cx <= bb.maxX {
+			for cy := max(y0, bb.minY); cy <= min(y1, bb.maxY); cy++ {
+				visit(cx, cy)
+			}
 		}
 	}
 
-	for rho := int32(0); ; rho++ {
-		if rho == 0 {
-			visit(ccx, ccy)
-		} else {
-			for cx := ccx - rho; cx <= ccx+rho; cx++ {
-				visit(cx, ccy-rho)
-				visit(cx, ccy+rho)
-			}
-			for cy := ccy - rho + 1; cy <= ccy+rho-1; cy++ {
-				visit(ccx-rho, cy)
-				visit(ccx+rho, cy)
-			}
+	// Chebyshev distances, in cells, from p's cell to the box's nearest
+	// and farthest cells: the first and last rings that hold an entry.
+	first := max(0, bb.minX-ccx, ccx-bb.maxX, bb.minY-ccy, ccy-bb.maxY)
+	last := max(ccx-bb.minX, bb.maxX-ccx, ccy-bb.minY, bb.maxY-ccy)
+	for rho := first; rho <= last; rho++ {
+		row(ccy-rho, ccx-rho, ccx+rho)
+		if rho > 0 {
+			row(ccy+rho, ccx-rho, ccx+rho)
+			col(ccx-rho, ccy-rho+1, ccy+rho-1)
+			col(ccx+rho, ccy-rho+1, ccy+rho-1)
 		}
 		sort.Slice(best, func(i, j int) bool {
 			if best[i].Dist != best[j].Dist {
@@ -559,13 +464,7 @@ func (ix *Index) Nearest(p geom.Point, k, horizon int) []Result {
 		if len(best) > k {
 			best = best[:k]
 		}
-		// Ring rho+1 entries are recorded >= rho*CellSize from anywhere
-		// in the center cell; aging can pull them slack closer.
-		if len(best) == k && best[k-1].Dist <= float64(rho)*ix.cfg.CellSize-slack {
-			break
-		}
-		// The next ring would lie entirely outside the occupied bbox.
-		if ccx-rho <= bb.minX && ccx+rho >= bb.maxX && ccy-rho <= bb.minY && ccy+rho >= bb.maxY {
+		if len(best) == k && best[k-1].Dist < float64(rho)*ix.cfg.CellSize {
 			break
 		}
 	}
@@ -582,18 +481,4 @@ func (ix *Index) Stats() Stats {
 		RangeQueries: ix.rangeQueries.Load(),
 		KNNQueries:   ix.knnQueries.Load(),
 	}
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }

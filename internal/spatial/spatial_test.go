@@ -2,7 +2,9 @@ package spatial
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,9 +47,21 @@ func randomIndex(t *testing.T, n int, rng *rand.Rand) (*Index, map[string]map[in
 func TestRangeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix, truth := randomIndex(t, 500, rng)
+	var rects []geom.Rect
 	for trial := 0; trial < 50; trial++ {
 		x, y := rng.Float64()*9000, rng.Float64()*9000
-		r := geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+rng.Float64()*3000, y+rng.Float64()*3000)}
+		rects = append(rects, geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+rng.Float64()*3000, y+rng.Float64()*3000)})
+	}
+	// Rects whose corners lie beyond the int32 cell range: their cell
+	// coordinates must saturate, not wrap.
+	inf := math.Inf(1)
+	rects = append(rects,
+		geom.Rect{Min: geom.Pt(-1e15, -1e15), Max: geom.Pt(1e15, 1e15)},
+		geom.Rect{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)},
+		geom.Rect{Min: geom.Pt(-inf, 2000), Max: geom.Pt(5000, inf)},
+		geom.Rect{Min: geom.Pt(3000, -1e15), Max: geom.Pt(1e15, 7000)},
+	)
+	for trial, r := range rects {
 		h := []int{3, 10, 42, 150, 999}[trial%5]
 		bh := ix.BucketHorizon(h)
 
@@ -79,19 +93,42 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 func TestNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ix, truth := randomIndex(t, 400, rng)
+	type query struct {
+		p    geom.Point
+		k, h int
+	}
+	var qs []query
+	add := func(p geom.Point) {
+		qs = append(qs, query{p: p, k: 1 + rng.Intn(20), h: []int{5, 20, 77}[len(qs)%3]})
+	}
 	for trial := 0; trial < 50; trial++ {
-		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-		k := 1 + rng.Intn(20)
-		h := []int{5, 20, 77}[trial%3]
-		bh := ix.BucketHorizon(h)
+		add(geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
+	}
+	// Query points far outside the fleet: the ring walk must start at the
+	// occupied cells, so each answer costs what a near one does. The
+	// watchdog fails a walk that instead expands rings from p.
+	for _, v := range []float64{1e6, -1e6, 1e9, -1e9} {
+		add(geom.Pt(v, 5000))
+		add(geom.Pt(5000, v))
+		add(geom.Pt(v, v))
+		add(geom.Pt(v, -v))
+	}
+	answers := make([][]Result, len(qs))
+	within(t, 5*time.Second, func() {
+		for i, q := range qs {
+			answers[i] = ix.Nearest(q.p, q.k, q.h)
+		}
+	})
 
+	for trial, q := range qs {
+		bh := ix.BucketHorizon(q.h)
 		type cand struct {
 			id string
 			d  float64
 		}
 		var all []cand
 		for id, m := range truth {
-			all = append(all, cand{id, m[bh].Dist(p)})
+			all = append(all, cand{id, m[bh].Dist(q.p)})
 		}
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].d != all[j].d {
@@ -100,16 +137,40 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 			return all[i].id < all[j].id
 		})
 
-		got := ix.Nearest(p, k, h)
-		if len(got) != k {
-			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), k)
+		got := answers[trial]
+		if len(got) != q.k {
+			t.Fatalf("trial %d p=%v: got %d results, want %d", trial, q.p, len(got), q.k)
 		}
 		for i, res := range got {
 			if res.ID != all[i].id {
-				t.Fatalf("trial %d: rank %d = %s (d=%.2f), want %s (d=%.2f)",
-					trial, i, res.ID, res.Dist, all[i].id, all[i].d)
+				t.Fatalf("trial %d p=%v: rank %d = %s (d=%.2f), want %s (d=%.2f)",
+					trial, q.p, i, res.ID, res.Dist, all[i].id, all[i].d)
 			}
 		}
+	}
+}
+
+// within runs fn and fails the test if it has not returned after d.
+func within(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("did not finish within %v", d)
+	}
+}
+
+// TestConfigBudget is a ratchet: Config had 7 fields before the index lost
+// its clock (aging, staleness and the injected Now). A new field needs two
+// callers that want different values — and then this number moves.
+func TestConfigBudget(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n > 2 {
+		t.Errorf("spatial.Config has %d fields, budget is 2", n)
 	}
 }
 
@@ -161,84 +222,6 @@ func TestRebinRemoveAndStats(t *testing.T) {
 	}
 	if got := ix.Range(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}, 5); len(got) != 0 {
 		t.Fatalf("entries survive remove: %+v", got)
-	}
-}
-
-// fakeClock is a settable Config.Now.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestStalenessExpiry(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	ix := New(Config{CellSize: 100, Staleness: 10 * time.Second, Now: clk.now})
-	ix.Update("a", []Entry{{Horizon: 5, Pos: geom.Pt(50, 50)}})
-	whole := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
-	if got := ix.Range(whole, 5); len(got) != 1 {
-		t.Fatalf("fresh entry missing: %+v", got)
-	}
-	clk.advance(11 * time.Second)
-	if got := ix.Range(whole, 5); len(got) != 0 {
-		t.Fatalf("stale entry still reported: %+v", got)
-	}
-	if got := ix.Nearest(geom.Pt(0, 0), 1, 5); len(got) != 0 {
-		t.Fatalf("stale entry in kNN: %+v", got)
-	}
-	// A refresh revives it.
-	ix.Update("a", []Entry{{Horizon: 5, Pos: geom.Pt(50, 50)}})
-	if got := ix.Range(whole, 5); len(got) != 1 {
-		t.Fatalf("refreshed entry missing: %+v", got)
-	}
-}
-
-func TestAgingExtrapolatesWithClamp(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	ix := New(Config{CellSize: 100, TickHz: 1, MaxSpeed: 10, MaxAgeTicks: 5, Now: clk.now})
-	// Velocity (30,0) is clamped to (10,0).
-	ix.Update("a", []Entry{{Horizon: 5, Pos: geom.Pt(100, 100), Vel: geom.Pt(30, 0)}})
-	whole := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
-
-	clk.advance(2 * time.Second) // 2 ticks
-	got := ix.Range(whole, 5)
-	if len(got) != 1 || got[0].Pos.Dist(geom.Pt(120, 100)) > 1e-9 {
-		t.Fatalf("aged pos = %+v, want (120,100)", got)
-	}
-	clk.advance(100 * time.Second) // capped at MaxAgeTicks=5
-	got = ix.Range(whole, 5)
-	if len(got) != 1 || got[0].Pos.Dist(geom.Pt(150, 100)) > 1e-9 {
-		t.Fatalf("age cap ignored: %+v, want (150,100)", got)
-	}
-}
-
-// TestAgedEntryFoundAcrossCellBoundary pins the inflation logic: an entry
-// recorded outside the query rect drifts into it and must still be found.
-func TestAgedEntryFoundAcrossCellBoundary(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	ix := New(Config{CellSize: 100, TickHz: 1, MaxSpeed: 50, MaxAgeTicks: 10, Now: clk.now})
-	ix.Update("a", []Entry{{Horizon: 5, Pos: geom.Pt(95, 50), Vel: geom.Pt(50, 0)}})
-	clk.advance(4 * time.Second) // now at (295, 50), three cells over
-	r := geom.Rect{Min: geom.Pt(250, 0), Max: geom.Pt(350, 100)}
-	got := ix.Range(r, 5)
-	if len(got) != 1 || got[0].Pos.Dist(geom.Pt(295, 50)) > 1e-9 {
-		t.Fatalf("drifted entry lost: %+v", got)
-	}
-	// And kNN sees the aged position too.
-	kn := ix.Nearest(geom.Pt(300, 50), 1, 5)
-	if len(kn) != 1 || kn[0].Dist > 5+1e-9 {
-		t.Fatalf("kNN missed drifted entry: %+v", kn)
 	}
 }
 

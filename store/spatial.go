@@ -18,8 +18,8 @@ import (
 // at horizon h?" from cached predictions without fitting a single model.
 // ScanRange/ScanNearest are the O(N) brute-force oracles the experiments
 // and property tests compare against: they recompute every object's
-// prediction on the spot, quantized to the same horizon bucket, so with
-// aging disabled (TickHz = 0) the indexed answers are identical.
+// prediction on the spot, quantized to the same horizon bucket, and the
+// indexed answers are identical to theirs.
 
 // ErrNoFleetIndex is returned by fleet query methods when the store was
 // built without Options.FleetIndex.
@@ -72,7 +72,7 @@ func (s *Store) velLocked(obj *object) hpm.Point {
 // extrapolation of the last observation). Shared by the incremental index
 // refresh and the brute-force scans so both compute byte-identical entries.
 func indexEntryFor(h int, preds []hpm.Prediction, last, vel hpm.Point) spatial.Entry {
-	e := spatial.Entry{Horizon: h, Vel: vel}
+	e := spatial.Entry{Horizon: h}
 	if len(preds) > 0 && preds[0].Location.IsFinite() {
 		e.Pos, e.Path = preds[0].Location, preds[0].Path.String()
 		return e
@@ -97,12 +97,10 @@ func (s *Store) indexUpdateLocked(obj *object) {
 	last := obj.track[n-1]
 	vel := s.velLocked(obj)
 	// Untrained entries are a pure function of (last, vel): when neither
-	// changed and no timestamps are in play, the stored entries are
-	// already exact, so skip before building anything. Trained objects
-	// never take this path — their predictions move with the query time
-	// even when the object does not.
-	if obj.predictor == nil && obj.idxClean && !s.index.Timed() &&
-		last == obj.idxLast && vel == obj.idxVel {
+	// changed, the stored entries are already exact, so skip before
+	// building anything. Trained objects never take this path — their
+	// predictions move with the query time even when the object does not.
+	if obj.predictor == nil && obj.idxClean && last == obj.idxLast && vel == obj.idxVel {
 		return
 	}
 	horizons := s.index.Horizons()

@@ -64,10 +64,9 @@ func TestFleetQueryValidation(t *testing.T) {
 }
 
 // TestIndexMatchesScanAllDatasets is the identity property the whole design
-// rests on: with aging disabled (the default), range and kNN answers from
-// the incrementally maintained index are exactly the brute-force answers
-// recomputed from live models — across all four paper datasets, with
-// trained and untrained objects mixed.
+// rests on: range and kNN answers from the incrementally maintained index
+// are exactly the brute-force answers recomputed from live models — across
+// all four paper datasets, with trained and untrained objects mixed.
 func TestIndexMatchesScanAllDatasets(t *testing.T) {
 	for _, kind := range []hpm.Dataset{hpm.DatasetBike, hpm.DatasetCow, hpm.DatasetCar, hpm.DatasetAirplane} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -125,6 +124,20 @@ func TestIndexMatchesScanAllDatasets(t *testing.T) {
 				if !reflect.DeepEqual(gotK, wantK) {
 					t.Fatalf("trial %d h=%d k=%d p=%v:\nindex: %v\nscan:  %v", trial, h, k, p, gotK, wantK)
 				}
+			}
+			// An infinite rect is valid and holds every object.
+			inf := math.Inf(1)
+			r := rct(-inf, -inf, inf, inf)
+			got, err := s.QueryRange(r, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.ScanRange(r, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != objects || !reflect.DeepEqual(got, want) {
+				t.Fatalf("rect=%v:\nindex: %v\nscan:  %v", r, got, want)
 			}
 		})
 	}
