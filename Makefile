@@ -10,8 +10,9 @@ test:
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (background retrains, WAL/checkpoint durability, chaos tests),
-# the HTTP service, the fault-injection helpers, the training pipeline
-# (serial, many at once), the TPT (read by concurrent queries; its
+# the HTTP service, the fleet index (its slot table and reused slots are
+# shared by every writer and reader), the fault-injection helpers, the
+# training pipeline (serial, many at once), the TPT (read by concurrent queries; its
 # reference-tree equivalence tests and fuzz seeds run here too), the pattern package
 # (the incremental miner's batch-equivalence tests and fuzz seeds, the
 # decoders' hostile-input tests), and the motion fit, whose QR scratch is
@@ -44,11 +45,14 @@ bench-query:
 # Ingest-path benchmarks only: ObserveBatch under concurrent writers in
 # sync/nosync/nosync-index modes, with fsyncs-per-op reported, and one
 # observe of a trained object with the fleet index on (the per-point index
-# refresh). Group-commit depth and fsyncs per record under load are the
-# harness's ingest_tick workload (store.wal.records_per_batch,
+# refresh), and the fleet index's own write: one object's six entries set
+# in a 5 600-object index on 200-unit cells, with re-bins per op.
+# Group-commit depth and fsyncs per record under load are the harness's
+# ingest_tick workload (store.wal.records_per_batch,
 # store.wal.fsyncs_per_record).
 bench-ingest:
 	$(GO) test -bench='BenchmarkObserveParallel|BenchmarkIndexRefresh' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkUpdate' -benchmem -run '^$$' ./internal/spatial/
 
 # What one fleet-index refresh is made of, each piece with allocations: the
 # whole refresh through the store (one observe of a trained object: fold,
@@ -107,7 +111,9 @@ bench-recovery:
 # (what every Train pays for its rules), one seeding of the delta-Apriori
 # miner (what the first Extend after a load pays, and a crash recovery pays
 # per object whose WAL tail crosses a period boundary) and one steady-state
-# Extend, with allocations. DESIGN.md's "What one miner costs" and "One
-# walk mines and seeds" quote them.
+# Extend, with allocations — plain, and served: with the ranked lists one
+# index refresh builds, which every Extend then keeps in step. DESIGN.md's
+# "What one miner costs", "One walk mines and seeds" and "Rule updates
+# write in place" quote them.
 bench-extend:
 	$(GO) test -bench='BenchmarkMine|BenchmarkSeedMiner|BenchmarkExtendFleet' -benchmem -run '^$$' ./internal/core/

@@ -7,6 +7,7 @@ import (
 
 	"hpm/internal/datagen"
 	"hpm/internal/pattern"
+	"hpm/internal/spatial"
 	"hpm/internal/trajectory"
 )
 
@@ -107,25 +108,58 @@ func BenchmarkSeedMiner(b *testing.B) {
 // BenchmarkExtendFleet times one steady-state Extend: a seeded model
 // absorbing one more period. The model is reloaded and re-seeded off the
 // clock every fleetExtendDays periods, so history stays at the fleet's
-// ten-odd periods however long the benchmark runs.
+// ten-odd periods however long the benchmark runs. The plain variant never
+// queries, so no ranked list exists for an Extend to keep in step; the
+// served variant also answers one PredictBatch at the fleet index's six
+// horizons after each reload, off the clock, the way a served object's
+// index refresh builds the ranked lists its backward queries read.
 func BenchmarkExtendFleet(b *testing.B) {
-	for _, kind := range datagen.Kinds {
-		b.Run(fmt.Sprint(kind), func(b *testing.B) {
-			stream, days := fleetModel(b, kind)
-			var m *Model
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%len(days) == 0 {
-					b.StopTimer()
-					m = loadFleetModel(b, stream)
-					m.ensureMiner()
-					b.StartTimer()
-				}
-				if _, err := m.Extend(days[i%len(days) : i%len(days)+1]); err != nil {
-					b.Fatal(err)
-				}
+	for _, served := range []bool{false, true} {
+		for _, kind := range datagen.Kinds {
+			name := fmt.Sprint(kind)
+			if served {
+				name = "served/" + name
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				stream, days := fleetModel(b, kind)
+				recent := servedRecent(b, kind)
+				now := recent[len(recent)-1].T
+				tqs := make([]int, len(spatial.DefaultHorizons))
+				for i, h := range spatial.DefaultHorizons {
+					tqs[i] = now + h
+				}
+				var m *Model
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%len(days) == 0 {
+						b.StopTimer()
+						m = loadFleetModel(b, stream)
+						m.ensureMiner()
+						if served {
+							if _, err := m.PredictBatch(recent, tqs, 1); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.StartTimer()
+					}
+					if _, err := m.Extend(days[i%len(days) : i%len(days)+1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
+}
+
+// servedRecent is the recent window an index refresh reads at the training
+// cut: the last ten points of the last trained period.
+func servedRecent(b *testing.B, kind datagen.Kind) []trajectory.TimedPoint {
+	last := fleetSubs(b, kind, fleetPeriod, fleetTrainPeriods)[fleetTrainPeriods-1]
+	recent := make([]trajectory.TimedPoint, 10)
+	for i := range recent {
+		t := fleetPeriod - len(recent) + i
+		recent[i] = trajectory.TimedPoint{T: (fleetTrainPeriods-1)*fleetPeriod + t, Loc: last.Points[t]}
+	}
+	return recent
 }

@@ -117,6 +117,11 @@ func (m *Model) ensureMiner() {
 // diverge.
 func (m *Model) reconcile(seeded pattern.Delta) {
 	// Inserting appends refs; only these predate the reconcile.
+	type update struct {
+		ref, support int
+		conf         float64
+	}
+	var updated []update
 	for ref, refs := 0, m.engine.Refs(); ref < refs; ref++ {
 		if !m.engine.IsLive(ref) {
 			continue
@@ -127,9 +132,12 @@ func (m *Model) reconcile(seeded pattern.Delta) {
 		case !ok:
 			m.engine.RemovePattern(ref)
 		case cur.Confidence != conf || cur.Support != support:
-			m.engine.UpdatePattern(ref, conf, support)
+			updated = append(updated, update{ref, support, conf})
 		}
 	}
+	m.engine.UpdatePatterns(len(updated), func(i int) (int, float64, int) {
+		return updated[i].ref, updated[i].conf, updated[i].support
+	})
 	var missing []int32
 	for _, s := range seeded.Added {
 		if ref, _, _ := m.miner.Rule(s); ref == pattern.NoTag {
@@ -190,11 +198,9 @@ func (m *Model) applyDelta(d pattern.Delta, res *ExtendResult) {
 	}
 	m.insert(d.Added)
 	res.NewPatterns += len(d.Added)
-	for _, s := range d.Updated {
-		if m.engine.UpdatePattern(m.miner.Rule(s)) {
-			res.UpdatedPatterns++
-		}
-	}
+	res.UpdatedPatterns += m.engine.UpdatePatterns(len(d.Updated), func(i int) (int, float64, int) {
+		return m.miner.Rule(d.Updated[i])
+	})
 }
 
 // insert indexes the miner's rules in the given slots, in identity order,

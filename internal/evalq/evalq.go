@@ -127,6 +127,18 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// CheckBuckets reports whether bs can bucket horizons: Bucket answers from
+// the first bound at or above a horizon, so every bound must be positive and
+// above the one before it.
+func CheckBuckets(bs []int) error {
+	for i, b := range bs {
+		if b <= 0 || (i > 0 && b <= bs[i-1]) {
+			return fmt.Errorf("buckets %v are not positive and strictly ascending", bs)
+		}
+	}
+	return nil
+}
+
 // NumBuckets counts the horizon buckets including the +Inf overflow.
 func (c Config) NumBuckets() int { return len(c.Buckets) + 1 }
 

@@ -209,7 +209,7 @@ type queryCounters struct {
 // and the one thing a query may write, an offset's confidence ranking
 // built the first time BQP needs it, is built once under an internal mutex
 // and published atomically. AddPatterns, InsertPatterns, RemovePattern,
-// UpdatePattern and ResetStats mutate the engine and must not run
+// UpdatePatterns and ResetStats mutate the engine and must not run
 // concurrently with queries; callers serialize them externally (the store
 // does so under each object's write lock).
 type Engine struct {
@@ -236,6 +236,11 @@ type Engine struct {
 	// once) and kept in step by every mutator from then on.
 	ranked []atomic.Pointer[rankedList]
 	rankMu sync.Mutex
+
+	// marks is UpdatePatterns' scratch: one bit per ref, set while the call
+	// moves the ref within its ranked list. Mutators are serialized, so one
+	// set serves every call.
+	marks []uint64
 
 	stats queryCounters
 

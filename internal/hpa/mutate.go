@@ -1,6 +1,7 @@
 package hpa
 
 import (
+	"cmp"
 	"slices"
 
 	"hpm/internal/bitkey"
@@ -95,24 +96,107 @@ func (e *Engine) RemovePattern(ref int) bool {
 	return true
 }
 
-// UpdatePattern rewrites the confidence and support of the live pattern
-// at ref; its itemset — and therefore its key, encoded here from the
-// pattern the engine already stores — does not change, only the payload
-// moves. Returns false when ref is not live.
-func (e *Engine) UpdatePattern(ref int, conf float64, support int) bool {
-	if !e.IsLive(ref) {
-		return false
+// UpdatePatterns rewrites the confidence and support of n live patterns,
+// the ith of which rule names; an itemset, and therefore a key, does not
+// change, only the payload moves. Each confidence is written where its tree leaf holds it, through the
+// tree's locator. Every built ranked list an update touched is then fixed
+// once: the changed refs are filtered out, sorted, and merged back. A list
+// orders by (confidence desc, ref asc), a strict total order, so the result
+// is the list a rule-by-rule move would leave. A ref named twice takes its
+// last update. Updates of refs that are not live are skipped; it returns
+// how many were applied.
+func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, support int)) int {
+	applied := 0
+	var moved []movedRef
+	if w := (len(e.patterns) + 63) / 64; len(e.marks) < w {
+		e.marks = append(e.marks, make([]uint64, w-len(e.marks))...)
 	}
-	p := &e.patterns[ref]
-	var buf [keyBuf]uint64
-	if !e.tree.UpdateConf(e.keyOf(&buf, *p), ref, conf) {
-		return false
+	for i := 0; i < n; i++ {
+		ref, conf, support := rule(i)
+		if !e.IsLive(ref) || !e.tree.UpdateConf(ref, conf) {
+			continue
+		}
+		applied++
+		p := &e.patterns[ref]
+		if p.Confidence != conf {
+			off := e.consequenceRegion(ref).Offset
+			if e.builtList(off) != nil && !e.marked(ref) {
+				e.mark(ref, true)
+				moved = append(moved, movedRef{off: int32(off), rankEntry: rankEntry{ref: int32(ref)}})
+			}
+		}
+		p.Confidence, p.Support = conf, support
 	}
-	if l := e.builtList(e.consequenceRegion(ref).Offset); l != nil {
-		l.move(l.find(p.Confidence, ref), rankEntry{conf: conf, ref: int32(ref)})
+	if len(moved) > 0 {
+		for i := range moved {
+			moved[i].conf = e.patterns[moved[i].ref].Confidence
+		}
+		slices.SortFunc(moved, func(a, b movedRef) int {
+			if a.off != b.off {
+				return cmp.Compare(a.off, b.off)
+			}
+			if a.rankEntry.before(b.rankEntry) {
+				return -1
+			}
+			return 1 // refs are distinct
+		})
+		for lo := 0; lo < len(moved); {
+			hi := lo + 1
+			for hi < len(moved) && moved[hi].off == moved[lo].off {
+				hi++
+			}
+			e.builtList(int(moved[lo].off)).merge(moved[lo:hi], e.marks)
+			lo = hi
+		}
+		for _, m := range moved {
+			e.mark(int(m.ref), false)
+		}
 	}
-	p.Confidence, p.Support = conf, support
-	return true
+	return applied
+}
+
+// movedRef is one ref a batch update moved within its offset's ranked list,
+// with its new confidence.
+type movedRef struct {
+	off int32
+	rankEntry
+}
+
+// marked reports whether ref's bit is set in the engine's update marks.
+func (e *Engine) marked(ref int) bool { return e.marks[ref>>6]&(1<<(ref&63)) != 0 }
+
+// mark sets or clears ref's bit in the engine's update marks.
+func (e *Engine) mark(ref int, on bool) {
+	if on {
+		e.marks[ref>>6] |= 1 << (ref & 63)
+	} else {
+		e.marks[ref>>6] &^= 1 << (ref & 63)
+	}
+}
+
+// merge replaces the list's entries for the refs marked in marks with
+// moved, which holds exactly those refs at their new confidences, in list
+// order. The unmarked entries keep their order; a merge from the back puts
+// the two runs together in place.
+func (l *rankedList) merge(moved []movedRef, marks []uint64) {
+	es := l.entries
+	kept := 0
+	for _, r := range es {
+		if marks[r.ref>>6]&(1<<(r.ref&63)) == 0 {
+			es[kept] = r
+			kept++
+		}
+	}
+	i, j := kept-1, len(moved)-1
+	for w := len(es) - 1; j >= 0; w-- {
+		if i >= 0 && moved[j].before(es[i]) {
+			es[w] = es[i]
+			i--
+		} else {
+			es[w] = moved[j].rankEntry
+			j--
+		}
+	}
 }
 
 // builtList returns the ranked list of a consequence offset, or nil when no
@@ -134,8 +218,7 @@ func (e *Engine) rankInsert(off int, conf float64, ref int) {
 
 // search returns the position of the first entry that does not rank ahead
 // of r: r's own position when the list holds it, its insertion point when
-// not. An Extend updates most of a model's rules, each one a find and a
-// move, so the comparison is inlined rather than called per step.
+// not. The comparison is inlined rather than called per step.
 func (l *rankedList) search(r rankEntry) int {
 	lo, hi := 0, len(l.entries)
 	for lo < hi {
@@ -159,26 +242,13 @@ func (l *rankedList) find(conf float64, ref int) int {
 	return i
 }
 
-// move replaces the entry at i with r, which names the same ref, and shifts
-// the entries between the old and the new position by one.
-func (l *rankedList) move(i int, r rankEntry) {
-	j := l.search(r)
-	if j > i {
-		j-- // the insertion point counted the entry leaving i
-		copy(l.entries[i:j], l.entries[i+1:j+1])
-	} else {
-		copy(l.entries[j+1:i+1], l.entries[j:i])
-	}
-	l.entries[j] = r
-}
-
 // keyBuf is the stack space keyOf gets for a key; wider keys spill to the
 // heap.
 const keyBuf = 8
 
-// keyOf encodes p against the current tables, in buf when the key fits: an
-// incremental update re-encodes every rule it touches, and none of those
-// keys outlives the tree call it is handed to.
+// keyOf encodes p against the current tables, in buf when the key fits:
+// none of the keys an insert or a removal encodes outlives the tree call it
+// is handed to.
 func (e *Engine) keyOf(buf *[keyBuf]uint64, p pattern.Pattern) bitkey.PatternKey {
 	ckLen, rkLen := e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len()
 	cw, rw := (ckLen+63)/64, (rkLen+63)/64

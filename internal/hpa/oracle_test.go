@@ -391,8 +391,8 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					ref := refs[rng.Intn(len(refs))]
 					p := e.patterns[ref]
 					p.Confidence = 0.3 + 0.7*rng.Float64()
-					if !e.UpdatePattern(ref, p.Confidence, p.Support) {
-						t.Fatalf("UpdatePattern(%d) failed", ref)
+					if updateAll(e, []ruleUpdate{{ref, p.Confidence, p.Support}}) != 1 {
+						t.Fatalf("UpdatePatterns(%d) failed", ref)
 					}
 				}
 				checkLiveCounts(t, e)
@@ -782,9 +782,9 @@ func TestBackwardQueryHandCases(t *testing.T) {
 			}
 			sweep(t, e)
 		}
-		e.UpdatePattern(3, 0.95, 1)
+		updateAll(e, []ruleUpdate{{3, 0.95, 1}})
 		step("raising ref 3 past three neighbours", "[3 0 1 2 4]")
-		e.UpdatePattern(0, 0.55, 1)
+		updateAll(e, []ruleUpdate{{0, 0.55, 1}})
 		step("lowering ref 0 past two", "[3 1 2 0 4]")
 		e.RemovePattern(3)
 		step("removing the head", "[1 2 0 4]")
@@ -832,9 +832,11 @@ func FuzzBackwardQuery(f *testing.F) {
 		e := handEngine(t, Config{Period: period, DistantThreshold: 3, TimeRelaxation: te, PenalizePremise: period%2 == 0},
 			offsets, rules[:len(rules)/2])
 		buildRanked(e)
+		var ups []ruleUpdate
 		for ref := 0; ref < mutations && ref < len(rules)/2; ref++ {
-			e.UpdatePattern(ref, 1.05-e.patterns[ref].Confidence, 1)
+			ups = append(ups, ruleUpdate{ref, 1.05 - e.patterns[ref].Confidence, 1})
 		}
+		updateAll(e, ups)
 		var late []pattern.Pattern
 		for _, r := range rules[len(rules)/2:] {
 			late = append(late, pattern.Pattern{Premise: []pattern.RegionID{pattern.RegionID(r[0])},

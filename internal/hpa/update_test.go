@@ -1,0 +1,168 @@
+package hpa
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"hpm/internal/bitkey"
+	"hpm/internal/datagen"
+	"hpm/internal/pattern"
+	"hpm/internal/tpt"
+)
+
+// ruleUpdate is one rule's new confidence and support.
+type ruleUpdate struct {
+	Ref     int
+	Conf    float64
+	Support int
+}
+
+// updateAll hands ups to one UpdatePatterns.
+func updateAll(e *Engine, ups []ruleUpdate) int {
+	return e.UpdatePatterns(len(ups), func(i int) (int, float64, int) { return ups[i].Ref, ups[i].Conf, ups[i].Support })
+}
+
+// updateOne is the rule-by-rule update UpdatePatterns replaced, kept as its
+// oracle: the confidence written to the tree, then the rule's ranked-list
+// entry found by binary search and moved to its new place.
+func updateOne(e *Engine, u ruleUpdate) bool {
+	if !e.IsLive(u.Ref) || !e.tree.UpdateConf(u.Ref, u.Conf) {
+		return false
+	}
+	p := &e.patterns[u.Ref]
+	if l := e.builtList(e.consequenceRegion(u.Ref).Offset); l != nil {
+		l.move(l.find(p.Confidence, u.Ref), rankEntry{conf: u.Conf, ref: int32(u.Ref)})
+	}
+	p.Confidence, p.Support = u.Conf, u.Support
+	return true
+}
+
+// move replaces the entry at i with r, which names the same ref, and shifts
+// the entries between the old and the new position by one.
+func (l *rankedList) move(i int, r rankEntry) {
+	j := l.search(r)
+	if j > i {
+		j-- // the insertion point counted the entry leaving i
+		copy(l.entries[i:j], l.entries[i+1:j+1])
+	} else {
+		copy(l.entries[j+1:i+1], l.entries[j:i])
+	}
+	l.entries[j] = r
+}
+
+// treeHits is every tree entry a whole-period consequence search visits, as
+// (ref, confidence) in visit order.
+func treeHits(e *Engine) []rankEntry {
+	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
+	for b := 1; b <= q.CK.Len(); b++ {
+		q.CK.Set(b)
+	}
+	var hits []rankEntry
+	e.tree.SearchConsequence(q, func(ref, _ int, conf float64, _ bitkey.Key) bool {
+		hits = append(hits, rankEntry{conf: conf, ref: int32(ref)})
+		return true
+	})
+	return hits
+}
+
+// savedBytes is what a model save takes from the engine: every pattern's
+// confidence and support, which refs are retired, and the tree's shape.
+func savedBytes(e *Engine) []byte {
+	var b []byte
+	for ref, p := range e.patterns {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Confidence))
+		b = binary.AppendUvarint(b, uint64(p.Support))
+		if e.dead[ref] {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return e.tree.Shape().AppendBinary(b)
+}
+
+// TestUpdatePatternsMatchesOneByOne: a batch update leaves the engine the
+// rule-by-rule path leaves — tree confidences as a search reads them, every
+// ranked list, the bytes a save takes — on engines trained from all four
+// datasets with every ranked list built. Each delta removes some rules and
+// re-adds them under new refs before the batch, which names both the retired
+// and the new refs; it also repeats refs, leaves confidences unchanged, and
+// draws them from a coarse grid so lists hold ties.
+func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
+	const period = 60
+	for _, kind := range datagen.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			_, rt, all := datasetFixture(t, kind)
+			engine := func() *Engine {
+				ps := slices.Clone(all)
+				enc := pattern.NewEncoder(rt, pattern.NewConsequenceTable(rt, ps))
+				e, err := NewEngine(enc, ps, Config{Period: period}, tpt.Options{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buildRanked(e)
+				return e
+			}
+			batch, single := engine(), engine()
+			rng := rand.New(rand.NewSource(int64(kind) + 5))
+			for step := 0; step < 30; step++ {
+				var live []int
+				for ref := range batch.patterns {
+					if batch.IsLive(ref) {
+						live = append(live, ref)
+					}
+				}
+				var ups []ruleUpdate
+				for k := rng.Intn(4); k > 0; k-- {
+					ref := live[rng.Intn(len(live))]
+					if !batch.IsLive(ref) {
+						continue
+					}
+					p := batch.patterns[ref]
+					if !batch.RemovePattern(ref) || !single.RemovePattern(ref) {
+						t.Fatalf("step %d: RemovePattern(%d) failed", step, ref)
+					}
+					added := batch.InsertPatterns([]pattern.Pattern{p})
+					single.InsertPatterns([]pattern.Pattern{p})
+					ups = append(ups, ruleUpdate{ref, 0.5, 1}, ruleUpdate{added[0], float64(rng.Intn(8)) / 8, 2})
+				}
+				for k := rng.Intn(len(live)); k > 0; k-- {
+					ref := live[rng.Intn(len(live))]
+					u := ruleUpdate{ref, float64(1+rng.Intn(8)) / 8, rng.Intn(20)}
+					if rng.Intn(5) == 0 {
+						u.Conf = batch.patterns[ref].Confidence
+					}
+					ups = append(ups, u)
+				}
+				rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
+				want := 0
+				for _, u := range ups {
+					if updateOne(single, u) {
+						want++
+					}
+				}
+				if got := updateAll(batch, ups); got != want {
+					t.Fatalf("step %d: UpdatePatterns applied %d of %d updates, one by one %d", step, got, len(ups), want)
+				}
+				checkRanked(t, batch)
+				checkRanked(t, single)
+				for off := range batch.ranked {
+					if b, s := batch.ranked[off].Load(), single.ranked[off].Load(); !reflect.DeepEqual(b, s) {
+						t.Fatalf("step %d: offset %d ranked %v, one by one %v", step, off, b, s)
+					}
+				}
+				if b, s := treeHits(batch), treeHits(single); !reflect.DeepEqual(b, s) {
+					t.Fatalf("step %d: the tree's confidences differ from the one-by-one tree's", step)
+				}
+				if !bytes.Equal(savedBytes(batch), savedBytes(single)) {
+					t.Fatalf("step %d: saved bytes differ", step)
+				}
+			}
+		})
+	}
+}

@@ -11,18 +11,30 @@
 // fitted and no trajectory-pattern tree is walked while answering a fleet
 // query, which is what makes range/kNN sub-linear in fleet size.
 //
+// Writes go straight to their slot. An object is interned once, by Add, into
+// an int32 Slot its owner keeps; Set and Drop address it by that handle and
+// hash no string. A cell is a dense slice of (slot, position, path) entries
+// with swap-remove, and each slot remembers, per horizon bucket, its cell and
+// its position in it: an update that stays in its cell is one write, a
+// re-bin one swap-remove and one append. Queries read an entry's id from the
+// slot table. A slot is handed out again only after Drop has taken every one
+// of its entries out of the cells, so no query can pair a slot's entry with
+// a later owner's id.
+//
 // The index is exact and has no clock: a query reports each object's cached
-// position as written by its last Update, so answers are bit-identical to
+// position as written by its last Set, so answers are bit-identical to
 // recomputing every prediction from scratch, a property the store's tests
 // pin.
 package spatial
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"hpm/internal/evalq"
 	"hpm/internal/geom"
 )
 
@@ -31,9 +43,13 @@ import (
 // answered from the first bucket >= h.
 var DefaultHorizons = []int{5, 10, 20, 50, 100, 200}
 
+// MaxHorizons is how many horizon buckets one index can hold: Set tracks
+// the buckets an update names in one 64-bit mask.
+const MaxHorizons = 64
+
 const (
-	numStripes = 64 // power of two
-	numShards  = 16 // power of two
+	numStripes   = 64 // power of two
+	slotPageBits = 8  // slots per page of the slot table, as a power of two
 )
 
 // Config shapes one Index. The zero value is unusable; CellSize must be
@@ -44,13 +60,23 @@ type Config struct {
 	CellSize float64
 
 	// Horizons are the prediction offsets (ticks ahead of each object's
-	// latest observation) cached per object, ascending. Empty means
-	// DefaultHorizons. A query horizon is quantized to the first bucket
-	// >= h; beyond the last it clamps to the last.
+	// latest observation) cached per object: positive, strictly ascending,
+	// at most MaxHorizons of them. Empty means DefaultHorizons. A query
+	// horizon is quantized to the first bucket >= h; beyond the last it
+	// clamps to the last.
 	Horizons []int
 }
 
-// Entry is one cached prediction handed to Update: the object's predicted
+// CheckHorizons reports whether hs can bucket an index: every horizon
+// positive, strictly ascending, at most MaxHorizons of them.
+func CheckHorizons(hs []int) error {
+	if len(hs) > MaxHorizons {
+		return fmt.Errorf("%d horizons, at most %d", len(hs), MaxHorizons)
+	}
+	return evalq.CheckBuckets(hs)
+}
+
+// Entry is one cached prediction handed to Set: the object's predicted
 // position Horizon ticks after its latest observation and the answering-path
 // tag ("forward", "backward", "fallback", or "extrapolation" for untrained
 // objects).
@@ -80,40 +106,59 @@ type Stats struct {
 	KNNQueries   int64 `json:"knn_queries"`
 }
 
+// Slot is an object's handle in the index, handed out by Add. The zero Slot
+// names no object.
+type Slot int32
+
 type cellKey struct {
 	cx, cy int32
 	b      uint8 // horizon bucket index
 }
 
-// gridEntry is the cell-resident payload; the owning map key carries the id.
+// gridEntry is one cached prediction as a cell holds it.
 type gridEntry struct {
 	pos  geom.Point
 	path string
 }
 
+// cellEntry is one slot's entry in a cell.
+type cellEntry struct {
+	slot Slot
+	gridEntry
+}
+
+// cell is one grid cell of one horizon bucket: its entries, densely packed.
+// Guarded by its stripe's lock. A cell lives in its stripe's map while it
+// holds an entry; emptied, it leaves the map and is garbage.
+type cell struct {
+	key cellKey
+	es  []cellEntry
+}
+
 type stripe struct {
 	mu    sync.RWMutex
-	cells map[cellKey]map[string]gridEntry
+	cells map[cellKey]*cell
 }
 
-type slot struct {
-	ok  bool
-	key cellKey
-	ge  gridEntry // last value written, for unchanged-entry elision
+// placement is where one horizon bucket of a slot sits: its cell (nil when
+// the bucket has no entry) and its position in that cell. c and ge are its
+// owner's — only Set and Drop on this slot touch them — while i is moved by
+// any swap-remove in the cell, so it is read and written under the cell's
+// stripe lock.
+type placement struct {
+	c  *cell
+	i  int32
+	ge gridEntry // last value written, for unchanged-entry elision
 }
 
-// objState serializes updates for one object; its slots remember which cell
-// each horizon bucket currently occupies so unchanged entries re-bin with a
-// single in-place write.
-type objState struct {
-	mu    sync.Mutex
-	slots []slot
+// slotState is one slot of the slot table: its owner's id and where each
+// horizon bucket's entry sits.
+type slotState struct {
+	id string
+	at []placement
 }
 
-type objShard struct {
-	mu sync.Mutex
-	m  map[string]*objState
-}
+type slotPage [1 << slotPageBits]slotState
 
 type cellBounds struct {
 	ok                     bool
@@ -121,12 +166,25 @@ type cellBounds struct {
 }
 
 // Index is the concurrent grid. All methods are safe for arbitrary
-// interleaving; per-object update order is the caller's responsibility
-// (the store calls Update under the object's write lock).
+// interleaving, except that Set and Drop on one slot must not overlap:
+// per-object update order is the caller's responsibility (the store calls
+// them under the object's write lock).
 type Index struct {
 	cfg     Config
 	stripes [numStripes]stripe
-	shards  [numShards]objShard
+
+	// pages is the slot table, grown a page at a time so a slot's state
+	// never moves; readers load the page list without a lock. allocMu
+	// guards growth, next and the free list.
+	pages   atomic.Pointer[[]*slotPage]
+	allocMu sync.Mutex
+	next    Slot
+	free    []Slot
+
+	// named interns ids for Update, the call of a caller that keeps no
+	// handle.
+	namedMu sync.Mutex
+	named   map[string]Slot
 
 	// bbox bounds the occupied cells (never shrinks); it caps cell
 	// iteration for huge rects and terminates kNN ring expansion.
@@ -141,8 +199,9 @@ type Index struct {
 	knnQueries   atomic.Int64
 }
 
-// New builds an empty index. It panics if CellSize is not positive — the
-// store validates user input before constructing one.
+// New builds an empty index. It panics if CellSize is not positive or the
+// horizons fail CheckHorizons — the store validates user input before
+// constructing one.
 func New(cfg Config) *Index {
 	if len(cfg.Horizons) == 0 {
 		cfg.Horizons = DefaultHorizons
@@ -150,13 +209,14 @@ func New(cfg Config) *Index {
 	if cfg.CellSize <= 0 {
 		panic("spatial: CellSize must be positive")
 	}
-	ix := &Index{cfg: cfg}
+	if err := CheckHorizons(cfg.Horizons); err != nil {
+		panic("spatial: " + err.Error())
+	}
+	ix := &Index{cfg: cfg, next: 1, named: make(map[string]Slot)}
 	for i := range ix.stripes {
-		ix.stripes[i].cells = make(map[cellKey]map[string]gridEntry)
+		ix.stripes[i].cells = make(map[cellKey]*cell)
 	}
-	for i := range ix.shards {
-		ix.shards[i].m = make(map[string]*objState)
-	}
+	ix.pages.Store(new([]*slotPage))
 	return ix
 }
 
@@ -205,13 +265,10 @@ func (ix *Index) stripeFor(k cellKey) *stripe {
 	return &ix.stripes[h&(numStripes-1)]
 }
 
-func (ix *Index) shardFor(id string) *objShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return &ix.shards[h&(numShards-1)]
+// state returns a slot's state, which stays where it is for the index's
+// lifetime.
+func (ix *Index) state(s Slot) *slotState {
+	return &(*ix.pages.Load())[s>>slotPageBits][s&(1<<slotPageBits-1)]
 }
 
 func (ix *Index) expandBBox(k cellKey) {
@@ -246,24 +303,39 @@ func (ix *Index) bucketExact(h int) (uint8, bool) {
 	return 0, false
 }
 
-// Update replaces the object's cached entries. Entries whose Horizon is not
-// a configured bucket are ignored. Entries occupying the same cell as before
-// are overwritten in place; movers are removed from the old cell and inserted
-// into the new one (a "re-bin").
-func (ix *Index) Update(id string, entries []Entry) {
-	sh := ix.shardFor(id)
-	sh.mu.Lock()
-	st := sh.m[id]
-	if st == nil {
-		st = &objState{slots: make([]slot, len(ix.cfg.Horizons))}
-		sh.m[id] = st
-		ix.objects.Add(1)
+// Add interns a new object under id and returns its slot, which holds no
+// entries until Set. A slot Drop freed is reused.
+func (ix *Index) Add(id string) Slot {
+	ix.allocMu.Lock()
+	var s Slot
+	if n := len(ix.free); n > 0 {
+		s, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		s = ix.next
+		ix.next++
+		if pages := *ix.pages.Load(); int(s>>slotPageBits) == len(pages) {
+			grown := append(pages[:len(pages):len(pages)], new(slotPage))
+			ix.pages.Store(&grown)
+		}
 	}
-	sh.mu.Unlock()
-	ix.updates.Add(1)
+	st := ix.state(s)
+	st.id = id
+	if st.at == nil {
+		st.at = make([]placement, len(ix.cfg.Horizons))
+	}
+	ix.allocMu.Unlock()
+	ix.objects.Add(1)
+	return s
+}
 
-	st.mu.Lock()
-	seen := 0 // bitmask of bucket indices present in entries
+// Set replaces the cached entries of the object at slot s. Entries whose
+// Horizon is not a configured bucket are ignored. Entries occupying the same
+// cell as before are overwritten in place; movers are removed from the old
+// cell and appended to the new one (a "re-bin").
+func (ix *Index) Set(s Slot, entries []Entry) {
+	st := ix.state(s)
+	ix.updates.Add(1)
+	var seen uint64 // bitmask of bucket indices present in entries
 	for _, e := range entries {
 		b, ok := ix.bucketExact(e.Horizon)
 		if !ok {
@@ -271,89 +343,115 @@ func (ix *Index) Update(id string, entries []Entry) {
 		}
 		seen |= 1 << b
 		ge := gridEntry{pos: e.Pos, path: e.Path}
-		sl := &st.slots[b]
+		at := &st.at[b]
 		// Stationary case: the cached value is already exact (equal position
-		// implies equal cell) — skip the cell math and the map write.
-		if sl.ok && ge == sl.ge {
+		// implies equal cell) — skip the cell math and the lock.
+		if at.c != nil && ge == at.ge {
 			continue
 		}
 		key := ix.cellOf(e.Pos, b)
-		if sl.ok && sl.key == key {
-			sl.ge = ge
-			s := ix.stripeFor(key)
-			s.mu.Lock()
-			s.cells[key][id] = ge
-			s.mu.Unlock()
+		if at.c != nil && at.c.key == key {
+			at.ge = ge
+			sp := ix.stripeFor(key)
+			sp.mu.Lock()
+			at.c.es[at.i].gridEntry = ge
+			sp.mu.Unlock()
 			continue
 		}
-		if sl.ok {
-			ix.removeFromCell(sl.key, id)
+		if at.c != nil {
+			ix.unlink(at)
 			ix.rebins.Add(1)
 		} else {
 			ix.entries.Add(1)
 		}
-		ix.insertIntoCell(key, id, ge)
-		sl.ok, sl.key, sl.ge = true, key, ge
+		ix.link(s, at, key, ge)
 	}
 	// Buckets absent from this update (e.g. a predictor that stopped
 	// answering a horizon) are dropped so queries never see ghosts.
-	for b := range st.slots {
-		if seen&(1<<b) == 0 && st.slots[b].ok {
-			ix.removeFromCell(st.slots[b].key, id)
-			st.slots[b].ok = false
+	for b := range st.at {
+		if seen&(1<<b) == 0 && st.at[b].c != nil {
+			ix.unlink(&st.at[b])
 			ix.entries.Add(-1)
 		}
 	}
-	st.mu.Unlock()
 }
 
-func (ix *Index) insertIntoCell(k cellKey, id string, ge gridEntry) {
-	s := ix.stripeFor(k)
-	s.mu.Lock()
-	c := s.cells[k]
+// link appends slot s's entry to the cell at key, creating the cell if it
+// is empty, and records where the entry sits.
+func (ix *Index) link(s Slot, at *placement, key cellKey, ge gridEntry) {
+	sp := ix.stripeFor(key)
+	sp.mu.Lock()
+	c := sp.cells[key]
 	if c == nil {
-		c = make(map[string]gridEntry)
-		s.cells[k] = c
+		c = &cell{key: key}
+		sp.cells[key] = c
 	}
-	c[id] = ge
-	s.mu.Unlock()
-	ix.expandBBox(k)
+	at.c, at.i, at.ge = c, int32(len(c.es)), ge
+	c.es = append(c.es, cellEntry{slot: s, gridEntry: ge})
+	sp.mu.Unlock()
+	ix.expandBBox(key)
 }
 
-func (ix *Index) removeFromCell(k cellKey, id string) {
-	s := ix.stripeFor(k)
-	s.mu.Lock()
-	if c := s.cells[k]; c != nil {
-		delete(c, id)
-		if len(c) == 0 {
-			delete(s.cells, k)
-		}
+// unlink swap-removes the entry at from its cell: the cell's last entry
+// takes its place and that entry's slot learns its new position. An emptied
+// cell leaves its stripe's map.
+func (ix *Index) unlink(at *placement) {
+	c := at.c
+	sp := ix.stripeFor(c.key)
+	sp.mu.Lock()
+	last := int32(len(c.es) - 1)
+	if at.i != last {
+		moved := c.es[last]
+		c.es[at.i] = moved
+		ix.state(moved.slot).at[c.key.b].i = at.i
 	}
-	s.mu.Unlock()
+	c.es[last] = cellEntry{} // release the path string
+	c.es = c.es[:last]
+	if last == 0 {
+		delete(sp.cells, c.key)
+	}
+	sp.mu.Unlock()
+	at.c = nil
 }
 
-// Remove drops every entry for id. Idempotent.
-func (ix *Index) Remove(id string) {
-	sh := ix.shardFor(id)
-	sh.mu.Lock()
-	st := sh.m[id]
-	if st != nil {
-		delete(sh.m, id)
-		ix.objects.Add(-1)
-	}
-	sh.mu.Unlock()
-	if st == nil {
+// Drop removes every entry of the object at slot s and frees the slot for a
+// later Add, whether s came from Add or from Update. Dropping the zero Slot
+// does nothing.
+func (ix *Index) Drop(s Slot) {
+	if s == 0 {
 		return
 	}
-	st.mu.Lock()
-	for b := range st.slots {
-		if st.slots[b].ok {
-			ix.removeFromCell(st.slots[b].key, id)
-			st.slots[b].ok = false
+	st := ix.state(s)
+	for b := range st.at {
+		if st.at[b].c != nil {
+			ix.unlink(&st.at[b])
 			ix.entries.Add(-1)
 		}
 	}
-	st.mu.Unlock()
+	ix.namedMu.Lock()
+	if ix.named[st.id] == s {
+		delete(ix.named, st.id)
+	}
+	ix.namedMu.Unlock()
+	ix.allocMu.Lock()
+	st.id = ""
+	ix.free = append(ix.free, s)
+	ix.allocMu.Unlock()
+	ix.objects.Add(-1)
+}
+
+// Update is Set for a caller that keeps no slot — a benchmark replaying a
+// fixed fleet: the object is found by id and interned on its first update.
+// Dropping that slot forgets the id, so a later Update interns it afresh.
+func (ix *Index) Update(id string, entries []Entry) {
+	ix.namedMu.Lock()
+	s, ok := ix.named[id]
+	if !ok {
+		s = ix.Add(id)
+		ix.named[id] = s
+	}
+	ix.namedMu.Unlock()
+	ix.Set(s, entries)
 }
 
 // Range returns every object whose cached prediction at the bucket for
@@ -391,12 +489,17 @@ type idEntry struct {
 	ge gridEntry
 }
 
-// readCell copies one cell's entries out under the stripe read lock.
+// readCell copies one cell's entries out under the stripe read lock, each
+// with its slot's id. The id is read under the lock too: while the lock is
+// held the entry cannot leave the cell, so its slot cannot be freed and
+// handed to another object.
 func (ix *Index) readCell(k cellKey, buf []idEntry) []idEntry {
 	s := ix.stripeFor(k)
 	s.mu.RLock()
-	for id, ge := range s.cells[k] {
-		buf = append(buf, idEntry{id: id, ge: ge})
+	if c := s.cells[k]; c != nil {
+		for _, ce := range c.es {
+			buf = append(buf, idEntry{id: ix.state(ce.slot).id, ge: ce.gridEntry})
+		}
 	}
 	s.mu.RUnlock()
 	return buf

@@ -189,13 +189,14 @@ func TestNearestMoreThanPopulation(t *testing.T) {
 
 func TestRebinRemoveAndStats(t *testing.T) {
 	ix := New(Config{CellSize: 100, Horizons: []int{5, 10}})
-	ix.Update("x", []Entry{{Horizon: 5, Pos: geom.Pt(50, 50)}, {Horizon: 10, Pos: geom.Pt(60, 60)}})
+	x := ix.Add("x")
+	ix.Set(x, []Entry{{Horizon: 5, Pos: geom.Pt(50, 50)}, {Horizon: 10, Pos: geom.Pt(60, 60)}})
 	st := ix.Stats()
 	if st.Objects != 1 || st.Entries != 2 || st.Rebins != 0 {
 		t.Fatalf("after insert: %+v", st)
 	}
 	// Same cell: in-place overwrite, no rebin.
-	ix.Update("x", []Entry{{Horizon: 5, Pos: geom.Pt(55, 55)}, {Horizon: 10, Pos: geom.Pt(60, 60)}})
+	ix.Set(x, []Entry{{Horizon: 5, Pos: geom.Pt(55, 55)}, {Horizon: 10, Pos: geom.Pt(60, 60)}})
 	if st = ix.Stats(); st.Rebins != 0 {
 		t.Fatalf("same-cell update caused rebin: %+v", st)
 	}
@@ -203,20 +204,20 @@ func TestRebinRemoveAndStats(t *testing.T) {
 		t.Fatalf("in-place overwrite not visible: %+v", got)
 	}
 	// Cross a cell boundary: one rebin.
-	ix.Update("x", []Entry{{Horizon: 5, Pos: geom.Pt(950, 950)}, {Horizon: 10, Pos: geom.Pt(60, 60)}})
+	ix.Set(x, []Entry{{Horizon: 5, Pos: geom.Pt(950, 950)}, {Horizon: 10, Pos: geom.Pt(60, 60)}})
 	if st = ix.Stats(); st.Rebins != 1 {
 		t.Fatalf("boundary crossing: %+v", st)
 	}
 	// A bucket missing from the update is dropped.
-	ix.Update("x", []Entry{{Horizon: 5, Pos: geom.Pt(950, 950)}})
+	ix.Set(x, []Entry{{Horizon: 5, Pos: geom.Pt(950, 950)}})
 	if st = ix.Stats(); st.Entries != 1 {
 		t.Fatalf("stale bucket not dropped: %+v", st)
 	}
 	if got := ix.Range(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, 10); len(got) != 0 {
 		t.Fatalf("ghost entry after bucket drop: %+v", got)
 	}
-	ix.Remove("x")
-	ix.Remove("x") // idempotent
+	ix.Drop(x)
+	ix.Drop(0) // the zero Slot names no object
 	if st = ix.Stats(); st.Objects != 0 || st.Entries != 0 {
 		t.Fatalf("after remove: %+v", st)
 	}
@@ -234,15 +235,22 @@ func TestConcurrentUpdateQueryRemove(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			slots := make(map[string]Slot)
 			for i := 0; !stop.Load(); i++ {
 				id := fmt.Sprintf("o%d-%d", w, i%50)
 				var entries []Entry
 				for _, h := range ix.Horizons() {
 					entries = append(entries, Entry{Horizon: h, Pos: geom.Pt(rng.Float64()*10000, rng.Float64()*10000)})
 				}
-				ix.Update(id, entries)
+				s, ok := slots[id]
+				if !ok {
+					s = ix.Add(id)
+					slots[id] = s
+				}
+				ix.Set(s, entries)
 				if i%7 == 0 {
-					ix.Remove(id)
+					ix.Drop(s)
+					delete(slots, id)
 				}
 			}
 		}(w)
@@ -254,7 +262,12 @@ func TestConcurrentUpdateQueryRemove(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + q)))
 			for !stop.Load() {
 				x, y := rng.Float64()*8000, rng.Float64()*8000
-				ix.Range(geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+2000, y+2000)}, 10)
+				for _, res := range ix.Range(geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+2000, y+2000)}, 10) {
+					if res.ID == "" {
+						t.Error("a range result carries a freed slot's empty id")
+						return
+					}
+				}
 				ix.Nearest(geom.Pt(x, y), 5, 50)
 			}
 		}(q)
@@ -262,6 +275,154 @@ func TestConcurrentUpdateQueryRemove(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
+}
+
+// FuzzIndexOps reads op bytes as Set, Drop and re-add steps over a pool of
+// eight ids on a 3-horizon index of 10-unit cells over a 64-unit square, so
+// entries share cells, re-bin and swap-remove one another and dropped slots
+// are handed out again. Some ids come back through Update instead of Add and
+// Set, so a slot interned by id is dropped and reused too. After every op
+// the index must agree with a map of each live id's entries: Range over the
+// whole plane and over a random rect, and Nearest, against brute force over
+// the map, and Stats' object and entry counts against its size. Whole-plane
+// equality is what catches a reused slot answering with its previous owner's
+// id or entry. The seeds run under plain go test.
+func FuzzIndexOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte("\x00\x10\x20\x01\x11\x21\x02\x12\x22\x03\x03\x00\x33\x44\x01\x55"))
+	seq := make([]byte, 900)
+	rand.New(rand.NewSource(5)).Read(seq)
+	f.Add(seq)
+	horizons := []int{5, 10, 20}
+	plane := geom.Rect{Min: geom.Pt(math.Inf(-1), math.Inf(-1)), Max: geom.Pt(math.Inf(1), math.Inf(1))}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		ix := New(Config{CellSize: 10, Horizons: horizons})
+		slots := make(map[string]Slot)
+		truth := make(map[string]map[int]Entry) // id → horizon → entry
+		byName := make(map[string]bool)         // live ids set through Update
+		paths := []string{"forward", "backward", "fallback", "extrapolation"}
+		for step := 0; len(ops) > 0 && step < 300; step++ {
+			op := next()
+			id := fmt.Sprintf("o%d", op>>2&7)
+			switch op & 3 {
+			case 0: // drop
+				if s, ok := slots[id]; ok {
+					ix.Drop(s)
+					delete(slots, id)
+					delete(truth, id)
+					delete(byName, id)
+				}
+			default: // set some buckets, adding the id if it is not live
+				s, ok := slots[id]
+				if !ok && op&0x20 != 0 {
+					byName[id] = true // interned by its first Update below
+				} else if !ok {
+					s = ix.Add(id)
+					for other, o := range slots {
+						if o == s {
+							t.Fatalf("step %d: Add(%s) returned %s's live slot %d", step, id, other, s)
+						}
+					}
+					slots[id] = s
+				}
+				mask := next()
+				var entries []Entry
+				m := make(map[int]Entry)
+				for b, h := range horizons {
+					if mask>>b&1 == 0 {
+						continue
+					}
+					e := Entry{Horizon: h, Pos: geom.Pt(float64(next()%64), float64(next()%64)), Path: paths[mask>>4&3]}
+					if prev, ok := truth[id][h]; ok && mask&8 != 0 {
+						e = prev // unchanged: the elided write
+					}
+					entries = append(entries, e)
+					m[h] = e
+				}
+				if mask&0x40 != 0 {
+					entries = append(entries, Entry{Horizon: 7, Pos: geom.Pt(1, 1)}) // not a bucket: ignored
+				}
+				if byName[id] {
+					ix.Update(id, entries)
+					if !ok {
+						s = ix.named[id]
+						for other, o := range slots {
+							if o == s {
+								t.Fatalf("step %d: Update(%s) interned %s's live slot %d", step, id, other, s)
+							}
+						}
+						slots[id] = s
+					}
+				} else {
+					ix.Set(s, entries)
+				}
+				truth[id] = m
+			}
+			checkIndex(t, ix, truth, plane)
+			x, y := float64(next()%70)-3, float64(next()%70)-3
+			checkIndex(t, ix, truth, geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+float64(next()%40), y+float64(next()%40))})
+			checkNearest(t, ix, truth, geom.Pt(float64(next()%80)-8, float64(next()%80)-8), 1+next()%5)
+		}
+	})
+}
+
+// checkIndex holds Range over r at every horizon, and the index's object
+// and entry counts, to the truth map.
+func checkIndex(t *testing.T, ix *Index, truth map[string]map[int]Entry, r geom.Rect) {
+	t.Helper()
+	entries := 0
+	for _, m := range truth {
+		entries += len(m)
+	}
+	if st := ix.Stats(); st.Objects != int64(len(truth)) || st.Entries != int64(entries) {
+		t.Fatalf("stats %d objects, %d entries; truth %d, %d", st.Objects, st.Entries, len(truth), entries)
+	}
+	for _, h := range ix.Horizons() {
+		var want []Result
+		for id, m := range truth {
+			if e, ok := m[h]; ok && r.Contains(e.Pos) {
+				want = append(want, Result{ID: id, Pos: e.Pos, Path: e.Path, Horizon: h})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+		if got := ix.Range(r, h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Range(%v, %d) = %+v\nbrute force %+v", r, h, got, want)
+		}
+	}
+}
+
+// checkNearest holds Nearest's k best at every horizon to brute force over
+// the truth map.
+func checkNearest(t *testing.T, ix *Index, truth map[string]map[int]Entry, p geom.Point, k int) {
+	t.Helper()
+	for _, h := range ix.Horizons() {
+		var want []Result
+		for id, m := range truth {
+			if e, ok := m[h]; ok {
+				want = append(want, Result{ID: id, Pos: e.Pos, Path: e.Path, Horizon: h, Dist: e.Pos.Dist(p)})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Dist != want[j].Dist {
+				return want[i].Dist < want[j].Dist
+			}
+			return want[i].ID < want[j].ID
+		})
+		if len(want) > k {
+			want = want[:k]
+		}
+		if got := ix.Nearest(p, k, h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Nearest(%v, %d, %d) = %+v\nbrute force %+v", p, k, h, got, want)
+		}
+	}
 }
 
 func equalStrings(a, b []string) bool {

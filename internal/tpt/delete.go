@@ -8,9 +8,9 @@ import (
 )
 
 // In-place mutation beyond Insert: retiring a pattern whose support or
-// confidence fell (delta-Apriori demotion), rewriting a confidence, and
-// widening every key when minted regions or new consequence offsets grow
-// the key space. §V-B only specifies insertion; deletion follows the
+// confidence fell (delta-Apriori demotion), rewriting a confidence through
+// the ref → leaf locator, and widening every key when minted regions or new
+// consequence offsets grow the key space. §V-B only specifies insertion; deletion follows the
 // signature-tree shape — descend containing entries, tighten union keys
 // on the way back up.
 //
@@ -40,6 +40,7 @@ func (t *Tree) deleteIn(n *node, pk []uint64, ref int) bool {
 		i := t.find(n, pk, ref)
 		if i >= 0 {
 			t.remove(n, i)
+			t.locate(ref, nil)
 		}
 		return i >= 0
 	}
@@ -81,28 +82,55 @@ func (t *Tree) remove(n *node, i int) {
 	}
 }
 
-// UpdateConf rewrites the confidence of the item with the given key and
-// ref. Confidence is payload, not part of the key, so the tree shape and
-// every union key stay untouched. Returns false when the item is absent.
-func (t *Tree) UpdateConf(key bitkey.PatternKey, ref int, conf float64) bool {
-	var buf [keyBuf]uint64
-	return t.updateConfIn(t.root, t.flat(buf[:], key), ref, conf)
-}
-
-func (t *Tree) updateConfIn(n *node, pk []uint64, ref int, conf float64) bool {
-	if n.leaf {
-		i := t.find(n, pk, ref)
-		if i >= 0 {
-			n.items[i].conf = conf
-		}
-		return i >= 0
+// UpdateConf rewrites the confidence of the item with the given ref where
+// it sits: the locator names its leaf, so no key is compared and no subtree
+// descended. Confidence is payload, not part of the key, so the tree shape
+// and every union key stay untouched. Returns false when no item carries
+// ref. The first call builds the locator.
+func (t *Tree) UpdateConf(ref int, conf float64) bool {
+	if t.loc == nil {
+		t.buildLocator()
 	}
-	for i, child := range n.kids {
-		if bitkey.ContainsWords(t.key(n, i), pk) && t.updateConfIn(child, pk, ref, conf) {
+	if ref < 0 || ref >= len(t.loc) || t.loc[ref] == nil {
+		return false
+	}
+	n := t.loc[ref]
+	for i := range n.items {
+		if n.items[i].ref == ref {
+			n.items[i].conf = conf
 			return true
 		}
 	}
-	return false
+	panic("tpt: the locator names a leaf that does not hold its ref")
+}
+
+// buildLocator walks the leaves once and records where every ref sits.
+func (t *Tree) buildLocator() {
+	t.loc = make([]*node, 0, t.size)
+	var walk func(n *node)
+	walk = func(n *node) {
+		for _, p := range n.items {
+			t.locate(p.ref, n)
+		}
+		for _, child := range n.kids {
+			walk(child)
+		}
+	}
+	walk(t.root)
+}
+
+// locate records that leaf n holds ref, once the locator is built. Refs
+// index it, so they must not be negative; a nil n forgets ref.
+func (t *Tree) locate(ref int, n *node) {
+	if t.loc == nil {
+		return
+	}
+	for n != nil && ref >= len(t.loc) {
+		t.loc = append(t.loc, nil)
+	}
+	if ref < len(t.loc) {
+		t.loc[ref] = n
+	}
 }
 
 // GrowKeys widens every key in the tree to the given lengths. Grown bits

@@ -45,6 +45,7 @@ func TestDeleteSearchEquivalenceProperty(t *testing.T) {
 				alive = append(alive[:i], alive[i+1:]...)
 			}
 			checkInvariants(t, tree, false)
+			checkLocator(t, tree)
 			if tree.Len() != len(alive) {
 				t.Fatalf("bulk=%v: Len() = %d, want %d", bulk, tree.Len(), len(alive))
 			}
@@ -74,7 +75,7 @@ func TestUpdateConf(t *testing.T) {
 		tree.Insert(items[i])
 	}
 	for _, it := range items {
-		if !tree.UpdateConf(it.Key, it.Ref, float64(it.Ref)) {
+		if !tree.UpdateConf(it.Ref, float64(it.Ref)) {
 			t.Fatalf("UpdateConf(ref %d) found nothing", it.Ref)
 		}
 	}
@@ -89,10 +90,25 @@ func TestUpdateConf(t *testing.T) {
 	if seen != len(items) {
 		t.Fatalf("All visited %d items, want %d", seen, len(items))
 	}
-	missing := randomItem(r, ckLen, rkLen, 999)
-	if tree.UpdateConf(missing.Key, 999, 0.5) {
-		t.Fatal("UpdateConf on an absent item succeeded")
+	for _, ref := range []int{999, -1, len(items)} {
+		if tree.UpdateConf(ref, 0.5) {
+			t.Fatalf("UpdateConf on absent ref %d succeeded", ref)
+		}
 	}
+	checkLocator(t, tree)
+	// A deleted ref is forgotten; an insert after the locator was built,
+	// splits included, is found.
+	if !tree.Delete(items[7].Key, items[7].Ref) || tree.UpdateConf(items[7].Ref, 0.5) {
+		t.Fatal("UpdateConf found a deleted item")
+	}
+	for i := 0; i < 40; i++ {
+		it := randomItem(r, ckLen, rkLen, 1000+i)
+		tree.Insert(it)
+		if !tree.UpdateConf(it.Ref, 0.25) {
+			t.Fatalf("UpdateConf(ref %d) missed an item inserted after the locator was built", it.Ref)
+		}
+	}
+	checkLocator(t, tree)
 }
 
 // TestGrowKeys widens a populated tree and checks searches behave as if

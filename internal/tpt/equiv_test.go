@@ -145,6 +145,7 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 			ref, tree := refBulkLoad(w[0], w[1], items, opts), BulkLoad(w[0], w[1], items, opts)
 			requireSame(t, ref, tree, seededQueries(r, 256, w[0], w[1]))
 			checkInvariants(t, tree, true)
+			checkLocator(t, tree)
 		}
 	}
 }
@@ -190,7 +191,7 @@ func TestMutationsMatchReference(t *testing.T) {
 			case op < 50 && len(alive) > 0:
 				it := &alive[r.Intn(len(alive))]
 				it.Conf = r.Float64()
-				if a, b := ref.UpdateConf(it.Key, it.Ref, it.Conf), tree.UpdateConf(it.Key, it.Ref, it.Conf); !a || !b {
+				if a, b := ref.UpdateConf(it.Key, it.Ref, it.Conf), tree.UpdateConf(it.Ref, it.Conf); !a || !b {
 					t.Fatalf("width %v step %d: UpdateConf(ref %d) = %v, reference %v", w, step, it.Ref, b, a)
 				}
 			default:
@@ -207,10 +208,11 @@ func TestMutationsMatchReference(t *testing.T) {
 			requireSame(t, ref, tree, queries)
 			requireRebuilds(t, ref, tree, alive, opts, queries)
 			checkInvariants(t, tree, false)
+			checkLocator(t, tree)
 		}
 		// Absent items are absent from both.
 		ghost := randomItem(r, ckLen, rkLen, nextRef)
-		if ref.Delete(ghost.Key, ghost.Ref) || tree.Delete(ghost.Key, ghost.Ref) || tree.UpdateConf(ghost.Key, ghost.Ref, 1) {
+		if ref.Delete(ghost.Key, ghost.Ref) || tree.Delete(ghost.Key, ghost.Ref) || tree.UpdateConf(ghost.Ref, 1) {
 			t.Fatalf("width %v: an item never inserted was found", w)
 		}
 	}
@@ -277,9 +279,25 @@ func requireBruteForce(t *testing.T, tree *Tree, items []Item, q bitkey.PatternK
 	}
 }
 
-// FuzzTreeOps reads op bytes as a sequence of Insert, Delete and GrowKeys
-// and checks the tree against BruteForce over the surviving items after
-// every op. The seeds below run under plain go test.
+// requireConfs holds every item's confidence in the tree to items'.
+func requireConfs(t *testing.T, tree *Tree, items []Item) {
+	t.Helper()
+	want := make(map[int]float64, len(items))
+	for _, it := range items {
+		want[it.Ref] = it.Conf
+	}
+	tree.All(func(it Item) bool {
+		if c, ok := want[it.Ref]; !ok || c != it.Conf {
+			t.Fatalf("ref %d has confidence %g, want %g (held %v)", it.Ref, it.Conf, c, ok)
+		}
+		return true
+	})
+}
+
+// FuzzTreeOps reads op bytes as a sequence of Insert, Delete, UpdateConf and
+// GrowKeys and checks the tree against BruteForce over the surviving items,
+// and its locator against its leaves, after every op. The seeds below run
+// under plain go test.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("\x00\x10\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x03\xff\x00\x16\x02\x00\x02\x00\x02\x00"))
@@ -300,7 +318,19 @@ func FuzzTreeOps(f *testing.F) {
 			return int(b)
 		}
 		for ref := 0; len(ops) > 0 && ref < 400; ref++ {
-			switch op := next(); op % 4 {
+			op := next()
+			kind := op % 4
+			if kind == 1 && (len(alive) == 0 || op&0x10 == 0) {
+				kind = 0 // an insert
+			}
+			switch kind {
+			case 1:
+				it := &alive[next()%len(alive)]
+				it.Conf = 1 - float64(op)/255
+				if !tree.UpdateConf(it.Ref, it.Conf) {
+					t.Fatalf("UpdateConf(ref %d) found nothing", it.Ref)
+				}
+				requireConfs(t, tree, alive)
 			case 2:
 				if len(alive) == 0 {
 					continue
@@ -331,6 +361,7 @@ func FuzzTreeOps(f *testing.F) {
 				alive = append(alive, it)
 			}
 			checkInvariants(t, tree, !deleted)
+			checkLocator(t, tree)
 			q := bitkey.NewPatternKey(ckLen, rkLen)
 			q.CK.Set(1 + next()%ckLen)
 			q.CK.Set(1 + next()%ckLen)

@@ -18,6 +18,14 @@
 // words come first and the consequence key's last, so the entry read as one
 // number, most significant word first, is the paper's concatenation with
 // the consequence key in front — the order a bulk load sorts by.
+//
+// The confidence lives in the leaf entry, as §V has it, and a rewrite goes
+// straight there: a ref → leaf locator, 8 bytes per ref, names the leaf that
+// holds each item, so UpdateConf scans one leaf instead of descending from
+// the root by key. The locator is built by the first UpdateConf and kept in
+// step by Insert, its splits and Delete; GrowKeys re-strides slabs but moves
+// no entry between nodes. It is never saved: a tree laid out from its shape
+// starts without one.
 package tpt
 
 import (
@@ -70,6 +78,12 @@ type Tree struct {
 	size         int
 	height       int
 	noIntersect  bool
+
+	// loc is the locator: loc[ref] is the leaf holding ref, nil for a ref
+	// the tree does not hold. It is built by the first UpdateConf — so a
+	// tree that is only built and searched never pays for it — and from
+	// then on kept in step by Insert, its splits and Delete.
+	loc []*node
 }
 
 // payload is what a leaf entry holds beside its key.
@@ -174,6 +188,7 @@ func (t *Tree) insert(n *node, pk []uint64, p payload) *node {
 	if n.leaf {
 		n.keys = append(n.keys, pk...)
 		n.items = append(n.items, p)
+		t.locate(p.ref, n)
 	} else {
 		i := t.chooseSubtree(n, pk)
 		bitkey.OrWords(t.key(n, i), pk)
@@ -278,6 +293,9 @@ func (t *Tree) split(n *node) *node {
 	}
 	right := t.pick(n, g2)
 	*n = *t.pick(n, g1)
+	for _, p := range right.items {
+		t.locate(p.ref, right)
+	}
 	return right
 }
 

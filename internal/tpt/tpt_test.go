@@ -138,6 +138,40 @@ func checkInvariants(t *testing.T, tree *Tree, minFill bool) {
 	}
 }
 
+// checkLocator holds the ref → leaf locator to the leaves: every item's ref
+// names the leaf entry carrying it, and no other ref names a leaf. A tree
+// without a locator gets one first, the way UpdateConf would build it, so
+// the ops after a test's first check run against a built locator.
+func checkLocator(t *testing.T, tree *Tree) {
+	t.Helper()
+	if tree.loc == nil {
+		tree.buildLocator()
+	}
+	items := 0
+	var rec func(n *node)
+	rec = func(n *node) {
+		for _, p := range n.items {
+			items++
+			if p.ref < 0 || p.ref >= len(tree.loc) || tree.loc[p.ref] != n {
+				t.Fatalf("ref %d sits in leaf %p, the locator does not name it", p.ref, n)
+			}
+		}
+		for _, child := range n.kids {
+			rec(child)
+		}
+	}
+	rec(tree.root)
+	located := 0
+	for _, n := range tree.loc {
+		if n != nil {
+			located++
+		}
+	}
+	if located != items {
+		t.Fatalf("the locator names %d leaves for %d items", located, items)
+	}
+}
+
 func TestEmptyTree(t *testing.T) {
 	tree := New(2, 5, Options{})
 	if tree.Len() != 0 || tree.Height() != 1 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hpm"
+	"hpm/internal/evalq"
 	"hpm/internal/parallel"
 	"hpm/internal/spatial"
 )
@@ -36,8 +37,14 @@ const indexVelWindow = 4
 
 // initFleetIndex builds s.index from s.opts.FleetIndex; nil disables.
 // Horizons default to the evaluator's buckets so fleet queries quantize to
-// the same grid the accuracy matrix is scored on.
+// the same grid the accuracy matrix is scored on. Both bucket by the first
+// bound at or above a horizon, so both must ascend strictly: the evaluator's
+// buckets are refused otherwise even without an index, and the index's
+// horizons must also fit spatial.MaxHorizons.
 func (s *Store) initFleetIndex() error {
+	if err := evalq.CheckBuckets(s.opts.Eval.Buckets); err != nil {
+		return fmt.Errorf("store: Eval.Buckets: %w", err)
+	}
 	fc := s.opts.FleetIndex
 	if fc == nil {
 		return nil
@@ -48,6 +55,9 @@ func (s *Store) initFleetIndex() error {
 	}
 	if len(cfg.Horizons) == 0 {
 		cfg.Horizons = append([]int(nil), s.opts.Eval.Buckets...)
+	}
+	if err := spatial.CheckHorizons(cfg.Horizons); err != nil {
+		return fmt.Errorf("store: FleetIndex.Horizons (Eval.Buckets when unset): %w", err)
 	}
 	s.index = spatial.New(cfg)
 	return nil
@@ -128,7 +138,20 @@ func (s *Store) indexUpdateLocked(obj *object) {
 	}
 	obj.idxEntries = entries
 	obj.idxLast, obj.idxVel, obj.idxClean = last, vel, true
-	s.index.Update(obj.id, entries)
+	if obj.slot == 0 {
+		obj.slot = s.index.Add(obj.id)
+	}
+	s.index.Set(obj.slot, entries)
+}
+
+// unindexLocked drops the object's fleet-index entries and frees its slot.
+// Called with obj.mu held for writing, once obj.removed is set, so no later
+// refresh re-adds it.
+func (s *Store) unindexLocked(obj *object) {
+	if s.index != nil {
+		s.index.Drop(obj.slot)
+		obj.slot = 0
+	}
 }
 
 // rebuildIndex recomputes every object's entries — restart recovery, where

@@ -288,3 +288,49 @@ func TestFleetQueryHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenRefusesBadHorizons: the index and the evaluator bucket a horizon
+// by the first bound at or above it, so Open refuses bounds that are not
+// positive and strictly ascending, and horizons the index cannot track in
+// its 64-bucket mask.
+func TestOpenRefusesBadHorizons(t *testing.T) {
+	many := make([]int, spatial.MaxHorizons+1)
+	for i := range many {
+		many[i] = i + 1
+	}
+	cases := []struct {
+		name           string
+		index, buckets []int
+		withIndex, ok  bool
+	}{
+		{"defaults", nil, nil, true, true},
+		{"index horizons ascending", []int{1, 2, 300}, nil, true, true},
+		{"index at the bucket limit", many[:spatial.MaxHorizons], nil, true, true},
+		{"index horizons unsorted", []int{10, 5, 20}, nil, true, false},
+		{"index horizons duplicated", []int{5, 10, 10}, nil, true, false},
+		{"index horizon zero", []int{0, 5}, nil, true, false},
+		{"index horizon negative", []int{-5, 5}, nil, true, false},
+		{"index over the bucket limit", many, nil, true, false},
+		{"eval buckets unsorted", nil, []int{20, 10}, false, false},
+		{"eval buckets duplicated", nil, []int{5, 5}, false, false},
+		{"eval buckets feeding the index past the limit", nil, many, true, false},
+		{"eval buckets past the limit, no index", nil, many, false, true},
+		{"eval buckets unsorted, index horizons set", []int{5, 10}, []int{10, 5}, true, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := Options{Config: hpm.Config{Period: 10}}
+			opts.Eval.Buckets = c.buckets
+			if c.withIndex {
+				opts.FleetIndex = &spatial.Config{CellSize: 50, Horizons: c.index}
+			}
+			s, err := Open(t.TempDir(), opts)
+			if err == nil {
+				s.Close()
+			}
+			if (err == nil) != c.ok {
+				t.Fatalf("Open: err = %v, want ok=%v", err, c.ok)
+			}
+		})
+	}
+}

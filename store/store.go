@@ -408,6 +408,9 @@ type object struct {
 	// without the id at hand (background train swaps, index refreshes)
 	// can address the fleet index. Immutable after creation.
 	id string
+	// slot is the object's handle in the fleet index, taken on its first
+	// index refresh (zero until then); written under mu's write lock.
+	slot spatial.Slot
 	// idxEntries and idxTqs are reusable scratch for the fleet-index
 	// refresh, touched only under mu's write lock.
 	idxEntries []spatial.Entry
@@ -1420,6 +1423,7 @@ func (s *Store) Remove(id string) error {
 	}
 	obj.mu.Lock()
 	obj.removed = true
+	s.unindexLocked(obj)
 	obj.mu.Unlock()
 	sh := s.shard(id)
 	sh.dirty.Store(true)
@@ -1428,12 +1432,6 @@ func (s *Store) Remove(id string) error {
 	// may already have re-created the id with a fresh object.
 	if sh.objects[id] == obj {
 		delete(sh.objects, id)
-		// Drop the fleet-index entries inside the shard critical section:
-		// any successor is created through this map after the delete, so
-		// its index updates cannot be wiped by this removal.
-		if s.index != nil {
-			s.index.Remove(id)
-		}
 	}
 	sh.mu.Unlock()
 	return nil
