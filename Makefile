@@ -73,9 +73,8 @@ bench-refresh:
 bench-eval:
 	$(GO) run ./cmd/hpmbench -experiment eval -json
 
-# Three-way ensemble accuracy: pattern vs markov vs motion per horizon,
-# plus measured adaptive routing against the best single path, on every
-# dataset. Regenerates BENCH_markov.json.
+# Three-way ensemble accuracy: pattern vs markov vs motion per horizon, on
+# every dataset. Regenerates BENCH_markov.json.
 bench-markov:
 	$(GO) run ./cmd/hpmbench -experiment markov -json
 

@@ -82,7 +82,6 @@ func main() {
 		evalHit  = flag.Float64("eval-hit-distance", 0, "distance within which a scored prediction counts as a hit (0 = default 30)")
 		evalRing = flag.Int("eval-ring", 0, "outstanding predictions kept per object awaiting truth (0 = default 64)")
 		drift    = flag.Float64("drift-threshold", 0, "mean-error EWMA above which an early retrain fires (0 = drift retraining off)")
-		adaptive = flag.Bool("adaptive-routing", false, "route each query to whichever path — pattern, markov or motion fallback — measurably leads at its horizon")
 
 		markovOrder = flag.Int("markov-order", 0, "max context length of the Markov next-region predictor (0 = default 3, negative = disable the markov path)")
 		markovMin   = flag.Int("markov-min-count", 0, "observations a region transition needs before the markov path will use it (0 = default 2)")
@@ -102,13 +101,10 @@ func main() {
 	if *shedPolicy != "priority" && *shedPolicy != "fair" {
 		log.Fatalf("hpmserve: -shed-policy %q: want priority or fair", *shedPolicy)
 	}
-	if !*fleetIndex {
-		// -index-cell shapes an index only -fleet-index builds.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "index-cell" {
-				log.Fatalf("hpmserve: -%s is set without -fleet-index: there is no index for it to shape", f.Name)
-			}
-		})
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := orphanFlag(set, *fleetIndex, *evalOff); err != nil {
+		log.Fatalf("hpmserve: %v", err)
 	}
 	faultHook, err := parseFault(*faultSpec)
 	if err != nil {
@@ -133,7 +129,6 @@ func main() {
 		WALNoSync:       !*walSync,
 		EvalDisabled:    *evalOff,
 		DriftThreshold:  *drift,
-		AdaptiveRouting: *adaptive,
 		DegradeAfter:    *degrade,
 		ProbeInterval:   *probeEvery,
 	}
@@ -175,6 +170,23 @@ func main() {
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+}
+
+// orphanFlag refuses a flag set on the command line that shapes something
+// another flag leaves out: -index-cell shapes an index only -fleet-index
+// builds, and the evaluator settings tune an evaluator -eval-off removes.
+func orphanFlag(set map[string]bool, fleetIndex, evalOff bool) error {
+	if !fleetIndex && set["index-cell"] {
+		return errors.New("-index-cell is set without -fleet-index: there is no index for it to shape")
+	}
+	if evalOff {
+		for _, name := range []string{"drift-threshold", "eval-hit-distance", "eval-ring"} {
+			if set[name] {
+				return fmt.Errorf("-%s is set with -eval-off: there is no evaluator for it to tune", name)
+			}
+		}
+	}
+	return nil
 }
 
 // parseFault turns an op:n spec into a FailN hook: the first n hits of

@@ -314,7 +314,7 @@ func (p *Predictor) PredictBatch(recent []TimedPoint, tqs []int, k int) ([][]Pre
 // baseline the paper's accuracy figures compare against — PathMarkov the
 // region-transition chain (motion when it declines), PathForward or
 // PathBackward the pattern dispatch, exactly Predict. Exposed so callers can
-// shadow-score each path online.
+// score each path on its own, as the per-path accuracy experiments do.
 func (p *Predictor) PredictVia(route Path, recent []TimedPoint, tq, k int) ([]Prediction, error) {
 	return p.model.PredictVia(route, recent, tq, k)
 }

@@ -64,9 +64,6 @@ func (m *Model) foldMarkov(subs []trajectory.SubTrajectory) {
 	}
 }
 
-// MarkovEnabled reports whether the chain path is attached.
-func (m *Model) MarkovEnabled() bool { return m.chain != nil }
-
 // MarkovObserve folds one acknowledged observation into the chain: the
 // point is located against the frequent-region table at its period
 // offset and, when it falls inside a region, recorded as a chain visit.

@@ -15,9 +15,7 @@
 // An exponentially weighted moving average of recent error per object
 // doubles as a drift detector (NLPMM's observation that movement
 // patterns go stale): the store retrains an object early when its EWMA
-// crosses a threshold, and an adaptive mode routes each query to the
-// path (pattern, Markov chain, or fallback) measured best per
-// horizon-bucket — BestPath's N-way argmax.
+// crosses a threshold.
 package evalq
 
 import (
@@ -47,27 +45,6 @@ const (
 	DefaultRingSize    = 64
 	DefaultHitDistance = 30 // the paper's Eps: within one region radius
 	DefaultEWMAAlpha   = 0.1
-	// DefaultRouteAlpha smooths the per-cell recency EWMAs BestPath routes
-	// by: a few dozen scored predictions to largely forget an old regime,
-	// so a path that decays (or a model that improves mid-stream) loses or
-	// wins the route within a bounded number of scores instead of being
-	// pinned by lifetime averages.
-	DefaultRouteAlpha = 1.0 / 32
-	// DefaultRouteHitMargin / DefaultRouteErrMargin gate a TAKEOVER: a
-	// challenger takes the route from the dispatch default only when its
-	// recent hit rate leads by more than the hit margin (absolute), or —
-	// within the hit margin — its recent error is lower by more than the
-	// relative error margin. The margins are deliberately wide, because an
-	// EWMA of a hit indicator fluctuates by several points and a takeover
-	// inside that noise band is pure lag-chasing: the route switches to a
-	// path right after its good stretch, in time for the bad one. Wide
-	// margins alone would also be wrong — a real but moderate lead (say
-	// eight points of hit rate, inside the margin) would flicker on
-	// tie-breaks forever — so takeover is asymmetric with RELEASE: once a
-	// challenger holds the route it keeps it while merely ahead of the
-	// default outright, no margin (BestPath's sticky incumbency).
-	DefaultRouteHitMargin = 0.10
-	DefaultRouteErrMargin = 0.20
 )
 
 // DefaultBuckets are the horizon bucket upper bounds, chosen to straddle
@@ -89,16 +66,6 @@ type Config struct {
 	Buckets []int
 	// EWMAAlpha is the smoothing factor of the recent-error EWMA.
 	EWMAAlpha float64
-	// RouteAlpha is the smoothing factor of the per-cell recency EWMAs
-	// (hit rate and error) that BestPath routes by.
-	RouteAlpha float64
-	// RouteHitMargin and RouteErrMargin are BestPath's takeover
-	// hysteresis: the recent-hit-rate lead (absolute) or, within it, the
-	// relative recent-error reduction a challenger needs to take the
-	// route from the dispatch default. Holding the route needs no margin
-	// — see BestPath.
-	RouteHitMargin float64
-	RouteErrMargin float64
 }
 
 // WithDefaults fills zero fields with the package defaults.
@@ -114,15 +81,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
 		c.EWMAAlpha = DefaultEWMAAlpha
-	}
-	if c.RouteAlpha <= 0 || c.RouteAlpha > 1 {
-		c.RouteAlpha = DefaultRouteAlpha
-	}
-	if c.RouteHitMargin <= 0 {
-		c.RouteHitMargin = DefaultRouteHitMargin
-	}
-	if c.RouteErrMargin <= 0 {
-		c.RouteErrMargin = DefaultRouteErrMargin
 	}
 	return c
 }
@@ -168,19 +126,6 @@ type Cell struct {
 	ErrorSum float64 // total error distance, for mean error
 }
 
-// recentCell is the recency view of one horizon-bucket × path cell: EWMAs
-// of the hit indicator and the error distance, updated at score time.
-// Routing reads these instead of the lifetime counters in Cell, because a
-// route decision is about how a path performs NOW — a model that improved
-// after a retrain, or a chain that went stale past its window, should win
-// or lose the route within ~1/RouteAlpha scores, not after it outweighs
-// its whole history.
-type recentCell struct {
-	hit float64 // EWMA of the hit indicator: recent hit rate
-	err float64 // EWMA of the error distance: recent mean error
-	set bool
-}
-
 // pending is one outstanding prediction awaiting its ground truth.
 type pending struct {
 	tq     int // absolute query timestamp
@@ -195,13 +140,11 @@ type pending struct {
 type Tracker struct {
 	cfg Config
 
-	mu     sync.Mutex
-	ring   []pending // capacity cfg.RingSize, FIFO from start
-	start  int
-	count  int
-	cells  []Cell       // NumBuckets × NumPaths, bucket-major
-	recent []recentCell // same shape: the recency view routing reads
-	route  []Path       // per bucket: challenger holding the route, or routeNone
+	mu    sync.Mutex
+	ring  []pending // capacity cfg.RingSize, FIFO from start
+	start int
+	count int
+	cells []Cell // NumBuckets × NumPaths, bucket-major
 
 	ewma       float64
 	ewmaSet    bool
@@ -213,25 +156,14 @@ type Tracker struct {
 	evicted  uint64 // ring entries dropped to make room
 }
 
-// routeNone marks a bucket whose route is with the dispatch default —
-// no challenger holds it. (Path is unsigned; NumPaths is out of range
-// for any real path.)
-const routeNone = NumPaths
-
 // New returns a tracker with cfg (zero fields defaulted).
 func New(cfg Config) *Tracker {
 	cfg = cfg.WithDefaults()
-	t := &Tracker{
-		cfg:    cfg,
-		ring:   make([]pending, cfg.RingSize),
-		cells:  make([]Cell, cfg.NumBuckets()*int(NumPaths)),
-		recent: make([]recentCell, cfg.NumBuckets()*int(NumPaths)),
-		route:  make([]Path, cfg.NumBuckets()),
+	return &Tracker{
+		cfg:   cfg,
+		ring:  make([]pending, cfg.RingSize),
+		cells: make([]Cell, cfg.NumBuckets()*int(NumPaths)),
 	}
-	for i := range t.route {
-		t.route[i] = routeNone
-	}
-	return t
 }
 
 // Config returns the tracker's normalized configuration.
@@ -243,13 +175,9 @@ func (t *Tracker) Config() Config { return t.cfg }
 // the oldest outstanding prediction is evicted.
 //
 // A prediction identical to one already outstanding — same timestamp,
-// path and predicted location — is dropped: it is the same measurement,
-// and scoring it twice would double that path's weight in the routing
-// matrix. Without this, a path holding the route gets measured by both
-// its routed traffic and its shadow call each instant, accumulating
-// samples at twice its rivals' rate — so in a worsening regime the
-// incumbent's averages degrade twice as fast purely because it is the
-// incumbent, and routing plays hot-potato between paths.
+// path and predicted location — is dropped: it is the same measurement.
+// A client polling one answer (the same query repeated before the next
+// observation) must not weight that cell of the matrix more than once.
 func (t *Tracker) Record(now, tq int, path Path, loc geom.Point) {
 	if tq <= now {
 		return
@@ -303,21 +231,11 @@ func (t *Tracker) Observe(base int, pts []geom.Point) (scored int, ewma float64,
 			t.expired++
 		default:
 			err := p.loc.Dist(pts[p.tq-base])
-			idx := p.bucket*int(NumPaths) + int(p.path)
-			cell := &t.cells[idx]
+			cell := &t.cells[p.bucket*int(NumPaths)+int(p.path)]
 			cell.Attempts++
 			cell.ErrorSum += err
-			hit := 0.0
 			if err <= t.cfg.HitDistance {
 				cell.Hits++
-				hit = 1
-			}
-			rc := &t.recent[idx]
-			if rc.set {
-				rc.hit += t.cfg.RouteAlpha * (hit - rc.hit)
-				rc.err += t.cfg.RouteAlpha * (err - rc.err)
-			} else {
-				rc.hit, rc.err, rc.set = hit, err, true
 			}
 			if t.ewmaSet {
 				t.ewma += t.cfg.EWMAAlpha * (err - t.ewma)
@@ -339,123 +257,6 @@ func (t *Tracker) ResetEWMA() {
 	t.mu.Lock()
 	t.ewma, t.ewmaSet, t.sinceReset = 0, false, 0
 	t.mu.Unlock()
-}
-
-// BestPath returns the candidate path measured best at this horizon.
-// candidates[0] is the dispatch default — the paper's pattern path — and
-// the decision is an asymmetric hysteresis over the per-bucket recency
-// EWMAs (not the lifetime counters, so a path's win or loss follows
-// regime changes within ~1/RouteAlpha scores):
-//
-//   - TAKEOVER, hit branch: a challenger with at least minSamples scored
-//     predictions whose recent hit rate leads the default's by more than
-//     the hit margin takes the route. A hit-rate lead that clears a wide
-//     margin is a strong signal on its own — sustained regime changes (a
-//     chain that learned the stream, a pattern model gone stale) show up
-//     exactly here.
-//   - TAKEOVER, error branch: within the hit margin, a challenger whose
-//     recent error is lower by more than the relative error margin takes
-//     the route only when its lifetime record corroborates the lead
-//     (corroborates). The error EWMA is the noise-prone signal: smooth
-//     and heavy-tailed, its excursions past the margin linger for
-//     ~1/RouteAlpha scores — long enough to capture the route for a
-//     damaging stretch — so this branch alone must also win on counters
-//     an excursion cannot move.
-//   - RELEASE: the challenger currently holding the route keeps it while
-//     merely ahead of the default on recency alone, margin- and
-//     corroboration-free (betterRaw), and returns the route the moment
-//     it falls behind. Moving traffic off the paper's default dispatch
-//     demands strong evidence; moving it back is deliberately cheap.
-//
-// The asymmetry is the point. Symmetric wide margins make a real-but-
-// moderate lead (inside the margin) flicker on tie-breaks, switching to
-// the challenger right after its good stretch — lag-chasing that can
-// score worse than either fixed path. Symmetric narrow margins let noise
-// take the route from a clearly better default. Rare, corroborated
-// takeover plus cheap release keeps both failure modes out.
-func (t *Tracker) BestPath(horizon int, candidates []Path, minSamples uint64) Path {
-	if len(candidates) == 0 {
-		return PathForward
-	}
-	def := candidates[0]
-	b := t.cfg.Bucket(horizon)
-	idx := func(p Path) int { return b*int(NumPaths) + int(p) }
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cells[idx(def)].Attempts < minSamples {
-		t.route[b] = routeNone
-		return def
-	}
-	defRC := t.recent[idx(def)]
-	if cur := t.route[b]; cur != routeNone && cur != def {
-		held := false
-		for _, p := range candidates[1:] {
-			if p == cur {
-				held = true
-				break
-			}
-		}
-		if held && t.cells[idx(cur)].Attempts >= minSamples {
-			if rc := t.recent[idx(cur)]; rc.set && t.betterRaw(rc, defRC) {
-				return cur
-			}
-		}
-		t.route[b] = routeNone
-	}
-	best, bestRC, bestCell := def, defRC, t.cells[idx(def)]
-	for _, p := range candidates[1:] {
-		c := t.cells[idx(p)]
-		if c.Attempts < minSamples {
-			continue
-		}
-		rc := t.recent[idx(p)]
-		take := rc.hit > bestRC.hit+t.cfg.RouteHitMargin
-		if !take && rc.hit >= bestRC.hit-t.cfg.RouteHitMargin {
-			take = rc.err < bestRC.err*(1-t.cfg.RouteErrMargin) && t.corroborates(c, bestCell)
-		}
-		if take {
-			best, bestRC, bestCell = p, rc, c
-		}
-	}
-	if best != def {
-		t.route[b] = best
-	}
-	return best
-}
-
-// corroborates reports whether challenger a's lifetime record backs its
-// recent lead over incumbent b: a lifetime hit rate ahead beyond the hit
-// margin, or within it and a lower lifetime mean error. A noise
-// excursion in the recency EWMAs cannot move these.
-func (t *Tracker) corroborates(a, b Cell) bool {
-	if a.Attempts == 0 || b.Attempts == 0 {
-		return false
-	}
-	ah := float64(a.Hits) / float64(a.Attempts)
-	bh := float64(b.Hits) / float64(b.Attempts)
-	if ah > bh+t.cfg.RouteHitMargin {
-		return true
-	}
-	if ah < bh-t.cfg.RouteHitMargin {
-		return false
-	}
-	return a.ErrorSum*float64(b.Attempts) < b.ErrorSum*float64(a.Attempts)
-}
-
-// betterRaw is the hold comparison for a route-holding challenger: the
-// same shape as the takeover test but with no error margin — ahead on
-// recent hit rate beyond the hit margin, or within it and ahead on raw
-// recent error. The hit margin still frames the tie window here so that
-// a challenger that took the route on the error tie-break is held by the
-// same yardstick, instead of being released over an epsilon of hit rate.
-func (t *Tracker) betterRaw(a, b recentCell) bool {
-	if a.hit > b.hit+t.cfg.RouteHitMargin {
-		return true
-	}
-	if a.hit < b.hit-t.cfg.RouteHitMargin {
-		return false
-	}
-	return a.err < b.err
 }
 
 // Totals are a tracker's scalar counters.
@@ -503,12 +304,6 @@ type CellSnapshot struct {
 	HitRate   float64 `json:"hitRate"`
 	MeanError float64 `json:"meanError"`
 	ErrorSum  float64 `json:"errorSum"`
-	// The recency view BestPath routes by: EWMAs of the hit indicator and
-	// error distance. Populated by a single tracker's Snapshot; a fleet
-	// aggregate (Summarize over Agg) has no meaningful merged EWMA and
-	// leaves them zero.
-	RecentHitRate   float64 `json:"recentHitRate,omitempty"`
-	RecentMeanError float64 `json:"recentMeanError,omitempty"`
 }
 
 // Summary is a complete evaluation snapshot: totals, the drift signal,
@@ -532,7 +327,6 @@ func Summarize(cfg Config, a Agg) Summary {
 func (t *Tracker) Snapshot() Summary {
 	t.mu.Lock()
 	cells := append([]Cell(nil), t.cells...)
-	recent := append([]recentCell(nil), t.recent...)
 	s := Summary{
 		Totals: Totals{
 			Outstanding: t.count,
@@ -545,10 +339,6 @@ func (t *Tracker) Snapshot() Summary {
 	}
 	t.mu.Unlock()
 	s.Cells = snapshotCells(t.cfg, cells)
-	for i := range s.Cells {
-		s.Cells[i].RecentHitRate = recent[i].hit
-		s.Cells[i].RecentMeanError = recent[i].err
-	}
 	return s
 }
 

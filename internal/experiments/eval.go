@@ -53,9 +53,8 @@ func evalDataset(kind datagen.Kind, o Options) []Figure {
 
 	tr := datagen.Generate(spec)
 	st, err := store.New(store.Options{
-		Config:              hpm.Config{Period: spec.Period},
-		MinTrainPeriods:     sz.trainSubs,
-		SynchronousTraining: true,
+		Config:          hpm.Config{Period: spec.Period},
+		MinTrainPeriods: sz.trainSubs,
 		Eval: evalq.Config{
 			// Every sampled instant parks 2×len(horizons) answers and the
 			// longest waits ~200 timestamps for truth; size the ring so
@@ -71,6 +70,9 @@ func evalDataset(kind datagen.Kind, o Options) []Figure {
 
 	id := kind.String()
 	if err := st.ObserveBatch(id, tr.Slice(0, sz.trainSubs*spec.Period)); err != nil {
+		panic(fmt.Sprintf("experiments: eval train: %v", err))
+	}
+	if err := st.Flush(); err != nil {
 		panic(fmt.Sprintf("experiments: eval train: %v", err))
 	}
 

@@ -941,9 +941,9 @@ func (e *Engine) motionFallback(q Query) ([]Prediction, error) {
 // PredictVia answers a query down one named route. It is the one place a
 // route becomes a procedure: PathFallback is FallbackQuery, PathMarkov is
 // MarkovQuery, and PathForward or PathBackward is the hybrid dispatch,
-// Predict, which picks FQP or BQP by the query's distance itself. The online
-// evaluator shadow-scores each route through it, and the store's adaptive
-// routing sends a query down whichever route measures best at its horizon.
+// Predict, which picks FQP or BQP by the query's distance itself. The store
+// answers every point query through it, so the evaluator can label each
+// answer with the route that was asked for.
 func (e *Engine) PredictVia(route Path, q Query) ([]Prediction, error) {
 	switch route {
 	case PathFallback:

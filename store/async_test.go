@@ -116,26 +116,6 @@ func TestCloseStopsScheduling(t *testing.T) {
 	}
 }
 
-// TestSynchronousTrainingMode: the opt-out keeps the old inline behavior —
-// the model is ready the moment ObserveBatch returns, no Flush needed.
-func TestSynchronousTrainingMode(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, SynchronousTraining: true})
-	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 34)
-	spec.Period = period
-	spec.SubTrajectories = 3
-	tr := hpm.GenerateDataset(spec)
-	if err := s.ObserveBatch("bike", tr.Points()); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Stats("bike")
-	if err != nil || !st.Trained {
-		t.Fatalf("synchronous mode not trained on return: %+v, %v", st, err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCatchUpAfterRetrain: periods that complete while a retrain is in
 // flight are absorbed by the post-swap catch-up, so Flush leaves the model
 // fully current.

@@ -125,7 +125,7 @@ func TestPredictObserveHammer(t *testing.T) {
 // predictor that is later retired by a retrain must still appear in the
 // object's stats afterwards.
 func TestStatsSurviveRetrain(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 1, SynchronousTraining: true})
+	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 1})
 	feed(t, s, "bike", 11, 3)
 	now, _ := s.Now("bike")
 	const before = 4
@@ -135,12 +135,15 @@ func TestStatsSurviveRetrain(t *testing.T) {
 		}
 	}
 
-	// One more period forces a synchronous retrain, swapping the predictor.
+	// One more period forces a retrain, swapping the predictor.
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 11)
 	spec.Period = period
 	spec.SubTrajectories = 4
 	more := hpm.GenerateDataset(spec).Slice(3*period, 4*period)
 	if err := s.ObserveBatch("bike", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 

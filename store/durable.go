@@ -141,8 +141,8 @@ func (s *Store) recoverModels() {
 	}
 	// Objects are independent here — each update touches only its own
 	// lock and the train pool's — so recovery fans out across the
-	// store's workers (synchronous-training errors land in the ring
-	// exactly as they would serially).
+	// store's workers (extend errors land in the ring exactly as they
+	// would serially).
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
 		obj.mu.Lock()

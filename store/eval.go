@@ -14,9 +14,8 @@ import (
 // whose query timestamp it covers. The resulting per-horizon × per-path
 // accuracy counters reproduce the paper's accuracy-vs-query-time figures
 // on live traffic, drive the drift-triggered early retrain
-// (Options.DriftThreshold) and the adaptive fallback routing
-// (Options.AdaptiveRouting), and surface through EvalStats, FleetStats
-// and serve's /metrics endpoint.
+// (Options.DriftThreshold), and surface through EvalStats, FleetStats and
+// serve's /metrics endpoint.
 
 // recordPrediction parks a query's top answer in the object's evaluator,
 // labeled with the ROUTE that served it — the path the query was sent
@@ -27,12 +26,11 @@ import (
 // route delivers, so it must score against the route's cell. Labeling by
 // answering path instead would condition each cell on "the path chose to
 // answer" — a sunny-day population that systematically overstates a
-// selective path, and routing built on it sends traffic to a path whose
-// declines it has never been charged for. (The engine's own per-path
-// query counters still count answering paths; that is the traffic view,
-// this is the routing view.) Called with obj.mu at least read-locked;
-// the tracker has its own lock, so concurrent queries record without
-// write-locking the object.
+// selective path. (The engine's own per-path query counters still count
+// answering paths; that is the traffic view, this is the per-route
+// accuracy view.) Called with obj.mu at least read-locked; the tracker
+// has its own lock, so concurrent queries record without write-locking
+// the object.
 func (s *Store) recordPrediction(obj *object, now, tq int, route evalq.Path, preds []hpm.Prediction, err error) {
 	if err != nil || len(preds) == 0 || obj.eval == nil {
 		return
@@ -88,37 +86,15 @@ func (s *Store) scoreLocked(obj *object, base int, pts []hpm.Point) {
 	obj.eval.ResetEWMA()
 	obj.driftRetrains++
 	s.driftRetrains.Add(1)
-	// Synchronous-training failures already land in the object's stats;
-	// an ingest should not fail because a quality-driven retrain did.
-	_ = s.startTrain(obj, completed)
+	s.scheduleTrain(obj, completed)
 }
 
-// routePath picks this query's answering path: the pattern path the
-// hybrid dispatch would use (FQP or BQP by horizon), unless adaptive
-// routing has measured another path — the Markov chain or the motion
-// fallback — strictly ahead at the query's horizon with enough samples.
-// Called with obj.mu at least read-locked and obj.predictor non-nil.
-func (s *Store) routePath(obj *object, now, tq int) evalq.Path {
-	pat := s.patternPath(obj, now, tq)
-	if !s.opts.AdaptiveRouting || obj.eval == nil || tq <= now {
-		return pat
-	}
-	min := uint64(s.opts.AdaptiveMinSamples)
-	if obj.predictor.Model().MarkovEnabled() {
-		return obj.eval.BestPath(tq-now, []evalq.Path{pat, evalq.PathMarkov, evalq.PathFallback}, min)
-	}
-	return obj.eval.BestPath(tq-now, []evalq.Path{pat, evalq.PathFallback}, min)
-}
-
-// PredictVia answers a query down one named route, ignoring adaptive
-// routing: PathFallback is the motion function alone, PathMarkov the region
-// chain (motion when it declines), PathForward or PathBackward the hybrid
-// pattern dispatch, which picks FQP or BQP by horizon itself. The answer is
-// parked and scored like any other, so shadow calls beside Predict fill every
-// column of the accuracy matrix — the per-path comparison the paper makes
-// offline, and the measurements adaptive routing decides by. Without them a
-// path that loses the real traffic once could never be measured winning
-// again.
+// PredictVia answers a query down one named route: PathFallback is the
+// motion function alone, PathMarkov the region chain (motion when it
+// declines), PathForward or PathBackward the hybrid pattern dispatch, which
+// picks FQP or BQP by horizon itself. The answer is parked and scored like
+// any other, so shadow calls beside Predict fill every column of the
+// accuracy matrix — the per-path comparison the paper makes offline.
 func (s *Store) PredictVia(id string, route evalq.Path, tq, k int) (preds []hpm.Prediction, err error) {
 	err = s.withRecent(context.Background(), id, func(obj *object, recent []hpm.TimedPoint, now int) error {
 		if err := checkHorizon(now, tq); err != nil {
@@ -170,7 +146,8 @@ type FleetStats struct {
 	TrainFailures uint64 `json:"trainFailures"`
 	DriftRetrains uint64 `json:"driftRetrains"`
 	// DriftSuppressed counts drift retrains the saturation valve skipped
-	// because the training pool's backlog exceeded MaxTrainBacklog.
+	// because the training pool's backlog reached trainBacklogPerWorker
+	// pending trains per worker.
 	DriftSuppressed uint64 `json:"driftSuppressed"`
 	// State mirrors Health: the degradation state machine's position, the
 	// failed-group-commit count, and completed degrade/recover cycles.

@@ -147,10 +147,7 @@ func TestEvalFallbackShadowScores(t *testing.T) {
 }
 
 func TestDriftTriggersEarlyRetrain(t *testing.T) {
-	s, _ := evalStore(t, Options{
-		SynchronousTraining: true,
-		DriftThreshold:      50,
-	})
+	s, _ := evalStore(t, Options{DriftThreshold: 50})
 	s.driftMinScores = 3
 	// Serve a prediction, then contradict it hard: truth teleports far
 	// from anything the model learned, so every scored error is huge and
@@ -168,6 +165,9 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	st, err := s.Stats("bike")
 	if err != nil {
 		t.Fatal(err)
@@ -177,45 +177,6 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 	}
 	if fs := s.FleetStats(); fs.DriftRetrains == 0 {
 		t.Error("fleet drift counter did not move")
-	}
-}
-
-func TestAdaptiveRoutingPrefersMeasuredWinner(t *testing.T) {
-	s, _ := evalStore(t, Options{AdaptiveRouting: true, AdaptiveMinSamples: 3})
-	obj, err := s.get("bike", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, _ := s.Now("bike")
-	tq := now + 2 // near horizon: the forward path would answer
-	obj.mu.RLock()
-	routed := s.routePath(obj, now, tq)
-	obj.mu.RUnlock()
-	if routed == evalq.PathFallback {
-		t.Fatal("routed to fallback with no measurements")
-	}
-
-	// Seed the evaluator with a losing forward path and a winning
-	// fallback at this horizon (synthetic timestamps far past the track
-	// keep these entries from colliding with real scoring).
-	for i := 0; i < 5; i++ {
-		base := 100000 * (i + 1)
-		obj.eval.Record(base, base+2, evalq.PathForward, hpm.Pt(9999, 9999))
-		obj.eval.Record(base, base+2, evalq.PathFallback, hpm.Pt(0, 0))
-		obj.eval.Observe(base+1, []hpm.Point{hpm.Pt(0, 0), hpm.Pt(0, 0)})
-	}
-	obj.mu.RLock()
-	routed = s.routePath(obj, now, tq)
-	obj.mu.RUnlock()
-	if routed != evalq.PathFallback {
-		t.Fatal("measured losing forward path not routed to fallback")
-	}
-	preds, err := s.Predict("bike", tq, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) == 0 || preds[0].Path != hpm.PathFallback {
-		t.Errorf("adaptive Predict did not answer via fallback: %+v", preds)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestMarkovRebuiltFromEmptyChain(t *testing.T) {
 }
 
 // TestMarkovDisabledOmitsPath: a store configured with a negative markov
-// order must neither fold a chain nor offer the path to routing.
+// order must neither fold a chain nor answer down the markov route.
 func TestMarkovDisabledOmitsPath(t *testing.T) {
 	s := testStore(t, Options{
 		Config:          hpm.Config{Period: period, MarkovOrder: -1},

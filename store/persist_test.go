@@ -273,7 +273,6 @@ func TestOpenUsesCallersOptions(t *testing.T) {
 		MinTrainPeriods: 5,
 		RetrainEvery:    4,
 		DriftThreshold:  50,
-		AdaptiveRouting: true,
 		DegradeAfter:    11,
 		ProbeInterval:   3 * time.Second,
 		WALNoSync:       true,

@@ -11,19 +11,18 @@ import (
 )
 
 // incrementalOpts is the standard configuration for the model-update
-// tests: inline trains, so every completed period's effect is visible as
-// soon as its observe returns.
+// tests.
 func incrementalOpts() Options {
 	return Options{
-		Config:              hpm.Config{Period: period},
-		MinTrainPeriods:     3,
-		SynchronousTraining: true,
+		Config:          hpm.Config{Period: period},
+		MinTrainPeriods: 3,
 	}
 }
 
 // streamPeriods feeds periods [from, to) of a dataset into the store in
 // per-period batches, so every completed period triggers the update
-// policy exactly as a live stream would.
+// policy exactly as a live stream would, and flushes after each, so every
+// period's effect — a train included — is visible before the next.
 func streamPeriods(t testing.TB, s *Store, id string, seed int64, from, to int) {
 	t.Helper()
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, seed)
@@ -34,9 +33,9 @@ func streamPeriods(t testing.TB, s *Store, id string, seed int64, from, to int) 
 		if err := s.ObserveBatch(id, pts[p*period:(p+1)*period]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -86,6 +85,9 @@ func TestTrainPolicy(t *testing.T) {
 						far[i] = hpm.Pt(50000+float64(i), 50000)
 					}
 					if err := s.ObserveBatch("bike", far); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Flush(); err != nil {
 						t.Fatal(err)
 					}
 				} else {

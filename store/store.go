@@ -47,12 +47,6 @@ type Options struct {
 	// MaxRecent is the recent-movement window handed to queries. Values
 	// <= 0 default to DefaultMaxRecent.
 	MaxRecent int
-	// SynchronousTraining runs full (re)trains inline on the observing
-	// goroutine, as the store did before background training existed.
-	// Useful for benchmark baselines and for callers that want train
-	// errors returned directly from ObserveBatch. Synchronous trains are
-	// not retried; the error goes straight back to the caller.
-	SynchronousTraining bool
 	// WALNoSync skips the per-commit fsync of a durable store's
 	// write-ahead log, trading the zero-acknowledged-loss crash guarantee
 	// for ingest throughput (a crash may lose records the OS had not yet
@@ -70,17 +64,9 @@ type Options struct {
 	// an object's error EWMA exceeds it (and at least DefaultDriftMinScores
 	// predictions were scored since the last reset, so one bad prediction
 	// after a retrain cannot immediately re-fire). 0 disables drift
-	// detection — the default.
+	// detection — the default. The EWMA is the evaluator's, so New refuses
+	// a positive threshold with EvalDisabled.
 	DriftThreshold float64
-	// AdaptiveRouting answers a Predict with the motion fallback directly
-	// when the evaluator has measured the dispatched pattern path (FQP or
-	// BQP) behind the fallback at the query's horizon — the paper's
-	// hybrid dispatch, closed-loop on live accuracy. Off by default.
-	AdaptiveRouting bool
-	// AdaptiveMinSamples is the per-cell sample floor before adaptive
-	// routing trusts a comparison. Values <= 0 default to
-	// DefaultAdaptiveMinSamples.
-	AdaptiveMinSamples int
 	// DegradeAfter is how many consecutive WAL fsync failures flip a
 	// durable store into degraded read-only mode. A failed segment write
 	// (torn tail) or ENOSPC degrades immediately regardless. Values <= 0
@@ -100,11 +86,10 @@ type Options struct {
 
 // Defaults for Options fields left at their zero value.
 const (
-	DefaultMinTrainPeriods    = 5
-	DefaultMaxRecent          = 10
-	DefaultAdaptiveMinSamples = 20
-	DefaultDegradeAfter       = 3
-	DefaultProbeInterval      = 500 * time.Millisecond
+	DefaultMinTrainPeriods = 5
+	DefaultMaxRecent       = 10
+	DefaultDegradeAfter    = 3
+	DefaultProbeInterval   = 500 * time.Millisecond
 )
 
 // Training policy with one value in use, so not Options.
@@ -153,9 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = DefaultProbeInterval
-	}
-	if o.AdaptiveMinSamples <= 0 {
-		o.AdaptiveMinSamples = DefaultAdaptiveMinSamples
 	}
 	o.Config.SubTrajectories = 0
 	return o
@@ -207,8 +189,8 @@ func checkHorizon(now int, tqs ...int) error {
 // Store tracks many objects. All methods are safe for concurrent use.
 //
 // Full (re)trains are expensive — region discovery, pattern mining and an
-// index rebuild over the whole history — so by default they run on a
-// bounded background pool instead of the observing goroutine: ObserveBatch
+// index rebuild over the whole history — so they run on a bounded
+// background pool instead of the observing goroutine: ObserveBatch
 // snapshots the completed-period prefix, hands it to a trainer, and
 // returns; the object's previous predictor (if any) keeps answering
 // queries until the freshly trained one is swapped in under the object's
@@ -425,10 +407,14 @@ type object struct {
 	idxClean bool
 }
 
-// New returns an empty store. Config.Period must be positive.
+// New returns an empty store. Config.Period must be positive, and a
+// DriftThreshold needs the evaluator (no EvalDisabled).
 func New(opts Options) (*Store, error) {
 	if opts.Config.Period <= 0 {
 		return nil, errors.New("store: Options.Config.Period must be positive")
+	}
+	if opts.EvalDisabled && opts.DriftThreshold > 0 {
+		return nil, errors.New("store: Options.DriftThreshold is set with EvalDisabled: drift is the evaluator's error EWMA, so it would never fire")
 	}
 	s := &Store{
 		opts:           opts.withDefaults(),
@@ -513,8 +499,8 @@ func (s *Store) get(id string, create bool) (*object, error) {
 // Observe appends the object's location at its next timestamp (locations
 // arrive in order, one per tick). Crossing a period boundary may trigger a
 // model update: incremental extends run inline, while the first train and
-// periodic retrains are handed to the background pool (unless
-// SynchronousTraining is set) — use Flush to wait for them.
+// periodic retrains are handed to the background pool — use Flush to wait
+// for them.
 func (s *Store) Observe(id string, loc hpm.Point) error {
 	return s.ObserveBatch(id, []hpm.Point{loc})
 }
@@ -535,9 +521,9 @@ type Observation struct {
 // durable store the whole batch is staged into a single WAL group commit —
 // one write, one fsync, no matter how many objects it spans — and a nil
 // return means every observation is on disk (in sync mode). Repeated ids
-// are merged in order. Model-update errors (synchronous training) are
-// joined and returned after every point has been applied; the points
-// themselves are durable and acknowledged even then.
+// are merged in order. Extend errors are joined and returned after every
+// point has been applied; the points themselves are durable and
+// acknowledged even then. Train errors surface through Flush.
 func (s *Store) ObserveAll(batch []Observation) error {
 	return s.ObserveAllContext(context.Background(), batch)
 }
@@ -625,8 +611,8 @@ acquire:
 	// The snapshot gate spans commit through apply + dirty mark, so a
 	// checkpoint that rotated the WAL cannot collect the dirty set while a
 	// record sits durable-but-unapplied in a segment it is about to
-	// reclaim. Released before scoring and the model update: extends and
-	// synchronous trains must not extend the checkpoint's barrier wait.
+	// reclaim. Released before scoring and the model update: extends must
+	// not extend the checkpoint's barrier wait.
 	s.snapGate.RLock()
 	if s.wal != nil {
 		// Track mutation requires ingestMu, so the offsets read here are
@@ -727,17 +713,18 @@ func (s *Store) maybeUpdate(obj *object) error {
 	period := s.opts.Config.Period
 	completed := (obj.base + len(obj.track)) / period
 	if obj.predictor == nil {
-		if completed < s.opts.MinTrainPeriods {
-			return nil
+		if completed >= s.opts.MinTrainPeriods {
+			s.scheduleTrain(obj, completed)
 		}
-		return s.startTrain(obj, completed)
+		return nil
 	}
 	newPeriods := completed - obj.modeled
 	if newPeriods <= 0 {
 		return nil
 	}
 	if s.opts.RetrainEvery > 0 && obj.sinceRetrain+newPeriods >= s.opts.RetrainEvery {
-		return s.startTrain(obj, completed)
+		s.scheduleTrain(obj, completed)
+		return nil
 	}
 	start := time.Now()
 	res, err := obj.predictor.Extend(obj.track[obj.modeled*period-obj.base : completed*period-obj.base])
@@ -793,25 +780,6 @@ func (s *Store) trimLocked(obj *object) {
 	obj.base = cut
 }
 
-// startTrain fully (re)trains obj over its first completed periods: on the
-// background pool, or under SynchronousTraining inline and without retries
-// (the caller gets the error directly). Called with obj.mu held.
-func (s *Store) startTrain(obj *object, completed int) error {
-	if !s.opts.SynchronousTraining {
-		s.scheduleTrain(obj, completed)
-		return nil
-	}
-	p, err := s.trainGuarded(obj.track[:completed*s.opts.Config.Period-obj.base])
-	if err != nil {
-		err = fmt.Errorf("store: train: %w", err)
-		obj.trainFails++
-		obj.lastTrainErr = err
-		return err
-	}
-	s.installLocked(obj, p, completed)
-	return nil
-}
-
 // trainGuarded trains a predictor off pts under the worker semaphore,
 // converting panics into errors: one poisoned track must never take down
 // the whole fleet's process.
@@ -836,12 +804,12 @@ func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 	return p, err
 }
 
-// installLocked puts a freshly trained predictor in service, for inline and
-// background trains alike: it banks the retired predictor's query counters
-// so per-object stats survive the swap, trims, marks the shard dirty and
-// re-folds the Markov chain from the retained track — the fresh model
-// folded its chain in the training prefix's time basis, not the absolute
-// clock every later MarkovObserve uses. Called with obj.mu write-locked.
+// installLocked puts a freshly trained predictor in service: it banks the
+// retired predictor's query counters so per-object stats survive the swap,
+// trims, marks the shard dirty and re-folds the Markov chain from the
+// retained track — the fresh model folded its chain in the training
+// prefix's time basis, not the absolute clock every later MarkovObserve
+// uses. Called with obj.mu write-locked.
 func (s *Store) installLocked(obj *object, p *hpm.Predictor, completed int) {
 	if obj.predictor != nil {
 		obj.queries = obj.queries.Add(obj.predictor.QueryStats())
@@ -1029,7 +997,7 @@ func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds
 		if err := checkHorizon(now, tq); err != nil {
 			return err
 		}
-		preds, err = s.predictLocked(obj, s.routePath(obj, now, tq), recent, now, tq, k)
+		preds, err = s.predictLocked(obj, s.patternPath(obj, now, tq), recent, now, tq, k)
 		return err
 	})
 	return preds, err
@@ -1050,7 +1018,7 @@ func (s *Store) PredictAheadContext(ctx context.Context, id string, horizon, k i
 	}
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
 		tq = now + horizon
-		preds, err = s.predictLocked(obj, s.routePath(obj, now, tq), recent, now, tq, k)
+		preds, err = s.predictLocked(obj, s.patternPath(obj, now, tq), recent, now, tq, k)
 		return err
 	})
 	return tq, preds, err
@@ -1077,9 +1045,8 @@ func (s *Store) withRecent(ctx context.Context, id string, fn func(obj *object, 
 }
 
 // predictLocked answers one point query along route and parks the answer
-// under it (fall-throughs included), so the routing measurements keep
-// charging the chosen route for what it actually delivered. Called with
-// obj.mu read-locked.
+// under it (fall-throughs included), so each route's cell is charged for
+// what it actually delivered. Called with obj.mu read-locked.
 func (s *Store) predictLocked(obj *object, route evalq.Path, recent []hpm.TimedPoint, now, tq, k int) ([]hpm.Prediction, error) {
 	preds, err := obj.predictor.PredictVia(route, recent, tq, k)
 	s.recordPrediction(obj, now, tq, route, preds, err)

@@ -44,9 +44,36 @@ func feed(t testing.TB, s *Store, id string, seed int64, periods int) *hpm.Traje
 	return tr
 }
 
+// TestNewValidation: New and Open refuse options that cannot work — no
+// period, or a drift threshold with the evaluator whose error EWMA it reads
+// turned off — and accept each half of the refused pair alone.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
-		t.Error("zero period accepted")
+	cfg := hpm.Config{Period: period}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		refused bool
+	}{
+		{"zero period", Options{}, true},
+		{"drift without evaluator", Options{Config: cfg, EvalDisabled: true, DriftThreshold: 50}, true},
+		{"evaluator off", Options{Config: cfg, EvalDisabled: true}, false},
+		{"drift", Options{Config: cfg, DriftThreshold: 50}, false},
+	} {
+		for _, open := range []struct {
+			name string
+			fn   func(Options) (*Store, error)
+		}{
+			{"New", New},
+			{"Open", func(o Options) (*Store, error) { return Open(t.TempDir(), o) }},
+		} {
+			s, err := open.fn(tc.opts)
+			if err == nil {
+				s.Close()
+			}
+			if (err != nil) != tc.refused {
+				t.Errorf("%s, %s: err %v, want refused %v", open.name, tc.name, err, tc.refused)
+			}
+		}
 	}
 }
 
@@ -258,12 +285,12 @@ func TestStatsIncludeQueryCounters(t *testing.T) {
 // training regimes were collapsed into one policy, 22 before the worker
 // counts and the policy knobs nothing set became constants, 16 before the
 // shard count became part of the on-disk format, 15 before the forced full
-// rewrite that changed no byte went. A new field
-// needs two callers that want different values — and then this number
-// moves.
+// rewrite that changed no byte went, 14 before adaptive routing and inline
+// training went. A new field needs two callers that want different values
+// — and then this number moves.
 func TestOptionsBudget(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n > 14 {
-		t.Errorf("store.Options has %d fields, budget is 14", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n > 11 {
+		t.Errorf("store.Options has %d fields, budget is 11", n)
 	}
 }
 
@@ -307,7 +334,8 @@ func TestObserveEntryPointsAgree(t *testing.T) {
 	opts.WALNoSync = true
 
 	// stream feeds the track in 17-point chunks (period boundaries land
-	// mid-chunk) through one entry point.
+	// mid-chunk) through one entry point, flushing after each so every
+	// live run's train lands at the same chunk whatever the scheduler does.
 	stream := func(t *testing.T, s *Store, observe func(chunk []hpm.Point) error) {
 		t.Helper()
 		for off := 0; off < len(pts); off += 17 {
@@ -316,6 +344,9 @@ func TestObserveEntryPointsAgree(t *testing.T) {
 				end = len(pts)
 			}
 			if err := observe(pts[off:end]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -376,6 +407,9 @@ func TestObserveEntryPointsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer back.Close()
+			if err := back.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			if h := back.Health(); h.SnapshotRestored || h.WALReplayed == 0 {
 				t.Fatalf("reopen did not come from the WAL alone: %+v", h)
 			}
