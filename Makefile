@@ -24,7 +24,7 @@ race:
 # WAL tails, injected WAL/snapshot/train faults, snapshot robustness, the
 # degraded read-only state machine, and the HTTP admission/shedding layer.
 chaos:
-	$(GO) test -race -run 'Chaos|WAL|Train|Durable|Snapshot|Save|Load|NonFinite|Fail|Panic|Join|Shard|Remove|Valve|Delay|Checkpoint|Golden|Retired|Segment|Manifest|Orphan|Incremental' -count=1 ./store/... ./internal/faultinject/...
+	$(GO) test -race -run 'Chaos|WAL|Train|Durable|Snapshot|Save|Load|NonFinite|Fail|Panic|Join|Shard|Remove|Delay|Checkpoint|Golden|Retired|Segment|Manifest|Orphan|Incremental' -count=1 ./store/... ./internal/faultinject/...
 	$(GO) test -race -run 'Admission|Degraded|Subscriber' -count=1 ./serve/...
 
 vet:

@@ -70,7 +70,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		period   = flag.Int("period", 300, "pattern period T (samples per day/cycle)")
 		minDays  = flag.Int("min-train", store.DefaultMinTrainPeriods, "periods before first training")
-		retrain  = flag.Int("retrain-every", 0, "full retrain after this many new periods (0 = extends only)")
 		eps      = flag.Float64("eps", 0, "DBSCAN Eps (0 = paper default 30)")
 		minPts   = flag.Int("minpts", 0, "DBSCAN MinPts (0 = paper default 4)")
 		distant  = flag.Int("distant", 0, "distant-time threshold d (0 = paper default 60)")
@@ -81,7 +80,6 @@ func main() {
 		evalOff  = flag.Bool("eval-off", false, "disable online prediction-quality evaluation (/metrics eval series stay zero)")
 		evalHit  = flag.Float64("eval-hit-distance", 0, "distance within which a scored prediction counts as a hit (0 = default 30)")
 		evalRing = flag.Int("eval-ring", 0, "outstanding predictions kept per object awaiting truth (0 = default 64)")
-		drift    = flag.Float64("drift-threshold", 0, "mean-error EWMA above which an early retrain fires (0 = drift retraining off)")
 
 		markovOrder = flag.Int("markov-order", 0, "max context length of the Markov next-region predictor (0 = default 3, negative = disable the markov path)")
 		markovMin   = flag.Int("markov-min-count", 0, "observations a region transition needs before the markov path will use it (0 = default 2)")
@@ -125,10 +123,8 @@ func main() {
 			MarkovMinCount:   *markovMin,
 		},
 		MinTrainPeriods: *minDays,
-		RetrainEvery:    *retrain,
 		WALNoSync:       !*walSync,
 		EvalDisabled:    *evalOff,
-		DriftThreshold:  *drift,
 		DegradeAfter:    *degrade,
 		ProbeInterval:   *probeEvery,
 	}
@@ -180,7 +176,7 @@ func orphanFlag(set map[string]bool, fleetIndex, evalOff bool) error {
 		return errors.New("-index-cell is set without -fleet-index: there is no index for it to shape")
 	}
 	if evalOff {
-		for _, name := range []string{"drift-threshold", "eval-hit-distance", "eval-ring"} {
+		for _, name := range []string{"eval-hit-distance", "eval-ring"} {
 			if set[name] {
 				return fmt.Errorf("-%s is set with -eval-off: there is no evaluator for it to tune", name)
 			}

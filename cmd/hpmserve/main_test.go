@@ -15,10 +15,9 @@ func TestOrphanFlag(t *testing.T) {
 	}{
 		{set: []string{"index-cell"}, refused: "-index-cell"},
 		{set: []string{"index-cell"}, fleetIndex: true},
-		{set: []string{"drift-threshold"}, evalOff: true, refused: "-drift-threshold"},
 		{set: []string{"eval-hit-distance"}, evalOff: true, refused: "-eval-hit-distance"},
 		{set: []string{"eval-ring"}, evalOff: true, refused: "-eval-ring"},
-		{set: []string{"drift-threshold", "eval-hit-distance", "eval-ring"}},
+		{set: []string{"eval-hit-distance", "eval-ring"}},
 		{set: []string{"eval-off"}, evalOff: true},
 	} {
 		set := map[string]bool{}

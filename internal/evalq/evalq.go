@@ -11,11 +11,6 @@
 // accuracy-vs-horizon comparison *online*, on live traffic, instead of
 // in an offline benchmark: each cell of the horizon × path matrix is
 // one point of the paper's Figure 5 curves, measured prequentially.
-//
-// An exponentially weighted moving average of recent error per object
-// doubles as a drift detector (NLPMM's observation that movement
-// patterns go stale): the store retrains an object early when its EWMA
-// crosses a threshold.
 package evalq
 
 import (
@@ -44,7 +39,6 @@ const (
 const (
 	DefaultRingSize    = 64
 	DefaultHitDistance = 30 // the paper's Eps: within one region radius
-	DefaultEWMAAlpha   = 0.1
 )
 
 // DefaultBuckets are the horizon bucket upper bounds, chosen to straddle
@@ -64,8 +58,6 @@ type Config struct {
 	// lands in the first bucket with h <= bound, or the implicit +Inf
 	// overflow bucket past the last.
 	Buckets []int
-	// EWMAAlpha is the smoothing factor of the recent-error EWMA.
-	EWMAAlpha float64
 }
 
 // WithDefaults fills zero fields with the package defaults.
@@ -78,9 +70,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if len(c.Buckets) == 0 {
 		c.Buckets = DefaultBuckets
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = DefaultEWMAAlpha
 	}
 	return c
 }
@@ -146,10 +135,6 @@ type Tracker struct {
 	count int
 	cells []Cell // NumBuckets × NumPaths, bucket-major
 
-	ewma       float64
-	ewmaSet    bool
-	sinceReset int // predictions scored since the EWMA last reset
-
 	recorded uint64 // predictions accepted into the ring
 	scored   uint64 // predictions matched against ground truth
 	expired  uint64 // ring entries whose timestamp passed unobserved
@@ -206,17 +191,16 @@ func (t *Tracker) Record(now, tq int, path Path, loc geom.Point) {
 // timestamp base+i. Predictions whose timestamp falls inside the batch
 // are scored; ones whose timestamp is already past (which a gap in the
 // timestamp sequence could leave behind) are expired. Returns how many
-// predictions were scored, the post-scoring error EWMA, and how many
-// predictions have been scored since the EWMA was last reset.
-func (t *Tracker) Observe(base int, pts []geom.Point) (scored int, ewma float64, sinceReset int) {
+// predictions were scored.
+func (t *Tracker) Observe(base int, pts []geom.Point) (scored int) {
 	if len(pts) == 0 {
-		return 0, 0, 0
+		return 0
 	}
 	last := base + len(pts) - 1
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.count == 0 {
-		return 0, t.ewma, t.sinceReset // fast path: nothing outstanding
+		return 0 // fast path: nothing outstanding
 	}
 	// Compact the ring in place: score entries the batch covers, expire
 	// ones behind it, keep the rest.
@@ -237,26 +221,12 @@ func (t *Tracker) Observe(base int, pts []geom.Point) (scored int, ewma float64,
 			if err <= t.cfg.HitDistance {
 				cell.Hits++
 			}
-			if t.ewmaSet {
-				t.ewma += t.cfg.EWMAAlpha * (err - t.ewma)
-			} else {
-				t.ewma, t.ewmaSet = err, true
-			}
-			t.sinceReset++
 			t.scored++
 			scored++
 		}
 	}
 	t.count = kept
-	return scored, t.ewma, t.sinceReset
-}
-
-// ResetEWMA clears the drift signal — called after a drift-triggered
-// retrain so the stale model's errors do not immediately re-trigger.
-func (t *Tracker) ResetEWMA() {
-	t.mu.Lock()
-	t.ewma, t.ewmaSet, t.sinceReset = 0, false, 0
-	t.mu.Unlock()
+	return scored
 }
 
 // Totals are a tracker's scalar counters.
@@ -306,13 +276,11 @@ type CellSnapshot struct {
 	ErrorSum  float64 `json:"errorSum"`
 }
 
-// Summary is a complete evaluation snapshot: totals, the drift signal,
-// and every horizon × path cell (zero cells included, so scrapes see a
-// stable series set).
+// Summary is a complete evaluation snapshot: totals and every horizon ×
+// path cell (zero cells included, so scrapes see a stable series set).
 type Summary struct {
 	Totals
-	ErrorEWMA float64        `json:"errorEWMA"`
-	Cells     []CellSnapshot `json:"cells"`
+	Cells []CellSnapshot `json:"cells"`
 }
 
 // Summarize renders an aggregate under its shared config.
@@ -335,7 +303,6 @@ func (t *Tracker) Snapshot() Summary {
 			Expired:     t.expired,
 			Evicted:     t.evicted,
 		},
-		ErrorEWMA: t.ewma,
 	}
 	t.mu.Unlock()
 	s.Cells = snapshotCells(t.cfg, cells)

@@ -41,7 +41,7 @@ func TestRecordScoreHitAndMiss(t *testing.T) {
 		pts[i] = geom.Pt(6, 8) // distance 10 from origin: a hit at D=10
 	}
 	pts[49] = geom.Pt(500, 0)
-	scored, _, _ := tr.Observe(101, pts)
+	scored := tr.Observe(101, pts)
 	if scored != 3 {
 		t.Fatalf("scored = %d, want 3", scored)
 	}
@@ -90,7 +90,7 @@ func TestRingEviction(t *testing.T) {
 	}
 	// Only the newest four (tq 106..109) remain scoreable.
 	pts := make([]geom.Point, 10)
-	scored, _, _ := tr.Observe(100, pts)
+	scored := tr.Observe(100, pts)
 	if scored != 4 {
 		t.Errorf("scored = %d, want 4", scored)
 	}
@@ -101,7 +101,7 @@ func TestExpiry(t *testing.T) {
 	tr.Record(0, 5, PathForward, geom.Pt(0, 0))
 	// The stream jumps past tq=5: the entry expires rather than scoring
 	// against the wrong timestamp.
-	scored, _, _ := tr.Observe(6, []geom.Point{geom.Pt(1, 1)})
+	scored := tr.Observe(6, []geom.Point{geom.Pt(1, 1)})
 	if scored != 0 {
 		t.Fatalf("scored = %d, want 0", scored)
 	}
@@ -110,34 +110,13 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
-func TestEWMADriftSignal(t *testing.T) {
-	tr := New(Config{EWMAAlpha: 0.5, Buckets: []int{10}})
-	var ewma float64
-	var n int
-	for i := 0; i < 20; i++ {
-		now := i * 2
-		tr.Record(now, now+1, PathForward, geom.Pt(0, 0))
-		_, ewma, n = tr.Observe(now+1, []geom.Point{geom.Pt(100, 0)})
-	}
-	if n != 20 {
-		t.Fatalf("sinceReset = %d, want 20", n)
-	}
-	if ewma < 99 || ewma > 100 {
-		t.Fatalf("ewma = %v, want ~100", ewma)
-	}
-	tr.ResetEWMA()
-	if _, e, n := tr.Observe(10000, nil); e != 0 || n != 0 {
-		t.Errorf("after reset: ewma %v, sinceReset %d", e, n)
-	}
-}
-
 // TestConfigBudget is a ratchet: Config had 7 fields before adaptive
-// routing went with its smoothing factor and takeover margins. A new field
-// needs two callers that want different values — and then this number
-// moves.
+// routing went with its smoothing factor and takeover margins, and 4 before
+// drift retraining went with the error EWMA's. A new field needs two
+// callers that want different values — and then this number moves.
 func TestConfigBudget(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n > 4 {
-		t.Errorf("evalq.Config has %d fields, budget is 4", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n > 3 {
+		t.Errorf("evalq.Config has %d fields, budget is 3", n)
 	}
 }
 

@@ -143,7 +143,7 @@ const (
 // handleSubscribe streams range-query results as server-sent events. The
 // first event is pushed immediately (so a subscriber renders without
 // waiting a full interval), then one per interval. Each event re-runs the
-// indexed query, so subscribers track ingest, retrains, and removals; the
+// indexed query, so subscribers track ingest, trains, and removals; the
 // stream ends when the client disconnects, or when the subscriber table
 // fills and this client — stalled past its write deadline — is evicted
 // to admit a newcomer.

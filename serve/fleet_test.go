@@ -213,11 +213,11 @@ func TestSubscribeStreamsUpdates(t *testing.T) {
 	cancel() // disconnect; the handler must notice and return
 }
 
-// TestFleetHammerWithSubscriber races observes, removals, and retrain swaps
-// against indexed queries and one live SSE subscriber — the full stack
-// under -race.
+// TestFleetHammerWithSubscriber races observes, removals, and first-train
+// installs (every removal sends its object back through one) against
+// indexed queries and one live SSE subscriber — the full stack under -race.
 func TestFleetHammerWithSubscriber(t *testing.T) {
-	srv, st := fleetServer(t, store.Options{MinTrainPeriods: 2, RetrainEvery: 1})
+	srv, st := fleetServer(t, store.Options{MinTrainPeriods: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

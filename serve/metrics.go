@@ -30,13 +30,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	gauge("hpm_objects", "Tracked objects.", fs.Objects)
 	gauge("hpm_objects_trained", "Objects serving a trained model.", fs.Trained)
-	gauge("hpm_pending_trains", "Background (re)trains scheduled but not yet swapped in.", fs.PendingTrains)
+	gauge("hpm_pending_trains", "Background first trains scheduled but not yet installed.", fs.PendingTrains)
 	counter("hpm_train_failures_total", "Failed background train attempts since start.", fs.TrainFailures)
-	counter("hpm_drift_retrains_total", "Retrains triggered early by the drift EWMA.", fs.DriftRetrains)
 
 	// Model-update cost by path: full batch trains vs incremental extends.
 	// rate(duration)/rate(count) is the live per-update cost each path pays.
-	counter("hpm_trains_total", "Full model (re)train attempts.", fs.Trains)
+	counter("hpm_trains_total", "Full model train attempts, failed ones included.", fs.Trains)
 	counter("hpm_extends_total", "Incremental model updates (Extends).", fs.Extends)
 	counter("hpm_train_duration_seconds_total", "Cumulative wall-clock seconds spent in full trains.", fs.TrainSeconds)
 	counter("hpm_extend_duration_seconds_total", "Cumulative wall-clock seconds spent in incremental extends.", fs.ExtendSeconds)
@@ -48,7 +47,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if fs.FleetIndex {
 		gauge("hpm_index_objects", "Objects with cached entries in the fleet spatial index.", fs.Spatial.Objects)
 		gauge("hpm_index_entries", "Cached prediction entries in the fleet spatial index.", fs.Spatial.Entries)
-		counter("hpm_index_updates_total", "Incremental fleet-index refreshes (one per acknowledged observe or swap).", fs.Spatial.Updates)
+		counter("hpm_index_updates_total", "Incremental fleet-index refreshes (one per acknowledged observe or first-train install).", fs.Spatial.Updates)
 		counter("hpm_index_rebins_total", "Fleet-index entries that crossed a grid cell on refresh.", fs.Spatial.Rebins)
 		counter("hpm_index_range_queries_total", "Fleet range queries answered from the index.", fs.Spatial.RangeQueries)
 		counter("hpm_index_knn_queries_total", "Fleet kNN queries answered from the index.", fs.Spatial.KNNQueries)
@@ -89,7 +88,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("hpm_degraded", "1 while the store is degraded read-only (WAL failure), else 0.", degraded)
 	counter("hpm_wal_errors_total", "Failed WAL group commits (write or fsync) since start.", fs.WALErrors)
 	counter("hpm_recoveries_total", "Completed degrade-to-healthy recovery cycles.", fs.Recoveries)
-	counter("hpm_drift_suppressed_total", "Drift retrains skipped by the trainer-saturation valve.", fs.DriftSuppressed)
 	if s.subs != nil {
 		gauge("hpm_subscribers", "Live SSE subscriber streams.", s.subs.count())
 	}

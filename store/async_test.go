@@ -1,26 +1,22 @@
 package store
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"hpm"
 )
 
-// TestQueriesServeDuringBackgroundRetrain pins the async-retrain contract:
-// while an object's retrain is provably in flight (the trainer goroutine is
-// parked on the beforeTrain hook), queries against other objects AND the
-// retraining object itself keep answering from the old predictor, and
-// ObserveBatch returns without waiting for the trainer. Flush makes the
-// final assertions deterministic.
+// TestQueriesServeDuringBackgroundRetrain pins the async-train contract on
+// an object's one train, its first: while the train is provably in flight
+// (the trainer goroutine is parked on the beforeTrain hook), queries against
+// other objects keep answering, the training object answers ErrUntrained
+// at once instead of waiting, and ObserveBatch returns without waiting for
+// the trainer. Flush makes the final assertions deterministic.
 func TestQueriesServeDuringBackgroundRetrain(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "a", 31, 3)
-	feed(t, s, "b", 32, 3)
-	pBefore, err := s.Predictor("b")
-	if err != nil || pBefore == nil {
-		t.Fatalf("b untrained after feed: %v", err)
-	}
 
 	// Park the next trainer until released.
 	entered := make(chan struct{}, 1)
@@ -31,42 +27,39 @@ func TestQueriesServeDuringBackgroundRetrain(t *testing.T) {
 	}
 	defer close(release)
 
-	// Two more periods on b trip RetrainEvery; the retrain must be handed
+	// Three periods on b reach MinTrainPeriods; the train must be handed
 	// off, not run on this goroutine.
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 32)
 	spec.Period = period
 	spec.SubTrajectories = 6
 	tr := hpm.GenerateDataset(spec)
 	start := time.Now()
-	if err := s.ObserveBatch("b", tr.Slice(3*period, 5*period)); err != nil {
+	if err := s.ObserveBatch("b", tr.Slice(0, 3*period)); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("ObserveBatch took %v with training backgrounded", d)
 	}
-	<-entered // the retrain is now provably in flight (and parked)
+	<-entered // the train is now provably in flight (and parked)
 
 	st, err := s.Stats("b")
-	if err != nil || !st.Training {
-		t.Fatalf("no in-flight train visible: %+v, %v", st, err)
+	if err != nil || !st.Training || st.Trained {
+		t.Fatalf("no in-flight first train visible: %+v, %v", st, err)
 	}
 
-	// Object a is untouched by b's retrain.
+	// Object a is untouched by b's train.
 	nowA, _ := s.Now("a")
 	if _, err := s.Predict("a", nowA+10, 1); err != nil {
-		t.Errorf("Predict(a) blocked or failed during b's retrain: %v", err)
+		t.Errorf("Predict(a) blocked or failed during b's train: %v", err)
 	}
-	// Object b itself keeps serving from the old predictor.
+	// Object b answers, without waiting, that it has no model yet.
 	nowB, _ := s.Now("b")
-	if _, err := s.Predict("b", nowB+10, 1); err != nil {
-		t.Errorf("Predict(b) failed during its own retrain: %v", err)
-	}
-	if p, _ := s.Predictor("b"); p != pBefore {
-		t.Error("predictor swapped before the trainer finished")
+	if _, err := s.Predict("b", nowB+10, 1); !errors.Is(err, ErrUntrained) {
+		t.Errorf("Predict(b) during its first train: %v, want ErrUntrained", err)
 	}
 	// Ingest on b stays cheap while its trainer is parked.
 	start = time.Now()
-	if err := s.ObserveBatch("b", tr.Slice(5*period, 5*period+30)); err != nil {
+	if err := s.ObserveBatch("b", tr.Slice(3*period, 3*period+30)); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -77,13 +70,15 @@ func TestQueriesServeDuringBackgroundRetrain(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	pAfter, _ := s.Predictor("b")
-	if pAfter == pBefore {
-		t.Error("retrain did not produce a fresh predictor")
+	if p, _ := s.Predictor("b"); p == nil {
+		t.Error("first train did not install a predictor")
 	}
 	st, _ = s.Stats("b")
-	if st.Training || st.Modeled != 5 {
+	if st.Training || !st.Trained || st.Modeled != 3 {
 		t.Errorf("post-flush state: %+v", st)
+	}
+	if _, err := s.Predict("b", nowB+40, 1); err != nil {
+		t.Errorf("Predict(b) after its first train: %v", err)
 	}
 }
 
@@ -116,12 +111,11 @@ func TestCloseStopsScheduling(t *testing.T) {
 	}
 }
 
-// TestCatchUpAfterRetrain: periods that complete while a retrain is in
-// flight are absorbed by the post-swap catch-up, so Flush leaves the model
-// fully current.
+// TestCatchUpAfterRetrain: periods that complete while the first train is
+// in flight are absorbed by the post-install catch-up, as Extends on the
+// installed model, so Flush leaves the model fully current after one train.
 func TestCatchUpAfterRetrain(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
-	feed(t, s, "bike", 35, 3)
+	s := testStore(t, Options{MinTrainPeriods: 3})
 
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -134,17 +128,16 @@ func TestCatchUpAfterRetrain(t *testing.T) {
 	spec.Period = period
 	spec.SubTrajectories = 6
 	tr := hpm.GenerateDataset(spec)
-	// Trip the retrain (snapshot covers 5 periods)...
-	if err := s.ObserveBatch("bike", tr.Slice(3*period, 5*period)); err != nil {
+	// Schedule the first train (snapshot covers 3 periods)...
+	if err := s.ObserveBatch("bike", tr.Slice(0, 3*period)); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	// ...then complete one more period while the trainer is parked. Only
-	// the catch-up can absorb it.
-	if err := s.ObserveBatch("bike", tr.Slice(5*period, 6*period)); err != nil {
+	// ...then complete three more periods while the trainer is parked. Only
+	// the catch-up can absorb them.
+	if err := s.ObserveBatch("bike", tr.Slice(3*period, 6*period)); err != nil {
 		t.Fatal(err)
 	}
-	s.beforeTrain = nil // a catch-up retrain must not park
 	close(release)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -152,5 +145,8 @@ func TestCatchUpAfterRetrain(t *testing.T) {
 	st, _ := s.Stats("bike")
 	if st.Modeled != 6 {
 		t.Errorf("catch-up missed a period: modeled %d, want 6", st.Modeled)
+	}
+	if fs := s.FleetStats(); fs.Trains != 1 || fs.Extends != 1 {
+		t.Errorf("trains %d, extends %d: want the one train, then one catch-up extend", fs.Trains, fs.Extends)
 	}
 }

@@ -315,25 +315,26 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 	if len(h.RecentTrainErrors) != 0 {
 		t.Errorf("ring not drained by Flush: %v", h.RecentTrainErrors)
 	}
+	if fs := s.FleetStats(); fs.Trains != 2 {
+		t.Errorf("train attempts = %d, want 2 (the panicked one counts)", fs.Trains)
+	}
 	now, _ := s.Now("bike")
 	if _, err := s.Predict("bike", now+10, 1); err != nil {
 		t.Errorf("predict after recovered panic: %v", err)
 	}
 }
 
-// TestTrainRepeatedFailureKeepsServing wedges every retrain attempt and
-// verifies the object keeps answering from its previous model, surfaces
-// the error, and recovers once the fault clears.
+// TestTrainRepeatedFailureKeepsServing wedges every attempt at an object's
+// first train and verifies the object never wedges in the training state,
+// keeps ingesting and answering ErrUntrained, surfaces the error, and trains
+// at the next completed period once the fault clears.
 func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	s.maxRetries, s.retryBackoff = 1, time.Millisecond
-	feed(t, s, "bike", 31, 3) // healthy initial train
-	p1, _ := s.Predictor("bike")
-
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
-	ingestMore(t, s, "bike", 31, 3, 5) // crosses RetrainEvery
+	ingestMore(t, s, "bike", 31, 0, 3) // reaches MinTrainPeriods
 	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("failed retrain not reported: %v", err)
+		t.Fatalf("failed train not reported: %v", err)
 	}
 
 	st, _ := s.Stats("bike")
@@ -346,26 +347,79 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	if st.LastTrainError == "" {
 		t.Error("last train error not surfaced in stats")
 	}
-	if !st.Trained || st.Modeled != 3 {
-		t.Fatalf("previous model lost: %+v", st)
+	if st.Trained || st.Points != 3*period {
+		t.Fatalf("state after failed train: %+v", st)
 	}
 	now, _ := s.Now("bike")
-	if _, err := s.Predict("bike", now+10, 1); err != nil {
-		t.Errorf("predict during failing retrains: %v", err)
-	}
-	if p2, _ := s.Predictor("bike"); p2 != p1 {
-		t.Error("failing retrain replaced the predictor")
+	if _, err := s.Predict("bike", now+10, 1); !errors.Is(err, ErrUntrained) {
+		t.Errorf("predict during failing trains: %v, want ErrUntrained", err)
 	}
 
-	// Fault clears: the next completed periods schedule a fresh retrain.
+	// Fault clears: the next completed period schedules a fresh train.
 	s.SetFaultHook(nil)
-	ingestMore(t, s, "bike", 31, 5, 7)
+	ingestMore(t, s, "bike", 31, 3, 4)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = s.Stats("bike")
-	if st.Modeled != 7 || st.LastTrainError != "" {
+	if !st.Trained || st.Modeled != 4 || st.LastTrainError != "" {
 		t.Errorf("object did not recover: %+v", st)
+	}
+	now, _ = s.Now("bike")
+	if _, err := s.Predict("bike", now+10, 1); err != nil {
+		t.Errorf("predict after recovery: %v", err)
+	}
+}
+
+// TestFailedTrainWaitsForNextPeriod: a first train that exhausts its
+// retries is not re-run by every later observe of the same period — the
+// object waits for its next completed period, which schedules exactly one
+// more attempt.
+func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
+	s := testStore(t, Options{MinTrainPeriods: 3})
+	s.maxRetries = 0
+	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 61)
+	spec.Period = period
+	spec.SubTrajectories = 4
+	pts := hpm.GenerateDataset(spec).Points()
+	if err := s.ObserveBatch("bike", pts[:3*period]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("failed train not reported: %v", err)
+	}
+
+	// Ten single-point observes, all inside period 4.
+	for i := 3 * period; i < 3*period+10; i++ {
+		if err := s.Observe("bike", pts[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatalf("observe %d re-ran the failed train: %v", i, err)
+		}
+	}
+	st, _ := s.Stats("bike")
+	if st.TrainFailures != 1 {
+		t.Errorf("train failures = %d inside the failed train's period, want 1", st.TrainFailures)
+	}
+	if fs := s.FleetStats(); fs.Trains != 1 {
+		t.Errorf("train attempts = %d inside the failed train's period, want 1", fs.Trains)
+	}
+
+	// Completing period 4 schedules exactly one more attempt.
+	if err := s.ObserveBatch("bike", pts[3*period+10:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("next period's train not attempted: %v", err)
+	}
+	st, _ = s.Stats("bike")
+	if st.TrainFailures != 2 || st.Training || st.Trained {
+		t.Errorf("after the next period: %+v, want exactly one more failed attempt", st)
+	}
+	if fs := s.FleetStats(); fs.Trains != 2 {
+		t.Errorf("train attempts = %d after the next period, want 2", fs.Trains)
 	}
 }
 

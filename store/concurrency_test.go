@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,18 +13,27 @@ import (
 
 // TestPredictObserveHammer drives heavy mixed traffic — concurrent point
 // predictions, batch predictions, range queries, stats reads and a
-// continuous observation stream with retrains enabled — against one
-// object. Run under -race it pins the lock-free read path: queries share
-// the object's read lock and the engine's counters are atomic, so nothing
-// here may race. Counter totals are checked afterwards.
+// continuous observation stream that extends the model every period —
+// against one object, while a second object streams up to and past its
+// first train, which lands mid-traffic under readers of both. Run under
+// -race it pins the lock-free read path: queries share the object's read
+// lock and the engine's counters are atomic, so nothing here may race.
+// Counter totals are checked afterwards.
 func TestPredictObserveHammer(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike", 9, 4)
 
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 9)
 	spec.Period = period
 	spec.SubTrajectories = 8
 	more := hpm.GenerateDataset(spec).Slice(4*period, 8*period)
+	freshSpec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 10)
+	freshSpec.Period = period
+	freshSpec.SubTrajectories = 4
+	fresh := hpm.GenerateDataset(freshSpec).Points()
+	if err := s.ObserveBatch("fresh", fresh[:15]); err != nil {
+		t.Fatal(err)
+	}
 
 	const readers = 8
 	const perReader = 50
@@ -30,22 +41,23 @@ func TestPredictObserveHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, readers*4+4)
 
-	// Writer: stream four more periods in small batches, so background
-	// retrains fire and predictor swaps land mid-traffic.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < len(more); i += 15 {
-			end := i + 15
-			if end > len(more) {
-				end = len(more)
+	// Writers: stream four more periods of bike in small batches, so
+	// extends run mid-traffic, and four periods of fresh, so its first
+	// train is scheduled at the third and its predictor installed while
+	// readers query it.
+	for id, pts := range map[string][]hpm.Point{"bike": more, "fresh": fresh[15:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < len(pts); i += 15 {
+				end := min(i+15, len(pts))
+				if err := s.ObserveBatch(id, pts[i:end]); err != nil {
+					errs <- err
+					return
+				}
 			}
-			if err := s.ObserveBatch("bike", more[i:end]); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
+		}()
+	}
 
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -69,10 +81,14 @@ func TestPredictObserveHammer(t *testing.T) {
 						_, err = s.Predict("bike", now+80, 1)
 					case 2: // batch across both paths
 						_, err = s.PredictBatch("bike", []int{now + 20, now + 80}, 2)
-					default: // range + stats read
+					default: // range + stats read, and a query of fresh
 						_, err = s.PredictRange("bike", now+20, now+24)
 						if _, serr := s.Stats("bike"); serr != nil {
 							errs <- serr
+							return
+						}
+						if _, _, ferr := s.PredictAheadContext(context.Background(), "fresh", 10, 1); ferr != nil && !errors.Is(ferr, ErrUntrained) {
+							errs <- ferr
 							return
 						}
 					}
@@ -101,9 +117,12 @@ func TestPredictObserveHammer(t *testing.T) {
 	if predicted.Load() != readers*perReader {
 		t.Fatalf("only %d of %d reader iterations completed", predicted.Load(), readers*perReader)
 	}
+	if st, _ := s.Stats("fresh"); !st.Trained || st.Modeled != 4 {
+		t.Errorf("fresh after its first train and catch-up: %+v", st)
+	}
 
 	// Every Predict/PredictBatch query must appear in the per-object
-	// counters, which survive the retrains the writer triggered. Readers
+	// counters, which survive the extends the writer triggered. Readers
 	// 0,1 issue 1 query per iteration, reader 2 issues 2 (a 2-time batch),
 	// reader 3 issues none (PredictRange is uncounted).
 	st, err := s.Stats("bike")
@@ -121,12 +140,14 @@ func TestPredictObserveHammer(t *testing.T) {
 	}
 }
 
-// TestStatsSurviveRetrain pins the counter-banking: queries answered by a
-// predictor that is later retired by a retrain must still appear in the
-// object's stats afterwards.
+// TestStatsSurviveRetrain: a trained object is extended by every later
+// period, never retrained, so its predictor — and with it the query
+// counters it holds — lives as long as the object: queries answered before
+// a period completes still appear in the object's stats afterwards.
 func TestStatsSurviveRetrain(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 1})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike", 11, 3)
+	p, _ := s.Predictor("bike")
 	now, _ := s.Now("bike")
 	const before = 4
 	for i := 0; i < before; i++ {
@@ -135,7 +156,7 @@ func TestStatsSurviveRetrain(t *testing.T) {
 		}
 	}
 
-	// One more period forces a retrain, swapping the predictor.
+	// One more period is absorbed by an Extend of the same predictor.
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 11)
 	spec.Period = period
 	spec.SubTrajectories = 4
@@ -147,6 +168,9 @@ func TestStatsSurviveRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if cur, _ := s.Predictor("bike"); cur != p {
+		t.Fatal("a completed period replaced the predictor")
+	}
 	now, _ = s.Now("bike")
 	if _, err := s.Predict("bike", now+5, 1); err != nil {
 		t.Fatal(err)
@@ -156,7 +180,7 @@ func TestStatsSurviveRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Queries.Queries != before+1 {
-		t.Errorf("queries after retrain = %d, want %d (stats: %+v)", st.Queries.Queries, before+1, st.Queries)
+		t.Errorf("queries after extend = %d, want %d (stats: %+v)", st.Queries.Queries, before+1, st.Queries)
 	}
 }
 

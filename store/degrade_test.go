@@ -416,80 +416,3 @@ func TestChaosDegradeUnderConcurrentIngest(t *testing.T) {
 		}
 	}
 }
-
-// TestTrainerValveSuppressesDrift: with the training pool backlogged,
-// drift-triggered retrains yield (counted, EWMA left hot) and re-fire once
-// the pool drains.
-func TestTrainerValveSuppressesDrift(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, DriftThreshold: 50})
-	s.driftMinScores = 3
-	var hold atomic.Bool
-	gate := make(chan struct{})
-	s.beforeTrain = func() {
-		if hold.Load() {
-			<-gate
-		}
-	}
-
-	// Train "bike" while the gate is open.
-	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 1)
-	spec.Period = period
-	spec.SubTrajectories = 8
-	tr := hpm.GenerateDataset(spec)
-	if err := s.ObserveBatch("bike", tr.Slice(0, 4*period)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Backlog the pool to the valve: the others' first trains park on the
-	// gate, or behind the ones that do.
-	hold.Store(true)
-	spec2 := hpm.DefaultDatasetSpec(hpm.DatasetBike, 2)
-	spec2.Period = period
-	spec2.SubTrajectories = 4
-	pts2 := hpm.GenerateDataset(spec2).Points()
-	for i := 0; i < trainBacklogPerWorker*s.workers; i++ {
-		if err := s.ObserveBatch(fmt.Sprintf("other-%d", i), pts2); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Drive "bike"'s drift EWMA through the threshold: predictions
-	// contradicted by teleporting ground truth. Every crossing should be
-	// suppressed by the valve, not spent on a retrain.
-	drive := func(rounds int) {
-		t.Helper()
-		for i := 0; i < rounds; i++ {
-			now, err := s.Now("bike")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Predict("bike", now+1, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Observe("bike", hpm.Pt(50000+float64(i), 50000)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	drive(8)
-	fs := s.FleetStats()
-	if fs.DriftSuppressed == 0 {
-		t.Fatal("backlogged pool never suppressed a drift retrain")
-	}
-	if fs.DriftRetrains != 0 {
-		t.Fatalf("drift retrain ran through a full backlog (%d)", fs.DriftRetrains)
-	}
-
-	// Drain the pool; the un-reset EWMA re-fires on the next observation.
-	close(gate)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	drive(2)
-	if fs := s.FleetStats(); fs.DriftRetrains == 0 {
-		t.Error("drift retrain did not re-fire after the backlog drained (EWMA was reset while suppressed?)")
-	}
-}

@@ -13,9 +13,8 @@ import (
 // acknowledged observation is ground truth for the parked predictions
 // whose query timestamp it covers. The resulting per-horizon × per-path
 // accuracy counters reproduce the paper's accuracy-vs-query-time figures
-// on live traffic, drive the drift-triggered early retrain
-// (Options.DriftThreshold), and surface through EvalStats, FleetStats and
-// serve's /metrics endpoint.
+// on live traffic and surface through EvalStats, FleetStats and serve's
+// /metrics endpoint.
 
 // recordPrediction parks a query's top answer in the object's evaluator,
 // labeled with the ROUTE that served it — the path the query was sent
@@ -49,44 +48,10 @@ func (s *Store) patternPath(obj *object, now, tq int) evalq.Path {
 }
 
 // scoreLocked scores the just-appended observations against the object's
-// outstanding predictions and, when the drift EWMA crosses the threshold,
-// schedules an early retrain through the normal training pool. Called
-// with obj.mu held for writing, right after track grew past base.
+// outstanding predictions. Called with obj.mu held for writing, right after
+// track grew past base.
 func (s *Store) scoreLocked(obj *object, base int, pts []hpm.Point) {
-	scored, ewma, n := obj.eval.Observe(base, pts)
-	if scored == 0 || s.opts.DriftThreshold <= 0 {
-		return
-	}
-	if ewma <= s.opts.DriftThreshold || n < s.driftMinScores {
-		return
-	}
-	if obj.predictor == nil || obj.training {
-		// Untrained objects have nothing to refresh; an in-flight train
-		// will absorb the new data when it swaps in.
-		return
-	}
-	completed := (obj.base + len(obj.track)) / s.opts.Config.Period
-	if completed < s.opts.MinTrainPeriods {
-		return
-	}
-	// Trainer-saturation valve: drift retrains are opportunistic quality
-	// work, so when the background pool is already backlogged they yield
-	// rather than pile on. The EWMA is deliberately NOT reset here — the
-	// drift signal stays hot and re-fires on a later observation once the
-	// backlog clears.
-	s.trainMu.Lock()
-	backlogged := s.pending >= trainBacklogPerWorker*s.workers
-	s.trainMu.Unlock()
-	if backlogged {
-		s.driftSuppressed.Add(1)
-		return
-	}
-	// Reset first so the retrained model starts with a clean signal and
-	// one straggling error cannot immediately re-fire.
-	obj.eval.ResetEWMA()
-	obj.driftRetrains++
-	s.driftRetrains.Add(1)
-	s.scheduleTrain(obj, completed)
+	obj.eval.Observe(base, pts)
 }
 
 // PredictVia answers a query down one named route: PathFallback is the
@@ -139,16 +104,10 @@ type FleetStats struct {
 	// the fleet's incremental state weighs, at about 110 bytes each.
 	Miners        int `json:"miners"`
 	MinerItemsets int `json:"minerItemsets"`
-	// PendingTrains counts scheduled background trains not yet swapped
-	// in; TrainFailures every failed background attempt since start;
-	// DriftRetrains the retrains the drift EWMA triggered early.
+	// PendingTrains counts scheduled background trains not yet installed;
+	// TrainFailures every failed background attempt since start.
 	PendingTrains int    `json:"pendingTrains"`
 	TrainFailures uint64 `json:"trainFailures"`
-	DriftRetrains uint64 `json:"driftRetrains"`
-	// DriftSuppressed counts drift retrains the saturation valve skipped
-	// because the training pool's backlog reached trainBacklogPerWorker
-	// pending trains per worker.
-	DriftSuppressed uint64 `json:"driftSuppressed"`
 	// State mirrors Health: the degradation state machine's position, the
 	// failed-group-commit count, and completed degrade/recover cycles.
 	State      string `json:"state"`
@@ -156,9 +115,9 @@ type FleetStats struct {
 	WALErrors  uint64 `json:"walErrors"`
 	Recoveries uint64 `json:"recoveries"`
 	// Trains and Extends count model updates by path since start (every
-	// train attempt counts); TrainSeconds and ExtendSeconds are the
-	// cumulative wall-clock each path consumed — the live view of the
-	// batch-vs-incremental retrain cost.
+	// train attempt counts, failed ones included); TrainSeconds and
+	// ExtendSeconds are the cumulative wall-clock each path consumed — the
+	// live view of the batch-vs-incremental update cost.
 	Trains        uint64  `json:"trains"`
 	Extends       uint64  `json:"extends"`
 	TrainSeconds  float64 `json:"trainSeconds"`
@@ -175,8 +134,8 @@ type FleetStats struct {
 	CheckpointObjects uint64          `json:"checkpointObjects"`
 	SnapshotBytes     uint64          `json:"snapshotBytes"`
 	LastCheckpoint    *CheckpointInfo `json:"lastCheckpoint,omitempty"`
-	// Queries sums every object's query counters, including counters
-	// banked from predictors retired by retrains.
+	// Queries sums every object's query counters. A predictor is never
+	// replaced once trained, so its counters cover the object's life.
 	Queries hpm.QueryStats
 	Eval    evalq.Summary
 	// FleetIndex reports whether the predictive spatial index is enabled;
@@ -202,7 +161,6 @@ func (s *Store) FleetStats() FleetStats {
 		for _, obj := range objs {
 			fs.Objects++
 			obj.mu.RLock()
-			fs.Queries = fs.Queries.Add(obj.queries)
 			if obj.predictor != nil {
 				fs.Trained++
 				fs.Queries = fs.Queries.Add(obj.predictor.QueryStats())
@@ -228,8 +186,6 @@ func (s *Store) FleetStats() FleetStats {
 		fs.FleetIndex = true
 		fs.Spatial = s.index.Stats()
 	}
-	fs.DriftRetrains = s.driftRetrains.Load()
-	fs.DriftSuppressed = s.driftSuppressed.Load()
 	fs.State = s.State()
 	fs.Degraded = s.Degraded()
 	fs.WALErrors = s.walErrors.Load()

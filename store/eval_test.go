@@ -146,40 +146,6 @@ func TestEvalFallbackShadowScores(t *testing.T) {
 	}
 }
 
-func TestDriftTriggersEarlyRetrain(t *testing.T) {
-	s, _ := evalStore(t, Options{DriftThreshold: 50})
-	s.driftMinScores = 3
-	// Serve a prediction, then contradict it hard: truth teleports far
-	// from anything the model learned, so every scored error is huge and
-	// the EWMA blows through the threshold once enough samples land.
-	for i := 0; i < 8; i++ {
-		now, err := s.Now("bike")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Predict("bike", now+1, 1); err != nil {
-			t.Fatal(err)
-		}
-		far := hpm.Pt(50000+float64(i), 50000)
-		if err := s.Observe("bike", far); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Stats("bike")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DriftRetrains == 0 {
-		t.Error("drift EWMA never triggered a retrain")
-	}
-	if fs := s.FleetStats(); fs.DriftRetrains == 0 {
-		t.Error("fleet drift counter did not move")
-	}
-}
-
 // TestEvalHammerConcurrent drives concurrent ingest (which scores),
 // queries (which record) and metric scrapes against one store — the
 // -race workout for the eval path's locking.

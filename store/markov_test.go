@@ -68,7 +68,7 @@ func TestMarkovSnapshotRoundTrip(t *testing.T) {
 // the last checkpoint, reopen, and require the replayed chain to equal
 // the crashed process's — replay folds the tail into the chain exactly
 // like the live observe path did. The tail stays under one period so no
-// retrain or extend (whose outlier state is deliberately not persisted)
+// train or extend (whose outlier state is deliberately not persisted)
 // fires inside the replay window.
 func TestMarkovWALReplayEquivalence(t *testing.T) {
 	dir := t.TempDir()
@@ -114,7 +114,7 @@ func TestMarkovWALReplayEquivalence(t *testing.T) {
 // TestMarkovRebuiltFromEmptyChain: a record written while the markov path
 // was off carries an empty chain blob; loading it with the path on must
 // rebuild the chain from the restored track so the path answers
-// immediately, not only after the next retrain.
+// immediately, not only after the next minted region re-folds it.
 func TestMarkovRebuiltFromEmptyChain(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bus", 23, 4)
@@ -168,17 +168,20 @@ func TestMarkovDisabledOmitsPath(t *testing.T) {
 
 // TestMarkovHammerConcurrent drives concurrent observes (which fold the
 // chain under the object's write lock), markov predictions (which walk it
-// under the read lock) and retrain-triggered chain rebuilds against one
+// under the read lock), the first train's install (which re-folds the chain
+// from the whole track) and extend-triggered chain rebuilds against one
 // object. Run under -race it pins the chain's place in the store's lock
 // envelope.
 func TestMarkovHammerConcurrent(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 1})
-	feed(t, s, "bike", 27, 4)
-
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 27)
 	spec.Period = period
 	spec.SubTrajectories = 8
-	more := hpm.GenerateDataset(spec).Slice(4*period, 8*period)
+	pts := hpm.GenerateDataset(spec).Points()
+	if err := s.ObserveBatch("bike", pts[:2*period]); err != nil {
+		t.Fatal(err)
+	}
+	more := pts[2*period:]
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -209,8 +212,9 @@ func TestMarkovHammerConcurrent(t *testing.T) {
 		}()
 	}
 
-	// Writer: four more periods in small batches; RetrainEvery=1 swaps the
-	// predictor (and rebuilds the chain) repeatedly mid-traffic.
+	// Writer: six more periods in small batches. The first completes
+	// MinTrainPeriods, so the trained predictor is installed (and the chain
+	// re-folded) mid-traffic; the rest extend it.
 	for off := 0; off < len(more); off += 11 {
 		end := off + 11
 		if end > len(more) {
@@ -233,14 +237,15 @@ func TestMarkovHammerConcurrent(t *testing.T) {
 	}
 }
 
-// TestObserveAllFoldsOnceAcrossSwap: a background retrain that swaps in
+// TestObserveAllFoldsOnceAcrossSwap: a background first train installed
 // while a fleet batch is mid-apply re-folds the chain from a track that
 // already holds the batch, so the batch's own fold must not run after it.
 // Forty trained objects cross a period (one Extend each) ahead of z in id
-// order; z's retrain is parked until z's append is visible, then released
-// into that window. The live chain must equal a from-scratch re-fold.
+// order; z's first train is parked until z's append is visible, then
+// released into that window. The live chain must equal a from-scratch
+// re-fold.
 func TestObserveAllFoldsOnceAcrossSwap(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	defer s.Close()
 	bike := func(seed int64, from, to int) []hpm.Point {
 		spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, seed)
@@ -254,7 +259,7 @@ func TestObserveAllFoldsOnceAcrossSwap(t *testing.T) {
 		feed(t, s, id, int64(100+i), 3)
 		batch = append(batch, Observation{ID: id, Points: bike(int64(100+i), 3*period, 4*period)})
 	}
-	feed(t, s, "z", 99, 3)
+	feed(t, s, "z", 99, 2)
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -262,16 +267,17 @@ func TestObserveAllFoldsOnceAcrossSwap(t *testing.T) {
 		close(entered)
 		<-release
 	}
-	// Two more periods trip RetrainEvery: z's retrain is scheduled and parks.
-	if err := s.ObserveBatch("z", bike(99, 3*period, 5*period)); err != nil {
+	// A third period reaches MinTrainPeriods: z's first train is scheduled
+	// and parks.
+	if err := s.ObserveBatch("z", bike(99, 2*period, 3*period)); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	tail := bike(99, 5*period, 5*period+9)
+	tail := bike(99, 3*period, 3*period+9)
 	batch = append(batch, Observation{ID: "z", Points: tail})
 	go func() {
 		for {
-			if now, _ := s.Now("z"); now == 5*period+len(tail)-1 {
+			if now, _ := s.Now("z"); now == 3*period+len(tail)-1 {
 				close(release)
 				return
 			}

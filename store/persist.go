@@ -24,13 +24,12 @@ import (
 // the one thing that mutates in place (Extend, under the write lock), so
 // it is serialized into its own buffer during the capture.
 type objectSnapshot struct {
-	id           string
-	base         int
-	modeled      int
-	sinceRetrain int
-	track        []hpm.Point
-	model        []byte // serialized predictor; nil when untrained
-	chain        []byte // serialized Markov chain; nil when disabled
+	id      string
+	base    int
+	modeled int
+	track   []hpm.Point
+	model   []byte // serialized predictor; nil when untrained
+	chain   []byte // serialized Markov chain; nil when disabled
 }
 
 // snapshotObject captures one object's persisted state under its read
@@ -41,11 +40,10 @@ func snapshotObject(id string, obj *object) (objectSnapshot, error) {
 	obj.mu.RLock()
 	defer obj.mu.RUnlock()
 	snap := objectSnapshot{
-		id:           id,
-		base:         obj.base,
-		modeled:      obj.modeled,
-		sinceRetrain: obj.sinceRetrain,
-		track:        obj.track,
+		id:      id,
+		base:    obj.base,
+		modeled: obj.modeled,
+		track:   obj.track,
 	}
 	if obj.predictor != nil {
 		var buf bytes.Buffer
@@ -72,7 +70,7 @@ func (snap objectSnapshot) write(bw *bufio.Writer) error {
 		bw.Write(fb[:])
 	}
 	writeUvarint(bw, uint64(snap.modeled))
-	writeUvarint(bw, uint64(snap.sinceRetrain))
+	writeUvarint(bw, 0) // reserved slot: written as 0, read and discarded
 	if snap.model == nil {
 		return writeByteChecked(bw, 0)
 	}
@@ -129,9 +127,9 @@ func readObject(br *bufio.Reader, s *Store, shard int) error {
 	if err != nil {
 		return fmt.Errorf("store: read modeled: %w", err)
 	}
-	sinceRetrain, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("store: read sinceRetrain: %w", err)
+	// Reserved slot (written as 0), read and discarded.
+	if _, err := binary.ReadUvarint(br); err != nil {
+		return fmt.Errorf("store: read reserved slot: %w", err)
 	}
 	trained, err := br.ReadByte()
 	if err != nil {
@@ -141,7 +139,6 @@ func readObject(br *bufio.Reader, s *Store, shard int) error {
 	obj.base = int(base)
 	obj.track = track
 	obj.modeled = int(modeled)
-	obj.sinceRetrain = int(sinceRetrain)
 	if trained == 1 {
 		p, err := hpm.Load(br)
 		if err != nil {

@@ -187,7 +187,7 @@ func plantSnapshot(t testing.TB, dir string, bodies ...[]byte) {
 }
 
 func TestStoreSnapshotRoundTrip(t *testing.T) {
-	s := durableStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 50})
+	s := durableStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike-1", 1, 5) // trained
 	feed(t, s, "bike-2", 2, 4) // trained
 	if err := s.Observe("young", hpm.Pt(10, 20)); err != nil {
@@ -271,8 +271,6 @@ func TestOpenUsesCallersOptions(t *testing.T) {
 	second := Options{
 		Config:          hpm.Config{RetainPeriods: 7},
 		MinTrainPeriods: 5,
-		RetrainEvery:    4,
-		DriftThreshold:  50,
 		DegradeAfter:    11,
 		ProbeInterval:   3 * time.Second,
 		WALNoSync:       true,
@@ -467,7 +465,7 @@ func hostileAllocs(t *testing.T, body []byte, shard int) {
 func hostileTrackLength(t testing.TB) (body []byte, shard int) {
 	whole, shard := recordSegment(t, objectSnapshot{})
 	// An empty id, base 0, and then the empty track's length, modeled,
-	// sinceRetrain and the trained flag, a byte each: lie in the length's
+	// the reserved slot and the trained flag, a byte each: lie in the length's
 	// place, with nothing behind it.
 	return binary.AppendUvarint(whole[:len(whole)-4], 1<<30), shard
 }
@@ -477,7 +475,7 @@ func hostileTrackLength(t testing.TB) (body []byte, shard int) {
 // holds none.
 func hostileChainLength(t testing.TB) (body []byte, shard int) {
 	t.Helper()
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 50})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	defer s.Close()
 	feed(t, s, "bike", 1, 4)
 	obj, err := s.get("bike", false)

@@ -39,44 +39,31 @@ func streamPeriods(t testing.TB, s *Store, id string, seed int64, from, to int) 
 	}
 }
 
-// TestTrainPolicy pins the store's one model-update policy: the first
-// train at MinTrainPeriods, an Extend on every newly completed period (the
-// predictor value survives it), a full rebuild — a fresh predictor value —
-// exactly every RetrainEvery periods, and a drift retrain going to a full
-// train even while a completed period is still waiting to be absorbed.
+// TestTrainPolicy pins the store's one model-update policy: one train at
+// MinTrainPeriods, then an Extend on every newly completed period — the
+// predictor value survives every one, including a period that arrives far
+// from anything the model learned, which is absorbed like any other.
 func TestTrainPolicy(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		retrainEvery int
-		newPeriods   int // streamed after the first train
-		driftAt      int // new period that arrives as contradicting truth (0 = none)
-		swapAt       int // new period at which the predictor must be replaced (0 = never)
-		trains       uint64
-		extends      uint64
+		name       string
+		newPeriods int // streamed after the first train
+		farAt      int // new period that arrives as contradicting truth (0 = none)
 	}{
-		{name: "extends only", retrainEvery: 0, newPeriods: 6, trains: 1, extends: 6},
-		{name: "rebuild backstop", retrainEvery: 4, newPeriods: 4, swapAt: 4, trains: 2, extends: 3},
-		{name: "drift with a period pending", newPeriods: 2, driftAt: 2, swapAt: 2, trains: 2, extends: 1},
+		{name: "extends only", newPeriods: 6},
+		{name: "far period extends", newPeriods: 2, farAt: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := incrementalOpts()
-			opts.RetrainEvery = tc.retrainEvery
-			if tc.driftAt > 0 {
-				opts.DriftThreshold = 50
-			}
-			s := testStore(t, opts)
-			s.driftMinScores = 3
+			s := testStore(t, incrementalOpts())
 			streamPeriods(t, s, "bike", 9, 0, 3)
-			prev, err := s.Predictor("bike")
-			if err != nil || prev == nil {
+			p, err := s.Predictor("bike")
+			if err != nil || p == nil {
 				t.Fatal("no predictor after initial train")
 			}
 			for n := 1; n <= tc.newPeriods; n++ {
-				if n == tc.driftAt {
+				if n == tc.farAt {
 					// Park predictions over the coming period, then let the
-					// whole period arrive far from anything the model learned:
-					// the batch that completes the period is the one whose
-					// scoring trips the drift threshold.
+					// whole period arrive far from anything the model
+					// learned: scored, and extended into the model.
 					if _, _, err := s.PredictBatchAheadContext(context.Background(), "bike", []int{1, 2, 3, 4, 5}, 1); err != nil {
 						t.Fatal(err)
 					}
@@ -93,22 +80,20 @@ func TestTrainPolicy(t *testing.T) {
 				} else {
 					streamPeriods(t, s, "bike", 9, 2+n, 3+n)
 				}
-				cur, _ := s.Predictor("bike")
-				if swapped := cur != prev; swapped != (n == tc.swapAt) {
-					t.Fatalf("new period %d: predictor replaced = %v, want %v", n, swapped, n == tc.swapAt)
+				if cur, _ := s.Predictor("bike"); cur != p {
+					t.Fatalf("new period %d replaced the predictor", n)
 				}
-				prev = cur
 			}
 			st, _ := s.Stats("bike")
 			if st.Modeled != 3+tc.newPeriods {
 				t.Errorf("modeled %d, want %d", st.Modeled, 3+tc.newPeriods)
 			}
-			if want := tc.driftAt > 0; (st.DriftRetrains == 1) != want {
-				t.Errorf("drift retrains = %d, drift row = %v", st.DriftRetrains, want)
-			}
 			fs := s.FleetStats()
-			if fs.Trains != tc.trains || fs.Extends != tc.extends {
-				t.Errorf("trains %d extends %d, want %d and %d", fs.Trains, fs.Extends, tc.trains, tc.extends)
+			if fs.Trains != 1 || fs.Extends != uint64(tc.newPeriods) {
+				t.Errorf("trains %d extends %d, want 1 and %d", fs.Trains, fs.Extends, tc.newPeriods)
+			}
+			if tc.farAt > 0 && fs.Eval.Scored == 0 {
+				t.Error("the far period scored none of the parked predictions")
 			}
 			if fs.ExtendSeconds <= 0 {
 				t.Errorf("extend seconds not accumulated: %v", fs.ExtendSeconds)

@@ -41,12 +41,13 @@ func TestShardRouting(t *testing.T) {
 }
 
 // TestShardHammer drives mixed fleet traffic — observes, predictions,
-// stats, listings and removes across many ids, with retrains enabled —
+// stats, listings and removes across many ids, with first trains and
+// extends landing mid-traffic —
 // from many goroutines. Run under -race it pins the shard-map locking:
 // distinct objects only share a shard's RWMutex, and fleet-wide walks
 // (Objects, Health) interleave with writers safely.
 func TestShardHammer(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3, RetrainEvery: 2})
+	s := testStore(t, Options{MinTrainPeriods: 3})
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 77)
 	spec.Period = period
 	spec.SubTrajectories = 5

@@ -18,7 +18,8 @@ import (
 // The golden directory under testdata/fleet is frozen: a manifest and three
 // segments written by the commit before the one-format change (bf43535),
 // which opened the old single-file fixture — a three-object fleet under
-// Options{Config: {Period: period}, MinTrainPeriods: 3, RetrainEvery: 50};
+// Options{Config: {Period: period}, MinTrainPeriods: 3} and a full rebuild
+// every 50 periods (an option that commit still had);
 // "fixture-trained" fed four Bike periods, "fixture-short" half a period,
 // "fixture-single" one point — with every checkpoint forced to a full rewrite
 // (an option that commit still had) and closed it. It is the

@@ -14,7 +14,7 @@ import (
 // Fleet-wide predictive queries: the store maintains a uniform-grid index
 // (internal/spatial) over every object's *predicted* positions at a fixed
 // set of horizon buckets, refreshed incrementally — on every acknowledged
-// observe, on every predictor swap, and on restart recovery — so
+// observe, when a first train is installed, and on restart recovery — so
 // QueryRange/QueryNearest answer "which objects will be inside R / nearest P
 // at horizon h?" from cached predictions without fitting a single model.
 // ScanRange/ScanNearest are the O(N) brute-force oracles the experiments
@@ -95,8 +95,8 @@ func indexEntryFor(h int, preds []hpm.Prediction, last, vel hpm.Point) spatial.E
 // every configured horizon and re-bins them — one PredictBatch against the
 // live predictor (at most one fallback fit, thanks to the engine's fit
 // cache), or pure velocity extrapolation while untrained. Called with
-// obj.mu held for writing on every acknowledged observe, after a predictor
-// swap, and during restart recovery; queries therefore never fit models.
+// obj.mu held for writing on every acknowledged observe, after a first
+// train's install, and during restart recovery; queries therefore never fit models.
 func (s *Store) indexUpdateLocked(obj *object) {
 	// A removed object's entries are gone and its id may already belong to
 	// a successor: a train that was in flight during Remove stops here.

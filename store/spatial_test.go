@@ -222,12 +222,12 @@ func TestFleetStatsSpatial(t *testing.T) {
 	}
 }
 
-// TestFleetQueryHammer races ingest, removal, and retrain-driven swaps
+// TestFleetQueryHammer races ingest, removal, and first-train installs
 // against concurrent range and kNN queries. Run under -race it pins the
 // locking design; assertions are minimal because the interleavings are
 // nondeterministic.
 func TestFleetQueryHammer(t *testing.T) {
-	s := fleetStore(t, Options{MinTrainPeriods: 2, RetrainEvery: 1})
+	s := fleetStore(t, Options{MinTrainPeriods: 2})
 	stop := make(chan struct{})
 	time.AfterFunc(300*time.Millisecond, func() { close(stop) })
 	var wg sync.WaitGroup

@@ -1,8 +1,7 @@
 // Package store manages Hybrid Prediction Models for a fleet of moving
 // objects: it ingests location streams, trains a per-object model once
-// enough periods accumulate, keeps each model fresh with incremental
-// updates (and optional periodic retrains), and answers predictive queries
-// concurrently.
+// enough periods accumulate, keeps that model current by extending it with
+// every completed period, and answers predictive queries concurrently.
 //
 // The paper models a single object per model — patterns are personal
 // habits, so a shared model would blur them. This package is the thin
@@ -38,12 +37,6 @@ type Options struct {
 	// before its first model is trained. Values <= 0 default to
 	// DefaultMinTrainPeriods.
 	MinTrainPeriods int
-	// RetrainEvery fully retrains a model after this many newly completed
-	// periods — a batch backstop that refreshes region geometry and key
-	// tables and restores index packing. Every period in between is
-	// absorbed by an incremental Extend, whose cost tracks the new data,
-	// not the track length. 0 disables rebuilds (extends only).
-	RetrainEvery int
 	// MaxRecent is the recent-movement window handed to queries. Values
 	// <= 0 default to DefaultMaxRecent.
 	MaxRecent int
@@ -53,20 +46,13 @@ type Options struct {
 	// flushed; replay still recovers everything older).
 	WALNoSync bool
 	// Eval tunes the online prequential evaluator: ring bound, hit
-	// distance D, horizon buckets, EWMA smoothing. Zero fields take the
-	// evalq defaults. See internal/evalq.
+	// distance D, horizon buckets. Zero fields take the evalq defaults.
+	// See internal/evalq.
 	Eval evalq.Config
 	// EvalDisabled turns the online evaluator off entirely: no prediction
 	// is parked, no observation is scored, and the eval endpoints report
 	// empty summaries.
 	EvalDisabled bool
-	// DriftThreshold, when positive, schedules an early retrain whenever
-	// an object's error EWMA exceeds it (and at least DefaultDriftMinScores
-	// predictions were scored since the last reset, so one bad prediction
-	// after a retrain cannot immediately re-fire). 0 disables drift
-	// detection — the default. The EWMA is the evaluator's, so New refuses
-	// a positive threshold with EvalDisabled.
-	DriftThreshold float64
 	// DegradeAfter is how many consecutive WAL fsync failures flip a
 	// durable store into degraded read-only mode. A failed segment write
 	// (torn tail) or ENOSPC degrades immediately regardless. Values <= 0
@@ -79,7 +65,7 @@ type Options struct {
 	// FleetIndex, when non-nil, maintains a uniform-grid index over every
 	// object's predicted positions at the configured horizon buckets
 	// (defaulting to the evaluator's buckets), refreshed on every
-	// acknowledged observe and predictor swap. Enables QueryRange,
+	// acknowledged observe and first-train install. Enables QueryRange,
 	// QueryNearest and the scan oracles. CellSize must be positive.
 	FleetIndex *spatial.Config
 }
@@ -101,15 +87,6 @@ const (
 	// DefaultTrainRetryBackoff is the delay before the first train retry;
 	// it doubles per attempt up to maxTrainBackoff.
 	DefaultTrainRetryBackoff = 100 * time.Millisecond
-	// DefaultDriftMinScores is how many predictions must be scored since
-	// the drift EWMA was last reset before drift may trigger.
-	DefaultDriftMinScores = 10
-	// trainBacklogPerWorker sizes the trainer-saturation valve: with this
-	// many pending trains per worker, drift-triggered retrains are skipped
-	// (without resetting the drift EWMA, so they re-fire once the pool
-	// drains). Scheduled first-trains and periodic retrains are not valved
-	// — they are the product, drift retrains are opportunistic.
-	trainBacklogPerWorker = 4
 )
 
 // numShards is how many independently locked sub-maps the object table is
@@ -188,14 +165,15 @@ func checkHorizon(now int, tqs ...int) error {
 
 // Store tracks many objects. All methods are safe for concurrent use.
 //
-// Full (re)trains are expensive — region discovery, pattern mining and an
-// index rebuild over the whole history — so they run on a bounded
-// background pool instead of the observing goroutine: ObserveBatch
-// snapshots the completed-period prefix, hands it to a trainer, and
-// returns; the object's previous predictor (if any) keeps answering
-// queries until the freshly trained one is swapped in under the object's
-// lock. Incremental Extends are cheap and stay synchronous. Flush drains
-// pending trains (tests, checkpoints); Close drains and stops scheduling.
+// An object is trained once, when MinTrainPeriods have completed, and only
+// extended from then on, so its predictor is never replaced. That train is
+// expensive — region discovery, pattern mining and an index build over the
+// whole history — so it runs on a bounded background pool instead of the
+// observing goroutine: ObserveBatch snapshots the completed-period prefix,
+// hands it to a trainer, and returns; the object answers ErrUntrained until
+// the trained predictor is installed under its lock. Incremental Extends
+// are cheap and stay synchronous. Flush drains pending trains (tests,
+// checkpoints); Close drains and stops scheduling.
 type Store struct {
 	opts Options
 
@@ -207,9 +185,8 @@ type Store struct {
 
 	// The training policy constants as fields, so tests can shorten the
 	// backoff or drop the retries after New and before the first observe.
-	maxRetries     int
-	retryBackoff   time.Duration
-	driftMinScores int
+	maxRetries   int
+	retryBackoff time.Duration
 
 	// The object table is sharded: FNV-1a over the id picks one of
 	// numShards sub-maps, each with its own RWMutex, so lookups and
@@ -219,7 +196,7 @@ type Store struct {
 	shards [numShards]shard
 
 	// Background-training machinery. pending counts scheduled trains not
-	// yet swapped in; trainCond broadcasts when it reaches zero; trainSem
+	// yet installed; trainCond broadcasts when it reaches zero; trainSem
 	// bounds concurrent trains to workers. Failed train attempts land in a
 	// fixed-size ring — errStart/errCount index it, errTotal counts every
 	// failure ever — drained by Flush/Close and summarized (without
@@ -287,14 +264,6 @@ type Store struct {
 	stop       chan struct{}
 	probeWG    sync.WaitGroup
 
-	// driftSuppressed counts drift retrains the trainer-saturation valve
-	// skipped (trainBacklogPerWorker), for FleetStats and /metrics.
-	driftSuppressed atomic.Uint64
-
-	// driftRetrains counts retrains triggered fleet-wide by the drift
-	// EWMA (Options.DriftThreshold), for FleetStats and /metrics.
-	driftRetrains atomic.Uint64
-
 	// Model-update telemetry for FleetStats and /metrics: how many full
 	// trains and incremental extends ran (every train attempt counts),
 	// and the cumulative wall-clock nanoseconds each path consumed.
@@ -309,7 +278,7 @@ type Store struct {
 
 	// beforeTrain, when set, runs on the trainer goroutine right before
 	// the model is trained. Test hook: lets tests hold a train in flight
-	// and observe the store mid-retrain. Set it before any trains start.
+	// and observe the store mid-train. Set it before any trains start.
 	beforeTrain func()
 
 	// index is the fleet-wide grid over predicted positions (nil unless
@@ -332,7 +301,7 @@ type shard struct {
 // object is one tracked object's state. mu is a read-write lock: queries
 // (Predict, PredictRange, PredictBatch, Now, Stats) share a read lock —
 // the predictor's query path is lock-free internally, so any number run in
-// parallel — while Observe, model swaps and Extends take the write lock.
+// parallel — while Observe, model installs and Extends take the write lock.
 //
 // Writers additionally serialize on ingestMu, held across the whole
 // observe — offset capture, WAL group commit, track apply — so per-object
@@ -354,15 +323,14 @@ type object struct {
 	// modeled is how many leading periods of track the predictor has seen
 	// (via Train or Extend).
 	modeled int
-	// sinceRetrain counts periods absorbed since the last full train.
-	sinceRetrain int
-	// training marks an in-flight background (re)train; further model
-	// updates are deferred until the trained predictor is swapped in.
+	// training marks an in-flight background train; further model updates
+	// are deferred until the trained predictor is installed.
 	training bool
-	// queries accumulates the query counters of predictors retired by full
-	// retrains, so per-object query-path stats survive model swaps. The
-	// live predictor's counters are added on read.
-	queries hpm.QueryStats
+	// failedAt is the completed-period count the last failed train
+	// covered: the next train waits for a period past it, so a failing
+	// track costs one train per period, not one per observe. In memory
+	// only — a restart tries again at once.
+	failedAt int
 	// lastTrainErr is the most recent train failure, cleared when a train
 	// succeeds; trainFails counts failed attempts over the object's life.
 	lastTrainErr error
@@ -371,8 +339,6 @@ type object struct {
 	// observations (nil when Options.EvalDisabled). It has its own lock:
 	// queries record into it under obj.mu's read lock.
 	eval *evalq.Tracker
-	// driftRetrains counts retrains triggered by the drift EWMA.
-	driftRetrains int
 	// Cumulative incremental-update counters across the object's Extends,
 	// surfaced by Stats.
 	unmatchedPts    int
@@ -387,7 +353,7 @@ type object struct {
 	// successor).
 	removed bool
 	// id is the object's key in the shard map, carried here so paths
-	// without the id at hand (background train swaps, index refreshes)
+	// without the id at hand (background train installs, index refreshes)
 	// can address the fleet index. Immutable after creation.
 	id string
 	// slot is the object's handle in the fleet index, taken on its first
@@ -407,21 +373,16 @@ type object struct {
 	idxClean bool
 }
 
-// New returns an empty store. Config.Period must be positive, and a
-// DriftThreshold needs the evaluator (no EvalDisabled).
+// New returns an empty store. Config.Period must be positive.
 func New(opts Options) (*Store, error) {
 	if opts.Config.Period <= 0 {
 		return nil, errors.New("store: Options.Config.Period must be positive")
 	}
-	if opts.EvalDisabled && opts.DriftThreshold > 0 {
-		return nil, errors.New("store: Options.DriftThreshold is set with EvalDisabled: drift is the evaluator's error EWMA, so it would never fire")
-	}
 	s := &Store{
-		opts:           opts.withDefaults(),
-		workers:        runtime.GOMAXPROCS(0),
-		maxRetries:     DefaultTrainMaxRetries,
-		retryBackoff:   DefaultTrainRetryBackoff,
-		driftMinScores: DefaultDriftMinScores,
+		opts:         opts.withDefaults(),
+		workers:      runtime.GOMAXPROCS(0),
+		maxRetries:   DefaultTrainMaxRetries,
+		retryBackoff: DefaultTrainRetryBackoff,
 	}
 	for i := range s.shards {
 		s.shards[i].objects = map[string]*object{}
@@ -498,9 +459,8 @@ func (s *Store) get(id string, create bool) (*object, error) {
 
 // Observe appends the object's location at its next timestamp (locations
 // arrive in order, one per tick). Crossing a period boundary may trigger a
-// model update: incremental extends run inline, while the first train and
-// periodic retrains are handed to the background pool — use Flush to wait
-// for them.
+// model update: incremental extends run inline, while the first train is
+// handed to the background pool — use Flush to wait for it.
 func (s *Store) Observe(id string, loc hpm.Point) error {
 	return s.ObserveBatch(id, []hpm.Point{loc})
 }
@@ -651,8 +611,8 @@ acquire:
 
 // appendLocked is the one step that grows a track: append, dirty mark and
 // Markov fold, returning the timestamp of pts[0]. All under one hold of
-// obj.mu, because a model swap re-folds the chain from the whole track
-// (installLocked): a swap landing between an append and a later fold would
+// obj.mu, because a model install re-folds the chain from the whole track
+// (installLocked): an install landing between an append and a later fold would
 // already count the points, and the fold would count them again. Called
 // with obj.ingestMu and obj.mu held.
 func (s *Store) appendLocked(obj *object, pts []hpm.Point) int {
@@ -700,30 +660,25 @@ func (s *Store) fault(op faultinject.Op) error {
 	return nil
 }
 
-// maybeUpdate is the store's one model-update policy: first train once
+// maybeUpdate is the store's one model-update policy: train once
 // MinTrainPeriods have completed, then absorb every newly completed period
-// through the model's incremental Extend, with a full rebuild every
-// RetrainEvery periods (0 = never). Called with obj.mu held.
+// through the model's incremental Extend. A train that failed is tried
+// again only once a further period completes. Called with obj.mu held.
 func (s *Store) maybeUpdate(obj *object) error {
 	if obj.training {
-		// A background (re)train is in flight; it re-runs this check
-		// after the swap to absorb periods completed meanwhile.
+		// A background train is in flight; it re-runs this check after the
+		// install to absorb periods completed meanwhile.
 		return nil
 	}
 	period := s.opts.Config.Period
 	completed := (obj.base + len(obj.track)) / period
 	if obj.predictor == nil {
-		if completed >= s.opts.MinTrainPeriods {
+		if completed >= s.opts.MinTrainPeriods && completed > obj.failedAt {
 			s.scheduleTrain(obj, completed)
 		}
 		return nil
 	}
-	newPeriods := completed - obj.modeled
-	if newPeriods <= 0 {
-		return nil
-	}
-	if s.opts.RetrainEvery > 0 && obj.sinceRetrain+newPeriods >= s.opts.RetrainEvery {
-		s.scheduleTrain(obj, completed)
+	if completed <= obj.modeled {
 		return nil
 	}
 	start := time.Now()
@@ -736,7 +691,6 @@ func (s *Store) maybeUpdate(obj *object) error {
 	obj.unmatchedPts += res.UnmatchedPoints
 	obj.retiredPatterns += res.RetiredPatterns
 	obj.mintedRegions += res.NewRegions
-	obj.sinceRetrain += newPeriods
 	obj.modeled = completed
 	s.trimLocked(obj)
 	// The model (and possibly the trimmed track) changed without an
@@ -782,41 +736,36 @@ func (s *Store) trimLocked(obj *object) {
 
 // trainGuarded trains a predictor off pts under the worker semaphore,
 // converting panics into errors: one poisoned track must never take down
-// the whole fleet's process.
+// the whole fleet's process. Every attempt counts toward Trains and
+// TrainSeconds, failed ones included.
 func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 	s.trainSem <- struct{}{}
 	defer func() { <-s.trainSem }()
+	if hook := s.beforeTrain; hook != nil {
+		hook()
+	}
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
+		s.trainNanos.Add(uint64(time.Since(start)))
+		s.trains.Add(1)
 	}()
-	if hook := s.beforeTrain; hook != nil {
-		hook()
-	}
 	if err := s.fault(faultinject.OpTrain); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	p, err = hpm.TrainPoints(pts, s.opts.Config)
-	s.trainNanos.Add(uint64(time.Since(start)))
-	s.trains.Add(1)
-	return p, err
+	return hpm.TrainPoints(pts, s.opts.Config)
 }
 
-// installLocked puts a freshly trained predictor in service: it banks the
-// retired predictor's query counters so per-object stats survive the swap,
-// trims, marks the shard dirty and re-folds the Markov chain from the
-// retained track — the fresh model folded its chain in the training
-// prefix's time basis, not the absolute clock every later MarkovObserve
-// uses. Called with obj.mu write-locked.
+// installLocked puts an untrained object's freshly trained predictor in
+// service: it trims, marks the shard dirty and re-folds the Markov chain
+// from the retained track — the fresh model folded its chain in the
+// training prefix's time basis, not the absolute clock every later
+// MarkovObserve uses. Called with obj.mu write-locked.
 func (s *Store) installLocked(obj *object, p *hpm.Predictor, completed int) {
-	if obj.predictor != nil {
-		obj.queries = obj.queries.Add(obj.predictor.QueryStats())
-	}
 	obj.predictor = p
 	obj.modeled = completed
-	obj.sinceRetrain = 0
 	obj.lastTrainErr = nil
 	s.trimLocked(obj)
 	s.markDirty(obj.id)
@@ -825,7 +774,7 @@ func (s *Store) installLocked(obj *object, p *hpm.Predictor, completed int) {
 
 // scheduleTrain snapshots the completed-period prefix and hands it to a
 // background trainer. No-op when a train for obj is already in flight
-// (later periods are absorbed by the post-swap catch-up) or the store is
+// (later periods are absorbed by the post-install catch-up) or the store is
 // closed. Called with obj.mu held.
 func (s *Store) scheduleTrain(obj *object, completed int) {
 	s.trainMu.Lock()
@@ -842,14 +791,14 @@ func (s *Store) scheduleTrain(obj *object, completed int) {
 	go s.runTrain(obj, pts, completed)
 }
 
-// runTrain is the background trainer: it trains a fresh predictor off the
-// snapshot without holding any lock, swaps it in under obj.mu, and re-runs
+// runTrain is the background trainer: it trains a predictor off the
+// snapshot without holding any lock, installs it under obj.mu, and re-runs
 // the update policy to catch up on periods completed during training.
 // Failures — including panics, which trainGuarded converts — are retried
 // with exponential backoff up to DefaultTrainMaxRetries; each attempt's
 // error lands in the bounded ring and on the object's Stats. A train that
-// exhausts its retries leaves the object serving its previous predictor,
-// and the next completed period schedules a fresh train.
+// exhausts its retries leaves the object untrained, and the next completed
+// period schedules a fresh train.
 func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
 	backoff := s.retryBackoff
 	var p *hpm.Predictor
@@ -876,15 +825,17 @@ func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
 
 	obj.mu.Lock()
 	obj.training = false
-	if err == nil {
+	if err != nil {
+		obj.failedAt = completed
+	} else {
 		s.installLocked(obj, p, completed)
-		// Catch up: extend (or re-schedule a retrain) over periods that
-		// completed while this train was running.
+		// Catch up: extend over periods that completed while this train was
+		// running.
 		if uerr := s.maybeUpdate(obj); uerr != nil {
 			s.recordTrainErr(uerr)
 		}
-		// The swap changed what the model predicts: re-bin the object's
-		// fleet-index entries against the fresh predictor.
+		// The install changed what the object predicts: re-bin its
+		// fleet-index entries against the trained predictor.
 		s.indexUpdateLocked(obj)
 	}
 	obj.mu.Unlock()
@@ -945,7 +896,7 @@ func (s *Store) Flush() error {
 // Close drains pending background trains and stops scheduling new ones.
 // A durable store additionally writes a final checkpoint and releases its
 // WAL. Observations and queries still work after Close on an in-memory
-// store, but models are no longer retrained. Returns any accumulated
+// store, but untrained objects are no longer trained. Returns any accumulated
 // training errors joined with checkpoint errors.
 func (s *Store) Close() error {
 	s.trainMu.Lock()
@@ -981,7 +932,7 @@ func (s *Store) Close() error {
 // Predict estimates the object's location at absolute time tq (timestamps
 // count observations from zero) from its most recent movements. Queries
 // run under the object's read lock: any number execute in parallel with
-// each other, serializing only against writes (Observe, model swaps). A tq
+// each other, serializing only against writes (Observe, Extends). A tq
 // more than MaxHorizon past the object's current time is refused with
 // ErrTooFar, as by every predict call.
 func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
@@ -990,7 +941,7 @@ func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
 
 // PredictContext is Predict with request-scoped cancellation: a client
 // that disconnected or blew its deadline before the query starts — or
-// while waiting for the object's lock behind a model swap — gets the
+// while waiting for the object's lock behind a writer — gets the
 // context's error instead of an answer nobody reads.
 func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
 	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
@@ -1168,19 +1119,16 @@ type ObjectStats struct {
 	Points     int  // observations ingested
 	Periods    int  // completed periods
 	Trained    bool // has a model
-	Training   bool // a background (re)train is in flight
+	Training   bool // a background train is in flight
 	Modeled    int  // periods the model has absorbed
 	Regions    int
 	Patterns   int
 	IndexBytes int
 	// TrainFailures counts failed train attempts over the object's life;
 	// LastTrainError is the most recent one, cleared by a successful
-	// train. A non-empty value with Trained=true means the object is
-	// serving its previous model while retrains fail.
+	// train.
 	TrainFailures  int
 	LastTrainError string `json:",omitempty"`
-	// DriftRetrains counts retrains the drift EWMA triggered early.
-	DriftRetrains int
 	// RetainedPoints is how many observations the track currently holds;
 	// with a retention window it trails Points, whose count is absolute.
 	RetainedPoints int
@@ -1210,12 +1158,10 @@ func (s *Store) Stats(id string) (ObjectStats, error) {
 		Training:        obj.training,
 		Modeled:         obj.modeled,
 		TrainFailures:   obj.trainFails,
-		DriftRetrains:   obj.driftRetrains,
 		RetainedPoints:  len(obj.track),
 		UnmatchedPoints: obj.unmatchedPts,
 		RetiredPatterns: obj.retiredPatterns,
 		MintedRegions:   obj.mintedRegions,
-		Queries:         obj.queries,
 	}
 	if obj.lastTrainErr != nil {
 		st.LastTrainError = obj.lastTrainErr.Error()
@@ -1225,7 +1171,7 @@ func (s *Store) Stats(id string) (ObjectStats, error) {
 		st.Regions = obj.predictor.NumRegions()
 		st.Patterns = obj.predictor.NumPatterns()
 		st.IndexBytes = obj.predictor.IndexBytes()
-		st.Queries = st.Queries.Add(obj.predictor.QueryStats())
+		st.Queries = obj.predictor.QueryStats()
 	}
 	return st, nil
 }
@@ -1426,8 +1372,8 @@ func (s *Store) WALStats() WALStats {
 }
 
 // Predictor returns the object's current predictor for advanced use
-// (saving, inspection); nil when untrained. The returned predictor may be
-// replaced by later retrains, so hold onto the pointer only briefly.
+// (saving, inspection); nil when untrained. Once set it is never replaced:
+// later periods extend it in place, under the object's write lock.
 func (s *Store) Predictor(id string) (*hpm.Predictor, error) {
 	obj, err := s.get(id, false)
 	if err != nil {

@@ -45,8 +45,7 @@ func feed(t testing.TB, s *Store, id string, seed int64, periods int) *hpm.Traje
 }
 
 // TestNewValidation: New and Open refuse options that cannot work — no
-// period, or a drift threshold with the evaluator whose error EWMA it reads
-// turned off — and accept each half of the refused pair alone.
+// period — and accept a store with the evaluator turned off.
 func TestNewValidation(t *testing.T) {
 	cfg := hpm.Config{Period: period}
 	for _, tc := range []struct {
@@ -55,9 +54,7 @@ func TestNewValidation(t *testing.T) {
 		refused bool
 	}{
 		{"zero period", Options{}, true},
-		{"drift without evaluator", Options{Config: cfg, EvalDisabled: true, DriftThreshold: 50}, true},
 		{"evaluator off", Options{Config: cfg, EvalDisabled: true}, false},
-		{"drift", Options{Config: cfg, DriftThreshold: 50}, false},
 	} {
 		for _, open := range []struct {
 			name string
@@ -286,11 +283,12 @@ func TestStatsIncludeQueryCounters(t *testing.T) {
 // counts and the policy knobs nothing set became constants, 16 before the
 // shard count became part of the on-disk format, 15 before the forced full
 // rewrite that changed no byte went, 14 before adaptive routing and inline
-// training went. A new field needs two callers that want different values
-// — and then this number moves.
+// training went, 11 before periodic and drift-triggered retraining went. A
+// new field needs two callers that want different values — and then this
+// number moves.
 func TestOptionsBudget(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n > 11 {
-		t.Errorf("store.Options has %d fields, budget is 11", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n > 9 {
+		t.Errorf("store.Options has %d fields, budget is 9", n)
 	}
 }
 
