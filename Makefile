@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-query bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend chaos
+.PHONY: build test race vet bench bench-query bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
 
 build:
 	$(GO) build ./...
@@ -116,3 +116,13 @@ bench-recovery:
 # write in place" quote them.
 bench-extend:
 	$(GO) test -bench='BenchmarkMine|BenchmarkSeedMiner|BenchmarkExtendFleet' -benchmem -run '^$$' ./internal/core/
+
+# What one first train costs at the harness fleet's shape (period 60, ten
+# periods, one object of each datagen kind): DBSCAN per offset, the mining
+# walk, the tree's bulk load and the chain's fold, with allocations; and
+# DBSCAN alone at the training shape (ten points, eps 30, MinPts 4) beside
+# its thousand-point grid. DESIGN.md's "What a first train costs" quotes
+# them.
+bench-train:
+	$(GO) test -bench='BenchmarkTrainFleet' -benchmem -run '^$$' ./internal/core/
+	$(GO) test -bench='BenchmarkDBSCAN' -benchmem -run '^$$' ./internal/cluster/

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -159,9 +162,12 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 			pts[i] = geom.Pt(r.Float64()*200-100, r.Float64()*200-100)
 		}
 		eps := 1 + r.Float64()*20
-		g := newGrid(pts, eps)
+		g := newGrid(pts, eps, make([]int32, 2*n+1))
 		for i := 0; i < n; i++ {
-			got := g.rangeQuery(pts, i, eps, nil)
+			var got []int
+			for _, j := range g.rangeQuery(pts, int32(i), nil) {
+				got = append(got, int(j))
+			}
 			want := BruteForceNeighbors(pts, i, eps)
 			sort.Ints(got)
 			if len(got) != len(want) {
@@ -173,6 +179,102 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refDBSCAN is DBSCAN as the paper's source states it, over brute-force
+// neighborhoods and with a queue where DBSCAN keeps a stack: seeds in index
+// order, each cluster grown in full, breadth first, before the next seed,
+// and a border point labeled by the first cluster that reaches it.
+func refDBSCAN(pts []geom.Point, eps float64, minPts int) Result {
+	n := len(pts)
+	nb := make([][]int, n)
+	labels := make([]int, n)
+	for i := range pts {
+		nb[i] = BruteForceNeighbors(pts, i, eps)
+		labels[i] = Noise
+	}
+	c := 0
+	for i := range pts {
+		if labels[i] != Noise || len(nb[i]) < minPts {
+			continue
+		}
+		labels[i] = c
+		for queue := []int{i}; len(queue) > 0; queue = queue[1:] {
+			for _, k := range nb[queue[0]] {
+				if labels[k] == Noise {
+					labels[k] = c
+					if len(nb[k]) >= minPts {
+						queue = append(queue, k)
+					}
+				}
+			}
+		}
+		c++
+	}
+	return Result{Labels: labels, NumClusters: c}
+}
+
+// oraclePoints draws n points for eps: loose groups around centers on both
+// sides of the origin, every sixth a copy of an earlier point and every
+// seventh snapped onto the eps lattice, so coordinates fall exactly on cell
+// edges and distances come out exactly eps.
+func oraclePoints(r *rand.Rand, n int, eps float64) []geom.Point {
+	centers := make([]geom.Point, 1+r.Intn(8))
+	for i := range centers {
+		centers[i] = geom.Pt(r.Float64()*20*eps-10*eps, r.Float64()*20*eps-10*eps)
+	}
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		c := centers[r.Intn(len(centers))]
+		p := geom.Pt(c.X+r.NormFloat64()*eps, c.Y+r.NormFloat64()*eps)
+		switch {
+		case i > 0 && i%6 == 0:
+			p = pts[r.Intn(i)]
+		case i%7 == 0:
+			p = geom.Pt(math.Round(p.X/eps)*eps, math.Round(p.Y/eps)*eps)
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// TestDBSCANMatchesReference: the grid's DBSCAN labels every point as the
+// brute-force reference does, label for label, from one point to a
+// thousand, at the training shape (ten points, eps 30, MinPts 4) and with
+// border points two clusters reach.
+func TestDBSCANMatchesReference(t *testing.T) {
+	require := func(what string, pts []geom.Point, eps float64, minPts int) {
+		t.Helper()
+		got, want := DBSCAN(pts, eps, minPts), refDBSCAN(pts, eps, minPts)
+		if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
+			t.Fatalf("%s: %d clusters %v, reference %d %v", what, got.NumClusters, got.Labels, want.NumClusters, want.Labels)
+		}
+	}
+	r := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 2, 3, 5, 10, 31, 100, 300, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			eps := []float64{30, 1, 2.5, 0.7}[trial%4]
+			minPts := 1 + r.Intn(6)
+			require(fmt.Sprintf("n=%d trial %d", n, trial), oraclePoints(r, n, eps), eps, minPts)
+		}
+	}
+	// The training shape: one offset group of ten periods.
+	for trial := 0; trial < 500; trial++ {
+		require(fmt.Sprintf("training shape, trial %d", trial), oraclePoints(r, 10, 30), 30, 4)
+	}
+	// A border point two clusters reach, on the lattice: (30, 0) is within
+	// eps of a core of each and has too few neighbors of its own. It takes
+	// the label of the cluster whose seed comes first, whichever side that is.
+	left := []geom.Point{geom.Pt(0, 0), geom.Pt(0, 1), geom.Pt(0, -1), geom.Pt(-1, 0)}
+	right := []geom.Point{geom.Pt(60, 0), geom.Pt(60, 1), geom.Pt(60, -1), geom.Pt(61, 0)}
+	border := geom.Pt(30, 0)
+	for _, pts := range [][]geom.Point{
+		append(append(slices.Clone(left), right...), border),
+		append(append(slices.Clone(right), left...), border),
+		append(append([]geom.Point{border}, right...), left...),
+	} {
+		require("shared border point", pts, 30, 4)
 	}
 }
 
@@ -237,3 +339,20 @@ func BenchmarkDBSCANGrid1000(b *testing.B) {
 		DBSCAN(pts, 15, 4)
 	}
 }
+
+// BenchmarkDBSCAN runs DBSCAN at the shape a first train calls it at: one
+// time-offset group of ten periods (ten points), eps 30, MinPts 4: two
+// groups of visits and two strays.
+func BenchmarkDBSCAN(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	pts := append(blob(r, geom.Pt(400, 300), 8, 5), blob(r, geom.Pt(470, 320), 8, 3)...)
+	pts = append(pts, geom.Pt(430, 380), geom.Pt(900, 50))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dbscanSink = DBSCAN(pts, 30, 4)
+	}
+}
+
+// dbscanSink keeps BenchmarkDBSCAN's result live.
+var dbscanSink Result

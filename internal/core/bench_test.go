@@ -65,6 +65,30 @@ func loadFleetModel(b *testing.B, stream []byte) *Model {
 	return m
 }
 
+// trainSink keeps BenchmarkTrainFleet's result live.
+var trainSink *Model
+
+// BenchmarkTrainFleet times one first train at the harness fleet's shape:
+// DBSCAN per offset, the mining walk, the tree's bulk load and the chain's
+// fold over ten periods of one object of each kind.
+func BenchmarkTrainFleet(b *testing.B) {
+	for _, kind := range datagen.Kinds {
+		b.Run(fmt.Sprint(kind), func(b *testing.B) {
+			subs := fleetSubs(b, kind, fleetPeriod, fleetTrainPeriods)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := TrainSubTrajectories(subs, Params{Period: fleetPeriod})
+				if err != nil {
+					b.Fatal(err)
+				}
+				trainSink = m
+			}
+			b.ReportMetric(float64(trainSink.NumPatterns()), "rules")
+		})
+	}
+}
+
 // minedSink keeps BenchmarkMine's result live.
 var minedSink []pattern.Pattern
 

@@ -153,9 +153,9 @@ func MineWithStats(rt *RegionTable, cfg Config) ([]Pattern, Stats) {
 			}
 		}
 	}
-	// The rules of each length, Premise unset, and their premises back to
-	// back.
-	var rules [MaxIdentityLen + 1][]Pattern
+	// The rules of each length as pointer-free records, and their premises
+	// back to back.
+	var rules [MaxIdentityLen + 1][]rule
 	var premises [MaxIdentityLen + 1][]RegionID
 	walkItemsets(rt, cfg, func(ids []RegionID, sup, premSup int) {
 		stats.FrequentItemsets++
@@ -165,21 +165,37 @@ func MineWithStats(rt *RegionTable, cfg Config) ([]Pattern, Stats) {
 		if conf := float64(sup) / float64(premSup); conf >= cfg.MinConfidence {
 			k := len(ids)
 			premises[k] = append(premises[k], ids[:k-1]...)
-			rules[k] = append(rules[k], Pattern{Consequence: ids[k-1], Confidence: conf, Support: sup})
+			rules[k] = append(rules[k], rule{conf: conf, consequence: int32(ids[k-1]), support: int32(sup)})
 			stats.Rules++
 		}
 	})
 	if cfg.CountUnpruned {
 		stats.UnprunedRules = countUnprunedRules(supports, cfg.MinConfidence)
 	}
-	patterns := slices.Grow([]Pattern(nil), stats.Rules) // nil when none
-	for k, ps := range rules {
-		for i, p := range ps {
-			p.Premise = premises[k][i*(k-1) : (i+1)*(k-1) : (i+1)*(k-1)]
-			patterns = append(patterns, p)
+	if stats.Rules == 0 {
+		return nil, stats
+	}
+	patterns := make([]Pattern, 0, stats.Rules)
+	for k, rs := range rules {
+		for i, r := range rs {
+			patterns = append(patterns, Pattern{
+				Premise:     premises[k][i*(k-1) : (i+1)*(k-1) : (i+1)*(k-1)],
+				Consequence: RegionID(r.consequence),
+				Confidence:  r.conf,
+				Support:     int(r.support),
+			})
 		}
 	}
 	return patterns, stats
+}
+
+// rule is one mined rule while MineWithStats collects them: a Pattern less
+// its premise, in 16 bytes and no pointer for the collector's growing
+// slices to carry. Region ids and supports count regions and periods, far
+// below 2³¹.
+type rule struct {
+	conf                 float64
+	consequence, support int32
 }
 
 // countUnprunedRules counts the rules classic Apriori rule generation would

@@ -31,6 +31,7 @@ func (t *Tree) Delete(key bitkey.PatternKey, ref int) bool {
 	for !t.root.leaf && len(t.root.kids) == 1 {
 		t.root = t.root.kids[0]
 		t.height--
+		t.inner--
 	}
 	return true
 }
@@ -53,6 +54,7 @@ func (t *Tree) deleteIn(n *node, pk []uint64, ref int) bool {
 		if t.deleteIn(child, pk, ref) {
 			if child.len() == 0 {
 				t.remove(n, i)
+				t.count(child, -1)
 			} else {
 				t.unionOf(t.key(n, i)[:0], child)
 			}

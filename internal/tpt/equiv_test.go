@@ -294,20 +294,28 @@ func requireConfs(t *testing.T, tree *Tree, items []Item) {
 	})
 }
 
-// FuzzTreeOps reads op bytes as a sequence of Insert, Delete, UpdateConf and
-// GrowKeys and checks the tree against BruteForce over the surviving items,
-// and its locator against its leaves, after every op. The seeds below run
-// under plain go test.
+// FuzzTreeOps bulk-loads the items load describes, checks the load against
+// the comparison order, then reads op bytes as a sequence of Insert, Delete,
+// UpdateConf and GrowKeys and checks the tree against BruteForce over the
+// surviving items, and its locator against its leaves, after every op. The
+// seeds below run under plain go test.
 func FuzzTreeOps(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Add([]byte("\x00\x10\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x03\xff\x00\x16\x02\x00\x02\x00\x02\x00"))
+	f.Add([]byte{}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{}, []byte("\x00\x10\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x03\xff\x00\x16\x02\x00\x02\x00\x02\x00"))
 	seq := make([]byte, 600)
 	rand.New(rand.NewSource(9)).Read(seq)
-	f.Add(seq)
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Add([]byte{}, seq)
+	// Loads with equal keys, one of 120 items, under the same ops.
+	f.Add([]byte("\x05\x10\x40\x85\x00\x41\x05\x10\x80\x86\x01\x42\x07\x11\x43"), seq[:200])
+	load := make([]byte, 360)
+	rand.New(rand.NewSource(10)).Read(load)
+	f.Add(load, seq)
+	f.Fuzz(func(t *testing.T, load, ops []byte) {
 		ckLen, rkLen := 62, 126 // two GrowKeys from a word boundary in each part
-		tree := New(ckLen, rkLen, Options{MaxEntries: 4})
-		var alive []Item
+		alive := loadItems(load, ckLen, rkLen)
+		requireLoadOrder(t, ckLen, rkLen, alive)
+		tree := BulkLoad(ckLen, rkLen, alive, Options{MaxEntries: 4})
+		checkInvariants(t, tree, true)
 		deleted := false
 		next := func() int {
 			if len(ops) == 0 {
@@ -317,7 +325,7 @@ func FuzzTreeOps(f *testing.F) {
 			ops = ops[1:]
 			return int(b)
 		}
-		for ref := 0; len(ops) > 0 && ref < 400; ref++ {
+		for ref := len(alive); len(ops) > 0 && ref < len(alive)+400; ref++ {
 			op := next()
 			kind := op % 4
 			if kind == 1 && (len(alive) == 0 || op&0x10 == 0) {
@@ -371,4 +379,28 @@ func FuzzTreeOps(f *testing.F) {
 			requireBruteForce(t, tree, alive, q)
 		}
 	})
+}
+
+// loadItems reads a bulk load from data, three bytes an item: a byte with
+// its high bit set copies the key of an earlier item, the others pick one
+// consequence and two premise bits; the last byte is the confidence. Refs run
+// backwards, so they are distinct and not in index order.
+func loadItems(data []byte, ckLen, rkLen int) []Item {
+	var items []Item
+	for ; len(data) >= 3 && len(items) < 200; data = data[3:] {
+		b0, b1, b2 := int(data[0]), int(data[1]), int(data[2])
+		k := bitkey.NewPatternKey(ckLen, rkLen)
+		if b0&0x80 != 0 && len(items) > 0 {
+			k = items[b1%len(items)].Key
+		} else {
+			k.CK.Set(1 + b0%ckLen)
+			k.RK.Set(1 + b1%rkLen)
+			k.RK.Set(1 + (7*b1+b2)%rkLen)
+		}
+		items = append(items, Item{Key: k, Conf: float64(b2) / 255})
+	}
+	for i := range items {
+		items[i].Ref = len(items) - 1 - i
+	}
+	return items
 }

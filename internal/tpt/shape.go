@@ -130,35 +130,38 @@ func (sh Shape) check(n, max int) error {
 	return nil
 }
 
-// build lays a shape out bottom-up. Leaves come first, each in slabs of
-// exactly its size: leaf is handed sh.Refs one by one with the zeroed key of
-// the entry to fill and returns its payload. Every level above holds the
-// unions of the nodes below, so containment holds by construction.
-func (t *Tree) build(sh Shape, leaf func(i int32, key []uint64) payload) {
-	if len(sh.Refs) == 0 {
+// build lays n items out bottom-up in the node counts of a shape, leaves
+// first, each in slabs of exactly its size: leaf is handed the leaf-walk
+// position of every entry, in order, with the zeroed key to fill and returns
+// its payload. Every level above holds the unions of the nodes below, so
+// containment holds by construction.
+func (t *Tree) build(n int, counts [][]int32, leaf func(j int, key []uint64) payload) {
+	if n == 0 {
 		return
 	}
-	refs := sh.Refs
-	level := make([]*node, len(sh.Counts[0]))
-	for i, c := range sh.Counts[0] {
-		n := &node{leaf: true, keys: make([]uint64, int(c)*t.stride), items: make([]payload, c)}
-		for j := range n.items {
-			n.items[j] = leaf(refs[j], t.key(n, j))
+	level := make([]*node, len(counts[0]))
+	j := 0
+	for i, c := range counts[0] {
+		nd := &node{leaf: true, keys: make([]uint64, int(c)*t.stride), items: make([]payload, c)}
+		for e := range nd.items {
+			nd.items[e] = leaf(j, t.key(nd, e))
+			j++
 		}
-		refs = refs[c:]
-		level[i] = n
+		level[i] = nd
 	}
-	for _, counts := range sh.Counts[1:] {
-		up := make([]*node, len(counts))
-		for i, c := range counts {
-			n := &node{kids: slices.Clone(level[:c]), keys: make([]uint64, 0, int(c)*t.stride)}
-			for _, child := range n.kids {
-				n.keys = t.unionOf(n.keys, child)
+	t.leaves = len(level)
+	for _, cs := range counts[1:] {
+		up := make([]*node, len(cs))
+		for i, c := range cs {
+			nd := &node{kids: slices.Clone(level[:c]), keys: make([]uint64, 0, int(c)*t.stride)}
+			for _, child := range nd.kids {
+				nd.keys = t.unionOf(nd.keys, child)
 			}
 			level = level[c:]
-			up[i] = n
+			up[i] = nd
 		}
 		level = up
+		t.inner += len(up)
 	}
-	t.root, t.height, t.size = level[0], len(sh.Counts), len(sh.Refs)
+	t.root, t.height, t.size = level[0], len(counts), n
 }

@@ -33,8 +33,8 @@ func requireRebuilds(t *testing.T, ref *refTree, tree *Tree, alive []Item, opts 
 		byRef[int32(it.Ref)] = it
 	}
 	again := New(tree.ckLen, tree.rkLen, opts)
-	again.build(sh, func(r int32, key []uint64) payload {
-		it := byRef[r]
+	again.build(len(sh.Refs), sh.Counts, func(j int, key []uint64) payload {
+		it := byRef[sh.Refs[j]]
 		copy(key, it.Key.RK.Words())
 		copy(key[again.rw:], it.Key.CK.Words())
 		return payload{it.Conf, it.Ref}
@@ -139,14 +139,20 @@ func TestBuildRejectsBadShapes(t *testing.T) {
 func FuzzTreeShape(f *testing.F) {
 	const ckLen, rkLen = 59, 110
 	opts := Options{MaxEntries: 4}
+	// Every fifth item repeats an earlier key, so the loads below put equal
+	// keys next to each other and order them by ref.
 	itemsFor := func(n int) []Item {
 		r := rand.New(rand.NewSource(int64(n)))
 		items := make([]Item, n)
 		for i := range items {
 			items[i] = randomItem(r, ckLen, rkLen, i)
+			if i > 0 && i%5 == 0 {
+				items[i].Key = items[r.Intn(i)].Key
+			}
 		}
 		return items
 	}
+	f.Add(BulkLoad(ckLen, rkLen, itemsFor(300), opts).Shape().AppendBinary(nil)) // three levels
 	tree := BulkLoad(ckLen, rkLen, itemsFor(100), opts)
 	packed := tree.Shape().AppendBinary(nil)
 	for ref := 0; ref < 100; ref += 3 { // hollow it out: underfull nodes, a lower root
@@ -175,6 +181,13 @@ func FuzzTreeShape(f *testing.F) {
 			return
 		}
 		items := itemsFor(len(probe.Refs))
+		// The same items with their refs reversed, so not in index order,
+		// bulk-load in the comparison order.
+		reversed := slices.Clone(items)
+		for i := range reversed {
+			reversed[i].Ref = len(items) - 1 - i
+		}
+		requireLoadOrder(t, ckLen, rkLen, reversed)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sh, _ := DecodeShape(data)

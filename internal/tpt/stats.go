@@ -21,26 +21,20 @@ const (
 	leafEntryOverhead     = 16
 )
 
-// Stats walks the tree and returns its physical statistics.
+// Stats returns the tree's physical statistics. It walks nothing: every
+// node but the root is one entry of its parent, and the tree keeps its node
+// counts.
 func (t *Tree) Stats() TreeStats {
-	s := TreeStats{Items: t.size, Height: t.height}
 	keyBytes := (t.ckLen + t.rkLen + 7) / 8
-	var rec func(n *node)
-	rec = func(n *node) {
-		s.Entries += n.len()
-		if n.leaf {
-			s.LeafNodes++
-			s.StorageBytes += n.len() * (keyBytes + leafEntryOverhead)
-			return
-		}
-		s.InternalNode++
-		s.StorageBytes += n.len() * (keyBytes + internalEntryOverhead)
-		for _, child := range n.kids {
-			rec(child)
-		}
+	inner := t.leaves + t.inner - 1 // entries that point at a node
+	return TreeStats{
+		Items:        t.size,
+		Height:       t.height,
+		LeafNodes:    t.leaves,
+		InternalNode: t.inner,
+		Entries:      t.size + inner,
+		StorageBytes: t.size*(keyBytes+leafEntryOverhead) + inner*(keyBytes+internalEntryOverhead),
 	}
-	rec(t.root)
-	return s
 }
 
 // BruteForce is the unindexed baseline of Figure 11(b): a flat list of

@@ -29,7 +29,6 @@
 package tpt
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -78,6 +77,9 @@ type Tree struct {
 	size         int
 	height       int
 	noIntersect  bool
+	// leaves and inner count the nodes of each kind, kept in step by every
+	// change to the structure, so Stats does not walk the tree.
+	leaves, inner int
 
 	// loc is the locator: loc[ref] is the leaf holding ref, nil for a ref
 	// the tree does not hold. It is built by the first UpdateConf — so a
@@ -134,6 +136,7 @@ func New(ckLen, rkLen int, opts Options) *Tree {
 		minEntries:  min,
 		height:      1,
 		noIntersect: opts.DisableIntersectStep,
+		leaves:      1,
 	}
 }
 
@@ -178,6 +181,7 @@ func (t *Tree) Insert(it Item) {
 		t.root = &node{kids: []*node{old, split}}
 		t.root.keys = t.unionOf(t.unionOf(make([]uint64, 0, 2*t.stride), old), split)
 		t.height++
+		t.inner++
 	}
 	t.size++
 }
@@ -296,7 +300,17 @@ func (t *Tree) split(n *node) *node {
 	for _, p := range right.items {
 		t.locate(p.ref, right)
 	}
+	t.count(right, 1)
 	return right
+}
+
+// count adds d nodes of n's kind to the tree's node counts.
+func (t *Tree) count(n *node, d int) {
+	if n.leaf {
+		t.leaves += d
+	} else {
+		t.inner += d
+	}
 }
 
 // pick returns a node of n's kind holding n's entries idx, in that order,
@@ -410,37 +424,35 @@ func (t *Tree) filled(fill Fill, i int, k []uint64) payload {
 }
 
 // Build returns the tree over the n items fill describes. With a nil shape
-// it is the paper's bulk load of the static pattern set: the items are laid
-// out as one oversized leaf, a sort of 4-byte indices finds the order in which
-// patterns with the same consequence time offset pack into the same leaves,
-// and packCounts cuts every level to capacity, keeping every node beyond a
-// lone root at or above the minimum fill so later Inserts preserve the
-// invariants. A given shape — a saved tree's, Refs naming items by index, as
-// untrusted as the disk it came from — is checked in full and laid out as it
-// stands: no sort, every key written where it stays. Only a shape can fail.
+// it is the paper's bulk load of the static pattern set: every item is laid
+// out as one pointer-free row — its key, its reference, its confidence — a
+// radix sort (loadRows) orders the rows so patterns with the same
+// consequence time offset come next to each other, and packCounts cuts every
+// level to capacity, keeping every node beyond a lone root at or above the
+// minimum fill so later Inserts preserve the invariants. A given shape — a
+// saved tree's, Refs naming items by index, as untrusted as the disk it came
+// from — is checked in full and laid out as it stands: no sort, every key
+// written where it stays. Only a shape can fail.
 func Build(ckLen, rkLen, n int, sh *Shape, opts Options, fill Fill) (*Tree, error) {
 	t := New(ckLen, rkLen, opts)
 	if sh != nil {
 		if err := sh.check(n, t.maxEntries); err != nil {
 			return nil, err
 		}
-		t.build(*sh, func(i int32, key []uint64) payload { return t.filled(fill, int(i), key) })
+		t.build(n, sh.Counts, func(j int, key []uint64) payload { return t.filled(fill, int(sh.Refs[j]), key) })
 		return t, nil
 	}
-	all := &node{leaf: true, keys: make([]uint64, n*t.stride), items: make([]payload, n)}
-	sorted := Shape{Refs: make([]int32, n)}
-	for i := range sorted.Refs {
-		sorted.Refs[i] = int32(i)
-		all.items[i] = t.filled(fill, i, t.key(all, i))
-	}
-	slices.SortFunc(sorted.Refs, func(a, b int32) int { return t.itemCmp(all, a, b) })
+	rows, order := t.loadRows(n, fill)
+	w := t.stride + rowExtra
+	var counts [][]int32
 	for m, nodes := n, 0; m > 0 && nodes != 1; m = nodes { // level upon level, up to one root
-		counts := packCounts(m, t.maxEntries, t.minEntries)
-		sorted.Counts, nodes = append(sorted.Counts, counts), len(counts)
+		c := packCounts(m, t.maxEntries, t.minEntries)
+		counts, nodes = append(counts, c), len(c)
 	}
-	t.build(sorted, func(i int32, key []uint64) payload {
-		copy(key, t.key(all, int(i)))
-		return all.items[i]
+	t.build(n, counts, func(j int, key []uint64) payload {
+		row := rows[int(order[j])*w : int(order[j]+1)*w]
+		copy(key, row)
+		return rowPayload(row[t.stride:])
 	})
 	return t, nil
 }
@@ -485,16 +497,4 @@ func packCounts(n, max, min int) []int32 {
 		counts = counts[:k+1]
 	}
 	return counts
-}
-
-// itemCmp is the bulk-load sort order over a node's entries: consequence
-// part then premise part, most significant bits first, so same-consequence
-// patterns cluster, with the reference as tie-break. Refs are distinct, so
-// the order is strict and total — any correct sort yields the same
-// permutation, which is what lets Build use an unstable one.
-func (t *Tree) itemCmp(n *node, a, b int32) int {
-	if c := bitkey.CompareWords(t.key(n, int(a)), t.key(n, int(b))); c != 0 {
-		return c
-	}
-	return cmp.Compare(n.items[a].ref, n.items[b].ref)
 }

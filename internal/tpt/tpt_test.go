@@ -358,11 +358,46 @@ func TestKeyLengthMismatchPanics(t *testing.T) {
 	tree.Insert(Item{Key: bitkey.NewPatternKey(3, 5)})
 }
 
+// walkStats is Tree.Stats the long way: a walk over every node.
+func walkStats(t *Tree) TreeStats {
+	s := TreeStats{Items: t.size, Height: t.height}
+	keyBytes := (t.ckLen + t.rkLen + 7) / 8
+	var rec func(n *node)
+	rec = func(n *node) {
+		s.Entries += n.len()
+		if n.leaf {
+			s.LeafNodes++
+			s.StorageBytes += n.len() * (keyBytes + leafEntryOverhead)
+			return
+		}
+		s.InternalNode++
+		s.StorageBytes += n.len() * (keyBytes + internalEntryOverhead)
+		for _, child := range n.kids {
+			rec(child)
+		}
+	}
+	rec(t.root)
+	return s
+}
+
 func TestStats(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	tree := New(10, 80, Options{MaxEntries: 8})
-	for i := 0; i < 500; i++ {
-		tree.Insert(randomItem(r, 10, 80, i))
+	// The node counts Stats reads must equal a walk's after every kind of
+	// change to the structure: inserts and their splits, deletes down to
+	// the empty tree, a bulk load, a build from a shape, a key growth.
+	requireWalk := func(what string, tree *Tree) {
+		t.Helper()
+		if got, want := tree.Stats(), walkStats(tree); got != want {
+			t.Fatalf("%s: Stats %+v, walk %+v", what, got, want)
+		}
+	}
+	requireWalk("empty", tree)
+	items := make([]Item, 500)
+	for i := range items {
+		items[i] = randomItem(r, 10, 80, i)
+		tree.Insert(items[i])
+		requireWalk("insert", tree)
 	}
 	s := tree.Stats()
 	if s.Items != 500 {
@@ -377,6 +412,22 @@ func TestStats(t *testing.T) {
 	if s.StorageBytes <= 0 {
 		t.Error("StorageBytes not positive")
 	}
+	bulk := BulkLoad(10, 80, items, Options{MaxEntries: 8})
+	requireWalk("bulk load", bulk)
+	sh := bulk.Shape()
+	built, err := Build(10, 80, len(items), &sh, Options{MaxEntries: 8}, fillFrom(items))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireWalk("build from a shape", built)
+	for _, i := range r.Perm(len(items)) {
+		if !tree.Delete(items[i].Key, items[i].Ref) {
+			t.Fatalf("Delete(ref %d) found nothing", i)
+		}
+		requireWalk("delete", tree)
+	}
+	bulk.GrowKeys(70, 130)
+	requireWalk("grow keys", bulk)
 	// More frequent regions (wider keys) must cost more storage for the
 	// same item count — the Figure 11(a) effect.
 	wide := New(10, 800, Options{MaxEntries: 8})

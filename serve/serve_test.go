@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hpm"
+	"hpm/internal/faultinject"
 	"hpm/store"
 )
 
@@ -74,6 +75,53 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// TestObserveReply pins the single observe's reply to exactly three fields
+// — the object's current time and whether it is trained or training — in
+// each state the object passes through: untrained, a first train in flight
+// (held on the train fault point), trained.
+func TestObserveReply(t *testing.T) {
+	srv, st := testServer(t)
+	release := make(chan struct{})
+	st.SetFaultHook(func(op faultinject.Op) error {
+		if op == faultinject.OpTrain {
+			<-release
+		}
+		return nil
+	})
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(release)
+		}
+	})
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 1)
+	spec.Period = period
+	spec.SubTrajectories = 4
+	pts := hpm.GenerateDataset(spec).Points()
+	observe := func(pts []hpm.Point, now int, trained, training bool) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/objects/bus-1/observe", "application/json", observeBody(t, pts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]any{"now": float64(now), "trained": trained, "training": training}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("observe reply %v, want %v", got, want)
+		}
+	}
+	observe(pts[:2*period], 2*period-1, false, false)        // below MinTrainPeriods
+	observe(pts[2*period:3*period], 3*period-1, false, true) // the third period starts the train
+	released = true
+	close(release)
+	getFlush(t, srv.URL)
+	observe(pts[3*period:3*period+1], 3*period, true, false)
 }
 
 func TestObserveAndPredictEndToEnd(t *testing.T) {

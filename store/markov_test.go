@@ -300,3 +300,65 @@ func TestObserveAllFoldsOnceAcrossSwap(t *testing.T) {
 		t.Errorf("live chain (%d bytes) differs from a re-fold of the track (%d bytes): points folded twice", len(live), len(refold))
 	}
 }
+
+// TestInstallFoldsUnseenPoints is the chain's twin at a first train: the
+// trainer folds its chain over the periods it mines, and the install folds
+// on only the points it did not see when the two clocks agree, or refolds
+// the retained track when they do not. The train is parked while the rest
+// of a period arrives; the installed chain must then equal a fresh
+// RebuildMarkov over the retained track, byte for byte. RetainPeriods 8
+// moves the base at the install, which takes the full rebuild.
+func TestInstallFoldsUnseenPoints(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		retain        int
+		wantBaseMoved bool
+	}{
+		{"retain 0", 0, false},
+		{"retain 8", 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := hpm.Config{Period: period, RetainPeriods: tc.retain}
+			s := testStore(t, Options{Config: cfg, MinTrainPeriods: 10})
+			defer s.Close()
+			spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 5)
+			spec.Period = period
+			spec.SubTrajectories = 11
+			pts := hpm.GenerateDataset(spec).Points()
+
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			s.beforeTrain = func() {
+				close(entered)
+				<-release
+			}
+			if err := s.ObserveBatch("bus", pts[:10*period]); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			// Points keep arriving while the train is parked, short of a
+			// period, so no Extend follows the install.
+			for _, p := range pts[10*period : 11*period-1] {
+				if err := s.ObserveBatch("bus", []hpm.Point{p}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			installed := chainBytes(t, s, "bus")
+			obj, _ := s.get("bus", false)
+			obj.mu.Lock()
+			if moved := obj.base != 0; moved != tc.wantBaseMoved {
+				t.Errorf("base %d after the install: moved %v, want %v", obj.base, moved, tc.wantBaseMoved)
+			}
+			obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
+			obj.mu.Unlock()
+			if rebuilt := chainBytes(t, s, "bus"); !bytes.Equal(installed, rebuilt) {
+				t.Errorf("installed chain (%d bytes) differs from a rebuild over the retained track (%d bytes)", len(installed), len(rebuilt))
+			}
+		})
+	}
+}

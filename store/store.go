@@ -759,17 +759,26 @@ func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 }
 
 // installLocked puts an untrained object's freshly trained predictor in
-// service: it trims, marks the shard dirty and re-folds the Markov chain
-// from the retained track — the fresh model folded its chain in the
-// training prefix's time basis, not the absolute clock every later
-// MarkovObserve uses. Called with obj.mu write-locked.
+// service: it trims, marks the shard dirty and brings the Markov chain up to
+// the track. The trainer folded its chain over the training prefix, every
+// completed period, in the prefix's clock. When that clock is the store's —
+// the prefix started at time 0 and the trim cut nothing — only the points
+// the trainer did not see are folded on; otherwise the chain is refolded
+// from the retained track. Either way it ends as RebuildMarkov over the
+// retained track would leave it. Called with obj.mu write-locked.
 func (s *Store) installLocked(obj *object, p *hpm.Predictor, completed int) {
 	obj.predictor = p
 	obj.modeled = completed
 	obj.lastTrainErr = nil
 	s.trimLocked(obj)
 	s.markDirty(obj.id)
-	p.Model().RebuildMarkov(obj.base, obj.track)
+	if obj.base != 0 {
+		p.Model().RebuildMarkov(obj.base, obj.track)
+		return
+	}
+	for t := completed * s.opts.Config.Period; t < len(obj.track); t++ {
+		p.MarkovObserve(t, obj.track[t])
+	}
 }
 
 // scheduleTrain snapshots the completed-period prefix and hands it to a
