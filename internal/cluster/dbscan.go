@@ -63,12 +63,11 @@ func DBSCAN(points []geom.Point, eps float64, minPts int) Result {
 		labels[i] = unvisited
 	}
 
-	// One allocation holds the grid's members and cell starts, the
-	// neighborhood being read and the points waiting to be expanded; none
-	// ever holds more than n+1.
-	idx := make([]int32, 4*n+1)
-	g := newGrid(points, eps, idx[:2*n+1])
-	nb, frontier := idx[2*n+1:2*n+1:3*n+1], idx[3*n+1:3*n+1]
+	g := newGrid(points, eps)
+	// The neighborhood being read and the points waiting to be expanded:
+	// neither ever holds more than n.
+	buf := make([]int32, 2*n)
+	nb, frontier := buf[:0:n], buf[n:n]
 	nextCluster := 0
 
 	// Labels do not depend on the order neighbors come in: a cluster is
@@ -130,15 +129,14 @@ type grid struct {
 // smallGroup is the group size up to which a query scans every point.
 const smallGroup = 16
 
-// newGrid indexes points in cells of side eps; idx, of 2n+1 words, holds
-// the members and the cell starts.
-func newGrid(points []geom.Point, eps float64, idx []int32) grid {
+// newGrid indexes points in cells of side eps.
+func newGrid(points []geom.Point, eps float64) grid {
 	n := len(points)
 	g := grid{eps2: eps * eps}
 	if n <= smallGroup {
 		return g
 	}
-	words := make([]uint64, 2*n)
+	words, idx := make([]uint64, 2*n), make([]int32, 2*n+1)
 	g.at, g.cells, g.members, g.start = words[:n], words[n:n], idx[:n], idx[n:n]
 	for i, p := range points {
 		g.at[i] = cellWord(floorDiv(p.X, eps))<<32 | cellWord(floorDiv(p.Y, eps))

@@ -162,7 +162,7 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 			pts[i] = geom.Pt(r.Float64()*200-100, r.Float64()*200-100)
 		}
 		eps := 1 + r.Float64()*20
-		g := newGrid(pts, eps, make([]int32, 2*n+1))
+		g := newGrid(pts, eps)
 		for i := 0; i < n; i++ {
 			var got []int
 			for _, j := range g.rangeQuery(pts, int32(i), nil) {
