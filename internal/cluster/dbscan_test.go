@@ -259,6 +259,14 @@ func TestDBSCANMatchesReference(t *testing.T) {
 			require(fmt.Sprintf("n=%d trial %d", n, trial), oraclePoints(r, n, eps), eps, minPts)
 		}
 	}
+	// Far from the origin, where cell coordinates pass ±2³¹ and clamp.
+	for _, off := range []float64{1e12, -1e12} {
+		pts := oraclePoints(r, 200, 30)
+		for i := range pts {
+			pts[i] = geom.Pt(pts[i].X+off, pts[i].Y-off)
+		}
+		require(fmt.Sprintf("offset %g", off), pts, 30, 4)
+	}
 	// The training shape: one offset group of ten periods.
 	for trial := 0; trial < 500; trial++ {
 		require(fmt.Sprintf("training shape, trial %d", trial), oraclePoints(r, 10, 30), 30, 4)
