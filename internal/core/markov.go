@@ -30,9 +30,9 @@ func markovWindow(p Params) int {
 	return p.HistoryWindow * p.Period
 }
 
-// initMarkov creates the chain and attaches the engine's markov answering
-// path. A negative MarkovOrder disables the path entirely; the model then
-// behaves exactly as before the chain existed.
+// initMarkov creates the chain, before the engine is built around its
+// answer (engineConfig). A negative MarkovOrder disables the path entirely;
+// the model then behaves exactly as before the chain existed.
 func (m *Model) initMarkov() {
 	if m.params.MarkovOrder < 0 {
 		return
@@ -43,7 +43,6 @@ func (m *Model) initMarkov() {
 		Window:   markovWindow(m.params),
 		Period:   m.params.Period,
 	})
-	m.engine.SetMarkov(m.markovHook())
 }
 
 // foldMarkov seeds a fresh chain from the training sub-trajectories —
@@ -130,69 +129,68 @@ func (m *Model) LoadMarkov(data []byte) error {
 	return nil
 }
 
-// markovHook adapts the chain to the engine's answering-path interface:
-// recent movements in, one region-center prediction out.
-func (m *Model) markovHook() hpa.MarkovHook {
-	return func(recent []trajectory.TimedPoint, tq int) (hpa.Prediction, bool) {
-		ch := m.chain
-		if ch == nil || len(recent) == 0 {
-			return hpa.Prediction{}, false
-		}
-		cfg := ch.Config()
-		// Rebuild the context the chain itself would hold after observing
-		// this suffix: the last MaxOrder located visits, scanning backwards
-		// and stopping at any gap of a full period between located points
-		// (the chain's own staleness reset). Points outside every region
-		// are transparent, exactly as in MarkovObserve.
-		var buf [markov.MaxSupportedOrder]uint32
-		k := 0
-		lastT := 0
-		for i := len(recent) - 1; i >= 0 && k < cfg.MaxOrder; i-- {
-			tp := recent[i]
-			if k > 0 && lastT-tp.T >= cfg.Period {
-				break
-			}
-			fr, ok := m.regions.Locate(coreMod(tp.T, cfg.Period), tp.Loc)
-			if !ok {
-				continue
-			}
-			buf[k] = uint32(fr.ID)
-			lastT = tp.T
-			k++
-		}
-		if k == 0 {
-			return hpa.Prediction{}, false
-		}
-		seq := buf[:k]
-		for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
-			seq[i], seq[j] = seq[j], seq[i]
-		}
-		// The walk's implied clock starts at the real current time — the
-		// last recent point, located or not — so every walked step lies
-		// strictly in the future and the walk terminates at or past tq.
-		tc := recent[len(recent)-1].T
-		res, ok := ch.Predict(seq, tc, tq)
-		if !ok {
-			return hpa.Prediction{}, false
-		}
-		id := pattern.RegionID(res.Region)
-		if int(id) >= m.regions.Len() {
-			// A stale chain entry pointing past the current table (possible
-			// only between a region change and its rebuild) never answers.
-			return hpa.Prediction{}, false
-		}
-		fr := m.regions.Region(id)
-		return hpa.Prediction{
-			Location:          fr.Center,
-			Score:             res.Prob,
-			Confidence:        res.Prob,
-			PatternRef:        -1,
-			Source:            hpa.SourceMarkov,
-			Path:              hpa.PathMarkov,
-			Extent:            fr.MBR,
-			ConsequenceOffset: fr.Offset,
-		}, true
+// markovAnswer is the chain as the engine's Markov path (hpa.Config):
+// recent movements in, one region-center prediction out. It reads m.chain on
+// every call, so a chain LoadMarkov swaps in answers from then on.
+func (m *Model) markovAnswer(recent []trajectory.TimedPoint, tq int) (hpa.Prediction, bool) {
+	ch := m.chain
+	if ch == nil || len(recent) == 0 {
+		return hpa.Prediction{}, false
 	}
+	cfg := ch.Config()
+	// Rebuild the context the chain itself would hold after observing
+	// this suffix: the last MaxOrder located visits, scanning backwards
+	// and stopping at any gap of a full period between located points
+	// (the chain's own staleness reset). Points outside every region
+	// are transparent, exactly as in MarkovObserve.
+	var buf [markov.MaxSupportedOrder]uint32
+	k := 0
+	lastT := 0
+	for i := len(recent) - 1; i >= 0 && k < cfg.MaxOrder; i-- {
+		tp := recent[i]
+		if k > 0 && lastT-tp.T >= cfg.Period {
+			break
+		}
+		fr, ok := m.regions.Locate(coreMod(tp.T, cfg.Period), tp.Loc)
+		if !ok {
+			continue
+		}
+		buf[k] = uint32(fr.ID)
+		lastT = tp.T
+		k++
+	}
+	if k == 0 {
+		return hpa.Prediction{}, false
+	}
+	seq := buf[:k]
+	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+	// The walk's implied clock starts at the real current time — the
+	// last recent point, located or not — so every walked step lies
+	// strictly in the future and the walk terminates at or past tq.
+	tc := recent[len(recent)-1].T
+	res, ok := ch.Predict(seq, tc, tq)
+	if !ok {
+		return hpa.Prediction{}, false
+	}
+	id := pattern.RegionID(res.Region)
+	if int(id) >= m.regions.Len() {
+		// A stale chain entry pointing past the current table (possible
+		// only between a region change and its rebuild) never answers.
+		return hpa.Prediction{}, false
+	}
+	fr := m.regions.Region(id)
+	return hpa.Prediction{
+		Location:          fr.Center,
+		Score:             res.Prob,
+		Confidence:        res.Prob,
+		PatternRef:        -1,
+		Source:            hpa.SourceMarkov,
+		Path:              hpa.PathMarkov,
+		Extent:            fr.MBR,
+		ConsequenceOffset: fr.Offset,
+	}, true
 }
 
 func coreMod(a, n int) int {

@@ -203,28 +203,39 @@ func TrainSubTrajectories(subs []trajectory.SubTrajectory, params Params) (*Mode
 		bounds = &b
 	}
 
-	engine, err := hpa.NewEngine(enc, patterns, hpa.Config{
-		Period:           params.Period,
-		DistantThreshold: params.DistantThreshold,
-		TimeRelaxation:   params.TimeRelaxation,
-		Weight:           params.Weight,
-		PenalizePremise:  !params.DisablePremisePenalty,
-		NewMotion:        motionFactory(params, bounds),
-	}, params.Tree, nil)
-	if err != nil {
-		return nil, err
-	}
 	m := &Model{
 		params:  params,
 		regions: regions,
 		stats:   stats,
 		encoder: enc,
-		engine:  engine,
 		bounds:  *bounds,
 	}
 	m.initMarkov()
+	var err error
+	if m.engine, err = hpa.NewEngine(enc, patterns, m.engineConfig(bounds), params.Tree, nil); err != nil {
+		return nil, err
+	}
 	m.foldMarkov(subs)
 	return m, nil
+}
+
+// engineConfig configures m's engine: the model's query parameters, the
+// motion fallback fitted within bounds, and the chain's answer when m has a
+// chain (initMarkov runs first). Every path is fixed before the engine is
+// shared.
+func (m *Model) engineConfig(bounds *geom.Rect) hpa.Config {
+	cfg := hpa.Config{
+		Period:           m.params.Period,
+		DistantThreshold: m.params.DistantThreshold,
+		TimeRelaxation:   m.params.TimeRelaxation,
+		Weight:           m.params.Weight,
+		PenalizePremise:  !m.params.DisablePremisePenalty,
+		NewMotion:        motionFactory(m.params, bounds),
+	}
+	if m.chain != nil {
+		cfg.Markov = m.markovAnswer
+	}
+	return cfg
 }
 
 func motionFactory(params Params, bounds *geom.Rect) func() motion.Function {

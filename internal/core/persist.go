@@ -166,27 +166,19 @@ func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pa
 	params = params.withDefaults()
 	ct := pattern.NewConsequenceTable(regions, patterns)
 	enc := pattern.NewEncoder(regions, ct)
-	engine, err := hpa.NewEngine(enc, patterns, hpa.Config{
-		Period:           params.Period,
-		DistantThreshold: params.DistantThreshold,
-		TimeRelaxation:   params.TimeRelaxation,
-		Weight:           params.Weight,
-		PenalizePremise:  !params.DisablePremisePenalty,
-		NewMotion:        motionFactory(params, &bounds),
-	}, params.Tree, shape)
-	if err != nil {
-		return nil, err
-	}
 	m := &Model{
 		params:  params,
 		regions: regions,
 		encoder: enc,
-		engine:  engine,
 		bounds:  bounds,
 	}
 	// The chain starts empty on load: its state lives outside the model
 	// stream, so the owner either restores it (LoadMarkov) or re-folds the
 	// retained track (RebuildMarkov).
 	m.initMarkov()
+	var err error
+	if m.engine, err = hpa.NewEngine(enc, patterns, m.engineConfig(&bounds), params.Tree, shape); err != nil {
+		return nil, err
+	}
 	return m, nil
 }

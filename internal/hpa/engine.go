@@ -130,6 +130,13 @@ type Config struct {
 	// actually advances. Nil disables the fallback (pattern-only
 	// prediction, used by some ablations).
 	NewMotion func() motion.Function
+	// Markov answers the queries the pattern paths could not, before the
+	// motion fallback: a variable-order region-transition chain. It takes
+	// the object's recent movements and the absolute query time and returns
+	// one prediction (tagged SourceMarkov/PathMarkov), or false when the
+	// chain has no supported answer. It must be safe for concurrent
+	// callers. Nil leaves the path out.
+	Markov func(recent []trajectory.TimedPoint, tq int) (Prediction, bool)
 }
 
 // Defaults for Config fields left at their zero value.
@@ -244,13 +251,6 @@ type Engine struct {
 
 	stats queryCounters
 
-	// markov, when set, answers queries the pattern paths could not: a
-	// variable-order region-transition chain consulted between the
-	// pattern search and the motion fallback. Held through an atomic
-	// pointer so the owner (core.Model) can attach or swap it without
-	// stalling concurrent queries.
-	markov atomic.Pointer[MarkovHook]
-
 	// fitCache memoizes the last fitted fallback motion function, keyed by
 	// the identity of the recent window it was fitted on. Repeated queries
 	// from the same window — per-object Predict traffic between
@@ -341,30 +341,12 @@ func (e *Engine) countLive(off int, delta int32) {
 // Tree exposes the underlying TPT for diagnostics and benchmarks.
 func (e *Engine) Tree() *tpt.Tree { return e.tree }
 
-// MarkovHook answers a query from the region-transition chain: the
-// object's recent movements and the absolute query time in, one
-// prediction out (tagged SourceMarkov/PathMarkov by the implementation),
-// or false when the chain has no sufficiently supported answer. Hooks
-// must be safe for concurrent callers.
-type MarkovHook func(recent []trajectory.TimedPoint, tq int) (Prediction, bool)
-
-// SetMarkov attaches (or, with nil, detaches) the Markov answering path.
-// Safe to call while queries run.
-func (e *Engine) SetMarkov(h MarkovHook) {
-	if h == nil {
-		e.markov.Store(nil)
-		return
-	}
-	e.markov.Store(&h)
-}
-
-// tryMarkov consults the Markov hook, if attached.
+// tryMarkov asks the chain, when the engine has one.
 func (e *Engine) tryMarkov(recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
-	hp := e.markov.Load()
-	if hp == nil {
+	if e.cfg.Markov == nil {
 		return Prediction{}, false
 	}
-	return (*hp)(recent, tq)
+	return e.cfg.Markov(recent, tq)
 }
 
 // AddPatterns inserts newly mined patterns into the live index using the

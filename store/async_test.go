@@ -8,13 +8,13 @@ import (
 	"hpm"
 )
 
-// TestQueriesServeDuringBackgroundRetrain pins the async-train contract on
+// TestQueriesServeDuringBackgroundTrain pins the async-train contract on
 // an object's one train, its first: while the train is provably in flight
 // (the trainer goroutine is parked on the beforeTrain hook), queries against
 // other objects keep answering, the training object answers ErrUntrained
 // at once instead of waiting, and ObserveBatch returns without waiting for
 // the trainer. Flush makes the final assertions deterministic.
-func TestQueriesServeDuringBackgroundRetrain(t *testing.T) {
+func TestQueriesServeDuringBackgroundTrain(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "a", 31, 3)
 
@@ -111,10 +111,10 @@ func TestCloseStopsScheduling(t *testing.T) {
 	}
 }
 
-// TestCatchUpAfterRetrain: periods that complete while the first train is
+// TestCatchUpAfterFirstTrain: periods that complete while the first train is
 // in flight are absorbed by the post-install catch-up, as Extends on the
 // installed model, so Flush leaves the model fully current after one train.
-func TestCatchUpAfterRetrain(t *testing.T) {
+func TestCatchUpAfterFirstTrain(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 
 	entered := make(chan struct{}, 1)

@@ -273,7 +273,7 @@ func BenchmarkIndexRefresh(b *testing.B) {
 	if err != nil || obj.predictor == nil {
 		b.Fatalf("object not trained: %v", err)
 	}
-	obj.training = true // see above; nothing else touches the object yet
+	obj.phase = phaseTraining // see above; nothing else touches the object yet
 	stream := tr.Slice(trained*period, tr.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -327,7 +327,7 @@ func harnessFleet(b *testing.B) (*Store, []fleetObject) {
 		if err != nil || obj.predictor == nil {
 			b.Fatalf("%s not trained: %v", objs[i].id, err)
 		}
-		obj.training = true
+		obj.phase = phaseTraining
 		objs[i].stream = objs[i].stream[cuts[i]:]
 	}
 	return s, objs

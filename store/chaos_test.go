@@ -283,17 +283,18 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestTrainPanicRecoveredAndRetried injects a panic into the first train
-// attempt: the process must survive, the retry must succeed, and the
-// failure must be visible in Stats/Health until Flush drains it.
+// TestTrainPanicRecoveredAndRetried injects a panic into the first train:
+// the process must survive, Flush must report the panic, the object must
+// stay untrained until its next completed period retries the train, and
+// the failure must stay visible in Stats/Health until Flush drains it.
 func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
-	s.retryBackoff = time.Millisecond
 	s.SetFaultHook(faultinject.PanicN(faultinject.OpTrain, 1))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 21)
 	spec.Period = period
-	spec.SubTrajectories = 3
-	if err := s.ObserveBatch("bike", hpm.GenerateDataset(spec).Points()); err != nil {
+	spec.SubTrajectories = 4
+	pts := hpm.GenerateDataset(spec).Points()
+	if err := s.ObserveBatch("bike", pts[:3*period]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,8 +303,27 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 		t.Fatalf("panic attempt not reported by Flush: %v", err)
 	}
 	st, _ := s.Stats("bike")
-	if !st.Trained {
-		t.Fatal("retry after panic did not train")
+	if st.Trained || st.Training || st.TrainFailures != 1 || !strings.Contains(st.LastTrainError, "panic") {
+		t.Fatalf("stats after the panicked train: %+v", st)
+	}
+	if err := s.ObserveBatch("bike", pts[3*period:4*period-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Stats("bike"); st.Trained || st.Training {
+		t.Fatalf("retrained inside the panicked train's period: %+v", st)
+	}
+	if err := s.ObserveBatch("bike", pts[4*period-1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = s.Stats("bike")
+	if !st.Trained || st.Modeled != 4 {
+		t.Fatalf("next completed period did not train: %+v", st)
 	}
 	if st.TrainFailures != 1 || st.LastTrainError != "" {
 		t.Errorf("stats after recovered panic: failures=%d lastErr=%q", st.TrainFailures, st.LastTrainError)
@@ -330,7 +350,6 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 // at the next completed period once the fault clears.
 func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
-	s.maxRetries, s.retryBackoff = 1, time.Millisecond
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
 	ingestMore(t, s, "bike", 31, 0, 3) // reaches MinTrainPeriods
 	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
@@ -341,8 +360,8 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	if st.Training {
 		t.Fatal("object wedged in training state")
 	}
-	if st.TrainFailures != 2 { // one attempt + one retry
-		t.Errorf("train failures = %d, want 2", st.TrainFailures)
+	if st.TrainFailures != 1 { // one attempt, no retry on the same snapshot
+		t.Errorf("train failures = %d, want 1", st.TrainFailures)
 	}
 	if st.LastTrainError == "" {
 		t.Error("last train error not surfaced in stats")
@@ -371,13 +390,11 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	}
 }
 
-// TestFailedTrainWaitsForNextPeriod: a first train that exhausts its
-// retries is not re-run by every later observe of the same period — the
+// TestFailedTrainWaitsForNextPeriod: a first train that fails is not re-run by every later observe of the same period — the
 // object waits for its next completed period, which schedules exactly one
 // more attempt.
 func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
-	s.maxRetries = 0
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 61)
 	spec.Period = period
@@ -423,28 +440,43 @@ func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 	}
 }
 
-// TestTrainRetryBacksOff measures that retries are spaced by the
-// configured (doubling) backoff rather than hot-looping.
-func TestTrainRetryBacksOff(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3})
-	s.maxRetries, s.retryBackoff = 2, 30*time.Millisecond
-	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
-	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 41)
-	spec.Period = period
-	spec.SubTrajectories = 3
-	start := time.Now()
-	if err := s.ObserveBatch("bike", hpm.GenerateDataset(spec).Points()); err != nil {
+// TestFailedTrainRetriedOnReopen pins why Open advances every object after
+// recovery: a failed first train waits for the object's next completed
+// period, but that wait is in memory only, so a reopened store trains the
+// object at once, with no further observe — the case of a parked vehicle
+// that never reports again.
+func TestFailedTrainRetriedOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, durableOpts())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err == nil {
-		t.Fatal("expected train failures")
+	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
+	n := ingest(t, s, "bus", 23, 3, 50)
+	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("failed train not reported: %v", err)
 	}
-	// Two backoffs: 30ms + 60ms. Allow generous slack below the sum.
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Errorf("retries completed in %v; backoff not applied", elapsed)
+	if st, _ := s.Stats("bus"); st.Trained || st.Training {
+		t.Fatalf("state after the failed train: %+v", st)
 	}
-	if st, _ := s.Stats("bike"); st.TrainFailures != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", st.TrainFailures)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := Open(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if err := back.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := back.Stats("bus")
+	if !st.Trained || st.Modeled != 3 || st.Points != n {
+		t.Errorf("reopened object not trained by recovery: %+v", st)
+	}
+	if fs := back.FleetStats(); fs.Trains != 1 {
+		t.Errorf("train attempts after reopen = %d, want 1", fs.Trains)
 	}
 }
 
@@ -452,7 +484,6 @@ func TestTrainRetryBacksOff(t *testing.T) {
 // size while the total keeps counting.
 func TestTrainErrorRingBounded(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 1})
-	s.maxRetries = 0 // one failure per object
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 51)
 	spec.Period = period

@@ -124,11 +124,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recoverModels re-runs the update policy over every object after
-// recovery. A crash can eat an in-flight background train (the snapshot
-// holds the history but not the model), and nothing else would reschedule
-// it until the object's next observation — which for a parked vehicle may
-// be never. Failures land in the train-error ring like any other.
+// recoverModels advances every object after recovery. A crash can eat an
+// in-flight train (the snapshot holds the history but not the model), and a
+// failed train's wait for the next period is in memory only; nothing else
+// would train the object until its next observation — which for a parked
+// vehicle may be never. Failures land in the train-error ring.
 func (s *Store) recoverModels() {
 	var objs []*object
 	for i := range s.shards {
@@ -146,7 +146,7 @@ func (s *Store) recoverModels() {
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
 		obj.mu.Lock()
-		if err := s.maybeUpdate(obj); err != nil {
+		if err := s.advance(obj); err != nil {
 			s.recordTrainErr(err)
 		}
 		obj.mu.Unlock()
@@ -280,7 +280,7 @@ func (s *Store) applyReplay(rec walRecord, preTombstone bool) error {
 	// refresh: the evaluator's ring died with the process and Open rebuilds
 	// the index once, after recovery.
 	s.appendLocked(obj, rec.pts[have-rec.offset:])
-	return s.maybeUpdate(obj)
+	return s.advance(obj)
 }
 
 // Checkpoint writes an atomic snapshot of the fleet and reclaims the WAL

@@ -136,9 +136,8 @@ func readObject(br *bufio.Reader, s *Store, shard int) error {
 		return fmt.Errorf("store: read trained flag: %w", err)
 	}
 	obj := s.newObject(string(idb))
-	obj.base = int(base)
 	obj.track = track
-	obj.modeled = int(modeled)
+	obj.life.loaded(int(base), int(modeled), trained == 1)
 	if trained == 1 {
 		p, err := hpm.Load(br)
 		if err != nil {

@@ -78,27 +78,13 @@ const (
 	DefaultProbeInterval   = 500 * time.Millisecond
 )
 
-// Training policy with one value in use, so not Options.
-const (
-	// DefaultTrainMaxRetries is how many times a failed or panicked
-	// background train is retried before the store gives up and waits for
-	// the next completed period to reschedule.
-	DefaultTrainMaxRetries = 3
-	// DefaultTrainRetryBackoff is the delay before the first train retry;
-	// it doubles per attempt up to maxTrainBackoff.
-	DefaultTrainRetryBackoff = 100 * time.Millisecond
-)
-
 // numShards is how many independently locked sub-maps the object table is
 // split across (a power of two: shard selection is a mask). It is part of
 // the on-disk format — a snapshot segment is one shard's objects — so it is
 // a constant, not an option.
 const numShards = 64
 
-// maxTrainBackoff caps the exponential train-retry backoff.
-const maxTrainBackoff = 5 * time.Second
-
-// trainErrRingCap bounds the store-wide ring of recent train failures;
+// trainErrRingCap bounds the store-wide list of recent train failures;
 // older entries are dropped, the total count keeps climbing.
 const trainErrRingCap = 64
 
@@ -183,11 +169,6 @@ type Store struct {
 	// index rebuild across shards. A single train under it is serial.
 	workers int
 
-	// The training policy constants as fields, so tests can shorten the
-	// backoff or drop the retries after New and before the first observe.
-	maxRetries   int
-	retryBackoff time.Duration
-
 	// The object table is sharded: FNV-1a over the id picks one of
 	// numShards sub-maps, each with its own RWMutex, so lookups and
 	// inserts for distinct objects never contend on a single lock.
@@ -197,17 +178,15 @@ type Store struct {
 
 	// Background-training machinery. pending counts scheduled trains not
 	// yet installed; trainCond broadcasts when it reaches zero; trainSem
-	// bounds concurrent trains to workers. Failed train attempts land in a
-	// fixed-size ring — errStart/errCount index it, errTotal counts every
-	// failure ever — drained by Flush/Close and summarized (without
-	// draining) by Health.
+	// bounds concurrent trains to workers. The latest trainErrRingCap
+	// failed train attempts wait in trainErrs, oldest first, drained by
+	// Flush/Close and summarized (without draining) by Health; errTotal
+	// counts every failure ever.
 	trainMu   sync.Mutex
 	trainCond *sync.Cond
 	pending   int
 	closed    bool
-	errRing   [trainErrRingCap]error
-	errStart  int
-	errCount  int
+	trainErrs []error
 	errTotal  uint64
 	trainSem  chan struct{}
 
@@ -314,23 +293,9 @@ type object struct {
 	mu        sync.RWMutex
 	track     []hpm.Point
 	predictor *hpm.Predictor
-	// base is the absolute timestamp of track[0]. It stays 0 until the
-	// retention policy (Config.RetainPeriods) trims the track's head;
-	// from then on every externally visible timestamp — WAL offsets,
-	// query windows, eval scoring, Now — is base + track index. Trims
-	// keep base period-aligned so training windows stay in phase.
-	base int
-	// modeled is how many leading periods of track the predictor has seen
-	// (via Train or Extend).
-	modeled int
-	// training marks an in-flight background train; further model updates
-	// are deferred until the trained predictor is installed.
-	training bool
-	// failedAt is the completed-period count the last failed train
-	// covered: the next train waits for a period past it, so a failing
-	// track costs one train per period, not one per observe. In memory
-	// only — a restart tries again at once.
-	failedAt int
+	// life is the model-update policy's state (life.go): the track's base,
+	// the modeled periods, and whether a train is in flight or failed.
+	life
 	// lastTrainErr is the most recent train failure, cleared when a train
 	// succeeds; trainFails counts failed attempts over the object's life.
 	lastTrainErr error
@@ -379,10 +344,8 @@ func New(opts Options) (*Store, error) {
 		return nil, errors.New("store: Options.Config.Period must be positive")
 	}
 	s := &Store{
-		opts:         opts.withDefaults(),
-		workers:      runtime.GOMAXPROCS(0),
-		maxRetries:   DefaultTrainMaxRetries,
-		retryBackoff: DefaultTrainRetryBackoff,
+		opts:    opts.withDefaults(),
+		workers: runtime.GOMAXPROCS(0),
 	}
 	for i := range s.shards {
 		s.shards[i].objects = map[string]*object{}
@@ -600,7 +563,7 @@ acquire:
 		if g.obj.eval != nil {
 			s.scoreLocked(g.obj, g.at, g.pts)
 		}
-		if err := s.maybeUpdate(g.obj); err != nil {
+		if err := s.advance(g.obj); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", g.id, err))
 		}
 		s.indexUpdateLocked(g.obj)
@@ -612,7 +575,7 @@ acquire:
 // appendLocked is the one step that grows a track: append, dirty mark and
 // Markov fold, returning the timestamp of pts[0]. All under one hold of
 // obj.mu, because a model install re-folds the chain from the whole track
-// (installLocked): an install landing between an append and a later fold would
+// (runTrain): an install landing between an append and a later fold would
 // already count the points, and the fold would count them again. Called
 // with obj.ingestMu and obj.mu held.
 func (s *Store) appendLocked(obj *object, pts []hpm.Point) int {
@@ -660,78 +623,62 @@ func (s *Store) fault(op faultinject.Op) error {
 	return nil
 }
 
-// maybeUpdate is the store's one model-update policy: train once
-// MinTrainPeriods have completed, then absorb every newly completed period
-// through the model's incremental Extend. A train that failed is tried
-// again only once a further period completes. Called with obj.mu held.
-func (s *Store) maybeUpdate(obj *object) error {
-	if obj.training {
-		// A background train is in flight; it re-runs this check after the
-		// install to absorb periods completed meanwhile.
-		return nil
-	}
-	period := s.opts.Config.Period
-	completed := (obj.base + len(obj.track)) / period
-	if obj.predictor == nil {
-		if completed >= s.opts.MinTrainPeriods && completed > obj.failedAt {
-			s.scheduleTrain(obj, completed)
+// advance runs what the object's life asks for now that its track ends
+// where it does: hand the first train to the pool, or extend the model over
+// the periods completed since it last learned. It serves every path that
+// moves a track or a model — observe, WAL replay, recovery and the catch-up
+// after a train installs. Called with obj.mu write-locked.
+func (s *Store) advance(obj *object) error {
+	a := obj.life.appended(&s.opts, obj.base+len(obj.track))
+	switch a.kind {
+	case actTrain:
+		// A closed store declines the train, which leaves the object as a
+		// failed train would. The trainer gets its own copy of the prefix:
+		// the track keeps growing under obj.mu while it runs.
+		s.trainMu.Lock()
+		if s.closed {
+			s.trainMu.Unlock()
+			obj.life.failed(a.to)
+			return nil
 		}
-		return nil
-	}
-	if completed <= obj.modeled {
-		return nil
-	}
-	start := time.Now()
-	res, err := obj.predictor.Extend(obj.track[obj.modeled*period-obj.base : completed*period-obj.base])
-	s.extendNanos.Add(uint64(time.Since(start)))
-	s.extends.Add(1)
-	if err != nil {
-		return fmt.Errorf("store: extend: %w", err)
-	}
-	obj.unmatchedPts += res.UnmatchedPoints
-	obj.retiredPatterns += res.RetiredPatterns
-	obj.mintedRegions += res.NewRegions
-	obj.modeled = completed
-	s.trimLocked(obj)
-	// The model (and possibly the trimmed track) changed without an
-	// observe in this call path (recovery catch-up, post-train catch-up):
-	// the shard's segment must be rewritten at the next checkpoint.
-	s.markDirty(obj.id)
-	// A minted region re-partitions space, so visits folded into the chain
-	// under the old region set are stale: re-fold the retained track. When
-	// no region was minted the incremental folds are already exact and the
-	// extend stays O(new data).
-	if res.NewRegions > 0 {
-		obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
+		s.pending++
+		s.trainMu.Unlock()
+		go s.runTrain(obj, append([]hpm.Point(nil), obj.track[:a.to*s.opts.Config.Period-obj.base]...), a.to)
+	case actExtend:
+		period := s.opts.Config.Period
+		start := time.Now()
+		res, err := obj.predictor.Extend(obj.track[a.from*period-obj.base : a.to*period-obj.base])
+		s.extendNanos.Add(uint64(time.Since(start)))
+		s.extends.Add(1)
+		if err != nil {
+			return fmt.Errorf("store: extend: %w", err)
+		}
+		obj.unmatchedPts += res.UnmatchedPoints
+		obj.retiredPatterns += res.RetiredPatterns
+		obj.mintedRegions += res.NewRegions
+		s.learnedLocked(obj, a.to)
+		// A minted region re-partitions space, so visits folded into the
+		// chain under the old region set are stale: re-fold the retained
+		// track. When no region was minted the incremental folds are already
+		// exact and the extend stays O(new data).
+		if res.NewRegions > 0 {
+			obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
+		}
 	}
 	return nil
 }
 
-// trimLocked drops track head the retention policy no longer needs. The
-// cut stays period-aligned (training windows keep phase), never passes the
-// modeled boundary (unmodeled points must survive to be trained), and
-// keeps at least MaxRecent points for query windows. The tail is copied to
-// a fresh slice so the old backing array is actually freed. Called with
-// obj.mu held.
-func (s *Store) trimLocked(obj *object) {
-	w := s.opts.Config.RetainPeriods
-	if w <= 0 {
-		return
+// learnedLocked runs what follows a train's install or an extend: the trim
+// life asks for — the tail copied to a fresh slice, so the old backing array
+// is freed — and the dirty mark, since the model changed where no observe may
+// have marked the shard (recovery, the post-train catch-up). Called with
+// obj.mu write-locked.
+func (s *Store) learnedLocked(obj *object, modeled int) {
+	end := obj.base + len(obj.track)
+	if a := obj.life.learned(&s.opts, end, modeled); a.kind == actTrim {
+		obj.track = append([]hpm.Point(nil), obj.track[len(obj.track)-(end-a.cut):]...)
 	}
-	period := s.opts.Config.Period
-	cut := ((obj.base+len(obj.track))/period - w) * period
-	if m := obj.modeled * period; cut > m {
-		cut = m
-	}
-	if r := obj.base + len(obj.track) - s.opts.MaxRecent; cut > r {
-		cut = r
-	}
-	cut -= cut % period
-	if cut <= obj.base {
-		return
-	}
-	obj.track = append([]hpm.Point(nil), obj.track[cut-obj.base:]...)
-	obj.base = cut
+	s.markDirty(obj.id)
 }
 
 // trainGuarded trains a predictor off pts under the worker semaphore,
@@ -758,93 +705,41 @@ func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 	return hpm.TrainPoints(pts, s.opts.Config)
 }
 
-// installLocked puts an untrained object's freshly trained predictor in
-// service: it trims, marks the shard dirty and brings the Markov chain up to
-// the track. The trainer folded its chain over the training prefix, every
-// completed period, in the prefix's clock. When that clock is the store's —
-// the prefix started at time 0 and the trim cut nothing — only the points
-// the trainer did not see are folded on; otherwise the chain is refolded
-// from the retained track. Either way it ends as RebuildMarkov over the
-// retained track would leave it. Called with obj.mu write-locked.
-func (s *Store) installLocked(obj *object, p *hpm.Predictor, completed int) {
-	obj.predictor = p
-	obj.modeled = completed
-	obj.lastTrainErr = nil
-	s.trimLocked(obj)
-	s.markDirty(obj.id)
-	if obj.base != 0 {
-		p.Model().RebuildMarkov(obj.base, obj.track)
-		return
-	}
-	for t := completed * s.opts.Config.Period; t < len(obj.track); t++ {
-		p.MarkovObserve(t, obj.track[t])
-	}
-}
-
-// scheduleTrain snapshots the completed-period prefix and hands it to a
-// background trainer. No-op when a train for obj is already in flight
-// (later periods are absorbed by the post-install catch-up) or the store is
-// closed. Called with obj.mu held.
-func (s *Store) scheduleTrain(obj *object, completed int) {
-	s.trainMu.Lock()
-	if s.closed {
-		s.trainMu.Unlock()
-		return
-	}
-	s.pending++
-	s.trainMu.Unlock()
-	obj.training = true
-	// Snapshot: the track keeps growing under obj.mu while the trainer
-	// runs, so the trainer must own its input.
-	pts := append([]hpm.Point(nil), obj.track[:completed*s.opts.Config.Period-obj.base]...)
-	go s.runTrain(obj, pts, completed)
-}
-
-// runTrain is the background trainer: it trains a predictor off the
-// snapshot without holding any lock, installs it under obj.mu, and re-runs
-// the update policy to catch up on periods completed during training.
-// Failures — including panics, which trainGuarded converts — are retried
-// with exponential backoff up to DefaultTrainMaxRetries; each attempt's
-// error lands in the bounded ring and on the object's Stats. A train that
-// exhausts its retries leaves the object untrained, and the next completed
-// period schedules a fresh train.
+// runTrain is the background trainer. It trains off the snapshot holding no
+// lock, then, under obj.mu, records a failure — a panic included — in the
+// ring and on the object's Stats, or installs the predictor. A train is a
+// deterministic function of its snapshot, so it is not retried on it: the
+// object's next completed period brings a new one, as does a restart.
+//
+// The install trims, marks the shard dirty and brings the Markov chain up to
+// the track. The trainer folded its chain over the prefix in the prefix's
+// clock. When that is the store's (the base is still 0) only the points it
+// did not see are folded on; otherwise the retained track is refolded. Either
+// way the chain ends as RebuildMarkov would leave it. The catch-up then
+// extends over periods completed meanwhile, and the fleet-index entries
+// re-bin against the trained predictor.
 func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
-	backoff := s.retryBackoff
-	var p *hpm.Predictor
-	var err error
-	for attempt := 0; ; attempt++ {
-		p, err = s.trainGuarded(pts)
-		if err == nil {
-			break
-		}
-		err = fmt.Errorf("store: train (attempt %d): %w", attempt+1, err)
+	p, err := s.trainGuarded(pts)
+	obj.mu.Lock()
+	if err != nil {
+		err = fmt.Errorf("store: train: %w", err)
 		s.recordTrainErr(err)
-		obj.mu.Lock()
 		obj.trainFails++
 		obj.lastTrainErr = err
-		obj.mu.Unlock()
-		if attempt >= s.maxRetries {
-			break
-		}
-		time.Sleep(backoff)
-		if backoff < maxTrainBackoff {
-			backoff *= 2
-		}
-	}
-
-	obj.mu.Lock()
-	obj.training = false
-	if err != nil {
-		obj.failedAt = completed
+		obj.life.failed(completed)
 	} else {
-		s.installLocked(obj, p, completed)
-		// Catch up: extend over periods that completed while this train was
-		// running.
-		if uerr := s.maybeUpdate(obj); uerr != nil {
+		obj.predictor, obj.lastTrainErr = p, nil
+		s.learnedLocked(obj, completed)
+		if obj.base != 0 {
+			p.Model().RebuildMarkov(obj.base, obj.track)
+		} else {
+			for t := completed * s.opts.Config.Period; t < len(obj.track); t++ {
+				p.MarkovObserve(t, obj.track[t])
+			}
+		}
+		if uerr := s.advance(obj); uerr != nil {
 			s.recordTrainErr(uerr)
 		}
-		// The install changed what the object predicts: re-bin its
-		// fleet-index entries against the trained predictor.
 		s.indexUpdateLocked(obj)
 	}
 	obj.mu.Unlock()
@@ -857,48 +752,31 @@ func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
 	s.trainMu.Unlock()
 }
 
-// recordTrainErr pushes one failure into the bounded ring, evicting the
-// oldest entry when full. The all-time counter never resets.
+// recordTrainErr keeps one failure among the latest trainErrRingCap,
+// dropping the oldest when full. The all-time counter never resets.
 func (s *Store) recordTrainErr(err error) {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
 	s.errTotal++
-	if s.errCount < trainErrRingCap {
-		s.errRing[(s.errStart+s.errCount)%trainErrRingCap] = err
-		s.errCount++
-		return
+	if len(s.trainErrs) == trainErrRingCap {
+		s.trainErrs = append(s.trainErrs[:0], s.trainErrs[1:]...)
 	}
-	s.errRing[s.errStart] = err
-	s.errStart = (s.errStart + 1) % trainErrRingCap
+	s.trainErrs = append(s.trainErrs, err)
 }
 
-// trainErrsLocked returns the ring's contents oldest-first. Caller holds
-// trainMu.
-func (s *Store) trainErrsLocked() []error {
-	errs := make([]error, 0, s.errCount)
-	for i := 0; i < s.errCount; i++ {
-		errs = append(errs, s.errRing[(s.errStart+i)%trainErrRingCap])
-	}
-	return errs
-}
-
-// Flush blocks until no background trains are pending — including any
-// catch-up trains they schedule and retry backoffs in progress — and
-// returns the failures accumulated since the last Flush (nil when training
-// succeeded or nothing was pending; a retried-then-successful train still
-// reports its failed attempts). After Flush, every Observe made before the
-// call is reflected in the objects' models.
+// Flush blocks until no background trains are pending, each install's
+// catch-up included, and returns the failures accumulated since the last
+// Flush (nil when training succeeded or nothing was pending). After Flush,
+// every Observe made before the call is reflected in the objects' models,
+// unless its object's train failed.
 func (s *Store) Flush() error {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
 	for s.pending > 0 {
 		s.trainCond.Wait()
 	}
-	err := errors.Join(s.trainErrsLocked()...)
-	s.errStart, s.errCount = 0, 0
-	for i := range s.errRing {
-		s.errRing[i] = nil
-	}
+	err := errors.Join(s.trainErrs...)
+	s.trainErrs = nil
 	return err
 }
 
@@ -1164,7 +1042,7 @@ func (s *Store) Stats(id string) (ObjectStats, error) {
 		ID:              id,
 		Points:          obj.base + len(obj.track),
 		Periods:         (obj.base + len(obj.track)) / s.opts.Config.Period,
-		Training:        obj.training,
+		Training:        obj.phase == phaseTraining,
 		Modeled:         obj.modeled,
 		TrainFailures:   obj.trainFails,
 		RetainedPoints:  len(obj.track),
@@ -1291,7 +1169,7 @@ func (s *Store) Health() Health {
 	if err := s.lastWALError(); err != nil {
 		h.LastWALError = err.Error()
 	}
-	for _, err := range s.trainErrsLocked() {
+	for _, err := range s.trainErrs {
 		h.RecentTrainErrors = append(h.RecentTrainErrors, err.Error())
 	}
 	return h
