@@ -97,12 +97,16 @@ bench-fleet:
 # restart costs is BenchmarkOpen (an untrained fleet's decode and replay
 # plumbing; trained: clean and recovering Open of 64 trained objects, each
 # tree laid out from its saved shape; B/op and the live heap of one opened
-# store; -cpu 1,2 is serial against parallel recovery) and BenchmarkBulkLoad
-# (what Train pays and Open does not: one pattern tree sorted into place at
-# the fleet's shape, 1 500 to 100 000 items).
+# store; -cpu 1,2 is serial against parallel recovery), BenchmarkLoadFleet
+# (what Open pays per trained object: one model of each datagen kind at the
+# harness fleet's shape decoded from its bytes, with its rules, stream bytes
+# and B/op) and BenchmarkBulkLoad (what Train pays and Open does not: one
+# pattern tree sorted into place at the fleet's shape, 1 500 to 100 000
+# items).
 bench-recovery:
 	$(GO) run ./cmd/hpmbench -experiment recovery -json
 	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkLoadFleet' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench='BenchmarkBulkLoad' -benchmem -run '^$$' ./internal/tpt/
 
 # What mining and incremental state cost at the harness fleet's shape

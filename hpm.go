@@ -346,6 +346,17 @@ func Load(r io.Reader) (*Predictor, error) {
 	return &Predictor{model: m}, nil
 }
 
+// Decode is Load for a stream already in memory: it decodes the predictor
+// at the head of b, leaves the bytes behind it alone, and reports how many
+// bytes the stream took.
+func Decode(b []byte) (*Predictor, int, error) {
+	m, n, err := core.Decode(b)
+	if err != nil {
+		return nil, n, err
+	}
+	return &Predictor{model: m}, n, nil
+}
+
 // Explanation unpacks the trajectory pattern behind a prediction.
 type Explanation = core.Explanation
 

@@ -89,8 +89,35 @@ func BenchmarkTrainFleet(b *testing.B) {
 	}
 }
 
+// loadSink keeps BenchmarkLoadFleet's result live.
+var loadSink *Model
+
+// BenchmarkLoadFleet times what Open pays per trained object of the
+// harness fleet: one decode of a fleet-shaped model's stream, one object of
+// each kind — the region table, the rule table filled in place, and the
+// tree laid out from its saved shape — decoded from bytes already in
+// memory, as a segment's records are.
+func BenchmarkLoadFleet(b *testing.B) {
+	for _, kind := range datagen.Kinds {
+		b.Run(fmt.Sprint(kind), func(b *testing.B) {
+			stream, _ := fleetModel(b, kind)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, _, err := Decode(stream)
+				if err != nil {
+					b.Fatal(err)
+				}
+				loadSink = m
+			}
+			b.ReportMetric(float64(loadSink.NumPatterns()), "rules")
+			b.ReportMetric(float64(len(stream)), "stream-bytes")
+		})
+	}
+}
+
 // minedSink keeps BenchmarkMine's result live.
-var minedSink []pattern.Pattern
+var minedSink *pattern.Table
 
 // BenchmarkMine times what every Train pays for its rules: one walk of a
 // fleet-shaped object's region table.
@@ -102,9 +129,9 @@ func BenchmarkMine(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				minedSink = pattern.Mine(m.regions, m.params.Mining)
+				minedSink, _ = pattern.MineWithStats(m.regions, m.params.Mining)
 			}
-			b.ReportMetric(float64(len(minedSink)), "rules")
+			b.ReportMetric(float64(minedSink.Len()), "rules")
 		})
 	}
 }

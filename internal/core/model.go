@@ -135,9 +135,9 @@ func (p Params) withDefaults() Params {
 type Model struct {
 	params  Params
 	regions *pattern.RegionTable
-	stats   pattern.Stats // what Train's mining run found; see MiningStats
-	encoder *pattern.Encoder
-	// engine owns the ref-indexed pattern slice; the model reads patterns
+	stats   pattern.Stats    // what Train's mining run found; see MiningStats
+	encoder *pattern.Encoder // the engine's
+	// engine owns the rule table, one row per ref; the model reads rules
 	// through it and keeps no copy.
 	engine *hpa.Engine
 	bounds geom.Rect
@@ -193,9 +193,7 @@ func TrainSubTrajectories(subs []trajectory.SubTrajectory, params Params) (*Mode
 
 	groups := trajectory.Groups(subs, params.SubTrajectories)
 	regions := pattern.DiscoverRegions(groups, params.Eps, params.MinPts)
-	patterns, stats := pattern.MineWithStats(regions, params.Mining)
-	ct := pattern.NewConsequenceTable(regions, patterns)
-	enc := pattern.NewEncoder(regions, ct)
+	rules, stats := pattern.MineWithStats(regions, params.Mining)
 
 	bounds := params.Bounds
 	if bounds == nil {
@@ -207,14 +205,14 @@ func TrainSubTrajectories(subs []trajectory.SubTrajectory, params Params) (*Mode
 		params:  params,
 		regions: regions,
 		stats:   stats,
-		encoder: enc,
 		bounds:  *bounds,
 	}
 	m.initMarkov()
 	var err error
-	if m.engine, err = hpa.NewEngine(enc, patterns, m.engineConfig(bounds), params.Tree, nil); err != nil {
+	if m.engine, err = hpa.NewEngine(regions, rules, m.engineConfig(bounds), params.Tree, nil); err != nil {
 		return nil, err
 	}
+	m.encoder = m.engine.Encoder()
 	m.foldMarkov(subs)
 	return m, nil
 }

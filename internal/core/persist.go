@@ -39,59 +39,62 @@ const (
 // Save serializes the model.
 func (m *Model) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(modelVersion); err != nil {
-		return err
-	}
+	bw.WriteString(modelMagic) // bw latches an error for Flush
+	bw.WriteByte(modelVersion)
 	// Parameters as JSON: forward-compatible and human-inspectable.
 	pj, err := json.Marshal(m.params)
 	if err != nil {
 		return fmt.Errorf("core: encode params: %w", err)
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	if _, err := bw.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(pj)))]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(pj); err != nil {
-		return err
-	}
+	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), uint64(len(pj))))
+	bw.Write(pj)
 	for _, v := range []float64{m.bounds.Min.X, m.bounds.Min.Y, m.bounds.Max.X, m.bounds.Max.Y} {
-		var fb [8]byte
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(v))
-		if _, err := bw.Write(fb[:]); err != nil {
-			return err
-		}
+		bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), math.Float64bits(v)))
 	}
 	if err := m.regions.WriteBinary(bw); err != nil {
 		return err
 	}
-	// Live patterns only: entries incremental training retired must not
+	// Live rules only: rows incremental training retired must not
 	// resurrect on Load. Refs renumber to live rank; the miner reseeds lazily.
-	live, rank := m.livePatterns()
-	if err := pattern.WritePatterns(bw, live); err != nil {
+	if err := pattern.WriteRules(bw, m.engine.Rules(), m.engine.IsLive); err != nil {
 		return err
 	}
+	rank := m.liveRank()
 	shape := m.engine.Tree().Shape()
 	for i, ref := range shape.Refs {
 		shape.Refs[i] = rank[ref]
 	}
 	sb := shape.AppendBinary(nil)
-	bw.Write(binary.AppendUvarint(lenBuf[:0], uint64(len(sb)))) // bw latches an error for Flush
+	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), uint64(len(sb))))
 	bw.Write(sb)
-	if _, err := bw.WriteString(modelTrailer); err != nil {
-		return err
-	}
+	bw.WriteString(modelTrailer)
 	return bw.Flush()
 }
 
 // Load deserializes a model written by Save and rebuilds its index and
-// query engine.
+// query engine. It reads r to its end: the stream is the whole input.
 func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(modelMagic)+1)
-	if _, err := io.ReadFull(br, head); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read model: %w", err)
+	}
+	m, _, err := Decode(b)
+	return m, err
+}
+
+// Decode decodes the model stream at the head of b — the bytes behind it
+// are not looked at — and reports how many bytes the stream took. It walks
+// the bytes in place: parameters, bounds, region table, rule table, tree
+// shape, trailer, each step one cursor's.
+func Decode(b []byte) (*Model, int, error) {
+	c := pattern.NewCursor(b)
+	m, err := decode(&c)
+	return m, c.Offset(), err
+}
+
+func decode(c *pattern.Cursor) (*Model, error) {
+	head := c.Bytes(len(modelMagic) + 1)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: read header: %w", err)
 	}
 	if string(head[:len(modelMagic)]) != modelMagic {
@@ -100,76 +103,71 @@ func Load(r io.Reader) (*Model, error) {
 	if v := head[len(modelMagic)]; v != modelVersion {
 		return nil, fmt.Errorf("core: model stream version %d, this build reads %d only (DESIGN.md, \"Upgrading an older directory\")", v, modelVersion)
 	}
-	pj, err := pattern.ReadBlob(br, 1<<20)
-	if err != nil {
+	pj := c.Blob(1 << 20)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: read params: %w", err)
 	}
 	var params Params
 	if err := json.Unmarshal(pj, &params); err != nil {
 		return nil, fmt.Errorf("core: decode params: %w", err)
 	}
-	var bf [32]byte
-	if _, err := io.ReadFull(br, bf[:]); err != nil {
+	// The period bounds every region offset the table may hold.
+	if params.Period <= 0 {
+		return nil, fmt.Errorf("core: model stream states period %d, want a positive one", params.Period)
+	}
+	bounds := geom.Rect{Min: geom.Pt(c.Float(), c.Float()), Max: geom.Pt(c.Float(), c.Float())}
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: read bounds: %w", err)
 	}
-	bounds := geom.Rect{
-		Min: geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(bf[0:])),
-			math.Float64frombits(binary.LittleEndian.Uint64(bf[8:]))),
-		Max: geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(bf[16:])),
-			math.Float64frombits(binary.LittleEndian.Uint64(bf[24:]))),
-	}
-	regions, err := pattern.ReadRegionTable(br)
+	regions, err := pattern.ReadRegionTable(c, params.Period)
 	if err != nil {
 		return nil, fmt.Errorf("core: read regions: %w", err)
 	}
-	patterns, err := pattern.ReadPatterns(br, regions)
+	rules, err := pattern.ReadRules(c, regions)
 	if err != nil {
 		return nil, fmt.Errorf("core: read patterns: %w", err)
 	}
-	sb, err := pattern.ReadBlob(br, 1<<30)
-	if err != nil {
+	sb := c.Blob(1 << 30)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: read tree shape: %w", err)
 	}
 	shape, err := tpt.DecodeShape(sb)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	trailer := make([]byte, len(modelTrailer))
-	if _, err := io.ReadFull(br, trailer); err != nil {
+	trailer := c.Bytes(len(modelTrailer))
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: read trailer: %w", err)
 	}
 	if string(trailer) != modelTrailer {
 		return nil, fmt.Errorf("core: corrupt stream trailer %q", trailer)
 	}
-	return assemble(params, regions, patterns, bounds, &shape)
+	return assemble(params, regions, rules, bounds, &shape)
 }
 
-// livePatterns filters tombstoned entries out of the ref-indexed slice;
-// rank is each live ref's place among the survivors.
-func (m *Model) livePatterns() (live []pattern.Pattern, rank []int32) {
-	live = make([]pattern.Pattern, 0, m.engine.LivePatterns())
-	rank = make([]int32, m.engine.Refs())
+// liveRank returns each ref's place among the live refs, which is the ref
+// it saves under.
+func (m *Model) liveRank() []int32 {
+	rank := make([]int32, m.engine.Refs())
+	live := int32(0)
 	for ref := range rank {
 		if m.engine.IsLive(ref) {
-			rank[ref] = int32(len(live))
-			live = append(live, m.engine.Pattern(ref))
+			rank[ref] = live
+			live++
 		}
 	}
-	return live, rank
+	return rank
 }
 
 // assemble builds a query-ready model from its persistent parts; shared by
 // Load and (logically) the tail of TrainSubTrajectories. A nil shape sorts.
-func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pattern, bounds geom.Rect, shape *tpt.Shape) (*Model, error) {
+func assemble(params Params, regions *pattern.RegionTable, rules *pattern.Table, bounds geom.Rect, shape *tpt.Shape) (*Model, error) {
 	// Idempotent on params a Train saved; fills the zeros of any other
 	// stream so later extends never see an unset Eps or MinPts.
 	params = params.withDefaults()
-	ct := pattern.NewConsequenceTable(regions, patterns)
-	enc := pattern.NewEncoder(regions, ct)
 	m := &Model{
 		params:  params,
 		regions: regions,
-		encoder: enc,
 		bounds:  bounds,
 	}
 	// The chain starts empty on load: its state lives outside the model
@@ -177,8 +175,9 @@ func assemble(params Params, regions *pattern.RegionTable, patterns []pattern.Pa
 	// retained track (RebuildMarkov).
 	m.initMarkov()
 	var err error
-	if m.engine, err = hpa.NewEngine(enc, patterns, m.engineConfig(&bounds), params.Tree, shape); err != nil {
+	if m.engine, err = hpa.NewEngine(regions, rules, m.engineConfig(&bounds), params.Tree, shape); err != nil {
 		return nil, err
 	}
+	m.encoder = m.engine.Encoder()
 	return m, nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"hpm/internal/datagen"
 	"hpm/internal/geom"
 	"hpm/internal/hpa"
+	"hpm/internal/pattern"
 	"hpm/internal/tpt"
 	"hpm/internal/trajectory"
 )
@@ -66,6 +69,17 @@ func livedInModel(t testing.TB) (*Model, []trajectory.SubTrajectory, int) {
 	return m, subs, period
 }
 
+// livePatterns is what Save writes of m's rules: the live ones in ref
+// order, and each ref's place among them.
+func (m *Model) livePatterns() (live []pattern.Pattern, rank []int32) {
+	for ref := 0; ref < m.engine.Refs(); ref++ {
+		if m.engine.IsLive(ref) {
+			live = append(live, m.engine.Pattern(ref))
+		}
+	}
+	return live, m.liveRank()
+}
+
 // savedShape is the shape Save writes for m: the tree's, with refs
 // renumbered to live rank.
 func savedShape(m *Model) tpt.Shape {
@@ -83,7 +97,7 @@ func savedShape(m *Model) tpt.Shape {
 func sortedTwin(t testing.TB, loaded *Model) *Model {
 	t.Helper()
 	live, _ := loaded.livePatterns()
-	twin, err := assemble(loaded.params, loaded.regions, live, loaded.bounds, nil)
+	twin, err := assemble(loaded.params, loaded.regions, pattern.TableOf(live), loaded.bounds, nil)
 	if err != nil {
 		t.Fatalf("assembling the loaded parts without a shape: %v", err)
 	}
@@ -227,11 +241,63 @@ func TestLoadRefusesRetiredVersion(t *testing.T) {
 	}
 }
 
+// resetUvarint returns a copy of b with the uvarint at at replaced by f of
+// it.
+func resetUvarint(b []byte, at int, f func(uint64) uint64) []byte {
+	v, k := binary.Uvarint(b[at:])
+	out := binary.AppendUvarint(bytes.Clone(b[:at]), f(v))
+	return append(out, b[at+k:]...)
+}
+
+// farOffsetStream returns stream with its first region moved to offset 2³⁰.
+func farOffsetStream(stream []byte) []byte {
+	at := bytes.Index(stream, []byte("HPMR")) + 4 + 8 // the table's magic, eps
+	for range 2 {                                     // sub-trajectories, regions
+		_, k := binary.Uvarint(stream[at:])
+		at += k
+	}
+	return resetUvarint(stream, at, func(uint64) uint64 { return 1 << 30 })
+}
+
+// overcountedStream returns stream with a rule count its bytes cannot hold:
+// one rule a byte.
+func overcountedStream(stream []byte) []byte {
+	return resetUvarint(stream, bytes.Index(stream, []byte("HPMP"))+4, func(uint64) uint64 { return uint64(len(stream)) })
+}
+
+// TestLoadRefusesHostileClaims: a region at offset 2³⁰ — past any period,
+// and what a table indexed by offset would be sized by — and a rule count
+// the bytes behind it cannot hold are refused for what they claim, neither
+// allocating what the claim calls for.
+func TestLoadRefusesHostileClaims(t *testing.T) {
+	stream := fixtureModel(t)
+	for _, tc := range []struct {
+		name, refusal string
+		bad           []byte
+	}{
+		{"far offset", "outside a period", farOffsetStream(stream)},
+		{"count past the bytes", "cannot fit", overcountedStream(stream)},
+	} {
+		name, bad := tc.name, tc.bad
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Decode(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+			t.Errorf("%s: %v, want a refusal saying %q", name, err, tc.refusal)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(bad)) {
+			t.Errorf("%s: refusing %d bytes allocated %d", name, len(bad), grew)
+		}
+	}
+}
+
 // FuzzLoadModel: Load never panics, and a stream it accepts yields a model
 // whose index holds exactly its patterns under their own keys, which
 // answers, saves, and loads again. The seeds — the golden directory's
-// stream, a freshly trained one, cuts and bit flips of both — run under
-// plain go test.
+// stream, a freshly trained one, cuts and bit flips of both, and each with
+// a region at offset 2³⁰ and with a rule count its bytes cannot hold — run
+// under plain go test.
 func FuzzLoadModel(f *testing.F) {
 	subs, err := datagen.Generate(datagen.Spec{Kind: datagen.Cow, Period: 30, SubTrajectories: 8, Seed: 7}).Decompose(30)
 	if err != nil {
@@ -245,7 +311,8 @@ func FuzzLoadModel(f *testing.F) {
 	if err := m.Save(&fresh); err != nil {
 		f.Fatal(err)
 	}
-	for _, stream := range [][]byte{fixtureModel(f), fresh.Bytes()} {
+	streams := [][]byte{fixtureModel(f), fresh.Bytes()}
+	for _, stream := range streams {
 		f.Add(stream)
 		for _, cut := range []int{5, len(stream) / 3, len(stream) - 40, len(stream) - 5, len(stream) - 1} {
 			f.Add(stream[:cut])
@@ -255,6 +322,10 @@ func FuzzLoadModel(f *testing.F) {
 			flipped[len(flipped)-1-at*len(flipped)/12] ^= 1 << (at % 8)
 			f.Add(flipped)
 		}
+	}
+	for _, stream := range streams {
+		f.Add(farOffsetStream(stream))
+		f.Add(overcountedStream(stream))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))

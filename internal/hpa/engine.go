@@ -220,14 +220,14 @@ type queryCounters struct {
 // concurrently with queries; callers serialize them externally (the store
 // does so under each object's write lock).
 type Engine struct {
-	enc      *pattern.Encoder
-	tree     *tpt.Tree
-	patterns []pattern.Pattern
-	cfg      Config
+	enc   *pattern.Encoder
+	tree  *tpt.Tree
+	rules *pattern.Table // one row per ref
+	cfg   Config
 
-	// dead marks retired refs. Retired patterns stay in the slice —
+	// dead marks retired refs. Retired rules keep their rows —
 	// PatternRef values in served predictions and Explain keep indexing
-	// it — but their tree entries are gone, so queries never surface
+	// the table — but their tree entries are gone, so queries never surface
 	// them. live counts the others, and liveAt counts them per consequence
 	// offset (index = offset within the period), which is what lets BQP
 	// compute its first productive window instead of widening up to it.
@@ -296,11 +296,12 @@ type queryScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-// NewEngine indexes the patterns and returns a ready engine. The patterns
-// slice is retained; PatternRef values in predictions index into it. A nil
-// shape bulk-loads the index; a saved model passes the shape its tree had and
-// gets that tree back unsorted, or an error if it does not fit the patterns.
-func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, treeOpts tpt.Options, shape *tpt.Shape) (*Engine, error) {
+// NewEngine indexes the rules over the region table and returns a ready
+// engine. The table is retained — PatternRef values in predictions are its
+// rows — and the consequence table is built from it. A nil shape bulk-loads
+// the index; a saved model passes the shape its tree had and gets that tree
+// back unsorted, or an error if it does not fit the rules.
+func NewEngine(rt *pattern.RegionTable, rules *pattern.Table, cfg Config, treeOpts tpt.Options, shape *tpt.Shape) (*Engine, error) {
 	if cfg.Period <= 0 {
 		return nil, errors.New("hpa: Config.Period must be positive")
 	}
@@ -310,21 +311,30 @@ func NewEngine(enc *pattern.Encoder, patterns []pattern.Pattern, cfg Config, tre
 	if cfg.TimeRelaxation <= 0 {
 		cfg.TimeRelaxation = DefaultTimeRelaxation
 	}
+	// Each rule's consequence offset, derived once: the consequence table
+	// is built from them, each key takes its time id from them, and the
+	// live counts are kept by them.
+	offs := make([]int32, rules.Len())
+	for i := range offs {
+		offs[i] = int32(rt.Region(rules.Consequence(i)).Offset)
+	}
+	ct := pattern.ConsequenceTableOf(offs)
+	enc := pattern.NewEncoder(rt, ct)
 	// Every key is encoded where the tree builder reads it: no key, and no
-	// item, is allocated per pattern.
-	rt := enc.RegionTable()
-	tree, err := tpt.Build(enc.ConsequenceTable().Len(), rt.Len(), len(patterns), shape, treeOpts, func(i int, ck, rk bitkey.Key) (float64, int) {
-		enc.EncodeInto(patterns[i], ck, rk)
-		return patterns[i].Confidence, i
+	// item, is allocated per rule.
+	tree, err := tpt.Build(ct.Len(), rt.Len(), len(offs), shape, treeOpts, func(i int, ck, rk bitkey.Key) (float64, int) {
+		tid, _ := ct.TimeID(int(offs[i]))
+		enc.EncodeRule(rules.Premise(i), tid, ck, rk)
+		return rules.Confidence(i), i
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hpa: %w", err)
 	}
-	e := &Engine{enc: enc, tree: tree, patterns: patterns, cfg: cfg,
-		dead: make([]bool, len(patterns)), live: len(patterns), liveAt: make([]int32, cfg.Period),
+	e := &Engine{enc: enc, tree: tree, rules: rules, cfg: cfg,
+		dead: make([]bool, len(offs)), live: len(offs), liveAt: make([]int32, cfg.Period),
 		ranked: make([]atomic.Pointer[rankedList], cfg.Period)}
-	for _, p := range patterns {
-		e.countLive(rt.Region(p.Consequence).Offset, 1)
+	for _, off := range offs {
+		e.countLive(int(off), 1)
 	}
 	return e, nil
 }
@@ -340,6 +350,14 @@ func (e *Engine) countLive(off int, delta int32) {
 
 // Tree exposes the underlying TPT for diagnostics and benchmarks.
 func (e *Engine) Tree() *tpt.Tree { return e.tree }
+
+// Encoder returns the key encoder: the region table the engine was built
+// over and the consequence table it built.
+func (e *Engine) Encoder() *pattern.Encoder { return e.enc }
+
+// Rules returns the engine's rule table, retired rows included, for
+// readers such as a model's Save; callers must not mutate it.
+func (e *Engine) Rules() *pattern.Table { return e.rules }
 
 // tryMarkov asks the chain, when the engine has one.
 func (e *Engine) tryMarkov(recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
@@ -364,8 +382,8 @@ func (e *Engine) AddPatterns(ps []pattern.Pattern) (added, skipped int) {
 			skipped++
 			continue
 		}
-		ref := len(e.patterns)
-		e.patterns = append(e.patterns, p)
+		ref := e.rules.Len()
+		e.rules.Append(p)
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
@@ -376,14 +394,9 @@ func (e *Engine) AddPatterns(ps []pattern.Pattern) (added, skipped int) {
 	return added, skipped
 }
 
-// Patterns returns a copy of the indexed pattern slice: AddPatterns keeps
-// appending to the engine's own slice, so handing out the internal backing
-// array would let callers corrupt the index (or observe it mid-append).
-func (e *Engine) Patterns() []pattern.Pattern {
-	out := make([]pattern.Pattern, len(e.patterns))
-	copy(out, e.patterns)
-	return out
-}
+// Patterns returns every row of the rule table as a pattern, indexed by
+// ref: a fresh slice, each premise a capped view of the table's arena.
+func (e *Engine) Patterns() []pattern.Pattern { return e.rules.Patterns() }
 
 // Config returns the engine configuration after defaulting.
 func (e *Engine) Config() Config { return e.cfg }
@@ -842,7 +855,7 @@ func (e *Engine) rankedAt(off int) *rankedList {
 // sharesRegion reports whether ref's premise names a region set in qrk —
 // the tree's intersect predicate, read from the pattern instead of its key.
 func (e *Engine) sharesRegion(ref int, qrk bitkey.Key) bool {
-	for _, id := range e.patterns[ref].Premise {
+	for _, id := range e.rules.Premise(ref) {
 		if qrk.Bit(int(id) + 1) {
 			return true
 		}
@@ -880,7 +893,7 @@ func (e *Engine) firstWindow(tqOff, tc, tq int) (radius int, ok bool) {
 }
 
 func (e *Engine) consequenceRegion(ref int) *pattern.FrequentRegion {
-	return e.enc.RegionTable().Region(e.patterns[ref].Consequence)
+	return e.enc.RegionTable().Region(e.rules.Consequence(ref))
 }
 
 // fitMotion returns a fallback motion function fitted to recent, reusing the

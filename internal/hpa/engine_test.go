@@ -15,7 +15,7 @@ import (
 // regions (Home, City, Shop, Work, Beach at offsets 0,1,1,2,2) and the four
 // Table III patterns with their exact paper confidences. Patterns are built
 // by hand so the worked FQP numbers of §VI-B can be checked to the digit.
-func janeFixture(t *testing.T) (*pattern.Encoder, []pattern.Pattern, map[string]geom.Point) {
+func janeFixture(t *testing.T) (*pattern.RegionTable, []pattern.Pattern, map[string]geom.Point) {
 	t.Helper()
 	const n = 20
 	jitter := func(c geom.Point, i int) geom.Point {
@@ -61,17 +61,16 @@ func janeFixture(t *testing.T) (*pattern.Encoder, []pattern.Pattern, map[string]
 		{Premise: []pattern.RegionID{0, 1}, Consequence: 3, Confidence: 0.5}, // P2
 		{Premise: []pattern.RegionID{0, 2}, Consequence: 4, Confidence: 0.4}, // P3
 	}
-	ct := pattern.NewConsequenceTable(rt, patterns)
-	return pattern.NewEncoder(rt, ct), patterns, centers
+	return rt, patterns, centers
 }
 
 func janeEngine(t *testing.T, cfg Config) (*Engine, map[string]geom.Point) {
 	t.Helper()
-	enc, patterns, centers := janeFixture(t)
+	rt, patterns, centers := janeFixture(t)
 	if cfg.Period == 0 {
 		cfg.Period = 3
 	}
-	eng, err := NewEngine(enc, patterns, cfg, tpt.Options{}, nil)
+	eng, err := NewEngine(rt, pattern.TableOf(patterns), cfg, tpt.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +297,8 @@ func TestIsDistant(t *testing.T) {
 }
 
 func TestNewEngineValidation(t *testing.T) {
-	enc, patterns, _ := janeFixture(t)
-	if _, err := NewEngine(enc, patterns, Config{}, tpt.Options{}, nil); err == nil {
+	rt, patterns, _ := janeFixture(t)
+	if _, err := NewEngine(rt, pattern.TableOf(patterns), Config{}, tpt.Options{}, nil); err == nil {
 		t.Error("zero period accepted")
 	}
 }

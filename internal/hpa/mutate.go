@@ -20,16 +20,17 @@ func (e *Engine) LivePatterns() int { return e.live }
 
 // IsLive reports whether ref names a pattern that still answers queries.
 func (e *Engine) IsLive(ref int) bool {
-	return ref >= 0 && ref < len(e.patterns) && !e.dead[ref]
+	return ref >= 0 && ref < len(e.dead) && !e.dead[ref]
 }
 
 // Refs returns how many refs the engine has assigned, retired ones
 // included: valid refs are [0, Refs()).
-func (e *Engine) Refs() int { return len(e.patterns) }
+func (e *Engine) Refs() int { return e.rules.Len() }
 
-// Pattern returns the pattern at ref, live or retired, without copying the
-// slice the way Patterns does. It panics when ref is out of range.
-func (e *Engine) Pattern(ref int) pattern.Pattern { return e.patterns[ref] }
+// Pattern returns the rule at ref, live or retired, materialised from its
+// row: its premise is a capped view of the table's arena, so nothing the
+// engine appends later changes it. It panics when ref is out of range.
+func (e *Engine) Pattern(ref int) pattern.Pattern { return e.rules.Pattern(ref) }
 
 // InsertPatterns indexes newly promoted patterns, growing the consequence
 // table and the tree's key widths as needed — nothing is skipped, unlike
@@ -48,15 +49,15 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 	e.tree.GrowKeys(ct.Len(), rt.Len())
 	refs := make([]int, len(ps))
 	for i, p := range ps {
-		ref := len(e.patterns)
+		ref := e.rules.Len()
 		off := rt.Region(p.Consequence).Offset
-		e.patterns = append(e.patterns, p)
+		e.rules.Append(p)
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
 		e.rankInsert(off, p.Confidence, ref)
 		var buf [keyBuf]uint64
-		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, p), Conf: p.Confidence, Ref: ref})
+		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, ref), Conf: p.Confidence, Ref: ref})
 		refs[i] = ref
 	}
 	return refs
@@ -82,7 +83,7 @@ func (e *Engine) RemovePattern(ref int) bool {
 	// the pattern was inserted, but grown bits are zero on both sides, so
 	// the encoded key equals the stored (grown) one.
 	var buf [keyBuf]uint64
-	if !e.tree.Delete(e.keyOf(&buf, e.patterns[ref]), ref) {
+	if !e.tree.Delete(e.keyOf(&buf, ref), ref) {
 		return false
 	}
 	e.dead[ref] = true
@@ -90,7 +91,7 @@ func (e *Engine) RemovePattern(ref int) bool {
 	off := e.consequenceRegion(ref).Offset
 	e.countLive(off, -1)
 	if l := e.builtList(off); l != nil {
-		i := l.find(e.patterns[ref].Confidence, ref)
+		i := l.find(e.rules.Confidence(ref), ref)
 		l.entries = slices.Delete(l.entries, i, i+1)
 	}
 	return true
@@ -108,7 +109,7 @@ func (e *Engine) RemovePattern(ref int) bool {
 func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, support int)) int {
 	applied := 0
 	var moved []movedRef
-	if w := (len(e.patterns) + 63) / 64; len(e.marks) < w {
+	if w := (e.rules.Len() + 63) / 64; len(e.marks) < w {
 		e.marks = append(e.marks, make([]uint64, w-len(e.marks))...)
 	}
 	for i := 0; i < n; i++ {
@@ -117,19 +118,18 @@ func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, 
 			continue
 		}
 		applied++
-		p := &e.patterns[ref]
-		if p.Confidence != conf {
+		if e.rules.Confidence(ref) != conf {
 			off := e.consequenceRegion(ref).Offset
 			if e.builtList(off) != nil && !e.marked(ref) {
 				e.mark(ref, true)
 				moved = append(moved, movedRef{off: int32(off), rankEntry: rankEntry{ref: int32(ref)}})
 			}
 		}
-		p.Confidence, p.Support = conf, support
+		e.rules.Set(ref, conf, support)
 	}
 	if len(moved) > 0 {
 		for i := range moved {
-			moved[i].conf = e.patterns[moved[i].ref].Confidence
+			moved[i].conf = e.rules.Confidence(int(moved[i].ref))
 		}
 		slices.SortFunc(moved, func(a, b movedRef) int {
 			if a.off != b.off {
@@ -246,10 +246,11 @@ func (l *rankedList) find(conf float64, ref int) int {
 // heap.
 const keyBuf = 8
 
-// keyOf encodes p against the current tables, in buf when the key fits:
-// none of the keys an insert or a removal encodes outlives the tree call it
-// is handed to.
-func (e *Engine) keyOf(buf *[keyBuf]uint64, p pattern.Pattern) bitkey.PatternKey {
+// keyOf encodes the rule at ref against the current tables, in buf when
+// the key fits: none of the keys an insert or a removal encodes outlives
+// the tree call it is handed to.
+func (e *Engine) keyOf(buf *[keyBuf]uint64, ref int) bitkey.PatternKey {
+	p := e.rules.Pattern(ref)
 	ckLen, rkLen := e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len()
 	cw, rw := (ckLen+63)/64, (rkLen+63)/64
 	if cw+rw > keyBuf {

@@ -33,7 +33,7 @@ type oracle struct {
 
 func newOracle(e *Engine) *oracle {
 	o := &oracle{e: e}
-	for ref, p := range e.patterns {
+	for ref, p := range e.Patterns() {
 		if e.dead[ref] {
 			continue
 		}
@@ -46,11 +46,11 @@ func newOracle(e *Engine) *oracle {
 // consOffset is the time offset of a pattern's consequence region (§IV):
 // what Equation 3 measures the query offset against.
 func consOffset(e *Engine, ref int) int {
-	return e.enc.RegionTable().Region(e.patterns[ref].Consequence).Offset
+	return e.enc.RegionTable().Region(e.Pattern(ref).Consequence).Offset
 }
 
 func (o *oracle) prediction(ref int, score float64, path Path) Prediction {
-	p := o.e.patterns[ref]
+	p := o.e.Pattern(ref)
 	fr := o.e.enc.RegionTable().Region(p.Consequence)
 	return Prediction{
 		Location:          fr.Center,
@@ -105,7 +105,7 @@ func (o *oracle) oracleForward(visited []pattern.RegionID, tq int) []Prediction 
 			continue
 		}
 		sr := PremiseSimilarity(o.keys[i].RK, qk.RK, e.cfg.Weight)
-		cands = append(cands, o.prediction(ref, sr*e.patterns[ref].Confidence, PathForward))
+		cands = append(cands, o.prediction(ref, sr*e.Pattern(ref).Confidence, PathForward))
 	}
 	return oracleRank(cands)
 }
@@ -129,7 +129,7 @@ func (o *oracle) oracleBackward(visited []pattern.RegionID, tc, tq int) []Predic
 			if dist > radius {
 				continue
 			}
-			conf := e.patterns[ref].Confidence
+			conf := e.Pattern(ref).Confidence
 			sc := 1 - float64(dist)/float64(radius+1) // Equation 3
 			sr := PremiseSimilarity(o.keys[j].RK, qrk, e.cfg.Weight)
 			var sp float64
@@ -157,7 +157,7 @@ func checkLiveCounts(t *testing.T, e *Engine) {
 	t.Helper()
 	want := make([]int32, e.cfg.Period)
 	live := 0
-	for ref := range e.patterns {
+	for ref := range e.Refs() {
 		if e.dead[ref] {
 			continue
 		}
@@ -331,13 +331,12 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
-			enc := pattern.NewEncoder(rt, pattern.NewConsequenceTable(rt, initial))
-			e, err := NewEngine(enc, initial, Config{Period: period, PenalizePremise: true}, tpt.Options{}, nil)
+			e, err := NewEngine(rt, pattern.TableOf(initial), Config{Period: period, PenalizePremise: true}, tpt.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkLiveCounts(t, e)
-			t.Logf("%d patterns indexed, %d held back, %d consequence offsets", len(initial), len(held), enc.ConsequenceTable().Len())
+			t.Logf("%d patterns indexed, %d held back, %d consequence offsets", len(initial), len(held), e.enc.ConsequenceTable().Len())
 			tcs, visited := recentWindows(t, e, tr, period)
 			span := 3 * period
 			if testing.Short() {
@@ -352,7 +351,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 			// re-runs a window against a fresh oracle.
 			liveRefs := func() []int {
 				var refs []int
-				for ref := range e.patterns {
+				for ref := range e.Refs() {
 					if e.IsLive(ref) {
 						refs = append(refs, ref)
 					}
@@ -389,7 +388,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					}
 				default:
 					ref := refs[rng.Intn(len(refs))]
-					p := e.patterns[ref]
+					p := e.Pattern(ref)
 					p.Confidence = 0.3 + 0.7*rng.Float64()
 					if updateAll(e, []ruleUpdate{{ref, p.Confidence, p.Support}}) != 1 {
 						t.Fatalf("UpdatePatterns(%d) failed", ref)
@@ -435,8 +434,7 @@ func handEngine(t *testing.T, cfg Config, offsets []int, rules [][3]float64) *En
 			Confidence:  r[2],
 		})
 	}
-	enc := pattern.NewEncoder(rt, pattern.NewConsequenceTable(rt, patterns))
-	e, err := NewEngine(enc, patterns, cfg, tpt.Options{}, nil)
+	e, err := NewEngine(rt, pattern.TableOf(patterns), cfg, tpt.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +832,7 @@ func FuzzBackwardQuery(f *testing.F) {
 		buildRanked(e)
 		var ups []ruleUpdate
 		for ref := 0; ref < mutations && ref < len(rules)/2; ref++ {
-			ups = append(ups, ruleUpdate{ref, 1.05 - e.patterns[ref].Confidence, 1})
+			ups = append(ups, ruleUpdate{ref, 1.05 - e.Pattern(ref).Confidence, 1})
 		}
 		updateAll(e, ups)
 		var late []pattern.Pattern

@@ -34,11 +34,10 @@ func updateOne(e *Engine, u ruleUpdate) bool {
 	if !e.IsLive(u.Ref) || !e.tree.UpdateConf(u.Ref, u.Conf) {
 		return false
 	}
-	p := &e.patterns[u.Ref]
 	if l := e.builtList(e.consequenceRegion(u.Ref).Offset); l != nil {
-		l.move(l.find(p.Confidence, u.Ref), rankEntry{conf: u.Conf, ref: int32(u.Ref)})
+		l.move(l.find(e.rules.Confidence(u.Ref), u.Ref), rankEntry{conf: u.Conf, ref: int32(u.Ref)})
 	}
-	p.Confidence, p.Support = u.Conf, u.Support
+	e.rules.Set(u.Ref, u.Conf, u.Support)
 	return true
 }
 
@@ -74,7 +73,7 @@ func treeHits(e *Engine) []rankEntry {
 // confidence and support, which refs are retired, and the tree's shape.
 func savedBytes(e *Engine) []byte {
 	var b []byte
-	for ref, p := range e.patterns {
+	for ref, p := range e.Patterns() {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Confidence))
 		b = binary.AppendUvarint(b, uint64(p.Support))
 		if e.dead[ref] {
@@ -100,8 +99,7 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 			_, rt, all := datasetFixture(t, kind)
 			engine := func() *Engine {
 				ps := slices.Clone(all)
-				enc := pattern.NewEncoder(rt, pattern.NewConsequenceTable(rt, ps))
-				e, err := NewEngine(enc, ps, Config{Period: period}, tpt.Options{}, nil)
+				e, err := NewEngine(rt, pattern.TableOf(ps), Config{Period: period}, tpt.Options{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +110,7 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(kind) + 5))
 			for step := 0; step < 30; step++ {
 				var live []int
-				for ref := range batch.patterns {
+				for ref := range batch.Refs() {
 					if batch.IsLive(ref) {
 						live = append(live, ref)
 					}
@@ -123,7 +121,7 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 					if !batch.IsLive(ref) {
 						continue
 					}
-					p := batch.patterns[ref]
+					p := batch.Pattern(ref)
 					if !batch.RemovePattern(ref) || !single.RemovePattern(ref) {
 						t.Fatalf("step %d: RemovePattern(%d) failed", step, ref)
 					}
@@ -135,7 +133,7 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 					ref := live[rng.Intn(len(live))]
 					u := ruleUpdate{ref, float64(1+rng.Intn(8)) / 8, rng.Intn(20)}
 					if rng.Intn(5) == 0 {
-						u.Conf = batch.patterns[ref].Confidence
+						u.Conf = batch.Pattern(ref).Confidence
 					}
 					ups = append(ups, u)
 				}

@@ -24,8 +24,7 @@ func allocatedBy(fn func()) uint64 {
 
 // decodeBudget is what a decoder may allocate for an input of n bytes: a
 // small multiple of the input (a decoded pattern or region is larger than
-// its varint encoding) over the fixed cost of a reader and the first,
-// capped, preallocation.
+// its varint encoding) over a small fixed cost.
 func decodeBudget(n int) uint64 { return 512<<10 + 64*uint64(n) }
 
 // TestReadPatternsHostileCount: nine bytes — the magic and a count of
@@ -39,7 +38,7 @@ func TestReadPatternsHostileCount(t *testing.T) {
 	}
 	rt := janeTable(t)
 	var err error
-	grew := allocatedBy(func() { _, err = ReadPatterns(bytes.NewReader(stream), rt) })
+	grew := allocatedBy(func() { _, err = readPatterns(stream, rt) })
 	if err == nil {
 		t.Fatal("a count with no patterns behind it was accepted")
 	}
@@ -54,10 +53,10 @@ func TestReadPatternsPremisesDoNotAlias(t *testing.T) {
 	rt := janeTable(t)
 	patterns := Mine(rt, Config{MinSupport: 2, MinConfidence: 0.2})
 	var buf bytes.Buffer
-	if err := WritePatterns(&buf, patterns); err != nil {
+	if err := writePatterns(&buf, patterns); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPatterns(&buf, rt)
+	back, err := readPatterns(buf.Bytes(), rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +70,61 @@ func TestReadPatternsPremisesDoNotAlias(t *testing.T) {
 	}
 }
 
+// overcounted returns a rule list whose count promises one record more
+// than its bytes hold.
+func overcounted(tb testing.TB, stream []byte) []byte {
+	n, k := binary.Uvarint(stream[len(patternsMagic):])
+	if k != 1 || n+1 >= 0x80 {
+		tb.Fatalf("the stream's count %d is not one byte", n)
+	}
+	out := bytes.Clone(stream)
+	out[len(patternsMagic)]++
+	return out
+}
+
+// TestReadPatternsCountPastBytes: a count that promises more records than
+// the bytes behind it can hold is refused before the columns are sized.
+func TestReadPatternsCountPastBytes(t *testing.T) {
+	rt := janeTable(t)
+	var buf bytes.Buffer
+	if err := writePatterns(&buf, Mine(rt, Config{MinSupport: 2, MinConfidence: 0.2})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readPatterns(overcounted(t, buf.Bytes()), rt); err == nil {
+		t.Fatal("a count one past the records was accepted")
+	}
+}
+
+// farOffsetTable returns Jane's region table with its first region moved
+// to offset 2³⁰: a table indexed by offset must never be sized by it.
+func farOffsetTable(tb testing.TB) []byte {
+	rt := DiscoverRegions(janeGroups(), 30, 4)
+	rt.regions[0].Offset = 1 << 30
+	var buf bytes.Buffer
+	if err := rt.WriteBinary(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRegionTableFarOffset: a region offset outside the period is
+// refused, and the refusal allocates nothing its size would call for.
+func TestReadRegionTableFarOffset(t *testing.T) {
+	data := farOffsetTable(t)
+	var err error
+	grew := allocatedBy(func() { _, err = readRegionTable(data) })
+	if err == nil {
+		t.Fatal("a region at offset 2^30 was accepted in a period of 3")
+	}
+	if grew > decodeBudget(len(data)) {
+		t.Fatalf("refusing %d bytes allocated %d", len(data), grew)
+	}
+}
+
 func FuzzReadPatterns(f *testing.F) {
 	rt := DiscoverRegions(janeGroups(), 30, 4)
 	var buf bytes.Buffer
-	if err := WritePatterns(&buf, Mine(rt, Config{MinSupport: 2, MinConfidence: 0.2})); err != nil {
+	if err := writePatterns(&buf, Mine(rt, Config{MinSupport: 2, MinConfidence: 0.2})); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -82,10 +132,11 @@ func FuzzReadPatterns(f *testing.F) {
 	f.Add(binary.AppendUvarint([]byte(patternsMagic), 1<<28))
 	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte(patternsMagic), 1), 1<<40)) // premise length
 	f.Add([]byte(patternsMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))          // count 2^64-1
+	f.Add(overcounted(f, buf.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ps []Pattern
 		var err error
-		grew := allocatedBy(func() { ps, err = ReadPatterns(bytes.NewReader(data), rt) })
+		grew := allocatedBy(func() { ps, err = readPatterns(data, rt) })
 		if grew > decodeBudget(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
@@ -113,10 +164,11 @@ func FuzzReadRegionTable(f *testing.F) {
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(head[:12:12], 20), 1<<25))     // region count
 	f.Add(append(full[:len(full)-8:len(full)-8], 0xff, 0xff, 0xff, 0xff, 0x7f))    // a visitor key's length
 	f.Add(append(full[:len(full)-8:len(full)-8], 0xff, 0xff, 0xff, 0xff, 0xff, 1)) // and past what fits an int32
+	f.Add(farOffsetTable(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rt *RegionTable
 		var err error
-		grew := allocatedBy(func() { rt, err = ReadRegionTable(bytes.NewReader(data)) })
+		grew := allocatedBy(func() { rt, err = readRegionTable(data) })
 		if grew > decodeBudget(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}

@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 
 	"hpm/internal/bitkey"
 )
@@ -13,24 +12,37 @@ import (
 // consequence-key length equals the number of distinct consequence offsets
 // — always at most the region-key length.
 type ConsequenceTable struct {
-	offsets []int       // sorted distinct consequence offsets
-	ids     map[int]int // offset -> time id
+	offsets []int   // sorted distinct consequence offsets
+	ids     []int32 // offset -> time id + 1; 0 where no consequence lies
 }
 
 // NewConsequenceTable builds the table from the consequences of the mined
 // patterns.
 func NewConsequenceTable(rt *RegionTable, patterns []Pattern) *ConsequenceTable {
-	seen := map[int]bool{}
-	for _, p := range patterns {
-		seen[rt.Region(p.Consequence).Offset] = true
+	offs := make([]int32, len(patterns))
+	for i, p := range patterns {
+		offs[i] = int32(rt.Region(p.Consequence).Offset)
 	}
-	ct := &ConsequenceTable{ids: make(map[int]int, len(seen))}
-	for off := range seen {
-		ct.offsets = append(ct.offsets, off)
+	return ConsequenceTableOf(offs)
+}
+
+// ConsequenceTableOf builds the table from every rule's consequence offset,
+// each a region's: within the period, so the table is as long as the
+// period at most.
+func ConsequenceTableOf(offs []int32) *ConsequenceTable {
+	top := int32(-1)
+	for _, off := range offs {
+		top = max(top, off)
 	}
-	sort.Ints(ct.offsets)
-	for id, off := range ct.offsets {
-		ct.ids[off] = id
+	ct := &ConsequenceTable{ids: make([]int32, top+1)}
+	for _, off := range offs {
+		ct.ids[off] = 1
+	}
+	for off, seen := range ct.ids {
+		if seen != 0 {
+			ct.offsets = append(ct.offsets, off)
+			ct.ids[off] = int32(len(ct.offsets))
+		}
 	}
 	return ct
 }
@@ -41,8 +53,10 @@ func (ct *ConsequenceTable) Len() int { return len(ct.offsets) }
 // TimeID returns the time id of a consequence offset; ok is false when no
 // pattern's consequence has that offset.
 func (ct *ConsequenceTable) TimeID(offset int) (id int, ok bool) {
-	id, ok = ct.ids[offset]
-	return id, ok
+	if offset < 0 || offset >= len(ct.ids) || ct.ids[offset] == 0 {
+		return 0, false
+	}
+	return int(ct.ids[offset]) - 1, true
 }
 
 // Offsets returns the distinct consequence offsets in time-id order.
@@ -57,13 +71,15 @@ func (ct *ConsequenceTable) Offsets() []int { return ct.offsets }
 // existing consequence keys) stable at the cost of the sorted-offsets
 // invariant, which only KeyRange relied on.
 func (ct *ConsequenceTable) AddOffset(offset int) int {
-	if id, ok := ct.ids[offset]; ok {
+	if id, ok := ct.TimeID(offset); ok {
 		return id
 	}
-	id := len(ct.offsets)
+	if offset >= len(ct.ids) {
+		ct.ids = append(ct.ids, make([]int32, offset+1-len(ct.ids))...)
+	}
 	ct.offsets = append(ct.offsets, offset)
-	ct.ids[offset] = id
-	return id
+	ct.ids[offset] = int32(len(ct.offsets))
+	return len(ct.offsets) - 1
 }
 
 // Key returns a consequence key with the bits of all the given offsets that
@@ -73,7 +89,7 @@ func (ct *ConsequenceTable) AddOffset(offset int) int {
 func (ct *ConsequenceTable) Key(offsets ...int) bitkey.Key {
 	k := bitkey.New(len(ct.offsets))
 	for _, off := range offsets {
-		if id, ok := ct.ids[off]; ok {
+		if id, ok := ct.TimeID(off); ok {
 			k.Set(id + 1)
 		}
 	}
@@ -129,8 +145,14 @@ func (e *Encoder) EncodeInto(p Pattern, ck, rk bitkey.Key) {
 	if !ok {
 		panic(fmt.Sprintf("pattern: consequence offset %d missing from table", off))
 	}
-	ck.Set(id + 1)
-	e.rt.setRegions(rk, p.Premise)
+	e.EncodeRule(p.Premise, id, ck, rk)
+}
+
+// EncodeRule is EncodeInto for a rule whose consequence's time id the
+// caller has in hand.
+func (e *Encoder) EncodeRule(premise []RegionID, tid int, ck, rk bitkey.Key) {
+	ck.Set(tid + 1)
+	e.rt.setRegions(rk, premise)
 }
 
 // QueryKey encodes a predictive query: the frequent regions the object

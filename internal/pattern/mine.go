@@ -122,12 +122,15 @@ func (s Stats) ReductionPct() float64 {
 
 // Mine derives trajectory patterns from the frequent regions in rt.
 func Mine(rt *RegionTable, cfg Config) []Pattern {
-	patterns, _ := MineWithStats(rt, cfg)
-	return patterns
+	rules, _ := MineWithStats(rt, cfg)
+	if rules.Len() == 0 {
+		return nil
+	}
+	return rules.Patterns()
 }
 
-// MineWithStats is Mine plus effort statistics, including the unpruned rule
-// count used by the pruning-effect ablation.
+// MineWithStats is Mine as a table, plus effort statistics, including the
+// unpruned rule count used by the pruning-effect ablation.
 //
 // Pruned rule generation derives exactly one candidate rule per frequent
 // itemset: its max-offset region is the consequence, the rest the premise.
@@ -136,11 +139,11 @@ func Mine(rt *RegionTable, cfg Config) []Pattern {
 // which assigns engine refs, and refs break ranking ties. The walk visits
 // each length's itemsets in that order; a list per length restores the
 // levels.
-func MineWithStats(rt *RegionTable, cfg Config) ([]Pattern, Stats) {
+func MineWithStats(rt *RegionTable, cfg Config) (*Table, Stats) {
 	cfg = cfg.withDefaults()
 	var stats Stats
 	if rt.Len() == 0 || rt.NumSubTrajectories() == 0 {
-		return nil, stats
+		return NewTable(0, 0), stats
 	}
 	// supports indexes every frequent itemset, single regions included,
 	// for classic rule counting.
@@ -172,21 +175,21 @@ func MineWithStats(rt *RegionTable, cfg Config) ([]Pattern, Stats) {
 	if cfg.CountUnpruned {
 		stats.UnprunedRules = countUnprunedRules(supports, cfg.MinConfidence)
 	}
-	if stats.Rules == 0 {
-		return nil, stats
+	ids := 0
+	for _, ps := range premises {
+		ids += len(ps)
 	}
-	patterns := make([]Pattern, 0, stats.Rules)
+	t := NewTable(stats.Rules, ids)
 	for k, rs := range rules {
-		for i, r := range rs {
-			patterns = append(patterns, Pattern{
-				Premise:     premises[k][i*(k-1) : (i+1)*(k-1) : (i+1)*(k-1)],
-				Consequence: RegionID(r.consequence),
-				Confidence:  r.conf,
-				Support:     int(r.support),
-			})
+		t.premises = append(t.premises, premises[k]...)
+		for _, r := range rs {
+			t.starts = append(t.starts, t.starts[len(t.starts)-1]+int32(k-1))
+			t.conseqs = append(t.conseqs, r.consequence)
+			t.confs = append(t.confs, r.conf)
+			t.supports = append(t.supports, r.support)
 		}
 	}
-	return patterns, stats
+	return t, stats
 }
 
 // rule is one mined rule while MineWithStats collects them: a Pattern less

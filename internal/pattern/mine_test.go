@@ -251,7 +251,11 @@ func refCountUnprunedRules(frequent []itemset, supports map[string]int, minConf 
 // and equal counts.
 func checkMine(t *testing.T, rt *RegionTable, cfg Config) ([]Pattern, Stats) {
 	t.Helper()
-	got, gotStats := MineWithStats(rt, cfg)
+	rules, gotStats := MineWithStats(rt, cfg)
+	var got []Pattern // nil for none, as the join returns
+	if rules.Len() > 0 {
+		got = rules.Patterns()
+	}
 	want, wantStats := refMine(rt, cfg)
 	if gotStats != wantStats {
 		t.Fatalf("%+v: the walk counts %+v, the join %+v", cfg, gotStats, wantStats)

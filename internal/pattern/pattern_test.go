@@ -157,7 +157,8 @@ func expectPatterns(t *testing.T, rt *RegionTable, got []Pattern, want map[strin
 
 func TestMineJane(t *testing.T) {
 	rt := janeTable(t)
-	patterns, stats := MineWithStats(rt, Config{MinSupport: 2, MinConfidence: 0.3, CountUnpruned: true})
+	rules, stats := MineWithStats(rt, Config{MinSupport: 2, MinConfidence: 0.3, CountUnpruned: true})
+	patterns := rules.Patterns()
 	// Region ids: 0=Home 1=City 2=Shop 3=Work 4=Beach.
 	want := map[string]float64{
 		"r0 --0.50--> r1":      0.5, // Home -> City

@@ -23,6 +23,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpm/internal/bitkey"
@@ -65,11 +66,15 @@ func (fr *FrequentRegion) String() string {
 // by time offset with a dense id, plus the per-offset index needed to map a
 // query location back to the region it falls in.
 type RegionTable struct {
-	regions  []*FrequentRegion
-	byOffset map[int][]*FrequentRegion
-	// locate holds the per-offset query index: regions sorted by center X
-	// with the scan radius that makes an early-exit window search exact.
-	locate  map[int]*offsetIndex
+	regions []*FrequentRegion
+	// byOffset lists each offset's regions in id order, indexed by offset:
+	// every offset is a period's, so the slice is as long as the period at
+	// most (decoders refuse any other).
+	byOffset [][]*FrequentRegion
+	// locate holds the per-offset query index, indexed like byOffset:
+	// regions sorted by center X with the scan radius that makes an
+	// early-exit window search exact.
+	locate  []offsetIndex
 	eps     float64
 	numSubs int
 }
@@ -78,9 +83,8 @@ type RegionTable struct {
 // the region table. groups must all have the same number of points (one per
 // sub-trajectory), as produced by trajectory.Groups.
 func DiscoverRegions(groups []trajectory.Group, eps float64, minPts int) *RegionTable {
-	rt := &RegionTable{byOffset: make(map[int][]*FrequentRegion), eps: eps}
+	rt := &RegionTable{eps: eps}
 	if len(groups) == 0 {
-		rt.buildLocateIndex()
 		return rt
 	}
 	rt.numSubs = len(groups[0].Points)
@@ -99,7 +103,7 @@ func DiscoverRegions(groups []trajectory.Group, eps float64, minPts int) *Region
 				pts[i] = g.Points[j]
 				visitors.Set(j + 1)
 			}
-			fr := &FrequentRegion{
+			rt.regions = append(rt.regions, &FrequentRegion{
 				ID:       RegionID(len(rt.regions)),
 				Offset:   g.Offset,
 				Index:    c,
@@ -107,9 +111,7 @@ func DiscoverRegions(groups []trajectory.Group, eps float64, minPts int) *Region
 				MBR:      geom.RectFromPoints(pts),
 				Support:  len(members),
 				visitors: visitors,
-			}
-			rt.regions = append(rt.regions, fr)
-			rt.byOffset[fr.Offset] = append(rt.byOffset[fr.Offset], fr)
+			})
 		}
 	}
 	// trajectory.Groups emits offsets in ascending order, so ids are already
@@ -132,7 +134,7 @@ func DiscoverRegions(groups []trajectory.Group, eps float64, minPts int) *Region
 			fr.ID = RegionID(i)
 		}
 	}
-	rt.buildLocateIndex()
+	rt.buildIndex()
 	return rt
 }
 
@@ -161,7 +163,12 @@ func (rt *RegionTable) Region(id RegionID) *FrequentRegion {
 func (rt *RegionTable) Regions() []*FrequentRegion { return rt.regions }
 
 // AtOffset returns the frequent regions at time offset t (possibly none).
-func (rt *RegionTable) AtOffset(t int) []*FrequentRegion { return rt.byOffset[t] }
+func (rt *RegionTable) AtOffset(t int) []*FrequentRegion {
+	if t < 0 || t >= len(rt.byOffset) {
+		return nil
+	}
+	return rt.byOffset[t]
+}
 
 // offsetIndex accelerates Locate at one time offset: the offset's regions
 // sorted by center X, plus the largest horizontal reach any of them has —
@@ -188,27 +195,50 @@ func reachX(fr *FrequentRegion, eps float64) float64 {
 	return r
 }
 
-// buildLocateIndex (re)builds the per-offset query index. Called at
-// discovery/deserialization time; Absorb only widens visitor bitmaps and
-// supports, never geometry, so the index stays valid afterwards —
-// AppendRegion, the one mutation that does add geometry, rebuilds its
-// offset's entry alone.
-func (rt *RegionTable) buildLocateIndex() {
-	rt.locate = make(map[int]*offsetIndex, len(rt.byOffset))
+// buildIndex builds byOffset and the per-offset query index from the
+// regions, both as long as the highest offset needs: once at discovery or
+// decode. Absorb only widens visitor bitmaps and supports, never geometry,
+// so the index stays valid afterwards — AppendRegion, the one mutation that
+// does add geometry, rebuilds its offset's entry alone. Each offset's lists
+// are carved from one slab, capped so AppendRegion's append to one offset
+// cannot write into the next.
+func (rt *RegionTable) buildIndex() {
+	top := -1
+	for _, fr := range rt.regions {
+		top = max(top, fr.Offset)
+	}
+	rt.byOffset = make([][]*FrequentRegion, top+1)
+	rt.locate = make([]offsetIndex, top+1)
+	ends := make([]int, top+2) // ends[off+1]: where offset off's run ends
+	for _, fr := range rt.regions {
+		ends[fr.Offset+1]++
+	}
 	for off := range rt.byOffset {
-		rt.rebuildLocateAt(off)
+		ends[off+1] += ends[off]
+	}
+	slab := make([]*FrequentRegion, 2*len(rt.regions))
+	byX := slab[len(rt.regions):]
+	for off := range rt.byOffset {
+		lo, hi := ends[off], ends[off+1]
+		rt.byOffset[off] = slab[lo:lo:hi]
+		rt.locate[off].byX = byX[lo:lo:hi]
+	}
+	for _, fr := range rt.regions {
+		rt.byOffset[fr.Offset] = append(rt.byOffset[fr.Offset], fr)
+	}
+	for off := range rt.byOffset {
+		rt.indexOffset(off, append(rt.locate[off].byX, rt.byOffset[off]...))
 	}
 }
 
-// rebuildLocateAt rebuilds one offset's locate entry from byOffset.
-func (rt *RegionTable) rebuildLocateAt(off int) {
-	regions := rt.byOffset[off]
-	ix := &offsetIndex{byX: make([]*FrequentRegion, len(regions))}
-	copy(ix.byX, regions)
-	sort.SliceStable(ix.byX, func(a, b int) bool {
-		return ix.byX[a].Center.X < ix.byX[b].Center.X
+// indexOffset makes byX, which holds offset off's regions, the offset's
+// locate entry: sorted by center X, with the widest reach among them.
+func (rt *RegionTable) indexOffset(off int, byX []*FrequentRegion) {
+	sort.SliceStable(byX, func(a, b int) bool {
+		return byX[a].Center.X < byX[b].Center.X
 	})
-	for _, fr := range ix.byX {
+	ix := offsetIndex{byX: byX}
+	for _, fr := range byX {
 		if r := reachX(fr, rt.eps); r > ix.maxReach {
 			ix.maxReach = r
 		}
@@ -226,10 +256,10 @@ func (rt *RegionTable) rebuildLocateAt(off int) {
 // those whose horizontal reach can cover p are examined, instead of every
 // region at the offset.
 func (rt *RegionTable) Locate(t int, p geom.Point) (*FrequentRegion, bool) {
-	ix := rt.locate[t]
-	if ix == nil {
+	if t < 0 || t >= len(rt.locate) {
 		return nil, false
 	}
+	ix := &rt.locate[t]
 	lo := sort.Search(len(ix.byX), func(i int) bool {
 		return ix.byX[i].Center.X >= p.X-ix.maxReach
 	})
@@ -382,6 +412,10 @@ func (rt *RegionTable) AppendRegion(offset int, pts []geom.Point, visitorSubs []
 			support++
 		}
 	}
+	if offset >= len(rt.byOffset) {
+		rt.byOffset = append(rt.byOffset, make([][]*FrequentRegion, offset+1-len(rt.byOffset))...)
+		rt.locate = append(rt.locate, make([]offsetIndex, offset+1-len(rt.locate))...)
+	}
 	fr := &FrequentRegion{
 		ID:       RegionID(len(rt.regions)),
 		Offset:   offset,
@@ -393,7 +427,7 @@ func (rt *RegionTable) AppendRegion(offset int, pts []geom.Point, visitorSubs []
 	}
 	rt.regions = append(rt.regions, fr)
 	rt.byOffset[offset] = append(rt.byOffset[offset], fr)
-	rt.rebuildLocateAt(offset)
+	rt.indexOffset(offset, slices.Clone(rt.byOffset[offset]))
 	return fr
 }
 

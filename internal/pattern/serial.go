@@ -22,10 +22,20 @@ const (
 )
 
 // sink wraps a writer with latched errors so serialization code can stay
-// linear.
+// linear. Every number is appended into the writer's own free space, so
+// encoding one allocates nothing.
 type sink struct {
 	w   *bufio.Writer
 	err error
+}
+
+// room returns the writer's free space, empty and at least n bytes long,
+// flushing first when less is left.
+func (s *sink) room(n int) []byte {
+	if s.w.Available() < n && s.err == nil {
+		s.err = s.w.Flush()
+	}
+	return s.w.AvailableBuffer()
 }
 
 func (s *sink) bytes(b []byte) {
@@ -35,19 +45,15 @@ func (s *sink) bytes(b []byte) {
 }
 
 func (s *sink) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	s.bytes(buf[:binary.PutUvarint(buf[:], v)])
+	s.bytes(binary.AppendUvarint(s.room(binary.MaxVarintLen64), v))
 }
 
 func (s *sink) varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	s.bytes(buf[:binary.PutVarint(buf[:], v)])
+	s.bytes(binary.AppendVarint(s.room(binary.MaxVarintLen64), v))
 }
 
 func (s *sink) float(v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	s.bytes(buf[:])
+	s.bytes(binary.LittleEndian.AppendUint64(s.room(8), math.Float64bits(v)))
 }
 
 func (s *sink) key(k bitkey.Key) {
@@ -66,133 +72,150 @@ func (s *sink) flush() error {
 	return s.w.Flush()
 }
 
-// source decodes from a reader with latched errors, through a window — the
-// reader's own buffer, peeked — so a varint costs no interface call per byte.
-// Nothing it reads is trusted: a length taken from the stream never sizes an
-// allocation before the bytes it promises have arrived.
-type source struct {
-	r   *bufio.Reader
-	w   []byte // r's buffered bytes as of the last peek
-	off int    // how much of w is decoded; an offset, so advancing stores no pointer
+// Cursor decodes the model's wire format — uvarint integers, little-endian
+// floats, length-prefixed blobs — from bytes already in memory, with a
+// latched error: after the first failure every read returns zero and Err
+// reports it. Nothing it reads is trusted: a length or a count is checked
+// against the bytes that remain before it sizes anything, and a blob is a
+// view of the input, never a copy. One cursor walks a whole segment —
+// record, model stream, region table, rule table, tree shape, chain —
+// and Offset reports how far each step took it.
+type Cursor struct {
+	b   []byte
+	off int
 	err error
 }
 
-// peek returns the undecoded window, first slid forward and refilled to n
-// bytes — or to what the input still has — when it holds fewer.
-func (s *source) peek(n int) []byte {
-	if len(s.w)-s.off < n && s.err == nil {
-		s.done()
-		if _, err := s.r.Peek(n); err != nil && err != io.EOF {
-			s.err = err
+// NewCursor returns a cursor at the start of b.
+func NewCursor(b []byte) Cursor { return Cursor{b: b} }
+
+// Err returns the first decoding error, nil while there is none.
+func (c *Cursor) Err() error { return c.err }
+
+// Offset returns how many bytes the cursor has consumed.
+func (c *Cursor) Offset() int { return c.off }
+
+// Remaining returns how many bytes are left after the cursor; none once
+// it has failed.
+func (c *Cursor) Remaining() int { return len(c.b) - c.off }
+
+// Rest returns the bytes after the cursor, for a decoder that takes bytes;
+// Skip then moves past what it consumed.
+func (c *Cursor) Rest() []byte { return c.b[c.off:] }
+
+// fail latches err, unless an earlier error is latched already, and ends
+// the input: every later read fails.
+func (c *Cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.b = c.b[:c.off]
+}
+
+// truncated latches the error of an input that ends inside a value.
+func (c *Cursor) truncated() {
+	c.fail(fmt.Errorf("pattern: truncated input: %w", io.ErrUnexpectedEOF))
+}
+
+// Skip moves the cursor n bytes on.
+func (c *Cursor) Skip(n int) {
+	if n < 0 || n > c.Remaining() {
+		c.truncated()
+		return
+	}
+	c.off += n
+}
+
+// Uvarint reads an unsigned varint.
+func (c *Cursor) Uvarint() uint64 {
+	if i := c.off; i < len(c.b) {
+		if b := c.b[i]; b < 0x80 {
+			c.off = i + 1
+			return uint64(b)
 		}
-		s.w, _ = s.r.Peek(s.r.Buffered())
 	}
-	return s.w[s.off:]
-}
-
-// done hands the reader back, positioned after the last byte decoded.
-func (s *source) done() error {
-	s.r.Discard(s.off)
-	s.w, s.off = nil, 0
-	return s.err
-}
-
-// take returns the next n bytes — a few — as a view, or nil past an error.
-func (s *source) take(n int) []byte {
-	if b := s.peek(n); s.err == nil && len(b) < n {
-		s.err = io.ErrUnexpectedEOF
-	}
-	if s.err != nil {
-		return nil
-	}
-	s.off += n
-	return s.w[s.off-n : s.off]
-}
-
-// ReadBlob reads a uvarint length, at most max, and that many bytes.
-func ReadBlob(r *bufio.Reader, max uint64) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > max {
-		return nil, fmt.Errorf("pattern: length %d exceeds limit %d", n, max)
-	}
-	return readN(r, n)
-}
-
-// readN reads n bytes, allocating only as they arrive once n is past a chunk.
-func readN(r io.Reader, n uint64) ([]byte, error) {
-	if n <= 64<<10 {
-		b := make([]byte, n)
-		_, err := io.ReadFull(r, b)
-		return b, err
-	}
-	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && uint64(len(b)) < n {
-		err = io.ErrUnexpectedEOF
-	}
-	return b, err
-}
-
-func (s *source) bytes(n int) (b []byte) {
-	if s.done() == nil {
-		b, s.err = readN(s.r, uint64(n))
-	}
-	return b
-}
-
-func (s *source) uvarint() uint64 {
-	v, k := binary.Uvarint(s.peek(binary.MaxVarintLen64))
-	if k <= 0 && s.err == nil {
-		s.err = fmt.Errorf("pattern: truncated or overlong varint: %w", io.ErrUnexpectedEOF)
-	}
-	if s.err != nil {
+	v, k := binary.Uvarint(c.b[c.off:])
+	if k <= 0 {
+		c.fail(fmt.Errorf("pattern: truncated or overlong varint: %w", io.ErrUnexpectedEOF))
 		return 0
 	}
-	s.off += k
+	c.off += k
 	return v
 }
 
 // varint undoes binary.PutVarint's zigzag over uvarint.
-func (s *source) varint() int64 {
-	ux := s.uvarint()
+func (c *Cursor) varint() int64 {
+	ux := c.Uvarint()
 	return int64(ux>>1) ^ -int64(ux&1)
 }
 
-// count reads a uvarint that must fit a non-negative int.
-func (s *source) count() int {
-	v := s.uvarint()
-	if s.err == nil && v > math.MaxInt32 {
-		s.err = fmt.Errorf("pattern: implausible count %d", v)
+// count reads a uvarint that must fit a non-negative int32.
+func (c *Cursor) count() int {
+	v := c.Uvarint()
+	if v > math.MaxInt32 {
+		c.fail(fmt.Errorf("pattern: implausible count %d", v))
 		return 0
 	}
 	return int(v)
 }
 
-func (s *source) float() float64 {
-	if b := s.take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+// Bytes returns the next n bytes as a view of the input, nil past the end.
+func (c *Cursor) Bytes(n int) []byte {
+	if n < 0 || n > c.Remaining() {
+		c.truncated()
+		return nil
 	}
+	c.off += n
+	return c.b[c.off-n : c.off : c.off]
+}
+
+// Byte reads one byte.
+func (c *Cursor) Byte() byte {
+	if c.off < len(c.b) {
+		c.off++
+		return c.b[c.off-1]
+	}
+	c.truncated()
 	return 0
 }
 
-func (s *source) key() bitkey.Key {
-	b := s.bytes(s.count())
-	if s.err != nil {
+// Float reads a little-endian float64.
+func (c *Cursor) Float() float64 {
+	if i := c.off; i+8 <= len(c.b) {
+		c.off = i + 8
+		return math.Float64frombits(binary.LittleEndian.Uint64(c.b[i:]))
+	}
+	c.truncated()
+	return 0
+}
+
+// Blob reads a uvarint length, at most max, and that many bytes, as a view.
+func (c *Cursor) Blob(max uint64) []byte {
+	n := c.Uvarint()
+	if n > max {
+		c.fail(fmt.Errorf("pattern: length %d exceeds limit %d", n, max))
+		return nil
+	}
+	return c.Bytes(int(n))
+}
+
+// magic reads a section magic and latches an error unless it is want.
+func (c *Cursor) magic(want string) {
+	if b := c.Bytes(len(want)); b != nil && string(b) != want {
+		c.fail(fmt.Errorf("pattern: bad section magic %q, want %q", b, want))
+	}
+}
+
+func (c *Cursor) key() bitkey.Key {
+	b := c.Blob(uint64(c.Remaining()))
+	if c.err != nil {
 		return bitkey.Key{}
 	}
 	var k bitkey.Key
 	if err := k.UnmarshalBinary(b); err != nil {
-		s.err = err
+		c.fail(err)
 	}
 	return k
-}
-
-func (s *source) magic(want string) {
-	if b := s.take(len(want)); b != nil && string(b) != want {
-		s.err = fmt.Errorf("pattern: bad section magic %q, want %q", b, want)
-	}
 }
 
 // WriteBinary serializes the region table, including the visitor bitmaps
@@ -218,114 +241,135 @@ func (rt *RegionTable) WriteBinary(w io.Writer) error {
 	return s.flush()
 }
 
-// ReadRegionTable deserializes a region table written by WriteBinary.
-func ReadRegionTable(r io.Reader) (*RegionTable, error) {
-	s := &source{r: bufio.NewReader(r)}
-	s.magic(regionTableMagic)
-	rt := &RegionTable{byOffset: make(map[int][]*FrequentRegion)}
-	rt.eps = s.float()
-	rt.numSubs = s.count()
-	count := s.count()
-	if s.err != nil {
-		return nil, s.err
+// The fewest bytes one encoded region and one encoded rule can take: six
+// floats and four one-byte varints, the last a visitor key's length before
+// its own one-byte length; a premise length, a consequence, a confidence
+// and a support. A count is held to what the bytes left can hold before
+// anything is sized by it.
+const (
+	minRegionBytes = 6*8 + 5
+	minRuleBytes   = 1 + 1 + 8 + 1
+)
+
+// ReadRegionTable decodes a region table written by WriteBinary at c. A
+// region's offset must lie in [0, period): the per-offset tables are sized
+// by the highest, so no offset from the stream sizes one unchecked.
+func ReadRegionTable(c *Cursor, period int) (*RegionTable, error) {
+	c.magic(regionTableMagic)
+	rt := &RegionTable{eps: c.Float()}
+	rt.numSubs = c.count()
+	count := c.count()
+	if c.err == nil && count > c.Remaining()/minRegionBytes {
+		c.fail(fmt.Errorf("pattern: %d regions cannot fit in %d bytes", count, c.Remaining()))
 	}
-	if count > 1<<26 {
-		return nil, fmt.Errorf("pattern: implausible region count %d", count)
+	if c.err != nil {
+		return nil, c.err
 	}
-	for i := 0; i < count; i++ {
-		fr := &FrequentRegion{ID: RegionID(i)}
-		fr.Offset = s.count()
-		fr.Index = s.count()
-		fr.Center = geom.Pt(s.float(), s.float())
+	slab := make([]FrequentRegion, count)
+	rt.regions = make([]*FrequentRegion, count)
+	for i := range slab {
+		fr := &slab[i]
+		fr.ID = RegionID(i)
+		fr.Offset = c.count()
+		fr.Index = c.count()
+		fr.Center = geom.Pt(c.Float(), c.Float())
 		fr.MBR = geom.Rect{
-			Min: geom.Pt(s.float(), s.float()),
-			Max: geom.Pt(s.float(), s.float()),
+			Min: geom.Pt(c.Float(), c.Float()),
+			Max: geom.Pt(c.Float(), c.Float()),
 		}
-		fr.Support = s.count()
-		fr.visitors = s.key()
-		if s.err != nil {
-			return nil, s.err
+		fr.Support = c.count()
+		if c.err == nil && fr.Offset >= period {
+			c.fail(fmt.Errorf("pattern: region %d at offset %d, outside a period of %d", i, fr.Offset, period))
+		}
+		fr.visitors = c.key()
+		if c.err != nil {
+			return nil, c.err
 		}
 		if fr.visitors.Len() != rt.numSubs {
 			return nil, fmt.Errorf("pattern: region %d visitor length %d != %d subs", i, fr.visitors.Len(), rt.numSubs)
 		}
-		rt.regions = append(rt.regions, fr)
-		rt.byOffset[fr.Offset] = append(rt.byOffset[fr.Offset], fr)
+		rt.regions[i] = fr
 	}
-	if s.done() == nil {
-		rt.buildLocateIndex()
-	}
-	return rt, s.err
+	rt.buildIndex()
+	return rt, nil
 }
 
-// WritePatterns serializes a pattern list against a known region universe.
-func WritePatterns(w io.Writer, patterns []Pattern) error {
+// WriteRules serializes the rows of t that keep accepts — every row when
+// keep is nil — in order, against a known region universe.
+func WriteRules(w io.Writer, t *Table, keep func(row int) bool) error {
+	count := t.Len()
+	if keep != nil {
+		count = 0
+		for i := 0; i < t.Len(); i++ {
+			if keep(i) {
+				count++
+			}
+		}
+	}
 	s := &sink{w: bufio.NewWriter(w)}
 	s.bytes([]byte(patternsMagic))
-	s.uvarint(uint64(len(patterns)))
-	for _, p := range patterns {
-		s.uvarint(uint64(len(p.Premise)))
-		for _, id := range p.Premise {
+	s.uvarint(uint64(count))
+	for i := 0; i < t.Len(); i++ {
+		if keep != nil && !keep(i) {
+			continue
+		}
+		prem := t.Premise(i)
+		s.uvarint(uint64(len(prem)))
+		for _, id := range prem {
 			s.varint(int64(id))
 		}
-		s.varint(int64(p.Consequence))
-		s.float(p.Confidence)
-		s.uvarint(uint64(p.Support))
+		s.varint(int64(t.conseqs[i]))
+		s.float(t.confs[i])
+		s.uvarint(uint64(t.supports[i]))
 	}
 	return s.flush()
 }
 
-// ReadPatterns deserializes a pattern list written by WritePatterns and
-// validates every region id against rt. The list grows as patterns
-// actually decode — the header's count is a hint, capped, never an
-// allocation — and premises are carved from shared arenas, three-index
-// slices so an append to one cannot write into its neighbour.
-func ReadPatterns(r io.Reader, rt *RegionTable) ([]Pattern, error) {
-	s := &source{r: bufio.NewReader(r)}
-	s.magic(patternsMagic)
-	count := s.count()
-	if s.err != nil {
-		return nil, s.err
+// ReadRules decodes a rule list written by WriteRules at c into a table,
+// validating every region id against rt. The count is held to the bytes
+// left before it sizes the columns, and then sizes them exactly; the
+// premise arena starts at two ids a rule, what the default MaxLength
+// allows, and grows past that only for longer rules.
+func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
+	c.magic(patternsMagic)
+	count := c.count()
+	if c.err == nil && count > c.Remaining()/minRuleBytes {
+		c.fail(fmt.Errorf("pattern: %d patterns cannot fit in %d bytes", count, c.Remaining()))
 	}
-	if count > 1<<28 {
-		return nil, fmt.Errorf("pattern: implausible pattern count %d", count)
+	if c.err != nil {
+		return nil, c.err
 	}
-	id := func() RegionID {
-		v := s.varint()
-		if s.err == nil && (v < 0 || v >= int64(rt.Len())) {
-			s.err = fmt.Errorf("pattern: region id %d out of %d", v, rt.Len())
+	regions := int64(rt.Len())
+	id := func() int32 {
+		v := c.varint()
+		if c.err == nil && (v < 0 || v >= regions) {
+			c.fail(fmt.Errorf("pattern: region id %d out of %d", v, regions))
 		}
-		return RegionID(v)
+		return int32(v)
 	}
-	const maxPrealloc = 8192 // patterns; premise ids come to about twice that
-	patterns := make([]Pattern, 0, min(count, maxPrealloc))
-	var arena []RegionID
+	t := &Table{
+		premises: make([]RegionID, 0, min(2*count, c.Remaining())),
+		starts:   make([]int32, count+1),
+		conseqs:  make([]int32, count),
+		confs:    make([]float64, count),
+		supports: make([]int32, count),
+	}
 	for i := 0; i < count; i++ {
-		premLen := s.count()
-		if s.err == nil && premLen > 64 {
-			s.err = fmt.Errorf("pattern: implausible premise length %d", premLen)
+		premLen := c.count()
+		if premLen > 64 {
+			c.fail(fmt.Errorf("pattern: implausible premise length %d", premLen))
+			return nil, c.err
 		}
-		if s.err != nil {
-			return nil, s.err
-		}
-		if cap(arena)-len(arena) < premLen {
-			arena = make([]RegionID, 0, max(premLen, 2*min(count-i, maxPrealloc)))
-		}
-		lo := len(arena)
 		for j := 0; j < premLen; j++ {
-			arena = append(arena, id())
+			t.premises = append(t.premises, RegionID(id()))
 		}
-		var p Pattern
-		if premLen > 0 {
-			p.Premise = arena[lo:len(arena):len(arena)]
+		t.starts[i+1] = int32(len(t.premises))
+		t.conseqs[i] = id()
+		t.confs[i] = c.Float()
+		t.supports[i] = int32(c.count())
+		if c.err != nil {
+			return nil, c.err
 		}
-		p.Consequence = id()
-		p.Confidence = s.float()
-		p.Support = s.count()
-		if s.err != nil {
-			return nil, s.err
-		}
-		patterns = append(patterns, p)
 	}
-	return patterns, s.done()
+	return t, nil
 }

@@ -2,8 +2,33 @@ package pattern
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
+
+// janePeriod bounds the offsets of the tables the codec tests decode:
+// Jane's day has three.
+const janePeriod = 3
+
+func writePatterns(w io.Writer, ps []Pattern) error { return WriteRules(w, TableOf(ps), nil) }
+
+// readPatterns decodes the rule list at the head of b, as a model's
+// decode reads one.
+func readPatterns(b []byte, rt *RegionTable) ([]Pattern, error) {
+	c := NewCursor(b)
+	t, err := ReadRules(&c, rt)
+	if err != nil {
+		return nil, err
+	}
+	return t.Patterns(), nil
+}
+
+// readRegionTable decodes the region table at the head of b, its offsets
+// bounded by Jane's period.
+func readRegionTable(b []byte) (*RegionTable, error) {
+	c := NewCursor(b)
+	return ReadRegionTable(&c, janePeriod)
+}
 
 func TestRegionTableRoundTrip(t *testing.T) {
 	rt := janeTable(t)
@@ -11,7 +36,7 @@ func TestRegionTableRoundTrip(t *testing.T) {
 	if err := rt.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadRegionTable(&buf)
+	back, err := readRegionTable(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +74,10 @@ func TestPatternsRoundTrip(t *testing.T) {
 		t.Fatal("no patterns to serialize")
 	}
 	var buf bytes.Buffer
-	if err := WritePatterns(&buf, patterns); err != nil {
+	if err := writePatterns(&buf, patterns); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPatterns(&buf, rt)
+	back, err := readPatterns(buf.Bytes(), rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +94,10 @@ func TestPatternsRoundTrip(t *testing.T) {
 	}
 	// Empty list round-trips too.
 	buf.Reset()
-	if err := WritePatterns(&buf, nil); err != nil {
+	if err := writePatterns(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if back, err = ReadPatterns(&buf, rt); err != nil || len(back) != 0 {
+	if back, err = readPatterns(buf.Bytes(), rt); err != nil || len(back) != 0 {
 		t.Errorf("empty round trip: %v, %v", back, err)
 	}
 }
@@ -87,12 +112,12 @@ func TestReadRegionTableRejectsCorruption(t *testing.T) {
 
 	// Wrong magic.
 	bad := append([]byte("XXXX"), full[4:]...)
-	if _, err := ReadRegionTable(bytes.NewReader(bad)); err == nil {
+	if _, err := readRegionTable(bad); err == nil {
 		t.Error("wrong magic accepted")
 	}
 	// Truncations at every section boundary-ish depth.
 	for _, cut := range []int{0, 3, 10, len(full) / 2, len(full) - 1} {
-		if _, err := ReadRegionTable(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readRegionTable(full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -103,18 +128,18 @@ func TestReadPatternsRejectsBadIDs(t *testing.T) {
 	// A pattern referencing region 99 must fail validation on read.
 	bogus := []Pattern{{Premise: []RegionID{99}, Consequence: 3, Confidence: 0.5}}
 	var buf bytes.Buffer
-	if err := WritePatterns(&buf, bogus); err != nil {
+	if err := writePatterns(&buf, bogus); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPatterns(&buf, rt); err == nil {
+	if _, err := readPatterns(buf.Bytes(), rt); err == nil {
 		t.Error("out-of-range premise id accepted")
 	}
 	bogus = []Pattern{{Premise: []RegionID{0}, Consequence: 42, Confidence: 0.5}}
 	buf.Reset()
-	if err := WritePatterns(&buf, bogus); err != nil {
+	if err := writePatterns(&buf, bogus); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPatterns(&buf, rt); err == nil {
+	if _, err := readPatterns(buf.Bytes(), rt); err == nil {
 		t.Error("out-of-range consequence id accepted")
 	}
 }
@@ -123,15 +148,15 @@ func TestReadPatternsRejectsCorruption(t *testing.T) {
 	rt := janeTable(t)
 	patterns := Mine(rt, Config{MinSupport: 2, MinConfidence: 0.3})
 	var buf bytes.Buffer
-	if err := WritePatterns(&buf, patterns); err != nil {
+	if err := writePatterns(&buf, patterns); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	if _, err := ReadPatterns(bytes.NewReader(full[:len(full)/2]), rt); err == nil {
+	if _, err := readPatterns(full[:len(full)/2], rt); err == nil {
 		t.Error("truncated pattern stream accepted")
 	}
 	bad := append([]byte("YYYY"), full[4:]...)
-	if _, err := ReadPatterns(bytes.NewReader(bad), rt); err == nil {
+	if _, err := readPatterns(bad, rt); err == nil {
 		t.Error("wrong magic accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"hpm"
@@ -62,19 +61,16 @@ func (snap objectSnapshot) write(bw *bufio.Writer) error {
 	writeBytes(bw, []byte(snap.id))
 	writeUvarint(bw, uint64(snap.base))
 	writeUvarint(bw, uint64(len(snap.track)))
-	var fb [8]byte
 	for _, p := range snap.track {
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(p.X))
-		bw.Write(fb[:])
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(p.Y))
-		bw.Write(fb[:])
+		b := binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), math.Float64bits(p.X))
+		bw.Write(binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y)))
 	}
 	writeUvarint(bw, uint64(snap.modeled))
 	writeUvarint(bw, 0) // reserved slot: written as 0, read and discarded
 	if snap.model == nil {
-		return writeByteChecked(bw, 0)
+		return bw.WriteByte(0)
 	}
-	if err := writeByteChecked(bw, 1); err != nil {
+	if err := bw.WriteByte(1); err != nil {
 		return err
 	}
 	// The model stream is self-delimiting (its own magic and trailer), so
@@ -88,64 +84,58 @@ func (snap objectSnapshot) write(bw *bufio.Writer) error {
 	return nil
 }
 
-// readObject decodes one record into s, which must be the store that owns
-// shard (the segment's): an id that hashes to any other shard is an error —
-// the directory was written at another shard count, and loading it would
-// chain its segments under the wrong shards at the next checkpoint.
-func readObject(br *bufio.Reader, s *Store, shard int) error {
-	idb, err := pattern.ReadBlob(br, 4096)
-	if err != nil {
-		return err
+// minRecordBytes is the fewest bytes a record takes: an empty id's length,
+// base, track length, modeled, the reserved slot and the trained flag.
+const minRecordBytes = 6
+
+// readObject decodes the record at c into s, which must be the store that
+// owns shard (the segment's): an id that hashes to any other shard is an
+// error — the directory was written at another shard count, and loading it
+// would chain its segments under the wrong shards at the next checkpoint.
+// The record is read in place: the track from one view of its bytes, the
+// model stream and the chain from the segment's own.
+func readObject(c *pattern.Cursor, s *Store, shard int) error {
+	idb := c.Blob(4096)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("store: read id: %w", err)
 	}
 	if got := int(shardIndex(string(idb))); got != shard {
 		return fmt.Errorf("store: object %q belongs to shard %d, not %d (written at another shard count?)", idb, got, shard)
 	}
-	base, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("store: read track base: %w", err)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
+	base := c.Uvarint()
+	n := c.Uvarint()
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("store: read track length: %w", err)
 	}
-	if n > 1<<30 {
-		return fmt.Errorf("store: implausible track length %d", n)
+	if n > uint64(c.Remaining()/16) {
+		return fmt.Errorf("store: track of %d points cannot fit in %d bytes", n, c.Remaining())
 	}
-	// The length is a claim until its bytes arrive: grow as points decode.
-	track := make([]hpm.Point, 0, min(n, 4096))
-	var fb [16]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, fb[:]); err != nil {
-			return fmt.Errorf("store: read track: %w", err)
-		}
-		track = append(track, hpm.Pt(
-			math.Float64frombits(binary.LittleEndian.Uint64(fb[0:])),
-			math.Float64frombits(binary.LittleEndian.Uint64(fb[8:])),
-		))
+	raw := c.Bytes(16 * int(n))
+	track := make([]hpm.Point, n)
+	for i := range track {
+		track[i] = hpm.Pt(
+			math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:])),
+		)
 	}
-	modeled, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("store: read modeled: %w", err)
-	}
-	// Reserved slot (written as 0), read and discarded.
-	if _, err := binary.ReadUvarint(br); err != nil {
-		return fmt.Errorf("store: read reserved slot: %w", err)
-	}
-	trained, err := br.ReadByte()
-	if err != nil {
-		return fmt.Errorf("store: read trained flag: %w", err)
+	modeled := c.Uvarint()
+	c.Uvarint() // reserved slot (written as 0), read and discarded
+	trained := c.Byte()
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("store: read record tail: %w", err)
 	}
 	obj := s.newObject(string(idb))
 	obj.track = track
 	obj.life.loaded(int(base), int(modeled), trained == 1)
 	if trained == 1 {
-		p, err := hpm.Load(br)
+		p, k, err := hpm.Decode(c.Rest())
 		if err != nil {
 			return fmt.Errorf("store: load model for %q: %w", idb, err)
 		}
+		c.Skip(k)
 		obj.predictor = p
-		chain, err := pattern.ReadBlob(br, 1<<30)
-		if err != nil {
+		chain := c.Blob(1 << 30)
+		if err := c.Err(); err != nil {
 			return fmt.Errorf("store: read markov chain for %q: %w", idb, err)
 		}
 		if len(chain) == 0 || p.Model().LoadMarkov(chain) != nil {
@@ -165,15 +155,10 @@ func readObject(br *bufio.Reader, s *Store, shard int) error {
 }
 
 func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	bw.Write(buf[:binary.PutUvarint(buf[:], v)])
+	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 }
 
 func writeBytes(bw *bufio.Writer, b []byte) {
 	writeUvarint(bw, uint64(len(b)))
 	bw.Write(b)
-}
-
-func writeByteChecked(bw *bufio.Writer, b byte) error {
-	return bw.WriteByte(b)
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -246,9 +245,9 @@ func parseManifest(payload []byte) (period int, m *snapManifest, err error) {
 	if v := payload[len(snapshotMagic)]; v != manifestVersion {
 		return 0, nil, retired("store: snapshot", v, manifestVersion)
 	}
-	br := bufio.NewReader(bytes.NewReader(payload[len(snapshotMagic)+1:]))
-	oj, err := pattern.ReadBlob(br, 1<<20)
-	if err != nil {
+	c := pattern.NewCursor(payload[len(snapshotMagic)+1:])
+	oj := c.Blob(1 << 20)
+	if err := c.Err(); err != nil {
 		return 0, nil, fmt.Errorf("store: read options: %w", err)
 	}
 	var stated struct{ Config struct{ Period int } }
@@ -258,12 +257,9 @@ func parseManifest(payload []byte) (period int, m *snapManifest, err error) {
 	if period = stated.Config.Period; period <= 0 {
 		return 0, nil, fmt.Errorf("store: manifest states period %d, want a positive one", period)
 	}
-	m = &snapManifest{}
-	if m.epoch, err = binary.ReadUvarint(br); err != nil {
-		return 0, nil, fmt.Errorf("store: read epoch: %w", err)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
+	m = &snapManifest{epoch: c.Uvarint()}
+	n := c.Uvarint()
+	if err := c.Err(); err != nil {
 		return 0, nil, fmt.Errorf("store: read segment count: %w", err)
 	}
 	if n > numShards {
@@ -271,21 +267,15 @@ func parseManifest(payload []byte) (period int, m *snapManifest, err error) {
 	}
 	for i := uint64(0); i < n; i++ {
 		var sg snapSegment
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, nil, fmt.Errorf("store: read segment shard: %w", err)
-		}
-		if v >= numShards || (i > 0 && int(v) <= m.segments[i-1].shard) {
+		v := c.Uvarint()
+		if c.Err() == nil && (v >= numShards || (i > 0 && int(v) <= m.segments[i-1].shard)) {
 			return 0, nil, fmt.Errorf("store: segment entry %d names shard %d: want ascending shards below %d (written at another shard count?)", i, v, numShards)
 		}
 		sg.shard = int(v)
-		if v, err = binary.ReadUvarint(br); err != nil {
-			return 0, nil, fmt.Errorf("store: read segment objects: %w", err)
-		}
-		sg.objects = int(v)
-		name, err := pattern.ReadBlob(br, 4096)
-		if err != nil {
-			return 0, nil, fmt.Errorf("store: read segment name: %w", err)
+		sg.objects = int(c.Uvarint())
+		name := c.Blob(4096)
+		if err := c.Err(); err != nil {
+			return 0, nil, fmt.Errorf("store: read segment entry %d: %w", i, err)
 		}
 		// Segment names resolve relative to the manifest's directory; a
 		// path separator in one would escape it.
@@ -293,18 +283,16 @@ func parseManifest(payload []byte) (period int, m *snapManifest, err error) {
 			return 0, nil, fmt.Errorf("store: segment name %q is not a bare file name", name)
 		}
 		sg.name = string(name)
-		if v, err = binary.ReadUvarint(br); err != nil {
-			return 0, nil, fmt.Errorf("store: read segment size: %w", err)
+		sg.size = int64(c.Uvarint())
+		if cb := c.Bytes(4); cb != nil {
+			sg.crc = binary.LittleEndian.Uint32(cb)
 		}
-		sg.size = int64(v)
-		var cb [4]byte
-		if _, err := io.ReadFull(br, cb[:]); err != nil {
-			return 0, nil, fmt.Errorf("store: read segment crc: %w", err)
+		if err := c.Err(); err != nil {
+			return 0, nil, fmt.Errorf("store: read segment entry %d: %w", i, err)
 		}
-		sg.crc = binary.LittleEndian.Uint32(cb[:])
 		m.segments = append(m.segments, sg)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if c.Remaining() != 0 {
 		return 0, nil, errors.New("store: bytes behind the last segment entry")
 	}
 	return period, m, nil
@@ -355,27 +343,30 @@ func (s *Store) decodeSegment(data []byte, sg snapSegment) error {
 	if v := payload[len(segmentMagic)]; v != segmentVersion {
 		return retired("segment", v, segmentVersion)
 	}
-	br := bufio.NewReader(bytes.NewReader(payload[len(segmentMagic)+1:]))
-	shardIdx, err := binary.ReadUvarint(br)
-	if err != nil {
+	c := pattern.NewCursor(payload[len(segmentMagic)+1:])
+	shardIdx := c.Uvarint()
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("read shard: %w", err)
 	}
 	if shardIdx != uint64(sg.shard) {
 		return fmt.Errorf("holds shard %d, manifest says %d", shardIdx, sg.shard)
 	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
+	count := c.Uvarint()
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("read object count: %w", err)
 	}
 	if count != uint64(sg.objects) {
 		return fmt.Errorf("holds %d objects, manifest says %d", count, sg.objects)
 	}
+	if count > uint64(c.Remaining()/minRecordBytes) {
+		return fmt.Errorf("%d objects cannot fit in %d bytes", count, c.Remaining())
+	}
 	for i := uint64(0); i < count; i++ {
-		if err := readObject(br, s, sg.shard); err != nil {
+		if err := readObject(&c, s, sg.shard); err != nil {
 			return err
 		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if c.Remaining() != 0 {
 		return errors.New("bytes behind the last record")
 	}
 	return nil
