@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-query bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
+.PHONY: build test race vet bench bench-query bench-serve bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ bench:
 # harness's point_predict workload (go run -C bench . --workload point_predict).
 bench-query:
 	$(GO) test -bench='BenchmarkPredict(FQP|BQP)$$' -benchmem -run '^$$' .
+
+# What the hot endpoints cost in-process, request bytes to answer bytes,
+# with allocations: the wire codec's own number beside the harness's. A
+# point and a batch predict (eight horizons, k = 3) against 25 trained
+# objects; one single observe, a fleet tick (100 objects × 1 point) and a
+# set-up request (25 objects × 630 points) against an untrained store.
+# DESIGN.md's "The wire codec" quotes them.
+bench-serve:
+	$(GO) test -bench='BenchmarkServe' -benchmem -run '^$$' ./serve/
 
 # Ingest-path benchmarks only: ObserveBatch under concurrent writers in
 # sync/nosync/nosync-index modes, with fsyncs-per-op reported, and one

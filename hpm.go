@@ -348,9 +348,11 @@ func Load(r io.Reader) (*Predictor, error) {
 
 // Decode is Load for a stream already in memory: it decodes the predictor
 // at the head of b, leaves the bytes behind it alone, and reports how many
-// bytes the stream took.
-func Decode(b []byte) (*Predictor, int, error) {
-	m, n, err := core.Decode(b)
+// bytes the stream took. A positive period is the one the stream must
+// state; a stream stating another is refused before anything is sized by
+// it.
+func Decode(b []byte, period int) (*Predictor, int, error) {
+	m, n, err := core.Decode(b, period)
 	if err != nil {
 		return nil, n, err
 	}

@@ -104,7 +104,7 @@ func BenchmarkLoadFleet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, _, err := Decode(stream)
+				m, _, err := Decode(stream, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -78,21 +78,23 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read model: %w", err)
 	}
-	m, _, err := Decode(b)
+	m, _, err := Decode(b, 0)
 	return m, err
 }
 
 // Decode decodes the model stream at the head of b — the bytes behind it
 // are not looked at — and reports how many bytes the stream took. It walks
 // the bytes in place: parameters, bounds, region table, rule table, tree
-// shape, trailer, each step one cursor's.
-func Decode(b []byte) (*Model, int, error) {
+// shape, trailer, each step one cursor's. A positive period is the one the
+// stream must state: a store passes its own, so a stream's claim never
+// sizes a per-offset table.
+func Decode(b []byte, period int) (*Model, int, error) {
 	c := pattern.NewCursor(b)
-	m, err := decode(&c)
+	m, err := decode(&c, period)
 	return m, c.Offset(), err
 }
 
-func decode(c *pattern.Cursor) (*Model, error) {
+func decode(c *pattern.Cursor, period int) (*Model, error) {
 	head := c.Bytes(len(modelMagic) + 1)
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: read header: %w", err)
@@ -114,6 +116,9 @@ func decode(c *pattern.Cursor) (*Model, error) {
 	// The period bounds every region offset the table may hold.
 	if params.Period <= 0 {
 		return nil, fmt.Errorf("core: model stream states period %d, want a positive one", params.Period)
+	}
+	if period > 0 && params.Period != period {
+		return nil, fmt.Errorf("core: model stream states period %d, want %d", params.Period, period)
 	}
 	bounds := geom.Rect{Min: geom.Pt(c.Float(), c.Float()), Max: geom.Pt(c.Float(), c.Float())}
 	if err := c.Err(); err != nil {

@@ -281,7 +281,7 @@ func TestLoadRefusesHostileClaims(t *testing.T) {
 		name, bad := tc.name, tc.bad
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := Decode(bad)
+		_, _, err := Decode(bad, 0)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.refusal) {
 			t.Errorf("%s: %v, want a refusal saying %q", name, err, tc.refusal)

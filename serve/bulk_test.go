@@ -55,18 +55,22 @@ func TestBulkObserve(t *testing.T) {
 	}
 }
 
+// bulkBadBodies are bulk observe bodies answered 400, by name; they seed
+// FuzzFleetBody too.
+var bulkBadBodies = map[string]string{
+	"not json":    "nope",
+	"empty array": "[]",
+	"missing id":  `[{"points": [[1, 2]]}]`,
+	"no points":   `[{"id": "x"}]`,
+	// 1e999 overflows float64 at decode time; JSON itself cannot
+	// carry NaN/Inf, so this is the closest non-finite wire form.
+	"inf point":   `[{"id": "x", "points": [[1e999, 2]]}]`,
+	"unknown key": `[{"id": "x", "points": [[1, 2]], "bogus": 1}]`,
+}
+
 func TestBulkObserveRejectsBadBodies(t *testing.T) {
 	srv, st := testServer(t)
-	for name, body := range map[string]string{
-		"not json":    "nope",
-		"empty array": "[]",
-		"missing id":  `[{"points": [[1, 2]]}]`,
-		"no points":   `[{"id": "x"}]`,
-		// 1e999 overflows float64 at decode time; JSON itself cannot
-		// carry NaN/Inf, so this is the closest non-finite wire form.
-		"inf point":   `[{"id": "x", "points": [[1e999, 2]]}]`,
-		"unknown key": `[{"id": "x", "points": [[1, 2]], "bogus": 1}]`,
-	} {
+	for name, body := range bulkBadBodies {
 		if out := postRaw(t, srv.URL+"/observe", body, http.StatusBadRequest); out["error"] == "" {
 			t.Errorf("%s: no error in body: %v", name, out)
 		}
@@ -93,5 +97,26 @@ func TestBulkObserveTrains(t *testing.T) {
 	stats, err := st.Stats("bike")
 	if err != nil || !stats.Trained {
 		t.Fatalf("bulk-ingested object not trained: %+v (err %v)", stats, err)
+	}
+}
+
+// TestObserveRejectsMalformedPoints: a point that is not exactly two
+// numbers, a key in another case or repeated, and text after the value are
+// refused by both observe endpoints — 400, nothing stored — where they were
+// once zero-filled, matched or ignored and stored.
+func TestObserveRejectsMalformedPoints(t *testing.T) {
+	srv, st := testServer(t)
+	for _, body := range malformedPoints {
+		for url, b := range map[string]string{
+			"/objects/a/observe": body,
+			"/observe":           asFleetBody(body),
+		} {
+			if out := postRaw(t, srv.URL+url, b, http.StatusBadRequest); out["error"] == "" {
+				t.Errorf("%s %s: no error in body: %v", url, b, out)
+			}
+		}
+	}
+	if objs := st.Objects(); len(objs) != 0 {
+		t.Errorf("refused observes stored points: objects %v", objs)
 	}
 }

@@ -2,14 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"hpm"
-	"hpm/internal/spatial"
 	"hpm/store"
 )
 
@@ -25,24 +23,6 @@ import (
 // the answering-path tag. /subscribe pushes the range result as
 // server-sent events: one immediately, then one per interval until the
 // client disconnects.
-
-// fleetResultJSON is the wire form of one fleet query answer.
-type fleetResultJSON struct {
-	ID      string  `json:"id"`
-	X       float64 `json:"x"`
-	Y       float64 `json:"y"`
-	Path    string  `json:"path"`
-	Horizon int     `json:"horizon"`
-	Dist    float64 `json:"dist,omitempty"`
-}
-
-func fleetResults(res []spatial.Result) []fleetResultJSON {
-	out := make([]fleetResultJSON, len(res))
-	for i, r := range res {
-		out[i] = fleetResultJSON{ID: r.ID, X: r.Pos.X, Y: r.Pos.Y, Path: r.Path, Horizon: r.Horizon, Dist: r.Dist}
-	}
-	return out
-}
 
 // floatParam parses a float query parameter; absent or malformed values are
 // errors (every fleet-query float is required).
@@ -95,10 +75,9 @@ func handleQueryRange(st *store.Store, w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"horizon": st.FleetBucketHorizon(h),
-		"results": fleetResults(res),
-	})
+	a := newAnswer()
+	a.fleetAnswer(st.FleetBucketHorizon(h), res)
+	a.send(w)
 }
 
 func handleQueryKNN(st *store.Store, w http.ResponseWriter, r *http.Request) {
@@ -128,10 +107,9 @@ func handleQueryKNN(st *store.Store, w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"horizon": st.FleetBucketHorizon(h),
-		"results": fleetResults(res),
-	})
+	a := newAnswer()
+	a.fleetAnswer(st.FleetBucketHorizon(h), res)
+	a.send(w)
 }
 
 // subscribe push cadence bounds: clients pick interval_ms within them.
@@ -209,17 +187,22 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
+	a := newAnswer()
+	defer a.free()
 	for seq := 0; ; seq++ {
 		res, err := st.QueryRange(rect, h)
 		if err != nil {
 			return // index disabled mid-stream cannot happen; be safe anyway
 		}
-		payload, err := json.Marshal(map[string]any{
-			"seq":     seq,
-			"horizon": st.FleetBucketHorizon(h),
-			"results": fleetResults(res),
-		})
-		if err != nil {
+		a.b = a.b[:0]
+		a.raw("event: update\ndata: {\"horizon\":")
+		a.int(st.FleetBucketHorizon(h))
+		a.raw(`,"results":`)
+		a.results(res)
+		a.raw(`,"seq":`)
+		a.int(seq)
+		a.raw("}\n\n")
+		if a.bad != "" {
 			return
 		}
 		// Long-lived streams must outlive any server write timeout; pushing
@@ -229,7 +212,7 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			s.subs.touch(handle, due)
 		}
 		_ = rc.SetWriteDeadline(due)
-		if _, err := fmt.Fprintf(w, "event: update\ndata: %s\n\n", payload); err != nil {
+		if _, err := w.Write(a.b); err != nil {
 			return
 		}
 		fl.Flush()

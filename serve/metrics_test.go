@@ -202,22 +202,26 @@ func TestObjectEvalEndpoint(t *testing.T) {
 	}
 }
 
+// bulkErrorBodies are the malformed bulk observe bodies of
+// TestBulkObserveErrorPaths; they seed FuzzFleetBody too.
+var bulkErrorBodies = []string{
+	"",
+	"not json",
+	`{"id": "a"}`, // object, not array
+	`[]`,
+	`[{"points": [[1, 2]]}]`,                // missing id
+	`[{"id": "a", "points": []}]`,           // no points
+	`[{"id": "a", "nope": 1}]`,              // unknown field
+	`[{"id": "a", "points": [[1e999, 2]]}]`, // overflows float64
+	`[{"id": "a", "points": [[1, 2]]}`,      // truncated
+}
+
 // TestBulkObserveErrorPaths covers the fleet-ingest endpoint's 400s: the
 // handler must reject malformed JSON and half-formed observations without
 // creating objects.
 func TestBulkObserveErrorPaths(t *testing.T) {
 	srv, st := testServer(t)
-	for _, body := range []string{
-		"",
-		"not json",
-		`{"id": "a"}`, // object, not array
-		`[]`,
-		`[{"points": [[1, 2]]}]`,                // missing id
-		`[{"id": "a", "points": []}]`,           // no points
-		`[{"id": "a", "nope": 1}]`,              // unknown field
-		`[{"id": "a", "points": [[1e999, 2]]}]`, // overflows float64
-		`[{"id": "a", "points": [[1, 2]]}`,      // truncated
-	} {
+	for _, body := range bulkErrorBodies {
 		resp, err := http.Post(srv.URL+"/observe", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)

@@ -138,26 +138,19 @@ func NewHandler(st *store.Store, lim Limits) http.Handler {
 	return mux
 }
 
-// observeRequest is the observe body: points as [x, y] pairs.
-type observeRequest struct {
-	Points [][2]float64 `json:"points"`
-}
-
 func handleObserve(st *store.Store, w http.ResponseWriter, r *http.Request) {
-	var req observeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObserveBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r, maxObserveBody)
+	var pts []hpm.Point
+	if err == nil {
+		pts, err = decodeObserve(body)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody("bad body: "+err.Error()))
 		return
 	}
-	if len(req.Points) == 0 {
+	if len(pts) == 0 {
 		writeJSON(w, http.StatusBadRequest, errBody("no points"))
 		return
-	}
-	pts := make([]hpm.Point, len(req.Points))
-	for i, xy := range req.Points {
-		pts[i] = hpm.Pt(xy[0], xy[1])
 	}
 	id := r.PathValue("id")
 	if err := st.ObserveBatchContext(r.Context(), id, pts); err != nil {
@@ -166,34 +159,33 @@ func handleObserve(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	}
 	// One read of the object answers all three, so they describe one state.
 	stats, _ := st.Stats(id)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"now":      stats.Points - 1,
-		"trained":  stats.Trained,
-		"training": stats.Training,
-	})
-}
-
-// fleetObservation is one element of the bulk observe body.
-type fleetObservation struct {
-	ID     string       `json:"id"`
-	Points [][2]float64 `json:"points"`
+	a := newAnswer()
+	a.raw(`{"now":`)
+	a.int(stats.Points - 1)
+	a.raw(`,"trained":`)
+	a.bool(stats.Trained)
+	a.raw(`,"training":`)
+	a.bool(stats.Training)
+	a.raw("}")
+	a.send(w)
 }
 
 func handleObserveFleet(st *store.Store, w http.ResponseWriter, r *http.Request) {
-	var req []fleetObservation
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFleetBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r, maxFleetBody)
+	var batch []store.Observation
+	if err == nil {
+		batch, err = decodeFleet(body)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody("bad body: "+err.Error()))
 		return
 	}
-	if len(req) == 0 {
+	if len(batch) == 0 {
 		writeJSON(w, http.StatusBadRequest, errBody("no observations"))
 		return
 	}
-	batch := make([]store.Observation, len(req))
 	points := 0
-	for i, ob := range req {
+	for _, ob := range batch {
 		if ob.ID == "" {
 			writeJSON(w, http.StatusBadRequest, errBody("observation without id"))
 			return
@@ -202,63 +194,23 @@ func handleObserveFleet(st *store.Store, w http.ResponseWriter, r *http.Request)
 			writeJSON(w, http.StatusBadRequest, errBody("observation for "+ob.ID+" has no points"))
 			return
 		}
-		pts := make([]hpm.Point, len(ob.Points))
-		for j, xy := range ob.Points {
-			pts[j] = hpm.Pt(xy[0], xy[1])
-		}
-		batch[i] = store.Observation{ID: ob.ID, Points: pts}
-		points += len(pts)
+		points += len(ob.Points)
 	}
 	if err := st.ObserveAllContext(r.Context(), batch); err != nil {
 		writeError(w, err)
 		return
 	}
-	ids := map[string]bool{}
+	ids := make(map[string]bool, len(batch))
 	for _, ob := range batch {
 		ids[ob.ID] = true
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"objects": len(ids),
-		"points":  points,
-	})
-}
-
-// predictionJSON is the wire form of one prediction.
-type predictionJSON struct {
-	X          float64     `json:"x"`
-	Y          float64     `json:"y"`
-	Source     string      `json:"source"`
-	Path       string      `json:"path"`
-	Score      float64     `json:"score"`
-	Confidence float64     `json:"confidence"`
-	Region     *regionJSON `json:"region,omitempty"`
-}
-
-type regionJSON struct {
-	MinX float64 `json:"minX"`
-	MinY float64 `json:"minY"`
-	MaxX float64 `json:"maxX"`
-	MaxY float64 `json:"maxY"`
-}
-
-func toJSON(p hpm.Prediction) predictionJSON {
-	out := predictionJSON{
-		X:          p.Location.X,
-		Y:          p.Location.Y,
-		Source:     p.Source.String(),
-		Path:       p.Path.String(),
-		Score:      p.Score,
-		Confidence: p.Confidence,
-	}
-	// Pattern and markov answers are region centers, so the region extent
-	// is their natural uncertainty bound; motion answers have none.
-	if p.Source == hpm.SourcePattern || p.Source == hpm.SourceMarkov {
-		out.Region = &regionJSON{
-			MinX: p.Extent.Min.X, MinY: p.Extent.Min.Y,
-			MaxX: p.Extent.Max.X, MaxY: p.Extent.Max.Y,
-		}
-	}
-	return out
+	a := newAnswer()
+	a.raw(`{"objects":`)
+	a.int(len(ids))
+	a.raw(`,"points":`)
+	a.int(points)
+	a.raw("}")
+	a.send(w)
 }
 
 func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
@@ -295,59 +247,49 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out := make([]predictionJSON, len(preds))
-	for i, p := range preds {
-		out[i] = toJSON(p)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"tq": tq, "predictions": out})
+	a := newAnswer()
+	a.raw(`{"predictions":`)
+	a.predictions(preds)
+	a.raw(`,"tq":`)
+	a.int(tq)
+	a.raw("}")
+	a.send(w)
 }
 
 // maxPredictBatch bounds one batch-predict request, mirroring the store's
 // trajectory range cap (store.MaxRange).
 const maxPredictBatch = store.MaxRange
 
-// predictBatchRequest is the batch body: absolute query times, or horizons
-// relative to the object's current time (exactly one must be non-empty).
-type predictBatchRequest struct {
-	Tqs      []int `json:"tqs"`
-	Horizons []int `json:"horizons"`
-	K        int   `json:"k"`
-}
-
-// batchResultJSON pairs one query time with its ranked predictions.
-type batchResultJSON struct {
-	Tq          int              `json:"tq"`
-	Predictions []predictionJSON `json:"predictions"`
-}
-
 func handlePredictBatch(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req predictBatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObserveBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// The batch body: absolute query times, or horizons relative to the
+	// object's current time (exactly one must be non-empty), and k.
+	body, err := readBody(w, r, maxObserveBody)
+	var tqs, horizons []int
+	var k int
+	if err == nil {
+		tqs, horizons, k, err = decodeBatch(body)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody("bad body: "+err.Error()))
 		return
 	}
-	if (len(req.Tqs) == 0) == (len(req.Horizons) == 0) {
+	if (len(tqs) == 0) == (len(horizons) == 0) {
 		writeJSON(w, http.StatusBadRequest, errBody("need exactly one of tqs or horizons"))
 		return
 	}
-	if len(req.Tqs)+len(req.Horizons) > maxPredictBatch {
+	if len(tqs)+len(horizons) > maxPredictBatch {
 		writeJSON(w, http.StatusBadRequest, errBody("batch too large"))
 		return
 	}
-	k := req.K
 	if k <= 0 {
 		k = 1
 	}
-	tqs := req.Tqs
 	var batches [][]hpm.Prediction
-	var err error
-	if len(req.Horizons) > 0 {
+	if len(horizons) > 0 {
 		// Resolved against the current time under the lock hold that
 		// answers them; the reported tqs are the ones answered for.
-		tqs, batches, err = st.PredictBatchAheadContext(r.Context(), id, req.Horizons, k)
+		tqs, batches, err = st.PredictBatchAheadContext(r.Context(), id, horizons, k)
 	} else {
 		batches, err = st.PredictBatchContext(r.Context(), id, tqs, k)
 	}
@@ -355,15 +297,20 @@ func handlePredictBatch(st *store.Store, w http.ResponseWriter, r *http.Request)
 		writeError(w, err)
 		return
 	}
-	results := make([]batchResultJSON, len(batches))
+	a := newAnswer()
+	a.raw(`{"results":[`)
 	for i, preds := range batches {
-		out := make([]predictionJSON, len(preds))
-		for j, p := range preds {
-			out[j] = toJSON(p)
+		if i > 0 {
+			a.raw(",")
 		}
-		results[i] = batchResultJSON{Tq: tqs[i], Predictions: out}
+		a.raw(`{"tq":`)
+		a.int(tqs[i])
+		a.raw(`,"predictions":`)
+		a.predictions(preds)
+		a.raw("}")
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	a.raw("]}")
+	a.send(w)
 }
 
 func handleTrajectory(st *store.Store, w http.ResponseWriter, r *http.Request) {
@@ -388,11 +335,15 @@ func handleTrajectory(st *store.Store, w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out := make([]predictionJSON, len(preds))
-	for i, p := range preds {
-		out[i] = toJSON(p)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"from": from, "to": to, "predictions": out})
+	a := newAnswer()
+	a.raw(`{"from":`)
+	a.int(from)
+	a.raw(`,"predictions":`)
+	a.predictions(preds)
+	a.raw(`,"to":`)
+	a.int(to)
+	a.raw("}")
+	a.send(w)
 }
 
 // intParam parses a numeric query parameter: absent means the default,

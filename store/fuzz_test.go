@@ -22,7 +22,8 @@ import (
 // the encoder writes none of those. The golden segments, which the encoder
 // wrote, are held to their exact bytes by TestGoldenDirectory.) The seeds —
 // the golden segments, cuts and bit flips of them, and the hostile inputs
-// of the decoder's safety tests — run under plain go test.
+// of the decoder's safety tests, among them a model stream stating a period
+// of 2^40 — run under plain go test.
 func FuzzLoadSegment(f *testing.F) {
 	segs, err := filepath.Glob(filepath.Join(goldenDir, segmentPattern))
 	if err != nil || len(segs) == 0 {
@@ -62,6 +63,8 @@ func FuzzLoadSegment(f *testing.F) {
 	chain, _ := hostileChainLength(f)
 	f.Add(chain)
 	f.Add(chain[:len(chain)*6/10])
+	hostile, _ := hostilePeriod(f)
+	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The entry a manifest would hold for this payload: whatever shard

@@ -128,7 +128,7 @@ func readObject(c *pattern.Cursor, s *Store, shard int) error {
 	obj.track = track
 	obj.life.loaded(int(base), int(modeled), trained == 1)
 	if trained == 1 {
-		p, k, err := hpm.Decode(c.Rest())
+		p, k, err := hpm.Decode(c.Rest(), s.opts.Config.Period)
 		if err != nil {
 			return fmt.Errorf("store: load model for %q: %w", idb, err)
 		}

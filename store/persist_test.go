@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,10 +471,8 @@ func hostileTrackLength(t testing.TB) (body []byte, shard int) {
 	return binary.AppendUvarint(whole[:len(whole)-4], 1<<30), shard
 }
 
-// hostileChainLength is a one-record segment payload — a trained object,
-// valid up to its model stream — whose Markov blob claims a gigabyte and
-// holds none.
-func hostileChainLength(t testing.TB) (body []byte, shard int) {
+// trainedSnapshot is the snapshot of one trained object, "bike".
+func trainedSnapshot(t testing.TB) objectSnapshot {
 	t.Helper()
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	defer s.Close()
@@ -484,8 +483,42 @@ func hostileChainLength(t testing.TB) (body []byte, shard int) {
 	}
 	snap, err := snapshotObject("bike", obj)
 	if err != nil || snap.model == nil {
-		t.Fatalf("no model to put in front of the chain: %v", err)
+		t.Fatalf("no model in the snapshot: %v", err)
 	}
+	return snap
+}
+
+// hostilePeriod is a one-record segment payload — a trained object whose
+// model stream is whole and sound — whose stream states a period of 2^40
+// where the directory's is 60. The engine sizes two tables by the period.
+func hostilePeriod(t testing.TB) (body []byte, shard int) {
+	t.Helper()
+	snap := trainedSnapshot(t)
+	m := snap.model
+	at := bytes.Index(m, []byte(`{"Period":`))
+	for w := 1; at >= w && w <= binary.MaxVarintLen64; w++ {
+		n, k := binary.Uvarint(m[at-w : at])
+		if k != w || at+int(n) > len(m) || m[at+int(n)-1] != '}' {
+			continue
+		}
+		blob := bytes.Replace(m[at:at+int(n)], []byte(fmt.Sprintf(`{"Period":%d,`, period)), []byte(`{"Period":1099511627776,`), 1)
+		if len(blob) == int(n) {
+			break
+		}
+		out := binary.AppendUvarint(bytes.Clone(m[:at-w]), uint64(len(blob)))
+		snap.model = append(append(out, blob...), m[at+int(n):]...)
+		return recordSegment(t, snap)
+	}
+	t.Fatal("no params blob stating the period in the model stream")
+	return nil, 0
+}
+
+// hostileChainLength is a one-record segment payload — a trained object,
+// valid up to its model stream — whose Markov blob claims a gigabyte and
+// holds none.
+func hostileChainLength(t testing.TB) (body []byte, shard int) {
+	t.Helper()
+	snap := trainedSnapshot(t)
 	snap.chain = nil
 	whole, shard := recordSegment(t, snap)
 	// snap.write ended on the empty chain's one-byte length: lie in its place.
@@ -499,6 +532,28 @@ func hostileChainLength(t testing.TB) (body []byte, shard int) {
 func TestLoadHostileTrackLength(t *testing.T) {
 	body, shard := hostileTrackLength(t)
 	hostileAllocs(t, body, shard)
+}
+
+// TestLoadHostilePeriod: a model stream whose period is not the
+// directory's is refused, naming the object, before the engine sizes its
+// per-offset tables by it: a period of 2^40 used to be two slices of 2^40
+// entries, an out-of-memory rather than an error.
+func TestLoadHostilePeriod(t *testing.T) {
+	body, shard := hostilePeriod(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := decodeSealed(t, body, shard, 1)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		s.Close()
+		t.Fatal("a model stream stating another period loaded")
+	}
+	if !strings.Contains(err.Error(), `"bike"`) || !strings.Contains(err.Error(), "period 1099511627776") {
+		t.Errorf("refusal %q does not name the object and the period", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d segment bytes allocated %d before failing with %q", len(body), grew, err)
+	}
 }
 
 // TestLoadHostileChainLength: the same for the Markov blob behind a valid
