@@ -152,6 +152,7 @@ func BenchmarkSeedMiner(b *testing.B) {
 				m.ensureMiner()
 			}
 			b.ReportMetric(float64(m.miner.TrackedItemsets()), "itemsets")
+			b.ReportMetric(float64(m.miner.Bytes())/float64(m.miner.TrackedItemsets()), "B/itemset")
 		})
 	}
 }

@@ -157,6 +157,15 @@ func (m *Model) MinerItemsets() (n int, ok bool) {
 	return m.miner.TrackedItemsets(), true
 }
 
+// MinerBytes returns what the incremental miner's slabs hold, 0 while the
+// model has none.
+func (m *Model) MinerBytes() int {
+	if m.miner == nil {
+		return 0
+	}
+	return m.miner.Bytes()
+}
+
 // retireExpired advances the sliding-window watermark so that after the
 // adding new sub-trajectories, at most HistoryWindow periods stay live.
 // Returns the retired days' region chains for the miner to decrement.

@@ -130,7 +130,7 @@ type Tracker struct {
 	cfg Config
 
 	mu    sync.Mutex
-	ring  []pending // capacity cfg.RingSize, FIFO from start
+	ring  []pending // cfg.RingSize long from the first Record, FIFO from start
 	start int
 	count int
 	cells []Cell // NumBuckets × NumPaths, bucket-major
@@ -146,7 +146,6 @@ func New(cfg Config) *Tracker {
 	cfg = cfg.WithDefaults()
 	return &Tracker{
 		cfg:   cfg,
-		ring:  make([]pending, cfg.RingSize),
 		cells: make([]Cell, cfg.NumBuckets()*int(NumPaths)),
 	}
 }
@@ -169,6 +168,11 @@ func (t *Tracker) Record(now, tq int, path Path, loc geom.Point) {
 	}
 	b := t.cfg.Bucket(tq - now)
 	t.mu.Lock()
+	if t.ring == nil {
+		// Most trackers never record (cold objects, write-only traffic),
+		// so the ring waits for the first prediction.
+		t.ring = make([]pending, t.cfg.RingSize)
+	}
 	for i := t.count - 1; i >= 0; i-- {
 		if p := &t.ring[(t.start+i)%len(t.ring)]; p.tq == tq && p.path == path && p.bucket == b && p.loc == loc {
 			t.mu.Unlock()

@@ -110,6 +110,36 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
+// TestRingOnFirstRecord pins the lazy ring: a tracker that only ever
+// observes, or whose every prediction is in the past, holds no ring, and
+// reports exactly what an empty tracker reports. The first accepted
+// prediction allocates the full ring.
+func TestRingOnFirstRecord(t *testing.T) {
+	cfg := Config{Buckets: []int{5, 50}}
+	tr := New(cfg)
+	tr.Observe(1, make([]geom.Point, 20))
+	tr.Record(30, 30, PathForward, geom.Pt(0, 0)) // tq == now: not accepted
+	if tr.ring != nil {
+		t.Fatalf("a tracker that never recorded holds a %d-entry ring", len(tr.ring))
+	}
+	want := Summary{Cells: snapshotCells(cfg.WithDefaults(), make([]Cell, cfg.WithDefaults().NumBuckets()*int(NumPaths)))}
+	if got := tr.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a tracker that never recorded reports %+v, want %+v", got, want)
+	}
+	var agg Agg
+	tr.MergeInto(&agg)
+	if got := Summarize(cfg, agg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged, a tracker that never recorded reports %+v, want %+v", got, want)
+	}
+	tr.Record(30, 31, PathForward, geom.Pt(0, 0))
+	if len(tr.ring) != tr.cfg.RingSize {
+		t.Fatalf("after the first record the ring holds %d entries, want %d", len(tr.ring), tr.cfg.RingSize)
+	}
+	if s := tr.Snapshot(); s.Recorded != 1 || s.Outstanding != 1 {
+		t.Fatalf("totals after the first record = %+v", s.Totals)
+	}
+}
+
 // TestConfigBudget is a ratchet: Config had 7 fields before adaptive
 // routing went with its smoothing factor and takeover margins, and 4 before
 // drift retraining went with the error EWMA's. A new field needs two

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Delta-Apriori: the incremental counterpart of MineWithStats. The miner
@@ -24,9 +25,9 @@ import (
 // include the whole batch), and an epoch stamp keeps later chains of the
 // same batch from double counting them.
 //
-// Layout: one map from an itemset's identity to a slot, and everything
-// else in two pointer-free slabs behind it, the slot records and one id
-// arena (DESIGN.md, "What one miner costs").
+// Layout: three pointer-free slabs, the slot records, one id arena and an
+// index of slot numbers that finds a slot by the itemset the arena holds
+// (slotindex.go; DESIGN.md, "What one miner costs").
 
 // MaxIdentityLen caps itemset length (premise plus consequence) so an
 // itemset's identity fits a fixed comparable array. Config.MaxLength is
@@ -42,7 +43,7 @@ type IdentityKey [MaxIdentityLen]uint32
 // identityOf returns the canonical key of a region-id set. Input order is
 // irrelevant: minted regions make id order diverge from offset order, so
 // the key sorts numerically.
-func identityOf[T ~int | ~int32](ids []T) IdentityKey {
+func identityOf(ids []RegionID) IdentityKey {
 	if len(ids) > MaxIdentityLen {
 		panic(fmt.Sprintf("pattern: itemset of %d regions exceeds identity capacity %d", len(ids), MaxIdentityLen))
 	}
@@ -145,10 +146,10 @@ type IncrementalMiner struct {
 	rt  *RegionTable
 	cfg Config
 
-	index   map[IdentityKey]int32 // identity → slot, tracked and ghost alike
+	index   slotIndex // itemset → slot, tracked and ghost alike
 	slots   []slot
-	ids     []int32 // cfg.MaxLength per slot, ascending time offset
-	free    []int32 // slots to reuse
+	ids     []RegionID // cfg.MaxLength per slot, ascending time offset
+	free    []int32    // slots to reuse
 	tracked int
 	pass    uint32 // one per Update / AbsorbMinted: the epoch, and the queue's dedup stamp
 
@@ -176,9 +177,9 @@ func NewIncrementalMiner(rt *RegionTable, cfg Config, rules int) *IncrementalMin
 	return &IncrementalMiner{
 		rt:    rt,
 		cfg:   cfg,
-		index: make(map[IdentityKey]int32, rules),
+		index: newSlotIndex(slots),
 		slots: make([]slot, 0, slots),
-		ids:   make([]int32, 0, slots*cfg.MaxLength),
+		ids:   make([]RegionID, 0, slots*cfg.MaxLength),
 		queue: make([]int32, 0, rules),
 		buf:   make([]RegionID, 0, MaxIdentityLen),
 	}
@@ -186,6 +187,13 @@ func NewIncrementalMiner(rt *RegionTable, cfg Config, rules int) *IncrementalMin
 
 // TrackedItemsets returns how many frequent itemsets the miner tracks.
 func (m *IncrementalMiner) TrackedItemsets() int { return m.tracked }
+
+// Bytes returns the capacity, in bytes, of the miner's three slabs: the
+// slot records, the id arena and the index.
+func (m *IncrementalMiner) Bytes() int {
+	return cap(m.slots)*int(unsafe.Sizeof(slot{})) + cap(m.ids)*int(unsafe.Sizeof(RegionID(0))) +
+		len(m.index.entries)*int(unsafe.Sizeof(indexEntry{}))
+}
 
 // ActiveRules returns the current rule set, sorted deterministically.
 func (m *IncrementalMiner) ActiveRules() []Pattern {
@@ -203,7 +211,16 @@ func (m *IncrementalMiner) ActiveRules() []Pattern {
 // already, so binding an owner's rules one by one finds the ones the miner
 // no longer has and the duplicates.
 func (m *IncrementalMiner) Bind(key IdentityKey, tag int) (conf float64, support int, ok bool) {
-	s, ok := m.index[key]
+	var buf [MaxIdentityLen]RegionID
+	ids := buf[:0]
+	for _, id := range key {
+		if id == 0 || int(id) > m.rt.Len() {
+			break // past the itemset, or a region this table does not hold
+		}
+		ids = append(ids, RegionID(id-1))
+	}
+	slices.SortFunc(ids, func(a, b RegionID) int { return m.rt.Region(a).Offset - m.rt.Region(b).Offset })
+	s, ok := m.lookup(ids)
 	if !ok || m.slots[s].flags&slotActive == 0 || m.slots[s].tag != NoTag {
 		return 0, 0, false
 	}
@@ -240,9 +257,9 @@ func (m *IncrementalMiner) Seed() Delta {
 	walkItemsets(m.rt, m.cfg, func(ids []RegionID, sup, _ int) {
 		n := len(ids)
 		if n == 2 && ids[0] != first {
-			first, prem[1] = ids[0], m.newSlot(identityOf(ids[:1]), ids[:1])
+			first, prem[1] = ids[0], m.newSlot(ids[:1])
 		}
-		prem[n] = m.newSlot(identityOf(ids), ids)
+		prem[n] = m.newSlot(ids)
 		m.track(prem[n], prem[n-1], sup)
 	})
 	return m.reevaluate()
@@ -296,11 +313,10 @@ func (m *IncrementalMiner) visit(ids []RegionID) {
 	if m.op == opMinted && !slices.Contains(ids, m.minted) {
 		return
 	}
-	key := identityOf(ids)
-	s, ok := m.index[key]
+	s, ok := m.lookup(ids)
 	if !ok || m.slots[s].flags&slotTracked == 0 {
 		if m.op != opRetire {
-			m.trackOnDemand(key, ids)
+			m.trackOnDemand(ids)
 		}
 		return
 	}
@@ -318,7 +334,7 @@ func (m *IncrementalMiner) visit(ids []RegionID) {
 			return
 		}
 		if sl.flags&slotActive != 0 {
-			m.removed = append(m.removed, RuleRemoval{key, sl.tag})
+			m.removed = append(m.removed, RuleRemoval{identityOf(ids), sl.tag})
 		}
 		m.untrack(s)
 	}
@@ -327,13 +343,12 @@ func (m *IncrementalMiner) visit(ids []RegionID) {
 // trackOnDemand starts tracking an itemset first touched this batch. Its
 // support comes from the bitmaps — which already include every chain of
 // the batch — so the epoch stamp tells later chains not to add on top.
-func (m *IncrementalMiner) trackOnDemand(key IdentityKey, ids []RegionID) {
+func (m *IncrementalMiner) trackOnDemand(ids []RegionID) {
 	sup := bitmapSupport(m.rt, ids)
 	if sup < m.cfg.MinSupport {
 		return
 	}
-	premise := ids[:len(ids)-1]
-	m.track(m.slotFor(key, ids), m.slotFor(identityOf(premise), premise), sup)
+	m.track(m.slotFor(ids), m.slotFor(ids[:len(ids)-1]), sup)
 }
 
 // track starts tracking the itemset in slot s, of support sup, as a
@@ -354,15 +369,16 @@ func (m *IncrementalMiner) track(s, p int32, sup int) {
 
 // slotFor returns the slot of an itemset, giving it one — untracked —
 // when it has none.
-func (m *IncrementalMiner) slotFor(key IdentityKey, ids []RegionID) int32 {
-	if s, ok := m.index[key]; ok {
+func (m *IncrementalMiner) slotFor(ids []RegionID) int32 {
+	if s, ok := m.lookup(ids); ok {
 		return s
 	}
-	return m.newSlot(key, ids)
+	return m.newSlot(ids)
 }
 
-// newSlot gives an itemset the index does not hold an untracked slot.
-func (m *IncrementalMiner) newSlot(key IdentityKey, ids []RegionID) int32 {
+// newSlot gives an itemset the index does not hold, ids in ascending time
+// offset, an untracked slot.
+func (m *IncrementalMiner) newSlot(ids []RegionID) int32 {
 	var s int32
 	stride := m.cfg.MaxLength
 	if n := len(m.free); n > 0 {
@@ -376,15 +392,13 @@ func (m *IncrementalMiner) newSlot(key IdentityKey, ids []RegionID) int32 {
 	// may be in the queue already.
 	m.slots[s] = slot{n: uint8(len(ids)), stamp: m.slots[s].stamp,
 		tag: NoTag, prem: noSlot, head: noSlot, next: noSlot, prev: noSlot}
-	for i, id := range ids {
-		m.ids[int(s)*stride+i] = int32(id)
-	}
-	m.index[key] = s
+	copy(m.ids[int(s)*stride:], ids)
+	m.index.insert(fingerprint(ids), s)
 	return s
 }
 
 // idsOf returns the itemset of slot s, ascending time offset.
-func (m *IncrementalMiner) idsOf(s int32) []int32 {
+func (m *IncrementalMiner) idsOf(s int32) []RegionID {
 	lo := int(s) * m.cfg.MaxLength
 	return m.ids[lo : lo+int(m.slots[s].n)]
 }
@@ -417,7 +431,7 @@ func (m *IncrementalMiner) release(s int32) {
 	if sl.flags&slotTracked != 0 || sl.head != noSlot {
 		return
 	}
-	delete(m.index, identityOf(m.idsOf(s)))
+	m.index.remove(fingerprint(m.idsOf(s)), s)
 	sl.n = 0
 	m.free = append(m.free, s)
 }
@@ -426,7 +440,7 @@ func (m *IncrementalMiner) release(s int32) {
 // contains: its confidence denominator moved even if its own support did
 // not (the sub-trajectory visited the premise but not the consequence).
 func (m *IncrementalMiner) touchPremise(prem []RegionID) {
-	p, ok := m.index[identityOf(prem)]
+	p, ok := m.lookup(prem)
 	if !ok {
 		return
 	}
@@ -437,11 +451,11 @@ func (m *IncrementalMiner) touchPremise(prem []RegionID) {
 
 // bitmapSupport computes an itemset's exact support from the region
 // bitmaps: the popcount of their AND. O(numSubs/64) words per region.
-func bitmapSupport[T ~int | ~int32](rt *RegionTable, ids []T) int {
+func bitmapSupport(rt *RegionTable, ids []RegionID) int {
 	sup := 0
-	for w, acc := range rt.Region(RegionID(ids[0])).visitors.Words() {
+	for w, acc := range rt.Region(ids[0]).visitors.Words() {
 		for _, id := range ids[1:] {
-			acc &= rt.Region(RegionID(id)).visitors.Words()[w]
+			acc &= rt.Region(id).visitors.Words()[w]
 		}
 		sup += bits.OnesCount64(acc)
 	}
@@ -486,7 +500,7 @@ func (m *IncrementalMiner) confidence(s int32) float64 {
 	var premSup int
 	switch p := &m.slots[sl.prem]; {
 	case sl.n == 2:
-		premSup = m.rt.Region(RegionID(ids[0])).Support
+		premSup = m.rt.Region(ids[0]).Support
 	case p.flags&slotTracked != 0:
 		premSup = int(p.support)
 	default:
@@ -513,12 +527,10 @@ func (m *IncrementalMiner) Rules(slots []int32) []Pattern {
 	for i, s := range slots {
 		ids, sl := m.idsOf(s), &m.slots[s]
 		lo := len(arena)
-		for _, id := range ids[:len(ids)-1] {
-			arena = append(arena, RegionID(id))
-		}
+		arena = append(arena, ids[:len(ids)-1]...)
 		out[i] = Pattern{
 			Premise:     arena[lo:len(arena):len(arena)],
-			Consequence: RegionID(ids[len(ids)-1]),
+			Consequence: ids[len(ids)-1],
 			Confidence:  sl.conf,
 			Support:     int(sl.ruleSup),
 		}

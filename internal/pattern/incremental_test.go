@@ -143,11 +143,13 @@ func (m *IncrementalMiner) check() error {
 			return fmt.Errorf("live slot %d is on the free list", s)
 		}
 		live++
-		ids := make([]RegionID, 0, sl.n)
-		for _, id := range m.idsOf(s) {
-			ids = append(ids, RegionID(id))
+		ids := m.idsOf(s)
+		for i := 1; i < len(ids); i++ {
+			if m.rt.Region(ids[i-1]).Offset >= m.rt.Region(ids[i]).Offset {
+				return fmt.Errorf("slot %d holds %v, not in ascending time offset", s, ids)
+			}
 		}
-		if got, ok := m.index[identityOf(ids)]; !ok || got != s {
+		if got, ok := m.lookup(ids); !ok || got != s {
 			return fmt.Errorf("slot %d (%v) is indexed at %d (%v)", s, ids, got, ok)
 		}
 		if sl.flags&slotTracked == 0 {
@@ -164,7 +166,7 @@ func (m *IncrementalMiner) check() error {
 			return fmt.Errorf("slot %d (%v) holds support %d, bitmaps say %d (floor %d)",
 				s, ids, sl.support, sup, m.cfg.MinSupport)
 		}
-		if p, ok := m.index[identityOf(ids[:len(ids)-1])]; !ok || p != sl.prem {
+		if p, ok := m.lookup(ids[:len(ids)-1]); !ok || p != sl.prem {
 			return fmt.Errorf("slot %d (%v) names premise slot %d, index says %d (%v)", s, ids, sl.prem, p, ok)
 		}
 		if len(ids) > 2 && m.slots[sl.prem].flags&slotTracked == 0 {
@@ -172,9 +174,12 @@ func (m *IncrementalMiner) check() error {
 		}
 		dependents[sl.prem] = append(dependents[sl.prem], s)
 	}
-	if live != len(m.index) || tracked != m.tracked {
+	if live != m.index.live || tracked != m.tracked {
 		return fmt.Errorf("%d live slots (%d tracked) under %d index entries (%d counted)",
-			live, tracked, len(m.index), m.tracked)
+			live, tracked, m.index.live, m.tracked)
+	}
+	if err := m.checkIndex(); err != nil {
+		return err
 	}
 	for i := range m.slots {
 		var list []int32
@@ -189,6 +194,38 @@ func (m *IncrementalMiner) check() error {
 		if !slices.Equal(list, want) {
 			return fmt.Errorf("slot %d lists dependents %v, the tracked itemsets naming it are %v", i, list, want)
 		}
+	}
+	return nil
+}
+
+// checkIndex walks the index's entries: each names a live slot under the
+// fingerprint of that slot's itemset, no slot twice, and lies on its own
+// probe path (no free entry between its home and it), the table is at most
+// 3/4 full, and its count is the entries it holds.
+func (m *IncrementalMiner) checkIndex() error {
+	x := &m.index
+	seen := make(map[int32]bool, x.live)
+	full := 0
+	for i, e := range x.entries {
+		if e.fp == 0 {
+			continue
+		}
+		full++
+		if e.slot < 0 || int(e.slot) >= len(m.slots) || m.slots[e.slot].n == 0 || seen[e.slot] {
+			return fmt.Errorf("index entry %d names slot %d, which is free, out of range or named twice", i, e.slot)
+		}
+		seen[e.slot] = true
+		if fp := fingerprint(m.idsOf(e.slot)); fp != e.fp {
+			return fmt.Errorf("index entry %d holds slot %d under fingerprint %#x, its itemset's is %#x", i, e.slot, e.fp, fp)
+		}
+		for j := x.home(e.fp); j != i; j = x.next(j) {
+			if x.entries[j].fp == 0 {
+				return fmt.Errorf("index entry %d (home %d) lies past free entry %d", i, x.home(e.fp), j)
+			}
+		}
+	}
+	if full != x.live || 4*full > 3*len(x.entries) {
+		return fmt.Errorf("index holds %d entries, counts %d, in a table of %d", full, x.live, len(x.entries))
 	}
 	return nil
 }
@@ -244,9 +281,12 @@ type trackedItemset struct {
 // trackedState maps every itemset m tracks to its support and its premise.
 func trackedState(m *IncrementalMiner) map[IdentityKey]trackedItemset {
 	out := make(map[IdentityKey]trackedItemset, m.tracked)
-	for key, s := range m.index {
-		if sl := &m.slots[s]; sl.flags&slotTracked != 0 {
-			out[key] = trackedItemset{sl.support, identityOf(m.idsOf(sl.prem))}
+	for _, e := range m.index.entries {
+		if e.fp == 0 {
+			continue
+		}
+		if sl := &m.slots[e.slot]; sl.flags&slotTracked != 0 {
+			out[identityOf(m.idsOf(e.slot))] = trackedItemset{sl.support, identityOf(m.idsOf(sl.prem))}
 		}
 	}
 	return out

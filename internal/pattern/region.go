@@ -36,7 +36,7 @@ import (
 // ascending (time offset, cluster index) order, which makes the region-key
 // hash of §V-A (id -> bit 2^id) honour Property 1: a higher bit position in
 // a premise key always means a time offset closer to the consequence.
-type RegionID int
+type RegionID int32
 
 // FrequentRegion is a dense cluster R_t^j of the object's locations at time
 // offset t: a place the object appears at that offset often enough to

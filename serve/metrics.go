@@ -41,6 +41,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hpm_extend_duration_seconds_total", "Cumulative wall-clock seconds spent in incremental extends.", fs.ExtendSeconds)
 	gauge("hpm_miners", "Objects whose model holds a seeded incremental miner.", fs.Miners)
 	gauge("hpm_miner_itemsets", "Frequent itemsets tracked across the seeded incremental miners.", fs.MinerItemsets)
+	gauge("hpm_miner_bytes", "Bytes the seeded incremental miners' slot slabs, id arenas and indexes hold.", fs.MinerBytes)
 
 	counter("hpm_fallback_fits_total", "Motion functions actually fitted by fallback queries (cache misses).", fs.Queries.FallbackFits)
 

@@ -47,13 +47,6 @@ func (s *Store) patternPath(obj *object, now, tq int) evalq.Path {
 	return evalq.PathForward
 }
 
-// scoreLocked scores the just-appended observations against the object's
-// outstanding predictions. Called with obj.mu held for writing, right after
-// track grew past base.
-func (s *Store) scoreLocked(obj *object, base int, pts []hpm.Point) {
-	obj.eval.Observe(base, pts)
-}
-
 // PredictVia answers a query down one named route: PathFallback is the
 // motion function alone, PathMarkov the region chain (motion when it
 // declines), PathForward or PathBackward the hybrid pattern dispatch, which
@@ -100,10 +93,11 @@ type FleetStats struct {
 	Trained int `json:"trained"`
 	// Miners counts the objects whose model holds a seeded incremental
 	// miner (it has run an Extend since it was trained or loaded);
-	// MinerItemsets sums the frequent itemsets those miners track — what
-	// the fleet's incremental state weighs, at about 110 bytes each.
+	// MinerItemsets sums the frequent itemsets those miners track, and
+	// MinerBytes what their slot slabs, id arenas and indexes hold.
 	Miners        int `json:"miners"`
 	MinerItemsets int `json:"minerItemsets"`
+	MinerBytes    int `json:"minerBytes"`
 	// PendingTrains counts scheduled background trains not yet installed;
 	// TrainFailures every failed background attempt since start.
 	PendingTrains int    `json:"pendingTrains"`
@@ -167,6 +161,7 @@ func (s *Store) FleetStats() FleetStats {
 				if n, ok := obj.predictor.Model().MinerItemsets(); ok {
 					fs.Miners++
 					fs.MinerItemsets += n
+					fs.MinerBytes += obj.predictor.Model().MinerBytes()
 				}
 			}
 			obj.mu.RUnlock()

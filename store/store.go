@@ -561,7 +561,7 @@ acquire:
 		g := &groups[i]
 		g.obj.mu.Lock()
 		if g.obj.eval != nil {
-			s.scoreLocked(g.obj, g.at, g.pts)
+			g.obj.eval.Observe(g.at, g.pts) // score what the new points cover
 		}
 		if err := s.advance(g.obj); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", g.id, err))

@@ -169,6 +169,7 @@ func (w *wal) openSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: open wal segment: %w", err)
 	}
+	syncDir(w.dir) // the name must be durable before a record it holds is acknowledged
 	w.f = f
 	return nil
 }
