@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hpm/internal/datagen"
+	"hpm/internal/geom"
+	"hpm/internal/markov"
 	"hpm/internal/pattern"
 	"hpm/internal/spatial"
 	"hpm/internal/trajectory"
@@ -214,4 +216,69 @@ func servedRecent(b *testing.B, kind datagen.Kind) []trajectory.TimedPoint {
 		recent[i] = trajectory.TimedPoint{T: (fleetTrainPeriods-1)*fleetPeriod + t, Loc: last.Points[t]}
 	}
 	return recent
+}
+
+// chainSink keeps BenchmarkChainFleet's results live.
+var chainSink struct {
+	answered int
+	blob     []byte
+	chain    *markov.Chain
+}
+
+// BenchmarkChainFleet times the Markov chain's four costs at the harness
+// fleet's shape, one object of each kind: the fold of the ten trained
+// periods (RebuildMarkov, what a first install and every Extend pay), the
+// walk at the fleet index's six horizons from the training cut (what an
+// index refresh pays), and the chain's encode and decode (what a
+// checkpoint and an Open pay per object).
+func BenchmarkChainFleet(b *testing.B) {
+	for _, kind := range datagen.Kinds {
+		b.Run(fmt.Sprint(kind), func(b *testing.B) {
+			stream, _ := fleetModel(b, kind)
+			m := loadFleetModel(b, stream)
+			var pts []geom.Point
+			for _, sub := range fleetSubs(b, kind, fleetPeriod, fleetTrainPeriods) {
+				pts = append(pts, sub.Points...)
+			}
+			recent := servedRecent(b, kind)
+			now := recent[len(recent)-1].T
+			b.Run("fold", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.RebuildMarkov(0, pts)
+				}
+			})
+			b.Run("walk", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					chainSink.answered = 0
+					for _, h := range spatial.DefaultHorizons {
+						if _, ok := m.markovAnswer(recent, now+h); ok {
+							chainSink.answered++
+						}
+					}
+				}
+				b.ReportMetric(float64(chainSink.answered), "answers")
+			})
+			b.Run("encode", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					chainSink.blob = m.EncodeMarkov()
+				}
+				b.ReportMetric(float64(len(chainSink.blob)), "bytes")
+			})
+			b.Run("decode", func(b *testing.B) {
+				blob := m.EncodeMarkov()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c, err := markov.Decode(blob)
+					if err != nil {
+						b.Fatal(err)
+					}
+					chainSink.chain = c
+				}
+			})
+		})
+	}
 }

@@ -92,15 +92,6 @@ func (m *Model) RebuildMarkov(base int, pts []geom.Point) {
 	}
 }
 
-// MarkovStats returns the chain's size counters; ok is false when the
-// path is disabled.
-func (m *Model) MarkovStats() (markov.Stats, bool) {
-	if m.chain == nil {
-		return markov.Stats{}, false
-	}
-	return m.chain.Stats(), true
-}
-
 // EncodeMarkov serializes the chain deterministically for snapshotting;
 // nil when the path is disabled.
 func (m *Model) EncodeMarkov() []byte {

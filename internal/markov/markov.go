@@ -5,8 +5,8 @@
 // The chain observes the object's located region sequence one visit at a
 // time: each located observation records a transition from every context
 // of order 1..MaxOrder ending at the previous visit to the new region, so
-// an update costs O(MaxOrder) map increments — no batch rebuild. A query
-// walks the chain greedily from the query's recent region context,
+// an update costs O(MaxOrder) counter increments — no batch rebuild. A
+// query walks the chain greedily from the query's recent region context,
 // escaping to shorter contexts when a long one has no sufficiently
 // supported successor (back-off), and advancing an implied clock by the
 // period offsets of the predicted regions until the query time is
@@ -15,22 +15,27 @@
 // Window time units are decremented back out — the same retention policy
 // the store applies to tracks via RetainPeriods.
 //
-// Chains serialize deterministically (contexts, successor distributions
-// and pending-window events in sorted/insertion order), so a chain folded
-// from the same observation sequence always encodes to the same bytes —
-// the property the store's crash-recovery bit-identity tests rely on.
+// The chain is one table: a row per counted transition, sorted by a key
+// packing the context and its successor, so a context's successors form
+// one run found by bisection. Its order is Encode's, so encoding is a walk
+// and a chain folded from the same observations always encodes to the
+// same bytes — the property the store's crash-recovery bit-identity tests
+// rely on. Decode reads through pattern.Cursor and refuses what Encode
+// never writes.
 package markov
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+
+	"hpm/internal/pattern"
 )
 
-// MaxSupportedOrder bounds the context length so context keys stay
-// fixed-size comparable values.
+// MaxSupportedOrder bounds the context length so a context and its
+// successor pack into one fixed-size key.
 const MaxSupportedOrder = 4
 
 // Defaults for Config fields left at their zero value.
@@ -91,25 +96,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ctxKey is a context of n region visits, most recent last — a fixed-size
-// comparable map key.
-type ctxKey struct {
-	n uint8
-	r [MaxSupportedOrder]uint32
+// key packs one transition into six 32-bit fields of three words: the
+// context's order n, its visits oldest first (unused ones zero), and the
+// successor. Comparing the words in turn orders keys as Encode writes
+// them: by order, by visits, then by successor.
+type key [3]uint64
+
+const succField = 1 + MaxSupportedOrder
+
+func (k *key) set(f int, v uint32) { k[f/2] |= uint64(v) << (32 - 32*(f%2)) }
+
+func (k key) field(f int) uint32 { return uint32(k[f/2] >> (32 - 32*(f%2))) }
+
+func (k key) less(o key) bool {
+	return k[0] < o[0] || k[0] == o[0] && (k[1] < o[1] || k[1] == o[1] && k[2] < o[2])
 }
 
-func makeKey(ctx []uint32) ctxKey {
-	var k ctxKey
-	k.n = uint8(len(ctx))
-	copy(k.r[:], ctx)
+// sameContext reports whether k and o differ at most in the successor.
+func (k key) sameContext(o key) bool {
+	return k[0] == o[0] && k[1] == o[1] && k[2]>>32 == o[2]>>32
+}
+
+func makeKey(ctx []uint32, next uint32) key {
+	var k key
+	k.set(0, uint32(len(ctx)))
+	for i, r := range ctx {
+		k.set(1+i, r)
+	}
+	k.set(succField, next)
 	return k
 }
 
+// row is one counted transition; a row's count is never zero.
+type row struct {
+	key   key
+	count uint32
+}
+
+// offset is the period offset a region was last observed at.
+type offset struct{ id, off uint32 }
+
 // event is one recorded transition awaiting window expiry.
 type event struct {
-	t    int
-	key  ctxKey
-	next uint32
+	t   int
+	key key
 }
 
 // Result is one prediction from the chain.
@@ -135,14 +165,13 @@ type Chain struct {
 	mu  sync.RWMutex
 	cfg Config
 
-	counts  map[ctxKey]map[uint32]uint32
-	offsets map[uint32]uint32 // region id -> period offset, learned at observe
-	hist    []uint32          // last MaxOrder located regions, most recent last
+	rows    []row    // counted transitions, ascending by key
+	offsets []offset // ascending by region id
+	hist    []uint32 // last MaxOrder located regions, most recent last
 
 	lastT    int
 	haveLast bool
 	observed uint64
-	live     uint64 // transitions currently counted
 
 	events []event // window-expiry log, events[head:] live, insertion order
 	head   int
@@ -151,12 +180,7 @@ type Chain struct {
 // New returns an empty chain.
 func New(cfg Config) *Chain {
 	cfg = cfg.withDefaults()
-	return &Chain{
-		cfg:     cfg,
-		counts:  make(map[ctxKey]map[uint32]uint32),
-		offsets: make(map[uint32]uint32),
-		hist:    make([]uint32, 0, cfg.MaxOrder),
-	}
+	return &Chain{cfg: cfg, hist: make([]uint32, 0, cfg.MaxOrder)}
 }
 
 // Config returns the chain's configuration after defaulting.
@@ -172,15 +196,24 @@ func (c *Chain) Observe(t int, region uint32) {
 	if c.cfg.Window > 0 {
 		c.expireLocked(t)
 	}
-	c.offsets[region] = uint32(mod(t, c.cfg.Period))
+	off := offset{region, uint32(mod(t, c.cfg.Period))}
+	if i, ok := c.findOffset(region); ok {
+		c.offsets[i] = off
+	} else {
+		c.offsets = slices.Insert(c.offsets, i, off)
+	}
 	if c.haveLast && t-c.lastT >= c.cfg.Period {
 		c.hist = c.hist[:0]
 	}
 	for n := 1; n <= len(c.hist); n++ {
-		k := makeKey(c.hist[len(c.hist)-n:])
-		c.bumpLocked(k, region, true)
+		k := makeKey(c.hist[len(c.hist)-n:], region)
+		if i, ok := c.find(k); ok {
+			c.rows[i].count++
+		} else {
+			c.rows = slices.Insert(c.rows, i, row{k, 1})
+		}
 		if c.cfg.Window > 0 {
-			c.events = append(c.events, event{t: t, key: k, next: region})
+			c.events = append(c.events, event{t: t, key: k})
 		}
 	}
 	if len(c.hist) == c.cfg.MaxOrder {
@@ -194,39 +227,68 @@ func (c *Chain) Observe(t int, region uint32) {
 	c.observed++
 }
 
-// bumpLocked increments (up) or decrements a transition count, pruning
-// empty distributions so the context map only holds live state.
-func (c *Chain) bumpLocked(k ctxKey, next uint32, up bool) {
-	dist := c.counts[k]
-	if up {
-		if dist == nil {
-			dist = make(map[uint32]uint32)
-			c.counts[k] = dist
+// find returns the index of the first row whose key is not below k, and
+// whether that row's key is k.
+func (c *Chain) find(k key) (int, bool) {
+	lo, hi := 0, len(c.rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.rows[m].key.less(k) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		dist[next]++
-		c.live++
-		return
 	}
-	if dist == nil {
-		return
-	}
-	if dist[next] <= 1 {
-		delete(dist, next)
-		if len(dist) == 0 {
-			delete(c.counts, k)
-		}
-	} else {
-		dist[next]--
-	}
-	c.live--
+	return lo, lo < len(c.rows) && c.rows[lo].key == k
 }
 
-// expireLocked decays transitions recorded at or before t-Window.
+// runEnd returns the index just past the run of rows sharing row i's
+// context.
+func (c *Chain) runEnd(i int) int {
+	j := i + 1
+	for j < len(c.rows) && c.rows[j].key.sameContext(c.rows[i].key) {
+		j++
+	}
+	return j
+}
+
+// contextsLocked counts the distinct contexts, one per run of rows.
+func (c *Chain) contextsLocked() int {
+	n := 0
+	for i := 0; i < len(c.rows); i = c.runEnd(i) {
+		n++
+	}
+	return n
+}
+
+// findOffset returns the index of the first offset whose region id is not
+// below id, and whether it is id's.
+func (c *Chain) findOffset(id uint32) (int, bool) {
+	lo, hi := 0, len(c.offsets)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.offsets[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c.offsets) && c.offsets[lo].id == id
+}
+
+// expireLocked decays transitions recorded at or before t-Window. An
+// event naming a transition the chain does not count (a decoded chain
+// can hold one) changes nothing.
 func (c *Chain) expireLocked(t int) {
 	cut := t - c.cfg.Window
 	for c.head < len(c.events) && c.events[c.head].t <= cut {
-		ev := c.events[c.head]
-		c.bumpLocked(ev.key, ev.next, false)
+		if i, ok := c.find(c.events[c.head].key); ok {
+			if c.rows[i].count > 1 {
+				c.rows[i].count--
+			} else {
+				c.rows = slices.Delete(c.rows, i, i+1)
+			}
+		}
 		c.head++
 	}
 	if c.head > 0 && c.head*2 >= len(c.events) {
@@ -240,27 +302,25 @@ func (c *Chain) expireLocked(t int) {
 func (c *Chain) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.counts)
-	clear(c.offsets)
+	c.rows = c.rows[:0]
+	c.offsets = c.offsets[:0]
 	c.hist = c.hist[:0]
 	c.events = c.events[:0]
 	c.head = 0
 	c.lastT = 0
 	c.haveLast = false
 	c.observed = 0
-	c.live = 0
 }
 
 // Stats returns a snapshot of the chain's shape.
 func (c *Chain) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return Stats{
-		Contexts:    len(c.counts),
-		Transitions: c.live,
-		Observed:    c.observed,
-		Pending:     len(c.events) - c.head,
+	st := Stats{Contexts: c.contextsLocked(), Observed: c.observed, Pending: len(c.events) - c.head}
+	for _, r := range c.rows {
+		st.Transitions += uint64(r.count)
 	}
+	return st
 }
 
 // Predict walks the chain from the query's recent located region sequence
@@ -298,7 +358,10 @@ func (c *Chain) Predict(recent []uint32, tc, tq int) (Result, bool) {
 		if step == 0 {
 			res.Order = order
 		}
-		off := int(c.offsets[next])
+		var off int
+		if i, ok := c.findOffset(next); ok {
+			off = int(c.offsets[i].off)
+		}
 		dt := off - mod(t, c.cfg.Period)
 		if dt <= 0 {
 			dt += c.cfg.Period
@@ -322,38 +385,34 @@ func (c *Chain) Predict(recent []uint32, tc, tq int) (Result, bool) {
 
 // nextLocked picks the successor of the longest context with a
 // sufficiently supported best successor, escaping to shorter contexts.
-// Ties break toward the smaller region id, so the answer is deterministic
-// for a given chain state.
+// Ties break toward the smaller region id, the first of the run, so the
+// answer is deterministic for a given chain state.
 func (c *Chain) nextLocked(ctx []uint32) (next uint32, p float64, order int, ok bool) {
 	for n := len(ctx); n >= 1; n-- {
-		dist := c.counts[makeKey(ctx[len(ctx)-n:])]
-		if len(dist) == 0 {
-			continue
-		}
+		k := makeKey(ctx[len(ctx)-n:], 0)
 		var best, bestCount uint32
 		var total uint64
-		first := true
-		for r, cnt := range dist {
-			total += uint64(cnt)
-			if first || cnt > bestCount || (cnt == bestCount && r < best) {
-				best, bestCount, first = r, cnt, false
+		for i, _ := c.find(k); i < len(c.rows) && c.rows[i].key.sameContext(k); i++ {
+			r := c.rows[i]
+			total += uint64(r.count)
+			if r.count > bestCount {
+				best, bestCount = r.key.field(succField), r.count
 			}
 		}
-		if int(bestCount) < c.cfg.MinCount {
-			continue
+		if int(bestCount) >= c.cfg.MinCount {
+			return best, float64(bestCount) / float64(total), n, true
 		}
-		return best, float64(bestCount) / float64(total), n, true
 	}
 	return 0, 0, 0, false
 }
 
 // Encode serializes the chain deterministically: configuration, cursor
-// state, region offsets and context distributions in sorted order, and
-// the live window-event log in insertion order.
+// state, region offsets and context distributions in the table's order,
+// and the live window-event log in insertion order.
 func (c *Chain) Encode() []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	buf := make([]byte, 0, 64+16*len(c.counts)+16*(len(c.events)-c.head))
+	buf := make([]byte, 0, 64+8*len(c.offsets)+16*len(c.rows)+16*(len(c.events)-c.head))
 	buf = append(buf, chainMagic...)
 	buf = append(buf, chainVersion)
 	buf = binary.AppendUvarint(buf, uint64(c.cfg.MaxOrder))
@@ -372,188 +431,125 @@ func (c *Chain) Encode() []byte {
 		buf = binary.AppendUvarint(buf, uint64(r))
 	}
 
-	offIDs := make([]uint32, 0, len(c.offsets))
-	for id := range c.offsets {
-		offIDs = append(offIDs, id)
-	}
-	sort.Slice(offIDs, func(i, j int) bool { return offIDs[i] < offIDs[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(offIDs)))
-	for _, id := range offIDs {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(c.offsets[id]))
+	buf = binary.AppendUvarint(buf, uint64(len(c.offsets)))
+	for _, o := range c.offsets {
+		buf = binary.AppendUvarint(buf, uint64(o.id))
+		buf = binary.AppendUvarint(buf, uint64(o.off))
 	}
 
-	keys := make([]ctxKey, 0, len(c.counts))
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = appendKey(buf, k)
-		dist := c.counts[k]
-		succ := make([]uint32, 0, len(dist))
-		for r := range dist {
-			succ = append(succ, r)
+	buf = binary.AppendUvarint(buf, uint64(c.contextsLocked()))
+	for i := 0; i < len(c.rows); {
+		j := c.runEnd(i)
+		buf = appendContext(buf, c.rows[i].key)
+		buf = binary.AppendUvarint(buf, uint64(j-i))
+		for _, r := range c.rows[i:j] {
+			buf = binary.AppendUvarint(buf, uint64(r.key.field(succField)))
+			buf = binary.AppendUvarint(buf, uint64(r.count))
 		}
-		sort.Slice(succ, func(i, j int) bool { return succ[i] < succ[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(succ)))
-		for _, r := range succ {
-			buf = binary.AppendUvarint(buf, uint64(r))
-			buf = binary.AppendUvarint(buf, uint64(dist[r]))
-		}
+		i = j
 	}
 
 	live := c.events[c.head:]
 	buf = binary.AppendUvarint(buf, uint64(len(live)))
 	for _, ev := range live {
 		buf = binary.AppendUvarint(buf, uint64(ev.t))
-		buf = appendKey(buf, ev.key)
-		buf = binary.AppendUvarint(buf, uint64(ev.next))
+		buf = appendContext(buf, ev.key)
+		buf = binary.AppendUvarint(buf, uint64(ev.key.field(succField)))
 	}
 	return buf
 }
 
-func lessKey(a, b ctxKey) bool {
-	if a.n != b.n {
-		return a.n < b.n
-	}
-	for i := range a.r {
-		if a.r[i] != b.r[i] {
-			return a.r[i] < b.r[i]
-		}
-	}
-	return false
-}
-
-func appendKey(buf []byte, k ctxKey) []byte {
-	buf = append(buf, k.n)
-	for i := 0; i < int(k.n); i++ {
-		buf = binary.AppendUvarint(buf, uint64(k.r[i]))
+// appendContext writes k's context: its order, then its visits.
+func appendContext(buf []byte, k key) []byte {
+	n := int(k.field(0))
+	buf = append(buf, byte(n))
+	for f := 1; f <= n; f++ {
+		buf = binary.AppendUvarint(buf, uint64(k.field(f)))
 	}
 	return buf
 }
 
-// decoder walks an encoded chain.
-type decoder struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = errors.New("markov: truncated chain")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.err = errors.New("markov: truncated chain")
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *decoder) key() ctxKey {
-	var k ctxKey
-	n := d.byte()
-	if n > MaxSupportedOrder {
-		d.err = fmt.Errorf("markov: context order %d exceeds %d", n, MaxSupportedOrder)
+// readContext reads a context Encode wrote for a chain of order maxOrder,
+// as a key whose successor is zero.
+func readContext(cur *pattern.Cursor, maxOrder int) key {
+	var k key
+	n := int(cur.Byte())
+	if n == 0 || n > maxOrder {
+		cur.Fail(fmt.Errorf("context of order %d, want 1..%d", n, maxOrder))
 		return k
 	}
-	k.n = n
-	for i := 0; i < int(n); i++ {
-		k.r[i] = uint32(d.uvarint())
+	k.set(0, uint32(n))
+	for f := 1; f <= n; f++ {
+		k.set(f, uint32(cur.Uvarint()))
 	}
 	return k
 }
 
 // Decode reconstructs a chain from Encode's output. The embedded
 // configuration wins; callers that require a specific configuration check
-// Config after decoding and rebuild on mismatch.
+// Config after decoding and rebuild on mismatch. It refuses what Encode
+// never writes: region ids, contexts or successors repeated or out of
+// order, a zero count, a context with no successor, of order 0 or above
+// the chain's, and a history longer than the chain's order.
 func Decode(data []byte) (*Chain, error) {
-	if len(data) < len(chainMagic)+1 {
-		return nil, errors.New("markov: chain blob too short")
+	cur := pattern.NewCursor(data)
+	if magic, version := cur.Bytes(len(chainMagic)), cur.Byte(); string(magic) != chainMagic || version != chainVersion {
+		return nil, fmt.Errorf("markov: not a version %d chain: header %q", chainVersion, data[:min(len(data), len(chainMagic)+1)])
 	}
-	if string(data[:len(chainMagic)]) != chainMagic {
-		return nil, fmt.Errorf("markov: bad chain magic %q", data[:len(chainMagic)])
-	}
-	if v := data[len(chainMagic)]; v != chainVersion {
-		return nil, fmt.Errorf("markov: unsupported chain version %d", v)
-	}
-	d := &decoder{data: data, pos: len(chainMagic) + 1}
-	cfg := Config{
-		MaxOrder: int(d.uvarint()),
-		MinCount: int(d.uvarint()),
-		Window:   int(d.uvarint()),
-		Period:   int(d.uvarint()),
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	c := New(cfg)
-	if d.byte() == 1 {
-		c.lastT = int(d.uvarint())
+	c := New(Config{
+		MaxOrder: int(cur.Uvarint()),
+		MinCount: int(cur.Uvarint()),
+		Window:   int(cur.Uvarint()),
+		Period:   int(cur.Uvarint()),
+	})
+	if cur.Byte() == 1 {
+		c.lastT = int(cur.Uvarint())
 		c.haveLast = true
 	}
-	c.observed = d.uvarint()
-	nh := d.uvarint()
-	if d.err == nil && nh > MaxSupportedOrder {
-		return nil, fmt.Errorf("markov: history length %d exceeds %d", nh, MaxSupportedOrder)
-	}
-	for i := uint64(0); i < nh && d.err == nil; i++ {
-		c.hist = append(c.hist, uint32(d.uvarint()))
-	}
-	no := d.uvarint()
-	for i := uint64(0); i < no && d.err == nil; i++ {
-		id := uint32(d.uvarint())
-		c.offsets[id] = uint32(d.uvarint())
-	}
-	nc := d.uvarint()
-	for i := uint64(0); i < nc && d.err == nil; i++ {
-		k := d.key()
-		ns := d.uvarint()
-		// The count is a claim until its bytes arrive, and a successor is
-		// two varints: size the map by what the blob can still hold.
-		dist := make(map[uint32]uint32, min(ns, uint64(len(d.data)-d.pos)/2))
-		for j := uint64(0); j < ns && d.err == nil; j++ {
-			r := uint32(d.uvarint())
-			cnt := uint32(d.uvarint())
-			dist[r] = cnt
-		}
-		if d.err == nil && len(dist) > 0 {
-			c.counts[k] = dist
+	c.observed = cur.Uvarint()
+	if nh := cur.Uvarint(); nh > uint64(c.cfg.MaxOrder) {
+		cur.Fail(fmt.Errorf("history of %d visits, order %d", nh, c.cfg.MaxOrder))
+	} else {
+		for i := uint64(0); i < nh; i++ {
+			c.hist = append(c.hist, uint32(cur.Uvarint()))
 		}
 	}
-	// A blob may repeat a context or a successor, and the last one read
-	// stands: count what stands, or Stats would disagree with Encode.
-	for _, dist := range c.counts {
-		for _, cnt := range dist {
-			c.live += uint64(cnt)
+	no := cur.Uvarint()
+	for i := uint64(0); i < no && cur.Err() == nil; i++ {
+		o := offset{id: uint32(cur.Uvarint()), off: uint32(cur.Uvarint())}
+		if n := len(c.offsets); n > 0 && c.offsets[n-1].id >= o.id {
+			cur.Fail(fmt.Errorf("region %d after region %d", o.id, c.offsets[n-1].id))
+		}
+		c.offsets = append(c.offsets, o)
+	}
+	nc := cur.Uvarint()
+	for i := uint64(0); i < nc && cur.Err() == nil; i++ {
+		ctx, ns := readContext(&cur, c.cfg.MaxOrder), cur.Uvarint()
+		// No context is empty, so the last row stands for the one before.
+		if n := len(c.rows); ns == 0 || n > 0 && !c.rows[n-1].key.less(ctx) {
+			cur.Fail(errors.New("context empty, repeated or out of order"))
+		}
+		for j := uint64(0); j < ns && cur.Err() == nil; j++ {
+			r := row{key: ctx}
+			r.key.set(succField, uint32(cur.Uvarint()))
+			r.count = uint32(cur.Uvarint())
+			if n := len(c.rows); n > 0 && !c.rows[n-1].key.less(r.key) {
+				cur.Fail(errors.New("successor repeated or out of order"))
+			}
+			if r.count == 0 {
+				cur.Fail(errors.New("zero transition count"))
+			}
+			c.rows = append(c.rows, r)
 		}
 	}
-	ne := d.uvarint()
-	for i := uint64(0); i < ne && d.err == nil; i++ {
-		ev := event{t: int(d.uvarint())}
-		ev.key = d.key()
-		ev.next = uint32(d.uvarint())
+	ne := cur.Uvarint()
+	for i := uint64(0); i < ne && cur.Err() == nil; i++ {
+		ev := event{t: int(cur.Uvarint()), key: readContext(&cur, c.cfg.MaxOrder)}
+		ev.key.set(succField, uint32(cur.Uvarint()))
 		c.events = append(c.events, ev)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := cur.Err(); err != nil {
+		return nil, fmt.Errorf("markov: decode chain: %w", err)
 	}
 	return c, nil
 }

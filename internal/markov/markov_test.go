@@ -3,7 +3,10 @@ package markov
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -187,6 +190,11 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("bad magic decoded without error")
 	}
+	for _, nc := range nonCanonicalBlobs() {
+		if _, err := Decode(nc.blob); err == nil {
+			t.Errorf("%s: decoded without error", nc.name)
+		}
+	}
 }
 
 // TestDecodeHostileSuccessorCount: a context's successor count is a claim.
@@ -258,7 +266,9 @@ func hostileSuccessorBlob() []byte {
 // input can pay for; a chain it accepts re-encodes to bytes that decode to
 // the same chain — the same bytes again, configuration and shape. Seeded
 // with encoded chains (windowed and not, mid-cycle), cuts and bit flips of
-// them, and the hostile successor count.
+// them, and the hostile successor count; then with chains Encode never
+// writes, and one holding window events for a transition it does not
+// count.
 func FuzzDecode(f *testing.F) {
 	for _, cfg := range []Config{{Period: 4}, {Period: 6, MaxOrder: 2, MinCount: 1, Window: 12}} {
 		c := New(cfg)
@@ -277,6 +287,10 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Add(hostileSuccessorBlob())
+	for _, nc := range nonCanonicalBlobs() {
+		f.Add(nc.blob)
+	}
+	f.Add(uncountedEventBlob())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -300,4 +314,325 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("the chain decoded as %+v %+v comes back as %+v %+v", c.Config(), c.Stats(), back.Config(), back.Stats())
 		}
 	})
+}
+
+// TestExpiredUncountedEventKeepsCount: a decoded chain may hold a window
+// event for a transition it does not count. Its expiry changes nothing; it
+// used to decrement the live total regardless, so two such events drove
+// Transitions from 1 past zero.
+func TestExpiredUncountedEventKeepsCount(t *testing.T) {
+	c, err := Decode(uncountedEventBlob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Observe(20, 5) // both events, at t=0, fall out of the window of 10
+	st := c.Stats()
+	if st.Transitions != 1 || st.Contexts != 1 || st.Pending != 0 {
+		t.Fatalf("after expiry: %+v, want the one counted transition and nothing pending", st)
+	}
+	back, err := Decode(c.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Stats() != st {
+		t.Fatalf("re-decoded: %+v, want %+v", back.Stats(), st)
+	}
+}
+
+// chainBlob is an encoded chain of order 2, min count 1, window 10 and
+// period 4, with no cursor, history or offsets, whose contexts and events
+// follow as given.
+func chainBlob(contexts []byte, events ...byte) []byte {
+	blob := append([]byte(chainMagic), chainVersion,
+		2, 1, 10, 4, // order, min count, window, period
+		0, 0, 0, 0) // no cursor, nothing observed, no history, no offsets
+	blob = append(blob, contexts...)
+	if len(events) == 0 {
+		events = []byte{0}
+	}
+	return append(blob, events...)
+}
+
+// uncountedEventBlob counts (0)→1 once and holds two window events at
+// t=0 for (0)→2, which it does not count.
+func uncountedEventBlob() []byte {
+	return chainBlob([]byte{1, 1, 0, 1, 1, 1}, 2, 0, 1, 0, 2, 0, 1, 0, 2)
+}
+
+// nonCanonicalBlobs are chains Encode never writes, each one step from
+// a canonical chain counting (0)→1 and (0)→2 once each: Decode refuses
+// a repeated or reordered context or successor, a zero count and a
+// context of order 0.
+func nonCanonicalBlobs() []struct {
+	name string
+	blob []byte
+} {
+	return []struct {
+		name string
+		blob []byte
+	}{
+		{"repeated context", chainBlob([]byte{2, 1, 0, 1, 1, 1, 1, 0, 1, 2, 1})},
+		{"descending successors", chainBlob([]byte{1, 1, 0, 2, 2, 1, 1, 1})},
+		{"zero count", chainBlob([]byte{1, 1, 0, 2, 1, 1, 2, 0})},
+		{"order-0 context", chainBlob([]byte{1, 0, 2, 1, 1, 2, 1})},
+	}
+}
+
+// TestChainMatchesReference drives the chain and refChain, the map-based
+// chain it replaced, through the same seeded random sequences — located
+// visits along a noisy cycle, gaps on either side of a period, window
+// expiry and resets — over every order, min counts 1 and 2 and windows 0,
+// 20 and 40.
+// After every step both encode to the same bytes, report the same Stats
+// and answer the same queries.
+func TestChainMatchesReference(t *testing.T) {
+	for order := 1; order <= MaxSupportedOrder; order++ {
+		for minCount := 1; minCount <= 2; minCount++ {
+			for _, window := range []int{0, 20, 40} {
+				cfg := Config{MaxOrder: order, MinCount: minCount, Window: window, Period: 6}
+				rng := rand.New(rand.NewPCG(uint64(order), uint64(10*minCount+window)))
+				c, ref := New(cfg), newRefChain(cfg)
+				now := 0
+				for step := 0; step < 600; step++ {
+					switch r := rng.IntN(100); {
+					case r == 0:
+						c.Reset()
+						ref.reset()
+					case r < 4:
+						now += rng.IntN(2 * cfg.Period) // with the last visit's step, 1 to 2*Period+1
+					case r < 80:
+						region := uint32(now % cfg.Period)
+						if rng.IntN(4) == 0 {
+							region = uint32(rng.IntN(9))
+						}
+						c.Observe(now, region)
+						ref.observe(now, region)
+						now += 1 + rng.IntN(2)
+					default:
+						recent := make([]uint32, 1+rng.IntN(order+1))
+						for i := range recent {
+							recent[i] = uint32(rng.IntN(9))
+						}
+						tq := now + 1 + rng.IntN(3*cfg.Period)
+						got, gotOK := c.Predict(recent, now, tq)
+						want, wantOK := ref.predict(recent, now, tq)
+						if got != want || gotOK != wantOK {
+							t.Fatalf("%+v step %d: Predict(%v, %d, %d) = %+v %v, reference %+v %v",
+								cfg, step, recent, now, tq, got, gotOK, want, wantOK)
+						}
+					}
+					if got, want := c.Stats(), ref.stats(); got != want {
+						t.Fatalf("%+v step %d: Stats %+v, reference %+v", cfg, step, got, want)
+					}
+					if !bytes.Equal(c.Encode(), ref.encode()) {
+						t.Fatalf("%+v step %d: Encode differs from the reference's", cfg, step)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refChain is the chain as nested maps, re-sorted at every encode: the
+// reference TestChainMatchesReference holds the table to.
+type refChain struct {
+	cfg      Config
+	counts   map[refKey]map[uint32]uint32
+	offsets  map[uint32]uint32
+	hist     []uint32
+	lastT    int
+	haveLast bool
+	observed uint64
+	live     uint64
+	events   []refEvent
+	head     int
+}
+
+type refKey struct {
+	n uint8
+	r [MaxSupportedOrder]uint32
+}
+
+type refEvent struct {
+	t    int
+	key  refKey
+	next uint32
+}
+
+func newRefChain(cfg Config) *refChain {
+	r := &refChain{cfg: cfg.withDefaults()}
+	r.reset()
+	return r
+}
+
+func (c *refChain) reset() {
+	*c = refChain{cfg: c.cfg, counts: map[refKey]map[uint32]uint32{}, offsets: map[uint32]uint32{}}
+}
+
+func makeRefKey(ctx []uint32) refKey {
+	k := refKey{n: uint8(len(ctx))}
+	copy(k.r[:], ctx)
+	return k
+}
+
+func (c *refChain) observe(t int, region uint32) {
+	if c.cfg.Window > 0 {
+		for cut := t - c.cfg.Window; c.head < len(c.events) && c.events[c.head].t <= cut; c.head++ {
+			ev := c.events[c.head]
+			if dist := c.counts[ev.key]; dist[ev.next] > 1 {
+				dist[ev.next]--
+			} else {
+				delete(dist, ev.next)
+				if len(dist) == 0 {
+					delete(c.counts, ev.key)
+				}
+			}
+			c.live--
+		}
+	}
+	c.offsets[region] = uint32(mod(t, c.cfg.Period))
+	if c.haveLast && t-c.lastT >= c.cfg.Period {
+		c.hist = c.hist[:0]
+	}
+	for n := 1; n <= len(c.hist); n++ {
+		k := makeRefKey(c.hist[len(c.hist)-n:])
+		if c.counts[k] == nil {
+			c.counts[k] = map[uint32]uint32{}
+		}
+		c.counts[k][region]++
+		c.live++
+		if c.cfg.Window > 0 {
+			c.events = append(c.events, refEvent{t, k, region})
+		}
+	}
+	c.hist = append(c.hist, region)
+	if len(c.hist) > c.cfg.MaxOrder {
+		c.hist = c.hist[1:]
+	}
+	c.lastT, c.haveLast = t, true
+	c.observed++
+}
+
+func (c *refChain) stats() Stats {
+	return Stats{Contexts: len(c.counts), Transitions: c.live, Observed: c.observed, Pending: len(c.events) - c.head}
+}
+
+func (c *refChain) predict(recent []uint32, tc, tq int) (Result, bool) {
+	if tq <= tc || len(recent) == 0 {
+		return Result{}, false
+	}
+	ctx := append([]uint32(nil), recent[max(0, len(recent)-c.cfg.MaxOrder):]...)
+	t, prob := tc, 1.0
+	var res Result
+	for step := 0; t < tq; step++ {
+		if step >= maxWalkSteps {
+			return Result{}, false
+		}
+		next, p, order, ok := c.next(ctx)
+		if !ok {
+			return Result{}, false
+		}
+		if step == 0 {
+			res.Order = order
+		}
+		off := int(c.offsets[next])
+		dt := off - mod(t, c.cfg.Period)
+		if dt <= 0 {
+			dt += c.cfg.Period
+		}
+		t += dt
+		if prob *= p; prob < minWalkProb {
+			return Result{}, false
+		}
+		ctx = append(ctx, next)
+		if len(ctx) > c.cfg.MaxOrder {
+			ctx = ctx[1:]
+		}
+		res.Region, res.Offset, res.Steps = next, off, step+1
+	}
+	res.Prob = prob
+	return res, true
+}
+
+func (c *refChain) next(ctx []uint32) (uint32, float64, int, bool) {
+	for n := len(ctx); n >= 1; n-- {
+		dist := c.counts[makeRefKey(ctx[len(ctx)-n:])]
+		var best, bestCount uint32
+		var total uint64
+		for r, cnt := range dist {
+			total += uint64(cnt)
+			if cnt > bestCount || cnt == bestCount && r < best {
+				best, bestCount = r, cnt
+			}
+		}
+		if len(dist) > 0 && int(bestCount) >= c.cfg.MinCount {
+			return best, float64(bestCount) / float64(total), n, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+func (c *refChain) encode() []byte {
+	buf := append([]byte(chainMagic), chainVersion)
+	for _, v := range []int{c.cfg.MaxOrder, c.cfg.MinCount, c.cfg.Window, c.cfg.Period} {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	if c.haveLast {
+		buf = binary.AppendUvarint(append(buf, 1), uint64(c.lastT))
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.AppendUvarint(buf, c.observed)
+	buf = binary.AppendUvarint(buf, uint64(len(c.hist)))
+	for _, r := range c.hist {
+		buf = binary.AppendUvarint(buf, uint64(r))
+	}
+	ids := make([]uint32, 0, len(c.offsets))
+	for id := range c.offsets {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = binary.AppendUvarint(buf, uint64(c.offsets[id]))
+	}
+	keys := make([]refKey, 0, len(c.counts))
+	for k := range c.counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		return a.n < b.n || a.n == b.n && slices.Compare(a.r[:], b.r[:]) < 0
+	})
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	for _, k := range keys {
+		buf = appendRefKey(buf, k)
+		succ := make([]uint32, 0, len(c.counts[k]))
+		for r := range c.counts[k] {
+			succ = append(succ, r)
+		}
+		sort.Slice(succ, func(i, j int) bool { return succ[i] < succ[j] })
+		buf = binary.AppendUvarint(buf, uint64(len(succ)))
+		for _, r := range succ {
+			buf = binary.AppendUvarint(buf, uint64(r))
+			buf = binary.AppendUvarint(buf, uint64(c.counts[k][r]))
+		}
+	}
+	live := c.events[c.head:]
+	buf = binary.AppendUvarint(buf, uint64(len(live)))
+	for _, ev := range live {
+		buf = binary.AppendUvarint(buf, uint64(ev.t))
+		buf = appendRefKey(buf, ev.key)
+		buf = binary.AppendUvarint(buf, uint64(ev.next))
+	}
+	return buf
+}
+
+func appendRefKey(buf []byte, k refKey) []byte {
+	buf = append(buf, k.n)
+	for _, r := range k.r[:k.n] {
+		buf = binary.AppendUvarint(buf, uint64(r))
+	}
+	return buf
 }

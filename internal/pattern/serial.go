@@ -103,9 +103,10 @@ func (c *Cursor) Remaining() int { return len(c.b) - c.off }
 // Skip then moves past what it consumed.
 func (c *Cursor) Rest() []byte { return c.b[c.off:] }
 
-// fail latches err, unless an earlier error is latched already, and ends
-// the input: every later read fails.
-func (c *Cursor) fail(err error) {
+// Fail latches err, unless an earlier error is latched already, and ends
+// the input: every later read fails. A decoder reading through the cursor
+// calls it to refuse a value it has read.
+func (c *Cursor) Fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
@@ -114,7 +115,7 @@ func (c *Cursor) fail(err error) {
 
 // truncated latches the error of an input that ends inside a value.
 func (c *Cursor) truncated() {
-	c.fail(fmt.Errorf("pattern: truncated input: %w", io.ErrUnexpectedEOF))
+	c.Fail(fmt.Errorf("pattern: truncated input: %w", io.ErrUnexpectedEOF))
 }
 
 // Skip moves the cursor n bytes on.
@@ -136,7 +137,7 @@ func (c *Cursor) Uvarint() uint64 {
 	}
 	v, k := binary.Uvarint(c.b[c.off:])
 	if k <= 0 {
-		c.fail(fmt.Errorf("pattern: truncated or overlong varint: %w", io.ErrUnexpectedEOF))
+		c.Fail(fmt.Errorf("pattern: truncated or overlong varint: %w", io.ErrUnexpectedEOF))
 		return 0
 	}
 	c.off += k
@@ -153,7 +154,7 @@ func (c *Cursor) varint() int64 {
 func (c *Cursor) count() int {
 	v := c.Uvarint()
 	if v > math.MaxInt32 {
-		c.fail(fmt.Errorf("pattern: implausible count %d", v))
+		c.Fail(fmt.Errorf("pattern: implausible count %d", v))
 		return 0
 	}
 	return int(v)
@@ -193,7 +194,7 @@ func (c *Cursor) Float() float64 {
 func (c *Cursor) Blob(max uint64) []byte {
 	n := c.Uvarint()
 	if n > max {
-		c.fail(fmt.Errorf("pattern: length %d exceeds limit %d", n, max))
+		c.Fail(fmt.Errorf("pattern: length %d exceeds limit %d", n, max))
 		return nil
 	}
 	return c.Bytes(int(n))
@@ -202,7 +203,7 @@ func (c *Cursor) Blob(max uint64) []byte {
 // magic reads a section magic and latches an error unless it is want.
 func (c *Cursor) magic(want string) {
 	if b := c.Bytes(len(want)); b != nil && string(b) != want {
-		c.fail(fmt.Errorf("pattern: bad section magic %q, want %q", b, want))
+		c.Fail(fmt.Errorf("pattern: bad section magic %q, want %q", b, want))
 	}
 }
 
@@ -213,7 +214,7 @@ func (c *Cursor) key() bitkey.Key {
 	}
 	var k bitkey.Key
 	if err := k.UnmarshalBinary(b); err != nil {
-		c.fail(err)
+		c.Fail(err)
 	}
 	return k
 }
@@ -260,7 +261,7 @@ func ReadRegionTable(c *Cursor, period int) (*RegionTable, error) {
 	rt.numSubs = c.count()
 	count := c.count()
 	if c.err == nil && count > c.Remaining()/minRegionBytes {
-		c.fail(fmt.Errorf("pattern: %d regions cannot fit in %d bytes", count, c.Remaining()))
+		c.Fail(fmt.Errorf("pattern: %d regions cannot fit in %d bytes", count, c.Remaining()))
 	}
 	if c.err != nil {
 		return nil, c.err
@@ -279,7 +280,7 @@ func ReadRegionTable(c *Cursor, period int) (*RegionTable, error) {
 		}
 		fr.Support = c.count()
 		if c.err == nil && fr.Offset >= period {
-			c.fail(fmt.Errorf("pattern: region %d at offset %d, outside a period of %d", i, fr.Offset, period))
+			c.Fail(fmt.Errorf("pattern: region %d at offset %d, outside a period of %d", i, fr.Offset, period))
 		}
 		fr.visitors = c.key()
 		if c.err != nil {
@@ -334,7 +335,7 @@ func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
 	c.magic(patternsMagic)
 	count := c.count()
 	if c.err == nil && count > c.Remaining()/minRuleBytes {
-		c.fail(fmt.Errorf("pattern: %d patterns cannot fit in %d bytes", count, c.Remaining()))
+		c.Fail(fmt.Errorf("pattern: %d patterns cannot fit in %d bytes", count, c.Remaining()))
 	}
 	if c.err != nil {
 		return nil, c.err
@@ -343,7 +344,7 @@ func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
 	id := func() int32 {
 		v := c.varint()
 		if c.err == nil && (v < 0 || v >= regions) {
-			c.fail(fmt.Errorf("pattern: region id %d out of %d", v, regions))
+			c.Fail(fmt.Errorf("pattern: region id %d out of %d", v, regions))
 		}
 		return int32(v)
 	}
@@ -357,7 +358,7 @@ func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
 	for i := 0; i < count; i++ {
 		premLen := c.count()
 		if premLen > 64 {
-			c.fail(fmt.Errorf("pattern: implausible premise length %d", premLen))
+			c.Fail(fmt.Errorf("pattern: implausible premise length %d", premLen))
 			return nil, c.err
 		}
 		for j := 0; j < premLen; j++ {
