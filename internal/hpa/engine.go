@@ -124,10 +124,12 @@ type Config struct {
 	PenalizePremise bool
 	// NewMotion builds the fallback motion function. A fit runs at most
 	// once per distinct recent window — the engine memoizes the last
-	// fitted model and reuses it while the window is unchanged (repeat
-	// Predict calls between observations, fleet-index refreshes), so the
+	// fitted model and reuses it while the window is unchanged, so the
 	// paper's per-query RMF retraining cost is paid only when the window
-	// actually advances. Nil disables the fallback (pattern-only
+	// actually advances. A repeated store query between two observations
+	// no longer reaches the engine at all (the store's answer memo); the
+	// cached fit serves the first reads after a write, the fleet-index
+	// refresh and batch fan-outs. Nil disables the fallback (pattern-only
 	// prediction, used by some ablations).
 	NewMotion func() motion.Function
 	// Markov answers the queries the pattern paths could not, before the
@@ -252,10 +254,12 @@ type Engine struct {
 	stats queryCounters
 
 	// fitCache memoizes the last fitted fallback motion function, keyed by
-	// the identity of the recent window it was fitted on. Repeated queries
-	// from the same window — per-object Predict traffic between
-	// observations, fleet-index refreshes, batch fan-outs — reuse one
-	// fitted model instead of refitting an identical one. Motion functions
+	// the identity of the recent window it was fitted on. Queries from the
+	// same window reuse one fitted model instead of refitting an identical
+	// one. A repeated point query between observations stops at the
+	// store's answer memo before it gets here; what the cache still serves
+	// is a refresh's fit to the first reads after a write, distinct query
+	// times from one window, and batch fan-outs. Motion functions
 	// are immutable after Fit (their Predict methods are pure), so a cached
 	// instance is safe to share across concurrent queries; the cache
 	// invalidates itself the moment the window advances.

@@ -60,8 +60,9 @@ func bulkBody(tracks [][]hpm.Point, from, pts int) []byte {
 }
 
 // serveBench runs one request per iteration through h: the request is
-// built once and its body re-read each time, the recorder is fresh.
-func serveBench(b *testing.B, h http.Handler, method string, target func(i int) string, body func(i int) []byte) {
+// built once and its body re-read each time, the recorder is fresh. before,
+// when set, runs ahead of each request, inside the timing.
+func serveBench(b *testing.B, h http.Handler, method string, target func(i int) string, body func(i int) []byte, before func(i int)) {
 	b.Helper()
 	b.ReportAllocs()
 	reqs := make([]*http.Request, 0, 64)
@@ -74,6 +75,9 @@ func serveBench(b *testing.B, h http.Handler, method string, target func(i int) 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(reqs)
+		if before != nil {
+			before(j)
+		}
 		readers[j].Seek(0, 0)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, reqs[j])
@@ -89,6 +93,11 @@ func serveBench(b *testing.B, h http.Handler, method string, target func(i int) 
 //
 //   - predict: GET ?horizon=H&k=3 over the trained objects;
 //   - predict_batch: eight horizons, k = 3, as the harness asks;
+//
+// each predict as memo=miss, which forgets the object's answers before
+// every request so the model runs each time, and memo=hit, which asks
+// again what the object's memo already holds;
+//
 //   - observe_one: one point to one object;
 //   - observe_bulk_tick: a fleet tick, 100 objects × 1 point;
 //   - observe_bulk_setup: a set-up request, 25 objects × 630 points.
@@ -122,27 +131,38 @@ func BenchmarkServe(b *testing.B) {
 	horizons := []int{2, 5, 20, 60, 100}
 	noBody := func(int) []byte { return nil }
 
-	b.Run("predict", func(b *testing.B) {
-		serveBench(b, Handler(trained), "GET", func(i int) string {
-			return fmt.Sprintf("/objects/o%04d/predict?horizon=%d&k=3", i%benchTrained, horizons[i%len(horizons)])
-		}, noBody)
-	})
-	b.Run("predict_batch", func(b *testing.B) {
-		serveBench(b, Handler(trained), "POST", func(i int) string {
-			return fmt.Sprintf("/objects/o%04d/predict", i%benchTrained)
-		}, func(int) []byte { return []byte(`{"horizons":[2,5,10,20,40,60,80,100],"k":3}`) })
-	})
+	ids := make([]string, benchTrained)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("o%04d", i)
+	}
+	for _, miss := range []bool{true, false} {
+		memo := map[bool]string{true: "memo=miss", false: "memo=hit"}[miss]
+		var forget func(i int)
+		if miss {
+			forget = func(i int) { trained.ForgetAnswers(ids[i%benchTrained]) }
+		}
+		b.Run("predict/"+memo, func(b *testing.B) {
+			serveBench(b, Handler(trained), "GET", func(i int) string {
+				return fmt.Sprintf("/objects/o%04d/predict?horizon=%d&k=3", i%benchTrained, horizons[i%len(horizons)])
+			}, noBody, forget)
+		})
+		b.Run("predict_batch/"+memo, func(b *testing.B) {
+			serveBench(b, Handler(trained), "POST", func(i int) string {
+				return fmt.Sprintf("/objects/o%04d/predict", i%benchTrained)
+			}, func(int) []byte { return []byte(`{"horizons":[2,5,10,20,40,60,80,100],"k":3}`) }, forget)
+		})
+	}
 	b.Run("observe_one", func(b *testing.B) {
 		serveBench(b, Handler(newStore(b, 1<<20)), "POST", func(i int) string {
 			return fmt.Sprintf("/objects/o%04d/observe", i)
 		}, func(i int) []byte {
 			return append(appendPointsBody([]byte(`{"points":`), tracks[i][i:i+1]), '}')
-		})
+		}, nil)
 	})
 	b.Run("observe_bulk_tick", func(b *testing.B) {
 		serveBench(b, Handler(newStore(b, 1<<20)), "POST", func(int) string { return "/observe" }, func(i int) []byte {
 			return bulkBody(tracks, i, 1)
-		})
+		}, nil)
 	})
 	b.Run("observe_bulk_setup", func(b *testing.B) {
 		body := bulkBody(tracks[:25], 0, 630)

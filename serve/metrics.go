@@ -102,12 +102,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// The path label set comes from the hpa.Path registry — every answering
 	// path plus the synthetic "unanswered" outcome — so a newly added path
 	// appears here without this exporter changing.
-	fmt.Fprintf(&b, "# HELP hpm_queries_total Predictive queries answered, by answering path.\n")
+	fmt.Fprintf(&b, "# HELP hpm_queries_total Model evaluations, one per query time, by answering path (answers reused from an object's memo are hpm_answers_reused_total).\n")
 	fmt.Fprintf(&b, "# TYPE hpm_queries_total counter\n")
 	for _, p := range hpm.Paths() {
 		fmt.Fprintf(&b, "hpm_queries_total{path=%q} %d\n", p.String(), fs.Queries.ByPath(p))
 	}
 	fmt.Fprintf(&b, "hpm_queries_total{path=\"unanswered\"} %d\n", fs.Queries.Unanswered)
+	counter("hpm_answers_reused_total", "Answers, one per query time, served from the object's memo of answers given since its last write, without a model evaluation.", fs.AnswersReused)
 	counter("hpm_query_nodes_visited_total", "Trajectory-pattern-tree nodes touched by query searches (building a backward query's per-offset confidence ranking is index maintenance and not counted).", fs.Queries.NodesVisited)
 
 	gauge("hpm_eval_outstanding", "Served predictions awaiting their ground truth.", fs.Eval.Outstanding)

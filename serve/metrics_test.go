@@ -136,6 +136,28 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("near bucket attempts = %v, want 1", got)
 	}
 
+	// A repeated predict between two writes is answered from the object's
+	// memo: the reuse counter moves and the model's query counters do not.
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return parseProm(t, resp.Body)
+	}
+	getJSON(t, srv.URL+"/objects/bus-7/predict?horizon=5", http.StatusOK)
+	before := scrape()
+	getJSON(t, srv.URL+"/objects/bus-7/predict?horizon=5", http.StatusOK)
+	after := scrape()
+	if d := after["hpm_answers_reused_total"] - before["hpm_answers_reused_total"]; d != 1 {
+		t.Errorf("a repeated predict moved hpm_answers_reused_total by %v, want 1", d)
+	}
+	if d := sumPrefix(after, "hpm_queries_total{") - sumPrefix(before, "hpm_queries_total{"); d != 0 {
+		t.Errorf("a repeated predict moved hpm_queries_total by %v, want 0", d)
+	}
+
 	// A fleet opened from a directory says how many models it loaded.
 	dir := t.TempDir()
 	planted, err := store.Open(dir, store.Options{Config: hpm.Config{Period: period}, MinTrainPeriods: 3, WALNoSync: true})

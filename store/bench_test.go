@@ -351,16 +351,26 @@ func BenchmarkIndexRefreshFleet(b *testing.B) {
 
 // BenchmarkPredictBatchFleet is the harness's batch predict — horizons 2 to
 // 100 around the distant-time threshold of 60, k = 3, resolved against the
-// object's current time — over harnessFleet's objects in turn.
+// object's current time — over harnessFleet's objects in turn. memo=miss
+// forgets the object's answers before each call, so every call runs the
+// model; memo=hit asks again what the memo already holds.
 func BenchmarkPredictBatchFleet(b *testing.B) {
 	s, objs := harnessFleet(b)
 	horizons := []int{2, 5, 10, 20, 40, 60, 80, 100}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.PredictBatchAheadContext(ctx, objs[i%len(objs)].id, horizons, 3); err != nil {
-			b.Fatal(err)
-		}
+	for _, miss := range []bool{true, false} {
+		b.Run(map[bool]string{true: "memo=miss", false: "memo=hit"}[miss], func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := objs[i%len(objs)].id
+				if miss {
+					s.ForgetAnswers(id)
+				}
+				if _, _, err := s.PredictBatchAheadContext(ctx, id, horizons, 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,11 @@ import (
 // first train, which lands mid-traffic under readers of both. Run under
 // -race it pins the lock-free read path: queries share the object's read
 // lock and the engine's counters are atomic, so nothing here may race.
-// Counter totals are checked afterwards.
+// Counter totals are checked afterwards: every answer is either a model
+// evaluation or a reuse from the object's memo. One more reader holds a
+// query time while the writer overtakes it: once a point at or past that
+// time is acknowledged, the time is no longer ahead of the object, and an
+// answer for it could only be one remembered from before the write.
 func TestPredictObserveHammer(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike", 9, 4)
@@ -38,8 +43,20 @@ func TestPredictObserveHammer(t *testing.T) {
 	const readers = 8
 	const perReader = 50
 	var predicted atomic.Int64 // queries that reached a trained predictor
+	var freshAnswered atomic.Int64
+	var held atomic.Int64   // answers the held-time reader got
+	var acked atomic.Int64  // bike's latest acknowledged time
+	var written atomic.Bool // bike's writer is done
+	acked.Store(4*period - 1)
 	var wg sync.WaitGroup
 	errs := make(chan error, readers*4+4)
+
+	// The held time is answered once before the writer can pass it, and
+	// asked again at least once after the writer is done.
+	heldTq := 4*period - 1 + 20
+	if _, err := s.Predict("bike", heldTq, 1); err == nil {
+		held.Add(1)
+	}
 
 	// Writers: stream four more periods of bike in small batches, so
 	// extends run mid-traffic, and four periods of fresh, so its first
@@ -49,15 +66,39 @@ func TestPredictObserveHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if id == "bike" {
+				defer written.Store(true)
+			}
 			for i := 0; i < len(pts); i += 15 {
 				end := min(i+15, len(pts))
 				if err := s.ObserveBatch(id, pts[i:end]); err != nil {
 					errs <- err
 					return
 				}
+				if id == "bike" {
+					acked.Store(int64(4*period + end - 1))
+				}
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			stopped := written.Load()
+			floor := acked.Load()
+			if _, err := s.Predict("bike", heldTq, 1); err == nil {
+				held.Add(1)
+				if int64(heldTq) <= floor {
+					errs <- fmt.Errorf("answered for time %d after the point at %d was acknowledged", heldTq, floor)
+					return
+				}
+			}
+			if stopped {
+				return
+			}
+		}
+	}()
 
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -87,9 +128,13 @@ func TestPredictObserveHammer(t *testing.T) {
 							errs <- serr
 							return
 						}
-						if _, _, ferr := s.PredictAheadContext(context.Background(), "fresh", 10, 1); ferr != nil && !errors.Is(ferr, ErrUntrained) {
+						_, _, ferr := s.PredictAheadContext(context.Background(), "fresh", 10, 1)
+						if ferr != nil && !errors.Is(ferr, ErrUntrained) {
 							errs <- ferr
 							return
+						}
+						if ferr == nil {
+							freshAnswered.Add(1)
 						}
 					}
 					if err != nil && (strings.Contains(err.Error(), "not after current time") ||
@@ -121,18 +166,25 @@ func TestPredictObserveHammer(t *testing.T) {
 		t.Errorf("fresh after its first train and catch-up: %+v", st)
 	}
 
-	// Every Predict/PredictBatch query must appear in the per-object
-	// counters, which survive the extends the writer triggered. Readers
-	// 0,1 issue 1 query per iteration, reader 2 issues 2 (a 2-time batch),
-	// reader 3 issues none (PredictRange is uncounted).
+	// Every Predict/PredictBatch answer must appear in the per-object
+	// counters, which survive the extends the writer triggered, or in the
+	// store's reuse counter. Readers 0,1 ask 1 time per iteration, reader 2
+	// asks 2 (a 2-time batch), reader 3 asks bike none (PredictRange is
+	// uncounted) and fresh one, when trained.
 	st, err := s.Stats("bike")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fst, err := s.Stats("fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
 	perGroup := perReader * (readers / 4)
-	want := perGroup*2 + perGroup*2 // readers 0+1, plus reader group 2's batches
-	if st.Queries.Queries != want {
-		t.Errorf("accumulated queries = %d, want %d (stats: %+v)", st.Queries.Queries, want, st.Queries)
+	want := perGroup*2 + perGroup*2 + int(held.Load()) // readers 0+1, reader group 2's batches, the held time
+	reused := int(s.FleetStats().AnswersReused)
+	if got := st.Queries.Queries + fst.Queries.Queries + reused; got != want+int(freshAnswered.Load()) {
+		t.Errorf("bike queries %d + fresh queries %d + reused %d = %d, want %d + %d fresh (stats: %+v)",
+			st.Queries.Queries, fst.Queries.Queries, reused, got, want, freshAnswered.Load(), st.Queries)
 	}
 	sum := st.Queries.Forward + st.Queries.Backward + st.Queries.Markov + st.Queries.Fallback + st.Queries.Unanswered
 	if st.Queries.Queries != sum {

@@ -145,7 +145,7 @@ func (s *Store) recoverModels() {
 	// would serially).
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
-		obj.mu.Lock()
+		obj.lockWrite()
 		if err := s.advance(obj); err != nil {
 			s.recordTrainErr(err)
 		}
@@ -259,7 +259,7 @@ func (s *Store) applyReplay(rec walRecord, preTombstone bool) error {
 	// requires both locks by invariant; both are uncontended.
 	obj.ingestMu.Lock()
 	defer obj.ingestMu.Unlock()
-	obj.mu.Lock()
+	obj.lockWrite()
 	defer obj.mu.Unlock()
 	// Offsets are absolute timestamps; a retention-trimmed track compares
 	// against base + length, the timestamp its next point will take.

@@ -54,14 +54,14 @@ func (s *Store) patternPath(obj *object, now, tq int) evalq.Path {
 // any other, so shadow calls beside Predict fill every column of the
 // accuracy matrix — the per-path comparison the paper makes offline.
 func (s *Store) PredictVia(id string, route evalq.Path, tq, k int) (preds []hpm.Prediction, err error) {
-	err = s.withRecent(context.Background(), id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+	err = s.withTrained(context.Background(), id, func(obj *object, now int) error {
 		if err := checkHorizon(now, tq); err != nil {
 			return err
 		}
 		if route == evalq.PathForward || route == evalq.PathBackward {
 			route = s.patternPath(obj, now, tq)
 		}
-		preds, err = s.predictLocked(obj, route, recent, now, tq, k)
+		preds, err = s.predictLocked(obj, route, now, tq, k)
 		return err
 	})
 	return preds, err
@@ -128,10 +128,14 @@ type FleetStats struct {
 	CheckpointObjects uint64          `json:"checkpointObjects"`
 	SnapshotBytes     uint64          `json:"snapshotBytes"`
 	LastCheckpoint    *CheckpointInfo `json:"lastCheckpoint,omitempty"`
-	// Queries sums every object's query counters. A predictor is never
-	// replaced once trained, so its counters cover the object's life.
-	Queries hpm.QueryStats
-	Eval    evalq.Summary
+	// Queries sums every object's query counters: model evaluations, one
+	// per query time. A predictor is never replaced once trained, so its
+	// counters cover the object's life. AnswersReused counts the answers,
+	// again one per query time, served from an object's memo instead; they
+	// reach no model and so no query counter.
+	Queries       hpm.QueryStats
+	AnswersReused uint64 `json:"answersReused"`
+	Eval          evalq.Summary
 	// FleetIndex reports whether the predictive spatial index is enabled;
 	// Spatial is its shape and traffic counters (zero when disabled).
 	FleetIndex bool          `json:"fleetIndex"`
@@ -171,6 +175,7 @@ func (s *Store) FleetStats() FleetStats {
 		}
 	}
 	fs.Eval = evalq.Summarize(s.opts.Eval, agg)
+	fs.AnswersReused = s.reused.Load()
 	fs.WAL = s.WALStats()
 	fs.Checkpoints = s.checkpoints.Load()
 	fs.CheckpointSeconds = float64(s.checkpointNanos.Load()) / 1e9

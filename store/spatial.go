@@ -117,16 +117,14 @@ func (s *Store) indexUpdateLocked(obj *object) {
 	now := obj.base + n - 1
 	var preds [][]hpm.Prediction
 	if obj.predictor != nil {
-		if recent, err := s.recentLocked(obj); err == nil {
-			tqs := obj.idxTqs[:0]
-			for _, h := range horizons {
-				tqs = append(tqs, now+h)
-			}
-			obj.idxTqs = tqs
-			// The predictor is queried directly — not via Store.Predict —
-			// so index refreshes are never parked in the evaluator ring.
-			preds, _ = obj.predictor.PredictBatch(recent, tqs, 1)
+		tqs := obj.idxTqs[:0]
+		for _, h := range horizons {
+			tqs = append(tqs, now+h)
 		}
+		obj.idxTqs = tqs
+		// The predictor is queried directly — not via Store.Predict — so
+		// index refreshes are never parked in the evaluator ring.
+		preds, _ = obj.predictor.PredictBatch(s.recentLocked(obj), tqs, 1)
 	}
 	entries := obj.idxEntries[:0]
 	for i, h := range horizons {
@@ -173,7 +171,7 @@ func (s *Store) rebuildIndex() {
 	}
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
-		obj.mu.Lock()
+		obj.lockWrite()
 		s.indexUpdateLocked(obj)
 		obj.mu.Unlock()
 	})
@@ -315,10 +313,8 @@ func (s *Store) scanEntry(obj *object, bh int) (spatial.Entry, bool) {
 	vel := s.velLocked(obj)
 	var preds []hpm.Prediction
 	if obj.predictor != nil {
-		if recent, err := s.recentLocked(obj); err == nil {
-			if batch, err := obj.predictor.PredictBatch(recent, []int{now + bh}, 1); err == nil {
-				preds = batch[0]
-			}
+		if batch, err := obj.predictor.PredictBatch(s.recentLocked(obj), []int{now + bh}, 1); err == nil {
+			preds = batch[0]
 		}
 	}
 	return indexEntryFor(bh, preds, obj.track[n-1], vel), true

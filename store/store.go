@@ -250,6 +250,9 @@ type Store struct {
 	trainNanos  atomic.Uint64
 	extends     atomic.Uint64
 	extendNanos atomic.Uint64
+	// reused counts answers served from an object's memo (memo.go), one
+	// per query time.
+	reused atomic.Uint64
 
 	// faults, when set, is consulted at durability and training fault
 	// points so tests can inject deterministic failures.
@@ -293,6 +296,8 @@ type object struct {
 	mu        sync.RWMutex
 	track     []hpm.Point
 	predictor *hpm.Predictor
+	// memo holds the answers given since the last write (memo.go).
+	memo atomic.Pointer[memo]
 	// life is the model-update policy's state (life.go): the track's base,
 	// the modeled periods, and whether a train is in flight or failed.
 	life
@@ -551,7 +556,7 @@ acquire:
 	}
 	for i := range groups {
 		g := &groups[i]
-		g.obj.mu.Lock()
+		g.obj.lockWrite()
 		g.at = s.appendLocked(g.obj, g.pts)
 		g.obj.mu.Unlock()
 	}
@@ -559,7 +564,7 @@ acquire:
 	var errs []error
 	for i := range groups {
 		g := &groups[i]
-		g.obj.mu.Lock()
+		g.obj.lockWrite()
 		if g.obj.eval != nil {
 			g.obj.eval.Observe(g.at, g.pts) // score what the new points cover
 		}
@@ -720,7 +725,7 @@ func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 // re-bin against the trained predictor.
 func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
 	p, err := s.trainGuarded(pts)
-	obj.mu.Lock()
+	obj.lockWrite()
 	if err != nil {
 		err = fmt.Errorf("store: train: %w", err)
 		s.recordTrainErr(err)
@@ -831,11 +836,11 @@ func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
 // while waiting for the object's lock behind a writer — gets the
 // context's error instead of an answer nobody reads.
 func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
-	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+	err = s.withTrained(ctx, id, func(obj *object, now int) error {
 		if err := checkHorizon(now, tq); err != nil {
 			return err
 		}
-		preds, err = s.predictLocked(obj, s.patternPath(obj, now, tq), recent, now, tq, k)
+		preds, err = s.answerLocked(obj, now, tq, k)
 		return err
 	})
 	return preds, err
@@ -854,18 +859,18 @@ func (s *Store) PredictAheadContext(ctx context.Context, id string, horizon, k i
 	if horizon > MaxHorizon {
 		return 0, nil, ErrTooFar
 	}
-	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+	err = s.withTrained(ctx, id, func(obj *object, now int) error {
 		tq = now + horizon
-		preds, err = s.predictLocked(obj, s.patternPath(obj, now, tq), recent, now, tq, k)
+		preds, err = s.answerLocked(obj, now, tq, k)
 		return err
 	})
 	return tq, preds, err
 }
 
-// withRecent runs fn under the object's read lock with the object's recent
-// window and current time — the one snapshot everything a query derives
-// from must share.
-func (s *Store) withRecent(ctx context.Context, id string, fn func(obj *object, recent []hpm.TimedPoint, now int) error) error {
+// withTrained runs fn under the object's read lock with the object's current
+// time — the one snapshot everything a query derives from must share — or
+// fails with ErrUntrained before fn when the object has no model.
+func (s *Store) withTrained(ctx context.Context, id string, fn func(obj *object, now int) error) error {
 	obj, err := s.get(id, false)
 	if err != nil {
 		return err
@@ -875,18 +880,17 @@ func (s *Store) withRecent(ctx context.Context, id string, fn func(obj *object, 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	recent, err := s.recentLocked(obj)
-	if err != nil {
-		return err
+	if obj.predictor == nil {
+		return ErrUntrained
 	}
-	return fn(obj, recent, obj.base+len(obj.track)-1)
+	return fn(obj, obj.base+len(obj.track)-1)
 }
 
 // predictLocked answers one point query along route and parks the answer
 // under it (fall-throughs included), so each route's cell is charged for
 // what it actually delivered. Called with obj.mu read-locked.
-func (s *Store) predictLocked(obj *object, route evalq.Path, recent []hpm.TimedPoint, now, tq, k int) ([]hpm.Prediction, error) {
-	preds, err := obj.predictor.PredictVia(route, recent, tq, k)
+func (s *Store) predictLocked(obj *object, route evalq.Path, now, tq, k int) ([]hpm.Prediction, error) {
+	preds, err := obj.predictor.PredictVia(route, s.recentLocked(obj), tq, k)
 	s.recordPrediction(obj, now, tq, route, preds, err)
 	return preds, err
 }
@@ -903,11 +907,11 @@ func (s *Store) PredictRangeContext(ctx context.Context, id string, from, to int
 	if to-from > MaxRange {
 		return nil, ErrRangeTooLarge
 	}
-	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+	err = s.withTrained(ctx, id, func(obj *object, now int) error {
 		if err := checkHorizon(now, to); err != nil {
 			return err
 		}
-		preds, err = obj.predictor.PredictRange(recent, from, to)
+		preds, err = obj.predictor.PredictRange(s.recentLocked(obj), from, to)
 		return err
 	})
 	return preds, err
@@ -925,11 +929,11 @@ func (s *Store) PredictBatch(id string, tqs []int, k int) ([][]hpm.Prediction, e
 
 // PredictBatchContext is PredictBatch with request-scoped cancellation.
 func (s *Store) PredictBatchContext(ctx context.Context, id string, tqs []int, k int) (out [][]hpm.Prediction, err error) {
-	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+	err = s.withTrained(ctx, id, func(obj *object, now int) error {
 		if err := checkHorizon(now, tqs...); err != nil {
 			return err
 		}
-		out, err = s.predictBatchLocked(obj, recent, now, tqs, k)
+		out, err = s.answerBatchLocked(obj, now, tqs, k)
 		return err
 	})
 	return out, err
@@ -948,44 +952,26 @@ func (s *Store) PredictBatchAheadContext(ctx context.Context, id string, horizon
 			return nil, nil, ErrTooFar
 		}
 	}
-	err = s.withRecent(ctx, id, func(obj *object, recent []hpm.TimedPoint, now int) error {
+	err = s.withTrained(ctx, id, func(obj *object, now int) error {
 		tqs = make([]int, len(horizons))
 		for i, h := range horizons {
 			tqs[i] = now + h
 		}
-		out, err = s.predictBatchLocked(obj, recent, now, tqs, k)
+		out, err = s.answerBatchLocked(obj, now, tqs, k)
 		return err
 	})
 	return tqs, out, err
 }
 
-// predictBatchLocked answers a batch from one recent window and parks each
-// answer with the evaluator. Called with obj.mu read-locked.
-func (s *Store) predictBatchLocked(obj *object, recent []hpm.TimedPoint, now int, tqs []int, k int) ([][]hpm.Prediction, error) {
-	out, err := obj.predictor.PredictBatch(recent, tqs, k)
-	if err == nil && obj.eval != nil {
-		for i, preds := range out {
-			s.recordPrediction(obj, now, tqs[i], s.patternPath(obj, now, tqs[i]), preds, nil)
-		}
-	}
-	return out, err
-}
-
 // recentLocked builds the query window from the tail of the track.
-func (s *Store) recentLocked(obj *object) ([]hpm.TimedPoint, error) {
-	if obj.predictor == nil {
-		return nil, ErrUntrained
-	}
+func (s *Store) recentLocked(obj *object) []hpm.TimedPoint {
 	n := len(obj.track)
-	w := s.opts.MaxRecent
-	if w > n {
-		w = n
-	}
+	w := min(s.opts.MaxRecent, n)
 	recent := make([]hpm.TimedPoint, 0, w)
 	for t := n - w; t < n; t++ {
 		recent = append(recent, hpm.TimedPoint{T: obj.base + t, Loc: obj.track[t]})
 	}
-	return recent, nil
+	return recent
 }
 
 // Now returns the object's current time: the timestamp of its latest
@@ -1221,7 +1207,7 @@ func (s *Store) Remove(id string) error {
 			return err // not acknowledged: the object stays
 		}
 	}
-	obj.mu.Lock()
+	obj.lockWrite()
 	obj.removed = true
 	s.unindexLocked(obj)
 	obj.mu.Unlock()
