@@ -53,8 +53,9 @@ bench-serve:
 
 # Ingest-path benchmarks only: ObserveBatch under concurrent writers in
 # sync/nosync/nosync-index modes, with fsyncs-per-op reported, and one
-# observe of a trained object with the fleet index on (the per-point index
-# refresh), and the fleet index's own write: one object's six entries set
+# observe of a trained object with the fleet index on and every bucket read
+# (the per-point index refresh; buckets=none reads none), and the fleet
+# index's own write: one object's six entries set
 # in a 5 600-object index on 200-unit cells, with re-bins per op.
 # Group-commit depth and fsyncs per record under load are the harness's
 # ingest_tick workload (store.wal.records_per_batch,
@@ -65,7 +66,8 @@ bench-ingest:
 
 # What one fleet-index refresh is made of, each piece with allocations: the
 # whole refresh through the store (one observe of a trained object: fold,
-# score, one PredictBatch over the six index horizons), for one Bike object
+# score, one PredictBatch over the six index horizons, each read once
+# before the timer starts), for one Bike object
 # and for the harness's mix (two objects per datagen kind), the harness's
 # batch predict over that mix (eight horizons, k = 3), one BQP near and far
 # from a live consequence offset, one self-training RMF fit, and the motion

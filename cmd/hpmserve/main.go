@@ -221,8 +221,8 @@ func openStore(dataDir string, opts store.Options) (*store.Store, error) {
 		h := st.Health()
 		fmt.Printf("durable store %s: %d objects (snapshot restored: %v, wal records replayed: %d)\n",
 			dataDir, h.Objects, h.SnapshotRestored, h.WALReplayed)
-		fmt.Printf("open took: load %.3fs (%d models), wal replay %.3fs (%d extends), recover models %.3fs, index rebuild %.3fs\n",
-			h.Open.LoadSeconds, h.Open.Models, h.Open.ReplaySeconds, h.Open.ReplayExtends, h.Open.RecoverSeconds, h.Open.IndexSeconds)
+		fmt.Printf("open took: load %.3fs (%d models), wal replay %.3fs (%d extends), recover models %.3fs\n",
+			h.Open.LoadSeconds, h.Open.Models, h.Open.ReplaySeconds, h.Open.ReplayExtends, h.Open.RecoverSeconds)
 		return st, nil
 	}
 	return store.New(opts)

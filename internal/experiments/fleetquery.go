@@ -47,7 +47,7 @@ const fleetTrained = 50
 //   - SSE push throughput: events delivered per second across 1/4/16
 //     concurrent /subscribe streams at each fleet size;
 //   - ingest overhead: ObserveBatch throughput while maintaining the index
-//     vs an identical store without it.
+//     at every horizon bucket vs an identical store without it.
 func fleetQuery(o Options) []Figure {
 	o = o.withDefaults()
 	sizes := fleetSizes
@@ -158,7 +158,9 @@ func fleetQuery(o Options) []Figure {
 
 // buildFleet populates a store with n objects — fleetTrained of them with
 // enough history for a real model, the rest short random walks — and
-// returns it with the observe throughput measured during the build.
+// returns it with the observe throughput measured during the build. An
+// indexed store has every horizon bucket read before the first observe, so
+// the build maintains all of them.
 func buildFleet(n int, indexed bool, rng *rand.Rand) (*store.Store, float64) {
 	opts := store.Options{
 		Config:          hpm.Config{Period: 60},
@@ -173,6 +175,11 @@ func buildFleet(n int, indexed bool, rng *rand.Rand) (*store.Store, float64) {
 		panic(fmt.Sprintf("experiments: fleetquery store: %v", err))
 	}
 
+	for _, h := range st.FleetHorizons() {
+		if _, err := st.QueryNearest(hpm.Pt(0, 0), 1, h); err != nil {
+			panic(fmt.Sprintf("experiments: fleetquery bucket read: %v", err))
+		}
+	}
 	trained := fleetTrained
 	if trained > n/4 {
 		trained = n / 4

@@ -783,7 +783,7 @@ func (a rankEntry) before(b rankEntry) bool {
 // sortRanked sorts a freshly built list: a quicksort over before, which the
 // compiler inlines, down to runs of 12 that an insertion sort finishes. The
 // sort is most of what a build costs beyond its search — and every offset a
-// store's index rebuild touches at Open is built — so it avoids
+// store's fleet-index bucket build touches is built — so it avoids
 // slices.SortFunc's indirect call per comparison.
 func sortRanked(s []rankEntry) {
 	for len(s) > 12 {

@@ -1,7 +1,8 @@
 // Package parallel provides the bounded fan-out primitive the store
 // spreads per-shard and per-object work with (segment write and load, WAL
-// replay, index rebuild). Call sites compute into per-index slots and merge
-// them in index order, so results do not depend on the worker count.
+// replay, a fleet-index bucket's build). Call sites compute into per-index
+// slots and merge them in index order, so results do not depend on the
+// worker count.
 package parallel
 
 import "sync"

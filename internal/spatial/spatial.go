@@ -3,13 +3,15 @@
 // surface: "which objects are predicted inside rect R at horizon h?" and
 // "which k objects are predicted nearest P at horizon h?".
 //
-// The index is maintained incrementally, never on the query path. On every
-// acknowledged observation (and on every predictor swap) the owner recomputes
-// the object's predictions at a small set of fixed horizon buckets — the same
-// buckets the online evaluator scores against — and re-bins the entries into
-// grid cells. Queries therefore touch only cached positions: no model is
-// fitted and no trajectory-pattern tree is walked while answering a fleet
-// query, which is what makes range/kNN sub-linear in fleet size.
+// The index is maintained incrementally by its owner. On every acknowledged
+// observation (and on every predictor install) the owner recomputes the
+// object's predictions at the horizon buckets it keeps live — of a small
+// fixed set, the same buckets the online evaluator scores against — and
+// re-bins the entries into grid cells. The store keeps a bucket live from
+// the first query that reads it, and that first query pays for filling it;
+// every other query touches only cached positions: no model is fitted and
+// no trajectory-pattern tree is walked while answering it, which is what
+// makes range/kNN sub-linear in fleet size.
 //
 // Writes go straight to their slot. An object is interned once, by Add, into
 // an int32 Slot its owner keeps; Set and Drop address it by that handle and
@@ -104,6 +106,13 @@ type Stats struct {
 	Rebins       int64 `json:"rebins"`
 	RangeQueries int64 `json:"range_queries"`
 	KNNQueries   int64 `json:"knn_queries"`
+	// LiveBuckets, Builds and BuildSeconds are the owner's to fill: how
+	// many horizon buckets it maintains, how many it has built because a
+	// query read them first, and the wall-clock seconds those builds took.
+	// Index.Stats leaves them zero.
+	LiveBuckets  int64   `json:"live_buckets"`
+	Builds       int64   `json:"bucket_builds"`
+	BuildSeconds float64 `json:"bucket_build_seconds"`
 }
 
 // Slot is an object's handle in the index, handed out by Add. The zero Slot

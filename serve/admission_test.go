@@ -193,7 +193,7 @@ func TestDegradedServeReadOnly(t *testing.T) {
 		t.Error("hpm_degraded gauge not raised")
 	}
 	// A store opened from a directory says where its start-up went.
-	for _, phase := range []string{"load", "replay", "recover", "index"} {
+	for _, phase := range []string{"load", "replay", "recover"} {
 		if !strings.Contains(m, `hpm_open_seconds{phase="`+phase+`"}`) {
 			t.Errorf("/metrics has no hpm_open_seconds for phase %q", phase)
 		}

@@ -47,8 +47,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	if fs.FleetIndex {
 		gauge("hpm_index_objects", "Objects with cached entries in the fleet spatial index.", fs.Spatial.Objects)
-		gauge("hpm_index_entries", "Cached prediction entries in the fleet spatial index.", fs.Spatial.Entries)
-		counter("hpm_index_updates_total", "Incremental fleet-index refreshes (one per acknowledged observe or first-train install).", fs.Spatial.Updates)
+		gauge("hpm_index_entries", "Cached prediction entries in the fleet spatial index, at its live buckets only.", fs.Spatial.Entries)
+		gauge("hpm_index_live_buckets", "Fleet-index horizon buckets maintained on every refresh: those some fleet query has read since start.", fs.Spatial.LiveBuckets)
+		counter("hpm_index_bucket_builds_total", "Fleet-index buckets built by the first query that read them, one prediction per object each.", fs.Spatial.Builds)
+		counter("hpm_index_bucket_build_seconds_total", "Cumulative wall-clock seconds spent building fleet-index buckets.", fs.Spatial.BuildSeconds)
+		counter("hpm_index_updates_total", "Incremental fleet-index refreshes (one per acknowledged observe or first-train install once a bucket is live, and one per object per bucket build).", fs.Spatial.Updates)
 		counter("hpm_index_rebins_total", "Fleet-index entries that crossed a grid cell on refresh.", fs.Spatial.Rebins)
 		counter("hpm_index_range_queries_total", "Fleet range queries answered from the index.", fs.Spatial.RangeQueries)
 		counter("hpm_index_knn_queries_total", "Fleet kNN queries answered from the index.", fs.Spatial.KNNQueries)
@@ -73,7 +76,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"load\"} %g\n", oi.LoadSeconds)
 		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"replay\"} %g\n", oi.ReplaySeconds)
 		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"recover\"} %g\n", oi.RecoverSeconds)
-		fmt.Fprintf(&b, "hpm_open_seconds{phase=\"index\"} %g\n", oi.IndexSeconds)
 		gauge("hpm_open_models", "Trained objects the snapshot held at start-up, each pattern index laid out from its saved shape.", oi.Models)
 		gauge("hpm_open_replay_extends", "Replayed WAL records that carried an object over a period boundary into an Extend.", oi.ReplayExtends)
 	}

@@ -138,15 +138,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// A repeated predict between two writes is answered from the object's
 	// memo: the reuse counter moves and the model's query counters do not.
-	scrape := func() map[string]float64 {
+	scrapeURL := func(url string) map[string]float64 {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/metrics")
+		resp, err := http.Get(url + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		return parseProm(t, resp.Body)
 	}
+	scrape := func() map[string]float64 { return scrapeURL(srv.URL) }
 	getJSON(t, srv.URL+"/objects/bus-7/predict?horizon=5", http.StatusOK)
 	before := scrape()
 	getJSON(t, srv.URL+"/objects/bus-7/predict?horizon=5", http.StatusOK)
@@ -156,6 +157,35 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if d := sumPrefix(after, "hpm_queries_total{") - sumPrefix(before, "hpm_queries_total{"); d != 0 {
 		t.Errorf("a repeated predict moved hpm_queries_total by %v, want 0", d)
+	}
+
+	// A fleet index builds a horizon bucket on the first query that reads
+	// it, and only then maintains it.
+	fsrv, fst := fleetServer(t, store.Options{MinTrainPeriods: 3})
+	if err := fst.ObserveBatch("bus-7", tr.Slice(0, 4*period)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fst.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	index := func(m map[string]float64) [3]float64 {
+		return [3]float64{m["hpm_index_bucket_builds_total"], m["hpm_index_live_buckets"], m["hpm_index_entries"]}
+	}
+	if got := index(scrapeURL(fsrv.URL)); got != [3]float64{0, 0, 0} {
+		t.Errorf("before any fleet query: builds, live buckets, entries = %v, want zeros", got)
+	}
+	rangeURL := fsrv.URL + "/query/range?minx=-1e6&miny=-1e6&maxx=1e6&maxy=1e6&horizon=30"
+	getJSON(t, rangeURL, http.StatusOK)
+	fm := scrapeURL(fsrv.URL)
+	if got := index(fm); got != [3]float64{1, 1, 1} {
+		t.Errorf("after the first range at h=30: builds, live buckets, entries = %v, want 1, 1, 1", got)
+	}
+	if _, ok := fm["hpm_index_bucket_build_seconds_total"]; !ok {
+		t.Error("/metrics has no hpm_index_bucket_build_seconds_total")
+	}
+	getJSON(t, rangeURL, http.StatusOK)
+	if got := index(scrapeURL(fsrv.URL)); got[0] != 1 {
+		t.Errorf("a second range at h=30 moved builds to %v, want 1", got[0])
 	}
 
 	// A fleet opened from a directory says how many models it loaded.

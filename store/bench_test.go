@@ -24,9 +24,10 @@ import (
 //     drops below 1 and throughput climbs past the fsync rate.
 //   - nosync: no fsyncs — isolates the in-memory path (shard map, WAL
 //     encode, group buffer) from disk latency.
-//   - nosync-index: nosync plus the fleet spatial index, so the gap to
-//     nosync is the incremental index maintenance each acknowledged
-//     observe pays (budgeted at a few percent).
+//   - nosync-index: nosync plus the fleet spatial index with every
+//     horizon bucket read once, so the gap to nosync is the incremental
+//     index maintenance each acknowledged observe pays (budgeted at a few
+//     percent).
 //
 // Writers get distinct ids so the benchmark measures fleet ingest, not
 // one object's ingestMu serialization.
@@ -60,6 +61,9 @@ func BenchmarkObserveParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer s.Close()
+				if m.index != nil {
+					readEveryBucket(b, s)
+				}
 				before := s.WALStats()
 				var next atomic.Int64
 				b.ResetTimer()
@@ -240,10 +244,22 @@ func benchReopen(b *testing.B, dir string, opts Options) {
 	}
 }
 
+// readEveryBucket queries each of the fleet index's horizon buckets once, so
+// every later refresh maintains all of them: a bucket no query has read
+// costs a refresh nothing.
+func readEveryBucket(b *testing.B, s *Store) {
+	b.Helper()
+	for _, h := range s.FleetHorizons() {
+		if _, err := s.QueryNearest(hpm.Pt(0, 0), 1, h); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIndexRefresh measures what one acknowledged observe of a trained
-// object costs with the fleet index on and no WAL: the Markov fold, the
-// evaluator, and — the bulk of it — the refresh of the object's predicted
-// positions at every index horizon (one PredictBatch: FQP below the
+// object costs with the fleet index on, every bucket read, and no WAL: the
+// Markov fold, the evaluator, and — the bulk of it — the refresh of the
+// object's predicted positions at every index horizon (one PredictBatch: FQP below the
 // distant-time threshold, BQP beyond it, the fallback fit where neither
 // answers). The update policy is parked for the run, as it is while a
 // background train is in flight, so no period boundary lands an Extend in
@@ -274,6 +290,7 @@ func BenchmarkIndexRefresh(b *testing.B) {
 		b.Fatalf("object not trained: %v", err)
 	}
 	obj.phase = phaseTraining // see above; nothing else touches the object yet
+	readEveryBucket(b, s)
 	stream := tr.Slice(trained*period, tr.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -337,15 +354,25 @@ func harnessFleet(b *testing.B) (*Store, []fleetObject) {
 // mix of kinds, the objects observed in turn: BQP's share of a refresh
 // depends on how many patterns a kind's model holds (a Bike model about a
 // hundred per consequence offset, an Airplane model next to none).
+// buckets=all reads every bucket first; buckets=none reads none, so the
+// index holds nothing and each observe is the write path alone — what
+// an observe costs while no fleet query has run.
 func BenchmarkIndexRefreshFleet(b *testing.B) {
-	s, objs := harnessFleet(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := &objs[i%len(objs)]
-		if err := s.Observe(o.id, o.stream[(i/len(objs))%len(o.stream)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, read := range []bool{true, false} {
+		b.Run(map[bool]string{true: "buckets=all", false: "buckets=none"}[read], func(b *testing.B) {
+			s, objs := harnessFleet(b)
+			if read {
+				readEveryBucket(b, s)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := &objs[i%len(objs)]
+				if err := s.Observe(o.id, o.stream[(i/len(objs))%len(o.stream)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -112,8 +112,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	info.ReplaySeconds, info.ReplayExtends = lap(), s.extends.Load()
 	s.recoverModels()
 	info.RecoverSeconds = lap()
-	s.rebuildIndex()
-	info.IndexSeconds = lap()
 	s.openInfo = &info
 	// Wire the degradation state machine into the log before any append
 	// can happen: the fault points let tests inject disk failures at the

@@ -184,7 +184,7 @@ func (s *Store) FleetStats() FleetStats {
 	fs.LastCheckpoint = s.lastCheckpoint.Load()
 	if s.index != nil {
 		fs.FleetIndex = true
-		fs.Spatial = s.index.Stats()
+		fs.Spatial = s.SpatialStats()
 	}
 	fs.State = s.State()
 	fs.Degraded = s.Degraded()

@@ -113,7 +113,7 @@ func (f *restartFleet) answers(tb testing.TB, s *Store) map[string][][]hpm.Predi
 // observed, which runs every object's Extend through a miner re-seeded from
 // the loaded model (the clean reopen) and through replay (the recovery).
 //
-// A store fans loads, replay and the index rebuild out across the
+// A store fans loads and replay out across the
 // GOMAXPROCS it was built under, so the whole sequence runs once serial
 // and once parallel, and the two must leave the same bytes and the same
 // answers behind every restart.

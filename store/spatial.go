@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
+	"time"
 
 	"hpm"
 	"hpm/internal/evalq"
@@ -14,9 +16,12 @@ import (
 // Fleet-wide predictive queries: the store maintains a uniform-grid index
 // (internal/spatial) over every object's *predicted* positions at a fixed
 // set of horizon buckets, refreshed incrementally — on every acknowledged
-// observe, when a first train is installed, and on restart recovery — so
-// QueryRange/QueryNearest answer "which objects will be inside R / nearest P
-// at horizon h?" from cached predictions without fitting a single model.
+// observe and when a first train is installed — so QueryRange/QueryNearest
+// answer "which objects will be inside R / nearest P at horizon h?" from
+// cached predictions. A bucket is maintained only once a fleet query has
+// read it (it is then "live", and stays live for the store's life): the
+// first query of a bucket builds it by refreshing every object, the one
+// time a fleet query pays for predictions; every later query fits no model.
 // ScanRange/ScanNearest are the O(N) brute-force oracles the experiments
 // and property tests compare against: they recompute every object's
 // prediction on the spot, quantized to the same horizon bucket, and the
@@ -92,50 +97,58 @@ func indexEntryFor(h int, preds []hpm.Prediction, last, vel hpm.Point) spatial.E
 }
 
 // indexUpdateLocked recomputes the object's cached prediction entries at
-// every configured horizon and re-bins them — one PredictBatch against the
+// every live horizon bucket and re-bins them — one PredictBatch against the
 // live predictor (at most one fallback fit, thanks to the engine's fit
-// cache), or pure velocity extrapolation while untrained. Called with
-// obj.mu held for writing on every acknowledged observe, after a first
-// train's install, and during restart recovery; queries therefore never fit models.
+// cache), or pure velocity extrapolation while untrained. Until a fleet
+// query has read some bucket it does nothing. Called with obj.mu held for
+// writing on every acknowledged observe, after a first train's install,
+// and by a bucket's build (readBucket).
 func (s *Store) indexUpdateLocked(obj *object) {
 	// A removed object's entries are gone and its id may already belong to
 	// a successor: a train that was in flight during Remove stops here.
 	if s.index == nil || obj.removed || len(obj.track) == 0 {
 		return
 	}
+	// Read under obj.mu: a build that sets a bit after this load visits
+	// the object after this refresh (readBucket).
+	live := s.idxLive.Load()
+	if live == 0 {
+		return
+	}
 	n := len(obj.track)
 	last := obj.track[n-1]
 	vel := s.velLocked(obj)
-	// Untrained entries are a pure function of (last, vel): when neither
-	// changed, the stored entries are already exact, so skip before
-	// building anything. Trained objects never take this path — their
-	// predictions move with the query time even when the object does not.
-	if obj.predictor == nil && obj.idxClean && last == obj.idxLast && vel == obj.idxVel {
+	// Untrained entries are a pure function of (last, vel) at the live
+	// buckets: when none of the three changed, the stored entries are
+	// already exact, so skip before building anything. Trained objects
+	// never take this path — their predictions move with the query time
+	// even when the object does not.
+	if obj.predictor == nil && obj.idxLive == live && last == obj.idxLast && vel == obj.idxVel {
 		return
 	}
-	horizons := s.index.Horizons()
 	now := obj.base + n - 1
-	var preds [][]hpm.Prediction
-	if obj.predictor != nil {
-		tqs := obj.idxTqs[:0]
-		for _, h := range horizons {
+	entries, tqs := obj.idxEntries[:0], obj.idxTqs[:0]
+	for b, h := range s.index.Horizons() {
+		if live&(1<<b) != 0 {
+			entries = append(entries, spatial.Entry{Horizon: h})
 			tqs = append(tqs, now+h)
 		}
-		obj.idxTqs = tqs
+	}
+	var preds [][]hpm.Prediction
+	if obj.predictor != nil {
 		// The predictor is queried directly — not via Store.Predict — so
 		// index refreshes are never parked in the evaluator ring.
 		preds, _ = obj.predictor.PredictBatch(s.recentLocked(obj), tqs, 1)
 	}
-	entries := obj.idxEntries[:0]
-	for i, h := range horizons {
+	for i, e := range entries {
 		var p []hpm.Prediction
 		if preds != nil {
 			p = preds[i]
 		}
-		entries = append(entries, indexEntryFor(h, p, last, vel))
+		entries[i] = indexEntryFor(e.Horizon, p, last, vel)
 	}
-	obj.idxEntries = entries
-	obj.idxLast, obj.idxVel, obj.idxClean = last, vel, true
+	obj.idxEntries, obj.idxTqs = entries, tqs
+	obj.idxLast, obj.idxVel, obj.idxLive = last, vel, live
 	if obj.slot == 0 {
 		obj.slot = s.index.Add(obj.id)
 	}
@@ -152,29 +165,38 @@ func (s *Store) unindexLocked(obj *object) {
 	}
 }
 
-// rebuildIndex recomputes every object's entries — restart recovery, where
-// tracks were restored without passing through the observe path. Objects
-// are independent (spatial.Index is safe for arbitrary interleaving), so
-// the work fans out across the persistence workers.
-func (s *Store) rebuildIndex() {
-	if s.index == nil {
+// readBucket makes the bucket that answers horizon live and, the first
+// time, builds it: every object is refreshed, fanned out across the
+// workers, and only then is the bucket marked built, so no query answers
+// from it half filled. The live bit is set before the walk lists the
+// objects, and a write reads the live word under its object's lock: either
+// that refresh saw the bit, or the walk visits the object after it, or the
+// object was listed too late and its first refresh saw the bit. Every
+// acknowledged write is in the bucket once the walk ends.
+func (s *Store) readBucket(horizon int) {
+	hs := s.index.Horizons()
+	bit := uint64(1) << min(sort.SearchInts(hs, horizon), len(hs)-1)
+	if s.idxBuilt.Load()&bit != 0 {
 		return
 	}
-	var objs []*object
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, obj := range sh.objects {
-			objs = append(objs, obj)
-		}
-		sh.mu.RUnlock()
+	s.idxBuildMu.Lock()
+	defer s.idxBuildMu.Unlock()
+	if s.idxBuilt.Load()&bit != 0 {
+		return
 	}
+	start := time.Now()
+	s.idxLive.Store(s.idxLive.Load() | bit)
+	var objs []*object
+	s.forEachObject(func(_ string, obj *object) { objs = append(objs, obj) })
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
 		obj.lockWrite()
 		s.indexUpdateLocked(obj)
 		obj.mu.Unlock()
 	})
+	s.idxBuilt.Store(s.idxBuilt.Load() | bit)
+	s.idxBuilds.Add(1)
+	s.idxBuildNanos.Add(uint64(time.Since(start)))
 }
 
 // forEachObject visits every tracked object, one shard at a time. Objects
@@ -205,8 +227,9 @@ func validateFleetQuery(horizon int) error {
 
 // QueryRange returns every object whose cached predicted position at the
 // bucket covering `horizon` (ticks after each object's latest observation)
-// lies inside r, sorted by id. Answered entirely from the index: no model
-// is fitted, no track is locked.
+// lies inside r, sorted by id. Answered from the index: once the bucket is
+// built, no model is fitted and no track is locked. The first query of a
+// bucket builds it (readBucket).
 func (s *Store) QueryRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	if s.index == nil {
 		return nil, ErrNoFleetIndex
@@ -217,11 +240,13 @@ func (s *Store) QueryRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	if !r.IsValid() {
 		return nil, fmt.Errorf("store: invalid rect %v", r)
 	}
+	s.readBucket(horizon)
 	return s.index.Range(r, horizon), nil
 }
 
 // QueryNearest returns the k objects whose cached predicted positions at
 // the bucket covering `horizon` are closest to p, ascending by distance.
+// Like QueryRange, the first query of a bucket builds it.
 func (s *Store) QueryNearest(p hpm.Point, k, horizon int) ([]spatial.Result, error) {
 	if s.index == nil {
 		return nil, ErrNoFleetIndex
@@ -235,6 +260,7 @@ func (s *Store) QueryNearest(p hpm.Point, k, horizon int) ([]spatial.Result, err
 	if !p.IsFinite() {
 		return nil, fmt.Errorf("store: non-finite query point")
 	}
+	s.readBucket(horizon)
 	return s.index.Nearest(p, k, horizon), nil
 }
 
@@ -320,13 +346,17 @@ func (s *Store) scanEntry(obj *object, bh int) (spatial.Entry, bool) {
 	return indexEntryFor(bh, preds, obj.track[n-1], vel), true
 }
 
-// SpatialStats reports the fleet index's shape and traffic counters; the
-// zero value when no index is configured.
+// SpatialStats reports the fleet index's shape and traffic counters and
+// its buckets' builds; the zero value when no index is configured.
 func (s *Store) SpatialStats() spatial.Stats {
 	if s.index == nil {
 		return spatial.Stats{}
 	}
-	return s.index.Stats()
+	st := s.index.Stats()
+	st.LiveBuckets = int64(bits.OnesCount64(s.idxLive.Load()))
+	st.Builds = int64(s.idxBuilds.Load())
+	st.BuildSeconds = float64(s.idxBuildNanos.Load()) / 1e9
+	return st
 }
 
 // FleetIndexEnabled reports whether the store maintains a fleet index.

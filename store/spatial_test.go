@@ -217,8 +217,272 @@ func TestFleetStatsSpatial(t *testing.T) {
 	if fs.Spatial.Objects != 1 || fs.Spatial.Updates == 0 || fs.Spatial.RangeQueries != 1 {
 		t.Errorf("spatial stats = %+v", fs.Spatial)
 	}
-	if fs.Spatial.Entries != int64(len(s.FleetHorizons())) {
-		t.Errorf("entries = %d, want %d", fs.Spatial.Entries, len(s.FleetHorizons()))
+	// Only the bucket the one query read is maintained.
+	if fs.Spatial.Entries != 1 || fs.Spatial.LiveBuckets != 1 || fs.Spatial.Builds != 1 {
+		t.Errorf("entries, live buckets, builds = %d, %d, %d, want 1, 1, 1",
+			fs.Spatial.Entries, fs.Spatial.LiveBuckets, fs.Spatial.Builds)
+	}
+}
+
+// TestUnreadBucketsCostNothing pins what a refresh costs: nothing until a
+// fleet query reads a bucket, then one model evaluation per live bucket.
+func TestUnreadBucketsCostNothing(t *testing.T) {
+	s := fleetStore(t, Options{MinTrainPeriods: 3})
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 3)
+	spec.Period = period
+	spec.SubTrajectories = 6
+	pts := hpm.GenerateDataset(spec).Points()
+	if err := s.ObserveBatch("bike", pts[:5*period]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ObserveBatch("cold", walPoints(0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	next := 5 * period // the sixth period: no observe below completes it
+	cost := func() int {
+		t.Helper()
+		before := s.FleetStats().Queries.Queries
+		if err := s.Observe("bike", pts[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		return s.FleetStats().Queries.Queries - before
+	}
+	for i := 0; i < 3; i++ {
+		if c := cost(); c != 0 {
+			t.Fatalf("observe %d before any fleet query cost %d model evaluations, want 0", i, c)
+		}
+	}
+	if st := s.SpatialStats(); st.Updates != 0 || st.Objects != 0 || st.LiveBuckets != 0 {
+		t.Fatalf("index touched before any fleet query: %+v", st)
+	}
+
+	all := rct(-1e6, -1e6, 1e6, 1e6)
+	if res, err := s.QueryRange(all, 5); err != nil || len(res) != 2 {
+		t.Fatalf("range at h=5: %v, %v", res, err)
+	}
+	for i := 0; i < 3; i++ {
+		if c := cost(); c != 1 {
+			t.Fatalf("observe %d with bucket 5 live cost %d model evaluations, want 1", i, c)
+		}
+	}
+	if _, err := s.QueryNearest(hpm.Pt(0, 0), 1, 200); err != nil {
+		t.Fatal(err)
+	}
+	// A horizon that bucket 5 answers reads no new bucket.
+	if _, err := s.QueryRange(all, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if c := cost(); c != 2 {
+			t.Fatalf("observe %d with buckets 5 and 200 live cost %d model evaluations, want 2", i, c)
+		}
+	}
+	if st := s.SpatialStats(); st.LiveBuckets != 2 || st.Builds != 2 || st.Entries != 4 {
+		t.Errorf("live buckets, builds, entries = %d, %d, %d, want 2, 2, 4", st.LiveBuckets, st.Builds, st.Entries)
+	}
+}
+
+// TestBucketBuildUnderWrites races the first query of every bucket against
+// single and bulk writers that carry trained objects over period
+// boundaries, a remover and a first train's install. Every answer must hold
+// the quiet objects — written before the race and not during it — exactly
+// as a scan computed before the race does: a query never reads a bucket
+// its build has not finished. Once the racers stop, the index equals the
+// scan at every bucket. Meant for -race.
+func TestBucketBuildUnderWrites(t *testing.T) {
+	s := fleetStore(t, Options{MinTrainPeriods: 3})
+	track := func(kind hpm.Dataset, seed int64, periods int) []hpm.Point {
+		spec := hpm.DefaultDatasetSpec(kind, seed)
+		spec.Period = period
+		spec.SubTrajectories = periods
+		return hpm.GenerateDataset(spec).Points()
+	}
+	observe := func(id string, pts []hpm.Point) {
+		t.Helper()
+		if err := s.ObserveBatch(id, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Quiet objects: three trained, the rest cold.
+	quiet := map[string]bool{}
+	for i, kind := range []hpm.Dataset{hpm.DatasetBike, hpm.DatasetCow, hpm.DatasetCar} {
+		id := fmt.Sprintf("quiet-%d", i)
+		quiet[id] = true
+		observe(id, track(kind, int64(10+i), 4))
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 150; i++ {
+		id := fmt.Sprintf("quiet-cold-%03d", i)
+		quiet[id] = true
+		p := hpm.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		observe(id, []hpm.Point{p, p.Add(hpm.Pt(rng.Float64()*10, rng.Float64()*10))})
+	}
+	// Racing objects trained before the race, so their writes run Extend.
+	single := track(hpm.DatasetBike, 20, 12)
+	observe("single", single[:3*period])
+	bulk := make([][]hpm.Point, 3)
+	for i := range bulk {
+		bulk[i] = track(hpm.DatasetCar, int64(30+i), 12)
+		observe(fmt.Sprintf("bulk-%d", i), bulk[i][:3*period])
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	inf := math.Inf(1)
+	all := rct(-inf, -inf, inf, inf)
+	origin := hpm.Pt(500, 500)
+	const everyone = 1 << 20
+	onlyQuiet := func(rs []spatial.Result) []spatial.Result {
+		var out []spatial.Result
+		for _, r := range rs {
+			if quiet[r.ID] {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	horizons := s.FleetHorizons()
+	wantRange := make([][]spatial.Result, len(horizons))
+	wantKNN := make([][]spatial.Result, len(horizons))
+	for b, h := range horizons {
+		rs, err := s.ScanRange(all, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks, err := s.ScanNearest(origin, everyone, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRange[b], wantKNN[b] = onlyQuiet(rs), onlyQuiet(ks)
+		if len(wantRange[b]) != len(quiet) {
+			t.Fatalf("scan at h=%d holds %d quiet objects, want %d", h, len(wantRange[b]), len(quiet))
+		}
+	}
+	if st := s.SpatialStats(); st.Builds != 0 {
+		t.Fatalf("scans built %d buckets", st.Builds)
+	}
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var wg sync.WaitGroup
+	race := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	race(func() { // one point at a time
+		for i := 0; !stopped(); i++ {
+			if err := s.Observe("single", single[3*period+i%(9*period)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	race(func() { // several objects per call, seven points each
+		for off := 0; !stopped(); off += 7 {
+			var obs []Observation
+			for i := range bulk {
+				o := 3*period + off%(9*period-7)
+				obs = append(obs, Observation{ID: fmt.Sprintf("bulk-%d", i), Points: bulk[i][o : o+7]})
+			}
+			if err := s.ObserveAll(obs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	race(func() {
+		for i := 0; !stopped(); i++ {
+			if err := s.ObserveBatch("gone", walPoints(i, 5)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Remove("gone"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	race(func() { // reaches MinTrainPeriods mid-race: a first train installs
+		fresh := track(hpm.DatasetCow, 40, 4)
+		for off := 0; off < len(fresh) && !stopped(); off += 20 {
+			if err := s.ObserveBatch("fresh", fresh[off:off+20]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	start := make(chan struct{})
+	for q := 0; q < 3*len(horizons); q++ {
+		race(func() {
+			<-start
+			for i := q; !stopped(); i++ {
+				b := i % len(horizons)
+				h := horizons[b]
+				rs, err := s.QueryRange(all, h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := onlyQuiet(rs); !reflect.DeepEqual(got, wantRange[b]) {
+					t.Errorf("range at h=%d holds %d of %d quiet objects, or not as scanned", h, len(got), len(wantRange[b]))
+					return
+				}
+				ks, err := s.QueryNearest(origin, everyone, h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := onlyQuiet(ks); !reflect.DeepEqual(got, wantKNN[b]) {
+					t.Errorf("kNN at h=%d holds %d of %d quiet objects, or not as scanned", h, len(got), len(wantKNN[b]))
+					return
+				}
+			}
+		})
+	}
+	close(start)
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	if st := s.SpatialStats(); st.Builds != int64(len(horizons)) || st.LiveBuckets != int64(len(horizons)) {
+		t.Errorf("builds, live buckets = %d, %d, want %d each", st.Builds, st.LiveBuckets, len(horizons))
+	}
+	for _, h := range horizons {
+		for _, r := range []hpm.Rect{all, rct(0, 0, 400, 400), rct(300, -200, 900, 700)} {
+			got, err1 := s.QueryRange(r, h)
+			want, err2 := s.ScanRange(r, h)
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("h=%d rect=%v (%v, %v):\nindex: %v\nscan:  %v", h, r, err1, err2, got, want)
+			}
+		}
+		for _, k := range []int{1, 7, everyone} {
+			got, err1 := s.QueryNearest(origin, k, h)
+			want, err2 := s.ScanNearest(origin, k, h)
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("h=%d k=%d (%v, %v):\nindex: %v\nscan:  %v", h, k, err1, err2, got, want)
+			}
+		}
 	}
 }
 

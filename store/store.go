@@ -65,7 +65,8 @@ type Options struct {
 	// FleetIndex, when non-nil, maintains a uniform-grid index over every
 	// object's predicted positions at the configured horizon buckets
 	// (defaulting to the evaluator's buckets), refreshed on every
-	// acknowledged observe and first-train install. Enables QueryRange,
+	// acknowledged observe and first-train install at each bucket a fleet
+	// query has read since the store was built. Enables QueryRange,
 	// QueryNearest and the scan oracles. CellSize must be positive.
 	FleetIndex *spatial.Config
 }
@@ -165,8 +166,9 @@ type Store struct {
 
 	// workers is runtime.GOMAXPROCS(0) when the store was built: the one
 	// width of everything the store fans out — concurrent trains across
-	// objects (trainSem), and segment writes and loads, WAL replay and the
-	// index rebuild across shards. A single train under it is serial.
+	// objects (trainSem), segment writes and loads and WAL replay across
+	// shards, and a fleet-index bucket's build across objects. A single
+	// train under it is serial.
 	workers int
 
 	// The object table is sharded: FNV-1a over the id picks one of
@@ -265,9 +267,20 @@ type Store struct {
 
 	// index is the fleet-wide grid over predicted positions (nil unless
 	// Options.FleetIndex is set). Entries are refreshed under each
-	// object's write lock; queries take only the index's internal stripe
-	// read locks, never an object or shard lock.
+	// object's write lock; a query of a built bucket takes only the
+	// index's internal stripe read locks, never an object or shard lock.
 	index *spatial.Index
+	// idxLive has bit b set once a fleet query has read bucket b
+	// (index.Horizons()[b]): refreshes maintain those buckets and no
+	// others. idxBuilt has the bit once that bucket's build has walked
+	// every object. Both only grow and are written under idxBuildMu;
+	// idxBuilds and idxBuildNanos count the builds and their wall time
+	// (spatial.go).
+	idxBuildMu    sync.Mutex
+	idxLive       atomic.Uint64
+	idxBuilt      atomic.Uint64
+	idxBuilds     atomic.Uint64
+	idxBuildNanos atomic.Uint64
 }
 
 // shard is one slice of the object table: a sub-map under its own lock.
@@ -333,14 +346,15 @@ type object struct {
 	// refresh, touched only under mu's write lock.
 	idxEntries []spatial.Entry
 	idxTqs     []int
-	// idxLast/idxVel are the inputs of the last index refresh and
-	// idxClean marks them valid: while untrained, entries are a pure
-	// function of (last point, velocity), so a refresh with identical
-	// inputs is skipped before any entry is built — the common case for
-	// parked objects and duplicate position pings. Guarded by mu.
-	idxLast  hpm.Point
-	idxVel   hpm.Point
-	idxClean bool
+	// idxLast/idxVel/idxLive are the inputs of the last index refresh
+	// (idxLive the store's live-bucket word, zero before any refresh):
+	// while untrained, entries are a pure function of (last point,
+	// velocity) at the live buckets, so a refresh with identical inputs
+	// is skipped before any entry is built — the common case for parked
+	// objects and duplicate position pings. Guarded by mu.
+	idxLast hpm.Point
+	idxVel  hpm.Point
+	idxLive uint64
 }
 
 // New returns an empty store. Config.Period must be positive.
@@ -1100,9 +1114,9 @@ type OpenInfo struct {
 	ReplaySeconds float64 `json:"replaySeconds"`
 	ReplayExtends uint64  `json:"replayExtends"`
 	// RecoverSeconds covers re-running the update policy over every
-	// object (recoverModels), IndexSeconds the fleet-index rebuild.
+	// object (recoverModels). The fleet index is not rebuilt here: each
+	// bucket is built by the first query that reads it.
 	RecoverSeconds float64 `json:"recoverSeconds"`
-	IndexSeconds   float64 `json:"indexSeconds"`
 }
 
 // CheckpointInfo summarizes one completed checkpoint for Health.
