@@ -125,10 +125,11 @@ bench-recovery:
 # (what every Train pays for its rules), one seeding of the delta-Apriori
 # miner (what the first Extend after a load pays, and a crash recovery pays
 # per object whose WAL tail crosses a period boundary) and one steady-state
-# Extend, with allocations — plain, and served: with the ranked lists one
-# index refresh builds, which every Extend then keeps in step. DESIGN.md's
-# "What one miner costs", "One walk mines and seeds" and "Rule updates
-# write in place" quote them.
+# Extend, with allocations — plain, and served: each Extend followed, on
+# the clock, by the batch predict one index refresh makes (the six index
+# horizons, k = 1), which rebuilds the ranked lists the Extend dropped.
+# DESIGN.md's "What one miner costs", "One walk mines and seeds", "Rule
+# updates write in place" and "Building and keeping the lists" quote them.
 bench-extend:
 	$(GO) test -bench='BenchmarkMine|BenchmarkSeedMiner|BenchmarkExtendFleet' -benchmem -run '^$$' ./internal/core/
 

@@ -163,10 +163,10 @@ func BenchmarkSeedMiner(b *testing.B) {
 // absorbing one more period. The model is reloaded and re-seeded off the
 // clock every fleetExtendDays periods, so history stays at the fleet's
 // ten-odd periods however long the benchmark runs. The plain variant never
-// queries, so no ranked list exists for an Extend to keep in step; the
-// served variant also answers one PredictBatch at the fleet index's six
-// horizons after each reload, off the clock, the way a served object's
-// index refresh builds the ranked lists its backward queries read.
+// queries. The served variant also answers, on the clock, one PredictBatch
+// at the fleet index's six horizons (k = 1) after every Extend, the way a
+// served object's index refresh does: it rebuilds the ranked lists the
+// Extend dropped that its backward queries read.
 func BenchmarkExtendFleet(b *testing.B) {
 	for _, served := range []bool{false, true} {
 		for _, kind := range datagen.Kinds {
@@ -190,15 +190,15 @@ func BenchmarkExtendFleet(b *testing.B) {
 						b.StopTimer()
 						m = loadFleetModel(b, stream)
 						m.ensureMiner()
-						if served {
-							if _, err := m.PredictBatch(recent, tqs, 1); err != nil {
-								b.Fatal(err)
-							}
-						}
 						b.StartTimer()
 					}
 					if _, err := m.Extend(days[i%len(days) : i%len(days)+1]); err != nil {
 						b.Fatal(err)
+					}
+					if served {
+						if _, err := m.PredictBatch(recent, tqs, 1); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})

@@ -73,7 +73,9 @@ func TestPredictConcurrentStatsExact(t *testing.T) {
 // TestConcurrentRankedListBuilds: 16 goroutines issue BQPs on a fresh
 // engine, so they race to build the same offsets' ranked lists. Every
 // goroutine must see one list per offset — built once, whoever got there
-// first — and every answer must equal a quiet engine's.
+// first — and every answer must equal a quiet engine's. A second round
+// re-weights a delta of rules first, serially, so the goroutines race to
+// rebuild the lists it dropped.
 func TestConcurrentRankedListBuilds(t *testing.T) {
 	const period = 40
 	var offsets []int
@@ -91,13 +93,10 @@ func TestConcurrentRankedListBuilds(t *testing.T) {
 	premises := [][]pattern.RegionID{nil, {0}, {1}, {0, 1}}
 	type query struct{ v, tc, tq int }
 	var queries []query
-	want := map[query][]Prediction{}
 	for v := range premises {
 		for tc := 0; tc < period; tc += 3 {
 			for tq := tc + 3; tq <= tc+period; tq += 5 {
-				q := query{v, tc, tq}
-				queries = append(queries, q)
-				want[q] = quiet.BackwardQuery(premises[v], tc, tq, 3)
+				queries = append(queries, query{v, tc, tq})
 			}
 		}
 	}
@@ -105,42 +104,68 @@ func TestConcurrentRankedListBuilds(t *testing.T) {
 	// Odd goroutines ask for every list before querying, even ones after,
 	// so lists are built by queries and by direct requests at once. A list
 	// built twice would reach someone other than the one finally published.
-	const goroutines = 16
-	seen := make([][]*rankedList, goroutines)
-	lists := func(g int) {
-		for off, n := range busy.liveAt {
-			if n > 0 {
-				seen[g] = append(seen[g], busy.rankedAt(off))
-			}
+	round := func() []*rankedList {
+		want := map[query][]Prediction{}
+		for _, q := range queries {
+			want[q] = quiet.BackwardQuery(premises[q.v], q.tc, q.tq, 3)
 		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 1 {
-				lists(g)
-			}
-			for i := range queries {
-				q := queries[(i+g*len(queries)/goroutines)%len(queries)] // each starts elsewhere
-				if got := busy.BackwardQuery(premises[q.v], q.tc, q.tq, 3); !reflect.DeepEqual(got, want[q]) {
-					t.Errorf("goroutine %d %+v: %+v, quiet engine %+v", g, q, got, want[q])
-					return
+		const goroutines = 16
+		seen := make([][]*rankedList, goroutines)
+		lists := func(g int) {
+			for off, n := range busy.liveAt {
+				if n > 0 {
+					seen[g] = append(seen[g], busy.rankedAt(off))
 				}
 			}
-			if g%2 == 0 {
-				lists(g)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if g%2 == 1 {
+					lists(g)
+				}
+				for i := range queries {
+					q := queries[(i+g*len(queries)/goroutines)%len(queries)] // each starts elsewhere
+					if got := busy.BackwardQuery(premises[q.v], q.tc, q.tq, 3); !reflect.DeepEqual(got, want[q]) {
+						t.Errorf("goroutine %d %+v: %+v, quiet engine %+v", g, q, got, want[q])
+						return
+					}
+				}
+				if g%2 == 0 {
+					lists(g)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := 1; g < goroutines; g++ {
+			if !slices.Equal(seen[g], seen[0]) {
+				t.Fatalf("goroutines 0 and %d were handed different lists", g)
 			}
-		}(g)
+		}
+		checkRanked(t, busy)
+		return seen[0]
 	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if !slices.Equal(seen[g], seen[0]) {
-			t.Fatalf("goroutines 0 and %d were handed different lists", g)
+	first := round()
+
+	// Every third rule re-weighted, on both engines alike.
+	var ups []ruleUpdate
+	for ref := 0; ref < len(rules); ref += 3 {
+		ups = append(ups, ruleUpdate{ref, 1.1 - rules[ref][2], 1})
+	}
+	updateAll(quiet, ups)
+	updateAll(busy, ups)
+	second := round()
+	rebuilt := 0
+	for i := range first {
+		if first[i] != second[i] {
+			rebuilt++
 		}
 	}
-	checkRanked(t, busy)
+	if rebuilt == 0 || rebuilt == len(first) {
+		t.Errorf("%d of %d lists rebuilt after re-weighting every third rule", rebuilt, len(first))
+	}
 }
 
 // TestConcurrentMixedQueryKinds runs Predict, PredictBatch, PredictRange,
@@ -162,7 +187,7 @@ func TestConcurrentMixedQueryKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.ResetStats()
+	before := eng.Stats()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {
@@ -210,4 +235,16 @@ func TestConcurrentMixedQueryKinds(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// Three goroutines Predict near, three batch one near and one far time;
+	// ranges and the bare query paths count nothing.
+	s := eng.Stats()
+	if d := s.Forward - before.Forward; d != 600 {
+		t.Errorf("forward grew by %d, want 600", d)
+	}
+	if d := s.Backward - before.Backward; d != 300 {
+		t.Errorf("backward grew by %d, want 300", d)
+	}
+	if d := s.Queries - before.Queries; d != 900 {
+		t.Errorf("queries grew by %d, want 900", d)
+	}
 }

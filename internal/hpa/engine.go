@@ -147,12 +147,11 @@ const (
 	DefaultTimeRelaxation   = 2
 )
 
-// QueryStats counts what the engine did since construction (or the last
-// ResetStats). The counters quantify the paper's cost argument: the more
-// patterns answer, the fewer expensive motion-function constructions run.
-// NodesVisited counts query searches only: the search that builds an
-// offset's confidence ranking the first time BQP needs it is index
-// maintenance, like Insert, and is not counted.
+// QueryStats counts what the engine did since construction. The counters
+// quantify the paper's cost argument: the more patterns answer, the fewer
+// expensive motion-function constructions run. NodesVisited counts query
+// searches only: the search that builds an offset's confidence ranking when
+// BQP needs it is index maintenance, like Insert, and is not counted.
 type QueryStats struct {
 	Queries      int // Predict calls answered
 	Forward      int // answered by FQP
@@ -216,11 +215,12 @@ type queryCounters struct {
 // BackwardQuery, EncodeRecent and Stats are safe for any number of
 // concurrent callers — queries read the index and bump atomic counters,
 // and the one thing a query may write, an offset's confidence ranking
-// built the first time BQP needs it, is built once under an internal mutex
-// and published atomically. AddPatterns, InsertPatterns, RemovePattern,
-// UpdatePatterns and ResetStats mutate the engine and must not run
-// concurrently with queries; callers serialize them externally (the store
-// does so under each object's write lock).
+// built when BQP needs it and none is cached, is built once under an
+// internal mutex and published atomically. InsertPatterns, RemovePattern and
+// UpdatePatterns mutate the engine — each drops the ranked lists it makes
+// stale, for the next query to rebuild — and must not run concurrently
+// with queries; callers serialize them externally (the store does so under
+// each object's write lock).
 type Engine struct {
 	enc   *pattern.Encoder
 	tree  *tpt.Tree
@@ -240,16 +240,11 @@ type Engine struct {
 	// ranked holds, per consequence offset (indexed like liveAt), the
 	// offset's live refs by confidence descending, then ref ascending: the
 	// order BQP ranks the hits that share no region with the query, whose
-	// score is the offset's Equation 3 term times confidence. A list is
-	// built from the tree the first time a query needs it (under rankMu, so
-	// once) and kept in step by every mutator from then on.
+	// score is the offset's Equation 3 term times confidence. A list is a
+	// cache of the tree: built when a query needs it (under rankMu, so
+	// once) and dropped by any mutator that changes what it would hold.
 	ranked []atomic.Pointer[rankedList]
 	rankMu sync.Mutex
-
-	// marks is UpdatePatterns' scratch: one bit per ref, set while the call
-	// moves the ref within its ranked list. Mutators are serialized, so one
-	// set serves every call.
-	marks []uint64
 
 	stats queryCounters
 
@@ -371,33 +366,6 @@ func (e *Engine) tryMarkov(recent []trajectory.TimedPoint, tq int) (Prediction, 
 	return e.cfg.Markov(recent, tq)
 }
 
-// AddPatterns inserts newly mined patterns into the live index using the
-// TPT insertion algorithm (§V-B dynamic data). Patterns whose consequence
-// time offset is absent from the consequence-key table cannot be encoded
-// against the existing keys and are skipped — the table is fixed at build
-// time, exactly as in the paper; retrain to widen it. Returns how many
-// patterns were inserted and how many were skipped.
-func (e *Engine) AddPatterns(ps []pattern.Pattern) (added, skipped int) {
-	ct := e.enc.ConsequenceTable()
-	rt := e.enc.RegionTable()
-	for _, p := range ps {
-		off := rt.Region(p.Consequence).Offset
-		if _, ok := ct.TimeID(off); !ok {
-			skipped++
-			continue
-		}
-		ref := e.rules.Len()
-		e.rules.Append(p)
-		e.dead = append(e.dead, false)
-		e.live++
-		e.countLive(off, 1)
-		e.rankInsert(off, p.Confidence, ref)
-		e.tree.Insert(tpt.Item{Key: e.enc.Encode(p), Conf: p.Confidence, Ref: ref})
-		added++
-	}
-	return added, skipped
-}
-
 // Patterns returns every row of the rule table as a pattern, indexed by
 // ref: a fresh slice, each premise a capped view of the table's arena.
 func (e *Engine) Patterns() []pattern.Pattern { return e.rules.Patterns() }
@@ -425,18 +393,6 @@ func (e *Engine) Stats() QueryStats {
 		NodesVisited: int(e.stats.nodesVisited.Load()),
 		FallbackFits: int(e.stats.fallbackFits.Load()),
 	}
-}
-
-// ResetStats zeroes the query counters. Not atomic with respect to
-// in-flight queries; quiesce callers first if an exact zero matters.
-func (e *Engine) ResetStats() {
-	e.stats.forward.Store(0)
-	e.stats.backward.Store(0)
-	e.stats.markov.Store(0)
-	e.stats.fallback.Store(0)
-	e.stats.unanswered.Store(0)
-	e.stats.nodesVisited.Store(0)
-	e.stats.fallbackFits.Store(0)
 }
 
 // IsDistant reports whether a query from current time tc to query time tq
@@ -832,8 +788,10 @@ func sortRanked(s []rankEntry) {
 }
 
 // rankedAt returns the ranked list of a consequence offset that holds a live
-// pattern, building it on first use. Concurrent queries build a list once:
-// the build runs under rankMu and publishes through the atomic pointer.
+// pattern, building it when no list is cached: on first use, and on the
+// first use after a mutator dropped it. Concurrent queries build a list
+// once: the build runs under rankMu and publishes through the atomic
+// pointer.
 func (e *Engine) rankedAt(off int) *rankedList {
 	if l := e.ranked[off].Load(); l != nil {
 		return l

@@ -179,7 +179,8 @@ func checkLiveCounts(t *testing.T, e *Engine) {
 
 // checkRanked recomputes every built ranked list from the tree's leaves —
 // each offset's entries, confidence descending then ref ascending — and
-// compares it, time id included, with what the mutators maintained.
+// compares it, time id included, with the list the engine caches: a list a
+// mutation made stale must have been dropped.
 func checkRanked(t *testing.T, e *Engine) {
 	t.Helper()
 	want := make([][]rankEntry, e.cfg.Period)
@@ -237,7 +238,7 @@ func TestSortRankedMatchesSort(t *testing.T) {
 }
 
 // buildRanked builds the ranked list of every offset that has a live
-// pattern, so the mutations that follow must keep them in step.
+// pattern, so the mutations that follow must drop the ones they make stale.
 func buildRanked(e *Engine) {
 	for off, n := range e.liveAt {
 		if n > 0 {
@@ -347,7 +348,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 			}
 
 			// Seeded mutation sequence; every step re-derives the counts and
-			// the ranked lists the queries above built, every few steps
+			// the ranked lists still cached from the queries, every few steps
 			// re-runs a window against a fresh oracle.
 			liveRefs := func() []int {
 				var refs []int
@@ -668,21 +669,6 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		sweepEvery(t, e, 31)
 	})
 
-	t.Run("fixed-table AddPatterns", func(t *testing.T) {
-		e := handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 2},
-			[]int{0, 5, 20}, [][3]float64{{0, 1, 0.9}})
-		// Offset 20 is not in the consequence table: skipped, not counted.
-		added, skipped := e.AddPatterns([]pattern.Pattern{
-			{Premise: []pattern.RegionID{0}, Consequence: 1, Confidence: 0.4},
-			{Premise: []pattern.RegionID{0}, Consequence: 2, Confidence: 0.4},
-		})
-		if added != 1 || skipped != 1 {
-			t.Fatalf("AddPatterns = %d added, %d skipped", added, skipped)
-		}
-		checkLiveCounts(t, e)
-		sweep(t, e)
-	})
-
 	// The rows below are about the ranked lists: a hit whose premise shares
 	// no region with the query comes from its offset's list, not the tree.
 
@@ -788,8 +774,49 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		step("removing the head", "[1 2 0 4]")
 		e.InsertPatterns(asPatterns([][3]float64{{1, 2, 0.75}}))
 		step("inserting ref 5", "[1 5 2 0 4]")
-		e.AddPatterns(asPatterns([][3]float64{{0, 2, 0.8}}))
-		step("adding ref 6 level with ref 1", "[1 6 5 2 0 4]")
+		e.InsertPatterns(asPatterns([][3]float64{{0, 2, 0.8}}))
+		step("inserting ref 6 level with ref 1", "[1 6 5 2 0 4]")
+	})
+
+	t.Run("ranked: a mutation drops only the lists it touches", func(t *testing.T) {
+		// Regions 1…5 at offsets 3…15, two rules into each from regions 0
+		// and 1: refs 2c−2 and 2c−1 lead into region c.
+		var rules [][3]float64
+		for c := 1; c <= 5; c++ {
+			rules = append(rules, [3]float64{0, float64(c), 0.3 + 0.1*float64(c)}, [3]float64{1, float64(c), 0.35 + 0.1*float64(c)})
+		}
+		e := handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 2}, []int{0, 3, 6, 9, 12, 15}, rules)
+		buildRanked(e)
+		built := make([]*rankedList, len(e.ranked))
+		for off := range e.ranked {
+			built[off] = e.ranked[off].Load()
+		}
+		if built[12] == nil || built[15] == nil {
+			t.Fatal("buildRanked left offsets 12 and 15 unbuilt")
+		}
+		e.InsertPatterns(asPatterns([][3]float64{{1, 1, 0.55}})) // offset 3
+		e.RemovePattern(2)                                       // offset 6
+		if n := updateAll(e, []ruleUpdate{
+			{4, 0.95, 1},                    // offset 9, re-weighted
+			{6, e.Pattern(6).Confidence, 3}, // offset 12, support only
+		}); n != 2 {
+			t.Fatalf("UpdatePatterns applied %d of 2", n)
+		}
+		for off := range e.ranked {
+			got, want := e.ranked[off].Load(), built[off]
+			if off == 3 || off == 6 || off == 9 {
+				want = nil
+			}
+			if got != want {
+				t.Errorf("offset %d holds list %p, want %p", off, got, want)
+			}
+		}
+		checkLiveCounts(t, e)
+		checkRanked(t, e)
+		sweep(t, e)
+		if got := fmt.Sprint(rankedRefs(e, 3)); got != "[10 1 0]" {
+			t.Errorf("offset 3 rebuilt as %s, want [10 1 0]", got)
+		}
 	})
 }
 

@@ -27,31 +27,18 @@ func updateAll(e *Engine, ups []ruleUpdate) int {
 	return e.UpdatePatterns(len(ups), func(i int) (int, float64, int) { return ups[i].Ref, ups[i].Conf, ups[i].Support })
 }
 
-// updateOne is the rule-by-rule update UpdatePatterns replaced, kept as its
-// oracle: the confidence written to the tree, then the rule's ranked-list
-// entry found by binary search and moved to its new place.
+// updateOne is the rule-by-rule update, kept as UpdatePatterns' oracle: the
+// confidence written to the tree, then the rule's ranked list dropped when
+// the confidence changed.
 func updateOne(e *Engine, u ruleUpdate) bool {
 	if !e.IsLive(u.Ref) || !e.tree.UpdateConf(u.Ref, u.Conf) {
 		return false
 	}
-	if l := e.builtList(e.consequenceRegion(u.Ref).Offset); l != nil {
-		l.move(l.find(e.rules.Confidence(u.Ref), u.Ref), rankEntry{conf: u.Conf, ref: int32(u.Ref)})
+	if e.rules.Confidence(u.Ref) != u.Conf {
+		e.ranked[e.consequenceRegion(u.Ref).Offset].Store(nil)
 	}
 	e.rules.Set(u.Ref, u.Conf, u.Support)
 	return true
-}
-
-// move replaces the entry at i with r, which names the same ref, and shifts
-// the entries between the old and the new position by one.
-func (l *rankedList) move(i int, r rankEntry) {
-	j := l.search(r)
-	if j > i {
-		j-- // the insertion point counted the entry leaving i
-		copy(l.entries[i:j], l.entries[i+1:j+1])
-	} else {
-		copy(l.entries[j+1:i+1], l.entries[j:i])
-	}
-	l.entries[j] = r
 }
 
 // treeHits is every tree entry a whole-period consequence search visits, as
@@ -86,12 +73,13 @@ func savedBytes(e *Engine) []byte {
 }
 
 // TestUpdatePatternsMatchesOneByOne: a batch update leaves the engine the
-// rule-by-rule path leaves — tree confidences as a search reads them, every
-// ranked list, the bytes a save takes — on engines trained from all four
-// datasets with every ranked list built. Each delta removes some rules and
-// re-adds them under new refs before the batch, which names both the retired
-// and the new refs; it also repeats refs, leaves confidences unchanged, and
-// draws them from a coarse grid so lists hold ties.
+// rule-by-rule path leaves — tree confidences as a search reads them, which
+// ranked lists are dropped and what the rest hold, the bytes a save takes —
+// on engines trained from all four datasets with every ranked list built
+// before each step. Each delta removes some rules and re-adds them under new
+// refs before the batch, which names both the retired and the new refs; it
+// also repeats refs, leaves confidences unchanged, and draws them from a
+// coarse grid so lists hold ties.
 func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 	const period = 60
 	for _, kind := range datagen.Kinds {
@@ -103,12 +91,13 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				buildRanked(e)
 				return e
 			}
 			batch, single := engine(), engine()
 			rng := rand.New(rand.NewSource(int64(kind) + 5))
 			for step := 0; step < 30; step++ {
+				buildRanked(batch)
+				buildRanked(single)
 				var live []int
 				for ref := range batch.Refs() {
 					if batch.IsLive(ref) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -365,26 +364,4 @@ func validItemset(rt *RegionTable, cfg Config, ids []RegionID) bool {
 		}
 	}
 	return true
-}
-
-// SortPatterns orders patterns deterministically: by consequence offset,
-// then consequence id, then premise ids. Useful for stable output in tools
-// and tests; Mine's output is already deterministic but not sorted this way.
-func SortPatterns(rt *RegionTable, ps []Pattern) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		ao, bo := rt.Region(a.Consequence).Offset, rt.Region(b.Consequence).Offset
-		if ao != bo {
-			return ao < bo
-		}
-		if a.Consequence != b.Consequence {
-			return a.Consequence < b.Consequence
-		}
-		for k := 0; k < len(a.Premise) && k < len(b.Premise); k++ {
-			if a.Premise[k] != b.Premise[k] {
-				return a.Premise[k] < b.Premise[k]
-			}
-		}
-		return len(a.Premise) < len(b.Premise)
-	})
 }

@@ -432,28 +432,6 @@ func TestMineMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-func TestSortPatternsDeterministic(t *testing.T) {
-	rt := janeTable(t)
-	a := Mine(rt, Config{MinSupport: 2, MinConfidence: 0})
-	b := Mine(rt, Config{MinSupport: 2, MinConfidence: 0})
-	SortPatterns(rt, a)
-	SortPatterns(rt, b)
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic mining: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			t.Fatalf("order differs at %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	// Sorted by consequence offset.
-	for i := 1; i < len(a); i++ {
-		if rt.Region(a[i].Consequence).Offset < rt.Region(a[i-1].Consequence).Offset {
-			t.Fatal("SortPatterns not ordered by consequence offset")
-		}
-	}
-}
-
 func TestPatternStringFormat(t *testing.T) {
 	p := Pattern{Premise: []RegionID{0, 1}, Consequence: 3, Confidence: 0.5}
 	if got, want := p.String(), "r0 ^ r1 --0.50--> r3"; got != want {

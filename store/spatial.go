@@ -359,9 +359,6 @@ func (s *Store) SpatialStats() spatial.Stats {
 	return st
 }
 
-// FleetIndexEnabled reports whether the store maintains a fleet index.
-func (s *Store) FleetIndexEnabled() bool { return s.index != nil }
-
 // FleetBucketHorizon reports which bucket a query horizon is answered from
 // (0 when no index is configured).
 func (s *Store) FleetBucketHorizon(h int) int {

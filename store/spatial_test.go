@@ -33,7 +33,7 @@ func TestFleetQueryDisabled(t *testing.T) {
 	if _, err := s.QueryNearest(hpm.Pt(0, 0), 3, 5); err != ErrNoFleetIndex {
 		t.Errorf("QueryNearest without index: %v, want ErrNoFleetIndex", err)
 	}
-	if s.FleetIndexEnabled() || s.FleetHorizons() != nil {
+	if s.FleetHorizons() != nil {
 		t.Error("disabled store reports an index")
 	}
 	if fs := s.FleetStats(); fs.FleetIndex {
