@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
-# store (background retrains, WAL/checkpoint durability, chaos tests),
+# store (first trains and extends beside readers, WAL/checkpoint durability, chaos tests),
 # the HTTP service, the fleet index (its slot table and reused slots are
 # shared by every writer and reader), the fault-injection helpers, the
 # training pipeline (serial, many at once), the TPT (read by concurrent queries; its

@@ -7,9 +7,17 @@
 //	hpmbench -list
 //	hpmbench -experiment fig5
 //	hpmbench -experiment all -quick
+//	hpmbench -experiment paper -out results_full.txt
+//	hpmbench -experiment paper -check results_full.txt
 //	hpmbench -experiment fig7 -seed 7 -out results.txt
 //	hpmbench -experiment all -svg figures/
 //	hpmbench -experiment retrain -json
+//
+// "paper" runs the fourteen experiments of the paper's evaluation and its
+// ablations, the ones results_full.txt (and, with -quick,
+// results_quick.txt) records; "all" adds the serving extensions. -check
+// compares what the run prints with a recorded file, every column but the
+// timings to the printed digit, and exits 1 on any difference.
 //
 // With -json, each experiment additionally writes BENCH_<name>.json — a
 // machine-readable {experiment, params, series} record, with the run's
@@ -35,13 +43,14 @@ import (
 
 func main() {
 	var (
-		name    = flag.String("experiment", "", "experiment to run (see -list), or \"all\"")
+		name    = flag.String("experiment", "", "experiment to run (see -list), \"paper\" or \"all\"")
 		quick   = flag.Bool("quick", false, "shrink sweeps and workloads for a fast smoke run")
 		seed    = flag.Int64("seed", 1, "PRNG seed for data generation and query sampling")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		out     = flag.String("out", "", "write tables to this file instead of stdout")
 		svg     = flag.String("svg", "", "also render each figure as an SVG into this directory")
 		jsonOut = flag.Bool("json", false, "also write BENCH_<experiment>.json per experiment")
+		check   = flag.String("check", "", "compare the tables with this recorded run, timings aside; exit 1 on a difference")
 	)
 	flag.Parse()
 
@@ -52,13 +61,17 @@ func main() {
 			fmt.Printf("  %-16s %s\n", n, e.Description)
 		}
 		if *name == "" && !*list {
-			fmt.Println("\nrun with -experiment <name> or -experiment all")
+			fmt.Println("\nrun with -experiment <name>, -experiment paper or -experiment all")
 			os.Exit(2)
 		}
 		return
 	}
 
 	var w io.Writer = os.Stdout
+	var printed strings.Builder
+	if *check != "" {
+		w = &printed
+	}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -67,12 +80,18 @@ func main() {
 		}
 		defer f.Close()
 		w = f
+		if *check != "" {
+			w = io.MultiWriter(f, &printed)
+		}
 	}
 
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
 	names := []string{*name}
-	if *name == "all" {
+	switch *name {
+	case "all":
 		names = experiments.Names()
+	case "paper":
+		names = experiments.PaperNames()
 	}
 	for _, n := range names {
 		e, ok := experiments.Get(n)
@@ -99,6 +118,22 @@ func main() {
 				os.Exit(1)
 			}
 		}
+	}
+	if *check != "" {
+		recorded, err := os.ReadFile(*check)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hpmbench:", err)
+			os.Exit(1)
+		}
+		diffs := experiments.Check(string(recorded), printed.String())
+		for _, d := range diffs {
+			fmt.Fprintln(os.Stderr, d)
+		}
+		if len(diffs) > 0 {
+			fmt.Fprintf(os.Stderr, "hpmbench: %d differences from %s\n", len(diffs), *check)
+			os.Exit(1)
+		}
+		fmt.Printf("hpmbench: %d experiments match %s\n", len(names), *check)
 	}
 }
 

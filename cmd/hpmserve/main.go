@@ -265,15 +265,14 @@ func snapshotLoop(st *store.Store, every time.Duration) {
 	}
 }
 
-// shutdownOnSignal drains background trains when the process is
-// interrupted, persists the fleet (final checkpoint for durable stores),
-// then stops the server.
+// shutdownOnSignal persists the fleet when the process is interrupted
+// (final checkpoint for durable stores), then stops the server.
 func shutdownOnSignal(srv *http.Server, st *store.Store) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
-	// Close drains in-flight trains so the snapshot captures the freshest
-	// models, then checkpoints durable stores.
+	// Close flips readiness off and checkpoints durable stores; every
+	// acknowledged observe has already trained or extended its model.
 	if err := st.Close(); err != nil {
 		log.Printf("hpmserve: shutdown: %v", err)
 	}

@@ -56,10 +56,8 @@ func main() {
 		post(base+"/objects/van-12/observe", track.Slice(at, end))
 	}
 
-	// Training runs in the background; drain it before querying so the
-	// stats and predictions below see the fully trained model.
-	post(base+"/flush", nil)
-
+	// The observe that completed the fifth period trained the model before
+	// it answered, so the stats and predictions below see it.
 	var stats map[string]any
 	getJSON(base+"/objects/van-12/stats", &stats)
 	fmt.Printf("van-12: %v observations, trained=%v, %v patterns\n",

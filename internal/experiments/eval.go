@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("eval",
+	registerExtension("eval", "",
 		"Online prequential accuracy: hit rate and mean error vs horizon, hybrid pattern paths vs motion fallback, scored on live truth", evalOnline)
 }
 
@@ -70,9 +70,6 @@ func evalDataset(kind datagen.Kind, o Options) []Figure {
 
 	id := kind.String()
 	if err := st.ObserveBatch(id, tr.Slice(0, sz.trainSubs*spec.Period)); err != nil {
-		panic(fmt.Sprintf("experiments: eval train: %v", err))
-	}
-	if err := st.Flush(); err != nil {
 		panic(fmt.Sprintf("experiments: eval train: %v", err))
 	}
 

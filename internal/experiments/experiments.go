@@ -83,6 +83,10 @@ func (f Figure) WriteTable(w io.Writer) {
 type Experiment struct {
 	Name        string
 	Description string
+	// Paper marks the fourteen experiments of the paper's evaluation and
+	// its ablations, the ones results_full.txt records. They measure the
+	// paper's model; the others measure the serving extensions.
+	Paper bool
 	// JSONName labels the machine-readable artifact (BENCH_<JSONName>.json)
 	// when that differs from the experiment name; empty means Name.
 	JSONName string
@@ -100,13 +104,14 @@ func (e Experiment) OutputName() string {
 // registry holds all experiments keyed by name.
 var registry = map[string]Experiment{}
 
+// register registers one of the paper's experiments.
 func register(name, desc string, run func(Options) []Figure) {
-	registry[name] = Experiment{Name: name, Description: desc, Run: run}
+	registry[name] = Experiment{Name: name, Description: desc, Paper: true, Run: run}
 }
 
-// registerJSON registers an experiment whose JSON artifact carries a
-// different, better-known name than the experiment itself.
-func registerJSON(name, jsonName, desc string, run func(Options) []Figure) {
+// registerExtension registers an experiment of a serving extension; a
+// non-empty jsonName gives its JSON artifact a better-known name.
+func registerExtension(name, jsonName, desc string, run func(Options) []Figure) {
 	registry[name] = Experiment{Name: name, Description: desc, JSONName: jsonName, Run: run}
 }
 
@@ -117,6 +122,17 @@ func Names() []string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// PaperNames returns the names of the paper's experiments, sorted.
+func PaperNames() []string {
+	var names []string
+	for _, n := range Names() {
+		if registry[n].Paper {
+			names = append(names, n)
+		}
+	}
 	return names
 }
 
@@ -154,6 +170,10 @@ type env struct {
 	spec datagen.Spec
 	subs []trajectory.SubTrajectory
 	sz   sizes
+	// chain keeps the Markov path in the models train builds. The paper's
+	// model answers from patterns and the motion function only, so its
+	// experiments leave it off; retrain measures the served model.
+	chain bool
 }
 
 // newEnv generates a dataset with trainSubs+querySubs days (or more when
@@ -180,6 +200,9 @@ func (e *env) train(params core.Params, n int) *core.Model {
 		params.Period = e.spec.Period
 	}
 	params.SubTrajectories = 0
+	if !e.chain {
+		params.MarkovOrder = -1
+	}
 	// The fallback inside HPM is the same self-training RMF as the
 	// standalone baseline, so the cost and accuracy comparisons are fair.
 	if params.Motion == core.MotionRMF && params.RMF == (motion.RMFConfig{}) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -321,5 +322,52 @@ func TestWriteTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCheck: a recorded run matches a reprint whose timings and
+// completed-in suffixes moved, and nothing else; a moved accuracy value, a
+// moved x value of a timing figure, a missing row and a section the
+// recording lacks are each reported.
+func TestCheck(t *testing.T) {
+	recorded := `== acc: accuracy (completed in 1.5s)
+# acc — Accuracy
+# length              HPM              RMF   (average error (distance))
+  20                        30.85           481.38
+
+== cost: cost (completed in 2s)
+# cost — Query Response Time
+# subs              HPM              RMF   (response time (µs/query))
+  10                       625.97           644.57
+  20                       177.33           644.57
+
+== other: not printed (completed in 1s)
+# other — x
+`
+	same := strings.NewReplacer("1.5s", "9ms", "625.97", "700.01", "644.57", "1.00").Replace(recorded)
+	same = same[:strings.Index(same, "== other")]
+	if d := Check(recorded, same); len(d) != 0 {
+		t.Errorf("timings and suffixes moved: %q", d)
+	}
+	for _, tc := range []struct{ name, run string }{
+		{"an accuracy value", strings.Replace(same, "30.85", "30.86", 1)},
+		{"a timing figure's x", strings.Replace(same, "  20                       177.33", "  21                       177.33", 1)},
+		{"a missing row", strings.Replace(same, "  20                       177.33           1.00\n", "", 1)},
+		{"a header", strings.Replace(same, "(response time", "(latency time", 1)},
+		{"a new section", same + "== new: new (completed in 1s)\n"},
+	} {
+		if d := Check(recorded, tc.run); len(d) != 1 {
+			t.Errorf("%s: %d differences %q, want 1", tc.name, len(d), d)
+		}
+	}
+}
+
+// TestPaperNames: "-experiment paper" runs the paper's fourteen
+// experiments, the ones results_full.txt records, and no serving extension.
+func TestPaperNames(t *testing.T) {
+	want := []string{"bqp-penalty", "fallback", "fig10", "fig11a", "fig11b", "fig5", "fig6",
+		"fig7", "fig8", "fig9", "pruning", "tpt-chooseleaf", "trelax", "weights"}
+	if got := PaperNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PaperNames() = %v, want %v", got, want)
 	}
 }

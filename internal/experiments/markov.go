@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("markov",
+	registerExtension("markov", "",
 		"Three-way ensemble: pattern vs markov vs motion accuracy per horizon", markovEnsemble)
 }
 
@@ -95,8 +95,8 @@ func markovDataset(kind datagen.Kind, o Options) []Figure {
 	if err := st.ObserveBatch(id, tr.Slice(0, sz.trainSubs*spec.Period)); err != nil {
 		panic(fmt.Sprintf("experiments: markov train: %v", err))
 	}
-	if err := st.Flush(); err != nil {
-		panic(fmt.Sprintf("experiments: markov train: %v", err))
+	if s, err := st.Stats(id); err != nil || !s.Trained {
+		panic(fmt.Sprintf("experiments: markov train: %+v, %v", s, err))
 	}
 	hitDist := st.EvalConfig().HitDistance
 

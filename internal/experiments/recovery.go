@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("recovery",
+	registerExtension("recovery", "",
 		"Checkpoint cost at 1k/10k/100k objects: incremental O(dirty) checkpoints vs full rewrites vs clean no-ops", recovery)
 }
 

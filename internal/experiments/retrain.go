@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("retrain",
+	registerExtension("retrain", "",
 		"Retrain cost: full batch retrain vs incremental Extend as history grows, with accuracy divergence", retrain)
 }
 
@@ -53,7 +53,7 @@ func retrain(o Options) []Figure {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	e := &env{kind: datagen.Bike, spec: spec, subs: subs, sz: sz}
+	e := &env{kind: datagen.Bike, spec: spec, subs: subs, sz: sz, chain: true}
 	train := e.subs[:sz.trainSubs]
 
 	// All policies begin from the same trained prefix. The first Extend

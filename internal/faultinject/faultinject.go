@@ -17,7 +17,8 @@ type Op string
 
 // Fault points consulted by the store.
 const (
-	// OpTrain fires on the trainer goroutine right before a model train.
+	// OpTrain fires right before an object's first train, on the goroutine
+	// of the observe (or recovery) that made it due.
 	OpTrain Op = "train"
 	// OpWALAppend fires before a write-ahead-log record is written; an
 	// error here means the observation is not acknowledged.

@@ -23,9 +23,9 @@ import (
 //
 // Requests are classed by what they cost the store: reads (predictions,
 // fleet queries, stats) outrank writes (observes, remove) outrank control
-// work (flush, which waits on the training pool). Under the "priority"
-// policy each class gets a shrinking slice of MaxInflight, so a write
-// flood cannot starve reads and a pile of flushes cannot starve either.
+// work (flush). Under the "priority" policy each class gets a shrinking
+// slice of MaxInflight, so a write flood cannot starve reads and a pile of
+// flushes cannot starve either.
 // The "fair" policy runs every class through one shared limiter.
 
 // Request classes, ordered by priority.

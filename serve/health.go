@@ -11,9 +11,9 @@ import (
 //	GET /healthz   liveness — the process answers HTTP
 //	GET /readyz    readiness — the store accepts work; body carries the
 //	               durability recovery summary (snapshot restored, WAL
-//	               records replayed), pending background trains, and the
-//	               bounded train-error ring so a probe can alarm on a
-//	               fleet whose models are quietly failing to refresh.
+//	               records replayed) and the train-failure count, so a
+//	               probe can alarm on a fleet whose models are quietly
+//	               failing to learn.
 //
 // readyz answers 503 once the store is closed (shutdown in progress), so
 // load balancers drain before the final checkpoint runs — and while the

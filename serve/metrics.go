@@ -30,8 +30,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	gauge("hpm_objects", "Tracked objects.", fs.Objects)
 	gauge("hpm_objects_trained", "Objects serving a trained model.", fs.Trained)
-	gauge("hpm_pending_trains", "Background first trains scheduled but not yet installed.", fs.PendingTrains)
-	counter("hpm_train_failures_total", "Failed background train attempts since start.", fs.TrainFailures)
+	counter("hpm_train_failures_total", "Failed train attempts, and Extends failed during recovery, since start.", fs.TrainFailures)
 
 	// Model-update cost by path: full batch trains vs incremental extends.
 	// rate(duration)/rate(count) is the live per-update cost each path pays.

@@ -227,7 +227,7 @@ func TestFleetStatsEndpoint(t *testing.T) {
 	if body["objects"].(float64) != 1 {
 		t.Errorf("objects = %v", body["objects"])
 	}
-	for _, key := range []string{"trained", "pendingTrains", "trainFailures", "WAL", "Queries", "Eval"} {
+	for _, key := range []string{"trained", "trainFailures", "WAL", "Queries", "Eval"} {
 		if _, ok := body[key]; !ok {
 			t.Errorf("fleet stats missing %q: %v", key, body)
 		}

@@ -3,7 +3,7 @@
 //
 //	POST /objects/{id}/observe       {"points": [[x, y], ...]}
 //	POST /observe                    [{"id": "...", "points": [[x, y], ...]}, ...]
-//	POST /flush                      drain background trains
+//	POST /flush                      no-op, kept for older clients
 //	GET  /objects                    -> {"objects": ["bus-7", ...]}
 //	GET  /objects/{id}/stats         -> object summary + query-path counters
 //	GET  /objects/{id}/predict?tq=N&k=K        (or horizon=H instead of tq)
@@ -74,15 +74,10 @@ func NewHandler(st *store.Store, lim Limits) http.Handler {
 	mux.HandleFunc("POST /observe", s.guard("observe", classWrite, func(w http.ResponseWriter, r *http.Request) {
 		handleObserveFleet(st, w, r)
 	}))
-	// Flush drains background (re)trains: afterwards every prior observe
-	// is reflected in the models. Training failures surface here. Classed
-	// as control work: it parks on the training pool, the most expensive
-	// thing a request can do, so it gets the smallest concurrency slice.
+	// Flush answers at once, like Store.Flush: every observe has trained
+	// or extended its object's model before it returned. The route stays
+	// for clients that call it, classed as control work.
 	mux.HandleFunc("POST /flush", s.guard("flush", classControl, func(w http.ResponseWriter, r *http.Request) {
-		if err := st.Flush(); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errBody(err.Error()))
-			return
-		}
 		writeJSON(w, http.StatusOK, map[string]any{"flushed": true})
 	}))
 	mux.HandleFunc("GET /objects/{id}/stats", s.guard("stats", classRead, func(w http.ResponseWriter, r *http.Request) {
@@ -164,8 +159,6 @@ func handleObserve(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	a.int(stats.Points - 1)
 	a.raw(`,"trained":`)
 	a.bool(stats.Trained)
-	a.raw(`,"training":`)
-	a.bool(stats.Training)
 	a.raw("}")
 	a.send(w)
 }

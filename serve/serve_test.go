@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hpm"
-	"hpm/internal/faultinject"
 	"hpm/store"
 )
 
@@ -42,7 +41,7 @@ func observeBody(t *testing.T, pts []hpm.Point) *bytes.Buffer {
 	return &buf
 }
 
-// getFlush drains the store's background trains through the HTTP API.
+// getFlush calls POST /flush, the no-op kept for older clients.
 func getFlush(t *testing.T, base string) map[string]any {
 	t.Helper()
 	resp, err := http.Post(base+"/flush", "application/json", nil)
@@ -77,30 +76,17 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 	return body
 }
 
-// TestObserveReply pins the single observe's reply to exactly three fields
-// — the object's current time and whether it is trained or training — in
-// each state the object passes through: untrained, a first train in flight
-// (held on the train fault point), trained.
+// TestObserveReply pins the single observe's reply to exactly two fields
+// — the object's current time and whether it is trained — in each state the
+// object passes through: untrained, trained by the very observe that
+// completes its third period, and trained.
 func TestObserveReply(t *testing.T) {
-	srv, st := testServer(t)
-	release := make(chan struct{})
-	st.SetFaultHook(func(op faultinject.Op) error {
-		if op == faultinject.OpTrain {
-			<-release
-		}
-		return nil
-	})
-	released := false
-	t.Cleanup(func() {
-		if !released {
-			close(release)
-		}
-	})
+	srv, _ := testServer(t)
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 1)
 	spec.Period = period
 	spec.SubTrajectories = 4
 	pts := hpm.GenerateDataset(spec).Points()
-	observe := func(pts []hpm.Point, now int, trained, training bool) {
+	observe := func(pts []hpm.Point, now int, trained bool) {
 		t.Helper()
 		resp, err := http.Post(srv.URL+"/objects/bus-1/observe", "application/json", observeBody(t, pts))
 		if err != nil {
@@ -111,17 +97,14 @@ func TestObserveReply(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 			t.Fatal(err)
 		}
-		want := map[string]any{"now": float64(now), "trained": trained, "training": training}
+		want := map[string]any{"now": float64(now), "trained": trained}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("observe reply %v, want %v", got, want)
 		}
 	}
-	observe(pts[:2*period], 2*period-1, false, false)        // below MinTrainPeriods
-	observe(pts[2*period:3*period], 3*period-1, false, true) // the third period starts the train
-	released = true
-	close(release)
-	getFlush(t, srv.URL)
-	observe(pts[3*period:3*period+1], 3*period, true, false)
+	observe(pts[:2*period], 2*period-1, false)        // below MinTrainPeriods
+	observe(pts[2*period:3*period], 3*period-1, true) // the third period trains
+	observe(pts[3*period:3*period+1], 3*period, true)
 }
 
 func TestObserveAndPredictEndToEnd(t *testing.T) {
@@ -149,8 +132,8 @@ func TestObserveAndPredictEndToEnd(t *testing.T) {
 		t.Fatalf("now = %d, want %d", now, tr.Len()-1)
 	}
 
-	// Training runs in the background; drain it before asserting on the
-	// model.
+	// Flush is a no-op kept for older clients: the observe trained the
+	// model before it answered.
 	flush := getFlush(t, srv.URL)
 	if flush["flushed"] != true {
 		t.Fatalf("flush = %v", flush)
@@ -320,8 +303,8 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("health body missing train-failure summary: %v", h)
 	}
 
-	// After Close the store stops training: readiness flips to 503 so a
-	// balancer drains the instance during shutdown.
+	// After Close readiness flips to 503 so a balancer drains the
+	// instance during shutdown.
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

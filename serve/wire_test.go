@@ -382,7 +382,7 @@ func TestHandlersMatchEncodingJSON(t *testing.T) {
 	}
 	json.NewEncoder(&body).Encode(observeRequest{Points: pairs[:2*period]})
 	same("observe reply", serve("POST", "/objects/bike/observe", body.String()),
-		refEncode(t, map[string]any{"now": 2*period - 1, "trained": false, "training": false}))
+		refEncode(t, map[string]any{"now": 2*period - 1, "trained": false}))
 	if err := st.ObserveBatch("bike", pts[2*period:]); err != nil {
 		t.Fatal(err)
 	}

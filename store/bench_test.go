@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -261,9 +262,9 @@ func readEveryBucket(b *testing.B, s *Store) {
 // Markov fold, the evaluator, and — the bulk of it — the refresh of the
 // object's predicted positions at every index horizon (one PredictBatch: FQP below the
 // distant-time threshold, BQP beyond it, the fallback fit where neither
-// answers). The update policy is parked for the run, as it is while a
-// background train is in flight, so no period boundary lands an Extend in
-// an arbitrary iteration and every iteration sees the same model.
+// answers). The update policy is parked for the run — the model counts as
+// having seen every period there will be — so no period boundary lands an
+// Extend in an arbitrary iteration and every iteration sees the same model.
 func BenchmarkIndexRefresh(b *testing.B) {
 	s, err := New(Options{
 		Config:          hpm.Config{Period: period},
@@ -289,7 +290,7 @@ func BenchmarkIndexRefresh(b *testing.B) {
 	if err != nil || obj.predictor == nil {
 		b.Fatalf("object not trained: %v", err)
 	}
-	obj.phase = phaseTraining // see above; nothing else touches the object yet
+	obj.modeled = math.MaxInt // see above; nothing else touches the object yet
 	readEveryBucket(b, s)
 	stream := tr.Slice(trained*period, tr.Len())
 	b.ReportAllocs()
@@ -344,7 +345,7 @@ func harnessFleet(b *testing.B) (*Store, []fleetObject) {
 		if err != nil || obj.predictor == nil {
 			b.Fatalf("%s not trained: %v", objs[i].id, err)
 		}
-		obj.phase = phaseTraining
+		obj.modeled = math.MaxInt
 		objs[i].stream = objs[i].stream[cuts[i]:]
 	}
 	return s, objs

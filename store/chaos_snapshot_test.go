@@ -177,8 +177,8 @@ func verifyFleetOnce(t *testing.T, dir string, acked map[string]int) {
 }
 
 // TestLoadFailureLeaksNoGoroutines: an Open that dies mid-segment must shut
-// down the partially built store's background machinery (train pool,
-// recovery probe) instead of leaking it on every failed restore attempt.
+// down the partially built store's background machinery (the recovery
+// probe) instead of leaking it on every failed restore attempt.
 func TestLoadFailureLeaksNoGoroutines(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike", 1, 4)

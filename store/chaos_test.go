@@ -284,9 +284,10 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 }
 
 // TestTrainPanicRecoveredAndRetried injects a panic into the first train:
-// the process must survive, Flush must report the panic, the object must
-// stay untrained until its next completed period retries the train, and
-// the failure must stay visible in Stats/Health until Flush drains it.
+// the process must survive, the observe must still be acknowledged, the
+// object must stay untrained until its next completed period retries the
+// train, and the panic must stay visible in Stats until a train succeeds
+// and in the fleet's failure count for good.
 func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	s.SetFaultHook(faultinject.PanicN(faultinject.OpTrain, 1))
@@ -295,30 +296,23 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 	spec.SubTrajectories = 4
 	pts := hpm.GenerateDataset(spec).Points()
 	if err := s.ObserveBatch("bike", pts[:3*period]); err != nil {
-		t.Fatal(err)
+		t.Fatalf("a panicked first train failed its observe: %v", err)
 	}
 
-	err := s.Flush()
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("panic attempt not reported by Flush: %v", err)
-	}
 	st, _ := s.Stats("bike")
-	if st.Trained || st.Training || st.TrainFailures != 1 || !strings.Contains(st.LastTrainError, "panic") {
+	if st.Trained || st.TrainFailures != 1 || !strings.Contains(st.LastTrainError, "panic") {
 		t.Fatalf("stats after the panicked train: %+v", st)
+	}
+	if fs := s.FleetStats(); fs.TrainFailures != 1 {
+		t.Errorf("fleet train failures = %d after the panic, want 1", fs.TrainFailures)
 	}
 	if err := s.ObserveBatch("bike", pts[3*period:4*period-1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := s.Stats("bike"); st.Trained || st.Training {
+	if st, _ := s.Stats("bike"); st.Trained || st.TrainFailures != 1 {
 		t.Fatalf("retrained inside the panicked train's period: %+v", st)
 	}
 	if err := s.ObserveBatch("bike", pts[4*period-1:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = s.Stats("bike")
@@ -328,15 +322,11 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 	if st.TrainFailures != 1 || st.LastTrainError != "" {
 		t.Errorf("stats after recovered panic: failures=%d lastErr=%q", st.TrainFailures, st.LastTrainError)
 	}
-	h := s.Health()
-	if h.TrainFailures != 1 {
+	if h := s.Health(); h.TrainFailures != 1 {
 		t.Errorf("health total failures = %d, want 1", h.TrainFailures)
 	}
-	if len(h.RecentTrainErrors) != 0 {
-		t.Errorf("ring not drained by Flush: %v", h.RecentTrainErrors)
-	}
-	if fs := s.FleetStats(); fs.Trains != 2 {
-		t.Errorf("train attempts = %d, want 2 (the panicked one counts)", fs.Trains)
+	if fs := s.FleetStats(); fs.Trains != 2 || fs.TrainFailures != 1 {
+		t.Errorf("train attempts = %d, failures = %d: want 2 (the panicked one counts) and 1", fs.Trains, fs.TrainFailures)
 	}
 	now, _ := s.Now("bike")
 	if _, err := s.Predict("bike", now+10, 1); err != nil {
@@ -345,26 +335,21 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 }
 
 // TestTrainRepeatedFailureKeepsServing wedges every attempt at an object's
-// first train and verifies the object never wedges in the training state,
-// keeps ingesting and answering ErrUntrained, surfaces the error, and trains
-// at the next completed period once the fault clears.
+// first train and verifies the object keeps ingesting and answering
+// ErrUntrained, surfaces the error, and trains at the next completed period
+// once the fault clears. The fleet's failure count has no cap: seventy more
+// objects failing their trains all count.
 func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
-	ingestMore(t, s, "bike", 31, 0, 3) // reaches MinTrainPeriods
-	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("failed train not reported: %v", err)
-	}
+	pts := ingestMore(t, s, "bike", 31, 0, 3) // reaches MinTrainPeriods
 
 	st, _ := s.Stats("bike")
-	if st.Training {
-		t.Fatal("object wedged in training state")
-	}
 	if st.TrainFailures != 1 { // one attempt, no retry on the same snapshot
 		t.Errorf("train failures = %d, want 1", st.TrainFailures)
 	}
-	if st.LastTrainError == "" {
-		t.Error("last train error not surfaced in stats")
+	if !strings.Contains(st.LastTrainError, faultinject.ErrInjected.Error()) {
+		t.Errorf("last train error %q does not name the injected failure", st.LastTrainError)
 	}
 	if st.Trained || st.Points != 3*period {
 		t.Fatalf("state after failed train: %+v", st)
@@ -373,13 +358,19 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	if _, err := s.Predict("bike", now+10, 1); !errors.Is(err, ErrUntrained) {
 		t.Errorf("predict during failing trains: %v, want ErrUntrained", err)
 	}
+	const more = 70
+	for i := 0; i < more; i++ {
+		if err := s.ObserveBatch(fmt.Sprintf("obj-%03d", i), pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, fs := s.Health(), s.FleetStats(); h.TrainFailures != more+1 || fs.TrainFailures != more+1 {
+		t.Errorf("total failures: health %d, fleet %d, want %d", h.TrainFailures, fs.TrainFailures, more+1)
+	}
 
-	// Fault clears: the next completed period schedules a fresh train.
+	// Fault clears: the next completed period trains afresh.
 	s.SetFaultHook(nil)
 	ingestMore(t, s, "bike", 31, 3, 4)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	st, _ = s.Stats("bike")
 	if !st.Trained || st.Modeled != 4 || st.LastTrainError != "" {
 		t.Errorf("object did not recover: %+v", st)
@@ -390,9 +381,9 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 	}
 }
 
-// TestFailedTrainWaitsForNextPeriod: a first train that fails is not re-run by every later observe of the same period — the
-// object waits for its next completed period, which schedules exactly one
-// more attempt.
+// TestFailedTrainWaitsForNextPeriod: a first train that fails is not re-run
+// by every later observe of the same period — the object waits for its next
+// completed period, which makes exactly one more attempt.
 func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
@@ -403,8 +394,8 @@ func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 	if err := s.ObserveBatch("bike", pts[:3*period]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("failed train not reported: %v", err)
+	if fs := s.FleetStats(); fs.TrainFailures != 1 {
+		t.Fatalf("failed train not counted: %d failures", fs.TrainFailures)
 	}
 
 	// Ten single-point observes, all inside period 4.
@@ -412,8 +403,8 @@ func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 		if err := s.Observe("bike", pts[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Flush(); err != nil {
-			t.Fatalf("observe %d re-ran the failed train: %v", i, err)
+		if fs := s.FleetStats(); fs.TrainFailures != 1 {
+			t.Fatalf("observe %d re-ran the failed train: %d failures", i, fs.TrainFailures)
 		}
 	}
 	st, _ := s.Stats("bike")
@@ -424,19 +415,16 @@ func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 		t.Errorf("train attempts = %d inside the failed train's period, want 1", fs.Trains)
 	}
 
-	// Completing period 4 schedules exactly one more attempt.
+	// Completing period 4 makes exactly one more attempt.
 	if err := s.ObserveBatch("bike", pts[3*period+10:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("next period's train not attempted: %v", err)
-	}
 	st, _ = s.Stats("bike")
-	if st.TrainFailures != 2 || st.Training || st.Trained {
+	if st.TrainFailures != 2 || st.Trained || !strings.Contains(st.LastTrainError, faultinject.ErrInjected.Error()) {
 		t.Errorf("after the next period: %+v, want exactly one more failed attempt", st)
 	}
-	if fs := s.FleetStats(); fs.Trains != 2 {
-		t.Errorf("train attempts = %d after the next period, want 2", fs.Trains)
+	if fs := s.FleetStats(); fs.Trains != 2 || fs.TrainFailures != 2 {
+		t.Errorf("train attempts = %d, failures = %d after the next period, want 2 and 2", fs.Trains, fs.TrainFailures)
 	}
 }
 
@@ -453,11 +441,11 @@ func TestFailedTrainRetriedOnReopen(t *testing.T) {
 	}
 	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
 	n := ingest(t, s, "bus", 23, 3, 50)
-	if err := s.Flush(); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("failed train not reported: %v", err)
-	}
-	if st, _ := s.Stats("bus"); st.Trained || st.Training {
+	if st, _ := s.Stats("bus"); st.Trained || st.TrainFailures != 1 {
 		t.Fatalf("state after the failed train: %+v", st)
+	}
+	if fs := s.FleetStats(); fs.TrainFailures != 1 {
+		t.Fatalf("failed train not counted: %d failures", fs.TrainFailures)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -468,54 +456,12 @@ func TestFailedTrainRetriedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if err := back.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	st, _ := back.Stats("bus")
 	if !st.Trained || st.Modeled != 3 || st.Points != n {
 		t.Errorf("reopened object not trained by recovery: %+v", st)
 	}
-	if fs := back.FleetStats(); fs.Trains != 1 {
-		t.Errorf("train attempts after reopen = %d, want 1", fs.Trains)
-	}
-}
-
-// TestTrainErrorRingBounded overflows the ring and checks it stays fixed
-// size while the total keeps counting.
-func TestTrainErrorRingBounded(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 1})
-	s.SetFaultHook(faultinject.FailN(faultinject.OpTrain, 1<<30, nil))
-	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 51)
-	spec.Period = period
-	spec.SubTrajectories = 1
-	pts := hpm.GenerateDataset(spec).Points()
-
-	n := trainErrRingCap + 10
-	for i := 0; i < n; i++ {
-		if err := s.ObserveBatch(fmt.Sprintf("obj-%03d", i), pts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wait for the pool to settle without draining the ring.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Health().PendingTrains > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("trains did not settle")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h := s.Health()
-	if h.TrainFailures != uint64(n) {
-		t.Errorf("total failures = %d, want %d", h.TrainFailures, n)
-	}
-	if len(h.RecentTrainErrors) != trainErrRingCap {
-		t.Errorf("ring holds %d errors, want cap %d", len(h.RecentTrainErrors), trainErrRingCap)
-	}
-	if err := s.Flush(); err == nil {
-		t.Error("Flush dropped the ring errors")
-	}
-	if len(s.Health().RecentTrainErrors) != 0 {
-		t.Error("Flush did not drain the ring")
+	if fs := back.FleetStats(); fs.Trains != 1 || fs.TrainFailures != 0 {
+		t.Errorf("after reopen: %d train attempts, %d failures, want 1 and 0", fs.Trains, fs.TrainFailures)
 	}
 }
 

@@ -72,9 +72,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Error paths from here on must close the store: replay may schedule
-	// background trains, and the probe/stop machinery exists from New — a
-	// failed Open must not leak their goroutines.
+	// Error paths from here on must close the store: the probe/stop
+	// machinery exists from New, and a failed Open must not leak it.
 	s.dir = dir
 	if m != nil {
 		if err := s.loadSegments(dir, m); err != nil {
@@ -122,11 +121,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recoverModels advances every object after recovery. A crash can eat an
-// in-flight train (the snapshot holds the history but not the model), and a
-// failed train's wait for the next period is in memory only; nothing else
-// would train the object until its next observation — which for a parked
-// vehicle may be never. Failures land in the train-error ring.
+// recoverModels advances every object after recovery, under its ingest lock
+// as an observe would. A crash can land between an observe's acknowledgment
+// and its train, and a failed train's wait for the next period is in memory
+// only; nothing else would train the object until its next observation —
+// which for a parked vehicle may be never. Failures go to the object's Stats.
 func (s *Store) recoverModels() {
 	var objs []*object
 	for i := range s.shards {
@@ -138,16 +137,20 @@ func (s *Store) recoverModels() {
 		sh.mu.RUnlock()
 	}
 	// Objects are independent here — each update touches only its own
-	// lock and the train pool's — so recovery fans out across the
-	// store's workers (extend errors land in the ring exactly as they
-	// would serially).
+	// locks — so recovery fans out across the store's workers.
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
+		obj.ingestMu.Lock()
+		defer obj.ingestMu.Unlock()
 		obj.lockWrite()
-		if err := s.advance(obj); err != nil {
-			s.recordTrainErr(err)
+		train, err := s.advance(obj)
+		if err != nil {
+			s.failedLocked(obj, err)
 		}
 		obj.mu.Unlock()
+		if train > 0 {
+			s.train(obj, train)
+		}
 	})
 }
 
@@ -258,27 +261,29 @@ func (s *Store) applyReplay(rec walRecord, preTombstone bool) error {
 	obj.ingestMu.Lock()
 	defer obj.ingestMu.Unlock()
 	obj.lockWrite()
-	defer obj.mu.Unlock()
+	var train int
 	// Offsets are absolute timestamps; a retention-trimmed track compares
 	// against base + length, the timestamp its next point will take.
-	have := obj.base + len(obj.track)
-	if rec.offset > have {
-		if preTombstone {
-			return nil // erased by the id's later tombstone regardless
+	switch have := obj.base + len(obj.track); {
+	case rec.offset > have:
+		if !preTombstone { // else erased by the id's later tombstone regardless
+			err = fmt.Errorf("store: replay gap for %q: record at offset %d, track has %d", rec.id, rec.offset, have)
 		}
-		return fmt.Errorf("store: replay gap for %q: record at offset %d, track has %d", rec.id, rec.offset, have)
+	case rec.offset+len(rec.pts) > have: // else covered by the snapshot or an earlier record
+		// The same append, dirty mark, Markov fold and update policy as the
+		// live observe — replay must reproduce the crashed process's chain
+		// bit-for-bit on top of the snapshot's blob, and replayed records
+		// live only in WAL segments the next checkpoint reclaims — but no
+		// scoring and no index refresh: the evaluator's ring died with the
+		// process, and the first query of each bucket fills it.
+		s.appendLocked(obj, rec.pts[have-rec.offset:])
+		train, err = s.advance(obj)
 	}
-	if rec.offset+len(rec.pts) <= have {
-		return nil // fully covered by the snapshot (or an earlier record)
+	obj.mu.Unlock()
+	if train > 0 {
+		s.train(obj, train)
 	}
-	// The same append, dirty mark and Markov fold as the live observe —
-	// replay must reproduce the crashed process's chain bit-for-bit on top
-	// of the snapshot's blob, and replayed records exist only in WAL
-	// segments the next checkpoint reclaims — but no scoring and no index
-	// refresh: the evaluator's ring died with the process and Open rebuilds
-	// the index once, after recovery.
-	s.appendLocked(obj, rec.pts[have-rec.offset:])
-	return s.advance(obj)
+	return err
 }
 
 // Checkpoint writes an atomic snapshot of the fleet and reclaims the WAL

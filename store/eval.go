@@ -98,9 +98,8 @@ type FleetStats struct {
 	Miners        int `json:"miners"`
 	MinerItemsets int `json:"minerItemsets"`
 	MinerBytes    int `json:"minerBytes"`
-	// PendingTrains counts scheduled background trains not yet installed;
-	// TrainFailures every failed background attempt since start.
-	PendingTrains int    `json:"pendingTrains"`
+	// TrainFailures counts every failed train attempt, and every Extend
+	// that failed during recovery, since start.
 	TrainFailures uint64 `json:"trainFailures"`
 	// State mirrors Health: the degradation state machine's position, the
 	// failed-group-commit count, and completed degrade/recover cycles.
@@ -194,9 +193,6 @@ func (s *Store) FleetStats() FleetStats {
 	fs.Extends = s.extends.Load()
 	fs.TrainSeconds = float64(s.trainNanos.Load()) / 1e9
 	fs.ExtendSeconds = float64(s.extendNanos.Load()) / 1e9
-	s.trainMu.Lock()
-	fs.PendingTrains = s.pending
-	fs.TrainFailures = s.errTotal
-	s.trainMu.Unlock()
+	fs.TrainFailures = s.trainFailures.Load()
 	return fs
 }

@@ -1,14 +1,14 @@
 package store
 
 // life is an object's model-update policy and the state it reads: untrained
-// until MinTrainPeriods have completed, then one train on the background
-// pool, then an Extend over the periods completed since the model last
-// learned, each followed by the retention trim. An event that calls for work
-// answers with the one action the store must run. life takes no lock and
-// does no I/O: the store calls it under the object's write lock and executes
-// what it returns (advance, runTrain). Nothing else writes these fields.
+// until MinTrainPeriods have completed, then one train, then an Extend over
+// the periods completed since the model last learned, each followed by the
+// retention trim. Whether the object is trained is its predictor, which the
+// store passes in. An event that calls for work answers with the one action
+// the store must run. life takes no lock and does no I/O: the store calls it
+// under the object's write lock and executes what it returns (advance,
+// train). Nothing else writes these fields.
 type life struct {
-	phase phase
 	// base is the absolute timestamp of track[0]. It stays 0 until the
 	// retention trim cuts the track's head; from then on every externally
 	// visible timestamp — WAL offsets, query windows, eval scoring, Now — is
@@ -23,15 +23,6 @@ type life struct {
 	// again at once.
 	failedAt int
 }
-
-// phase is where an object stands in its life.
-type phase uint8
-
-const (
-	phaseUntrained phase = iota
-	phaseTraining        // a train is in flight; its install catches up
-	phaseTrained
-)
 
 // action is what the store must run: train on the first to periods, extend
 // the model over periods [from, to), drop the track's points before the
@@ -53,13 +44,12 @@ const (
 
 // appended answers the track reaching end, base + its length: the first
 // train, or an extend when a trained model is behind the completed periods.
-func (l *life) appended(o *Options, end int) action {
+func (l *life) appended(o *Options, end int, trained bool) action {
 	completed := end / o.Config.Period
 	switch {
-	case l.phase == phaseUntrained && completed >= o.MinTrainPeriods && completed > l.failedAt:
-		l.phase = phaseTraining
+	case !trained && completed >= o.MinTrainPeriods && completed > l.failedAt:
 		return action{kind: actTrain, to: completed}
-	case l.phase == phaseTrained && completed > l.modeled:
+	case trained && completed > l.modeled:
 		return action{kind: actExtend, from: l.modeled, to: completed}
 	}
 	return action{}
@@ -68,7 +58,7 @@ func (l *life) appended(o *Options, end int) action {
 // learned answers a train's install or an extend that left the model having
 // seen the first to periods of a track ending at end: the trim, if any.
 func (l *life) learned(o *Options, end, to int) action {
-	l.phase, l.modeled = phaseTrained, to
+	l.modeled = to
 	cut := o.trimCut(l.base, end, to)
 	if cut <= l.base {
 		return action{}
@@ -79,15 +69,12 @@ func (l *life) learned(o *Options, end, to int) action {
 
 // failed takes a train over the first to periods that did not install.
 func (l *life) failed(to int) {
-	l.phase, l.failedAt = phaseUntrained, to
+	l.failedAt = to
 }
 
 // loaded takes an object read back from disk.
-func (l *life) loaded(base, modeled int, trained bool) {
+func (l *life) loaded(base, modeled int) {
 	l.base, l.modeled = base, modeled
-	if trained {
-		l.phase = phaseTrained
-	}
 }
 
 // trimCut is where Config.RetainPeriods lets the trim cut a track ending at

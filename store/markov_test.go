@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -237,75 +235,12 @@ func TestMarkovHammerConcurrent(t *testing.T) {
 	}
 }
 
-// TestObserveAllFoldsOnceAcrossSwap: a background first train installed
-// while a fleet batch is mid-apply re-folds the chain from a track that
-// already holds the batch, so the batch's own fold must not run after it.
-// Forty trained objects cross a period (one Extend each) ahead of z in id
-// order; z's first train is parked until z's append is visible, then
-// released into that window. The live chain must equal a from-scratch
-// re-fold.
-func TestObserveAllFoldsOnceAcrossSwap(t *testing.T) {
-	s := testStore(t, Options{MinTrainPeriods: 3})
-	defer s.Close()
-	bike := func(seed int64, from, to int) []hpm.Point {
-		spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, seed)
-		spec.Period = period
-		spec.SubTrajectories = 6
-		return hpm.GenerateDataset(spec).Slice(from, to)
-	}
-	var batch []Observation
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("a%02d", i)
-		feed(t, s, id, int64(100+i), 3)
-		batch = append(batch, Observation{ID: id, Points: bike(int64(100+i), 3*period, 4*period)})
-	}
-	feed(t, s, "z", 99, 2)
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.beforeTrain = func() {
-		close(entered)
-		<-release
-	}
-	// A third period reaches MinTrainPeriods: z's first train is scheduled
-	// and parks.
-	if err := s.ObserveBatch("z", bike(99, 2*period, 3*period)); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	tail := bike(99, 3*period, 3*period+9)
-	batch = append(batch, Observation{ID: "z", Points: tail})
-	go func() {
-		for {
-			if now, _ := s.Now("z"); now == 3*period+len(tail)-1 {
-				close(release)
-				return
-			}
-			runtime.Gosched()
-		}
-	}()
-	if err := s.ObserveAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	live := chainBytes(t, s, "z")
-	obj, _ := s.get("z", false)
-	obj.mu.Lock()
-	obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
-	obj.mu.Unlock()
-	if refold := chainBytes(t, s, "z"); !bytes.Equal(live, refold) {
-		t.Errorf("live chain (%d bytes) differs from a re-fold of the track (%d bytes): points folded twice", len(live), len(refold))
-	}
-}
-
 // TestInstallFoldsUnseenPoints is the chain's twin at a first train: the
 // trainer folds its chain over the periods it mines, and the install folds
 // on only the points it did not see when the two clocks agree, or refolds
-// the retained track when they do not. The train is parked while the rest
-// of a period arrives; the installed chain must then equal a fresh
+// the retained track when they do not. One batch carries ten periods and
+// all but one point of the eleventh, so the install has a tail to fold and
+// no Extend follows it; the installed chain must then equal a fresh
 // RebuildMarkov over the retained track, byte for byte. RetainPeriods 8
 // moves the base at the install, which takes the full rebuild.
 func TestInstallFoldsUnseenPoints(t *testing.T) {
@@ -325,27 +260,11 @@ func TestInstallFoldsUnseenPoints(t *testing.T) {
 			spec.Period = period
 			spec.SubTrajectories = 11
 			pts := hpm.GenerateDataset(spec).Points()
-
-			entered := make(chan struct{})
-			release := make(chan struct{})
-			s.beforeTrain = func() {
-				close(entered)
-				<-release
-			}
-			if err := s.ObserveBatch("bus", pts[:10*period]); err != nil {
+			if err := s.ObserveBatch("bus", pts[:11*period-1]); err != nil {
 				t.Fatal(err)
 			}
-			<-entered
-			// Points keep arriving while the train is parked, short of a
-			// period, so no Extend follows the install.
-			for _, p := range pts[10*period : 11*period-1] {
-				if err := s.ObserveBatch("bus", []hpm.Point{p}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			close(release)
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
+			if st, _ := s.Stats("bus"); !st.Trained || st.Modeled != 10 {
+				t.Fatalf("state after the batch: %+v, want trained at modeled 10", st)
 			}
 
 			installed := chainBytes(t, s, "bus")

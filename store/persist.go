@@ -126,7 +126,7 @@ func readObject(c *pattern.Cursor, s *Store, shard int) error {
 	}
 	obj := s.newObject(string(idb))
 	obj.track = track
-	obj.life.loaded(int(base), int(modeled), trained == 1)
+	obj.life.loaded(int(base), int(modeled))
 	if trained == 1 {
 		p, k, err := hpm.Decode(c.Rest(), s.opts.Config.Period)
 		if err != nil {

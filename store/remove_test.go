@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpm"
 	"hpm/internal/faultinject"
@@ -277,42 +278,53 @@ func TestRemoveRacingObserve(t *testing.T) {
 	back.Close()
 }
 
-// TestRemoveDuringTrainLeavesNoIndexGhost: a background train that was in
-// flight when its object was removed must not re-bin that object's fleet
-// index entries when it finishes. The id may belong to a successor by
-// then; the stale entries overwrote the successor's and, once either side
-// left the shared cell, tore the other's cell map out from under it
-// ("assignment to entry in nil map" in spatial.Update, seen as a rare
-// serve-hammer failure at GOMAXPROCS=1).
+// TestRemoveDuringTrainLeavesNoIndexGhost: a Remove racing an object's
+// first train waits for it — both take the object's ingest lock — so the
+// train's install cannot re-bin fleet-index entries for an object already
+// removed, whose id may belong to a successor by then (stale entries once
+// overwrote a successor's and, when either side left the shared cell, tore
+// the other's cell map out from under it: "assignment to entry in nil map"
+// in spatial.Update, seen as a rare serve-hammer failure at GOMAXPROCS=1).
+// Afterwards the index must equal a scan.
 func TestRemoveDuringTrainLeavesNoIndexGhost(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 4, FleetIndex: &spatial.Config{CellSize: 200}})
 	defer s.Close()
-	release := make(chan struct{})
-	s.SetFaultHook(func(op faultinject.Op) error {
-		if op == faultinject.OpTrain {
-			<-release
+	everywhere := hpm.Rect{Min: hpm.Pt(-1e9, -1e9), Max: hpm.Pt(1e9, 1e9)}
+	horizons := []int{5, 100}
+	for _, h := range horizons { // make both buckets live before the train
+		if _, err := s.QueryRange(everywhere, h); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
+	}
+	entered, release := parkTrain(s)
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 3)
 	spec.Period = period
 	spec.SubTrajectories = 5
 	tr := hpm.GenerateDataset(spec)
-	if err := s.ObserveBatch("bike", tr.Slice(0, 4*period)); err != nil { // schedules the train
+	observed := make(chan error, 1)
+	go func() { observed <- s.ObserveBatch("bike", tr.Slice(0, 4*period)) }()
+	<-entered
+	removed := make(chan error, 1)
+	go func() { removed <- s.Remove("bike") }()
+	select {
+	case err := <-removed:
+		t.Fatalf("Remove returned while the object's train was parked: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-observed; err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Remove("bike"); err != nil {
+	if err := <-removed; err != nil {
 		t.Fatal(err)
+	}
+	if _, err := s.Stats("bike"); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("object still there after Remove: %v", err)
 	}
 	if err := s.ObserveBatch("bike", tr.Slice(4*period, 4*period+5)); err != nil { // the successor
 		t.Fatal(err)
 	}
-	close(release)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	everywhere := hpm.Rect{Min: hpm.Pt(-1e9, -1e9), Max: hpm.Pt(1e9, 1e9)}
-	for _, h := range []int{5, 100} {
+	for _, h := range horizons {
 		got, err := s.QueryRange(everywhere, h)
 		if err != nil {
 			t.Fatal(err)
@@ -321,7 +333,7 @@ func TestRemoveDuringTrainLeavesNoIndexGhost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) || len(got) != 1 {
 			t.Errorf("horizon %d: index %+v\nscan %+v", h, got, want)
 		}
 	}

@@ -105,7 +105,7 @@ func indexEntryFor(h int, preds []hpm.Prediction, last, vel hpm.Point) spatial.E
 // and by a bucket's build (readBucket).
 func (s *Store) indexUpdateLocked(obj *object) {
 	// A removed object's entries are gone and its id may already belong to
-	// a successor: a train that was in flight during Remove stops here.
+	// a successor: a bucket build that listed it before Remove stops here.
 	if s.index == nil || obj.removed || len(obj.track) == 0 {
 		return
 	}

@@ -24,6 +24,7 @@ import (
 	"hpm"
 	"hpm/internal/evalq"
 	"hpm/internal/faultinject"
+	"hpm/internal/parallel"
 	"hpm/internal/spatial"
 )
 
@@ -84,10 +85,6 @@ const (
 // the on-disk format — a snapshot segment is one shard's objects — so it is
 // a constant, not an option.
 const numShards = 64
-
-// trainErrRingCap bounds the store-wide list of recent train failures;
-// older entries are dropped, the total count keeps climbing.
-const trainErrRingCap = 64
 
 func (o Options) withDefaults() Options {
 	if o.MinTrainPeriods <= 0 {
@@ -153,22 +150,20 @@ func checkHorizon(now int, tqs ...int) error {
 // Store tracks many objects. All methods are safe for concurrent use.
 //
 // An object is trained once, when MinTrainPeriods have completed, and only
-// extended from then on, so its predictor is never replaced. That train is
-// expensive — region discovery, pattern mining and an index build over the
-// whole history — so it runs on a bounded background pool instead of the
-// observing goroutine: ObserveBatch snapshots the completed-period prefix,
-// hands it to a trainer, and returns; the object answers ErrUntrained until
-// the trained predictor is installed under its lock. Incremental Extends
-// are cheap and stay synchronous. Flush drains pending trains (tests,
-// checkpoints); Close drains and stops scheduling.
+// extended from then on, so its predictor is never replaced. Both run inside
+// the observe that completes the period, so when it returns the model has
+// seen every completed period. The train reads the track in place under the
+// object's ingest lock only — readers keep answering, the object with
+// ErrUntrained — and installs in one short hold of the write lock; a fleet
+// batch runs its objects' trains across the workers.
 type Store struct {
 	opts Options
 
 	// workers is runtime.GOMAXPROCS(0) when the store was built: the one
-	// width of everything the store fans out — concurrent trains across
-	// objects (trainSem), segment writes and loads and WAL replay across
-	// shards, and a fleet-index bucket's build across objects. A single
-	// train under it is serial.
+	// width of everything the store fans out — a fleet batch's first trains
+	// and recovery across objects, segment writes and loads and WAL replay
+	// across shards, and a fleet-index bucket's build across objects. A
+	// single train under it is serial.
 	workers int
 
 	// The object table is sharded: FNV-1a over the id picks one of
@@ -177,20 +172,6 @@ type Store struct {
 	// Fleet-wide walks (Objects, Health, recovery) visit shards one at a
 	// time in index order.
 	shards [numShards]shard
-
-	// Background-training machinery. pending counts scheduled trains not
-	// yet installed; trainCond broadcasts when it reaches zero; trainSem
-	// bounds concurrent trains to workers. The latest trainErrRingCap
-	// failed train attempts wait in trainErrs, oldest first, drained by
-	// Flush/Close and summarized (without draining) by Health; errTotal
-	// counts every failure ever.
-	trainMu   sync.Mutex
-	trainCond *sync.Cond
-	pending   int
-	closed    bool
-	trainErrs []error
-	errTotal  uint64
-	trainSem  chan struct{}
 
 	// Durability (set by Open, nil/zero otherwise): the write-ahead log
 	// every ObserveBatch appends to before acknowledging, the directory
@@ -241,17 +222,20 @@ type Store struct {
 	recoveries atomic.Uint64
 	degradeMu  sync.Mutex // guards lastWALErr and stopped
 	lastWALErr error
-	stopped    bool // Close ran; no new probe goroutines may start
+	stopped    bool // Close ran; no new probe goroutine may start, readiness is off
 	stop       chan struct{}
 	probeWG    sync.WaitGroup
 
 	// Model-update telemetry for FleetStats and /metrics: how many full
 	// trains and incremental extends ran (every train attempt counts),
 	// and the cumulative wall-clock nanoseconds each path consumed.
-	trains      atomic.Uint64
-	trainNanos  atomic.Uint64
-	extends     atomic.Uint64
-	extendNanos atomic.Uint64
+	// trainFailures counts every failed train, and every Extend that failed
+	// during recovery, since the process started.
+	trains        atomic.Uint64
+	trainNanos    atomic.Uint64
+	extends       atomic.Uint64
+	extendNanos   atomic.Uint64
+	trainFailures atomic.Uint64
 	// reused counts answers served from an object's memo (memo.go), one
 	// per query time.
 	reused atomic.Uint64
@@ -259,11 +243,6 @@ type Store struct {
 	// faults, when set, is consulted at durability and training fault
 	// points so tests can inject deterministic failures.
 	faults atomic.Pointer[faultinject.Hook]
-
-	// beforeTrain, when set, runs on the trainer goroutine right before
-	// the model is trained. Test hook: lets tests hold a train in flight
-	// and observe the store mid-train. Set it before any trains start.
-	beforeTrain func()
 
 	// index is the fleet-wide grid over predicted positions (nil unless
 	// Options.FleetIndex is set). Entries are refreshed under each
@@ -312,10 +291,11 @@ type object struct {
 	// memo holds the answers given since the last write (memo.go).
 	memo atomic.Pointer[memo]
 	// life is the model-update policy's state (life.go): the track's base,
-	// the modeled periods, and whether a train is in flight or failed.
+	// the modeled periods, and where the last failed train stopped.
 	life
 	// lastTrainErr is the most recent train failure, cleared when a train
 	// succeeds; trainFails counts failed attempts over the object's life.
+	// An Extend that fails during recovery is recorded here too.
 	lastTrainErr error
 	trainFails   int
 	// eval scores this object's served predictions against later
@@ -331,13 +311,13 @@ type object struct {
 	// mu both held, so either lock suffices to read it. An observer that
 	// raced Remove and still holds this pointer must drop it and re-create
 	// through the shard map, or its WAL records would land after the
-	// tombstone and corrupt replay; a background train that outlives its
-	// object must leave the fleet index alone (the id may have a
-	// successor).
+	// tombstone and corrupt replay; a bucket build that listed the object
+	// before its removal must leave the fleet index alone (the id may have
+	// a successor).
 	removed bool
 	// id is the object's key in the shard map, carried here so paths
-	// without the id at hand (background train installs, index refreshes)
-	// can address the fleet index. Immutable after creation.
+	// without the id at hand (dirty marks, index refreshes) can address the
+	// fleet index. Immutable after creation.
 	id string
 	// slot is the object's handle in the fleet index, taken on its first
 	// index refresh (zero until then); written under mu's write lock.
@@ -369,8 +349,6 @@ func New(opts Options) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i].objects = map[string]*object{}
 	}
-	s.trainCond = sync.NewCond(&s.trainMu)
-	s.trainSem = make(chan struct{}, s.workers)
 	s.stop = make(chan struct{})
 	if err := s.initFleetIndex(); err != nil {
 		return nil, err
@@ -441,8 +419,8 @@ func (s *Store) get(id string, create bool) (*object, error) {
 
 // Observe appends the object's location at its next timestamp (locations
 // arrive in order, one per tick). Crossing a period boundary may trigger a
-// model update: incremental extends run inline, while the first train is
-// handed to the background pool — use Flush to wait for it.
+// model update — the first train or an Extend — which runs before Observe
+// returns.
 func (s *Store) Observe(id string, loc hpm.Point) error {
 	return s.ObserveBatch(id, []hpm.Point{loc})
 }
@@ -465,7 +443,8 @@ type Observation struct {
 // return means every observation is on disk (in sync mode). Repeated ids
 // are merged in order. Extend errors are joined and returned after every
 // point has been applied; the points themselves are durable and
-// acknowledged even then. Train errors surface through Flush.
+// acknowledged even then. A failed first train is not an error here: it
+// is reported on the object's Stats and counted in FleetStats.
 func (s *Store) ObserveAll(batch []Observation) error {
 	return s.ObserveAllContext(context.Background(), batch)
 }
@@ -473,7 +452,8 @@ func (s *Store) ObserveAll(batch []Observation) error {
 // ObserveAllContext is ObserveAll with request-scoped cancellation, honored
 // only up to the WAL commit (see ctx.go). It is the store's one observe
 // path: WAL commit (the acknowledgment barrier), track append and Markov
-// fold, prequential scoring, update policy, index refresh.
+// fold, prequential scoring, update policy, index refresh, and last the
+// first trains the batch made due, across the workers.
 func (s *Store) ObserveAllContext(ctx context.Context, batch []Observation) error {
 	// Validate, and merge repeated ids keeping each object's points in
 	// argument order. A one-element batch needs neither map nor sort.
@@ -576,27 +556,30 @@ acquire:
 	}
 	s.snapGate.RUnlock()
 	var errs []error
+	var due []*fleetGroup
 	for i := range groups {
 		g := &groups[i]
 		g.obj.lockWrite()
 		if g.obj.eval != nil {
 			g.obj.eval.Observe(g.at, g.pts) // score what the new points cover
 		}
-		if err := s.advance(g.obj); err != nil {
+		var err error
+		if g.train, err = s.advance(g.obj); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", g.id, err))
+		}
+		if g.train > 0 {
+			due = append(due, g)
 		}
 		s.indexUpdateLocked(g.obj)
 		g.obj.mu.Unlock()
 	}
+	parallel.For(len(due), s.workers, func(i int) { s.train(due[i].obj, due[i].train) })
 	return errors.Join(errs...)
 }
 
 // appendLocked is the one step that grows a track: append, dirty mark and
-// Markov fold, returning the timestamp of pts[0]. All under one hold of
-// obj.mu, because a model install re-folds the chain from the whole track
-// (runTrain): an install landing between an append and a later fold would
-// already count the points, and the fold would count them again. Called
-// with obj.ingestMu and obj.mu held.
+// Markov fold, returning the timestamp of pts[0]. Called with obj.ingestMu
+// and obj.mu held.
 func (s *Store) appendLocked(obj *object, pts []hpm.Point) int {
 	at := obj.base + len(obj.track)
 	obj.track = append(obj.track, pts...)
@@ -615,6 +598,7 @@ type fleetGroup struct {
 	pts   []hpm.Point
 	obj   *object
 	at    int  // timestamp of pts[0], set by the apply
+	train int  // periods of a first train the batch made due, 0 for none
 	owned bool // pts is our own copy, safe to append to
 }
 
@@ -643,26 +627,16 @@ func (s *Store) fault(op faultinject.Op) error {
 }
 
 // advance runs what the object's life asks for now that its track ends
-// where it does: hand the first train to the pool, or extend the model over
-// the periods completed since it last learned. It serves every path that
-// moves a track or a model — observe, WAL replay, recovery and the catch-up
-// after a train installs. Called with obj.mu write-locked.
-func (s *Store) advance(obj *object) error {
-	a := obj.life.appended(&s.opts, obj.base+len(obj.track))
+// where it does: an Extend over the periods completed since the model last
+// learned, run here, or the first train, whose period count it returns for
+// the caller to run through train once obj.mu is released (0 when none is
+// due). It serves every path that moves a track: observe, WAL replay and
+// recovery. Called with obj.ingestMu held and obj.mu write-locked.
+func (s *Store) advance(obj *object) (train int, err error) {
+	a := obj.life.appended(&s.opts, obj.base+len(obj.track), obj.predictor != nil)
 	switch a.kind {
 	case actTrain:
-		// A closed store declines the train, which leaves the object as a
-		// failed train would. The trainer gets its own copy of the prefix:
-		// the track keeps growing under obj.mu while it runs.
-		s.trainMu.Lock()
-		if s.closed {
-			s.trainMu.Unlock()
-			obj.life.failed(a.to)
-			return nil
-		}
-		s.pending++
-		s.trainMu.Unlock()
-		go s.runTrain(obj, append([]hpm.Point(nil), obj.track[:a.to*s.opts.Config.Period-obj.base]...), a.to)
+		return a.to, nil
 	case actExtend:
 		period := s.opts.Config.Period
 		start := time.Now()
@@ -670,7 +644,7 @@ func (s *Store) advance(obj *object) error {
 		s.extendNanos.Add(uint64(time.Since(start)))
 		s.extends.Add(1)
 		if err != nil {
-			return fmt.Errorf("store: extend: %w", err)
+			return 0, fmt.Errorf("store: extend: %w", err)
 		}
 		obj.unmatchedPts += res.UnmatchedPoints
 		obj.retiredPatterns += res.RetiredPatterns
@@ -684,14 +658,13 @@ func (s *Store) advance(obj *object) error {
 			obj.predictor.Model().RebuildMarkov(obj.base, obj.track)
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // learnedLocked runs what follows a train's install or an extend: the trim
 // life asks for — the tail copied to a fresh slice, so the old backing array
 // is freed — and the dirty mark, since the model changed where no observe may
-// have marked the shard (recovery, the post-train catch-up). Called with
-// obj.mu write-locked.
+// have marked the shard (recovery). Called with obj.mu write-locked.
 func (s *Store) learnedLocked(obj *object, modeled int) {
 	end := obj.base + len(obj.track)
 	if a := obj.life.learned(&s.opts, end, modeled); a.kind == actTrim {
@@ -700,16 +673,46 @@ func (s *Store) learnedLocked(obj *object, modeled int) {
 	s.markDirty(obj.id)
 }
 
-// trainGuarded trains a predictor off pts under the worker semaphore,
-// converting panics into errors: one poisoned track must never take down
-// the whole fleet's process. Every attempt counts toward Trains and
-// TrainSeconds, failed ones included.
-func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
-	s.trainSem <- struct{}{}
-	defer func() { <-s.trainSem }()
-	if hook := s.beforeTrain; hook != nil {
-		hook()
+// train is an object's first train over its first completed periods, due
+// by advance. The caller holds obj.ingestMu and not obj.mu, so the track
+// cannot move: the trainer reads the completed prefix in place while readers
+// keep answering ErrUntrained. One hold of the write lock then installs the
+// predictor or records the failure, a panic included, on the object's Stats
+// and the fleet counter. A failed train is no observe error — its points are
+// acknowledged — and is not retried on the same data: the object's next
+// completed period tries again, as does a restart.
+//
+// The install trims, marks the shard dirty and brings the Markov chain up to
+// the track. The trainer folded its chain over the prefix in the prefix's
+// clock. When that is the store's (the base is still 0) only the points it
+// did not see are folded on; otherwise the retained track is refolded. Either
+// way the chain ends as RebuildMarkov would leave it. The fleet-index entries
+// then re-bin against the trained predictor.
+func (s *Store) train(obj *object, completed int) {
+	p, err := s.trainGuarded(obj.track[:completed*s.opts.Config.Period-obj.base])
+	obj.lockWrite()
+	defer obj.mu.Unlock()
+	if err != nil {
+		s.failedLocked(obj, fmt.Errorf("store: train: %w", err))
+		obj.life.failed(completed)
+		return
 	}
+	obj.predictor, obj.lastTrainErr = p, nil
+	s.learnedLocked(obj, completed)
+	if obj.base != 0 {
+		p.Model().RebuildMarkov(obj.base, obj.track)
+	} else {
+		for t := completed * s.opts.Config.Period; t < len(obj.track); t++ {
+			p.MarkovObserve(t, obj.track[t])
+		}
+	}
+	s.indexUpdateLocked(obj)
+}
+
+// trainGuarded trains a predictor off pts, converting panics into errors:
+// one poisoned track must never take down the whole fleet's process. Every
+// attempt counts toward Trains and TrainSeconds, failed ones included.
+func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -724,115 +727,48 @@ func (s *Store) trainGuarded(pts []hpm.Point) (p *hpm.Predictor, err error) {
 	return hpm.TrainPoints(pts, s.opts.Config)
 }
 
-// runTrain is the background trainer. It trains off the snapshot holding no
-// lock, then, under obj.mu, records a failure — a panic included — in the
-// ring and on the object's Stats, or installs the predictor. A train is a
-// deterministic function of its snapshot, so it is not retried on it: the
-// object's next completed period brings a new one, as does a restart.
-//
-// The install trims, marks the shard dirty and brings the Markov chain up to
-// the track. The trainer folded its chain over the prefix in the prefix's
-// clock. When that is the store's (the base is still 0) only the points it
-// did not see are folded on; otherwise the retained track is refolded. Either
-// way the chain ends as RebuildMarkov would leave it. The catch-up then
-// extends over periods completed meanwhile, and the fleet-index entries
-// re-bin against the trained predictor.
-func (s *Store) runTrain(obj *object, pts []hpm.Point, completed int) {
-	p, err := s.trainGuarded(pts)
-	obj.lockWrite()
-	if err != nil {
-		err = fmt.Errorf("store: train: %w", err)
-		s.recordTrainErr(err)
-		obj.trainFails++
-		obj.lastTrainErr = err
-		obj.life.failed(completed)
-	} else {
-		obj.predictor, obj.lastTrainErr = p, nil
-		s.learnedLocked(obj, completed)
-		if obj.base != 0 {
-			p.Model().RebuildMarkov(obj.base, obj.track)
-		} else {
-			for t := completed * s.opts.Config.Period; t < len(obj.track); t++ {
-				p.MarkovObserve(t, obj.track[t])
-			}
-		}
-		if uerr := s.advance(obj); uerr != nil {
-			s.recordTrainErr(uerr)
-		}
-		s.indexUpdateLocked(obj)
-	}
-	obj.mu.Unlock()
-
-	s.trainMu.Lock()
-	s.pending--
-	if s.pending == 0 {
-		s.trainCond.Broadcast()
-	}
-	s.trainMu.Unlock()
+// failedLocked records a model update that did not land on the object's
+// Stats and the fleet's failure count. Called with obj.mu write-locked.
+func (s *Store) failedLocked(obj *object, err error) {
+	s.trainFailures.Add(1)
+	obj.trainFails++
+	obj.lastTrainErr = err
 }
 
-// recordTrainErr keeps one failure among the latest trainErrRingCap,
-// dropping the oldest when full. The all-time counter never resets.
-func (s *Store) recordTrainErr(err error) {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	s.errTotal++
-	if len(s.trainErrs) == trainErrRingCap {
-		s.trainErrs = append(s.trainErrs[:0], s.trainErrs[1:]...)
-	}
-	s.trainErrs = append(s.trainErrs, err)
-}
+// Flush returns nil. Every model update runs inside the observe that makes
+// it due, so when an observe returns its models already reflect it; Flush
+// is kept for callers written when first trains ran in the background.
+func (s *Store) Flush() error { return nil }
 
-// Flush blocks until no background trains are pending, each install's
-// catch-up included, and returns the failures accumulated since the last
-// Flush (nil when training succeeded or nothing was pending). After Flush,
-// every Observe made before the call is reflected in the objects' models,
-// unless its object's train failed.
-func (s *Store) Flush() error {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	for s.pending > 0 {
-		s.trainCond.Wait()
-	}
-	err := errors.Join(s.trainErrs...)
-	s.trainErrs = nil
-	return err
-}
-
-// Close drains pending background trains and stops scheduling new ones.
-// A durable store additionally writes a final checkpoint and releases its
-// WAL. Observations and queries still work after Close on an in-memory
-// store, but untrained objects are no longer trained. Returns any accumulated
-// training errors joined with checkpoint errors.
+// Close stops the recovery probe and flips readiness off. A durable store
+// additionally writes a final checkpoint and releases its WAL. Observations
+// and queries still work after Close on an in-memory store.
 func (s *Store) Close() error {
-	s.trainMu.Lock()
-	wasClosed := s.closed
-	s.closed = true
-	s.trainMu.Unlock()
-	if !wasClosed {
-		s.degradeMu.Lock()
-		s.stopped = true // no new probe goroutine may start from here on
-		s.degradeMu.Unlock()
+	s.degradeMu.Lock()
+	wasStopped := s.stopped
+	s.stopped = true // no new probe goroutine may start from here on
+	s.degradeMu.Unlock()
+	if !wasStopped {
 		close(s.stop) // ends the recovery probe, if one is running
 	}
 	// Wait the probe out before touching the WAL below: a recovery in
 	// flight reopens segments this Close is about to close.
 	s.probeWG.Wait()
-	err := s.Flush()
-	if s.wal != nil {
-		if s.state.Load() == stateHealthy {
-			err = errors.Join(err, s.checkpoint(false))
-		} else {
-			// Degraded: the disk is refusing writes, so don't wedge
-			// shutdown on a snapshot that cannot land. Every acknowledged
-			// record is already in a WAL segment; the next Open replays
-			// them (the torn tail of the broken segment is repaired by the
-			// tolerant final-segment replay).
-			err = errors.Join(err, fmt.Errorf("store: close without checkpoint: %w", ErrDegraded))
-		}
-		err = errors.Join(err, s.wal.close())
+	if s.wal == nil {
+		return nil
 	}
-	return err
+	var err error
+	if s.state.Load() == stateHealthy {
+		err = s.checkpoint(false)
+	} else {
+		// Degraded: the disk is refusing writes, so don't wedge
+		// shutdown on a snapshot that cannot land. Every acknowledged
+		// record is already in a WAL segment; the next Open replays
+		// them (the torn tail of the broken segment is repaired by the
+		// tolerant final-segment replay).
+		err = fmt.Errorf("store: close without checkpoint: %w", ErrDegraded)
+	}
+	return errors.Join(err, s.wal.close())
 }
 
 // Predict estimates the object's location at absolute time tq (timestamps
@@ -1006,14 +942,13 @@ type ObjectStats struct {
 	Points     int  // observations ingested
 	Periods    int  // completed periods
 	Trained    bool // has a model
-	Training   bool // a background train is in flight
 	Modeled    int  // periods the model has absorbed
 	Regions    int
 	Patterns   int
 	IndexBytes int
-	// TrainFailures counts failed train attempts over the object's life;
-	// LastTrainError is the most recent one, cleared by a successful
-	// train.
+	// TrainFailures counts failed train attempts over the object's life,
+	// and Extends that failed during recovery; LastTrainError is the most
+	// recent one, cleared by a successful train.
 	TrainFailures  int
 	LastTrainError string `json:",omitempty"`
 	// RetainedPoints is how many observations the track currently holds;
@@ -1042,7 +977,6 @@ func (s *Store) Stats(id string) (ObjectStats, error) {
 		ID:              id,
 		Points:          obj.base + len(obj.track),
 		Periods:         (obj.base + len(obj.track)) / s.opts.Config.Period,
-		Training:        obj.phase == phaseTraining,
 		Modeled:         obj.modeled,
 		TrainFailures:   obj.trainFails,
 		RetainedPoints:  len(obj.track),
@@ -1065,9 +999,8 @@ func (s *Store) Stats(id string) (ObjectStats, error) {
 
 // Health summarizes the store's fitness to serve, for readiness probes.
 type Health struct {
-	Objects       int  `json:"objects"`
-	PendingTrains int  `json:"pendingTrains"`
-	Closed        bool `json:"closed"`
+	Objects int  `json:"objects"`
+	Closed  bool `json:"closed"`
 	// Durable reports whether a WAL is attached; SnapshotRestored and
 	// WALReplayed describe what startup recovery found.
 	Durable          bool `json:"durable"`
@@ -1084,11 +1017,10 @@ type Health struct {
 	LastWALError string `json:"lastWALError,omitempty"`
 	Degrades     uint64 `json:"degrades"`
 	Recoveries   uint64 `json:"recoveries"`
-	// TrainFailures counts every failed train attempt since the process
-	// started; RecentTrainErrors is the bounded ring's current contents
-	// (oldest first, cleared by Flush).
-	TrainFailures     uint64   `json:"trainFailures"`
-	RecentTrainErrors []string `json:"recentTrainErrors,omitempty"`
+	// TrainFailures counts every failed train attempt, and every Extend
+	// that failed during recovery, since the process started; each one is
+	// on its object's Stats.
+	TrainFailures uint64 `json:"trainFailures"`
 	// Checkpoints counts completed checkpoints since Open, SnapshotBytes
 	// is the current on-disk snapshot footprint (manifest plus live
 	// segments), and LastCheckpoint summarizes the most recent one.
@@ -1136,8 +1068,7 @@ type CheckpointInfo struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// Health reports the store's current health without draining the train
-// error ring.
+// Health reports the store's current health.
 func (s *Store) Health() Health {
 	n := 0
 	for i := range s.shards {
@@ -1146,16 +1077,12 @@ func (s *Store) Health() Health {
 		n += len(sh.objects)
 		sh.mu.RUnlock()
 	}
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
 	h := Health{
 		Objects:          n,
-		PendingTrains:    s.pending,
-		Closed:           s.closed,
 		Durable:          s.wal != nil,
 		SnapshotRestored: s.restored,
 		WALReplayed:      s.replayed,
-		TrainFailures:    s.errTotal,
+		TrainFailures:    s.trainFailures.Load(),
 		State:            s.State(),
 		Degraded:         s.Degraded(),
 		WALErrors:        s.walErrors.Load(),
@@ -1166,12 +1093,12 @@ func (s *Store) Health() Health {
 		LastCheckpoint:   s.lastCheckpoint.Load(),
 		Open:             s.openInfo,
 	}
-	if err := s.lastWALError(); err != nil {
-		h.LastWALError = err.Error()
+	s.degradeMu.Lock()
+	h.Closed = s.stopped
+	if s.lastWALErr != nil {
+		h.LastWALError = s.lastWALErr.Error()
 	}
-	for _, err := range s.trainErrs {
-		h.RecentTrainErrors = append(h.RecentTrainErrors, err.Error())
-	}
+	s.degradeMu.Unlock()
 	return h
 }
 

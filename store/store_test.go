@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hpm"
+	"hpm/internal/faultinject"
 )
 
 const period = 60
@@ -292,16 +293,19 @@ func TestOptionsBudget(t *testing.T) {
 	}
 }
 
-// TestTrainPoolFollowsGOMAXPROCS: the train pool is as wide as the
-// processors the scheduler may use, not as the machine: under GOMAXPROCS=1
-// on a larger host (a CPU quota, a CI leg) a second concurrent train would
-// only take turns with the first on the one core.
+// TestTrainPoolFollowsGOMAXPROCS: a fleet batch's first trains fan out as
+// wide as the processors the scheduler may use, not as the machine: under
+// GOMAXPROCS=1 on a larger host (a CPU quota, a CI leg) a second concurrent
+// train would only take turns with the first on the one core.
 func TestTrainPoolFollowsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := testStore(t, restartOptions())
 	defer s.Close()
 	var inflight, high atomic.Int32
-	s.beforeTrain = func() {
+	s.SetFaultHook(func(op faultinject.Op) error {
+		if op != faultinject.OpTrain {
+			return nil
+		}
 		n := inflight.Add(1)
 		for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
 		}
@@ -309,8 +313,12 @@ func TestTrainPoolFollowsGOMAXPROCS(t *testing.T) {
 		// could take a second slot would be counted beside this one.
 		time.Sleep(2 * time.Millisecond)
 		inflight.Add(-1)
-	}
+		return nil
+	})
 	newRestartFleet(8, 0).load(t, s) // eight first trains from one ObserveAll
+	if fs := s.FleetStats(); fs.Trains != 8 {
+		t.Fatalf("%d trains ran, want 8", fs.Trains)
+	}
 	if h := high.Load(); h != 1 {
 		t.Errorf("%d trains ran at once under GOMAXPROCS=1", h)
 	}
