@@ -95,28 +95,30 @@ bench-markov:
 bench-retrain:
 	$(GO) run ./cmd/hpmbench -experiment retrain -json
 
-# Fleet-wide predictive queries: indexed vs brute-force range/kNN at
-# 1k/10k/100k objects, the index==scan identity proof, SSE push
-# throughput, and observe-path maintenance overhead. Regenerates
-# BENCH_fleet_query.json.
+# Fleet-wide predictive queries: one range or kNN query answered from the
+# fleet index against the brute-force scan it is checked against, at 1 000
+# and 10 000 objects (50 trained Car objects, the rest random walks; every
+# bucket built first). What index maintenance adds to an observe is
+# BenchmarkObserveParallel's nosync-index against nosync (make
+# bench-ingest). DESIGN.md's "Benchmark methodology for the fleet index and
+# checkpoints" quotes them beside the experiment's last numbers.
 bench-fleet:
-	$(GO) run ./cmd/hpmbench -experiment fleetquery -json
+	$(GO) test -bench='BenchmarkFleetQuery' -run '^$$' ./store/
 
-# Persistence cost: incremental checkpoint pause and objects re-encoded
-# vs dirty shards (O(dirty) vs O(fleet)), full-rewrite and clean no-op
-# baselines at 1k/10k/100k objects. Regenerates BENCH_recovery.json. What a
-# restart costs is BenchmarkOpen (an untrained fleet's decode and replay
-# plumbing; trained: clean and recovering Open of 64 trained objects, each
-# tree laid out from its saved shape; B/op and the live heap of one opened
-# store; -cpu 1,2 is serial against parallel recovery), BenchmarkLoadFleet
-# (what Open pays per trained object: one model of each datagen kind at the
-# harness fleet's shape decoded from its bytes, with its rules, stream bytes
-# and B/op) and BenchmarkBulkLoad (what Train pays and Open does not: one
-# pattern tree sorted into place at the fleet's shape, 1 500 to 100 000
-# items).
+# Persistence cost: the checkpoint pause of a 5 000-object fleet with every
+# shard dirty, one object dirty (O(dirty): one shard re-encodes) and
+# nothing dirty (a WAL reclaim), with objects/op and shards/op re-encoded.
+# What a restart costs is BenchmarkOpen (an untrained fleet's decode and
+# replay plumbing; trained: clean and recovering Open of 64 trained
+# objects, each tree laid out from its saved shape; B/op and the live heap
+# of one opened store; -cpu 1,2 is serial against parallel recovery),
+# BenchmarkLoadFleet (what Open pays per trained object: one model of each
+# datagen kind at the harness fleet's shape decoded from its bytes, with
+# its rules, stream bytes and B/op) and BenchmarkBulkLoad (what Train pays
+# and Open does not: one pattern tree sorted into place at the fleet's
+# shape, 1 500 to 100 000 items).
 bench-recovery:
-	$(GO) run ./cmd/hpmbench -experiment recovery -json
-	$(GO) test -bench='BenchmarkOpen' -benchmem -run '^$$' ./store/
+	$(GO) test -bench='BenchmarkCheckpoint|BenchmarkOpen' -benchmem -run '^$$' ./store/
 	$(GO) test -bench='BenchmarkLoadFleet' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench='BenchmarkBulkLoad' -benchmem -run '^$$' ./internal/tpt/
 

@@ -76,14 +76,6 @@ func BenchmarkTimeRelaxationAblation(b *testing.B) { benchExperiment(b, "trelax"
 // Ablation: TPT ChooseLeaf Intersect step.
 func BenchmarkChooseLeafAblation(b *testing.B) { benchExperiment(b, "tpt-chooseleaf") }
 
-// Fleet-wide predictive range/kNN queries: spatial index vs brute-force
-// scan, SSE push throughput, and per-observe maintenance overhead.
-func BenchmarkFleetQuery(b *testing.B) { benchExperiment(b, "fleetquery") }
-
-// Checkpoint cost: incremental O(dirty) checkpoints vs full snapshot
-// rewrites vs clean no-ops.
-func BenchmarkRecovery(b *testing.B) { benchExperiment(b, "recovery") }
-
 // --- micro-benchmarks -------------------------------------------------
 
 // benchPredictor trains one moderate Bike model for query benches.

@@ -21,9 +21,7 @@
 //
 // With -json, each experiment additionally writes BENCH_<name>.json — a
 // machine-readable {experiment, params, series} record, with the run's
-// GOMAXPROCS captured so throughput numbers can be interpreted. A few
-// experiments publish their artifact under a better-known label (the
-// fleetquery experiment writes BENCH_fleet_query.json).
+// GOMAXPROCS captured so throughput numbers can be interpreted.
 package main
 
 import (
@@ -113,7 +111,7 @@ func main() {
 			}
 		}
 		if *jsonOut {
-			if err := writeJSON(e.OutputName(), opts, figs); err != nil {
+			if err := writeJSON(e.Name, opts, figs); err != nil {
 				fmt.Fprintln(os.Stderr, "hpmbench:", err)
 				os.Exit(1)
 			}

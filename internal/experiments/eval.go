@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	registerExtension("eval", "",
+	registerExtension("eval",
 		"Online prequential accuracy: hit rate and mean error vs horizon, hybrid pattern paths vs motion fallback, scored on live truth", evalOnline)
 }
 

@@ -87,18 +87,7 @@ type Experiment struct {
 	// its ablations, the ones results_full.txt records. They measure the
 	// paper's model; the others measure the serving extensions.
 	Paper bool
-	// JSONName labels the machine-readable artifact (BENCH_<JSONName>.json)
-	// when that differs from the experiment name; empty means Name.
-	JSONName string
-	Run      func(Options) []Figure
-}
-
-// OutputName is the label for the experiment's JSON artifact.
-func (e Experiment) OutputName() string {
-	if e.JSONName != "" {
-		return e.JSONName
-	}
-	return e.Name
+	Run   func(Options) []Figure
 }
 
 // registry holds all experiments keyed by name.
@@ -109,10 +98,9 @@ func register(name, desc string, run func(Options) []Figure) {
 	registry[name] = Experiment{Name: name, Description: desc, Paper: true, Run: run}
 }
 
-// registerExtension registers an experiment of a serving extension; a
-// non-empty jsonName gives its JSON artifact a better-known name.
-func registerExtension(name, jsonName, desc string, run func(Options) []Figure) {
-	registry[name] = Experiment{Name: name, Description: desc, JSONName: jsonName, Run: run}
+// registerExtension registers an experiment of a serving extension.
+func registerExtension(name, desc string, run func(Options) []Figure) {
+	registry[name] = Experiment{Name: name, Description: desc, Run: run}
 }
 
 // Names returns the registered experiment names, sorted.

@@ -16,7 +16,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b",
 		"pruning", "weights", "fallback", "bqp-penalty", "trelax", "tpt-chooseleaf",
-		"eval", "retrain", "markov", "fleetquery", "recovery",
+		"eval", "retrain", "markov",
 	}
 	names := Names()
 	have := map[string]bool{}
@@ -271,26 +271,6 @@ func TestRetrainQuickShape(t *testing.T) {
 	}
 	if win := mean(cost.Series[2]); win >= batch {
 		t.Errorf("mean windowed-extend cost %v not below mean full-retrain cost %v", win, batch)
-	}
-}
-
-func TestRecoveryQuickShape(t *testing.T) {
-	figs := mustRun(t, "recovery")
-	if len(figs) != 3 {
-		t.Fatalf("recovery returned %d figures, want pause + objects + full", len(figs))
-	}
-	for _, f := range figs {
-		checkFigure(t, f)
-	}
-	// The O(dirty) contract itself: at every fleet size, an incremental
-	// checkpoint with one dirty shard must re-encode fewer objects than
-	// one with every shard dirty (the full-rewrite point).
-	for _, s := range figs[1].Series {
-		first, last := s.Y[0], s.Y[len(s.Y)-1]
-		if first >= last {
-			t.Errorf("%s: %v objects re-encoded at 1 dirty shard, %v at all dirty — not O(dirty)",
-				s.Name, first, last)
-		}
 	}
 }
 

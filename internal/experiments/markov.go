@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	registerExtension("markov", "",
+	registerExtension("markov",
 		"Three-way ensemble: pattern vs markov vs motion accuracy per horizon", markovEnsemble)
 }
 

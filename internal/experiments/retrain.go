@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	registerExtension("retrain", "",
+	registerExtension("retrain",
 		"Retrain cost: full batch retrain vs incremental Extend as history grows, with accuracy divergence", retrain)
 }
 

@@ -211,6 +211,25 @@ func TestSubscribeStreamsUpdates(t *testing.T) {
 		}
 	}
 	cancel() // disconnect; the handler must notice and return
+
+	// Each event is flushed as it is written. At an hour's interval the
+	// first one must still arrive at once, not when later events fill the
+	// server's write buffer.
+	slow, cancelSlow := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelSlow()
+	req, err = http.NewRequestWithContext(slow, "GET",
+		srv.URL+"/subscribe?minx=-100000&miny=-100000&maxx=100000&maxy=100000&horizon=10&interval_ms=3600000", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("an hour-interval stream sent no headers within 5 s: %v", err)
+	}
+	defer resp.Body.Close()
+	if ev, data := sseEvent(t, bufio.NewReader(resp.Body)); ev != "update" || !strings.Contains(data, `"late"`) {
+		t.Errorf("first event of an hour-interval stream = %q %s", ev, data)
+	}
 }
 
 // TestFleetHammerWithSubscriber races observes, removals, and first-train

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -124,35 +126,48 @@ func benchFleet(b *testing.B, dir string, n int) *Store {
 }
 
 // BenchmarkCheckpoint measures the checkpoint pause at a fixed fleet
-// size. "full" dirties every object before each checkpoint (every shard
-// rewrites, the worst case); "incremental" dirties one object, so
-// only that object's shard re-encodes and the rest chain from the
-// previous epoch — the O(dirty) contract as a number.
+// size, with what each checkpoint encoded (Health().LastCheckpoint) as
+// objects/op and shards/op. "full" dirties every shard before each
+// checkpoint (all 64 rewrite, the worst case); "incremental" dirties one
+// object, so only that object's shard re-encodes and the rest chain from
+// the previous epoch — the O(dirty) contract as a number; "clean" dirties
+// nothing, so the checkpoint only reclaims the WAL.
 func BenchmarkCheckpoint(b *testing.B) {
 	const fleet = 5000
 	pts := walPoints(4, 1)
-	for _, mode := range []string{"full", "incremental"} {
+	for _, mode := range []string{"full", "incremental", "clean"} {
 		b.Run(fmt.Sprintf("%s/objects=%d", mode, fleet), func(b *testing.B) {
 			s := benchFleet(b, b.TempDir(), fleet)
 			defer s.Close()
 			if err := s.Checkpoint(); err != nil { // baseline epoch every run chains from
 				b.Fatal(err)
 			}
+			var objects, shards int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if mode == "full" {
+				switch mode {
+				case "full":
 					for sh := range s.shards {
 						s.shards[sh].dirty.Store(true)
 					}
-				} else if err := s.ObserveBatch("obj-000000", pts); err != nil {
-					b.Fatal(err)
+				case "incremental":
+					if err := s.ObserveBatch("obj-000000", pts); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StartTimer()
 				if err := s.Checkpoint(); err != nil {
 					b.Fatal(err)
 				}
+				b.StopTimer()
+				info := s.Health().LastCheckpoint
+				objects += info.Objects
+				shards += info.Shards
+				b.StartTimer()
 			}
+			b.ReportMetric(float64(objects)/float64(b.N), "objects/op")
+			b.ReportMetric(float64(shards)/float64(b.N), "shards/op")
 		})
 	}
 }
@@ -401,4 +416,121 @@ func BenchmarkPredictBatchFleet(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFleetQuery prices the fleet index against the brute-force scan
+// it is checked against (TestIndexMatchesScanAllDatasets): one range or
+// kNN query per op, answered from the index or by ScanRange /
+// ScanNearest, at 1 000 and 10 000 objects (queryFleet). Rects cover 1 %
+// of the extent, k = 10, and horizons cycle {5, 20, 100}; index and scan
+// answer the same queries. An indexed range costs what copying its
+// ~n/100 matches costs; a scan predicts every object per query.
+func BenchmarkFleetQuery(b *testing.B) {
+	fleets := map[int]*Store{}
+	defer func() {
+		for _, s := range fleets {
+			s.Close()
+		}
+	}()
+	horizons := []int{5, 20, 100}
+	rng := rand.New(rand.NewSource(1))
+	ext := datagen.Extent
+	rects := make([]hpm.Rect, 64)
+	pts := make([]hpm.Point, len(rects))
+	hs := make([]int, len(rects))
+	for i := range rects {
+		hs[i] = horizons[i%len(horizons)]
+		w, h := ext.Width()*0.10, ext.Height()*0.10
+		x := ext.Min.X + rng.Float64()*(ext.Width()-w)
+		y := ext.Min.Y + rng.Float64()*(ext.Height()-h)
+		rects[i] = hpm.Rect{Min: hpm.Pt(x, y), Max: hpm.Pt(x+w, y+h)}
+		pts[i] = hpm.Pt(ext.Min.X+rng.Float64()*ext.Width(), ext.Min.Y+rng.Float64()*ext.Height())
+	}
+	type query func(s *Store, i int) ([]spatial.Result, error)
+	ops := []struct {
+		name        string
+		index, scan query
+	}{
+		{"range",
+			func(s *Store, i int) ([]spatial.Result, error) { return s.QueryRange(rects[i], hs[i]) },
+			func(s *Store, i int) ([]spatial.Result, error) { return s.ScanRange(rects[i], hs[i]) }},
+		{"knn",
+			func(s *Store, i int) ([]spatial.Result, error) { return s.QueryNearest(pts[i], 10, hs[i]) },
+			func(s *Store, i int) ([]spatial.Result, error) { return s.ScanNearest(pts[i], 10, hs[i]) }},
+	}
+	for _, op := range ops {
+		b.Run(op.name, func(b *testing.B) {
+			for _, n := range []int{1000, 10000} {
+				b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+					s := fleets[n]
+					if s == nil {
+						s = queryFleet(b, n)
+						fleets[n] = s
+					}
+					// One query per horizon answered both ways first, so
+					// no number here is bought with a wrong answer.
+					for i := range horizons {
+						got, err1 := op.index(s, i)
+						want, err2 := op.scan(s, i)
+						if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+							b.Fatalf("query %d: index %v (%v), scan %v (%v)", i, got, err1, want, err2)
+						}
+					}
+					for _, m := range []struct {
+						name string
+						q    query
+					}{{"index", op.index}, {"scan", op.scan}} {
+						b.Run(m.name, func(b *testing.B) {
+							for i := 0; i < b.N; i++ {
+								if _, err := m.q(s, i%len(rects)); err != nil {
+									b.Fatal(err)
+								}
+							}
+						})
+					}
+				})
+			}
+		})
+	}
+}
+
+// queryFleet builds BenchmarkFleetQuery's in-memory fleet of n objects:
+// period 60, cells of 200, 50 Car objects observed for five periods (each
+// trains inside the observe that completes its fourth), and the rest
+// 8-point random walks inside the extent, answered by extrapolation. Every
+// bucket is read, so built, before it returns.
+func queryFleet(b *testing.B, n int) *Store {
+	b.Helper()
+	s, err := New(Options{
+		Config:          hpm.Config{Period: 60},
+		MinTrainPeriods: 4,
+		EvalDisabled:    true,
+		FleetIndex:      &spatial.Config{CellSize: 200},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	ext := datagen.Extent
+	for i := 0; i < n; i++ {
+		var pts []hpm.Point
+		if i < 50 {
+			spec := datagen.DefaultSpec(datagen.Car, int64(i+1))
+			spec.Period = 60
+			spec.SubTrajectories = 5
+			pts = datagen.Generate(spec).Points()
+		} else {
+			p := hpm.Pt(ext.Min.X+rng.Float64()*ext.Width(), ext.Min.Y+rng.Float64()*ext.Height())
+			pts = make([]hpm.Point, 8)
+			for j := range pts {
+				pts[j] = p
+				p = ext.Clamp(hpm.Pt(p.X+rng.NormFloat64()*5, p.Y+rng.NormFloat64()*5))
+			}
+		}
+		if err := s.ObserveBatch(fmt.Sprintf("obj-%06d", i), pts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	readEveryBucket(b, s)
+	return s
 }

@@ -127,15 +127,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // only; nothing else would train the object until its next observation —
 // which for a parked vehicle may be never. Failures go to the object's Stats.
 func (s *Store) recoverModels() {
-	var objs []*object
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, obj := range sh.objects {
-			objs = append(objs, obj)
-		}
-		sh.mu.RUnlock()
-	}
+	objs := s.listObjects()
 	// Objects are independent here — each update touches only its own
 	// locks — so recovery fans out across the store's workers.
 	parallel.For(len(objs), s.workers, func(i int) {
@@ -514,22 +506,12 @@ func syncDir(dir string) {
 	}
 }
 
-// walRemove logs an object's removal as a tombstone: a record with zero
-// points, a shape the observe paths never write (empty batches return
-// before reaching the WAL). Called with obj.ingestMu held, so no observe
-// record for this object can slip in between the tombstone and the map
-// deletion.
-func (s *Store) walRemove(id string) error {
-	if err := s.fault(faultinject.OpWALAppend); err != nil {
-		return fmt.Errorf("store: wal remove: %w", err)
-	}
-	return s.degradedErr(s.wal.append(id, 0, nil))
-}
-
 // walAppendAll logs an observe batch as one group commit. Called with every
 // touched object's ingestMu held (sorted order) — not obj.mu — so the
 // recorded offsets stay valid until the batch is applied while queries
-// keep running through the commit and fsync.
+// keep running through the commit and fsync. Remove logs its tombstone
+// here too, as one record with no points: a shape the observe paths never
+// write (empty batches return before reaching the WAL).
 func (s *Store) walAppendAll(recs []walRecord) error {
 	if err := s.fault(faultinject.OpWALAppend); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)

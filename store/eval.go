@@ -147,30 +147,21 @@ type FleetStats struct {
 func (s *Store) FleetStats() FleetStats {
 	var fs FleetStats
 	var agg evalq.Agg
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		objs := make([]*object, 0, len(sh.objects))
-		for _, obj := range sh.objects {
-			objs = append(objs, obj)
+	for _, obj := range s.listObjects() {
+		fs.Objects++
+		obj.mu.RLock()
+		if obj.predictor != nil {
+			fs.Trained++
+			fs.Queries = fs.Queries.Add(obj.predictor.QueryStats())
+			if n, ok := obj.predictor.Model().MinerItemsets(); ok {
+				fs.Miners++
+				fs.MinerItemsets += n
+				fs.MinerBytes += obj.predictor.Model().MinerBytes()
+			}
 		}
-		sh.mu.RUnlock()
-		for _, obj := range objs {
-			fs.Objects++
-			obj.mu.RLock()
-			if obj.predictor != nil {
-				fs.Trained++
-				fs.Queries = fs.Queries.Add(obj.predictor.QueryStats())
-				if n, ok := obj.predictor.Model().MinerItemsets(); ok {
-					fs.Miners++
-					fs.MinerItemsets += n
-					fs.MinerBytes += obj.predictor.Model().MinerBytes()
-				}
-			}
-			obj.mu.RUnlock()
-			if obj.eval != nil {
-				obj.eval.MergeInto(&agg)
-			}
+		obj.mu.RUnlock()
+		if obj.eval != nil {
+			obj.eval.MergeInto(&agg)
 		}
 	}
 	fs.Eval = evalq.Summarize(s.opts.Eval, agg)

@@ -186,8 +186,7 @@ func (s *Store) readBucket(horizon int) {
 	}
 	start := time.Now()
 	s.idxLive.Store(s.idxLive.Load() | bit)
-	var objs []*object
-	s.forEachObject(func(_ string, obj *object) { objs = append(objs, obj) })
+	objs := s.listObjects()
 	parallel.For(len(objs), s.workers, func(i int) {
 		obj := objs[i]
 		obj.lockWrite()
@@ -199,23 +198,19 @@ func (s *Store) readBucket(horizon int) {
 	s.idxBuildNanos.Add(uint64(time.Since(start)))
 }
 
-// forEachObject visits every tracked object, one shard at a time. Objects
-// added or removed mid-walk may or may not be visited.
-func (s *Store) forEachObject(fn func(id string, obj *object)) {
+// listObjects returns every tracked object, one shard at a time. Objects
+// added or removed mid-walk may or may not be listed.
+func (s *Store) listObjects() []*object {
+	var objs []*object
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		ids := make([]string, 0, len(sh.objects))
-		objs := make([]*object, 0, len(sh.objects))
-		for id, obj := range sh.objects {
-			ids = append(ids, id)
+		for _, obj := range sh.objects {
 			objs = append(objs, obj)
 		}
 		sh.mu.RUnlock()
-		for j, obj := range objs {
-			fn(ids[j], obj)
-		}
 	}
+	return objs
 }
 
 func validateFleetQuery(horizon int) error {
@@ -266,7 +261,7 @@ func (s *Store) QueryNearest(p hpm.Point, k, horizon int) ([]spatial.Result, err
 
 // ScanRange answers a range query by brute force: every object's prediction
 // at the same quantized horizon is recomputed on the spot. It is the oracle
-// the index is validated against and the baseline the fleetquery experiment
+// the index is validated against and the baseline BenchmarkFleetQuery
 // measures; production traffic should use QueryRange.
 func (s *Store) ScanRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	if s.index == nil {
@@ -280,12 +275,12 @@ func (s *Store) ScanRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	}
 	bh := s.index.BucketHorizon(horizon)
 	var out []spatial.Result
-	s.forEachObject(func(id string, obj *object) {
+	for _, obj := range s.listObjects() {
 		e, ok := s.scanEntry(obj, bh)
 		if ok && r.Contains(e.Pos) {
-			out = append(out, spatial.Result{ID: id, Pos: e.Pos, Path: e.Path, Horizon: bh})
+			out = append(out, spatial.Result{ID: obj.id, Pos: e.Pos, Path: e.Path, Horizon: bh})
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
@@ -306,13 +301,11 @@ func (s *Store) ScanNearest(p hpm.Point, k, horizon int) ([]spatial.Result, erro
 	}
 	bh := s.index.BucketHorizon(horizon)
 	var out []spatial.Result
-	s.forEachObject(func(id string, obj *object) {
-		e, ok := s.scanEntry(obj, bh)
-		if !ok {
-			return
+	for _, obj := range s.listObjects() {
+		if e, ok := s.scanEntry(obj, bh); ok {
+			out = append(out, spatial.Result{ID: obj.id, Pos: e.Pos, Path: e.Path, Horizon: bh, Dist: e.Pos.Dist(p)})
 		}
-		out = append(out, spatial.Result{ID: id, Pos: e.Pos, Path: e.Path, Horizon: bh, Dist: e.Pos.Dist(p)})
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
 			return out[i].Dist < out[j].Dist

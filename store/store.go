@@ -1144,7 +1144,9 @@ func (s *Store) Remove(id string) error {
 	s.snapGate.RLock()
 	defer s.snapGate.RUnlock()
 	if s.wal != nil {
-		if err := s.walRemove(id); err != nil {
+		// ingestMu is held, so no observe record for this object can slip
+		// in between the tombstone and the map deletion.
+		if err := s.walAppendAll([]walRecord{{id: id}}); err != nil {
 			return err // not acknowledged: the object stays
 		}
 	}

@@ -31,7 +31,7 @@ var errWALBroken = errors.New("store: wal segment broken by a failed write")
 // records into a shared batch, one of them (the leader) writes the whole
 // batch with a single file write and a single fsync, and every waiter is
 // released once the batch is durable. The acknowledgment guarantee is
-// unchanged — append returns nil only after its record's batch hit disk
+// unchanged — appendAll returns nil only after its records' batch hit disk
 // (in sync mode) — but the fsync cost is amortized across every writer
 // that joined the batch, so durable ingest throughput grows with writer
 // concurrency instead of serializing on one fsync per record.
@@ -172,23 +172,6 @@ func (w *wal) openSegmentLocked() error {
 	syncDir(w.dir) // the name must be durable before a record it holds is acknowledged
 	w.f = f
 	return nil
-}
-
-// append stages one record into the current group commit and blocks until
-// that batch is durable (written, and in sync mode fsynced), so the caller
-// may acknowledge the observation.
-func (w *wal) append(id string, offset int, pts []hpm.Point) error {
-	w.mu.Lock()
-	if w.f == nil {
-		w.mu.Unlock()
-		return errors.New("store: wal closed")
-	}
-	if w.broken {
-		w.mu.Unlock()
-		return errWALBroken
-	}
-	b := w.stageLocked(id, offset, pts)
-	return w.commit(b)
 }
 
 // appendAll stages every record into one group commit and blocks until the

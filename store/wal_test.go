@@ -32,7 +32,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		{id: "bus-1", offset: 3, pts: walPoints(3, 5)},
 	}
 	for _, rec := range want {
-		if err := w.append(rec.id, rec.offset, rec.pts); err != nil {
+		if err := w.appendAll([]walRecord{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestWALTornTailToleratedAndRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.append("bus", i*4, walPoints(i*4, 4)); err != nil {
+		if err := w.appendAll([]walRecord{{id: "bus", offset: i * 4, pts: walPoints(i*4, 4)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestWALCorruptionInFrozenSegmentIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append("bus", 0, walPoints(0, 8)); err != nil {
+	if err := w.appendAll([]walRecord{{id: "bus", pts: walPoints(0, 8)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -137,14 +137,14 @@ func TestWALRotateReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append("a", 0, walPoints(0, 1)); err != nil {
+	if err := w.appendAll([]walRecord{{id: "a", pts: walPoints(0, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	frozen, err := w.rotate()
 	if err != nil || len(frozen) != 1 {
 		t.Fatalf("rotate: %v, %v", frozen, err)
 	}
-	if err := w.append("a", 1, walPoints(1, 1)); err != nil {
+	if err := w.appendAll([]walRecord{{id: "a", offset: 1, pts: walPoints(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Both the frozen and the live segment exist until reclaim.
@@ -167,7 +167,7 @@ func TestWALRotateReclaim(t *testing.T) {
 func TestWALSegmentsResumeNumbering(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openWAL(dir, false)
-	w.append("a", 0, walPoints(0, 1))
+	w.appendAll([]walRecord{{id: "a", pts: walPoints(0, 1)}})
 	w.close()
 	// A second process start must not reuse (and clobber) segment 1.
 	w2, err := openWAL(dir, false)
@@ -271,7 +271,7 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("w-%d", i)
 			for j := 0; j < perWriter; j++ {
-				if err := w.append(id, j, walPoints(j, 1)); err != nil {
+				if err := w.appendAll([]walRecord{{id: id, offset: j, pts: walPoints(j, 1)}}); err != nil {
 					errs <- err
 					return
 				}
