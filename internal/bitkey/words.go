@@ -7,6 +7,10 @@ import "math/bits"
 // number of words; the Key methods check lengths and then come here, other
 // callers (the TPT over its node slabs) hold that by construction.
 
+// SetWords sets the bit at 1-based position p, as Key.Set counts it, in a
+// key's words.
+func SetWords(w []uint64, p int) { w[(p-1)/64] |= 1 << uint((p-1)%64) }
+
 // OrWords sets dst |= src.
 func OrWords(dst, src []uint64) {
 	dst = dst[:len(src)]

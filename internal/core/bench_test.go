@@ -151,7 +151,7 @@ func BenchmarkSeedMiner(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.miner = nil
-				m.ensureMiner()
+				m.seedMiner()
 			}
 			b.ReportMetric(float64(m.miner.TrackedItemsets()), "itemsets")
 			b.ReportMetric(float64(m.miner.Bytes())/float64(m.miner.TrackedItemsets()), "B/itemset")
@@ -189,7 +189,7 @@ func BenchmarkExtendFleet(b *testing.B) {
 					if i%len(days) == 0 {
 						b.StopTimer()
 						m = loadFleetModel(b, stream)
-						m.ensureMiner()
+						m.seedMiner()
 						b.StartTimer()
 					}
 					if _, err := m.Extend(days[i%len(days) : i%len(days)+1]); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"hpm/internal/cluster"
 	"hpm/internal/geom"
@@ -52,6 +53,11 @@ type ExtendResult struct {
 	// re-derived a rule for: the work done, which the counts above (what
 	// came of it) do not show.
 	Reevaluated int
+	// Seeded is whether the update first had to seed the incremental
+	// miner — the first Extend after a train or a load does — and
+	// SeedDuration is what that seeding took, within the update's own time.
+	Seeded       bool
+	SeedDuration time.Duration
 }
 
 // Extend absorbs newly accumulated sub-trajectories without retraining.
@@ -75,7 +81,11 @@ func (m *Model) Extend(subs []trajectory.SubTrajectory) (ExtendResult, error) {
 			return res, fmt.Errorf("core: new sub-trajectory length %d != period %d", len(s.Points), m.params.Period)
 		}
 	}
-	m.ensureMiner()
+	if m.miner == nil {
+		start := time.Now()
+		m.seedMiner()
+		res.Seeded, res.SeedDuration = true, time.Since(start)
+	}
 
 	// Retire expired periods before absorbing, so the new days' deltas
 	// read supports that no longer include them.
@@ -98,23 +108,21 @@ func (m *Model) Extend(subs []trajectory.SubTrajectory) (ExtendResult, error) {
 	return res, nil
 }
 
-// ensureMiner builds the incremental miner on first use, seeded from the
-// region table's bitmaps by the walk batch mining reads, and reconciles
-// the engine's live set against it.
-func (m *Model) ensureMiner() {
-	if m.miner != nil {
-		return
-	}
+// seedMiner builds the incremental miner, seeded from the region table's
+// bitmaps by the walk batch mining reads, and reconciles the engine's live
+// set against it: the first Extend after a train or a load does.
+func (m *Model) seedMiner() {
 	m.miner = pattern.NewIncrementalMiner(m.regions, m.params.Mining, m.engine.LivePatterns())
 	m.reconcile(m.miner.Seed())
 }
 
 // reconcile binds the engine's live set to the freshly seeded miner by
-// lookup: every live ref is bound to the miner's rule of the same
-// identity, a ref that finds none is removed, and the seeded rules left
-// unbound are inserted. After batch training or a clean load nothing is
-// removed or inserted; the reconcile only repairs drift if the two ever
-// diverge.
+// lookup: every live ref is bound to the miner's rule of its table row — the
+// premise, then the consequence, which is ascending time offset, the order
+// the miner indexes an itemset by — a ref that finds none is removed, and
+// the seeded rules left unbound are inserted. After batch training or a
+// clean load nothing is removed or inserted; the reconcile only repairs
+// drift if the two ever diverge.
 func (m *Model) reconcile(seeded pattern.Delta) {
 	// Inserting appends refs; only these predate the reconcile.
 	type update struct {
@@ -122,12 +130,13 @@ func (m *Model) reconcile(seeded pattern.Delta) {
 		conf         float64
 	}
 	var updated []update
+	var buf [pattern.MaxIdentityLen]pattern.RegionID
 	for ref, refs := 0, m.engine.Refs(); ref < refs; ref++ {
 		if !m.engine.IsLive(ref) {
 			continue
 		}
 		cur := m.engine.Pattern(ref)
-		conf, support, ok := m.miner.Bind(pattern.PatternIdentity(cur), ref)
+		conf, support, ok := m.miner.Bind(append(append(buf[:0], cur.Premise...), cur.Consequence), ref)
 		switch {
 		case !ok:
 			m.engine.RemovePattern(ref)

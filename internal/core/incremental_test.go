@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hpm/internal/datagen"
@@ -19,7 +20,7 @@ func livePatternsByKey(t *testing.T, m *Model) map[pattern.IdentityKey]pattern.P
 		if !m.Engine().IsLive(ref) {
 			continue
 		}
-		key := pattern.PatternIdentity(p)
+		key := ruleIdentity(p)
 		if _, dup := out[key]; dup {
 			t.Fatalf("duplicate live pattern %v", p)
 		}
@@ -45,7 +46,7 @@ func requireBatchEquivalent(t *testing.T, m *Model, when string) {
 		t.Fatalf("%s: %d live rules, batch mines %d", when, len(got), len(want))
 	}
 	for _, wp := range want {
-		gp, ok := got[pattern.PatternIdentity(wp)]
+		gp, ok := got[ruleIdentity(wp)]
 		if !ok {
 			t.Fatalf("%s: batch rule %v missing from live set", when, wp)
 		}
@@ -203,6 +204,12 @@ func TestSeedMatchesReplayTwin(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// The walk seeds inside the first Extend after each load; the
+					// twin was seeded by replay before it.
+					if got.Seeded != (i == 0 || i == reseedAt) || want.Seeded {
+						t.Fatalf("extend %d: walk-seeded reports seeding %v, replay-seeded %v", i, got.Seeded, want.Seeded)
+					}
+					got.Seeded, got.SeedDuration = false, 0
 					if got != want {
 						t.Fatalf("extend %d: walk-seeded %+v, replay-seeded %+v", i, got, want)
 					}
@@ -392,5 +399,179 @@ func BenchmarkExtend(b *testing.B) {
 		if _, err := m.Extend([]trajectory.SubTrajectory{day}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// identityReconcile is reconcile as it bound a live ref before refs were
+// bound by their rows: the row's itemset through its identity key — region
+// ids ascending, an order minted regions break — and back to ascending time
+// offset for the miner's lookup. It is the row bind's oracle and lives in
+// test code only.
+func identityReconcile(m *Model, seeded pattern.Delta) {
+	type update struct {
+		ref, support int
+		conf         float64
+	}
+	var updated []update
+	for ref, refs := 0, m.engine.Refs(); ref < refs; ref++ {
+		if !m.engine.IsLive(ref) {
+			continue
+		}
+		cur := m.engine.Pattern(ref)
+		var ids []pattern.RegionID
+		for _, id := range ruleIdentity(cur) {
+			if id == 0 {
+				break
+			}
+			ids = append(ids, pattern.RegionID(id-1))
+		}
+		slices.SortFunc(ids, func(a, b pattern.RegionID) int { return m.regions.Region(a).Offset - m.regions.Region(b).Offset })
+		conf, support, ok := m.miner.Bind(ids, ref)
+		switch {
+		case !ok:
+			m.engine.RemovePattern(ref)
+		case cur.Confidence != conf || cur.Support != support:
+			updated = append(updated, update{ref, support, conf})
+		}
+	}
+	m.engine.UpdatePatterns(len(updated), func(i int) (int, float64, int) {
+		return updated[i].ref, updated[i].conf, updated[i].support
+	})
+	var missing []int32
+	for _, s := range seeded.Added {
+		if ref, _, _ := m.miner.Rule(s); ref == pattern.NoTag {
+			missing = append(missing, s)
+		}
+	}
+	m.insert(missing)
+}
+
+// disturb makes m's engine drift from what a seeding derives: every seventh
+// ref removed, every fifth live one reweighed, and the first live rule
+// indexed a second time.
+func disturb(m *Model) {
+	var reweigh []int
+	for ref := 0; ref < m.engine.Refs(); ref++ {
+		switch {
+		case !m.engine.IsLive(ref):
+		case ref%7 == 3:
+			m.engine.RemovePattern(ref)
+		case ref%5 == 1:
+			reweigh = append(reweigh, ref)
+		}
+	}
+	m.engine.UpdatePatterns(len(reweigh), func(i int) (int, float64, int) {
+		return reweigh[i], m.engine.Pattern(reweigh[i]).Confidence / 2, 1
+	})
+	for ref := 0; ref < m.engine.Refs(); ref++ {
+		if m.engine.IsLive(ref) {
+			p := m.engine.Pattern(ref)
+			p.Premise = slices.Clone(p.Premise)
+			m.engine.InsertPatterns([]pattern.Pattern{p})
+			return
+		}
+	}
+}
+
+// TestRowBindMatchesIdentityBind: reconcile, binding each live ref by its
+// table row, binds, removes, updates and inserts exactly what the
+// identity-keyed bind does — every ref's row and liveness, and every seeded
+// rule's ref, equal — on four kinds, each trained, loaded, and loaded after
+// eight Extends that mint regions into Bike's table (its rows then no longer
+// ascend by id), history unbounded and in a window of eight; each as it
+// stands and after drift that the reconcile must repair.
+func TestRowBindMatchesIdentityBind(t *testing.T) {
+	const extends = 8
+	minted, idOrderBroken := 0, false
+	for _, kind := range datagen.Kinds {
+		subs := fleetSubs(t, kind, fleetPeriod, fleetTrainPeriods+extends)
+		for _, window := range []int{0, 8} {
+			params := Params{Period: fleetPeriod, HistoryWindow: window}
+			train := func() *Model {
+				m, err := TrainSubTrajectories(subs[:fleetTrainPeriods], params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			save := func(m *Model) []byte {
+				var buf bytes.Buffer
+				if err := m.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			load := func(stream []byte) func() *Model {
+				return func() *Model {
+					m, err := Load(bytes.NewReader(stream))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m
+				}
+			}
+			grown := train()
+			for _, day := range subs[fleetTrainPeriods:] {
+				res, err := grown.Extend([]trajectory.SubTrajectory{day})
+				if err != nil {
+					t.Fatal(err)
+				}
+				minted += res.NewRegions
+			}
+			for ref := 0; ref < grown.engine.Refs(); ref++ {
+				p := grown.engine.Pattern(ref)
+				ids := append(p.Premise[:len(p.Premise):len(p.Premise)], p.Consequence)
+				idOrderBroken = idOrderBroken || grown.engine.IsLive(ref) && !slices.IsSorted(ids)
+			}
+			stages := []struct {
+				name string
+				make func() *Model
+			}{{"trained", train}, {"loaded", load(save(train()))}, {"extended", load(save(grown))}}
+			for _, stage := range stages {
+				for _, drift := range []bool{false, true} {
+					name := fmt.Sprintf("%v/window=%d/%s/drift=%v", kind, window, stage.name, drift)
+					row, ident := stage.make(), stage.make()
+					if drift {
+						disturb(row)
+						disturb(ident)
+					}
+					refs := row.engine.Refs()
+					seed := func(m *Model) pattern.Delta {
+						m.miner = pattern.NewIncrementalMiner(m.regions, m.params.Mining, m.engine.LivePatterns())
+						return m.miner.Seed()
+					}
+					d := seed(row)
+					row.reconcile(d)
+					di := seed(ident)
+					identityReconcile(ident, di)
+					if !slices.Equal(d.Added, di.Added) {
+						t.Fatalf("%s: the twins seeded different slots", name)
+					}
+					for _, s := range d.Added {
+						rTag, rConf, rSup := row.miner.Rule(s)
+						iTag, iConf, iSup := ident.miner.Rule(s)
+						if rTag != iTag || rConf != iConf || rSup != iSup {
+							t.Fatalf("%s: slot %d bound to ref %d, the identity bind's to %d", name, s, rTag, iTag)
+						}
+					}
+					if row.engine.Refs() != ident.engine.Refs() {
+						t.Fatalf("%s: %d refs after the row bind, %d after the identity bind", name, row.engine.Refs(), ident.engine.Refs())
+					}
+					for ref := 0; ref < row.engine.Refs(); ref++ {
+						if row.engine.IsLive(ref) != ident.engine.IsLive(ref) || !samePattern(row.engine.Pattern(ref), ident.engine.Pattern(ref)) {
+							t.Fatalf("%s: ref %d is %v live %v, the identity bind's %v live %v", name, ref,
+								row.engine.Pattern(ref), row.engine.IsLive(ref), ident.engine.Pattern(ref), ident.engine.IsLive(ref))
+						}
+					}
+					if drift && row.engine.LivePatterns() > 10 && row.engine.Refs() == refs {
+						t.Fatalf("%s: the reconcile inserted nothing; the drift shows nothing", name)
+					}
+					requireBatchEquivalent(t, row, name)
+				}
+			}
+		}
+	}
+	if minted == 0 || !idOrderBroken {
+		t.Fatalf("the Extends minted %d regions and left rows ascending by id: %v; the extended stage shows nothing", minted, !idOrderBroken)
 	}
 }

@@ -128,7 +128,7 @@ func decode(c *pattern.Cursor, period int) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read regions: %w", err)
 	}
-	rules, err := pattern.ReadRules(c, regions)
+	rules, err := pattern.ReadRules(c, regions, params.Mining)
 	if err != nil {
 		return nil, fmt.Errorf("core: read patterns: %w", err)
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -265,6 +267,65 @@ func overcountedStream(stream []byte) []byte {
 	return resetUvarint(stream, bytes.Index(stream, []byte("HPMP"))+4, func(uint64) uint64 { return uint64(len(stream)) })
 }
 
+// rowStream returns a fleet-shaped Bike model's stream with one more rule:
+// pick chooses its regions from one region per offset, ascending, and the
+// rule's premise is what it returns but the last, in that order, its
+// consequence the last.
+func rowStream(tb testing.TB, pick func(byOffset []pattern.RegionID) []pattern.RegionID) []byte {
+	tb.Helper()
+	m, err := TrainSubTrajectories(fleetSubs(tb, datagen.Bike, fleetPeriod, fleetTrainPeriods), Params{Period: fleetPeriod})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var byOffset []pattern.RegionID // one region per offset, ascending
+	for off := range fleetPeriod {
+		if at := m.regions.AtOffset(off); len(at) > 0 {
+			byOffset = append(byOffset, at[0].ID)
+		}
+	}
+	ids := pick(byOffset)
+	m.engine.InsertPatterns([]pattern.Pattern{{Premise: ids[:len(ids)-1], Consequence: ids[len(ids)-1], Confidence: 0.5, Support: 2}})
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// longRuleStream holds a rule of ten regions, past the three MaxLength
+// allows by default and the eight an itemset's identity holds: the decoder
+// once accepted it, and the model's first Extend panicked.
+func longRuleStream(tb testing.TB) []byte {
+	return rowStream(tb, func(ids []pattern.RegionID) []pattern.RegionID { return ids[:10] })
+}
+
+// unorderedRuleStream holds a rule of three regions whose premise descends
+// in time offset.
+func unorderedRuleStream(tb testing.TB) []byte {
+	return rowStream(tb, func(ids []pattern.RegionID) []pattern.RegionID {
+		return []pattern.RegionID{ids[1], ids[0], ids[2]}
+	})
+}
+
+// TestLoadRefusesRowsSaveNeverWrites: a rule longer than the model's
+// MaxLength, and one whose premise does not ascend in time offset before
+// its consequence, are refused where the stream is read. Save writes
+// neither, and the first Extend binds every loaded rule to the miner by its
+// row, which holds only for the rows Save writes.
+func TestLoadRefusesRowsSaveNeverWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name, refusal string
+		stream        []byte
+	}{
+		{"ten regions", "past MaxLength 3", longRuleStream(t)},
+		{"premise out of order", "do not ascend in time offset", unorderedRuleStream(t)},
+	} {
+		if _, _, err := Decode(tc.stream, fleetPeriod); err == nil || !strings.Contains(err.Error(), tc.refusal) {
+			t.Errorf("%s: %v, want a refusal saying %q", tc.name, err, tc.refusal)
+		}
+	}
+}
+
 // TestLoadRefusesHostileClaims: a region at offset 2³⁰ — past any period,
 // and what a table indexed by offset would be sized by — and a rule count
 // the bytes behind it cannot hold are refused for what they claim, neither
@@ -292,40 +353,191 @@ func TestLoadRefusesHostileClaims(t *testing.T) {
 	}
 }
 
-// FuzzLoadModel: Load never panics, and a stream it accepts yields a model
-// whose index holds exactly its patterns under their own keys, which
-// answers, saves, and loads again. The seeds — the golden directory's
-// stream, a freshly trained one, cuts and bit flips of both, and each with
-// a region at offset 2³⁰ and with a rule count its bytes cannot hold — run
-// under plain go test.
-func FuzzLoadModel(f *testing.F) {
+// loadModelSeeds is FuzzLoadModel's corpus.
+func loadModelSeeds(tb testing.TB) [][]byte {
 	subs, err := datagen.Generate(datagen.Spec{Kind: datagen.Cow, Period: 30, SubTrajectories: 8, Seed: 7}).Decompose(30)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := TrainSubTrajectories(subs, Params{Period: 30})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var fresh bytes.Buffer
 	if err := m.Save(&fresh); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	streams := [][]byte{fixtureModel(f), fresh.Bytes()}
+	var seeds [][]byte
+	streams := [][]byte{fixtureModel(tb), fresh.Bytes()}
 	for _, stream := range streams {
-		f.Add(stream)
+		seeds = append(seeds, stream)
 		for _, cut := range []int{5, len(stream) / 3, len(stream) - 40, len(stream) - 5, len(stream) - 1} {
-			f.Add(stream[:cut])
+			seeds = append(seeds, stream[:cut])
 		}
 		for at := 0; at < 12; at++ {
 			flipped := bytes.Clone(stream)
 			flipped[len(flipped)-1-at*len(flipped)/12] ^= 1 << (at % 8)
-			f.Add(flipped)
+			seeds = append(seeds, flipped)
 		}
 	}
 	for _, stream := range streams {
-		f.Add(farOffsetStream(stream))
-		f.Add(overcountedStream(stream))
+		seeds = append(seeds, farOffsetStream(stream), overcountedStream(stream))
+	}
+	return append(seeds, longRuleStream(tb), unorderedRuleStream(tb))
+}
+
+// refReadRules is pattern.ReadRules as it read a rule list before it held
+// each rule to the rows Save writes, through the cursor's exported reads:
+// region ids checked, a premise of at most 64 regions, in any order.
+func refReadRules(c *pattern.Cursor, rt *pattern.RegionTable) (*pattern.Table, error) {
+	count := func() int {
+		v := c.Uvarint()
+		if v > math.MaxInt32 {
+			c.Fail(fmt.Errorf("implausible count %d", v))
+			return 0
+		}
+		return int(v)
+	}
+	id := func() pattern.RegionID {
+		u := c.Uvarint()
+		v := int64(u>>1) ^ -int64(u&1)
+		if c.Err() == nil && (v < 0 || v >= int64(rt.Len())) {
+			c.Fail(fmt.Errorf("region id %d out of %d", v, rt.Len()))
+		}
+		return pattern.RegionID(v)
+	}
+	if magic := c.Bytes(4); c.Err() == nil && string(magic) != "HPMP" {
+		c.Fail(fmt.Errorf("bad magic %q", magic))
+	}
+	n := count()
+	if c.Err() == nil && n > c.Remaining()/11 {
+		c.Fail(fmt.Errorf("%d patterns cannot fit in %d bytes", n, c.Remaining()))
+	}
+	if c.Err() != nil {
+		return nil, c.Err()
+	}
+	t := pattern.NewTable(n, 0)
+	for range n {
+		premLen := count()
+		if premLen > 64 {
+			c.Fail(fmt.Errorf("implausible premise length %d", premLen))
+			return nil, c.Err()
+		}
+		p := pattern.Pattern{Premise: make([]pattern.RegionID, premLen)}
+		for j := range p.Premise {
+			p.Premise[j] = id()
+		}
+		p.Consequence, p.Confidence, p.Support = id(), c.Float(), count()
+		if c.Err() != nil {
+			return nil, c.Err()
+		}
+		t.Append(p)
+	}
+	return t, nil
+}
+
+// rulesAt walks a model stream to its rule list as decode does and returns
+// the cursor there, the region table and the stream's mining bounds; ok is
+// false when the stream fails before its rules.
+func rulesAt(stream []byte) (c pattern.Cursor, rt *pattern.RegionTable, cfg pattern.Config, ok bool) {
+	c = pattern.NewCursor(stream)
+	c.Bytes(len(modelMagic) + 1)
+	var params Params
+	if pj := c.Blob(1 << 20); c.Err() != nil || json.Unmarshal(pj, &params) != nil || params.Period <= 0 {
+		return c, nil, cfg, false
+	}
+	for range 4 { // bounds
+		c.Float()
+	}
+	rt, err := pattern.ReadRegionTable(&c, params.Period)
+	return c, rt, params.Mining, err == nil
+}
+
+// TestReadRulesMatchesReferenceOnModels: over FuzzLoadModel's corpus and a
+// fleet-shaped model of each kind, trained and after Extends that mint
+// regions, ReadRules accepts what refReadRules accepts, into an equal table,
+// and refuses the same rule lists but the ones holding a row Save never
+// writes — refused for that row.
+func TestReadRulesMatchesReferenceOnModels(t *testing.T) {
+	corpus := loadModelSeeds(t)
+	for _, kind := range datagen.Kinds {
+		subs := fleetSubs(t, kind, fleetPeriod, fleetTrainPeriods+8)
+		m, err := TrainSubTrajectories(subs[:fleetTrainPeriods], Params{Period: fleetPeriod})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= 8; i += 8 {
+			if _, err := m.Extend(subs[fleetTrainPeriods : fleetTrainPeriods+i]); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			corpus = append(corpus, buf.Bytes())
+		}
+	}
+	accepted, rowRefusals := 0, 0
+	for n, stream := range corpus {
+		c, rt, cfg, ok := rulesAt(stream)
+		if !ok {
+			continue
+		}
+		ref := c
+		table, err := pattern.ReadRules(&c, rt, cfg)
+		want, wantErr := refReadRules(&ref, rt)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Errorf("stream %d: accepted what the reference refuses (%v)", n, wantErr)
+		case wantErr == nil && err != nil:
+			if savedRows(want, rt, cfg) || !strings.Contains(err.Error(), "ascend") && !strings.Contains(err.Error(), "MaxLength") {
+				t.Errorf("stream %d: refused (%v) what the reference reads to rows Save writes", n, err)
+			}
+			rowRefusals++
+		case err == nil:
+			if !reflect.DeepEqual(table.Patterns(), want.Patterns()) || c.Offset() != ref.Offset() {
+				t.Errorf("stream %d: decoded %d rules to byte %d, the reference %d to byte %d", n, table.Len(), c.Offset(), want.Len(), ref.Offset())
+			}
+			accepted++
+		}
+	}
+	if accepted < 10 || rowRefusals < 2 {
+		t.Errorf("%d rule lists accepted, %d refused for their rows; the corpus shows too little", accepted, rowRefusals)
+	}
+}
+
+// savedRows reports whether every row of t is one Save writes: at most
+// cfg's MaxLength regions, offsets strictly ascending to the consequence.
+func savedRows(t *pattern.Table, rt *pattern.RegionTable, cfg pattern.Config) bool {
+	maxLen := cfg.MaxLength
+	if maxLen <= 0 {
+		maxLen = pattern.DefaultMaxLength
+	}
+	maxLen = min(maxLen, pattern.MaxIdentityLen)
+	for i := 0; i < t.Len(); i++ {
+		ids := append(t.Premise(i), t.Consequence(i))
+		if len(ids) > maxLen {
+			return false
+		}
+		for j := 1; j < len(ids); j++ {
+			if rt.Region(ids[j]).Offset <= rt.Region(ids[j-1]).Offset {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzLoadModel: Load never panics, and a stream it accepts yields a model
+// whose index holds exactly its patterns under their own keys, which
+// answers, saves, loads again, and — its period at most 1 000 — absorbs one
+// more period through Extend. The seeds — the golden directory's stream, a
+// freshly trained one, cuts and bit flips of both, each with a region at
+// offset 2³⁰ and with a rule count its bytes cannot hold, and the two rows
+// Save never writes — run under plain go test.
+func FuzzLoadModel(f *testing.F) {
+	for _, seed := range loadModelSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))
@@ -355,5 +567,17 @@ func FuzzLoadModel(f *testing.F) {
 		if back, err := Load(&buf); err != nil || back.NumPatterns() != m.NumPatterns() {
 			t.Fatalf("a loaded model's own stream: %v", err)
 		}
+		if period > 1000 {
+			return
+		}
+		// One more period, through each offset's first region where it has
+		// one: an error is an answer; a panic is not.
+		day := trajectory.SubTrajectory{Index: m.regions.NumSubTrajectories(), Points: make([]geom.Point, period)}
+		for off := range day.Points {
+			if at := m.regions.AtOffset(off); len(at) > 0 {
+				day.Points[off] = at[0].Center
+			}
+		}
+		m.Extend([]trajectory.SubTrajectory{day})
 	})
 }

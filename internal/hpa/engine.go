@@ -321,7 +321,7 @@ func NewEngine(rt *pattern.RegionTable, rules *pattern.Table, cfg Config, treeOp
 	enc := pattern.NewEncoder(rt, ct)
 	// Every key is encoded where the tree builder reads it: no key, and no
 	// item, is allocated per rule.
-	tree, err := tpt.Build(ct.Len(), rt.Len(), len(offs), shape, treeOpts, func(i int, ck, rk bitkey.Key) (float64, int) {
+	tree, err := tpt.Build(ct.Len(), rt.Len(), len(offs), shape, treeOpts, func(i int, ck, rk []uint64) (float64, int) {
 		tid, _ := ct.TimeID(int(offs[i]))
 		enc.EncodeRule(rules.Premise(i), tid, ck, rk)
 		return rules.Confidence(i), i

@@ -3,8 +3,12 @@ package pattern
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"hpm/internal/geom"
@@ -121,18 +125,49 @@ func TestReadRegionTableFarOffset(t *testing.T) {
 	}
 }
 
+// readPatternsSeeds is FuzzReadPatterns' corpus over rt, Jane's table: a
+// mined rule list, cut, with hostile counts and premise lengths, with a
+// count past its rules, with one rule's varints padded to three bytes (which
+// binary.Uvarint reads as it reads one), and with one rule's premise in
+// descending time offset.
+func readPatternsSeeds(tb testing.TB, rt *RegionTable) [][]byte {
+	mined := Mine(rt, Config{MinSupport: 2, MinConfidence: 0.2})
+	var buf bytes.Buffer
+	if err := writePatterns(&buf, mined); err != nil {
+		tb.Fatal(err)
+	}
+	seeds := [][]byte{
+		buf.Bytes(),
+		buf.Bytes()[:buf.Len()/2],
+		binary.AppendUvarint([]byte(patternsMagic), 1<<28),
+		binary.AppendUvarint(binary.AppendUvarint([]byte(patternsMagic), 1), 1<<40), // premise length
+		[]byte(patternsMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"),          // count 2^64-1
+		overcounted(tb, buf.Bytes()),
+	}
+	three := slices.IndexFunc(mined, func(p Pattern) bool { return len(p.Premise) == 2 })
+	if three < 0 {
+		tb.Fatal("Jane's table mines no rule of three regions")
+	}
+	p := mined[three]
+	padded := append([]byte(patternsMagic), 0x81, 0x80, 0x00, 0x82, 0x80, 0x00) // a count of 1, a premise of 2
+	for _, id := range append(p.Premise[:2:2], p.Consequence) {
+		padded = append(padded, byte(id<<1)|0x80, 0x80, 0x00)
+	}
+	padded = binary.LittleEndian.AppendUint64(padded, math.Float64bits(p.Confidence))
+	padded = append(padded, byte(p.Support)|0x80, 0x80, 0x00)
+	p.Premise = []RegionID{p.Premise[1], p.Premise[0]}
+	var reversed bytes.Buffer
+	if err := writePatterns(&reversed, []Pattern{p}); err != nil {
+		tb.Fatal(err)
+	}
+	return append(seeds, padded, reversed.Bytes())
+}
+
 func FuzzReadPatterns(f *testing.F) {
 	rt := DiscoverRegions(janeGroups(), 30, 4)
-	var buf bytes.Buffer
-	if err := writePatterns(&buf, Mine(rt, Config{MinSupport: 2, MinConfidence: 0.2})); err != nil {
-		f.Fatal(err)
+	for _, seed := range readPatternsSeeds(f, rt) {
+		f.Add(seed)
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
-	f.Add(binary.AppendUvarint([]byte(patternsMagic), 1<<28))
-	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte(patternsMagic), 1), 1<<40)) // premise length
-	f.Add([]byte(patternsMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))          // count 2^64-1
-	f.Add(overcounted(f, buf.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ps []Pattern
 		var err error
@@ -149,6 +184,101 @@ func FuzzReadPatterns(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refReadRules is ReadRules as it read a rule list before it held each
+// rule to the rows WriteRules is given: region ids checked, a premise of at
+// most 64 regions, in any order.
+func refReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
+	c.magic(patternsMagic)
+	count := c.count()
+	if c.err == nil && count > c.Remaining()/minRuleBytes {
+		c.Fail(fmt.Errorf("pattern: %d patterns cannot fit in %d bytes", count, c.Remaining()))
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	regions := int64(rt.Len())
+	id := func() int32 {
+		v := c.varint()
+		if c.err == nil && (v < 0 || v >= regions) {
+			c.Fail(fmt.Errorf("pattern: region id %d out of %d", v, regions))
+		}
+		return int32(v)
+	}
+	t := &Table{
+		premises: make([]RegionID, 0, min(2*count, c.Remaining())),
+		starts:   make([]int32, count+1),
+		conseqs:  make([]int32, count),
+		confs:    make([]float64, count),
+		supports: make([]int32, count),
+	}
+	for i := 0; i < count; i++ {
+		premLen := c.count()
+		if premLen > 64 {
+			c.Fail(fmt.Errorf("pattern: implausible premise length %d", premLen))
+			return nil, c.err
+		}
+		for j := 0; j < premLen; j++ {
+			t.premises = append(t.premises, RegionID(id()))
+		}
+		t.starts[i+1] = int32(len(t.premises))
+		t.conseqs[i] = id()
+		t.confs[i] = c.Float()
+		t.supports[i] = int32(c.count())
+		if c.err != nil {
+			return nil, c.err
+		}
+	}
+	return t, nil
+}
+
+// canonicalRows reports whether every row of t is one WriteRules is given:
+// at most maxLen regions, offsets strictly ascending to the consequence.
+func canonicalRows(t *Table, rt *RegionTable, maxLen int) bool {
+	for i := 0; i < t.Len(); i++ {
+		ids := append(t.Premise(i), t.Consequence(i))
+		if len(ids) > maxLen {
+			return false
+		}
+		for j := 1; j < len(ids); j++ {
+			if rt.Region(ids[j]).Offset <= rt.Region(ids[j-1]).Offset {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestReadRulesMatchesReference: over FuzzReadPatterns' corpus ReadRules
+// accepts what refReadRules accepts, into an equal table, and refuses the
+// same inputs but the ones that hold a row WriteRules is never given —
+// refused for that row.
+func TestReadRulesMatchesReference(t *testing.T) {
+	rt := DiscoverRegions(janeGroups(), 30, 4)
+	accepted, canonicalRefusals := 0, 0
+	for n, seed := range readPatternsSeeds(t, rt) {
+		got, c := NewCursor(seed), NewCursor(seed)
+		table, err := ReadRules(&got, rt, Config{})
+		want, wantErr := refReadRules(&c, rt)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Errorf("seed %d: accepted what the reference refuses (%v)", n, wantErr)
+		case wantErr == nil && err != nil:
+			if canonicalRows(want, rt, DefaultMaxLength) || !strings.Contains(err.Error(), "ascend") && !strings.Contains(err.Error(), "MaxLength") {
+				t.Errorf("seed %d: refused (%v) what the reference reads to rows WriteRules is given", n, err)
+			}
+			canonicalRefusals++
+		case err == nil:
+			if !reflect.DeepEqual(table.Patterns(), want.Patterns()) || got.Offset() != c.Offset() {
+				t.Errorf("seed %d: decoded %v to %d bytes, the reference %v to %d", n, table.Patterns(), got.Offset(), want.Patterns(), c.Offset())
+			}
+			accepted++
+		}
+	}
+	if accepted < 2 || canonicalRefusals == 0 {
+		t.Errorf("%d seeds accepted, %d refused for their rows; the corpus shows nothing", accepted, canonicalRefusals)
+	}
 }
 
 func FuzzReadRegionTable(f *testing.F) {

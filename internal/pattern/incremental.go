@@ -59,17 +59,6 @@ func identityOf(ids []RegionID) IdentityKey {
 	return k
 }
 
-// PatternIdentity returns the identity key of a mined pattern — its full
-// itemset, premise plus consequence. Two patterns with the same key are
-// the same rule (a rule's consequence is determined by its itemset: the
-// max-offset region).
-func PatternIdentity(p Pattern) IdentityKey {
-	var buf [MaxIdentityLen]RegionID
-	ids := append(buf[:0], p.Premise...)
-	ids = append(ids, p.Consequence)
-	return identityOf(ids)
-}
-
 // CompareIdentity orders identity keys lexicographically; used for
 // deterministic delta output.
 func CompareIdentity(a, b IdentityKey) int { return slices.Compare(a[:], b[:]) }
@@ -206,20 +195,12 @@ func (m *IncrementalMiner) ActiveRules() []Pattern {
 	return m.Rules(active)
 }
 
-// Bind names the active rule of the given identity and reports what it
-// emits. ok is false when no active rule has that identity or it is named
-// already, so binding an owner's rules one by one finds the ones the miner
-// no longer has and the duplicates.
-func (m *IncrementalMiner) Bind(key IdentityKey, tag int) (conf float64, support int, ok bool) {
-	var buf [MaxIdentityLen]RegionID
-	ids := buf[:0]
-	for _, id := range key {
-		if id == 0 || int(id) > m.rt.Len() {
-			break // past the itemset, or a region this table does not hold
-		}
-		ids = append(ids, RegionID(id-1))
-	}
-	slices.SortFunc(ids, func(a, b RegionID) int { return m.rt.Region(a).Offset - m.rt.Region(b).Offset })
+// Bind names the active rule whose itemset is ids, ascending time offset —
+// a rule row's premise, then its consequence — and reports what it emits.
+// ok is false when no active rule has that itemset or it is named already,
+// so binding an owner's rules one by one finds the ones the miner no longer
+// has and the duplicates.
+func (m *IncrementalMiner) Bind(ids []RegionID, tag int) (conf float64, support int, ok bool) {
 	s, ok := m.lookup(ids)
 	if !ok || m.slots[s].flags&slotActive == 0 || m.slots[s].tag != NoTag {
 		return 0, 0, false

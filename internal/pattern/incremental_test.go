@@ -12,6 +12,12 @@ import (
 	"hpm/internal/trajectory"
 )
 
+// ruleIdentity is the identity key of a rule: its whole itemset, premise
+// and consequence.
+func ruleIdentity(p Pattern) IdentityKey {
+	return identityOf(append(p.Premise[:len(p.Premise):len(p.Premise)], p.Consequence))
+}
+
 // ruleBook is the test's stand-in for the model's engine: the rules the
 // deltas have built up, by identity, each named to the miner by a tag the
 // way the engine names them by ref.
@@ -49,12 +55,12 @@ func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 	}
 	added := m.Rules(d.Added)
 	if !slices.IsSortedFunc(added, func(a, b Pattern) int {
-		return CompareIdentity(PatternIdentity(a), PatternIdentity(b))
+		return CompareIdentity(ruleIdentity(a), ruleIdentity(b))
 	}) {
 		t.Fatal("delta additions out of identity order")
 	}
 	for i, p := range added {
-		key := PatternIdentity(p)
+		key := ruleIdentity(p)
 		if _, ok := rules[key]; ok {
 			t.Fatalf("delta re-added live rule %v", p)
 		}
@@ -78,7 +84,7 @@ func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 func wantBatch(rt *RegionTable, cfg Config) map[IdentityKey]Pattern {
 	want := make(map[IdentityKey]Pattern)
 	for _, p := range Mine(rt, cfg) {
-		want[PatternIdentity(p)] = p
+		want[ruleIdentity(p)] = p
 	}
 	return want
 }
@@ -233,7 +239,7 @@ func (m *IncrementalMiner) checkIndex() error {
 func activeByKey(m *IncrementalMiner) map[IdentityKey]Pattern {
 	out := make(map[IdentityKey]Pattern)
 	for _, p := range m.ActiveRules() {
-		out[PatternIdentity(p)] = p
+		out[ruleIdentity(p)] = p
 	}
 	return out
 }

@@ -145,14 +145,20 @@ func (e *Encoder) EncodeInto(p Pattern, ck, rk bitkey.Key) {
 	if !ok {
 		panic(fmt.Sprintf("pattern: consequence offset %d missing from table", off))
 	}
-	e.EncodeRule(p.Premise, id, ck, rk)
+	e.EncodeRule(p.Premise, id, ck.Words(), rk.Words())
 }
 
 // EncodeRule is EncodeInto for a rule whose consequence's time id the
-// caller has in hand.
-func (e *Encoder) EncodeRule(premise []RegionID, tid int, ck, rk bitkey.Key) {
-	ck.Set(tid + 1)
-	e.rt.setRegions(rk, premise)
+// caller has in hand, into the words of the keys: a tree's bulk load hands
+// it each leaf key's own storage.
+func (e *Encoder) EncodeRule(premise []RegionID, tid int, ck, rk []uint64) {
+	bitkey.SetWords(ck, tid+1)
+	for _, id := range premise {
+		if uint(id) >= uint(len(e.rt.regions)) {
+			panic(fmt.Sprintf("pattern: region id %d out of %d", id, len(e.rt.regions)))
+		}
+		bitkey.SetWords(rk, int(id)+1)
+	}
 }
 
 // QueryKey encodes a predictive query: the frequent regions the object

@@ -150,13 +150,8 @@ func (rt *RegionTable) NumSubTrajectories() int { return rt.numSubs }
 func (rt *RegionTable) Eps() float64 { return rt.eps }
 
 // Region returns the frequent region with the given id. It panics on an
-// unknown id.
-func (rt *RegionTable) Region(id RegionID) *FrequentRegion {
-	if int(id) < 0 || int(id) >= len(rt.regions) {
-		panic(fmt.Sprintf("pattern: region id %d out of %d", id, len(rt.regions)))
-	}
-	return rt.regions[id]
-}
+// unknown id, as an index out of range.
+func (rt *RegionTable) Region(id RegionID) *FrequentRegion { return rt.regions[id] }
 
 // Regions returns all frequent regions ordered by id. Callers must not
 // mutate the slice.
@@ -442,14 +437,8 @@ func (rt *RegionTable) RegionKey(id RegionID) bitkey.Key {
 // trajectory pattern whose premise visits those regions.
 func (rt *RegionTable) PremiseKey(ids []RegionID) bitkey.Key {
 	k := bitkey.New(len(rt.regions))
-	rt.setRegions(k, ids)
-	return k
-}
-
-// setRegions sets the region-key bit of every id in k.
-func (rt *RegionTable) setRegions(k bitkey.Key, ids []RegionID) {
 	for _, id := range ids {
-		rt.Region(id) // bounds check
-		k.Set(int(id) + 1)
+		k.Set(int(id) + 1) // panics on an id outside the table
 	}
+	return k
 }

@@ -129,11 +129,8 @@ func (c *Cursor) Skip(n int) {
 
 // Uvarint reads an unsigned varint.
 func (c *Cursor) Uvarint() uint64 {
-	if i := c.off; i < len(c.b) {
-		if b := c.b[i]; b < 0x80 {
-			c.off = i + 1
-			return uint64(b)
-		}
+	if v, ok := c.short(); ok {
+		return v
 	}
 	v, k := binary.Uvarint(c.b[c.off:])
 	if k <= 0 {
@@ -142,6 +139,17 @@ func (c *Cursor) Uvarint() uint64 {
 	}
 	c.off += k
 	return v
+}
+
+// short reads a one-byte uvarint, small enough to inline where a decoder
+// reads many; ok is false, and nothing is read, when the next byte does not
+// hold a whole varint.
+func (c *Cursor) short() (uint64, bool) {
+	if c.off < len(c.b) && c.b[c.off] < 0x80 {
+		c.off++
+		return uint64(c.b[c.off-1]), true
+	}
+	return 0, false
 }
 
 // varint undoes binary.PutVarint's zigzag over uvarint.
@@ -327,11 +335,14 @@ func WriteRules(w io.Writer, t *Table, keep func(row int) bool) error {
 }
 
 // ReadRules decodes a rule list written by WriteRules at c into a table,
-// validating every region id against rt. The count is held to the bytes
-// left before it sizes the columns, and then sizes them exactly; the
-// premise arena starts at two ids a rule, what the default MaxLength
-// allows, and grows past that only for longer rules.
-func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
+// holding every rule to the rows WriteRules is given: each region id names
+// a region of rt, a rule holds at most cfg's MaxLength regions, and its
+// premise's offsets strictly ascend with the consequence's after them — the
+// order in which the incremental miner finds an itemset. The count is held
+// to the bytes left before it sizes the columns, and then sizes them
+// exactly; the premise arena starts at two ids a rule, what the default
+// MaxLength allows, and grows past that only for longer rules.
+func ReadRules(c *Cursor, rt *RegionTable, cfg Config) (*Table, error) {
 	c.magic(patternsMagic)
 	count := c.count()
 	if c.err == nil && count > c.Remaining()/minRuleBytes {
@@ -340,14 +351,6 @@ func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	regions := int64(rt.Len())
-	id := func() int32 {
-		v := c.varint()
-		if c.err == nil && (v < 0 || v >= regions) {
-			c.Fail(fmt.Errorf("pattern: region id %d out of %d", v, regions))
-		}
-		return int32(v)
-	}
 	t := &Table{
 		premises: make([]RegionID, 0, min(2*count, c.Remaining())),
 		starts:   make([]int32, count+1),
@@ -355,19 +358,42 @@ func ReadRules(c *Cursor, rt *RegionTable) (*Table, error) {
 		confs:    make([]float64, count),
 		supports: make([]int32, count),
 	}
+	// Every varint of a rule is read through short first: at the fleet's
+	// shape each one is a single byte.
+	maxLen := uint64(cfg.withDefaults().MaxLength)
 	for i := 0; i < count; i++ {
-		premLen := c.count()
-		if premLen > 64 {
-			c.Fail(fmt.Errorf("pattern: implausible premise length %d", premLen))
-			return nil, c.err
+		premLen, ok := c.short()
+		if !ok {
+			premLen = uint64(c.count())
 		}
-		for j := 0; j < premLen; j++ {
-			t.premises = append(t.premises, RegionID(id()))
+		if c.err == nil && premLen >= maxLen {
+			c.Fail(fmt.Errorf("pattern: rule %d holds %d regions, past MaxLength %d", i, premLen+1, maxLen))
+		}
+		for j, prev := uint64(0), -1; j <= premLen && c.err == nil; j++ {
+			u, ok := c.short()
+			if !ok {
+				u = c.Uvarint()
+			}
+			switch v := int64(u>>1) ^ -int64(u&1); {
+			case c.err != nil:
+			case v < 0 || v >= int64(len(rt.regions)):
+				c.Fail(fmt.Errorf("pattern: region id %d out of %d", v, len(rt.regions)))
+			case rt.regions[v].Offset <= prev:
+				c.Fail(fmt.Errorf("pattern: rule %d's regions do not ascend in time offset", i))
+			case j < premLen:
+				prev = rt.regions[v].Offset
+				t.premises = append(t.premises, RegionID(v))
+			default:
+				t.conseqs[i] = int32(v)
+			}
 		}
 		t.starts[i+1] = int32(len(t.premises))
-		t.conseqs[i] = id()
 		t.confs[i] = c.Float()
-		t.supports[i] = int32(c.count())
+		sup, ok := c.short()
+		if !ok {
+			sup = uint64(c.count())
+		}
+		t.supports[i] = int32(sup)
 		if c.err != nil {
 			return nil, c.err
 		}

@@ -16,7 +16,7 @@ func writePatterns(w io.Writer, ps []Pattern) error { return WriteRules(w, Table
 // decode reads one.
 func readPatterns(b []byte, rt *RegionTable) ([]Pattern, error) {
 	c := NewCursor(b)
-	t, err := ReadRules(&c, rt)
+	t, err := ReadRules(&c, rt, Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,9 @@ import (
 
 // fillFrom describes items[i] as item i, its ref the index.
 func fillFrom(items []Item) Fill {
-	return func(i int, ck, rk bitkey.Key) (float64, int) {
-		ck.OrInPlace(items[i].Key.CK)
-		rk.OrInPlace(items[i].Key.RK)
+	return func(i int, ck, rk []uint64) (float64, int) {
+		copy(ck, items[i].Key.CK.Words())
+		copy(rk, items[i].Key.RK.Words())
 		return items[i].Conf, i
 	}
 }

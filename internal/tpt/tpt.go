@@ -413,13 +413,14 @@ func (t *Tree) All(visit func(Item) bool) {
 	rec(t.root)
 }
 
-// Fill describes item i to Build: it sets the item's key bits in the zeroed
-// views ck and rk, which alias the tree's own storage — no key is allocated
-// per item — and returns its confidence and reference.
-type Fill func(i int, ck, rk bitkey.Key) (conf float64, ref int)
+// Fill describes item i to Build: it sets the item's key bits, laid out as
+// bitkey lays a key's, in the zeroed words ck and rk of a consequence key
+// and a premise key — the tree's own storage: no key is allocated per item
+// — and returns its confidence and reference.
+type Fill func(i int, ck, rk []uint64) (conf float64, ref int)
 
 func (t *Tree) filled(fill Fill, i int, k []uint64) payload {
-	conf, ref := fill(i, bitkey.View(t.ckLen, k[t.rw:]), bitkey.View(t.rkLen, k[:t.rw:t.rw]))
+	conf, ref := fill(i, k[t.rw:], k[:t.rw:t.rw])
 	return payload{conf, ref}
 }
 
@@ -460,9 +461,9 @@ func Build(ckLen, rkLen, n int, sh *Shape, opts Options, fill Fill) (*Tree, erro
 // BulkLoad is Build over items, sorted into place. It panics when an item's
 // key lengths do not match ckLen and rkLen.
 func BulkLoad(ckLen, rkLen int, items []Item, opts Options) *Tree {
-	t, _ := Build(ckLen, rkLen, len(items), nil, opts, func(i int, ck, rk bitkey.Key) (float64, int) {
-		ck.OrInPlace(items[i].Key.CK) // checks the length
-		rk.OrInPlace(items[i].Key.RK)
+	t, _ := Build(ckLen, rkLen, len(items), nil, opts, func(i int, ck, rk []uint64) (float64, int) {
+		bitkey.View(ckLen, ck).OrInPlace(items[i].Key.CK) // checks the length
+		bitkey.View(rkLen, rk).OrInPlace(items[i].Key.RK)
 		return items[i].Conf, items[i].Ref
 	})
 	return t

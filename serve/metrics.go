@@ -38,6 +38,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hpm_extends_total", "Incremental model updates (Extends).", fs.Extends)
 	counter("hpm_train_duration_seconds_total", "Cumulative wall-clock seconds spent in full trains.", fs.TrainSeconds)
 	counter("hpm_extend_duration_seconds_total", "Cumulative wall-clock seconds spent in incremental extends.", fs.ExtendSeconds)
+	counter("hpm_miner_seeds_total", "Extends that first seeded their object's incremental miner from its model (the first after a train or a load).", fs.MinerSeeds)
+	counter("hpm_miner_seed_seconds_total", "Cumulative wall-clock seconds those seedings took, within the extends' own.", fs.MinerSeedSeconds)
 	gauge("hpm_miners", "Objects whose model holds a seeded incremental miner.", fs.Miners)
 	gauge("hpm_miner_itemsets", "Frequent itemsets tracked across the seeded incremental miners.", fs.MinerItemsets)
 	gauge("hpm_miner_bytes", "Bytes the seeded incremental miners' slot slabs, id arenas and indexes hold.", fs.MinerBytes)

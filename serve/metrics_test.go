@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -334,5 +336,68 @@ func TestPredictBatchErrorPaths(t *testing.T) {
 	}
 	if got := st.Objects(); len(got) != 1 || got[0] != "bus" {
 		t.Errorf("predict created objects: %v", got)
+	}
+}
+
+// TestMetricsCountSeedsAfterRestart: a store killed with a WAL tail that
+// carries a trained object over a period boundary seeds that object's miner
+// inside the Extend its replay runs, and /metrics counts the seeding and its
+// time beside the extend's.
+func TestMetricsCountSeedsAfterRestart(t *testing.T) {
+	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 1)
+	spec.Period = period
+	spec.SubTrajectories = 5
+	tr := hpm.GenerateDataset(spec)
+	dir := t.TempDir()
+	live, err := store.Open(dir, store.Options{Config: hpm.Config{Period: period}, MinTrainPeriods: 3, WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if err := live.ObserveBatch("bus-7", tr.Slice(0, 3*period+10)); err != nil { // trains at three periods
+		t.Fatal(err)
+	}
+	if err := live.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.ObserveBatch("bus-7", tr.Slice(3*period+10, 4*period+10)); err != nil { // the tail: over a boundary
+		t.Fatal(err)
+	}
+	// A kill: the directory as it stands, snapshot and WAL tail, without
+	// the checkpoint a Close writes.
+	crashed := t.TempDir()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered, err := store.Open(crashed, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	srv := httptest.NewServer(Handler(recovered))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m := parseProm(t, resp.Body)
+	if m["hpm_open_replay_extends"] != 1 || m["hpm_extends_total"] != 1 {
+		t.Fatalf("replay ran %v extends (%v in all), want the tail's one", m["hpm_open_replay_extends"], m["hpm_extends_total"])
+	}
+	seconds, ok := m["hpm_miner_seed_seconds_total"]
+	if m["hpm_miner_seeds_total"] != 1 || !ok || seconds <= 0 || seconds > m["hpm_extend_duration_seconds_total"] {
+		t.Errorf("seeds %v taking %v s (present %v), want 1 taking a part of the extend's %v s",
+			m["hpm_miner_seeds_total"], seconds, ok, m["hpm_extend_duration_seconds_total"])
 	}
 }

@@ -95,9 +95,13 @@ type FleetStats struct {
 	// miner (it has run an Extend since it was trained or loaded);
 	// MinerItemsets sums the frequent itemsets those miners track, and
 	// MinerBytes what their slot slabs, id arenas and indexes hold.
-	Miners        int `json:"miners"`
-	MinerItemsets int `json:"minerItemsets"`
-	MinerBytes    int `json:"minerBytes"`
+	// MinerSeeds counts the Extends since start that seeded one (the first
+	// after each train or load), MinerSeedSeconds what that took of them.
+	Miners           int     `json:"miners"`
+	MinerItemsets    int     `json:"minerItemsets"`
+	MinerBytes       int     `json:"minerBytes"`
+	MinerSeeds       uint64  `json:"minerSeeds"`
+	MinerSeedSeconds float64 `json:"minerSeedSeconds"`
 	// TrainFailures counts every failed train attempt, and every Extend
 	// that failed during recovery, since start.
 	TrainFailures uint64 `json:"trainFailures"`
@@ -184,6 +188,8 @@ func (s *Store) FleetStats() FleetStats {
 	fs.Extends = s.extends.Load()
 	fs.TrainSeconds = float64(s.trainNanos.Load()) / 1e9
 	fs.ExtendSeconds = float64(s.extendNanos.Load()) / 1e9
+	fs.MinerSeeds = s.seeds.Load()
+	fs.MinerSeedSeconds = float64(s.seedNanos.Load()) / 1e9
 	fs.TrainFailures = s.trainFailures.Load()
 	return fs
 }

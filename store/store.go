@@ -227,14 +227,16 @@ type Store struct {
 	probeWG    sync.WaitGroup
 
 	// Model-update telemetry for FleetStats and /metrics: how many full
-	// trains and incremental extends ran (every train attempt counts),
-	// and the cumulative wall-clock nanoseconds each path consumed.
+	// trains, incremental extends and miner seedings ran (every train
+	// attempt counts), and the cumulative wall-clock nanoseconds of each.
 	// trainFailures counts every failed train, and every Extend that failed
 	// during recovery, since the process started.
 	trains        atomic.Uint64
 	trainNanos    atomic.Uint64
 	extends       atomic.Uint64
 	extendNanos   atomic.Uint64
+	seeds         atomic.Uint64
+	seedNanos     atomic.Uint64
 	trainFailures atomic.Uint64
 	// reused counts answers served from an object's memo (memo.go), one
 	// per query time.
@@ -643,6 +645,10 @@ func (s *Store) advance(obj *object) (train int, err error) {
 		res, err := obj.predictor.Extend(obj.track[a.from*period-obj.base : a.to*period-obj.base])
 		s.extendNanos.Add(uint64(time.Since(start)))
 		s.extends.Add(1)
+		if res.Seeded {
+			s.seeds.Add(1)
+			s.seedNanos.Add(uint64(res.SeedDuration))
+		}
 		if err != nil {
 			return 0, fmt.Errorf("store: extend: %w", err)
 		}
