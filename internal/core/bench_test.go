@@ -98,7 +98,8 @@ var loadSink *Model
 // harness fleet: one decode of a fleet-shaped model's stream, one object of
 // each kind — the region table, the rule table filled in place, and the
 // tree laid out from its saved shape — decoded from bytes already in
-// memory, as a segment's records are.
+// memory, as a segment's records are. tree-bytes is what the loaded tree's
+// slabs hold (Model.TreeBytes).
 func BenchmarkLoadFleet(b *testing.B) {
 	for _, kind := range datagen.Kinds {
 		b.Run(fmt.Sprint(kind), func(b *testing.B) {
@@ -114,6 +115,7 @@ func BenchmarkLoadFleet(b *testing.B) {
 			}
 			b.ReportMetric(float64(loadSink.NumPatterns()), "rules")
 			b.ReportMetric(float64(len(stream)), "stream-bytes")
+			b.ReportMetric(float64(loadSink.TreeBytes()), "tree-bytes")
 		})
 	}
 }

@@ -175,6 +175,11 @@ func (m *Model) MinerBytes() int {
 	return m.miner.Bytes()
 }
 
+// TreeBytes returns what the pattern tree's slabs hold: key words, leaf
+// table rows and child pointers (tpt.Tree.Bytes). It is not Figure 11(a)'s
+// storage charge.
+func (m *Model) TreeBytes() int { return m.engine.Tree().Bytes() }
+
 // retireExpired advances the sliding-window watermark so that after the
 // adding new sub-trajectories, at most HistoryWindow periods stay live.
 // Returns the retired days' region chains for the miner to decrement.

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpm/internal/bitkey"
 	"hpm/internal/datagen"
 	"hpm/internal/geom"
 	"hpm/internal/hpa"
@@ -93,6 +94,28 @@ func savedShape(m *Model) tpt.Shape {
 	return sh
 }
 
+// checkLeaves visits every leaf entry of m's tree, through a consequence
+// search over every time id, and fails unless each names a live pattern
+// whose key it holds: the time id and the premise key the pattern encodes
+// to under m's tables. It returns how many entries it visited.
+func checkLeaves(t *testing.T, m *Model) int {
+	t.Helper()
+	q := bitkey.NewPatternKey(m.encoder.ConsequenceTable().Len(), m.encoder.RegionTable().Len())
+	for b := 1; b <= q.CK.Len(); b++ {
+		q.CK.Set(b)
+	}
+	leaves := 0
+	m.engine.Tree().SearchConsequence(q, func(ref, tid int, rk bitkey.Key) bool {
+		leaves++
+		k := m.encoder.Encode(m.engine.Pattern(ref))
+		if !m.engine.IsLive(ref) || !slices.Equal(k.CK.Ones(), []int{tid + 1}) || !k.RK.Equal(rk) {
+			t.Fatalf("leaf of ref %d: time id %d premise %s, its pattern encodes to %s", ref, tid, rk, k)
+		}
+		return true
+	})
+	return leaves
+}
+
 // sortedTwin is the model Load would build from the same stream had it no
 // shape to read: the loaded parts assembled again with a nil shape, which
 // sorts the patterns into a tree as Train does.
@@ -134,17 +157,7 @@ func TestLoadReadsSavedShape(t *testing.T) {
 		if back.NumPatterns() != m.NumPatterns() || back.engine.Refs() != m.NumPatterns() {
 			t.Fatalf("%d live patterns under %d refs, saved %d", back.NumPatterns(), back.engine.Refs(), m.NumPatterns())
 		}
-		leaves := 0
-		back.engine.Tree().All(func(it tpt.Item) bool {
-			leaves++
-			p := back.engine.Pattern(it.Ref)
-			if !it.Key.Equal(back.encoder.Encode(p)) || it.Conf != p.Confidence {
-				t.Fatalf("leaf of ref %d: key %s conf %g, pattern encodes to %s conf %g",
-					it.Ref, it.Key, it.Conf, back.encoder.Encode(p), p.Confidence)
-			}
-			return true
-		})
-		if leaves != m.NumPatterns() {
+		if leaves := checkLeaves(t, back); leaves != m.NumPatterns() {
 			t.Fatalf("%d leaf entries for %d patterns", leaves, m.NumPatterns())
 		}
 	}
@@ -307,11 +320,37 @@ func unorderedRuleStream(tb testing.TB) []byte {
 	})
 }
 
+// zeroSupportStream returns a fleet-shaped Bike model's stream with its
+// first region's support set to 0, which the region's visitor bitmap
+// contradicts. The decoder once accepted it, and the model's first Extend
+// left 59 of its 6 730 live rules with a confidence above 1 or not finite.
+func zeroSupportStream(tb testing.TB) []byte {
+	tb.Helper()
+	m, err := TrainSubTrajectories(fleetSubs(tb, datagen.Bike, fleetPeriod, fleetTrainPeriods), Params{Period: fleetPeriod})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	stream := buf.Bytes()
+	at := bytes.Index(stream, []byte("HPMR")) + 4 + 8 // the table's magic, eps
+	for range 4 {                                     // sub-trajectories, regions; region 0's offset, index
+		_, k := binary.Uvarint(stream[at:])
+		at += k
+	}
+	at += 6 * 8 // its centre and MBR
+	return resetUvarint(stream, at, func(uint64) uint64 { return 0 })
+}
+
 // TestLoadRefusesRowsSaveNeverWrites: a rule longer than the model's
-// MaxLength, and one whose premise does not ascend in time offset before
-// its consequence, are refused where the stream is read. Save writes
-// neither, and the first Extend binds every loaded rule to the miner by its
-// row, which holds only for the rows Save writes.
+// MaxLength, one whose premise does not ascend in time offset before its
+// consequence, and a region whose support is not its visitor bitmap's count
+// are refused where the stream is read. Save writes none of them. The first
+// Extend binds every loaded rule to the miner by its row, which holds only
+// for the rules Save writes, and computes confidences from a region's
+// support and its bitmap as if they agreed.
 func TestLoadRefusesRowsSaveNeverWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name, refusal string
@@ -319,6 +358,7 @@ func TestLoadRefusesRowsSaveNeverWrites(t *testing.T) {
 	}{
 		{"ten regions", "past MaxLength 3", longRuleStream(t)},
 		{"premise out of order", "do not ascend in time offset", unorderedRuleStream(t)},
+		{"support off its bitmap", "region 0 has support 0 and", zeroSupportStream(t)},
 	} {
 		if _, _, err := Decode(tc.stream, fleetPeriod); err == nil || !strings.Contains(err.Error(), tc.refusal) {
 			t.Errorf("%s: %v, want a refusal saying %q", tc.name, err, tc.refusal)
@@ -383,7 +423,7 @@ func loadModelSeeds(tb testing.TB) [][]byte {
 	for _, stream := range streams {
 		seeds = append(seeds, farOffsetStream(stream), overcountedStream(stream))
 	}
-	return append(seeds, longRuleStream(tb), unorderedRuleStream(tb))
+	return append(seeds, longRuleStream(tb), unorderedRuleStream(tb), zeroSupportStream(tb))
 }
 
 // refReadRules is pattern.ReadRules as it read a rule list before it held
@@ -533,8 +573,9 @@ func savedRows(t *pattern.Table, rt *pattern.RegionTable, cfg pattern.Config) bo
 // answers, saves, loads again, and — its period at most 1 000 — absorbs one
 // more period through Extend. The seeds — the golden directory's stream, a
 // freshly trained one, cuts and bit flips of both, each with a region at
-// offset 2³⁰ and with a rule count its bytes cannot hold, and the two rows
-// Save never writes — run under plain go test.
+// offset 2³⁰ and with a rule count its bytes cannot hold, the two rows Save
+// never writes, and a region whose support its bitmap contradicts — run
+// under plain go test.
 func FuzzLoadModel(f *testing.F) {
 	for _, seed := range loadModelSeeds(f) {
 		f.Add(seed)
@@ -544,15 +585,7 @@ func FuzzLoadModel(f *testing.F) {
 		if err != nil {
 			return
 		}
-		leaves := 0
-		m.engine.Tree().All(func(it tpt.Item) bool {
-			leaves++
-			if !m.engine.IsLive(it.Ref) || !it.Key.Equal(m.encoder.Encode(m.engine.Pattern(it.Ref))) {
-				t.Fatalf("leaf of ref %d does not hold its pattern's key", it.Ref)
-			}
-			return true
-		})
-		if leaves != m.NumPatterns() {
+		if leaves := checkLeaves(t, m); leaves != m.NumPatterns() {
 			t.Fatalf("%d leaf entries for %d patterns", leaves, m.NumPatterns())
 		}
 		period := m.Params().Period

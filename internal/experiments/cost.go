@@ -152,7 +152,7 @@ func fig11b(o Options) []Figure {
 		qs := syntheticQueries(rng, queries, fig11ConsequenceLen, regions)
 
 		sink := 0
-		count := func(int, int, float64, bitkey.Key) bool { sink++; return true }
+		count := func(int, int, bitkey.Key) bool { sink++; return true }
 		start := time.Now()
 		for _, q := range qs {
 			tree.SearchIntersect(q, count)
@@ -201,7 +201,7 @@ func chooseLeafAblation(o Options) []Figure {
 			}
 			total := 0
 			for _, q := range qs {
-				total += tree.SearchIntersect(q, func(int, int, float64, bitkey.Key) bool { return true })
+				total += tree.SearchIntersect(q, func(int, int, bitkey.Key) bool { return true })
 			}
 			return float64(total) / float64(len(qs))
 		}

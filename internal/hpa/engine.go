@@ -321,10 +321,10 @@ func NewEngine(rt *pattern.RegionTable, rules *pattern.Table, cfg Config, treeOp
 	enc := pattern.NewEncoder(rt, ct)
 	// Every key is encoded where the tree builder reads it: no key, and no
 	// item, is allocated per rule.
-	tree, err := tpt.Build(ct.Len(), rt.Len(), len(offs), shape, treeOpts, func(i int, ck, rk []uint64) (float64, int) {
+	tree, err := tpt.Build(ct.Len(), rt.Len(), len(offs), shape, treeOpts, func(i int, ck, rk []uint64) int {
 		tid, _ := ct.TimeID(int(offs[i]))
 		enc.EncodeRule(rules.Premise(i), tid, ck, rk)
-		return rules.Confidence(i), i
+		return i
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hpa: %w", err)
@@ -623,7 +623,8 @@ func (e *Engine) forwardQuery(sc *queryScratch, visited []pattern.RegionID, tq, 
 		return nil
 	}
 	cands := sc.cands[:0]
-	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref, _ int, conf float64, rk bitkey.Key) bool {
+	e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref, _ int, rk bitkey.Key) bool {
+		conf := e.rules.Confidence(ref)
 		sr := PremiseSimilarity(rk, qk.RK, e.cfg.Weight)
 		cands = append(cands, candidate{score: sr * conf, conf: conf, ref: ref}) // Equation 2
 		return true
@@ -676,9 +677,10 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 	if len(visited) > 0 {
 		qrk = e.enc.RegionTable().PremiseKey(visited)
 		qk := bitkey.PatternKey{CK: consequenceWindowKey(ct, tqOff, radius, period), RK: qrk}
-		e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref, tid int, conf float64, rk bitkey.Key) bool {
+		e.stats.nodesVisited.Add(int64(e.tree.SearchIntersect(qk, func(ref, tid int, rk bitkey.Key) bool {
 			// Equation 5, or 4 with the penalty off: premise term plus time
 			// term, weighted by confidence.
+			conf := e.rules.Confidence(ref)
 			sr := PremiseSimilarity(rk, qrk, e.cfg.Weight)
 			if e.cfg.PenalizePremise {
 				sr = sr * float64(e.cfg.DistantThreshold) / float64(tq-tc)
@@ -725,7 +727,7 @@ type rankedList struct {
 }
 
 // rankEntry is one live pattern of an offset's ranked list; conf is the same
-// float the pattern's tree leaf holds.
+// float the pattern's table row holds.
 type rankEntry struct {
 	conf float64
 	ref  int32
@@ -805,8 +807,8 @@ func (e *Engine) rankedAt(off int) *rankedList {
 	l := &rankedList{tid: tid, entries: make([]rankEntry, 0, e.liveAt[off])}
 	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
 	q.CK.Set(tid + 1)
-	e.tree.SearchConsequence(q, func(ref, _ int, conf float64, _ bitkey.Key) bool {
-		l.entries = append(l.entries, rankEntry{conf: conf, ref: int32(ref)})
+	e.tree.SearchConsequence(q, func(ref, _ int, _ bitkey.Key) bool {
+		l.entries = append(l.entries, rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
 		return true
 	})
 	sortRanked(l.entries)

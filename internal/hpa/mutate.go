@@ -55,7 +55,7 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 		e.countLive(off, 1)
 		e.dropRanked(off)
 		var buf [keyBuf]uint64
-		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, ref), Conf: p.Confidence, Ref: ref})
+		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, ref), Ref: ref})
 		refs[i] = ref
 	}
 	return refs
@@ -94,16 +94,16 @@ func (e *Engine) RemovePattern(ref int) bool {
 
 // UpdatePatterns rewrites the confidence and support of n live patterns,
 // the ith of which rule names; an itemset, and therefore a key, does not
-// change, only the payload moves. Each confidence is written where its tree
-// leaf holds it, through the tree's locator, and a rule whose confidence
-// changes drops its offset's ranked list. A ref named twice takes its last
-// update. Updates of refs that are not live are skipped; it returns how many
-// were applied.
+// change, so the tree does not either: each is written to its table row
+// alone, which every query reads, and a rule whose confidence changes drops
+// its offset's ranked list. A ref named twice takes its last update.
+// Updates of refs that are not live are skipped; it returns how many were
+// applied.
 func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, support int)) int {
 	applied := 0
 	for i := 0; i < n; i++ {
 		ref, conf, support := rule(i)
-		if !e.IsLive(ref) || !e.tree.UpdateConf(ref, conf) {
+		if !e.IsLive(ref) {
 			continue
 		}
 		applied++

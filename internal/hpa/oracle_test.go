@@ -177,16 +177,26 @@ func checkLiveCounts(t *testing.T, e *Engine) {
 	}
 }
 
+// wholePeriod is the query key whose consequence part names every time id:
+// a consequence search over it visits every leaf entry.
+func wholePeriod(e *Engine) bitkey.PatternKey {
+	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
+	for b := 1; b <= q.CK.Len(); b++ {
+		q.CK.Set(b)
+	}
+	return q
+}
+
 // checkRanked recomputes every built ranked list from the tree's leaves —
-// each offset's entries, confidence descending then ref ascending — and
-// compares it, time id included, with the list the engine caches: a list a
-// mutation made stale must have been dropped.
+// each offset's refs with their table confidences, confidence descending
+// then ref ascending — and compares it, time id included, with the list the
+// engine caches: a list a mutation made stale must have been dropped.
 func checkRanked(t *testing.T, e *Engine) {
 	t.Helper()
 	want := make([][]rankEntry, e.cfg.Period)
-	e.tree.All(func(it tpt.Item) bool {
-		off := consOffset(e, it.Ref)
-		want[off] = append(want[off], rankEntry{conf: it.Conf, ref: int32(it.Ref)})
+	e.tree.SearchConsequence(wholePeriod(e), func(ref, _ int, _ bitkey.Key) bool {
+		off := consOffset(e, ref)
+		want[off] = append(want[off], rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
 		return true
 	})
 	for off := range e.ranked {

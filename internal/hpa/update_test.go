@@ -28,10 +28,10 @@ func updateAll(e *Engine, ups []ruleUpdate) int {
 }
 
 // updateOne is the rule-by-rule update, kept as UpdatePatterns' oracle: the
-// confidence written to the tree, then the rule's ranked list dropped when
-// the confidence changed.
+// rule's ranked list dropped when the confidence changed, then the new
+// confidence and support written to its row.
 func updateOne(e *Engine, u ruleUpdate) bool {
-	if !e.IsLive(u.Ref) || !e.tree.UpdateConf(u.Ref, u.Conf) {
+	if !e.IsLive(u.Ref) {
 		return false
 	}
 	if e.rules.Confidence(u.Ref) != u.Conf {
@@ -42,15 +42,11 @@ func updateOne(e *Engine, u ruleUpdate) bool {
 }
 
 // treeHits is every tree entry a whole-period consequence search visits, as
-// (ref, confidence) in visit order.
+// (ref, the confidence of its table row) in visit order.
 func treeHits(e *Engine) []rankEntry {
-	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
-	for b := 1; b <= q.CK.Len(); b++ {
-		q.CK.Set(b)
-	}
 	var hits []rankEntry
-	e.tree.SearchConsequence(q, func(ref, _ int, conf float64, _ bitkey.Key) bool {
-		hits = append(hits, rankEntry{conf: conf, ref: int32(ref)})
+	e.tree.SearchConsequence(wholePeriod(e), func(ref, _ int, _ bitkey.Key) bool {
+		hits = append(hits, rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
 		return true
 	})
 	return hits
@@ -73,7 +69,7 @@ func savedBytes(e *Engine) []byte {
 }
 
 // TestUpdatePatternsMatchesOneByOne: a batch update leaves the engine the
-// rule-by-rule path leaves — tree confidences as a search reads them, which
+// rule-by-rule path leaves — confidences as a search reads them, which
 // ranked lists are dropped and what the rest hold, the bytes a save takes —
 // on engines trained from all four datasets with every ranked list built
 // before each step. Each delta removes some rules and re-adds them under new
@@ -144,7 +140,7 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 					}
 				}
 				if b, s := treeHits(batch), treeHits(single); !reflect.DeepEqual(b, s) {
-					t.Fatalf("step %d: the tree's confidences differ from the one-by-one tree's", step)
+					t.Fatalf("step %d: the confidences a search reads differ from the one-by-one engine's", step)
 				}
 				if !bytes.Equal(savedBytes(batch), savedBytes(single)) {
 					t.Fatalf("step %d: saved bytes differ", step)

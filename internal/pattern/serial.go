@@ -262,7 +262,10 @@ const (
 
 // ReadRegionTable decodes a region table written by WriteBinary at c. A
 // region's offset must lie in [0, period): the per-offset tables are sized
-// by the highest, so no offset from the stream sizes one unchecked.
+// by the highest, so no offset from the stream sizes one unchecked. Its
+// support must be its visitor bitmap's count, as every region WriteBinary
+// is given keeps it: an Extend reads a premise's support from the one and an
+// itemset's from the other, and a confidence from their quotient.
 func ReadRegionTable(c *Cursor, period int) (*RegionTable, error) {
 	c.magic(regionTableMagic)
 	rt := &RegionTable{eps: c.Float()}
@@ -296,6 +299,9 @@ func ReadRegionTable(c *Cursor, period int) (*RegionTable, error) {
 		}
 		if fr.visitors.Len() != rt.numSubs {
 			return nil, fmt.Errorf("pattern: region %d visitor length %d != %d subs", i, fr.visitors.Len(), rt.numSubs)
+		}
+		if n := fr.visitors.Size(); fr.Support != n {
+			return nil, fmt.Errorf("pattern: region %d has support %d and %d visitors", i, fr.Support, n)
 		}
 		rt.regions[i] = fr
 	}

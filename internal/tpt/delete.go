@@ -8,11 +8,11 @@ import (
 )
 
 // In-place mutation beyond Insert: retiring a pattern whose support or
-// confidence fell (delta-Apriori demotion), rewriting a confidence through
-// the ref → leaf locator, and widening every key when minted regions or new
-// consequence offsets grow the key space. §V-B only specifies insertion; deletion follows the
-// signature-tree shape — descend containing entries, tighten union keys
-// on the way back up.
+// confidence fell (delta-Apriori demotion), and widening every key when
+// minted regions or new consequence offsets grow the key space. A rewritten
+// confidence touches no leaf: the tree keeps none. §V-B only specifies
+// insertion; deletion follows the signature-tree shape — descend containing
+// entries, tighten union keys on the way back up.
 //
 // Deletion tolerates node underflow: a leaf may drop below the minimum
 // fill without triggering re-insertion. Search stays correct (union keys
@@ -41,7 +41,6 @@ func (t *Tree) deleteIn(n *node, pk []uint64, ref int) bool {
 		i := t.find(n, pk, ref)
 		if i >= 0 {
 			t.remove(n, i)
-			t.locate(ref, nil)
 		}
 		return i >= 0
 	}
@@ -66,8 +65,8 @@ func (t *Tree) deleteIn(n *node, pk []uint64, ref int) bool {
 
 // find returns the index of the leaf entry with the given key and ref, or -1.
 func (t *Tree) find(n *node, pk []uint64, ref int) int {
-	for i, p := range n.items {
-		if p.ref == ref && slices.Equal(t.key(n, i), pk) {
+	for i, r := range n.refs {
+		if int(r) == ref && slices.Equal(t.key(n, i), pk) {
 			return i
 		}
 	}
@@ -78,60 +77,9 @@ func (t *Tree) find(n *node, pk []uint64, ref int) int {
 func (t *Tree) remove(n *node, i int) {
 	n.keys = slices.Delete(n.keys, i*t.stride, (i+1)*t.stride)
 	if n.leaf {
-		n.items = slices.Delete(n.items, i, i+1)
+		n.refs = slices.Delete(n.refs, i, i+1)
 	} else {
 		n.kids = slices.Delete(n.kids, i, i+1)
-	}
-}
-
-// UpdateConf rewrites the confidence of the item with the given ref where
-// it sits: the locator names its leaf, so no key is compared and no subtree
-// descended. Confidence is payload, not part of the key, so the tree shape
-// and every union key stay untouched. Returns false when no item carries
-// ref. The first call builds the locator.
-func (t *Tree) UpdateConf(ref int, conf float64) bool {
-	if t.loc == nil {
-		t.buildLocator()
-	}
-	if ref < 0 || ref >= len(t.loc) || t.loc[ref] == nil {
-		return false
-	}
-	n := t.loc[ref]
-	for i := range n.items {
-		if n.items[i].ref == ref {
-			n.items[i].conf = conf
-			return true
-		}
-	}
-	panic("tpt: the locator names a leaf that does not hold its ref")
-}
-
-// buildLocator walks the leaves once and records where every ref sits.
-func (t *Tree) buildLocator() {
-	t.loc = make([]*node, 0, t.size)
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, p := range n.items {
-			t.locate(p.ref, n)
-		}
-		for _, child := range n.kids {
-			walk(child)
-		}
-	}
-	walk(t.root)
-}
-
-// locate records that leaf n holds ref, once the locator is built. Refs
-// index it, so they must not be negative; a nil n forgets ref.
-func (t *Tree) locate(ref int, n *node) {
-	if t.loc == nil {
-		return
-	}
-	for n != nil && ref >= len(t.loc) {
-		t.loc = append(t.loc, nil)
-	}
-	if ref < len(t.loc) {
-		t.loc[ref] = n
 	}
 }
 

@@ -45,7 +45,6 @@ func TestDeleteSearchEquivalenceProperty(t *testing.T) {
 				alive = append(alive[:i], alive[i+1:]...)
 			}
 			checkInvariants(t, tree, false)
-			checkLocator(t, tree)
 			if tree.Len() != len(alive) {
 				t.Fatalf("bulk=%v: Len() = %d, want %d", bulk, tree.Len(), len(alive))
 			}
@@ -63,52 +62,6 @@ func TestDeleteSearchEquivalenceProperty(t *testing.T) {
 			t.Fatalf("bulk=%v: emptied tree has len %d height %d", bulk, tree.Len(), tree.Height())
 		}
 	}
-}
-
-func TestUpdateConf(t *testing.T) {
-	const ckLen, rkLen = 6, 24
-	r := rand.New(rand.NewSource(11))
-	tree := New(ckLen, rkLen, Options{MaxEntries: 4})
-	items := make([]Item, 60)
-	for i := range items {
-		items[i] = randomItem(r, ckLen, rkLen, i)
-		tree.Insert(items[i])
-	}
-	for _, it := range items {
-		if !tree.UpdateConf(it.Ref, float64(it.Ref)) {
-			t.Fatalf("UpdateConf(ref %d) found nothing", it.Ref)
-		}
-	}
-	seen := 0
-	tree.All(func(it Item) bool {
-		seen++
-		if it.Conf != float64(it.Ref) {
-			t.Fatalf("ref %d conf %g, want %g", it.Ref, it.Conf, float64(it.Ref))
-		}
-		return true
-	})
-	if seen != len(items) {
-		t.Fatalf("All visited %d items, want %d", seen, len(items))
-	}
-	for _, ref := range []int{999, -1, len(items)} {
-		if tree.UpdateConf(ref, 0.5) {
-			t.Fatalf("UpdateConf on absent ref %d succeeded", ref)
-		}
-	}
-	checkLocator(t, tree)
-	// A deleted ref is forgotten; an insert after the locator was built,
-	// splits included, is found.
-	if !tree.Delete(items[7].Key, items[7].Ref) || tree.UpdateConf(items[7].Ref, 0.5) {
-		t.Fatal("UpdateConf found a deleted item")
-	}
-	for i := 0; i < 40; i++ {
-		it := randomItem(r, ckLen, rkLen, 1000+i)
-		tree.Insert(it)
-		if !tree.UpdateConf(it.Ref, 0.25) {
-			t.Fatalf("UpdateConf(ref %d) missed an item inserted after the locator was built", it.Ref)
-		}
-	}
-	checkLocator(t, tree)
 }
 
 // TestGrowKeys widens a populated tree and checks searches behave as if

@@ -52,7 +52,7 @@ func sameShape(t *testing.T, tree *Tree, rn *refNode, n *node, path string) {
 }
 
 // requireSame asserts everything the layout change must not move: height,
-// statistics, node-for-node shape, the All() sequence (key bits, conf, ref)
+// statistics, node-for-node shape, the All() sequence (key bits, ref)
 // and, for every query, the visit order — each hit with the time id of its
 // entry's consequence bit — and the node count of both searches.
 func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.PatternKey) {
@@ -71,9 +71,9 @@ func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.Patter
 		t.Fatalf("All visited %d items, reference %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Ref != want[i].Ref || got[i].Conf != want[i].Conf || !got[i].Key.Equal(want[i].Key) {
-			t.Fatalf("All()[%d] = ref %d conf %g key %s, reference ref %d conf %g key %s",
-				i, got[i].Ref, got[i].Conf, got[i].Key, want[i].Ref, want[i].Conf, want[i].Key)
+		if got[i].Ref != want[i].Ref || !got[i].Key.Equal(want[i].Key) {
+			t.Fatalf("All()[%d] = ref %d key %s, reference ref %d key %s",
+				i, got[i].Ref, got[i].Key, want[i].Ref, want[i].Key)
 		}
 	}
 	for qi, q := range queries {
@@ -81,10 +81,10 @@ func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.Patter
 			var want []Item
 			refVisit := func(it Item) bool { want = append(want, it); return true }
 			seen, diverged := 0, -1
-			visit := func(ref, tid int, conf float64, rk bitkey.Key) bool {
+			visit := func(ref, tid int, rk bitkey.Key) bool {
 				// Every item of these tests carries one consequence bit, as a
 				// pattern key does: the id handed over is its position.
-				if diverged < 0 && (seen >= len(want) || want[seen].Ref != ref || want[seen].Conf != conf || !want[seen].Key.RK.Equal(rk) ||
+				if diverged < 0 && (seen >= len(want) || want[seen].Ref != ref || !want[seen].Key.RK.Equal(rk) ||
 					!slices.Equal(want[seen].Key.CK.Ones(), []int{tid + 1})) {
 					diverged = seen
 				}
@@ -145,13 +145,12 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 			ref, tree := refBulkLoad(w[0], w[1], items, opts), BulkLoad(w[0], w[1], items, opts)
 			requireSame(t, ref, tree, seededQueries(r, 256, w[0], w[1]))
 			checkInvariants(t, tree, true)
-			checkLocator(t, tree)
 		}
 	}
 }
 
 // TestMutationsMatchReference drives both trees through the same seeded
-// sequence of Insert, Delete, UpdateConf and GrowKeys — starting from a bulk
+// sequence of Insert, Delete and GrowKeys — starting from a bulk
 // load or from empty, with and without the paper's intersect rule — and
 // demands equality after every step, of the tree and of the tree the builder
 // lays out from its shape. GrowKeys steps carry every width across
@@ -188,12 +187,6 @@ func TestMutationsMatchReference(t *testing.T) {
 				if a, b := ref.Delete(it.Key, it.Ref), tree.Delete(it.Key, it.Ref); !a || !b {
 					t.Fatalf("width %v step %d: Delete(ref %d) = %v, reference %v", w, step, it.Ref, b, a)
 				}
-			case op < 50 && len(alive) > 0:
-				it := &alive[r.Intn(len(alive))]
-				it.Conf = r.Float64()
-				if a, b := ref.UpdateConf(it.Key, it.Ref, it.Conf), tree.UpdateConf(it.Ref, it.Conf); !a || !b {
-					t.Fatalf("width %v step %d: UpdateConf(ref %d) = %v, reference %v", w, step, it.Ref, b, a)
-				}
 			default:
 				it := randomItem(r, ckLen, rkLen, nextRef)
 				nextRef++
@@ -208,20 +201,19 @@ func TestMutationsMatchReference(t *testing.T) {
 			requireSame(t, ref, tree, queries)
 			requireRebuilds(t, ref, tree, alive, opts, queries)
 			checkInvariants(t, tree, false)
-			checkLocator(t, tree)
 		}
 		// Absent items are absent from both.
 		ghost := randomItem(r, ckLen, rkLen, nextRef)
-		if ref.Delete(ghost.Key, ghost.Ref) || tree.Delete(ghost.Key, ghost.Ref) || tree.UpdateConf(ghost.Ref, 1) {
+		if ref.Delete(ghost.Key, ghost.Ref) || tree.Delete(ghost.Key, ghost.Ref) {
 			t.Fatalf("width %v: an item never inserted was found", w)
 		}
 	}
 }
 
 // TestEntryBytes pins the layout's cost: a leaf entry is its key words plus a
-// 16-byte payload, so 10 000 items with three-word keys may retain at most a
-// quarter more than 10 000 × 40 bytes, plus the nodes themselves and the
-// internal levels.
+// 4-byte reference, so 10 000 items with three-word keys may retain at most a
+// quarter more than 10 000 × 28 bytes, plus the nodes themselves and the
+// internal levels; Bytes counts the slabs among them.
 func TestEntryBytes(t *testing.T) {
 	const n, ckLen, rkLen = 10000, 59, 110
 	r := rand.New(rand.NewSource(1))
@@ -238,9 +230,9 @@ func TestEntryBytes(t *testing.T) {
 	if tree.stride != 3 {
 		t.Fatalf("stride %d, want 3 words", tree.stride)
 	}
-	const entryBytes = 3*8 + int(unsafe.Sizeof(payload{}))
-	if entryBytes != 40 {
-		t.Fatalf("a three-word leaf entry costs %d bytes, want 40", entryBytes)
+	const entryBytes = 3*8 + int(unsafe.Sizeof(int32(0)))
+	if entryBytes != 28 {
+		t.Fatalf("a three-word leaf entry costs %d bytes, want 28", entryBytes)
 	}
 	s := tree.Stats()
 	nodes := s.LeafNodes + s.InternalNode
@@ -250,6 +242,9 @@ func TestEntryBytes(t *testing.T) {
 	t.Logf("heap grew %d bytes for %d entries in %d nodes (budget %d; the 152-byte entry took %d)", grown, n, nodes, budget, n*152)
 	if grown > budget {
 		t.Errorf("BulkLoad of %d items retains %d bytes, budget %d", n, grown, budget)
+	}
+	if b, least := tree.Bytes(), n*entryBytes+(s.Entries-n)*(3*8+8); b < least || b > least*5/4 {
+		t.Errorf("Bytes() = %d, want the entries' %d or at most a quarter more", b, least)
 	}
 	runtime.KeepAlive(tree)
 	runtime.KeepAlive(items)
@@ -262,7 +257,7 @@ func requireBruteForce(t *testing.T, tree *Tree, items []Item, q bitkey.PatternK
 	for _, premise := range []bool{true, false} {
 		var got, want []int
 		collect := func(into *[]int) Visit {
-			return func(ref, _ int, _ float64, _ bitkey.Key) bool { *into = append(*into, ref); return true }
+			return func(ref, _ int, _ bitkey.Key) bool { *into = append(*into, ref); return true }
 		}
 		if premise {
 			tree.SearchIntersect(q, collect(&got))
@@ -279,26 +274,10 @@ func requireBruteForce(t *testing.T, tree *Tree, items []Item, q bitkey.PatternK
 	}
 }
 
-// requireConfs holds every item's confidence in the tree to items'.
-func requireConfs(t *testing.T, tree *Tree, items []Item) {
-	t.Helper()
-	want := make(map[int]float64, len(items))
-	for _, it := range items {
-		want[it.Ref] = it.Conf
-	}
-	tree.All(func(it Item) bool {
-		if c, ok := want[it.Ref]; !ok || c != it.Conf {
-			t.Fatalf("ref %d has confidence %g, want %g (held %v)", it.Ref, it.Conf, c, ok)
-		}
-		return true
-	})
-}
-
 // FuzzTreeOps bulk-loads the items load describes, checks the load against
-// the comparison order, then reads op bytes as a sequence of Insert, Delete,
-// UpdateConf and GrowKeys and checks the tree against BruteForce over the
-// surviving items, and its locator against its leaves, after every op. The
-// seeds below run under plain go test.
+// the comparison order, then reads op bytes as a sequence of Insert, Delete
+// and GrowKeys and checks the tree against BruteForce over the surviving
+// items after every op. The seeds below run under plain go test.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{}, []byte("\x00\x10\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x03\xff\x00\x16\x02\x00\x02\x00\x02\x00"))
@@ -327,18 +306,7 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		for ref := len(alive); len(ops) > 0 && ref < len(alive)+400; ref++ {
 			op := next()
-			kind := op % 4
-			if kind == 1 && (len(alive) == 0 || op&0x10 == 0) {
-				kind = 0 // an insert
-			}
-			switch kind {
-			case 1:
-				it := &alive[next()%len(alive)]
-				it.Conf = 1 - float64(op)/255
-				if !tree.UpdateConf(it.Ref, it.Conf) {
-					t.Fatalf("UpdateConf(ref %d) found nothing", it.Ref)
-				}
-				requireConfs(t, tree, alive)
+			switch op % 4 {
 			case 2:
 				if len(alive) == 0 {
 					continue
@@ -364,12 +332,11 @@ func FuzzTreeOps(f *testing.F) {
 				for n := 1 + op>>2&3; n > 0; n-- {
 					k.RK.Set(1 + next()%rkLen)
 				}
-				it := Item{Key: k, Conf: float64(op) / 255, Ref: ref}
+				it := Item{Key: k, Ref: ref}
 				tree.Insert(it)
 				alive = append(alive, it)
 			}
 			checkInvariants(t, tree, !deleted)
-			checkLocator(t, tree)
 			q := bitkey.NewPatternKey(ckLen, rkLen)
 			q.CK.Set(1 + next()%ckLen)
 			q.CK.Set(1 + next()%ckLen)
@@ -383,7 +350,7 @@ func FuzzTreeOps(f *testing.F) {
 
 // loadItems reads a bulk load from data, three bytes an item: a byte with
 // its high bit set copies the key of an earlier item, the others pick one
-// consequence and two premise bits; the last byte is the confidence. Refs run
+// consequence and two premise bits. Refs run
 // backwards, so they are distinct and not in index order.
 func loadItems(data []byte, ckLen, rkLen int) []Item {
 	var items []Item
@@ -397,7 +364,7 @@ func loadItems(data []byte, ckLen, rkLen int) []Item {
 			k.RK.Set(1 + b1%rkLen)
 			k.RK.Set(1 + (7*b1+b2)%rkLen)
 		}
-		items = append(items, Item{Key: k, Conf: float64(b2) / 255})
+		items = append(items, Item{Key: k})
 	}
 	for i := range items {
 		items[i].Ref = len(items) - 1 - i

@@ -1,9 +1,6 @@
 package tpt
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // The bulk-load order. A bulk load sorts its items by key — the consequence
 // part first, then the premise part, each most significant bit first — with
@@ -21,16 +18,15 @@ import (
 // which they still differ. DESIGN.md, "What a first train costs", gives the
 // argument that the result is the comparison order.
 
-// rowExtra is what a row holds beyond the key: the offset reference, then
-// the confidence's bits.
-const rowExtra = 2
+// rowExtra is what a row holds beyond the key: the offset reference.
+const rowExtra = 1
 
 // smallRows is the group size below which sortRows inserts instead of
 // dealing: a deal pays for 65 buckets whatever the group's size.
 const smallRows = 16
 
 // loadRows lays the n items fill describes out as rows of stride+rowExtra
-// words — the key in entry layout, the offset reference, the confidence —
+// words — the key in entry layout, then the offset reference —
 // and returns them with their order: row order[j] is the j-th item in
 // bulk-load order. The sort is stable: items equal in key and reference
 // keep their index order.
@@ -40,9 +36,7 @@ func (t *Tree) loadRows(n int, fill Fill) (rows []uint64, order []int32) {
 	rows = make([]uint64, n*w)
 	for i := 0; i < n; i++ {
 		row := rows[i*w : (i+1)*w]
-		p := t.filled(fill, i, row[:s:s])
-		row[s] = uint64(p.ref) ^ 1<<63
-		row[s+1] = math.Float64bits(p.conf)
+		row[s] = uint64(t.filled(fill, i, row[:s:s])) ^ 1<<63
 	}
 	// The columns in the order they are compared: the key's words from the
 	// last to the first, then the reference.
@@ -60,10 +54,8 @@ func (t *Tree) loadRows(n int, fill Fill) (rows []uint64, order []int32) {
 	return rows, order
 }
 
-// rowPayload reads a row's payload back from its words past the key.
-func rowPayload(extra []uint64) payload {
-	return payload{conf: math.Float64frombits(extra[1]), ref: int(extra[0] ^ 1<<63)}
-}
+// rowRef reads a row's reference back from its word past the key.
+func rowRef(w uint64) int32 { return int32(w ^ 1<<63) }
 
 // sortRows sorts order, a group of indices of rows of w words, by the
 // columns cols[c:], most significant first; the group's rows agree on every

@@ -21,9 +21,9 @@ func itemCmp(a, b Item) int {
 }
 
 // requireLoadOrder holds a bulk load's leaves, read left to right, to
-// slices.SortFunc over itemCmp on the same items, item for item: key,
-// reference and confidence. The refs must be distinct, so that the
-// comparison order is total.
+// slices.SortFunc over itemCmp on the same items, item for item: key and
+// reference. The refs must be distinct, so that the comparison order is
+// total.
 func requireLoadOrder(t *testing.T, ckLen, rkLen int, items []Item) {
 	t.Helper()
 	want := slices.Clone(items)
@@ -34,7 +34,7 @@ func requireLoadOrder(t *testing.T, ckLen, rkLen int, items []Item) {
 		t.Fatalf("the load holds %d items, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Ref != want[i].Ref || got[i].Conf != want[i].Conf || !got[i].Key.Equal(want[i].Key) {
+		if got[i].Ref != want[i].Ref || !got[i].Key.Equal(want[i].Key) {
 			t.Fatalf("position %d of %d: ref %d key %s, comparison order ref %d key %s",
 				i, len(want), got[i].Ref, got[i].Key, want[i].Ref, want[i].Key)
 		}

@@ -397,32 +397,6 @@ func (t *refTree) deleteIn(n *refNode, key bitkey.PatternKey, ref int) bool {
 	return false
 }
 
-// UpdateConf rewrites the confidence of the item with the given key and
-// ref. Confidence is payload, not part of the key, so the tree shape and
-// every union key stay untouched. Returns false when the item is absent.
-func (t *refTree) UpdateConf(key bitkey.PatternKey, ref int, conf float64) bool {
-	t.checkKey(key)
-	return t.updateConfIn(t.root, key, ref, conf)
-}
-
-func (t *refTree) updateConfIn(n *refNode, key bitkey.PatternKey, ref int, conf float64) bool {
-	if n.leaf {
-		for i, e := range n.entries {
-			if e.item.Ref == ref && e.key.Equal(key) {
-				n.entries[i].item.Conf = conf
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range n.entries {
-		if e.key.Contains(key) && t.updateConfIn(e.child, key, ref, conf) {
-			return true
-		}
-	}
-	return false
-}
-
 // GrowKeys widens every key in the tree to the given lengths. Grown bits
 // are high-order zeros — existing bit positions keep their meaning — so
 // search results for already-indexed patterns are unchanged; the tree

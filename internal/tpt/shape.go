@@ -23,7 +23,7 @@ type Shape struct {
 const maxHeight = 64
 
 // Shape reads the shape off the tree as it stands, bulk-loaded or rearranged
-// by Insert, Delete and GrowKeys; Refs are the entries' refs, in 32 bits.
+// by Insert, Delete and GrowKeys; Refs are the entries' refs.
 func (t *Tree) Shape() Shape {
 	var sh Shape
 	if t.size == 0 {
@@ -34,9 +34,7 @@ func (t *Tree) Shape() Shape {
 	var walk func(n *node, level int)
 	walk = func(n *node, level int) {
 		sh.Counts[level] = append(sh.Counts[level], int32(n.len()))
-		for _, p := range n.items {
-			sh.Refs = append(sh.Refs, int32(p.ref))
-		}
+		sh.Refs = append(sh.Refs, n.refs...)
 		for _, child := range n.kids {
 			walk(child, level-1)
 		}
@@ -133,18 +131,18 @@ func (sh Shape) check(n, max int) error {
 // build lays n items out bottom-up in the node counts of a shape, leaves
 // first, each in slabs of exactly its size: leaf is handed the leaf-walk
 // position of every entry, in order, with the zeroed key to fill and returns
-// its payload. Every level above holds the unions of the nodes below, so
+// its reference. Every level above holds the unions of the nodes below, so
 // containment holds by construction.
-func (t *Tree) build(n int, counts [][]int32, leaf func(j int, key []uint64) payload) {
+func (t *Tree) build(n int, counts [][]int32, leaf func(j int, key []uint64) int32) {
 	if n == 0 {
 		return
 	}
 	level := make([]*node, len(counts[0]))
 	j := 0
 	for i, c := range counts[0] {
-		nd := &node{leaf: true, keys: make([]uint64, int(c)*t.stride), items: make([]payload, c)}
-		for e := range nd.items {
-			nd.items[e] = leaf(j, t.key(nd, e))
+		nd := &node{leaf: true, keys: make([]uint64, int(c)*t.stride), refs: make([]int32, c)}
+		for e := range nd.refs {
+			nd.refs[e] = leaf(j, t.key(nd, e))
 			j++
 		}
 		level[i] = nd

@@ -12,10 +12,10 @@ import (
 
 // fillFrom describes items[i] as item i, its ref the index.
 func fillFrom(items []Item) Fill {
-	return func(i int, ck, rk []uint64) (float64, int) {
+	return func(i int, ck, rk []uint64) int {
 		copy(ck, items[i].Key.CK.Words())
 		copy(rk, items[i].Key.RK.Words())
-		return items[i].Conf, i
+		return i
 	}
 }
 
@@ -33,11 +33,11 @@ func requireRebuilds(t *testing.T, ref *refTree, tree *Tree, alive []Item, opts 
 		byRef[int32(it.Ref)] = it
 	}
 	again := New(tree.ckLen, tree.rkLen, opts)
-	again.build(len(sh.Refs), sh.Counts, func(j int, key []uint64) payload {
+	again.build(len(sh.Refs), sh.Counts, func(j int, key []uint64) int32 {
 		it := byRef[sh.Refs[j]]
 		copy(key, it.Key.RK.Words())
 		copy(key[again.rw:], it.Key.CK.Words())
-		return payload{it.Conf, it.Ref}
+		return int32(it.Ref)
 	})
 	requireSame(t, ref, again, queries)
 	if got := again.Shape(); !reflect.DeepEqual(got, sh) {
@@ -73,9 +73,9 @@ func requireRebuilds(t *testing.T, ref *refTree, tree *Tree, alive []Item, opts 
 		t.Fatalf("loaded tree: %d items, height %d; live tree %d and %d", len(b), loaded.Height(), len(a), again.Height())
 	}
 	for i := range a {
-		if int(rank[int32(a[i].Ref)]) != b[i].Ref || a[i].Conf != b[i].Conf || !a[i].Key.Equal(b[i].Key) {
-			t.Fatalf("leaf position %d: loaded ref %d conf %g key %s, live ref %d (rank %d) conf %g key %s",
-				i, b[i].Ref, b[i].Conf, b[i].Key, a[i].Ref, rank[int32(a[i].Ref)], a[i].Conf, a[i].Key)
+		if int(rank[int32(a[i].Ref)]) != b[i].Ref || !a[i].Key.Equal(b[i].Key) {
+			t.Fatalf("leaf position %d: loaded ref %d key %s, live ref %d (rank %d) key %s",
+				i, b[i].Ref, b[i].Key, a[i].Ref, rank[int32(a[i].Ref)], a[i].Key)
 		}
 	}
 }

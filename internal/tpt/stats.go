@@ -9,21 +9,23 @@ type TreeStats struct {
 	LeafNodes    int
 	InternalNode int
 	Entries      int // total entries across all nodes
-	StorageBytes int // packed size: keys + per-entry payload/pointers
+	StorageBytes int // the paper's charge: keys + per-entry confidence/pointers
 }
 
-// entryOverheadBytes approximates the non-key payload of an entry: an
-// 8-byte pointer for internal entries, an 8-byte confidence plus an 8-byte
-// consequence pointer for leaf entries. Figure 11(a) charges TPT storage
-// this way: key bits dominate as the number of frequent regions grows.
+// The non-key part of an entry as the paper charges it, which Figure 11(a)
+// reproduces: an 8-byte pointer for an internal entry, an 8-byte confidence
+// plus an 8-byte consequence pointer for a leaf entry, so key bits dominate
+// as the number of frequent regions grows. It is the paper's charge, not
+// this tree's layout: a leaf entry here holds a 4-byte table row and no
+// confidence (Bytes counts what the slabs hold).
 const (
 	internalEntryOverhead = 8
 	leafEntryOverhead     = 16
 )
 
-// Stats returns the tree's physical statistics. It walks nothing: every
-// node but the root is one entry of its parent, and the tree keeps its node
-// counts.
+// Stats returns the tree's statistics, its storage as Figure 11(a) charges
+// it. It walks nothing: every node but the root is one entry of its parent,
+// and the tree keeps its node counts.
 func (t *Tree) Stats() TreeStats {
 	keyBytes := (t.ckLen + t.rkLen + 7) / 8
 	inner := t.leaves + t.inner - 1 // entries that point at a node
@@ -35,6 +37,20 @@ func (t *Tree) Stats() TreeStats {
 		Entries:      t.size + inner,
 		StorageBytes: t.size*(keyBytes+leafEntryOverhead) + inner*(keyBytes+internalEntryOverhead),
 	}
+}
+
+// Bytes returns the capacity, in bytes, of every node's slabs: the key
+// words, the leaves' references and the child pointers. It walks the tree.
+func (t *Tree) Bytes() int {
+	var walk func(n *node) int
+	walk = func(n *node) int {
+		b := 8*cap(n.keys) + 4*cap(n.refs) + 8*cap(n.kids)
+		for _, child := range n.kids {
+			b += walk(child)
+		}
+		return b
+	}
+	return walk(t.root)
 }
 
 // BruteForce is the unindexed baseline of Figure 11(b): a flat list of
@@ -54,7 +70,7 @@ func (b *BruteForce) Len() int { return len(b.items) }
 // examined — always the full list, which is the point of the baseline.
 func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
 	for i := range b.items {
-		if it := &b.items[i]; it.Key.Intersects(q) && !visit(it.Ref, timeID(it.Key, q), it.Conf, it.Key.RK) {
+		if it := &b.items[i]; it.Key.Intersects(q) && !visit(it.Ref, timeID(it.Key, q), it.Key.RK) {
 			break
 		}
 	}
@@ -65,7 +81,7 @@ func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
 // mirroring Tree.SearchConsequence.
 func (b *BruteForce) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
 	for i := range b.items {
-		if it := &b.items[i]; it.Key.IntersectsConsequence(q) && !visit(it.Ref, timeID(it.Key, q), it.Conf, it.Key.RK) {
+		if it := &b.items[i]; it.Key.IntersectsConsequence(q) && !visit(it.Ref, timeID(it.Key, q), it.Key.RK) {
 			break
 		}
 	}

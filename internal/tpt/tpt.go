@@ -10,35 +10,33 @@
 // subtree, so a query key that fails the intersection predicate against the
 // entry cannot match anything below it and the subtree is skipped.
 //
-// Storage is what Figure 11(a) charges: a node keeps its entries' keys
-// packed in one pointer-free word slab — stride words per entry — beside a
-// 16-byte payload per leaf entry (confidence, reference) or an 8-byte child
-// pointer per internal entry. A key of three words therefore costs a leaf
-// 40 bytes and no heap object of its own. Within an entry the premise key's
-// words come first and the consequence key's last, so the entry read as one
-// number, most significant word first, is the paper's concatenation with
-// the consequence key in front — the order a bulk load sorts by.
+// A node keeps its entries' keys packed in one pointer-free word slab —
+// stride words per entry — beside a 4-byte reference per leaf entry or an
+// 8-byte child pointer per internal entry. A key of three words therefore
+// costs a leaf 28 bytes and no heap object of its own. Within an entry the
+// premise key's words come first and the consequence key's last, so the
+// entry read as one number, most significant word first, is the paper's
+// concatenation with the consequence key in front — the order a bulk load
+// sorts by.
 //
-// The confidence lives in the leaf entry, as §V has it, and a rewrite goes
-// straight there: a ref → leaf locator, 8 bytes per ref, names the leaf that
-// holds each item, so UpdateConf scans one leaf instead of descending from
-// the root by key. The locator is built by the first UpdateConf and kept in
-// step by Insert, its splits and Delete; GrowKeys re-strides slabs but moves
-// no entry between nodes. It is never saved: a tree laid out from its shape
-// starts without one.
+// §V's leaf entry is <pattern key, confidence, pointer>. This tree keeps the
+// key and the pointer — a row of the caller's rule table — and no
+// confidence: the table holds it, and a search hands over the row, so the
+// caller reads the confidence where it is kept and a rewrite of it touches
+// no leaf. Figure 11(a) still charges the paper's entry (Stats).
 package tpt
 
 import (
 	"fmt"
-	"slices"
 
 	"hpm/internal/bitkey"
 )
 
-// Item is one indexed trajectory pattern: its pattern key, its confidence,
-// and a caller-defined reference (typically the index of the pattern in the
-// miner's output), which plays the role of the paper's region-key pointer p.
-// It is the exchange form at the API; the tree stores the parts packed.
+// Item is one indexed trajectory pattern: its pattern key and a
+// caller-defined reference (typically the pattern's row in a rule table),
+// which plays the role of the paper's region-key pointer p and must fit in
+// 32 bits. It is the exchange form at the API; the tree stores the parts
+// packed. The tree ignores Conf: it keeps no confidence.
 type Item struct {
 	Key  bitkey.PatternKey
 	Conf float64
@@ -48,10 +46,10 @@ type Item struct {
 // Visit receives one search hit: the item's reference, the time id of its
 // consequence — the 0-based position of the lowest consequence bit it shares
 // with the query, which for a pattern key is its one consequence bit (§V-A) —
-// its confidence and a view of its premise key, which aliases the tree's
-// storage and is valid only for the duration of the call. It returns false to
-// stop the search.
-type Visit func(ref, tid int, conf float64, rk bitkey.Key) bool
+// and a view of its premise key, which aliases the tree's storage and is
+// valid only for the duration of the call. It returns false to stop the
+// search.
+type Visit func(ref, tid int, rk bitkey.Key) bool
 
 // Options tune the tree shape.
 type Options struct {
@@ -80,32 +78,21 @@ type Tree struct {
 	// leaves and inner count the nodes of each kind, kept in step by every
 	// change to the structure, so Stats does not walk the tree.
 	leaves, inner int
-
-	// loc is the locator: loc[ref] is the leaf holding ref, nil for a ref
-	// the tree does not hold. It is built by the first UpdateConf — so a
-	// tree that is only built and searched never pays for it — and from
-	// then on kept in step by Insert, its splits and Delete.
-	loc []*node
-}
-
-// payload is what a leaf entry holds beside its key.
-type payload struct {
-	conf float64
-	ref  int
 }
 
 // node holds its entries column-wise: entry i's key is keys[i*stride :
-// (i+1)*stride], its payload items[i] in a leaf and kids[i] otherwise.
+// (i+1)*stride], its reference refs[i] in a leaf and its child kids[i]
+// otherwise.
 type node struct {
-	leaf  bool
-	keys  []uint64
-	items []payload
-	kids  []*node
+	leaf bool
+	keys []uint64
+	refs []int32
+	kids []*node
 }
 
 func (n *node) len() int {
 	if n.leaf {
-		return len(n.items)
+		return len(n.refs)
 	}
 	return len(n.kids)
 }
@@ -175,7 +162,7 @@ func (t *Tree) checkKey(k bitkey.PatternKey) {
 func (t *Tree) Insert(it Item) {
 	var buf [keyBuf]uint64
 	pk := t.flat(buf[:], it.Key)
-	if split := t.insert(t.root, pk, payload{it.Conf, it.Ref}); split != nil {
+	if split := t.insert(t.root, pk, int32(it.Ref)); split != nil {
 		// Root overflow: grow a new root above both halves.
 		old := t.root
 		t.root = &node{kids: []*node{old, split}}
@@ -188,15 +175,14 @@ func (t *Tree) Insert(it Item) {
 
 // insert recursively places the item under n and returns a non-nil node
 // when n was split and the caller must register the new sibling.
-func (t *Tree) insert(n *node, pk []uint64, p payload) *node {
+func (t *Tree) insert(n *node, pk []uint64, ref int32) *node {
 	if n.leaf {
 		n.keys = append(n.keys, pk...)
-		n.items = append(n.items, p)
-		t.locate(p.ref, n)
+		n.refs = append(n.refs, ref)
 	} else {
 		i := t.chooseSubtree(n, pk)
 		bitkey.OrWords(t.key(n, i), pk)
-		split := t.insert(n.kids[i], pk, p)
+		split := t.insert(n.kids[i], pk, ref)
 		if split == nil {
 			return nil
 		}
@@ -297,9 +283,6 @@ func (t *Tree) split(n *node) *node {
 	}
 	right := t.pick(n, g2)
 	*n = *t.pick(n, g1)
-	for _, p := range right.items {
-		t.locate(p.ref, right)
-	}
 	t.count(right, 1)
 	return right
 }
@@ -318,14 +301,14 @@ func (t *Tree) count(n *node, d int) {
 func (t *Tree) pick(n *node, idx []int32) *node {
 	out := &node{leaf: n.leaf, keys: make([]uint64, 0, len(idx)*t.stride)}
 	if n.leaf {
-		out.items = make([]payload, len(idx))
+		out.refs = make([]int32, len(idx))
 	} else {
 		out.kids = make([]*node, len(idx))
 	}
 	for o, i := range idx {
 		out.keys = append(out.keys, t.key(n, int(i))...)
 		if n.leaf {
-			out.items[o] = n.items[i]
+			out.refs[o] = n.refs[i]
 		} else {
 			out.kids[o] = n.kids[i]
 		}
@@ -365,7 +348,7 @@ func (t *Tree) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
 // search is the one descent both predicates share: an entry qualifies when
 // its consequence part intersects ck and, with premise set, its premise part
 // intersects rk. The walk reads the node's key slab front to back and
-// touches a payload only for entries that qualify; the time id a hit carries
+// touches a reference only for entries that qualify; the time id a hit carries
 // falls out of the consequence test it has just passed.
 func (t *Tree) search(n *node, ck, rk []uint64, premise bool, visit Visit) (nodes int, stopped bool) {
 	nodes = 1
@@ -376,7 +359,7 @@ func (t *Tree) search(n *node, ck, rk []uint64, premise bool, visit Visit) (node
 			continue
 		}
 		if n.leaf {
-			if p := n.items[i]; !visit(p.ref, tid, p.conf, bitkey.View(t.rkLen, k[:t.rw:t.rw])) {
+			if !visit(int(n.refs[i]), tid, bitkey.View(t.rkLen, k[:t.rw:t.rw])) {
 				return nodes, true
 			}
 			continue
@@ -390,43 +373,19 @@ func (t *Tree) search(n *node, ck, rk []uint64, premise bool, visit Visit) (node
 	return nodes, false
 }
 
-// All visits every indexed item in key order of the leaves. The keys handed
-// out are copies.
-func (t *Tree) All(visit func(Item) bool) {
-	var rec func(n *node) bool
-	rec = func(n *node) bool {
-		for i, cnt := 0, n.len(); i < cnt; i++ {
-			if !n.leaf {
-				if !rec(n.kids[i]) {
-					return false
-				}
-				continue
-			}
-			k := slices.Clone(t.key(n, i))
-			key := bitkey.PatternKey{CK: bitkey.View(t.ckLen, k[t.rw:]), RK: bitkey.View(t.rkLen, k[:t.rw:t.rw])}
-			if !visit(Item{Key: key, Conf: n.items[i].conf, Ref: n.items[i].ref}) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(t.root)
-}
-
 // Fill describes item i to Build: it sets the item's key bits, laid out as
 // bitkey lays a key's, in the zeroed words ck and rk of a consequence key
 // and a premise key — the tree's own storage: no key is allocated per item
-// — and returns its confidence and reference.
-type Fill func(i int, ck, rk []uint64) (conf float64, ref int)
+// — and returns its reference.
+type Fill func(i int, ck, rk []uint64) (ref int)
 
-func (t *Tree) filled(fill Fill, i int, k []uint64) payload {
-	conf, ref := fill(i, k[t.rw:], k[:t.rw:t.rw])
-	return payload{conf, ref}
+func (t *Tree) filled(fill Fill, i int, k []uint64) int32 {
+	return int32(fill(i, k[t.rw:], k[:t.rw:t.rw]))
 }
 
 // Build returns the tree over the n items fill describes. With a nil shape
 // it is the paper's bulk load of the static pattern set: every item is laid
-// out as one pointer-free row — its key, its reference, its confidence — a
+// out as one pointer-free row — its key and its reference — a
 // radix sort (loadRows) orders the rows so patterns with the same
 // consequence time offset come next to each other, and packCounts cuts every
 // level to capacity, keeping every node beyond a lone root at or above the
@@ -440,7 +399,7 @@ func Build(ckLen, rkLen, n int, sh *Shape, opts Options, fill Fill) (*Tree, erro
 		if err := sh.check(n, t.maxEntries); err != nil {
 			return nil, err
 		}
-		t.build(n, sh.Counts, func(j int, key []uint64) payload { return t.filled(fill, int(sh.Refs[j]), key) })
+		t.build(n, sh.Counts, func(j int, key []uint64) int32 { return t.filled(fill, int(sh.Refs[j]), key) })
 		return t, nil
 	}
 	rows, order := t.loadRows(n, fill)
@@ -450,21 +409,21 @@ func Build(ckLen, rkLen, n int, sh *Shape, opts Options, fill Fill) (*Tree, erro
 		c := packCounts(m, t.maxEntries, t.minEntries)
 		counts, nodes = append(counts, c), len(c)
 	}
-	t.build(n, counts, func(j int, key []uint64) payload {
+	t.build(n, counts, func(j int, key []uint64) int32 {
 		row := rows[int(order[j])*w : int(order[j]+1)*w]
 		copy(key, row)
-		return rowPayload(row[t.stride:])
+		return rowRef(row[t.stride])
 	})
 	return t, nil
 }
 
-// BulkLoad is Build over items, sorted into place. It panics when an item's
-// key lengths do not match ckLen and rkLen.
+// BulkLoad is Build over items, sorted into place; their Conf is ignored. It
+// panics when an item's key lengths do not match ckLen and rkLen.
 func BulkLoad(ckLen, rkLen int, items []Item, opts Options) *Tree {
-	t, _ := Build(ckLen, rkLen, len(items), nil, opts, func(i int, ck, rk []uint64) (float64, int) {
+	t, _ := Build(ckLen, rkLen, len(items), nil, opts, func(i int, ck, rk []uint64) int {
 		bitkey.View(ckLen, ck).OrInPlace(items[i].Key.CK) // checks the length
 		bitkey.View(rkLen, rk).OrInPlace(items[i].Key.RK)
-		return items[i].Conf, items[i].Ref
+		return items[i].Ref
 	})
 	return t
 }

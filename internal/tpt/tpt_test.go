@@ -31,11 +31,11 @@ func randomQuery(r *rand.Rand, ckLen, rkLen int) bitkey.PatternKey {
 }
 
 // visitAll accepts every hit.
-func visitAll(int, int, float64, bitkey.Key) bool { return true }
+func visitAll(int, int, bitkey.Key) bool { return true }
 
 func collectIntersect(t *Tree, q bitkey.PatternKey) []int {
 	var refs []int
-	t.SearchIntersect(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
+	t.SearchIntersect(q, func(ref, _ int, _ bitkey.Key) bool {
 		refs = append(refs, ref)
 		return true
 	})
@@ -45,7 +45,7 @@ func collectIntersect(t *Tree, q bitkey.PatternKey) []int {
 
 func collectConsequence(t *Tree, q bitkey.PatternKey) []int {
 	var refs []int
-	t.SearchConsequence(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
+	t.SearchConsequence(q, func(ref, _ int, _ bitkey.Key) bool {
 		refs = append(refs, ref)
 		return true
 	})
@@ -75,6 +75,29 @@ func bruteConsequence(items []Item, q bitkey.PatternKey) []int {
 	return refs
 }
 
+// All visits every indexed item in key order of the leaves, as an Item
+// without a confidence: the tree keeps none. The keys handed out are copies.
+func (t *Tree) All(visit func(Item) bool) {
+	var rec func(n *node) bool
+	rec = func(n *node) bool {
+		for i, cnt := 0, n.len(); i < cnt; i++ {
+			if !n.leaf {
+				if !rec(n.kids[i]) {
+					return false
+				}
+				continue
+			}
+			k := slices.Clone(t.key(n, i))
+			key := bitkey.PatternKey{CK: bitkey.View(t.ckLen, k[t.rw:]), RK: bitkey.View(t.rkLen, k[:t.rw:t.rw])}
+			if !visit(Item{Key: key, Ref: int(n.refs[i])}) {
+				return false
+			}
+		}
+		return true
+	}
+	rec(t.root)
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -98,8 +121,8 @@ func checkInvariants(t *testing.T, tree *Tree, minFill bool) {
 	depthOfLeaf := -1
 	var rec func(n *node, depth int, isRoot bool) []uint64
 	rec = func(n *node, depth int, isRoot bool) []uint64 {
-		if len(n.keys) != n.len()*tree.stride || (n.leaf && n.kids != nil) || (!n.leaf && n.items != nil) {
-			t.Fatalf("node slabs out of step: %d key words, %d items, %d kids, stride %d", len(n.keys), len(n.items), len(n.kids), tree.stride)
+		if len(n.keys) != n.len()*tree.stride || (n.leaf && n.kids != nil) || (!n.leaf && n.refs != nil) {
+			t.Fatalf("node slabs out of step: %d key words, %d refs, %d kids, stride %d", len(n.keys), len(n.refs), len(n.kids), tree.stride)
 		}
 		u := make([]uint64, tree.stride)
 		if n.len() == 0 {
@@ -135,40 +158,6 @@ func checkInvariants(t *testing.T, tree *Tree, minFill bool) {
 	}
 	if depthOfLeaf != -1 && depthOfLeaf != tree.height {
 		t.Fatalf("leaf depth %d != height %d", depthOfLeaf, tree.height)
-	}
-}
-
-// checkLocator holds the ref → leaf locator to the leaves: every item's ref
-// names the leaf entry carrying it, and no other ref names a leaf. A tree
-// without a locator gets one first, the way UpdateConf would build it, so
-// the ops after a test's first check run against a built locator.
-func checkLocator(t *testing.T, tree *Tree) {
-	t.Helper()
-	if tree.loc == nil {
-		tree.buildLocator()
-	}
-	items := 0
-	var rec func(n *node)
-	rec = func(n *node) {
-		for _, p := range n.items {
-			items++
-			if p.ref < 0 || p.ref >= len(tree.loc) || tree.loc[p.ref] != n {
-				t.Fatalf("ref %d sits in leaf %p, the locator does not name it", p.ref, n)
-			}
-		}
-		for _, child := range n.kids {
-			rec(child)
-		}
-	}
-	rec(tree.root)
-	located := 0
-	for _, n := range tree.loc {
-		if n != nil {
-			located++
-		}
-	}
-	if located != items {
-		t.Fatalf("the locator names %d leaves for %d items", located, items)
 	}
 }
 
@@ -321,7 +310,7 @@ func TestSearchEarlyStop(t *testing.T) {
 		q.RK.Set(i)
 	}
 	seen := 0
-	tree.SearchIntersect(q, func(int, int, float64, bitkey.Key) bool {
+	tree.SearchIntersect(q, func(int, int, bitkey.Key) bool {
 		seen++
 		return seen < 5
 	})
@@ -453,7 +442,7 @@ func TestBruteForceBaseline(t *testing.T) {
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(r, 6, 40)
 		var got []int
-		examined := bf.SearchIntersect(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
+		examined := bf.SearchIntersect(q, func(ref, _ int, _ bitkey.Key) bool {
 			got = append(got, ref)
 			return true
 		})
@@ -465,7 +454,7 @@ func TestBruteForceBaseline(t *testing.T) {
 			t.Fatal("BruteForce.SearchIntersect mismatch")
 		}
 		var gotC []int
-		bf.SearchConsequence(q, func(ref, _ int, _ float64, _ bitkey.Key) bool {
+		bf.SearchConsequence(q, func(ref, _ int, _ bitkey.Key) bool {
 			gotC = append(gotC, ref)
 			return true
 		})

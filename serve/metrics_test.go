@@ -220,6 +220,54 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsTreeBytesAfterLoad: a fleet opened from a directory reports,
+// as hpm_tree_bytes, what its loaded models' pattern trees hold: the sum of
+// the models' own counts, at least a key word and a table row per pattern.
+func TestMetricsTreeBytesAfterLoad(t *testing.T) {
+	dir := t.TempDir()
+	planted, err := store.Open(dir, store.Options{Config: hpm.Config{Period: period}, MinTrainPeriods: 3, WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"bus-1", "bus-2", "bus-3"}
+	for i, id := range ids {
+		spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, int64(i+1))
+		spec.Period = period
+		spec.SubTrajectories = 4
+		if err := planted.ObserveBatch(id, hpm.GenerateDataset(spec).Slice(0, 4*period)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := planted.Close(); err != nil { // checkpoints
+		t.Fatal(err)
+	}
+	loaded, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	want, patterns := 0, 0
+	for _, id := range ids {
+		p, err := loaded.Predictor(id)
+		if err != nil || p == nil {
+			t.Fatalf("%s: no model after the load (%v)", id, err)
+		}
+		want += p.Model().TreeBytes()
+		patterns += p.NumPatterns()
+	}
+	srv := httptest.NewServer(Handler(loaded))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m := parseProm(t, resp.Body)
+	if got, ok := m["hpm_tree_bytes"]; !ok || got != float64(want) || patterns == 0 || want < patterns*(8+4) {
+		t.Errorf("hpm_tree_bytes = %v (present %v), the models hold %d bytes over %d patterns", got, ok, want, patterns)
+	}
+}
+
 func TestFleetStatsEndpoint(t *testing.T) {
 	srv, st := testServer(t)
 	if err := st.Observe("solo", hpm.Pt(1, 2)); err != nil {

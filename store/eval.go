@@ -102,6 +102,9 @@ type FleetStats struct {
 	MinerBytes       int     `json:"minerBytes"`
 	MinerSeeds       uint64  `json:"minerSeeds"`
 	MinerSeedSeconds float64 `json:"minerSeedSeconds"`
+	// TreeBytes sums what every trained model's pattern tree holds in its
+	// slabs: key words, leaf table rows and child pointers.
+	TreeBytes int `json:"treeBytes"`
 	// TrainFailures counts every failed train attempt, and every Extend
 	// that failed during recovery, since start.
 	TrainFailures uint64 `json:"trainFailures"`
@@ -157,6 +160,7 @@ func (s *Store) FleetStats() FleetStats {
 		if obj.predictor != nil {
 			fs.Trained++
 			fs.Queries = fs.Queries.Add(obj.predictor.QueryStats())
+			fs.TreeBytes += obj.predictor.Model().TreeBytes()
 			if n, ok := obj.predictor.Model().MinerItemsets(); ok {
 				fs.Miners++
 				fs.MinerItemsets += n
