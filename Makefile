@@ -1,12 +1,43 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-query bench-serve bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
+.PHONY: build test race vet reach bench bench-query bench-serve bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Production code is what a binary links. Build every command, every example
+# and the benchmark harness without inlining (so a function that is called
+# keeps its symbol), take the hpm functions their symbol tables list, and
+# fail on any func declared in the non-test files of a non-main package that
+# none of them links, unless reach-allow.txt names it with a reason. An
+# allow-list line for a symbol that is linked, or no longer declared, fails
+# too.
+reach:
+	@set -e; export LC_ALL=C; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -gcflags=all=-l -o $$tmp/ ./cmd/... ./examples/...; \
+	(cd bench && $(GO) build -gcflags=all=-l -o $$tmp/bench .); \
+	for b in $$tmp/*; do $(GO) tool nm $$b; done \
+	| awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^hpm[.\/]/ { print $$3 }' \
+	| sed -e 's/\[[^]]*\]//g' -e 's/(\*\([^)]*\))/\1/g' | sort -u > $$tmp/linked; \
+	$(GO) list -f '{{if ne .Name "main"}}{{.ImportPath}} {{.Dir}}{{end}}' ./... | while read -r pkg dir; do \
+	  for f in $$dir/*.go; do case $$f in *_test.go) continue;; esac; \
+	    awk -v p=$$pkg '/^func / { s = substr($$0, 6); t = ""; \
+	      if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); n = split(r, a, " "); t = a[n]; \
+	        sub(/^\*/, "", t); sub(/\[.*/, "", t); t = t "."; s = substr(s, index(s, ")") + 2) } \
+	      sub(/[[(].*/, "", s); if (s != "init") print p "." t s }' $$f; \
+	  done; \
+	done | sort -u > $$tmp/declared; \
+	awk '!/^#/ && NF == 1 { print "reach: no reason given for " $$1; bad = 1 } END { exit bad }' reach-allow.txt; \
+	awk '!/^#/ && NF { print $$1 }' reach-allow.txt | sort > $$tmp/allowed; \
+	comm -23 $$tmp/declared $$tmp/linked > $$tmp/unlinked; \
+	fail=0; \
+	for s in $$(comm -23 $$tmp/unlinked $$tmp/allowed); do echo "reach: $$s is linked by no binary"; fail=1; done; \
+	for s in $$(comm -12 $$tmp/allowed $$tmp/linked); do echo "reach: $$s is allow-listed but linked"; fail=1; done; \
+	for s in $$(comm -23 $$tmp/allowed $$tmp/declared); do echo "reach: $$s is allow-listed but not declared"; fail=1; done; \
+	test $$fail = 0 && echo "reach: $$(wc -l < $$tmp/declared) functions declared, $$(wc -l < $$tmp/allowed) allow-listed, the rest linked"
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (first trains and extends beside readers, WAL/checkpoint durability, chaos tests),

@@ -130,7 +130,10 @@ const (
 // Config configures training and querying. Only Period is required; every
 // other zero value takes the paper's experimental default (§VII-A):
 // Eps 30, MinPts 4, minimum confidence 0.3, distant threshold d = 60,
-// time relaxation tε = 2, linear weights, RMF fallback.
+// time relaxation tε = 2, linear weights, RMF fallback. Every field shapes
+// the model or its answers. Counting the rules classic Apriori would emit,
+// for the §IV pruning claim, is the "pruning" experiment's business: it
+// sets that on the mining configuration itself.
 type Config struct {
 	// Period is T, the number of timestamps after which patterns may
 	// re-appear — "a day" of samples for commuter traffic, "a year" for
@@ -155,10 +158,6 @@ type Config struct {
 	MaxPatternLength int
 	PremiseSpan      int
 	ConsequenceReach int
-
-	// CountUnprunedRules additionally counts the rules classic Apriori
-	// would generate, enabling PatternReduction at extra training cost.
-	CountUnprunedRules bool
 
 	// SubTrajectories caps how many leading periods are mined; <= 0 uses
 	// the whole history.
@@ -214,7 +213,6 @@ func (c Config) toParams() core.Params {
 			MinConfidence:    c.MinConfidence,
 			MaxLength:        c.MaxPatternLength,
 			PremiseSpan:      c.PremiseSpan,
-			CountUnpruned:    c.CountUnprunedRules,
 			ConsequenceReach: c.ConsequenceReach,
 		},
 		SubTrajectories:        c.SubTrajectories,
@@ -385,14 +383,6 @@ func (p *Predictor) NumPatterns() int { return p.model.NumPatterns() }
 
 // NumRegions returns how many frequent regions were discovered.
 func (p *Predictor) NumRegions() int { return p.model.NumRegions() }
-
-// PatternReduction returns the percentage of rules eliminated by the
-// pruning (requires Config.CountUnprunedRules; 0 otherwise) relative to
-// classic Apriori rule generation, in the training run the predictor came
-// from: Extend does not move it, and a loaded predictor reports 0.
-func (p *Predictor) PatternReduction() float64 {
-	return p.model.MiningStats().ReductionPct()
-}
 
 // IndexBytes returns the packed storage footprint of the Trajectory
 // Pattern Tree.

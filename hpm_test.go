@@ -90,17 +90,6 @@ func TestReadTrajectoryCSVPublic(t *testing.T) {
 	}
 }
 
-func TestPatternReductionRequiresFlag(t *testing.T) {
-	pOff, _, _ := trainedBike(t, Config{})
-	if pOff.PatternReduction() != 0 {
-		t.Error("reduction reported without counting enabled")
-	}
-	pOn, _, _ := trainedBike(t, Config{CountUnprunedRules: true})
-	if r := pOn.PatternReduction(); r <= 0 || r >= 100 {
-		t.Errorf("reduction %v out of range", r)
-	}
-}
-
 func TestWeightAndMotionOptions(t *testing.T) {
 	for _, cfg := range []Config{
 		{Weight: WeightQuadratic},

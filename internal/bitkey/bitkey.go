@@ -5,8 +5,10 @@
 // (one bit per distinct consequence time offset) concatenated with a premise
 // key (one bit per frequent region, ordered by time offset). The paper
 // defines five operations over pattern keys — Union, Size, Contain,
-// Difference, and Intersect — all of which reduce to bitwise operations
-// provided here.
+// Difference, and Intersect — all of which reduce to bitwise operations.
+// The TPT runs them over keys packed in its node slabs, through the word
+// forms in words.go; the whole-key forms, which only tests call, live in
+// the package's tests.
 //
 // Bit positions are numbered from the right starting at 1, matching the
 // paper's convention (Property 1: a '1' at a higher position belongs to a
@@ -51,15 +53,6 @@ func View(n int, words []uint64) Key {
 // copied. With View it lets a container keep many keys in one allocation.
 func (k Key) Words() []uint64 { return k.words }
 
-// FromPositions returns an n-bit key with the given 1-based positions set.
-func FromPositions(n int, positions ...int) Key {
-	k := New(n)
-	for _, p := range positions {
-		k.Set(p)
-	}
-	return k
-}
-
 // Len returns the key length in bits.
 func (k Key) Len() int { return k.n }
 
@@ -93,48 +86,11 @@ func (k Key) checkLen(o Key) {
 	}
 }
 
-// Clone returns an independent copy of k.
-func (k Key) Clone() Key {
-	c := Key{n: k.n, words: make([]uint64, len(k.words))}
-	copy(c.words, k.words)
-	return c
-}
-
-// Or returns k | o as a new key.
-func (k Key) Or(o Key) Key {
-	k.checkLen(o)
-	r := k.Clone()
-	for i, w := range o.words {
-		r.words[i] |= w
-	}
-	return r
-}
-
 // OrInPlace sets k = k | o without allocating. Used on the hot path of TPT
 // internal-entry maintenance.
 func (k Key) OrInPlace(o Key) {
 	k.checkLen(o)
 	OrWords(k.words, o.words)
-}
-
-// And returns k & o as a new key.
-func (k Key) And(o Key) Key {
-	k.checkLen(o)
-	r := k.Clone()
-	for i, w := range o.words {
-		r.words[i] &= w
-	}
-	return r
-}
-
-// Xor returns k ^ o as a new key.
-func (k Key) Xor(o Key) Key {
-	k.checkLen(o)
-	r := k.Clone()
-	for i, w := range o.words {
-		r.words[i] ^= w
-	}
-	return r
 }
 
 // Size returns the number of '1's in k (the paper's Size operation).
@@ -163,13 +119,6 @@ func (k Key) Equal(o Key) bool {
 	return true
 }
 
-// Contains reports whether every bit of o is also set in k, i.e.
-// k & o == o (the paper's Contain operation).
-func (k Key) Contains(o Key) bool {
-	k.checkLen(o)
-	return ContainsWords(k.words, o.words)
-}
-
 // AndSize returns Size(k & o) without materializing the intermediate key.
 func (k Key) AndSize(o Key) int {
 	k.checkLen(o)
@@ -184,15 +133,6 @@ func (k Key) AndSize(o Key) int {
 func (k Key) Intersects(o Key) bool {
 	k.checkLen(o)
 	return IntersectWords(k.words, o.words)
-}
-
-// Difference returns Size(k XOR (k AND o)): the number of '1's in k that are
-// not in o (the paper's Difference operation). It is asymmetric by design —
-// Difference(pk, e) measures how many new bits inserting pk into entry e
-// would switch on.
-func (k Key) Difference(o Key) int {
-	k.checkLen(o)
-	return DifferenceWords(k.words, o.words)
 }
 
 // Ones returns the 1-based positions of all set bits in ascending order
@@ -222,31 +162,6 @@ func (k Key) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Parse builds a key from a binary string such as "00011" (most significant
-// bit first). It returns an error on any character other than '0' or '1'.
-func Parse(s string) (Key, error) {
-	k := New(len(s))
-	for i, c := range s {
-		switch c {
-		case '1':
-			k.Set(len(s) - i)
-		case '0':
-		default:
-			return Key{}, fmt.Errorf("bitkey: invalid character %q in %q", c, s)
-		}
-	}
-	return k, nil
-}
-
-// MustParse is Parse that panics on error; intended for tests and constants.
-func MustParse(s string) Key {
-	k, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return k
 }
 
 // Bytes returns the size in bytes a key of this length occupies when stored

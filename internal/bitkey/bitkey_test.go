@@ -204,10 +204,6 @@ func TestBitAlgebraProperties(t *testing.T) {
 		if !a.Contains(a.And(b)) {
 			t.Fatal("a does not contain a&b")
 		}
-		// Xor self is zero.
-		if !a.Xor(a).IsZero() {
-			t.Fatal("a^a != 0")
-		}
 		// Ones matches Size and Bit.
 		ones := a.Ones()
 		if len(ones) != a.Size() {

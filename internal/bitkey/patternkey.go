@@ -1,7 +1,5 @@
 package bitkey
 
-import "fmt"
-
 // PatternKey is the symbolization of a trajectory pattern: the consequence
 // key CK (one bit per consequence time offset) placed before the premise key
 // RK (one bit per frequent region). The paper concatenates the two bit
@@ -18,88 +16,9 @@ func NewPatternKey(ckLen, rkLen int) PatternKey {
 	return PatternKey{CK: New(ckLen), RK: New(rkLen)}
 }
 
-// Clone returns an independent copy of p.
-func (p PatternKey) Clone() PatternKey {
-	return PatternKey{CK: p.CK.Clone(), RK: p.RK.Clone()}
-}
-
-// Union returns the bitwise OR of p and q (the paper's Union operation over
-// the concatenated keys). Internal TPT entries are unions of their subtree.
-func (p PatternKey) Union(q PatternKey) PatternKey {
-	return PatternKey{CK: p.CK.Or(q.CK), RK: p.RK.Or(q.RK)}
-}
-
-// UnionInPlace sets p = p | q without allocating.
-func (p PatternKey) UnionInPlace(q PatternKey) {
-	p.CK.OrInPlace(q.CK)
-	p.RK.OrInPlace(q.RK)
-}
-
-// Size returns the number of '1's across the concatenated key.
-func (p PatternKey) Size() int { return p.CK.Size() + p.RK.Size() }
-
-// Contains reports whether p & q == q over the concatenated key.
-func (p PatternKey) Contains(q PatternKey) bool {
-	return p.CK.Contains(q.CK) && p.RK.Contains(q.RK)
-}
-
-// Difference returns Size(p XOR (p AND q)) over the concatenated key: how
-// many '1's of p are absent from q.
-func (p PatternKey) Difference(q PatternKey) int {
-	return p.CK.Difference(q.CK) + p.RK.Difference(q.RK)
-}
-
 // Intersects implements the paper's Intersect operation: true only when the
 // consequence keys share a '1' AND the premise keys share a '1'. This is the
 // pruning predicate of Forward Query Processing.
 func (p PatternKey) Intersects(q PatternKey) bool {
 	return p.CK.Intersects(q.CK) && p.RK.Intersects(q.RK)
-}
-
-// IntersectsConsequence reports whether only the consequence keys share a
-// '1'. Backward Query Processing "gives up the constraint for the premise
-// key" (§VI-C) and descends the tree on this weaker predicate.
-func (p PatternKey) IntersectsConsequence(q PatternKey) bool {
-	return p.CK.Intersects(q.CK)
-}
-
-// Equal reports whether both parts are identical.
-func (p PatternKey) Equal(q PatternKey) bool {
-	return p.CK.Equal(q.CK) && p.RK.Equal(q.RK)
-}
-
-// IsZero reports whether no bit is set in either part.
-func (p PatternKey) IsZero() bool { return p.CK.IsZero() && p.RK.IsZero() }
-
-// Bytes returns the packed storage footprint of the concatenated key.
-func (p PatternKey) Bytes() int { return (p.CK.Len() + p.RK.Len() + 7) / 8 }
-
-// String renders the concatenated key, consequence part first, matching the
-// paper's Table III (e.g. "0100001").
-func (p PatternKey) String() string { return p.CK.String() + p.RK.String() }
-
-// ParsePattern splits a concatenated binary string into a PatternKey given
-// the consequence-key length.
-func ParsePattern(s string, ckLen int) (PatternKey, error) {
-	if ckLen < 0 || ckLen > len(s) {
-		return PatternKey{}, fmt.Errorf("bitkey: consequence length %d out of range for %q", ckLen, s)
-	}
-	ck, err := Parse(s[:ckLen])
-	if err != nil {
-		return PatternKey{}, err
-	}
-	rk, err := Parse(s[ckLen:])
-	if err != nil {
-		return PatternKey{}, err
-	}
-	return PatternKey{CK: ck, RK: rk}, nil
-}
-
-// MustParsePattern is ParsePattern that panics on error.
-func MustParsePattern(s string, ckLen int) PatternKey {
-	p, err := ParsePattern(s, ckLen)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

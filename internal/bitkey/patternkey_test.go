@@ -139,7 +139,7 @@ func TestParsePatternErrors(t *testing.T) {
 
 func TestIsZeroAndClone(t *testing.T) {
 	p := NewPatternKey(2, 5)
-	if !p.IsZero() {
+	if !p.CK.IsZero() || !p.RK.IsZero() {
 		t.Error("fresh pattern key not zero")
 	}
 	p.CK.Set(1)

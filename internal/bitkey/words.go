@@ -73,17 +73,3 @@ func DifferenceWords(a, b []uint64) int {
 	}
 	return s
 }
-
-// CompareWords orders a and b by content, most significant word first.
-func CompareWords(a, b []uint64) int {
-	b = b[:len(a)]
-	for i := len(a) - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}

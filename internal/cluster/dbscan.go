@@ -206,17 +206,3 @@ func (g *grid) rangeQuery(points []geom.Point, i int32, dst []int32) []int32 {
 	}
 	return dst
 }
-
-// BruteForceNeighbors returns the indices of all points within eps of
-// points[i] by linear scan. It is the reference oracle the grid index is
-// tested against and the baseline for index micro-benchmarks.
-func BruteForceNeighbors(points []geom.Point, i int, eps float64) []int {
-	var out []int
-	eps2 := eps * eps
-	for j, q := range points {
-		if q.Dist2(points[i]) <= eps2 {
-			out = append(out, j)
-		}
-	}
-	return out
-}

@@ -54,8 +54,8 @@ func TestExtendInsertsNewPatterns(t *testing.T) {
 	if n, ok := m.MinerItemsets(); !ok || n < m.NumPatterns() {
 		t.Errorf("miner tracks %d itemsets (seeded %v) under %d patterns", n, ok, m.NumPatterns())
 	}
-	if m.Regions().NumSubTrajectories() != 35 {
-		t.Errorf("region table saw %d subs, want 35", m.Regions().NumSubTrajectories())
+	if m.regions.NumSubTrajectories() != 35 {
+		t.Errorf("region table saw %d subs, want 35", m.regions.NumSubTrajectories())
 	}
 
 	// The extended model must still answer queries end to end.

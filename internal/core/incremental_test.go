@@ -16,7 +16,7 @@ import (
 func livePatternsByKey(t *testing.T, m *Model) map[pattern.IdentityKey]pattern.Pattern {
 	t.Helper()
 	out := make(map[pattern.IdentityKey]pattern.Pattern)
-	for ref, p := range m.Patterns() {
+	for ref, p := range m.engine.Rules().Patterns() {
 		if !m.Engine().IsLive(ref) {
 			continue
 		}
@@ -40,7 +40,7 @@ func livePatternsByKey(t *testing.T, m *Model) map[pattern.IdentityKey]pattern.P
 // table's offsets).
 func requireBatchEquivalent(t *testing.T, m *Model, when string) {
 	t.Helper()
-	want := pattern.Mine(m.Regions(), m.Params().Mining)
+	want := pattern.Mine(m.regions, m.Params().Mining)
 	got := livePatternsByKey(t, m)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d live rules, batch mines %d", when, len(got), len(want))
@@ -320,7 +320,7 @@ func TestExtendMintsRegions(t *testing.T) {
 			m.NumRegions(), regionsBefore, mintedRegions)
 	}
 	// A minted region must be locatable where the novel points landed.
-	if _, ok := m.Regions().Locate(25, geom.Pt(far.X+3, far.Y+25)); !ok {
+	if _, ok := m.regions.Locate(25, geom.Pt(far.X+3, far.Y+25)); !ok {
 		t.Fatal("novel haunt not covered by any minted region")
 	}
 

@@ -302,17 +302,6 @@ func (m *Model) NumRegions() int { return m.regions.Len() }
 // minus those incremental training has retired.
 func (m *Model) NumPatterns() int { return m.engine.LivePatterns() }
 
-// Patterns returns a copy of the pattern slice indexed by engine refs. It
-// may hold entries Extend has retired — kept so outstanding PatternRef
-// values stay valid; filter with Engine().IsLive for the live set.
-func (m *Model) Patterns() []pattern.Pattern { return m.engine.Patterns() }
-
-// Regions returns the frequent-region table.
-func (m *Model) Regions() *pattern.RegionTable { return m.regions }
-
-// Encoder returns the pattern-key encoder (region + consequence tables).
-func (m *Model) Encoder() *pattern.Encoder { return m.encoder }
-
 // Engine returns the underlying query engine.
 func (m *Model) Engine() *hpa.Engine { return m.engine }
 

@@ -52,7 +52,7 @@ func TestTrainBasics(t *testing.T) {
 	if m.MiningStats().Rules != m.NumPatterns() {
 		t.Error("stats rules != patterns")
 	}
-	if m.Engine() == nil || m.Encoder() == nil || m.Regions() == nil || m.Patterns() == nil {
+	if m.Engine() == nil || m.encoder == nil || m.regions == nil || m.engine.Rules().Patterns() == nil {
 		t.Error("accessor returned nil")
 	}
 }
@@ -185,11 +185,11 @@ func TestSubTrajectoriesCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Regions().NumSubTrajectories() != 8 {
-		t.Errorf("cap not applied: trained on %d subs", small.Regions().NumSubTrajectories())
+	if small.regions.NumSubTrajectories() != 8 {
+		t.Errorf("cap not applied: trained on %d subs", small.regions.NumSubTrajectories())
 	}
-	if full.Regions().NumSubTrajectories() != 40 {
-		t.Errorf("full training used %d subs", full.Regions().NumSubTrajectories())
+	if full.regions.NumSubTrajectories() != 40 {
+		t.Errorf("full training used %d subs", full.regions.NumSubTrajectories())
 	}
 	// More training data never yields fewer patterns on this dataset.
 	if full.NumPatterns() < small.NumPatterns() {

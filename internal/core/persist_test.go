@@ -162,8 +162,8 @@ func TestLoadedModelSupportsExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Regions().NumSubTrajectories() != 30 {
-		t.Errorf("loaded model absorbed %d subs", back.Regions().NumSubTrajectories())
+	if back.regions.NumSubTrajectories() != 30 {
+		t.Errorf("loaded model absorbed %d subs", back.regions.NumSubTrajectories())
 	}
 	if back.TreeStats().Items != res.TotalPatterns {
 		t.Errorf("tree %d != patterns %d after extend", back.TreeStats().Items, res.TotalPatterns)

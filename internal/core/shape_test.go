@@ -292,7 +292,7 @@ func rowStream(tb testing.TB, pick func(byOffset []pattern.RegionID) []pattern.R
 	}
 	var byOffset []pattern.RegionID // one region per offset, ascending
 	for off := range fleetPeriod {
-		if at := m.regions.AtOffset(off); len(at) > 0 {
+		if at := regionsAt(m.regions, off); len(at) > 0 {
 			byOffset = append(byOffset, at[0].ID)
 		}
 	}
@@ -607,7 +607,7 @@ func FuzzLoadModel(f *testing.F) {
 		// one: an error is an answer; a panic is not.
 		day := trajectory.SubTrajectory{Index: m.regions.NumSubTrajectories(), Points: make([]geom.Point, period)}
 		for off := range day.Points {
-			if at := m.regions.AtOffset(off); len(at) > 0 {
+			if at := regionsAt(m.regions, off); len(at) > 0 {
 				day.Points[off] = at[0].Center
 			}
 		}

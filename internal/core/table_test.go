@@ -41,12 +41,32 @@ func checkOracle(t *testing.T, m *Model, oracle []pattern.Pattern, step string) 
 	}
 }
 
+// regionsOf lists rt's frequent regions in id order.
+func regionsOf(rt *pattern.RegionTable) []*pattern.FrequentRegion {
+	out := make([]*pattern.FrequentRegion, rt.Len())
+	for id := range out {
+		out[id] = rt.Region(pattern.RegionID(id))
+	}
+	return out
+}
+
+// regionsAt lists rt's frequent regions at time offset off, in id order.
+func regionsAt(rt *pattern.RegionTable, off int) []*pattern.FrequentRegion {
+	var out []*pattern.FrequentRegion
+	for _, fr := range regionsOf(rt) {
+		if fr.Offset == off {
+			out = append(out, fr)
+		}
+	}
+	return out
+}
+
 // checkOffsets holds every region of m to its period: the dense
 // per-offset tables, and the decoder that refuses any other offset,
 // rely on it.
 func checkOffsets(t *testing.T, m *Model, step string) {
 	t.Helper()
-	for _, fr := range m.regions.Regions() {
+	for _, fr := range regionsOf(m.regions) {
 		if fr.Offset < 0 || fr.Offset >= m.params.Period {
 			t.Fatalf("%s: region %d at offset %d, outside a period of %d", step, fr.ID, fr.Offset, m.params.Period)
 		}
@@ -91,7 +111,7 @@ func TestRuleTableThroughLife(t *testing.T) {
 
 			minted := 0
 			for d, day := range subs[fleetTrainPeriods:] {
-				views := m.engine.Patterns()
+				views := m.engine.Rules().Patterns()
 				kept := make([]pattern.Pattern, len(views))
 				for i, v := range views {
 					kept[i] = v

@@ -1,8 +1,10 @@
 package datagen
 
 import (
+	"math"
 	"testing"
 
+	"hpm/internal/geom"
 	"hpm/internal/trajectory"
 )
 
@@ -151,10 +153,10 @@ func TestCarRouteHasSharpTurns(t *testing.T) {
 	for i := 2; i < tr.Len(); i++ {
 		v1 := tr.At(i - 1).Sub(tr.At(i - 2))
 		v2 := tr.At(i).Sub(tr.At(i - 1))
-		if v1.Norm() < 1 || v2.Norm() < 1 {
+		if norm(v1) < 1 || norm(v2) < 1 {
 			continue
 		}
-		cos := (v1.X*v2.X + v1.Y*v2.Y) / (v1.Norm() * v2.Norm())
+		cos := (v1.X*v2.X + v1.Y*v2.Y) / (norm(v1) * norm(v2))
 		if cos < 0.3 && cos > -0.3 {
 			turns++
 		}
@@ -181,3 +183,6 @@ func TestAirplaneFasterThanCow(t *testing.T) {
 		t.Error("airplane not faster than cow")
 	}
 }
+
+// norm returns p's length as a vector from the origin.
+func norm(p geom.Point) float64 { return math.Hypot(p.X, p.Y) }

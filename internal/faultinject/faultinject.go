@@ -7,7 +7,6 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -89,33 +88,6 @@ func DelayN(op Op, n int64, d time.Duration) Hook {
 	return func(got Op) error {
 		if got == op && (n < 0 || count.Add(1) <= n) {
 			time.Sleep(d)
-		}
-		return nil
-	}
-}
-
-// PanicN returns a hook that panics on the first n invocations of op,
-// simulating a crashing worker. Safe for concurrent use.
-func PanicN(op Op, n int64) Hook {
-	var count atomic.Int64
-	return func(got Op) error {
-		if got == op && count.Add(1) <= n {
-			panic(fmt.Sprintf("faultinject: injected panic on %s", op))
-		}
-		return nil
-	}
-}
-
-// Join runs hooks in order, returning the first error.
-func Join(hooks ...Hook) Hook {
-	return func(op Op) error {
-		for _, h := range hooks {
-			if h == nil {
-				continue
-			}
-			if err := h(op); err != nil {
-				return err
-			}
 		}
 		return nil
 	}

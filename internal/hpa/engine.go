@@ -366,13 +366,6 @@ func (e *Engine) tryMarkov(recent []trajectory.TimedPoint, tq int) (Prediction, 
 	return e.cfg.Markov(recent, tq)
 }
 
-// Patterns returns every row of the rule table as a pattern, indexed by
-// ref: a fresh slice, each premise a capped view of the table's arena.
-func (e *Engine) Patterns() []pattern.Pattern { return e.rules.Patterns() }
-
-// Config returns the engine configuration after defaulting.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Stats returns a snapshot of the query counters. Safe to call while
 // queries run; Queries is derived from the outcome counters, so the
 // partition identity Queries == Forward+Backward+Markov+Fallback+Unanswered

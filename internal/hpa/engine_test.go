@@ -305,15 +305,15 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestEngineDefaults(t *testing.T) {
 	eng, _ := janeEngine(t, Config{Period: 3})
-	cfg := eng.Config()
+	cfg := eng.cfg
 	if cfg.DistantThreshold != DefaultDistantThreshold {
 		t.Errorf("DistantThreshold = %d", cfg.DistantThreshold)
 	}
 	if cfg.TimeRelaxation != DefaultTimeRelaxation {
 		t.Errorf("TimeRelaxation = %d", cfg.TimeRelaxation)
 	}
-	if eng.Tree().Len() != len(eng.Patterns()) {
-		t.Errorf("tree holds %d items for %d patterns", eng.Tree().Len(), len(eng.Patterns()))
+	if eng.Tree().Len() != len(eng.rules.Patterns()) {
+		t.Errorf("tree holds %d items for %d patterns", eng.Tree().Len(), len(eng.rules.Patterns()))
 	}
 }
 

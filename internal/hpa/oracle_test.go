@@ -33,7 +33,7 @@ type oracle struct {
 
 func newOracle(e *Engine) *oracle {
 	o := &oracle{e: e}
-	for ref, p := range e.Patterns() {
+	for ref, p := range e.rules.Patterns() {
 		if e.dead[ref] {
 			continue
 		}

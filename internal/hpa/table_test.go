@@ -61,7 +61,7 @@ func TestRuleTableMatchesPatterns(t *testing.T) {
 			}
 			checkRows(t, e, oracle, "built")
 			for step := 0; len(held) > 0 || step < 40; step++ {
-				views := e.Patterns()
+				views := e.rules.Patterns()
 				kept := make([]pattern.Pattern, len(views))
 				for i, v := range views {
 					kept[i] = clonePattern(v)

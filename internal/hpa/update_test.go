@@ -56,7 +56,7 @@ func treeHits(e *Engine) []rankEntry {
 // confidence and support, which refs are retired, and the tree's shape.
 func savedBytes(e *Engine) []byte {
 	var b []byte
-	for ref, p := range e.Patterns() {
+	for ref, p := range e.rules.Patterns() {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Confidence))
 		b = binary.AppendUvarint(b, uint64(p.Support))
 		if e.dead[ref] {

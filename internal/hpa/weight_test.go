@@ -78,19 +78,31 @@ func TestWeightString(t *testing.T) {
 	}
 }
 
+// mustParse reads a key in the paper's notation, most significant bit
+// first (Table I).
+func mustParse(s string) bitkey.Key {
+	k := bitkey.New(len(s))
+	for i, c := range s {
+		if c == '1' {
+			k.Set(len(s) - i)
+		}
+	}
+	return k
+}
+
 // The paper's §VI-A examples: similarity(00011, 00011) = 1 and
 // similarity(00011, 00010) = 2/3 under the linear weight function.
 func TestPremiseSimilarityPaperExamples(t *testing.T) {
-	rk := bitkey.MustParse("00011")
-	if got := PremiseSimilarity(rk, bitkey.MustParse("00011"), WeightLinear); math.Abs(got-1) > 1e-12 {
+	rk := mustParse("00011")
+	if got := PremiseSimilarity(rk, mustParse("00011"), WeightLinear); math.Abs(got-1) > 1e-12 {
 		t.Errorf("similarity(00011,00011) = %v, want 1", got)
 	}
-	if got := PremiseSimilarity(rk, bitkey.MustParse("00010"), WeightLinear); math.Abs(got-2.0/3) > 1e-12 {
+	if got := PremiseSimilarity(rk, mustParse("00010"), WeightLinear); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("similarity(00011,00010) = %v, want 2/3", got)
 	}
 	// The P3 case from §VI-B: rk=00101 vs rkq=00011 shares only the first
 	// '1' of rk, whose ordinal weight is 1/3.
-	if got := PremiseSimilarity(bitkey.MustParse("00101"), bitkey.MustParse("00011"), WeightLinear); math.Abs(got-1.0/3) > 1e-12 {
+	if got := PremiseSimilarity(mustParse("00101"), mustParse("00011"), WeightLinear); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("similarity(00101,00011) = %v, want 1/3", got)
 	}
 }
@@ -98,28 +110,28 @@ func TestPremiseSimilarityPaperExamples(t *testing.T) {
 func TestPremiseSimilarityOrdinalSemantics(t *testing.T) {
 	// Weights attach to the ordinals of rk's own ones, not raw positions:
 	// rk=10100 has ones at raw positions 3 and 5 with ordinals 1 and 2.
-	rk := bitkey.MustParse("10100")
+	rk := mustParse("10100")
 	// Query matching only the higher '1' gets the larger weight 2/3.
-	if got := PremiseSimilarity(rk, bitkey.MustParse("10000"), WeightLinear); math.Abs(got-2.0/3) > 1e-12 {
+	if got := PremiseSimilarity(rk, mustParse("10000"), WeightLinear); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("high-position match = %v, want 2/3", got)
 	}
 	// Query matching only the lower '1' gets 1/3.
-	if got := PremiseSimilarity(rk, bitkey.MustParse("00100"), WeightLinear); math.Abs(got-1.0/3) > 1e-12 {
+	if got := PremiseSimilarity(rk, mustParse("00100"), WeightLinear); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("low-position match = %v, want 1/3", got)
 	}
 }
 
 func TestPremiseSimilarityBounds(t *testing.T) {
-	rk := bitkey.MustParse("01110")
+	rk := mustParse("01110")
 	queries := []string{"00000", "01110", "11111", "00010", "10001"}
 	for _, qs := range queries {
-		got := PremiseSimilarity(rk, bitkey.MustParse(qs), WeightQuadratic)
+		got := PremiseSimilarity(rk, mustParse(qs), WeightQuadratic)
 		if got < 0 || got > 1+1e-12 {
 			t.Errorf("similarity(%s) = %v out of [0,1]", qs, got)
 		}
 	}
 	// Empty premise key: similarity is 0 by definition.
-	if got := PremiseSimilarity(bitkey.MustParse("00000"), bitkey.MustParse("11111"), WeightLinear); got != 0 {
+	if got := PremiseSimilarity(mustParse("00000"), mustParse("11111"), WeightLinear); got != 0 {
 		t.Errorf("empty premise similarity = %v", got)
 	}
 }

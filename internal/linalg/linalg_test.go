@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,8 +11,8 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestNewMatrixShape(t *testing.T) {
 	m := NewMatrix(3, 2)
-	if m.Rows() != 3 || m.Cols() != 2 {
-		t.Fatalf("shape = %dx%d, want 3x2", m.Rows(), m.Cols())
+	if m.rows != 3 || m.cols != 2 {
+		t.Fatalf("shape = %dx%d, want 3x2", m.rows, m.cols)
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 2; j++ {
@@ -96,11 +97,11 @@ func TestMulVec(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.Transpose()
-	if at.Rows() != 3 || at.Cols() != 2 {
-		t.Fatalf("transpose shape = %dx%d", at.Rows(), at.Cols())
+	if at.rows != 3 || at.cols != 2 {
+		t.Fatalf("transpose shape = %dx%d", at.rows, at.cols)
 	}
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < a.cols; j++ {
 			if a.At(i, j) != at.At(j, i) {
 				t.Errorf("transpose mismatch at (%d,%d)", i, j)
 			}
@@ -112,7 +113,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	// Square non-singular system: solution is exact.
 	a := NewMatrixFromRows([][]float64{{2, 1}, {1, 3}})
 	b := NewMatrixFromRows([][]float64{{5}, {10}})
-	x, err := LeastSquares(a, b)
+	x, err := RidgeLeastSquares(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 		a.Set(i, 1, 1)
 		b.Set(i, 0, 2*tt+1)
 	}
-	x, err := LeastSquares(a, b)
+	x, err := RidgeLeastSquares(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +146,15 @@ func TestLeastSquaresMultipleRHS(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	// Two right-hand sides solved simultaneously.
 	b := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	x, err := LeastSquares(a, b)
+	x, err := RidgeLeastSquares(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Cols() != 2 {
-		t.Fatalf("solution cols = %d, want 2", x.Cols())
+	if x.cols != 2 {
+		t.Fatalf("solution cols = %d, want 2", x.cols)
 	}
 	// Second RHS is exactly twice the first, so the solution must be too.
-	for i := 0; i < x.Rows(); i++ {
+	for i := 0; i < x.rows; i++ {
 		if !almostEqual(x.At(i, 1), 2*x.At(i, 0), 1e-10) {
 			t.Errorf("RHS scaling not preserved at row %d", i)
 		}
@@ -163,7 +164,7 @@ func TestLeastSquaresMultipleRHS(t *testing.T) {
 func TestLeastSquaresSingular(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}) // rank 1
 	b := NewMatrixFromRows([][]float64{{1}, {2}, {3}})
-	if _, err := LeastSquares(a, b); err != ErrSingular {
+	if _, err := RidgeLeastSquares(a, b, 0); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
@@ -222,7 +223,7 @@ func TestLeastSquaresNormalEquationsProperty(t *testing.T) {
 				a.Set(i, j, r.NormFloat64())
 			}
 		}
-		x, err := LeastSquares(a, b)
+		x, err := RidgeLeastSquares(a, b, 0)
 		if err != nil {
 			continue // random rank deficiency is astronomically unlikely but legal
 		}
@@ -246,4 +247,87 @@ func TestFrobeniusNorm(t *testing.T) {
 	if !almostEqual(a.FrobeniusNorm(), 5, 1e-12) {
 		t.Errorf("FrobeniusNorm = %v, want 5", a.FrobeniusNorm())
 	}
+}
+
+// NewMatrixFromRows builds a matrix from row slices, which must all have the
+// same non-zero length.
+func NewMatrixFromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("linalg: NewMatrixFromRows of empty data")
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.cols {
+			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.cols))
+		}
+		copy(m.data[i*m.cols:(i+1)*m.cols], r)
+	}
+	return m
+}
+
+// Clone returns a deep copy of m.
+func (m *Matrix) Clone() *Matrix {
+	c := NewMatrix(m.rows, m.cols)
+	copy(c.data, m.data)
+	return c
+}
+
+// Mul returns the product m * b. It panics on shape mismatch.
+func (m *Matrix) Mul(b *Matrix) *Matrix {
+	if m.cols != b.rows {
+		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols))
+	}
+	out := NewMatrix(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		mi := m.data[i*m.cols : (i+1)*m.cols]
+		oi := out.data[i*b.cols : (i+1)*b.cols]
+		for k, mik := range mi {
+			if mik == 0 {
+				continue
+			}
+			bk := b.data[k*b.cols : (k+1)*b.cols]
+			for j, bkj := range bk {
+				oi[j] += mik * bkj
+			}
+		}
+	}
+	return out
+}
+
+// MulVec returns the product m * v as a new vector. It panics when len(v)
+// differs from the column count.
+func (m *Matrix) MulVec(v []float64) []float64 {
+	if len(v) != m.cols {
+		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d * %d", m.rows, m.cols, len(v)))
+	}
+	out := make([]float64, m.rows)
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		var s float64
+		for j, r := range row {
+			s += r * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// Transpose returns a new matrix that is the transpose of m.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return t
+}
+
+// FrobeniusNorm returns sqrt(sum of squared entries).
+func (m *Matrix) FrobeniusNorm() float64 {
+	var s float64
+	for _, v := range m.data {
+		s += v * v
+	}
+	return math.Sqrt(s)
 }

@@ -129,17 +129,11 @@ func zeroed(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// LeastSquares returns the X minimizing ||A*X - B||_F. A must have at least
-// as many rows as columns. It returns ErrSingular when A is numerically rank
-// deficient.
-func LeastSquares(a, b *Matrix) (*Matrix, error) {
-	return RidgeLeastSquares(a, b, 0)
-}
-
 // RidgeLeastSquares returns the X minimizing
 // ||A*X - B||_F^2 + lambda*||X||_F^2 by solving the augmented system
 // [A; sqrt(lambda)*I] X = [B; 0]. Any lambda > 0 makes the system full rank,
-// so the solve cannot fail; lambda == 0 is plain LeastSquares.
+// so the solve cannot fail; lambda == 0 is plain least squares, which
+// returns ErrSingular when A is numerically rank deficient.
 //
 // RMF fitting uses a small ridge because a stationary object produces
 // duplicate regressor rows that are exactly rank deficient.

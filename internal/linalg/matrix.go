@@ -10,10 +10,7 @@
 // when an object stands still (rows of the regressor matrix repeat).
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense, row-major real matrix.
 type Matrix struct {
@@ -30,28 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from row slices, which must all have the
-// same non-zero length.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: NewMatrixFromRows of empty data")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 {
 	m.check(i, j)
@@ -64,7 +39,7 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Data returns the matrix's row-major slab, element (i, j) at i*Cols()+j —
+// Data returns the matrix's row-major slab, element (i, j) at i*cols+j —
 // borrowed, not copied, for callers that fill or read a whole matrix in a
 // loop where At and Set would check every index.
 func (m *Matrix) Data() []float64 { return m.data }
@@ -73,83 +48,4 @@ func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of %dx%d", i, j, m.rows, m.cols))
 	}
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// Mul returns the product m * b. It panics on shape mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*b.cols : (i+1)*b.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the product m * v as a new vector. It panics when len(v)
-// differs from the column count.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d * %d", m.rows, m.cols, len(v)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, r := range row {
-			s += r * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// FrobeniusNorm returns sqrt(sum of squared entries).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := ""
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			s += fmt.Sprintf("%10.4f ", m.At(i, j))
-		}
-		s += "\n"
-	}
-	return s
 }

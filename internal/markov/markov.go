@@ -151,14 +151,6 @@ type Result struct {
 	Steps  int     // walk length in region visits
 }
 
-// Stats summarizes a chain's shape.
-type Stats struct {
-	Contexts    int    // distinct contexts with live counts
-	Transitions uint64 // live transition count across all contexts
-	Observed    uint64 // located observations folded in (never decayed)
-	Pending     int    // transitions awaiting window expiry
-}
-
 // Chain is a variable-order region-transition chain. All methods are safe
 // for concurrent use.
 type Chain struct {
@@ -310,17 +302,6 @@ func (c *Chain) Reset() {
 	c.lastT = 0
 	c.haveLast = false
 	c.observed = 0
-}
-
-// Stats returns a snapshot of the chain's shape.
-func (c *Chain) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	st := Stats{Contexts: c.contextsLocked(), Observed: c.observed, Pending: len(c.events) - c.head}
-	for _, r := range c.rows {
-		st.Transitions += uint64(r.count)
-	}
-	return st
 }
 
 // Predict walks the chain from the query's recent located region sequence

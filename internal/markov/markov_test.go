@@ -636,3 +636,22 @@ func appendRefKey(buf []byte, k refKey) []byte {
 	}
 	return buf
 }
+
+// Stats summarizes a chain's shape.
+type Stats struct {
+	Contexts    int    // distinct contexts with live counts
+	Transitions uint64 // live transition count across all contexts
+	Observed    uint64 // located observations folded in (never decayed)
+	Pending     int    // transitions awaiting window expiry
+}
+
+// Stats returns a snapshot of the chain's shape.
+func (c *Chain) Stats() Stats {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	st := Stats{Contexts: c.contextsLocked(), Observed: c.observed, Pending: len(c.events) - c.head}
+	for _, r := range c.rows {
+		st.Transitions += uint64(r.count)
+	}
+	return st
+}

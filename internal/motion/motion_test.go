@@ -191,8 +191,8 @@ func TestRMFRetrospectDegrades(t *testing.T) {
 	if err := r.Fit(timed(pts, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Retrospect() >= 5 {
-		t.Errorf("retrospect %d did not degrade for 4 points", r.Retrospect())
+	if r.f >= 5 {
+		t.Errorf("retrospect %d did not degrade for 4 points", r.f)
 	}
 	if _, err := r.Predict(10); err != nil {
 		t.Errorf("degraded RMF cannot predict: %v", err)
@@ -313,8 +313,8 @@ func TestRMFAutoRetrospect(t *testing.T) {
 	if err := auto.Fit(timed(circle, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if auto.Retrospect() < 1 || auto.Retrospect() > 8 {
-		t.Fatalf("selected retrospect %d out of range", auto.Retrospect())
+	if auto.f < 1 || auto.f > 8 {
+		t.Fatalf("selected retrospect %d out of range", auto.f)
 	}
 	full := circlePath(80, geom.Pt(0, 0), 100, 0.2)
 	var autoErr float64

@@ -286,7 +286,3 @@ func (r *RMF) step(hist []geom.Point) geom.Point {
 	}
 	return geom.Pt(x, y)
 }
-
-// Retrospect returns the effective retrospect after any degradation during
-// the last Fit, or 0 before fitting. Exposed for tests and diagnostics.
-func (r *RMF) Retrospect() int { return r.f }

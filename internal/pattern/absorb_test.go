@@ -19,7 +19,7 @@ func TestAbsorbExtendsVisitors(t *testing.T) {
 		{Offset: 1, Points: []geom.Point{geom.Pt(2001, 2002), geom.Pt(7000, 7000)}},
 		{Offset: 2, Points: []geom.Point{geom.Pt(4001, 4002), geom.Pt(7100, 7100)}},
 	}
-	if err := rt.Absorb(groups); err != nil {
+	if _, err := rt.AbsorbDetailed(groups); err != nil {
 		t.Fatal(err)
 	}
 	if rt.NumSubTrajectories() != 22 {
@@ -60,7 +60,7 @@ func TestAbsorbThenMineUpdatesSupports(t *testing.T) {
 		groups[1].Points[j] = geom.Pt(2001, 2001)
 		groups[2].Points[j] = geom.Pt(4002, 4001)
 	}
-	if err := rt.Absorb(groups); err != nil {
+	if _, err := rt.AbsorbDetailed(groups); err != nil {
 		t.Fatal(err)
 	}
 	after := Mine(rt, Config{MinSupport: 2, MinConfidence: 0.3})
@@ -84,14 +84,14 @@ func TestAbsorbThenMineUpdatesSupports(t *testing.T) {
 
 func TestAbsorbValidation(t *testing.T) {
 	rt := janeTable(t)
-	if err := rt.Absorb(nil); err != nil {
+	if _, err := rt.AbsorbDetailed(nil); err != nil {
 		t.Errorf("empty absorb errored: %v", err)
 	}
 	bad := []trajectory.Group{
 		{Offset: 0, Points: make([]geom.Point, 2)},
 		{Offset: 1, Points: make([]geom.Point, 3)},
 	}
-	if err := rt.Absorb(bad); err == nil {
+	if _, err := rt.AbsorbDetailed(bad); err == nil {
 		t.Error("ragged groups accepted")
 	}
 }

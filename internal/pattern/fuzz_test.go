@@ -458,3 +458,9 @@ func FuzzMinerOps(f *testing.F) {
 		})
 	})
 }
+
+// varint undoes binary.PutVarint's zigzag over uvarint.
+func (c *Cursor) varint() int64 {
+	ux := c.Uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}

@@ -126,8 +126,8 @@ const (
 
 // IncrementalMiner maintains the frequent-itemset state of delta-Apriori
 // over a RegionTable. Chains fed to Update/AbsorbMinted must reflect
-// bitmap state: the table's Absorb/ClearSub calls happen first, then the
-// miner consumes the chains those calls implied.
+// bitmap state: the table's AbsorbDetailed/ClearSub calls happen first,
+// then the miner consumes the chains those calls implied.
 //
 // Not safe for concurrent use; callers serialize updates like any other
 // model mutation.

@@ -14,7 +14,7 @@ import (
 // match exactly.
 func locateReference(rt *RegionTable, t int, p geom.Point) (*FrequentRegion, bool) {
 	var best *FrequentRegion
-	bestDist := rt.Eps()
+	bestDist := rt.eps
 	for _, fr := range rt.AtOffset(t) {
 		if fr.MBR.Contains(p) {
 			return fr, true

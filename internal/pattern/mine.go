@@ -2,10 +2,8 @@ package pattern
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 )
 
 // Config controls the Apriori stage of pattern discovery. The DBSCAN stage
@@ -82,20 +80,6 @@ type Pattern struct {
 	Consequence RegionID
 	Confidence  float64
 	Support     int // sub-trajectories exhibiting premise ∧ consequence
-}
-
-// String renders the pattern in the paper's notation, e.g.
-// "R_0^0 ^ R_1^0 --0.50--> R_2^0" (region names require the table).
-func (p Pattern) String() string {
-	var sb strings.Builder
-	for i, id := range p.Premise {
-		if i > 0 {
-			sb.WriteString(" ^ ")
-		}
-		fmt.Fprintf(&sb, "r%d", id)
-	}
-	fmt.Fprintf(&sb, " --%.2f--> r%d", p.Confidence, p.Consequence)
-	return sb.String()
 }
 
 // Stats reports mining effort and the effect of the paper's pruning rules.

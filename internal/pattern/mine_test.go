@@ -172,7 +172,7 @@ func joinAt(next []itemset, rt *RegionTable, level []itemset, i, hi, k int, cfg 
 		if !allSubsetsFrequent(cand, prev) {
 			continue
 		}
-		visitors := a.visitors.And(b.visitors)
+		visitors := keyAnd(a.visitors, b.visitors)
 		sup := visitors.Size()
 		if sup >= minSup {
 			next = append(next, itemset{ids: cand, visitors: visitors, support: sup})
@@ -344,4 +344,13 @@ func FuzzMine(f *testing.F) {
 			}
 		})
 	})
+}
+
+// keyAnd returns a & b as a new key.
+func keyAnd(a, b bitkey.Key) bitkey.Key {
+	out := bitkey.New(a.Len())
+	for i, w := range a.Words() {
+		out.Words()[i] = w & b.Words()[i]
+	}
+	return out
 }

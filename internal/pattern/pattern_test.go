@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hpm/internal/bitkey"
 	"hpm/internal/geom"
 	"hpm/internal/trajectory"
 )
@@ -296,17 +297,21 @@ func TestEncoderMatchesPaperTableIII(t *testing.T) {
 	}
 	for _, p := range patterns {
 		if w, ok := want[p.String()]; ok {
-			if got := enc.Encode(p).String(); got != w {
+			if got := keyString(enc.Encode(p)); got != w {
 				t.Errorf("pattern key of %s = %s, want %s", p, got, w)
 			}
 		}
 	}
 	// The paper's worked query: recent movements R0^0, R1^0 and tq=2.
 	q := enc.QueryKey([]RegionID{0, 1}, 2)
-	if q.String() != "1000011" {
-		t.Errorf("query key = %s, want 1000011", q)
+	if got := keyString(q); got != "1000011" {
+		t.Errorf("query key = %s, want 1000011", got)
 	}
 }
+
+// keyString renders a pattern key in the paper's notation, consequence
+// part first (Table III).
+func keyString(k bitkey.PatternKey) string { return k.CK.String() + k.RK.String() }
 
 func TestConsequenceKeyRange(t *testing.T) {
 	rt := janeTable(t)

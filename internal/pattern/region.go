@@ -54,9 +54,6 @@ type FrequentRegion struct {
 	visitors bitkey.Key
 }
 
-// Visits reports whether sub-trajectory j visits this region.
-func (fr *FrequentRegion) Visits(j int) bool { return fr.visitors.Bit(j + 1) }
-
 // String implements fmt.Stringer using the paper's R_t^j notation.
 func (fr *FrequentRegion) String() string {
 	return fmt.Sprintf("R_%d^%d", fr.Offset, fr.Index)
@@ -145,25 +142,9 @@ func (rt *RegionTable) Len() int { return len(rt.regions) }
 // from.
 func (rt *RegionTable) NumSubTrajectories() int { return rt.numSubs }
 
-// Eps returns the DBSCAN radius used at discovery time; query encoding uses
-// it as the slack for matching a location to a region.
-func (rt *RegionTable) Eps() float64 { return rt.eps }
-
 // Region returns the frequent region with the given id. It panics on an
 // unknown id, as an index out of range.
 func (rt *RegionTable) Region(id RegionID) *FrequentRegion { return rt.regions[id] }
-
-// Regions returns all frequent regions ordered by id. Callers must not
-// mutate the slice.
-func (rt *RegionTable) Regions() []*FrequentRegion { return rt.regions }
-
-// AtOffset returns the frequent regions at time offset t (possibly none).
-func (rt *RegionTable) AtOffset(t int) []*FrequentRegion {
-	if t < 0 || t >= len(rt.byOffset) {
-		return nil
-	}
-	return rt.byOffset[t]
-}
 
 // offsetIndex accelerates Locate at one time offset: the offset's regions
 // sorted by center X, plus the largest horizontal reach any of them has —
@@ -192,11 +173,11 @@ func reachX(fr *FrequentRegion, eps float64) float64 {
 
 // buildIndex builds byOffset and the per-offset query index from the
 // regions, both as long as the highest offset needs: once at discovery or
-// decode. Absorb only widens visitor bitmaps and supports, never geometry,
-// so the index stays valid afterwards — AppendRegion, the one mutation that
-// does add geometry, rebuilds its offset's entry alone. Each offset's lists
-// are carved from one slab, capped so AppendRegion's append to one offset
-// cannot write into the next.
+// decode. AbsorbDetailed only widens visitor bitmaps and supports, never
+// geometry, so the index stays valid afterwards — AppendRegion, the one
+// mutation that does add geometry, rebuilds its offset's entry alone. Each
+// offset's lists are carved from one slab, capped so AppendRegion's append
+// to one offset cannot write into the next.
 func (rt *RegionTable) buildIndex() {
 	top := -1
 	for _, fr := range rt.regions {
@@ -286,8 +267,9 @@ func (rt *RegionTable) Locate(t int, p geom.Point) (*FrequentRegion, bool) {
 }
 
 // UnmatchedPoint is a new observation no frequent region claimed during
-// Absorb. Buffered per offset, enough of them in one dense spot mint a
-// new region (§V-B dynamic data extended beyond the paper's fixed table).
+// AbsorbDetailed. Buffered per offset, enough of them in one dense spot
+// mint a new region (§V-B dynamic data extended beyond the paper's fixed
+// table).
 type UnmatchedPoint struct {
 	Offset int // time offset within the period
 	Sub    int // global sub-trajectory index (visitor bit - 1)
@@ -304,22 +286,15 @@ type AbsorbResult struct {
 	Unmatched []UnmatchedPoint
 }
 
-// Absorb extends the table with newly arrived sub-trajectories (§V-B
-// dynamic data): each new location is assigned to the frequent region it
-// falls in (by Locate), widening every region's visitor bitmap and support
-// accordingly. Locations no region claims are dropped; AbsorbDetailed
-// reports them instead.
+// AbsorbDetailed extends the table with newly arrived sub-trajectories
+// (§V-B dynamic data): each new location is assigned to the frequent region
+// it falls in (by Locate), widening every region's visitor bitmap and
+// support accordingly. It reports what incremental training needs: the
+// region chain of every new sub-trajectory and the points no region
+// claimed.
 //
 // groups must cover the same offsets as the original discovery, in
 // ascending offset order, with one point per new sub-trajectory.
-func (rt *RegionTable) Absorb(groups []trajectory.Group) error {
-	_, err := rt.AbsorbDetailed(groups)
-	return err
-}
-
-// AbsorbDetailed is Absorb plus the bookkeeping incremental training
-// needs: the region chain of every new sub-trajectory and the points that
-// matched no region.
 func (rt *RegionTable) AbsorbDetailed(groups []trajectory.Group) (AbsorbResult, error) {
 	var res AbsorbResult
 	if len(groups) == 0 {
@@ -424,13 +399,6 @@ func (rt *RegionTable) AppendRegion(offset int, pts []geom.Point, visitorSubs []
 	rt.byOffset[offset] = append(rt.byOffset[offset], fr)
 	rt.indexOffset(offset, slices.Clone(rt.byOffset[offset]))
 	return fr
-}
-
-// RegionKey returns the §V-A region key of a frequent region: an l_p-bit
-// key with the single bit 2^id set (the paper's hash function).
-func (rt *RegionTable) RegionKey(id RegionID) bitkey.Key {
-	rt.Region(id) // bounds check
-	return bitkey.FromPositions(len(rt.regions), int(id)+1)
 }
 
 // PremiseKey returns the OR of the region keys of ids, the premise key of a

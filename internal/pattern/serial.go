@@ -152,12 +152,6 @@ func (c *Cursor) short() (uint64, bool) {
 	return 0, false
 }
 
-// varint undoes binary.PutVarint's zigzag over uvarint.
-func (c *Cursor) varint() int64 {
-	ux := c.Uvarint()
-	return int64(ux>>1) ^ -int64(ux&1)
-}
-
 // count reads a uvarint that must fit a non-negative int32.
 func (c *Cursor) count() int {
 	v := c.Uvarint()

@@ -43,9 +43,9 @@ func TestRegionTableRoundTrip(t *testing.T) {
 	if back.Len() != rt.Len() {
 		t.Fatalf("regions %d != %d", back.Len(), rt.Len())
 	}
-	if back.Eps() != rt.Eps() || back.NumSubTrajectories() != rt.NumSubTrajectories() {
+	if back.eps != rt.eps || back.NumSubTrajectories() != rt.NumSubTrajectories() {
 		t.Errorf("metadata differs: eps %v/%v subs %d/%d",
-			back.Eps(), rt.Eps(), back.NumSubTrajectories(), rt.NumSubTrajectories())
+			back.eps, rt.eps, back.NumSubTrajectories(), rt.NumSubTrajectories())
 	}
 	for i := 0; i < rt.Len(); i++ {
 		a, b := rt.Region(RegionID(i)), back.Region(RegionID(i))

@@ -58,8 +58,8 @@ func TestDeleteSearchEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
-		if tree.Len() != 0 || tree.Height() != 1 {
-			t.Fatalf("bulk=%v: emptied tree has len %d height %d", bulk, tree.Len(), tree.Height())
+		if tree.Len() != 0 || tree.height != 1 {
+			t.Fatalf("bulk=%v: emptied tree has len %d height %d", bulk, tree.Len(), tree.height)
 		}
 	}
 }

@@ -57,8 +57,8 @@ func sameShape(t *testing.T, tree *Tree, rn *refNode, n *node, path string) {
 // entry's consequence bit — and the node count of both searches.
 func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.PatternKey) {
 	t.Helper()
-	if ref.Height() != tree.Height() || ref.Len() != tree.Len() {
-		t.Fatalf("height/len %d/%d, reference %d/%d", tree.Height(), tree.Len(), ref.Height(), ref.Len())
+	if ref.Height() != tree.height || ref.Len() != tree.Len() {
+		t.Fatalf("height/len %d/%d, reference %d/%d", tree.height, tree.Len(), ref.Height(), ref.Len())
 	}
 	if got, want := tree.Stats(), ref.stats(); got != want {
 		t.Fatalf("stats %+v, reference %+v", got, want)
@@ -71,7 +71,7 @@ func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.Patter
 		t.Fatalf("All visited %d items, reference %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Ref != want[i].Ref || !got[i].Key.Equal(want[i].Key) {
+		if got[i].Ref != want[i].Ref || !keyEqual(got[i].Key, want[i].Key) {
 			t.Fatalf("All()[%d] = ref %d key %s, reference ref %d key %s",
 				i, got[i].Ref, got[i].Key, want[i].Ref, want[i].Key)
 		}
@@ -191,7 +191,7 @@ func TestMutationsMatchReference(t *testing.T) {
 				it := randomItem(r, ckLen, rkLen, nextRef)
 				nextRef++
 				if len(alive) > 0 && r.Intn(8) == 0 {
-					it.Key = alive[r.Intn(len(alive))].Key.Clone() // a duplicate key under a new ref
+					it.Key = keyClone(alive[r.Intn(len(alive))].Key) // a duplicate key under a new ref
 				}
 				alive = append(alive, it)
 				ref.Insert(it)

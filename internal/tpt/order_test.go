@@ -15,8 +15,8 @@ import (
 // held to.
 func itemCmp(a, b Item) int {
 	return cmp.Or(
-		bitkey.CompareWords(a.Key.CK.Words(), b.Key.CK.Words()),
-		bitkey.CompareWords(a.Key.RK.Words(), b.Key.RK.Words()),
+		compareWords(a.Key.CK.Words(), b.Key.CK.Words()),
+		compareWords(a.Key.RK.Words(), b.Key.RK.Words()),
 		cmp.Compare(a.Ref, b.Ref))
 }
 
@@ -34,7 +34,7 @@ func requireLoadOrder(t *testing.T, ckLen, rkLen int, items []Item) {
 		t.Fatalf("the load holds %d items, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Ref != want[i].Ref || !got[i].Key.Equal(want[i].Key) {
+		if got[i].Ref != want[i].Ref || !keyEqual(got[i].Key, want[i].Key) {
 			t.Fatalf("position %d of %d: ref %d key %s, comparison order ref %d key %s",
 				i, len(want), got[i].Ref, got[i].Key, want[i].Ref, want[i].Key)
 		}
@@ -83,4 +83,18 @@ func TestLoadOrderMatchesComparison(t *testing.T) {
 			requireLoadOrder(t, w[0], w[1], orderItems(r, n, w[0], w[1]))
 		}
 	}
+}
+
+// compareWords orders a and b by content, most significant word first.
+func compareWords(a, b []uint64) int {
+	b = b[:len(a)]
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }

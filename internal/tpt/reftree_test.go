@@ -104,7 +104,7 @@ func (t *refTree) insert(n *refNode, it Item) *refNode {
 		return nil
 	}
 	i := t.chooseSubtree(n, it.Key)
-	n.entries[i].key = n.entries[i].key.Union(it.Key)
+	n.entries[i].key = keyUnion(n.entries[i].key, it.Key)
 	if split := t.insert(n.entries[i].child, it); split != nil {
 		n.entries[i].key = refUnionOf(n.entries[i].child)
 		n.entries = append(n.entries, refEntry{key: refUnionOf(split), child: split})
@@ -124,8 +124,8 @@ func (t *refTree) chooseSubtree(n *refNode, pk bitkey.PatternKey) int {
 	bestSize := 0
 	// Rule 1: containment.
 	for i, e := range n.entries {
-		if e.key.Contains(pk) {
-			if s := e.key.Size(); best < 0 || s < bestSize {
+		if keyContains(e.key, pk) {
+			if s := keySize(e.key); best < 0 || s < bestSize {
 				best, bestSize = i, s
 			}
 		}
@@ -138,7 +138,7 @@ func (t *refTree) chooseSubtree(n *refNode, pk bitkey.PatternKey) int {
 		bestDiff := 0
 		for i, e := range n.entries {
 			if e.key.Intersects(pk) {
-				d, s := pk.Difference(e.key), e.key.Size()
+				d, s := keyDifference(pk, e.key), keySize(e.key)
 				if best < 0 || d < bestDiff || (d == bestDiff && s < bestSize) {
 					best, bestDiff, bestSize = i, d, s
 				}
@@ -151,7 +151,7 @@ func (t *refTree) chooseSubtree(n *refNode, pk bitkey.PatternKey) int {
 	// Rule 3: smallest difference.
 	bestDiff := 0
 	for i, e := range n.entries {
-		d, s := pk.Difference(e.key), e.key.Size()
+		d, s := keyDifference(pk, e.key), keySize(e.key)
 		if best < 0 || d < bestDiff || (d == bestDiff && s < bestSize) {
 			best, bestDiff, bestSize = i, d, s
 		}
@@ -169,7 +169,7 @@ func (t *refTree) split(n *refNode) *refNode {
 	worst := -1
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].key.Difference(entries[j].key) + entries[j].key.Difference(entries[i].key)
+			d := keyDifference(entries[i].key, entries[j].key) + keyDifference(entries[j].key, entries[i].key)
 			if d > worst {
 				worst, s1, s2 = d, i, j
 			}
@@ -177,8 +177,8 @@ func (t *refTree) split(n *refNode) *refNode {
 	}
 	g1 := []refEntry{entries[s1]}
 	g2 := []refEntry{entries[s2]}
-	u1 := entries[s1].key.Clone()
-	u2 := entries[s2].key.Clone()
+	u1 := keyClone(entries[s1].key)
+	u2 := keyClone(entries[s2].key)
 
 	rest := make([]refEntry, 0, len(entries)-2)
 	for i, e := range entries {
@@ -191,22 +191,22 @@ func (t *refTree) split(n *refNode) *refNode {
 		// Honour the minimum fill: hand the remainder to a starving group.
 		if len(g1)+remaining <= t.minEntries {
 			g1 = append(g1, e)
-			u1.UnionInPlace(e.key)
+			keyUnionInPlace(u1, e.key)
 			continue
 		}
 		if len(g2)+remaining <= t.minEntries {
 			g2 = append(g2, e)
-			u2.UnionInPlace(e.key)
+			keyUnionInPlace(u2, e.key)
 			continue
 		}
-		grow1 := e.key.Difference(u1)
-		grow2 := e.key.Difference(u2)
-		if grow1 < grow2 || (grow1 == grow2 && u1.Size() <= u2.Size()) {
+		grow1 := keyDifference(e.key, u1)
+		grow2 := keyDifference(e.key, u2)
+		if grow1 < grow2 || (grow1 == grow2 && keySize(u1) <= keySize(u2)) {
 			g1 = append(g1, e)
-			u1.UnionInPlace(e.key)
+			keyUnionInPlace(u1, e.key)
 		} else {
 			g2 = append(g2, e)
-			u2.UnionInPlace(e.key)
+			keyUnionInPlace(u2, e.key)
 		}
 	}
 	n.entries = g1
@@ -215,9 +215,9 @@ func (t *refTree) split(n *refNode) *refNode {
 
 // refUnionOf returns the OR of all refEntry keys of n.
 func refUnionOf(n *refNode) bitkey.PatternKey {
-	u := n.entries[0].key.Clone()
+	u := keyClone(n.entries[0].key)
 	for _, e := range n.entries[1:] {
-		u.UnionInPlace(e.key)
+		keyUnionInPlace(u, e.key)
 	}
 	return u
 }
@@ -337,10 +337,10 @@ func refBulkLoad(ckLen, rkLen int, items []Item, opts Options) *refTree {
 // most significant bits first, so bulk loading clusters same-consequence
 // patterns together.
 func refCompareKeys(a, b bitkey.PatternKey) int {
-	if c := bitkey.CompareWords(a.CK.Words(), b.CK.Words()); c != 0 {
+	if c := compareWords(a.CK.Words(), b.CK.Words()); c != 0 {
 		return c
 	}
-	return bitkey.CompareWords(a.RK.Words(), b.RK.Words())
+	return compareWords(a.RK.Words(), b.RK.Words())
 }
 
 // refItemCmp is BulkLoad's sort order: key order with Ref as tie-break. Refs
@@ -372,7 +372,7 @@ func (t *refTree) Delete(key bitkey.PatternKey, ref int) bool {
 func (t *refTree) deleteIn(n *refNode, key bitkey.PatternKey, ref int) bool {
 	if n.leaf {
 		for i, e := range n.entries {
-			if e.item.Ref == ref && e.key.Equal(key) {
+			if e.item.Ref == ref && keyEqual(e.key, key) {
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				return true
 			}
@@ -382,7 +382,7 @@ func (t *refTree) deleteIn(n *refNode, key bitkey.PatternKey, ref int) bool {
 	for i, e := range n.entries {
 		// A union key contains every key below it, so subtrees whose
 		// refEntry does not contain the target cannot hold it.
-		if !e.key.Contains(key) {
+		if !keyContains(e.key, key) {
 			continue
 		}
 		if t.deleteIn(e.child, key, ref) {

@@ -69,11 +69,11 @@ func requireRebuilds(t *testing.T, ref *refTree, tree *Tree, alive []Item, opts 
 	var a, b []Item
 	again.All(func(it Item) bool { a = append(a, it); return true })
 	loaded.All(func(it Item) bool { b = append(b, it); return true })
-	if len(a) != len(b) || loaded.Height() != again.Height() || !reflect.DeepEqual(loaded.Shape().Counts, sh.Counts) {
-		t.Fatalf("loaded tree: %d items, height %d; live tree %d and %d", len(b), loaded.Height(), len(a), again.Height())
+	if len(a) != len(b) || loaded.height != again.height || !reflect.DeepEqual(loaded.Shape().Counts, sh.Counts) {
+		t.Fatalf("loaded tree: %d items, height %d; live tree %d and %d", len(b), loaded.height, len(a), again.height)
 	}
 	for i := range a {
-		if int(rank[int32(a[i].Ref)]) != b[i].Ref || !a[i].Key.Equal(b[i].Key) {
+		if int(rank[int32(a[i].Ref)]) != b[i].Ref || !keyEqual(a[i].Key, b[i].Key) {
 			t.Fatalf("leaf position %d: loaded ref %d key %s, live ref %d (rank %d) key %s",
 				i, b[i].Ref, b[i].Key, a[i].Ref, rank[int32(a[i].Ref)], a[i].Key)
 		}
@@ -93,7 +93,7 @@ func TestBuildRejectsBadShapes(t *testing.T) {
 	if _, err := Build(36, 37, len(items), &good, opts, fillFrom(items)); err != nil {
 		t.Fatalf("a bulk load's own shape: %v", err)
 	}
-	if tree, err := Build(36, 37, 0, &Shape{}, opts, fillFrom(nil)); err != nil || tree.Len() != 0 || tree.Height() != 1 {
+	if tree, err := Build(36, 37, 0, &Shape{}, opts, fillFrom(nil)); err != nil || tree.Len() != 0 || tree.height != 1 {
 		t.Fatalf("the empty shape: %v", err)
 	}
 	clone := func() Shape {

@@ -62,26 +62,12 @@ type BruteForce struct {
 // NewBruteForce returns a scanner over the given items (not copied).
 func NewBruteForce(items []Item) *BruteForce { return &BruteForce{items: items} }
 
-// Len returns the number of stored items.
-func (b *BruteForce) Len() int { return len(b.items) }
-
 // SearchIntersect visits every item whose key intersects q on both parts,
 // mirroring Tree.SearchIntersect. The returned count is the number of items
 // examined — always the full list, which is the point of the baseline.
 func (b *BruteForce) SearchIntersect(q bitkey.PatternKey, visit Visit) int {
 	for i := range b.items {
 		if it := &b.items[i]; it.Key.Intersects(q) && !visit(it.Ref, timeID(it.Key, q), it.Key.RK) {
-			break
-		}
-	}
-	return len(b.items)
-}
-
-// SearchConsequence visits every item whose consequence key intersects q's,
-// mirroring Tree.SearchConsequence.
-func (b *BruteForce) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
-	for i := range b.items {
-		if it := &b.items[i]; it.Key.IntersectsConsequence(q) && !visit(it.Ref, timeID(it.Key, q), it.Key.RK) {
 			break
 		}
 	}

@@ -130,9 +130,6 @@ func New(ckLen, rkLen int, opts Options) *Tree {
 // Len returns the number of indexed items.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the tree height (1 for a single leaf).
-func (t *Tree) Height() int { return t.height }
-
 // key returns entry i's key words, capped so an append cannot run into the
 // next entry.
 func (t *Tree) key(n *node, i int) []uint64 {

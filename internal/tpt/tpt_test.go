@@ -67,7 +67,7 @@ func bruteIntersect(items []Item, q bitkey.PatternKey) []int {
 func bruteConsequence(items []Item, q bitkey.PatternKey) []int {
 	var refs []int
 	for _, it := range items {
-		if it.Key.IntersectsConsequence(q) {
+		if keyIntersectsConsequence(it.Key, q) {
 			refs = append(refs, it.Ref)
 		}
 	}
@@ -163,10 +163,10 @@ func checkInvariants(t *testing.T, tree *Tree, minFill bool) {
 
 func TestEmptyTree(t *testing.T) {
 	tree := New(2, 5, Options{})
-	if tree.Len() != 0 || tree.Height() != 1 {
-		t.Fatalf("empty tree: len %d height %d", tree.Len(), tree.Height())
+	if tree.Len() != 0 || tree.height != 1 {
+		t.Fatalf("empty tree: len %d height %d", tree.Len(), tree.height)
 	}
-	q := bitkey.MustParsePattern("1000011", 2)
+	q := mustParsePattern("1000011", 2)
 	if got := collectIntersect(tree, q); len(got) != 0 {
 		t.Errorf("search on empty tree found %v", got)
 	}
@@ -177,16 +177,16 @@ func TestEmptyTree(t *testing.T) {
 // must be pruned.
 func TestPaperFigure4(t *testing.T) {
 	items := []Item{
-		{Key: bitkey.MustParsePattern("0100001", 2), Conf: 0.9, Ref: 0}, // P0
-		{Key: bitkey.MustParsePattern("0100001", 2), Conf: 0.8, Ref: 1}, // P1
-		{Key: bitkey.MustParsePattern("1000011", 2), Conf: 0.5, Ref: 2}, // P2
-		{Key: bitkey.MustParsePattern("1000101", 2), Conf: 0.4, Ref: 3}, // P3
+		{Key: mustParsePattern("0100001", 2), Conf: 0.9, Ref: 0}, // P0
+		{Key: mustParsePattern("0100001", 2), Conf: 0.8, Ref: 1}, // P1
+		{Key: mustParsePattern("1000011", 2), Conf: 0.5, Ref: 2}, // P2
+		{Key: mustParsePattern("1000101", 2), Conf: 0.4, Ref: 3}, // P3
 	}
 	tree := New(2, 5, Options{})
 	for _, it := range items {
 		tree.Insert(it)
 	}
-	q := bitkey.MustParsePattern("1000011", 2)
+	q := mustParsePattern("1000011", 2)
 	got := collectIntersect(tree, q)
 	if !equalInts(got, []int{2, 3}) {
 		t.Errorf("Figure 4 query returned %v, want [2 3]", got)
@@ -246,12 +246,12 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Error("empty bulk load not empty")
 	}
-	one := []Item{{Key: bitkey.MustParsePattern("0100001", 2), Ref: 7}}
+	one := []Item{{Key: mustParsePattern("0100001", 2), Ref: 7}}
 	tree = BulkLoad(2, 5, one, Options{})
-	if tree.Len() != 1 || tree.Height() != 1 {
-		t.Errorf("single bulk load: len %d height %d", tree.Len(), tree.Height())
+	if tree.Len() != 1 || tree.height != 1 {
+		t.Errorf("single bulk load: len %d height %d", tree.Len(), tree.height)
 	}
-	got := collectIntersect(tree, bitkey.MustParsePattern("0100001", 2))
+	got := collectIntersect(tree, mustParsePattern("0100001", 2))
 	if !equalInts(got, []int{7}) {
 		t.Errorf("single item not found: %v", got)
 	}
@@ -395,8 +395,8 @@ func TestStats(t *testing.T) {
 	if s.LeafNodes == 0 || s.InternalNode == 0 {
 		t.Errorf("Stats nodes: %+v", s)
 	}
-	if s.Height != tree.Height() {
-		t.Errorf("Stats.Height = %d, want %d", s.Height, tree.Height())
+	if s.Height != tree.height {
+		t.Errorf("Stats.Height = %d, want %d", s.Height, tree.height)
 	}
 	if s.StorageBytes <= 0 {
 		t.Error("StorageBytes not positive")
@@ -483,4 +483,18 @@ func TestSearchPrunesNodes(t *testing.T) {
 	if touched >= total {
 		t.Errorf("search touched %d of %d nodes: no pruning", touched, total)
 	}
+}
+
+// Len returns the number of stored items.
+func (b *BruteForce) Len() int { return len(b.items) }
+
+// SearchConsequence visits every item whose consequence key intersects q's,
+// mirroring Tree.SearchConsequence.
+func (b *BruteForce) SearchConsequence(q bitkey.PatternKey, visit Visit) int {
+	for i := range b.items {
+		if it := &b.items[i]; keyIntersectsConsequence(it.Key, q) && !visit(it.Ref, timeID(it.Key, q), it.Key.RK) {
+			break
+		}
+	}
+	return len(b.items)
 }

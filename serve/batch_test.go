@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -68,7 +69,7 @@ func TestPredictBatchEndpoint(t *testing.T) {
 	}
 
 	// The batch answers must agree with the store's direct batch API.
-	direct, err := st.PredictBatch("bike", []int{now + 5, now + 80}, 1)
+	direct, err := st.PredictBatchContext(context.Background(), "bike", []int{now + 5, now + 80}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestPredictBatchEndpointValidation(t *testing.T) {
 	}
 	postJSON(t, url, map[string]any{"tqs": big}, http.StatusBadRequest)
 	// Untrained object: 409 like the GET endpoint.
-	if err := st.Observe("fresh", hpm.Pt(0, 0)); err != nil {
+	if err := st.ObserveBatch("fresh", []hpm.Point{hpm.Pt(0, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	postJSON(t, srv.URL+"/objects/fresh/predict", map[string]any{"tqs": []int{500}}, http.StatusConflict)

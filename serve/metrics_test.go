@@ -270,7 +270,7 @@ func TestMetricsTreeBytesAfterLoad(t *testing.T) {
 
 func TestFleetStatsEndpoint(t *testing.T) {
 	srv, st := testServer(t)
-	if err := st.Observe("solo", hpm.Pt(1, 2)); err != nil {
+	if err := st.ObserveBatch("solo", []hpm.Point{hpm.Pt(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	body := getJSON(t, srv.URL+"/stats", http.StatusOK)
@@ -293,7 +293,7 @@ func TestObjectEvalEndpoint(t *testing.T) {
 	srv, st := testServer(t)
 	getJSON(t, srv.URL+"/objects/ghost/eval", http.StatusNotFound)
 
-	if err := st.Observe("bus", hpm.Pt(1, 2)); err != nil {
+	if err := st.ObserveBatch("bus", []hpm.Point{hpm.Pt(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	body := getJSON(t, srv.URL+"/objects/bus/eval", http.StatusOK)
@@ -368,7 +368,7 @@ func TestPredictBatchErrorPaths(t *testing.T) {
 	}
 
 	// Non-positive horizons need a known object to get past Now: 400.
-	if err := st.Observe("bus", hpm.Pt(1, 1)); err != nil {
+	if err := st.ObserveBatch("bus", []hpm.Point{hpm.Pt(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := post("bus", `{"horizons": [0]}`); got != http.StatusBadRequest {

@@ -187,7 +187,7 @@ func TestErrorStatuses(t *testing.T) {
 	getJSON(t, srv.URL+"/objects/ghost/stats", http.StatusNotFound)
 
 	// Known but untrained: 409.
-	if err := st.Observe("young", hpm.Pt(1, 1)); err != nil {
+	if err := st.ObserveBatch("young", []hpm.Point{hpm.Pt(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	getJSON(t, srv.URL+"/objects/young/predict?tq=10", http.StatusConflict)
@@ -246,7 +246,7 @@ func TestObserveBodyLimit(t *testing.T) {
 
 func TestMalformedNumericParamsAre400(t *testing.T) {
 	srv, st := testServer(t)
-	if err := st.Observe("bus", hpm.Pt(1, 1)); err != nil {
+	if err := st.ObserveBatch("bus", []hpm.Point{hpm.Pt(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, url := range []string{

@@ -401,7 +401,7 @@ func TestHandlersMatchEncodingJSON(t *testing.T) {
 		refEncode(t, map[string]any{"tq": now + 7, "predictions": toJSONs(preds)}))
 
 	tqs := []int{now + 2, now + 40, now + 100}
-	batches, err := st.PredictBatch("bike", tqs, 2)
+	batches, err := st.PredictBatchContext(context.Background(), "bike", tqs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestHandlersMatchEncodingJSON(t *testing.T) {
 	same("batch predict", serve("POST", "/objects/bike/predict", fmt.Sprintf(`{"tqs": [%d, %d, %d], "k": 2}`, tqs[0], tqs[1], tqs[2])),
 		refEncode(t, map[string]any{"results": results}))
 
-	path, err := st.PredictRange("bike", now+1, now+30)
+	path, err := st.PredictRangeContext(context.Background(), "bike", now+1, now+30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -177,7 +178,7 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		ans, err := twin.PredictBatch(id, tqs(id), 2)
+		ans, err := twin.PredictBatchContext(context.Background(), id, tqs(id), 2)
 		if err != nil {
 			t.Fatalf("twin %s: %v", id, err)
 		}
@@ -234,7 +235,7 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 				}
 				for i := range ids {
 					id := ids[(i+r*9)%len(ids)]
-					got, err := s.PredictBatch(id, tqs(id), 2)
+					got, err := s.PredictBatchContext(context.Background(), id, tqs(id), 2)
 					switch {
 					case errors.Is(err, ErrUntrained):
 					case id == gone && errors.Is(err, ErrUnknownObject):
@@ -262,14 +263,14 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 			t.Errorf("%s after the race: %+v, %v", id, st, err)
 		}
 	}
-	for _, h := range s.FleetHorizons() {
+	for _, h := range s.fleetHorizons() {
 		got, err1 := s.QueryRange(everything, h)
 		scan, err2 := s.ScanRange(everything, h)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, scan) {
 			t.Fatalf("h=%d (%v, %v):\nindex: %v\nscan:  %v", h, err1, err2, got, scan)
 		}
 		got, err1 = s.QueryNearest(origin, len(ids), h)
-		scan, err2 = s.ScanNearest(origin, len(ids), h)
+		scan, err2 = s.scanNearest(origin, len(ids), h)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, scan) {
 			t.Fatalf("kNN h=%d (%v, %v):\nindex: %v\nscan:  %v", h, err1, err2, got, scan)
 		}

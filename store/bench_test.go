@@ -265,7 +265,7 @@ func benchReopen(b *testing.B, dir string, opts Options) {
 // costs a refresh nothing.
 func readEveryBucket(b *testing.B, s *Store) {
 	b.Helper()
-	for _, h := range s.FleetHorizons() {
+	for _, h := range s.fleetHorizons() {
 		if _, err := s.QueryNearest(hpm.Pt(0, 0), 1, h); err != nil {
 			b.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func BenchmarkIndexRefresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Observe("bike", stream[i%len(stream)]); err != nil {
+		if err := s.ObserveBatch("bike", []hpm.Point{stream[i%len(stream)]}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,7 +384,7 @@ func BenchmarkIndexRefreshFleet(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				o := &objs[i%len(objs)]
-				if err := s.Observe(o.id, o.stream[(i/len(objs))%len(o.stream)]); err != nil {
+				if err := s.ObserveBatch(o.id, []hpm.Point{o.stream[(i/len(objs))%len(o.stream)]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -421,7 +421,7 @@ func BenchmarkPredictBatchFleet(b *testing.B) {
 // BenchmarkFleetQuery prices the fleet index against the brute-force scan
 // it is checked against (TestIndexMatchesScanAllDatasets): one range or
 // kNN query per op, answered from the index or by ScanRange /
-// ScanNearest, at 1 000 and 10 000 objects (queryFleet). Rects cover 1 %
+// scanNearest, at 1 000 and 10 000 objects (queryFleet). Rects cover 1 %
 // of the extent, k = 10, and horizons cycle {5, 20, 100}; index and scan
 // answer the same queries. An indexed range costs what copying its
 // ~n/100 matches costs; a scan predicts every object per query.
@@ -456,7 +456,7 @@ func BenchmarkFleetQuery(b *testing.B) {
 			func(s *Store, i int) ([]spatial.Result, error) { return s.ScanRange(rects[i], hs[i]) }},
 		{"knn",
 			func(s *Store, i int) ([]spatial.Result, error) { return s.QueryNearest(pts[i], 10, hs[i]) },
-			func(s *Store, i int) ([]spatial.Result, error) { return s.ScanNearest(pts[i], 10, hs[i]) }},
+			func(s *Store, i int) ([]spatial.Result, error) { return s.scanNearest(pts[i], 10, hs[i]) }},
 	}
 	for _, op := range ops {
 		b.Run(op.name, func(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,7 +197,7 @@ func TestChaosWALAppendFailureNotAcknowledged(t *testing.T) {
 
 	s.SetFaultHook(faultinject.FailN(faultinject.OpWALAppend, 2, nil))
 	for i := 0; i < 2; i++ {
-		if err := s.Observe("bus", hpm.Pt(1, 2)); !errors.Is(err, faultinject.ErrInjected) {
+		if err := s.ObserveBatch("bus", []hpm.Point{hpm.Pt(1, 2)}); !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("injected WAL failure not surfaced: %v", err)
 		}
 	}
@@ -204,7 +205,7 @@ func TestChaosWALAppendFailureNotAcknowledged(t *testing.T) {
 		t.Fatalf("rejected observe mutated the track: %d != %d", st.Points, n)
 	}
 	// The path heals once the fault clears.
-	if err := s.Observe("bus", hpm.Pt(1, 2)); err != nil {
+	if err := s.ObserveBatch("bus", []hpm.Point{hpm.Pt(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	crash(s)
@@ -283,6 +284,18 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// panicN returns a hook that panics on the first n invocations of op,
+// simulating a crashing worker.
+func panicN(op faultinject.Op, n int64) faultinject.Hook {
+	var count atomic.Int64
+	return func(got faultinject.Op) error {
+		if got == op && count.Add(1) <= n {
+			panic(fmt.Sprintf("injected panic on %s", op))
+		}
+		return nil
+	}
+}
+
 // TestTrainPanicRecoveredAndRetried injects a panic into the first train:
 // the process must survive, the observe must still be acknowledged, the
 // object must stay untrained until its next completed period retries the
@@ -290,7 +303,7 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 // and in the fleet's failure count for good.
 func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 	s := testStore(t, Options{MinTrainPeriods: 3})
-	s.SetFaultHook(faultinject.PanicN(faultinject.OpTrain, 1))
+	s.SetFaultHook(panicN(faultinject.OpTrain, 1))
 	spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, 21)
 	spec.Period = period
 	spec.SubTrajectories = 4
@@ -400,7 +413,7 @@ func TestFailedTrainWaitsForNextPeriod(t *testing.T) {
 
 	// Ten single-point observes, all inside period 4.
 	for i := 3 * period; i < 3*period+10; i++ {
-		if err := s.Observe("bike", pts[i]); err != nil {
+		if err := s.ObserveBatch("bike", []hpm.Point{pts[i]}); err != nil {
 			t.Fatal(err)
 		}
 		if fs := s.FleetStats(); fs.TrainFailures != 1 {
@@ -473,7 +486,7 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 		hpm.Pt(math.Inf(1), 0),
 		hpm.Pt(0, math.Inf(-1)),
 	} {
-		if err := s.Observe("x", p); !errors.Is(err, ErrInvalidPoint) {
+		if err := s.ObserveBatch("x", []hpm.Point{p}); !errors.Is(err, ErrInvalidPoint) {
 			t.Errorf("point %v: err = %v, want ErrInvalidPoint", p, err)
 		}
 	}

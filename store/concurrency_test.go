@@ -121,9 +121,9 @@ func TestPredictObserveHammer(t *testing.T) {
 					case 1: // distant: BQP path
 						_, err = s.Predict("bike", now+80, 1)
 					case 2: // batch across both paths
-						_, err = s.PredictBatch("bike", []int{now + 20, now + 80}, 2)
+						_, err = s.PredictBatchContext(context.Background(), "bike", []int{now + 20, now + 80}, 2)
 					default: // range + stats read, and a query of fresh
-						_, err = s.PredictRange("bike", now+20, now+24)
+						_, err = s.PredictRangeContext(context.Background(), "bike", now+20, now+24)
 						if _, serr := s.Stats("bike"); serr != nil {
 							errs <- serr
 							return
@@ -243,7 +243,7 @@ func TestStorePredictBatchMatchesPredict(t *testing.T) {
 	feed(t, s, "bike", 13, 4)
 	now, _ := s.Now("bike")
 	tqs := []int{now + 3, now + 10, now + 80}
-	batch, err := s.PredictBatch("bike", tqs, 2)
+	batch, err := s.PredictBatchContext(context.Background(), "bike", tqs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStorePredictBatchMatchesPredict(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.PredictBatch("ghost", tqs, 1); err == nil {
+	if _, err := s.PredictBatchContext(context.Background(), "ghost", tqs, 1); err == nil {
 		t.Error("unknown object accepted")
 	}
 }

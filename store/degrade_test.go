@@ -58,7 +58,7 @@ func TestChaosDegradeOnSyncFailure(t *testing.T) {
 	}
 
 	// Writes of every flavor now fail fast, typed.
-	if err := s.Observe("bus-1", hpm.Pt(1, 1)); !errors.Is(err, ErrDegraded) {
+	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(1, 1)}); !errors.Is(err, ErrDegraded) {
 		t.Errorf("Observe while degraded: %v, want ErrDegraded", err)
 	}
 	if err := s.ObserveAll([]Observation{{ID: "bus-2", Points: []hpm.Point{hpm.Pt(0, 0)}}}); !errors.Is(err, ErrDegraded) {
@@ -126,7 +126,7 @@ func TestChaosDiskFullDegradesImmediately(t *testing.T) {
 
 	enospc := fmt.Errorf("write wal segment: %w", syscall.ENOSPC)
 	s.SetFaultHook(faultinject.FailN(faultinject.OpDiskFull, forever, enospc))
-	err = s.Observe("bus-1", hpm.Pt(0, 0))
+	err = s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)})
 	if err == nil {
 		t.Fatal("observe acknowledged on a full disk")
 	}
@@ -149,7 +149,7 @@ func TestChaosKillWhileDegraded(t *testing.T) {
 	}
 	acked := ingest(t, s, "bus-1", 1, 4, 37)
 	s.SetFaultHook(faultinject.FailN(faultinject.OpDiskFull, forever, syscall.ENOSPC))
-	if err := s.Observe("bus-1", hpm.Pt(0, 0)); err == nil {
+	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)}); err == nil {
 		t.Fatal("observe acknowledged on a full disk")
 	}
 	if !s.Degraded() {
@@ -199,7 +199,7 @@ func TestChaosRecoverZeroAckedLoss(t *testing.T) {
 
 	// Exactly one fsync fails; the probe's next look finds the disk fine.
 	s.SetFaultHook(faultinject.FailN(faultinject.OpWALSyncError, 1, nil))
-	if err := s.Observe("bus-1", hpm.Pt(0, 0)); err == nil {
+	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)}); err == nil {
 		t.Fatal("observe acknowledged through the failed fsync")
 	}
 	if !s.Degraded() {
@@ -325,7 +325,7 @@ func TestChaosFleetIndexServesWhileDegraded(t *testing.T) {
 	}
 
 	s.SetFaultHook(faultinject.FailN(faultinject.OpDiskFull, forever, syscall.ENOSPC))
-	if err := s.Observe("bus-1", hpm.Pt(0, 0)); !errors.Is(err, ErrDegraded) && err == nil {
+	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)}); !errors.Is(err, ErrDegraded) && err == nil {
 		t.Fatal("observe acknowledged on a full disk")
 	}
 	if !s.Degraded() {
@@ -397,7 +397,7 @@ func TestChaosDegradeUnderConcurrentIngest(t *testing.T) {
 	// Writers stop at their first error, so the concurrent phase may end
 	// one failure short of DegradeAfter; a couple more writes settle it.
 	for i := 0; i < 2*degradeOpts().DegradeAfter && !s.Degraded(); i++ {
-		_ = s.Observe("straggler", hpm.Pt(0, 0))
+		_ = s.ObserveBatch("straggler", []hpm.Point{hpm.Pt(0, 0)})
 	}
 	if !s.Degraded() {
 		t.Fatal("persistent sync failure under load never degraded the store")

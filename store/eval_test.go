@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestEvalDisabled(t *testing.T) {
 func TestEvalPredictBatchRecorded(t *testing.T) {
 	s, tr := evalStore(t, Options{})
 	now := 4*period - 1
-	if _, err := s.PredictBatch("bike", []int{now + 1, now + 2, now + 60}, 1); err != nil {
+	if _, err := s.PredictBatchContext(context.Background(), "bike", []int{now + 1, now + 2, now + 60}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ObserveBatch("bike", tr.Slice(4*period, 5*period)); err != nil {

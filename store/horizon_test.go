@@ -49,7 +49,10 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 		_, _, err := s.PredictAheadContext(ctx, "drifter", MaxHorizon+1, 1)
 		return err
 	})
-	refused("PredictBatch", ErrTooFar, func() error { _, err := s.PredictBatch("drifter", []int{now + 5, far}, 1); return err })
+	refused("PredictBatch", ErrTooFar, func() error {
+		_, err := s.PredictBatchContext(context.Background(), "drifter", []int{now + 5, far}, 1)
+		return err
+	})
 	refused("PredictBatchContext", ErrTooFar, func() error {
 		_, err := s.PredictBatchContext(ctx, "drifter", []int{far, now + 5}, 1)
 		return err
@@ -58,7 +61,7 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 		_, _, err := s.PredictBatchAheadContext(ctx, "drifter", []int{5, MaxHorizon + 1}, 1)
 		return err
 	})
-	refused("PredictRange", ErrTooFar, func() error { _, err := s.PredictRange("drifter", far-5, far); return err })
+	refused("PredictRange", ErrTooFar, func() error { _, err := s.PredictRangeContext(context.Background(), "drifter", far-5, far); return err })
 	refused("PredictRangeContext", ErrTooFar, func() error {
 		_, err := s.PredictRangeContext(ctx, "drifter", far-5, far)
 		return err
@@ -67,7 +70,7 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 		refused("PredictVia "+route.String(), ErrTooFar, func() error { _, err := s.PredictVia("drifter", route, far, 1); return err })
 	}
 	refused("PredictRange wide", ErrRangeTooLarge, func() error {
-		_, err := s.PredictRange("drifter", now+1, now+2+MaxRange)
+		_, err := s.PredictRangeContext(context.Background(), "drifter", now+1, now+2+MaxRange)
 		return err
 	})
 	refused("unknown object", ErrUnknownObject, func() error { _, err := s.Predict("nobody", far, 1); return err })
@@ -76,7 +79,7 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 	if preds, err := s.Predict("drifter", now+MaxHorizon, 1); err != nil || len(preds) != 1 {
 		t.Errorf("Predict at now+MaxHorizon: %v, %v", preds, err)
 	}
-	if preds, err := s.PredictRange("drifter", now+1, now+1+MaxRange); err != nil || len(preds) != MaxRange+1 {
+	if preds, err := s.PredictRangeContext(context.Background(), "drifter", now+1, now+1+MaxRange); err != nil || len(preds) != MaxRange+1 {
 		t.Errorf("PredictRange of MaxRange+1 times: %d predictions, %v", len(preds), err)
 	}
 }

@@ -32,7 +32,7 @@ func checkAnswers(t *testing.T, s *Store, id string, tqs []int) {
 	}
 	ctx := context.Background()
 	for round := 0; round < 2; round++ {
-		batch, err := s.PredictBatch(id, tqs, k)
+		batch, err := s.PredictBatchContext(context.Background(), id, tqs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestMemoMatchesModelAfterEveryWrite(t *testing.T) {
 	tqs := []int{at + 64, at + 89, at + 149}
 	checkAnswers(t, s, "bike", tqs) // after the first train's install
 
-	if err := s.Observe("bike", pts[at]); err != nil {
+	if err := s.ObserveBatch("bike", []hpm.Point{pts[at]}); err != nil {
 		t.Fatal(err)
 	}
 	at++
@@ -157,7 +157,7 @@ func TestMemoAnswersAreCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := s.PredictBatch("bike", tqs, 3)
+		batch, err := s.PredictBatchContext(context.Background(), "bike", tqs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

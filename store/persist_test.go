@@ -191,7 +191,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	s := durableStore(t, Options{MinTrainPeriods: 3})
 	feed(t, s, "bike-1", 1, 5) // trained
 	feed(t, s, "bike-2", 2, 4) // trained
-	if err := s.Observe("young", hpm.Pt(10, 20)); err != nil {
+	if err := s.ObserveBatch("young", []hpm.Point{hpm.Pt(10, 20)}); err != nil {
 		t.Fatal(err) // untrained object with one observation
 	}
 	back := reopen(t, s)

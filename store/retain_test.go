@@ -136,7 +136,7 @@ func TestRetainPeriodsTrimsTrack(t *testing.T) {
 	if preds, err := s.Predict("bike", now+10, 1); err != nil || len(preds) != 1 {
 		t.Fatalf("predict on trimmed track: %v, %d preds", err, len(preds))
 	}
-	if _, err := s.PredictRange("bike", now+1, now+5); err != nil {
+	if _, err := s.PredictRangeContext(context.Background(), "bike", now+1, now+5); err != nil {
 		t.Fatalf("range predict on trimmed track: %v", err)
 	}
 }
@@ -293,7 +293,7 @@ func TestExtendPredictHammer(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := s.PredictBatch("bike", []int{now + 5, now + 15}, 1); err != nil && !stale(err) {
+				if _, err := s.PredictBatchContext(context.Background(), "bike", []int{now + 5, now + 15}, 1); err != nil && !stale(err) {
 					errs <- err
 					return
 				}

@@ -18,7 +18,7 @@ func TestShardRouting(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("obj-%03d", i)
-		if err := s.Observe(id, hpm.Pt(1, 2)); err != nil {
+		if err := s.ObserveBatch(id, []hpm.Point{hpm.Pt(1, 2)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -293,7 +293,7 @@ func TestIncrementalCheckpointRewritesOnlyDirty(t *testing.T) {
 	}
 	const fleet = 100
 	for i := 0; i < fleet; i++ {
-		if err := s.Observe(fmt.Sprintf("obj-%03d", i), hpm.Pt(float64(i), float64(i))); err != nil {
+		if err := s.ObserveBatch(fmt.Sprintf("obj-%03d", i), []hpm.Point{hpm.Pt(float64(i), float64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestIncrementalCheckpointRewritesOnlyDirty(t *testing.T) {
 		t.Fatalf("first checkpoint not a full epoch-1 snapshot: %+v", first)
 	}
 
-	if err := s.Observe("obj-000", hpm.Pt(1, 2)); err != nil {
+	if err := s.ObserveBatch("obj-000", []hpm.Point{hpm.Pt(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -393,7 +393,7 @@ func TestRemoveSurvivesIncrementalCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := s.Observe(fmt.Sprintf("obj-%d", i), hpm.Pt(float64(i), 0)); err != nil {
+		if err := s.ObserveBatch(fmt.Sprintf("obj-%d", i), []hpm.Point{hpm.Pt(float64(i), 0)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,10 +22,11 @@ import (
 // read it (it is then "live", and stays live for the store's life): the
 // first query of a bucket builds it by refreshing every object, the one
 // time a fleet query pays for predictions; every later query fits no model.
-// ScanRange/ScanNearest are the O(N) brute-force oracles the experiments
-// and property tests compare against: they recompute every object's
-// prediction on the spot, quantized to the same horizon bucket, and the
-// indexed answers are identical to theirs.
+// ScanRange (and its kNN twin, which only the tests call and which lives in
+// spatial_test.go) is the O(N) brute-force oracle the benchmark harness and
+// property tests compare against: it recomputes every object's prediction
+// on the spot, quantized to the same horizon bucket, and the indexed
+// answers are identical to its.
 
 // ErrNoFleetIndex is returned by fleet query methods when the store was
 // built without Options.FleetIndex.
@@ -285,39 +286,6 @@ func (s *Store) ScanRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	return out, nil
 }
 
-// ScanNearest answers a kNN query by brute force over every object.
-func (s *Store) ScanNearest(p hpm.Point, k, horizon int) ([]spatial.Result, error) {
-	if s.index == nil {
-		return nil, ErrNoFleetIndex
-	}
-	if err := validateFleetQuery(horizon); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("store: k must be positive, got %d", k)
-	}
-	if !p.IsFinite() {
-		return nil, fmt.Errorf("store: non-finite query point")
-	}
-	bh := s.index.BucketHorizon(horizon)
-	var out []spatial.Result
-	for _, obj := range s.listObjects() {
-		if e, ok := s.scanEntry(obj, bh); ok {
-			out = append(out, spatial.Result{ID: obj.id, Pos: e.Pos, Path: e.Path, Horizon: bh, Dist: e.Pos.Dist(p)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
-}
-
 // scanEntry recomputes one object's entry at the (already quantized)
 // horizon, mirroring indexUpdateLocked exactly — same batch query path,
 // same extrapolation — under the object's read lock.
@@ -359,12 +327,4 @@ func (s *Store) FleetBucketHorizon(h int) int {
 		return 0
 	}
 	return s.index.BucketHorizon(h)
-}
-
-// FleetHorizons returns the index's horizon buckets (nil when disabled).
-func (s *Store) FleetHorizons() []int {
-	if s.index == nil {
-		return nil
-	}
-	return s.index.Horizons()
 }

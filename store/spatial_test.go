@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestFleetQueryDisabled(t *testing.T) {
 	if _, err := s.QueryNearest(hpm.Pt(0, 0), 3, 5); err != ErrNoFleetIndex {
 		t.Errorf("QueryNearest without index: %v, want ErrNoFleetIndex", err)
 	}
-	if s.FleetHorizons() != nil {
+	if s.fleetHorizons() != nil {
 		t.Error("disabled store reports an index")
 	}
 	if fs := s.FleetStats(); fs.FleetIndex {
@@ -117,7 +118,7 @@ func TestIndexMatchesScanAllDatasets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantK, err := s.ScanNearest(p, k, h)
+				wantK, err := s.scanNearest(p, k, h)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +246,7 @@ func TestUnreadBucketsCostNothing(t *testing.T) {
 	cost := func() int {
 		t.Helper()
 		before := s.FleetStats().Queries.Queries
-		if err := s.Observe("bike", pts[next]); err != nil {
+		if err := s.ObserveBatch("bike", []hpm.Point{pts[next]}); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -346,7 +347,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 		}
 		return out
 	}
-	horizons := s.FleetHorizons()
+	horizons := s.fleetHorizons()
 	wantRange := make([][]spatial.Result, len(horizons))
 	wantKNN := make([][]spatial.Result, len(horizons))
 	for b, h := range horizons {
@@ -354,7 +355,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks, err := s.ScanNearest(origin, everyone, h)
+		ks, err := s.scanNearest(origin, everyone, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +387,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 	}
 	race(func() { // one point at a time
 		for i := 0; !stopped(); i++ {
-			if err := s.Observe("single", single[3*period+i%(9*period)]); err != nil {
+			if err := s.ObserveBatch("single", []hpm.Point{single[3*period+i%(9*period)]}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -478,7 +479,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 		}
 		for _, k := range []int{1, 7, everyone} {
 			got, err1 := s.QueryNearest(origin, k, h)
-			want, err2 := s.ScanNearest(origin, k, h)
+			want, err2 := s.scanNearest(origin, k, h)
 			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("h=%d k=%d (%v, %v):\nindex: %v\nscan:  %v", h, k, err1, err2, got, want)
 			}
@@ -597,4 +598,45 @@ func TestOpenRefusesBadHorizons(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scanNearest answers a kNN query by brute force over every object.
+func (s *Store) scanNearest(p hpm.Point, k, horizon int) ([]spatial.Result, error) {
+	if s.index == nil {
+		return nil, ErrNoFleetIndex
+	}
+	if err := validateFleetQuery(horizon); err != nil {
+		return nil, err
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("store: k must be positive, got %d", k)
+	}
+	if !p.IsFinite() {
+		return nil, fmt.Errorf("store: non-finite query point")
+	}
+	bh := s.index.BucketHorizon(horizon)
+	var out []spatial.Result
+	for _, obj := range s.listObjects() {
+		if e, ok := s.scanEntry(obj, bh); ok {
+			out = append(out, spatial.Result{ID: obj.id, Pos: e.Pos, Path: e.Path, Horizon: bh, Dist: e.Pos.Dist(p)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out, nil
+}
+
+// fleetHorizons returns the index's horizon buckets (nil when disabled).
+func (s *Store) fleetHorizons() []int {
+	if s.index == nil {
+		return nil
+	}
+	return s.index.Horizons()
 }

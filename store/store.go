@@ -7,7 +7,7 @@
 // habits, so a shared model would blur them. This package is the thin
 // systems layer that makes the single-object core usable as a moving-
 // objects database: one model per tracked object, safe for concurrent
-// Observe and Predict calls.
+// observes and predicts.
 package store
 
 import (
@@ -124,14 +124,15 @@ var ErrInvalidPoint = errors.New("store: non-finite coordinate")
 // few tens of milliseconds.
 const MaxHorizon = 1 << 20
 
-// MaxRange bounds a trajectory query: PredictRange answers at most
+// MaxRange bounds a trajectory query: PredictRangeContext answers at most
 // MaxRange+1 timestamps, one prediction each.
 const MaxRange = 10000
 
 // ErrTooFar is returned by every predict call with a query time more than
 // MaxHorizon past the object's current time. ErrRangeTooLarge is returned
-// by PredictRange for a range wider than MaxRange. Both are refused before
-// any prediction work; their texts are what the HTTP service answers.
+// by PredictRangeContext for a range wider than MaxRange. Both are refused
+// before any prediction work; their texts are what the HTTP service
+// answers.
 var (
 	ErrTooFar        = fmt.Errorf("query time too far ahead: at most %d ticks past the object's current time", MaxHorizon)
 	ErrRangeTooLarge = errors.New("range too large")
@@ -275,9 +276,9 @@ type shard struct {
 }
 
 // object is one tracked object's state. mu is a read-write lock: queries
-// (Predict, PredictRange, PredictBatch, Now, Stats) share a read lock —
+// (the predicts, Now, Stats) share a read lock —
 // the predictor's query path is lock-free internally, so any number run in
-// parallel — while Observe, model installs and Extends take the write lock.
+// parallel — while observes, model installs and Extends take the write lock.
 //
 // Writers additionally serialize on ingestMu, held across the whole
 // observe — offset capture, WAL group commit, track apply — so per-object
@@ -417,14 +418,6 @@ func (s *Store) get(id string, create bool) (*object, error) {
 		sh.objects[id] = obj
 	}
 	return obj, nil
-}
-
-// Observe appends the object's location at its next timestamp (locations
-// arrive in order, one per tick). Crossing a period boundary may trigger a
-// model update — the first train or an Extend — which runs before Observe
-// returns.
-func (s *Store) Observe(id string, loc hpm.Point) error {
-	return s.ObserveBatch(id, []hpm.Point{loc})
 }
 
 // ObserveBatch appends consecutive locations in one call: a one-object
@@ -780,7 +773,7 @@ func (s *Store) Close() error {
 // Predict estimates the object's location at absolute time tq (timestamps
 // count observations from zero) from its most recent movements. Queries
 // run under the object's read lock: any number execute in parallel with
-// each other, serializing only against writes (Observe, Extends). A tq
+// each other, serializing only against writes (observes, Extends). A tq
 // more than MaxHorizon past the object's current time is refused with
 // ErrTooFar, as by every predict call.
 func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
@@ -851,13 +844,6 @@ func (s *Store) predictLocked(obj *object, route evalq.Path, now, tq, k int) ([]
 	return preds, err
 }
 
-// PredictRange estimates the object's locations over [from, to], at most
-// MaxRange+1 timestamps (ErrRangeTooLarge) ending within MaxHorizon of the
-// object's current time (ErrTooFar).
-func (s *Store) PredictRange(id string, from, to int) ([]hpm.Prediction, error) {
-	return s.PredictRangeContext(context.Background(), id, from, to)
-}
-
 // PredictRangeContext is PredictRange with request-scoped cancellation.
 func (s *Store) PredictRangeContext(ctx context.Context, id string, from, to int) (preds []hpm.Prediction, err error) {
 	if to-from > MaxRange {
@@ -871,16 +857,6 @@ func (s *Store) PredictRangeContext(ctx context.Context, id string, from, to int
 		return err
 	})
 	return preds, err
-}
-
-// PredictBatch estimates the object's location at each absolute time in
-// tqs, returning up to k ranked predictions per time in input order. The
-// whole batch runs against one consistent snapshot of the object's recent
-// movements and shares a single premise encoding and at most one motion-
-// function fit, so it is substantially cheaper than len(tqs) Predict
-// calls. Times nothing can answer yield a nil entry.
-func (s *Store) PredictBatch(id string, tqs []int, k int) ([][]hpm.Prediction, error) {
-	return s.PredictBatchContext(context.Background(), id, tqs, k)
 }
 
 // PredictBatchContext is PredictBatch with request-scoped cancellation.

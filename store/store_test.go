@@ -128,7 +128,7 @@ func TestPredictOnStream(t *testing.T) {
 	if len(preds) != 1 {
 		t.Fatalf("got %d predictions", len(preds))
 	}
-	rng, err := s.PredictRange("bike", now+1, now+5)
+	rng, err := s.PredictRangeContext(context.Background(), "bike", now+1, now+5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +290,20 @@ func TestStatsIncludeQueryCounters(t *testing.T) {
 func TestOptionsBudget(t *testing.T) {
 	if n := reflect.TypeOf(Options{}).NumField(); n > 9 {
 		t.Errorf("store.Options has %d fields, budget is 9", n)
+	}
+}
+
+// TestAPIBudget is a ratchet on *Store's exported methods: 41 before the
+// context-less twins no binary called (Observe, PredictRange, PredictBatch)
+// went and the two methods only tests called (the kNN scan oracle and the
+// horizon list) moved into the tests. A method declared in a test file
+// counts too, so the ones tests keep there are unexported. Five
+// context-less twins remain: ObserveBatch and ObserveAll (the benchmark
+// harness calls them), Predict (the eval experiment does), and QueryRange
+// and QueryNearest, whose Context forms wrap them.
+func TestAPIBudget(t *testing.T) {
+	if n := reflect.TypeOf(&Store{}).NumMethod(); n > 36 {
+		t.Errorf("*store.Store has %d exported methods, budget is 36", n)
 	}
 }
 
