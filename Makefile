@@ -160,7 +160,9 @@ bench-recovery:
 # per object whose WAL tail crosses a period boundary) and one steady-state
 # Extend, with allocations — plain, and served: each Extend followed, on
 # the clock, by the batch predict one index refresh makes (the six index
-# horizons, k = 1), which rebuilds the ranked lists the Extend dropped.
+# horizons, k = 1), which rebuilds the ranked lists the Extend dropped; and
+# minted: the seventh period, which mints regions from buffered outliers
+# and replays their visitors' chains through the miner.
 # DESIGN.md's "What one miner costs", "One walk mines and seeds", "Rule
 # updates write in place" and "Building and keeping the lists" quote them.
 bench-extend:

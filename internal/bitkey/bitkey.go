@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // Key is a fixed-length bitmap. The zero Key has length 0 and no bits set.
@@ -147,21 +146,6 @@ func (k Key) Ones() []int {
 		}
 	}
 	return out
-}
-
-// String renders the key as a binary string, most significant bit first,
-// matching the paper's tables (e.g. "00011").
-func (k Key) String() string {
-	var sb strings.Builder
-	sb.Grow(k.n)
-	for p := k.n; p >= 1; p-- {
-		if k.Bit(p) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
 }
 
 // Bytes returns the size in bytes a key of this length occupies when stored

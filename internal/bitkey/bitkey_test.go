@@ -2,9 +2,26 @@ package bitkey
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// String renders the key as a binary string, most significant bit first,
+// matching the paper's tables (e.g. "00011"); the tests' failure messages
+// and fixtures read keys this way.
+func (k Key) String() string {
+	var sb strings.Builder
+	sb.Grow(k.n)
+	for p := k.n; p >= 1; p-- {
+		if k.Bit(p) {
+			sb.WriteByte('1')
+		} else {
+			sb.WriteByte('0')
+		}
+	}
+	return sb.String()
+}
 
 func TestNewAndSet(t *testing.T) {
 	k := New(5)

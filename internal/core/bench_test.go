@@ -21,8 +21,8 @@ const (
 	fleetTrainPeriods = 10
 	// Periods a model absorbs before it is reset. Over the first six no
 	// kind mints a region; the seventh mints 47 for the Bike object (4 144
-	// rules inserted by one Extend), a cost of the tree's insert and not of
-	// the re-evaluation this benchmark tracks.
+	// rules inserted by one Extend), a cost of the tree's insert and the
+	// minted replay that BenchmarkExtendFleet's minted variant times alone.
 	fleetExtendDays = 6
 )
 
@@ -43,10 +43,10 @@ func fleetSubs(tb testing.TB, kind datagen.Kind, period, n int) []trajectory.Sub
 }
 
 // fleetModel trains one fleet-shaped object and returns its saved stream
-// with the days that follow the training cut.
+// with the fleetExtendDays+1 days that follow the training cut.
 func fleetModel(b *testing.B, kind datagen.Kind) ([]byte, []trajectory.SubTrajectory) {
 	b.Helper()
-	subs := fleetSubs(b, kind, fleetPeriod, fleetTrainPeriods+fleetExtendDays)
+	subs := fleetSubs(b, kind, fleetPeriod, fleetTrainPeriods+fleetExtendDays+1)
 	m, err := TrainSubTrajectories(subs[:fleetTrainPeriods], Params{Period: fleetPeriod})
 	if err != nil {
 		b.Fatal(err)
@@ -168,16 +168,21 @@ func BenchmarkSeedMiner(b *testing.B) {
 // queries. The served variant also answers, on the clock, one PredictBatch
 // at the fleet index's six horizons (k = 1) after every Extend, the way a
 // served object's index refresh does: it rebuilds the ranked lists the
-// Extend dropped that its backward queries read.
+// Extend dropped that its backward queries read. The minted variant times
+// the period the others reset before, the seventh, which mints regions
+// from the outliers the first six buffered (47 for Bike), replays their
+// visitors' chains through the miner and inserts what they promote; the
+// six before it run off the clock. regions and inserted are what it did.
 func BenchmarkExtendFleet(b *testing.B) {
-	for _, served := range []bool{false, true} {
+	for _, variant := range []string{"", "served/", "minted/"} {
 		for _, kind := range datagen.Kinds {
-			name := fmt.Sprint(kind)
-			if served {
-				name = "served/" + name
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(variant+fmt.Sprint(kind), func(b *testing.B) {
 				stream, days := fleetModel(b, kind)
+				if variant == "minted/" {
+					benchmarkMinted(b, stream, days)
+					return
+				}
+				days = days[:fleetExtendDays]
 				recent := servedRecent(b, kind)
 				now := recent[len(recent)-1].T
 				tqs := make([]int, len(spatial.DefaultHorizons))
@@ -197,7 +202,7 @@ func BenchmarkExtendFleet(b *testing.B) {
 					if _, err := m.Extend(days[i%len(days) : i%len(days)+1]); err != nil {
 						b.Fatal(err)
 					}
-					if served {
+					if variant == "served/" {
 						if _, err := m.PredictBatch(recent, tqs, 1); err != nil {
 							b.Fatal(err)
 						}
@@ -206,6 +211,32 @@ func BenchmarkExtendFleet(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchmarkMinted is BenchmarkExtendFleet's minted variant: each
+// iteration loads and seeds the model and extends it by the first
+// len(days)-1 days, one at a time, off the clock, then times the last.
+func benchmarkMinted(b *testing.B, stream []byte, days []trajectory.SubTrajectory) {
+	var res ExtendResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := loadFleetModel(b, stream)
+		m.seedMiner()
+		for d := range days[:len(days)-1] {
+			if _, err := m.Extend(days[d : d+1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		var err error
+		if res, err = m.Extend(days[len(days)-1:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.NewRegions), "regions")
+	b.ReportMetric(float64(res.NewPatterns), "inserted")
 }
 
 // servedRecent is the recent window an index refresh reads at the training

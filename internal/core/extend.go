@@ -116,11 +116,12 @@ func (m *Model) seedMiner() {
 	m.reconcile(m.miner.Seed())
 }
 
-// reconcile binds the engine's live set to the freshly seeded miner by
-// lookup: every live ref is bound to the miner's rule of its table row — the
-// premise, then the consequence, which is ascending time offset, the order
-// the miner indexes an itemset by — a ref that finds none is removed, and
-// the seeded rules left unbound are inserted. After batch training or a
+// reconcile binds the engine's live set to the freshly seeded miner: every
+// live ref is bound to the miner's rule of its table row — the premise,
+// then the consequence, which is ascending time offset, the path down the
+// miner's tree — a ref that finds none is removed, and the seeded rules
+// left unbound are inserted. From here on the miner reads what a rule last
+// emitted from the engine's row its ref names. After batch training or a
 // clean load nothing is removed or inserted; the reconcile only repairs
 // drift if the two ever diverge.
 func (m *Model) reconcile(seeded pattern.Delta) {
@@ -144,6 +145,7 @@ func (m *Model) reconcile(seeded pattern.Delta) {
 			updated = append(updated, update{ref, support, conf})
 		}
 	}
+	m.miner.UseRows(m.engine.Rules())
 	m.engine.UpdatePatterns(len(updated), func(i int) (int, float64, int) {
 		return updated[i].ref, updated[i].conf, updated[i].support
 	})

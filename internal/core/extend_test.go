@@ -113,3 +113,26 @@ func TestExtendIdempotentOnReplays(t *testing.T) {
 		t.Errorf("replay created %d new patterns out of %d", res.NewPatterns, before)
 	}
 }
+
+// TestMinerBytesPerItemset ratchets what a seeded miner holds per tracked
+// itemset at the harness fleet's shape: a Bike object trained on ten
+// periods of sixty, seeded as its first Extend seeds it. The itemset tree
+// keeps a 28-byte slot per itemset and per region root, and no copy of a
+// rule's confidence or support; a slot index and an id arena beside the
+// slots held 71.3 bytes an itemset.
+func TestMinerBytesPerItemset(t *testing.T) {
+	const budget = 32
+	subs := fleetSubs(t, datagen.Bike, fleetPeriod, fleetTrainPeriods)
+	m, err := TrainSubTrajectories(subs, Params{Period: fleetPeriod})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.seedMiner()
+	n, _ := m.MinerItemsets()
+	if n == 0 {
+		t.Fatal("the seeded miner tracks no itemset")
+	}
+	if per := float64(m.MinerBytes()) / float64(n); per > budget {
+		t.Fatalf("the seeded miner holds %d bytes for %d itemsets, %.1f an itemset; the budget is %d", m.MinerBytes(), n, per, budget)
+	}
+}

@@ -434,6 +434,7 @@ func identityReconcile(m *Model, seeded pattern.Delta) {
 			updated = append(updated, update{ref, support, conf})
 		}
 	}
+	m.miner.UseRows(m.engine.Rules())
 	m.engine.UpdatePatterns(len(updated), func(i int) (int, float64, int) {
 		return updated[i].ref, updated[i].conf, updated[i].support
 	})

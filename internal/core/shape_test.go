@@ -109,7 +109,7 @@ func checkLeaves(t *testing.T, m *Model) int {
 		leaves++
 		k := m.encoder.Encode(m.engine.Pattern(ref))
 		if !m.engine.IsLive(ref) || !slices.Equal(k.CK.Ones(), []int{tid + 1}) || !k.RK.Equal(rk) {
-			t.Fatalf("leaf of ref %d: time id %d premise %s, its pattern encodes to %s", ref, tid, rk, k)
+			t.Fatalf("leaf of ref %d: time id %d premise %v, its pattern encodes to %v", ref, tid, rk.Ones(), k)
 		}
 		return true
 	})

@@ -695,14 +695,15 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 		l := e.rankedAt(off)
 		tau := tab[l.tid]
 		taken := 0
-		for _, r := range l.entries {
+		for _, ref := range l.entries {
 			if taken >= k {
 				break
 			}
-			if len(visited) > 0 && e.sharesRegion(int(r.ref), qrk) {
+			if len(visited) > 0 && e.sharesRegion(int(ref), qrk) {
 				continue // scored above
 			}
-			cands = append(cands, candidate{score: tau * r.conf, conf: r.conf, ref: int(r.ref)})
+			conf := e.rules.Confidence(int(ref))
+			cands = append(cands, candidate{score: tau * conf, conf: conf, ref: int(ref)})
 			taken++
 		}
 	}
@@ -716,11 +717,11 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 // assigned.
 type rankedList struct {
 	tid     int
-	entries []rankEntry
+	entries []int32
 }
 
-// rankEntry is one live pattern of an offset's ranked list; conf is the same
-// float the pattern's table row holds.
+// rankEntry is what a build sorts: one live pattern of an offset's ranked
+// list with the confidence its table row holds.
 type rankEntry struct {
 	conf float64
 	ref  int32
@@ -797,17 +798,27 @@ func (e *Engine) rankedAt(off int) *rankedList {
 		return l
 	}
 	tid, _ := e.enc.ConsequenceTable().TimeID(off)
-	l := &rankedList{tid: tid, entries: make([]rankEntry, 0, e.liveAt[off])}
 	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
 	q.CK.Set(tid + 1)
+	scratch := rankScratch.Get().(*[]rankEntry)
+	sorted := (*scratch)[:0]
 	e.tree.SearchConsequence(q, func(ref, _ int, _ bitkey.Key) bool {
-		l.entries = append(l.entries, rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
+		sorted = append(sorted, rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
 		return true
 	})
-	sortRanked(l.entries)
+	sortRanked(sorted)
+	l := &rankedList{tid: tid, entries: make([]int32, len(sorted))}
+	for i, r := range sorted {
+		l.entries[i] = r.ref
+	}
+	*scratch = sorted
+	rankScratch.Put(scratch)
 	e.ranked[off].Store(l)
 	return l
 }
+
+// rankScratch holds the (confidence, ref) pairs ranked-list builds sort.
+var rankScratch = sync.Pool{New: func() any { return new([]rankEntry) }}
 
 // sharesRegion reports whether ref's premise names a region set in qrk —
 // the tree's intersect predicate, read from the pattern instead of its key.

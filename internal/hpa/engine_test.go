@@ -353,22 +353,22 @@ func TestConsequenceWindowKeyWrapAround(t *testing.T) {
 	// Window [98, 102] wraps past the top: offsets 1 and 2 are inside.
 	k := consequenceWindowKey(ct, 0, 2, 100)
 	if k.Size() != 2 {
-		t.Errorf("wrap-high window key = %s, want both bits", k)
+		t.Errorf("wrap-high window key = %v, want both bits", k.Ones())
 	}
 	// Window [-1, 3] wraps below zero: offsets 1 and 2 inside.
 	k = consequenceWindowKey(ct, 1, 2, 100)
 	if k.Size() != 2 {
-		t.Errorf("wrap-low window key = %s, want both bits", k)
+		t.Errorf("wrap-low window key = %v, want both bits", k.Ones())
 	}
 	// Window radius covering the whole period short-circuits.
 	k = consequenceWindowKey(ct, 50, 60, 100)
 	if k.Size() != 2 {
-		t.Errorf("full-period window key = %s, want both bits", k)
+		t.Errorf("full-period window key = %v, want both bits", k.Ones())
 	}
 	// A window nowhere near the consequences is empty.
 	k = consequenceWindowKey(ct, 50, 3, 100)
 	if !k.IsZero() {
-		t.Errorf("far window key = %s, want zero", k)
+		t.Errorf("far window key = %v, want zero", k.Ones())
 	}
 }
 

@@ -211,7 +211,11 @@ func checkRanked(t *testing.T, e *Engine) {
 			}
 			return w[i].ref < w[j].ref
 		})
-		if len(l.entries) != len(w) || (len(w) > 0 && !reflect.DeepEqual(l.entries, w)) {
+		refs := make([]int32, len(w))
+		for i, r := range w {
+			refs[i] = r.ref
+		}
+		if !slices.Equal(l.entries, refs) {
 			t.Fatalf("offset %d ranked %v\nfrom the tree %v", off, l.entries, w)
 		}
 		if tid, ok := e.enc.ConsequenceTable().TimeID(off); !ok || tid != l.tid {
@@ -478,8 +482,8 @@ func sweepEvery(t *testing.T, e *Engine, stride int) {
 // rankedRefs lists the refs of one offset's ranked list in order.
 func rankedRefs(e *Engine, off int) []int {
 	var refs []int
-	for _, r := range e.rankedAt(off).entries {
-		refs = append(refs, int(r.ref))
+	for _, ref := range e.rankedAt(off).entries {
+		refs = append(refs, int(ref))
 	}
 	return refs
 }

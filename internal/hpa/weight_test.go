@@ -179,7 +179,7 @@ func TestPremiseSimilarityMatchesOnes(t *testing.T) {
 		for _, w := range []WeightFunc{WeightLinear, WeightQuadratic, WeightExponential, WeightFactorial} {
 			got, want := PremiseSimilarity(rk, rkq, w), refPremiseSimilarity(rk, rkq, w)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s rk=%s rkq=%s: %v, Ones-based %v", w, rk, rkq, got, want)
+				t.Fatalf("%s rk=%v rkq=%v: %v, Ones-based %v", w, rk.Ones(), rkq.Ones(), got, want)
 			}
 		}
 	}

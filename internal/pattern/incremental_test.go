@@ -19,20 +19,25 @@ func ruleIdentity(p Pattern) IdentityKey {
 }
 
 // ruleBook is the test's stand-in for the model's engine: the rules the
-// deltas have built up, by identity, each named to the miner by a tag the
-// way the engine names them by ref.
+// deltas have built up, by identity, and a table of them that names each to
+// the miner by its row, the way the engine names them by ref.
 type ruleBook struct {
 	rules map[IdentityKey]Pattern
-	tags  []IdentityKey // tag -> the identity it was issued for
+	table *Table
+	tags  []IdentityKey // row -> the identity it was issued for
 }
 
-func newRuleBook() *ruleBook { return &ruleBook{rules: make(map[IdentityKey]Pattern)} }
+func newRuleBook() *ruleBook {
+	return &ruleBook{rules: make(map[IdentityKey]Pattern), table: NewTable(0, 0)}
+}
 
 // applyDelta folds a Delta into the rule book, checking its internal
 // consistency: removals name live rules, additions are genuinely new
-// (after removals apply), updates touch existing rules.
+// (after removals apply), updates touch existing rules and change what
+// their row holds.
 func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 	t.Helper()
+	m.UseRows(book.table)
 	rules := book.rules
 	named := func(tag int, what string) IdentityKey {
 		if tag < 0 || tag >= len(book.tags) {
@@ -65,7 +70,8 @@ func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 			t.Fatalf("delta re-added live rule %v", p)
 		}
 		rules[key] = p
-		m.SetTag(d.Added[i], len(book.tags))
+		m.SetTag(d.Added[i], book.table.Len())
+		book.table.Append(p)
 		book.tags = append(book.tags, key)
 	}
 	for _, s := range d.Updated {
@@ -75,8 +81,12 @@ func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 		if !ok {
 			t.Fatalf("delta updated unknown rule %v", key)
 		}
+		if conf == book.table.Confidence(tag) && support == book.table.Support(tag) {
+			t.Fatalf("delta updated rule %v to the confidence %g and support %d its row holds", key, conf, support)
+		}
 		p.Confidence, p.Support = conf, support
 		rules[key] = p
+		book.table.Set(tag, conf, support)
 	}
 }
 
@@ -118,11 +128,13 @@ func checkEquivalent(t *testing.T, rt *RegionTable, cfg Config, m *IncrementalMi
 	}
 }
 
-// check verifies the slab layout against first principles: every tracked
-// slot's support is the popcount of its regions' ANDed bitmaps, every
-// dependents list holds exactly the tracked itemsets with that premise,
-// free slots carry no flag, tag or link, and the index holds exactly the
-// live slots.
+// check verifies the tree against first principles: roots name exactly
+// the region slots, each a ghost heading a list; every child's premise is
+// its parent, one region longer and ending at a later offset; each list
+// holds exactly its premise's tracked dependents, so every tracked slot is
+// reached once from the roots; every tracked slot's support is the popcount
+// of its regions' ANDed bitmaps; no slot keeps a pass's bits; and free
+// slots carry nothing.
 func (m *IncrementalMiner) check() error {
 	free := make(map[int32]bool, len(m.free))
 	for _, s := range m.free {
@@ -131,107 +143,87 @@ func (m *IncrementalMiner) check() error {
 		}
 		free[s] = true
 	}
-	live, tracked := 0, 0
-	dependents := make(map[int32][]int32) // premise slot -> tracked slots naming it
+	freeSlot := slot{tag: NoTag, prem: noSlot, head: noSlot, next: noSlot}
+	live := 0
 	for i := range m.slots {
 		s, sl := int32(i), &m.slots[i]
-		linked := sl.prem != noSlot || sl.next != noSlot || sl.prev != noSlot
-		if sl.n == 0 {
-			if !free[s] {
-				return fmt.Errorf("empty slot %d is not on the free list", s)
-			}
-			if sl.flags != 0 || sl.tag != NoTag || linked || sl.head != noSlot {
-				return fmt.Errorf("free slot %d still carries %+v", s, *sl)
-			}
-			continue
-		}
-		if free[s] {
+		switch {
+		case sl.n == 0 && !free[s]:
+			return fmt.Errorf("empty slot %d is not on the free list", s)
+		case sl.n == 0 && *sl != freeSlot:
+			return fmt.Errorf("free slot %d still carries %+v", s, *sl)
+		case sl.n != 0 && free[s]:
 			return fmt.Errorf("live slot %d is on the free list", s)
-		}
-		live++
-		ids := m.idsOf(s)
-		for i := 1; i < len(ids); i++ {
-			if m.rt.Region(ids[i-1]).Offset >= m.rt.Region(ids[i]).Offset {
-				return fmt.Errorf("slot %d holds %v, not in ascending time offset", s, ids)
+		case sl.n != 0:
+			live++
+			if sl.flags&(slotQueued|slotFresh) != 0 {
+				return fmt.Errorf("slot %d keeps a pass's bits: %+v", s, *sl)
 			}
 		}
-		if got, ok := m.lookup(ids); !ok || got != s {
-			return fmt.Errorf("slot %d (%v) is indexed at %d (%v)", s, ids, got, ok)
+	}
+	if len(m.roots) != m.rt.Len() {
+		return fmt.Errorf("%d roots for %d regions", len(m.roots), m.rt.Len())
+	}
+	reached, tracked := 0, 0
+	var ids [MaxIdentityLen]RegionID
+	var walk func(p int32, n int) error
+	walk = func(p int32, n int) error {
+		for c := m.slots[p].head; c != noSlot; c = m.slots[c].next {
+			sl := &m.slots[c]
+			if reached++; reached > live {
+				return fmt.Errorf("the lists reach more than the %d live slots", live)
+			}
+			if sl.prem != p || int(sl.n) != n+1 || free[c] {
+				return fmt.Errorf("slot %d on the list of %d names premise %d at length %d", c, p, sl.prem, sl.n)
+			}
+			if sl.flags&slotTracked == 0 {
+				return fmt.Errorf("ghost slot %d is on the list of %d", c, p)
+			}
+			ids[n] = sl.last
+			itemset := ids[:n+1]
+			if m.rt.Region(ids[n-1]).Offset >= m.rt.Region(sl.last).Offset {
+				return fmt.Errorf("slot %d holds %v, not in ascending time offset", c, itemset)
+			}
+			if got := m.idsOf(c, make([]RegionID, 0, MaxIdentityLen)); !slices.Equal(got, itemset) {
+				return fmt.Errorf("slot %d reads back %v, it sits at %v", c, got, itemset)
+			}
+			tracked++
+			if sup := bitmapSupport(m.rt, itemset); int(sl.support) != sup || sup < m.cfg.MinSupport {
+				return fmt.Errorf("slot %d (%v) holds support %d, bitmaps say %d (floor %d)",
+					c, itemset, sl.support, sup, m.cfg.MinSupport)
+			}
+			if sl.flags&slotActive == 0 && sl.tag != NoTag {
+				return fmt.Errorf("slot %d (%v) emits no rule and is named %d", c, itemset, sl.tag)
+			}
+			if err := walk(c, n+1); err != nil {
+				return err
+			}
 		}
-		if sl.flags&slotTracked == 0 {
-			if sl.flags != 0 || sl.tag != NoTag || linked {
-				return fmt.Errorf("ghost slot %d (%v) still carries %+v", s, ids, *sl)
-			}
-			if sl.head == noSlot {
-				return fmt.Errorf("ghost slot %d (%v) heads no list and was not released", s, ids)
-			}
+		return nil
+	}
+	for r, root := range m.roots {
+		if root == noSlot {
 			continue
 		}
-		tracked++
-		if sup := bitmapSupport(m.rt, ids); int(sl.support) != sup || sup < m.cfg.MinSupport {
-			return fmt.Errorf("slot %d (%v) holds support %d, bitmaps say %d (floor %d)",
-				s, ids, sl.support, sup, m.cfg.MinSupport)
+		if root < 0 || int(root) >= len(m.slots) || free[root] {
+			return fmt.Errorf("region %d names root slot %d, which is free or out of range", r, root)
 		}
-		if p, ok := m.lookup(ids[:len(ids)-1]); !ok || p != sl.prem {
-			return fmt.Errorf("slot %d (%v) names premise slot %d, index says %d (%v)", s, ids, sl.prem, p, ok)
+		sl := &m.slots[root]
+		if sl.n != 1 || sl.last != RegionID(r) || sl.prem != noSlot || sl.next != noSlot ||
+			sl.flags != 0 || sl.tag != NoTag || sl.support != 0 {
+			return fmt.Errorf("region %d names root slot %d, which holds %+v", r, root, *sl)
 		}
-		if len(ids) > 2 && m.slots[sl.prem].flags&slotTracked == 0 {
-			return fmt.Errorf("slot %d (%v) is tracked and its premise is not", s, ids)
+		if sl.head == noSlot {
+			return fmt.Errorf("root slot %d of region %d heads no list and was not released", root, r)
 		}
-		dependents[sl.prem] = append(dependents[sl.prem], s)
-	}
-	if live != m.index.live || tracked != m.tracked {
-		return fmt.Errorf("%d live slots (%d tracked) under %d index entries (%d counted)",
-			live, tracked, m.index.live, m.tracked)
-	}
-	if err := m.checkIndex(); err != nil {
-		return err
-	}
-	for i := range m.slots {
-		var list []int32
-		for s, prev := m.slots[i].head, noSlot; s != noSlot; prev, s = s, m.slots[s].next {
-			if m.slots[s].prev != prev || len(list) > len(m.slots) {
-				return fmt.Errorf("dependents list of slot %d is broken at %d", i, s)
-			}
-			list = append(list, s)
-		}
-		want := dependents[int32(i)]
-		slices.Sort(list)
-		if !slices.Equal(list, want) {
-			return fmt.Errorf("slot %d lists dependents %v, the tracked itemsets naming it are %v", i, list, want)
+		reached++
+		ids[0] = RegionID(r)
+		if err := walk(root, 1); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-// checkIndex walks the index's entries: each names a live slot under the
-// fingerprint of that slot's itemset, no slot twice, and lies on its own
-// probe path (no free entry between its home and it), the table is at most
-// 3/4 full, and its count is the entries it holds.
-func (m *IncrementalMiner) checkIndex() error {
-	x := &m.index
-	seen := make(map[int32]bool, x.live)
-	full := 0
-	for i, e := range x.entries {
-		if e.fp == 0 {
-			continue
-		}
-		full++
-		if e.slot < 0 || int(e.slot) >= len(m.slots) || m.slots[e.slot].n == 0 || seen[e.slot] {
-			return fmt.Errorf("index entry %d names slot %d, which is free, out of range or named twice", i, e.slot)
-		}
-		seen[e.slot] = true
-		if fp := fingerprint(m.idsOf(e.slot)); fp != e.fp {
-			return fmt.Errorf("index entry %d holds slot %d under fingerprint %#x, its itemset's is %#x", i, e.slot, e.fp, fp)
-		}
-		for j := x.home(e.fp); j != i; j = x.next(j) {
-			if x.entries[j].fp == 0 {
-				return fmt.Errorf("index entry %d (home %d) lies past free entry %d", i, x.home(e.fp), j)
-			}
-		}
-	}
-	if full != x.live || 4*full > 3*len(x.entries) {
-		return fmt.Errorf("index holds %d entries, counts %d, in a table of %d", full, x.live, len(x.entries))
+	if reached != live || tracked != m.tracked {
+		return fmt.Errorf("the roots reach %d of %d live slots, %d tracked (%d counted)", reached, live, tracked, m.tracked)
 	}
 	return nil
 }
@@ -287,12 +279,10 @@ type trackedItemset struct {
 // trackedState maps every itemset m tracks to its support and its premise.
 func trackedState(m *IncrementalMiner) map[IdentityKey]trackedItemset {
 	out := make(map[IdentityKey]trackedItemset, m.tracked)
-	for _, e := range m.index.entries {
-		if e.fp == 0 {
-			continue
-		}
-		if sl := &m.slots[e.slot]; sl.flags&slotTracked != 0 {
-			out[identityOf(m.idsOf(e.slot))] = trackedItemset{sl.support, identityOf(m.idsOf(sl.prem))}
+	buf := make([]RegionID, 0, MaxIdentityLen)
+	for s := range m.slots {
+		if sl := &m.slots[s]; sl.flags&slotTracked != 0 {
+			out[identityOf(m.idsOf(int32(s), buf))] = trackedItemset{sl.support, identityOf(m.idsOf(sl.prem, buf))}
 		}
 	}
 	return out

@@ -103,14 +103,14 @@ func TestRegionKeysMatchPaperTableI(t *testing.T) {
 	rt := janeTable(t)
 	want := []string{"00001", "00010", "00100", "01000", "10000"}
 	for id, s := range want {
-		if got := rt.RegionKey(RegionID(id)).String(); got != s {
+		if got := keyBits(rt.RegionKey(RegionID(id))); got != s {
 			t.Errorf("region key %d = %s, want %s", id, got, s)
 		}
 	}
-	if got := rt.PremiseKey([]RegionID{0, 1}).String(); got != "00011" {
+	if got := keyBits(rt.PremiseKey([]RegionID{0, 1})); got != "00011" {
 		t.Errorf("premise key R0^0^R1^0 = %s, want 00011", got)
 	}
-	if got := rt.PremiseKey([]RegionID{0, 2}).String(); got != "00101" {
+	if got := keyBits(rt.PremiseKey([]RegionID{0, 2})); got != "00101" {
 		t.Errorf("premise key R0^0^R1^1 = %s, want 00101", got)
 	}
 }
@@ -276,10 +276,10 @@ func TestConsequenceTableMatchesPaperTableII(t *testing.T) {
 	if _, ok := ct.TimeID(0); ok {
 		t.Error("offset 0 must not be a consequence offset")
 	}
-	if got := ct.Key(1).String(); got != "01" {
+	if got := keyBits(ct.Key(1)); got != "01" {
 		t.Errorf("Key(1) = %s, want 01", got)
 	}
-	if got := ct.Key(2).String(); got != "10" {
+	if got := keyBits(ct.Key(2)); got != "10" {
 		t.Errorf("Key(2) = %s, want 10", got)
 	}
 }
@@ -311,19 +311,19 @@ func TestEncoderMatchesPaperTableIII(t *testing.T) {
 
 // keyString renders a pattern key in the paper's notation, consequence
 // part first (Table III).
-func keyString(k bitkey.PatternKey) string { return k.CK.String() + k.RK.String() }
+func keyString(k bitkey.PatternKey) string { return keyBits(k.CK) + keyBits(k.RK) }
 
 func TestConsequenceKeyRange(t *testing.T) {
 	rt := janeTable(t)
 	patterns := Mine(rt, Config{MinSupport: 2, MinConfidence: 0.3})
 	ct := NewConsequenceTable(rt, patterns)
-	if got := ct.KeyRange(0, 5).String(); got != "11" {
+	if got := keyBits(ct.KeyRange(0, 5)); got != "11" {
 		t.Errorf("KeyRange(0,5) = %s, want 11", got)
 	}
-	if got := ct.KeyRange(2, 2).String(); got != "10" {
+	if got := keyBits(ct.KeyRange(2, 2)); got != "10" {
 		t.Errorf("KeyRange(2,2) = %s, want 10", got)
 	}
-	if got := ct.KeyRange(3, 9).String(); got != "00" {
+	if got := keyBits(ct.KeyRange(3, 9)); got != "00" {
 		t.Errorf("KeyRange(3,9) = %s, want 00", got)
 	}
 }

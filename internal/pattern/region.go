@@ -54,11 +54,6 @@ type FrequentRegion struct {
 	visitors bitkey.Key
 }
 
-// String implements fmt.Stringer using the paper's R_t^j notation.
-func (fr *FrequentRegion) String() string {
-	return fmt.Sprintf("R_%d^%d", fr.Offset, fr.Index)
-}
-
 // RegionTable is the region-key table of §V-A: every frequent region sorted
 // by time offset with a dense id, plus the per-offset index needed to map a
 // query location back to the region it falls in.

@@ -9,6 +9,25 @@ import (
 
 // Readers of a region table and of a rule that only tests call.
 
+// String implements fmt.Stringer using the paper's R_t^j notation.
+func (fr *FrequentRegion) String() string {
+	return fmt.Sprintf("R_%d^%d", fr.Offset, fr.Index)
+}
+
+// keyBits renders a key as a binary string, most significant bit first,
+// matching the paper's tables (e.g. "00011").
+func keyBits(k bitkey.Key) string {
+	var sb strings.Builder
+	for p := k.Len(); p >= 1; p-- {
+		if k.Bit(p) {
+			sb.WriteByte('1')
+		} else {
+			sb.WriteByte('0')
+		}
+	}
+	return sb.String()
+}
+
 // Regions returns all frequent regions ordered by id. Callers must not
 // mutate the slice.
 func (rt *RegionTable) Regions() []*FrequentRegion { return rt.regions }

@@ -70,6 +70,9 @@ func (t *Table) Consequence(i int) RegionID { return RegionID(t.conseqs[i]) }
 // Confidence returns row i's confidence.
 func (t *Table) Confidence(i int) float64 { return t.confs[i] }
 
+// Support returns row i's support.
+func (t *Table) Support(i int) int { return int(t.supports[i]) }
+
 // Set rewrites row i's confidence and support; its itemset does not change.
 func (t *Table) Set(i int, conf float64, support int) {
 	t.confs[i], t.supports[i] = conf, int32(support)

@@ -72,7 +72,7 @@ func requireSame(t *testing.T, ref *refTree, tree *Tree, queries []bitkey.Patter
 	}
 	for i := range want {
 		if got[i].Ref != want[i].Ref || !keyEqual(got[i].Key, want[i].Key) {
-			t.Fatalf("All()[%d] = ref %d key %s, reference ref %d key %s",
+			t.Fatalf("All()[%d] = ref %d key %v, reference ref %d key %v",
 				i, got[i].Ref, got[i].Key, want[i].Ref, want[i].Key)
 		}
 	}

@@ -35,7 +35,7 @@ func requireLoadOrder(t *testing.T, ckLen, rkLen int, items []Item) {
 	}
 	for i := range want {
 		if got[i].Ref != want[i].Ref || !keyEqual(got[i].Key, want[i].Key) {
-			t.Fatalf("position %d of %d: ref %d key %s, comparison order ref %d key %s",
+			t.Fatalf("position %d of %d: ref %d key %v, comparison order ref %d key %v",
 				i, len(want), got[i].Ref, got[i].Key, want[i].Ref, want[i].Key)
 		}
 	}

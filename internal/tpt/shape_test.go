@@ -74,7 +74,7 @@ func requireRebuilds(t *testing.T, ref *refTree, tree *Tree, alive []Item, opts 
 	}
 	for i := range a {
 		if int(rank[int32(a[i].Ref)]) != b[i].Ref || !keyEqual(a[i].Key, b[i].Key) {
-			t.Fatalf("leaf position %d: loaded ref %d key %s, live ref %d (rank %d) key %s",
+			t.Fatalf("leaf position %d: loaded ref %d key %v, live ref %d (rank %d) key %v",
 				i, b[i].Ref, b[i].Key, a[i].Ref, rank[int32(a[i].Ref)], a[i].Key)
 		}
 	}

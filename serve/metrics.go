@@ -42,7 +42,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hpm_miner_seed_seconds_total", "Cumulative wall-clock seconds those seedings took, within the extends' own.", fs.MinerSeedSeconds)
 	gauge("hpm_miners", "Objects whose model holds a seeded incremental miner.", fs.Miners)
 	gauge("hpm_miner_itemsets", "Frequent itemsets tracked across the seeded incremental miners.", fs.MinerItemsets)
-	gauge("hpm_miner_bytes", "Bytes the seeded incremental miners' slot slabs, id arenas and indexes hold.", fs.MinerBytes)
+	gauge("hpm_miner_bytes", "Bytes the seeded incremental miners hold between extends: their itemset trees' slot slabs and region roots, free lists and walk scratch.", fs.MinerBytes)
 	gauge("hpm_tree_bytes", "Bytes the trained models' pattern trees hold in their slabs: key words, leaf table rows and child pointers.", fs.TreeBytes)
 
 	counter("hpm_fallback_fits_total", "Motion functions actually fitted by fallback queries (cache misses).", fs.Queries.FallbackFits)

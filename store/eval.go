@@ -94,7 +94,7 @@ type FleetStats struct {
 	// Miners counts the objects whose model holds a seeded incremental
 	// miner (it has run an Extend since it was trained or loaded);
 	// MinerItemsets sums the frequent itemsets those miners track, and
-	// MinerBytes what their slot slabs, id arenas and indexes hold.
+	// MinerBytes what their itemset trees, free lists and walk scratch hold.
 	// MinerSeeds counts the Extends since start that seeded one (the first
 	// after each train or load), MinerSeedSeconds what that took of them.
 	Miners           int     `json:"miners"`
