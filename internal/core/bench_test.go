@@ -167,8 +167,8 @@ func BenchmarkSeedMiner(b *testing.B) {
 // ten-odd periods however long the benchmark runs. The plain variant never
 // queries. The served variant also answers, on the clock, one PredictBatch
 // at the fleet index's six horizons (k = 1) after every Extend, the way a
-// served object's index refresh does: it rebuilds the ranked lists the
-// Extend dropped that its backward queries read. The minted variant times
+// served object's index refresh does: it re-ranks the ranked lists the
+// Extend marked stale that its backward queries read. The minted variant times
 // the period the others reset before, the seventh, which mints regions
 // from the outliers the first six buffered (47 for Bike), replays their
 // visitors' chains through the miner and inserts what they promote; the

@@ -280,11 +280,11 @@ func overcountedStream(stream []byte) []byte {
 	return resetUvarint(stream, bytes.Index(stream, []byte("HPMP"))+4, func(uint64) uint64 { return uint64(len(stream)) })
 }
 
-// rowStream returns a fleet-shaped Bike model's stream with one more rule:
-// pick chooses its regions from one region per offset, ascending, and the
-// rule's premise is what it returns but the last, in that order, its
-// consequence the last.
-func rowStream(tb testing.TB, pick func(byOffset []pattern.RegionID) []pattern.RegionID) []byte {
+// rowStream returns a fleet-shaped Bike model's stream with one more rule
+// of confidence conf: pick chooses its regions from one region per offset,
+// ascending, and the rule's premise is what it returns but the last, in
+// that order, its consequence the last.
+func rowStream(tb testing.TB, conf float64, pick func(byOffset []pattern.RegionID) []pattern.RegionID) []byte {
 	tb.Helper()
 	m, err := TrainSubTrajectories(fleetSubs(tb, datagen.Bike, fleetPeriod, fleetTrainPeriods), Params{Period: fleetPeriod})
 	if err != nil {
@@ -297,7 +297,7 @@ func rowStream(tb testing.TB, pick func(byOffset []pattern.RegionID) []pattern.R
 		}
 	}
 	ids := pick(byOffset)
-	m.engine.InsertPatterns([]pattern.Pattern{{Premise: ids[:len(ids)-1], Consequence: ids[len(ids)-1], Confidence: 0.5, Support: 2}})
+	m.engine.InsertPatterns([]pattern.Pattern{{Premise: ids[:len(ids)-1], Consequence: ids[len(ids)-1], Confidence: conf, Support: 2}})
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		tb.Fatal(err)
@@ -309,15 +309,22 @@ func rowStream(tb testing.TB, pick func(byOffset []pattern.RegionID) []pattern.R
 // allows by default and the eight an itemset's identity holds: the decoder
 // once accepted it, and the model's first Extend panicked.
 func longRuleStream(tb testing.TB) []byte {
-	return rowStream(tb, func(ids []pattern.RegionID) []pattern.RegionID { return ids[:10] })
+	return rowStream(tb, 0.5, func(ids []pattern.RegionID) []pattern.RegionID { return ids[:10] })
 }
 
 // unorderedRuleStream holds a rule of three regions whose premise descends
 // in time offset.
 func unorderedRuleStream(tb testing.TB) []byte {
-	return rowStream(tb, func(ids []pattern.RegionID) []pattern.RegionID {
+	return rowStream(tb, 0.5, func(ids []pattern.RegionID) []pattern.RegionID {
 		return []pattern.RegionID{ids[1], ids[0], ids[2]}
 	})
+}
+
+// confidenceStream holds a rule of two regions with confidence conf. The
+// decoder once accepted any float there, though BQP stops reading ranked
+// lists on the bound that a confidence is at most 1.
+func confidenceStream(tb testing.TB, conf float64) []byte {
+	return rowStream(tb, conf, func(ids []pattern.RegionID) []pattern.RegionID { return ids[:2] })
 }
 
 // zeroSupportStream returns a fleet-shaped Bike model's stream with its
@@ -346,11 +353,12 @@ func zeroSupportStream(tb testing.TB) []byte {
 
 // TestLoadRefusesRowsSaveNeverWrites: a rule longer than the model's
 // MaxLength, one whose premise does not ascend in time offset before its
-// consequence, and a region whose support is not its visitor bitmap's count
-// are refused where the stream is read. Save writes none of them. The first
-// Extend binds every loaded rule to the miner by its row, which holds only
-// for the rules Save writes, and computes confidences from a region's
-// support and its bitmap as if they agreed.
+// consequence, one whose confidence is above 1, and a region whose support
+// is not its visitor bitmap's count are refused where the stream is read.
+// Save writes none of them. The first Extend binds every loaded rule to the
+// miner by its row, which holds only for the rules Save writes, computes
+// confidences from a region's support and its bitmap as if they agreed,
+// and BQP's stop rule holds only for confidences of at most 1.
 func TestLoadRefusesRowsSaveNeverWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name, refusal string
@@ -359,6 +367,7 @@ func TestLoadRefusesRowsSaveNeverWrites(t *testing.T) {
 		{"ten regions", "past MaxLength 3", longRuleStream(t)},
 		{"premise out of order", "do not ascend in time offset", unorderedRuleStream(t)},
 		{"support off its bitmap", "region 0 has support 0 and", zeroSupportStream(t)},
+		{"confidence above 1", "confidence 1.5, outside [0, 1]", confidenceStream(t, 1.5)},
 	} {
 		if _, _, err := Decode(tc.stream, fleetPeriod); err == nil || !strings.Contains(err.Error(), tc.refusal) {
 			t.Errorf("%s: %v, want a refusal saying %q", tc.name, err, tc.refusal)
@@ -423,7 +432,7 @@ func loadModelSeeds(tb testing.TB) [][]byte {
 	for _, stream := range streams {
 		seeds = append(seeds, farOffsetStream(stream), overcountedStream(stream))
 	}
-	return append(seeds, longRuleStream(tb), unorderedRuleStream(tb), zeroSupportStream(tb))
+	return append(seeds, longRuleStream(tb), unorderedRuleStream(tb), zeroSupportStream(tb), confidenceStream(tb, math.NaN()))
 }
 
 // refReadRules is pattern.ReadRules as it read a rule list before it held
@@ -530,7 +539,7 @@ func TestReadRulesMatchesReferenceOnModels(t *testing.T) {
 		case wantErr != nil && err == nil:
 			t.Errorf("stream %d: accepted what the reference refuses (%v)", n, wantErr)
 		case wantErr == nil && err != nil:
-			if savedRows(want, rt, cfg) || !strings.Contains(err.Error(), "ascend") && !strings.Contains(err.Error(), "MaxLength") {
+			if savedRows(want, rt, cfg) || !strings.Contains(err.Error(), "ascend") && !strings.Contains(err.Error(), "MaxLength") && !strings.Contains(err.Error(), "outside [0, 1]") {
 				t.Errorf("stream %d: refused (%v) what the reference reads to rows Save writes", n, err)
 			}
 			rowRefusals++
@@ -547,7 +556,8 @@ func TestReadRulesMatchesReferenceOnModels(t *testing.T) {
 }
 
 // savedRows reports whether every row of t is one Save writes: at most
-// cfg's MaxLength regions, offsets strictly ascending to the consequence.
+// cfg's MaxLength regions, offsets strictly ascending to the consequence, a
+// confidence in [0, 1].
 func savedRows(t *pattern.Table, rt *pattern.RegionTable, cfg pattern.Config) bool {
 	maxLen := cfg.MaxLength
 	if maxLen <= 0 {
@@ -556,7 +566,7 @@ func savedRows(t *pattern.Table, rt *pattern.RegionTable, cfg pattern.Config) bo
 	maxLen = min(maxLen, pattern.MaxIdentityLen)
 	for i := 0; i < t.Len(); i++ {
 		ids := append(t.Premise(i), t.Consequence(i))
-		if len(ids) > maxLen {
+		if conf := t.Confidence(i); len(ids) > maxLen || !(conf >= 0 && conf <= 1) {
 			return false
 		}
 		for j := 1; j < len(ids); j++ {
@@ -587,6 +597,11 @@ func FuzzLoadModel(f *testing.F) {
 		}
 		if leaves := checkLeaves(t, m); leaves != m.NumPatterns() {
 			t.Fatalf("%d leaf entries for %d patterns", leaves, m.NumPatterns())
+		}
+		for ref, rules := 0, m.engine.Rules(); ref < rules.Len(); ref++ {
+			if conf := rules.Confidence(ref); !(conf >= 0 && conf <= 1) {
+				t.Fatalf("rule %d loaded with confidence %g", ref, conf)
+			}
 		}
 		period := m.Params().Period
 		recent := []trajectory.TimedPoint{{T: period, Loc: geom.Pt(1, 2)}, {T: period + 1, Loc: geom.Pt(2, 3)}, {T: period + 2, Loc: geom.Pt(3, 5)}}

@@ -151,7 +151,8 @@ const (
 // quantify the paper's cost argument: the more patterns answer, the fewer
 // expensive motion-function constructions run. NodesVisited counts query
 // searches only: the search that builds an offset's confidence ranking when
-// BQP needs it is index maintenance, like Insert, and is not counted.
+// BQP needs it is index maintenance, like Insert, and is not counted; the
+// rankings themselves are, by where each came from.
 type QueryStats struct {
 	Queries      int // Predict calls answered
 	Forward      int // answered by FQP
@@ -161,6 +162,8 @@ type QueryStats struct {
 	Unanswered   int // no pattern and no (or failed) fallback
 	NodesVisited int // TPT nodes touched by query searches
 	FallbackFits int // motion functions actually fitted (cache misses)
+	RankBuilds   int // BQP ranked lists built from the tree: an offset's first read
+	RankReranks  int // stale ranked lists re-ranked from their own members
 }
 
 // Add returns the field-wise sum of two counter snapshots — used by callers
@@ -174,6 +177,8 @@ func (s QueryStats) Add(t QueryStats) QueryStats {
 	s.Unanswered += t.Unanswered
 	s.NodesVisited += t.NodesVisited
 	s.FallbackFits += t.FallbackFits
+	s.RankBuilds += t.RankBuilds
+	s.RankReranks += t.RankReranks
 	return s
 }
 
@@ -197,7 +202,8 @@ func (s QueryStats) ByPath(p Path) int {
 // without a lock. Queries is not stored: the five outcome counters
 // partition answered Predict calls, so Stats derives it as their sum and
 // the identity Queries == Forward+Backward+Markov+Fallback+Unanswered
-// holds in every snapshot.
+// holds in every snapshot. The two ranked-list counters are bumped under
+// rankMu, which a query that finds its list current never takes.
 type queryCounters struct {
 	forward      atomic.Int64
 	backward     atomic.Int64
@@ -206,6 +212,8 @@ type queryCounters struct {
 	unanswered   atomic.Int64
 	nodesVisited atomic.Int64
 	fallbackFits atomic.Int64
+	rankBuilds   atomic.Int64
+	rankReranks  atomic.Int64
 }
 
 // Engine answers predictive queries over a mined pattern set indexed in a
@@ -215,10 +223,10 @@ type queryCounters struct {
 // BackwardQuery, EncodeRecent and Stats are safe for any number of
 // concurrent callers — queries read the index and bump atomic counters,
 // and the one thing a query may write, an offset's confidence ranking
-// built when BQP needs it and none is cached, is built once under an
-// internal mutex and published atomically. InsertPatterns, RemovePattern and
-// UpdatePatterns mutate the engine — each drops the ranked lists it makes
-// stale, for the next query to rebuild — and must not run concurrently
+// built or re-ranked when BQP needs it and none is current, is made once
+// under an internal mutex and published atomically. InsertPatterns, RemovePattern and
+// UpdatePatterns mutate the engine — each marks the ranked lists it makes
+// stale, for the next query to re-rank — and must not run concurrently
 // with queries; callers serialize them externally (the store does so under
 // each object's write lock).
 type Engine struct {
@@ -241,8 +249,10 @@ type Engine struct {
 	// offset's live refs by confidence descending, then ref ascending: the
 	// order BQP ranks the hits that share no region with the query, whose
 	// score is the offset's Equation 3 term times confidence. A list is a
-	// cache of the tree: built when a query needs it (under rankMu, so
-	// once) and dropped by any mutator that changes what it would hold.
+	// cache of the tree: built from it when a query first needs the offset
+	// (under rankMu, so once), marked stale by any mutator that changes
+	// what it would hold, and re-ranked from its members by the next query
+	// that reads it.
 	ranked []atomic.Pointer[rankedList]
 	rankMu sync.Mutex
 
@@ -385,6 +395,8 @@ func (e *Engine) Stats() QueryStats {
 		Unanswered:   int(u),
 		NodesVisited: int(e.stats.nodesVisited.Load()),
 		FallbackFits: int(e.stats.fallbackFits.Load()),
+		RankBuilds:   int(e.stats.rankBuilds.Load()),
+		RankReranks:  int(e.stats.rankReranks.Load()),
 	}
 }
 
@@ -644,10 +656,13 @@ func (e *Engine) BackwardQuery(visited []pattern.RegionID, tc, tq, k int) []Pred
 // make the top k are scored. A hit whose premise shares a region with the
 // query is found by the tree's intersect search over the window key and
 // scored by Equation 5 in full. Any other hit has premise similarity 0, so
-// its score is its offset's Equation 3 term times its confidence: within
+// its score is its offset's Equation 3 term τ times its confidence: within
 // one offset such hits rank by confidence, then ref — the offset's ranked
 // list — and the first k of them that share no region are the only ones
-// that can win.
+// that can win. Across offsets, such a hit scores τ·conf ≤ τ, so the lists
+// are read nearest offset first, τ falling, and not at all once τ is below
+// the k-th best score already held (the threshold rule of Fagin, Lotem and
+// Naor's aggregation algorithms).
 func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc, tq, k int) []Prediction {
 	period := e.cfg.Period
 	tqOff := mod(tq, period)
@@ -666,6 +681,10 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 	}
 	scr.timeScore = tab
 	cands := scr.cands[:0]
+	var best kthBest
+	if 0 < k && k <= len(best.top) {
+		best.k = k
+	}
 	var qrk bitkey.Key
 	if len(visited) > 0 {
 		qrk = e.enc.RegionTable().PremiseKey(visited)
@@ -678,19 +697,15 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 			if e.cfg.PenalizePremise {
 				sr = sr * float64(e.cfg.DistantThreshold) / float64(tq-tc)
 			}
-			cands = append(cands, candidate{score: (sr + tab[tid]) * conf, conf: conf, ref: ref})
+			score := (sr + tab[tid]) * conf
+			cands = append(cands, candidate{score: score, conf: conf, ref: ref})
+			best.offer(score)
 			return true
 		})))
 	}
-	// Every offset within radius once; a window of 2·radius+1 ≥ Period
-	// covers each offset of the period.
-	span := min(2*radius+1, period)
-	for i, off := 0, mod(tqOff-radius, period); i < span; i, off = i+1, off+1 {
-		if off == period {
-			off = 0
-		}
+	tail := func(off int) {
 		if e.liveAt[off] == 0 {
-			continue
+			return
 		}
 		l := e.rankedAt(off)
 		tau := tab[l.tid]
@@ -704,19 +719,72 @@ func (e *Engine) backwardQuery(scr *queryScratch, visited []pattern.RegionID, tc
 			}
 			conf := e.rules.Confidence(int(ref))
 			cands = append(cands, candidate{score: tau * conf, conf: conf, ref: int(ref)})
+			best.offer(tau * conf)
 			taken++
+		}
+	}
+	// Distance d holds offsets lo and hi, tqOff ± d, one offset when d is 0
+	// or half the period; no offset is further than half a period away, so
+	// a window of 2·radius+1 ≥ Period reads each offset once. A τ level
+	// with the k-th best score still reads its offsets: an entry that ties
+	// it may win on confidence or ref.
+	for d, lo, hi := 0, tqOff, tqOff; d <= min(radius, period/2); d++ {
+		if best.below(1 - float64(d)/float64(radius+1)) {
+			break
+		}
+		tail(lo)
+		if hi != lo {
+			tail(hi)
+		}
+		if lo--; lo < 0 {
+			lo = period - 1
+		}
+		if hi++; hi == period {
+			hi = 0
 		}
 	}
 	scr.cands = cands
 	return e.topK(cands, k, PathBackward)
 }
 
+// kthBest keeps the best k scores offered, best first, when k fits its
+// buffer; BQP stops reading ranked lists once their τ is below the k-th.
+// With k == 0 it keeps none, and BQP reads every offset of its window.
+type kthBest struct {
+	top  [8]float64
+	n, k int
+}
+
+// offer records one candidate's score.
+func (b *kthBest) offer(s float64) {
+	if b.k == 0 || (b.n == b.k && s <= b.top[b.k-1]) {
+		return
+	}
+	i := min(b.n, b.k-1)
+	for ; i > 0 && b.top[i-1] < s; i-- {
+		b.top[i] = b.top[i-1]
+	}
+	b.top[i] = s
+	b.n = min(b.n+1, b.k)
+}
+
+// below reports whether a score of at most tau ranks behind the k best
+// offered, so cannot be among the top k.
+func (b *kthBest) below(tau float64) bool {
+	return b.k > 0 && b.n == b.k && tau < b.top[b.k-1]
+}
+
 // rankedList is one consequence offset's live refs in BQP's order for hits
 // that share no region with the query: confidence descending, then ref
 // ascending. tid is the offset's time id, which never changes once
-// assigned.
+// assigned. A stale list holds the offset's live refs in no particular
+// order, and may hold retired ones: a mutator marked it, and the next
+// rankedAt re-ranks it. Only mutators, which run apart from queries, write
+// a published list, and rankedAt a stale one's entries, which no query
+// reads.
 type rankedList struct {
 	tid     int
+	stale   bool
 	entries []int32
 }
 
@@ -784,30 +852,46 @@ func sortRanked(s []rankEntry) {
 }
 
 // rankedAt returns the ranked list of a consequence offset that holds a live
-// pattern, building it when no list is cached: on first use, and on the
-// first use after a mutator dropped it. Concurrent queries build a list
-// once: the build runs under rankMu and publishes through the atomic
-// pointer.
+// pattern. An offset's first use builds it from the tree; a list a mutator
+// marked stale is re-ranked from its own members, without a search: retired
+// refs dropped, the others sorted by the confidences their rows now hold.
+// Concurrent queries build or re-rank a list once: the work runs under
+// rankMu and publishes a fresh list through the atomic pointer.
 func (e *Engine) rankedAt(off int) *rankedList {
-	if l := e.ranked[off].Load(); l != nil {
+	if l := e.ranked[off].Load(); l != nil && !l.stale {
 		return l
 	}
 	e.rankMu.Lock()
 	defer e.rankMu.Unlock()
-	if l := e.ranked[off].Load(); l != nil {
-		return l
+	old := e.ranked[off].Load()
+	if old != nil && !old.stale {
+		return old
 	}
-	tid, _ := e.enc.ConsequenceTable().TimeID(off)
-	q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
-	q.CK.Set(tid + 1)
 	scratch := rankScratch.Get().(*[]rankEntry)
 	sorted := (*scratch)[:0]
-	e.tree.SearchConsequence(q, func(ref, _ int, _ bitkey.Key) bool {
-		sorted = append(sorted, rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
-		return true
-	})
+	l := &rankedList{}
+	if old != nil {
+		for _, ref := range old.entries {
+			if !e.dead[ref] {
+				sorted = append(sorted, rankEntry{conf: e.rules.Confidence(int(ref)), ref: ref})
+			}
+		}
+		// No query reads a stale list's entries, so they are rewritten in
+		// place.
+		l.tid, l.entries = old.tid, old.entries[:len(sorted)]
+		e.stats.rankReranks.Add(1)
+	} else {
+		l.tid, _ = e.enc.ConsequenceTable().TimeID(off)
+		q := bitkey.NewPatternKey(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
+		q.CK.Set(l.tid + 1)
+		e.tree.SearchConsequence(q, func(ref, _ int, _ bitkey.Key) bool {
+			sorted = append(sorted, rankEntry{conf: e.rules.Confidence(ref), ref: int32(ref)})
+			return true
+		})
+		l.entries = make([]int32, len(sorted))
+		e.stats.rankBuilds.Add(1)
+	}
 	sortRanked(sorted)
-	l := &rankedList{tid: tid, entries: make([]int32, len(sorted))}
 	for i, r := range sorted {
 		l.entries[i] = r.ref
 	}

@@ -10,8 +10,9 @@ import (
 // key space on demand and retire patterns delta-Apriori demotes. All of
 // them mutate the engine and must be serialized against queries (see the
 // Engine doc). A built ranked list is a cache of the tree: a mutator that
-// changes what an offset's list would hold drops that list, and the next
-// BQP that needs it rebuilds it.
+// changes what an offset's list would hold marks that list stale, in O(1)
+// (an insert also appends its ref), and the next BQP that reads the offset
+// re-ranks it from its members; nothing is sorted before then.
 
 // LivePatterns returns how many indexed patterns are not retired.
 func (e *Engine) LivePatterns() int { return e.live }
@@ -53,7 +54,9 @@ func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
 		e.dead = append(e.dead, false)
 		e.live++
 		e.countLive(off, 1)
-		e.dropRanked(off)
+		if l := e.staleRanked(off); l != nil {
+			l.entries = append(l.entries, int32(ref))
+		}
 		var buf [keyBuf]uint64
 		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, ref), Ref: ref})
 		refs[i] = ref
@@ -88,15 +91,15 @@ func (e *Engine) RemovePattern(ref int) bool {
 	e.live--
 	off := e.consequenceRegion(ref).Offset
 	e.countLive(off, -1)
-	e.dropRanked(off)
+	e.staleRanked(off)
 	return true
 }
 
 // UpdatePatterns rewrites the confidence and support of n live patterns,
 // the ith of which rule names; an itemset, and therefore a key, does not
 // change, so the tree does not either: each is written to its table row
-// alone, which every query reads, and a rule whose confidence changes drops
-// its offset's ranked list. A ref named twice takes its last update.
+// alone, which every query reads, and a rule whose confidence changes marks
+// its offset's ranked list stale. A ref named twice takes its last update.
 // Updates of refs that are not live are skipped; it returns how many were
 // applied.
 func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, support int)) int {
@@ -108,19 +111,25 @@ func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, 
 		}
 		applied++
 		if e.rules.Confidence(ref) != conf {
-			e.dropRanked(e.consequenceRegion(ref).Offset)
+			e.staleRanked(e.consequenceRegion(ref).Offset)
 		}
 		e.rules.Set(ref, conf, support)
 	}
 	return applied
 }
 
-// dropRanked discards the ranked list of a consequence offset, if built, so
-// the next BQP that reads the offset rebuilds it from the tree.
-func (e *Engine) dropRanked(off int) {
-	if off >= 0 && off < len(e.ranked) {
-		e.ranked[off].Store(nil)
+// staleRanked marks the ranked list of a consequence offset stale and
+// returns it, or nil when the offset has none built: the next BQP that
+// reads the offset re-ranks the list from its members.
+func (e *Engine) staleRanked(off int) *rankedList {
+	if off < 0 || off >= len(e.ranked) {
+		return nil
 	}
+	l := e.ranked[off].Load()
+	if l != nil {
+		l.stale = true
+	}
+	return l
 }
 
 // keyBuf is the stack space keyOf gets for a key; wider keys spill to the

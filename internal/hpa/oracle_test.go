@@ -190,7 +190,9 @@ func wholePeriod(e *Engine) bitkey.PatternKey {
 // checkRanked recomputes every built ranked list from the tree's leaves —
 // each offset's refs with their table confidences, confidence descending
 // then ref ascending — and compares it, time id included, with the list the
-// engine caches: a list a mutation made stale must have been dropped.
+// engine caches. A list a mutation marked stale must hold refs of its own
+// offset only, the offset's live refs among them each once; it is then
+// re-ranked through rankedAt and compared like the others.
 func checkRanked(t *testing.T, e *Engine) {
 	t.Helper()
 	want := make([][]rankEntry, e.cfg.Period)
@@ -205,6 +207,28 @@ func checkRanked(t *testing.T, e *Engine) {
 			continue
 		}
 		w := want[off]
+		if l.stale {
+			var live, members []int32
+			for _, ref := range l.entries {
+				if got := consOffset(e, int(ref)); got != off {
+					t.Fatalf("offset %d's stale list holds ref %d of offset %d", off, ref, got)
+				}
+				if e.IsLive(int(ref)) {
+					live = append(live, ref)
+				}
+			}
+			for _, r := range w {
+				members = append(members, r.ref)
+			}
+			slices.Sort(live)
+			slices.Sort(members)
+			if !slices.Equal(live, members) {
+				t.Fatalf("offset %d's stale list holds live refs %v\nthe tree %v", off, live, members)
+			}
+			if l = e.rankedAt(off); l.stale {
+				t.Fatalf("offset %d still stale after rankedAt", off)
+			}
+		}
 		sort.Slice(w, func(i, j int) bool {
 			if w[i].conf != w[j].conf {
 				return w[i].conf > w[j].conf
@@ -251,8 +275,36 @@ func TestSortRankedMatchesSort(t *testing.T) {
 	}
 }
 
+// TestKthBestMatchesSort holds BQP's threshold to a sort of every score
+// offered: for each k the buffer holds, below(τ) is true exactly when k
+// scores are in and τ is under the k-th best; for any other k it is never
+// true.
+func TestKthBestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		k := rng.Intn(len(kthBest{}.top) + 3)
+		var b kthBest
+		if 0 < k && k <= len(b.top) {
+			b.k = k
+		}
+		var seen []float64
+		for i := rng.Intn(30); i > 0; i-- {
+			s := float64(rng.Intn(12)) / 8
+			b.offer(s)
+			seen = append(seen, s)
+			slices.Sort(seen)
+			for _, tau := range []float64{0, 0.5, 0.75, 1, 1.5} {
+				want := b.k > 0 && len(seen) >= k && tau < seen[len(seen)-k]
+				if got := b.below(tau); got != want {
+					t.Fatalf("k=%d scores %v: below(%g) = %v, want %v", k, seen, tau, got, want)
+				}
+			}
+		}
+	}
+}
+
 // buildRanked builds the ranked list of every offset that has a live
-// pattern, so the mutations that follow must drop the ones they make stale.
+// pattern, so the mutations that follow must mark the ones they make stale.
 func buildRanked(e *Engine) {
 	for off, n := range e.liveAt {
 		if n > 0 {
@@ -818,19 +870,127 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		}
 		for off := range e.ranked {
 			got, want := e.ranked[off].Load(), built[off]
-			if off == 3 || off == 6 || off == 9 {
-				want = nil
-			}
 			if got != want {
 				t.Errorf("offset %d holds list %p, want %p", off, got, want)
+			}
+			if stale := off == 3 || off == 6 || off == 9; got != nil && got.stale != stale {
+				t.Errorf("offset %d stale = %v, want %v", off, got.stale, stale)
 			}
 		}
 		checkLiveCounts(t, e)
 		checkRanked(t, e)
 		sweep(t, e)
 		if got := fmt.Sprint(rankedRefs(e, 3)); got != "[10 1 0]" {
-			t.Errorf("offset 3 rebuilt as %s, want [10 1 0]", got)
+			t.Errorf("offset 3 re-ranked as %s, want [10 1 0]", got)
 		}
+	})
+
+	// The rows below are about the stop rule: the ranked lists are read
+	// nearest offset first, and not once τ is below the k-th best score
+	// held. An unbuilt list is one BQP never read.
+	unread := func(t *testing.T, e *Engine, offs ...int) {
+		t.Helper()
+		for _, off := range offs {
+			if e.ranked[off].Load() != nil {
+				t.Errorf("offset %d's list was read", off)
+			}
+		}
+	}
+
+	t.Run("stop: a k-th best score equal to τ still reads the offset", func(t *testing.T) {
+		// With V = {0} and tq at offset 7, radius 3: ref 0 scores
+		// (1 + 1)·0.375 = 0.75, and offset 8's τ is 1 − 1/4 = 0.75. Ref 1
+		// there scores 0.75·1, level with it, and wins on confidence.
+		e := handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 3},
+			[]int{0, 7, 8}, [][3]float64{{0, 1, 0.375}, {1, 2, 1}})
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(v0, 0, 37, 1))); got != "[1]" {
+			t.Errorf("BQP k=1: %s, want [1]", got)
+		}
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(v0, 0, 37, 2))); got != "[1 0]" {
+			t.Errorf("BQP k=2: %s, want [1 0]", got)
+		}
+		sweep(t, e)
+	})
+
+	// ladder has three rules from region 0 into each of offsets 10 to 13,
+	// at confidences 0.9, 0.8 and 0.7.
+	ladder := func(t *testing.T) *Engine {
+		var rules [][3]float64
+		for c := 1; c <= 4; c++ {
+			rules = append(rules, [3]float64{0, float64(c), 0.9}, [3]float64{0, float64(c), 0.8}, [3]float64{0, float64(c), 0.7})
+		}
+		return handEngine(t, Config{Period: 30, DistantThreshold: 3, TimeRelaxation: 3}, []int{0, 10, 11, 12, 13}, rules)
+	}
+
+	t.Run("stop: V empty", func(t *testing.T) {
+		// tq at offset 10, radius 3. For k = 1, offset 10 holds 0.9 and
+		// offset 11's τ is 0.75; for k = 3 offset 11 is read, and offset
+		// 12's τ of 0.5 is below the third best, 0.7.
+		e := ladder(t)
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(nil, 0, 40, 1))); got != "[0]" {
+			t.Errorf("BQP k=1: %s, want [0]", got)
+		}
+		unread(t, e, 11, 12, 13)
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(nil, 0, 40, 3))); got != "[0 1 2]" {
+			t.Errorf("BQP k=3: %s, want [0 1 2]", got)
+		}
+		unread(t, e, 12, 13)
+		checkAgainstOracle(t, e, newOracle(e), nil, 0, 60, []int{1, 3, 4, 7})
+		sweep(t, e)
+	})
+
+	t.Run("stop: k larger than the threshold buffer", func(t *testing.T) {
+		// A k the buffer cannot hold keeps no threshold: every offset of
+		// the window is read, and the answer is still the oracle's.
+		e := ladder(t)
+		k := len(kthBest{}.top)
+		e.BackwardQuery(nil, 0, 40, k)
+		unread(t, e, 13)
+		if e.BackwardQuery(nil, 0, 40, k+1); e.ranked[13].Load() == nil {
+			t.Errorf("k = %d left offset 13 unread", k+1)
+		}
+		checkAgainstOracle(t, e, newOracle(e), nil, 0, 60, []int{k - 1, k, k + 1, 12, 13})
+		checkAgainstOracle(t, e, newOracle(e), v0, 0, 60, []int{k, k + 1})
+		sweep(t, e)
+	})
+
+	t.Run("stop: window covering the whole period", func(t *testing.T) {
+		// 2·radius+1 ≥ Period: distance 3 of period 6 is one offset, and
+		// with k past the patterns no threshold forms, so each list is read
+		// once.
+		for _, period := range []int{5, 6} {
+			var rules [][3]float64
+			offsets := []int{0}
+			for c := 1; c < period; c++ {
+				offsets = append(offsets, c)
+				rules = append(rules, [3]float64{0, float64(c), 0.25 + 0.125*float64(c%4)})
+			}
+			e := handEngine(t, Config{Period: period, DistantThreshold: 2, TimeRelaxation: 3}, offsets, rules)
+			for tq := 1; tq <= period; tq++ {
+				refs := answerRefs(e.BackwardQuery(nil, 0, tq, 8))
+				if len(refs) != len(rules) || distinct(refs) != len(rules) {
+					t.Errorf("period %d tq %d answered refs %v, want all %d once", period, tq, refs, len(rules))
+				}
+			}
+			checkAgainstOracle(t, e, newOracle(e), nil, 0, 2*period, []int{1, 2, 3, 8, 9})
+			sweep(t, e)
+		}
+	})
+
+	t.Run("stop: window across the period boundary", func(t *testing.T) {
+		// tq at offset 1 of period 20, radius 3: offset 0 is one step back
+		// across the boundary, offset 18 three. k = 1 stops at distance 2,
+		// whose τ of 0.5 is below 0.75·0.9; k = 2 reads offset 18.
+		e := handEngine(t, Config{Period: 20, DistantThreshold: 3, TimeRelaxation: 3},
+			[]int{0, 5, 18}, [][3]float64{{1, 0, 0.9}, {1, 2, 0.95}})
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(nil, 30, 41, 1))); got != "[0]" {
+			t.Errorf("BQP k=1: %s, want [0]", got)
+		}
+		unread(t, e, 18)
+		if got := fmt.Sprint(answerRefs(e.BackwardQuery(nil, 30, 41, 2))); got != "[0 1]" {
+			t.Errorf("BQP k=2: %s, want [0 1]", got)
+		}
+		sweep(t, e)
 	})
 }
 
@@ -838,9 +998,10 @@ func TestBackwardQueryHandCases(t *testing.T) {
 // single-premise rules from region 0 or 1 over the offsets the bytes name,
 // the first half indexed at build time, every ranked list built and some of
 // them re-weighted, the rest inserted, so the consequence table grows in
-// input order, then some removed — and holds the ranked lists to the tree
-// and BQP and FQP to the oracle from a spread of current times. The seeds
-// run under plain go test.
+// input order, then some removed — and holds BQP and FQP to the oracle from
+// a spread of current times, straight after the mutations, so queries meet
+// the lists stale, then the ranked lists to the tree. The seeds run under
+// plain go test.
 func FuzzBackwardQuery(f *testing.F) {
 	f.Add([]byte{60, 2, 0, 10, 200, 50, 90, 30, 120, 5, 40, 7, 9})
 	f.Add([]byte{149, 1, 1, 140, 3, 139, 9, 138, 200, 2, 80, 70, 60, 50, 40, 30, 20, 10})
@@ -886,7 +1047,6 @@ func FuzzBackwardQuery(f *testing.F) {
 			e.RemovePattern(refs[i])
 		}
 		checkLiveCounts(t, e)
-		checkRanked(t, e)
 		sweepEvery(t, e, 1+period/3)
 	})
 }

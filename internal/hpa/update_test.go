@@ -28,14 +28,16 @@ func updateAll(e *Engine, ups []ruleUpdate) int {
 }
 
 // updateOne is the rule-by-rule update, kept as UpdatePatterns' oracle: the
-// rule's ranked list dropped when the confidence changed, then the new
+// rule's ranked list marked stale when the confidence changed, then the new
 // confidence and support written to its row.
 func updateOne(e *Engine, u ruleUpdate) bool {
 	if !e.IsLive(u.Ref) {
 		return false
 	}
 	if e.rules.Confidence(u.Ref) != u.Conf {
-		e.ranked[e.consequenceRegion(u.Ref).Offset].Store(nil)
+		if l := e.ranked[e.consequenceRegion(u.Ref).Offset].Load(); l != nil {
+			l.stale = true
+		}
 	}
 	e.rules.Set(u.Ref, u.Conf, u.Support)
 	return true
@@ -70,7 +72,8 @@ func savedBytes(e *Engine) []byte {
 
 // TestUpdatePatternsMatchesOneByOne: a batch update leaves the engine the
 // rule-by-rule path leaves — confidences as a search reads them, which
-// ranked lists are dropped and what the rest hold, the bytes a save takes —
+// ranked lists are marked stale and what all of them hold once re-ranked,
+// the bytes a save takes —
 // on engines trained from all four datasets with every ranked list built
 // before each step. Each delta removes some rules and re-adds them under new
 // refs before the batch, which names both the retired and the new refs; it
@@ -132,7 +135,13 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 				if got := updateAll(batch, ups); got != want {
 					t.Fatalf("step %d: UpdatePatterns applied %d of %d updates, one by one %d", step, got, len(ups), want)
 				}
-				checkRanked(t, batch)
+				for off := range batch.ranked {
+					b, s := batch.ranked[off].Load(), single.ranked[off].Load()
+					if (b == nil) != (s == nil) || b != nil && b.stale != s.stale {
+						t.Fatalf("step %d: offset %d ranked %+v, one by one %+v", step, off, b, s)
+					}
+				}
+				checkRanked(t, batch) // re-ranks the stale lists
 				checkRanked(t, single)
 				for off := range batch.ranked {
 					if b, s := batch.ranked[off].Load(), single.ranked[off].Load(); !reflect.DeepEqual(b, s) {

@@ -389,6 +389,9 @@ func ReadRules(c *Cursor, rt *RegionTable, cfg Config) (*Table, error) {
 		}
 		t.starts[i+1] = int32(len(t.premises))
 		t.confs[i] = c.Float()
+		if conf := t.confs[i]; c.err == nil && !(conf >= 0 && conf <= 1) {
+			c.Fail(fmt.Errorf("pattern: rule %d has confidence %g, outside [0, 1]", i, conf))
+		}
 		sup, ok := c.short()
 		if !ok {
 			sup = uint64(c.count())

@@ -114,6 +114,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "hpm_queries_total{path=\"unanswered\"} %d\n", fs.Queries.Unanswered)
 	counter("hpm_answers_reused_total", "Answers, one per query time, served from the object's memo of answers given since its last write, without a model evaluation.", fs.AnswersReused)
 	counter("hpm_query_nodes_visited_total", "Trajectory-pattern-tree nodes touched by query searches (building a backward query's per-offset confidence ranking is index maintenance and not counted).", fs.Queries.NodesVisited)
+	fmt.Fprintf(&b, "# HELP hpm_ranked_list_builds_total Backward queries' per-offset confidence rankings made ready to read: from=\"tree\" built by a search on the offset's first read, from=\"members\" re-ranked from their own entries after a model update marked them stale.\n")
+	fmt.Fprintf(&b, "# TYPE hpm_ranked_list_builds_total counter\n")
+	fmt.Fprintf(&b, "hpm_ranked_list_builds_total{from=\"tree\"} %d\n", fs.Queries.RankBuilds)
+	fmt.Fprintf(&b, "hpm_ranked_list_builds_total{from=\"members\"} %d\n", fs.Queries.RankReranks)
 
 	gauge("hpm_eval_outstanding", "Served predictions awaiting their ground truth.", fs.Eval.Outstanding)
 	counter("hpm_eval_recorded_total", "Served predictions parked for scoring.", fs.Eval.Recorded)

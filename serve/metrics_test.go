@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -448,4 +449,76 @@ func TestMetricsCountSeedsAfterRestart(t *testing.T) {
 		t.Errorf("seeds %v taking %v s (present %v), want 1 taking a part of the extend's %v s",
 			m["hpm_miner_seeds_total"], seconds, ok, m["hpm_extend_duration_seconds_total"])
 	}
+}
+
+func TestMetricsCountRankedListBuilds(t *testing.T) {
+	st, err := store.New(store.Options{Config: hpm.Config{Period: period}, MinTrainPeriods: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := httptest.NewServer(Handler(st))
+	defer srv.Close()
+	scrape := func() (tree, members float64) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		m := parseProm(t, resp.Body)
+		tree, ok1 := m[`hpm_ranked_list_builds_total{from="tree"}`]
+		members, ok2 := m[`hpm_ranked_list_builds_total{from="members"}`]
+		if !ok1 || !ok2 {
+			t.Fatal("hpm_ranked_list_builds_total is missing a series")
+		}
+		return tree, members
+	}
+	ids := []string{"bus-1", "bus-2"}
+	tracks := make([][]hpm.Point, len(ids))
+	for i := range ids {
+		spec := hpm.DefaultDatasetSpec(hpm.DatasetBike, int64(i+1))
+		spec.Period = period
+		spec.SubTrajectories = 10
+		tracks[i] = hpm.GenerateDataset(spec).Points()
+	}
+	// Every distant horizon of one period, and a k that keeps no threshold,
+	// so BQP reads every offset that holds a pattern.
+	var horizons []int
+	for h := period; h < 2*period; h++ {
+		horizons = append(horizons, h)
+	}
+	read := func() {
+		t.Helper()
+		for _, id := range ids {
+			if _, _, err := st.PredictBatchAheadContext(context.Background(), id, horizons, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, id := range ids { // trains at four periods, extends to eight
+		if err := st.ObserveBatch(id, tracks[i][:8*period+10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	tree, members := scrape()
+	if tree == 0 || members != 0 {
+		t.Fatalf("after the first reads: %v lists built from the tree, %v re-ranked; want some and none", tree, members)
+	}
+	extends := st.FleetStats().Extends
+	for i, id := range ids { // over a period boundary: one Extend each
+		if err := st.ObserveBatch(id, tracks[i][8*period+10:9*period+10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.FleetStats().Extends - extends; n != uint64(len(ids)) {
+		t.Fatalf("%d extends over the boundary, want %d", n, len(ids))
+	}
+	read()
+	tree2, members2 := scrape()
+	if members2 == 0 || tree2 < tree {
+		t.Errorf("after the Extends: %v lists built from the tree (%v before), %v re-ranked; want re-ranks", tree2, tree, members2)
+	}
+	t.Logf("built from the tree %v, then %v; re-ranked from members %v", tree, tree2, members2)
 }

@@ -327,9 +327,10 @@ type fleetObject struct {
 // harnessFleet is a store shaped like the loopback harness's (period 60,
 // min-train 4, fleet index with 200-unit cells): two trained objects per
 // datagen kind, each fed ten periods and a phase-staggered part of the
-// eleventh, as the harness's setup cut does, with its update policy parked
-// (see BenchmarkIndexRefresh) so every iteration sees the same models.
-func harnessFleet(b *testing.B) (*Store, []fleetObject) {
+// eleventh, as the harness's setup cut does. Unless extend is set, its
+// update policy is parked (see BenchmarkIndexRefresh) so every iteration
+// sees the same models.
+func harnessFleet(b *testing.B, extend bool) (*Store, []fleetObject) {
 	b.Helper()
 	s, err := New(Options{
 		Config:          hpm.Config{Period: period},
@@ -360,7 +361,9 @@ func harnessFleet(b *testing.B) (*Store, []fleetObject) {
 		if err != nil || obj.predictor == nil {
 			b.Fatalf("%s not trained: %v", objs[i].id, err)
 		}
-		obj.modeled = math.MaxInt
+		if !extend {
+			obj.modeled = math.MaxInt
+		}
 		objs[i].stream = objs[i].stream[cuts[i]:]
 	}
 	return s, objs
@@ -372,14 +375,23 @@ func harnessFleet(b *testing.B) (*Store, []fleetObject) {
 // hundred per consequence offset, an Airplane model next to none).
 // buckets=all reads every bucket first; buckets=none reads none, so the
 // index holds nothing and each observe is the write path alone — what
-// an observe costs while no fleet query has run.
+// an observe costs while no fleet query has run. extend=on reads every
+// bucket and keeps the update policy, so each object crosses a period
+// boundary every 60 of its observes and runs an Extend, as on the
+// harness's fleet_mixed: the refresh after it re-ranks the ranked lists the
+// Extend marked stale (reranks/op), and builds from the tree (builds/op)
+// only the offsets BQP reads for the first time.
 func BenchmarkIndexRefreshFleet(b *testing.B) {
-	for _, read := range []bool{true, false} {
-		b.Run(map[bool]string{true: "buckets=all", false: "buckets=none"}[read], func(b *testing.B) {
-			s, objs := harnessFleet(b)
-			if read {
+	for _, leg := range []struct {
+		name         string
+		read, extend bool
+	}{{"buckets=all", true, false}, {"buckets=none", false, false}, {"extend=on", true, true}} {
+		b.Run(leg.name, func(b *testing.B) {
+			s, objs := harnessFleet(b, leg.extend)
+			if leg.read {
 				readEveryBucket(b, s)
 			}
+			before := s.FleetStats().Queries
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -388,6 +400,10 @@ func BenchmarkIndexRefreshFleet(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			after := s.FleetStats().Queries
+			b.ReportMetric(float64(after.RankBuilds-before.RankBuilds)/float64(b.N), "builds/op")
+			b.ReportMetric(float64(after.RankReranks-before.RankReranks)/float64(b.N), "reranks/op")
 		})
 	}
 }
@@ -398,7 +414,7 @@ func BenchmarkIndexRefreshFleet(b *testing.B) {
 // forgets the object's answers before each call, so every call runs the
 // model; memo=hit asks again what the memo already holds.
 func BenchmarkPredictBatchFleet(b *testing.B) {
-	s, objs := harnessFleet(b)
+	s, objs := harnessFleet(b, false)
 	horizons := []int{2, 5, 10, 20, 40, 60, 80, 100}
 	ctx := context.Background()
 	for _, miss := range []bool{true, false} {
