@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hpm/internal/datagen"
@@ -215,7 +216,8 @@ func BenchmarkExtendFleet(b *testing.B) {
 
 // benchmarkMinted is BenchmarkExtendFleet's minted variant: each
 // iteration loads and seeds the model and extends it by the first
-// len(days)-1 days, one at a time, off the clock, then times the last.
+// len(days)-1 days, one at a time, off the clock, then collects what that
+// set-up left behind, still off the clock, and times the last.
 func benchmarkMinted(b *testing.B, stream []byte, days []trajectory.SubTrajectory) {
 	var res ExtendResult
 	b.ReportAllocs()
@@ -229,6 +231,7 @@ func benchmarkMinted(b *testing.B, stream []byte, days []trajectory.SubTrajector
 				b.Fatal(err)
 			}
 		}
+		runtime.GC()
 		b.StartTimer()
 		var err error
 		if res, err = m.Extend(days[len(days)-1:]); err != nil {

@@ -22,10 +22,10 @@ import (
 //   - retires sub-trajectories older than Params.HistoryWindow periods, so
 //     supports track a sliding window instead of all history.
 //
-// A periodic batch rebuild (Train from scratch) remains the backstop for
-// index packing quality; the mined rule set itself stays exactly equivalent
-// to batch mining when region discovery is off, a property the equivalence
-// tests pin on every dataset.
+// Nothing repacks the index: the nodes removals leave underfull stay so
+// until a rebuild (ROADMAP item 5). The mined rule set itself stays exactly
+// equivalent to batch mining when region discovery is off, a property the
+// equivalence tests pin on every dataset.
 
 // ExtendResult reports what an incremental update changed.
 type ExtendResult struct {
@@ -123,39 +123,29 @@ func (m *Model) seedMiner() {
 // left unbound are inserted. From here on the miner reads what a rule last
 // emitted from the engine's row its ref names. After batch training or a
 // clean load nothing is removed or inserted; the reconcile only repairs
-// drift if the two ever diverge.
+// drift if the two ever diverge, and counts nothing in an ExtendResult.
 func (m *Model) reconcile(seeded pattern.Delta) {
-	// Inserting appends refs; only these predate the reconcile.
-	type update struct {
-		ref, support int
-		conf         float64
-	}
-	var updated []update
+	var d pattern.Delta
 	var buf [pattern.MaxIdentityLen]pattern.RegionID
 	for ref, refs := 0, m.engine.Refs(); ref < refs; ref++ {
 		if !m.engine.IsLive(ref) {
 			continue
 		}
 		cur := m.engine.Pattern(ref)
-		conf, support, ok := m.miner.Bind(append(append(buf[:0], cur.Premise...), cur.Consequence), ref)
-		switch {
-		case !ok:
-			m.engine.RemovePattern(ref)
-		case cur.Confidence != conf || cur.Support != support:
-			updated = append(updated, update{ref, support, conf})
+		s, ok := m.miner.Bind(append(append(buf[:0], cur.Premise...), cur.Consequence), ref)
+		if !ok {
+			d.Removed = append(d.Removed, int32(ref))
+		} else if _, conf, support := m.miner.Rule(s); cur.Confidence != conf || cur.Support != support {
+			d.Updated = append(d.Updated, s)
 		}
 	}
 	m.miner.UseRows(m.engine.Rules())
-	m.engine.UpdatePatterns(len(updated), func(i int) (int, float64, int) {
-		return updated[i].ref, updated[i].conf, updated[i].support
-	})
-	var missing []int32
 	for _, s := range seeded.Added {
 		if ref, _, _ := m.miner.Rule(s); ref == pattern.NoTag {
-			missing = append(missing, s)
+			d.Added = append(d.Added, s)
 		}
 	}
-	m.insert(missing)
+	m.applyDelta(d, new(ExtendResult))
 }
 
 // MinerItemsets returns how many frequent itemsets the incremental miner
@@ -210,30 +200,21 @@ func (m *Model) retireExpired(adding int, res *ExtendResult) [][]pattern.RegionI
 	return retired
 }
 
-// applyDelta translates a miner delta into engine mutations.
+// applyDelta hands a miner delta to the engine in one Apply — which
+// retires before it inserts, as a rule demoted and re-promoted in the same
+// update appears in both — and tells the miner the refs of the rules it
+// promoted, which Rules puts in identity order.
 func (m *Model) applyDelta(d pattern.Delta, res *ExtendResult) {
-	res.Reevaluated += d.Reevaluated
-	// Removed before Added: a pattern demoted and re-promoted in the same
-	// update appears in both, and the insert must land after the old entry
-	// is gone.
-	for _, r := range d.Removed {
-		if m.engine.RemovePattern(int(r.Tag)) {
-			res.RetiredPatterns++
-		}
-	}
-	m.insert(d.Added)
-	res.NewPatterns += len(d.Added)
-	res.UpdatedPatterns += m.engine.UpdatePatterns(len(d.Updated), func(i int) (int, float64, int) {
+	first := m.engine.Refs()
+	res.UpdatedPatterns += m.engine.Apply(d.Removed, len(d.Updated), func(i int) (int, float64, int) {
 		return m.miner.Rule(d.Updated[i])
-	})
-}
-
-// insert indexes the miner's rules in the given slots, in identity order,
-// and tells the miner their refs.
-func (m *Model) insert(slots []int32) {
-	for i, ref := range m.engine.InsertPatterns(m.miner.Rules(slots)) {
-		m.miner.SetTag(slots[i], ref)
+	}, m.miner.Rules(d.Added))
+	for i, s := range d.Added {
+		m.miner.SetTag(s, first+i)
 	}
+	res.Reevaluated += d.Reevaluated
+	res.RetiredPatterns += len(d.Removed)
+	res.NewPatterns += len(d.Added)
 }
 
 // maxOutlierBuffer bounds one offset's outlier buffer to this many times
@@ -322,12 +303,10 @@ func (m *Model) mintRegions(res *ExtendResult) {
 			}
 			fr := m.regions.AppendRegion(off, mPts, mSubs)
 			res.NewRegions++
-			// The region table widened; grow the index's keys even if no
-			// pattern ends up promoted, or the next query's wider key
-			// would mismatch the tree.
-			m.engine.SyncKeyWidths()
 			// Replay the visitors' full chains: only itemsets through the
 			// new region change, and AbsorbMinted enumerates just those.
+			// The Apply that takes its delta grows the index's keys to the
+			// widened region table, even if no pattern is promoted.
 			var chains [][]pattern.RegionID
 			replayed := make(map[int]bool, len(mSubs))
 			for _, j := range mSubs {

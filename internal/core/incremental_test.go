@@ -408,11 +408,7 @@ func BenchmarkExtend(b *testing.B) {
 // offset for the miner's lookup. It is the row bind's oracle and lives in
 // test code only.
 func identityReconcile(m *Model, seeded pattern.Delta) {
-	type update struct {
-		ref, support int
-		conf         float64
-	}
-	var updated []update
+	var d pattern.Delta
 	for ref, refs := 0, m.engine.Refs(); ref < refs; ref++ {
 		if !m.engine.IsLive(ref) {
 			continue
@@ -426,52 +422,43 @@ func identityReconcile(m *Model, seeded pattern.Delta) {
 			ids = append(ids, pattern.RegionID(id-1))
 		}
 		slices.SortFunc(ids, func(a, b pattern.RegionID) int { return m.regions.Region(a).Offset - m.regions.Region(b).Offset })
-		conf, support, ok := m.miner.Bind(ids, ref)
-		switch {
-		case !ok:
-			m.engine.RemovePattern(ref)
-		case cur.Confidence != conf || cur.Support != support:
-			updated = append(updated, update{ref, support, conf})
+		s, ok := m.miner.Bind(ids, ref)
+		if !ok {
+			d.Removed = append(d.Removed, int32(ref))
+		} else if _, conf, support := m.miner.Rule(s); cur.Confidence != conf || cur.Support != support {
+			d.Updated = append(d.Updated, s)
 		}
 	}
 	m.miner.UseRows(m.engine.Rules())
-	m.engine.UpdatePatterns(len(updated), func(i int) (int, float64, int) {
-		return updated[i].ref, updated[i].conf, updated[i].support
-	})
-	var missing []int32
 	for _, s := range seeded.Added {
 		if ref, _, _ := m.miner.Rule(s); ref == pattern.NoTag {
-			missing = append(missing, s)
+			d.Added = append(d.Added, s)
 		}
 	}
-	m.insert(missing)
+	m.applyDelta(d, new(ExtendResult))
 }
 
-// disturb makes m's engine drift from what a seeding derives: every seventh
-// ref removed, every fifth live one reweighed, and the first live rule
-// indexed a second time.
+// disturb makes m's engine drift from what a seeding derives, in one Apply:
+// every seventh live ref removed, every fifth other live one reweighed, and
+// the first live rule it keeps indexed a second time.
 func disturb(m *Model) {
+	var retired []int32
 	var reweigh []int
+	twin := pattern.NewTable(1, 0)
 	for ref := 0; ref < m.engine.Refs(); ref++ {
 		switch {
 		case !m.engine.IsLive(ref):
 		case ref%7 == 3:
-			m.engine.RemovePattern(ref)
+			retired = append(retired, int32(ref))
 		case ref%5 == 1:
 			reweigh = append(reweigh, ref)
+		case twin.Len() == 0:
+			twin.Append(m.engine.Pattern(ref))
 		}
 	}
-	m.engine.UpdatePatterns(len(reweigh), func(i int) (int, float64, int) {
+	m.engine.Apply(retired, len(reweigh), func(i int) (int, float64, int) {
 		return reweigh[i], m.engine.Pattern(reweigh[i]).Confidence / 2, 1
-	})
-	for ref := 0; ref < m.engine.Refs(); ref++ {
-		if m.engine.IsLive(ref) {
-			p := m.engine.Pattern(ref)
-			p.Premise = slices.Clone(p.Premise)
-			m.engine.InsertPatterns([]pattern.Pattern{p})
-			return
-		}
-	}
+	}, twin)
 }
 
 // TestRowBindMatchesIdentityBind: reconcile, binding each live ref by its

@@ -297,7 +297,7 @@ func rowStream(tb testing.TB, conf float64, pick func(byOffset []pattern.RegionI
 		}
 	}
 	ids := pick(byOffset)
-	m.engine.InsertPatterns([]pattern.Pattern{{Premise: ids[:len(ids)-1], Consequence: ids[len(ids)-1], Confidence: conf, Support: 2}})
+	m.engine.Apply(nil, 0, nil, pattern.TableOf([]pattern.Pattern{{Premise: ids[:len(ids)-1], Consequence: ids[len(ids)-1], Confidence: conf, Support: 2}}))
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		tb.Fatal(err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hpm"
@@ -84,7 +85,7 @@ func evalDataset(kind datagen.Kind, o Options) []Figure {
 			if now+h >= total {
 				continue // truth would never arrive
 			}
-			if _, err := st.Predict(id, now+h, 1); err != nil {
+			if _, err := st.PredictContext(context.Background(), id, now+h, 1); err != nil {
 				panic(fmt.Sprintf("experiments: eval predict: %v", err))
 			}
 			if _, err := st.PredictVia(id, hpm.PathFallback, now+h, 1); err != nil {

@@ -224,11 +224,10 @@ type queryCounters struct {
 // concurrent callers — queries read the index and bump atomic counters,
 // and the one thing a query may write, an offset's confidence ranking
 // built or re-ranked when BQP needs it and none is current, is made once
-// under an internal mutex and published atomically. InsertPatterns, RemovePattern and
-// UpdatePatterns mutate the engine — each marks the ranked lists it makes
-// stale, for the next query to re-rank — and must not run concurrently
-// with queries; callers serialize them externally (the store does so under
-// each object's write lock).
+// under an internal mutex and published atomically. Apply mutates the
+// engine — it marks the ranked lists it makes stale, for the next query to
+// re-rank — and must not run concurrently with queries; callers serialize
+// it externally (the store does so under each object's write lock).
 type Engine struct {
 	enc   *pattern.Encoder
 	tree  *tpt.Tree

@@ -1,18 +1,21 @@
 package hpa
 
 import (
+	"fmt"
+
 	"hpm/internal/bitkey"
 	"hpm/internal/pattern"
 	"hpm/internal/tpt"
 )
 
-// In-place index mutation for incremental training: these methods grow the
-// key space on demand and retire patterns delta-Apriori demotes. All of
-// them mutate the engine and must be serialized against queries (see the
-// Engine doc). A built ranked list is a cache of the tree: a mutator that
-// changes what an offset's list would hold marks that list stale, in O(1)
-// (an insert also appends its ref), and the next BQP that reads the offset
-// re-ranks it from its members; nothing is sorted before then.
+// In-place index mutation for incremental training: Apply grows the key
+// space on demand, retires the patterns delta-Apriori demotes, indexes the
+// ones it promotes and rewrites the ones whose confidence or support moved.
+// It mutates the engine and must be serialized against queries (see the
+// Engine doc). A built ranked list is a cache of the tree: a change to what
+// an offset's list would hold marks that list stale, in O(1) (an insert
+// also appends its ref), and the next BQP that reads the offset re-ranks it
+// from its members; nothing is sorted before then.
 
 // LivePatterns returns how many indexed patterns are not retired.
 func (e *Engine) LivePatterns() int { return e.live }
@@ -31,81 +34,62 @@ func (e *Engine) Refs() int { return e.rules.Len() }
 // engine appends later changes it. It panics when ref is out of range.
 func (e *Engine) Pattern(ref int) pattern.Pattern { return e.rules.Pattern(ref) }
 
-// InsertPatterns indexes newly promoted patterns (§V-B), growing the
-// consequence table and the tree's key widths as needed. Minted regions and
+// Apply changes the rule set in one pass (§V-B). It grows the tree's key
+// widths to the region and consequence tables, once: minted regions and
 // fresh consequence offsets widen keys with high-order zero bits, so
-// existing entries keep their meaning. Returns the refs assigned, aligned
-// with ps.
-func (e *Engine) InsertPatterns(ps []pattern.Pattern) []int {
-	if len(ps) == 0 {
-		return nil
-	}
+// existing entries keep their meaning. It then retires the rules at
+// retired, which must be live refs, each named once — their tree entries
+// go in one batch delete, while their rows stay so outstanding PatternRef
+// values (served predictions, Explain) remain valid — and indexes added's
+// rows in order, the first under the ref Refs() returned before the call,
+// each next one under the next ref. Last it
+// rewrites the confidence and support of the n rules update names: an
+// itemset, and so a key, does not change, so each is written to its table
+// row alone, which every query reads. A ref named twice takes its last
+// rewrite, and rewrites of refs that are not live are skipped. Returns how
+// many rewrites it applied.
+func (e *Engine) Apply(retired []int32, n int, update func(i int) (ref int, conf float64, support int), added *pattern.Table) int {
 	ct := e.enc.ConsequenceTable()
 	rt := e.enc.RegionTable()
-	for _, p := range ps {
-		ct.AddOffset(rt.Region(p.Consequence).Offset)
+	for i := range added.Len() {
+		ct.AddOffset(rt.Region(added.Consequence(i)).Offset)
 	}
 	e.tree.GrowKeys(ct.Len(), rt.Len())
-	refs := make([]int, len(ps))
-	for i, p := range ps {
+	for _, ref := range retired {
+		if !e.IsLive(int(ref)) {
+			panic(fmt.Sprintf("hpa: Apply retires ref %d, which is not live", ref))
+		}
+		e.dead[ref] = true
+		e.live--
+		off := e.consequenceRegion(int(ref)).Offset
+		e.countLive(off, -1)
+		e.staleRanked(off)
+	}
+	// Encode against the current tables: key widths may have grown since
+	// a rule was inserted, but grown bits are zero on both sides, so the
+	// encoded key equals the stored (grown) one.
+	e.tree.Delete(len(retired), func(i int, ck, rk []uint64) int {
+		ref := int(retired[i])
+		tid, _ := ct.TimeID(e.consequenceRegion(ref).Offset)
+		e.enc.EncodeRule(e.rules.Premise(ref), tid, ck, rk)
+		return ref
+	})
+	for i := range added.Len() {
 		ref := e.rules.Len()
-		off := rt.Region(p.Consequence).Offset
-		e.rules.Append(p)
+		e.rules.Append(added.Pattern(i))
 		e.dead = append(e.dead, false)
 		e.live++
+		off := e.consequenceRegion(ref).Offset
 		e.countLive(off, 1)
 		if l := e.staleRanked(off); l != nil {
 			l.entries = append(l.entries, int32(ref))
 		}
 		var buf [keyBuf]uint64
 		e.tree.Insert(tpt.Item{Key: e.keyOf(&buf, ref), Ref: ref})
-		refs[i] = ref
 	}
-	return refs
-}
-
-// SyncKeyWidths grows the tree's key widths to match the current region
-// and consequence tables. InsertPatterns does this on its own; call it
-// directly when a region is minted without any pattern promotion, so the
-// wider query keys the encoder now produces still match the tree.
-func (e *Engine) SyncKeyWidths() {
-	e.tree.GrowKeys(e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len())
-}
-
-// RemovePattern retires the pattern at ref: its tree entry is deleted so
-// no query finds it again, while the slice entry stays so outstanding
-// PatternRef values (served predictions, Explain) remain valid. Returns
-// false when ref is out of range or already retired.
-func (e *Engine) RemovePattern(ref int) bool {
-	if !e.IsLive(ref) {
-		return false
-	}
-	// Encode against the current tables: key widths may have grown since
-	// the pattern was inserted, but grown bits are zero on both sides, so
-	// the encoded key equals the stored (grown) one.
-	var buf [keyBuf]uint64
-	if !e.tree.Delete(e.keyOf(&buf, ref), ref) {
-		return false
-	}
-	e.dead[ref] = true
-	e.live--
-	off := e.consequenceRegion(ref).Offset
-	e.countLive(off, -1)
-	e.staleRanked(off)
-	return true
-}
-
-// UpdatePatterns rewrites the confidence and support of n live patterns,
-// the ith of which rule names; an itemset, and therefore a key, does not
-// change, so the tree does not either: each is written to its table row
-// alone, which every query reads, and a rule whose confidence changes marks
-// its offset's ranked list stale. A ref named twice takes its last update.
-// Updates of refs that are not live are skipped; it returns how many were
-// applied.
-func (e *Engine) UpdatePatterns(n int, rule func(i int) (ref int, conf float64, support int)) int {
 	applied := 0
 	for i := 0; i < n; i++ {
-		ref, conf, support := rule(i)
+		ref, conf, support := update(i)
 		if !e.IsLive(ref) {
 			continue
 		}
@@ -137,8 +121,8 @@ func (e *Engine) staleRanked(off int) *rankedList {
 const keyBuf = 8
 
 // keyOf encodes the rule at ref against the current tables, in buf when
-// the key fits: none of the keys an insert or a removal encodes outlives
-// the tree call it is handed to.
+// the key fits: no key an insert encodes outlives the tree call it is
+// handed to.
 func (e *Engine) keyOf(buf *[keyBuf]uint64, ref int) bitkey.PatternKey {
 	p := e.rules.Pattern(ref)
 	ckLen, rkLen := e.enc.ConsequenceTable().Len(), e.enc.RegionTable().Len()

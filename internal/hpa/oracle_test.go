@@ -437,34 +437,39 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					if n > len(held) {
 						n = len(held)
 					}
-					if got := e.InsertPatterns(held[:n]); len(got) != n {
-						t.Fatalf("InsertPatterns returned %d refs for %d patterns", len(got), n)
+					before := e.Refs()
+					if insertAll(e, held[:n]...); e.Refs() != before+n {
+						t.Fatalf("an Apply of %d rows left %d refs, want %d", n, e.Refs(), before+n)
 					}
 					held = held[n:]
 				case op == 2:
 					// Retire every live pattern of one consequence offset.
 					off := consOffset(e, refs[rng.Intn(len(refs))])
+					var at []int
 					for _, ref := range refs {
-						if consOffset(e, ref) == off && !e.RemovePattern(ref) {
-							t.Fatalf("RemovePattern(%d) failed", ref)
+						if consOffset(e, ref) == off {
+							at = append(at, ref)
 						}
 					}
+					retire(e, at...)
 				case op == 3:
-					if ref := refs[rng.Intn(len(refs))]; !e.RemovePattern(ref) || e.RemovePattern(ref) {
-						t.Fatalf("RemovePattern(%d): want true then false", ref)
+					ref := refs[rng.Intn(len(refs))]
+					if retire(e, ref); e.IsLive(ref) {
+						t.Fatalf("ref %d is live after its Apply retired it", ref)
 					}
 				default:
 					ref := refs[rng.Intn(len(refs))]
 					p := e.Pattern(ref)
 					p.Confidence = 0.3 + 0.7*rng.Float64()
 					if updateAll(e, []ruleUpdate{{ref, p.Confidence, p.Support}}) != 1 {
-						t.Fatalf("UpdatePatterns(%d) failed", ref)
+						t.Fatalf("Apply skipped the rewrite of %d", ref)
 					}
 				}
 				checkLiveCounts(t, e)
-				checkRanked(t, e)
 				if step%6 == 5 {
-					// Minted key widths change what EncodeRecent yields.
+					// Before checkRanked re-ranks them, so the queries read
+					// the lists the mutations left stale. Minted key widths
+					// change what EncodeRecent yields.
 					w := rng.Intn(len(tcs))
 					recent, err := tr.Recent(tcs[w], 10)
 					if err != nil {
@@ -472,6 +477,7 @@ func TestQueryPathsMatchOracleOnDatasets(t *testing.T) {
 					}
 					checkAgainstOracle(t, e, newOracle(e), e.EncodeRecent(recent), tcs[w], period+30, ks)
 				}
+				checkRanked(t, e)
 			}
 		})
 	}
@@ -702,7 +708,7 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		// so time ids 2 and 3 name offsets smaller than id 1's.
 		e := handEngine(t, Config{Period: 50, DistantThreshold: 3, TimeRelaxation: 2},
 			[]int{0, 5, 10, 25, 40}, [][3]float64{{0, 2, 0.5}, {0, 4, 0.6}})
-		e.InsertPatterns(asPatterns([][3]float64{{0, 1, 0.7}, {0, 3, 0.8}}))
+		insertAll(e, asPatterns([][3]float64{{0, 1, 0.7}, {0, 3, 0.8}})...)
 		if got := fmt.Sprint(e.enc.ConsequenceTable().Offsets()); got != "[10 40 5 25]" {
 			t.Fatalf("table offsets %s, want [10 40 5 25]", got)
 		}
@@ -721,7 +727,7 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		e := handEngine(t, Config{Period: 150, DistantThreshold: 3, TimeRelaxation: 2}, everyOther(66), fan(1, 64))
 		before := e.BackwardQuery(nil, 100, 127, 3)
 		sweepEvery(t, e, 31)
-		e.InsertPatterns(asPatterns(fan(65, 65)))
+		insertAll(e, asPatterns(fan(65, 65))...)
 		if n := e.enc.ConsequenceTable().Len(); n != 65 {
 			t.Fatalf("%d consequence offsets after the insert, want 65", n)
 		}
@@ -836,11 +842,11 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		step("raising ref 3 past three neighbours", "[3 0 1 2 4]")
 		updateAll(e, []ruleUpdate{{0, 0.55, 1}})
 		step("lowering ref 0 past two", "[3 1 2 0 4]")
-		e.RemovePattern(3)
+		retire(e, 3)
 		step("removing the head", "[1 2 0 4]")
-		e.InsertPatterns(asPatterns([][3]float64{{1, 2, 0.75}}))
+		insertAll(e, asPatterns([][3]float64{{1, 2, 0.75}})...)
 		step("inserting ref 5", "[1 5 2 0 4]")
-		e.InsertPatterns(asPatterns([][3]float64{{0, 2, 0.8}}))
+		insertAll(e, asPatterns([][3]float64{{0, 2, 0.8}})...)
 		step("inserting ref 6 level with ref 1", "[1 6 5 2 0 4]")
 	})
 
@@ -860,13 +866,14 @@ func TestBackwardQueryHandCases(t *testing.T) {
 		if built[12] == nil || built[15] == nil {
 			t.Fatal("buildRanked left offsets 12 and 15 unbuilt")
 		}
-		e.InsertPatterns(asPatterns([][3]float64{{1, 1, 0.55}})) // offset 3
-		e.RemovePattern(2)                                       // offset 6
-		if n := updateAll(e, []ruleUpdate{
+		ups := []ruleUpdate{
 			{4, 0.95, 1},                    // offset 9, re-weighted
 			{6, e.Pattern(6).Confidence, 3}, // offset 12, support only
-		}); n != 2 {
-			t.Fatalf("UpdatePatterns applied %d of 2", n)
+		}
+		if n := e.Apply([]int32{2}, len(ups), func(i int) (int, float64, int) { // retires offset 6
+			return ups[i].Ref, ups[i].Conf, ups[i].Support
+		}, pattern.TableOf(asPatterns([][3]float64{{1, 1, 0.55}}))); n != 2 { // inserts at offset 3
+			t.Fatalf("Apply applied %d of 2 rewrites", n)
 		}
 		for off := range e.ranked {
 			got, want := e.ranked[off].Load(), built[off]
@@ -1042,10 +1049,8 @@ func FuzzBackwardQuery(f *testing.F) {
 			late = append(late, pattern.Pattern{Premise: []pattern.RegionID{pattern.RegionID(r[0])},
 				Consequence: pattern.RegionID(r[1]), Confidence: r[2]})
 		}
-		refs := e.InsertPatterns(late)
-		for i := 0; i < mutations && i < len(refs); i++ {
-			e.RemovePattern(refs[i])
-		}
+		refs := insertAll(e, late...)
+		retire(e, refs[:min(mutations, len(refs))]...)
 		checkLiveCounts(t, e)
 		sweepEvery(t, e, 1+period/3)
 	})

@@ -69,7 +69,7 @@ func TestRuleTableMatchesPatterns(t *testing.T) {
 				switch op := rng.Intn(3); {
 				case op == 0 && len(held) > 0:
 					n := min(len(held), 1+rng.Intn(512))
-					refs := e.InsertPatterns(held[:n])
+					refs := insertAll(e, held[:n]...)
 					for i, p := range held[:n] {
 						if refs[i] != len(oracle) {
 							t.Fatalf("insert %d took ref %d, want %d", i, refs[i], len(oracle))
@@ -90,8 +90,9 @@ func TestRuleTableMatchesPatterns(t *testing.T) {
 						}
 					}
 				default:
-					ref := rng.Intn(e.Refs())
-					e.RemovePattern(ref) // the row stays, as it was
+					if ref := rng.Intn(e.Refs()); e.IsLive(ref) {
+						retire(e, ref) // the row stays, as it was
+					}
 				}
 				checkRows(t, e, oracle, "after a step")
 				checkLiveCounts(t, e)

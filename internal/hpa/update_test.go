@@ -22,12 +22,31 @@ type ruleUpdate struct {
 	Support int
 }
 
-// updateAll hands ups to one UpdatePatterns.
+// updateAll hands ups to one Apply.
 func updateAll(e *Engine, ups []ruleUpdate) int {
-	return e.UpdatePatterns(len(ups), func(i int) (int, float64, int) { return ups[i].Ref, ups[i].Conf, ups[i].Support })
+	return e.Apply(nil, len(ups), func(i int) (int, float64, int) { return ups[i].Ref, ups[i].Conf, ups[i].Support }, pattern.NewTable(0, 0))
 }
 
-// updateOne is the rule-by-rule update, kept as UpdatePatterns' oracle: the
+// insertAll indexes ps through one Apply and returns the refs they took.
+func insertAll(e *Engine, ps ...pattern.Pattern) []int {
+	refs := make([]int, len(ps))
+	for i := range refs {
+		refs[i] = e.Refs() + i
+	}
+	e.Apply(nil, 0, nil, pattern.TableOf(ps))
+	return refs
+}
+
+// retire retires refs, each live, through one Apply.
+func retire(e *Engine, refs ...int) {
+	retired := make([]int32, len(refs))
+	for i, ref := range refs {
+		retired[i] = int32(ref)
+	}
+	e.Apply(retired, 0, nil, pattern.NewTable(0, 0))
+}
+
+// updateOne is the rule-by-rule update, kept as Apply's oracle: the
 // rule's ranked list marked stale when the confidence changed, then the new
 // confidence and support written to its row.
 func updateOne(e *Engine, u ruleUpdate) bool {
@@ -70,16 +89,16 @@ func savedBytes(e *Engine) []byte {
 	return e.tree.Shape().AppendBinary(b)
 }
 
-// TestUpdatePatternsMatchesOneByOne: a batch update leaves the engine the
-// rule-by-rule path leaves — confidences as a search reads them, which
-// ranked lists are marked stale and what all of them hold once re-ranked,
-// the bytes a save takes —
-// on engines trained from all four datasets with every ranked list built
-// before each step. Each delta removes some rules and re-adds them under new
-// refs before the batch, which names both the retired and the new refs; it
-// also repeats refs, leaves confidences unchanged, and draws them from a
-// coarse grid so lists hold ties.
-func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
+// TestApplyMatchesOneByOne: one Apply leaves the engine the rule-by-rule
+// path leaves — each removal, then each insert, then each rewrite on its
+// own — in confidences as a search reads them, which ranked lists are
+// marked stale and what all of them hold once re-ranked, and the bytes a
+// save takes, on engines trained from all four datasets with every ranked
+// list built before each step. Each delta removes some rules and re-adds
+// them under new refs, and its rewrites name both the retired and the new
+// refs; they also repeat refs, leave confidences unchanged, and draw them
+// from a coarse grid so lists hold ties.
+func TestApplyMatchesOneByOne(t *testing.T) {
 	const period = 60
 	for _, kind := range datagen.Kinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -104,18 +123,20 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 					}
 				}
 				var ups []ruleUpdate
+				var retired []int32
+				added := pattern.NewTable(0, 0)
 				for k := rng.Intn(4); k > 0; k-- {
 					ref := live[rng.Intn(len(live))]
-					if !batch.IsLive(ref) {
+					if !single.IsLive(ref) {
 						continue
 					}
-					p := batch.Pattern(ref)
-					if !batch.RemovePattern(ref) || !single.RemovePattern(ref) {
-						t.Fatalf("step %d: RemovePattern(%d) failed", step, ref)
-					}
-					added := batch.InsertPatterns([]pattern.Pattern{p})
-					single.InsertPatterns([]pattern.Pattern{p})
-					ups = append(ups, ruleUpdate{ref, 0.5, 1}, ruleUpdate{added[0], float64(rng.Intn(8)) / 8, 2})
+					retire(single, ref)
+					retired = append(retired, int32(ref))
+					added.Append(single.Pattern(ref))
+					ups = append(ups, ruleUpdate{ref, 0.5, 1}, ruleUpdate{batch.Refs() + added.Len() - 1, float64(rng.Intn(8)) / 8, 2})
+				}
+				for i := range added.Len() {
+					insertAll(single, added.Pattern(i))
 				}
 				for k := rng.Intn(len(live)); k > 0; k-- {
 					ref := live[rng.Intn(len(live))]
@@ -132,8 +153,9 @@ func TestUpdatePatternsMatchesOneByOne(t *testing.T) {
 						want++
 					}
 				}
-				if got := updateAll(batch, ups); got != want {
-					t.Fatalf("step %d: UpdatePatterns applied %d of %d updates, one by one %d", step, got, len(ups), want)
+				got := batch.Apply(retired, len(ups), func(i int) (int, float64, int) { return ups[i].Ref, ups[i].Conf, ups[i].Support }, added)
+				if got != want {
+					t.Fatalf("step %d: Apply applied %d of %d updates, one by one %d", step, got, len(ups), want)
 				}
 				for off := range batch.ranked {
 					b, s := batch.ranked[off].Load(), single.ranked[off].Load()

@@ -75,23 +75,18 @@ const NoTag = -1
 // the same update (its itemset dipped below min-support and came back).
 //
 // A live rule is named by its slot: Rule reads what it emits, Rules turns
-// slots into patterns, SetTag gives one the name — its row in the owner's
-// table (UseRows) — a removal calls it by. Rules returns, and Removed
-// comes in, CompareIdentity order, because insertion order assigns refs,
-// refs break ranking ties, and deletion order decides tree shape; payload
-// writes commute, so Updated is unordered, and is the miner's own buffer,
-// valid until its next Update/AbsorbMinted.
+// slots into table rows, SetTag gives one the name — its row in the
+// owner's table (UseRows) — a removal calls it by. Rules returns
+// CompareIdentity order, because insertion order assigns refs and refs
+// break ranking ties. Removed and Updated are unordered: the tree a batch
+// of removals leaves does not depend on their order, and payload writes
+// commute. Updated is the miner's own buffer, valid until its next
+// Update/AbsorbMinted.
 type Delta struct {
-	Added       []int32       // slots of rules newly clearing support and confidence
-	Updated     []int32       // slots of rules whose confidence/support moved
-	Removed     []RuleRemoval // rules that no longer qualify
-	Reevaluated int           // itemsets touched and re-derived a rule for: the work done
-}
-
-// RuleRemoval names a rule that went: the tag it had and what it was.
-type RuleRemoval struct {
-	Key IdentityKey
-	Tag int32
+	Added       []int32 // slots of rules newly clearing support and confidence
+	Updated     []int32 // slots of rules whose confidence/support moved
+	Removed     []int32 // tags of the rules that no longer qualify
+	Reevaluated int     // itemsets touched and re-derived a rule for: the work done
 }
 
 // slot is one node of the itemset tree. A tracked slot is a frequent
@@ -147,7 +142,7 @@ type IncrementalMiner struct {
 
 	// Per-pass state: the queue is reused, additions and removals are not.
 	queue   []int32 // slots to re-derive a rule for; then Delta.Updated, in place
-	removed []RuleRemoval
+	removed []int32
 
 	// Walk state (see enumerate).
 	op     minerOp
@@ -203,32 +198,33 @@ func (m *IncrementalMiner) ActiveRules() []Pattern {
 			active = append(active, int32(s))
 		}
 	}
-	return m.Rules(active)
+	return m.Rules(active).Patterns()
 }
 
 // Bind names the active rule whose itemset is ids, ascending time offset —
-// a rule row's premise, then its consequence — and reports what it emits.
-// ok is false when no active rule has that itemset or it is named already,
-// so binding an owner's rules one by one finds the ones the miner no longer
-// has and the duplicates. The slot is found by the walk down from the
-// first region's root, each step a read of the premise's children by
-// region (children). Call it only between Seed and UseRows.
-func (m *IncrementalMiner) Bind(ids []RegionID, tag int) (conf float64, support int, ok bool) {
+// a rule row's premise, then its consequence — and returns its slot, for
+// Rule to read what it emits. ok is false when no active rule has that
+// itemset or it is named already, so binding an owner's rules one by one
+// finds the ones the miner no longer has and the duplicates. The slot is
+// found by the walk down from the first region's root, each step a read of
+// the premise's children by region (children). Call it only between Seed
+// and UseRows.
+func (m *IncrementalMiner) Bind(ids []RegionID, tag int) (s int32, ok bool) {
 	if len(ids) < 2 || int(ids[0]) >= len(m.roots) {
-		return 0, 0, false
+		return noSlot, false
 	}
-	s := m.roots[ids[0]]
+	s = m.roots[ids[0]]
 	for n, id := range ids[1:] {
 		if s == noSlot {
-			return 0, 0, false
+			return noSlot, false
 		}
 		s = m.children(n, s)[id] - 1
 	}
 	if s == noSlot || m.slots[s].flags&slotActive == 0 || m.slots[s].tag != NoTag {
-		return 0, 0, false
+		return noSlot, false
 	}
 	m.slots[s].tag = int32(tag)
-	return m.confidence(s), int(m.slots[s].support), true
+	return s, true
 }
 
 // children returns the children of slot p, an itemset of n+1 regions, by
@@ -406,11 +402,10 @@ func (m *IncrementalMiner) reevaluate() Delta {
 			d.Updated = append(d.Updated, s)
 		case !ok && was:
 			sl.flags &^= slotActive
-			m.removed = append(m.removed, RuleRemoval{identityOf(m.idsOf(s, m.buf)), sl.tag})
+			m.removed = append(m.removed, sl.tag)
 			sl.tag = NoTag
 		}
 	}
-	slices.SortFunc(m.removed, func(a, b RuleRemoval) int { return CompareIdentity(a.Key, b.Key) })
 	d.Removed = m.removed
 	return d
 }
@@ -446,9 +441,9 @@ func (m *IncrementalMiner) idsOf(s int32, buf []RegionID) []RegionID {
 }
 
 // Rules sorts slots, each holding an active rule, into CompareIdentity
-// order in place and returns the rules as emitted, in one fresh slice with
-// premises carved from one fresh arena.
-func (m *IncrementalMiner) Rules(slots []int32) []Pattern {
+// order in place and returns the rules as emitted, one table row each, in
+// that order.
+func (m *IncrementalMiner) Rules(slots []int32) *Table {
 	type keyed struct {
 		key IdentityKey
 		s   int32
@@ -461,15 +456,12 @@ func (m *IncrementalMiner) Rules(slots []int32) []Pattern {
 		total += int(m.slots[s].n) - 1
 	}
 	slices.SortFunc(order, func(a, b keyed) int { return CompareIdentity(a.key, b.key) })
-	arena := make([]RegionID, 0, total)
-	out := make([]Pattern, len(slots))
+	out := NewTable(len(slots), total)
 	for i, o := range order {
 		slots[i] = o.s
 		ids := m.idsOf(o.s, buf[:0])
-		lo := len(arena)
-		arena = append(arena, ids[:len(ids)-1]...)
-		out[i] = Pattern{Premise: arena[lo:len(arena):len(arena)], Consequence: ids[len(ids)-1],
-			Confidence: m.confidence(o.s), Support: int(m.slots[o.s].support)}
+		out.Append(Pattern{Premise: ids[:len(ids)-1], Consequence: ids[len(ids)-1],
+			Confidence: m.confidence(o.s), Support: int(m.slots[o.s].support)})
 	}
 	return out
 }
@@ -657,7 +649,7 @@ func (m *IncrementalMiner) visit(c int32) {
 			return
 		}
 		if sl.flags&slotActive != 0 {
-			m.removed = append(m.removed, RuleRemoval{identityOf(append(m.buf, sl.last)), sl.tag})
+			m.removed = append(m.removed, sl.tag)
 		}
 		sl.flags &^= slotTracked | slotActive
 		sl.support, sl.tag = 0, NoTag

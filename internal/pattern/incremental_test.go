@@ -25,6 +25,7 @@ type ruleBook struct {
 	rules map[IdentityKey]Pattern
 	table *Table
 	tags  []IdentityKey // row -> the identity it was issued for
+	gone  []bool        // row -> its rule was removed
 }
 
 func newRuleBook() *ruleBook {
@@ -32,9 +33,9 @@ func newRuleBook() *ruleBook {
 }
 
 // applyDelta folds a Delta into the rule book, checking its internal
-// consistency: removals name live rules, additions are genuinely new
-// (after removals apply), updates touch existing rules and change what
-// their row holds.
+// consistency: removals name live rules' rows, each once, additions are
+// genuinely new (after removals apply), updates touch existing rules and
+// change what their row holds.
 func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 	t.Helper()
 	m.UseRows(book.table)
@@ -45,20 +46,18 @@ func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 		}
 		return book.tags[tag]
 	}
-	if !slices.IsSortedFunc(d.Removed, func(a, b RuleRemoval) int { return CompareIdentity(a.Key, b.Key) }) {
-		t.Fatal("delta removals out of identity order")
-	}
-	for _, r := range d.Removed {
-		key := named(int(r.Tag), "removed")
-		if key != r.Key {
-			t.Fatalf("delta removed tag %d as %v, it was issued for %v", r.Tag, r.Key, key)
+	for _, tag := range d.Removed {
+		key := named(int(tag), "removed")
+		if book.gone[tag] {
+			t.Fatalf("delta removed tag %d, whose rule %v went before", tag, key)
 		}
 		if _, ok := rules[key]; !ok {
 			t.Fatalf("delta removed unknown rule %v", key)
 		}
+		book.gone[tag] = true
 		delete(rules, key)
 	}
-	added := m.Rules(d.Added)
+	added := m.Rules(d.Added).Patterns()
 	if !slices.IsSortedFunc(added, func(a, b Pattern) int {
 		return CompareIdentity(ruleIdentity(a), ruleIdentity(b))
 	}) {
@@ -73,6 +72,7 @@ func applyDelta(t *testing.T, m *IncrementalMiner, book *ruleBook, d Delta) {
 		m.SetTag(d.Added[i], book.table.Len())
 		book.table.Append(p)
 		book.tags = append(book.tags, key)
+		book.gone = append(book.gone, false)
 	}
 	for _, s := range d.Updated {
 		tag, conf, support := m.Rule(s)
@@ -264,7 +264,7 @@ func seedMiner(t *testing.T, rt *RegionTable, cfg Config) (*IncrementalMiner, De
 		t.Fatalf("the walk seeds %d tracked itemsets, the replay %d, and they differ", len(got), len(want))
 	}
 	if got, want := m.Rules(d.Added), replay.Rules(rd.Added); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the walk seeds %d rules, the replay %d, and they differ", len(got), len(want))
+		t.Fatalf("the walk seeds %d rules, the replay %d, and they differ", got.Len(), want.Len())
 	}
 	return m, d
 }

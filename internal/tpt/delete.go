@@ -7,60 +7,95 @@ import (
 	"hpm/internal/bitkey"
 )
 
-// In-place mutation beyond Insert: retiring a pattern whose support or
+// In-place mutation beyond Insert: retiring patterns whose support or
 // confidence fell (delta-Apriori demotion), and widening every key when
 // minted regions or new consequence offsets grow the key space. A rewritten
 // confidence touches no leaf: the tree keeps none. §V-B only specifies
 // insertion; deletion follows the signature-tree shape — descend containing
-// entries, tighten union keys on the way back up.
+// entries, tighten union keys on the way back up — batched, so a union is
+// re-derived once per batch however many removals pass under it.
 //
 // Deletion tolerates node underflow: a leaf may drop below the minimum
 // fill without triggering re-insertion. Search stays correct (union keys
-// are tightened), only packing quality degrades — and the periodic batch
-// rebuild that backstops incremental training restores it.
+// are tightened), only packing quality degrades, and underfull nodes stay
+// until a rebuild repacks them (ROADMAP item 5).
 
-// Delete removes the item with the given key and ref, returning false
-// when no such item is indexed. Key lengths must match the tree's.
-func (t *Tree) Delete(key bitkey.PatternKey, ref int) bool {
-	var buf [keyBuf]uint64
-	if !t.deleteIn(t.root, t.flat(buf[:], key), ref) {
-		return false
+// Delete removes the n items fill describes, each as Build reads one — its
+// key set in zeroed words of the tree's lengths, and its reference — and
+// returns how many it found; an item named twice is found once. Each
+// removal descends as one alone would and marks the nodes on its path; one
+// pass over the marked nodes then drops the emptied ones and re-derives
+// each remaining union, so the tree ends as the removals one by one, in
+// any order, would leave it.
+func (t *Tree) Delete(n int, fill Fill) int {
+	pk, found := make([]uint64, t.stride), 0
+	for i := 0; i < n; i++ {
+		clear(pk)
+		if t.deleteIn(t.root, pk, int(t.filled(fill, i, pk))) {
+			found++
+		}
 	}
-	t.size--
+	if found == 0 {
+		return 0
+	}
+	t.size -= found
+	t.tighten(t.root)
 	// A single-entry internal root adds a level no search needs.
 	for !t.root.leaf && len(t.root.kids) == 1 {
 		t.root = t.root.kids[0]
 		t.height--
 		t.inner--
 	}
-	return true
+	if t.size == 0 { // as the last removal of one by one leaves it
+		t.root, t.height, t.leaves, t.inner = &node{leaf: true}, 1, 1, 0
+	}
+	return found
 }
 
+// deleteIn removes the item under n and marks n when it finds it. Unions
+// above earlier removals of the batch are not tightened yet, so a descent
+// may enter a subtree that no longer holds the key, but never misses one
+// that does.
 func (t *Tree) deleteIn(n *node, pk []uint64, ref int) bool {
 	if n.leaf {
 		i := t.find(n, pk, ref)
 		if i >= 0 {
 			t.remove(n, i)
+			n.touched = true
 		}
 		return i >= 0
 	}
 	for i, child := range n.kids {
 		// A union key contains every key below it, so subtrees whose
 		// entry does not contain the target cannot hold it.
-		if !bitkey.ContainsWords(t.key(n, i), pk) {
-			continue
-		}
-		if t.deleteIn(child, pk, ref) {
-			if child.len() == 0 {
-				t.remove(n, i)
-				t.count(child, -1)
-			} else {
-				t.unionOf(t.key(n, i)[:0], child)
-			}
+		if bitkey.ContainsWords(t.key(n, i), pk) && t.deleteIn(child, pk, ref) {
+			n.touched = true
 			return true
 		}
 	}
 	return false
+}
+
+// tighten clears n's mark and, below it, drops every marked child the
+// removals emptied and re-derives the union of every other marked one,
+// children first.
+func (t *Tree) tighten(n *node) {
+	n.touched = false
+	for i := 0; i < len(n.kids); {
+		child := n.kids[i]
+		if !child.touched {
+			i++
+			continue
+		}
+		t.tighten(child)
+		if child.len() == 0 {
+			t.remove(n, i)
+			t.count(child, -1)
+			continue
+		}
+		t.unionOf(t.key(n, i)[:0], child)
+		i++
+	}
 }
 
 // find returns the index of the leaf entry with the given key and ref, or -1.

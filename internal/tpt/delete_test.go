@@ -7,12 +7,22 @@ import (
 	"hpm/internal/bitkey"
 )
 
-// TestDeleteSearchEquivalenceProperty interleaves random deletions with
-// search checks against a brute-force survivor scan, for both the insert-
-// built and the bulk-loaded shape. Deletion tolerates underflow by design
-// (the batch-rebuild backstop restores packing), so the minimum-fill bound
-// is not checked; union-tightness, uniform leaf depth and the size counter
-// must still hold, or searches go wrong.
+// deleteItems hands items to one batch Delete.
+func deleteItems(tree *Tree, items ...Item) int {
+	return tree.Delete(len(items), func(i int, ck, rk []uint64) int {
+		copy(ck, items[i].Key.CK.Words())
+		copy(rk, items[i].Key.RK.Words())
+		return items[i].Ref
+	})
+}
+
+// TestDeleteSearchEquivalenceProperty interleaves random batch deletions
+// with search checks against a brute-force survivor scan, for both the
+// insert-built and the bulk-loaded shape. Each batch names one of its
+// items twice, and the last one empties the tree. Deletion tolerates
+// underflow by design (nothing repacks), so the minimum-fill bound is not
+// checked; union-tightness, uniform leaf depth and the size counter must
+// still hold, or searches go wrong.
 func TestDeleteSearchEquivalenceProperty(t *testing.T) {
 	const ckLen, rkLen, n = 10, 48, 400
 	for _, bulk := range []bool{false, true} {
@@ -33,16 +43,17 @@ func TestDeleteSearchEquivalenceProperty(t *testing.T) {
 		alive := append([]Item(nil), items...)
 		for len(alive) > 0 {
 			// Delete a random batch, then probe with random queries.
+			var batch []Item
 			for k := 0; k < 20 && len(alive) > 0; k++ {
 				i := r.Intn(len(alive))
-				it := alive[i]
-				if !tree.Delete(it.Key, it.Ref) {
-					t.Fatalf("bulk=%v: Delete(ref %d) found nothing", bulk, it.Ref)
-				}
-				if tree.Delete(it.Key, it.Ref) {
-					t.Fatalf("bulk=%v: double Delete(ref %d) succeeded", bulk, it.Ref)
-				}
+				batch = append(batch, alive[i])
 				alive = append(alive[:i], alive[i+1:]...)
+			}
+			if got := deleteItems(tree, append(batch, batch[0])...); got != len(batch) {
+				t.Fatalf("bulk=%v: a batch of %d distinct items deleted %d", bulk, len(batch), got)
+			}
+			if deleteItems(tree, batch[0]) != 0 {
+				t.Fatalf("bulk=%v: double Delete(ref %d) succeeded", bulk, batch[0].Ref)
 			}
 			checkInvariants(t, tree, false)
 			if tree.Len() != len(alive) {
@@ -101,7 +112,7 @@ func TestGrowKeys(t *testing.T) {
 		}
 	}
 	// Deleting an old item by its grown key must still work.
-	if !tree.Delete(wide[0].Key, wide[0].Ref) {
+	if deleteItems(tree, wide[0]) != 1 {
 		t.Fatal("Delete by grown key failed")
 	}
 	defer func() {

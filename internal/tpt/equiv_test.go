@@ -153,7 +153,9 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 // sequence of Insert, Delete and GrowKeys — starting from a bulk
 // load or from empty, with and without the paper's intersect rule — and
 // demands equality after every step, of the tree and of the tree the builder
-// lays out from its shape. GrowKeys steps carry every width across
+// lays out from its shape. The tree deletes in batches of one to twelve
+// items, some naming an item twice and some the whole tree; the reference
+// deletes the same items one by one. GrowKeys steps carry every width across
 // a word boundary sooner or later; (63, 127) crosses both on the first.
 func TestMutationsMatchReference(t *testing.T) {
 	const steps = 500
@@ -181,11 +183,27 @@ func TestMutationsMatchReference(t *testing.T) {
 					alive[i] = grownItem(alive[i], ckLen, rkLen)
 				}
 			case op < 35 && len(alive) > 0:
-				i := r.Intn(len(alive))
-				it := alive[i]
-				alive = slices.Delete(alive, i, i+1)
-				if a, b := ref.Delete(it.Key, it.Ref), tree.Delete(it.Key, it.Ref); !a || !b {
-					t.Fatalf("width %v step %d: Delete(ref %d) = %v, reference %v", w, step, it.Ref, b, a)
+				n := 1 + r.Intn(12)
+				if r.Intn(40) == 0 {
+					n = len(alive)
+				}
+				var batch []Item
+				for ; n > 0 && len(alive) > 0; n-- {
+					i := r.Intn(len(alive))
+					batch = append(batch, alive[i])
+					alive = slices.Delete(alive, i, i+1)
+				}
+				found := 0
+				if r.Intn(4) == 0 {
+					batch = append(batch, batch[r.Intn(len(batch))]) // a repeat finds nothing
+				}
+				for _, it := range batch {
+					if ref.Delete(it.Key, it.Ref) {
+						found++
+					}
+				}
+				if got := deleteItems(tree, batch...); got != found {
+					t.Fatalf("width %v step %d: a batch of %d deleted %d, reference %d", w, step, len(batch), got, found)
 				}
 			default:
 				it := randomItem(r, ckLen, rkLen, nextRef)
@@ -204,7 +222,7 @@ func TestMutationsMatchReference(t *testing.T) {
 		}
 		// Absent items are absent from both.
 		ghost := randomItem(r, ckLen, rkLen, nextRef)
-		if ref.Delete(ghost.Key, ghost.Ref) || tree.Delete(ghost.Key, ghost.Ref) {
+		if ref.Delete(ghost.Key, ghost.Ref) || deleteItems(tree, ghost) != 0 {
 			t.Fatalf("width %v: an item never inserted was found", w)
 		}
 	}
@@ -277,7 +295,9 @@ func requireBruteForce(t *testing.T, tree *Tree, items []Item, q bitkey.PatternK
 // FuzzTreeOps bulk-loads the items load describes, checks the load against
 // the comparison order, then reads op bytes as a sequence of Insert, Delete
 // and GrowKeys and checks the tree against BruteForce over the surviving
-// items after every op. The seeds below run under plain go test.
+// items after every op. A Delete takes a batch of one to eight items, or
+// from an op byte of 0xf0 up every item left, and names its first item
+// twice when bit 5 is set. The seeds below run under plain go test.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{}, []byte("\x00\x10\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x03\xff\x00\x16\x02\x00\x02\x00\x02\x00"))
@@ -311,11 +331,23 @@ func FuzzTreeOps(f *testing.F) {
 				if len(alive) == 0 {
 					continue
 				}
-				i := next() % len(alive)
-				if !tree.Delete(alive[i].Key, alive[i].Ref) {
-					t.Fatalf("Delete(ref %d) found nothing", alive[i].Ref)
+				n := 1 + op>>2&7
+				if op >= 0xf0 {
+					n = len(alive)
 				}
-				alive = slices.Delete(alive, i, i+1)
+				var batch []Item
+				for ; n > 0 && len(alive) > 0; n-- {
+					i := next() % len(alive)
+					batch = append(batch, alive[i])
+					alive = slices.Delete(alive, i, i+1)
+				}
+				distinct := len(batch)
+				if op>>5&1 == 1 {
+					batch = append(batch, batch[0])
+				}
+				if got := deleteItems(tree, batch...); got != distinct {
+					t.Fatalf("a batch of %d distinct items deleted %d", distinct, got)
+				}
 				deleted = true
 			case 3:
 				if ckLen > 200 {

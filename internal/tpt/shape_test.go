@@ -155,9 +155,11 @@ func FuzzTreeShape(f *testing.F) {
 	f.Add(BulkLoad(ckLen, rkLen, itemsFor(300), opts).Shape().AppendBinary(nil)) // three levels
 	tree := BulkLoad(ckLen, rkLen, itemsFor(100), opts)
 	packed := tree.Shape().AppendBinary(nil)
+	var hollowed []Item
 	for ref := 0; ref < 100; ref += 3 { // hollow it out: underfull nodes, a lower root
-		tree.Delete(itemsFor(100)[ref].Key, ref)
+		hollowed = append(hollowed, itemsFor(100)[ref])
 	}
+	deleteItems(tree, hollowed...)
 	sh := tree.Shape()
 	for i, ref := range sh.Refs {
 		sh.Refs[i] = ref - (ref+2)/3 // rank among the survivors

@@ -84,10 +84,11 @@ type Tree struct {
 // (i+1)*stride], its reference refs[i] in a leaf and its child kids[i]
 // otherwise.
 type node struct {
-	leaf bool
-	keys []uint64
-	refs []int32
-	kids []*node
+	leaf    bool
+	touched bool // on the path of a removal Delete has not yet tightened
+	keys    []uint64
+	refs    []int32
+	kids    []*node
 }
 
 func (n *node) len() int {
@@ -370,10 +371,10 @@ func (t *Tree) search(n *node, ck, rk []uint64, premise bool, visit Visit) (node
 	return nodes, false
 }
 
-// Fill describes item i to Build: it sets the item's key bits, laid out as
-// bitkey lays a key's, in the zeroed words ck and rk of a consequence key
-// and a premise key — the tree's own storage: no key is allocated per item
-// — and returns its reference.
+// Fill describes item i to Build or Delete: it sets the item's key bits,
+// laid out as bitkey lays a key's, in the zeroed words ck and rk of a
+// consequence key and a premise key — the tree's own storage: no key is
+// allocated per item — and returns its reference.
 type Fill func(i int, ck, rk []uint64) (ref int)
 
 func (t *Tree) filled(fill Fill, i int, k []uint64) int32 {

@@ -410,7 +410,7 @@ func TestStats(t *testing.T) {
 	}
 	requireWalk("build from a shape", built)
 	for _, i := range r.Perm(len(items)) {
-		if !tree.Delete(items[i].Key, items[i].Ref) {
+		if deleteItems(tree, items[i]) != 1 {
 			t.Fatalf("Delete(ref %d) found nothing", i)
 		}
 		requireWalk("delete", tree)

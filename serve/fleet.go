@@ -149,7 +149,7 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate once before committing to the stream so a bad request still
 	// gets a JSON error status.
-	if _, err := st.QueryRange(rect, h); err != nil {
+	if _, err := st.QueryRangeContext(r.Context(), rect, h); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -190,9 +190,9 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	a := newAnswer()
 	defer a.free()
 	for seq := 0; ; seq++ {
-		res, err := st.QueryRange(rect, h)
+		res, err := st.QueryRangeContext(ctx, rect, h)
 		if err != nil {
-			return // index disabled mid-stream cannot happen; be safe anyway
+			return // the stream ended; an index disabled mid-stream cannot happen
 		}
 		a.b = a.b[:0]
 		a.raw("event: update\ndata: {\"horizon\":")

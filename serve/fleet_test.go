@@ -345,7 +345,7 @@ func TestFleetHammerWithSubscriber(t *testing.T) {
 func TestMetricsIncludesIndexAndFitCounters(t *testing.T) {
 	srv, st := fleetServer(t, store.Options{MinTrainPeriods: 3})
 	feedDataset(t, st, "bike", 1, 5)
-	if _, err := st.QueryRange(hpm.Rect{Min: hpm.Pt(-1e6, -1e6), Max: hpm.Pt(1e6, 1e6)}, 10); err != nil {
+	if _, err := st.QueryRangeContext(context.Background(), hpm.Rect{Min: hpm.Pt(-1e6, -1e6), Max: hpm.Pt(1e6, 1e6)}, 10); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(srv.URL + "/metrics")

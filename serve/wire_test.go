@@ -393,7 +393,7 @@ func TestHandlersMatchEncodingJSON(t *testing.T) {
 	}
 	now, _ := st.Now("bike")
 
-	preds, err := st.Predict("bike", now+7, 3)
+	preds, err := st.PredictContext(context.Background(), "bike", now+7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,13 +420,13 @@ func TestHandlersMatchEncodingJSON(t *testing.T) {
 		refEncode(t, map[string]any{"from": now + 1, "to": now + 30, "predictions": toJSONs(path)}))
 
 	rect := hpm.Rect{Min: hpm.Pt(math.Inf(-1), math.Inf(-1)), Max: hpm.Pt(math.Inf(1), math.Inf(1))}
-	res, err := st.QueryRange(rect, 10)
+	res, err := st.QueryRangeContext(context.Background(), rect, 10)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("range query: %d results, err %v", len(res), err)
 	}
 	same("range query", serve("GET", "/query/range?minx=-Inf&miny=-Inf&maxx=Inf&maxy=Inf&horizon=10", ""),
 		refEncode(t, map[string]any{"horizon": st.FleetBucketHorizon(10), "results": fleetResults(res)}))
-	near, err := st.QueryNearest(hpm.Pt(0, 0), 3, 10)
+	near, err := st.QueryNearestContext(context.Background(), hpm.Pt(0, 0), 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,12 +76,12 @@ func TestQueriesServeDuringBackgroundTrain(t *testing.T) {
 		}
 		// Object a is untouched by b's train.
 		nowA, _ := s.Now("a")
-		if _, err := s.Predict("a", nowA+10, 1); err != nil {
+		if _, err := predict(s, "a", nowA+10, 1); err != nil {
 			t.Errorf("Predict(a) during b's train: %v", err)
 		}
 		// Object b answers, without waiting, that it has no model yet.
 		nowB, _ := s.Now("b")
-		if _, err := s.Predict("b", nowB+10, 1); !errors.Is(err, ErrUntrained) {
+		if _, err := predict(s, "b", nowB+10, 1); !errors.Is(err, ErrUntrained) {
 			t.Errorf("Predict(b) during its first train: %v, want ErrUntrained", err)
 		}
 	})
@@ -99,7 +99,7 @@ func TestQueriesServeDuringBackgroundTrain(t *testing.T) {
 	if !st.Trained || st.Modeled != 3 {
 		t.Errorf("state once the observe returned: %+v", st)
 	}
-	if _, err := s.Predict("b", 3*period+40, 1); err != nil {
+	if _, err := predict(s, "b", 3*period+40, 1); err != nil {
 		t.Errorf("Predict(b) after its first train: %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 	// One bucket is live before the race, so every install must refresh
 	// it; the kNN below builds another while the trains install.
 	everything := rct(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1))
-	if _, err := s.QueryRange(everything, 5); err != nil {
+	if _, err := queryRange(s, everything, 5); err != nil {
 		t.Fatal(err)
 	}
 	written := make(chan struct{})
@@ -214,7 +214,7 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 	origin := hpm.Pt(500, 500)
 	race(func() { // builds the h = 100 bucket while trains install
 		for {
-			if _, err := s.QueryNearest(origin, 5, 100); err != nil {
+			if _, err := queryNearest(s, origin, 5, 100); err != nil {
 				t.Error(err)
 				return
 			}
@@ -264,12 +264,12 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 		}
 	}
 	for _, h := range s.fleetHorizons() {
-		got, err1 := s.QueryRange(everything, h)
+		got, err1 := queryRange(s, everything, h)
 		scan, err2 := s.ScanRange(everything, h)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, scan) {
 			t.Fatalf("h=%d (%v, %v):\nindex: %v\nscan:  %v", h, err1, err2, got, scan)
 		}
-		got, err1 = s.QueryNearest(origin, len(ids), h)
+		got, err1 = queryNearest(s, origin, len(ids), h)
 		scan, err2 = s.scanNearest(origin, len(ids), h)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, scan) {
 			t.Fatalf("kNN h=%d (%v, %v):\nindex: %v\nscan:  %v", h, err1, err2, got, scan)

@@ -266,7 +266,7 @@ func benchReopen(b *testing.B, dir string, opts Options) {
 func readEveryBucket(b *testing.B, s *Store) {
 	b.Helper()
 	for _, h := range s.fleetHorizons() {
-		if _, err := s.QueryNearest(hpm.Pt(0, 0), 1, h); err != nil {
+		if _, err := queryNearest(s, hpm.Pt(0, 0), 1, h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,10 +468,10 @@ func BenchmarkFleetQuery(b *testing.B) {
 		index, scan query
 	}{
 		{"range",
-			func(s *Store, i int) ([]spatial.Result, error) { return s.QueryRange(rects[i], hs[i]) },
+			func(s *Store, i int) ([]spatial.Result, error) { return queryRange(s, rects[i], hs[i]) },
 			func(s *Store, i int) ([]spatial.Result, error) { return s.ScanRange(rects[i], hs[i]) }},
 		{"knn",
-			func(s *Store, i int) ([]spatial.Result, error) { return s.QueryNearest(pts[i], 10, hs[i]) },
+			func(s *Store, i int) ([]spatial.Result, error) { return queryNearest(s, pts[i], 10, hs[i]) },
 			func(s *Store, i int) ([]spatial.Result, error) { return s.scanNearest(pts[i], 10, hs[i]) }},
 	}
 	for _, op := range ops {

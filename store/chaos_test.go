@@ -103,7 +103,7 @@ func TestChaosCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 			continue
 		}
 		now, _ := back.Now(id)
-		if _, err := back.Predict(id, now+10, 1); err != nil {
+		if _, err := predict(back, id, now+10, 1); err != nil {
 			t.Errorf("%s: predict after recovery: %v", id, err)
 		}
 	}
@@ -342,7 +342,7 @@ func TestTrainPanicRecoveredAndRetried(t *testing.T) {
 		t.Errorf("train attempts = %d, failures = %d: want 2 (the panicked one counts) and 1", fs.Trains, fs.TrainFailures)
 	}
 	now, _ := s.Now("bike")
-	if _, err := s.Predict("bike", now+10, 1); err != nil {
+	if _, err := predict(s, "bike", now+10, 1); err != nil {
 		t.Errorf("predict after recovered panic: %v", err)
 	}
 }
@@ -368,7 +368,7 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 		t.Fatalf("state after failed train: %+v", st)
 	}
 	now, _ := s.Now("bike")
-	if _, err := s.Predict("bike", now+10, 1); !errors.Is(err, ErrUntrained) {
+	if _, err := predict(s, "bike", now+10, 1); !errors.Is(err, ErrUntrained) {
 		t.Errorf("predict during failing trains: %v, want ErrUntrained", err)
 	}
 	const more = 70
@@ -389,7 +389,7 @@ func TestTrainRepeatedFailureKeepsServing(t *testing.T) {
 		t.Errorf("object did not recover: %+v", st)
 	}
 	now, _ = s.Now("bike")
-	if _, err := s.Predict("bike", now+10, 1); err != nil {
+	if _, err := predict(s, "bike", now+10, 1); err != nil {
 		t.Errorf("predict after recovery: %v", err)
 	}
 }
@@ -559,7 +559,7 @@ func TestChaosConcurrentIngestCrash(t *testing.T) {
 			t.Errorf("%s: recovered %d points, acknowledged %d", id, st.Points, acked[w])
 		}
 		now, _ := back.Now(id)
-		if _, err := back.Predict(id, now+10, 1); err != nil {
+		if _, err := predict(back, id, now+10, 1); err != nil {
 			t.Errorf("%s: predict after recovery: %v", id, err)
 		}
 	}

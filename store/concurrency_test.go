@@ -54,7 +54,7 @@ func TestPredictObserveHammer(t *testing.T) {
 	// The held time is answered once before the writer can pass it, and
 	// asked again at least once after the writer is done.
 	heldTq := 4*period - 1 + 20
-	if _, err := s.Predict("bike", heldTq, 1); err == nil {
+	if _, err := predict(s, "bike", heldTq, 1); err == nil {
 		held.Add(1)
 	}
 
@@ -87,7 +87,7 @@ func TestPredictObserveHammer(t *testing.T) {
 		for {
 			stopped := written.Load()
 			floor := acked.Load()
-			if _, err := s.Predict("bike", heldTq, 1); err == nil {
+			if _, err := predict(s, "bike", heldTq, 1); err == nil {
 				held.Add(1)
 				if int64(heldTq) <= floor {
 					errs <- fmt.Errorf("answered for time %d after the point at %d was acknowledged", heldTq, floor)
@@ -117,9 +117,9 @@ func TestPredictObserveHammer(t *testing.T) {
 					}
 					switch r % 4 {
 					case 0: // near: FQP path
-						_, err = s.Predict("bike", now+20, 1)
+						_, err = predict(s, "bike", now+20, 1)
 					case 1: // distant: BQP path
-						_, err = s.Predict("bike", now+80, 1)
+						_, err = predict(s, "bike", now+80, 1)
 					case 2: // batch across both paths
 						_, err = s.PredictBatchContext(context.Background(), "bike", []int{now + 20, now + 80}, 2)
 					default: // range + stats read, and a query of fresh
@@ -203,7 +203,7 @@ func TestStatsSurviveRetrain(t *testing.T) {
 	now, _ := s.Now("bike")
 	const before = 4
 	for i := 0; i < before; i++ {
-		if _, err := s.Predict("bike", now+5+i, 1); err != nil {
+		if _, err := predict(s, "bike", now+5+i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestStatsSurviveRetrain(t *testing.T) {
 		t.Fatal("a completed period replaced the predictor")
 	}
 	now, _ = s.Now("bike")
-	if _, err := s.Predict("bike", now+5, 1); err != nil {
+	if _, err := predict(s, "bike", now+5, 1); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.Stats("bike")
@@ -251,7 +251,7 @@ func TestStorePredictBatchMatchesPredict(t *testing.T) {
 		t.Fatalf("batch has %d entries, want %d", len(batch), len(tqs))
 	}
 	for i, tq := range tqs {
-		want, err := s.Predict("bike", tq, 2)
+		want, err := predict(s, "bike", tq, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

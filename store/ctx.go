@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 
 	"hpm"
 	"hpm/internal/spatial"
@@ -27,18 +28,48 @@ func (s *Store) ObserveBatchContext(ctx context.Context, id string, locs []hpm.P
 	return s.ObserveAllContext(ctx, []Observation{{ID: id, Points: locs}})
 }
 
-// QueryRangeContext is QueryRange with request-scoped cancellation.
+// QueryRangeContext returns every object whose cached predicted position
+// at the bucket covering `horizon` (ticks after each object's latest
+// observation) lies inside r, sorted by id, unless ctx is done first.
+// Answered from the index: once the bucket is built, no model is fitted and
+// no track is locked. The first query of a bucket builds it (readBucket).
 func (s *Store) QueryRangeContext(ctx context.Context, r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.QueryRange(r, horizon)
+	if s.index == nil {
+		return nil, ErrNoFleetIndex
+	}
+	if err := validateFleetQuery(horizon); err != nil {
+		return nil, err
+	}
+	if !r.IsValid() {
+		return nil, fmt.Errorf("store: invalid rect %v", r)
+	}
+	s.readBucket(horizon)
+	return s.index.Range(r, horizon), nil
 }
 
-// QueryNearestContext is QueryNearest with request-scoped cancellation.
+// QueryNearestContext returns the k objects whose cached predicted
+// positions at the bucket covering `horizon` are closest to p, ascending by
+// distance, unless ctx is done first. Like QueryRangeContext, the first
+// query of a bucket builds it.
 func (s *Store) QueryNearestContext(ctx context.Context, p hpm.Point, k, horizon int) ([]spatial.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.QueryNearest(p, k, horizon)
+	if s.index == nil {
+		return nil, ErrNoFleetIndex
+	}
+	if err := validateFleetQuery(horizon); err != nil {
+		return nil, err
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("store: k must be positive, got %d", k)
+	}
+	if !p.IsFinite() {
+		return nil, fmt.Errorf("store: non-finite query point")
+	}
+	s.readBucket(horizon)
+	return s.index.Nearest(p, k, horizon), nil
 }

@@ -80,7 +80,7 @@ func TestChaosDegradeOnSyncFailure(t *testing.T) {
 		t.Errorf("degraded store lost in-memory points: %d, acked %d", st.Points, acked)
 	}
 	now, _ := s.Now("bus-1")
-	if _, err := s.Predict("bus-1", now+10, 1); err != nil {
+	if _, err := predict(s, "bus-1", now+10, 1); err != nil {
 		t.Errorf("predict while degraded: %v", err)
 	}
 
@@ -176,7 +176,7 @@ func TestChaosKillWhileDegraded(t *testing.T) {
 		t.Errorf("recovered %d points, acknowledged %d", st.Points, acked)
 	}
 	now, _ := back.Now("bus-1")
-	if _, err := back.Predict("bus-1", now+10, 1); err != nil {
+	if _, err := predict(back, "bus-1", now+10, 1); err != nil {
 		t.Errorf("predict after recovery: %v", err)
 	}
 }
@@ -333,14 +333,14 @@ func TestChaosFleetIndexServesWhileDegraded(t *testing.T) {
 	}
 
 	rect := hpm.Rect{Min: hpm.Pt(-1e6, -1e6), Max: hpm.Pt(1e6, 1e6)}
-	res, err := s.QueryRange(rect, 10)
+	res, err := queryRange(s, rect, 10)
 	if err != nil {
 		t.Fatalf("range query while degraded: %v", err)
 	}
 	if len(res) != 2 {
 		t.Errorf("range query found %d objects, want 2", len(res))
 	}
-	near, err := s.QueryNearest(hpm.Pt(0, 0), 1, 10)
+	near, err := queryNearest(s, hpm.Pt(0, 0), 1, 10)
 	if err != nil {
 		t.Fatalf("kNN query while degraded: %v", err)
 	}

@@ -33,10 +33,10 @@ func evalStore(t *testing.T, opts Options) (*Store, *hpm.Trajectory) {
 func TestEvalScoresServedPredictions(t *testing.T) {
 	s, tr := evalStore(t, Options{})
 	now := 4*period - 1
-	if _, err := s.Predict("bike", now+5, 1); err != nil { // near: FQP bucket
+	if _, err := predict(s, "bike", now+5, 1); err != nil { // near: FQP bucket
 		t.Fatal(err)
 	}
-	if _, err := s.Predict("bike", now+60, 1); err != nil { // distant: BQP bucket
+	if _, err := predict(s, "bike", now+60, 1); err != nil { // distant: BQP bucket
 		t.Fatal(err)
 	}
 	sum, err := s.EvalStats("bike")
@@ -81,7 +81,7 @@ func TestEvalScoresServedPredictions(t *testing.T) {
 func TestEvalDisabled(t *testing.T) {
 	s, tr := evalStore(t, Options{EvalDisabled: true})
 	now := 4*period - 1
-	if _, err := s.Predict("bike", now+5, 1); err != nil {
+	if _, err := predict(s, "bike", now+5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ObserveBatch("bike", tr.Slice(4*period, 5*period)); err != nil {
@@ -120,7 +120,7 @@ func TestEvalPredictBatchRecorded(t *testing.T) {
 func TestEvalFallbackShadowScores(t *testing.T) {
 	s, tr := evalStore(t, Options{})
 	now := 4*period - 1
-	if _, err := s.Predict("bike", now+60, 1); err != nil {
+	if _, err := predict(s, "bike", now+60, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.PredictVia("bike", evalq.PathFallback, now+60, 1); err != nil {
@@ -173,7 +173,7 @@ func TestEvalHammerConcurrent(t *testing.T) {
 				// Errors are expected here: the track can grow between Now
 				// and Predict, pushing tq behind the current time. The
 				// hammer is about locking, not query outcomes.
-				s.Predict("bike", now+1+i%100, 1)
+				predict(s, "bike", now+1+i%100, 1)
 			}
 		}(r)
 	}
@@ -199,7 +199,7 @@ func TestEvalHammerConcurrent(t *testing.T) {
 		// predictions deterministically mature against the next batch
 		// regardless of how the racing readers get scheduled.
 		if now, err := s.Now("bike"); err == nil {
-			if _, err := s.Predict("bike", now+3, 1); err != nil {
+			if _, err := predict(s, "bike", now+3, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -43,7 +43,7 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 			t.Errorf("%s: refused after %v, want < 100ms", name, el)
 		}
 	}
-	refused("Predict", ErrTooFar, func() error { _, err := s.Predict("drifter", far, 1); return err })
+	refused("Predict", ErrTooFar, func() error { _, err := predict(s, "drifter", far, 1); return err })
 	refused("PredictContext", ErrTooFar, func() error { _, err := s.PredictContext(ctx, "drifter", far, 1); return err })
 	refused("PredictAheadContext", ErrTooFar, func() error {
 		_, _, err := s.PredictAheadContext(ctx, "drifter", MaxHorizon+1, 1)
@@ -73,10 +73,10 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 		_, err := s.PredictRangeContext(context.Background(), "drifter", now+1, now+2+MaxRange)
 		return err
 	})
-	refused("unknown object", ErrUnknownObject, func() error { _, err := s.Predict("nobody", far, 1); return err })
+	refused("unknown object", ErrUnknownObject, func() error { _, err := predict(s, "nobody", far, 1); return err })
 
 	// The bounds themselves are admitted.
-	if preds, err := s.Predict("drifter", now+MaxHorizon, 1); err != nil || len(preds) != 1 {
+	if preds, err := predict(s, "drifter", now+MaxHorizon, 1); err != nil || len(preds) != 1 {
 		t.Errorf("Predict at now+MaxHorizon: %v, %v", preds, err)
 	}
 	if preds, err := s.PredictRangeContext(context.Background(), "drifter", now+1, now+1+MaxRange); err != nil || len(preds) != MaxRange+1 {

@@ -41,7 +41,7 @@ func checkAnswers(t *testing.T, s *Store, id string, tqs []int) {
 			t.Fatal(err)
 		}
 		for i, tq := range tqs {
-			point, err := s.Predict(id, tq, k)
+			point, err := predict(s, id, tq, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestMemoAnswersAreCopies(t *testing.T) {
 	var firstBatch [][]hpm.Prediction
 	const rounds = 3
 	for round := 0; round < rounds; round++ {
-		point, err := s.Predict("bike", tq, 3)
+		point, err := predict(s, "bike", tq, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestMemoHoldsAtMostCap(t *testing.T) {
 	feed(t, s, "bike", 25, 4)
 	now, _ := s.Now("bike")
 	for i := 1; i <= memoCap+2; i++ {
-		if _, err := s.Predict("bike", now+i, 1); err != nil {
+		if _, err := predict(s, "bike", now+i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

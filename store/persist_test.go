@@ -221,11 +221,11 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 
 	// The restored store answers queries identically.
 	now, _ := s.Now("bike-1")
-	want, err := s.Predict("bike-1", now+15, 1)
+	want, err := predict(s, "bike-1", now+15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Predict("bike-1", now+15, 1)
+	got, err := predict(back, "bike-1", now+15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -292,7 +292,7 @@ func TestRemoveDuringTrainLeavesNoIndexGhost(t *testing.T) {
 	everywhere := hpm.Rect{Min: hpm.Pt(-1e9, -1e9), Max: hpm.Pt(1e9, 1e9)}
 	horizons := []int{5, 100}
 	for _, h := range horizons { // make both buckets live before the train
-		if _, err := s.QueryRange(everywhere, h); err != nil {
+		if _, err := queryRange(s, everywhere, h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func TestRemoveDuringTrainLeavesNoIndexGhost(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range horizons {
-		got, err := s.QueryRange(everywhere, h)
+		got, err := queryRange(s, everywhere, h)
 		if err != nil {
 			t.Fatal(err)
 		}

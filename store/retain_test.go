@@ -133,7 +133,7 @@ func TestRetainPeriodsTrimsTrack(t *testing.T) {
 	if err != nil || now != periods*period-1 {
 		t.Fatalf("Now = %d, %v; want absolute %d", now, err, periods*period-1)
 	}
-	if preds, err := s.Predict("bike", now+10, 1); err != nil || len(preds) != 1 {
+	if preds, err := predict(s, "bike", now+10, 1); err != nil || len(preds) != 1 {
 		t.Fatalf("predict on trimmed track: %v, %d preds", err, len(preds))
 	}
 	if _, err := s.PredictRangeContext(context.Background(), "bike", now+1, now+5); err != nil {
@@ -171,7 +171,7 @@ func TestSnapshotRoundTripTrimmedBase(t *testing.T) {
 	if err != nil || now != periods*period-1 {
 		t.Fatalf("restored Now = %d, %v; want %d", now, err, periods*period-1)
 	}
-	if _, err := back.Predict("bike", now+10, 1); err != nil {
+	if _, err := predict(back, "bike", now+10, 1); err != nil {
 		t.Fatalf("predict on restored trimmed object: %v", err)
 	}
 	// The restored object keeps extending on its absolute timeline.
@@ -223,7 +223,7 @@ func TestDurableReplayTrimmedBase(t *testing.T) {
 	if now != (snapAt+2)*period-1 {
 		t.Errorf("recovered Now = %d, want %d", now, (snapAt+2)*period-1)
 	}
-	if _, err := back.Predict("bike", now+10, 1); err != nil {
+	if _, err := predict(back, "bike", now+10, 1); err != nil {
 		t.Fatalf("predict after replay onto trimmed base: %v", err)
 	}
 }
@@ -289,7 +289,7 @@ func TestExtendPredictHammer(t *testing.T) {
 				// The writer may advance the track between Now and the
 				// query, invalidating the query time; that is an input
 				// error, not a race.
-				if _, err := s.Predict("bike", now+10, 1); err != nil && !stale(err) {
+				if _, err := predict(s, "bike", now+10, 1); err != nil && !stale(err) {
 					errs <- err
 					return
 				}

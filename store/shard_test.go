@@ -76,7 +76,7 @@ func TestShardHammer(t *testing.T) {
 					if err != nil {
 						continue // not observed yet, or removed
 					}
-					if _, err := s.Predict(id, now+10, 1); err != nil {
+					if _, err := predict(s, id, now+10, 1); err != nil {
 						continue // untrained / invalid time are expected here
 					}
 				case 3: // stats + fleet walks

@@ -88,7 +88,7 @@ func TestGoldenDirectory(t *testing.T) {
 	}
 	// The answers the parent commit gave over the same directory.
 	now, _ := s.Now("fixture-trained")
-	if got, err := s.Predict("fixture-trained", now+63, 1); err != nil || len(got) != 1 ||
+	if got, err := predict(s, "fixture-trained", now+63, 1); err != nil || len(got) != 1 ||
 		got[0].Location != hpm.Pt(1172.8074347654867, 1625.9441560799157) || got[0].PatternRef != 1 ||
 		got[0].Score != 1 || got[0].Confidence != 1 || got[0].Source.String() != "pattern" || got[0].Path.String() != "backward" {
 		t.Errorf("pattern answer at now+63: %+v (err %v)", got, err)
@@ -212,7 +212,7 @@ func TestOpenSaysHowIndexesArrived(t *testing.T) {
 			t.Fatalf("open %d reports %+v, want one model", i, oi)
 		}
 		now, _ := s.Now("fixture-trained")
-		if answers[i], err = s.Predict("fixture-trained", now+63, 3); err != nil {
+		if answers[i], err = predict(s, "fixture-trained", now+63, 3); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil { // checkpoints

@@ -16,12 +16,13 @@ import (
 // Fleet-wide predictive queries: the store maintains a uniform-grid index
 // (internal/spatial) over every object's *predicted* positions at a fixed
 // set of horizon buckets, refreshed incrementally — on every acknowledged
-// observe and when a first train is installed — so QueryRange/QueryNearest
-// answer "which objects will be inside R / nearest P at horizon h?" from
-// cached predictions. A bucket is maintained only once a fleet query has
-// read it (it is then "live", and stays live for the store's life): the
-// first query of a bucket builds it by refreshing every object, the one
-// time a fleet query pays for predictions; every later query fits no model.
+// observe and when a first train is installed — so QueryRangeContext and
+// QueryNearestContext answer "which objects will be inside R / nearest P
+// at horizon h?" from cached predictions. A bucket is maintained only once
+// a fleet query has read it (it is then "live", and stays live for the
+// store's life): the first query of a bucket builds it by refreshing every
+// object, the one time a fleet query pays for predictions; every later
+// query fits no model.
 // ScanRange (and its kNN twin, which only the tests call and which lives in
 // spatial_test.go) is the O(N) brute-force oracle the benchmark harness and
 // property tests compare against: it recomputes every object's prediction
@@ -137,7 +138,7 @@ func (s *Store) indexUpdateLocked(obj *object) {
 	}
 	var preds [][]hpm.Prediction
 	if obj.predictor != nil {
-		// The predictor is queried directly — not via Store.Predict — so
+		// The predictor is queried directly — not via PredictContext — so
 		// index refreshes are never parked in the evaluator ring.
 		preds, _ = obj.predictor.PredictBatch(s.recentLocked(obj), tqs, 1)
 	}
@@ -221,49 +222,10 @@ func validateFleetQuery(horizon int) error {
 	return nil
 }
 
-// QueryRange returns every object whose cached predicted position at the
-// bucket covering `horizon` (ticks after each object's latest observation)
-// lies inside r, sorted by id. Answered from the index: once the bucket is
-// built, no model is fitted and no track is locked. The first query of a
-// bucket builds it (readBucket).
-func (s *Store) QueryRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
-	if s.index == nil {
-		return nil, ErrNoFleetIndex
-	}
-	if err := validateFleetQuery(horizon); err != nil {
-		return nil, err
-	}
-	if !r.IsValid() {
-		return nil, fmt.Errorf("store: invalid rect %v", r)
-	}
-	s.readBucket(horizon)
-	return s.index.Range(r, horizon), nil
-}
-
-// QueryNearest returns the k objects whose cached predicted positions at
-// the bucket covering `horizon` are closest to p, ascending by distance.
-// Like QueryRange, the first query of a bucket builds it.
-func (s *Store) QueryNearest(p hpm.Point, k, horizon int) ([]spatial.Result, error) {
-	if s.index == nil {
-		return nil, ErrNoFleetIndex
-	}
-	if err := validateFleetQuery(horizon); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("store: k must be positive, got %d", k)
-	}
-	if !p.IsFinite() {
-		return nil, fmt.Errorf("store: non-finite query point")
-	}
-	s.readBucket(horizon)
-	return s.index.Nearest(p, k, horizon), nil
-}
-
 // ScanRange answers a range query by brute force: every object's prediction
 // at the same quantized horizon is recomputed on the spot. It is the oracle
 // the index is validated against and the baseline BenchmarkFleetQuery
-// measures; production traffic should use QueryRange.
+// measures; production traffic should use QueryRangeContext.
 func (s *Store) ScanRange(r hpm.Rect, horizon int) ([]spatial.Result, error) {
 	if s.index == nil {
 		return nil, ErrNoFleetIndex

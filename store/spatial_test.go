@@ -28,10 +28,10 @@ func fleetStore(t *testing.T, opts Options) *Store {
 
 func TestFleetQueryDisabled(t *testing.T) {
 	s := testStore(t, Options{})
-	if _, err := s.QueryRange(rct(0, 0, 1, 1), 5); err != ErrNoFleetIndex {
+	if _, err := queryRange(s, rct(0, 0, 1, 1), 5); err != ErrNoFleetIndex {
 		t.Errorf("QueryRange without index: %v, want ErrNoFleetIndex", err)
 	}
-	if _, err := s.QueryNearest(hpm.Pt(0, 0), 3, 5); err != ErrNoFleetIndex {
+	if _, err := queryNearest(s, hpm.Pt(0, 0), 3, 5); err != ErrNoFleetIndex {
 		t.Errorf("QueryNearest without index: %v, want ErrNoFleetIndex", err)
 	}
 	if s.fleetHorizons() != nil {
@@ -44,16 +44,16 @@ func TestFleetQueryDisabled(t *testing.T) {
 
 func TestFleetQueryValidation(t *testing.T) {
 	s := fleetStore(t, Options{})
-	if _, err := s.QueryRange(rct(0, 0, 1, 1), 0); err == nil {
+	if _, err := queryRange(s, rct(0, 0, 1, 1), 0); err == nil {
 		t.Error("horizon 0 accepted")
 	}
-	if _, err := s.QueryRange(rct(5, 5, 1, 1), 10); err == nil {
+	if _, err := queryRange(s, rct(5, 5, 1, 1), 10); err == nil {
 		t.Error("inverted rect accepted")
 	}
-	if _, err := s.QueryNearest(hpm.Pt(0, 0), 0, 10); err == nil {
+	if _, err := queryNearest(s, hpm.Pt(0, 0), 0, 10); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := s.QueryNearest(hpm.Pt(math.NaN(), 0), 3, 10); err == nil {
+	if _, err := queryNearest(s, hpm.Pt(math.NaN(), 0), 3, 10); err == nil {
 		t.Error("NaN query point accepted")
 	}
 	if _, err := New(Options{
@@ -100,7 +100,7 @@ func TestIndexMatchesScanAllDatasets(t *testing.T) {
 				cx, cy := rng.Float64()*900-200, rng.Float64()*900-200
 				w, ht := rng.Float64()*600, rng.Float64()*600
 				r := rct(cx, cy, cx+w, cy+ht)
-				got, err := s.QueryRange(r, h)
+				got, err := queryRange(s, r, h)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func TestIndexMatchesScanAllDatasets(t *testing.T) {
 
 				k := 1 + rng.Intn(objects+3)
 				p := hpm.Pt(cx, cy)
-				gotK, err := s.QueryNearest(p, k, h)
+				gotK, err := queryNearest(s, p, k, h)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestIndexMatchesScanAllDatasets(t *testing.T) {
 			// An infinite rect is valid and holds every object.
 			inf := math.Inf(1)
 			r := rct(-inf, -inf, inf, inf)
-			got, err := s.QueryRange(r, 10)
+			got, err := queryRange(s, r, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,14 +149,14 @@ func TestIndexDropsRemovedObject(t *testing.T) {
 	feed(t, s, "gone", 5, 2)
 	feed(t, s, "stays", 6, 2)
 	all := rct(-1e6, -1e6, 1e6, 1e6)
-	res, err := s.QueryRange(all, 10)
+	res, err := queryRange(s, all, 10)
 	if err != nil || len(res) != 2 {
 		t.Fatalf("before remove: %v, %v", res, err)
 	}
 	if err := s.Remove("gone"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.QueryRange(all, 10)
+	res, err = queryRange(s, all, 10)
 	if err != nil || len(res) != 1 || res[0].ID != "stays" {
 		t.Fatalf("after remove: %v, %v", res, err)
 	}
@@ -179,7 +179,7 @@ func TestIndexSurvivesRestart(t *testing.T) {
 	}
 	feed(t, s, "bike", 9, 5)
 	all := rct(-1e6, -1e6, 1e6, 1e6)
-	before, err := s.QueryRange(all, 20)
+	before, err := queryRange(s, all, 20)
 	if err != nil || len(before) != 1 {
 		t.Fatalf("pre-restart query: %v, %v", before, err)
 	}
@@ -195,7 +195,7 @@ func TestIndexSurvivesRestart(t *testing.T) {
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s2.QueryRange(all, 20)
+	after, err := queryRange(s2, all, 20)
 	if err != nil || len(after) != 1 || after[0].ID != "bike" {
 		t.Fatalf("post-restart query: %v, %v", after, err)
 	}
@@ -208,7 +208,7 @@ func TestIndexSurvivesRestart(t *testing.T) {
 func TestFleetStatsSpatial(t *testing.T) {
 	s := fleetStore(t, Options{MinTrainPeriods: 1 << 20})
 	feed(t, s, "a", 1, 2)
-	if _, err := s.QueryRange(rct(-1e6, -1e6, 1e6, 1e6), 10); err != nil {
+	if _, err := queryRange(s, rct(-1e6, -1e6, 1e6, 1e6), 10); err != nil {
 		t.Fatal(err)
 	}
 	fs := s.FleetStats()
@@ -262,7 +262,7 @@ func TestUnreadBucketsCostNothing(t *testing.T) {
 	}
 
 	all := rct(-1e6, -1e6, 1e6, 1e6)
-	if res, err := s.QueryRange(all, 5); err != nil || len(res) != 2 {
+	if res, err := queryRange(s, all, 5); err != nil || len(res) != 2 {
 		t.Fatalf("range at h=5: %v, %v", res, err)
 	}
 	for i := 0; i < 3; i++ {
@@ -270,11 +270,11 @@ func TestUnreadBucketsCostNothing(t *testing.T) {
 			t.Fatalf("observe %d with bucket 5 live cost %d model evaluations, want 1", i, c)
 		}
 	}
-	if _, err := s.QueryNearest(hpm.Pt(0, 0), 1, 200); err != nil {
+	if _, err := queryNearest(s, hpm.Pt(0, 0), 1, 200); err != nil {
 		t.Fatal(err)
 	}
 	// A horizon that bucket 5 answers reads no new bucket.
-	if _, err := s.QueryRange(all, 3); err != nil {
+	if _, err := queryRange(s, all, 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -434,7 +434,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 			for i := q; !stopped(); i++ {
 				b := i % len(horizons)
 				h := horizons[b]
-				rs, err := s.QueryRange(all, h)
+				rs, err := queryRange(s, all, h)
 				if err != nil {
 					t.Error(err)
 					return
@@ -443,7 +443,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 					t.Errorf("range at h=%d holds %d of %d quiet objects, or not as scanned", h, len(got), len(wantRange[b]))
 					return
 				}
-				ks, err := s.QueryNearest(origin, everyone, h)
+				ks, err := queryNearest(s, origin, everyone, h)
 				if err != nil {
 					t.Error(err)
 					return
@@ -471,14 +471,14 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 	}
 	for _, h := range horizons {
 		for _, r := range []hpm.Rect{all, rct(0, 0, 400, 400), rct(300, -200, 900, 700)} {
-			got, err1 := s.QueryRange(r, h)
+			got, err1 := queryRange(s, r, h)
 			want, err2 := s.ScanRange(r, h)
 			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("h=%d rect=%v (%v, %v):\nindex: %v\nscan:  %v", h, r, err1, err2, got, want)
 			}
 		}
 		for _, k := range []int{1, 7, everyone} {
-			got, err1 := s.QueryNearest(origin, k, h)
+			got, err1 := queryNearest(s, origin, k, h)
 			want, err2 := s.scanNearest(origin, k, h)
 			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("h=%d k=%d (%v, %v):\nindex: %v\nscan:  %v", h, k, err1, err2, got, want)
@@ -537,11 +537,11 @@ func TestFleetQueryHammer(t *testing.T) {
 				default:
 				}
 				c := hpm.Pt(rng.Float64()*500, rng.Float64()*500)
-				if _, err := s.QueryRange(rct(c.X-100, c.Y-100, c.X+100, c.Y+100), 10); err != nil {
+				if _, err := queryRange(s, rct(c.X-100, c.Y-100, c.X+100, c.Y+100), 10); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := s.QueryNearest(c, 2, 50); err != nil {
+				if _, err := queryNearest(s, c, 2, 50); err != nil {
 					t.Error(err)
 					return
 				}

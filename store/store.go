@@ -67,8 +67,8 @@ type Options struct {
 	// object's predicted positions at the configured horizon buckets
 	// (defaulting to the evaluator's buckets), refreshed on every
 	// acknowledged observe and first-train install at each bucket a fleet
-	// query has read since the store was built. Enables QueryRange,
-	// QueryNearest and the scan oracles. CellSize must be positive.
+	// query has read since the store was built. Enables QueryRangeContext,
+	// QueryNearestContext and the scan oracles. CellSize must be positive.
 	FleetIndex *spatial.Config
 }
 
@@ -770,20 +770,15 @@ func (s *Store) Close() error {
 	return errors.Join(err, s.wal.close())
 }
 
-// Predict estimates the object's location at absolute time tq (timestamps
-// count observations from zero) from its most recent movements. Queries
-// run under the object's read lock: any number execute in parallel with
-// each other, serializing only against writes (observes, Extends). A tq
-// more than MaxHorizon past the object's current time is refused with
-// ErrTooFar, as by every predict call.
-func (s *Store) Predict(id string, tq, k int) ([]hpm.Prediction, error) {
-	return s.PredictContext(context.Background(), id, tq, k)
-}
-
-// PredictContext is Predict with request-scoped cancellation: a client
-// that disconnected or blew its deadline before the query starts — or
-// while waiting for the object's lock behind a writer — gets the
-// context's error instead of an answer nobody reads.
+// PredictContext estimates the object's location at absolute time tq
+// (timestamps count observations from zero) from its most recent
+// movements. Queries run under the object's read lock: any number execute
+// in parallel with each other, serializing only against writes (observes,
+// Extends). A tq more than MaxHorizon past the object's current time is
+// refused with ErrTooFar, as by every predict call. A client that
+// disconnected or blew its deadline before the query starts — or while
+// waiting for the object's lock behind a writer — gets the context's error
+// instead of an answer nobody reads.
 func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
 	err = s.withTrained(ctx, id, func(obj *object, now int) error {
 		if err := checkHorizon(now, tq); err != nil {
