@@ -41,8 +41,8 @@ reach:
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (first trains and extends beside readers, WAL/checkpoint durability, chaos tests),
-# the HTTP service, the fleet index (its slot table and reused slots are
-# shared by every writer and reader), the fault-injection helpers, the
+# the HTTP service, the fleet index (its slot table and cells are shared by
+# every writer and reader), the fault-injection helpers, the
 # training pipeline (serial, many at once), the TPT (read by concurrent queries; its
 # reference-tree equivalence tests and fuzz seeds run here too), the pattern package
 # (the incremental miner's batch-equivalence tests and fuzz seeds, the
@@ -55,7 +55,7 @@ race:
 # WAL tails, injected WAL/snapshot/train faults, snapshot robustness, the
 # degraded read-only state machine, and the HTTP admission/shedding layer.
 chaos:
-	$(GO) test -race -run 'Chaos|WAL|Train|Durable|Snapshot|Save|Load|NonFinite|Fail|Panic|Join|Shard|Remove|Delay|Checkpoint|Golden|Retired|Segment|Manifest|Orphan|Incremental' -count=1 ./store/... ./internal/faultinject/...
+	$(GO) test -race -run 'Chaos|WAL|Train|Durable|Snapshot|Save|Load|NonFinite|Fail|Panic|Join|Shard|Replay|Delay|Checkpoint|Golden|Retired|Segment|Manifest|Orphan|Incremental' -count=1 ./store/... ./internal/faultinject/...
 	$(GO) test -race -run 'Admission|Degraded|Subscriber' -count=1 ./serve/...
 
 vet:

@@ -14,14 +14,13 @@
 // makes range/kNN sub-linear in fleet size.
 //
 // Writes go straight to their slot. An object is interned once, by Add, into
-// an int32 Slot its owner keeps; Set and Drop address it by that handle and
-// hash no string. A cell is a dense slice of (slot, position, path) entries
-// with swap-remove, and each slot remembers, per horizon bucket, its cell and
-// its position in it: an update that stays in its cell is one write, a
-// re-bin one swap-remove and one append. Queries read an entry's id from the
-// slot table. A slot is handed out again only after Drop has taken every one
-// of its entries out of the cells, so no query can pair a slot's entry with
-// a later owner's id.
+// an int32 Slot its owner keeps; Set addresses it by that handle and hashes
+// no string. A cell is a dense slice of (slot, position, path) entries with
+// swap-remove, and each slot remembers, per horizon bucket, its cell and its
+// position in it: an update that stays in its cell is one write, a re-bin
+// one swap-remove and one append. Queries read an entry's id from the slot
+// table. A slot belongs to one object for the index's life: it is never
+// handed out twice.
 //
 // The index is exact and has no clock: a query reports each object's cached
 // position as written by its last Set, so answers are bit-identical to
@@ -151,7 +150,7 @@ type stripe struct {
 
 // placement is where one horizon bucket of a slot sits: its cell (nil when
 // the bucket has no entry) and its position in that cell. c and ge are its
-// owner's — only Set and Drop on this slot touch them — while i is moved by
+// owner's — only Set on this slot touches them — while i is moved by
 // any swap-remove in the cell, so it is read and written under the cell's
 // stripe lock.
 type placement struct {
@@ -175,20 +174,19 @@ type cellBounds struct {
 }
 
 // Index is the concurrent grid. All methods are safe for arbitrary
-// interleaving, except that Set and Drop on one slot must not overlap:
-// per-object update order is the caller's responsibility (the store calls
-// them under the object's write lock).
+// interleaving, except that Sets on one slot must not overlap: per-object
+// update order is the caller's responsibility (the store calls Set under
+// the object's write lock).
 type Index struct {
 	cfg     Config
 	stripes [numStripes]stripe
 
 	// pages is the slot table, grown a page at a time so a slot's state
 	// never moves; readers load the page list without a lock. allocMu
-	// guards growth, next and the free list.
+	// guards growth and next.
 	pages   atomic.Pointer[[]*slotPage]
 	allocMu sync.Mutex
 	next    Slot
-	free    []Slot
 
 	// named interns ids for Update, the call of a caller that keeps no
 	// handle.
@@ -313,25 +311,18 @@ func (ix *Index) bucketExact(h int) (uint8, bool) {
 }
 
 // Add interns a new object under id and returns its slot, which holds no
-// entries until Set. A slot Drop freed is reused.
+// entries until Set.
 func (ix *Index) Add(id string) Slot {
 	ix.allocMu.Lock()
-	var s Slot
-	if n := len(ix.free); n > 0 {
-		s, ix.free = ix.free[n-1], ix.free[:n-1]
-	} else {
-		s = ix.next
-		ix.next++
-		if pages := *ix.pages.Load(); int(s>>slotPageBits) == len(pages) {
-			grown := append(pages[:len(pages):len(pages)], new(slotPage))
-			ix.pages.Store(&grown)
-		}
+	s := ix.next
+	ix.next++
+	if pages := *ix.pages.Load(); int(s>>slotPageBits) == len(pages) {
+		grown := append(pages[:len(pages):len(pages)], new(slotPage))
+		ix.pages.Store(&grown)
 	}
 	st := ix.state(s)
 	st.id = id
-	if st.at == nil {
-		st.at = make([]placement, len(ix.cfg.Horizons))
-	}
+	st.at = make([]placement, len(ix.cfg.Horizons))
 	ix.allocMu.Unlock()
 	ix.objects.Add(1)
 	return s
@@ -423,35 +414,8 @@ func (ix *Index) unlink(at *placement) {
 	at.c = nil
 }
 
-// Drop removes every entry of the object at slot s and frees the slot for a
-// later Add, whether s came from Add or from Update. Dropping the zero Slot
-// does nothing.
-func (ix *Index) Drop(s Slot) {
-	if s == 0 {
-		return
-	}
-	st := ix.state(s)
-	for b := range st.at {
-		if st.at[b].c != nil {
-			ix.unlink(&st.at[b])
-			ix.entries.Add(-1)
-		}
-	}
-	ix.namedMu.Lock()
-	if ix.named[st.id] == s {
-		delete(ix.named, st.id)
-	}
-	ix.namedMu.Unlock()
-	ix.allocMu.Lock()
-	st.id = ""
-	ix.free = append(ix.free, s)
-	ix.allocMu.Unlock()
-	ix.objects.Add(-1)
-}
-
 // Update is Set for a caller that keeps no slot — a benchmark replaying a
 // fixed fleet: the object is found by id and interned on its first update.
-// Dropping that slot forgets the id, so a later Update interns it afresh.
 func (ix *Index) Update(id string, entries []Entry) {
 	ix.namedMu.Lock()
 	s, ok := ix.named[id]
@@ -499,9 +463,8 @@ type idEntry struct {
 }
 
 // readCell copies one cell's entries out under the stripe read lock, each
-// with its slot's id. The id is read under the lock too: while the lock is
-// held the entry cannot leave the cell, so its slot cannot be freed and
-// handed to another object.
+// with its slot's id. Add wrote the id before any Set linked the slot's
+// entry under this lock, so the read sees it.
 func (ix *Index) readCell(k cellKey, buf []idEntry) []idEntry {
 	s := ix.stripeFor(k)
 	s.mu.RLock()

@@ -216,9 +216,9 @@ func TestRebinRemoveAndStats(t *testing.T) {
 	if got := ix.Range(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, 10); len(got) != 0 {
 		t.Fatalf("ghost entry after bucket drop: %+v", got)
 	}
-	ix.Drop(x)
-	ix.Drop(0) // the zero Slot names no object
-	if st = ix.Stats(); st.Objects != 0 || st.Entries != 0 {
+	// An update with no entries removes every one; the slot stays its own.
+	ix.Set(x, nil)
+	if st = ix.Stats(); st.Objects != 1 || st.Entries != 0 {
 		t.Fatalf("after remove: %+v", st)
 	}
 	if got := ix.Range(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}, 5); len(got) != 0 {
@@ -247,11 +247,10 @@ func TestConcurrentUpdateQueryRemove(t *testing.T) {
 					s = ix.Add(id)
 					slots[id] = s
 				}
-				ix.Set(s, entries)
 				if i%7 == 0 {
-					ix.Drop(s)
-					delete(slots, id)
+					entries = nil // unlink every entry of the slot
 				}
+				ix.Set(s, entries)
 			}
 		}(w)
 	}
@@ -264,7 +263,7 @@ func TestConcurrentUpdateQueryRemove(t *testing.T) {
 				x, y := rng.Float64()*8000, rng.Float64()*8000
 				for _, res := range ix.Range(geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+2000, y+2000)}, 10) {
 					if res.ID == "" {
-						t.Error("a range result carries a freed slot's empty id")
+						t.Error("a range result carries an empty id")
 						return
 					}
 				}
@@ -277,16 +276,17 @@ func TestConcurrentUpdateQueryRemove(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzIndexOps reads op bytes as Set, Drop and re-add steps over a pool of
-// eight ids on a 3-horizon index of 10-unit cells over a 64-unit square, so
-// entries share cells, re-bin and swap-remove one another and dropped slots
-// are handed out again. Some ids come back through Update instead of Add and
-// Set, so a slot interned by id is dropped and reused too. After every op
-// the index must agree with a map of each live id's entries: Range over the
-// whole plane and over a random rect, and Nearest, against brute force over
-// the map, and Stats' object and entry counts against its size. Whole-plane
-// equality is what catches a reused slot answering with its previous owner's
-// id or entry. The seeds run under plain go test.
+// FuzzIndexOps reads op bytes as Set and Add steps over a pool of eight
+// names on a 3-horizon index of 10-unit cells over a 64-unit square, so
+// entries share cells, re-bin and swap-remove one another, and an update
+// that omits a bucket unlinks its entry. An Add step moves a name on to a
+// fresh id, whose slot must be new; the old id keeps its entries. Some ids
+// are interned through Update instead of Add and Set. After every op the
+// index must agree with a map of each id's entries: Range over the whole
+// plane and over a random rect, and Nearest, against brute force over the
+// map, and Stats' object and entry counts against its size. Whole-plane
+// equality is what catches a slot answering with another object's id or
+// entry. The seeds run under plain go test.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("\x00\x10\x20\x01\x11\x21\x02\x12\x22\x03\x03\x00\x33\x44\x01\x55"))
@@ -307,31 +307,35 @@ func FuzzIndexOps(f *testing.F) {
 		ix := New(Config{CellSize: 10, Horizons: horizons})
 		slots := make(map[string]Slot)
 		truth := make(map[string]map[int]Entry) // id → horizon → entry
-		byName := make(map[string]bool)         // live ids set through Update
+		byName := make(map[string]bool)         // ids set through Update
+		var gen [8]int                          // each name's current id
 		paths := []string{"forward", "backward", "fallback", "extrapolation"}
+		add := func(step int, id string) Slot {
+			s := ix.Add(id)
+			for other, o := range slots {
+				if o == s {
+					t.Fatalf("step %d: Add(%s) returned %s's slot %d", step, id, other, s)
+				}
+			}
+			slots[id] = s
+			return s
+		}
 		for step := 0; len(ops) > 0 && step < 300; step++ {
 			op := next()
-			id := fmt.Sprintf("o%d", op>>2&7)
+			name := op >> 2 & 7
 			switch op & 3 {
-			case 0: // drop
-				if s, ok := slots[id]; ok {
-					ix.Drop(s)
-					delete(slots, id)
-					delete(truth, id)
-					delete(byName, id)
-				}
-			default: // set some buckets, adding the id if it is not live
+			case 0: // add a fresh id under the name
+				gen[name]++
+				id := fmt.Sprintf("o%d.%d", name, gen[name])
+				add(step, id)
+				truth[id] = map[int]Entry{}
+			default: // set some buckets, adding the id if it is not known
+				id := fmt.Sprintf("o%d.%d", name, gen[name])
 				s, ok := slots[id]
 				if !ok && op&0x20 != 0 {
 					byName[id] = true // interned by its first Update below
 				} else if !ok {
-					s = ix.Add(id)
-					for other, o := range slots {
-						if o == s {
-							t.Fatalf("step %d: Add(%s) returned %s's live slot %d", step, id, other, s)
-						}
-					}
-					slots[id] = s
+					s = add(step, id)
 				}
 				mask := next()
 				var entries []Entry
@@ -356,7 +360,7 @@ func FuzzIndexOps(f *testing.F) {
 						s = ix.named[id]
 						for other, o := range slots {
 							if o == s {
-								t.Fatalf("step %d: Update(%s) interned %s's live slot %d", step, id, other, s)
+								t.Fatalf("step %d: Update(%s) interned %s's slot %d", step, id, other, s)
 							}
 						}
 						slots[id] = s

@@ -22,7 +22,7 @@ import (
 // of a connection that queues without bound and times out anyway.
 //
 // Requests are classed by what they cost the store: reads (predictions,
-// fleet queries, stats) outrank writes (observes, remove) outrank control
+// fleet queries, stats) outrank writes (observes) outrank control
 // work (flush). Under the "priority" policy each class gets a shrinking
 // slice of MaxInflight, so a write flood cannot starve reads and a pile of
 // flushes cannot starve either.

@@ -127,10 +127,9 @@ func TestCatchUpAfterFirstTrain(t *testing.T) {
 // TestFirstTrainsUnderReads races first trains against their readers. Fleet
 // ObserveAll batches complete the third period of 32 objects, eight a batch,
 // so each batch's first trains run across the workers, while readers predict
-// those objects and quiet trained ones, a kNN query builds its bucket, and
-// one training object is removed. Every answer must be ErrUntrained or
-// exactly what a quiet twin store, fed the same points with no race, answers
-// (the removed object may also be unknown), and afterwards the index must
+// those objects and quiet trained ones, and a kNN query builds its bucket.
+// Every answer must be ErrUntrained or exactly what a quiet twin store, fed
+// the same points with no race, answers, and afterwards the index must
 // equal a scan.
 func TestFirstTrainsUnderReads(t *testing.T) {
 	opts := Options{MinTrainPeriods: 3}
@@ -151,7 +150,6 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 		tracks[id] = hpm.GenerateDataset(spec).Points()
 		ids = append(ids, id)
 	}
-	const gone = "fresh-05"
 	var batches [][]Observation
 	for i, id := range fresh {
 		if i%8 == 0 {
@@ -206,11 +204,6 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 			}
 		}
 	})
-	race(func() {
-		if err := s.Remove(gone); err != nil {
-			t.Error(err)
-		}
-	})
 	origin := hpm.Pt(500, 500)
 	race(func() { // builds the h = 100 bucket while trains install
 		for {
@@ -238,7 +231,6 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 					got, err := s.PredictBatchContext(context.Background(), id, tqs(id), 2)
 					switch {
 					case errors.Is(err, ErrUntrained):
-					case id == gone && errors.Is(err, ErrUnknownObject):
 					case err != nil:
 						t.Errorf("%s: %v", id, err)
 						return
@@ -256,9 +248,6 @@ func TestFirstTrainsUnderReads(t *testing.T) {
 	}
 
 	for _, id := range fresh {
-		if id == gone {
-			continue
-		}
 		if st, err := s.Stats(id); err != nil || !st.Trained || st.Modeled != 3 {
 			t.Errorf("%s after the race: %+v, %v", id, st, err)
 		}

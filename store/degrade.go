@@ -21,7 +21,7 @@ import (
 //	                                       ▲                             │
 //	                                       └────────reset/checkpoint fails
 //
-// Degraded: writes (ObserveBatch, ObserveAll, Remove, Checkpoint) fail
+// Degraded: writes (ObserveBatch, ObserveAll, Checkpoint) fail
 // fast with ErrDegraded; queries, predictions and the fleet index keep
 // serving from memory untouched. A background probe writes and fsyncs a
 // sentinel file in the data directory with exponential backoff; once the

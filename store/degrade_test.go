@@ -64,9 +64,6 @@ func TestChaosDegradeOnSyncFailure(t *testing.T) {
 	if err := s.ObserveAll([]Observation{{ID: "bus-2", Points: []hpm.Point{hpm.Pt(0, 0)}}}); !errors.Is(err, ErrDegraded) {
 		t.Errorf("ObserveAll while degraded: %v, want ErrDegraded", err)
 	}
-	if err := s.Remove("bus-1"); !errors.Is(err, ErrDegraded) {
-		t.Errorf("Remove while degraded: %v, want ErrDegraded", err)
-	}
 	if err := s.Checkpoint(); !errors.Is(err, ErrDegraded) {
 		t.Errorf("Checkpoint while degraded: %v, want ErrDegraded", err)
 	}

@@ -151,16 +151,6 @@ func (s *Store) recoverModels() {
 // ones were frozen and fsynced before more writes happened); it is
 // repaired in place by replaySegment.
 //
-// Replay is two-pass because of tombstones. A tombstone erases its
-// object, so a later re-creation restarts track offsets at zero — which
-// breaks the usual invariant that an offset beyond the current track
-// means corruption. When the snapshot is newer than an un-reclaimed
-// frozen segment (a crash between the snapshot write and the segment
-// delete), observe records that predate an id's final tombstone can
-// legitimately sit beyond the restored track. Pass one locates each id's
-// last tombstone in the stream; pass two skips (rather than rejects)
-// offset gaps only in records that tombstone would erase anyway, and
-// stays strict everywhere else.
 // Replay is parallel in two stages. Segments are decoded concurrently
 // (each yields its records, concatenated back in segment order, so the
 // global stream order is exactly what a serial read would produce), then
@@ -194,12 +184,6 @@ func (s *Store) replaySegments(paths []string) (int, error) {
 		}
 		recs = append(recs, decoded[i].recs...)
 	}
-	lastTomb := map[string]int{} // id -> index in recs of its final tombstone
-	for i, rec := range recs {
-		if len(rec.pts) == 0 {
-			lastTomb[rec.id] = i
-		}
-	}
 	byShard := make([][]int, len(s.shards))
 	for i, rec := range recs {
 		si := shardIndex(rec.id)
@@ -214,7 +198,7 @@ func (s *Store) replaySegments(paths []string) (int, error) {
 	errs := make([]error, len(groups))
 	parallel.For(len(groups), s.workers, func(gi int) {
 		for _, i := range groups[gi] {
-			if err := s.applyReplay(recs[i], i < lastTomb[recs[i].id]); err != nil {
+			if err := s.applyReplay(recs[i]); err != nil {
 				errs[gi] = err
 				return
 			}
@@ -226,22 +210,19 @@ func (s *Store) replaySegments(paths []string) (int, error) {
 	return total, nil
 }
 
-// applyReplay merges one WAL record into the store. A zero-point record
-// is a tombstone: the object is erased, exactly as Remove did live. For
-// observe records the offset (the object's track length when it was
-// acknowledged) makes replay idempotent: points the snapshot already
-// holds are skipped. An offset beyond the current track means an
-// acknowledged record vanished between this one and the snapshot — that
-// is corruption and is reported, unless preTombstone says a later
-// tombstone erases this object anyway (see replaySegments).
-func (s *Store) applyReplay(rec walRecord, preTombstone bool) error {
+// applyReplay merges one WAL record into the store. The offset (the
+// object's track length when the record was acknowledged) makes replay
+// idempotent: points the snapshot already holds are skipped. An offset
+// beyond the current track means an acknowledged record vanished between
+// this one and the snapshot — that is corruption and is reported.
+func (s *Store) applyReplay(rec walRecord) error {
+	// No observe writes a record without points. Older builds wrote one as
+	// a tombstone that erased its object; that record is refused here
+	// rather than in decodeWALRecord, where a decode error in the newest
+	// segment would be taken for a torn tail and truncate every record
+	// after it.
 	if len(rec.pts) == 0 {
-		sh := s.shard(rec.id)
-		sh.dirty.Store(true)
-		sh.mu.Lock()
-		delete(sh.objects, rec.id)
-		sh.mu.Unlock()
-		return nil
+		return fmt.Errorf("store: replay: record for %q at offset %d has no points", rec.id, rec.offset)
 	}
 	obj, err := s.get(rec.id, true)
 	if err != nil {
@@ -258,9 +239,7 @@ func (s *Store) applyReplay(rec walRecord, preTombstone bool) error {
 	// against base + length, the timestamp its next point will take.
 	switch have := obj.base + len(obj.track); {
 	case rec.offset > have:
-		if !preTombstone { // else erased by the id's later tombstone regardless
-			err = fmt.Errorf("store: replay gap for %q: record at offset %d, track has %d", rec.id, rec.offset, have)
-		}
+		err = fmt.Errorf("store: replay gap for %q: record at offset %d, track has %d", rec.id, rec.offset, have)
 	case rec.offset+len(rec.pts) > have: // else covered by the snapshot or an earlier record
 		// The same append, dirty mark, Markov fold and update policy as the
 		// live observe — replay must reproduce the crashed process's chain
@@ -509,9 +488,8 @@ func syncDir(dir string) {
 // walAppendAll logs an observe batch as one group commit. Called with every
 // touched object's ingestMu held (sorted order) — not obj.mu — so the
 // recorded offsets stay valid until the batch is applied while queries
-// keep running through the commit and fsync. Remove logs its tombstone
-// here too, as one record with no points: a shape the observe paths never
-// write (empty batches return before reaching the WAL).
+// keep running through the commit and fsync. Every record carries at
+// least one point: empty groups return before reaching the WAL.
 func (s *Store) walAppendAll(recs []walRecord) error {
 	if err := s.fault(faultinject.OpWALAppend); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)

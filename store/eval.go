@@ -149,7 +149,7 @@ type FleetStats struct {
 }
 
 // FleetStats aggregates across every object. Shards are visited one at a
-// time; objects added or removed mid-walk may or may not be counted, like
+// time; objects added mid-walk may or may not be counted, like
 // any concurrent summary.
 func (s *Store) FleetStats() FleetStats {
 	var fs FleetStats

@@ -9,8 +9,9 @@ import (
 	"hpm"
 )
 
-// TestShardRouting checks every id resolves to a stable shard that get()
-// and Remove agree on, across many ids.
+// TestShardRouting checks, across many ids, that each lands in the shard
+// it hashes to, that the shards hold each once, and that Objects lists
+// them all.
 func TestShardRouting(t *testing.T) {
 	s, err := New(Options{Config: hpm.Config{Period: period}})
 	if err != nil {
@@ -33,16 +34,15 @@ func TestShardRouting(t *testing.T) {
 		t.Fatalf("shards hold %d objects, want 200", total)
 	}
 	for i := 0; i < 200; i++ {
-		s.Remove(fmt.Sprintf("obj-%03d", i))
-	}
-	if got := len(s.Objects()); got != 0 {
-		t.Fatalf("%d objects after removes, want 0", got)
+		if id := fmt.Sprintf("obj-%03d", i); s.shard(id).objects[id] == nil {
+			t.Fatalf("%s is not in the shard it hashes to", id)
+		}
 	}
 }
 
-// TestShardHammer drives mixed fleet traffic — observes, predictions,
-// stats, listings and removes across many ids, with first trains and
-// extends landing mid-traffic —
+// TestShardHammer drives mixed fleet traffic — observes, two-object fleet
+// batches, predictions, stats and listings across many ids, with first
+// trains and extends landing mid-traffic —
 // from many goroutines. Run under -race it pins the shard-map locking:
 // distinct objects only share a shard's RWMutex, and fleet-wide walks
 // (Objects, Health) interleave with writers safely.
@@ -74,7 +74,7 @@ func TestShardHammer(t *testing.T) {
 				case 2: // predict (untrained objects answer ErrUntrained)
 					now, err := s.Now(id)
 					if err != nil {
-						continue // not observed yet, or removed
+						continue // not observed yet
 					}
 					if _, err := predict(s, id, now+10, 1); err != nil {
 						continue // untrained / invalid time are expected here
@@ -83,9 +83,12 @@ func TestShardHammer(t *testing.T) {
 					s.Stats(id)
 					s.Objects()
 					s.Health()
-				default: // churn: remove a different id occasionally
-					if rng.Intn(8) == 0 {
-						s.Remove(fmt.Sprintf("obj-%02d", rng.Intn(ids)))
+				default: // a fleet batch that also locks a second object
+					off := rng.Intn(len(pts) - 8)
+					other := fmt.Sprintf("obj-%02d", rng.Intn(ids))
+					if err := s.ObserveAll([]Observation{{ID: id, Points: pts[off : off+4]}, {ID: other, Points: pts[off+4 : off+8]}}); err != nil {
+						errs <- err
+						return
 					}
 				}
 			}

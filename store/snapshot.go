@@ -94,11 +94,7 @@ func (m *snapManifest) segmentBytes() int64 {
 // but stays invisible to recovery until a manifest references it.
 //
 // The objects are listed once, under the shard lock, and exactly those are
-// encoded, so the header's count is the record count. An object removed
-// after the listing is written anyway, which is harmless: its tombstone
-// sits in the WAL segment this checkpoint does not reclaim, so replay
-// erases it again, and it re-marked the shard dirty under the snapshot
-// gate, so the next checkpoint re-encodes without it.
+// encoded, so the header's count is the record count.
 func (s *Store) writeShardSegment(shardIdx int, epoch uint64) (*snapSegment, error) {
 	if err := s.fault(faultinject.OpSnapshotShard); err != nil {
 		return nil, fmt.Errorf("store: snapshot shard %d: %w", shardIdx, err)

@@ -381,44 +381,3 @@ func TestOrphanSegmentsSwept(t *testing.T) {
 		}
 	}
 }
-
-// TestRemoveSurvivesIncrementalCheckpoint: a removal after a checkpoint
-// dirties its shard, so the next incremental checkpoint re-encodes the
-// shard without the object and the removal sticks across a crash even
-// after the tombstone's WAL segment is reclaimed.
-func TestRemoveSurvivesIncrementalCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.ObserveBatch(fmt.Sprintf("obj-%d", i), []hpm.Point{hpm.Pt(float64(i), 0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Remove("obj-3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil { // incremental: obj-3's shard only
-		t.Fatal(err)
-	}
-	if info := s.Health().LastCheckpoint; info.Full {
-		t.Fatalf("expected an incremental checkpoint: %+v", info)
-	}
-	crash(s)
-	back, err := Open(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if _, err := back.Stats("obj-3"); err == nil {
-		t.Error("removed object resurrected by incremental checkpoint")
-	}
-	if got := len(back.Objects()); got != 9 {
-		t.Errorf("recovered %d objects, want 9", got)
-	}
-}

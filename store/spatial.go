@@ -106,9 +106,7 @@ func indexEntryFor(h int, preds []hpm.Prediction, last, vel hpm.Point) spatial.E
 // writing on every acknowledged observe, after a first train's install,
 // and by a bucket's build (readBucket).
 func (s *Store) indexUpdateLocked(obj *object) {
-	// A removed object's entries are gone and its id may already belong to
-	// a successor: a bucket build that listed it before Remove stops here.
-	if s.index == nil || obj.removed || len(obj.track) == 0 {
+	if s.index == nil || len(obj.track) == 0 {
 		return
 	}
 	// Read under obj.mu: a build that sets a bit after this load visits
@@ -157,16 +155,6 @@ func (s *Store) indexUpdateLocked(obj *object) {
 	s.index.Set(obj.slot, entries)
 }
 
-// unindexLocked drops the object's fleet-index entries and frees its slot.
-// Called with obj.mu held for writing, once obj.removed is set, so no later
-// refresh re-adds it.
-func (s *Store) unindexLocked(obj *object) {
-	if s.index != nil {
-		s.index.Drop(obj.slot)
-		obj.slot = 0
-	}
-}
-
 // readBucket makes the bucket that answers horizon live and, the first
 // time, builds it: every object is refreshed, fanned out across the
 // workers, and only then is the bucket marked built, so no query answers
@@ -201,7 +189,7 @@ func (s *Store) readBucket(horizon int) {
 }
 
 // listObjects returns every tracked object, one shard at a time. Objects
-// added or removed mid-walk may or may not be listed.
+// added mid-walk may or may not be listed.
 func (s *Store) listObjects() []*object {
 	var objs []*object
 	for i := range s.shards {

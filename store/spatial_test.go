@@ -144,24 +144,6 @@ func TestIndexMatchesScanAllDatasets(t *testing.T) {
 	}
 }
 
-func TestIndexDropsRemovedObject(t *testing.T) {
-	s := fleetStore(t, Options{MinTrainPeriods: 1 << 20})
-	feed(t, s, "gone", 5, 2)
-	feed(t, s, "stays", 6, 2)
-	all := rct(-1e6, -1e6, 1e6, 1e6)
-	res, err := queryRange(s, all, 10)
-	if err != nil || len(res) != 2 {
-		t.Fatalf("before remove: %v, %v", res, err)
-	}
-	if err := s.Remove("gone"); err != nil {
-		t.Fatal(err)
-	}
-	res, err = queryRange(s, all, 10)
-	if err != nil || len(res) != 1 || res[0].ID != "stays" {
-		t.Fatalf("after remove: %v, %v", res, err)
-	}
-}
-
 // TestIndexSurvivesRestart checks both recovery paths: the snapshot restore
 // and a WAL tail replayed on top, with the index enabled via the process
 // options on reopen.
@@ -289,7 +271,8 @@ func TestUnreadBucketsCostNothing(t *testing.T) {
 
 // TestBucketBuildUnderWrites races the first query of every bucket against
 // single and bulk writers that carry trained objects over period
-// boundaries, a remover and a first train's install. Every answer must hold
+// boundaries, a writer that adds new objects and a first train's install.
+// Every answer must hold
 // the quiet objects — written before the race and not during it — exactly
 // as a scan computed before the race does: a query never reads a bucket
 // its build has not finished. Once the racers stop, the index equals the
@@ -406,13 +389,9 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 			}
 		}
 	})
-	race(func() {
-		for i := 0; !stopped(); i++ {
-			if err := s.ObserveBatch("gone", walPoints(i, 5)); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := s.Remove("gone"); err != nil {
+	race(func() { // objects that appear while a build lists the fleet
+		for i := 0; i < 400 && !stopped(); i++ {
+			if err := s.ObserveBatch(fmt.Sprintf("new-%03d", i), walPoints(i, 5)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -487,7 +466,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 	}
 }
 
-// TestFleetQueryHammer races ingest, removal, and first-train installs
+// TestFleetQueryHammer races ingest and first-train installs
 // against concurrent range and kNN queries. Run under -race it pins the
 // locking design; assertions are minimal because the interleavings are
 // nondeterministic.
@@ -515,12 +494,6 @@ func TestFleetQueryHammer(t *testing.T) {
 				if err := s.ObserveBatch(id, pts[off:off+7]); err != nil {
 					t.Error(err)
 					return
-				}
-				if i%50 == 49 {
-					if err := s.Remove(id); err != nil {
-						t.Error(err)
-						return
-					}
 				}
 			}
 		}(w)

@@ -267,7 +267,7 @@ type Store struct {
 
 // shard is one slice of the object table: a sub-map under its own lock.
 // dirty marks that some object in the shard changed — observe, model
-// update, remove, WAL replay — since the last checkpoint encoded it; the
+// update, WAL replay — since the last checkpoint encoded it; the
 // next incremental checkpoint rewrites only dirty shards' segments.
 type shard struct {
 	mu      sync.RWMutex
@@ -310,14 +310,6 @@ type object struct {
 	unmatchedPts    int
 	retiredPatterns int
 	mintedRegions   int
-	// removed marks an object deleted by Remove. Written with ingestMu and
-	// mu both held, so either lock suffices to read it. An observer that
-	// raced Remove and still holds this pointer must drop it and re-create
-	// through the shard map, or its WAL records would land after the
-	// tombstone and corrupt replay; a bucket build that listed the object
-	// before its removal must leave the fleet index alone (the id may have
-	// a successor).
-	removed bool
 	// id is the object's key in the shard map, carried here so paths
 	// without the id at hand (dirty marks, index refreshes) can address the
 	// fleet index. Immutable after creation.
@@ -489,39 +481,25 @@ func (s *Store) ObserveAllContext(ctx context.Context, batch []Observation) erro
 		return err // degraded: fail fast before touching any lock
 	}
 	// Lock the objects' ingest mutexes in sorted-id order: concurrent
-	// batches acquire in the same order, so they cannot deadlock. An object
-	// tombstoned by a concurrent Remove between lookup and lock must be
-	// re-created through the shard map — its WAL records would land after
-	// the tombstone with stale offsets — so the whole acquire phase retries.
+	// batches acquire in the same order, so they cannot deadlock.
 	if len(groups) > 1 {
 		sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
 	}
-	unlock := func() {
+	for i := range groups {
+		obj, err := s.get(groups[i].id, true)
+		if err != nil {
+			return err
+		}
+		groups[i].obj = obj
+	}
+	for i := range groups {
+		groups[i].obj.ingestMu.Lock()
+	}
+	defer func() {
 		for i := range groups {
 			groups[i].obj.ingestMu.Unlock()
 		}
-	}
-acquire:
-	for {
-		for i := range groups {
-			obj, err := s.get(groups[i].id, true)
-			if err != nil {
-				return err
-			}
-			groups[i].obj = obj
-		}
-		for i := range groups {
-			groups[i].obj.ingestMu.Lock()
-		}
-		for i := range groups {
-			if groups[i].obj.removed {
-				unlock()
-				continue acquire
-			}
-		}
-		break
-	}
-	defer unlock()
+	}()
 	if err := ctx.Err(); err != nil {
 		return err // canceled while acquiring locks: nothing staged yet
 	}
@@ -1080,8 +1058,8 @@ func (s *Store) Health() Health {
 }
 
 // Objects lists all tracked ids, sorted. Shards are visited one at a
-// time in index order; ids added or removed mid-walk may or may not
-// appear, like any concurrent map listing.
+// time in index order; ids added mid-walk may or may not appear, like
+// any concurrent map listing.
 func (s *Store) Objects() []string {
 	var ids []string
 	for i := range s.shards {
@@ -1094,53 +1072,6 @@ func (s *Store) Objects() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Remove forgets an object entirely. On a durable store the removal is
-// acknowledged like an observation: a tombstone WAL record (zero points —
-// a shape the observe paths never write) hits disk before the object
-// leaves the table, so it stays gone across restarts even though older
-// segments and the snapshot still mention it; the next checkpoint drops
-// it from the snapshot too. Removing an unknown id is a no-op.
-func (s *Store) Remove(id string) error {
-	if err := s.writable(); err != nil {
-		return err // degraded: the tombstone could not be made durable
-	}
-	obj, err := s.get(id, false)
-	if err != nil {
-		return nil // never observed (or already removed): nothing to do
-	}
-	obj.ingestMu.Lock()
-	defer obj.ingestMu.Unlock()
-	if obj.removed {
-		return nil // lost a race with another Remove
-	}
-	// Tombstone commit and map delete ride the snapshot gate like observe
-	// applies: a checkpoint reclaiming the tombstone's segment must see
-	// the shard dirty and re-encode it without the object.
-	s.snapGate.RLock()
-	defer s.snapGate.RUnlock()
-	if s.wal != nil {
-		// ingestMu is held, so no observe record for this object can slip
-		// in between the tombstone and the map deletion.
-		if err := s.walAppendAll([]walRecord{{id: id}}); err != nil {
-			return err // not acknowledged: the object stays
-		}
-	}
-	obj.lockWrite()
-	obj.removed = true
-	s.unindexLocked(obj)
-	obj.mu.Unlock()
-	sh := s.shard(id)
-	sh.dirty.Store(true)
-	sh.mu.Lock()
-	// Guard against deleting a successor: a writer that raced this Remove
-	// may already have re-created the id with a fresh object.
-	if sh.objects[id] == obj {
-		delete(sh.objects, id)
-	}
-	sh.mu.Unlock()
-	return nil
 }
 
 // WALStats summarizes the write-ahead log's commit activity since Open:

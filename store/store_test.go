@@ -175,10 +175,6 @@ func TestMultipleObjectsIsolated(t *testing.T) {
 	if sa.Patterns == sb.Patterns && sa.Regions == sb.Regions && sa.IndexBytes == sb.IndexBytes {
 		t.Error("two different objects produced identical models (suspicious)")
 	}
-	s.Remove("a")
-	if _, err := s.Stats("a"); err == nil {
-		t.Error("removed object still present")
-	}
 	if _, err := predict(s, "never-seen", 10, 1); err == nil {
 		t.Error("unknown object accepted")
 	}
@@ -298,13 +294,14 @@ func TestOptionsBudget(t *testing.T) {
 // context-less twins no binary called (Observe, PredictRange, PredictBatch)
 // went and the two methods only tests called (the kNN scan oracle and the
 // horizon list) moved into the tests; 36 before Predict, QueryRange and
-// QueryNearest folded into their Context forms. A method declared in a
-// test file counts too, so the ones tests keep there are unexported, and
-// the helpers below are functions. Two context-less twins remain:
-// ObserveBatch and ObserveAll, which the benchmark harness calls.
+// QueryNearest folded into their Context forms; 33 before Remove went, with
+// the WAL's tombstone record and the fleet index's slot reuse. A method
+// declared in a test file counts too, so the ones tests keep there are
+// unexported, and the helpers below are functions. Two context-less twins
+// remain: ObserveBatch and ObserveAll, which the benchmark harness calls.
 func TestAPIBudget(t *testing.T) {
-	if n := reflect.TypeOf(&Store{}).NumMethod(); n > 33 {
-		t.Errorf("*store.Store has %d exported methods, budget is 33", n)
+	if n := reflect.TypeOf(&Store{}).NumMethod(); n > 32 {
+		t.Errorf("*store.Store has %d exported methods, budget is 32", n)
 	}
 }
 

@@ -41,7 +41,9 @@ var errWALBroken = errors.New("store: wal segment broken by a failed write")
 //	record  := uvarint(len(payload)) payload uint32(crc32c(payload))
 //	payload := uvarint(len(id)) id uvarint(offset) uvarint(n) n×(f64 x, f64 y)
 //
-// offset is the object's track length when the record was written, which
+// n ≥ 1: no observe writes a record without points, and replay refuses
+// one (applyReplay). offset is the object's track length when the record
+// was written, which
 // makes replay idempotent: a record whose points are already covered by
 // the snapshot (offset+n <= len(track)) is skipped, and a partial overlap
 // appends only the missing tail. That lets a checkpoint rotate to a fresh

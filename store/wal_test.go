@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -338,5 +339,89 @@ func TestWALHostileRecordRefusedOrTruncated(t *testing.T) {
 		if fi, err := os.Stat(p); err != nil || fi.Size() != int64(len(good)) {
 			t.Fatalf("hostile record %d: the active segment was not truncated to its good record (%v)", i, err)
 		}
+	}
+}
+
+// appendToNewestSegment crashes a checkpointed store holding "bus" with n
+// points and appends recs, encoded as the WAL writes them, to its newest
+// segment. It returns the segment's path.
+func appendToNewestSegment(t *testing.T, dir string, n int, recs ...walRecord) string {
+	t.Helper()
+	s, err := Open(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ObserveBatch("bus", walPoints(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash(s)
+	segs, _, err := walSegments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	var buf []byte
+	for _, rec := range recs {
+		buf = append(buf, encodeWALRecord(rec)...)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return segs[len(segs)-1]
+}
+
+// TestReplayRefusesZeroPointRecord: no observe writes a record without
+// points, so replay refuses one, naming its id, and Open fails. It must not
+// be taken for a torn tail: the records after it were acknowledged, and the
+// segment is left byte for byte as it was.
+func TestReplayRefusesZeroPointRecord(t *testing.T) {
+	dir := t.TempDir()
+	seg := appendToNewestSegment(t, dir, 10,
+		walRecord{id: "bus", offset: 10, pts: walPoints(10, 3)},
+		walRecord{id: "bus", offset: 13},
+		walRecord{id: "bus", offset: 13, pts: walPoints(13, 4)},
+	)
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, durableOpts())
+	if err == nil {
+		s.Close()
+		t.Fatal("Open replayed a record with no points")
+	}
+	if !strings.Contains(err.Error(), `"bus"`) || !strings.Contains(err.Error(), "no points") {
+		t.Errorf("the refusal does not name the record's id: %v", err)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the segment changed: %d bytes before, %d after (%v)", len(before), len(after), err)
+	}
+}
+
+// TestReplayRefusesOffsetGap: a record whose offset lies beyond the track
+// the snapshot and the records before it built means an acknowledged record
+// vanished, and Open fails.
+func TestReplayRefusesOffsetGap(t *testing.T) {
+	dir := t.TempDir()
+	appendToNewestSegment(t, dir, 10,
+		walRecord{id: "bus", offset: 10, pts: walPoints(10, 3)},
+		walRecord{id: "bus", offset: 15, pts: walPoints(15, 2)},
+	)
+	s, err := Open(dir, durableOpts())
+	if err == nil {
+		s.Close()
+		t.Fatal("Open replayed a record past the end of its track")
+	}
+	if !strings.Contains(err.Error(), "replay gap") || !strings.Contains(err.Error(), `"bus"`) {
+		t.Errorf("Open failed without naming the gap: %v", err)
 	}
 }
