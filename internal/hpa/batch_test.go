@@ -8,38 +8,6 @@ import (
 	"hpm/internal/trajectory"
 )
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	eng, centers := janeEngine(t, Config{Period: 3, DistantThreshold: 2, Weight: WeightLinear,
-		NewMotion: func() motion.Function { return motion.NewLinear(nil) }})
-	recent := []trajectory.TimedPoint{
-		{T: 0, Loc: centers["home"]},
-		{T: 1, Loc: centers["city"]},
-	}
-	tqs := []int{2, 3, 5, 8, 2} // mixed FQP/BQP, duplicates allowed
-	batch, err := eng.PredictBatch(recent, tqs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(tqs) {
-		t.Fatalf("batch returned %d entries for %d times", len(batch), len(tqs))
-	}
-	for i, tq := range tqs {
-		want, err := eng.Predict(Query{Recent: recent, Tq: tq, K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := batch[i]
-		if len(got) != len(want) {
-			t.Fatalf("tq=%d: batch %d predictions, Predict %d", tq, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Errorf("tq=%d pred %d: batch %+v != Predict %+v", tq, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 func TestPredictBatchCountsStatsPerTime(t *testing.T) {
 	eng, centers := janeEngine(t, Config{Period: 3, DistantThreshold: 2, Weight: WeightLinear,
 		NewMotion: func() motion.Function { return motion.NewLinear(nil) }})

@@ -258,15 +258,15 @@ type Engine struct {
 	stats queryCounters
 
 	// fitCache memoizes the last fitted fallback motion function, keyed by
-	// the identity of the recent window it was fitted on. Queries from the
+	// the identity of the recent window it was fitted on. Every query is a
+	// batch that fits at most once, so the cache serves the calls after the
+	// first from one window: a repeated (times, k) between observations
+	// stops at the store's answer memo before it gets here, but different
+	// times, a different k, a named route or a fleet-index refresh from the
 	// same window reuse one fitted model instead of refitting an identical
-	// one. A repeated point query between observations stops at the
-	// store's answer memo before it gets here; what the cache still serves
-	// is a refresh's fit to the first reads after a write, distinct query
-	// times from one window, and batch fan-outs. Motion functions
-	// are immutable after Fit (their Predict methods are pure), so a cached
-	// instance is safe to share across concurrent queries; the cache
-	// invalidates itself the moment the window advances.
+	// one. Motion functions are immutable after Fit (their Predict methods
+	// are pure), so a cached instance is safe to share across concurrent
+	// queries; the cache invalidates itself the moment the window advances.
 	fitCache atomic.Pointer[fittedMotion]
 }
 
@@ -455,30 +455,24 @@ func currentTime(recent []trajectory.TimedPoint, tqs ...int) (tc int, err error)
 // FQP for near queries, BQP for distant ones, then the Markov region
 // chain (when attached) for queries no pattern answers, and finally the
 // motion-function fallback.
-func (e *Engine) Predict(q Query) ([]Prediction, error) {
-	tc, err := currentTime(q.Recent, q.Tq)
-	if err != nil {
-		return nil, err
-	}
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	sc.visited = e.encodeRecentInto(sc.visited, q.Recent)
-	if preds := e.patternPaths(sc, q.Recent, tc, q.Tq, max(q.K, 1), true); preds != nil {
-		return preds, nil
-	}
-	return e.motionFallback(q)
-}
+func (e *Engine) Predict(q Query) ([]Prediction, error) { return e.PredictVia(PathForward, q) }
 
-// patternPaths answers one query time from the patterns — FQP or BQP, as its
-// distance from tc decides — and, where none qualifies, from the chain. nil
-// leaves the time to the motion function. counted adds the answer to the
-// query stats.
-func (e *Engine) patternPaths(sc *queryScratch, recent []trajectory.TimedPoint, tc, tq, k int, counted bool) []Prediction {
+// patternPaths answers one query time down route, before the motion
+// function: PathFallback asks nothing, PathMarkov the chain alone, and any
+// other route the patterns — FQP or BQP, as the time's distance from tc
+// decides — then, where none qualifies, the chain. nil leaves the time to
+// the motion function. counted adds the answer to the query stats.
+func (e *Engine) patternPaths(sc *queryScratch, recent []trajectory.TimedPoint, route Path, tc, tq, k int, counted bool) []Prediction {
+	if route == PathFallback {
+		return nil
+	}
 	var preds []Prediction
 	path := &e.stats.forward
-	if e.IsDistant(tc, tq) {
+	switch {
+	case route == PathMarkov: // the chain alone, below
+	case e.IsDistant(tc, tq):
 		preds, path = e.backwardQuery(sc, sc.visited, tc, tq, k), &e.stats.backward
-	} else {
+	default:
 		preds = e.forwardQuery(sc, sc.visited, tq, k)
 	}
 	if len(preds) == 0 {
@@ -509,12 +503,13 @@ func (e *Engine) PredictBatch(recent []trajectory.TimedPoint, tqs []int, k int) 
 	if _, err := currentTime(recent, tqs...); err != nil || len(tqs) == 0 {
 		return nil, err
 	}
-	return e.predictEach(recent, tqs, max(k, 1), true), nil
+	return e.predictEach(recent, tqs, max(k, 1), PathForward, true), nil
 }
 
-// predictEach is PredictBatch past its checks. The times no pattern and no
-// chain answers are set aside and handed to the motion function together.
-func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, counted bool) [][]Prediction {
+// predictEach is PredictBatch down route past its checks. The times no
+// pattern and no chain answers are set aside and handed to the motion
+// function together.
+func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, route Path, counted bool) [][]Prediction {
 	tc := recent[len(recent)-1].T
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
@@ -522,7 +517,7 @@ func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, c
 	out := make([][]Prediction, len(tqs))
 	late := sc.late[:0]
 	for i, tq := range tqs {
-		if out[i] = e.patternPaths(sc, recent, tc, tq, k, counted); out[i] == nil {
+		if out[i] = e.patternPaths(sc, recent, route, tc, tq, k, counted); out[i] == nil {
 			late = append(late, tq)
 		}
 	}
@@ -549,9 +544,9 @@ func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, c
 
 // motionEach returns the motion function's location at every time of tqs, in
 // scratch storage: one fit (the cached one while the window stands) and one
-// walk. A degenerate recent window answers with the last known location, as
-// Predict's fallback does; nil means no motion function, or one that cannot
-// answer.
+// walk. A degenerate recent window, which no motion function can fit,
+// answers with the last known location; nil means no motion function, or one
+// that cannot answer.
 func (e *Engine) motionEach(sc *queryScratch, recent []trajectory.TimedPoint, tqs []int) []geom.Point {
 	if e.cfg.NewMotion == nil {
 		return nil
@@ -597,7 +592,7 @@ func (e *Engine) PredictRange(recent []trajectory.TimedPoint, from, to int) ([]P
 	}
 	out := make([]Prediction, len(tqs))
 	last := motionPrediction(recent[len(recent)-1].Loc)
-	for i, preds := range e.predictEach(recent, tqs, 1, false) {
+	for i, preds := range e.predictEach(recent, tqs, 1, PathForward, false) {
 		out[i] = last
 		if len(preds) > 0 {
 			out[i] = preds[0]
@@ -964,67 +959,30 @@ func (e *Engine) fitMotion(recent []trajectory.TimedPoint) (motion.Function, err
 	return fn, err
 }
 
-// motionFallback answers q from the motion function and counts the outcome:
-// a fallback answer, or an unanswered query.
-func (e *Engine) motionFallback(q Query) ([]Prediction, error) {
-	if e.cfg.NewMotion == nil {
-		e.stats.unanswered.Add(1)
-		return nil, nil
-	}
-	// A degenerate recent window is answered with the last known location
-	// rather than failing the query.
-	loc := q.Recent[len(q.Recent)-1].Loc
-	if fn, err := e.fitMotion(q.Recent); err == nil {
-		if loc, err = fn.Predict(q.Tq); err != nil {
-			e.stats.unanswered.Add(1)
-			return nil, fmt.Errorf("hpa: motion fallback: %w", err)
-		}
-	}
-	e.stats.fallback.Add(1)
-	return []Prediction{motionPrediction(loc)}, nil
-}
-
-// PredictVia answers a query down one named route. It is the one place a
-// route becomes a procedure: PathFallback is FallbackQuery, PathMarkov is
-// MarkovQuery, and PathForward or PathBackward is the hybrid dispatch,
-// Predict, which picks FQP or BQP by the query's distance itself. The store
-// answers every point query through it, so the evaluator can label each
-// answer with the route that was asked for.
+// PredictVia answers a query down one named route, as a batch of one time:
+// PathFallback asks the motion function alone, PathMarkov the chain and then
+// the motion function, and PathForward or PathBackward the hybrid dispatch,
+// which picks FQP or BQP by the query's distance itself. Predict,
+// FallbackQuery and MarkovQuery are its forms. The store answers a named
+// route through it, so the evaluator can label each answer with the route
+// that was asked for.
 func (e *Engine) PredictVia(route Path, q Query) ([]Prediction, error) {
-	switch route {
-	case PathFallback:
-		return e.FallbackQuery(q)
-	case PathMarkov:
-		return e.MarkovQuery(q)
-	default:
-		return e.Predict(q)
+	if _, err := currentTime(q.Recent, q.Tq); err != nil {
+		return nil, err
 	}
+	return e.predictEach(q.Recent, []int{q.Tq}, max(q.K, 1), route, true)[0], nil
 }
 
 // FallbackQuery answers a query with the motion-function fallback alone,
 // bypassing the pattern paths. Counts as a fallback (or unanswered) query in
 // the stats.
-func (e *Engine) FallbackQuery(q Query) ([]Prediction, error) {
-	if _, err := currentTime(q.Recent, q.Tq); err != nil {
-		return nil, err
-	}
-	return e.motionFallback(q)
-}
+func (e *Engine) FallbackQuery(q Query) ([]Prediction, error) { return e.PredictVia(PathFallback, q) }
 
 // MarkovQuery answers a query with the Markov region chain alone,
 // bypassing the pattern paths and falling through to the motion function
 // when the chain cannot answer. Counts as a markov (or fallback/unanswered)
 // query in the stats.
-func (e *Engine) MarkovQuery(q Query) ([]Prediction, error) {
-	if _, err := currentTime(q.Recent, q.Tq); err != nil {
-		return nil, err
-	}
-	if mp, ok := e.tryMarkov(q.Recent, q.Tq); ok {
-		e.stats.markov.Add(1)
-		return []Prediction{mp}, nil
-	}
-	return e.motionFallback(q)
-}
+func (e *Engine) MarkovQuery(q Query) ([]Prediction, error) { return e.PredictVia(PathMarkov, q) }
 
 // better reports whether a ranks strictly ahead of b: higher score, ties
 // broken by higher confidence, then lower pattern index for determinism.

@@ -10,8 +10,8 @@ import (
 
 // TestFallbackFitCachedAcrossQueries pins the fit memoization: repeated
 // queries from an unchanged recent window construct the motion function
-// once, and the FallbackFits counter reports actual fits, not fallback
-// answers.
+// once and answer as a fresh fit would, and the FallbackFits counter
+// reports actual fits, not fallback answers.
 func TestFallbackFitCachedAcrossQueries(t *testing.T) {
 	fits := 0
 	eng, _ := janeEngine(t, Config{Period: 3, DistantThreshold: 100, Weight: WeightLinear,
@@ -23,9 +23,18 @@ func TestFallbackFitCachedAcrossQueries(t *testing.T) {
 		{T: 0, Loc: geom.Pt(9000, 9000)},
 		{T: 1, Loc: geom.Pt(9010, 9000)},
 	}
+	// The cached fit answers as a fresh fit of the same window does.
+	fresh := motion.NewLinear(nil)
+	if err := fresh.Fit(far); err != nil {
+		t.Fatal(err)
+	}
 	for tq := 2; tq < 10; tq++ {
-		if _, err := eng.Predict(Query{Recent: far, Tq: tq, K: 1}); err != nil {
+		preds, err := eng.Predict(Query{Recent: far, Tq: tq, K: 1})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if want, _ := fresh.Predict(tq); len(preds) != 1 || preds[0].Location != want {
+			t.Fatalf("tq=%d: cached fit answered %+v, a fresh fit %v", tq, preds, want)
 		}
 	}
 	if fits != 1 {

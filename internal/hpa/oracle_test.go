@@ -19,27 +19,84 @@ import (
 // The query paths compute where Algorithm 3's widening ends, rank bare
 // (score, confidence, ref) triples and read the TPT. The oracle below is
 // the procedure as the paper words it, with none of that: it widens the
-// window one step at a time, looks at every live pattern in turn (no
-// tree), builds a full Prediction per hit and sorts them all. Every test
-// in this file holds the engine to it element for element (samePredictions).
+// window one step at a time, reads every live pattern of every offset the
+// window covers (no tree) and ranks every hit. Every test in this file
+// holds the engine to it element for element (samePredictions).
 
-// oracle is a linear-scan reference over an engine's live patterns. The
-// keys are encoded once per engine state: call newOracle again after any
-// mutation (key widths may have grown).
+// oracle is a scan reference over an engine's live patterns. The
+// keys and confidences are read once per engine state: call newOracle
+// again after any mutation (key widths may have grown).
+//
+// A scan reads only the patterns whose consequence offset it can match,
+// from lists kept per offset, and what it finds depends only on the
+// premise, the query offset and the window radius, so the oracle remembers
+// each scan's hits under that key: the many query times of one recent
+// window that share an offset and a radius rescan nothing. Only Equation
+// 5's penalty reads tq itself, and it scales the premise term, which is 0
+// for a hit that shares no region with the query: those hits are ranked
+// once per window, the others scored per query and merged in.
+// plainForward and plainBackward scan every live pattern per query with no
+// memo; checkAgainstOracle holds the two to each other on a sample of
+// queries.
 type oracle struct {
-	e    *Engine
-	refs []int
-	keys []bitkey.PatternKey
+	e     *Engine
+	refs  []int
+	keys  []bitkey.PatternKey
+	confs []float64 // confidence per live pattern
+	// byOff lists the patterns per consequence offset, by index, in
+	// confidence order then ref order: the rank order of the hits one
+	// offset contributes with no premise term.
+	byOff [][]int
+
+	forward map[scanKey][]scored  // FQP's ranked hits
+	windows map[scanKey]bqpWindow // BQP's window hits
+	cands   []scored              // BQP's last ranked answer
+}
+
+// bqpWindow is what one BQP window holds: the hits whose premise shares a
+// region with the query, unscored, and the others, whose score is their
+// time term times their confidence at any tq, ranked.
+type bqpWindow struct {
+	shared []hit
+	rest   []scored
+}
+
+// scanKey names one scan: the premise (the visited regions, printed), the
+// query offset, and for BQP the window radius.
+type scanKey struct {
+	premise     string
+	off, radius int
+}
+
+// hit is one live pattern a BQP window holds, by index into the oracle's
+// slices, with the two score terms that do not depend on tq.
+type hit struct {
+	i      int
+	sc, sr float64 // Equation 3's time term, the premise similarity
+}
+
+// scored is one candidate reduced to what ranking reads; Predictions are
+// built for the answers a test compares only.
+type scored struct {
+	score, conf float64
+	ref         int
 }
 
 func newOracle(e *Engine) *oracle {
-	o := &oracle{e: e}
+	o := &oracle{e: e, forward: map[scanKey][]scored{}, windows: map[scanKey]bqpWindow{},
+		byOff: make([][]int, e.cfg.Period)}
 	for ref, p := range e.rules.Patterns() {
 		if e.dead[ref] {
 			continue
 		}
+		off := consOffset(e, ref)
+		o.byOff[off] = append(o.byOff[off], len(o.refs))
 		o.refs = append(o.refs, ref)
 		o.keys = append(o.keys, e.enc.Encode(p))
+		o.confs = append(o.confs, p.Confidence)
+	}
+	for _, js := range o.byOff {
+		slices.SortFunc(js, func(a, b int) int { return rankOrder(0, o.confs[a], o.refs[a], 0, o.confs[b], o.refs[b]) })
 	}
 	return o
 }
@@ -65,19 +122,43 @@ func (o *oracle) prediction(ref int, score float64, path Path) Prediction {
 	}
 }
 
-// oracleRank sorts every candidate under the ranking order: score, then
-// confidence, then lower ref. The answer for any k is a prefix of it.
-func oracleRank(cands []Prediction) []Prediction {
-	slices.SortFunc(cands, func(a, b Prediction) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		if a.Confidence != b.Confidence {
-			return cmp.Compare(b.Confidence, a.Confidence)
-		}
-		return cmp.Compare(a.PatternRef, b.PatternRef)
-	})
+// rankOrder is the ranking order: score, then confidence, then lower ref.
+func rankOrder(as, ac float64, ar int, bs, bc float64, br int) int {
+	if as != bs {
+		return cmp.Compare(bs, as)
+	}
+	if ac != bc {
+		return cmp.Compare(bc, ac)
+	}
+	return cmp.Compare(ar, br)
+}
+
+// rank sorts every candidate under the ranking order. The answer for any k
+// is a prefix of it.
+func rank(cands []scored) []scored {
+	slices.SortFunc(cands, func(a, b scored) int { return rankOrder(a.score, a.conf, a.ref, b.score, b.conf, b.ref) })
 	return cands
+}
+
+// top is the oracle's answer for one k: nil when nothing qualified.
+func (o *oracle) top(ranked []scored, k int, path Path) []Prediction {
+	k = min(k, len(ranked))
+	if k <= 0 {
+		return nil
+	}
+	out := make([]Prediction, k)
+	for i, c := range ranked[:k] {
+		out[i] = o.prediction(c.ref, c.score, path)
+	}
+	return out
+}
+
+// prefix is the answer for k cut from the answer for a larger k.
+func prefix(preds []Prediction, k int) []Prediction {
+	if k = min(k, len(preds)); k <= 0 {
+		return nil
+	}
+	return preds[:k]
 }
 
 // samePredictions is reflect.DeepEqual over two answers without the
@@ -86,17 +167,124 @@ func samePredictions(a, b []Prediction) bool {
 	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
-// top is the oracle's answer for one k: nil when nothing qualified.
-func top(ranked []Prediction, k int) []Prediction {
-	k = min(k, len(ranked))
-	if k <= 0 {
+// oracleForward is Algorithm 2 minus the fallback, every candidate ranked.
+// Its scores read tq's offset only, so the ranked list is remembered whole;
+// the caller must not modify it.
+func (o *oracle) oracleForward(visited []pattern.RegionID, tq int) []scored {
+	e := o.e
+	if len(visited) == 0 {
 		return nil
 	}
-	return ranked[:k]
+	key := scanKey{premise: fmt.Sprint(visited), off: mod(tq, e.cfg.Period)}
+	if ranked, ok := o.forward[key]; ok {
+		return ranked
+	}
+	var cands []scored
+	qk := e.enc.QueryKey(visited, key.off)
+	if !qk.CK.IsZero() && !qk.RK.IsZero() {
+		for _, i := range o.byOff[key.off] {
+			if o.keys[i].Intersects(qk) {
+				sr := PremiseSimilarity(o.keys[i].RK, qk.RK, e.cfg.Weight)
+				cands = append(cands, scored{score: sr * o.confs[i], conf: o.confs[i], ref: o.refs[i]})
+			}
+		}
+	}
+	o.forward[key] = rank(cands)
+	return o.forward[key]
 }
 
-// oracleForward is Algorithm 2 minus the fallback, every candidate ranked.
-func (o *oracle) oracleForward(visited []pattern.RegionID, tq int) []Prediction {
+// oracleBackward is Algorithm 3 minus the fallback — the widening loop —
+// with every candidate of the final window ranked. The list is valid until
+// the next call.
+func (o *oracle) oracleBackward(visited []pattern.RegionID, tc, tq int) []scored {
+	e := o.e
+	premise := fmt.Sprint(visited)
+	tqOff := mod(tq, e.cfg.Period)
+	for i := 1; ; i++ {
+		w := o.window(visited, premise, tqOff, i*e.cfg.TimeRelaxation)
+		if len(w.shared)+len(w.rest) > 0 {
+			shared := make([]scored, len(w.shared))
+			for j, h := range w.shared {
+				conf := o.confs[h.i]
+				var sp float64
+				if e.cfg.PenalizePremise {
+					sp = (h.sr*float64(e.cfg.DistantThreshold)/float64(tq-tc) + h.sc) * conf // Equation 5
+				} else {
+					sp = (h.sr + h.sc) * conf // Equation 4
+				}
+				shared[j] = scored{score: sp, conf: conf, ref: o.refs[h.i]}
+			}
+			o.cands = merge(o.cands[:0], rank(shared), w.rest)
+			return o.cands
+		}
+		// Algorithm 3 line 8: widen only while the window's lower edge
+		// stays after the current time.
+		if tq-(i+1)*e.cfg.TimeRelaxation <= tc {
+			return nil
+		}
+	}
+}
+
+// merge appends two ranked lists to dst as one.
+func merge(dst, a, b []scored) []scored {
+	for len(a) > 0 && len(b) > 0 {
+		if rankOrder(a[0].score, a[0].conf, a[0].ref, b[0].score, b[0].conf, b[0].ref) < 0 {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// window returns the live patterns whose consequence offset lies within
+// radius of off, scanned once per (premise, off, radius).
+func (o *oracle) window(visited []pattern.RegionID, premise string, off, radius int) bqpWindow {
+	key := scanKey{premise, off, radius}
+	if w, ok := o.windows[key]; ok {
+		return w
+	}
+	e := o.e
+	qrk := e.enc.RegionTable().PremiseKey(visited)
+	ck := consequenceWindowKey(e.enc.ConsequenceTable(), off, radius, e.cfg.Period)
+	var w bqpWindow
+	for at, js := range o.byOff {
+		dist := circularDist(off, at, e.cfg.Period)
+		if dist > radius || len(js) == 0 {
+			continue
+		}
+		sc := 1 - float64(dist)/float64(radius+1) // Equation 3
+		// One offset's hits with no premise term score sc·conf for one
+		// positive sc, so its confidence order is their rank order.
+		var run []scored
+		for _, j := range js {
+			if !o.keys[j].CK.Intersects(ck) {
+				continue
+			}
+			if sr := PremiseSimilarity(o.keys[j].RK, qrk, e.cfg.Weight); sr != 0 {
+				w.shared = append(w.shared, hit{i: j, sc: sc, sr: sr})
+			} else {
+				// (0·penalty + sc)·conf and (0 + sc)·conf are sc·conf exactly.
+				run = append(run, scored{score: sc * o.confs[j], conf: o.confs[j], ref: o.refs[j]})
+			}
+		}
+		w.rest = merge(nil, w.rest, run)
+	}
+	o.windows[key] = w
+	return w
+}
+
+// plainRank sorts full Predictions under the ranking order.
+func plainRank(cands []Prediction) []Prediction {
+	slices.SortFunc(cands, func(a, b Prediction) int {
+		return rankOrder(a.Score, a.Confidence, a.PatternRef, b.Score, b.Confidence, b.PatternRef)
+	})
+	return cands
+}
+
+// plainForward is oracleForward without the memo: every live pattern
+// rescanned and a full Prediction built per hit.
+func (o *oracle) plainForward(visited []pattern.RegionID, tq int) []Prediction {
 	e := o.e
 	if len(visited) == 0 {
 		return nil
@@ -113,12 +301,11 @@ func (o *oracle) oracleForward(visited []pattern.RegionID, tq int) []Prediction 
 		sr := PremiseSimilarity(o.keys[i].RK, qk.RK, e.cfg.Weight)
 		cands = append(cands, o.prediction(ref, sr*e.Pattern(ref).Confidence, PathForward))
 	}
-	return oracleRank(cands)
+	return plainRank(cands)
 }
 
-// oracleBackward is Algorithm 3 minus the fallback — the widening loop —
-// with every candidate of the final window ranked.
-func (o *oracle) oracleBackward(visited []pattern.RegionID, tc, tq int) []Prediction {
+// plainBackward is oracleBackward without the memo.
+func (o *oracle) plainBackward(visited []pattern.RegionID, tc, tq int) []Prediction {
 	e := o.e
 	qrk := e.enc.RegionTable().PremiseKey(visited)
 	ct := e.enc.ConsequenceTable()
@@ -147,10 +334,8 @@ func (o *oracle) oracleBackward(visited []pattern.RegionID, tc, tq int) []Predic
 			cands = append(cands, o.prediction(ref, sp, PathBackward))
 		}
 		if len(cands) > 0 {
-			return oracleRank(cands)
+			return plainRank(cands)
 		}
-		// Algorithm 3 line 8: widen only while the window's lower edge
-		// stays after the current time.
 		if tq-(i+1)*e.cfg.TimeRelaxation <= tc {
 			return nil
 		}
@@ -321,23 +506,36 @@ func buildRanked(e *Engine) {
 
 // checkAgainstOracle compares both pattern paths with the oracle for every
 // tq in (tc, tc+span] and k in ks, from one recent window. FQP reads only
-// tq's offset, so one period of query times covers it.
+// tq's offset, so one period of query times covers it. Every eleventh tq the
+// oracle's whole ranked lists are held to the plain scans.
 func checkAgainstOracle(t *testing.T, e *Engine, o *oracle, visited []pattern.RegionID, tc, span int, ks []int) {
 	t.Helper()
+	maxK := slices.Max(ks)
 	for tq := tc + 1; tq <= tc+span; tq++ {
 		bqp := o.oracleBackward(visited, tc, tq)
-		var fqp []Prediction
+		var fqp []scored
 		if tq <= tc+e.cfg.Period {
 			fqp = o.oracleForward(visited, tq)
 		}
+		if (tq-tc)%11 == 1 {
+			if got, want := o.top(bqp, len(bqp), PathBackward), o.plainBackward(visited, tc, tq); !samePredictions(got, want) {
+				t.Fatalf("oracle BQP tc=%d tq=%d visited=%v: the memoised scan ranks\n%+v\nthe plain scan\n%+v", tc, tq, visited, got, want)
+			}
+			if tq > tc+e.cfg.Period {
+				// FQP is not asked past one period.
+			} else if got, want := o.top(fqp, len(fqp), PathForward), o.plainForward(visited, tq); !samePredictions(got, want) {
+				t.Fatalf("oracle FQP tq=%d visited=%v: the memoised scan ranks\n%+v\nthe plain scan\n%+v", tq, visited, got, want)
+			}
+		}
+		bqpTop, fqpTop := o.top(bqp, maxK, PathBackward), o.top(fqp, maxK, PathForward)
 		for _, k := range ks {
-			if got, want := e.BackwardQuery(visited, tc, tq, k), top(bqp, k); !samePredictions(got, want) {
+			if got, want := e.BackwardQuery(visited, tc, tq, k), prefix(bqpTop, k); !samePredictions(got, want) {
 				t.Fatalf("BQP tc=%d tq=%d k=%d visited=%v:\n got %+v\nwant %+v", tc, tq, k, visited, got, want)
 			}
 			if tq > tc+e.cfg.Period {
 				continue
 			}
-			if got, want := e.ForwardQuery(visited, tq, k), top(fqp, k); !samePredictions(got, want) {
+			if got, want := e.ForwardQuery(visited, tq, k), prefix(fqpTop, k); !samePredictions(got, want) {
 				t.Fatalf("FQP tq=%d k=%d visited=%v:\n got %+v\nwant %+v", tq, k, visited, got, want)
 			}
 		}

@@ -58,6 +58,28 @@ func TestWeightValues(t *testing.T) {
 	}
 }
 
+// TestWeightsMemoMatchesComputation: the memoized vectors, on their first
+// call and on later ones, are the computed ones bit for bit, and sizes past
+// the memo are computed too.
+func TestWeightsMemoMatchesComputation(t *testing.T) {
+	for _, w := range []WeightFunc{WeightLinear, WeightQuadratic, WeightExponential, WeightFactorial} {
+		for size := 1; size <= weightMemoMax+2; size++ {
+			want := w.computeWeights(size)
+			for call := 0; call < 2; call++ {
+				got := w.Weights(size)
+				if len(got) != len(want) {
+					t.Fatalf("%s size %d: %d weights, want %d", w, size, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s size %d call %d: ω_%d = %v, computed %v", w, size, call, i+1, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWeightsEmpty(t *testing.T) {
 	if got := WeightLinear.Weights(0); got != nil {
 		t.Errorf("Weights(0) = %v, want nil", got)

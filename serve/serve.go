@@ -229,7 +229,11 @@ func handlePredict(st *store.Store, w http.ResponseWriter, r *http.Request) {
 	case h > 0:
 		// The store resolves the current time and answers under one lock
 		// hold; the reported tq is the one it answered for.
-		tq, preds, err = st.PredictAheadContext(r.Context(), id, h, k)
+		var tqs []int
+		var out [][]hpm.Prediction
+		if tqs, out, err = st.PredictBatchAheadContext(r.Context(), id, []int{h}, k); err == nil {
+			tq, preds = tqs[0], out[0]
+		}
 	case tq >= 0:
 		preds, err = st.PredictContext(r.Context(), id, tq, k)
 	default:

@@ -128,7 +128,7 @@ func TestPredictObserveHammer(t *testing.T) {
 							errs <- serr
 							return
 						}
-						_, _, ferr := s.PredictAheadContext(context.Background(), "fresh", 10, 1)
+						_, _, ferr := predictAhead(s, "fresh", 10, 1)
 						if ferr != nil && !errors.Is(ferr, ErrUntrained) {
 							errs <- ferr
 							return

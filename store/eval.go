@@ -61,7 +61,10 @@ func (s *Store) PredictVia(id string, route evalq.Path, tq, k int) (preds []hpm.
 		if route == evalq.PathForward || route == evalq.PathBackward {
 			route = s.patternPath(obj, now, tq)
 		}
-		preds, err = s.predictLocked(obj, route, now, tq, k)
+		// The answer is parked under route, fall-throughs included, so each
+		// route's cell is charged for what it actually delivered.
+		preds, err = obj.predictor.PredictVia(route, s.recentLocked(obj), tq, k)
+		s.recordPrediction(obj, now, tq, route, preds, err)
 		return err
 	})
 	return preds, err

@@ -45,8 +45,8 @@ func TestQueryTimeBoundedOnEveryPredictCall(t *testing.T) {
 	}
 	refused("Predict", ErrTooFar, func() error { _, err := predict(s, "drifter", far, 1); return err })
 	refused("PredictContext", ErrTooFar, func() error { _, err := s.PredictContext(ctx, "drifter", far, 1); return err })
-	refused("PredictAheadContext", ErrTooFar, func() error {
-		_, _, err := s.PredictAheadContext(ctx, "drifter", MaxHorizon+1, 1)
+	refused("predictAhead", ErrTooFar, func() error {
+		_, _, err := predictAhead(s, "drifter", MaxHorizon+1, 1)
 		return err
 	})
 	refused("PredictBatch", ErrTooFar, func() error {

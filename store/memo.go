@@ -25,24 +25,22 @@ const memoCap = 8
 // compare-and-swap instead of writing in place.
 type memo []memoEntry
 
-// memoEntry is one remembered answer: a point query's, keyed by its one
-// query time and k, or a batch's, keyed by its query times and k. The two
-// kinds never answer for each other.
+// memoEntry is one remembered answer, keyed by its query times and k. A
+// point query is a batch of one time, so it shares the key of that batch.
 type memoEntry struct {
-	batch bool
-	k     int
-	tqs   []int
-	ans   [][]hpm.Prediction
+	k   int
+	tqs []int
+	ans [][]hpm.Prediction
 }
 
 // find returns the answer remembered under the key, which the caller must
 // not modify; ok is false on a miss. A nil memo is empty.
-func (m *memo) find(batch bool, tqs []int, k int) (ans [][]hpm.Prediction, ok bool) {
+func (m *memo) find(tqs []int, k int) (ans [][]hpm.Prediction, ok bool) {
 	if m == nil {
 		return nil, false
 	}
 	for i := range *m {
-		if e := &(*m)[i]; e.batch == batch && e.k == k && slices.Equal(e.tqs, tqs) {
+		if e := &(*m)[i]; e.k == k && slices.Equal(e.tqs, tqs) {
 			return e.ans, true
 		}
 	}
@@ -67,7 +65,7 @@ func (obj *object) lockWrite() {
 func (obj *object) remember(e memoEntry) {
 	for {
 		old := obj.memo.Load()
-		if _, ok := old.find(e.batch, e.tqs, e.k); ok {
+		if _, ok := old.find(e.tqs, e.k); ok {
 			return
 		}
 		var keep memo
@@ -90,30 +88,12 @@ func (s *Store) ForgetAnswers(id string) {
 	}
 }
 
-// answerLocked answers a point query from obj's memo, or runs the model and
-// remembers the answer. Either way the answer is parked with the evaluator
-// under its pattern route. Called with obj.mu read-locked.
-func (s *Store) answerLocked(obj *object, now, tq, k int) ([]hpm.Prediction, error) {
-	route := s.patternPath(obj, now, tq)
-	key := [1]int{tq}
-	if ans, ok := obj.memo.Load().find(false, key[:], k); ok {
-		s.reused.Add(1)
-		preds := slices.Clone(ans[0])
-		s.recordPrediction(obj, now, tq, route, preds, nil)
-		return preds, nil
-	}
-	preds, err := s.predictLocked(obj, route, now, tq, k)
-	if err == nil {
-		obj.remember(memoEntry{k: k, tqs: []int{tq}, ans: [][]hpm.Prediction{slices.Clone(preds)}})
-	}
-	return preds, err
-}
-
-// answerBatchLocked is answerLocked for a batch: one recent window, one
-// answer per query time, each parked with the evaluator. Called with obj.mu
+// answerLocked answers a batch from obj's memo, or runs the model and
+// remembers the answer: one recent window, one answer per query time, each
+// parked with the evaluator under its pattern route. Called with obj.mu
 // read-locked.
-func (s *Store) answerBatchLocked(obj *object, now int, tqs []int, k int) ([][]hpm.Prediction, error) {
-	out, ok := obj.memo.Load().find(true, tqs, k)
+func (s *Store) answerLocked(obj *object, now int, tqs []int, k int) ([][]hpm.Prediction, error) {
+	out, ok := obj.memo.Load().find(tqs, k)
 	if ok {
 		s.reused.Add(uint64(len(tqs)))
 		out = cloneAnswers(out)
@@ -122,7 +102,7 @@ func (s *Store) answerBatchLocked(obj *object, now int, tqs []int, k int) ([][]h
 		if out, err = obj.predictor.PredictBatch(s.recentLocked(obj), tqs, k); err != nil {
 			return out, err
 		}
-		obj.remember(memoEntry{batch: true, k: k, tqs: slices.Clone(tqs), ans: cloneAnswers(out)})
+		obj.remember(memoEntry{k: k, tqs: slices.Clone(tqs), ans: cloneAnswers(out)})
 	}
 	if obj.eval != nil {
 		for i, preds := range out {

@@ -45,7 +45,7 @@ func checkAnswers(t *testing.T, s *Store, id string, tqs []int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, pointAhead, err := s.PredictAheadContext(ctx, id, horizons[i], k)
+			_, pointAhead, err := predictAhead(s, id, horizons[i], k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,10 +199,53 @@ func TestMemoHoldsAtMostCap(t *testing.T) {
 	if len(*m) != memoCap {
 		t.Fatalf("memo holds %d entries, want %d", len(*m), memoCap)
 	}
-	if _, ok := m.find(false, []int{now + 1}, 1); ok {
+	if _, ok := m.find([]int{now + 1}, 1); ok {
 		t.Error("the oldest answer was kept")
 	}
-	if _, ok := m.find(false, []int{now + memoCap + 2}, 1); !ok {
+	if _, ok := m.find([]int{now + memoCap + 2}, 1); !ok {
 		t.Error("the newest answer was dropped")
+	}
+}
+
+// TestPointQueryReusesBatchOfOne: a point query is a batch of one time, so
+// the memo entry a one-time batch left at the same (tq, k) answers it
+// without the model, and the same time at another k is asked of the model.
+func TestPointQueryReusesBatchOfOne(t *testing.T) {
+	s := testStore(t, Options{MinTrainPeriods: 3})
+	feed(t, s, "bike", 13, 4)
+	now, _ := s.Now("bike")
+	tq := now + 10
+	obj, err := s.get("bike", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj.mu.RLock()
+	want, err := obj.predictor.PredictBatch(s.recentLocked(obj), []int{tq}, 3)
+	obj.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PredictBatchContext(context.Background(), "bike", []int{tq}, 3); err != nil {
+		t.Fatal(err)
+	}
+	before := s.FleetStats()
+	got, err := predict(s, "bike", tq, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := s.FleetStats()
+	if hit.AnswersReused != before.AnswersReused+1 || hit.Queries != before.Queries {
+		t.Errorf("point query after its batch of one: reused %d -> %d, model queries %d -> %d; want a memo hit",
+			before.AnswersReused, hit.AnswersReused, before.Queries.Queries, hit.Queries.Queries)
+	}
+	if !slices.Equal(got, want[0]) {
+		t.Errorf("memo answer %v, the model says %v", got, want[0])
+	}
+	if _, err := predict(s, "bike", tq, 1); err != nil {
+		t.Fatal(err)
+	}
+	if miss := s.FleetStats(); miss.AnswersReused != hit.AnswersReused || miss.Queries.Queries != hit.Queries.Queries+1 {
+		t.Errorf("another k: reused %d -> %d, model queries %d -> %d; want a model run",
+			hit.AnswersReused, miss.AnswersReused, hit.Queries.Queries, miss.Queries.Queries)
 	}
 }

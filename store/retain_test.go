@@ -98,7 +98,7 @@ func TestTrainPolicy(t *testing.T) {
 			if fs.ExtendSeconds <= 0 {
 				t.Errorf("extend seconds not accumulated: %v", fs.ExtendSeconds)
 			}
-			if _, preds, err := s.PredictAheadContext(context.Background(), "bike", 10, 1); err != nil || len(preds) != 1 {
+			if _, preds, err := predictAhead(s, "bike", 10, 1); err != nil || len(preds) != 1 {
 				t.Fatalf("predict after updates: %v, %d preds", err, len(preds))
 			}
 		})

@@ -750,43 +750,19 @@ func (s *Store) Close() error {
 
 // PredictContext estimates the object's location at absolute time tq
 // (timestamps count observations from zero) from its most recent
-// movements. Queries run under the object's read lock: any number execute
-// in parallel with each other, serializing only against writes (observes,
-// Extends). A tq more than MaxHorizon past the object's current time is
-// refused with ErrTooFar, as by every predict call. A client that
-// disconnected or blew its deadline before the query starts — or while
-// waiting for the object's lock behind a writer — gets the context's error
-// instead of an answer nobody reads.
-func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) (preds []hpm.Prediction, err error) {
-	err = s.withTrained(ctx, id, func(obj *object, now int) error {
-		if err := checkHorizon(now, tq); err != nil {
-			return err
-		}
-		preds, err = s.answerLocked(obj, now, tq, k)
-		return err
-	})
-	return preds, err
-}
-
-// PredictAheadContext estimates the object's location horizon timestamps
-// after its latest observation and returns the absolute query time it
-// answered for. The current time is read and the query answered under one
-// hold of the object's read lock, so — unlike Now followed by Predict,
-// which ingest can overtake between the two calls — a positive horizon
-// never fails as "not after current time".
-func (s *Store) PredictAheadContext(ctx context.Context, id string, horizon, k int) (tq int, preds []hpm.Prediction, err error) {
-	if err := validateFleetQuery(horizon); err != nil {
-		return 0, nil, err
+// movements: PredictBatchContext at one time. Queries run under the
+// object's read lock: any number execute in parallel with each other,
+// serializing only against writes (observes, Extends). A tq more than
+// MaxHorizon past the object's current time is refused with ErrTooFar, as
+// by every predict call. A client that disconnected or blew its deadline
+// before the query starts — or while waiting for the object's lock behind a
+// writer — gets the context's error instead of an answer nobody reads.
+func (s *Store) PredictContext(ctx context.Context, id string, tq, k int) ([]hpm.Prediction, error) {
+	out, err := s.PredictBatchContext(ctx, id, []int{tq}, k)
+	if err != nil {
+		return nil, err
 	}
-	if horizon > MaxHorizon {
-		return 0, nil, ErrTooFar
-	}
-	err = s.withTrained(ctx, id, func(obj *object, now int) error {
-		tq = now + horizon
-		preds, err = s.answerLocked(obj, now, tq, k)
-		return err
-	})
-	return tq, preds, err
+	return out[0], nil
 }
 
 // withTrained runs fn under the object's read lock with the object's current
@@ -806,15 +782,6 @@ func (s *Store) withTrained(ctx context.Context, id string, fn func(obj *object,
 		return ErrUntrained
 	}
 	return fn(obj, obj.base+len(obj.track)-1)
-}
-
-// predictLocked answers one point query along route and parks the answer
-// under it (fall-throughs included), so each route's cell is charged for
-// what it actually delivered. Called with obj.mu read-locked.
-func (s *Store) predictLocked(obj *object, route evalq.Path, now, tq, k int) ([]hpm.Prediction, error) {
-	preds, err := obj.predictor.PredictVia(route, s.recentLocked(obj), tq, k)
-	s.recordPrediction(obj, now, tq, route, preds, err)
-	return preds, err
 }
 
 // PredictRangeContext is PredictRange with request-scoped cancellation.
@@ -838,7 +805,7 @@ func (s *Store) PredictBatchContext(ctx context.Context, id string, tqs []int, k
 		if err := checkHorizon(now, tqs...); err != nil {
 			return err
 		}
-		out, err = s.answerBatchLocked(obj, now, tqs, k)
+		out, err = s.answerLocked(obj, now, tqs, k)
 		return err
 	})
 	return out, err
@@ -846,8 +813,10 @@ func (s *Store) PredictBatchContext(ctx context.Context, id string, tqs []int, k
 
 // PredictBatchAheadContext is PredictBatchContext at horizons relative to
 // the object's latest observation, resolved under the same lock hold that
-// answers them (see PredictAheadContext). It returns the absolute query
-// times, aligned with the predictions.
+// answers them. It returns the absolute query times, aligned with the
+// predictions. Unlike Now followed by a predict, which ingest can overtake
+// between the two calls, a positive horizon never fails as "not after
+// current time".
 func (s *Store) PredictBatchAheadContext(ctx context.Context, id string, horizons []int, k int) (tqs []int, out [][]hpm.Prediction, err error) {
 	for _, h := range horizons {
 		if err := validateFleetQuery(h); err != nil {
@@ -862,7 +831,7 @@ func (s *Store) PredictBatchAheadContext(ctx context.Context, id string, horizon
 		for i, h := range horizons {
 			tqs[i] = now + h
 		}
-		out, err = s.answerBatchLocked(obj, now, tqs, k)
+		out, err = s.answerLocked(obj, now, tqs, k)
 		return err
 	})
 	return tqs, out, err
