@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet reach bench bench-query bench-serve bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
+.PHONY: build test race vet reach profile bench bench-query bench-serve bench-ingest bench-refresh bench-eval bench-markov bench-retrain bench-fleet bench-recovery bench-extend bench-train chaos
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,41 @@ reach:
 	for s in $$(comm -12 $$tmp/allowed $$tmp/linked); do echo "reach: $$s is allow-listed but linked"; fail=1; done; \
 	for s in $$(comm -23 $$tmp/allowed $$tmp/declared); do echo "reach: $$s is allow-listed but not declared"; fail=1; done; \
 	test $$fail = 0 && echo "reach: $$(wc -l < $$tmp/declared) functions declared, $$(wc -l < $$tmp/allowed) allow-listed, the rest linked"
+
+# CPU profile of hpmserve under one harness workload: make profile
+# WORKLOAD=point_predict (fleet_mixed by default). The harness is built with
+# go build -overlay from a temporary copy of bench/server.go that adds
+# -pprof 127.0.0.1:$(PPROF_PORT) to the child's flags, so nothing under
+# bench/ changes, and run from bench/ with --seconds PROFILE_SECONDS. The
+# child is profiled in 2 s parts until the harness exits; the parts that
+# start before set-up ends (the raw setup_s after the first part) are
+# dropped, and the rest, the measured phase with the accuracy probe and the
+# verification behind it, are merged into bench/out/cpu-$(WORKLOAD).pprof
+# and printed with go tool pprof -top -cum. The harness and its child are
+# gone when it ends.
+WORKLOAD ?= fleet_mixed
+PROFILE_SECONDS ?= 60
+PPROF_PORT ?= 6060
+profile:
+	@set -e; tmp=$$(mktemp -d); pid=; \
+	trap 'if [ -n "$$pid" ]; then kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; fi; rm -rf "$$tmp"' EXIT; \
+	trap 'exit 130' INT TERM; \
+	sed 's|^\(\t*\)"-data-dir", dataDir,$$|&\n\1"-pprof", "127.0.0.1:$(PPROF_PORT)",|' bench/server.go > $$tmp/server.go; \
+	if cmp -s bench/server.go $$tmp/server.go; then echo "profile: bench/server.go passes no -data-dir to add -pprof beside" >&2; exit 1; fi; \
+	printf '{"Replace":{"%s":"%s"}}\n' "$$PWD/bench/server.go" "$$tmp/server.go" > $$tmp/overlay.json; \
+	(cd bench && $(GO) build -overlay $$tmp/overlay.json -o out/bench-pprof .); \
+	(cd bench && exec ./out/bench-pprof --workload $(WORKLOAD) --seconds $(PROFILE_SECONDS)) > $$tmp/run.txt & pid=$$!; \
+	i=0; while kill -0 $$pid 2>/dev/null; do \
+	  at=$$(date +%s.%N); \
+	  if curl -sf -o $$tmp/part-$$i.prof "http://127.0.0.1:$(PPROF_PORT)/debug/pprof/profile?seconds=2"; \
+	  then echo "$$at $$tmp/part-$$i.prof" >> $$tmp/parts; i=$$((i+1)); else sleep 0.1; fi; \
+	done; \
+	status=0; wait $$pid || status=$$?; pid=; cat $$tmp/run.txt; test $$status = 0; \
+	setup=$$(sed -n 's/.*"setup_s":\([0-9][0-9.e+-]*\).*/\1/p' $$tmp/run.txt | head -n 1); \
+	parts=$$(awk -v setup="$$setup" 'NR == 1 { t0 = $$1 } $$1 >= t0 + setup { print $$2 }' $$tmp/parts); \
+	if [ -z "$$parts" ]; then echo "profile: no part started after set-up" >&2; exit 1; fi; \
+	$(GO) tool pprof -proto $$parts > bench/out/cpu-$(WORKLOAD).pprof 2>/dev/null; \
+	$(GO) tool pprof -top -cum -nodecount=60 bench/out/cpu-$(WORKLOAD).pprof
 
 # Race-check the concurrent layers: the lock-free query engine, the fleet
 # store (first trains and extends beside readers, WAL/checkpoint durability, chaos tests),

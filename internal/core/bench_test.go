@@ -8,6 +8,7 @@ import (
 
 	"hpm/internal/datagen"
 	"hpm/internal/geom"
+	"hpm/internal/hpa"
 	"hpm/internal/markov"
 	"hpm/internal/pattern"
 	"hpm/internal/spatial"
@@ -264,8 +265,8 @@ var chainSink struct {
 // BenchmarkChainFleet times the Markov chain's four costs at the harness
 // fleet's shape, one object of each kind: the fold of the ten trained
 // periods (RebuildMarkov, what a first install and every Extend pay), the
-// walk at the fleet index's six horizons from the training cut (what an
-// index refresh pays), and the chain's encode and decode (what a
+// one walk that answers the fleet index's six horizons from the training
+// cut (what an index refresh pays), and the chain's encode and decode (what a
 // checkpoint and an Open pay per object).
 func BenchmarkChainFleet(b *testing.B) {
 	for _, kind := range datagen.Kinds {
@@ -285,13 +286,21 @@ func BenchmarkChainFleet(b *testing.B) {
 				}
 			})
 			b.Run("walk", func(b *testing.B) {
+				m.RebuildMarkov(0, pts) // a loaded model's chain is empty until folded
+				tqs := make([]int, len(spatial.DefaultHorizons))
+				for i, h := range spatial.DefaultHorizons {
+					tqs[i] = now + h
+				}
+				out := make([]hpa.Prediction, len(tqs))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					chainSink.answered = 0
-					for _, h := range spatial.DefaultHorizons {
-						if _, ok := m.markovAnswer(recent, now+h); ok {
-							chainSink.answered++
-						}
+					clear(out)
+					m.markovAnswer(recent, tqs, out)
+				}
+				chainSink.answered = 0
+				for _, p := range out {
+					if p != (hpa.Prediction{}) {
+						chainSink.answered++
 					}
 				}
 				b.ReportMetric(float64(chainSink.answered), "answers")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"hpm/internal/geom"
 	"hpm/internal/hpa"
@@ -120,13 +121,14 @@ func (m *Model) LoadMarkov(data []byte) error {
 	return nil
 }
 
-// markovAnswer is the chain as the engine's Markov path (hpa.Config):
-// recent movements in, one region-center prediction out. It reads m.chain on
-// every call, so a chain LoadMarkov swaps in answers from then on.
-func (m *Model) markovAnswer(recent []trajectory.TimedPoint, tq int) (hpa.Prediction, bool) {
+// markovAnswer is the chain as the engine's Markov path (hpa.Config): the
+// recent context is located once and one walk answers every time of tqs,
+// each as its predicted region's centre in out. It reads m.chain on every
+// call, so a chain LoadMarkov swaps in answers from then on.
+func (m *Model) markovAnswer(recent []trajectory.TimedPoint, tqs []int, out []hpa.Prediction) {
 	ch := m.chain
 	if ch == nil || len(recent) == 0 {
-		return hpa.Prediction{}, false
+		return
 	}
 	cfg := ch.Config()
 	// Rebuild the context the chain itself would hold after observing
@@ -151,7 +153,7 @@ func (m *Model) markovAnswer(recent []trajectory.TimedPoint, tq int) (hpa.Predic
 		k++
 	}
 	if k == 0 {
-		return hpa.Prediction{}, false
+		return
 	}
 	seq := buf[:k]
 	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
@@ -159,29 +161,28 @@ func (m *Model) markovAnswer(recent []trajectory.TimedPoint, tq int) (hpa.Predic
 	}
 	// The walk's implied clock starts at the real current time — the
 	// last recent point, located or not — so every walked step lies
-	// strictly in the future and the walk terminates at or past tq.
-	tc := recent[len(recent)-1].T
-	res, ok := ch.Predict(seq, tc, tq)
-	if !ok {
-		return hpa.Prediction{}, false
-	}
-	id := pattern.RegionID(res.Region)
-	if int(id) >= m.regions.Len() {
+	// strictly in the future and the walk terminates at or past each tq.
+	// A batch the size of the fleet index's horizons walks into the stack.
+	var rbuf [16]markov.Result
+	res := slices.Grow(rbuf[:0], len(tqs))[:len(tqs)]
+	ch.PredictEach(seq, recent[len(recent)-1].T, tqs, res)
+	for i, r := range res {
 		// A stale chain entry pointing past the current table (possible
 		// only between a region change and its rebuild) never answers.
-		return hpa.Prediction{}, false
+		if id := pattern.RegionID(r.Region); r.Steps > 0 && int(id) < m.regions.Len() {
+			fr := m.regions.Region(id)
+			out[i] = hpa.Prediction{
+				Location:          fr.Center,
+				Score:             r.Prob,
+				Confidence:        r.Prob,
+				PatternRef:        -1,
+				Source:            hpa.SourceMarkov,
+				Path:              hpa.PathMarkov,
+				Extent:            fr.MBR,
+				ConsequenceOffset: fr.Offset,
+			}
+		}
 	}
-	fr := m.regions.Region(id)
-	return hpa.Prediction{
-		Location:          fr.Center,
-		Score:             res.Prob,
-		Confidence:        res.Prob,
-		PatternRef:        -1,
-		Source:            hpa.SourceMarkov,
-		Path:              hpa.PathMarkov,
-		Extent:            fr.MBR,
-		ConsequenceOffset: fr.Offset,
-	}, true
 }
 
 func coreMod(a, n int) int {

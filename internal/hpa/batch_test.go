@@ -1,6 +1,7 @@
 package hpa
 
 import (
+	"slices"
 	"testing"
 
 	"hpm/internal/geom"
@@ -51,6 +52,59 @@ func TestPredictBatchFitsFallbackOnce(t *testing.T) {
 	}
 	if s := eng.Stats(); s.Fallback != 5 {
 		t.Errorf("fallback count = %d, want 5", s.Fallback)
+	}
+}
+
+// TestPredictBatchAsksChainOnce: a batch whose times all get past the
+// patterns asks the chain once, with every one of them in input order; the
+// motion function answers the times the chain declines, and each time
+// counts once, by the path that answered it. A query down PathMarkov is a
+// batch of one and asks once too; one down PathFallback never asks.
+func TestPredictBatchAsksChainOnce(t *testing.T) {
+	var asked [][]int
+	eng, _ := janeEngine(t, Config{Period: 3, DistantThreshold: 100, Weight: WeightLinear,
+		NewMotion: func() motion.Function { return motion.NewLinear(nil) },
+		Markov: func(recent []trajectory.TimedPoint, tqs []int, out []Prediction) {
+			asked = append(asked, slices.Clone(tqs))
+			for i, tq := range tqs {
+				if tq%2 == 0 {
+					out[i] = Prediction{Location: geom.Pt(float64(tq), 0), PatternRef: -1,
+						Source: SourceMarkov, Path: PathMarkov, ConsequenceOffset: -1}
+				}
+			}
+		}})
+	far := []trajectory.TimedPoint{
+		{T: 0, Loc: geom.Pt(9000, 9000)},
+		{T: 1, Loc: geom.Pt(9010, 9000)},
+	}
+	tqs := []int{6, 2, 3, 5, 4, 2}
+	batch, err := eng.PredictBatch(far, tqs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 1 || !slices.Equal(asked[0], tqs) {
+		t.Fatalf("the chain was asked %v for a batch of %v, want once", asked, tqs)
+	}
+	for i, tq := range tqs {
+		want := SourceMotion
+		if tq%2 == 0 {
+			want = SourceMarkov
+		}
+		if p := batch[i]; len(p) != 1 || p[0].Source != want || want == SourceMarkov && p[0].Location.X != float64(tq) {
+			t.Fatalf("time %d: %+v, want one %v answer", tq, p, want)
+		}
+	}
+	if s := eng.Stats(); s.Queries != 6 || s.Markov != 4 || s.Fallback != 2 {
+		t.Errorf("stats = %+v, want 6 queries, 4 markov, 2 fallback", s)
+	}
+	asked = nil
+	for _, route := range []Path{PathMarkov, PathFallback} {
+		if _, err := eng.PredictVia(route, Query{Recent: far, Tq: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(asked) != 1 || !slices.Equal(asked[0], []int{4}) {
+		t.Errorf("PathMarkov and PathFallback asked the chain %v, want [[4]]", asked)
 	}
 }
 

@@ -132,13 +132,13 @@ type Config struct {
 	// refresh and batch fan-outs. Nil disables the fallback (pattern-only
 	// prediction, used by some ablations).
 	NewMotion func() motion.Function
-	// Markov answers the queries the pattern paths could not, before the
-	// motion fallback: a variable-order region-transition chain. It takes
-	// the object's recent movements and the absolute query time and returns
-	// one prediction (tagged SourceMarkov/PathMarkov), or false when the
-	// chain has no supported answer. It must be safe for concurrent
-	// callers. Nil leaves the path out.
-	Markov func(recent []trajectory.TimedPoint, tq int) (Prediction, bool)
+	// Markov answers the query times the pattern paths could not, before
+	// the motion fallback: a variable-order region-transition chain. Asked
+	// once per batch with the recent movements and every time still open,
+	// it sets out[i], zeroed on entry, to its answer at tqs[i] (tagged
+	// SourceMarkov/PathMarkov) or leaves it zero. It must be safe for
+	// concurrent callers. Nil leaves the path out.
+	Markov func(recent []trajectory.TimedPoint, tqs []int, out []Prediction)
 }
 
 // Defaults for Config fields left at their zero value.
@@ -292,8 +292,9 @@ type candidate struct {
 
 // queryScratch holds the per-query working buffers — the encoded premise,
 // the candidate accumulator, BQP's Equation 3 score per time id, and the
-// times and locations of a batch's one motion walk — recycled through a pool
-// so the steady-state query path stays allocation-lean under concurrent load.
+// open times of a batch and its one motion walk's locations — recycled
+// through a pool so the steady-state query path stays allocation-lean under
+// concurrent load.
 type queryScratch struct {
 	visited   []pattern.RegionID
 	cands     []candidate
@@ -366,14 +367,6 @@ func (e *Engine) Encoder() *pattern.Encoder { return e.enc }
 // Rules returns the engine's rule table, retired rows included, for
 // readers such as a model's Save; callers must not mutate it.
 func (e *Engine) Rules() *pattern.Table { return e.rules }
-
-// tryMarkov asks the chain, when the engine has one.
-func (e *Engine) tryMarkov(recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
-	if e.cfg.Markov == nil {
-		return Prediction{}, false
-	}
-	return e.cfg.Markov(recent, tq)
-}
 
 // Stats returns a snapshot of the query counters. Safe to call while
 // queries run; Queries is derived from the outcome counters, so the
@@ -457,43 +450,13 @@ func currentTime(recent []trajectory.TimedPoint, tqs ...int) (tc int, err error)
 // motion-function fallback.
 func (e *Engine) Predict(q Query) ([]Prediction, error) { return e.PredictVia(PathForward, q) }
 
-// patternPaths answers one query time down route, before the motion
-// function: PathFallback asks nothing, PathMarkov the chain alone, and any
-// other route the patterns — FQP or BQP, as the time's distance from tc
-// decides — then, where none qualifies, the chain. nil leaves the time to
-// the motion function. counted adds the answer to the query stats.
-func (e *Engine) patternPaths(sc *queryScratch, recent []trajectory.TimedPoint, route Path, tc, tq, k int, counted bool) []Prediction {
-	if route == PathFallback {
-		return nil
-	}
-	var preds []Prediction
-	path := &e.stats.forward
-	switch {
-	case route == PathMarkov: // the chain alone, below
-	case e.IsDistant(tc, tq):
-		preds, path = e.backwardQuery(sc, sc.visited, tc, tq, k), &e.stats.backward
-	default:
-		preds = e.forwardQuery(sc, sc.visited, tq, k)
-	}
-	if len(preds) == 0 {
-		mp, ok := e.tryMarkov(recent, tq)
-		if !ok {
-			return nil
-		}
-		preds, path = []Prediction{mp}, &e.stats.markov
-	}
-	if counted {
-		path.Add(1)
-	}
-	return preds
-}
-
 // PredictBatch answers one query per entry of tqs from the same recent
 // window, returning the per-time prediction lists in input order. The
-// premise is encoded once and the motion fallback, when any time needs it,
-// is fitted once and walked once — a batch of m queries costs one encoding,
-// at most one model construction and one pass of the recurrence to the
-// furthest time it has to answer, instead of m of each.
+// premise is encoded once, the chain is walked once and the motion
+// fallback, when any time needs it, is fitted once and walked once — a
+// batch of m queries costs one encoding, one chain walk, at most one model
+// construction and one pass of the recurrence to the furthest time it has
+// to answer, instead of m of each.
 //
 // Each time dispatches to FQP or BQP by its own distance from the current
 // time and counts in the query stats individually. Times the fallback
@@ -506,38 +469,75 @@ func (e *Engine) PredictBatch(recent []trajectory.TimedPoint, tqs []int, k int) 
 	return e.predictEach(recent, tqs, max(k, 1), PathForward, true), nil
 }
 
-// predictEach is PredictBatch down route past its checks. The times no
-// pattern and no chain answers are set aside and handed to the motion
-// function together.
+// predictEach is PredictBatch down route past its checks, in three passes:
+// the patterns (FQP or BQP, as each time's distance from tc decides), the
+// chain, then the motion function, each pass asked once for every time the
+// passes before it left open. The route only picks the first pass:
+// PathFallback starts at the motion function, PathMarkov at the chain, any
+// other route at the patterns. counted adds each answer to the query stats.
 func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, route Path, counted bool) [][]Prediction {
 	tc := recent[len(recent)-1].T
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
-	sc.visited = e.encodeRecentInto(sc.visited, recent)
 	out := make([][]Prediction, len(tqs))
 	late := sc.late[:0]
-	for i, tq := range tqs {
-		if out[i] = e.patternPaths(sc, recent, route, tc, tq, k, counted); out[i] == nil {
-			late = append(late, tq)
+	if route == PathFallback || route == PathMarkov {
+		late = append(late, tqs...)
+	} else {
+		sc.visited = e.encodeRecentInto(sc.visited, recent)
+		for i, tq := range tqs {
+			path := &e.stats.forward
+			if e.IsDistant(tc, tq) {
+				out[i], path = e.backwardQuery(sc, sc.visited, tc, tq, k), &e.stats.backward
+			} else {
+				out[i] = e.forwardQuery(sc, sc.visited, tq, k)
+			}
+			if out[i] == nil {
+				late = append(late, tq)
+			} else if counted {
+				path.Add(1)
+			}
 		}
 	}
 	sc.late = late
 	if len(late) == 0 {
 		return out
 	}
+	// answers[j] answers late[j], the j-th time left nil in out; the zero
+	// Prediction is a time neither the chain nor the motion function
+	// answers. open is what the chain leaves, compacted in place.
+	answers, open := make([]Prediction, len(late)), late
+	if e.cfg.Markov != nil && route != PathFallback {
+		e.cfg.Markov(recent, late, answers)
+		open = late[:0]
+		for j, tq := range late {
+			if answers[j] == (Prediction{}) {
+				open = append(open, tq)
+			}
+		}
+		if counted {
+			e.stats.markov.Add(int64(len(late) - len(open)))
+		}
+	}
 	outcome := &e.stats.unanswered
-	if locs := e.motionEach(sc, recent, late); locs != nil {
+	if locs := e.motionEach(sc, recent, open); locs != nil {
 		outcome = &e.stats.fallback
-		answers, j := make([]Prediction, len(locs)), 0
-		for i := range out {
-			if out[i] == nil {
-				answers[j] = motionPrediction(locs[j])
-				out[i], j = answers[j:j+1:j+1], j+1
+		for j, m := 0, 0; m < len(locs); j++ {
+			if answers[j] == (Prediction{}) {
+				answers[j], m = motionPrediction(locs[m]), m+1
 			}
 		}
 	}
 	if counted {
-		outcome.Add(int64(len(late)))
+		outcome.Add(int64(len(open)))
+	}
+	for i, j := 0, 0; i < len(out); i++ {
+		if out[i] == nil {
+			if answers[j] != (Prediction{}) {
+				out[i] = answers[j : j+1 : j+1]
+			}
+			j++
+		}
 	}
 	return out
 }
@@ -545,10 +545,10 @@ func (e *Engine) predictEach(recent []trajectory.TimedPoint, tqs []int, k int, r
 // motionEach returns the motion function's location at every time of tqs, in
 // scratch storage: one fit (the cached one while the window stands) and one
 // walk. A degenerate recent window, which no motion function can fit,
-// answers with the last known location; nil means no motion function, or one
-// that cannot answer.
+// answers with the last known location; nil means no times, no motion
+// function, or one that cannot answer.
 func (e *Engine) motionEach(sc *queryScratch, recent []trajectory.TimedPoint, tqs []int) []geom.Point {
-	if e.cfg.NewMotion == nil {
+	if e.cfg.NewMotion == nil || len(tqs) == 0 {
 		return nil
 	}
 	sc.locs = slices.Grow(sc.locs[:0], len(tqs))[:len(tqs)]

@@ -165,10 +165,10 @@ func TestPredictRangeEqualsPointPredicts(t *testing.T) {
 	}
 	far, _ := janeEngine(t, Config{Period: 3, DistantThreshold: 100, NewMotion: rmf})
 	mixed, centers := janeEngine(t, Config{Period: 100, DistantThreshold: 1000, NewMotion: rmf,
-		Markov: func(recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
+		Markov: perTime(func(recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
 			return Prediction{Location: geom.Pt(float64(tq), 1), Source: SourceMarkov, Path: PathMarkov,
 				PatternRef: -1, ConsequenceOffset: -1}, tq%7 == 0
-		}})
+		})})
 	atHome := arc(centers["home"], -11) // ends at t = 0, on Home's offset
 	atHome[len(atHome)-1].Loc = centers["home"]
 	for name, c := range map[string]struct {

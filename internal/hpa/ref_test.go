@@ -28,7 +28,7 @@ func refPredictVia(e *Engine, route Path, q Query) ([]Prediction, error) {
 	case PathFallback:
 		return refMotionFallback(e, q)
 	case PathMarkov:
-		if mp, ok := e.tryMarkov(q.Recent, q.Tq); ok {
+		if mp, ok := askChain(e, q.Recent, q.Tq); ok {
 			e.stats.markov.Add(1)
 			return []Prediction{mp}, nil
 		}
@@ -44,7 +44,7 @@ func refPredictVia(e *Engine, route Path, q Query) ([]Prediction, error) {
 		preds = e.forwardQuery(sc, visited, q.Tq, max(q.K, 1))
 	}
 	if len(preds) == 0 {
-		mp, ok := e.tryMarkov(q.Recent, q.Tq)
+		mp, ok := askChain(e, q.Recent, q.Tq)
 		if !ok {
 			return refMotionFallback(e, q)
 		}
@@ -73,6 +73,28 @@ func refMotionFallback(e *Engine, q Query) ([]Prediction, error) {
 	return []Prediction{motionPrediction(loc)}, nil
 }
 
+// askChain asks e's chain, when it has one, for one query time: the hook
+// takes a batch, and this is a batch of one.
+func askChain(e *Engine, recent []trajectory.TimedPoint, tq int) (Prediction, bool) {
+	var out [1]Prediction
+	if e.cfg.Markov != nil {
+		e.cfg.Markov(recent, []int{tq}, out[:])
+	}
+	return out[0], out[0] != Prediction{}
+}
+
+// perTime lifts a per-time stand-in for the chain into the engine's batch
+// hook: it asks answer once for each time of the batch.
+func perTime(answer func(recent []trajectory.TimedPoint, tq int) (Prediction, bool)) func([]trajectory.TimedPoint, []int, []Prediction) {
+	return func(recent []trajectory.TimedPoint, tqs []int, out []Prediction) {
+		for i, tq := range tqs {
+			if p, ok := answer(recent, tq); ok {
+				out[i] = p
+			}
+		}
+	}
+}
+
 // stubChain is a deterministic stand-in for the region chain: it answers
 // two query times in three, at a point that names the time, and declines
 // the third, so both the chain's answer and its fall-through are reached.
@@ -99,11 +121,11 @@ func TestPredictViaMatchesReference(t *testing.T) {
 	variants := []struct {
 		name   string
 		motion func() motion.Function
-		chain  func([]trajectory.TimedPoint, int) (Prediction, bool)
+		chain  func([]trajectory.TimedPoint, []int, []Prediction)
 	}{
-		{"rmf+chain", rmf, stubChain},
+		{"rmf+chain", rmf, perTime(stubChain)},
 		{"rmf", rmf, nil},
-		{"chain", nil, stubChain},
+		{"chain", nil, perTime(stubChain)},
 		{"bare", nil, nil},
 	}
 	for _, kind := range datagen.Kinds {

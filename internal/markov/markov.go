@@ -25,6 +25,7 @@
 package markov
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -304,64 +305,75 @@ func (c *Chain) Reset() {
 	c.observed = 0
 }
 
-// Predict walks the chain from the query's recent located region sequence
-// (most recent last, ending at current time tc) until the implied clock
-// reaches query time tq. Each step takes the best-supported successor of
-// the longest matching context — backing off to shorter contexts when the
-// long one is unknown or too thin — and advances the clock to the
-// successor region's period offset. Returns false when the chain cannot
-// answer: no context matches at any order, the walk budget runs out, or
-// the cumulative probability decays to noise.
-func (c *Chain) Predict(recent []uint32, tc, tq int) (Result, bool) {
+// PredictEach walks the chain once from the query's recent located region
+// sequence (most recent last, ending at current time tc) to the furthest of
+// tqs, and sets out[i] to the walk's state at its first step at or past
+// tqs[i]. Each step takes the best-supported successor of the longest
+// matching context — backing off to shorter contexts when the long one is
+// unknown or too thin — and advances the clock to the successor region's
+// period offset. The walk is deterministic and its budgets, once spent,
+// stay spent, so each answer is the one a walk to that time alone gives.
+// out[i] is the zero Result where the chain cannot answer: tqs[i] is not
+// after tc, or the clock does not reach it because no context matches at
+// any order, the walk budget runs out or the cumulative probability decays
+// to noise.
+func (c *Chain) PredictEach(recent []uint32, tc int, tqs []int, out []Result) {
+	clear(out[:len(tqs)])
+	if len(recent) == 0 {
+		return
+	}
+	// order names tqs' entries in ascending time; a batch the size of the
+	// fleet index's horizons keeps it on the stack.
+	var obuf [16]int32
+	order := obuf[:0]
+	for i := range tqs {
+		order = append(order, int32(i))
+	}
+	if !slices.IsSorted(tqs) {
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(tqs[a], tqs[b]) })
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if tq <= tc || len(recent) == 0 {
-		return Result{}, false
-	}
 	var buf [MaxSupportedOrder]uint32
-	start := len(recent) - c.cfg.MaxOrder
-	if start < 0 {
-		start = 0
+	ctx := append(buf[:0], recent[max(0, len(recent)-c.cfg.MaxOrder):]...)
+	t, res := tc, Result{Prob: 1}
+	for _, i := range order {
+		for t < tqs[i] {
+			if res.Steps == maxWalkSteps {
+				return
+			}
+			next, p, n, ok := c.nextLocked(ctx)
+			if !ok {
+				return
+			}
+			if res.Steps == 0 {
+				res.Order = n
+			}
+			var off int
+			if k, ok := c.findOffset(next); ok {
+				off = int(c.offsets[k].off)
+			}
+			dt := off - mod(t, c.cfg.Period)
+			if dt <= 0 {
+				dt += c.cfg.Period
+			}
+			t += dt
+			if res.Prob *= p; res.Prob < minWalkProb {
+				return
+			}
+			if len(ctx) == c.cfg.MaxOrder {
+				copy(ctx, ctx[1:])
+				ctx[len(ctx)-1] = next
+			} else {
+				ctx = append(ctx, next)
+			}
+			res.Region, res.Offset = next, off
+			res.Steps++
+		}
+		if res.Steps > 0 {
+			out[i] = res
+		}
 	}
-	ctx := append(buf[:0], recent[start:]...)
-
-	t := tc
-	prob := 1.0
-	var res Result
-	for step := 0; t < tq; step++ {
-		if step >= maxWalkSteps {
-			return Result{}, false
-		}
-		next, p, order, ok := c.nextLocked(ctx)
-		if !ok {
-			return Result{}, false
-		}
-		if step == 0 {
-			res.Order = order
-		}
-		var off int
-		if i, ok := c.findOffset(next); ok {
-			off = int(c.offsets[i].off)
-		}
-		dt := off - mod(t, c.cfg.Period)
-		if dt <= 0 {
-			dt += c.cfg.Period
-		}
-		t += dt
-		prob *= p
-		if prob < minWalkProb {
-			return Result{}, false
-		}
-		if len(ctx) == c.cfg.MaxOrder {
-			copy(ctx, ctx[1:])
-			ctx[len(ctx)-1] = next
-		} else {
-			ctx = append(ctx, next)
-		}
-		res.Region, res.Offset, res.Steps = next, off, step+1
-	}
-	res.Prob = prob
-	return res, true
 }
 
 // nextLocked picks the successor of the longest context with a

@@ -3,6 +3,7 @@ package markov
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -27,7 +28,7 @@ func cycleChain(t *testing.T, cfg Config, n, reps int) *Chain {
 func TestPredictFollowsCycle(t *testing.T) {
 	c := cycleChain(t, Config{Period: 4}, 4, 5)
 	// Context ...2,3 at tc=19 (offset 3); next is region 0 at offset 0.
-	res, ok := c.Predict([]uint32{2, 3}, 19, 20)
+	res, ok := predict(c, []uint32{2, 3}, 19, 20)
 	if !ok {
 		t.Fatal("chain did not answer")
 	}
@@ -41,9 +42,68 @@ func TestPredictFollowsCycle(t *testing.T) {
 		t.Fatalf("full 2-region context should match at order 2, got %d", res.Order)
 	}
 	// A longer horizon walks multiple steps around the cycle.
-	res, ok = c.Predict([]uint32{2, 3}, 19, 22)
+	res, ok = predict(c, []uint32{2, 3}, 19, 22)
 	if !ok || res.Region != 2 || res.Steps != 3 {
 		t.Fatalf("3-step walk: got ok=%v region %d steps %d, want 2/3", ok, res.Region, res.Steps)
+	}
+}
+
+// predict is PredictEach for one time, with whether the chain answered.
+func predict(c *Chain, recent []uint32, tc, tq int) (Result, bool) {
+	var out [1]Result
+	c.PredictEach(recent, tc, []int{tq}, out[:])
+	return out[0], out[0].Steps > 0
+}
+
+// predictAll is PredictEach's answers over a buffer that starts dirty, so
+// an entry PredictEach leaves unset shows.
+func predictAll(c *Chain, recent []uint32, tc int, tqs []int) []Result {
+	out := make([]Result, len(tqs))
+	for i := range out {
+		out[i] = Result{Region: 99, Steps: -1}
+	}
+	c.PredictEach(recent, tc, tqs, out)
+	return out
+}
+
+// TestWalkDiesPartway: one walk answers a batch up to where it dies, on the
+// step budget or on the probability floor; the nearer times keep their
+// answers and the farther ones get the zero Result, as walks to each time
+// alone do.
+func TestWalkDiesPartway(t *testing.T) {
+	// A deterministic cycle advances the clock one unit a step at
+	// probability 1, so only the step budget ends the walk.
+	cycle := cycleChain(t, Config{Period: 4}, 4, 5)
+	// Two tied successors per region halve the probability at every step,
+	// again one unit a step: 2^-29 clears minWalkProb, 2^-30 does not.
+	halving := New(Config{Period: 2, MaxOrder: 1, MinCount: 1})
+	for _, v := range []struct {
+		t      int
+		region uint32
+	}{{0, 0}, {1, 1}, {2, 0}, {10, 0}, {11, 9}, {21, 1}, {22, 8}} {
+		halving.Observe(v.t, v.region)
+	}
+	for _, c := range []struct {
+		name     string
+		chain    *Chain
+		recent   []uint32
+		tc, last int
+	}{
+		{"budget", cycle, []uint32{2, 3}, 19, maxWalkSteps},
+		{"probability", halving, []uint32{0}, 30, 29},
+	} {
+		tqs := []int{c.tc + c.last + 1, c.tc + 1, c.tc + c.last, c.tc + c.last + 50, c.tc + c.last/2}
+		out := predictAll(c.chain, c.recent, c.tc, tqs)
+		for i, tq := range tqs {
+			one, ok := predict(c.chain, c.recent, c.tc, tq)
+			if out[i] != one || ok != (tq-c.tc <= c.last) {
+				t.Fatalf("%s: at %d the batch answered %+v, alone %+v %v; want an answer up to %d",
+					c.name, tq, out[i], one, ok, c.tc+c.last)
+			}
+		}
+		if got := out[2]; got.Steps != c.last || c.name == "probability" && got.Prob != math.Ldexp(1, -c.last) {
+			t.Fatalf("%s: the last answer is %+v after %d steps", c.name, got, c.last)
+		}
 	}
 }
 
@@ -51,7 +111,7 @@ func TestBackoffToShorterContext(t *testing.T) {
 	c := cycleChain(t, Config{Period: 4, MinCount: 1}, 4, 3)
 	// Context (9, 3): region 9 was never seen, so order-2 context is
 	// unknown; order-1 context (3,) answers.
-	res, ok := c.Predict([]uint32{9, 3}, 19, 20)
+	res, ok := predict(c, []uint32{9, 3}, 19, 20)
 	if !ok {
 		t.Fatal("chain did not back off to the order-1 context")
 	}
@@ -59,7 +119,7 @@ func TestBackoffToShorterContext(t *testing.T) {
 		t.Fatalf("got order %d region %d, want order 1 region 0", res.Order, res.Region)
 	}
 	// A fully unknown context cannot answer at any order.
-	if _, ok := c.Predict([]uint32{8, 9}, 19, 20); ok {
+	if _, ok := predict(c, []uint32{8, 9}, 19, 20); ok {
 		t.Fatal("unknown context should not answer")
 	}
 }
@@ -72,12 +132,12 @@ func TestMinCountGatesThinContexts(t *testing.T) {
 	c.Observe(1, 1)
 	c.Observe(8, 0)
 	c.Observe(9, 1)
-	if _, ok := c.Predict([]uint32{0}, 16, 17); ok {
+	if _, ok := predict(c, []uint32{0}, 16, 17); ok {
 		t.Fatal("two observations should not clear MinCount 3")
 	}
 	c.Observe(16, 0)
 	c.Observe(17, 1)
-	if _, ok := c.Predict([]uint32{0}, 24, 25); !ok {
+	if _, ok := predict(c, []uint32{0}, 24, 25); !ok {
 		t.Fatal("three observations should clear MinCount 3")
 	}
 }
@@ -90,7 +150,7 @@ func TestTieBreakSmallerRegion(t *testing.T) {
 	c.Observe(1, 5)
 	c.Observe(8, 0)
 	c.Observe(9, 2)
-	res, ok := c.Predict([]uint32{0}, 16, 17)
+	res, ok := predict(c, []uint32{0}, 16, 17)
 	if !ok || res.Region != 2 {
 		t.Fatalf("got ok=%v region %d, want region 2 (smaller id wins ties)", ok, res.Region)
 	}
@@ -116,7 +176,7 @@ func TestWindowDecay(t *testing.T) {
 	if st.Transitions != 1 {
 		t.Fatalf("after decay: transitions = %d, want 1 (only 3→9)", st.Transitions)
 	}
-	res, ok := c.Predict([]uint32{3}, 13, 14)
+	res, ok := predict(c, []uint32{3}, 13, 14)
 	if !ok || res.Region != 9 {
 		t.Fatalf("got ok=%v region %d, want the surviving successor 9", ok, res.Region)
 	}
@@ -130,7 +190,7 @@ func TestGapResetsContext(t *testing.T) {
 	// A gap of a full period: the old context is stale, so the next
 	// observation must not record a 1→7 transition.
 	c.Observe(6, 7)
-	if _, ok := c.Predict([]uint32{1}, 9, 10); ok {
+	if _, ok := predict(c, []uint32{1}, 9, 10); ok {
 		t.Fatal("gap-straddling transition should not have been recorded")
 	}
 }
@@ -241,7 +301,7 @@ func TestConcurrentObservePredict(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			c.Predict([]uint32{uint32(i % 8)}, i, i+3)
+			c.PredictEach([]uint32{uint32(i % 8)}, i, []int{i + 3, i + 1, i + 9}, make([]Result, 3))
 			if i%100 == 0 {
 				c.Stats()
 				c.Encode()
@@ -383,8 +443,9 @@ func nonCanonicalBlobs() []struct {
 // visits along a noisy cycle, gaps on either side of a period, window
 // expiry and resets — over every order, min counts 1 and 2 and windows 0,
 // 20 and 40.
-// After every step both encode to the same bytes, report the same Stats
-// and answer the same queries.
+// After every step both encode to the same bytes and report the same
+// Stats, and every answer of a batch — unsorted, with a repeated time and
+// with times at or before now — is the reference's walk to that time alone.
 func TestChainMatchesReference(t *testing.T) {
 	for order := 1; order <= MaxSupportedOrder; order++ {
 		for minCount := 1; minCount <= 2; minCount++ {
@@ -413,12 +474,20 @@ func TestChainMatchesReference(t *testing.T) {
 						for i := range recent {
 							recent[i] = uint32(rng.IntN(9))
 						}
-						tq := now + 1 + rng.IntN(3*cfg.Period)
-						got, gotOK := c.Predict(recent, now, tq)
-						want, wantOK := ref.predict(recent, now, tq)
-						if got != want || gotOK != wantOK {
-							t.Fatalf("%+v step %d: Predict(%v, %d, %d) = %+v %v, reference %+v %v",
-								cfg, step, recent, now, tq, got, gotOK, want, wantOK)
+						tqs := make([]int, 1+rng.IntN(8))
+						for i := range tqs {
+							tqs[i] = now - 2 + rng.IntN(3*cfg.Period+3)
+						}
+						if len(tqs) > 1 {
+							tqs[1] = tqs[0]
+						}
+						got := predictAll(c, recent, now, tqs)
+						for i, tq := range tqs {
+							want, _ := ref.predict(recent, now, tq)
+							if got[i] != want {
+								t.Fatalf("%+v step %d: PredictEach(%v, %d, %v)[%d] = %+v, reference at %d alone %+v",
+									cfg, step, recent, now, tqs, i, got[i], tq, want)
+							}
 						}
 					}
 					if got, want := c.Stats(), ref.stats(); got != want {

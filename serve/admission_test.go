@@ -173,7 +173,7 @@ func TestDegradedServeReadOnly(t *testing.T) {
 	if status != http.StatusServiceUnavailable || retry != "1" {
 		t.Fatalf("observe on full disk: status %d, Retry-After %q; want 503 + 1", status, retry)
 	}
-	if !st.Degraded() {
+	if !st.Health().Degraded {
 		t.Fatal("store not degraded after ENOSPC")
 	}
 
@@ -202,7 +202,7 @@ func TestDegradedServeReadOnly(t *testing.T) {
 	// Heal the disk; the probe recovers the store without intervention.
 	st.SetFaultHook(nil)
 	deadline := time.Now().Add(10 * time.Second)
-	for st.Degraded() {
+	for st.Health().Degraded {
 		if time.Now().After(deadline) {
 			t.Fatalf("store never recovered; health %+v", st.Health())
 		}

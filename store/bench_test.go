@@ -67,7 +67,7 @@ func BenchmarkObserveParallel(b *testing.B) {
 				if m.index != nil {
 					readEveryBucket(b, s)
 				}
-				before := s.WALStats()
+				before := s.FleetStats().WAL
 				var next atomic.Int64
 				b.ResetTimer()
 				var wg sync.WaitGroup
@@ -86,7 +86,7 @@ func BenchmarkObserveParallel(b *testing.B) {
 				}
 				wg.Wait()
 				b.StopTimer()
-				after := s.WALStats()
+				after := s.FleetStats().WAL
 				b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(b.N), "fsyncs/op")
 				b.ReportMetric(float64(after.Batches-before.Batches)/float64(b.N), "batches/op")
 			})

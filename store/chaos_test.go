@@ -720,7 +720,7 @@ func TestChaosGroupCommitCrashNoLoss(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		<-done
 	}
-	stats := s.WALStats()
+	stats := s.FleetStats().WAL
 	if stats.Records == 0 || stats.Fsyncs == 0 {
 		t.Fatalf("sync ingest recorded no WAL activity: %+v", stats)
 	}

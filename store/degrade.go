@@ -59,12 +59,12 @@ const probeFile = ".hpm-probe"
 // maxProbeInterval caps the recovery probe's exponential backoff.
 const maxProbeInterval = 15 * time.Second
 
-// Degraded reports whether the store is currently refusing writes.
-func (s *Store) Degraded() bool { return s.state.Load() != stateHealthy }
+// degraded reports whether the store is currently refusing writes.
+func (s *Store) degraded() bool { return s.state.Load() != stateHealthy }
 
-// State returns the health state's wire name: "healthy", "degraded" or
+// stateName returns the health state's wire name: "healthy", "degraded" or
 // "recovering".
-func (s *Store) State() string { return stateNames[s.state.Load()] }
+func (s *Store) stateName() string { return stateNames[s.state.Load()] }
 
 // writable fails fast with ErrDegraded (carrying the causing WAL error)
 // when the store is refusing writes. In-memory stores never degrade.

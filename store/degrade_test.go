@@ -48,7 +48,7 @@ func TestChaosDegradeOnSyncFailure(t *testing.T) {
 			t.Fatalf("observe %d acknowledged despite failed fsync", i)
 		}
 	}
-	if !s.Degraded() {
+	if !s.degraded() {
 		t.Fatalf("store not degraded after %d consecutive sync failures", degradeOpts().DegradeAfter)
 	}
 	// The appender whose flush tripped the threshold sees ErrDegraded too:
@@ -127,7 +127,7 @@ func TestChaosDiskFullDegradesImmediately(t *testing.T) {
 	if err == nil {
 		t.Fatal("observe acknowledged on a full disk")
 	}
-	if !s.Degraded() {
+	if !s.degraded() {
 		t.Fatal("single ENOSPC write failure did not degrade immediately")
 	}
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, syscall.ENOSPC) {
@@ -149,7 +149,7 @@ func TestChaosKillWhileDegraded(t *testing.T) {
 	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)}); err == nil {
 		t.Fatal("observe acknowledged on a full disk")
 	}
-	if !s.Degraded() {
+	if !s.degraded() {
 		t.Fatal("store not degraded")
 	}
 	crash(s)
@@ -159,7 +159,7 @@ func TestChaosKillWhileDegraded(t *testing.T) {
 		t.Fatalf("reopen after kill-while-degraded: %v", err)
 	}
 	defer back.Close()
-	if back.Degraded() {
+	if back.degraded() {
 		t.Error("fresh open started degraded")
 	}
 	if err := back.Flush(); err != nil {
@@ -199,12 +199,12 @@ func TestChaosRecoverZeroAckedLoss(t *testing.T) {
 	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)}); err == nil {
 		t.Fatal("observe acknowledged through the failed fsync")
 	}
-	if !s.Degraded() {
+	if !s.degraded() {
 		t.Fatal("store not degraded after fsync failure with DegradeAfter=1")
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Degraded() {
+	for s.degraded() {
 		if time.Now().After(deadline) {
 			t.Fatalf("store never recovered; health %+v", s.Health())
 		}
@@ -261,7 +261,7 @@ func TestChaosDiskFullDuringCheckpoint(t *testing.T) {
 	// A failed snapshot is not a failed WAL: the store stays healthy and
 	// writable (the WAL segments the snapshot would have reclaimed are
 	// still there, still authoritative).
-	if s.Degraded() {
+	if s.degraded() {
 		t.Fatal("failed checkpoint degraded the store")
 	}
 	acked += len(ingestMore(t, s, "bus-1", 1, 6, 7))
@@ -297,7 +297,7 @@ func TestChaosSyncLatencyNoDegrade(t *testing.T) {
 	defer s.Close()
 	s.SetFaultHook(faultinject.DelayN(faultinject.OpWALSyncLatency, -1, 2*time.Millisecond))
 	ingest(t, s, "bus-1", 1, 2, 30)
-	if s.Degraded() {
+	if s.degraded() {
 		t.Error("slow fsyncs degraded the store")
 	}
 	if h := s.Health(); h.WALErrors != 0 {
@@ -325,7 +325,7 @@ func TestChaosFleetIndexServesWhileDegraded(t *testing.T) {
 	if err := s.ObserveBatch("bus-1", []hpm.Point{hpm.Pt(0, 0)}); !errors.Is(err, ErrDegraded) && err == nil {
 		t.Fatal("observe acknowledged on a full disk")
 	}
-	if !s.Degraded() {
+	if !s.degraded() {
 		t.Fatal("store not degraded")
 	}
 
@@ -393,10 +393,10 @@ func TestChaosDegradeUnderConcurrentIngest(t *testing.T) {
 
 	// Writers stop at their first error, so the concurrent phase may end
 	// one failure short of DegradeAfter; a couple more writes settle it.
-	for i := 0; i < 2*degradeOpts().DegradeAfter && !s.Degraded(); i++ {
+	for i := 0; i < 2*degradeOpts().DegradeAfter && !s.degraded(); i++ {
 		_ = s.ObserveBatch("straggler", []hpm.Point{hpm.Pt(0, 0)})
 	}
-	if !s.Degraded() {
+	if !s.degraded() {
 		t.Fatal("persistent sync failure under load never degraded the store")
 	}
 	for g := 0; g < writers; g++ {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"math/bits"
 
 	"hpm"
 	"hpm/internal/evalq"
@@ -177,7 +178,10 @@ func (s *Store) FleetStats() FleetStats {
 	}
 	fs.Eval = evalq.Summarize(s.opts.Eval, agg)
 	fs.AnswersReused = s.reused.Load()
-	fs.WAL = s.WALStats()
+	if s.wal != nil {
+		r, b, f := s.wal.stats()
+		fs.WAL = WALStats{Records: r, Batches: b, Fsyncs: f}
+	}
 	fs.Checkpoints = s.checkpoints.Load()
 	fs.CheckpointSeconds = float64(s.checkpointNanos.Load()) / 1e9
 	fs.CheckpointObjects = s.checkpointObjs.Load()
@@ -185,10 +189,13 @@ func (s *Store) FleetStats() FleetStats {
 	fs.LastCheckpoint = s.lastCheckpoint.Load()
 	if s.index != nil {
 		fs.FleetIndex = true
-		fs.Spatial = s.SpatialStats()
+		fs.Spatial = s.index.Stats()
+		fs.Spatial.LiveBuckets = int64(bits.OnesCount64(s.idxLive.Load()))
+		fs.Spatial.Builds = int64(s.idxBuilds.Load())
+		fs.Spatial.BuildSeconds = float64(s.idxBuildNanos.Load()) / 1e9
 	}
-	fs.State = s.State()
-	fs.Degraded = s.Degraded()
+	fs.State = s.stateName()
+	fs.Degraded = s.degraded()
 	fs.WALErrors = s.walErrors.Load()
 	fs.Recoveries = s.recoveries.Load()
 	fs.Trains = s.trains.Load()

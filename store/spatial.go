@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -255,19 +254,6 @@ func (s *Store) scanEntry(obj *object, bh int) (spatial.Entry, bool) {
 		}
 	}
 	return indexEntryFor(bh, preds, obj.track[n-1], vel), true
-}
-
-// SpatialStats reports the fleet index's shape and traffic counters and
-// its buckets' builds; the zero value when no index is configured.
-func (s *Store) SpatialStats() spatial.Stats {
-	if s.index == nil {
-		return spatial.Stats{}
-	}
-	st := s.index.Stats()
-	st.LiveBuckets = int64(bits.OnesCount64(s.idxLive.Load()))
-	st.Builds = int64(s.idxBuilds.Load())
-	st.BuildSeconds = float64(s.idxBuildNanos.Load()) / 1e9
-	return st
 }
 
 // FleetBucketHorizon reports which bucket a query horizon is answered from

@@ -239,7 +239,7 @@ func TestUnreadBucketsCostNothing(t *testing.T) {
 			t.Fatalf("observe %d before any fleet query cost %d model evaluations, want 0", i, c)
 		}
 	}
-	if st := s.SpatialStats(); st.Updates != 0 || st.Objects != 0 || st.LiveBuckets != 0 {
+	if st := s.FleetStats().Spatial; st.Updates != 0 || st.Objects != 0 || st.LiveBuckets != 0 {
 		t.Fatalf("index touched before any fleet query: %+v", st)
 	}
 
@@ -264,7 +264,7 @@ func TestUnreadBucketsCostNothing(t *testing.T) {
 			t.Fatalf("observe %d with buckets 5 and 200 live cost %d model evaluations, want 2", i, c)
 		}
 	}
-	if st := s.SpatialStats(); st.LiveBuckets != 2 || st.Builds != 2 || st.Entries != 4 {
+	if st := s.FleetStats().Spatial; st.LiveBuckets != 2 || st.Builds != 2 || st.Entries != 4 {
 		t.Errorf("live buckets, builds, entries = %d, %d, %d, want 2, 2, 4", st.LiveBuckets, st.Builds, st.Entries)
 	}
 }
@@ -347,7 +347,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 			t.Fatalf("scan at h=%d holds %d quiet objects, want %d", h, len(wantRange[b]), len(quiet))
 		}
 	}
-	if st := s.SpatialStats(); st.Builds != 0 {
+	if st := s.FleetStats().Spatial; st.Builds != 0 {
 		t.Fatalf("scans built %d buckets", st.Builds)
 	}
 
@@ -445,7 +445,7 @@ func TestBucketBuildUnderWrites(t *testing.T) {
 		return
 	}
 
-	if st := s.SpatialStats(); st.Builds != int64(len(horizons)) || st.LiveBuckets != int64(len(horizons)) {
+	if st := s.FleetStats().Spatial; st.Builds != int64(len(horizons)) || st.LiveBuckets != int64(len(horizons)) {
 		t.Errorf("builds, live buckets = %d, %d, want %d each", st.Builds, st.LiveBuckets, len(horizons))
 	}
 	for _, h := range horizons {

@@ -1007,8 +1007,8 @@ func (s *Store) Health() Health {
 		SnapshotRestored: s.restored,
 		WALReplayed:      s.replayed,
 		TrainFailures:    s.trainFailures.Load(),
-		State:            s.State(),
-		Degraded:         s.Degraded(),
+		State:            s.stateName(),
+		Degraded:         s.degraded(),
 		WALErrors:        s.walErrors.Load(),
 		Degrades:         s.degrades.Load(),
 		Recoveries:       s.recoveries.Load(),
@@ -1053,15 +1053,6 @@ type WALStats struct {
 	Records uint64 `json:"records"`
 	Batches uint64 `json:"batches"`
 	Fsyncs  uint64 `json:"fsyncs"`
-}
-
-// WALStats reports the durable ingest counters; zero on in-memory stores.
-func (s *Store) WALStats() WALStats {
-	if s.wal == nil {
-		return WALStats{}
-	}
-	r, b, f := s.wal.stats()
-	return WALStats{Records: r, Batches: b, Fsyncs: f}
 }
 
 // Predictor returns the object's current predictor for advanced use
