@@ -43,7 +43,7 @@ reach:
 # WORKLOAD=point_predict (fleet_mixed by default). The harness is built with
 # go build -overlay from a temporary copy of bench/server.go that adds
 # -pprof 127.0.0.1:$(PPROF_PORT) to the child's flags, so nothing under
-# bench/ changes, and run from bench/ with --seconds PROFILE_SECONDS. The
+# bench/ changes, and run from bench/ with --seconds 60. The
 # child is profiled in 2 s parts until the harness exits; the parts that
 # start before set-up ends (the raw setup_s after the first part) are
 # dropped, and the rest, the measured phase with the accuracy probe and the
@@ -51,7 +51,6 @@ reach:
 # and printed with go tool pprof -top -cum. The harness and its child are
 # gone when it ends.
 WORKLOAD ?= fleet_mixed
-PROFILE_SECONDS ?= 60
 PPROF_PORT ?= 6060
 profile:
 	@set -e; tmp=$$(mktemp -d); pid=; \
@@ -61,7 +60,7 @@ profile:
 	if cmp -s bench/server.go $$tmp/server.go; then echo "profile: bench/server.go passes no -data-dir to add -pprof beside" >&2; exit 1; fi; \
 	printf '{"Replace":{"%s":"%s"}}\n' "$$PWD/bench/server.go" "$$tmp/server.go" > $$tmp/overlay.json; \
 	(cd bench && $(GO) build -overlay $$tmp/overlay.json -o out/bench-pprof .); \
-	(cd bench && exec ./out/bench-pprof --workload $(WORKLOAD) --seconds $(PROFILE_SECONDS)) > $$tmp/run.txt & pid=$$!; \
+	(cd bench && exec ./out/bench-pprof --workload $(WORKLOAD) --seconds 60) > $$tmp/run.txt & pid=$$!; \
 	i=0; while kill -0 $$pid 2>/dev/null; do \
 	  at=$$(date +%s.%N); \
 	  if curl -sf -o $$tmp/part-$$i.prof "http://127.0.0.1:$(PPROF_PORT)/debug/pprof/profile?seconds=2"; \

@@ -293,6 +293,7 @@ func BenchmarkChainFleet(b *testing.B) {
 				}
 				out := make([]hpa.Prediction, len(tqs))
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					clear(out)
 					m.markovAnswer(recent, tqs, out)
